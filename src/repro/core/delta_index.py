@@ -14,14 +14,21 @@ range or aggregate query to walk the whole table in Python.  A
   permutation (``for_col``), and
 - the deltas falling inside an arbitrary row x column selection are
   located — with their positions *within* the selection — entirely in
-  vector code (``select``), which is what lets
+  vector code (``select``): each selected row's key slice is bisected
+  down to the selection's column span and only those candidate keys are
+  tested against the column set.  For |R| selected rows, |S| selected
+  columns of M, D stored deltas and c candidates (the selected rows'
+  deltas between the smallest and largest selected column) that is
+  O(|R| log D + (|S| + M) log |S| + c) — the cost follows the
+  selection, never the stored outlier count — which is what lets
   :meth:`~repro.core.store.CompressedMatrix.reconstruct_range` and the
-  factor-space aggregate fast path fold corrections in O(d log n)
-  instead of a Python scan over every stored delta.
+  factor-space aggregate fast path fold corrections without walking
+  every stored delta.
 
-Keys are unique (one delta per cell), so fancy-indexed ``+=`` folding is
-safe without ``np.add.at``.  The index is immutable; rebuilding it costs
-one argsort and is only done at model-open time.
+Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
+pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
+is safe without ``np.add.at``.  The index is immutable; rebuilding it
+costs one argsort and is only done at model-open time.
 """
 
 from __future__ import annotations
@@ -36,21 +43,18 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import registry as _obs
 
 
-def _positions_in(selection: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Position of each target within ``selection``, or -1 when absent.
+def _expand_slices(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the slices ``[starts[i], starts[i] + counts[i])``.
 
-    ``selection`` is an arbitrary (possibly unsorted) index array; for
-    duplicated selection entries the first occurrence wins.
+    Returns ``(owner, positions)``: every position covered by a slice,
+    slice after slice, and the index ``i`` of the slice it came from.
     """
-    selection = np.asarray(selection, dtype=np.int64)
-    if selection.size == 0 or targets.size == 0:
-        return np.full(targets.shape, -1, dtype=np.int64)
-    order = np.argsort(selection, kind="stable")
-    sorted_sel = selection[order]
-    pos = np.searchsorted(sorted_sel, targets)
-    clipped = np.minimum(pos, sorted_sel.size - 1)
-    found = (pos < sorted_sel.size) & (sorted_sel[clipped] == targets)
-    return np.where(found, order[clipped], -1)
+    owner = np.repeat(np.arange(counts.size), counts)
+    ends = np.cumsum(counts)
+    positions = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    return owner, positions
 
 
 class DeltaIndex:
@@ -233,26 +237,52 @@ class DeltaIndex:
         Returns ``(row_pos, col_pos, rows, cols, values)`` where
         ``row_pos``/``col_pos`` index into the *selection arrays* (which
         may be unsorted) — ready for ``out[row_pos, col_pos] += values``
-        folding into a reconstructed block.
+        folding into a reconstructed block.  A selection entry that
+        repeats gets one output entry per occurrence, so every copy of a
+        repeated row or column is corrected; the position pairs stay
+        unique.  Entries follow ``row_sel`` order, key order within a
+        row.
+
+        Only the selected rows' key slices are examined:
+        ``stats["keys_probed"]`` grows by the candidate keys tested (the
+        selected rows' deltas within the column span), ``stats["hits"]``
+        by the deltas returned.
         """
         row_sel = np.asarray(row_sel, dtype=np.int64)
         col_sel = np.asarray(col_sel, dtype=np.int64)
+        probed = 0
+        row_pos = col_pos = cols = picked = np.empty(0, dtype=np.int64)
+        if self._keys.size and row_sel.size and col_sel.size:
+            # Each row's deltas are one contiguous key run; bisect it
+            # down to the selection's column span.  Clamping the span to
+            # the matrix keeps a stray column from aliasing into the
+            # neighbouring row's keys.
+            row_base = row_sel * self._num_cols
+            col_lo = max(int(col_sel.min()), 0)
+            col_hi = min(int(col_sel.max()), self._num_cols - 1)
+            starts = np.searchsorted(self._keys, row_base + col_lo)
+            counts = np.searchsorted(self._keys, row_base + col_hi + 1) - starts
+            probed = int(counts.sum())
+        if probed:
+            cand_row_pos, cand = _expand_slices(starts, counts)
+            # Each candidate's column as an offset into the span.
+            offset = self._keys[cand] - (row_base[cand_row_pos] + col_lo)
+            # Occurrences of each candidate's column within col_sel: the
+            # span's column at ``offset`` sits at sorted positions
+            # [bounds[offset], bounds[offset + 1]).
+            order = np.argsort(col_sel, kind="stable")
+            bounds = np.searchsorted(col_sel[order], np.arange(col_lo, col_hi + 2))
+            first = bounds[offset]
+            owner, where = _expand_slices(first, bounds[offset + 1] - first)
+            row_pos = cand_row_pos[owner]
+            col_pos = order[where]
+            cols = offset[owner] + col_lo
+            picked = cand[owner]
         with self._stats_lock:
             self.stats["lookups"] += 1
-            self.stats["keys_probed"] += int(self._keys.size)
+            self.stats["keys_probed"] += probed
+            self.stats["hits"] += int(picked.size)
         if _obs.enabled:
             _obs.counter("delta.lookups").inc()
-            _obs.counter("delta.keys_probed").inc(int(self._keys.size))
-        if self._keys.size == 0 or row_sel.size == 0 or col_sel.size == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i, empty_i, empty_i, np.empty(0, dtype=np.float64)
-        row_pos = _positions_in(row_sel, self._rows)
-        col_pos = _positions_in(col_sel, self._cols)
-        inside = (row_pos >= 0) & (col_pos >= 0)
-        return (
-            row_pos[inside],
-            col_pos[inside],
-            self._rows[inside],
-            self._cols[inside],
-            self._values[inside],
-        )
+            _obs.counter("delta.keys_probed").inc(probed)
+        return row_pos, col_pos, row_sel[row_pos], cols, self._values[picked]

@@ -21,6 +21,17 @@ from repro.structures.bloom import BloomFilter
 from repro.structures.hashtable import OpenAddressingTable
 
 
+def as_index_array(indices) -> np.ndarray:
+    """A row or column selection as an int64 array.
+
+    Arrays, ranges and sequences convert directly; only a generic
+    iterable (generator, set) is drained into a list first.
+    """
+    if not isinstance(indices, (np.ndarray, range, list, tuple)):
+        indices = list(indices)
+    return np.asarray(indices, dtype=np.int64)
+
+
 @dataclass
 class SVDModel:
     """Truncated SVD of an ``N x M`` matrix: ``X ~ U diag(L) V^t``.
@@ -102,8 +113,8 @@ class SVDModel:
 
     def reconstruct_range(self, rows, cols) -> np.ndarray:
         """Reconstruct the submatrix ``rows x cols`` in one GEMM."""
-        row_idx = np.asarray(list(rows), dtype=np.int64)
-        col_idx = np.asarray(list(cols), dtype=np.int64)
+        row_idx = as_index_array(rows)
+        col_idx = as_index_array(cols)
         self._check_selection(row_idx, col_idx)
         return (self.u[row_idx] * self.eigenvalues) @ self.v[col_idx].T
 
@@ -253,13 +264,12 @@ class SVDDModel:
 
     def reconstruct_range(self, rows, cols) -> np.ndarray:
         """Reconstruct the submatrix ``rows x cols``, deltas folded in."""
-        out = self.svd.reconstruct_range(rows, cols)
+        row_idx = as_index_array(rows)
+        col_idx = as_index_array(cols)
+        out = self.svd.reconstruct_range(row_idx, col_idx)
         index = self.delta_index
         if len(index) > 0:
-            row_pos, col_pos, _r, _c, values = index.select(
-                np.asarray(list(rows), dtype=np.int64),
-                np.asarray(list(cols), dtype=np.int64),
-            )
+            row_pos, col_pos, _r, _c, values = index.select(row_idx, col_idx)
             out[row_pos, col_pos] += values
         return out
 

@@ -2,20 +2,23 @@
 
 The paper's reconstruction-cost argument (Section 4.1) fixes a concrete
 physical design: ``U`` is stored row-wise on disk with an entire row in
-one disk block, while ``V``, the eigenvalues, the delta hash table and
-its Bloom filter are pinned in main memory.  Fetching cell ``(i, j)``
-then costs **one** disk access (the ``U`` row) plus O(k) arithmetic,
-plus one in-memory hash probe for the delta.
+one disk block, while ``V``, the eigenvalues and the delta table are
+pinned in main memory.  Fetching cell ``(i, j)`` then costs **one** disk
+access (the ``U`` row) plus O(k) arithmetic, plus one in-memory probe
+for the delta.
 
-:class:`CompressedMatrix` implements exactly that layout on a
-directory:
+:class:`CompressedMatrix` implements that layout on a directory; the
+delta table is the sorted :class:`~repro.core.delta_index.DeltaIndex`
+(one bisection per probe), adopted straight from ``deltas.bin`` — the
+paper's hash table and Bloom filter live on in the in-memory
+:class:`~repro.core.model.SVDDModel` and its ablation bench:
 
 ```
-<dir>/meta.json      shape, cutoff, delta count, bloom parameters
+<dir>/meta.json      shape, cutoff, delta count, build parameters
 <dir>/u.mat          MatrixStore of U, page size == one U row
 <dir>/lambda.npy     eigenvalues (pinned in memory on open)
 <dir>/v.npy          V matrix (pinned in memory on open)
-<dir>/deltas.bin     outlier records (loaded into the hash table on open)
+<dir>/deltas.bin     outlier records (sorted by key; the delta index on open)
 <dir>/manifest.json  per-file SHA-256 + sizes (integrity manifest)
 ```
 
@@ -44,7 +47,7 @@ import numpy as np
 
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
-from repro.core.model import SVDDModel, SVDModel, cell_key
+from repro.core.model import SVDDModel, SVDModel, as_index_array, cell_key
 from repro.exceptions import (
     ChecksumError,
     ConfigurationError,
@@ -58,11 +61,6 @@ from repro.storage.atomic import staged_directory
 from repro.storage.delta_file import DeltaFile
 from repro.storage.integrity import load_manifest, write_manifest
 from repro.storage.matrix_store import MatrixStore
-from repro.structures.bloom import BloomFilter
-
-#: Bloom FPR assumed for model directories written before the rate was
-#: persisted in ``meta.json``.
-_BLOOM_FPR_DEFAULT = 0.01
 
 _META_NAME = "meta.json"
 _U_NAME = "u.mat"
@@ -110,7 +108,6 @@ class CompressedMatrix:
         eigenvalues: np.ndarray,
         v: np.ndarray,
         deltas: DeltaIndex | None,
-        bloom: BloomFilter | None,
         directory: Path,
         zero_rows: frozenset[int] = frozenset(),
     ) -> None:
@@ -118,14 +115,12 @@ class CompressedMatrix:
         self._eigenvalues = eigenvalues
         self._v = v
         self._deltas = deltas
-        self._bloom = bloom
         self._directory = directory
         self._zero_rows = zero_rows
         # Sorted-array twin of the zero-row set for vectorized masking.
         self._zero_rows_arr = np.array(sorted(zero_rows), dtype=np.int64)
         self.stats = {
             "cell_queries": 0,
-            "bloom_skips": 0,
             "table_probes": 0,
             "zero_row_skips": 0,
         }
@@ -213,9 +208,8 @@ class CompressedMatrix:
                 "cutoff": svd.cutoff,
                 "num_deltas": num_deltas,
                 "bloom": has_bloom,
-                # Persist the filter's target FPR so open() rebuilds it
-                # at the strictness the model was built with, not a
-                # default.
+                # Build provenance only: the opened store probes the
+                # sorted delta index and never rebuilds the filter.
                 "bloom_fpr": model.bloom.false_positive_rate if has_bloom else None,
                 "zero_rows": int(zero_rows.size),
                 "bytes_per_value": bytes_per_value,
@@ -294,7 +288,7 @@ class CompressedMatrix:
         Args:
             on_corrupt: ``"raise"`` (default) fails on any validation
                 error; ``"degraded"`` falls back to SVD-only answers —
-                no deltas, no bloom filter, no zero-row fast path —
+                no deltas, no zero-row fast path —
                 when only the *optional* artifacts (``deltas.bin``,
                 ``zero_rows.npy``, the manifest itself) are damaged.
                 Degraded opens increment the ``store.degraded_opens``
@@ -393,7 +387,7 @@ class CompressedMatrix:
             zero_rows = cls._load_zero_rows(
                 directory, meta, manifest_files, on_corrupt, degraded_reasons
             )
-            deltas, bloom, delta_mm = cls._load_deltas(
+            deltas, delta_mm = cls._load_deltas(
                 directory, meta, manifest_files, on_corrupt, degraded_reasons, mapped
             )
         except ReproError:
@@ -402,7 +396,7 @@ class CompressedMatrix:
         except Exception as exc:
             u_store.close()
             raise FormatError(f"{directory}: failed to load model: {exc}") from exc
-        store = cls(u_store, eigenvalues, v, deltas, bloom, directory, zero_rows)
+        store = cls(u_store, eigenvalues, v, deltas, directory, zero_rows)
         store._bytes_per_value = bytes_per_value
         store._open_options = (pool_capacity, on_corrupt, mapped)
         store._delta_mm = delta_mm
@@ -477,7 +471,7 @@ class CompressedMatrix:
     ):
         """Load the outlier table, degrading to SVD-only if asked.
 
-        Returns ``(deltas, bloom, mm)``.  With ``mapped=True`` the
+        Returns ``(deltas, mm)``.  With ``mapped=True`` the
         record body stays a shared read-only mapping (``mm`` is the
         open map the caller must release on close) and the index adopts
         the validated zero-copy views directly — a worker pool over one
@@ -485,7 +479,7 @@ class CompressedMatrix:
         like ``u.mat``.
         """
         if meta["num_deltas"] <= 0:
-            return None, None, None
+            return None, None
         delta_path = directory / _DELTAS_NAME
         try:
             cls._manifest_size_check(directory, manifest_files, _DELTAS_NAME)
@@ -508,20 +502,12 @@ class CompressedMatrix:
                 )
             # Both loaders validated strict key order, so the index can
             # adopt the arrays without its own argsort + copies.
-            deltas = DeltaIndex(keys, values, meta["cols"], assume_sorted=True)
-            bloom = None
-            if meta.get("bloom"):
-                # Directories written before the FPR was persisted fall
-                # back to the historical default.
-                fpr = float(meta.get("bloom_fpr") or _BLOOM_FPR_DEFAULT)
-                bloom = BloomFilter(max(1, len(deltas)), fpr)
-                bloom.update(int(key) for key in keys)
-            return deltas, bloom, mm
+            return DeltaIndex(keys, values, meta["cols"], assume_sorted=True), mm
         except (FormatError, ChecksumError) as exc:
             if on_corrupt == "raise":
                 raise
             degraded_reasons.append(str(exc))
-            return None, None, None
+            return None, None
 
     @staticmethod
     def _read_update_appends(directory: Path) -> int:
@@ -559,10 +545,9 @@ class CompressedMatrix:
         mm = self._delta_mm
         if mm is not None:
             self._delta_mm = None
-            # Drop the index (and the bloom built over its keys) so the
-            # mmap's exported buffers are released before closing.
+            # Drop the index so the mmap's exported buffers are
+            # released before closing.
             self._deltas = None
-            self._bloom = None
             try:
                 mm.close()
             except BufferError:
@@ -711,7 +696,7 @@ class CompressedMatrix:
         """True when this store opened without its optional artifacts.
 
         A degraded store answers every query from the SVD factors alone
-        (no delta corrections, no bloom filter, no zero-row fast path)
+        (no delta corrections, no zero-row fast path)
         — approximate but never silently wrong about what it is.
         """
         return bool(self._degraded_reasons)
@@ -733,12 +718,8 @@ class CompressedMatrix:
     def _delta_for(self, row: int, col: int) -> float:
         if self._deltas is None:
             return 0.0
-        key = cell_key(row, col, self.shape[1])
-        if self._bloom is not None and key not in self._bloom:
-            self._bump("bloom_skips")
-            return 0.0
         self._bump("table_probes")
-        return self._deltas.get(key, 0.0)
+        return self._deltas.get(cell_key(row, col, self.shape[1]), 0.0)
 
     def _zero_mask(self, row_idx: np.ndarray) -> np.ndarray:
         """Boolean mask of selected rows that are flagged all-zero."""
@@ -863,8 +844,8 @@ class CompressedMatrix:
         :class:`~repro.core.delta_index.DeltaIndex` — no per-row or
         per-delta Python loops.
         """
-        row_idx = np.asarray(list(rows), dtype=np.int64)
-        col_idx = np.asarray(list(cols), dtype=np.int64)
+        row_idx = as_index_array(rows)
+        col_idx = as_index_array(cols)
         total_rows, total_cols = self.shape
         if row_idx.size == 0 or col_idx.size == 0:
             raise QueryError("reconstruct_range needs non-empty selections")

@@ -16,10 +16,12 @@ which is O(|R| * k) work instead of O(|R| * |S| * k).  Sums of squares
 
 Delta corrections fold in through the sorted
 :class:`~repro.core.delta_index.DeltaIndex`: the deltas inside the
-selection are located with vectorized ``searchsorted`` membership tests
-(O(d log n) for d in-selection deltas), each shifting the sum by ``d``
-and the sum of squares by ``2 * x_hat[i, j] * d + d^2`` — no Python scan
-over the stored outlier set.
+selection are located by bisecting each selected row's key slice
+(O(|R| log D + c) for |R| selected rows of a D-delta index and c
+candidate keys in those rows' column span — see
+:meth:`~repro.core.delta_index.DeltaIndex.select`), each shifting the
+sum by ``d`` and the sum of squares by ``2 * x_hat[i, j] * d + d^2`` —
+no pass over the stored outlier set.
 
 For the persistent :class:`~repro.core.store.CompressedMatrix` the
 selected ``U`` rows arrive as one batched, page-coalesced gather

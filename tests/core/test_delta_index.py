@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError
+from repro.storage.delta_file import DeltaFile
 
 NUM_COLS = 10
 
@@ -110,29 +115,77 @@ class TestSelect:
         assert values.size == 0
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_property_select_matches_dict_scan(seed):
-    """The vectorized rectangle selection equals the naive dict scan."""
-    rng = np.random.default_rng(seed)
-    num_cols = int(rng.integers(2, 20))
-    num_rows = int(rng.integers(2, 20))
-    count = int(rng.integers(0, 30))
-    keys = rng.choice(num_rows * num_cols, size=min(count, num_rows * num_cols), replace=False)
-    values = rng.standard_normal(keys.size)
-    index = DeltaIndex(keys, values, num_cols)
+@contextlib.contextmanager
+def _mapped_index(keys, values, num_cols):
+    """The index the way a ``mapped=True`` store builds it: adopted from
+    the read-only arrays of a memory-mapped delta file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "deltas.bin"
+        DeltaFile.write(path, zip(keys.tolist(), values.tolist()))
+        mapped_keys, mapped_values, mm = DeltaFile.map_arrays(path)
+        try:
+            yield DeltaIndex(mapped_keys, mapped_values, num_cols, assume_sorted=True)
+        finally:
+            del mapped_keys, mapped_values
+            try:
+                mm.close()
+            except BufferError:
+                # The caller's index still views the map (a 0/1-record
+                # view is adopted without a copy); freed with the index.
+                pass
 
-    row_sel = np.unique(rng.integers(0, num_rows, size=5))
-    col_sel = np.unique(rng.integers(0, num_cols, size=4))
-    fast = np.zeros((row_sel.size, col_sel.size))
-    row_pos, col_pos, _r, _c, vals = index.select(row_sel, col_sel)
-    fast[row_pos, col_pos] += vals
 
-    slow = np.zeros_like(fast)
-    row_positions = {int(r): p for p, r in enumerate(row_sel)}
-    col_positions = {int(c): p for p, c in enumerate(col_sel)}
-    for key, delta in zip(keys, values):
-        row, col = int(key) // num_cols, int(key) % num_cols
-        if row in row_positions and col in col_positions:
-            slow[row_positions[row], col_positions[col]] += delta
-    np.testing.assert_allclose(fast, slow)
+@st.composite
+def _select_cases(draw):
+    num_rows = draw(st.integers(1, 8))
+    num_cols = draw(st.integers(1, 8))
+    cells = num_rows * num_cols
+    keys = draw(st.sets(st.integers(0, cells - 1), max_size=cells))
+    # Lists, not sets: unsorted, duplicated, non-contiguous, possibly empty.
+    row_sel = draw(st.lists(st.integers(0, num_rows - 1), max_size=6))
+    col_sel = draw(st.lists(st.integers(0, num_cols - 1), max_size=6))
+    return num_rows, num_cols, sorted(keys), row_sel, col_sel, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_select_cases())
+# Slice bounds at both ends of the key array: first/last row, column 0 / M-1.
+@example(case=(3, 4, [0, 3, 8, 11], [0, 2, 0], [3, 0], False))
+@example(case=(3, 4, [0, 3, 8, 11], [2, 0], [0, 3, 3], True))
+# Empty index, rows without deltas, a selection that returns nothing.
+@example(case=(3, 4, [], [1, 1], [2], False))
+@example(case=(3, 4, [5], [0, 2], [1], True))
+@example(case=(3, 4, [4, 6], [1], [1], False))
+def test_property_select_matches_dict_scan(case):
+    """``select`` equals a dense-mask oracle, one entry per occurrence of
+    a repeated selection entry, and probes only the selected rows."""
+    num_rows, num_cols, keys, row_sel, col_sel, mapped = case
+    keys = np.asarray(keys, dtype=np.int64)
+    values = 1.0 + np.arange(keys.size, dtype=np.float64)  # distinct, non-zero
+    dense = np.zeros((num_rows, num_cols))
+    dense[keys // num_cols, keys % num_cols] = values
+    row_sel = np.asarray(row_sel, dtype=np.int64)
+    col_sel = np.asarray(col_sel, dtype=np.int64)
+
+    if mapped:
+        source = _mapped_index(keys, values, num_cols)
+    else:
+        source = contextlib.nullcontext(DeltaIndex(keys, values, num_cols))
+    with source as index:
+        row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
+        stats = dict(index.stats)
+
+    expected = dense[np.ix_(row_sel, col_sel)]
+    assert vals.size == np.count_nonzero(expected)
+    # Pairs are unique, so plain fancy += folds every delta.
+    assert len(set(zip(row_pos.tolist(), col_pos.tolist()))) == vals.size
+    folded = np.zeros_like(expected)
+    folded[row_pos, col_pos] += vals
+    np.testing.assert_array_equal(folded, expected)
+    np.testing.assert_array_equal(rows, row_sel[row_pos])
+    np.testing.assert_array_equal(cols, col_sel[col_pos])
+    np.testing.assert_array_equal(vals, dense[rows, cols])
+    # Honest accounting: only the selected rows' deltas are candidates.
+    stored_in_selected_rows = int(np.count_nonzero(dense[row_sel]))
+    assert stats["hits"] == vals.size
+    assert stats["keys_probed"] <= stored_in_selected_rows

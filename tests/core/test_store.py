@@ -144,6 +144,35 @@ class TestReconstructRange:
                 svdd_model.reconstruct_cell(row, col), abs=1e-9
             )
 
+    def test_repeated_indices_keep_their_deltas(self, saved, svdd_model):
+        # Every occurrence of a repeated row or column carries its delta
+        # corrections, on the store and on the in-memory model alike.
+        row, col, _delta = svdd_model.outlier_cells()[0]
+        other = (row + 1) % saved.shape[0]
+        rows = [row, row, other, row]
+        cols = [col, (col + 5) % saved.shape[1], col, col]
+        block = saved.reconstruct_range(rows, cols)
+        assert np.allclose(
+            block, saved.reconstruct_all()[np.ix_(rows, cols)], atol=1e-9
+        )
+        assert np.allclose(
+            svdd_model.reconstruct_range(rows, cols),
+            svdd_model.reconstruct()[np.ix_(rows, cols)],
+            atol=1e-9,
+        )
+        assert block[0, 0] == block[3, 3] == pytest.approx(saved.cell(row, col))
+
+    def test_accepts_arrays_ranges_and_iterables(self, saved, svdd_model):
+        want = saved.reconstruct_range([3, 4, 5], [10, 11])
+        for backend in (saved, svdd_model):
+            for rows, cols in [
+                (np.arange(3, 6), np.array([10, 11])),
+                (range(3, 6), range(10, 12)),
+                ((r for r in (3, 4, 5)), iter([10, 11])),
+            ]:
+                got = backend.reconstruct_range(rows, cols)
+                assert np.allclose(got, want, atol=1e-9)
+
     def test_bounds_checked(self, saved):
         with pytest.raises(QueryError):
             saved.reconstruct_range([9999], [0])
@@ -151,8 +180,26 @@ class TestReconstructRange:
             saved.reconstruct_range([0], [])
 
 
+def _assert_answers_like_model(store, model):
+    """Every cell of ``store`` equals the in-memory model's, through the
+    batched path (whole grid) and the scalar path (every outlier cell
+    and as many cells without a delta)."""
+    rows, cols = store.shape
+    expected = model.reconstruct()
+    grid_rows, grid_cols = np.divmod(np.arange(rows * cols), cols)
+    np.testing.assert_allclose(
+        store.cells(grid_rows, grid_cols), expected.ravel(), rtol=1e-12, atol=1e-9
+    )
+    outliers = [(row, col) for row, col, _delta in model.outlier_cells()]
+    plain = [(row, (col + 1) % cols) for row, col in outliers]
+    for row, col in outliers + plain:
+        assert store.cell(row, col) == pytest.approx(expected[row, col], abs=1e-9)
+
+
 class TestBloomFprPersistence:
-    """The filter's target FPR must survive a save/open round trip."""
+    """``bloom``/``bloom_fpr`` in ``meta.json`` are build provenance: the
+    opened store answers deltas from the sorted index alone, whatever
+    those keys say."""
 
     def test_strict_fpr_round_trips(self, tmp_path, data):
         model = SVDDCompressor(budget_fraction=0.10, bloom_fpr=0.001).fit(data)
@@ -160,11 +207,10 @@ class TestBloomFprPersistence:
         directory = tmp_path / "strict"
         CompressedMatrix.save(model, directory).close()
         meta = json.loads((directory / "meta.json").read_text())
+        assert meta["bloom"] is True
         assert meta["bloom_fpr"] == 0.001
         with CompressedMatrix.open(directory) as store:
-            assert store._bloom.false_positive_rate == 0.001
-            # A stricter FPR buys a larger bit array than the default.
-            assert store._bloom.num_bits == model.bloom.num_bits
+            _assert_answers_like_model(store, model)
 
     def test_old_directory_without_fpr_defaults(self, tmp_path, svdd_model):
         directory = tmp_path / "legacy"
@@ -173,8 +219,29 @@ class TestBloomFprPersistence:
         del meta["bloom_fpr"]  # simulate a pre-upgrade directory
         (directory / "meta.json").write_text(json.dumps(meta))
         with CompressedMatrix.open(directory) as store:
-            assert store._bloom is not None
-            assert store._bloom.false_positive_rate == 0.01
+            _assert_answers_like_model(store, svdd_model)
+
+    def test_parent_commit_bloom_meta_opens(self, tmp_path, svdd_model):
+        # meta.json exactly as the last Bloom-rebuilding commit wrote it.
+        directory = tmp_path / "parent"
+        CompressedMatrix.save(svdd_model, directory).close()
+        rows, cols = svdd_model.shape
+        meta = {
+            "kind": "svdd",
+            "rows": rows,
+            "cols": cols,
+            "cutoff": svdd_model.cutoff,
+            "num_deltas": svdd_model.num_deltas,
+            "bloom": True,
+            "bloom_fpr": 0.01,
+            "zero_rows": json.loads((directory / "meta.json").read_text())["zero_rows"],
+            "bytes_per_value": 8,
+        }
+        (directory / "meta.json").write_text(json.dumps(meta, indent=2))
+        for mapped in (False, True):
+            with CompressedMatrix.open(directory, mapped=mapped) as store:
+                assert store.num_deltas == svdd_model.num_deltas
+                _assert_answers_like_model(store, svdd_model)
 
     def test_svd_model_records_no_fpr(self, tmp_path, data):
         model = SVDCompressor(k=4).fit(data)
