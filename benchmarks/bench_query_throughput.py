@@ -180,8 +180,7 @@ def _scalar_factor_aggregate(store: CompressedMatrix, row_idx, col_idx, function
 
 def _delta_heavy_store(root, num_rows=4000, num_cols=366, num_deltas=40_000):
     """A saved SVDD backend with a dense outlier set (>= 10k deltas)."""
-    from repro.core import SVDDModel, SVDModel
-    from repro.structures.hashtable import OpenAddressingTable
+    from repro.core import DeltaIndex, SVDDModel, SVDModel
 
     rng = np.random.default_rng(17)
     k = 12
@@ -191,10 +190,8 @@ def _delta_heavy_store(root, num_rows=4000, num_cols=366, num_deltas=40_000):
         v=rng.standard_normal((num_cols, k)),
     )
     keys = rng.choice(num_rows * num_cols, size=num_deltas, replace=False)
-    table = OpenAddressingTable(initial_capacity=2 * num_deltas)
-    for key in keys:
-        table.put(int(key), float(rng.standard_normal() * 4))
-    model = SVDDModel(svd=svd, deltas=table, bloom=None)
+    values = rng.standard_normal(num_deltas) * 4
+    model = SVDDModel(svd=svd, deltas=DeltaIndex(keys, values, num_cols))
     return CompressedMatrix.save(model, root / "delta_heavy")
 
 

@@ -87,9 +87,18 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
     new_days = data[:, :NEW_DAYS] * (
         1.0 + 0.05 * rng.standard_normal((ROWS, NEW_DAYS))
     )
+    # The same append with the refresh deferred, on a pre-append copy:
+    # the difference isolates the dirty-tile refresh, which is what a
+    # cold rebuild would replace (the whole append is not).
+    norefresh = root / "norefresh"
+    shutil.copytree(root / "model", norefresh)
     append_start = time.perf_counter()
     append_columns(root / "model", new_days)
     append_refresh_s = time.perf_counter() - append_start
+    norefresh_start = time.perf_counter()
+    append_columns(norefresh, new_days, refresh_summaries=False)
+    append_norefresh_s = time.perf_counter() - norefresh_start
+    refresh_s = append_refresh_s - append_norefresh_s
     cold = root / "cold"
     shutil.copytree(root / "model", cold)
     rebuild_start = time.perf_counter()
@@ -112,7 +121,8 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
     )
     lines.append(
         f"speedup: {speedup:.0f}x   groupby(month): {groupby_s * 1e3:.2f} ms   "
-        f"append-refresh: {append_refresh_s:.2f}s "
+        f"append+refresh: {append_refresh_s:.2f}s = append "
+        f"{append_norefresh_s:.2f}s + refresh {refresh_s:.2f}s "
         f"(cold summarize {summarize_rebuild_s:.2f}s)   "
         f"post-append bit-identical: {identical}"
     )
@@ -133,6 +143,8 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
             "groupby_month_seconds": groupby_s,
             "pages_read_on_hit": int(pages_read),
             "append_refresh_seconds": append_refresh_s,
+            "append_norefresh_seconds": append_norefresh_s,
+            "refresh_seconds": refresh_s,
             "summarize_rebuild_seconds": summarize_rebuild_s,
             "post_append_bit_identical": identical,
         },

@@ -165,8 +165,6 @@ def build_compressed(
             "cols": num_cols,
             "cutoff": k_opt,
             "num_deltas": num_deltas,
-            "bloom": fitter.use_bloom,
-            "bloom_fpr": fitter.bloom_fpr if fitter.use_bloom else None,
             "zero_rows": len(zero_rows),
             "bytes_per_value": bytes_per_value,
         }

@@ -33,7 +33,7 @@ costs one argsort and is only done at model-open time.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import threading
 
@@ -64,13 +64,17 @@ class DeltaIndex:
         keys: cell keys ``row * num_cols + col`` (need not be sorted).
         values: the delta for each key, aligned with ``keys``.
         num_cols: ``M`` of the matrix the keys address.
-        assume_sorted: skip the argsort *and the defensive copies* —
-            the key/value arrays are adopted as-is.  Only pass True for
-            arrays already validated strictly increasing (the canonical
-            delta-file order, which :meth:`DeltaFile.read_arrays` and
-            :meth:`DeltaFile.map_arrays` both enforce); this is what
-            lets worker processes index straight over a shared mmap
-            without ever materializing a private copy.
+        assume_sorted: skip the argsort and its copies.  Only pass
+            True for arrays already validated strictly increasing (the
+            canonical delta-file order, which
+            :meth:`DeltaFile.read_arrays` and
+            :meth:`DeltaFile.map_arrays` both enforce).  Contiguous
+            arrays are adopted as-is; the strided views ``map_arrays``
+            hands out over the record body are not — ``.ravel()`` below
+            gathers each into one private contiguous array, so a mapped
+            open pays one copy of the keys and one of the values per
+            process (the mapping itself stays shared and is only read
+            at open).
     """
 
     def __init__(self, keys, values, num_cols: int, assume_sorted: bool = False) -> None:
@@ -102,17 +106,6 @@ class DeltaIndex:
         # concurrent lookups are safe; only the stats dict mutates and
         # its read-modify-write increments go through this lock.
         self._stats_lock = threading.Lock()
-
-    @classmethod
-    def from_items(cls, items: Iterable[tuple[int, float]], num_cols: int) -> "DeltaIndex":
-        """Build from ``(key, delta)`` pairs (hash-table ``items()``, dicts)."""
-        pairs = list(items)
-        if not pairs:
-            return cls(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), num_cols
-            )
-        keys, values = zip(*pairs)
-        return cls(np.asarray(keys), np.asarray(values), num_cols)
 
     # -- geometry -----------------------------------------------------------
 

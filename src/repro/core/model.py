@@ -3,8 +3,9 @@
 A :class:`SVDModel` holds the truncated factors ``U`` (N x k), the
 eigenvalues ``Lambda`` (k,) and ``V`` (M x k) of the paper's Eq. 8, and
 reconstructs cells with Eq. 12 in O(k).  A :class:`SVDDModel` wraps an
-SVD model with the outlier delta table and its Bloom-filter front
-(Section 4.2): reconstruction first computes the SVD estimate, then
+SVD model with the outlier delta table (Section 4.2), held as the same
+sorted :class:`~repro.core.delta_index.DeltaIndex` the persistent store
+answers from: reconstruction first computes the SVD estimate, then
 corrects it exactly if the cell is a recorded outlier.
 """
 
@@ -17,8 +18,6 @@ import numpy as np
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
-from repro.structures.bloom import BloomFilter
-from repro.structures.hashtable import OpenAddressingTable
 
 
 def as_index_array(indices) -> np.ndarray:
@@ -183,10 +182,7 @@ class SVDDModel:
 
     Attributes:
         svd: the truncated SVD kept after the k_opt decision.
-        deltas: hash table mapping cell key -> (actual - reconstructed).
-        bloom: optional Bloom filter predicting non-outliers; when
-            present, reconstruction probes the hash table only for keys
-            the filter admits.
+        deltas: sorted index mapping cell key -> (actual - reconstructed).
         k_max: the pass-1 upper cutoff considered.
         candidate_errors: the epsilon_k curve from pass 2 (sum of squared
             errors after delta correction for each candidate k, index 0
@@ -194,12 +190,9 @@ class SVDDModel:
     """
 
     svd: SVDModel
-    deltas: OpenAddressingTable
-    bloom: BloomFilter | None = None
+    deltas: DeltaIndex
     k_max: int = 0
     candidate_errors: np.ndarray | None = field(default=None, repr=False)
-    #: Probe-accounting counters (reconstruction-time observability).
-    stats: dict = field(default_factory=lambda: {"bloom_skips": 0, "table_probes": 0})
 
     @property
     def num_rows(self) -> int:
@@ -223,33 +216,10 @@ class SVDDModel:
         """Number of outlier cells stored exactly."""
         return len(self.deltas)
 
-    def _delta_for(self, row: int, col: int) -> float:
-        key = cell_key(row, col, self.num_cols)
-        if self.bloom is not None and key not in self.bloom:
-            self.stats["bloom_skips"] += 1
-            return 0.0
-        self.stats["table_probes"] += 1
-        return self.deltas.get(key, 0.0)
-
-    @property
-    def delta_index(self) -> DeltaIndex:
-        """Sorted-array view of the delta table for vectorized queries.
-
-        Built lazily from the hash table and memoized; rebuilt if the
-        table's size changes (the off-line update path replaces models
-        wholesale, so size is a sufficient staleness signal).
-        """
-        cached = getattr(self, "_delta_index_cache", None)
-        if cached is None or cached[0] != len(self.deltas):
-            index = DeltaIndex.from_items(self.deltas.items(), self.num_cols)
-            object.__setattr__(self, "_delta_index_cache", (len(self.deltas), index))
-            return index
-        return cached[1]
-
     def reconstruct_cell(self, row: int, col: int) -> float:
         """SVD estimate plus exact delta correction for outliers."""
         base = self.svd.reconstruct_cell(row, col)
-        return base + self._delta_for(row, col)
+        return base + self.deltas.get(cell_key(row, col, self.num_cols), 0.0)
 
     def reconstruct_row(self, row: int) -> np.ndarray:
         """Reconstruct one row, applying any stored delta corrections.
@@ -258,7 +228,7 @@ class SVDDModel:
         delta index instead of M per-cell probes.
         """
         out = self.svd.reconstruct_row(row)
-        delta_cols, delta_values = self.delta_index.for_row(row)
+        delta_cols, delta_values = self.deltas.for_row(row)
         out[delta_cols] += delta_values
         return out
 
@@ -267,7 +237,7 @@ class SVDDModel:
         row_idx = as_index_array(rows)
         col_idx = as_index_array(cols)
         out = self.svd.reconstruct_range(row_idx, col_idx)
-        index = self.delta_index
+        index = self.deltas
         if len(index) > 0:
             row_pos, col_pos, _r, _c, values = index.select(row_idx, col_idx)
             out[row_pos, col_pos] += values
@@ -276,7 +246,7 @@ class SVDDModel:
     def reconstruct_cells(self, rows, cols) -> np.ndarray:
         """Reconstruct the cells ``(rows[i], cols[i])``, deltas folded in."""
         out = self.svd.reconstruct_cells(rows, cols)
-        index = self.delta_index
+        index = self.deltas
         if len(index) > 0 and out.size > 0:
             keys = (
                 np.asarray(rows, dtype=np.int64).ravel() * self.num_cols
@@ -288,7 +258,7 @@ class SVDDModel:
     def reconstruct(self) -> np.ndarray:
         """Materialize the delta-corrected approximation."""
         out = self.svd.reconstruct()
-        index = self.delta_index
+        index = self.deltas
         if len(index) > 0:
             out[index.rows, index.cols] += index.values
         return out
@@ -323,11 +293,11 @@ class SVDDModel:
             return float("inf")
         if len(self.deltas) >= self.num_rows * self.num_cols:
             return 0.0
-        return min(abs(delta) for _key, delta in self.deltas.items())
+        return float(np.abs(self.deltas.values).min())
 
     def outlier_cells(self) -> list[tuple[int, int, float]]:
         """The stored ``(row, col, delta)`` triplets, sorted by cell key."""
-        cols = self.num_cols
-        return sorted(
-            (key // cols, key % cols, delta) for key, delta in self.deltas.items()
+        index = self.deltas
+        return list(
+            zip(index.rows.tolist(), index.cols.tolist(), index.values.tolist())
         )

@@ -33,14 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import space
+from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import compute_u, spectrum_from_gram
 from repro.core.svdd import SVDDCompressor
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.linalg import SymmetricEigensolver, default_eigensolver
 from repro.storage.matrix_store import MatrixStore
-from repro.structures.bloom import BloomFilter
-from repro.structures.hashtable import OpenAddressingTable
 
 
 def winsorized_gram(
@@ -165,7 +164,6 @@ class RobustSVDDCompressor:
         self,
         budget_fraction: float,
         clip_percentile: float = 99.0,
-        use_bloom: bool = True,
         eigensolver: SymmetricEigensolver | None = None,
     ) -> None:
         if not 0.0 < budget_fraction <= 1.0:
@@ -174,7 +172,6 @@ class RobustSVDDCompressor:
             )
         self.budget_fraction = budget_fraction
         self.clip_percentile = clip_percentile
-        self.use_bloom = use_bloom
         self.eigensolver = eigensolver
 
     def fit(self, matrix: np.ndarray) -> SVDDModel:
@@ -197,19 +194,12 @@ class RobustSVDDCompressor:
         residual = arr - robust.reconstruct()
         flat = np.abs(residual).ravel()
         gamma = min(gamma, flat.size)
-        table = OpenAddressingTable(initial_capacity=max(16, 2 * gamma))
-        bloom = None
+        worst = np.empty(0, dtype=np.int64)
         if gamma > 0:
             worst = np.argpartition(flat, flat.size - gamma)[flat.size - gamma :]
-            for key in worst:
-                table.put(int(key), float(residual.ravel()[key]))
-            if self.use_bloom:
-                bloom = BloomFilter(gamma)
-                bloom.update(int(key) for key in worst)
         return SVDDModel(
             svd=robust,
-            deltas=table,
-            bloom=bloom,
+            deltas=DeltaIndex(worst, residual.ravel()[worst], arr.shape[1]),
             k_max=baseline.k_max,
             candidate_errors=baseline.candidate_errors,
         )

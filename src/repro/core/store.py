@@ -10,8 +10,9 @@ for the delta.
 :class:`CompressedMatrix` implements that layout on a directory; the
 delta table is the sorted :class:`~repro.core.delta_index.DeltaIndex`
 (one bisection per probe), adopted straight from ``deltas.bin`` — the
-paper's hash table and Bloom filter live on in the in-memory
-:class:`~repro.core.model.SVDDModel` and its ablation bench:
+same representation the in-memory :class:`~repro.core.model.SVDDModel`
+holds; the paper's hash table and Bloom filter live on only in
+``repro.structures`` and their ablation bench:
 
 ```
 <dir>/meta.json      shape, cutoff, delta count, build parameters
@@ -189,7 +190,7 @@ class CompressedMatrix:
                     deltas.items(),
                     bytes_per_value=bytes_per_value,
                 )
-                delta_rows = {key // svd.num_cols for key, _d in deltas.items()}
+                delta_rows = set(deltas.rows.tolist())
             # Section 6.2 'practical issue': flag all-zero customers so
             # their cells are answered without touching the disk at all.
             # A row is provably all-zero when its U coordinates are zero
@@ -200,17 +201,12 @@ class CompressedMatrix:
             )
             if zero_rows.size:
                 np.save(staging / _ZERO_ROWS_NAME, zero_rows)
-            has_bloom = isinstance(model, SVDDModel) and model.bloom is not None
             meta = {
                 "kind": "svdd" if isinstance(model, SVDDModel) else "svd",
                 "rows": svd.num_rows,
                 "cols": svd.num_cols,
                 "cutoff": svd.cutoff,
                 "num_deltas": num_deltas,
-                "bloom": has_bloom,
-                # Build provenance only: the opened store probes the
-                # sorted delta index and never rebuilds the filter.
-                "bloom_fpr": model.bloom.false_positive_rate if has_bloom else None,
                 "zero_rows": int(zero_rows.size),
                 "bytes_per_value": bytes_per_value,
             }
@@ -471,12 +467,11 @@ class CompressedMatrix:
     ):
         """Load the outlier table, degrading to SVD-only if asked.
 
-        Returns ``(deltas, mm)``.  With ``mapped=True`` the
-        record body stays a shared read-only mapping (``mm`` is the
-        open map the caller must release on close) and the index adopts
-        the validated zero-copy views directly — a worker pool over one
-        model shares a single physical copy of the delta table, exactly
-        like ``u.mat``.
+        Returns ``(deltas, mm)``.  With ``mapped=True`` the record body
+        is validated through a shared read-only mapping (``mm`` is the
+        open map the caller must release on close) instead of a heap
+        copy of the file; the index then gathers its own contiguous
+        key and value arrays out of it (see :class:`DeltaIndex`).
         """
         if meta["num_deltas"] <= 0:
             return None, None
@@ -793,6 +788,20 @@ class CompressedMatrix:
             delta_rows, delta_values = self._deltas.for_col(col)
             out[delta_rows] += delta_values
         return out
+
+    def factors(self, row_idx: np.ndarray):
+        """The selected rows in factor space, for aggregates that never
+        need the reconstructed cells.
+
+        Returns ``(scaled_u, v, delta_index, rows_fetched)``: the rows'
+        ``u_i * Lambda`` coordinates — one batched, page-coalesced
+        :meth:`~repro.storage.matrix_store.MatrixStore.read_rows`
+        gather, zero rows included so the page accounting matches the
+        planner's — the pinned ``V``, the outlier index (None for plain
+        SVD models) and the U-row fetches the gather performed.
+        """
+        u_sel = self._u_store.read_rows(row_idx)[:, : self.cutoff]
+        return u_sel * self._eigenvalues, self._v, self._deltas, int(row_idx.size)
 
     def cells(self, rows, cols) -> np.ndarray:
         """Reconstruct many cells at once: one coalesced U gather.

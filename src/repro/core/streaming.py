@@ -25,10 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import space
-from repro.core.model import SVDDModel, SVDModel, cell_key
+from repro.core.delta_index import DeltaIndex
+from repro.core.model import SVDDModel, SVDModel
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.structures.bloom import BloomFilter
-from repro.structures.hashtable import OpenAddressingTable
 
 
 def _check_rows(model_cols: int, rows: np.ndarray) -> np.ndarray:
@@ -102,34 +101,22 @@ def append_rows(
     u_cost = arr.shape[0] * svd.cutoff * space.BYTES_PER_VALUE
     gamma_new = max(0, int((earned - u_cost) // space.DELTA_RECORD_BYTES))
 
-    # Copy the existing delta table, then add the worst new cells.
-    table = OpenAddressingTable(
-        initial_capacity=max(16, 2 * (len(model.deltas) + gamma_new))
-    )
-    for key, delta in model.deltas.items():
-        table.put(key, delta)
-
-    base_row = svd.num_rows
-    recon = (new_u * extended.eigenvalues) @ extended.v.T
-    residual = arr - recon
-    flat = np.abs(residual).ravel()
+    # The worst new cells join the existing deltas; appended rows
+    # follow every old row, so the keys stay disjoint.
+    residual = (arr - (new_u * extended.eigenvalues) @ extended.v.T).ravel()
+    flat = np.abs(residual)
     gamma_new = min(gamma_new, flat.size)
+    worst = np.empty(0, dtype=np.int64)
     if gamma_new > 0:
         worst = np.argpartition(flat, flat.size - gamma_new)[flat.size - gamma_new :]
-        for local_key in worst:
-            local_row, col = divmod(int(local_key), svd.num_cols)
-            key = cell_key(base_row + local_row, col, svd.num_cols)
-            table.put(key, float(residual.ravel()[local_key]))
-
-    bloom = None
-    if model.bloom is not None and len(table) > 0:
-        bloom = BloomFilter(len(table))
-        for key, _delta in table.items():
-            bloom.add(key)
+    deltas = DeltaIndex(
+        np.concatenate([model.deltas.keys, svd.num_rows * svd.num_cols + worst]),
+        np.concatenate([model.deltas.values, residual[worst]]),
+        svd.num_cols,
+    )
     return SVDDModel(
         svd=extended,
-        deltas=table,
-        bloom=bloom,
+        deltas=deltas,
         k_max=model.k_max,
         candidate_errors=model.candidate_errors,
     )

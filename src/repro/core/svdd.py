@@ -23,9 +23,10 @@ The construction is the paper's 3-pass algorithm (Figure 5):
   ``k_opt`` (Eq. 11).
 
 Reconstruction of a cell is the plain-SVD estimate (Eq. 12) plus an
-exact correction when the cell is in the delta table — found via one
-hash probe, usually short-circuited by the Bloom filter for the
-overwhelming majority of non-outlier cells.
+exact correction when the cell is in the delta table — one bisection of
+the sorted :class:`~repro.core.delta_index.DeltaIndex` (the paper's hash
+table and Bloom filter survive as ``repro.structures`` and the
+``bench_ablation_bloom`` artifact).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import space
+from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import (
     _row_chunks,
@@ -50,8 +52,6 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.matrix_store import MatrixStore
-from repro.structures.bloom import BloomFilter
-from repro.structures.hashtable import OpenAddressingTable
 from repro.structures.topk import TopKBuffer
 
 
@@ -121,10 +121,6 @@ class SVDDCompressor:
         raw_bytes_per_value: element size of the uncompressed matrix the
             budget is measured against (default: same as
             bytes_per_value, the paper's accounting).
-        use_bloom: build the Bloom-filter front for the delta table
-            (paper: 'optionally, we could use a main-memory Bloom
-            filter').
-        bloom_fpr: target false-positive rate of that filter.
     """
 
     def __init__(
@@ -134,8 +130,6 @@ class SVDDCompressor:
         eigensolver: SymmetricEigensolver | None = None,
         bytes_per_value: int = space.BYTES_PER_VALUE,
         raw_bytes_per_value: int | None = None,
-        use_bloom: bool = True,
-        bloom_fpr: float = 0.01,
     ) -> None:
         if not 0.0 < budget_fraction <= 1.0:
             raise ConfigurationError(
@@ -148,8 +142,6 @@ class SVDDCompressor:
         self.eigensolver = eigensolver or default_eigensolver()
         self.bytes_per_value = bytes_per_value
         self.raw_bytes_per_value = raw_bytes_per_value
-        self.use_bloom = use_bloom
-        self.bloom_fpr = bloom_fpr
 
     # -- pass 1 helpers ---------------------------------------------------
 
@@ -279,18 +271,9 @@ class SVDDCompressor:
         svd_model = SVDModel(u=u, eigenvalues=lam_opt, v=v_opt)
 
         keys, deltas, _scores = selection.delta_queue.finalize()
-        table = OpenAddressingTable(initial_capacity=max(16, 2 * keys.shape[0]))
-        for key, delta in zip(keys, deltas):
-            table.put(int(key), float(delta))
-        bloom = None
-        if self.use_bloom and keys.shape[0] > 0:
-            bloom = BloomFilter(keys.shape[0], self.bloom_fpr)
-            bloom.update(int(key) for key in keys)
-
         return SVDDModel(
             svd=svd_model,
-            deltas=table,
-            bloom=bloom,
+            deltas=DeltaIndex(keys, deltas, svd_model.num_cols),
             k_max=selection.k_max,
             candidate_errors=selection.candidate_errors,
         )
@@ -317,14 +300,12 @@ class NaiveSVDDCompressor:
         k_max: int | None = None,
         eigensolver: SymmetricEigensolver | None = None,
         bytes_per_value: int = space.BYTES_PER_VALUE,
-        use_bloom: bool = True,
     ) -> None:
         self._fast = SVDDCompressor(
             budget_fraction=budget_fraction,
             k_max=k_max,
             eigensolver=eigensolver,
             bytes_per_value=bytes_per_value,
-            use_bloom=use_bloom,
         )
 
     def fit(self, source: MatrixStore | np.ndarray) -> SVDDModel:
@@ -383,17 +364,9 @@ class NaiveSVDDCompressor:
             queue.offer(keys, flat, np.abs(flat))
             row_base += block.shape[0]
         keys, deltas, _scores = queue.finalize()
-        table = OpenAddressingTable(initial_capacity=max(16, 2 * keys.shape[0]))
-        for key, delta in zip(keys, deltas):
-            table.put(int(key), float(delta))
-        bloom = None
-        if self._fast.use_bloom and keys.shape[0] > 0:
-            bloom = BloomFilter(keys.shape[0], self._fast.bloom_fpr)
-            bloom.update(int(key) for key in keys)
         return SVDDModel(
             svd=model,
-            deltas=table,
-            bloom=bloom,
+            deltas=DeltaIndex(keys, deltas, num_cols),
             k_max=k_max,
             candidate_errors=epsilons,
         )

@@ -55,19 +55,12 @@ class SVDDMethod(CompressionMethod):
 
     name = "delta"
 
-    def __init__(
-        self,
-        eigensolver: SymmetricEigensolver | None = None,
-        use_bloom: bool = True,
-    ) -> None:
+    def __init__(self, eigensolver: SymmetricEigensolver | None = None) -> None:
         self.eigensolver = eigensolver
-        self.use_bloom = use_bloom
 
     def fit(self, matrix: np.ndarray, budget_fraction: float) -> _SVDFitted:
         arr = self._validate(matrix, budget_fraction)
         compressor = SVDDCompressor(
-            budget_fraction=budget_fraction,
-            eigensolver=self.eigensolver,
-            use_bloom=self.use_bloom,
+            budget_fraction=budget_fraction, eigensolver=self.eigensolver
         )
         return _SVDFitted(compressor.fit(arr))

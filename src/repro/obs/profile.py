@@ -10,13 +10,10 @@ The engine only builds profiles while the process-wide registry is
 enabled; a disabled run returns results whose ``profile`` is None and
 pays nothing beyond the guard branch.
 
-:class:`StatDelta` is the capture half: it snapshots a backend's pool,
-pager and delta-index counters before the query and diffs them after,
-duck-typed so the raw :class:`~repro.storage.matrix_store.MatrixStore`
-(``pool_stats``/``io_stats``) and the compressed
-:class:`~repro.core.store.CompressedMatrix`
-(``u_pool_stats``/``u_io_stats``/``delta_index``) both work, and purely
-in-memory backends degrade to all-zero I/O sections.
+:class:`StatDelta` is the capture half: it snapshots a resolved
+:class:`~repro.query.backend.Backend`'s pool, pager and delta-index
+counters before the query and diffs them after; backends without a
+paged store or without deltas report all-zero sections.
 """
 
 from __future__ import annotations
@@ -89,30 +86,16 @@ class QueryProfile:
         return json.dumps(self.to_dict(), indent=indent, default=str)
 
 
-def _pool_stats(backend):
-    return getattr(backend, "u_pool_stats", None) or getattr(
-        backend, "pool_stats", None
-    )
-
-
-def _io_stats(backend):
-    return getattr(backend, "u_io_stats", None) or getattr(backend, "io_stats", None)
-
-
-def _delta_stats(backend) -> dict | None:
-    index = getattr(backend, "delta_index", None)
-    return getattr(index, "stats", None)
-
-
 class StatDelta:
     """Snapshot a backend's counters now; diff them after the query."""
 
     __slots__ = ("_pool", "_io", "_delta", "_before")
 
     def __init__(self, backend) -> None:
-        self._pool = _pool_stats(backend)
-        self._io = _io_stats(backend)
-        self._delta = _delta_stats(backend)
+        self._pool = backend.pool_stats
+        self._io = backend.io_stats
+        index = backend.delta_index
+        self._delta = None if index is None else index.stats
         before: dict[str, int] = {}
         if self._pool is not None:
             before["hits"] = self._pool.hits
@@ -123,8 +106,8 @@ class StatDelta:
             before["reads"] = self._io.reads
             before["bytes_read"] = self._io.bytes_read
         if self._delta is not None:
-            before["lookups"] = self._delta.get("lookups", 0)
-            before["keys_probed"] = self._delta.get("keys_probed", 0)
+            before["lookups"] = self._delta["lookups"]
+            before["keys_probed"] = self._delta["keys_probed"]
         self._before = before
 
     def collect(self) -> dict[str, int]:
@@ -153,8 +136,6 @@ class StatDelta:
             out["io_reads"] = self._io.reads - before["reads"]
             out["io_bytes_read"] = self._io.bytes_read - before["bytes_read"]
         if self._delta is not None:
-            out["delta_lookups"] = self._delta.get("lookups", 0) - before["lookups"]
-            out["delta_keys_probed"] = (
-                self._delta.get("keys_probed", 0) - before["keys_probed"]
-            )
+            out["delta_lookups"] = self._delta["lookups"] - before["lookups"]
+            out["delta_keys_probed"] = self._delta["keys_probed"] - before["keys_probed"]
         return out

@@ -37,17 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.store import CompressedMatrix
 from repro.exceptions import QueryError, RouteUnavailableError
 from repro.plan.cost import CostParams, flops_ms, page_read_ms
-from repro.query.fastpath import (
-    FACTOR_FUNCTIONS,
-    _delta_index_of,
-    _unwrap,
-    factor_fetch_count,
-    has_factor_form,
-)
-from repro.storage.matrix_store import MatrixStore
+from repro.query.backend import as_backend
+from repro.query.fastpath import FACTOR_FUNCTIONS
 
 __all__ = [
     "ROUTES",
@@ -153,81 +146,9 @@ class QueryPlan:
 
 
 def svd_error_bound(backend) -> float | None:
-    """The RMSPE the SVD-only route would carry, or None when unknown.
-
-    For the persistent :class:`CompressedMatrix` this is the stored
-    residual-energy estimate from ``update_state.json`` (see
-    :func:`repro.core.update.stored_rmspe_estimate`); in-memory
-    backends that expose an ``rmspe_estimate`` attribute are honored
-    too.
-    """
-    bound = getattr(backend, "rmspe_estimate", None)
-    if callable(bound):
-        bound = bound()
-    if bound is None:
-        return None
-    bound = float(bound)
-    return bound if np.isfinite(bound) and bound >= 0.0 else None
-
-
-# -- backend introspection -------------------------------------------------
-
-
-def _paged_store(backend):
-    """The paged MatrixStore a route's row fetches hit, or None."""
-    if isinstance(backend, CompressedMatrix):
-        return backend.u_store
-    if isinstance(backend, MatrixStore):
-        return backend
-    return None
-
-
-def _is_memory_resident(backend, store) -> bool:
-    """True when row fetches cost memory, not seeks: no paged store at
-    all, or one opened ``mapped=True`` (pages live in the page cache,
-    shared through one physical mapping)."""
-    if store is None:
-        return True
-    return bool(getattr(backend, "mapped", False) or store.mapped)
-
-
-def _rank_of(backend) -> int:
-    if isinstance(backend, CompressedMatrix):
-        return int(backend.cutoff)
-    svd = _unwrap(backend)
-    if svd is not None:
-        return int(svd.eigenvalues.shape[0])
-    return 0
-
-
-def _delta_count(backend) -> int:
-    index = _delta_index_of(backend)
-    return len(index) if index is not None else 0
-
-
-def _pool_hit_rate(store) -> float:
-    if store is None:
-        return 1.0
-    try:
-        return float(store.pool_stats.hit_rate)
-    except (AttributeError, ZeroDivisionError):
-        return 0.0
-
-
-def _pages_and_bytes(store, row_idx: np.ndarray) -> tuple[int, int]:
-    """(distinct pages, page bytes) a gather of ``row_idx`` touches."""
-    if store is None or row_idx.size == 0:
-        return 0, 0
-    return store.pages_for_rows(row_idx), store.page_size
-
-
-def _summary_store(backend, shape: tuple[int, int]):
-    store = getattr(backend, "summaries", None)
-    if store is None:
-        return None, "backend has no summary store"
-    if (store.model_rows, store.model_cols) != tuple(shape):
-        return None, "summary store is stamped for a different shape"
-    return store, ""
+    """The RMSPE the SVD-only route would carry, or None when unknown
+    (see :attr:`repro.query.backend.Backend.rmspe_estimate`)."""
+    return as_backend(backend).rmspe_estimate
 
 
 # -- planning --------------------------------------------------------------
@@ -248,8 +169,8 @@ def plan_aggregate(
     """Enumerate, price, and choose a route for one aggregate.
 
     Args:
-        backend: the engine's raw backend (any
-            :class:`~repro.query.engine.QueryEngine` backend type).
+        backend: the engine's data source — raw, or already resolved
+            by :func:`~repro.query.backend.as_backend`.
         function: one of the supported aggregates.
         row_idx / col_idx: the resolved selection (sorted index
             arrays from :meth:`Selection.resolve`).
@@ -266,15 +187,14 @@ def plan_aggregate(
             budget.  The message names every rejected route and why, so
             explain and execute fail identically and diagnosably.
     """
-    shape = tuple(backend.shape)
+    backend = as_backend(backend)
     cells = int(row_idx.size) * int(col_idx.size)
-    store = _paged_store(backend)
     if params is None:
-        params = CostParams.for_backend(_is_memory_resident(backend, store))
+        params = CostParams.for_backend(backend.memory_resident)
     # A mapped store's "pages" are logical only — they never seek.
-    priced_store = None if _is_memory_resident(backend, store) else store
-    hit_rate = _pool_hit_rate(priced_store)
-    rank = _rank_of(backend)
+    priced_store = None if backend.memory_resident else backend.paged_store
+    hit_rate = 1.0 if priced_store is None else priced_store.pool_stats.hit_rate
+    rank = backend.rank
     candidates: list[RouteEstimate] = []
     rejected: list[RejectedRoute] = []
     summary_plan = None
@@ -282,13 +202,19 @@ def plan_aggregate(
     def reject(name: str, reason: str) -> None:
         rejected.append(RejectedRoute(name, reason))
 
+    def pages_and_bytes(rows: np.ndarray) -> tuple[int, int]:
+        """(distinct pages, page bytes) a gather of ``rows`` touches."""
+        if priced_store is None or rows.size == 0:
+            return 0, 0
+        return priced_store.pages_for_rows(rows), priced_store.page_size
+
     # -- summary routes ------------------------------------------------
     if not use_summaries:
         reject(ROUTE_SUMMARY, "summaries disabled for this engine")
     else:
-        sstore, why = _summary_store(backend, shape)
+        sstore = backend.summaries
         if sstore is None:
-            reject(ROUTE_SUMMARY, why)
+            reject(ROUTE_SUMMARY, "backend has no summary store")
         else:
             summary_plan = sstore.plan(row_idx, col_idx)
             if summary_plan is None:
@@ -324,7 +250,7 @@ def plan_aggregate(
                     int(rows.size) * int(cols.size)
                     for rows, cols in summary_plan.residuals
                 )
-                pages, page_bytes = _pages_and_bytes(priced_store, resid_rows)
+                pages, page_bytes = pages_and_bytes(resid_rows)
                 fetches = sum(
                     int(rows.size) for rows, _cols in summary_plan.residuals
                 )
@@ -355,21 +281,20 @@ def plan_aggregate(
         reason = f"{function!r} needs per-cell values, not factor sums"
         reject(ROUTE_FACTOR, reason)
         reject(ROUTE_SVD, reason)
-    elif not has_factor_form(backend):
+    elif backend.factors is None:
         factor_capable = False
         reason = "backend has no factor form"
         reject(ROUTE_FACTOR, reason)
         reject(ROUTE_SVD, reason)
 
     if factor_capable:
-        fetches = (
-            0 if function == "count" else factor_fetch_count(backend, row_idx.size)
-        )
         if function == "count":
-            pages, page_bytes = 0, 0
+            fetches, pages, page_bytes = 0, 0, 0
             base_flops = 0.0
         else:
-            pages, page_bytes = _pages_and_bytes(priced_store, row_idx)
+            # Only a paged store's factor gather fetches rows.
+            fetches = int(row_idx.size) if backend.paged_store is not None else 0
+            pages, page_bytes = pages_and_bytes(row_idx)
             base_flops = float(row_idx.size) * max(rank, 1)
             if function == "stddev":
                 base_flops += float(row_idx.size) * max(rank, 1) ** 2
@@ -380,7 +305,10 @@ def plan_aggregate(
         )
 
         if include_deltas:
-            delta_cost = flops_ms(_delta_count(backend), params.ns_per_cell)
+            index = backend.delta_index
+            delta_cost = flops_ms(
+                0 if index is None else len(index), params.ns_per_cell
+            )
             candidates.append(
                 RouteEstimate(
                     ROUTE_FACTOR,
@@ -393,7 +321,7 @@ def plan_aggregate(
         else:
             reject(ROUTE_FACTOR, "delta fold unavailable on the SVD-only engine")
 
-        bound = svd_error_bound(backend)
+        bound = backend.rmspe_estimate
         if max_rmspe is not None and max_rmspe <= 0.0:
             reject(ROUTE_SVD, "max_rmspe=0 demands an exact answer")
         elif include_deltas and max_rmspe is None:
@@ -426,7 +354,7 @@ def plan_aggregate(
 
     # -- row streaming -------------------------------------------------
     if include_deltas:
-        pages, page_bytes = _pages_and_bytes(priced_store, row_idx)
+        pages, page_bytes = pages_and_bytes(row_idx)
         candidates.append(
             RouteEstimate(
                 ROUTE_STREAM,

@@ -1,0 +1,243 @@
+"""The one seam between the query stack and its data sources.
+
+The paper measures Q_err by running the *same* query exactly against
+the raw matrix and approximately against a compressed form (Section 5),
+so everything above this module treats "a data source" as one thing: a
+:class:`Backend`.  :func:`as_backend` is the only place that knows what
+shapes a source can have — a raw ndarray, a
+:class:`~repro.storage.matrix_store.MatrixStore`, an in-memory
+:class:`~repro.core.model.SVDModel` / ``SVDDModel`` (bare or inside the
+``methods`` adapter), the persistent
+:class:`~repro.core.store.CompressedMatrix`, or anything row-only
+(``shape`` plus ``reconstruct_row``/``row``, e.g. a DCT or clustering
+:class:`~repro.methods.base.FittedModel`).  It resolves the kind once,
+when the engine is built, into directly bound callables; no query pays
+for type inspection and a new source shape is an edit to this file
+alone.
+
+Vocabulary every backend offers:
+
+- ``shape``; ``cell(row, col)``; ``cells(rows, cols)`` for aligned
+  index arrays; ``block(row_idx, col_idx)``, the dense float64
+  submatrix — always an array, the row-at-a-time loop for row-only
+  sources lives here and nowhere else;
+- ``svd_cell`` — the delta-free probe, or None;
+- ``factors(row_idx) -> (scaled_u, v, delta_index, rows_fetched)`` —
+  the selected rows as ``u_i * Lambda``, the pinned ``V``, the outlier
+  index (None when the source stores no deltas) and the U-row fetches
+  the gather performed — or None for sources without a factor form.
+  The in-memory models and ``CompressedMatrix`` offer it; ndarray,
+  ``MatrixStore`` and row-only sources do not;
+- the facts the planner and the profiler read: ``rank``,
+  ``delta_index``, ``paged_store`` / ``memory_resident``,
+  ``pool_stats`` / ``io_stats``, ``summaries``, ``rmspe_estimate``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from repro.core.delta_index import DeltaIndex
+from repro.core.model import SVDDModel, SVDModel
+from repro.core.store import CompressedMatrix
+from repro.exceptions import QueryError
+from repro.storage.matrix_store import MatrixStore
+
+__all__ = ["Backend", "as_backend"]
+
+
+def _no_deltas() -> None:
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class Backend:
+    """One data source behind the query vocabulary (see module docs)."""
+
+    #: The object this backend was resolved from.
+    source: object
+    shape: tuple[int, int]
+    cell: Callable[[int, int], float]
+    cells: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    block: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    svd_cell: Callable[[int, int], float] | None = None
+    factors: Callable[[np.ndarray], tuple] | None = None
+    #: Retained principal components (0 without a factor form).
+    rank: int = 0
+    #: The paged store whose pages a row fetch hits, or None when rows
+    #: come from memory.
+    paged_store: MatrixStore | None = None
+    # A getter, not the index: a closed mapped store must be able to
+    # drop its index (and with it the delta mapping's last buffer).
+    _deltas: Callable[[], DeltaIndex | None] = _no_deltas
+
+    @property
+    def name(self) -> str:
+        """The source's class name, for dumped profiles."""
+        return type(self.source).__name__
+
+    @property
+    def delta_index(self) -> DeltaIndex | None:
+        """The source's outlier index, or None when it stores no deltas."""
+        return self._deltas()
+
+    @property
+    def memory_resident(self) -> bool:
+        """True when row fetches cost memory, not seeks: no paged store,
+        or one opened ``mapped=True`` (its pages are page cache)."""
+        return self.paged_store is None or self.paged_store.mapped
+
+    @property
+    def pool_stats(self):
+        """Buffer-pool counters of the paged store (None without one)."""
+        return None if self.paged_store is None else self.paged_store.pool_stats
+
+    @property
+    def io_stats(self):
+        """Pager counters of the paged store (None without one)."""
+        return None if self.paged_store is None else self.paged_store.io_stats
+
+    @property
+    def summaries(self):
+        """The source's :class:`~repro.summaries.store.SummaryStore`
+        when it has one describing this shape, else None.  Read through
+        to the source each time: the persistent store loads it lazily."""
+        store = getattr(self.source, "summaries", None)
+        if store is None or (store.model_rows, store.model_cols) != self.shape:
+            return None
+        return store
+
+    @property
+    def rmspe_estimate(self) -> float | None:
+        """The RMSPE an SVD-only answer carries, or None when unknown.
+
+        For the persistent store this is the residual-energy estimate
+        in ``update_state.json`` (see
+        :func:`repro.core.update.stored_rmspe_estimate`); any source
+        exposing an ``rmspe_estimate`` attribute or method is honored.
+        """
+        bound = getattr(self.source, "rmspe_estimate", None)
+        if callable(bound):
+            bound = bound()
+        if bound is None:
+            return None
+        bound = float(bound)
+        return bound if np.isfinite(bound) and bound >= 0.0 else None
+
+
+def _from_ndarray(matrix: np.ndarray) -> Backend:
+    if matrix.ndim != 2:
+        raise QueryError(f"ndarray backend must be 2-d, got ndim {matrix.ndim}")
+    return Backend(
+        source=matrix,
+        shape=tuple(matrix.shape),
+        cell=lambda row, col: float(matrix[row, col]),
+        cells=lambda rows, cols: matrix[rows, cols].astype(np.float64),
+        block=lambda row_idx, col_idx: matrix[np.ix_(row_idx, col_idx)].astype(
+            np.float64
+        ),
+    )
+
+
+def _from_matrix_store(store: MatrixStore) -> Backend:
+    return Backend(
+        source=store,
+        shape=tuple(store.shape),
+        cell=store.cell,
+        cells=lambda rows, cols: store.read_rows(rows)[np.arange(rows.size), cols],
+        block=lambda row_idx, col_idx: store.read_rows(row_idx)[:, col_idx],
+        paged_store=store,
+    )
+
+
+def _from_model(source, model: SVDModel | SVDDModel) -> Backend:
+    """An in-memory model; ``source`` is the model itself or the
+    ``methods`` adapter wrapped around it."""
+    if isinstance(model, SVDDModel):
+        svd, deltas = model.svd, model.deltas
+    else:
+        svd, deltas = model, None
+
+    def factors(row_idx: np.ndarray):
+        return svd.u[row_idx] * svd.eigenvalues, svd.v, deltas, 0
+
+    return Backend(
+        source=source,
+        shape=model.shape,
+        cell=model.reconstruct_cell,
+        cells=model.reconstruct_cells,
+        block=model.reconstruct_range,
+        factors=factors,
+        rank=svd.cutoff,
+        _deltas=lambda: deltas,
+    )
+
+
+def _from_compressed(store: CompressedMatrix) -> Backend:
+    return Backend(
+        source=store,
+        shape=store.shape,
+        cell=store.cell,
+        cells=store.cells,
+        block=store.reconstruct_range,
+        svd_cell=store.svd_cell,
+        factors=store.factors,
+        rank=store.cutoff,
+        paged_store=store.u_store,
+        _deltas=lambda: store.delta_index,
+    )
+
+
+def _from_rows(source) -> Backend:
+    """A row-only source: ``shape`` plus ``reconstruct_row`` or ``row``."""
+    fetch = getattr(source, "reconstruct_row", None) or getattr(source, "row", None)
+    if fetch is None or not hasattr(source, "shape"):
+        raise QueryError(
+            f"unsupported backend type {type(source).__name__}: needs "
+            "ndarray indexing, .reconstruct_row, or .row"
+        )
+
+    def row(index: int) -> np.ndarray:
+        return np.asarray(fetch(index), dtype=np.float64)
+
+    probe = getattr(source, "reconstruct_cell", None) or getattr(source, "cell", None)
+    if probe is None:
+        def probe(row_index: int, col: int) -> float:
+            return float(row(row_index)[col])
+
+    return Backend(
+        source=source,
+        shape=tuple(source.shape),
+        cell=probe,
+        cells=lambda rows, cols: np.array(
+            [float(probe(int(r), int(c))) for r, c in zip(rows, cols)]
+        ),
+        block=lambda row_idx, col_idx: np.stack(
+            [row(int(index))[col_idx] for index in row_idx]
+        ),
+    )
+
+
+def as_backend(source) -> Backend:
+    """Resolve ``source`` into a :class:`Backend` (idempotent).
+
+    Raises :class:`~repro.exceptions.QueryError` for a source none of
+    the supported shapes describes — at construction, not first query.
+    """
+    if isinstance(source, Backend):
+        return source
+    if isinstance(source, np.ndarray):
+        return _from_ndarray(source)
+    if isinstance(source, CompressedMatrix):
+        return _from_compressed(source)
+    if isinstance(source, MatrixStore):
+        return _from_matrix_store(source)
+    if isinstance(source, (SVDModel, SVDDModel)):
+        return _from_model(source, source)
+    inner = getattr(source, "model", None)  # the methods adapter
+    if isinstance(inner, (SVDModel, SVDDModel)):
+        return _from_model(source, inner)
+    return _from_rows(source)

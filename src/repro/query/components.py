@@ -20,8 +20,9 @@ from repro.exceptions import QueryError
 
 __all__ = ["Components", "finalize", "stream_components"]
 
-#: Rows per block when streaming residual cells (matches the engine's
-#: streaming aggregate path).
+#: Rows per block when streaming cells (bounds a block's memory at
+#: _STREAM_BLOCK_ROWS * |cols| floats while keeping the per-block work
+#: one gather + one reduction).
 _STREAM_BLOCK_ROWS = 512
 
 
@@ -49,9 +50,8 @@ class Components:
 def finalize(function: str, comps: Components) -> float:
     """Evaluate one aggregate from its components.
 
-    The formulas are shared with ``QueryEngine._finalize`` (which
-    delegates here), so a summary-served answer and a streamed answer
-    finalize identically.
+    Every route finalizes here, so a summary-served answer and a
+    streamed answer come from the same formulas.
     """
     if comps.count == 0:
         raise QueryError("aggregate over an empty selection")
@@ -72,14 +72,13 @@ def finalize(function: str, comps: Components) -> float:
     raise QueryError(f"unknown aggregate {function!r}")
 
 
-def stream_components(adapter, row_idx: np.ndarray, col_idx: np.ndarray) -> Components:
+def stream_components(backend, row_idx: np.ndarray, col_idx: np.ndarray) -> Components:
     """Exact components of ``row_idx x col_idx`` by blocked streaming.
 
-    ``adapter`` is the engine's ``_Backend`` wrapper (or anything with
-    the same ``block``/``row`` protocol).  This is the residual
-    evaluator: the cells a summary bucket does not cover are
-    reconstructed (delta-corrected) in vectorized blocks and reduced to
-    components on the fly.
+    ``backend`` is a resolved :class:`~repro.query.backend.Backend`.
+    This is the residual evaluator: the cells a summary bucket does not
+    cover are reconstructed (delta-corrected) in vectorized blocks and
+    reduced to components on the fly.
     """
     total = 0.0
     total_sq = 0.0
@@ -90,9 +89,7 @@ def stream_components(adapter, row_idx: np.ndarray, col_idx: np.ndarray) -> Comp
         return Components()
     for start in range(0, int(row_idx.size), _STREAM_BLOCK_ROWS):
         chunk = row_idx[start : start + _STREAM_BLOCK_ROWS]
-        block = adapter.block(chunk, col_idx)
-        if block is None:
-            block = np.stack([adapter.row(int(index))[col_idx] for index in chunk])
+        block = backend.block(chunk, col_idx)
         total += float(block.sum())
         total_sq += float((block * block).sum())
         minimum = min(minimum, float(block.min()))

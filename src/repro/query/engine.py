@@ -4,8 +4,9 @@ A backend is anything exposing the matrix's cells: a raw ndarray, a
 :class:`~repro.storage.matrix_store.MatrixStore`, an in-memory model
 (:class:`~repro.core.model.SVDModel` / ``SVDDModel`` /
 :class:`~repro.methods.base.FittedModel`), or the on-disk
-:class:`~repro.core.store.CompressedMatrix`.  The engine adapts them to
-a common row-oriented access protocol, so the same query text runs
+:class:`~repro.core.store.CompressedMatrix`.  The engine resolves its
+source once, at construction, through
+:func:`repro.query.backend.as_backend`, so the same query text runs
 exactly (against the raw data) and approximately (against a compressed
 form) — which is precisely how the paper measures Q_err.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.exceptions import QueryError, RouteUnavailableError
+from repro.exceptions import QueryError
 from repro.obs.profile import QueryProfile, StatDelta
 from repro.obs.registry import registry as _obs
 from repro.obs.slowlog import slow_query_log as _slowlog
@@ -40,15 +41,11 @@ from repro.plan.planner import (
     plan_aggregate,
     validate_max_rmspe,
 )
+from repro.query.backend import Backend, as_backend
 from repro.query.components import finalize as _finalize_components
 from repro.query.components import stream_components
 from repro.query.fastpath import factor_aggregate
 from repro.query.selection import Selection
-
-#: Rows per block in the vectorized streaming path (bounds the block's
-#: memory at _STREAM_BLOCK_ROWS * |cols| floats while keeping the
-#: per-block work one gather + one reduction).
-_STREAM_BLOCK_ROWS = 512
 
 #: Aggregate functions supported by :class:`AggregateQuery` (Section 5.2
 #: names sum, avg, stddev as examples; count/min/max round out the set).
@@ -136,72 +133,6 @@ def _as_cell_query(query) -> CellQuery:
         ) from exc
 
 
-class _Backend:
-    """Uniform row-access adapter over the supported backend types."""
-
-    def __init__(self, source) -> None:
-        self._source = source
-        if isinstance(source, np.ndarray):
-            if source.ndim != 2:
-                raise QueryError(f"ndarray backend must be 2-d, got ndim {source.ndim}")
-            self.shape = tuple(source.shape)
-            self._fetch = lambda i: source[i]
-        elif hasattr(source, "reconstruct_row"):
-            self.shape = tuple(source.shape)
-            self._fetch = source.reconstruct_row
-        elif hasattr(source, "row"):
-            self.shape = tuple(source.shape)
-            self._fetch = source.row
-        else:
-            raise QueryError(
-                f"unsupported backend type {type(source).__name__}: needs "
-                "ndarray indexing, .reconstruct_row, or .row"
-            )
-
-    def row(self, index: int) -> np.ndarray:
-        return np.asarray(self._fetch(index), dtype=np.float64)
-
-    def cell(self, row: int, col: int) -> float:
-        source = self._source
-        if isinstance(source, np.ndarray):
-            return float(source[row, col])
-        if hasattr(source, "reconstruct_cell"):
-            return float(source.reconstruct_cell(row, col))
-        if hasattr(source, "cell"):
-            return float(source.cell(row, col))
-        return float(self.row(row)[col])
-
-    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Values of the cells ``(rows[i], cols[i])``, vectorized when
-        the backend supports a batch form, else a per-cell loop."""
-        source = self._source
-        if isinstance(source, np.ndarray):
-            return source[rows, cols].astype(np.float64)
-        if hasattr(source, "cells"):  # CompressedMatrix batch gather
-            return np.asarray(source.cells(rows, cols), dtype=np.float64)
-        if hasattr(source, "reconstruct_cells"):  # in-memory models
-            return np.asarray(source.reconstruct_cells(rows, cols), dtype=np.float64)
-        if hasattr(source, "read_rows"):  # raw MatrixStore
-            return source.read_rows(rows)[np.arange(rows.size), cols]
-        return np.array(
-            [self.cell(int(r), int(c)) for r, c in zip(rows, cols)]
-        )
-
-    def block(self, row_idx: np.ndarray, col_idx: np.ndarray) -> np.ndarray | None:
-        """The submatrix ``row_idx x col_idx`` in one vectorized gather,
-        or None when the backend only supports row-at-a-time access."""
-        source = self._source
-        if isinstance(source, np.ndarray):
-            return source[np.ix_(row_idx, col_idx)].astype(np.float64)
-        if hasattr(source, "reconstruct_range"):
-            return np.asarray(
-                source.reconstruct_range(row_idx, col_idx), dtype=np.float64
-            )
-        if hasattr(source, "read_rows"):  # raw MatrixStore
-            return source.read_rows(row_idx)[:, col_idx]
-        return None
-
-
 class QueryEngine:
     """Executes cell and aggregate queries against one backend.
 
@@ -248,8 +179,7 @@ class QueryEngine:
         include_deltas: bool = True,
         use_summaries: bool = True,
     ) -> None:
-        self._raw_backend = backend
-        self._backend = _Backend(backend)
+        self._backend = as_backend(backend)
         self._use_fast_path = use_fast_path
         self._include_deltas = include_deltas
         self._use_summaries = use_summaries
@@ -267,23 +197,12 @@ class QueryEngine:
     def refresh(self, backend) -> None:
         """Swap in a new backend (e.g. a reopened post-append store).
 
-        The swap is a single reference assignment; queries already in
-        flight keep the backend snapshot they captured on entry, so
-        every answer is computed wholly against the old or wholly
-        against the new state — never a mix.
+        The swap is a single reference assignment, and every public
+        method reads ``self._backend`` exactly once on entry, so each
+        answer is computed wholly against the old or wholly against the
+        new state — never a mix.
         """
-        adapted = _Backend(backend)
-        self._raw_backend = backend
-        self._backend = adapted
-
-    def _snapshot(self) -> tuple[object, _Backend]:
-        """One consistent ``(raw, adapted)`` backend pair for a query.
-
-        Public methods read the backend exactly once through this, so a
-        concurrent :meth:`refresh` can never leave one query evaluating
-        half against the old store and half against the new one.
-        """
-        return self._raw_backend, self._backend
+        self._backend = as_backend(backend)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -315,29 +234,32 @@ class QueryEngine:
         page accesses and wall time.
         """
         query = _as_cell_query(query)
-        raw, backend = self._snapshot()
+        backend = self._backend
         rows, cols = backend.shape
         if not 0 <= query.row < rows:
             raise QueryError(f"row {query.row} out of range [0, {rows})")
         if not 0 <= query.col < cols:
             raise QueryError(f"col {query.col} out of range [0, {cols})")
-        if not self._include_deltas and hasattr(raw, "svd_cell"):
-            fetch = lambda: float(raw.svd_cell(query.row, query.col))  # noqa: E731
-        else:
-            fetch = lambda: backend.cell(query.row, query.col)  # noqa: E731
+        probe = backend.cell
+        if not self._include_deltas and backend.svd_cell is not None:
+            probe = backend.svd_cell
         if not _obs.enabled:
-            return QueryResult(value=fetch(), cells_touched=1, rows_fetched=1)
-        capture = StatDelta(raw)
+            return QueryResult(
+                value=float(probe(query.row, query.col)),
+                cells_touched=1,
+                rows_fetched=1,
+            )
+        capture = StatDelta(backend)
         start = time.perf_counter_ns()
         with _span("query.cell", row=query.row, col=query.col) as root:
-            value = fetch()
+            value = float(probe(query.row, query.col))
         profile = QueryProfile(
             path="cell",
             function=None,
             cells=1,
             rows_fetched=1,
             total_ns=time.perf_counter_ns() - start,
-            backend=type(raw).__name__,
+            backend=backend.name,
             trace_id=root.trace_id or "",
             **capture.collect(),
         )
@@ -362,7 +284,7 @@ class QueryEngine:
             return []
         rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
         cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        _raw, backend = self._snapshot()
+        backend = self._backend
         num_rows, num_cols = backend.shape
         if rows.min() < 0 or rows.max() >= num_rows:
             raise QueryError(f"row selection outside [0, {num_rows})")
@@ -387,11 +309,10 @@ class QueryEngine:
         admissible route satisfies the budget (so explain and execute
         fail identically too).
         """
-        raw, backend = self._snapshot()
-        plan, _row_idx, _col_idx = self._plan(query, raw, backend, max_rmspe)
+        plan, _row_idx, _col_idx = self._plan(query, self._backend, max_rmspe)
         return plan
 
-    def _plan(self, query: AggregateQuery, raw, backend: _Backend, max_rmspe):
+    def _plan(self, query: AggregateQuery, backend: Backend, max_rmspe):
         """Resolve the selection and route it through the planner."""
         budget = (
             validate_max_rmspe(max_rmspe)
@@ -402,7 +323,7 @@ class QueryEngine:
         if row_idx.size == 0 or col_idx.size == 0:
             raise QueryError("aggregate over an empty selection")
         plan = plan_aggregate(
-            raw,
+            backend,
             query.function,
             row_idx,
             col_idx,
@@ -429,15 +350,15 @@ class QueryEngine:
         path taken, page accesses (measured *and* planner-predicted),
         pool hit rate, and phase timings.
         """
-        raw, backend = self._snapshot()
-        plan, row_idx, col_idx = self._plan(query, raw, backend, max_rmspe)
+        backend = self._backend
+        plan, row_idx, col_idx = self._plan(query, backend, max_rmspe)
         if not _obs.enabled:
-            return self._execute_plan(query, plan, row_idx, col_idx, raw, backend)
+            return self._execute_plan(query, plan, row_idx, col_idx, backend)
         _obs.counter(f"planner.route.{plan.route.name}").inc()
-        capture = StatDelta(raw)
+        capture = StatDelta(backend)
         start = time.perf_counter_ns()
         with _span("query.aggregate", function=query.function) as root:
-            result = self._execute_plan(query, plan, row_idx, col_idx, raw, backend)
+            result = self._execute_plan(query, plan, row_idx, col_idx, backend)
         profile = QueryProfile(
             path=result.route,
             function=query.function,
@@ -448,7 +369,7 @@ class QueryEngine:
             gemm_ns=root.total_ns("query.factor.gemm"),
             delta_ns=root.total_ns("query.factor.delta"),
             stream_ns=root.total_ns("query.stream.scan"),
-            backend=type(raw).__name__,
+            backend=backend.name,
             trace_id=root.trace_id or "",
             error_bound=result.error_bound,
             predicted_pages=plan.route.pages,
@@ -463,38 +384,28 @@ class QueryEngine:
         plan: QueryPlan,
         row_idx: np.ndarray,
         col_idx: np.ndarray,
-        raw,
-        backend: _Backend,
+        backend: Backend,
     ) -> QueryResult:
         """Execute the planner's chosen route against one snapshot.
 
-        ``raw``/``backend`` come from :meth:`_snapshot` so the whole
-        evaluation — planning, fast path, and every streamed chunk —
-        sees a single backend even if :meth:`refresh` swaps the
+        ``backend`` is the one reference the caller read on entry, so
+        the whole evaluation — planning, fast path, and every streamed
+        chunk — sees a single backend even if :meth:`refresh` swaps the
         engine's backend mid-query.
         """
         route = plan.route.name
         if route in (ROUTE_SUMMARY, ROUTE_SUMMARY_FACTOR):
             return self._run_summary(query.function, plan, backend)
         if route in (ROUTE_FACTOR, ROUTE_SVD):
-            outcome = factor_aggregate(
-                raw,
+            # The planner admitted this route on the same immutable
+            # backend, so its factor form cannot have gone away.
+            value, rows_fetched = factor_aggregate(
+                backend,
                 row_idx,
                 col_idx,
                 query.function,
                 include_deltas=route == ROUTE_FACTOR,
             )
-            if outcome is None:
-                # The backend lost its factor form between planning and
-                # execution (a refresh race) — fall back to the exact
-                # stream when the engine mode allows, refuse otherwise.
-                if self._include_deltas:
-                    return self._run_stream(query.function, row_idx, col_idx, backend)
-                raise RouteUnavailableError(
-                    f"aggregate {query.function!r}: factor form vanished "
-                    "mid-query and the SVD-only engine cannot stream"
-                )
-            value, rows_fetched = outcome
             with self._stats_lock:
                 self.stats["fast_path_hits"] += 1
             return QueryResult(
@@ -507,7 +418,7 @@ class QueryEngine:
         return self._run_stream(query.function, row_idx, col_idx, backend)
 
     def _run_summary(
-        self, function: str, plan: QueryPlan, backend: _Backend
+        self, function: str, plan: QueryPlan, backend: Backend
     ) -> QueryResult:
         """Serve a summary full or partial hit chosen by the planner.
 
@@ -547,7 +458,7 @@ class QueryEngine:
         function: str,
         row_idx: np.ndarray,
         col_idx: np.ndarray,
-        backend: _Backend,
+        backend: Backend,
     ) -> QueryResult:
         """Stream the selected rows in vectorized blocks (exact)."""
         with self._stats_lock:
@@ -575,11 +486,9 @@ class QueryEngine:
         """
         if not isinstance(query, AggregateQuery) or not self._use_summaries:
             return None
-        raw, backend = self._snapshot()
-        store = getattr(raw, "summaries", None)
+        backend = self._backend
+        store = backend.summaries
         if store is None:
-            return None
-        if (store.model_rows, store.model_cols) != tuple(backend.shape):
             return None
         try:
             row_idx, col_idx = query.selection.resolve(backend.shape)
@@ -600,7 +509,7 @@ class QueryEngine:
                 cells=plan.core.count,
                 rows_fetched=0,
                 pages_read=0,
-                backend=type(raw).__name__,
+                backend=backend.name,
             )
         return QueryResult(
             value=value,
@@ -633,21 +542,5 @@ class QueryEngine:
         if isinstance(query, (CellQuery, tuple)):
             _as_cell_query(query)  # arity/type validation only
             return {"path": "cell", "cells": 1, "estimated_row_fetches": 1}
-        raw, backend = self._snapshot()
-        plan, _row_idx, _col_idx = self._plan(query, raw, backend, max_rmspe)
+        plan, _row_idx, _col_idx = self._plan(query, self._backend, max_rmspe)
         return plan.to_dict()
-
-    @staticmethod
-    def _finalize(
-        function: str,
-        total: float,
-        total_sq: float,
-        minimum: float,
-        maximum: float,
-        count: int,
-    ) -> float:
-        from repro.query.components import Components
-
-        return _finalize_components(
-            function, Components(total, total_sq, minimum, maximum, count)
-        )

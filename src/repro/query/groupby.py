@@ -3,7 +3,8 @@
 The decision-support queries the paper motivates often group rather
 than collapse: 'total volume per day across all customers' (a column
 profile) or 'total volume per customer over a period' (a row profile).
-Both have factor-space evaluations on an SVD/SVDD model:
+Both have factor-space evaluations on any backend offering ``factors``
+(in-memory SVD/SVDD models and the persistent ``CompressedMatrix``):
 
 - per-row sums over column set S:   ``(U * lambda) @ (sum_{j in S} v_j)``
   — O(N * k);
@@ -12,7 +13,7 @@ Both have factor-space evaluations on an SVD/SVDD model:
 
 plus a vectorized correction pass over the sorted
 :class:`~repro.core.delta_index.DeltaIndex`.  Against non-factor
-backends the same API streams rows.
+backends the same API streams blocks of rows.
 
 When the backend carries a materialized summary store
 (:class:`repro.summaries.SummaryStore`), full-axis profiles are
@@ -28,8 +29,7 @@ import numpy as np
 
 from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
-from repro.query.engine import _Backend
-from repro.query.fastpath import _delta_index_of, _unwrap
+from repro.query.backend import as_backend
 from repro.query.selection import Selection
 from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ, bucket_stats
 from repro.summaries.compute import level_edges as _level_edges
@@ -39,49 +39,32 @@ from repro.summaries.store import GROUP_BY_AXES, _finalize_vector
 _PROFILE_BLOCK_ROWS = 512
 
 
-def _resolve(backend_shape, selection: Selection):
-    return selection.resolve(backend_shape)
-
-
-def _summary_store_of(backend, shape):
-    """The backend's summary store when it describes ``shape``, else None."""
-    store = getattr(backend, "summaries", None)
-    if store is None:
-        return None
-    if (store.model_rows, store.model_cols) != tuple(shape):
-        return None
-    return store
-
-
 def row_totals(backend, selection: Selection | None = None) -> np.ndarray:
     """Per-selected-row sums over the selected columns.
 
     Returns one value per selected row, ordered by row index.  Uses the
-    factor-space path on SVD/SVDD backends, row streaming otherwise.
+    factor-space path when the backend has one, block streaming
+    otherwise.
     """
-    adapter = _Backend(backend)
-    selection = selection or Selection()
-    row_idx, col_idx = _resolve(adapter.shape, selection)
+    backend = as_backend(backend)
+    row_idx, col_idx = (selection or Selection()).resolve(backend.shape)
 
-    store = _summary_store_of(backend, adapter.shape)
-    if store is not None and store.fresh and col_idx.size == adapter.shape[1]:
+    store = backend.summaries
+    if store is not None and store.fresh and col_idx.size == backend.shape[1]:
         # Full-width selection: the per-customer profile already holds
         # the delta-corrected answer; no U pages touched.
         return np.asarray(store.row_stats[S_SUM][row_idx], dtype=np.float64).copy()
 
-    svd = _unwrap(backend)
-    if svd is not None:
-        scaled_u = svd.u[row_idx] * svd.eigenvalues
-        totals = scaled_u @ svd.v[col_idx].sum(axis=0)
-        index = _delta_index_of(backend)
+    if backend.factors is not None:
+        scaled_u, v, index, _fetched = backend.factors(row_idx)
+        totals = scaled_u @ v[col_idx].sum(axis=0)
         if index is not None and len(index) > 0:
             row_pos, _col_pos, _rows, _cols, values = index.select(row_idx, col_idx)
             np.add.at(totals, row_pos, values)
         return totals
 
-    return np.array(
-        [float(adapter.row(int(index))[col_idx].sum()) for index in row_idx]
-    )
+    row_stats, _col_stats = _stream_profiles(backend, row_idx, col_idx)
+    return row_stats[S_SUM]
 
 
 def column_totals(backend, selection: Selection | None = None) -> np.ndarray:
@@ -89,29 +72,24 @@ def column_totals(backend, selection: Selection | None = None) -> np.ndarray:
 
     Returns one value per selected column, ordered by column index.
     """
-    adapter = _Backend(backend)
-    selection = selection or Selection()
-    row_idx, col_idx = _resolve(adapter.shape, selection)
+    backend = as_backend(backend)
+    row_idx, col_idx = (selection or Selection()).resolve(backend.shape)
 
-    store = _summary_store_of(backend, adapter.shape)
-    if store is not None and store.fresh and row_idx.size == adapter.shape[0]:
+    store = backend.summaries
+    if store is not None and store.fresh and row_idx.size == backend.shape[0]:
         # Full-height selection: answer from the per-day profile.
         return np.asarray(store.col_stats[S_SUM][col_idx], dtype=np.float64).copy()
 
-    svd = _unwrap(backend)
-    if svd is not None:
-        summed_u = (svd.u[row_idx] * svd.eigenvalues).sum(axis=0)
-        totals = svd.v[col_idx] @ summed_u
-        index = _delta_index_of(backend)
+    if backend.factors is not None:
+        scaled_u, v, index, _fetched = backend.factors(row_idx)
+        totals = v[col_idx] @ scaled_u.sum(axis=0)
         if index is not None and len(index) > 0:
             _row_pos, col_pos, _rows, _cols, values = index.select(row_idx, col_idx)
             np.add.at(totals, col_pos, values)
         return totals
 
-    totals = np.zeros(col_idx.size)
-    for index in row_idx:
-        totals += adapter.row(int(index))[col_idx]
-    return totals
+    _row_stats, col_stats = _stream_profiles(backend, row_idx, col_idx)
+    return col_stats[S_SUM]
 
 
 def top_rows(backend, count: int, selection: Selection | None = None) -> np.ndarray:
@@ -122,9 +100,9 @@ def top_rows(backend, count: int, selection: Selection | None = None) -> np.ndar
     """
     if count < 1:
         raise QueryError(f"count must be >= 1, got {count}")
-    adapter = _Backend(backend)
+    backend = as_backend(backend)
     selection = selection or Selection()
-    row_idx, _ = _resolve(adapter.shape, selection)
+    row_idx, _ = selection.resolve(backend.shape)
     totals = row_totals(backend, selection)
     order = np.argsort(totals)[::-1][:count]
     return row_idx[order]
@@ -151,8 +129,6 @@ def _stream_profiles(adapter, row_idx, col_idx):
     for start in range(0, rows_n, _PROFILE_BLOCK_ROWS):
         chunk = row_idx[start : start + _PROFILE_BLOCK_ROWS]
         block = adapter.block(chunk, col_idx)
-        if block is None:
-            block = np.stack([adapter.row(int(index))[col_idx] for index in chunk])
         rows = slice(start, start + int(chunk.size))
         row_stats[S_SUM, rows] = block.sum(axis=1)
         row_stats[S_SUMSQ, rows] = (block * block).sum(axis=1)
@@ -239,9 +215,9 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
         )
     if limit is not None and limit < 1:
         raise QueryError(f"limit must be >= 1, got {limit}")
-    adapter = _Backend(backend)
+    adapter = as_backend(backend)
     num_rows, num_cols = adapter.shape
-    store = _summary_store_of(backend, adapter.shape)
+    store = adapter.summaries
     partial = store is not None and not store.fresh
     path = "stream" if store is None else ("summary+stream" if partial else "summary")
 

@@ -15,27 +15,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.model import SVDDModel, SVDModel
 from repro.exceptions import ConfigurationError, QueryError
+from repro.query.backend import as_backend
 
 
-def _coordinates(model: SVDModel | SVDDModel) -> np.ndarray:
-    svd = model.svd if isinstance(model, SVDDModel) else model
-    return svd.u * svd.eigenvalues
+def _factor_space(model) -> tuple[np.ndarray, np.ndarray]:
+    """``(coordinates, v)``: every row as its k-dimensional point
+    ``u_i * Lambda``, and ``V`` for folding external vectors in.
+
+    ``model`` is any source whose backend offers ``factors`` — an
+    in-memory SVD/SVDD model or a persistent ``CompressedMatrix``.
+    """
+    backend = as_backend(model)
+    if backend.factors is None:
+        raise QueryError(f"{backend.name} has no factor form to search in")
+    coords, v, _deltas, _fetched = backend.factors(np.arange(backend.shape[0]))
+    return coords, v
 
 
-def factor_distances(model: SVDModel | SVDDModel, row: int) -> np.ndarray:
+def factor_distances(model, row: int) -> np.ndarray:
     """Euclidean distances from ``row`` to every row, in factor space."""
-    coords = _coordinates(model)
+    coords, _v = _factor_space(model)
     if not 0 <= row < coords.shape[0]:
         raise QueryError(f"row {row} out of range [0, {coords.shape[0]})")
     diff = coords - coords[row]
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def similar_rows(
-    model: SVDModel | SVDDModel, row: int, count: int = 10
-) -> np.ndarray:
+def similar_rows(model, row: int, count: int = 10) -> np.ndarray:
     """The ``count`` nearest rows to ``row`` by factor-space distance.
 
     Excludes the query row itself; O(N k) time.
@@ -49,9 +56,7 @@ def similar_rows(
     return nearest[np.argsort(distances[nearest])]
 
 
-def similar_to_vector(
-    model: SVDModel | SVDDModel, vector: np.ndarray, count: int = 10
-) -> np.ndarray:
+def similar_to_vector(model, vector: np.ndarray, count: int = 10) -> np.ndarray:
     """Nearest rows to an *external* M-dimensional query vector.
 
     The vector is folded into factor space by projection (the paper's
@@ -61,15 +66,14 @@ def similar_to_vector(
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    svd = model.svd if isinstance(model, SVDDModel) else model
+    coords, v = _factor_space(model)
     query = np.asarray(vector, dtype=np.float64)
-    if query.shape != (svd.num_cols,):
+    if query.shape != (v.shape[0],):
         raise QueryError(
-            f"query vector must have shape ({svd.num_cols},), got {query.shape}"
+            f"query vector must have shape ({v.shape[0]},), got {query.shape}"
         )
     # Fold in: coordinates in the U*Lambda space are simply x @ V.
-    folded = query @ svd.v
-    coords = _coordinates(model)
+    folded = query @ v
     diff = coords - folded
     distances = np.sqrt((diff * diff).sum(axis=1))
     count = min(count, distances.shape[0])
@@ -78,18 +82,18 @@ def similar_to_vector(
 
 
 def distance_distortion(
-    model: SVDModel | SVDDModel, matrix: np.ndarray, sample_pairs: int = 200, seed: int = 5
+    model, matrix: np.ndarray, sample_pairs: int = 200, seed: int = 5
 ) -> float:
     """How well factor-space distances preserve true distances.
 
     Returns the median relative error of pairwise distances over a
     random sample — the 'preserving distances well' claim quantified.
     """
-    svd = model.svd if isinstance(model, SVDDModel) else model
+    coords, v = _factor_space(model)
     data = np.asarray(matrix, dtype=np.float64)
-    if data.shape != svd.shape:
-        raise QueryError(f"matrix shape {data.shape} != model shape {svd.shape}")
-    coords = _coordinates(model)
+    shape = (coords.shape[0], v.shape[0])
+    if data.shape != shape:
+        raise QueryError(f"matrix shape {data.shape} != model shape {shape}")
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, data.shape[0], size=(sample_pairs, 2))
     errors = []

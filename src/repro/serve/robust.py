@@ -132,9 +132,7 @@ class RobustDispatcher:
             self._fallback_backend,
             use_fast_path=self.config.use_fast_path,
         )
-        self.model_degraded = bool(
-            getattr(self._fallback_backend, "degraded", False)
-        )
+        self.model_degraded = self._fallback_backend.degraded
         self.rmspe = (
             verified_rmspe
             if verified_rmspe is not None

@@ -2,11 +2,10 @@
 
 The deltas are the part of the SVDD model that lives beside ``U`` on
 disk: a flat file of ``(cell_key, delta)`` records plus a CRC-guarded
-header.  On open, the records are loaded into the in-memory
-:class:`~repro.structures.hashtable.OpenAddressingTable` (the paper
-keeps the table — or at least its Bloom-filter front — in main memory;
-the on-disk form exists so the model survives restarts and so its size
-can be charged against the storage budget).
+header.  On open, the records load as the sorted key/value arrays a
+:class:`~repro.core.delta_index.DeltaIndex` adopts (the paper keeps the
+table in main memory; the on-disk form exists so the model survives
+restarts and so its size can be charged against the storage budget).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from repro.exceptions import ChecksumError, FormatError
 from repro.storage.atomic import atomic_write_bytes
-from repro.structures.hashtable import OpenAddressingTable
 
 #: Magic per value precision: the key is always an 8-byte packed cell
 #: id, the delta value is stored at the owning model's 'b' — float64
@@ -203,15 +201,6 @@ class DeltaFile:
             raise
         del body, view
         return keys, deltas, mm
-
-    @staticmethod
-    def read(path: str | os.PathLike) -> OpenAddressingTable:
-        """Load a delta file into an open-addressing table."""
-        keys, deltas = DeltaFile.read_arrays(path)
-        table = OpenAddressingTable(initial_capacity=max(16, keys.size * 2))
-        for key, delta in zip(keys, deltas):
-            table.put(int(key), float(delta))
-        return table
 
     @staticmethod
     def _validated_body(path: str | os.PathLike) -> tuple[bytes, np.dtype]:

@@ -514,8 +514,6 @@ def materialize_summaries(
 
     if prior is None:
         dirty = {block: set(range(chunks)) for block in range(blocks)}
-        if start_date is None:
-            start_date = None
     else:
         if dirty is None:
             raise ReproError("incremental materialization needs a dirty tile set")

@@ -32,16 +32,6 @@ class TestConstruction:
         assert list(index.keys) == [12, 30, 37, 89]
         assert list(index.values) == [5.0, -2.0, 1.5, 0.25]
 
-    def test_from_items(self):
-        index = DeltaIndex.from_items([(30, -2.0), (12, 5.0)], NUM_COLS)
-        assert len(index) == 2
-        assert index.get(12) == 5.0
-
-    def test_from_empty_items(self):
-        index = DeltaIndex.from_items([], NUM_COLS)
-        assert len(index) == 0
-        assert index.get(0) == 0.0
-
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(ConfigurationError):
             DeltaIndex([1, 2], [1.0], NUM_COLS)

@@ -117,13 +117,9 @@ class TestSVDDModelStats:
 
         x = phone_matrix(100)
         model = SVDDCompressor(budget_fraction=0.10).fit(x)
-        before = dict(model.stats)
+        before = model.deltas.stats["lookups"]
         model.reconstruct_cell(0, 0)
-        after = model.stats
-        assert (
-            after["bloom_skips"] + after["table_probes"]
-            > before["bloom_skips"] + before["table_probes"]
-        )
+        assert model.deltas.stats["lookups"] == before + 1
 
     def test_space_accounts_for_deltas(self):
         from repro.core import space

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor
+from repro.core.build import build_compressed
 from repro.data import phone_matrix
 from repro.exceptions import FormatError, QueryError
 
@@ -197,26 +198,33 @@ def _assert_answers_like_model(store, model):
 
 
 class TestBloomFprPersistence:
-    """``bloom``/``bloom_fpr`` in ``meta.json`` are build provenance: the
-    opened store answers deltas from the sorted index alone, whatever
-    those keys say."""
+    """``bloom``/``bloom_fpr`` were build provenance in older
+    ``meta.json`` files: writers no longer emit them, and the opened
+    store answers deltas from the sorted index alone whether or not a
+    directory still carries them."""
 
-    def test_strict_fpr_round_trips(self, tmp_path, data):
-        model = SVDDCompressor(budget_fraction=0.10, bloom_fpr=0.001).fit(data)
-        assert model.num_deltas > 0 and model.bloom is not None
-        directory = tmp_path / "strict"
-        CompressedMatrix.save(model, directory).close()
-        meta = json.loads((directory / "meta.json").read_text())
-        assert meta["bloom"] is True
-        assert meta["bloom_fpr"] == 0.001
-        with CompressedMatrix.open(directory) as store:
-            _assert_answers_like_model(store, model)
+    def test_strict_fpr_round_trips(self, tmp_path, data, svdd_model):
+        """Writers emit neither key; a directory stamped with a strict
+        filter target by an older build still opens and answers."""
+        saved, built = tmp_path / "saved", tmp_path / "built"
+        CompressedMatrix.save(svdd_model, saved).close()
+        build_compressed(data, built, budget_fraction=0.10).close()
+        for directory in (saved, built):
+            meta = json.loads((directory / "meta.json").read_text())
+            assert "bloom" not in meta and "bloom_fpr" not in meta
+        meta.update(bloom=True, bloom_fpr=0.001)
+        (built / "meta.json").write_text(json.dumps(meta))
+        with CompressedMatrix.open(built) as store:
+            assert store.num_deltas > 0
+            assert json.loads((built / "meta.json").read_text())["bloom_fpr"] == 0.001
+        with CompressedMatrix.open(saved) as store:
+            _assert_answers_like_model(store, svdd_model)
 
     def test_old_directory_without_fpr_defaults(self, tmp_path, svdd_model):
         directory = tmp_path / "legacy"
         CompressedMatrix.save(svdd_model, directory).close()
         meta = json.loads((directory / "meta.json").read_text())
-        del meta["bloom_fpr"]  # simulate a pre-upgrade directory
+        meta["bloom"] = True  # a directory from before bloom_fpr was recorded
         (directory / "meta.json").write_text(json.dumps(meta))
         with CompressedMatrix.open(directory) as store:
             _assert_answers_like_model(store, svdd_model)
@@ -248,7 +256,7 @@ class TestBloomFprPersistence:
         directory = tmp_path / "svd"
         CompressedMatrix.save(model, directory).close()
         meta = json.loads((directory / "meta.json").read_text())
-        assert meta["bloom_fpr"] is None
+        assert "bloom_fpr" not in meta
 
 
 class TestBatchCells:

@@ -155,35 +155,21 @@ class TestEpsilonCurve:
         assert realized == pytest.approx(predicted, rel=1e-6, abs=1e-6)
 
 
-class TestBloom:
-    def test_bloom_admits_every_outlier(self, spiky_matrix):
+class TestDeltaIndex:
+    def test_index_holds_every_outlier(self, spiky_matrix):
+        """``model.deltas`` is the sorted index: every stored outlier is
+        a member and reconstructs exactly."""
         model = SVDDCompressor(budget_fraction=0.10).fit(spiky_matrix)
-        assert model.bloom is not None
         cols = model.num_cols
-        for row, col, _ in model.outlier_cells():
-            assert cell_key(row, col, cols) in model.bloom
-
-    def test_bloom_skips_most_non_outliers(self, spiky_matrix):
-        model = SVDDCompressor(budget_fraction=0.10).fit(spiky_matrix)
-        model.stats["bloom_skips"] = 0
-        model.stats["table_probes"] = 0
-        outliers = {(r, c) for r, c, _ in model.outlier_cells()}
-        probes = 0
-        for row in range(0, 150, 7):
-            for col in range(0, 40, 3):
-                if (row, col) not in outliers:
-                    model.reconstruct_cell(row, col)
-                    probes += 1
-        assert model.stats["bloom_skips"] > probes * 0.8
-
-    def test_disable_bloom(self, spiky_matrix):
-        model = SVDDCompressor(budget_fraction=0.10, use_bloom=False).fit(spiky_matrix)
-        assert model.bloom is None
-        # Reconstruction of outlier cells must still be exact.
-        row, col, _ = model.outlier_cells()[0]
-        assert model.reconstruct_cell(row, col) == pytest.approx(
-            spiky_matrix[row, col], abs=1e-6
-        )
+        cells = model.outlier_cells()
+        assert len(cells) == model.num_deltas > 0
+        assert np.all(np.diff(model.deltas.keys) > 0)
+        for row, col, delta in cells:
+            assert cell_key(row, col, cols) in model.deltas
+            assert model.deltas.get(cell_key(row, col, cols)) == delta
+            assert model.reconstruct_cell(row, col) == pytest.approx(
+                spiky_matrix[row, col], abs=1e-6
+            )
 
 
 class TestNaiveReference:
@@ -210,15 +196,13 @@ class TestNaiveReference:
 
     def test_same_outlier_cells(self, both):
         _data, fast, naive = both
-        assert {k for k, _ in fast.deltas.items()} == {
-            k for k, _ in naive.deltas.items()
-        }
+        np.testing.assert_array_equal(fast.deltas.keys, naive.deltas.keys)
 
     def test_same_delta_values(self, both):
         _data, fast, naive = both
-        naive_map = dict(naive.deltas.items())
-        for key, delta in fast.deltas.items():
-            assert delta == pytest.approx(naive_map[key], abs=1e-9)
+        np.testing.assert_allclose(
+            fast.deltas.values, naive.deltas.values, rtol=0, atol=1e-9
+        )
 
     def test_fast_uses_three_passes_naive_many(self, tmp_path):
         from repro.core import NaiveSVDDCompressor

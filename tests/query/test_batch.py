@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor, SVDDModel, SVDModel
+from repro.core import CompressedMatrix, DeltaIndex, SVDDCompressor, SVDDModel, SVDModel
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.storage import MatrixStore
-from repro.structures.hashtable import OpenAddressingTable
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +52,8 @@ def delta_heavy_model(num_rows=60, num_cols=24, num_deltas=300, seed=5):
     eigenvalues = np.sort(rng.random(k) * 5 + 1)[::-1]
     svd = SVDModel(u=u, eigenvalues=eigenvalues, v=v)
     keys = rng.choice(num_rows * num_cols, size=num_deltas, replace=False)
-    table = OpenAddressingTable(initial_capacity=2 * num_deltas)
-    for key in keys:
-        table.put(int(key), float(rng.standard_normal() * 3))
-    return SVDDModel(svd=svd, deltas=table, bloom=None)
+    values = rng.standard_normal(num_deltas) * 3
+    return SVDDModel(svd=svd, deltas=DeltaIndex(keys, values, num_cols))
 
 
 class TestBatchCells:

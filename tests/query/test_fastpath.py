@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, SVDDCompressor
+from repro.exceptions import QueryError
 from repro.methods import SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.fastpath import factor_aggregate
@@ -97,7 +98,9 @@ class TestFallbacks:
         rows = np.arange(5)
         cols = np.arange(5)
         assert factor_aggregate(svd_model, rows, cols, "min") is None
-        assert factor_aggregate("not a model", rows, cols, "sum") is None
+        # An unsupported source is an error, not a silent fallback.
+        with pytest.raises(QueryError):
+            factor_aggregate("not a model", rows, cols, "sum")
 
 
 class TestComplexity:

@@ -78,3 +78,48 @@ class TestFactorBackend:
         approx_top = set(top_rows(svdd, 10).tolist())
         exact_top = set(top_rows(data, 10).tolist())
         assert len(approx_top & exact_top) >= 8
+
+
+class TestPersistentBackend:
+    """Group-bys over a ``CompressedMatrix`` take the factor path: one
+    batched U gather and one delta ``select``, not a Python loop of
+    per-row reconstructions."""
+
+    @pytest.fixture(scope="class")
+    def model_dir(self, tmp_path_factory, svdd):
+        from repro.core import CompressedMatrix
+
+        directory = tmp_path_factory.mktemp("groupby") / "model"
+        CompressedMatrix.save(svdd, directory).close()
+        return directory
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["paged", "mapped"])
+    def test_totals_match_oracle_with_bounded_gathers(self, model_dir, mapped):
+        from repro.core import CompressedMatrix
+        from repro.obs import registry
+
+        rows = [3, 7, 110, 41, 8, 64]  # unsorted, holds the outlier row
+        cols = range(2, 19)  # never a full axis: no summary shortcut
+        selection = Selection(rows=rows, cols=cols)
+        with CompressedMatrix.open(model_dir, mapped=mapped) as store:
+            want = store.reconstruct_all()[np.ix_(sorted(rows), list(cols))]
+            registry.enable()
+            try:
+                gathers = registry.counter("store.read_rows.calls")
+                select_before = store.delta_index.stats["lookups"]
+                gathers_before = gathers.value
+                accesses_before = store.u_pool_stats.accesses
+                by_row = row_totals(store, selection)
+                by_col = column_totals(store, selection)
+                best = top_rows(store, 2, selection)
+                # Three group-bys: one batched gather and one select
+                # each, whatever |R| is.
+                assert gathers.value - gathers_before == 3
+                assert store.delta_index.stats["lookups"] - select_before == 3
+            finally:
+                registry.disable()
+            if not mapped:  # each selected row's page once per gather
+                assert store.u_pool_stats.accesses - accesses_before == 3 * len(rows)
+        np.testing.assert_allclose(by_row, want.sum(axis=1), atol=1e-8)
+        np.testing.assert_allclose(by_col, want.sum(axis=0), atol=1e-8)
+        assert list(best) == [sorted(rows)[i] for i in np.argsort(want.sum(axis=1))[::-1][:2]]

@@ -8,6 +8,11 @@ no route is admissible, both must raise the same
 summary store's three states (fresh, stale-after-append, absent) and
 both engine delta modes, because those were the axes along which the
 pre-planner call sites diverged.
+
+The same backend matrix doubles as the conformance suite for the one
+backend seam (:mod:`repro.query.backend`): every source shape answers
+``cell``/``cells``/``block``/``factors`` like a dense NumPy oracle, and
+offers ``factors`` exactly where the planner admits the factor route.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor
 from repro.core.build import build_compressed
 from repro.core.update import append_columns
-from repro.exceptions import RouteUnavailableError
+from repro.exceptions import QueryError, RouteUnavailableError
+from repro.methods import DCTMethod, SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
+from repro.query.backend import as_backend
+from repro.storage import MatrixStore
 
 FUNCTIONS = ("sum", "avg", "count", "min", "max", "stddev")
 
@@ -75,24 +83,51 @@ def stale_dir(tmp_path_factory, data):
     return directory
 
 
+BACKEND_NAMES = [
+    "ndarray",
+    "matrix-store",
+    "svd-in-memory",
+    "svdd-in-memory",
+    "svdd-adapter",
+    "row-only-dct",
+    "compressed-fresh",
+    "compressed-mapped",
+    "compressed-stale",
+    "compressed-no-summaries",
+]
+
+#: The source shapes that have a factor form.
+FACTOR_BACKENDS = {name for name in BACKEND_NAMES if "svd" in name or "compressed" in name}
+
+
 @pytest.fixture(scope="module")
-def backends(data, svdd_model, fresh_dir, stale_dir):
-    """name -> (backend, engine_kwargs) covering the summary states."""
+def backends(tmp_path_factory, data, svdd_model, fresh_dir, stale_dir):
+    """name -> (backend, engine_kwargs): every source shape the seam
+    resolves, and the three summary states."""
     fresh = CompressedMatrix.open(fresh_dir)
+    mapped = CompressedMatrix.open(fresh_dir, mapped=True)
     stale = CompressedMatrix.open(stale_dir)
+    raw_store = MatrixStore.create(
+        tmp_path_factory.mktemp("parity-raw") / "x.mat", data
+    )
     assert fresh.summaries is not None, "fresh model must carry summaries"
     assert stale.summaries is not None and not stale.summaries.fresh, (
         "deferred append must leave partially-covered summaries"
     )
     yield {
         "ndarray": (data, {}),
+        "matrix-store": (raw_store, {}),
+        "svd-in-memory": (SVDCompressor(k=4).fit(data), {}),
         "svdd-in-memory": (svdd_model, {}),
+        "svdd-adapter": (SVDDMethod().fit(data, 0.25), {}),
+        "row-only-dct": (DCTMethod().fit(data, 0.25), {}),
         "compressed-fresh": (fresh, {}),
+        "compressed-mapped": (mapped, {}),
         "compressed-stale": (stale, {}),
         "compressed-no-summaries": (fresh, {"use_summaries": False}),
     }
-    fresh.close()
-    stale.close()
+    for store in (fresh, mapped, stale, raw_store):
+        store.close()
 
 
 def _attempt(callable_):
@@ -104,16 +139,7 @@ def _attempt(callable_):
 
 
 @pytest.mark.parametrize("include_deltas", [True, False], ids=["deltas", "svd-only"])
-@pytest.mark.parametrize(
-    "backend_name",
-    [
-        "ndarray",
-        "svdd-in-memory",
-        "compressed-fresh",
-        "compressed-stale",
-        "compressed-no-summaries",
-    ],
-)
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 def test_explain_matches_execute_everywhere(backends, backend_name, include_deltas):
     backend, kwargs = backends[backend_name]
     engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
@@ -157,6 +183,72 @@ def test_explain_matches_execute_everywhere(backends, backend_name, include_delt
                     assert result.value == pytest.approx(
                         expected.value, rel=1e-9, abs=1e-9
                     ), label
+
+
+def _dense(source) -> np.ndarray:
+    """The matrix ``source`` stands for, materialized by its own API."""
+    if isinstance(source, np.ndarray):
+        return source
+    if isinstance(source, MatrixStore):
+        return source.read_all()
+    if isinstance(source, CompressedMatrix):
+        return source.reconstruct_all()
+    return source.reconstruct()
+
+
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_backend_seam_conformance(backends, backend_name):
+    """Every source shape speaks the seam's vocabulary like the dense
+    oracle, and offers ``factors`` exactly where the planner admits the
+    factor route."""
+    source, _kwargs = backends[backend_name]
+    backend = as_backend(source)
+    assert as_backend(backend) is backend  # idempotent
+    dense = _dense(source)
+    assert backend.shape == dense.shape
+
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, dense.shape[0], size=40)
+    cols = rng.integers(0, dense.shape[1], size=40)
+    rows[:3], cols[:3] = (7, 33, 60), (3, 15, 1)  # the planted outliers
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        assert backend.cell(row, col) == pytest.approx(dense[row, col], abs=1e-9)
+    np.testing.assert_allclose(backend.cells(rows, cols), dense[rows, cols], atol=1e-9)
+
+    row_idx = np.array([60, 4, 7, 33, 12], dtype=np.int64)  # unsorted on purpose
+    col_idx = np.array([1, 2, 3, 15, 19], dtype=np.int64)
+    block = backend.block(row_idx, col_idx)
+    assert isinstance(block, np.ndarray) and block.dtype == np.float64
+    np.testing.assert_allclose(block, dense[np.ix_(row_idx, col_idx)], atol=1e-9)
+
+    plan = QueryEngine(source).plan(AggregateQuery("sum", SELECTIONS["sub-rect"]))
+    rejected = {r.name: r.reason for r in plan.rejected}
+    if backend_name in FACTOR_BACKENDS:
+        assert backend.factors is not None and backend.rank > 0
+        assert "factor" in {c.name for c in plan.candidates}
+        scaled_u, v, index, fetched = backend.factors(row_idx)
+        rebuilt = scaled_u @ v.T
+        if index is not None:
+            row_pos, col_pos, *_rest, values = index.select(
+                row_idx, np.arange(dense.shape[1])
+            )
+            rebuilt[row_pos, col_pos] += values
+        np.testing.assert_allclose(rebuilt, dense[row_idx], atol=1e-9)
+        assert fetched == (row_idx.size if backend.paged_store is not None else 0)
+    else:
+        assert backend.factors is None and backend.rank == 0
+        assert rejected["factor"] == "backend has no factor form"
+
+
+@pytest.mark.parametrize(
+    "source", ["not a backend", np.ones(5), object(), {"shape": (2, 2)}]
+)
+def test_unsupported_source_rejected_at_construction(source):
+    """Not at first query: the kind is resolved once, up front."""
+    with pytest.raises(QueryError):
+        as_backend(source)
+    with pytest.raises(QueryError):
+        QueryEngine(source)
 
 
 def test_matrix_covers_every_route(backends):

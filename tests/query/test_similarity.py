@@ -77,6 +77,19 @@ class TestSimilarRows:
         svdd = SVDDCompressor(budget_fraction=0.2).fit(documents)
         assert similar_rows(svdd, 0, count=3).shape == (3,)
 
+    def test_any_factor_backend(self, tmp_path, model, documents):
+        """Similarity reads the backend seam's ``factors``: a persistent
+        store finds the model's neighbours, a factor-less source is
+        refused."""
+        from repro.core import CompressedMatrix
+
+        with CompressedMatrix.save(model, tmp_path / "m") as store:
+            assert list(similar_rows(store, 0, count=5)) == list(
+                similar_rows(model, 0, count=5)
+            )
+        with pytest.raises(QueryError):
+            similar_rows(documents, 0)
+
 
 class TestQueryFolding:
     def test_document_finds_itself(self, model, documents):

@@ -10,21 +10,25 @@ from repro.exceptions import ChecksumError, FormatError
 from repro.storage import DeltaFile
 
 
+def _read(path) -> dict:
+    """The file's records as ``{key: delta}`` via ``read_arrays``."""
+    keys, deltas = DeltaFile.read_arrays(path)
+    return dict(zip(keys.tolist(), deltas.tolist()))
+
+
 class TestRoundtrip:
     def test_basic(self, tmp_path):
         path = tmp_path / "d.bin"
         records = [(5, 1.5), (100, -2.25), (7, 0.125)]
         assert DeltaFile.write(path, records) == 3
-        table = DeltaFile.read(path)
-        assert len(table) == 3
-        assert table.get(5) == 1.5
-        assert table.get(100) == -2.25
-        assert table.get(7) == 0.125
+        assert _read(path) == {5: 1.5, 7: 0.125, 100: -2.25}
+        keys, _deltas = DeltaFile.read_arrays(path)
+        assert keys.tolist() == [5, 7, 100]  # canonical key order
 
     def test_empty(self, tmp_path):
         path = tmp_path / "d.bin"
         assert DeltaFile.write(path, []) == 0
-        assert len(DeltaFile.read(path)) == 0
+        assert _read(path) == {}
 
     def test_canonical_bytes(self, tmp_path):
         """Same record set in any order -> byte-identical files."""
@@ -44,10 +48,10 @@ class TestFloat32Records:
         path = tmp_path / "d.bin"
         records = [(5, 1.5), (1 << 40, -2.25), (7, 0.125)]
         assert DeltaFile.write(path, records, bytes_per_value=4) == 3
-        table = DeltaFile.read(path)
-        assert table.get(5) == 1.5  # exactly representable in float32
-        assert table.get(1 << 40) == -2.25  # keys stay full int64
-        assert table.get(7) == 0.125
+        table = _read(path)
+        assert table[5] == 1.5  # exactly representable in float32
+        assert table[1 << 40] == -2.25  # keys stay full int64
+        assert table[7] == 0.125
 
     def test_records_are_12_bytes(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -62,7 +66,7 @@ class TestFloat32Records:
         path = tmp_path / "d.bin"
         value = 1.0 + 1e-12  # not representable in float32
         DeltaFile.write(path, [(3, value)], bytes_per_value=4)
-        assert DeltaFile.read(path).get(3) == float(np.float32(value))
+        assert _read(path)[3] == float(np.float32(value))
 
     def test_corruption_still_detected(self, tmp_path):
         from repro.exceptions import ChecksumError
@@ -73,7 +77,7 @@ class TestFloat32Records:
         raw[-1] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
-            DeltaFile.read(path)
+            DeltaFile.read_arrays(path)
 
     def test_invalid_precision_rejected(self, tmp_path):
         with pytest.raises(FormatError):
@@ -103,7 +107,7 @@ class TestCorruption:
         path = tmp_path / "d.bin"
         path.write_bytes(b"short")
         with pytest.raises(FormatError):
-            DeltaFile.read(path)
+            DeltaFile.read_arrays(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -112,7 +116,7 @@ class TestCorruption:
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            DeltaFile.read(path)
+            DeltaFile.read_arrays(path)
 
     def test_truncated_records(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -120,7 +124,7 @@ class TestCorruption:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
-            DeltaFile.read(path)
+            DeltaFile.read_arrays(path)
 
     def test_flipped_record_bit(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -129,7 +133,7 @@ class TestCorruption:
         raw[-1] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
-            DeltaFile.read(path)
+            DeltaFile.read_arrays(path)
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,8 +147,7 @@ class TestCorruption:
 def test_property_roundtrip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("deltas") / "d.bin"
     DeltaFile.write(path, records.items())
-    table = DeltaFile.read(path)
-    assert dict(table.items()) == records
+    assert _read(path) == records
 
 
 class TestMapArrays:
