@@ -22,10 +22,19 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS thread per caller, set before NumPy loads — the rule
+# benchmarks/harness measures under.  The thread- and process-pool
+# benches run several GEMM callers at once; a multi-threaded OpenBLAS
+# beneath them measures its own pool contention (on 2 cores
+# bench_concurrency's thread curve drops to ~0.3x of one worker), not
+# the code under test.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from repro.data import phone_matrix, stocks_matrix
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.data import phone_matrix, stocks_matrix  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

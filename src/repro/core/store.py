@@ -291,11 +291,13 @@ class CompressedMatrix:
                 registry counter and emit a ``store.degraded_open``
                 structured log event; the factor files are always
                 verified and always fatal when corrupt.
-            mapped: read ``u.mat`` through a read-only ``mmap`` view
-                instead of a buffer pool.  Every process mapping the
-                same model shares the kernel's page-cache pages, which
-                is what lets N worker processes serve queries over one
-                copy of the model in memory
+            mapped: take the buffer pool out of single-row and cell
+                reads of ``u.mat`` too (batched gathers index a
+                read-only ``mmap`` view on every open) and serve the
+                deltas from a shared mapping.  Every process mapping
+                the same model shares the kernel's page-cache pages,
+                which is what lets N worker processes serve queries
+                over one copy of the model in memory
                 (:class:`~repro.query.process_executor.ProcessQueryExecutor`).
 
         Opening is safe against a concurrent crash-atomic append: the
@@ -589,7 +591,7 @@ class CompressedMatrix:
 
     @property
     def mapped(self) -> bool:
-        """True when ``u.mat`` reads go through the shared mmap view."""
+        """True when opened ``mapped=True``: no ``u.mat`` read uses the pool."""
         return self._u_store.mapped
 
     @property
@@ -794,7 +796,7 @@ class CompressedMatrix:
         need the reconstructed cells.
 
         Returns ``(scaled_u, v, delta_index, rows_fetched)``: the rows'
-        ``u_i * Lambda`` coordinates — one batched, page-coalesced
+        ``u_i * Lambda`` coordinates — one batched
         :meth:`~repro.storage.matrix_store.MatrixStore.read_rows`
         gather, zero rows included so the page accounting matches the
         planner's — the pinned ``V``, the outlier index (None for plain
@@ -804,7 +806,7 @@ class CompressedMatrix:
         return u_sel * self._eigenvalues, self._v, self._deltas, int(row_idx.size)
 
     def cells(self, rows, cols) -> np.ndarray:
-        """Reconstruct many cells at once: one coalesced U gather.
+        """Reconstruct many cells at once: one batched U gather.
 
         ``rows`` and ``cols`` are aligned index arrays naming the cells
         ``(rows[i], cols[i])``.  The selected U rows arrive through one
@@ -847,7 +849,7 @@ class CompressedMatrix:
 
         The paper's 'processing run' access pattern, vectorized: the
         selected U rows come back as one batched gather (each row one
-        page, coalesced through the buffer pool), the block is one GEMM
+        logical page of the mapped ``u.mat``), the block is one GEMM
         against the selected V columns, and the delta corrections inside
         the rectangle fold in via the sorted
         :class:`~repro.core.delta_index.DeltaIndex` — no per-row or

@@ -1,13 +1,12 @@
 """Pricing primitives for the query planner.
 
 The planner's cost of a route is first-order, like the paper's own
-reasoning: an I/O term (pages touched, priced through a
-:class:`~repro.costmodel.StorageTier` and derated by the live buffer
-pool's hit rate) plus a CPU term (a flop count scaled by a fixed
-per-element cost).  The absolute milliseconds are estimates; what the
-planner needs — and what ``benchmarks/bench_planner.py`` asserts — is
-that the *ranking* of routes by predicted cost matches the ranking by
-measured latency.
+reasoning: an I/O term (logical pages touched, priced through a
+:class:`~repro.costmodel.StorageTier`) plus a CPU term (a flop count
+scaled by a fixed per-element cost).  The absolute milliseconds are
+estimates; what the planner needs — and what
+``benchmarks/bench_planner.py`` asserts — is that the *ranking* of
+routes by predicted cost matches the ranking by measured latency.
 """
 
 from __future__ import annotations
@@ -59,15 +58,16 @@ class CostParams:
 
 
 def page_read_ms(
-    params: CostParams, pages: int, page_bytes: int, hit_rate: float
+    params: CostParams, pages: int, page_bytes: int, hit_rate: float = 0.0
 ) -> float:
-    """Price ``pages`` logical page accesses against the pool state.
+    """Price ``pages`` logical page accesses.
 
-    The fraction the pool is expected to serve from memory costs a
+    The fraction ``hit_rate`` expected to be served from memory costs a
     memory access; the rest pay the tier's seek + transfer.  ``pages``
-    is the *logical* count (what ``QueryProfile.pages_read`` measures);
-    a hot pool drives the price toward the memory tier without changing
-    the page count the planner reports.
+    is the *logical* count (what ``QueryProfile.pages_read`` measures).
+    The planner prices every route's gather at the default: a gather
+    never consults the buffer pool, so the pool's hit rate says nothing
+    about it.
     """
     if pages <= 0:
         return 0.0

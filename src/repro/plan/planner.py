@@ -193,7 +193,6 @@ def plan_aggregate(
         params = CostParams.for_backend(backend.memory_resident)
     # A mapped store's "pages" are logical only — they never seek.
     priced_store = None if backend.memory_resident else backend.paged_store
-    hit_rate = 1.0 if priced_store is None else priced_store.pool_stats.hit_rate
     rank = backend.rank
     candidates: list[RouteEstimate] = []
     rejected: list[RejectedRoute] = []
@@ -207,6 +206,10 @@ def plan_aggregate(
         if priced_store is None or rows.size == 0:
             return 0, 0
         return priced_store.pages_for_rows(rows), priced_store.page_size
+
+    # The factor, svd and stream routes all gather the selected rows:
+    # count their pages once.
+    row_pages, row_page_bytes = pages_and_bytes(row_idx)
 
     # -- summary routes ------------------------------------------------
     if not use_summaries:
@@ -259,7 +262,7 @@ def plan_aggregate(
                         ROUTE_SUMMARY_FACTOR,
                         cost_ms=params.summary_floor_ms
                         + params.stream_floor_ms
-                        + page_read_ms(params, pages, page_bytes, hit_rate)
+                        + page_read_ms(params, pages, page_bytes)
                         + flops_ms(
                             resid_cells * max(rank, 1), params.ns_per_cell
                         ),
@@ -294,13 +297,13 @@ def plan_aggregate(
         else:
             # Only a paged store's factor gather fetches rows.
             fetches = int(row_idx.size) if backend.paged_store is not None else 0
-            pages, page_bytes = pages_and_bytes(row_idx)
+            pages, page_bytes = row_pages, row_page_bytes
             base_flops = float(row_idx.size) * max(rank, 1)
             if function == "stddev":
                 base_flops += float(row_idx.size) * max(rank, 1) ** 2
         base_cost = (
             params.factor_floor_ms
-            + page_read_ms(params, pages, page_bytes, hit_rate)
+            + page_read_ms(params, pages, page_bytes)
             + flops_ms(base_flops, params.ns_per_factor_term)
         )
 
@@ -354,14 +357,13 @@ def plan_aggregate(
 
     # -- row streaming -------------------------------------------------
     if include_deltas:
-        pages, page_bytes = pages_and_bytes(row_idx)
         candidates.append(
             RouteEstimate(
                 ROUTE_STREAM,
                 cost_ms=params.stream_floor_ms
-                + page_read_ms(params, pages, page_bytes, hit_rate)
+                + page_read_ms(params, row_pages, row_page_bytes)
                 + flops_ms(cells * (max(rank, 1) + 1), params.ns_per_cell),
-                pages=pages,
+                pages=row_pages,
                 row_fetches=int(row_idx.size),
                 error_bound=0.0,
             )

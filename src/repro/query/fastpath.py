@@ -26,9 +26,9 @@ no pass over the stored outlier set.
 The factors come from the backend's one optional capability,
 ``factors(row_idx)`` (:mod:`repro.query.backend`).  For the persistent
 :class:`~repro.core.store.CompressedMatrix` the selected ``U`` rows
-arrive as one batched, page-coalesced gather
+arrive as one batched gather out of the store's mapped view
 (:meth:`~repro.storage.matrix_store.MatrixStore.read_rows`); those
-fetches are real disk work, so :func:`factor_aggregate` reports them
+fetches are the paper's disk accesses, so :func:`factor_aggregate` reports them
 alongside the value and the engine surfaces them in
 ``QueryResult.rows_fetched``.
 

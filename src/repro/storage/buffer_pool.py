@@ -28,8 +28,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.exceptions import ConfigurationError, PageError
 from repro.obs.registry import registry as _obs
 from repro.storage.pager import FilePager
@@ -48,12 +46,14 @@ _AUTO_SHARD_MAX = 8
 class PoolStats:
     """Cache behaviour counters for a buffer pool.
 
-    ``bypasses`` counts page requests that were served from disk but
-    deliberately *not* cached — the scan-resistant tails of large
-    batched reads (:meth:`BufferPool.get_pages` /
-    :meth:`BufferPool.get_page_range`).  They are real accesses: without
-    them a ``read_rows``-heavy workload would appear to have a high hit
-    rate simply because its cold reads were never counted.
+    ``bypasses`` counts logical pages served around the pool: the
+    distinct pages of each batched
+    :meth:`~repro.storage.matrix_store.MatrixStore.read_rows` gather,
+    which is copied out of the store's mapped view and neither consults
+    nor disturbs the resident set (scan resistance by construction).
+    They are real accesses: without them a ``read_rows``-heavy workload
+    would appear to have a high hit rate simply because its reads were
+    never counted.
 
     Mutation goes through :meth:`add`, which holds a per-struct lock so
     the counts stay exact when many threads share one pool.
@@ -312,114 +312,6 @@ class BufferPool:
             evicted = shard.insert(page_id, data)
         self.stats.add(misses=1, evictions=evicted)
         return data
-
-    def _probe_resident(self, ids: np.ndarray) -> tuple[dict[int, bytes], list[int]]:
-        """Split ``ids`` into resident pages (copied out, touched, counted
-        as hits) and missing ones, taking each shard's lock once."""
-        out: dict[int, bytes] = {}
-        missing: list[int] = []
-        num_shards = len(self._shards)
-        hits = 0
-        for shard_index in range(num_shards):
-            shard = self._shards[shard_index]
-            mine = ids[ids % num_shards == shard_index] if num_shards > 1 else ids
-            if mine.size == 0:
-                continue
-            with shard.lock:
-                for pid in mine.tolist():
-                    data = shard.pages.get(pid)
-                    if data is not None:
-                        hits += 1
-                        shard.touch(pid)
-                        out[pid] = data
-                    else:
-                        missing.append(pid)
-        if hits:
-            self.stats.add(hits=hits)
-        missing.sort()
-        return out, missing
-
-    def get_pages(self, page_ids) -> dict[int, bytes]:
-        """Fetch a batch of pages, touching each distinct page once.
-
-        The coalescing primitive behind
-        :meth:`~repro.storage.matrix_store.MatrixStore.read_rows`: a
-        page requested by several rows of one batch costs one pool
-        access (one hit or one miss), not one per row, and all the
-        misses go to the pager as one batched
-        :meth:`~repro.storage.pager.FilePager.read_pages` call (runs of
-        near-contiguous pages become single sequential reads).  Returns
-        a ``page_id -> bytes`` mapping covering every requested page.
-        """
-        ids = np.unique(np.asarray(list(page_ids), dtype=np.int64))
-        if ids.size == 0:
-            return {}
-        out, missing = self._probe_resident(ids)
-        if missing:
-            loaded = self.pager.read_pages(missing)
-            out.update(loaded)
-            cached_tail = missing
-            if len(missing) >= self.capacity:
-                # Scan resistance: a miss batch at least as large as the
-                # pool would evict everything resident only to be evicted
-                # itself by the end of the batch.  Keep the resident set
-                # and cache just the tail of the scan; the rest of the
-                # batch bypasses the cache but still counts as accesses.
-                cached_tail = missing[-max(self.capacity // 2, 1) :]
-            evicted = 0
-            for pid in cached_tail:
-                shard = self._shard_of(pid)
-                with shard.lock:
-                    evicted += shard.insert(pid, loaded[pid])
-            self.stats.add(
-                misses=len(cached_tail),
-                bypasses=len(missing) - len(cached_tail),
-                evictions=evicted,
-            )
-        return out
-
-    def get_page_range(self, page_ids) -> tuple[int, bytes]:
-        """The span ``min(page_ids)..max(page_ids)`` as one buffer.
-
-        The dense-batch complement of :meth:`get_pages`: instead of
-        materializing one ``bytes`` object per page, the whole span
-        (gap pages included) arrives as a single sequential
-        :meth:`~repro.storage.pager.FilePager.read_page_span` read, and
-        the caller slices rows out of it directly.  Only the pages in
-        ``page_ids`` are accounted as pool accesses; a tail of the
-        missed pages is cached (scan resistance, as in
-        :meth:`get_pages`).  Returns ``(first_page_id, blob)``.
-        """
-        ids = np.unique(np.asarray(list(page_ids), dtype=np.int64))
-        if ids.size == 0:
-            raise PageError("get_page_range requires at least one page id")
-        first = int(ids[0])
-        last = int(ids[-1])
-        resident, missed = self._probe_resident(ids)
-        blob = self.pager.read_page_span(first, last)
-        # The span fetched every page first..last; the unrequested ones
-        # are coalescing gaps (the pager cannot know the requested set).
-        self.pager.stats.add(gap_pages=(last - first + 1) - int(ids.size))
-        page_size = self.pager.page_size
-        keep = ids[-max(self.capacity // 2, 1) :].tolist()
-        keep_set = set(keep)
-        # Missed pages that join the cache are misses; the rest of the
-        # span's requested pages bypass the cache (still accesses).
-        cached_misses = sum(1 for pid in missed if pid in keep_set)
-        evicted = 0
-        for pid in keep:
-            if pid in resident:
-                continue
-            shard = self._shard_of(pid)
-            offset = (pid - first) * page_size
-            with shard.lock:
-                evicted += shard.insert(pid, blob[offset : offset + page_size])
-        self.stats.add(
-            misses=cached_misses,
-            bypasses=len(missed) - cached_misses,
-            evictions=evicted,
-        )
-        return first, blob
 
     def pin(self, page_id: int) -> bytes:
         """Load a page and exempt it from eviction (the paper's pinned V/Lambda)."""

@@ -11,9 +11,15 @@ need —
   (Figure 3).  Completed full scans are counted in :attr:`pass_count`,
   so tests can assert the '2-pass' and '3-pass' claims literally;
 - **random row / cell access** (:meth:`MatrixStore.row`,
-  :meth:`MatrixStore.cell`) through an LRU :class:`BufferPool`, used
-  when the uncompressed store itself serves queries (the baseline the
-  compressed stores are compared to).
+  :meth:`MatrixStore.cell`) through an LRU :class:`BufferPool` — the
+  cold-cell path on which the paper's one-disk-access-per-cell claim
+  is measured;
+- **batched row gathers** (:meth:`MatrixStore.read_rows`): one
+  fancy-indexed copy out of a read-only ``mmap`` view of the data
+  region.  A gather does no pager I/O and never enters the pool; the
+  distinct logical pages it covers (:meth:`MatrixStore.pages_for_rows`)
+  are accounted as pool ``bypasses`` so the paper's disk-access tables
+  still report.
 
 File layout: one header page (magic, version, shape, page size, CRC of
 the header fields) followed by the row-major float64 data region
@@ -38,6 +44,7 @@ from repro.exceptions import (
     FormatError,
     QueryError,
     ShapeError,
+    StoreClosedError,
 )
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -49,15 +56,21 @@ _MAGIC = b"RPRMTX02"
 _HEADER_FMT = "<8sQQIBI"  # magic, rows, cols, page_size, dtype code, crc32
 _STREAM_CHUNK_ROWS = 256
 
-#: Largest page span (in bytes) a batched row read will fetch as one
-#: sequential read; beyond this, or when the requested pages cover less
-#: than a quarter of the span, the read falls back to per-page fetches.
-_SPAN_READ_CAP = 64 * 1024 * 1024
-
 #: Storable element types: code <-> numpy dtype.  float32 halves the
 #: per-number cost 'b', letting the same budget hold twice the model.
 _DTYPE_CODES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 _CODES_BY_DTYPE = {dtype: code for code, dtype in _DTYPE_CODES.items()}
+
+
+def _close_mapping(mm: _mmap.mmap | None) -> None:
+    """Close ``mm`` unless a reader still holds a slice of its view (a
+    gather or scan in flight on another thread) — then the mapping is
+    released with its last export instead of raising ``BufferError``."""
+    if mm is not None:
+        try:
+            mm.close()
+        except BufferError:
+            pass
 
 
 class MatrixStore:
@@ -68,17 +81,19 @@ class MatrixStore:
     the matrix), then opened with :meth:`open`.
 
     Reads are thread-safe: the pager uses positionless ``os.pread`` (no
-    shared cursor) and the buffer pool is lock-striped, so any number of
-    threads may call :meth:`row`, :meth:`read_rows`, :meth:`cell`, or
-    run independent :meth:`iter_rows` iterators over disjoint bands
-    concurrently on one open store.
+    shared cursor), the buffer pool is lock-striped and the mapped view
+    is read-only, so any number of threads may call :meth:`row`,
+    :meth:`read_rows`, :meth:`cell`, or run independent
+    :meth:`iter_rows` iterators over disjoint bands concurrently on one
+    open store.
 
-    ``open(mapped=True)`` replaces the buffer-pool read path with a
-    read-only ``mmap`` of the data region exposed as a zero-copy NumPy
-    view: row gathers index straight into the mapping, so the kernel's
-    page cache is the only cache and the physical pages are **shared
-    across processes** that map the same file — the memory model the
-    multiprocess query executor relies on.  A mapped store is a
+    Every open maps the data region read-only and serves
+    :meth:`read_rows` from that view, so the kernel's page cache holds
+    the one physical copy of the file that threads and processes share.
+    ``open(mapped=True)`` additionally takes the buffer pool and pager
+    out of :meth:`row`, :meth:`cell` and :meth:`iter_rows` — nothing is
+    cached per process and no page is accounted — which is the memory
+    model the multiprocess query executor relies on.  Such a store is a
     read-only snapshot of the file at open time; :meth:`append_rows`
     refuses to run on one.
     """
@@ -101,19 +116,22 @@ class MatrixStore:
         self._data_offset = pager.page_size
         self._pass_count = 0
         self._pass_lock = threading.Lock()
+        self._mapped = mapped
         self._mm: _mmap.mmap | None = None
         self._view: np.ndarray | None = None
-        if mapped:
-            self._map_data()
+        self._map_data()
 
     def _map_data(self) -> None:
-        """Map the data region read-only as one ``(rows, cols)`` view.
+        """(Re)map the data region read-only as one ``(rows, cols)`` view.
 
-        The mapping covers the whole file (offset arithmetic happens in
-        ``frombuffer``), is private to no one — ``MAP_SHARED`` semantics
-        of ``ACCESS_READ`` mean every process mapping this file shares
-        the same physical page-cache pages — and outlives the pager's
-        file descriptor.
+        Refuses a file shorter than its header promises, so a truncated
+        store is a :class:`FormatError` here and never a ``SIGBUS`` in
+        the middle of a gather.  The mapping covers the whole file
+        (offset arithmetic happens in ``frombuffer``), is private to no
+        one — ``MAP_SHARED`` semantics of ``ACCESS_READ`` mean every
+        process mapping this file shares the same physical page-cache
+        pages — and outlives the pager's file descriptor.  A zero-row
+        store keeps an empty array instead of a zero-length mapping.
         """
         needed = self._data_offset + self._rows * self._cols * self._item
         size = os.fstat(self._pager.fileno()).st_size
@@ -122,20 +140,32 @@ class MatrixStore:
                 f"{self._pager.path}: file holds {size} bytes but the "
                 f"header promises {needed} — truncated store cannot be mapped"
             )
-        self._mm = _mmap.mmap(
-            self._pager.fileno(), 0, access=_mmap.ACCESS_READ
-        )
-        self._view = np.frombuffer(
-            self._mm,
-            dtype=self._dtype,
-            count=self._rows * self._cols,
-            offset=self._data_offset,
-        ).reshape(self._rows, self._cols)
+        stale = self._mm
+        if self._rows == 0:
+            self._mm = None
+            self._view = np.empty((0, self._cols), dtype=self._dtype)
+        else:
+            self._mm = _mmap.mmap(
+                self._pager.fileno(), 0, access=_mmap.ACCESS_READ
+            )
+            self._view = np.frombuffer(
+                self._mm,
+                dtype=self._dtype,
+                count=self._rows * self._cols,
+                offset=self._data_offset,
+            ).reshape(self._rows, self._cols)
+        _close_mapping(stale)
+
+    def _live_view(self) -> np.ndarray:
+        view = self._view
+        if view is None:
+            raise StoreClosedError(f"{self.path}: store is closed")
+        return view
 
     @property
     def mapped(self) -> bool:
-        """True when reads go through the zero-copy ``mmap`` view."""
-        return self._view is not None
+        """True when opened ``mapped=True``: no read touches pool or pager."""
+        return self._mapped
 
     # -- construction -----------------------------------------------------
 
@@ -302,11 +332,11 @@ class MatrixStore:
         incremental-maintenance path therefore only ever appends to a
         **staged copy** that is swapped in atomically afterwards.
         """
-        if self.mapped:
+        if self._mapped:
             raise ConfigurationError(
                 f"{self.path}: cannot append to a store opened with "
-                "mapped=True — the mmap view is a fixed-size read-only "
-                "snapshot; append through a pooled open instead"
+                "mapped=True — it is a fixed-size read-only snapshot; "
+                "append through a default open instead"
             )
         appended = 0
         buffer: list[bytes] = []
@@ -341,21 +371,21 @@ class MatrixStore:
         )
         self._pager.sync()
         self._rows = new_rows
-        # Pages at the old tail may be cached zero-padded; drop them so
-        # reads of the appended rows see the new bytes.
+        # Pages at the old tail may be cached zero-padded; drop them and
+        # re-make the view over the grown file so reads of the appended
+        # rows see the new bytes.
         self._pool.invalidate()
+        self._map_data()
         return appended
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         """Close the backing file and release any mapping (idempotent)."""
-        if self._mm is not None:
-            # Drop the NumPy view first: mmap.close() raises BufferError
-            # while exported buffers are alive.
-            self._view = None
-            self._mm.close()
-            self._mm = None
+        # Drop the NumPy view first: it is the mapping's own export.
+        self._view = None
+        _close_mapping(self._mm)
+        self._mm = None
         self._pager.close()
 
     def __enter__(self) -> "MatrixStore":
@@ -426,32 +456,49 @@ class MatrixStore:
         return self._pager.page_size
 
     def pages_for_rows(self, indices) -> int:
-        """Distinct pages a batched read of ``indices`` would touch.
+        """Distinct logical pages the rows ``indices`` occupy.
 
-        Pure arithmetic — the same first/last-page union
-        :meth:`read_rows` performs before fetching, with no I/O and no
-        pool traffic — so the query planner can price a gather without
-        executing it.  Duplicate indices count once, exactly as the
-        coalesced read would treat them.
+        Pure arithmetic, no I/O and no pool traffic: the count
+        :meth:`read_rows` accounts for a gather and the query planner
+        prices before executing one.  Duplicate indices count once.
+        O(n) for sorted input (what ``Selection.resolve`` produces);
+        unsorted input pays a sort.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
             return 0
-        if idx.min() < 0 or idx.max() >= self._rows:
+        self._check_rows(idx)
+        return self._page_count(idx)
+
+    def _check_rows(self, idx: np.ndarray) -> None:
+        low, high = idx.min(), idx.max()
+        if low < 0 or high >= self._rows:
             raise QueryError(
-                f"row selection outside [0, {self._rows}): "
-                f"[{idx.min()}, {idx.max()}]"
+                f"row selection outside [0, {self._rows}): [{low}, {high}]"
             )
+
+    def _page_count(self, idx: np.ndarray) -> int:
+        """:meth:`pages_for_rows` for a validated, non-empty ``idx``."""
         row_bytes = self._cols * self._item
         page_size = self._pager.page_size
         offsets = self._data_offset + idx * row_bytes
         first = offsets // page_size
-        last = (offsets + row_bytes - 1) // page_size
-        max_span = int((last - first).max())
-        needed = np.unique(
-            np.concatenate([np.minimum(first + d, last) for d in range(max_span + 1)])
-        )
-        return int(needed.size)
+        last = (offsets + (row_bytes - 1)) // page_size
+        if idx.size > 1 and (idx[1:] < idx[:-1]).any():
+            # Unsorted: union the runs first..last.  Unioning the
+            # clipped shifts first+d covers them without a per-row loop.
+            max_span = int((last - first).max())
+            return int(
+                np.unique(
+                    np.concatenate(
+                        [np.minimum(first + d, last) for d in range(max_span + 1)]
+                    )
+                ).size
+            )
+        # Sorted: first and last are both monotone, so each row adds the
+        # pages of its run that lie beyond the previous row's last page.
+        fresh = last[1:] - np.maximum(first[1:], last[:-1] + 1) + 1
+        return int(last[0] - first[0] + 1 + np.maximum(fresh, 0).sum())
 
     # -- random access -----------------------------------------------------
 
@@ -459,27 +506,27 @@ class MatrixStore:
         return self._data_offset + index * self._cols * self._item
 
     def row(self, index: int) -> np.ndarray:
-        """Read one row through the buffer pool (or the mmap view)."""
+        """Read one row through the buffer pool (the view when ``mapped``)."""
         if not 0 <= index < self._rows:
             raise QueryError(f"row {index} out of range [0, {self._rows})")
-        if self._view is not None:
+        if self._mapped:
             # The copy keeps row() returning a writable float64 array;
             # the page itself is only ever touched through the shared
             # mapping, never duplicated into a per-process pool.
-            return self._view[index].astype(np.float64)
+            return self._live_view()[index].astype(np.float64)
         raw = read_span(self._pool, self._row_offset(index), self._cols * self._item)
         return np.frombuffer(raw, dtype=self._dtype).astype(np.float64)
 
     def read_rows(self, indices) -> np.ndarray:
-        """Read a batch of rows through the buffer pool in one gather.
+        """Gather a batch of rows out of the mapped view in one copy.
 
-        The vectorized counterpart of :meth:`row`: page reads are
-        coalesced via :meth:`BufferPool.get_pages`, so a page shared by
-        several requested rows (or requested twice in one batch) is
-        touched once, and the result comes back as a single
-        ``(len(indices), cols)`` float64 array ready for one GEMM.
-        Duplicate and unsorted indices are allowed; the output follows
-        the input order.
+        The vectorized counterpart of :meth:`row`: the result is a
+        single ``(len(indices), cols)`` float64 array ready for one
+        GEMM.  Duplicate and unsorted indices are allowed; the output
+        follows the input order.  A gather reads no page through the
+        pager and leaves the pool's resident set alone; on a default
+        open its distinct logical pages (:meth:`pages_for_rows`) are
+        added to ``pool_stats.bypasses``.
         """
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
@@ -492,62 +539,20 @@ class MatrixStore:
         return self._read_rows(idx)
 
     def _read_rows(self, idx: np.ndarray) -> np.ndarray:
-        if idx.min() < 0 or idx.max() >= self._rows:
-            raise QueryError(
-                f"row selection outside [0, {self._rows}): "
-                f"[{idx.min()}, {idx.max()}]"
-            )
-        if self._view is not None:
-            # One fancy-indexed gather straight out of the mapping; the
-            # only copy is the gather output itself.
-            gathered = self._view[idx]
-            return gathered.astype(np.float64, copy=False)
-        row_bytes = self._cols * self._item
-        page_size = self._pager.page_size
-        offsets = self._data_offset + idx * row_bytes
-        first = offsets // page_size
-        last = (offsets + row_bytes - 1) // page_size
-        # Distinct pages the batch touches.  A row's pages are the
-        # consecutive run first..last, so unioning the clipped shifts
-        # first+d covers them without a per-row loop.
-        max_span = int((last - first).max())
-        needed = np.unique(
-            np.concatenate([np.minimum(first + d, last) for d in range(max_span + 1)])
-        )
-        span = int(needed[-1] - needed[0]) + 1
-        if (
-            span * page_size <= _SPAN_READ_CAP
-            and 4 * needed.size >= span
-        ):
-            # Dense batch: one sequential span read, rows gathered
-            # straight out of the blob — no per-page slicing or joining.
-            base, blob = self._pool.get_page_range(needed)
-            buf = np.frombuffer(blob, dtype=np.uint8)
-            starts = offsets - base * page_size
-            raw = buf[starts[:, None] + np.arange(row_bytes)]
-            return raw.view(self._dtype).astype(np.float64)
-        # Sparse batch: fetch just the needed pages.  One byte-level
-        # gather for the whole batch: pages are always page_size long
-        # (the pager zero-pads at EOF), and every page a row spans is
-        # present in ``needed``, so the row's bytes occupy consecutive
-        # slots of the joined buffer.
-        pages = self._pool.get_pages(needed)
-        joined = np.frombuffer(
-            b"".join(pages[int(pid)] for pid in needed), dtype=np.uint8
-        )
-        slots = np.searchsorted(needed, first)
-        starts = slots * page_size + (offsets - first * page_size)
-        raw = joined[starts[:, None] + np.arange(row_bytes)]
-        return raw.view(self._dtype).astype(np.float64)
+        view = self._live_view()
+        self._check_rows(idx)
+        if not self._mapped:
+            self._pool.stats.add(bypasses=self._page_count(idx))
+        return view[idx].astype(np.float64, copy=False)
 
     def cell(self, row: int, col: int) -> float:
-        """Read one cell through the buffer pool."""
+        """Read one cell through the buffer pool (the view when ``mapped``)."""
         if not 0 <= row < self._rows:
             raise QueryError(f"row {row} out of range [0, {self._rows})")
         if not 0 <= col < self._cols:
             raise QueryError(f"col {col} out of range [0, {self._cols})")
-        if self._view is not None:
-            return float(self._view[row, col])
+        if self._mapped:
+            return float(self._live_view()[row, col])
         offset = self._row_offset(row) + col * self._item
         raw = read_span(self._pool, offset, self._item)
         return float(np.frombuffer(raw, dtype=self._dtype)[0])
@@ -572,8 +577,8 @@ class MatrixStore:
         index = start
         while index < stop:
             chunk = min(_STREAM_CHUNK_ROWS, stop - index)
-            if self._view is not None:
-                block = self._view[index : index + chunk]
+            if self._mapped:
+                block = self._live_view()[index : index + chunk]
             else:
                 raw = self._read_raw(self._row_offset(index), chunk * row_bytes)
                 block = np.frombuffer(raw, dtype=self._dtype).reshape(

@@ -63,13 +63,9 @@ TRANSIENT_ERRNOS = frozenset(
 class IOStats:
     """Physical I/O counters for a pager.
 
-    ``coalesced_reads`` counts batched reads that merged two or more
-    requested pages into one sequential I/O; ``gap_pages`` counts the
-    unrequested pages fetched (and discarded) inside those merged runs
-    — together they quantify how much the span-coalescing optimization
-    actually fires on a workload.  ``retries`` counts transient read
-    errors absorbed by the bounded-backoff retry loop; a non-zero value
-    on a healthy run means the disk is flaking, not the store.
+    ``retries`` counts transient read errors absorbed by the
+    bounded-backoff retry loop; a non-zero value on a healthy run means
+    the disk is flaking, not the store.
 
     Mutation goes through :meth:`add`, which holds a per-struct lock so
     counts stay exact when many threads read through one pager.  Reads
@@ -80,8 +76,6 @@ class IOStats:
     writes: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    coalesced_reads: int = 0
-    gap_pages: int = 0
     retries: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -93,8 +87,6 @@ class IOStats:
         writes: int = 0,
         bytes_read: int = 0,
         bytes_written: int = 0,
-        coalesced_reads: int = 0,
-        gap_pages: int = 0,
         retries: int = 0,
     ) -> None:
         """Atomically bump any subset of the counters."""
@@ -103,8 +95,6 @@ class IOStats:
             self.writes += writes
             self.bytes_read += bytes_read
             self.bytes_written += bytes_written
-            self.coalesced_reads += coalesced_reads
-            self.gap_pages += gap_pages
             self.retries += retries
 
     def reset(self) -> None:
@@ -114,8 +104,6 @@ class IOStats:
             self.writes = 0
             self.bytes_read = 0
             self.bytes_written = 0
-            self.coalesced_reads = 0
-            self.gap_pages = 0
             self.retries = 0
 
     def snapshot(self) -> "IOStats":
@@ -126,8 +114,6 @@ class IOStats:
                 self.writes,
                 self.bytes_read,
                 self.bytes_written,
-                self.coalesced_reads,
-                self.gap_pages,
                 self.retries,
             )
 
@@ -138,8 +124,6 @@ class IOStats:
             "writes": self.writes,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
-            "coalesced_reads": self.coalesced_reads,
-            "gap_pages": self.gap_pages,
             "retries": self.retries,
         }
 
@@ -153,11 +137,10 @@ class FilePager:
     the row-major stores need).
 
     Reads never mutate pager state other than the (locked) counters, so
-    any number of threads may call :meth:`read_page` /
-    :meth:`read_pages` / :meth:`read_page_span` concurrently on one
-    instance.  Writes are serialized by :attr:`_write_lock`; the stores
-    only write during (single-threaded) construction, but the lock makes
-    mixed use safe rather than silently corrupting appends.
+    any number of threads may call :meth:`read_page` concurrently on
+    one instance.  Writes are serialized by :attr:`_write_lock`; the
+    stores only write during (single-threaded) construction, but the
+    lock makes mixed use safe rather than silently corrupting appends.
 
     Args:
         path: backing file.  Created if missing when ``create=True``.
@@ -364,84 +347,6 @@ class FilePager:
         if len(data) < self.page_size:
             data = data + b"\x00" * (self.page_size - len(data))
         return data
-
-    #: Maximum gap (in pages) bridged when coalescing a batch read into
-    #: one sequential I/O.  Reading a few unrequested pages in the middle
-    #: of a run is far cheaper than an extra read round-trip.
-    _COALESCE_GAP = 16
-
-    def read_pages(self, page_ids) -> dict[int, bytes]:
-        """Read a batch of pages, coalescing near-contiguous runs.
-
-        Sorted requested pages whose gaps do not exceed
-        ``_COALESCE_GAP`` are fetched with a single positioned read
-        spanning the run (gap pages are read and discarded); each run
-        counts as one I/O in :attr:`stats`.  Returns ``page_id ->
-        bytes`` with every page zero-padded to ``page_size``.
-        """
-        self._require_open()
-        ids = sorted({int(page_id) for page_id in page_ids})
-        if not ids:
-            return {}
-        total = self.num_pages()
-        if ids[0] < 0 or ids[-1] >= total:
-            raise PageError(
-                f"page batch [{ids[0]}, {ids[-1]}] out of range "
-                f"[0, {total}) in {self.path}"
-            )
-        out: dict[int, bytes] = {}
-        position = 0
-        while position < len(ids):
-            end = position
-            while (
-                end + 1 < len(ids)
-                and ids[end + 1] - ids[end] <= self._COALESCE_GAP
-            ):
-                end += 1
-            first = ids[position]
-            span = ids[end] - first + 1
-            blob = self._pread(first * self.page_size, span * self.page_size)
-            requested = end - position + 1
-            coalesced = 1 if requested > 1 else 0
-            self.stats.add(
-                reads=1,
-                bytes_read=len(blob),
-                coalesced_reads=coalesced,
-                gap_pages=(span - requested) if coalesced else 0,
-            )
-            if len(blob) < span * self.page_size:
-                blob = blob + b"\x00" * (span * self.page_size - len(blob))
-            for index in range(position, end + 1):
-                offset = (ids[index] - first) * self.page_size
-                out[ids[index]] = blob[offset : offset + self.page_size]
-            position = end + 1
-        return out
-
-    def read_page_span(self, first: int, last: int) -> bytes:
-        """Pages ``first..last`` inclusive as one contiguous buffer.
-
-        One positioned read; the tail is zero-padded so the result is
-        always ``(last - first + 1) * page_size`` bytes.
-        """
-        self._require_open()
-        total = self.num_pages()
-        if first < 0 or last < first or last >= total:
-            raise PageError(
-                f"page span [{first}, {last}] out of range [0, {total}) "
-                f"in {self.path}"
-            )
-        length = (last - first + 1) * self.page_size
-        blob = self._pread(first * self.page_size, length)
-        # The span read is itself a coalesced I/O; gap accounting
-        # lives with the caller, which knows the requested subset.
-        self.stats.add(
-            reads=1,
-            bytes_read=len(blob),
-            coalesced_reads=1 if last > first else 0,
-        )
-        if len(blob) < length:
-            blob = blob + b"\x00" * (length - len(blob))
-        return blob
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page; ``data`` must be at most one page long."""

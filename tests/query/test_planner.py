@@ -153,6 +153,27 @@ class TestPricing:
         assert warm == pytest.approx(4 * MEMORY.access_ms(4096))
         assert warm < cold
 
+    def test_gather_pages_counted_once_and_blind_to_the_pool(
+        self, compressed, monkeypatch
+    ):
+        """Factor and stream gather the same rows: one page count per
+        plan, priced the same however warm the cell path's pool is."""
+        store = compressed.u_store
+        calls = []
+        count = store.pages_for_rows
+        monkeypatch.setattr(
+            store, "pages_for_rows", lambda idx: calls.append(1) or count(idx)
+        )
+        idx = _resolve(compressed, rows=range(4, 30), cols=range(2, 9))
+        cold = plan_aggregate(compressed, "sum", *idx)
+        assert len(calls) == 1
+        costs = {c.name: c for c in cold.candidates}
+        assert costs[ROUTE_FACTOR].pages == costs[ROUTE_STREAM].pages == count(idx[0])
+        for _ in range(50):
+            compressed.cell(5, 3)  # drive the pool's hit rate up
+        assert store.pool_stats.hit_rate > 0.5
+        assert plan_aggregate(compressed, "sum", *idx).candidates == cold.candidates
+
     def test_more_cells_cost_more_on_stream(self, compressed):
         small = _resolve(compressed, rows=range(0, 5), cols=range(0, 5))
         large = _resolve(compressed, rows=range(0, 60), cols=None)

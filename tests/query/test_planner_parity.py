@@ -221,6 +221,21 @@ def test_backend_seam_conformance(backends, backend_name):
     assert isinstance(block, np.ndarray) and block.dtype == np.float64
     np.testing.assert_allclose(block, dense[np.ix_(row_idx, col_idx)], atol=1e-9)
 
+    store = backend.paged_store
+    if store is not None:
+        # One gather path for every open: the same rows as the pooled
+        # single-row reads, no pager I/O, and its logical pages booked
+        # as bypasses unless the store was opened mapped (no pool).
+        expected = np.stack([store.row(int(i)) for i in row_idx])
+        pool, io = store.pool_stats, store.io_stats
+        before = (pool.hits, pool.misses, pool.evictions, io.reads)
+        bypassed = pool.bypasses
+        assert np.array_equal(store.read_rows(row_idx), expected)
+        assert (pool.hits, pool.misses, pool.evictions, io.reads) == before
+        assert pool.bypasses - bypassed == (
+            0 if store.mapped else store.pages_for_rows(row_idx)
+        )
+
     plan = QueryEngine(source).plan(AggregateQuery("sum", SELECTIONS["sub-rect"]))
     rejected = {r.name: r.reason for r in plan.rejected}
     if backend_name in FACTOR_BACKENDS:

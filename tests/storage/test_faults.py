@@ -79,13 +79,15 @@ class TestReadFaults:
             assert plan.injected == 1
             assert data == bytes([6]) * 256
 
-    def test_short_read_in_batched_span(self, tmp_path):
-        path = _paged_file(tmp_path)
-        with FilePager(path, page_size=256) as pager:
-            with faults.inject(FaultPlan(short_read_at=1)):
-                pages = pager.read_pages([2, 3, 4])
-            for page_id in (2, 3, 4):
-                assert pages[page_id] == bytes([page_id + 1]) * 256
+    def test_short_read_in_multi_page_row(self, tmp_path, rng):
+        """The cell path's row read spans several pages; a short read on
+        one of them must not leak zero padding into the row."""
+        data = rng.standard_normal((6, 40))  # 320-byte rows, 64-byte pages
+        with MatrixStore.create(tmp_path / "m.mat", data, page_size=64) as store:
+            with faults.inject(FaultPlan(short_read_at=2)) as plan:
+                row = store.row(4)
+            assert plan.injected == 1
+            assert np.array_equal(row, data[4])
 
     def test_fault_through_buffer_pool_is_transparent(self, tmp_path):
         path = _paged_file(tmp_path)

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import ChecksumError, FormatError, QueryError, ShapeError
+from repro.exceptions import (
+    ChecksumError,
+    ConfigurationError,
+    FormatError,
+    QueryError,
+    ShapeError,
+    StoreClosedError,
+)
 from repro.storage import MatrixStore
 
 
@@ -270,8 +281,6 @@ class TestMappedMode:
             mapped.close()
 
     def test_mapped_refuses_append(self, tmp_path, rng):
-        from repro.exceptions import ConfigurationError
-
         _, mapped = self._mapped_pair(tmp_path, rng.standard_normal((6, 4)))
         _.close()
         try:
@@ -281,14 +290,16 @@ class TestMappedMode:
             mapped.close()
 
     def test_truncated_file_rejected_at_map_time(self, tmp_path, rng):
-        import os
-
         path = tmp_path / "t.mat"
         MatrixStore.create(path, rng.standard_normal((40, 8))).close()
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) - 64)
-        with pytest.raises(FormatError):
-            MatrixStore.open(path, mapped=True)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        for mapped in (True, False):
+            with pytest.raises(FormatError):
+                MatrixStore.open(path, mapped=mapped)
+        # A refused open leaks no descriptor.
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     def test_close_releases_the_mapping(self, tmp_path, rng):
         _, mapped = self._mapped_pair(tmp_path, rng.standard_normal((6, 4)))
@@ -297,3 +308,156 @@ class TestMappedMode:
         mapped.close()  # must not raise BufferError on live exports
         assert np.isfinite(row).all()
         mapped.close()  # idempotent
+
+    def test_close_under_a_live_scan(self, tmp_path, rng):
+        """A scan in flight holds a slice of the view; close() leaves
+        the mapping to its last export instead of raising."""
+        _, mapped = self._mapped_pair(tmp_path, rng.standard_normal((6, 4)))
+        _.close()
+        scan = mapped.iter_rows()
+        next(scan)
+        mapped.close()
+        mapped.close()
+        with pytest.raises(StoreClosedError):
+            mapped.read_rows([0])
+        with pytest.raises(StoreClosedError):
+            mapped.cell(0, 0)
+
+
+class TestMapLifecycle:
+    """Every open gathers out of a mapped view; the view follows the
+    file through appends and never maps nothing."""
+
+    def test_append_then_gather_sees_new_rows(self, tmp_path, rng):
+        data = rng.standard_normal((9, 5))
+        extra = rng.standard_normal((300, 5))  # grows the file by many pages
+        MatrixStore.create(tmp_path / "a.mat", data, page_size=64).close()
+        with MatrixStore.open(tmp_path / "a.mat") as store:
+            assert store.append_rows(extra) == 300
+            idx = [308, 0, 9, 150]
+            assert np.array_equal(
+                store.read_rows(idx), np.vstack([data, extra])[idx]
+            )
+            assert np.array_equal(store.row(308), extra[-1])
+
+    def test_zero_row_store_gathers_nothing(self, tmp_path):
+        path = tmp_path / "z.mat"
+        header = MatrixStore._pack_header(0, 4, 64, 0)
+        path.write_bytes(header + b"\x00" * (64 - len(header)))
+        for mapped in (False, True):
+            with MatrixStore.open(path, mapped=mapped) as store:
+                assert store.shape == (0, 4)
+                assert store.read_rows([]).shape == (0, 4)
+                assert store.pages_for_rows([]) == 0
+                with pytest.raises(QueryError):
+                    store.read_rows([0])
+
+    def test_gather_after_close_is_a_typed_error(self, store):
+        store.close()
+        with pytest.raises(StoreClosedError):
+            store.read_rows([1, 2])
+
+    def test_concurrent_gathers_on_one_store(self, tmp_path, rng):
+        """More threads than cores, one shared store: every gather is
+        right and no page count is lost."""
+        data = rng.standard_normal((64, 8))
+        threads, rounds = 8, 200
+        idx = np.array([3, 60, 17, 17, 41])
+        errors: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MatrixStore.create(
+                tmp_path / "c.mat", data, page_size=64, pool_capacity=4
+            ) as store:
+                barrier = threading.Barrier(threads)
+
+                def body():
+                    barrier.wait(timeout=30)
+                    for _ in range(rounds):
+                        if not np.array_equal(store.read_rows(idx), data[idx]):
+                            errors.append("gather")
+                        if store.cell(17, 2) != data[17, 2]:
+                            errors.append("cell")
+
+                workers = [threading.Thread(target=body) for _ in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                assert not errors
+                stats = store.pool_stats
+                assert stats.bypasses == threads * rounds * 4
+                assert stats.hits + stats.misses == threads * rounds
+        finally:
+            sys.setswitchinterval(interval)
+
+
+#: (cols, dtype, page_size): the u.mat layout (one row == one page), a
+#: float32 twin, raw layouts whose row size does not divide the page
+#: size (rows straddle pages), and rows longer than a page.
+_LAYOUTS = [
+    (8, np.float64, 64),
+    (16, np.float32, 64),
+    (3, np.float64, 64),
+    (5, np.float32, 64),
+    (11, np.float64, 64),
+]
+
+
+def _page_union(store: MatrixStore, cols: int, idx) -> int:
+    """The pre-mmap definition: distinct pages over each row's byte run."""
+    row_bytes = cols * store.dtype.itemsize
+    page = store.page_size
+    pages = set()
+    for i in idx:
+        start = page + int(i) * row_bytes  # data begins after the header page
+        pages.update(range(start // page, (start + row_bytes - 1) // page + 1))
+    return len(pages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(_LAYOUTS),
+    rows=st.integers(1, 50),
+    picks=st.lists(st.integers(0, 10**6), max_size=70),
+    sort=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_property_gather_is_the_rows(tmp_path_factory, layout, rows, picks, sort, seed):
+    cols, dtype, page_size = layout
+    matrix = np.random.default_rng(seed).standard_normal((rows, cols))
+    idx = [pick % rows for pick in picks]
+    if sort:
+        idx.sort()
+    path = tmp_path_factory.mktemp("gather") / "m.mat"
+    with MatrixStore.create(
+        path, matrix, page_size=page_size, pool_capacity=2, dtype=dtype
+    ) as store:
+        pages = store.pages_for_rows(idx)
+        assert pages == _page_union(store, cols, idx)
+
+        probe = idx[0] if idx else 0
+        store.cell(probe, 0)  # make one page resident
+        pool, io = store.pool_stats, store.io_stats
+        before = (pool.hits, pool.misses, pool.evictions, io.reads)
+        bypassed = pool.bypasses
+        gathered = store.read_rows(idx)
+        assert (pool.hits, pool.misses, pool.evictions, io.reads) == before
+        assert pool.bypasses == bypassed + pages
+        store.cell(probe, 0)
+        assert pool.hits == before[0] + 1  # still resident after the gather
+
+        assert gathered.shape == (len(idx), cols) and gathered.dtype == np.float64
+        if idx:
+            assert np.array_equal(gathered, np.stack([store.row(i) for i in idx]))
+        with MatrixStore.open(path, mapped=True) as mapped:
+            assert np.array_equal(mapped.read_rows(idx), gathered)
+            assert mapped.pool_stats.accesses == 0
+
+        for bad in ([rows], [-1], idx + [rows]):
+            with pytest.raises(QueryError):
+                store.read_rows(bad)
+            with pytest.raises(QueryError):
+                store.pages_for_rows(bad)
