@@ -5,7 +5,8 @@ Two layers live here:
 
 - :class:`GracefulHTTPServer` + :class:`HealthState` +
   :class:`BaseEndpointHandler` — the stdlib-only serving substrate
-  (``http.server.ThreadingHTTPServer`` in a daemon thread) shared by
+  (``http.server.HTTPServer`` accepting in a daemon thread, handing
+  each connection to a reused handler thread) shared by
   the metrics endpoint below and the query tier in
   :mod:`repro.serve.server`.  The server counts in-flight requests so
   :meth:`GracefulHTTPServer.drain` can wait them out under a bounded
@@ -42,9 +43,10 @@ directly::
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.obs.export import render_openmetrics
 from repro.obs.registry import MetricsRegistry, registry as _default_registry
@@ -87,18 +89,19 @@ class HealthState:
             self._ready.clear()
 
 
-class GracefulHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer that can drain in-flight requests.
+class GracefulHTTPServer(HTTPServer):
+    """An HTTPServer with reused handler threads and a bounded drain.
 
-    ``ThreadingHTTPServer.shutdown()`` only stops the accept loop;
-    handler threads already running keep going, and ``server_close()``
-    yanks the listening socket out from under them.  This subclass
-    counts requests as its handler threads enter and leave, so
-    :meth:`drain` can block — bounded by a grace period — until the
-    tail request has written its response.
+    The accept loop hands each connection to an idle handler thread and
+    starts a new one only when none is idle, so the thread count
+    follows peak concurrency (admission, not a pool size, is what
+    sheds) and no request pays for a thread start.  Handlers live until
+    :meth:`server_close`.  A connection counts as in flight from the
+    hand-off until its response is written, so :meth:`drain` can block
+    — bounded by a grace period — on accepted-but-unstarted requests
+    as well as running ones.
     """
 
-    daemon_threads = True
     #: Listen backlog.  socketserver's default of 5 overflows under a
     #: burst of concurrent connections, and an overflowed backlog shows
     #: up as 1s/3s SYN-retransmit latency spikes on *admitted* requests
@@ -106,19 +109,62 @@ class GracefulHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
         self._active = 0
+        self._idle = 0
         self._active_cond = threading.Condition()
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        self._handlers: list[threading.Thread] = []
+        # Last: a failed bind calls server_close(), which reads the above.
+        super().__init__(*args, **kwargs)
 
-    def process_request_thread(self, request, client_address) -> None:
+    def process_request(self, request, client_address) -> None:
+        """Hand one accepted connection to a handler thread."""
         with self._active_cond:
             self._active += 1
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            with self._active_cond:
-                self._active -= 1
-                self._active_cond.notify_all()
+            reuse = self._idle > 0
+            if reuse:
+                self._idle -= 1  # that handler is now spoken for
+        self._handoff.put((request, client_address))
+        if not reuse:
+            handler = threading.Thread(
+                target=self._handle_connections,
+                name=f"repro-http-handler-{len(self._handlers)}",
+                daemon=True,
+            )
+            self._handlers.append(handler)
+            handler.start()
+
+    def _handle_connections(self) -> None:
+        """One handler thread: serve connections until told to stop."""
+        while (item := self._handoff.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+                with self._active_cond:
+                    self._active -= 1
+                    self._idle += 1
+                    self._active_cond.notify_all()
+
+    def server_close(self) -> None:
+        """Close the listener and stop the handler threads (a handler
+        still inside a request past the drain grace is a daemon; it is
+        not waited for beyond a second)."""
+        super().server_close()
+        for _handler in self._handlers:
+            self._handoff.put(None)
+        deadline = time.monotonic() + 1.0
+        for handler in self._handlers:
+            handler.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._handlers.clear()
+
+    @property
+    def handler_threads(self) -> int:
+        """Handler threads started so far (peak concurrency)."""
+        return len(self._handlers)
 
     @property
     def active_requests(self) -> int:
@@ -150,6 +196,11 @@ class BaseEndpointHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+
+    #: Socket timeout, seconds (``StreamRequestHandler`` applies it).  A
+    #: client that connects and sends nothing would otherwise pin a
+    #: handler thread forever and hold every drain to its grace cap.
+    timeout = 2.0
 
     # Bound by the owning server object before serving starts.
     health: HealthState | None = None

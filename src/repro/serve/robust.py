@@ -7,17 +7,15 @@ request flows through it as:
 1. **drain check** — a draining server sheds immediately (503) so the
    load balancer's next health probe sees not-ready and moves on;
 2. **admission** — bounded by queue depth and queue age
-   (:mod:`repro.serve.admission`); shed requests never reach the pool;
+   (:mod:`repro.serve.admission`); shed requests never reach an engine;
 3. **deadline** — the clamped per-request timeout becomes a
-   ``monotonic_ns`` instant that travels with the task.  A query still
-   queued when it expires is dropped *in the worker* (no wasted
-   compute); a query still running when it expires fails the waiter
-   with :class:`~repro.exceptions.DeadlineExceededError` (504);
-4. **breaker** — while the worker pool is crash-looping
-   (:mod:`repro.serve.breaker`, fed by the executor's ``on_rebuild``
-   hook), pool dispatch is bypassed entirely;
-5. **brownout** — under sustained shedding, a tripped breaker, or a
-   degraded model open, requests route through the parent-side
+   ``monotonic_ns`` instant.  A request whose deadline has already
+   passed when its ticket is admitted fails with
+   :class:`~repro.exceptions.DeadlineExceededError` (504) before any
+   compute, in the parent exactly as a worker drops a task that
+   expired in its queue;
+4. **brownout** — under sustained shedding, a tripped breaker, or a
+   degraded model open, the request is answered in the parent by the
    SVD-only engine (``QueryEngine(include_deltas=False)``), whose
    planner (:func:`repro.plan.plan_aggregate`) admits exactly two
    aggregate routes: a full-axis selection covered by the materialized
@@ -28,7 +26,21 @@ request flows through it as:
    round-trip, an answer stamped ``degraded: true`` with the model's
    stored residual estimate.  Queries with no admissible route
    (:class:`~repro.exceptions.RouteUnavailableError`) are shed instead
-   of silently served wrong.
+   of silently served wrong;
+5. **execute where you planned** — a healthy request is planned on the
+   parent's delta-capable engine (the twin of the worker engines).  A
+   plan that gathers no rows of U (``row_fetches == 0``: a full
+   ``summary`` hit, ``count``) and a single-cell probe (one mapped row)
+   are executed right there: the answer costs less than pickling the
+   question.  Such an answer says nothing about the pool, so it
+   neither consults the breaker (it must not take the half-open probe
+   slot) nor records a success on it;
+6. **pool** — every plan that gathers (``factor``, ``stream``,
+   ``summary+factor``) crosses to a worker, past the **breaker**
+   (:mod:`repro.serve.breaker`, fed by the executor's ``on_rebuild``
+   hook; a refusal is answered as in 4) with its deadline travelling
+   with the task: still queued when it expires, it is dropped *in the
+   worker*; still running, the waiter fails with a 504.
 
 A worker crash mid-request surfaces as ``BrokenProcessPool`` on the
 future; the dispatcher retries exactly once against the rebuilt pool —
@@ -52,6 +64,7 @@ from repro.exceptions import (
     RouteUnavailableError,
 )
 from repro.obs.registry import registry as _obs
+from repro.plan import ROUTE_SUMMARY
 from repro.query.engine import AggregateQuery, CellQuery, QueryEngine
 from repro.query.executor import coerce_query
 from repro.query.groupby import bucket_series
@@ -124,10 +137,10 @@ class RobustDispatcher:
             use_fast_path=self.config.use_fast_path,
             include_deltas=False,
         )
-        # Planning twin of the *worker* engines (delta-capable, same
-        # fast-path flag, same mapped backend): healthy-mode explain
-        # must describe the route a pool worker will actually take, not
-        # the brownout engine's.
+        # Twin of the *worker* engines (delta-capable, same fast-path
+        # flag, same mapped backend): it plans every healthy request —
+        # so explain describes the route a worker would take — and
+        # answers the ones that gather no rows of U.
         self._planning = QueryEngine(
             self._fallback_backend,
             use_fast_path=self.config.use_fast_path,
@@ -140,8 +153,11 @@ class RobustDispatcher:
         )
         self._shed_times: deque[float] = deque()
         self._shed_lock = threading.Lock()
+        self._count_lock = threading.Lock()
         self._draining = False
         self._closed = False
+        self.parent_answers = 0
+        self.pool_answers = 0
         self.degraded_answers = 0
         self.deadline_misses = 0
         self.pool_retries = 0
@@ -219,6 +235,39 @@ class RobustDispatcher:
 
     # -- dispatch -------------------------------------------------------
 
+    def _count(self, attr: str, metric: str) -> None:
+        """Bump one ``/stats`` total and its registry counter."""
+        with self._count_lock:
+            setattr(self, attr, getattr(self, attr) + 1)
+        _obs.counter(metric).inc()
+
+    def _admit(self):
+        """Drain check, then admission; a shed feeds the brownout window."""
+        if self._draining:
+            raise self.admission.shed(
+                "drain", "server is draining; connection will not be retried here"
+            )
+        try:
+            return self.admission.admit()
+        except OverloadedError:
+            self._note_shed()
+            raise
+
+    def _gathers(self, query) -> bool:
+        """True when the healthy plan for ``query`` gathers rows of U.
+
+        Gathers are the pool's work; what is left — full rollup hits,
+        ``count``, one mapped row for a cell — the parent answers.  The
+        test is ``row_fetches``, not ``pages``: a mapped backend's pages
+        are logical only, so every route plans ``pages == 0``.  (The
+        engine cannot be handed a plan to execute, so a parent-side
+        aggregate is planned again inside ``execute``: 15-35 us.)
+        """
+        return (
+            isinstance(query, AggregateQuery)
+            and self._planning.plan(query).route.row_fetches > 0
+        )
+
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
 
@@ -233,31 +282,30 @@ class RobustDispatcher:
         Returns the response payload dict (value, accounting, degraded
         stamp, elapsed time).
         """
-        if self._draining:
-            error = self.admission.shed(
-                "drain", "server is draining; connection will not be retried here"
-            )
-            raise error
         coerced = coerce_query(query)  # QueryError propagates (→ 400)
         budget_ms = self.config.clamp_timeout_ms(timeout_ms)
         start_ns = time.monotonic_ns()
         deadline_ns = start_ns + int(budget_ms * 1e6)
-        try:
-            ticket = self.admission.admit()
-        except OverloadedError:
-            self._note_shed()
-            raise
-        with ticket:
-            if self.brownout_active():
-                return self._dispatch_degraded(coerced, start_ns)
-            if not self.breaker.allow():
+        with self._admit():
+            if time.monotonic_ns() >= deadline_ns:
+                raise self._deadline_miss(start_ns, deadline_ns)
+            brownout = self.brownout_active()
+            if not brownout and self._gathers(coerced):
+                if self.breaker.allow():
+                    return self._dispatch_pool(coerced, start_ns, deadline_ns)
                 # Open breaker but brownout says calm — races between
                 # the two checks land here; treat it as brownout.
-                return self._dispatch_degraded(coerced, start_ns)
-            return self._dispatch_pool(coerced, start_ns, deadline_ns)
+                brownout = True
+            return self._answer_here(coerced, start_ns, brownout)
+
+    def _deadline_miss(self, start_ns: int, deadline_ns: int) -> DeadlineExceededError:
+        self._count("deadline_misses", "server.deadline_misses")
+        return DeadlineExceededError(
+            f"query exceeded its {int((deadline_ns - start_ns) / 1e6)} ms deadline"
+        )
 
     def _dispatch_pool(self, query, start_ns: int, deadline_ns: int) -> dict:
-        """The healthy path: run on the worker pool under a deadline."""
+        """A plan that gathers: run on the worker pool under a deadline."""
         attempts = 0
         while True:
             attempts += 1
@@ -266,6 +314,7 @@ class RobustDispatcher:
                 remaining_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
                 result = future.result(timeout=remaining_s)
                 self.breaker.record_success()
+                self._count("pool_answers", "server.answers.pool")
                 return self._payload(result, start_ns, degraded=False)
             except DeadlineExceededError:
                 # Worker-side queue drop: the deadline passed before a
@@ -273,17 +322,11 @@ class RobustDispatcher:
                 # FuturesTimeoutError clause — on modern CPython that
                 # is an alias of builtin TimeoutError, which
                 # DeadlineExceededError subclasses.
-                self.deadline_misses += 1
-                _obs.counter("server.deadline_misses").inc()
+                self._count("deadline_misses", "server.deadline_misses")
                 raise
             except FuturesTimeoutError:
                 future.cancel()
-                self.deadline_misses += 1
-                _obs.counter("server.deadline_misses").inc()
-                raise DeadlineExceededError(
-                    f"query exceeded its {int((deadline_ns - start_ns) / 1e6)} ms "
-                    "deadline"
-                ) from None
+                raise self._deadline_miss(start_ns, deadline_ns) from None
             except BrokenProcessPool:
                 # A worker died under this request.  The executor
                 # rebuilds its pool on the next submit (feeding the
@@ -296,46 +339,37 @@ class RobustDispatcher:
                         "worker pool is unstable; retry after "
                         f"{self.config.retry_after_s:g}s",
                     ) from None
-                self.pool_retries += 1
-                _obs.counter("server.pool_retries").inc()
+                self._count("pool_retries", "server.pool_retries")
 
-    def _dispatch_degraded(self, query, start_ns: int) -> dict:
-        """The brownout path, routed by the planner against the
-        SVD-only engine.
+    def _answer_here(self, query, start_ns: int, brownout: bool) -> dict:
+        """Execute in the parent, on this mode's engine.
 
-        A selection the rollups fully cover comes back on the
-        ``summary`` route — exact (delta-corrected at materialization
-        time), so NOT degraded, which is what un-sheds min/max.
-        Everything else the planner can still admit rides the ``svd``
-        route: the bare factors, stamped degraded with the stored
-        RMSPE.  A query with no admissible route
-        (:class:`~repro.exceptions.RouteUnavailableError`) is shed
+        Healthy, that is the delta-capable twin of the workers: same
+        plan, same arithmetic, bit-identical value, never degraded.  In
+        brownout it is the SVD-only engine (module docstring, step 4):
+        only a ``summary``-route answer is exact, so NOT degraded —
+        which is what un-sheds min/max; every other aggregate and every
+        cell (``svd_cell``) is the bare factors, stamped degraded with
+        the stored RMSPE, and a query with no admissible route is shed
         instead of silently served wrong.
         """
-        if isinstance(query, AggregateQuery):
-            try:
-                result = self._fallback.aggregate(query)
-            except RouteUnavailableError:
-                self._note_shed()
-                raise self.admission.shed(
-                    "brownout",
-                    "server is in brownout (SVD-only answers) and this query "
-                    "needs per-cell values; retry after "
-                    f"{self.config.retry_after_s:g}s",
-                ) from None
-            degraded = result.route == "svd"
-            if degraded:
-                self.degraded_answers += 1
-                _obs.counter("server.degraded_answers").inc()
-            else:
-                self.summary_brownout_hits += 1
-                _obs.counter("server.summary.brownout_hits").inc()
-            return self._payload(result, start_ns, degraded=degraded)
-        # Cell probes answer from svd_cell — always degraded.
-        result = self._fallback.execute(query)
-        self.degraded_answers += 1
-        _obs.counter("server.degraded_answers").inc()
-        return self._payload(result, start_ns, degraded=True)
+        try:
+            result = (self._fallback if brownout else self._planning).execute(query)
+        except RouteUnavailableError:
+            self._note_shed()
+            raise self.admission.shed(
+                "brownout",
+                "server is in brownout (SVD-only answers) and this query "
+                "needs per-cell values; retry after "
+                f"{self.config.retry_after_s:g}s",
+            ) from None
+        self._count("parent_answers", "server.answers.parent")
+        degraded = brownout and result.route != ROUTE_SUMMARY
+        if degraded:
+            self._count("degraded_answers", "server.degraded_answers")
+        elif brownout:
+            self._count("summary_brownout_hits", "server.summary.brownout_hits")
+        return self._payload(result, start_ns, degraded=degraded)
 
     def _payload(self, result, start_ns: int, degraded: bool) -> dict:
         elapsed_ms = (time.monotonic_ns() - start_ns) / 1e6
@@ -366,28 +400,16 @@ class RobustDispatcher:
         :class:`~repro.exceptions.QueryError` for a bad axis/function,
         :class:`~repro.exceptions.OverloadedError` when shed.
         """
-        if self._draining:
-            raise self.admission.shed(
-                "drain", "server is draining; connection will not be retried here"
-            )
         start_ns = time.monotonic_ns()
-        try:
-            ticket = self.admission.admit()
-        except OverloadedError:
-            self._note_shed()
-            raise
-        with ticket:
+        with self._admit():
             series = bucket_series(self._fallback_backend, by, function, limit)
         path = series["path"]
         if path == "summary":
-            self.summary_hits += 1
-            _obs.counter("server.summary.hits").inc()
+            self._count("summary_hits", "server.summary.hits")
         elif path == "summary+stream":
-            self.summary_partial += 1
-            _obs.counter("server.summary.partial").inc()
+            self._count("summary_partial", "server.summary.partial")
         else:
-            self.summary_misses += 1
-            _obs.counter("server.summary.misses").inc()
+            self._count("summary_misses", "server.summary.misses")
         series["degraded"] = bool(self.model_degraded and path != "summary")
         series["elapsed_ms"] = round((time.monotonic_ns() - start_ns) / 1e6, 3)
         return series
@@ -397,12 +419,14 @@ class RobustDispatcher:
 
         Runs against the parent-side engine whose mode matches how
         :meth:`dispatch` would answer *right now*: the delta-capable
-        planning twin of the pool workers while healthy, the SVD-only
-        brownout engine while :meth:`brownout_active` — so the reported
-        route is the executed route in either mode.  A brownout query
-        with no admissible route explains as ``path="shed"`` (dispatch
-        would raise :class:`~repro.exceptions.OverloadedError`) rather
-        than inventing a plan.
+        twin of the pool workers while healthy, the SVD-only brownout
+        engine while :meth:`brownout_active` — so the reported route is
+        the executed route in either mode, and ``executes_in`` says
+        which side of the process boundary would run it (``"pool"``
+        only for a healthy plan that gathers).  A brownout query with
+        no admissible route explains as ``path="shed"`` (dispatch would
+        raise :class:`~repro.exceptions.OverloadedError`) rather than
+        inventing a plan.
         """
         coerced = coerce_query(query)
         brownout = self.brownout_active()
@@ -412,17 +436,26 @@ class RobustDispatcher:
         except RouteUnavailableError as exc:
             plan = {"path": "shed", "reason": str(exc)}
         plan["mode"] = "brownout" if brownout else "healthy"
+        pool = not brownout and self._gathers(coerced)
+        plan["executes_in"] = "pool" if pool else "parent"
         return plan
 
     # -- reporting ------------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``/stats`` endpoint's snapshot of serving health."""
+        """The ``/stats`` endpoint's snapshot of serving health.
+
+        ``parent_answers`` / ``pool_answers`` split :meth:`dispatch`'s
+        answers by the side of the process boundary that computed them,
+        so ``worker_metrics.queries`` counts gathers only.
+        """
         return {
             "queue_depth": self.admission.depth,
             "queue_age_ms": round(self.admission.oldest_age_ms(), 3),
             "admitted_total": self.admission.admitted_total,
             "shed_total": self.admission.shed_total,
+            "parent_answers": self.parent_answers,
+            "pool_answers": self.pool_answers,
             "deadline_misses": self.deadline_misses,
             "degraded_answers": self.degraded_answers,
             "pool_retries": self.pool_retries,

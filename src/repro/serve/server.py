@@ -1,8 +1,8 @@
 """The query-serving HTTP endpoint.
 
-:class:`QueryServer` is a stdlib-only HTTP front door
-(``ThreadingHTTPServer`` via the graceful plumbing in
-:mod:`repro.obs.serve`) over one :class:`~repro.serve.robust.RobustDispatcher`:
+:class:`QueryServer` is a stdlib-only HTTP front door (reused handler
+threads via the graceful plumbing in :mod:`repro.obs.serve`) over one
+:class:`~repro.serve.robust.RobustDispatcher`:
 
 - ``GET /query?q=<text>`` — any query in the textual language
   (:mod:`repro.query.parser`);
@@ -13,12 +13,17 @@
   a hit; ``by`` is ``day``/``week``/``month``/``quarter``/``year``/
   ``customer``);
 - ``GET /explain?q=<text>`` — the planner's chosen route (the one
-  ``/query`` would execute right now, healthy or brownout), never
-  executed;
+  ``/query`` would execute right now, healthy or brownout) and
+  ``executes_in`` (``parent`` or ``pool``), never executed;
 - ``GET /stats`` — the dispatcher's health snapshot (JSON);
 - ``GET /healthz`` / ``/healthz/live`` — liveness (always ``ok``);
 - ``GET /healthz/ready`` — readiness (503 while warming or draining);
 - ``GET /metrics`` — OpenMetrics exposition of the process registry.
+
+Cells, full rollup hits, ``count`` and group-bys are answered in the
+serving process (``parent_answers`` in ``/stats``); only an aggregate
+whose plan gathers rows of U crosses to a pool worker (``pool_answers``
+— so ``worker_metrics.queries`` counts gathers only).
 
 Every query route accepts a deadline as ``?timeout_ms=`` or the
 ``X-Repro-Deadline-Ms`` header (query param wins), clamped to the
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import signal
 import threading
 from pathlib import Path
@@ -209,8 +215,10 @@ class _QueryHandler(BaseEndpointHandler):
             value = float(raw)
         except ValueError:
             raise QueryError(f"timeout_ms must be a number, got {raw!r}") from None
-        if value <= 0:
-            raise QueryError(f"timeout_ms must be positive, got {value:g}")
+        if not (math.isfinite(value) and value > 0):
+            raise QueryError(
+                f"timeout_ms must be positive and finite, got {value:g}"
+            )
         return value
 
     # -- query routes ---------------------------------------------------

@@ -195,10 +195,25 @@ class TestMetricsServer:
     def test_port_zero_binds_free_port(self, server):
         assert server.port > 0
 
+    def test_port_in_use_is_an_oserror(self, server):
+        # A failed bind calls server_close() before __init__ returns;
+        # it must surface as the bind error, not an AttributeError.
+        with pytest.raises(OSError):
+            MetricsServer(port=server.port).start()
+
     def test_stop_is_idempotent(self):
         server = MetricsServer(registry=MetricsRegistry()).start()
         server.stop()
         server.stop()
+
+    def test_stop_joins_the_handler_threads(self):
+        before = threading.active_count()
+        with MetricsServer(registry=MetricsRegistry()) as server:
+            for _ in range(5):
+                with urllib.request.urlopen(server.url + "/healthz") as reply:
+                    assert reply.read() == b"ok\n"
+            assert threading.active_count() > before
+        assert threading.active_count() <= before
 
 
 class TestConcurrentExport:

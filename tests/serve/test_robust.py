@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -85,6 +89,143 @@ class TestHealthyPath:
             assert plan["path"] == payload["route"], text
 
 
+#: Plans that gather no rows of U (full rollup hits, ``count``) and cell
+#: probes: the parent answers these.  Model is 80 x 50.
+PARENT_QUERIES = [
+    "cell(3, 7)",
+    "cell(79, 49)",
+    "sum() rows 0:10",
+    "avg() cols 5:20",
+    "stddev() rows 0:10",
+    "min()",
+    "max() cols 0:30",
+    "count() rows 5:60 cols 3:40",
+]
+
+
+def _pool_queries(dispatcher) -> int:
+    return dispatcher.executor.worker_metrics()["queries"]
+
+
+class TestParentPath:
+    @pytest.mark.parametrize("text", PARENT_QUERIES)
+    def test_parent_answer_is_the_worker_answer(self, dispatcher, text):
+        query = parse_query(text)
+        before = _pool_queries(dispatcher), dispatcher.parent_answers
+        payload = dispatcher.dispatch(query)
+        assert dispatcher.parent_answers == before[1] + 1
+        worker = dispatcher.executor.submit(query).result(timeout=30)
+        # Workers report their totals with each result: exactly one
+        # query reached the pool, and it was the direct submit.
+        assert _pool_queries(dispatcher) == before[0] + 1
+        assert payload["value"] == worker.value  # bit-identical, not approx
+        assert payload.get("route", "") == worker.route
+        assert payload.get("error_bound", 0.0) == worker.error_bound
+        assert payload["cells"] == worker.cells_touched
+        assert payload["rows_fetched"] == worker.rows_fetched
+        assert payload["degraded"] is False
+        assert dispatcher.explain(query)["executes_in"] == "parent"
+
+    @pytest.mark.parametrize(
+        "text", ["sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"]
+    )
+    def test_partial_rectangle_still_reaches_the_pool(self, dispatcher, text):
+        # On a mapped backend every route plans pages == 0; only
+        # row_fetches tells a gather from a rollup hit.
+        plan = dispatcher.explain(text)
+        assert plan["estimated_pages"] == 0 and plan["estimated_row_fetches"] == 50
+        assert plan["executes_in"] == "pool"
+        before = _pool_queries(dispatcher), dispatcher.pool_answers
+        dispatcher.dispatch(text)
+        assert _pool_queries(dispatcher) == before[0] + 1
+        assert dispatcher.pool_answers == before[1] + 1
+
+    def test_parent_path_survives_a_dead_pool(self, serve_model_dir):
+        config = ServeConfig(workers=1, breaker_failures=1_000, brownout_sheds=1_000)
+        dispatcher = RobustDispatcher(serve_model_dir, config)
+        try:
+            dispatcher.warm()
+            with pytest.raises(Exception):
+                dispatcher.executor.submit(_CrashProbe()).result(timeout=30)
+            for text in PARENT_QUERIES:
+                assert dispatcher.dispatch(text)["degraded"] is False
+            # Nobody touched the broken pool, so nobody rebuilt it.
+            assert dispatcher.executor.restarts == 0
+            assert dispatcher.stats()["parent_answers"] == len(PARENT_QUERIES)
+        finally:
+            dispatcher.close()
+
+    def test_parent_answer_leaves_the_breaker_alone(self, serve_model_dir):
+        config = ServeConfig(
+            workers=1, breaker_failures=1, breaker_cooldown_s=0.05, brownout_sheds=1_000
+        )
+        dispatcher = RobustDispatcher(serve_model_dir, config)
+        try:
+            dispatcher.breaker.record_failure()
+            time.sleep(0.06)
+            assert dispatcher.breaker.state == "half_open"
+            for text in PARENT_QUERIES:
+                assert dispatcher.dispatch(text)["degraded"] is False
+            # Neither the probe slot nor a verdict: still half-open,
+            # and the next gather is the probe that closes it.
+            assert dispatcher.breaker.state == "half_open"
+            assert dispatcher.dispatch("sum() rows 0:10 cols 0:25")["degraded"] is False
+            assert dispatcher.breaker.state == "closed"
+        finally:
+            dispatcher.close()
+
+    def test_deadline_passed_at_admission_is_504_before_compute(
+        self, dispatcher, monkeypatch
+    ):
+        admit = dispatcher.admission.admit
+
+        def slow_admit():
+            time.sleep(0.005)
+            return admit()
+
+        monkeypatch.setattr(dispatcher.admission, "admit", slow_admit)
+        before = dispatcher.stats()
+        for text in ("cell(3, 7)", "sum() rows 0:10", "sum() rows 0:10 cols 0:25"):
+            with pytest.raises(DeadlineExceededError):
+                dispatcher.dispatch(text, timeout_ms=1)
+        after = dispatcher.stats()
+        assert after["deadline_misses"] == before["deadline_misses"] + 3
+        for key in ("parent_answers", "pool_answers"):
+            assert after[key] == before[key]
+        assert after["worker_metrics"]["queries"] == before["worker_metrics"]["queries"]
+        assert after["queue_depth"] == 0  # the tickets were released
+
+    def test_concurrent_parent_dispatch_matches_sequential(self, dispatcher):
+        queries = [parse_query(text) for text in PARENT_QUERIES]
+        expected = [dispatcher.dispatch(query)["value"] for query in queries]
+        before = dispatcher.stats()
+        wrong: list = []
+
+        def hammer():
+            for i in range(200):
+                got = dispatcher.dispatch(queries[i % len(queries)])["value"]
+                if got != expected[i % len(queries)]:
+                    wrong.append((i, got))
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        after = dispatcher.stats()
+        assert after["admitted_total"] == before["admitted_total"] + 1600
+        assert after["parent_answers"] == before["parent_answers"] + 1600
+        assert after["pool_answers"] == before["pool_answers"]
+        assert after["shed_total"] == before["shed_total"]
+
+
 class TestDeadlines:
     def test_expired_deadline_maps_to_deadline_error(self, dispatcher):
         # clamp_timeout_ms floors at 1 ms; a worker round-trip on a
@@ -94,7 +235,10 @@ class TestDeadlines:
         outcomes = set()
         for _ in range(5):
             try:
-                payload = dispatcher.dispatch("min()", timeout_ms=0.001)
+                # Full on neither axis, so it gathers: pool work.
+                payload = dispatcher.dispatch(
+                    "min() rows 0:40 cols 0:25", timeout_ms=0.001
+                )
                 outcomes.add("ok")
                 assert payload["degraded"] is False
             except DeadlineExceededError:
@@ -229,8 +373,8 @@ class TestBreakerIntegration:
             # Kill the (only) worker through the real dispatch path.
             with pytest.raises(Exception):
                 dispatcher.executor.submit(_CrashProbe()).result(timeout=30)
-            # The next request survives: broken pool -> rebuild -> retry.
-            payload = dispatcher.dispatch("sum() rows 0:10")
+            # The next gather survives: broken pool -> rebuild -> retry.
+            payload = dispatcher.dispatch("sum() rows 0:10 cols 0:25")
             assert payload["degraded"] is False
             assert dispatcher.executor.restarts >= 1
         finally:

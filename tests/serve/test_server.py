@@ -14,7 +14,9 @@ The robustness acceptance tests live here:
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -22,6 +24,7 @@ import urllib.request
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.obs.serve import BaseEndpointHandler
 from repro.query.process_executor import _CrashProbe
 from repro.serve.config import ServeConfig
 from repro.serve.server import QueryServer
@@ -98,13 +101,31 @@ class TestRoutes:
         assert stats["workers"] == 2
         assert stats["admitted_total"] >= 1
 
+    def test_stats_split_answers_by_side(self, server):
+        before = _get(server.url, "/stats")[2]
+        _get(server.url, "/cell?row=3&col=7")
+        _get(server.url, "/aggregate?fn=sum&cols=0:10")
+        _get(server.url, "/aggregate?fn=sum&rows=0:10&cols=0:10")
+        after = _get(server.url, "/stats")[2]
+        assert after["parent_answers"] == before["parent_answers"] + 2
+        assert after["pool_answers"] == before["pool_answers"] + 1
+        text = urllib.parse.quote("sum() rows 0:10 cols 0:10")
+        assert _get(server.url, f"/explain?q={text}")[2]["executes_in"] == "pool"
+
     def test_metrics_route_validates(self, server):
+        from repro.obs.export import validate_openmetrics
+
+        _get(server.url, "/cell?row=3&col=7")
+        _get(server.url, "/aggregate?fn=sum&rows=0:10&cols=0:10")
         status, headers, body = _get(server.url, "/metrics")
         assert status == 200
         assert "openmetrics" in headers["Content-Type"]
         text = body.decode()
         assert text.rstrip().endswith("# EOF")
         assert "server_admitted" in text
+        families = validate_openmetrics(text)
+        assert "repro_server_answers_parent" in families
+        assert "repro_server_answers_pool" in families
 
     def test_health_split(self, server):
         assert _get(server.url, "/healthz")[0] == 200
@@ -135,14 +156,19 @@ class TestErrorContract:
         assert status == 400
 
     def test_bad_timeout_is_400(self, server):
-        status, _headers, _payload = _get(
-            server.url, "/cell?row=1&col=1&timeout_ms=banana"
+        for bad in ("banana", "-5", "0", "nan", "inf", "-inf"):
+            status, _headers, payload = _get(
+                server.url, f"/cell?row=1&col=1&timeout_ms={bad}"
+            )
+            assert status == 400, bad
+            assert payload["error"] == "bad_request"
+        # The header spelling goes through the same check.
+        request = urllib.request.Request(
+            server.url + "/cell?row=1&col=1", headers={"X-Repro-Deadline-Ms": "nan"}
         )
-        assert status == 400
-        status, _headers, _payload = _get(
-            server.url, "/cell?row=1&col=1&timeout_ms=-5"
-        )
-        assert status == 400
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30.0)
+        assert excinfo.value.code == 400
 
     @settings(
         max_examples=40,
@@ -200,8 +226,10 @@ class TestOverload:
             lock = threading.Lock()
 
             def blast():
+                # A gather (full on neither axis) holds its ticket for
+                # a pool round-trip; a rollup hit would be a 100 us window.
                 status, headers, _body = _get(
-                    srv.url, "/aggregate?fn=stddev", timeout=30.0
+                    srv.url, "/aggregate?fn=stddev&rows=0:60&cols=0:30", timeout=30.0
                 )
                 with lock:
                     outcomes.append((status, headers))
@@ -249,7 +277,7 @@ class TestChaos:
             def traffic():
                 while not stop.is_set():
                     status, _headers, _body = _get(
-                        srv.url, "/aggregate?fn=sum&rows=0:40", timeout=60.0
+                        srv.url, "/aggregate?fn=sum&rows=0:40&cols=0:25", timeout=60.0
                     )
                     with lock:
                         statuses.append(status)
@@ -297,3 +325,81 @@ class TestDrain:
         srv = QueryServer(serve_model_dir, config).start()
         srv.stop()
         srv.stop()
+
+    def test_silent_connection_is_closed_and_does_not_stall_stop(
+        self, serve_model_dir, monkeypatch
+    ):
+        """A client that connects and sends nothing is timed out by the
+        handler's read timeout; it neither pins a handler thread nor
+        holds stop() to the drain grace."""
+        monkeypatch.setattr(BaseEndpointHandler, "timeout", 0.3)
+        config = ServeConfig(port=0, workers=1, drain_grace_s=5.0)
+        srv = QueryServer(serve_model_dir, config).start()
+        try:
+            with socket.create_connection((config.host, srv.port), timeout=5.0) as silent:
+                assert silent.recv(1) == b""  # the server hung up first
+            with socket.create_connection((config.host, srv.port), timeout=5.0):
+                # In flight from the hand-off, before any byte arrives.
+                deadline = time.monotonic() + 5.0
+                while srv._server.active_requests == 0 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert srv._server.active_requests == 1
+                start = time.monotonic()
+                srv.stop()
+                assert time.monotonic() - start < config.drain_grace_s
+        finally:
+            srv.stop()
+
+
+class TestHandlerThreads:
+    def test_sequential_requests_reuse_a_handler(self, serve_model_dir):
+        threads_before = threading.active_count()
+        config = ServeConfig(port=0, workers=1)
+        with QueryServer(serve_model_dir, config) as srv:
+            for i in range(50):
+                assert _get(srv.url, f"/cell?row={i}&col=1")[0] == 200
+            # The next connection can arrive a moment before the last
+            # handler marks itself idle: one spare at most.
+            assert 1 <= srv._server.handler_threads <= 2
+        # stop() joined the handlers, the accept loop and the pool's threads.
+        assert threading.active_count() <= threads_before
+
+    def test_health_answers_while_every_handler_is_blocked(
+        self, serve_model_dir, monkeypatch
+    ):
+        """No handler count is configured: a probe arriving while all
+        handlers sit in slow gathers gets a thread of its own."""
+        config = ServeConfig(port=0, workers=1, default_timeout_ms=30_000)
+        with QueryServer(serve_model_dir, config) as srv:
+            release = threading.Event()
+            dispatch = srv.dispatcher.dispatch
+
+            def slow_gather(query, timeout_ms=None):
+                release.wait(timeout=30.0)
+                return dispatch(query, timeout_ms=timeout_ms)
+
+            monkeypatch.setattr(srv.dispatcher, "dispatch", slow_gather)
+            statuses: list[int] = []
+            clients = [
+                threading.Thread(
+                    target=lambda: statuses.append(
+                        _get(srv.url, "/aggregate?fn=sum&rows=0:40&cols=0:25")[0]
+                    )
+                )
+                for _ in range(4)
+            ]
+            for client in clients:
+                client.start()
+            try:
+                deadline = time.monotonic() + 10.0
+                while srv._server.active_requests < 4 and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                assert srv._server.active_requests == 4
+                assert _get(srv.url, "/healthz/ready", timeout=5.0)[0] == 200
+                assert srv._server.handler_threads == 5
+            finally:
+                release.set()
+                for client in clients:
+                    client.join(timeout=30.0)
+            assert not any(client.is_alive() for client in clients)
+            assert statuses == [200] * 4
