@@ -24,7 +24,6 @@ Peak memory is O(M^2 + gamma), regardless of N.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -35,19 +34,20 @@ from repro.core import space
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
-from repro.core.store import CompressedMatrix, _u_columns, _u_page_size
+from repro.core.store import CompressedMatrix
 from repro.core.svd import compute_u_to_store, source_shape
 from repro.core.svdd import SVDDCompressor, _record_pass
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
-from repro.storage.delta_file import DeltaFile
-from repro.storage.integrity import write_manifest
 from repro.storage.matrix_store import MatrixStore
+from repro.storage.model_dir import (
+    U_NAME,
+    factor_dtype,
+    u_columns,
+    u_page_size,
+    write_model,
+)
 
-#: Name of the persisted pass-1 Gram matrix in a model directory.
-GRAM_NAME = "gram.npy"
-#: Name of the incremental-maintenance bookkeeping file.
-UPDATE_STATE_NAME = "update_state.json"
 #: Advisory drift level at which appends flag ``rebuild_recommended``.
 DRIFT_THRESHOLD_DEFAULT = 0.10
 
@@ -92,7 +92,6 @@ def build_compressed(
     # (a 'b'=4 budget assumes float32 factors and 12-byte delta records
     # actually land on disk), so an explicit compressor wins.
     bytes_per_value = int(getattr(fitter, "bytes_per_value", bytes_per_value))
-    factor_dtype = np.float32 if bytes_per_value == 4 else np.float64
 
     from repro.core.svd import _row_chunks
 
@@ -104,7 +103,7 @@ def build_compressed(
     # Pass 3 onward writes the model files; they are assembled in a
     # staging sibling and atomically swapped into ``directory`` so an
     # interrupted build leaves either the previous model or nothing.
-    pad_cols = _u_columns(k_opt, bytes_per_value)
+    pad_cols = u_columns(k_opt, bytes_per_value)
     padded_v = np.zeros((num_cols, pad_cols))
     padded_v[:, :k_opt] = v_opt
     padded_lam = np.zeros(pad_cols)
@@ -117,94 +116,64 @@ def build_compressed(
                 source,
                 padded_lam,
                 padded_v,
-                staging / "u.mat",
-                page_size=_u_page_size(k_opt, bytes_per_value),
-                dtype=factor_dtype,
+                staging / U_NAME,
+                page_size=u_page_size(k_opt, bytes_per_value),
+                dtype=factor_dtype(bytes_per_value),
                 jobs=jobs,
             )
             u_store.close()
         _record_pass(3, pass3_start, num_rows)
 
-        np.save(staging / "lambda.npy", lam_opt.astype(factor_dtype))
-        np.save(staging / "v.npy", v_opt.astype(factor_dtype))
-
-        keys, deltas, _scores = selection.delta_queue.finalize()
-        num_deltas = 0
-        if keys.shape[0]:
-            num_deltas = DeltaFile.write(
-                staging / "deltas.bin",
-                zip(keys.tolist(), deltas.tolist()),
-                bytes_per_value=bytes_per_value,
-            )
-        delta_rows = {int(key) // num_cols for key in keys}
-
-        # Zero-row flags need U row emptiness; derive from the source pass
-        # statistics instead of re-reading U: a row is all-zero iff its
-        # projection onto every axis is zero AND it holds no delta, which
-        # for non-negative data equals the row itself being zero.  Detect by
-        # one more cheap pass over the source (row norms).
-        zero_rows = []
+        # Zero-row flags need U row emptiness; derive from the source
+        # instead of re-reading U: a row is all-zero iff its projection
+        # onto every axis is zero AND it holds no delta, which for
+        # non-negative data equals the row itself being zero.  One more
+        # cheap pass over the source (row norms) finds them.
+        zero_rows = [np.empty(0, dtype=np.int64)]
         index = 0
         with _span("build.zero_row_scan", rows=num_rows):
             for block in _row_chunks(source):
                 norms = np.abs(block).sum(axis=1)
-                for offset in np.flatnonzero(norms == 0.0):
-                    row = index + int(offset)
-                    if row not in delta_rows:
-                        zero_rows.append(row)
+                zero_rows.append(index + np.flatnonzero(norms == 0.0))
                 index += block.shape[0]
-        if zero_rows:
-            np.save(
-                staging / "zero_rows.npy",
-                np.array(sorted(zero_rows), dtype=np.int64),
-            )
 
-        meta = {
-            "kind": "svdd",
-            "rows": num_rows,
-            "cols": num_cols,
-            "cutoff": k_opt,
-            "num_deltas": num_deltas,
-            "zero_rows": len(zero_rows),
-            "bytes_per_value": bytes_per_value,
-        }
-        (staging / "meta.json").write_text(json.dumps(meta, indent=2))
-
-        # Persist the pass-1 state so appends never rescan the data:
-        # the Gram matrix carries the spectrum forward, the bookkeeping
-        # file carries the energy split the drift estimate needs.
-        np.save(staging / GRAM_NAME, selection.gram)
-        total_energy = float(np.trace(selection.gram))
-        captured_energy = float((lam_opt * lam_opt).sum())
-        (staging / UPDATE_STATE_NAME).write_text(
-            json.dumps(
-                {
-                    "format_version": 1,
-                    "budget_fraction": float(fitter.budget_fraction),
-                    "bytes_per_value": int(fitter.bytes_per_value),
-                    "raw_bytes_per_value": fitter.raw_bytes_per_value,
-                    "total_energy": total_energy,
-                    "captured_energy": captured_energy,
-                    "residual_sse": selection.residual_sse,
-                    "appends": 0,
-                    "rows_appended": 0,
-                    "cols_appended": 0,
-                    "drift": 0.0,
-                    "drift_threshold": DRIFT_THRESHOLD_DEFAULT,
-                    "rebuild_recommended": False,
-                },
-                indent=2,
-            )
+        keys, deltas, _scores = selection.delta_queue.finalize()
+        meta = write_model(
+            staging,
+            {
+                "kind": "svdd",
+                "rows": num_rows,
+                "cols": num_cols,
+                "cutoff": k_opt,
+                "bytes_per_value": bytes_per_value,
+            },
+            eigenvalues=lam_opt,
+            v=v_opt,
+            delta_keys=keys,
+            delta_values=deltas,
+            zero_rows=np.concatenate(zero_rows),
+            # The pass-1 state, so appends never rescan the data: the
+            # Gram matrix carries the spectrum forward, the ledger the
+            # energy split the drift estimate needs.
+            gram=selection.gram,
+            update_state={
+                "format_version": 1,
+                "budget_fraction": float(fitter.budget_fraction),
+                "bytes_per_value": int(fitter.bytes_per_value),
+                "raw_bytes_per_value": fitter.raw_bytes_per_value,
+                "total_energy": float(np.trace(selection.gram)),
+                "captured_energy": float((lam_opt * lam_opt).sum()),
+                "residual_sse": selection.residual_sse,
+                "appends": 0,
+                "rows_appended": 0,
+                "cols_appended": 0,
+                "drift": 0.0,
+                "drift_threshold": DRIFT_THRESHOLD_DEFAULT,
+                "rebuild_recommended": False,
+            },
         )
-        # Summaries ride the same staged swap: a freshly built model
-        # lands with its rollups already materialized and stamped for
-        # generation (appends=0, this delta count).
-        from repro.summaries.compute import materialize_summaries
-
-        materialize_summaries(staging)
-        write_manifest(staging)
     if _obs.enabled:
-        _obs.gauge("build.deltas_retained").set(num_deltas)
+        _obs.gauge("build.deltas_retained").set(meta["num_deltas"])
         _obs.gauge("build.k_opt").set(k_opt)
         log_event(
             "build.done",
@@ -212,8 +181,8 @@ def build_compressed(
             rows=num_rows,
             cols=num_cols,
             k_opt=k_opt,
-            deltas_retained=num_deltas,
-            zero_rows=len(zero_rows),
+            deltas_retained=meta["num_deltas"],
+            zero_rows=meta["zero_rows"],
         )
     return CompressedMatrix.open(directory)
 

@@ -7,21 +7,14 @@ pinned in main memory.  Fetching cell ``(i, j)`` then costs **one** disk
 access (the ``U`` row) plus O(k) arithmetic, plus one in-memory probe
 for the delta.
 
-:class:`CompressedMatrix` implements that layout on a directory; the
-delta table is the sorted :class:`~repro.core.delta_index.DeltaIndex`
-(one bisection per probe), adopted straight from ``deltas.bin`` — the
-same representation the in-memory :class:`~repro.core.model.SVDDModel`
-holds; the paper's hash table and Bloom filter live on only in
-``repro.structures`` and their ablation bench:
-
-```
-<dir>/meta.json      shape, cutoff, delta count, build parameters
-<dir>/u.mat          MatrixStore of U, page size == one U row
-<dir>/lambda.npy     eigenvalues (pinned in memory on open)
-<dir>/v.npy          V matrix (pinned in memory on open)
-<dir>/deltas.bin     outlier records (sorted by key; the delta index on open)
-<dir>/manifest.json  per-file SHA-256 + sizes (integrity manifest)
-```
+:class:`CompressedMatrix` implements that layout on a directory (the
+files, and the one reader and one writer every module goes through,
+are :mod:`repro.storage.model_dir`); the delta table is the sorted
+:class:`~repro.core.delta_index.DeltaIndex` (one bisection per probe),
+adopted straight from ``deltas.bin`` — the same representation the
+in-memory :class:`~repro.core.model.SVDDModel` holds; the paper's hash
+table and Bloom filter live on only in ``repro.structures`` and their
+ablation bench.
 
 Disk accesses are observable through the underlying buffer-pool
 statistics; the storage benchmark asserts the 1-access claim with them.
@@ -38,7 +31,6 @@ factor files themselves are always load-bearing and always verified.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -49,33 +41,12 @@ import numpy as np
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel, as_index_array, cell_key
-from repro.exceptions import (
-    ChecksumError,
-    ConfigurationError,
-    FormatError,
-    QueryError,
-    ReproError,
-)
+from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.storage.atomic import staged_directory
-from repro.storage.delta_file import DeltaFile
-from repro.storage.integrity import load_manifest, write_manifest
-from repro.storage.matrix_store import MatrixStore
-
-_META_NAME = "meta.json"
-_U_NAME = "u.mat"
-_LAMBDA_NAME = "lambda.npy"
-_V_NAME = "v.npy"
-_DELTAS_NAME = "deltas.bin"
-_ZERO_ROWS_NAME = "zero_rows.npy"
-
-#: Keys ``meta.json`` must define for a directory to be a model at all.
-_REQUIRED_META_KEYS = ("kind", "rows", "cols", "cutoff", "num_deltas")
-
-#: Files the store cannot answer any query without; corruption here is
-#: fatal even under ``on_corrupt="degraded"``.
-_CRITICAL_FILES = (_U_NAME, _LAMBDA_NAME, _V_NAME)
+from repro.storage.delta_file import close_mapping
+from repro.storage.model_dir import ModelParts, read_model, write_model
 
 #: An ``open()`` racing a crash-atomic append's rename swap can read a
 #: mix of old- and new-generation files, which the integrity checks
@@ -85,41 +56,40 @@ _SWAP_RETRY_ATTEMPTS = 3
 _SWAP_RETRY_DELAY_S = 0.01
 
 
-def _u_columns(cutoff: int, item_size: int) -> int:
-    """Stored columns per U row: padded so one row is exactly one page.
-
-    The pager's minimum page is 64 bytes; smaller cutoffs are
-    zero-padded so every row stays page-aligned and the paper's
-    one-disk-access-per-cell property holds for any k and element size.
-    """
-    return max(64 // item_size, cutoff)
-
-
-def _u_page_size(cutoff: int, item_size: int) -> int:
-    """Page size holding exactly one (padded) U row."""
-    return _u_columns(cutoff, item_size) * item_size
-
-
 class CompressedMatrix:
     """Disk-resident SVD/SVDD model answering cell and range queries."""
 
-    def __init__(
-        self,
-        u_store: MatrixStore,
-        eigenvalues: np.ndarray,
-        v: np.ndarray,
-        deltas: DeltaIndex | None,
-        directory: Path,
-        zero_rows: frozenset[int] = frozenset(),
-    ) -> None:
-        self._u_store = u_store
-        self._eigenvalues = eigenvalues
-        self._v = v
-        self._deltas = deltas
-        self._directory = directory
-        self._zero_rows = zero_rows
-        # Sorted-array twin of the zero-row set for vectorized masking.
-        self._zero_rows_arr = np.array(sorted(zero_rows), dtype=np.int64)
+    def __init__(self, parts: ModelParts, open_options: tuple[int, str, bool]) -> None:
+        self._u_store = parts.u_store
+        self._eigenvalues = parts.eigenvalues
+        self._v = parts.v
+        # The reader validated strict key order, so the index adopts
+        # the arrays without its own argsort + copies.
+        self._deltas = (
+            DeltaIndex(
+                parts.delta_keys, parts.delta_values, parts.cols, assume_sorted=True
+            )
+            if parts.delta_keys.size
+            else None
+        )
+        #: Open delta-file mapping of a ``mapped=True`` open (else None).
+        self._delta_mm = parts.delta_mm
+        self._directory = parts.directory
+        # Sorted array for vectorized masking, set for single probes.
+        self._zero_rows_arr = np.sort(parts.zero_rows)
+        self._zero_rows = frozenset(self._zero_rows_arr.tolist())
+        #: On-disk precision of the factor matrices ('b' in the accounting).
+        self._bytes_per_value = parts.bytes_per_value
+        #: ``(pool_capacity, on_corrupt, mapped)``, so :meth:`reopen`
+        #: can reproduce the open after an append.
+        self._open_options = open_options
+        #: Validation failures ``open(on_corrupt="degraded")`` absorbed.
+        self._degraded_reasons = tuple(parts.degraded_reasons)
+        #: ``(rows, cols, num_deltas, appends)`` as read at open time,
+        #: for summary validation: a degraded open may drop the deltas
+        #: while the summary files were built for the full model, and
+        #: post-swap the live directory may hold a *newer* generation.
+        self._generation = parts.generation
         self.stats = {
             "cell_queries": 0,
             "table_probes": 0,
@@ -159,112 +129,32 @@ class CompressedMatrix:
                 reconstruction then carries ~1e-7 relative quantization
                 noise.
         """
-        if bytes_per_value not in (4, 8):
-            raise FormatError(
-                f"bytes_per_value must be 4 or 8, got {bytes_per_value}"
-            )
-        factor_dtype = np.float32 if bytes_per_value == 4 else np.float64
         directory = Path(directory)
         svd = model.svd if isinstance(model, SVDDModel) else model
         deltas = model.deltas if isinstance(model, SVDDModel) else None
-
+        keys, values = (deltas.keys, deltas.values) if deltas is not None else ((), ())
         with staged_directory(directory) as staging:
-            padded_u = svd.u
-            pad_cols = _u_columns(svd.cutoff, bytes_per_value)
-            if pad_cols > svd.cutoff:
-                padded_u = np.zeros((svd.num_rows, pad_cols))
-                padded_u[:, : svd.cutoff] = svd.u
-            MatrixStore.create(
-                staging / _U_NAME,
-                padded_u,
-                page_size=_u_page_size(svd.cutoff, bytes_per_value),
-                dtype=factor_dtype,
-            ).close()
-            np.save(staging / _LAMBDA_NAME, svd.eigenvalues.astype(factor_dtype))
-            np.save(staging / _V_NAME, svd.v.astype(factor_dtype))
-            num_deltas = 0
-            delta_rows: set[int] = set()
-            if deltas is not None and len(deltas) > 0:
-                num_deltas = DeltaFile.write(
-                    staging / _DELTAS_NAME,
-                    deltas.items(),
-                    bytes_per_value=bytes_per_value,
-                )
-                delta_rows = set(deltas.rows.tolist())
-            # Section 6.2 'practical issue': flag all-zero customers so
-            # their cells are answered without touching the disk at all.
-            # A row is provably all-zero when its U coordinates are zero
-            # and it holds no delta corrections.
-            zero_u = np.flatnonzero(~svd.u.any(axis=1))
-            zero_rows = np.array(
-                sorted(set(zero_u.tolist()) - delta_rows), dtype=np.int64
+            write_model(
+                staging,
+                {
+                    "kind": "svdd" if isinstance(model, SVDDModel) else "svd",
+                    "rows": svd.num_rows,
+                    "cols": svd.num_cols,
+                    "cutoff": svd.cutoff,
+                    "bytes_per_value": bytes_per_value,
+                },
+                u=svd.u,
+                eigenvalues=svd.eigenvalues,
+                v=svd.v,
+                delta_keys=keys,
+                delta_values=values,
+                # Section 6.2 'practical issue': flag all-zero customers
+                # so their cells are answered without touching the disk
+                # at all.  A row is provably all-zero when its U
+                # coordinates are zero and it holds no delta.
+                zero_rows=np.flatnonzero(~svd.u.any(axis=1)),
             )
-            if zero_rows.size:
-                np.save(staging / _ZERO_ROWS_NAME, zero_rows)
-            meta = {
-                "kind": "svdd" if isinstance(model, SVDDModel) else "svd",
-                "rows": svd.num_rows,
-                "cols": svd.num_cols,
-                "cutoff": svd.cutoff,
-                "num_deltas": num_deltas,
-                "zero_rows": int(zero_rows.size),
-                "bytes_per_value": bytes_per_value,
-            }
-            (staging / _META_NAME).write_text(json.dumps(meta, indent=2))
-            # Materialize the summary store inside staging so a saved
-            # model is born with fresh rollups — dashboards never pay a
-            # first-query cold build.  Lazy import: repro.summaries sits
-            # above the storage layer this module otherwise stays in.
-            from repro.summaries.compute import materialize_summaries
-
-            materialize_summaries(staging)
-            write_manifest(staging)
         return cls.open(directory)
-
-    @staticmethod
-    def _load_meta(directory: Path) -> dict:
-        """Parse and structurally validate ``meta.json``.
-
-        Invalid JSON and missing required keys both surface as
-        :class:`FormatError` naming the directory — callers never see a
-        raw ``json.JSONDecodeError`` or ``KeyError``.
-        """
-        meta_path = directory / _META_NAME
-        if not meta_path.exists():
-            raise FormatError(f"{directory}: missing {_META_NAME}")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(
-                f"{directory}: {_META_NAME} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(meta, dict):
-            raise FormatError(
-                f"{directory}: {_META_NAME} must hold a JSON object, "
-                f"got {type(meta).__name__}"
-            )
-        missing = [key for key in _REQUIRED_META_KEYS if key not in meta]
-        if missing:
-            raise FormatError(
-                f"{directory}: {_META_NAME} missing required keys {missing}"
-            )
-        return meta
-
-    @staticmethod
-    def _manifest_size_check(
-        directory: Path, files: dict, name: str
-    ) -> None:
-        """Cheap open-time integrity: compare one file's size to the manifest."""
-        expected = files.get(name)
-        path = directory / name
-        if expected is None or not path.exists():
-            return
-        actual = path.stat().st_size
-        if actual != expected.get("bytes"):
-            raise ChecksumError(
-                f"{path}: size {actual} does not match manifest "
-                f"({expected.get('bytes')} bytes) — truncated or torn file"
-            )
 
     @classmethod
     def open(
@@ -345,177 +235,18 @@ class CompressedMatrix:
         on_corrupt: str,
         mapped: bool,
     ) -> "CompressedMatrix":
-        meta = cls._load_meta(directory)
-        degraded_reasons: list[str] = []
-        try:
-            manifest = load_manifest(directory)
-        except FormatError as exc:
-            if on_corrupt == "raise":
-                raise
-            manifest = None
-            degraded_reasons.append(str(exc))
-        manifest_files = manifest["files"] if manifest is not None else {}
-        for name in _CRITICAL_FILES:
-            if name in manifest_files and not (directory / name).exists():
-                raise FormatError(f"{directory}: missing {name}")
-            cls._manifest_size_check(directory, manifest_files, name)
-
-        u_store = MatrixStore.open(
-            directory / _U_NAME, pool_capacity=pool_capacity, mapped=mapped
+        parts = read_model(
+            directory, pool_capacity=pool_capacity, on_corrupt=on_corrupt, mapped=mapped
         )
-        try:
-            bytes_per_value = int(meta.get("bytes_per_value", 8))
-            # Pinned factors are upcast for computation; precision loss
-            # (if any) happened at save time.
-            try:
-                eigenvalues = np.load(directory / _LAMBDA_NAME).astype(np.float64)
-                v = np.load(directory / _V_NAME).astype(np.float64)
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise FormatError(
-                    f"{directory}: failed to load factor files: {exc}"
-                ) from exc
-            expected_cols = _u_columns(meta["cutoff"], bytes_per_value)
-            if u_store.shape != (meta["rows"], expected_cols):
-                raise FormatError(
-                    f"{directory}: U store shape {u_store.shape} does not match "
-                    f"meta ({meta['rows']}, {expected_cols})"
-                )
-            zero_rows = cls._load_zero_rows(
-                directory, meta, manifest_files, on_corrupt, degraded_reasons
-            )
-            deltas, delta_mm = cls._load_deltas(
-                directory, meta, manifest_files, on_corrupt, degraded_reasons, mapped
-            )
-        except ReproError:
-            u_store.close()
-            raise
-        except Exception as exc:
-            u_store.close()
-            raise FormatError(f"{directory}: failed to load model: {exc}") from exc
-        store = cls(u_store, eigenvalues, v, deltas, directory, zero_rows)
-        store._bytes_per_value = bytes_per_value
-        store._open_options = (pool_capacity, on_corrupt, mapped)
-        store._delta_mm = delta_mm
-        # Stash the open-time generation facts for summary validation:
-        # a degraded open may drop the in-memory deltas while the
-        # summary files were built for the full model, and post-swap
-        # the live directory may already hold a *newer* generation.
-        store._meta = meta
-        store._appends = cls._read_update_appends(directory)
-        if degraded_reasons:
-            store._degraded_reasons = tuple(degraded_reasons)
+        if parts.degraded_reasons:
             _obs.counter("store.degraded_opens").inc()
             log_event(
                 "store.degraded_open",
                 level="warning",
                 directory=str(directory),
-                reasons=degraded_reasons,
+                reasons=parts.degraded_reasons,
             )
-        return store
-
-    @classmethod
-    def _load_zero_rows(
-        cls,
-        directory: Path,
-        meta: dict,
-        manifest_files: dict,
-        on_corrupt: str,
-        degraded_reasons: list[str],
-    ) -> frozenset[int]:
-        """Load the zero-row flags, degrading to the empty set if asked.
-
-        Dropping the flags is answer-preserving: a flagged row's U
-        coordinates are all zero on disk, so reconstructing it the slow
-        way still yields 0.0 — only the no-disk-access fast path is
-        lost.
-        """
-        if not meta.get("zero_rows"):
-            return frozenset()
-        zero_path = directory / _ZERO_ROWS_NAME
-        try:
-            cls._manifest_size_check(directory, manifest_files, _ZERO_ROWS_NAME)
-            if not zero_path.exists():
-                raise FormatError(f"{directory}: missing {_ZERO_ROWS_NAME}")
-            try:
-                loaded = np.load(zero_path)
-            except Exception as exc:
-                raise FormatError(
-                    f"{directory}: failed to load {_ZERO_ROWS_NAME}: {exc}"
-                ) from exc
-            rows = frozenset(int(row) for row in loaded.tolist())
-            if rows and (min(rows) < 0 or max(rows) >= int(meta["rows"])):
-                raise FormatError(
-                    f"{directory}: {_ZERO_ROWS_NAME} flags rows outside "
-                    f"[0, {meta['rows']})"
-                )
-            return rows
-        except (FormatError, ChecksumError) as exc:
-            if on_corrupt == "raise":
-                raise
-            degraded_reasons.append(str(exc))
-            return frozenset()
-
-    @classmethod
-    def _load_deltas(
-        cls,
-        directory: Path,
-        meta: dict,
-        manifest_files: dict,
-        on_corrupt: str,
-        degraded_reasons: list[str],
-        mapped: bool = False,
-    ):
-        """Load the outlier table, degrading to SVD-only if asked.
-
-        Returns ``(deltas, mm)``.  With ``mapped=True`` the record body
-        is validated through a shared read-only mapping (``mm`` is the
-        open map the caller must release on close) instead of a heap
-        copy of the file; the index then gathers its own contiguous
-        key and value arrays out of it (see :class:`DeltaIndex`).
-        """
-        if meta["num_deltas"] <= 0:
-            return None, None
-        delta_path = directory / _DELTAS_NAME
-        try:
-            cls._manifest_size_check(directory, manifest_files, _DELTAS_NAME)
-            if not delta_path.exists():
-                raise FormatError(f"{directory}: missing {_DELTAS_NAME}")
-            # ``expected_count`` cross-checks the record count against
-            # meta.json: a deltas.bin appended (or swapped) without its
-            # metadata commit — e.g. a torn incremental append — must
-            # degrade or fail here, never serve a stale index silently.
-            num_cells = int(meta["rows"]) * int(meta["cols"])
-            expected = int(meta["num_deltas"])
-            mm = None
-            if mapped:
-                keys, values, mm = DeltaFile.map_arrays(
-                    delta_path, num_cells=num_cells, expected_count=expected
-                )
-            else:
-                keys, values = DeltaFile.read_arrays(
-                    delta_path, num_cells=num_cells, expected_count=expected
-                )
-            # Both loaders validated strict key order, so the index can
-            # adopt the arrays without its own argsort + copies.
-            return DeltaIndex(keys, values, meta["cols"], assume_sorted=True), mm
-        except (FormatError, ChecksumError) as exc:
-            if on_corrupt == "raise":
-                raise
-            degraded_reasons.append(str(exc))
-            return None, None
-
-    @staticmethod
-    def _read_update_appends(directory: Path) -> int:
-        """The append generation counter (0 for never-appended models)."""
-        try:
-            # Name owned by repro.core.build (importing it here would
-            # cycle); the format is stable.
-            state = json.loads((directory / "update_state.json").read_text())
-            return int(state.get("appends", 0))
-        except (OSError, ValueError, TypeError):
-            return 0
+        return cls(parts, (pool_capacity, on_corrupt, mapped))
 
     def reopen(self) -> "CompressedMatrix":
         """Open a fresh store over the directory's *current* contents.
@@ -545,12 +276,7 @@ class CompressedMatrix:
             # Drop the index so the mmap's exported buffers are
             # released before closing.
             self._deltas = None
-            try:
-                mm.close()
-            except BufferError:
-                # A caller still holds an array view into the map; the
-                # mapping is released when that reference dies.
-                pass
+            close_mapping(mm)
 
     def __enter__(self) -> "CompressedMatrix":
         return self
@@ -611,27 +337,6 @@ class CompressedMatrix:
         """Physical page reads of the U store."""
         return self._u_store.io_stats
 
-    #: On-disk precision of the factor matrices ('b' in the accounting).
-    _bytes_per_value: int = 8
-
-    #: ``(pool_capacity, on_corrupt, mapped)`` this store was opened
-    #: with, so :meth:`reopen` can reproduce the open after an append.
-    _open_options: tuple[int, str, bool] = (64, "raise", False)
-
-    #: Validation failures absorbed by ``open(on_corrupt="degraded")``.
-    _degraded_reasons: tuple[str, ...] = ()
-
-    #: Open delta-file mapping when opened with ``mapped=True`` (None
-    #: otherwise); released by :meth:`close`.
-    _delta_mm = None
-
-    #: ``meta.json`` as read at open time, for summary-store generation
-    #: validation (survives degraded opens that drop the delta index).
-    _meta: dict | None = None
-
-    #: ``update_state.json``'s append counter at open time.
-    _appends: int = 0
-
     _summaries_cache = None
     _summaries_checked: bool = False
 
@@ -650,15 +355,8 @@ class CompressedMatrix:
         if not self._summaries_checked:
             from repro.summaries.store import SummaryStore
 
-            meta = self._meta or {}
-            expected = (
-                int(meta.get("rows", self.shape[0])),
-                int(meta.get("cols", self.shape[1])),
-                int(meta.get("num_deltas", self.num_deltas)),
-                self._appends,
-            )
             self._summaries_cache = SummaryStore.load(
-                self._directory, expected=expected, mapped=self.mapped
+                self._directory, expected=self._generation, mapped=self.mapped
             )
             self._summaries_checked = True
         return self._summaries_cache

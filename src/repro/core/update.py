@@ -24,6 +24,13 @@ already compressed:
   the Gram state exactly, and lets the new rows' worst cells compete
   for the enlarged delta budget.
 
+Both flavors read the model through
+:func:`~repro.storage.model_dir.read_model` — a damaged directory is
+refused with the same typed errors ``open()`` raises, before anything
+is staged — do their own projection math, and share one finish step
+(:func:`_finish_append`): delta re-competition, energy ledger, drift,
+and :func:`~repro.storage.model_dir.write_model`.
+
 Every append is **crash-atomic**: the next model version is assembled
 in a staging sibling (unchanged large files hardlinked, changed files
 rewritten), its manifest is rewritten, and the whole directory is
@@ -49,20 +56,16 @@ the returned :class:`AppendResult`) carries ``rebuild_recommended``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import shutil
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from repro.core import space
-from repro.core.build import DRIFT_THRESHOLD_DEFAULT, GRAM_NAME, UPDATE_STATE_NAME
-from repro.core.store import CompressedMatrix, _u_columns
+from repro.core.build import DRIFT_THRESHOLD_DEFAULT
 from repro.exceptions import (
     ConfigurationError,
     FormatError,
@@ -74,9 +77,12 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import staged_directory
-from repro.storage.delta_file import DeltaFile
-from repro.storage.integrity import load_manifest, write_manifest
-from repro.storage.matrix_store import MatrixStore
+from repro.storage.model_dir import (
+    ModelParts,
+    read_model,
+    read_update_state,
+    write_model,
+)
 from repro.structures.topk import TopKBuffer
 
 __all__ = [
@@ -89,6 +95,10 @@ __all__ = [
 
 #: Rows per block when streaming the on-disk ``U`` file.
 _U_BLOCK_ROWS = 1024
+
+#: Per append kind: the axis of the new data that grows the matrix, and
+#: the name its running total goes by in the ledger and the metrics.
+_KINDS = {"rows": (0, "rows_appended"), "columns": (1, "cols_appended")}
 
 
 @dataclass(frozen=True)
@@ -132,21 +142,7 @@ def load_update_state(model_dir: str | os.PathLike) -> dict:
     update subsystem, or with the state files deleted) — those models
     can only be refreshed by a full rebuild.
     """
-    directory = Path(model_dir)
-    path = directory / UPDATE_STATE_NAME
-    if not path.exists():
-        raise FormatError(
-            f"{directory}: no {UPDATE_STATE_NAME} — this model predates the "
-            "incremental update subsystem; rebuild it with build_compressed "
-            "to make it appendable"
-        )
-    try:
-        state = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: invalid update state JSON: {exc}") from exc
-    if not isinstance(state, dict) or "budget_fraction" not in state:
-        raise FormatError(f"{path}: update state missing 'budget_fraction'")
-    return state
+    return read_update_state(model_dir, required=True)
 
 
 def stored_rmspe_estimate(model_dir: str | os.PathLike) -> float | None:
@@ -169,74 +165,6 @@ def stored_rmspe_estimate(model_dir: str | os.PathLike) -> float | None:
     if total <= 0.0:
         return None
     return math.sqrt(max(residual, 0.0) / total)
-
-
-def _load_append_context(directory: Path) -> dict:
-    """Everything both append flavors need from the model directory."""
-    meta = CompressedMatrix._load_meta(directory)
-    if meta.get("kind") != "svdd":
-        raise FormatError(
-            f"{directory}: incremental appends require an svdd model, "
-            f"got kind {meta.get('kind')!r}"
-        )
-    state = load_update_state(directory)
-    gram_path = directory / GRAM_NAME
-    if not gram_path.exists():
-        raise FormatError(
-            f"{directory}: missing {GRAM_NAME} — pass-1 state is required "
-            "to append without rescanning the data"
-        )
-    gram = np.asarray(np.load(gram_path), dtype=np.float64)
-    lam = np.load(directory / "lambda.npy").astype(np.float64)
-    v = np.load(directory / "v.npy").astype(np.float64)
-    num_cols = int(meta["cols"])
-    if gram.shape != (num_cols, num_cols):
-        raise FormatError(
-            f"{directory}: {GRAM_NAME} shape {gram.shape} does not match "
-            f"meta cols {num_cols}"
-        )
-    keys = np.empty(0, dtype=np.int64)
-    values = np.empty(0, dtype=np.float64)
-    if int(meta["num_deltas"]) > 0:
-        keys, values = DeltaFile.read_arrays(
-            directory / "deltas.bin",
-            num_cells=int(meta["rows"]) * num_cols,
-            expected_count=int(meta["num_deltas"]),
-        )
-    zero_rows = np.empty(0, dtype=np.int64)
-    if meta.get("zero_rows") and (directory / "zero_rows.npy").exists():
-        zero_rows = np.asarray(np.load(directory / "zero_rows.npy"), dtype=np.int64)
-    try:
-        manifest = load_manifest(directory)
-    except FormatError:
-        manifest = None
-    return {
-        "meta": meta,
-        "state": state,
-        "gram": gram,
-        "lam": lam,
-        "v": v,
-        "delta_keys": keys,
-        "delta_values": values,
-        "zero_rows": zero_rows,
-        "manifest_files": manifest["files"] if manifest else {},
-    }
-
-
-def _u_blocks(u_store: MatrixStore, cutoff: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream the on-disk U as ``(start_row, block)`` float64 chunks."""
-    rows = u_store.num_rows
-    start = 0
-    buffer: list[np.ndarray] = []
-    for _index, row in u_store.iter_rows():
-        buffer.append(row[:cutoff])
-        if len(buffer) >= _U_BLOCK_ROWS:
-            yield start, np.vstack(buffer)
-            start += len(buffer)
-            buffer = []
-    if buffer:
-        yield start, np.vstack(buffer)
-    assert start + len(buffer) == rows or not buffer
 
 
 def _inv(lam: np.ndarray) -> np.ndarray:
@@ -303,10 +231,7 @@ def _emit_metrics(result: AppendResult) -> None:
     if not _obs.enabled:
         return
     _obs.counter("update.appends").inc()
-    if result.kind == "columns":
-        _obs.counter("update.cols_appended").inc(result.appended)
-    else:
-        _obs.counter("update.rows_appended").inc(result.appended)
+    _obs.counter(f"update.{_KINDS[result.kind][1]}").inc(result.appended)
     _obs.gauge("update.drift").set(result.drift)
     _obs.gauge("update.residual_fraction").set(result.residual_fraction)
     _obs.gauge("update.seconds").set(result.seconds)
@@ -316,127 +241,97 @@ def _emit_metrics(result: AppendResult) -> None:
     log_event("update.append", **result.to_dict())
 
 
-def _link_or_copy(source: Path, target: Path) -> None:
-    """Hardlink ``source`` into staging, copying when links are unsupported.
+def _finish_append(
+    parts: ModelParts,
+    started: float,
+    kind: str,
+    x_new: np.ndarray,
+    shape: tuple[int, int],
+    candidate_keys: np.ndarray,
+    candidate_values: np.ndarray,
+    captured_inc: float,
+    gram: np.ndarray,
+    zero_rows: np.ndarray,
+    drift_threshold: float | None,
+    refresh_summaries: bool,
+    **written,
+) -> AppendResult:
+    """What both append flavors do once their own math is done.
 
-    Hardlinking is safe because model files are never modified in
-    place: the committed append replaces files wholesale, and the
-    pre-append directory is removed (not rewritten) by the swap.
+    Re-runs the delta budget competition over the old outliers and the
+    new cells' residuals (keys in the post-append ``shape``), brings the energy ledger and the drift estimate
+    up to date, and stages the next version of the directory
+    (``written``: the factor parts this flavor changed, as
+    :func:`~repro.storage.model_dir.write_model` takes them).
     """
-    try:
-        os.link(source, target)
-    except OSError:
-        shutil.copyfile(source, target)
+    state = dict(parts.update_state)
+    cutoff = parts.cutoff
+    budget = space.delta_budget(
+        *shape,
+        cutoff,
+        float(state["budget_fraction"]),
+        int(state.get("bytes_per_value", parts.bytes_per_value)),
+        state.get("raw_bytes_per_value"),
+    )
+    merged_keys, merged_values, retained_sq = _merge_deltas(
+        parts.delta_keys_at(shape[1]),
+        parts.delta_values,
+        candidate_keys,
+        candidate_values,
+        min(budget, shape[0] * shape[1]),
+    )
 
+    # Exact energy bookkeeping: residual = everything the factors and
+    # the retained deltas do not explain.
+    new_energy = float((x_new * x_new).sum())
+    total_energy = float(state["total_energy"]) + new_energy
+    residual_sse = max(
+        0.0,
+        float(state["residual_sse"])
+        + float((parts.delta_values**2).sum())
+        + (new_energy - captured_inc)
+        - retained_sq,
+    )
+    axis, counter = _KINDS[kind]
+    added = x_new.shape[axis]
+    state["total_energy"] = total_energy
+    state["captured_energy"] = float(state["captured_energy"]) + captured_inc
+    state["residual_sse"] = residual_sse
+    state["appends"] = int(state.get("appends", 0)) + 1
+    state[counter] = int(state.get(counter, 0)) + added
+    drift, threshold, recommended = _drift_state(state, gram, cutoff, drift_threshold)
+    state["drift"] = drift
+    state["drift_threshold"] = threshold
+    state["rebuild_recommended"] = recommended
 
-def _write_state(staging: Path, state: dict) -> None:
-    (staging / UPDATE_STATE_NAME).write_text(json.dumps(state, indent=2))
-
-
-def _reused_entries(manifest_files: dict, names: tuple[str, ...]) -> dict:
-    return {name: manifest_files[name] for name in names if name in manifest_files}
-
-
-def _update_summaries(
-    directory: Path,
-    staging: Path,
-    old_meta: dict,
-    old_appends: int,
-    new_appends: int,
-    new_shape: tuple[int, int],
-    old_keys: np.ndarray,
-    old_values: np.ndarray,
-    merged_keys: np.ndarray,
-    merged_values: np.ndarray,
-    refresh: bool,
-) -> None:
-    """Maintain the summary store inside an append's staging directory.
-
-    ``old_keys``/``old_values`` are the pre-append deltas *in the
-    post-append key space* (column appends re-base the packed keys);
-    comparing them against the merged set yields the churned cells —
-    the delta budget re-competition can evict an old outlier far from
-    the appended region, and the tile holding it reconstructs
-    differently from then on.
-
-    Three outcomes:
-
-    - ``refresh`` with a valid prior → recompute only the dirty tiles
-      (appended region, resized boundary tiles, churn tiles) —
-      bit-identical to a cold rebuild;
-    - ``refresh`` without one → cold build inside staging;
-    - ``refresh=False`` (deferred) → hardlink the summary files forward
-      with the *old* coverage recorded in a re-stamped state, so a
-      later ``repro summarize`` can catch up incrementally.  Valid only
-      when every churned cell lies outside the covered region;
-      otherwise the covered tiles can no longer be trusted and the
-      summaries are dropped instead.
-    """
-    from repro.summaries import compute as summaries
-
-    prior = summaries.load_prior(directory)
-    if prior is not None:
-        stamped = (
-            int(prior["state"]["rows"]),
-            int(prior["state"]["cols"]),
-            int(prior["state"]["num_deltas"]),
-            int(prior["state"]["appends"]),
+    with staged_directory(parts.directory) as staging:
+        write_model(
+            staging,
+            {**parts.meta, "rows": shape[0], "cols": shape[1]},
+            delta_keys=merged_keys,
+            delta_values=merged_values,
+            zero_rows=zero_rows,
+            gram=gram,
+            update_state=state,
+            previous=parts,
+            refresh_summaries=refresh_summaries,
+            **written,
         )
-        expected = (
-            int(old_meta["rows"]),
-            int(old_meta["cols"]),
-            int(old_meta["num_deltas"]),
-            old_appends,
-        )
-        if stamped != expected:
-            prior = None
-    if prior is None:
-        if refresh:
-            with _span("update.summaries", mode="cold"):
-                summaries.materialize_summaries(staging)
-        return
-    churn = summaries.changed_cells(
-        old_keys, old_values, merged_keys, merged_values
+
+    result = AppendResult(
+        directory=str(parts.directory),
+        kind=kind,
+        appended=added,
+        rows=shape[0],
+        cols=shape[1],
+        num_deltas=int(merged_keys.size),
+        drift=drift,
+        rebuild_recommended=recommended,
+        residual_fraction=residual_sse / total_energy if total_energy > 0 else 0.0,
+        seconds=time.perf_counter() - started,
     )
-    covered = (
-        int(prior["state"]["covered_rows"]),
-        int(prior["state"]["covered_cols"]),
-    )
-    if refresh:
-        dirty = summaries.dirty_tiles(covered[0], covered[1], new_shape, churn)
-        with _span(
-            "update.summaries",
-            mode="incremental",
-            tiles=sum(len(chunks) for chunks in dirty.values()),
-            churn=int(churn.size),
-        ):
-            summaries.materialize_summaries(staging, prior=prior, dirty=dirty)
-        if _obs.enabled:
-            _obs.counter("update.summary_refreshes").inc()
-        return
-    churn_rows = churn // new_shape[1]
-    churn_cols = churn % new_shape[1]
-    confined = bool(
-        np.all((churn_rows >= covered[0]) | (churn_cols >= covered[1]))
-    )
-    if not confined:
-        if _obs.enabled:
-            _obs.counter("update.summary_drops").inc()
-        return
-    for name in summaries.SUMMARY_FILES:
-        if name == summaries.STATE_NAME:
-            continue
-        source = directory / name
-        if source.exists():
-            _link_or_copy(source, staging / name)
-    state = dict(prior["state"])
-    state["rows"] = int(new_shape[0])
-    state["cols"] = int(new_shape[1])
-    state["num_deltas"] = int(merged_keys.size)
-    state["appends"] = int(new_appends)
-    (staging / summaries.STATE_NAME).write_text(json.dumps(state, indent=2))
-    if _obs.enabled:
-        _obs.counter("update.summary_defers").inc()
+    _emit_metrics(result)
+    return result
 
 
 # -- append columns (new days) ---------------------------------------------
@@ -469,184 +364,82 @@ def append_columns(
     merge — independent of the original matrix's cells.
     """
     started = time.perf_counter()
-    directory = Path(model_dir)
-    ctx = _load_append_context(directory)
-    meta, state = ctx["meta"], ctx["state"]
-    num_rows, num_cols = int(meta["rows"]), int(meta["cols"])
-    cutoff = int(meta["cutoff"])
-    bytes_per_value = int(meta.get("bytes_per_value", 8))
-    factor_dtype = np.float32 if bytes_per_value == 4 else np.float64
+    with read_model(Path(model_dir), for_append=True) as parts:
+        num_rows, num_cols, cutoff = parts.rows, parts.cols, parts.cutoff
+        x_new = np.ascontiguousarray(np.asarray(new_cols, dtype=np.float64))
+        if x_new.ndim == 1:
+            x_new = x_new[:, None]
+        if x_new.ndim != 2 or x_new.shape[0] != num_rows or x_new.shape[1] < 1:
+            raise ShapeError(
+                f"new columns must be ({num_rows}, d>=1), got shape {x_new.shape}"
+            )
+        added = x_new.shape[1]
+        new_total_cols = num_cols + added
+        lam, v = parts.eigenvalues, parts.v
 
-    x_new = np.ascontiguousarray(np.asarray(new_cols, dtype=np.float64))
-    if x_new.ndim == 1:
-        x_new = x_new[:, None]
-    if x_new.ndim != 2 or x_new.shape[0] != num_rows or x_new.shape[1] < 1:
-        raise ShapeError(
-            f"new columns must be ({num_rows}, d>=1), got shape {x_new.shape}"
-        )
-    added = x_new.shape[1]
-    new_total_cols = num_cols + added
-    lam, v = ctx["lam"], ctx["v"]
-    inv_lam = _inv(lam)
+        def u_blocks():
+            """The on-disk U as ``(start_row, block)`` chunks — the
+            summary tile grid's row blocks, gathered the same way."""
+            for lo in range(0, num_rows, _U_BLOCK_ROWS):
+                hi = min(lo + _U_BLOCK_ROWS, num_rows)
+                yield lo, parts.u_store.read_rows(np.arange(lo, hi))[:, :cutoff]
 
-    u_store = MatrixStore.open(directory / "u.mat")
-    try:
         # Pass A over U: P = U^t X_new, the new columns' coordinates.
         projection = np.zeros((cutoff, added))
         with _span("update.project_cols", rows=num_rows, cols=added):
-            for start, block in _u_blocks(u_store, cutoff):
+            for start, block in u_blocks():
                 projection += block.T @ x_new[start : start + block.shape[0]]
-        v_new = (projection.T * inv_lam)  # (d, k): the appended V rows
+        v_new = projection.T * _inv(lam)  # (d, k): the appended V rows
 
         # Pass B over U: residuals of every new cell under the frozen
         # basis; the worst compete for the enlarged delta budget.
         weights = lam[:, None] * v_new.T  # (k, d) = Lambda V_new^t
-        candidate_keys: list[np.ndarray] = []
-        candidate_values: list[np.ndarray] = []
-        new_energy = float((x_new * x_new).sum())
+        residual = np.empty_like(x_new)
         captured_inc = 0.0
         with _span("update.residual_cols", rows=num_rows, cols=added):
-            for start, block in _u_blocks(u_store, cutoff):
+            for start, block in u_blocks():
                 recon = block @ weights
                 captured_inc += float((recon * recon).sum())
-                residual = x_new[start : start + block.shape[0]] - recon
-                rows_idx = np.arange(start, start + block.shape[0])
-                keys = (
-                    rows_idx[:, None] * new_total_cols
-                    + (num_cols + np.arange(added))[None, :]
-                ).ravel()
-                candidate_keys.append(keys)
-                candidate_values.append(residual.ravel())
-    finally:
-        u_store.close()
+                stop = start + block.shape[0]
+                residual[start:stop] = x_new[start:stop] - recon
+        candidate_keys = (
+            np.arange(num_rows)[:, None] * new_total_cols
+            + (num_cols + np.arange(added))[None, :]
+        ).ravel()
 
-    # Old outliers keep their cells; only the packed keys change base.
-    old_keys = ctx["delta_keys"]
-    old_rows_of_keys = old_keys // num_cols
-    remapped = old_rows_of_keys * new_total_cols + (old_keys % num_cols)
-    budget = space.delta_budget(
-        num_rows,
-        new_total_cols,
-        cutoff,
-        float(state["budget_fraction"]),
-        int(state.get("bytes_per_value", bytes_per_value)),
-        state.get("raw_bytes_per_value"),
-    )
-    budget = min(budget, num_rows * new_total_cols)
-    merged_keys, merged_values, retained_sq = _merge_deltas(
-        remapped,
-        ctx["delta_values"],
-        np.concatenate(candidate_keys) if candidate_keys else np.empty(0, np.int64),
-        np.concatenate(candidate_values) if candidate_values else np.empty(0),
-        budget,
-    )
+        # Gram extension: the new block is exact, the cross block
+        # estimated through the model (X_old ~ U Lambda V^t plus the
+        # stored deltas).
+        cross = v @ (lam[:, None] * projection)  # (M, d)
+        if parts.delta_keys.size:
+            old_rows, old_cols = np.divmod(parts.delta_keys, num_cols)
+            np.add.at(cross, old_cols, parts.delta_values[:, None] * x_new[old_rows])
+        new_gram = np.empty((new_total_cols, new_total_cols))
+        new_gram[:num_cols, :num_cols] = parts.gram
+        new_gram[:num_cols, num_cols:] = cross
+        new_gram[num_cols:, :num_cols] = cross.T
+        new_gram[num_cols:, num_cols:] = x_new.T @ x_new
 
-    # Exact energy bookkeeping: residual = everything the factors and
-    # the retained deltas do not explain.
-    old_delta_sq = float((ctx["delta_values"] ** 2).sum())
-    total_energy = float(state["total_energy"]) + new_energy
-    captured_energy = float(state["captured_energy"]) + captured_inc
-    residual_sse = max(
-        0.0,
-        float(state["residual_sse"])
-        + old_delta_sq
-        + (new_energy - captured_inc)
-        - retained_sq,
-    )
+        # Rows still all-zero: previously flagged and zero across the
+        # appended days.
+        zero_rows = parts.zero_rows
+        zero_rows = zero_rows[np.abs(x_new[zero_rows]).sum(axis=1) == 0.0]
 
-    # Gram extension: the new block is exact, the cross block estimated
-    # through the model (X_old ~ U Lambda V^t plus the stored deltas).
-    gram = ctx["gram"]
-    cross = v @ (lam[:, None] * projection)  # (M, d)
-    if old_keys.size:
-        old_cols_of_keys = old_keys % num_cols
-        np.add.at(
-            cross,
-            old_cols_of_keys,
-            ctx["delta_values"][:, None] * x_new[old_rows_of_keys],
-        )
-    new_gram = np.empty((new_total_cols, new_total_cols))
-    new_gram[:num_cols, :num_cols] = gram
-    new_gram[:num_cols, num_cols:] = cross
-    new_gram[num_cols:, :num_cols] = cross.T
-    new_gram[num_cols:, num_cols:] = x_new.T @ x_new
-
-    state = dict(state)
-    state["total_energy"] = total_energy
-    state["captured_energy"] = captured_energy
-    state["residual_sse"] = residual_sse
-    state["appends"] = int(state.get("appends", 0)) + 1
-    state["cols_appended"] = int(state.get("cols_appended", 0)) + added
-    drift, threshold, recommended = _drift_state(
-        state, new_gram, cutoff, drift_threshold
-    )
-    state["drift"] = drift
-    state["drift_threshold"] = threshold
-    state["rebuild_recommended"] = recommended
-
-    # Rows provably still all-zero: previously flagged, zero across the
-    # appended days, and holding no retained delta.
-    zero_rows = ctx["zero_rows"]
-    if zero_rows.size:
-        still_zero = np.abs(x_new[zero_rows]).sum(axis=1) == 0.0
-        zero_rows = zero_rows[still_zero]
-    if zero_rows.size and merged_keys.size:
-        delta_rows = np.unique(merged_keys // new_total_cols)
-        zero_rows = zero_rows[~np.isin(zero_rows, delta_rows)]
-
-    meta = dict(meta)
-    meta["cols"] = new_total_cols
-    meta["num_deltas"] = int(merged_keys.size)
-    meta["zero_rows"] = int(zero_rows.size)
-
-    extended_v = np.vstack([v, v_new])
-    with staged_directory(directory) as staging:
-        _link_or_copy(directory / "u.mat", staging / "u.mat")
-        _link_or_copy(directory / "lambda.npy", staging / "lambda.npy")
-        np.save(staging / "v.npy", extended_v.astype(factor_dtype))
-        if merged_keys.size:
-            DeltaFile.write(
-                staging / "deltas.bin",
-                zip(merged_keys.tolist(), merged_values.tolist()),
-                bytes_per_value=bytes_per_value,
-            )
-        if zero_rows.size:
-            np.save(staging / "zero_rows.npy", np.sort(zero_rows))
-        np.save(staging / GRAM_NAME, new_gram)
-        (staging / "meta.json").write_text(json.dumps(meta, indent=2))
-        _write_state(staging, state)
-        _update_summaries(
-            directory,
-            staging,
-            ctx["meta"],
-            int(ctx["state"].get("appends", 0)),
-            int(state["appends"]),
+        return _finish_append(
+            parts,
+            started,
+            "columns",
+            x_new,
             (num_rows, new_total_cols),
-            remapped,
-            ctx["delta_values"],
-            merged_keys,
-            merged_values,
+            candidate_keys,
+            residual.ravel(),
+            captured_inc,
+            new_gram,
+            zero_rows,
+            drift_threshold,
             refresh_summaries,
+            v=np.vstack([v, v_new]),
         )
-        write_manifest(
-            staging,
-            reuse=_reused_entries(ctx["manifest_files"], ("u.mat", "lambda.npy")),
-        )
-
-    result = AppendResult(
-        directory=str(directory),
-        kind="columns",
-        appended=added,
-        rows=num_rows,
-        cols=new_total_cols,
-        num_deltas=int(merged_keys.size),
-        drift=drift,
-        rebuild_recommended=recommended,
-        residual_fraction=residual_sse / total_energy if total_energy > 0 else 0.0,
-        seconds=time.perf_counter() - started,
-    )
-    _emit_metrics(result)
-    return result
 
 
 # -- append rows (new customers) -------------------------------------------
@@ -661,7 +454,7 @@ def append_rows(
     """Fold new customers into an existing model without a rebuild.
 
     New rows join by projection onto the frozen axes (Eq. 11,
-    ``u = x V Lambda^{-1}``); their padded ``U`` rows are streamed onto
+    ``u = x V Lambda^{-1}``); their ``U`` rows are streamed onto
     a staged copy of the page file through ``MatrixStore.append_rows``,
     the Gram state is updated *exactly* (``C += X_new^t X_new``), and
     the new rows' worst-reconstructed cells compete with the existing
@@ -669,151 +462,44 @@ def append_rows(
     :func:`append_columns`.
     """
     started = time.perf_counter()
-    directory = Path(model_dir)
-    ctx = _load_append_context(directory)
-    meta, state = ctx["meta"], ctx["state"]
-    num_rows, num_cols = int(meta["rows"]), int(meta["cols"])
-    cutoff = int(meta["cutoff"])
-    bytes_per_value = int(meta.get("bytes_per_value", 8))
-    factor_dtype = np.float32 if bytes_per_value == 4 else np.float64
-
-    x_new = np.atleast_2d(np.ascontiguousarray(np.asarray(new_rows, dtype=np.float64)))
-    if x_new.ndim != 2 or x_new.shape[1] != num_cols or x_new.shape[0] < 1:
-        raise ShapeError(
-            f"new rows must be (n>=1, {num_cols}), got shape {x_new.shape}"
+    with read_model(Path(model_dir), for_append=True) as parts:
+        num_rows, num_cols = parts.rows, parts.cols
+        x_new = np.atleast_2d(
+            np.ascontiguousarray(np.asarray(new_rows, dtype=np.float64))
         )
-    added = x_new.shape[0]
-    new_total_rows = num_rows + added
-    lam, v = ctx["lam"], ctx["v"]
-    inv_lam = _inv(lam)
-
-    with _span("update.project_rows", rows=added, cols=num_cols):
-        u_new = (x_new @ v) * inv_lam  # (n, k) — Eq. 11
-        recon = (u_new * lam) @ v.T
-        residual = x_new - recon
-
-    new_energy = float((x_new * x_new).sum())
-    captured_inc = float((recon * recon).sum())
-    row_idx = num_rows + np.arange(added)
-    candidate_keys = (
-        row_idx[:, None] * num_cols + np.arange(num_cols)[None, :]
-    ).ravel()
-    budget = space.delta_budget(
-        new_total_rows,
-        num_cols,
-        cutoff,
-        float(state["budget_fraction"]),
-        int(state.get("bytes_per_value", bytes_per_value)),
-        state.get("raw_bytes_per_value"),
-    )
-    budget = min(budget, new_total_rows * num_cols)
-    merged_keys, merged_values, retained_sq = _merge_deltas(
-        ctx["delta_keys"],
-        ctx["delta_values"],
-        candidate_keys,
-        residual.ravel(),
-        budget,
-    )
-
-    old_delta_sq = float((ctx["delta_values"] ** 2).sum())
-    total_energy = float(state["total_energy"]) + new_energy
-    captured_energy = float(state["captured_energy"]) + captured_inc
-    residual_sse = max(
-        0.0,
-        float(state["residual_sse"])
-        + old_delta_sq
-        + (new_energy - captured_inc)
-        - retained_sq,
-    )
-
-    new_gram = ctx["gram"] + x_new.T @ x_new
-
-    state = dict(state)
-    state["total_energy"] = total_energy
-    state["captured_energy"] = captured_energy
-    state["residual_sse"] = residual_sse
-    state["appends"] = int(state.get("appends", 0)) + 1
-    state["rows_appended"] = int(state.get("rows_appended", 0)) + added
-    drift, threshold, recommended = _drift_state(
-        state, new_gram, cutoff, drift_threshold
-    )
-    state["drift"] = drift
-    state["drift_threshold"] = threshold
-    state["rebuild_recommended"] = recommended
-
-    # Appended all-zero customers earn the zero-row fast path, unless a
-    # retained delta gives them a nonzero cell (cannot happen for a
-    # truly zero row, but guard anyway); existing flags survive as-is —
-    # old rows gained no cells and kept their deltas only by merit.
-    zero_rows = ctx["zero_rows"]
-    new_zero = row_idx[np.abs(x_new).sum(axis=1) == 0.0]
-    zero_rows = np.concatenate([zero_rows, new_zero])
-    if zero_rows.size and merged_keys.size:
-        delta_rows = np.unique(merged_keys // num_cols)
-        zero_rows = zero_rows[~np.isin(zero_rows, delta_rows)]
-
-    meta = dict(meta)
-    meta["rows"] = new_total_rows
-    meta["num_deltas"] = int(merged_keys.size)
-    meta["zero_rows"] = int(zero_rows.size)
-
-    pad_cols = _u_columns(cutoff, bytes_per_value)
-    padded_u = np.zeros((added, pad_cols))
-    padded_u[:, :cutoff] = u_new
-
-    with staged_directory(directory) as staging:
-        # U grows: copy, then stream the new rows onto the copy.  The
-        # live file is never modified, so readers stay consistent and a
-        # crash mid-append discards only the staging directory.
-        shutil.copyfile(directory / "u.mat", staging / "u.mat")
-        with _span("update.append_u_rows", rows=added):
-            staged_u = MatrixStore.open(staging / "u.mat")
-            try:
-                staged_u.append_rows(padded_u[i] for i in range(added))
-            finally:
-                staged_u.close()
-        _link_or_copy(directory / "lambda.npy", staging / "lambda.npy")
-        _link_or_copy(directory / "v.npy", staging / "v.npy")
-        if merged_keys.size:
-            DeltaFile.write(
-                staging / "deltas.bin",
-                zip(merged_keys.tolist(), merged_values.tolist()),
-                bytes_per_value=bytes_per_value,
+        if x_new.ndim != 2 or x_new.shape[1] != num_cols or x_new.shape[0] < 1:
+            raise ShapeError(
+                f"new rows must be (n>=1, {num_cols}), got shape {x_new.shape}"
             )
-        if zero_rows.size:
-            np.save(staging / "zero_rows.npy", np.sort(zero_rows))
-        np.save(staging / GRAM_NAME, new_gram)
-        (staging / "meta.json").write_text(json.dumps(meta, indent=2))
-        _write_state(staging, state)
-        _update_summaries(
-            directory,
-            staging,
-            ctx["meta"],
-            int(ctx["state"].get("appends", 0)),
-            int(state["appends"]),
-            (new_total_rows, num_cols),
-            ctx["delta_keys"],
-            ctx["delta_values"],
-            merged_keys,
-            merged_values,
-            refresh_summaries,
-        )
-        write_manifest(
-            staging,
-            reuse=_reused_entries(ctx["manifest_files"], ("lambda.npy", "v.npy")),
-        )
+        added = x_new.shape[0]
+        lam, v = parts.eigenvalues, parts.v
 
-    result = AppendResult(
-        directory=str(directory),
-        kind="rows",
-        appended=added,
-        rows=new_total_rows,
-        cols=num_cols,
-        num_deltas=int(merged_keys.size),
-        drift=drift,
-        rebuild_recommended=recommended,
-        residual_fraction=residual_sse / total_energy if total_energy > 0 else 0.0,
-        seconds=time.perf_counter() - started,
-    )
-    _emit_metrics(result)
-    return result
+        with _span("update.project_rows", rows=added, cols=num_cols):
+            u_new = (x_new @ v) * _inv(lam)  # (n, k) — Eq. 11
+            recon = (u_new * lam) @ v.T
+            residual = x_new - recon
+
+        row_idx = num_rows + np.arange(added)
+        candidate_keys = (
+            row_idx[:, None] * num_cols + np.arange(num_cols)[None, :]
+        ).ravel()
+        # Appended all-zero customers earn the zero-row fast path;
+        # existing flags survive as-is — old rows gained no cells and
+        # kept their deltas only by merit.
+        new_zero = row_idx[np.abs(x_new).sum(axis=1) == 0.0]
+
+        return _finish_append(
+            parts,
+            started,
+            "rows",
+            x_new,
+            (num_rows + added, num_cols),
+            candidate_keys,
+            residual.ravel(),
+            float((recon * recon).sum()),
+            parts.gram + x_new.T @ x_new,
+            np.concatenate([parts.zero_rows, new_zero]),
+            drift_threshold,
+            refresh_summaries,
+            u=u_new,
+        )

@@ -159,7 +159,6 @@ class QueryExecutor:
         backend: shared data source; must be thread-safe for reads
             (every shipped backend is).
         max_workers: pool size; defaults to ``min(8, cores + 2)``.
-        use_fast_path: forwarded to the underlying engine.
         close_backend: close the backend on :meth:`shutdown` (used by
             :meth:`repro.warehouse.Warehouse.executor`, which opens the
             model itself and hands ownership to the pool).
@@ -169,13 +168,12 @@ class QueryExecutor:
         self,
         backend,
         max_workers: int | None = None,
-        use_fast_path: bool = True,
         close_backend: bool = False,
     ) -> None:
         workers = _default_workers() if max_workers is None else int(max_workers)
         if workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._engine = QueryEngine(backend, use_fast_path=use_fast_path)
+        self._engine = QueryEngine(backend)
         self._backend = backend
         self._initial_backend = backend
         self._close_backend = close_backend

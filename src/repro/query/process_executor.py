@@ -134,9 +134,7 @@ def _coerce(query):
 _STATE: dict = {}
 
 
-def _worker_init(
-    directory: str, use_fast_path: bool, on_corrupt: str, telemetry: bool
-) -> None:
+def _worker_init(directory: str, on_corrupt: str, telemetry: bool) -> None:
     """Worker bootstrap: open the model and map ``u.mat`` read-only."""
     from repro.core.store import CompressedMatrix
 
@@ -148,7 +146,7 @@ def _worker_init(
         directory=directory,
         on_corrupt=on_corrupt,
         backend=backend,
-        engine=QueryEngine(backend, use_fast_path=use_fast_path),
+        engine=QueryEngine(backend),
         generation=0,
         queries=0,
         deadline_drops=0,
@@ -274,11 +272,8 @@ class ProcessQueryExecutor:
         max_workers: pool size; defaults to ``min(8, usable cores)``
             (affinity-aware, see
             :func:`~repro.query.executor.usable_cpu_count`).
-        use_fast_path: forwarded to each worker's engine.
         on_corrupt: forwarded to each worker's
             :meth:`~repro.core.store.CompressedMatrix.open`.
-        mp_context: multiprocessing start method (``"fork"`` where
-            available, else ``"spawn"``).
         on_rebuild: optional zero-argument callback invoked (outside the
             executor lock is *not* guaranteed — keep it cheap and
             non-blocking) each time a broken pool is replaced.  The
@@ -290,9 +285,7 @@ class ProcessQueryExecutor:
         self,
         directory: str | os.PathLike,
         max_workers: int | None = None,
-        use_fast_path: bool = True,
         on_corrupt: str = "raise",
-        mp_context: str | None = None,
         on_rebuild=None,
     ) -> None:
         workers = (
@@ -301,9 +294,7 @@ class ProcessQueryExecutor:
         if workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._directory = Path(directory)
-        self._use_fast_path = bool(use_fast_path)
         self._on_corrupt = on_corrupt
-        self._mp_context = mp_context or _default_mp_context()
         # Capture the telemetry switch now: workers enable their own
         # registry at bootstrap, so profiles come back on results.
         self._telemetry = _obs.enabled
@@ -344,11 +335,10 @@ class ProcessQueryExecutor:
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
-            mp_context=multiprocessing.get_context(self._mp_context),
+            mp_context=multiprocessing.get_context(_default_mp_context()),
             initializer=_worker_init,
             initargs=(
                 str(self._directory),
-                self._use_fast_path,
                 self._on_corrupt,
                 self._telemetry,
             ),

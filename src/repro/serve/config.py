@@ -44,11 +44,9 @@ class ServeConfig:
         brownout_sheds: shed events within ``brownout_window_s`` that
             flip the server into brownout (SVD-only answers).
         brownout_window_s: sliding window for counting those sheds.
-        use_fast_path: forwarded to worker engines.
         on_corrupt: forwarded to ``CompressedMatrix.open`` in workers
             ("degraded" starts serving even with a damaged delta
             sidecar — answers carry ``degraded: true``).
-        mp_context: multiprocessing start method override.
     """
 
     host: str = "127.0.0.1"
@@ -65,9 +63,7 @@ class ServeConfig:
     breaker_cooldown_s: float = 5.0
     brownout_sheds: int = 8
     brownout_window_s: float = 10.0
-    use_fast_path: bool = True
     on_corrupt: str = "raise"
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:

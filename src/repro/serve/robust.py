@@ -121,9 +121,7 @@ class RobustDispatcher:
         self.executor = ProcessQueryExecutor(
             self.model_dir,
             max_workers=self.config.workers,
-            use_fast_path=self.config.use_fast_path,
             on_corrupt=self.config.on_corrupt,
-            mp_context=self.config.mp_context,
             on_rebuild=self.breaker.record_failure,
         )
         # Parent-side SVD-only engine: the brownout answer path.  A
@@ -132,19 +130,12 @@ class RobustDispatcher:
         self._fallback_backend = CompressedMatrix.open(
             self.model_dir, on_corrupt="degraded", mapped=True
         )
-        self._fallback = QueryEngine(
-            self._fallback_backend,
-            use_fast_path=self.config.use_fast_path,
-            include_deltas=False,
-        )
-        # Twin of the *worker* engines (delta-capable, same fast-path
-        # flag, same mapped backend): it plans every healthy request —
+        self._fallback = QueryEngine(self._fallback_backend, include_deltas=False)
+        # Twin of the *worker* engines (delta-capable, same mapped
+        # backend): it plans every healthy request —
         # so explain describes the route a worker would take — and
         # answers the ones that gather no rows of U.
-        self._planning = QueryEngine(
-            self._fallback_backend,
-            use_fast_path=self.config.use_fast_path,
-        )
+        self._planning = QueryEngine(self._fallback_backend)
         self.model_degraded = self._fallback_backend.degraded
         self.rmspe = (
             verified_rmspe

@@ -14,7 +14,11 @@ package provides a small storage engine:
 - :class:`MatrixStore` — an on-disk row-major float64 matrix with
   streamed row iteration (a 'pass') and random row access through the
   buffer pool;
-- :class:`DeltaFile` — the serialized form of the SVDD outlier table.
+- :class:`DeltaFile` — the serialized form of the SVDD outlier table;
+- :mod:`repro.storage.model_dir` — the model directory built from
+  those pieces: its file layout, the one reader every open/append/
+  summarize parses it with, the one writer every save/build/append
+  assembles it with.
 
 Durability and fault tolerance live beside the data path:
 

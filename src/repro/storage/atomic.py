@@ -32,6 +32,7 @@ __all__ = [
     "atomic_write_bytes",
     "fsync_dir",
     "fsync_file",
+    "link_or_copy",
     "staged_directory",
 ]
 
@@ -82,6 +83,20 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
         raise
     fsync_dir(path.parent)
+
+
+def link_or_copy(source: str | os.PathLike, target: str | os.PathLike) -> None:
+    """Hardlink ``source`` at ``target``, copying when links are unsupported.
+
+    How an unchanged file is carried into a staging directory: safe
+    because model files are never modified in place — a committed
+    version replaces files wholesale, and the previous directory is
+    removed (not rewritten) by the swap.
+    """
+    try:
+        os.link(source, target)
+    except OSError:
+        shutil.copyfile(source, target)
 
 
 @contextmanager

@@ -15,7 +15,6 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -29,23 +28,21 @@ from repro.storage.atomic import atomic_write_bytes
 _MAGIC = b"RPRDLT01"
 _MAGIC_F32 = b"RPRDLT02"
 _HEADER_FMT = "<8sQI"  # magic, record count, crc of records
-_RECORD_FMT = "<qd"  # cell key (row*M+col), delta
-_RECORD_SIZE = struct.calcsize(_RECORD_FMT)
-_RECORD_FMT_F32 = "<qf"
-_RECORD_SIZE_F32 = struct.calcsize(_RECORD_FMT_F32)
 
+#: One record: the cell key (``row * M + col``), then the delta.
 _BY_MAGIC = {
-    _MAGIC: (_RECORD_SIZE, np.dtype([("k", "<i8"), ("d", "<f8")])),
-    _MAGIC_F32: (_RECORD_SIZE_F32, np.dtype([("k", "<i8"), ("d", "<f4")])),
+    _MAGIC: np.dtype([("k", "<i8"), ("d", "<f8")]),
+    _MAGIC_F32: np.dtype([("k", "<i8"), ("d", "<f4")]),
 }
+_MAGIC_BY_BYTES = {8: _MAGIC, 4: _MAGIC_F32}
+_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 
-def _formats(bytes_per_value: int) -> tuple[bytes, str]:
-    if bytes_per_value == 8:
-        return _MAGIC, _RECORD_FMT
-    if bytes_per_value == 4:
-        return _MAGIC_F32, _RECORD_FMT_F32
-    raise FormatError(f"bytes_per_value must be 4 or 8, got {bytes_per_value}")
+def _record_dtype(bytes_per_value: int) -> tuple[bytes, np.dtype]:
+    magic = _MAGIC_BY_BYTES.get(bytes_per_value)
+    if magic is None:
+        raise FormatError(f"bytes_per_value must be 4 or 8, got {bytes_per_value}")
+    return magic, _BY_MAGIC[magic]
 
 
 class DeltaFile:
@@ -54,10 +51,12 @@ class DeltaFile:
     @staticmethod
     def write(
         path: str | os.PathLike,
-        deltas: Iterable[tuple[int, float]],
+        keys,
+        values,
         bytes_per_value: int = 8,
     ) -> int:
-        """Serialize ``(key, delta)`` pairs to ``path``; returns record count.
+        """Serialize aligned key and delta arrays to ``path``; returns
+        the record count.
 
         Records are written sorted by key so files are canonical: two
         models with the same outlier set produce byte-identical files.
@@ -65,17 +64,29 @@ class DeltaFile:
         crash mid-write never leaves a torn delta table.
 
         Args:
+            keys: cell keys ``row * M + col``, in any order.
+            values: the delta of each key, aligned with ``keys``.
             bytes_per_value: value precision of the owning model; 4
                 stores float32 deltas in 12-byte records (the space
                 accounting's :func:`~repro.core.space.delta_record_bytes`).
         """
-        magic, record_fmt = _formats(bytes_per_value)
-        records = sorted(deltas)
-        body = b"".join(struct.pack(record_fmt, key, delta) for key, delta in records)
+        magic, record_dtype = _record_dtype(bytes_per_value)
+        keys = np.asarray(keys, dtype=np.int64).ravel()
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if keys.shape != values.shape:
+            raise FormatError(
+                f"{path}: keys and values must align, got {keys.size} vs {values.size}"
+            )
+        # Stable: O(n) on the sorted keys every model writer passes.
+        order = np.argsort(keys, kind="stable")
+        records = np.empty(keys.size, dtype=record_dtype)
+        records["k"] = keys[order]
+        records["d"] = values[order]
+        body = records.tobytes()
         crc = zlib.crc32(body) & 0xFFFFFFFF
-        header = struct.pack(_HEADER_FMT, magic, len(records), crc)
+        header = struct.pack(_HEADER_FMT, magic, keys.size, crc)
         atomic_write_bytes(path, header + body)
-        return len(records)
+        return int(keys.size)
 
     @staticmethod
     def read_arrays(
@@ -102,27 +113,10 @@ class DeltaFile:
                 many records — catches a delta file swapped or rewritten
                 out from under its ``meta.json`` (e.g. a torn append).
         """
-        body, record_dtype = DeltaFile._validated_body(path)
-        records = np.frombuffer(body, dtype=record_dtype)
-        keys = records["k"].astype(np.int64)
-        deltas = records["d"].astype(np.float64)
-        if expected_count is not None and keys.size != expected_count:
-            raise FormatError(
-                f"{path}: holds {keys.size} delta records but the model "
-                f"metadata expects {expected_count} — stale or torn delta file"
-            )
-        if num_cells is not None and keys.size:
-            if keys.min() < 0 or keys.max() >= num_cells:
-                raise FormatError(
-                    f"{path}: delta key range [{keys.min()}, {keys.max()}] "
-                    f"outside the matrix's cells [0, {num_cells})"
-                )
-            if keys.size > 1 and not (np.diff(keys) > 0).all():
-                raise FormatError(
-                    f"{path}: delta keys are not strictly increasing "
-                    "(canonical files are sorted and duplicate-free)"
-                )
-        return keys, deltas
+        records = _validated_records(
+            path, Path(path).read_bytes(), num_cells, expected_count
+        )
+        return records["k"].astype(np.int64), records["d"].astype(np.float64)
 
     @staticmethod
     def map_arrays(
@@ -132,8 +126,8 @@ class DeltaFile:
     ) -> tuple[np.ndarray, np.ndarray, "mmap.mmap"]:
         """Memory-map a delta file as ``(keys, deltas, mm)``.
 
-        The mmap-backed twin of :meth:`read_arrays` — same header/CRC
-        validation and key-range/ordering checks, but the record body is
+        The mmap-backed twin of :meth:`read_arrays` — the same
+        validation, but the record body is
         a shared read-only mapping instead of a private heap copy, so a
         pool of worker processes mapping the same file shares one
         physical copy of the page cache (the same trick ``u.mat`` plays
@@ -145,86 +139,84 @@ class DeltaFile:
         keep it open for as long as the arrays are alive, then drop the
         array references before closing it.
         """
-        header_size = struct.calcsize(_HEADER_FMT)
         with open(path, "rb") as handle:
             try:
                 mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except ValueError as exc:  # zero-length file
                 raise FormatError(f"{path}: truncated delta file") from exc
-        view = body = None
         try:
-            view = memoryview(mm)
-            if len(view) < header_size:
-                raise FormatError(f"{path}: truncated delta file")
-            magic, count, crc = struct.unpack_from(_HEADER_FMT, view)
-            if magic not in _BY_MAGIC:
-                raise FormatError(f"{path}: bad magic {magic!r}")
-            record_size, record_dtype = _BY_MAGIC[magic]
-            body = view[header_size : header_size + count * record_size]
-            if len(body) != count * record_size:
-                raise FormatError(
-                    f"{path}: expected {count} records, file holds "
-                    f"{(len(view) - header_size) // record_size}"
-                )
-            if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-                raise ChecksumError(f"{path}: delta records failed checksum")
-            records = np.frombuffer(
-                mm, dtype=record_dtype, count=count, offset=header_size
-            )
-            keys = records["k"]  # strided view, no copy
-            if record_dtype["d"] == np.dtype("<f8"):
-                deltas = records["d"]
-            else:
-                deltas = records["d"].astype(np.float64)
-            if expected_count is not None and keys.size != expected_count:
-                raise FormatError(
-                    f"{path}: holds {keys.size} delta records but the model "
-                    f"metadata expects {expected_count} — stale or torn delta file"
-                )
-            if num_cells is not None and keys.size:
-                if keys.min() < 0 or keys.max() >= num_cells:
-                    raise FormatError(
-                        f"{path}: delta key range [{keys.min()}, {keys.max()}] "
-                        f"outside the matrix's cells [0, {num_cells})"
-                    )
-                if keys.size > 1 and not (np.diff(keys) > 0).all():
-                    raise FormatError(
-                        f"{path}: delta keys are not strictly increasing "
-                        "(canonical files are sorted and duplicate-free)"
-                    )
+            records = _validated_records(path, mm, num_cells, expected_count)
         except BaseException:
-            view = body = None
-            try:
-                mm.close()
-            except BufferError:
-                pass
+            close_mapping(mm)
             raise
-        del body, view
-        return keys, deltas, mm
-
-    @staticmethod
-    def _validated_body(path: str | os.PathLike) -> tuple[bytes, np.dtype]:
-        """The checksum-verified record bytes of a delta file, plus the
-        record dtype its magic selects."""
-        raw = Path(path).read_bytes()
-        header_size = struct.calcsize(_HEADER_FMT)
-        if len(raw) < header_size:
-            raise FormatError(f"{path}: truncated delta file")
-        magic, count, crc = struct.unpack_from(_HEADER_FMT, raw)
-        if magic not in _BY_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        record_size, record_dtype = _BY_MAGIC[magic]
-        body = raw[header_size : header_size + count * record_size]
-        if len(body) != count * record_size:
-            raise FormatError(
-                f"{path}: expected {count} records, file holds {len(body) // record_size}"
-            )
-        if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-            raise ChecksumError(f"{path}: delta records failed checksum")
-        return body, record_dtype
+        deltas = records["d"]
+        if deltas.dtype != np.float64:
+            deltas = deltas.astype(np.float64)
+        return records["k"], deltas, mm
 
     @staticmethod
     def size_bytes(record_count: int, bytes_per_value: int = 8) -> int:
         """On-disk size of a delta file with ``record_count`` records."""
-        _magic, record_fmt = _formats(bytes_per_value)
-        return struct.calcsize(_HEADER_FMT) + record_count * struct.calcsize(record_fmt)
+        _magic, record_dtype = _record_dtype(bytes_per_value)
+        return _HEADER_SIZE + record_count * record_dtype.itemsize
+
+
+def close_mapping(mm: "mmap.mmap | None") -> None:
+    """Release a mapping :meth:`DeltaFile.map_arrays` returned.
+
+    Drop the arrays first.  While something still holds a view into
+    the map (another thread's lookup, a failed validation's traceback)
+    closing raises ``BufferError``; the mapping is then released with
+    its last export instead.
+    """
+    if mm is not None:
+        try:
+            mm.close()
+        except BufferError:
+            pass
+
+
+def _validated_records(
+    path: str | os.PathLike,
+    buffer,
+    num_cells: int | None,
+    expected_count: int | None,
+) -> np.ndarray:
+    """The records of a delta file held in ``buffer`` (its bytes or a
+    mapping of them), as a structured view — after the header, length,
+    CRC, record-count and key-order checks every loader applies."""
+    size = len(buffer)
+    if size < _HEADER_SIZE:
+        raise FormatError(f"{path}: truncated delta file")
+    magic, count, crc = struct.unpack_from(_HEADER_FMT, buffer)
+    if magic not in _BY_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    record_dtype = _BY_MAGIC[magic]
+    if size - _HEADER_SIZE < count * record_dtype.itemsize:
+        raise FormatError(
+            f"{path}: expected {count} records, file holds "
+            f"{(size - _HEADER_SIZE) // record_dtype.itemsize}"
+        )
+    records = np.frombuffer(
+        buffer, dtype=record_dtype, count=count, offset=_HEADER_SIZE
+    )
+    if (zlib.crc32(records) & 0xFFFFFFFF) != crc:
+        raise ChecksumError(f"{path}: delta records failed checksum")
+    if expected_count is not None and count != expected_count:
+        raise FormatError(
+            f"{path}: holds {count} delta records but the model "
+            f"metadata expects {expected_count} — stale or torn delta file"
+        )
+    keys = records["k"]
+    if num_cells is not None and count:
+        if keys.min() < 0 or keys.max() >= num_cells:
+            raise FormatError(
+                f"{path}: delta key range [{keys.min()}, {keys.max()}] "
+                f"outside the matrix's cells [0, {num_cells})"
+            )
+        if count > 1 and not (np.diff(keys) > 0).all():
+            raise FormatError(
+                f"{path}: delta keys are not strictly increasing "
+                "(canonical files are sorted and duplicate-free)"
+            )
+    return records

@@ -8,9 +8,8 @@ the data payloads or the set as a whole.  Saves therefore write a
     {
       "format_version": 1,
       "files": {
-        "u.mat":      {"sha256": "...", "bytes": 123456},
-        "lambda.npy": {"sha256": "...", "bytes": 392},
-        ...
+        "u.mat": {"sha256": "...", "bytes": 123456},
+        ...one entry per file of the directory but this one...
       }
     }
 
@@ -36,13 +35,14 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exceptions import FormatError
+from repro.exceptions import ChecksumError, FormatError
 from repro.storage.atomic import atomic_write_bytes
 
 __all__ = [
     "MANIFEST_NAME",
     "FileCheck",
     "IntegrityReport",
+    "check_entry",
     "load_manifest",
     "verify_manifest",
     "write_manifest",
@@ -134,6 +134,36 @@ def load_manifest(directory: str | os.PathLike) -> dict | None:
             f"{path}: unsupported manifest format_version {version!r}"
         )
     return manifest
+
+
+def check_entry(
+    directory: Path, files: dict[str, dict], name: str, deep: bool = False
+) -> None:
+    """Raise :class:`ChecksumError` when ``name`` disagrees with its
+    entry in ``files`` (a manifest's ``files`` mapping).
+
+    Compares the byte size — one ``stat``, what every open can afford —
+    and, with ``deep``, the SHA-256.  A file with no entry, or absent
+    from the directory, passes: whether it must exist is the caller's
+    rule.
+    """
+    expected = files.get(name)
+    if expected is None:
+        return
+    path = directory / name
+    try:
+        actual = path.stat().st_size
+    except FileNotFoundError:
+        return
+    if actual != expected.get("bytes"):
+        raise ChecksumError(
+            f"{path}: size {actual} does not match manifest "
+            f"({expected.get('bytes')} bytes) — truncated or torn file"
+        )
+    if deep and _digest(path) != expected.get("sha256"):
+        raise ChecksumError(
+            f"{path}: SHA-256 does not match manifest — corrupted file"
+        )
 
 
 @dataclass

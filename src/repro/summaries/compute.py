@@ -36,9 +36,11 @@ factor fast path uses for ``stddev``), which is O(N·k²) and cheap, so
 cold and incremental trivially agree.
 
 All inputs are loaded from the *on-disk* artifacts of the directory
-being summarized (never from in-memory float64 arrays), so float32
-models round-trip identically whether summaries are built inside
-``save``/``append`` staging or later by ``repro summarize``.
+being summarized, through the same
+:func:`~repro.storage.model_dir.read_model` every open uses (never from
+in-memory float64 arrays), so float32 models round-trip identically
+whether summaries are built inside ``save``/``append`` staging or later
+by ``repro summarize``.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import FormatError, QueryError, ReproError
+from repro.exceptions import QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
-from repro.storage.atomic import atomic_write_bytes
-from repro.storage.delta_file import DeltaFile
-from repro.storage.integrity import load_manifest, write_manifest
+from repro.storage.atomic import atomic_write_bytes, link_or_copy
+from repro.storage.integrity import write_manifest
 from repro.storage.matrix_store import MatrixStore
+from repro.storage.model_dir import ModelParts, read_model
 
 __all__ = [
     "BLOCK_ROWS",
@@ -65,6 +67,7 @@ __all__ = [
     "LEVELS",
     "SUMMARY_FILES",
     "STATE_NAME",
+    "carry_summaries",
     "changed_cells",
     "dirty_tiles",
     "level_edges",
@@ -176,55 +179,6 @@ def bucket_stats(col_stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
         out[S_MIN, index] = seg[S_MIN].min()
         out[S_MAX, index] = seg[S_MAX].max()
     return out
-
-
-# -- canonical inputs ------------------------------------------------------
-
-
-def _load_parts(directory: Path) -> dict:
-    """The summarization inputs, loaded from the on-disk artifacts.
-
-    Uses the same load transformations as ``CompressedMatrix.open``
-    (float64 upcast of the pinned factors, validated delta arrays) so a
-    summary built in ``save`` staging and one built post-hoc by
-    ``repro summarize`` see bit-identical inputs even for float32
-    models.
-    """
-    meta = json.loads((directory / "meta.json").read_text())
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    cutoff = int(meta["cutoff"])
-    num_deltas = int(meta["num_deltas"])
-    lam = np.load(directory / "lambda.npy").astype(np.float64)
-    v = np.load(directory / "v.npy").astype(np.float64)
-    keys = np.empty(0, dtype=np.int64)
-    values = np.empty(0, dtype=np.float64)
-    if num_deltas > 0:
-        keys, values = DeltaFile.read_arrays(
-            directory / "deltas.bin",
-            num_cells=rows * cols,
-            expected_count=num_deltas,
-        )
-    return {
-        "meta": meta,
-        "rows": rows,
-        "cols": cols,
-        "cutoff": cutoff,
-        "num_deltas": num_deltas,
-        "lam": lam,
-        "v": v,
-        "keys": keys,
-        "values": values,
-        "appends": _read_appends(directory),
-    }
-
-
-def _read_appends(directory: Path) -> int:
-    """The model's append generation counter (0 when never appended)."""
-    try:
-        state = json.loads((directory / "update_state.json").read_text())
-        return int(state.get("appends", 0))
-    except (OSError, ValueError, TypeError):
-        return 0
 
 
 # -- tile computation ------------------------------------------------------
@@ -437,28 +391,26 @@ def load_state(directory: Path) -> dict | None:
     return state
 
 
-def _state_matches(state: dict, parts: dict) -> bool:
-    return (
-        int(state["rows"]) == parts["rows"]
-        and int(state["cols"]) == parts["cols"]
-        and int(state["num_deltas"]) == parts["num_deltas"]
-        and int(state["appends"]) == parts["appends"]
-        and int(state["block_rows"]) == BLOCK_ROWS
-        and int(state["chunk_cols"]) == CHUNK_COLS
-    )
+def stamped_generation(state: dict) -> tuple[int, int, int, int]:
+    """The model generation a summary state was written for."""
+    return tuple(int(state[key]) for key in ("rows", "cols", "num_deltas", "appends"))
 
 
-def load_prior(directory: str | Path) -> dict | None:
+def load_prior(
+    directory: str | Path, generation: tuple[int, int, int, int]
+) -> dict | None:
     """The incremental-maintenance inputs of an existing summary store.
 
     Returns ``{"state", "col_blocks", "row_chunks"}`` when the
-    directory holds a structurally valid store, None otherwise.  The
-    caller decides whether the state's generation stamp matches the
-    model it is about to refresh from.
+    directory holds a structurally valid store on this tile grid
+    stamped for ``generation`` (the model's ``(rows, cols, num_deltas,
+    appends)``), None otherwise — a refresh then starts cold.
     """
     directory = Path(directory)
     state = load_state(directory)
-    if state is None:
+    if state is None or stamped_generation(state) != generation:
+        return None
+    if (int(state["block_rows"]), int(state["chunk_cols"])) != (BLOCK_ROWS, CHUNK_COLS):
         return None
     try:
         col_blocks = np.load(directory / COLBLOCKS_NAME, allow_pickle=False)
@@ -500,10 +452,19 @@ def materialize_summaries(
 
     Returns the state dict that was written.
     """
-    directory = Path(directory)
+    with read_model(directory) as parts:
+        return _materialize(parts, prior, dirty, start_date)
+
+
+def _materialize(
+    parts: ModelParts,
+    prior: dict | None,
+    dirty: dict[int, set[int]] | None,
+    start_date: str | None,
+) -> dict:
+    directory = parts.directory
     started = time.perf_counter()
-    parts = _load_parts(directory)
-    num_rows, num_cols = parts["rows"], parts["cols"]
+    num_rows, num_cols, num_deltas, appends = parts.generation
     blocks = _ceil_div(num_rows, BLOCK_ROWS)
     chunks = _ceil_div(num_cols, CHUNK_COLS)
 
@@ -524,36 +485,22 @@ def materialize_summaries(
         if start_date is None:
             start_date = prior["state"].get("start_date")
 
-    u_store = MatrixStore.open(directory / "u.mat")
-    try:
-        with _span(
-            "summaries.tiles",
-            tiles=sum(len(chunk_set) for chunk_set in dirty.values()),
-        ):
-            _compute_tiles(
-                u_store,
-                parts["cutoff"],
-                parts["lam"],
-                parts["v"],
-                parts["keys"],
-                parts["values"],
-                (num_rows, num_cols),
-                col_blocks,
-                row_chunks,
-                dirty,
-            )
-        with _span("summaries.row_profiles", rows=num_rows):
-            row_sum, row_sumsq = _row_profiles(
-                u_store,
-                parts["cutoff"],
-                parts["lam"],
-                parts["v"],
-                parts["keys"],
-                parts["values"],
-                (num_rows, num_cols),
-            )
-    finally:
-        u_store.close()
+    model = (
+        parts.u_store,
+        parts.cutoff,
+        parts.eigenvalues,
+        parts.v,
+        parts.delta_keys,
+        parts.delta_values,
+        (num_rows, num_cols),
+    )
+    with _span(
+        "summaries.tiles",
+        tiles=sum(len(chunk_set) for chunk_set in dirty.values()),
+    ):
+        _compute_tiles(*model, col_blocks, row_chunks, dirty)
+    with _span("summaries.row_profiles", rows=num_rows):
+        row_sum, row_sumsq = _row_profiles(*model)
 
     if np.isnan(col_blocks).any():
         raise ReproError(
@@ -598,8 +545,8 @@ def materialize_summaries(
         "cols": num_cols,
         "covered_rows": num_rows,
         "covered_cols": num_cols,
-        "num_deltas": parts["num_deltas"],
-        "appends": parts["appends"],
+        "num_deltas": num_deltas,
+        "appends": appends,
         "block_rows": BLOCK_ROWS,
         "chunk_cols": CHUNK_COLS,
         "levels": list(LEVELS),
@@ -614,6 +561,84 @@ def materialize_summaries(
         _obs.counter("summaries.materializations").inc()
         _obs.gauge("summaries.seconds").set(time.perf_counter() - started)
     return state
+
+
+def carry_summaries(
+    previous: ModelParts,
+    staging: Path,
+    generation: tuple[int, int, int, int],
+    delta_keys: np.ndarray,
+    delta_values: np.ndarray,
+    refresh: bool,
+) -> None:
+    """Maintain the summary store inside an append's staging directory.
+
+    ``previous`` is the pre-append model; ``staging`` holds the
+    post-append one, whose ``generation`` and outliers
+    (``delta_keys``/``delta_values``) are passed in.  Comparing them
+    against the previous set (re-based to the new key space — a column
+    append changes ``M``) yields the churned cells: the delta budget re-competition can evict
+    an old outlier far from the appended region, and the tile holding it
+    reconstructs differently from then on.
+
+    Three outcomes:
+
+    - ``refresh`` with a valid prior → recompute only the dirty tiles
+      (appended region, resized boundary tiles, churn tiles) —
+      bit-identical to a cold rebuild;
+    - ``refresh`` without one → cold build inside staging;
+    - ``refresh=False`` (deferred) → hardlink the summary files forward
+      with the *old* coverage recorded in a re-stamped state, so a
+      later ``repro summarize`` can catch up incrementally.  Valid only
+      when every churned cell lies outside the covered region;
+      otherwise the covered tiles can no longer be trusted and the
+      summaries are dropped instead.
+    """
+    prior = load_prior(previous.directory, previous.generation)
+    if prior is None:
+        if refresh:
+            with _span("update.summaries", mode="cold"):
+                materialize_summaries(staging)
+        return
+    num_rows, num_cols, num_deltas, appends = generation
+    order = np.argsort(delta_keys, kind="stable")  # appends pass them sorted
+    churn = changed_cells(
+        previous.delta_keys_at(num_cols),
+        previous.delta_values,
+        delta_keys[order],
+        delta_values[order],
+    )
+    covered = (
+        int(prior["state"]["covered_rows"]),
+        int(prior["state"]["covered_cols"]),
+    )
+    if refresh:
+        dirty = dirty_tiles(covered[0], covered[1], (num_rows, num_cols), churn)
+        with _span(
+            "update.summaries",
+            mode="incremental",
+            tiles=sum(len(chunks) for chunks in dirty.values()),
+            churn=int(churn.size),
+        ):
+            materialize_summaries(staging, prior=prior, dirty=dirty)
+        if _obs.enabled:
+            _obs.counter("update.summary_refreshes").inc()
+        return
+    confined = bool(
+        np.all((churn // num_cols >= covered[0]) | (churn % num_cols >= covered[1]))
+    )
+    if not confined:
+        if _obs.enabled:
+            _obs.counter("update.summary_drops").inc()
+        return
+    for name in SUMMARY_FILES:
+        if name != STATE_NAME and (previous.directory / name).exists():
+            link_or_copy(previous.directory / name, staging / name)
+    state = dict(prior["state"])
+    state.update(rows=num_rows, cols=num_cols, num_deltas=num_deltas, appends=appends)
+    (staging / STATE_NAME).write_text(json.dumps(state, indent=2))
+    if _obs.enabled:
+        _obs.counter("update.summary_defers").inc()
 
 
 def summarize_directory(
@@ -633,62 +658,44 @@ def summarize_directory(
     - anything else (no store, foreign generation, ``--rebuild``) →
       cold build, status ``"rebuilt"``.
 
-    The model's integrity manifest is rewritten afterwards, reusing the
-    recorded hashes of every non-summary file.
+    The model is read — and so validated — first: a damaged directory
+    is refused before any summary file is touched.  The integrity
+    manifest is rewritten afterwards, reusing the recorded hashes of
+    every non-summary file.
     """
     directory = Path(directory)
     started = time.perf_counter()
-    if not (directory / "meta.json").exists():
-        raise FormatError(f"{directory}: not a model directory (no meta.json)")
-    meta = json.loads((directory / "meta.json").read_text())
-    probe = {
-        "rows": int(meta["rows"]),
-        "cols": int(meta["cols"]),
-        "num_deltas": int(meta["num_deltas"]),
-        "appends": _read_appends(directory),
-    }
 
-    prior = None if rebuild else load_prior(directory)
-    status = "rebuilt"
-    if prior is not None and _state_matches(prior["state"], probe):
-        state = prior["state"]
-        covered = (int(state["covered_rows"]), int(state["covered_cols"]))
-        date_changed = (
-            start_date is not None and state.get("start_date") != start_date
-        )
-        if covered == (probe["rows"], probe["cols"]) and not date_changed:
-            return {
-                "directory": str(directory),
-                "status": "fresh",
-                "seconds": round(time.perf_counter() - started, 6),
-                "state": state,
-            }
-        if not date_changed:
-            # Deferred-append catch-up.  The defer path only carries
-            # summaries forward when delta churn stayed inside the
-            # appended region, so the uncovered tiles are exactly the
-            # dirty set.
-            tiles = dirty_tiles(
-                covered[0],
-                covered[1],
-                (probe["rows"], probe["cols"]),
-                np.empty(0, dtype=np.int64),
-            )
-            state = materialize_summaries(
-                directory, prior=prior, dirty=tiles, start_date=start_date
-            )
-            status = "refreshed"
-        else:
-            state = materialize_summaries(directory, start_date=start_date)
-    else:
-        state = materialize_summaries(directory, start_date=start_date)
+    def report(status: str, state: dict) -> dict:
+        return {
+            "directory": str(directory),
+            "status": status,
+            "seconds": round(time.perf_counter() - started, 6),
+            "state": state,
+        }
 
-    manifest = load_manifest(directory)
-    reuse = {}
-    if manifest is not None:
+    with read_model(directory) as parts:
+        shape = parts.generation[:2]
+        prior = None if rebuild else load_prior(directory, parts.generation)
+        status, tiles = "rebuilt", None
+        if prior is not None:
+            state = prior["state"]
+            covered = (int(state["covered_rows"]), int(state["covered_cols"]))
+            if start_date is not None and state.get("start_date") != start_date:
+                prior = None  # bucket edges move: every level recomputes
+            elif covered == shape:
+                return report("fresh", state)
+            else:
+                # Deferred-append catch-up.  The defer path only carries
+                # summaries forward when delta churn stayed inside the
+                # appended region, so the uncovered tiles are exactly
+                # the dirty set.
+                tiles = dirty_tiles(*covered, shape, np.empty(0, dtype=np.int64))
+                status = "refreshed"
+        state = _materialize(parts, prior, tiles, start_date)
         reuse = {
             name: entry
-            for name, entry in manifest["files"].items()
+            for name, entry in parts.manifest_files.items()
             if name not in SUMMARY_FILES
         }
     write_manifest(directory, reuse=reuse)
@@ -698,9 +705,4 @@ def summarize_directory(
         status=status,
         seconds=round(time.perf_counter() - started, 6),
     )
-    return {
-        "directory": str(directory),
-        "status": status,
-        "seconds": round(time.perf_counter() - started, 6),
-        "state": state,
-    }
+    return report(status, state)

@@ -22,15 +22,15 @@ rectangles over the uncovered rows/columns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, ReproError
 from repro.obs.registry import registry as _obs
 from repro.query.components import Components
+from repro.storage.model_dir import read_generation
 from repro.summaries import compute
 from repro.summaries.compute import (
     LEVELS,
@@ -93,9 +93,11 @@ class SummaryStore:
 
         ``expected`` is ``(rows, cols, num_deltas, appends)`` of the
         model the caller already has open; when None it is read from
-        ``meta.json``/``update_state.json``.  Any validation or parse
-        failure returns None (and bumps ``summary.load_failures``) —
-        callers fall back to the factor path, never crash.
+        the directory
+        (:func:`~repro.storage.model_dir.read_generation`).  Any
+        validation or parse failure returns None (and bumps
+        ``summary.load_failures``) — callers fall back to the factor
+        path, never crash.
         """
         directory = Path(directory)
         state = compute.load_state(directory)
@@ -103,23 +105,11 @@ class SummaryStore:
             return None
         if expected is None:
             try:
-                meta = json.loads((directory / "meta.json").read_text())
-                expected = (
-                    int(meta["rows"]),
-                    int(meta["cols"]),
-                    int(meta["num_deltas"]),
-                    compute._read_appends(directory),
-                )
-            except (OSError, ValueError, KeyError, TypeError):
+                expected = read_generation(directory)
+            except (ReproError, OSError):
                 _obs.counter("summary.load_failures").inc()
                 return None
-        stamped = (
-            int(state["rows"]),
-            int(state["cols"]),
-            int(state["num_deltas"]),
-            int(state["appends"]),
-        )
-        if stamped != tuple(int(v) for v in expected):
+        if compute.stamped_generation(state) != tuple(int(v) for v in expected):
             _obs.counter("summary.load_failures").inc()
             return None
         try:

@@ -154,7 +154,7 @@ class TestDegradedOpens:
         keys, values = DeltaFile.read_arrays(path)
         keys = keys.copy()
         keys[-1] = 64 * 16 + 7  # same record count -> same file size
-        DeltaFile.write(path, zip(keys.tolist(), values.tolist()))
+        DeltaFile.write(path, keys, values)
         with pytest.raises(FormatError, match="out of range|outside"):
             CompressedMatrix.open(directory)
         with CompressedMatrix.open(directory, on_corrupt="degraded") as store:

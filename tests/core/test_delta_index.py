@@ -111,7 +111,7 @@ def _mapped_index(keys, values, num_cols):
     the read-only arrays of a memory-mapped delta file."""
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "deltas.bin"
-        DeltaFile.write(path, zip(keys.tolist(), values.tolist()))
+        DeltaFile.write(path, keys, values)
         mapped_keys, mapped_values, mm = DeltaFile.map_arrays(path)
         try:
             yield DeltaIndex(mapped_keys, mapped_values, num_cols, assume_sorted=True)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core import CompressedMatrix, SVDDCompressor, space
-from repro.core.build import GRAM_NAME, UPDATE_STATE_NAME, build_compressed
+from repro.core.build import build_compressed
 from repro.core.update import append_columns, append_rows, load_update_state
 from repro.data import phone_matrix
-from repro.exceptions import FormatError, ShapeError
+from repro.exceptions import ChecksumError, FormatError, ShapeError
+from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
 
 
 @pytest.fixture(scope="module")
@@ -189,12 +190,13 @@ class TestCrashAtomicity:
         with CompressedMatrix.open(directory) as store:
             before = store.reconstruct_all()
 
-        import repro.core.update as update_mod
+        import repro.storage.model_dir as model_dir
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(update_mod, "write_manifest", boom)
+        # The last step of the one writer every append stages through.
+        monkeypatch.setattr(model_dir, "write_manifest", boom)
         with pytest.raises(OSError):
             append_columns(directory, full[:200, 366:])
         monkeypatch.undo()
@@ -219,10 +221,7 @@ class TestCrashAtomicity:
         keys, values = DeltaFile.read_arrays(directory / "deltas.bin")
         extra_keys = np.append(keys, [int(keys.max()) + 1])
         extra_values = np.append(values, [123.0])
-        DeltaFile.write(
-            directory / "deltas.bin",
-            zip(extra_keys.tolist(), extra_values.tolist()),
-        )
+        DeltaFile.write(directory / "deltas.bin", extra_keys, extra_values)
         # Strict open fails the manifest size check (ChecksumError) or,
         # on legacy directories, the meta record-count check (FormatError).
         with pytest.raises((FormatError, ChecksumError)):
@@ -293,6 +292,11 @@ class TestPrerequisites:
     def test_corrupt_state_rejected(self, built):
         directory, full = built
         (directory / UPDATE_STATE_NAME).write_text("{broken")
+        # The manifest notices first (ChecksumError); without one the
+        # parse does (FormatError).
+        with pytest.raises((FormatError, ChecksumError)):
+            append_rows(directory, full[200:, :366])
+        (directory / "manifest.json").unlink()
         with pytest.raises(FormatError):
             append_rows(directory, full[200:, :366])
 

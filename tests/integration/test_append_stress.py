@@ -7,7 +7,9 @@ already-open handle keeps serving answers bit-identical to the
 pre-append state, and every fresh ``open()`` sees exactly the pre- or
 exactly the post-append state — never a mix, never an error.  A second
 round tears the staged page-file write mid-append and requires the
-model to be untouched.
+model to be untouched.  A third walks one model through every writer
+(build, both appends, a deferred append, ``summarize``) and checks each
+version it passes through against a NumPy oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.core.update import append_columns, append_rows
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.storage import faults
 from repro.storage.faults import FaultPlan
+from repro.storage.integrity import verify_manifest
+from repro.summaries import summarize_directory
 
 THREADS = 8
 PRE_SHAPE = (160, 48)
@@ -154,3 +158,76 @@ class TestAppendUnderReaders:
         assert result.rows == PRE_SHAPE[0] + 10
         with CompressedMatrix.open(directory) as store:
             assert store.shape == (PRE_SHAPE[0] + 10, PRE_SHAPE[1])
+
+
+_ORACLE = {
+    "sum": np.sum,
+    "avg": np.mean,
+    "min": np.min,
+    "max": np.max,
+    "stddev": np.std,
+    "count": np.size,
+}
+
+
+def _assert_answers_match_oracle(directory, logical: np.ndarray, seed: int) -> None:
+    """20 random aggregates (every fourth over a full axis, where the
+    summary store answers) against NumPy over the same matrix."""
+    assert verify_manifest(directory).ok
+    rng = np.random.default_rng(seed)
+    with CompressedMatrix.open(directory) as store:
+        assert store.shape == logical.shape
+        dense = store.reconstruct_all()
+        # A lossy model (k_opt 3 of rank 5) - but of *this* matrix: its
+        # measured error is the one its ledger states (to the 1% the
+        # frozen-basis projections cost), and retained outliers are exact.
+        measured = np.linalg.norm(dense - logical) / np.linalg.norm(logical)
+        assert measured == pytest.approx(store.rmspe_estimate, rel=0.01)
+        outliers = (store.delta_index.rows, store.delta_index.cols)
+        np.testing.assert_allclose(dense[outliers], logical[outliers], atol=1e-9)
+        engine = QueryEngine(store)
+        for index in range(20):
+            rows = np.sort(
+                rng.choice(logical.shape[0], size=int(rng.integers(1, 40)), replace=False)
+            )
+            c0 = int(rng.integers(0, logical.shape[1] - 1))
+            cols = np.arange(c0, int(rng.integers(c0 + 1, logical.shape[1] + 1)))
+            if index % 4 == 0:
+                rows = np.arange(logical.shape[0])
+            elif index % 4 == 2:
+                cols = np.arange(logical.shape[1])
+            function = sorted(_ORACLE)[index % len(_ORACLE)]
+            got = engine.aggregate(
+                AggregateQuery(function, Selection(rows=rows, cols=cols))
+            ).value
+            want = _ORACLE[function](dense[np.ix_(rows, cols)])
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+class TestLifecycleAgainstOracle:
+    def test_every_version_answers_like_numpy(self, model_and_data):
+        directory, data = model_and_data
+        cols = PRE_SHAPE[1]
+        logical = data[:, :cols]
+        _assert_answers_match_oracle(directory, logical, seed=0)
+
+        append_columns(directory, data[:, cols : cols + 3])
+        logical = data[:, : cols + 3]
+        _assert_answers_match_oracle(directory, logical, seed=1)
+
+        new_rows = logical[:10] * 0.5
+        append_rows(directory, new_rows)
+        logical = np.vstack([logical, new_rows])
+        _assert_answers_match_oracle(directory, logical, seed=2)
+
+        new_cols = np.vstack([data[:, cols + 3 :], data[:10, cols + 3 :] * 0.5])
+        append_columns(directory, new_cols, refresh_summaries=False)
+        logical = np.hstack([logical, new_cols])
+        with CompressedMatrix.open(directory) as store:
+            assert store.summaries is not None and not store.summaries.fresh
+        _assert_answers_match_oracle(directory, logical, seed=3)
+
+        assert summarize_directory(directory)["status"] == "refreshed"
+        with CompressedMatrix.open(directory) as store:
+            assert store.summaries.fresh
+        _assert_answers_match_oracle(directory, logical, seed=4)
