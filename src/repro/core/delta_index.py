@@ -11,7 +11,7 @@ range or aggregate query to walk the whole table in Python.  A
 - the deltas of one row occupy a contiguous slice found by bisecting the
   key range ``[row*M, (row+1)*M)`` (``for_row``),
 - the deltas of one column come from a lazily built column-sorted
-  permutation (``for_col``), and
+  permutation (``for_col``),
 - the deltas falling inside an arbitrary row x column selection are
   located — with their positions *within* the selection — entirely in
   vector code (``select``): each selected row's key slice is bisected
@@ -23,7 +23,12 @@ range or aggregate query to walk the whole table in Python.  A
   selection, never the stored outlier count — which is what lets
   :meth:`~repro.core.store.CompressedMatrix.reconstruct_range` and the
   factor-space aggregate fast path fold corrections without walking
-  every stored delta.
+  every stored delta.  A column selection that *is* its span (a time
+  range) skips the column matching: every candidate is a hit, so the
+  cost is O(|R| log D + |S| + c), and
+- how many deltas a set of rows holds is a gather out of a lazily built
+  table of per-row run lengths (``count_in_rows``), which is what the
+  planner prices a fold with.
 
 Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
 pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
@@ -100,6 +105,7 @@ class DeltaIndex:
         self._rows_cache: np.ndarray | None = None
         self._cols_cache: np.ndarray | None = None
         self._col_order: np.ndarray | None = None  # built on first for_col
+        self._row_counts_cache: np.ndarray | None = None
         #: Probe accounting: scalar/batched lookups, keys tested, hits.
         self.stats = {"lookups": 0, "keys_probed": 0, "hits": 0}
         # The key/value arrays are immutable after construction, so
@@ -136,6 +142,20 @@ class DeltaIndex:
         return self._cols_cache
 
     @property
+    def _row_counts(self) -> np.ndarray:
+        """Length of each row's key run, for every row up to the last
+        one holding a delta, then one 0 for all later rows to clip onto
+        (8 bytes a row, built on first use)."""
+        if self._row_counts_cache is None:
+            # Benign race, as for ``_rows``.
+            last_row = int(self._keys[-1]) // self._num_cols if self._keys.size else -1
+            offsets = np.searchsorted(
+                self._keys, np.arange(last_row + 2) * self._num_cols
+            )
+            self._row_counts_cache = np.append(np.diff(offsets), 0)
+        return self._row_counts_cache
+
+    @property
     def rows(self) -> np.ndarray:
         """Row of each stored delta, aligned with :attr:`keys`."""
         return self._rows
@@ -158,6 +178,8 @@ class DeltaIndex:
             total += int(self._rows_cache.nbytes)
         if self._cols_cache is not None:
             total += int(self._cols_cache.nbytes)
+        if self._row_counts_cache is not None:
+            total += int(self._row_counts_cache.nbytes)
         return total
 
     # -- hash-table-compatible scalar access --------------------------------
@@ -222,6 +244,17 @@ class DeltaIndex:
         picked = self._col_order[lo:hi]
         return self._rows[picked], self._values[picked]
 
+    def count_in_rows(self, row_idx) -> int:
+        """Stored deltas in the rows ``row_idx`` (non-negative indices;
+        a repeated row counts each time): what folding a selection of
+        those rows can touch at most.  No key is examined — one gather
+        out of the per-row run lengths — so the planner can price a
+        fold by the selection instead of the stored outlier count.
+        """
+        rows = np.asarray(row_idx, dtype=np.int64)
+        # Rows past the last delta-holding row clip onto the trailing 0.
+        return int(self._row_counts.take(rows, mode="clip").sum())
+
     def select(
         self, row_sel, col_sel
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -239,12 +272,16 @@ class DeltaIndex:
         Only the selected rows' key slices are examined:
         ``stats["keys_probed"]`` grows by the candidate keys tested (the
         selected rows' deltas within the column span), ``stats["hits"]``
-        by the deltas returned.
+        by the deltas returned.  When ``col_sel`` is exactly its span —
+        ascending, unit step, inside the matrix, as every time range
+        resolves — the candidates *are* the answer and no column is
+        matched; scattered, unsorted, repeated or stray columns take
+        the general matching below, with the same output.
         """
         row_sel = np.asarray(row_sel, dtype=np.int64)
         col_sel = np.asarray(col_sel, dtype=np.int64)
         probed = 0
-        row_pos = col_pos = cols = picked = np.empty(0, dtype=np.int64)
+        row_pos = col_pos = picked = np.empty(0, dtype=np.int64)
         if self._keys.size and row_sel.size and col_sel.size:
             # Each row's deltas are one contiguous key run; bisect it
             # down to the selection's column span.  Clamping the span to
@@ -260,17 +297,23 @@ class DeltaIndex:
             cand_row_pos, cand = _expand_slices(starts, counts)
             # Each candidate's column as an offset into the span.
             offset = self._keys[cand] - (row_base[cand_row_pos] + col_lo)
-            # Occurrences of each candidate's column within col_sel: the
-            # span's column at ``offset`` sits at sorted positions
-            # [bounds[offset], bounds[offset + 1]).
-            order = np.argsort(col_sel, kind="stable")
-            bounds = np.searchsorted(col_sel[order], np.arange(col_lo, col_hi + 2))
-            first = bounds[offset]
-            owner, where = _expand_slices(first, bounds[offset + 1] - first)
-            row_pos = cand_row_pos[owner]
-            col_pos = order[where]
-            cols = offset[owner] + col_lo
-            picked = cand[owner]
+            if np.array_equal(col_sel, np.arange(col_lo, col_hi + 1)):
+                # The selection is its own span (a time range): every
+                # candidate is a hit and sits at its offset.
+                row_pos, col_pos, picked = cand_row_pos, offset, cand
+            else:
+                # Occurrences of each candidate's column within col_sel:
+                # the span's column at ``offset`` sits at sorted
+                # positions [bounds[offset], bounds[offset + 1]).
+                order = np.argsort(col_sel, kind="stable")
+                bounds = np.searchsorted(
+                    col_sel[order], np.arange(col_lo, col_hi + 2)
+                )
+                first = bounds[offset]
+                owner, where = _expand_slices(first, bounds[offset + 1] - first)
+                row_pos = cand_row_pos[owner]
+                col_pos = order[where]
+                picked = cand[owner]
         with self._stats_lock:
             self.stats["lookups"] += 1
             self.stats["keys_probed"] += probed
@@ -278,4 +321,6 @@ class DeltaIndex:
         if _obs.enabled:
             _obs.counter("delta.lookups").inc()
             _obs.counter("delta.keys_probed").inc(probed)
-        return row_pos, col_pos, row_sel[row_pos], cols, self._values[picked]
+        return (
+            row_pos, col_pos, row_sel[row_pos], col_sel[col_pos], self._values[picked]
+        )

@@ -55,6 +55,9 @@ from repro.storage.model_dir import ModelParts, read_model, write_model
 _SWAP_RETRY_ATTEMPTS = 3
 _SWAP_RETRY_DELAY_S = 0.01
 
+#: Rows per gather when a whole-matrix scan streams the on-disk ``U``.
+_U_BLOCK_ROWS = 1024
+
 
 class CompressedMatrix:
     """Disk-resident SVD/SVDD model answering cell and range queries."""
@@ -75,9 +78,11 @@ class CompressedMatrix:
         #: Open delta-file mapping of a ``mapped=True`` open (else None).
         self._delta_mm = parts.delta_mm
         self._directory = parts.directory
-        # Sorted array for vectorized masking, set for single probes.
-        self._zero_rows_arr = np.sort(parts.zero_rows)
-        self._zero_rows = frozenset(self._zero_rows_arr.tolist())
+        # Section 6.2's flag, twice: a set for single probes and one
+        # boolean per row (a byte each) for masking a batch of rows.
+        self._zero_rows = frozenset(parts.zero_rows.tolist())
+        self._zero_flag = np.zeros(parts.u_store.num_rows, dtype=bool)
+        self._zero_flag[parts.zero_rows] = True
         #: On-disk precision of the factor matrices ('b' in the accounting).
         self._bytes_per_value = parts.bytes_per_value
         #: ``(pool_capacity, on_corrupt, mapped)``, so :meth:`reopen`
@@ -417,10 +422,9 @@ class CompressedMatrix:
         return self._deltas.get(cell_key(row, col, self.shape[1]), 0.0)
 
     def _zero_mask(self, row_idx: np.ndarray) -> np.ndarray:
-        """Boolean mask of selected rows that are flagged all-zero."""
-        if not self._zero_rows:
-            return np.zeros(row_idx.shape, dtype=bool)
-        return np.isin(row_idx, self._zero_rows_arr)
+        """Boolean mask of selected rows that are flagged all-zero
+        (``row_idx`` already range-checked by the caller)."""
+        return self._zero_flag[row_idx]
 
     def cell(self, row: int, col: int) -> float:
         """Reconstruct one cell: one U-row disk access + O(k) arithmetic."""
@@ -482,12 +486,22 @@ class CompressedMatrix:
             raise QueryError(f"col {col} out of range [0, {cols})")
         weights = self._eigenvalues * self._v[col]
         out = np.empty(rows)
-        for index, u_row in self._u_store.iter_rows():
-            out[index] = float(u_row[: self.cutoff] @ weights)
+        for start, block in self._u_blocks():
+            out[start : start + block.shape[0]] = block @ weights
         if self._deltas is not None:
             delta_rows, delta_values = self._deltas.for_col(col)
             out[delta_rows] += delta_values
         return out
+
+    def _u_blocks(self):
+        """All of ``U`` as ``(start_row, block)`` gathers of
+        ``_U_BLOCK_ROWS`` rows, one GEMM's worth each; iterating to the
+        end counts as one pass over the store."""
+        num_rows = self._u_store.num_rows
+        for lo in range(0, num_rows, _U_BLOCK_ROWS):
+            hi = min(lo + _U_BLOCK_ROWS, num_rows)
+            yield lo, self._u_store.read_rows(np.arange(lo, hi))[:, : self.cutoff]
+        self._u_store.note_full_scan()
 
     def factors(self, row_idx: np.ndarray):
         """The selected rows in factor space, for aggregates that never
@@ -581,8 +595,9 @@ class CompressedMatrix:
         """Materialize the full approximation (tests / small data only)."""
         rows, cols = self.shape
         out = np.empty((rows, cols))
-        for index, u_row in self._u_store.iter_rows():
-            out[index] = (u_row[: self.cutoff] * self._eigenvalues) @ self._v.T
+        for start, block in self._u_blocks():
+            stop = start + block.shape[0]
+            out[start:stop] = (block * self._eigenvalues) @ self._v.T
         if self._deltas is not None:
             # Keys are unique, so fancy-indexed += cannot collide.
             out[self._deltas.rows, self._deltas.cols] += self._deltas.values

@@ -54,7 +54,12 @@ class CostParams:
     def for_backend(mapped_or_memory: bool) -> "CostParams":
         """Default params: DISK pricing for paged stores, MEMORY for
         mmap'd or in-memory backends (their pages are page cache)."""
-        return CostParams(tier=MEMORY if mapped_or_memory else DISK)
+        return _MEMORY_PARAMS if mapped_or_memory else _DISK_PARAMS
+
+
+# The two defaults every plan prices with: built once, not per plan.
+_MEMORY_PARAMS = CostParams(tier=MEMORY)
+_DISK_PARAMS = CostParams(tier=DISK)
 
 
 def page_read_ms(

@@ -308,9 +308,12 @@ def plan_aggregate(
         )
 
         if include_deltas:
+            # The fold walks the selected rows' key runs, not the index:
+            # price the deltas those rows hold.
             index = backend.delta_index
             delta_cost = flops_ms(
-                0 if index is None else len(index), params.ns_per_cell
+                0 if index is None else index.count_in_rows(row_idx),
+                params.ns_per_cell,
             )
             candidates.append(
                 RouteEstimate(

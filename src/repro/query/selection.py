@@ -2,9 +2,12 @@
 
 A :class:`Selection` names a set of rows and a set of columns; the
 query's cell set is their cross product (the paper's 'some rows and
-columns of the data matrix', Section 5.2).  Selections are normalized
-to sorted unique index arrays at construction and validate themselves
-against a matrix shape at execution time.
+columns of the data matrix', Section 5.2).  A selection holds what it
+was given; :meth:`Selection.resolve` normalizes it to sorted unique
+index arrays and validates it against a matrix shape, at execution
+time.  Indices must be integers: anything NumPy would have to truncate
+or parse (floats, strings, bools) is a :class:`QueryError`, never an
+answer about a neighbouring row.
 """
 
 from __future__ import annotations
@@ -48,14 +51,21 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
         arr = np.arange(start, stop, step, dtype=np.int64)
         return arr if step > 0 else arr[::-1].copy()
     try:
-        arr = np.unique(np.asarray(list(indices), dtype=np.int64))
+        # The dtype NumPy infers, not one forced on it: int64 would
+        # truncate 1.7 to row 1, parse "2" and read True as row 1.
+        arr = np.asarray(list(indices))
     except (OverflowError, ValueError, TypeError) as exc:
         raise QueryError(
             f"selection indices must be machine-size integers: {exc}"
         ) from exc
     if arr.size == 0:
         raise QueryError("selection must include at least one index")
-    return arr
+    kind = arr.dtype.kind
+    if kind not in "iu" or (kind == "u" and arr.max() > np.iinfo(np.int64).max):
+        raise QueryError(
+            f"selection indices must be machine-size integers, got {arr.dtype} values"
+        )
+    return np.unique(arr.astype(np.int64, copy=False))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import contextlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import delta_index
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError
 from repro.storage.delta_file import DeltaFile
@@ -179,3 +181,127 @@ def test_property_select_matches_dict_scan(case):
     stored_in_selected_rows = int(np.count_nonzero(dense[row_sel]))
     assert stats["hits"] == vals.size
     assert stats["keys_probed"] <= stored_in_selected_rows
+
+
+# -- the contiguous-range rule -------------------------------------------------
+
+
+def _triples(selected) -> list[tuple[int, int, float]]:
+    _row_pos, _col_pos, rows, cols, values = selected
+    return sorted(zip(rows.tolist(), cols.tolist(), values.tolist()))
+
+
+@st.composite
+def _range_cases(draw):
+    num_rows = draw(st.integers(1, 8))
+    num_cols = draw(st.integers(1, 8))
+    cells = num_rows * num_cols
+    keys = draw(
+        st.one_of(
+            st.just(set()),  # empty index
+            st.just(set(range(cells))),  # every cell stored: all hits
+            st.sets(st.integers(0, cells - 1), max_size=cells),
+        )
+    )
+    row_sel = draw(st.lists(st.integers(0, num_rows - 1), min_size=1, max_size=6))
+    col_lo = draw(st.integers(0, num_cols - 1))
+    col_hi = draw(st.integers(col_lo, num_cols - 1))
+    shuffled = draw(st.permutations(range(col_lo, col_hi + 1)))
+    repeat = draw(st.integers(col_lo, col_hi))
+    return num_rows, num_cols, sorted(keys), row_sel, col_lo, col_hi, shuffled, repeat
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_range_cases())
+# Single row x single column, hit and miss; the whole matrix stored.
+@example(case=(1, 1, [0], [0], 0, 0, [0], 0))
+@example(case=(2, 3, [1], [1], 1, 1, [1], 1))
+@example(case=(2, 3, [0, 1, 2, 3, 4, 5], [1, 0, 1], 0, 2, [2, 0, 1], 1))
+# The last column of one row next to column 0 of the next: where a stray
+# column would alias.
+@example(case=(3, 4, [3, 4, 7, 8], [1], 0, 3, [3, 2, 1, 0], 0))
+def test_property_range_branch_equals_general_matching(case):
+    """A time range through the contiguous-range branch == the same
+    columns shuffled or with one repeated (general matching) == a dense
+    brute-force mask; a stray column never takes the shortcut and never
+    aliases into the neighbouring row."""
+    num_rows, num_cols, keys, row_sel, col_lo, col_hi, shuffled, repeat = case
+    keys = np.asarray(keys, dtype=np.int64)
+    values = 1.0 + np.arange(keys.size, dtype=np.float64)
+    dense = np.zeros((num_rows, num_cols))
+    dense[keys // num_cols, keys % num_cols] = values
+    row_sel = np.asarray(row_sel, dtype=np.int64)
+    span = np.arange(col_lo, col_hi + 1)
+
+    def run(col_sel):
+        """``select`` on a fresh index, and how often it flattened
+        slices: once (the candidates) on the range branch, twice
+        (candidates, then their occurrences in ``col_sel``) through the
+        general matching, never when the rows hold no candidate."""
+        index = DeltaIndex(keys, values, num_cols)
+        flatten = delta_index._expand_slices
+        with mock.patch.object(delta_index, "_expand_slices", wraps=flatten) as spy:
+            selected = index.select(row_sel, np.asarray(col_sel, dtype=np.int64))
+        return selected, spy.call_count, index.stats
+
+    in_range, expansions, range_stats = run(span)
+    # All of a range's candidates are hits; none at all expands nothing.
+    assert range_stats["keys_probed"] == range_stats["hits"]
+    assert expansions == (1 if range_stats["hits"] else 0)
+    row_pos, col_pos, rows, cols, vals = in_range
+    expected = dense[np.ix_(row_sel, span)]
+    folded = np.zeros_like(expected)
+    folded[row_pos, col_pos] += vals
+    np.testing.assert_array_equal(folded, expected)
+    assert vals.size == np.count_nonzero(expected)  # one entry per occurrence
+    np.testing.assert_array_equal(rows, row_sel[row_pos])
+    np.testing.assert_array_equal(cols, span[col_pos])
+
+    general, expansions, general_stats = run(shuffled)
+    if vals.size:
+        assert expansions == (1 if list(shuffled) == span.tolist() else 2)
+    # Same entries in the same (row_sel order, key order within a row)
+    # sequence; only the positions into col_sel differ.
+    for got, want in zip(general[2:], in_range[2:]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.asarray(shuffled)[general[1]], cols)
+    assert general_stats == range_stats  # lookups, keys_probed, hits
+
+    repeated, expansions, repeated_stats = run(span.tolist() + [repeat])
+    assert expansions == (2 if vals.size else 0)
+    assert set(_triples(repeated)) == set(_triples(in_range))
+    assert repeated_stats["keys_probed"] == range_stats["keys_probed"]
+    assert repeated_stats["hits"] == range_stats["hits"] + np.count_nonzero(
+        dense[row_sel, repeat]
+    )
+
+    # A unit-step run that leaves the matrix at either end is not its
+    # own clamped span: general matching, and the stray column matches
+    # nothing (row r's column -1 is not row r-1's column M-1).
+    for stray in (np.arange(-1, col_hi + 1), np.arange(col_lo, num_cols + 1)):
+        selected, expansions, stray_stats = run(stray)
+        inside = dense[np.ix_(row_sel, np.clip(stray, 0, num_cols - 1))]
+        inside[:, (stray < 0) | (stray >= num_cols)] = 0.0
+        folded = np.zeros_like(inside)
+        folded[selected[0], selected[1]] += selected[4]
+        np.testing.assert_array_equal(folded, inside)
+        assert expansions == (2 if stray_stats["keys_probed"] else 0)
+        assert stray_stats["hits"] == np.count_nonzero(inside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_cols=st.integers(1, 8),
+    keys=st.sets(st.integers(0, 63), max_size=40),
+    rows=st.lists(st.integers(0, 40), max_size=12),
+)
+@example(num_cols=4, keys=set(), rows=[0, 3, 3])  # empty index
+@example(num_cols=4, keys={0, 5, 6}, rows=[])  # no rows
+@example(num_cols=4, keys={0, 5, 6}, rows=[1, 1, 2, 9, 1000])  # past the last key
+def test_property_count_in_rows_matches_bincount(num_cols, keys, rows):
+    keys = np.asarray(sorted(keys), dtype=np.int64)
+    index = DeltaIndex(keys, np.ones(keys.size), num_cols)
+    rows = np.asarray(rows, dtype=np.int64)
+    per_row = np.bincount(keys // num_cols, minlength=int(rows.max(initial=0)) + 1)
+    assert index.count_in_rows(rows) == int(per_row[rows].sum())
+    assert index.stats == {"lookups": 0, "keys_probed": 0, "hits": 0}  # no key read

@@ -96,6 +96,55 @@ class TestQueries:
         assert saved.space_bytes() == svdd_model.space_bytes()
 
 
+class TestBlockedScans:
+    """``column`` and ``reconstruct_all`` gather U in blocks; the row at
+    a time loop they replaced stays here as the reference.  One GEMM
+    sums a cell's k products in another order than k mat-vecs did, so
+    the results agree to 1e-12 of the cell — or, where the terms (or a
+    delta and the value it corrects) cancel, of the largest cell."""
+
+    @pytest.fixture(params=[1024, 64, 7], ids=lambda rows: f"block{rows}")
+    def block_rows(self, request, monkeypatch):
+        # 150 rows: one short block, two blocks and a ragged tail, many.
+        monkeypatch.setattr("repro.core.store._U_BLOCK_ROWS", request.param)
+        return request.param
+
+    def test_reconstruct_all_equals_the_per_row_loop(self, saved, block_rows):
+        cutoff, eigenvalues, v = saved.cutoff, saved._eigenvalues, saved._v
+        want = np.empty(saved.shape)
+        for index, u_row in saved.u_store.iter_rows():
+            want[index] = (u_row[:cutoff] * eigenvalues) @ v.T
+        index = saved.delta_index
+        want[index.rows, index.cols] += index.values
+        passes = saved.u_store.pass_count
+        np.testing.assert_allclose(
+            saved.reconstruct_all(), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+        assert saved.u_store.pass_count == passes + 1  # still one full scan
+
+    def test_column_equals_the_per_row_loop(self, saved, block_rows):
+        cutoff = saved.cutoff
+        for col in (0, 17, 365):
+            weights = saved._eigenvalues * saved._v[col]
+            want = np.empty(saved.shape[0])
+            for index, u_row in saved.u_store.iter_rows():
+                want[index] = float(u_row[:cutoff] @ weights)
+            delta_rows, delta_values = saved.delta_index.for_col(col)
+            want[delta_rows] += delta_values
+            passes = saved.u_store.pass_count
+            np.testing.assert_allclose(
+                saved.column(col), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
+            assert saved.u_store.pass_count == passes + 1
+
+    def test_scans_read_no_page_through_the_pager(self, saved):
+        reads = saved.u_io_stats.reads
+        saved.reconstruct_all()
+        saved.column(3)
+        assert saved.u_io_stats.reads == reads
+        assert saved.u_pool_stats.hits == saved.u_pool_stats.misses == 0
+
+
 class TestDiskAccessClaim:
     """Section 4.1: 'only a single disk access is required' per cell."""
 

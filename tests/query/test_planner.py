@@ -185,6 +185,71 @@ class TestPricing:
         assert cost_of(small) < cost_of(large)
 
 
+@pytest.fixture(scope="module")
+def phone_store(tmp_path_factory):
+    """The benchmark harness's fixed model: phone 4000 x 366 at a 10%
+    budget, 57,915 stored deltas — far more than any one query folds."""
+    from repro.core import CompressedMatrix
+    from repro.data import phone_matrix
+
+    directory = tmp_path_factory.mktemp("planner-phone") / "model"
+    build_compressed(phone_matrix(4000), directory, budget_fraction=0.10).close()
+    store = CompressedMatrix.open(directory)
+    yield store
+    store.close()
+
+
+def _cost(plan, route):
+    return next(c.cost_ms for c in plan.candidates if c.name == route)
+
+
+class TestFoldPricedBySelectedRows:
+    """The factor route's delta fold costs what the selected rows hold,
+    not what the model stores."""
+
+    def test_small_rectangle_on_a_delta_heavy_store_plans_factor(self, phone_store):
+        index = phone_store.delta_index
+        assert len(index) == 57915
+        idx = _resolve(phone_store, rows=range(100, 120), cols=range(40, 70))
+        plan = plan_aggregate(phone_store, "sum", *idx)
+        assert plan.route.name == ROUTE_FACTOR
+        # Priced at every stored delta, the same query streamed.
+        params = CostParams.for_backend(False)
+        fold = index.count_in_rows(idx[0])
+        whole_index = (len(index) - fold) * params.ns_per_cell / 1e6
+        assert _cost(plan, ROUTE_FACTOR) + whole_index > _cost(plan, ROUTE_STREAM)
+
+    def test_deltas_in_unselected_rows_do_not_move_the_price(self, svdd_model):
+        from dataclasses import replace
+
+        from repro.core.delta_index import DeltaIndex
+
+        rows, cols = svdd_model.shape
+        idx = _resolve(svdd_model, rows=range(10, 20), cols=range(0, 10))
+        mine = np.arange(12 * cols, 12 * cols + 5)  # five cells of row 12
+        elsewhere = np.arange(50 * cols, 60 * cols)  # ten unselected rows, full
+
+        def factor_cost(keys):
+            index = DeltaIndex(keys, np.ones(len(keys)), cols)
+            plan = plan_aggregate(replace(svdd_model, deltas=index), "sum", *idx)
+            return _cost(plan, ROUTE_FACTOR)
+
+        base = factor_cost(mine)
+        assert factor_cost(np.concatenate([mine, elsewhere])) == base
+        one_more = factor_cost(np.append(mine, 13 * cols))  # a selected row
+        assert one_more == pytest.approx(base + CostParams().ns_per_cell / 1e6)
+
+    def test_no_deltas_in_the_selected_rows_ties_svd_and_exact_wins(self, compressed):
+        index = compressed.delta_index
+        free = np.flatnonzero(np.bincount(index.rows, minlength=compressed.shape[0]) == 0)
+        idx = _resolve(compressed, rows=free[:6].tolist(), cols=range(0, 10))
+        assert index.count_in_rows(idx[0]) == 0
+        plan = plan_aggregate(compressed, "sum", *idx, max_rmspe=1.0)
+        assert _cost(plan, ROUTE_FACTOR) == _cost(plan, ROUTE_SVD)
+        assert plan.route.name == ROUTE_FACTOR  # ROUTES order breaks the tie
+        assert plan.route.error_bound == 0.0
+
+
 class TestMaxRmspeSemantics:
     def test_zero_budget_provably_never_selects_svd(self, compressed, svdd_model, data):
         """max_rmspe=0.0 rejects svd before pricing, on every backend,

@@ -121,3 +121,56 @@ class TestSteppedRanges:
             Selection(rows=range(0, 25, 6)).resolve((24, 4))
         with pytest.raises(QueryError):
             Selection(rows=range(-3, 9, 3)).resolve((24, 4))
+
+
+class TestNonIntegerIndices:
+    """An index NumPy would have to truncate or parse is a typed error,
+    not an answer about a different row or column."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.7, 2.2],
+            [1, 2.0],
+            np.array([1.0, 2.0]),
+            ["2"],
+            [True],
+            np.array([True, False]),
+            [None],
+            [2**63],  # fits uint64, not an index
+            [2**64],
+            [-(2**63) - 1],
+            [[1, 2], [3]],
+        ],
+        ids=repr,
+    )
+    def test_rejected_on_either_axis(self, bad):
+        with pytest.raises(QueryError, match="integers"):
+            Selection(rows=bad).resolve((10, 10))
+        with pytest.raises(QueryError, match="integers"):
+            Selection(cols=bad).resolve((10, 10))
+
+    @pytest.mark.parametrize(
+        "good",
+        [
+            [3, 1, 1],
+            (3, 1),
+            {1, 3},
+            (index for index in (3, 1)),
+            np.array([3, 1], dtype=np.int32),
+            np.array([3, 1], dtype=np.uint64),
+            [np.int64(3), 1],
+        ],
+        ids=lambda good: type(good).__name__,
+    )
+    def test_integer_spellings_still_resolve(self, good):
+        rows, _cols = Selection(rows=good).resolve((10, 10))
+        assert rows.dtype == np.int64
+        assert list(rows) == [1, 3]
+
+    def test_engine_raises_instead_of_answering_about_row_one(self):
+        from repro.query import AggregateQuery, QueryEngine
+
+        engine = QueryEngine(np.arange(20.0).reshape(4, 5))
+        with pytest.raises(QueryError):
+            engine.aggregate(AggregateQuery("sum", Selection(rows=[1.7], cols=[0])))
