@@ -72,7 +72,7 @@ from repro.exceptions import (
     ShapeError,
     StorageError,
 )
-from repro.linalg import default_eigensolver
+from repro.linalg import require_matrix, top_eigenvalues
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -83,7 +83,6 @@ from repro.storage.model_dir import (
     read_update_state,
     write_model,
 )
-from repro.structures.topk import TopKBuffer
 
 __all__ = [
     "AppendResult",
@@ -183,25 +182,18 @@ def _merge_deltas(
     """Top-``budget`` outliers (by |value|) among old and new candidates.
 
     Returns ``(keys, values, retained_sq)`` where ``retained_sq`` is the
-    squared-error mass the retained deltas correct exactly.
+    squared-error mass the retained deltas correct exactly.  One
+    partition over all candidates (the bounded queue of paper Fig. 5,
+    filled in one batch), then the kept keys sorted.
     """
-    queue = TopKBuffer(max(0, budget))
-    if old_keys.size:
-        queue.offer(old_keys, old_values, np.abs(old_values))
-    if new_keys.size:
-        queue.offer(new_keys, new_values, np.abs(new_values))
-    retained_sq = float(queue.retained_score_sq_sum())
-    keys, values, _scores = queue.finalize()
+    keys = np.concatenate([old_keys, new_keys])
+    values = np.concatenate([old_values, new_values])
+    scores = np.abs(values)
+    if scores.size > budget:
+        keep = np.argpartition(scores, -budget)[-budget:] if budget > 0 else slice(0)
+        keys, values, scores = keys[keep], values[keep], scores[keep]
     order = np.argsort(keys)
-    return keys[order], values[order], retained_sq
-
-
-def _fresh_spectrum_energy(gram: np.ndarray, cutoff: int) -> float:
-    """Energy a freshly computed rank-``cutoff`` spectrum would retain."""
-    from repro.core.svd import spectrum_from_gram
-
-    singular, _v = spectrum_from_gram(gram, cutoff, default_eigensolver())
-    return float((singular * singular).sum())
+    return keys[order], values[order], float((scores * scores).sum())
 
 
 def _drift_state(
@@ -220,7 +212,8 @@ def _drift_state(
         raise ConfigurationError(
             f"drift_threshold must be in (0, 1], got {threshold}"
         )
-    fresh = _fresh_spectrum_energy(gram, cutoff)
+    # Energy a freshly computed rank-``cutoff`` spectrum would retain.
+    fresh = float(top_eigenvalues(gram, cutoff).sum())
     captured = float(state["captured_energy"])
     drift = max(0.0, 1.0 - captured / fresh) if fresh > 0.0 else 0.0
     recommended = bool(state.get("rebuild_recommended")) or drift > threshold
@@ -273,13 +266,16 @@ def _finish_append(
         int(state.get("bytes_per_value", parts.bytes_per_value)),
         state.get("raw_bytes_per_value"),
     )
-    merged_keys, merged_values, retained_sq = _merge_deltas(
-        parts.delta_keys_at(shape[1]),
-        parts.delta_values,
-        candidate_keys,
-        candidate_values,
-        min(budget, shape[0] * shape[1]),
-    )
+    candidates = parts.delta_values.size + candidate_values.size
+    with _span("update.merge_deltas", candidates=candidates, budget=budget) as merge:
+        merged_keys, merged_values, retained_sq = _merge_deltas(
+            parts.delta_keys_at(shape[1]),
+            parts.delta_values,
+            candidate_keys,
+            candidate_values,
+            min(budget, shape[0] * shape[1]),
+        )
+        merge.set(kept=int(merged_keys.size))
 
     # Exact energy bookkeeping: residual = everything the factors and
     # the retained deltas do not explain.
@@ -299,12 +295,15 @@ def _finish_append(
     state["residual_sse"] = residual_sse
     state["appends"] = int(state.get("appends", 0)) + 1
     state[counter] = int(state.get(counter, 0)) + added
-    drift, threshold, recommended = _drift_state(state, gram, cutoff, drift_threshold)
+    with _span("update.drift", cols=shape[1]):
+        drift, threshold, recommended = _drift_state(
+            state, gram, cutoff, drift_threshold
+        )
     state["drift"] = drift
     state["drift_threshold"] = threshold
     state["rebuild_recommended"] = recommended
 
-    with staged_directory(parts.directory) as staging:
+    with _span("update.write_model"), staged_directory(parts.directory) as staging:
         write_model(
             staging,
             {**parts.meta, "rows": shape[0], "cols": shape[1]},
@@ -360,8 +359,10 @@ def append_columns(
             it, otherwise drops the summaries.
 
     The append costs two streamed passes over the on-disk ``U`` (each
-    ``O(N k)`` I/O), one ``(M+d)``-sized eigenproblem, and the delta
-    merge — independent of the original matrix's cells.
+    ``O(N k)`` I/O), the top-``k`` eigenvalues of the ``(M+d)``-sized
+    Gram (values only, the one ``O(M^3)`` term), and one partition over
+    the old deltas plus the ``N d`` new residuals — independent of the
+    original matrix's cells.
     """
     started = time.perf_counter()
     with read_model(Path(model_dir), for_append=True) as parts:
@@ -373,6 +374,7 @@ def append_columns(
             raise ShapeError(
                 f"new columns must be ({num_rows}, d>=1), got shape {x_new.shape}"
             )
+        require_matrix(x_new, "new columns")  # finite, before any pass over U
         added = x_new.shape[1]
         new_total_cols = num_cols + added
         lam, v = parts.eigenvalues, parts.v
@@ -471,6 +473,7 @@ def append_rows(
             raise ShapeError(
                 f"new rows must be (n>=1, {num_cols}), got shape {x_new.shape}"
             )
+        require_matrix(x_new, "new rows")  # finite, before any projection
         added = x_new.shape[0]
         lam, v = parts.eigenvalues, parts.v
 

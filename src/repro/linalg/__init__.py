@@ -17,7 +17,8 @@ provides the eigensolvers for that step:
   QL), the era-faithful from-scratch solver the paper's citation ships.
 
 All solvers implement the :class:`SymmetricEigensolver` interface and
-return eigenpairs sorted by decreasing eigenvalue.
+return eigenpairs sorted by decreasing eigenvalue;
+:func:`top_eigenvalues` is for callers that need no eigenvector.
 """
 
 from repro.linalg.eigen import (
@@ -27,6 +28,7 @@ from repro.linalg.eigen import (
     PowerIterationEigensolver,
     SymmetricEigensolver,
     default_eigensolver,
+    top_eigenvalues,
 )
 from repro.linalg.tridiagonal import (
     TridiagonalEigensolver,
@@ -50,6 +52,7 @@ __all__ = [
     "default_eigensolver",
     "householder_tridiagonalize",
     "ql_implicit_shift",
+    "top_eigenvalues",
     "is_column_orthonormal",
     "is_symmetric",
     "require_matrix",

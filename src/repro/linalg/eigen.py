@@ -249,6 +249,17 @@ class PowerIterationEigensolver(SymmetricEigensolver):
         return value, vector
 
 
+def top_eigenvalues(matrix: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` largest eigenvalues of a symmetric PSD ``matrix``, decreasing.
+
+    Values only — LAPACK stops after the tridiagonal reduction and never
+    forms eigenvectors, which is all a spectrum-energy sum (the append's
+    drift estimate) needs.  Round-off negatives are clipped to 0.
+    """
+    values = np.linalg.eigvalsh(require_symmetric(matrix))
+    return np.maximum(values[::-1][: max(k, 0)], 0.0)
+
+
 def default_eigensolver() -> SymmetricEigensolver:
     """The solver used when callers don't specify one (LAPACK-backed)."""
     return NumpyEigensolver()

@@ -294,22 +294,6 @@ def _derive_col_stats(col_blocks: np.ndarray) -> np.ndarray:
 # -- append support: churn and dirty tiles ---------------------------------
 
 
-def _values_at(
-    probe_keys: np.ndarray, table_keys: np.ndarray, table_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(present, values)`` of each probe key in a sorted key table."""
-    if table_keys.size == 0 or probe_keys.size == 0:
-        return (
-            np.zeros(probe_keys.shape, dtype=bool),
-            np.zeros(probe_keys.shape, dtype=np.float64),
-        )
-    pos = np.searchsorted(table_keys, probe_keys)
-    clipped = np.minimum(pos, table_keys.size - 1)
-    present = (pos < table_keys.size) & (table_keys[clipped] == probe_keys)
-    values = np.where(present, table_values[clipped], 0.0)
-    return present, values
-
-
 def changed_cells(
     old_keys: np.ndarray,
     old_values: np.ndarray,
@@ -322,15 +306,22 @@ def changed_cells(
     appends re-run the delta budget competition, which can *evict* old
     outliers — a cell whose delta disappears reconstructs differently,
     so its tile is dirty even though no data near it changed.  Both key
-    arrays must address the same (post-append) key space.
+    arrays must be sorted and unique and address the same (post-append)
+    key space; the result is sorted.
     """
-    all_keys = np.union1d(old_keys, new_keys)
-    old_present, old_vals = _values_at(all_keys, old_keys, old_values)
-    new_present, new_vals = _values_at(all_keys, new_keys, new_values)
-    changed = (old_present != new_present) | (
-        old_present & new_present & (old_vals != new_vals)
-    )
-    return all_keys[changed]
+    if old_keys.size == 0 or new_keys.size == 0:
+        return np.concatenate([old_keys, new_keys])
+    # Sorted merge: where each new key sits among the old ones (clipped,
+    # so a key past the last old key compares unequal instead of
+    # indexing out of range).
+    pos = np.minimum(np.searchsorted(old_keys, new_keys), old_keys.size - 1)
+    kept = old_keys[pos] == new_keys
+    survivors = pos[kept]
+    evicted = np.ones(old_keys.size, dtype=bool)
+    evicted[survivors] = False
+    moved = ~kept  # admitted, or kept with a different value
+    moved[kept] = old_values[survivors] != new_values[kept]
+    return np.sort(np.concatenate([old_keys[evicted], new_keys[moved]]))
 
 
 def dirty_tiles(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from repro.core import CompressedMatrix, SVDDCompressor, space
 from repro.core.build import build_compressed
 from repro.core.update import append_columns, append_rows, load_update_state
-from repro.data import phone_matrix
+from repro.core.svd import spectrum_from_gram
+from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ChecksumError, FormatError, ShapeError
+from repro.obs.tracing import span
 from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
 
 
@@ -168,6 +171,39 @@ class TestAppendRows:
         assert state["cols_appended"] == 14
 
 
+class TestNonFiniteRejected:
+    """NaN/inf in the appended data is refused by name, up front - not by
+    the eigensolver's symmetry guard after both passes over U."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["columns", "rows"])
+    def test_rejected_before_anything_is_staged(self, built, kind, bad):
+        directory, full = built
+        if kind == "columns":
+            append, new = append_columns, full[:200, 366:].copy()
+        else:
+            append, new = append_rows, full[200:, :366].copy()
+        new[3, 2] = bad
+        before = {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+        with warnings.catch_warnings():
+            # An inf reaching the projection warns in matmul/subtract.
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=f"new {kind} contains NaN or infinite"):
+                append(directory, new)
+        assert not list(directory.parent.glob("*.staging*"))
+        after = {f.name: f.read_bytes() for f in sorted(directory.iterdir())}
+        assert after == before  # every file, the manifest included
+        new[3, 2] = 1.0
+        assert append(directory, new).appended == new.shape[kind == "columns"]
+
+    def test_single_vector_with_nan_names_the_columns(self, built):
+        directory, full = built
+        day = full[:200, 366].copy()
+        day[17] = np.nan
+        with pytest.raises(ShapeError, match="new columns contains NaN"):
+            append_columns(directory, day)
+
+
 class TestReaderIsolation:
     def test_open_reader_keeps_pre_append_snapshot(self, built):
         directory, full = built
@@ -275,6 +311,38 @@ class TestDriftAndRebuildFlag:
         append_columns(directory, full[:200, 366:], drift_threshold=0.42)
         assert load_update_state(directory)["drift_threshold"] == 0.42
 
+    def test_stored_drift_matches_full_decomposition_through_lifecycle(self, tmp_path):
+        """The append sums eigenvalues only; the stored drift must still
+        be what the full eigendecomposition of the stored Gram gives."""
+        rng = np.random.default_rng(1997)
+        grown = phone_matrix(2000, PhoneConfig(num_days=128))
+        directory = tmp_path / "model"
+        with build_compressed(grown, directory, 0.10) as store:
+            cutoff = store.cutoff
+
+        def reference_drift():
+            state = load_update_state(directory)
+            singular, _v = spectrum_from_gram(np.load(directory / GRAM_NAME), cutoff)
+            fresh = float((singular * singular).sum())
+            return state["drift"], 1.0 - state["captured_energy"] / fresh
+
+        for _ in range(3):
+            # The same weekdays 18 weeks back, under fresh noise.
+            source = grown[:, grown.shape[1] - 126 :][:, :7]
+            new_days = source * rng.lognormal(0.0, 0.25, source.shape)
+            result = append_columns(directory, new_days)
+            grown = np.hstack([grown, new_days])
+            stored, reference = reference_drift()
+            assert reference > 1e-5
+            assert result.drift == stored == pytest.approx(reference, rel=1e-9)
+
+        new_rows = grown[rng.integers(0, 2000, 37)] * rng.lognormal(0.0, 0.25, (37, 149))
+        result = append_rows(directory, new_rows)
+        stored, reference = reference_drift()
+        # Rows projected through the appended (no longer orthonormal) V
+        # over-count captured energy here: the ratio passes 1, drift clips.
+        assert result.drift == stored == pytest.approx(max(0.0, reference), rel=1e-9)
+
 
 class TestPrerequisites:
     def test_legacy_model_without_state_rejected(self, tmp_path, phone_small):
@@ -310,6 +378,24 @@ class TestMetrics:
         assert enabled_registry.counter("update.cols_appended").value == 14
         assert enabled_registry.counter("update.rows_appended").value == 40
         assert enabled_registry.gauge("update.drift").value >= 0.0
+
+
+class TestSpans:
+    def test_append_phases_are_spans(self, built, enabled_registry):
+        directory, full = built
+        with CompressedMatrix.open(directory) as store:
+            old_deltas = store.num_deltas
+        with span("test.append") as root:
+            result = append_columns(directory, full[:200, 366:])
+        merge = root.find("update.merge_deltas")
+        assert merge.attrs["candidates"] == old_deltas + 200 * 14
+        assert merge.attrs["kept"] == result.num_deltas <= merge.attrs["budget"]
+        assert root.find("update.drift").attrs == {"cols": 380}
+        write = root.find("update.write_model")
+        assert write.find("update.summaries") is not None
+        children = [child.name for child in root.children]
+        assert children.index("update.merge_deltas") < children.index("update.drift")
+        assert children[-1] == "update.write_model"
 
 
 class TestSpaceAccounting:

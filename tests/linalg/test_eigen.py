@@ -14,6 +14,7 @@ from repro.linalg import (
     NumpyEigensolver,
     PowerIterationEigensolver,
     default_eigensolver,
+    top_eigenvalues,
 )
 
 SOLVERS = [NumpyEigensolver(), JacobiEigensolver(), PowerIterationEigensolver()]
@@ -162,6 +163,45 @@ class TestEigenResult:
         mat = random_psd(rng, 5)
         result = default_eigensolver().decompose(mat)
         assert isinstance(result, EigenResult)
+
+
+class TestTopEigenvalues:
+    """Values only (``eigvalsh``) against the full decomposition's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(min_value=1, max_value=40),
+        rank=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=45),
+    )
+    def test_matches_decompose_top_on_psd_grams(self, seed, size, rank, k):
+        sample_rng = np.random.default_rng(seed)
+        # rank < size: a rank-deficient Gram whose tail eigenvalues are
+        # round-off, possibly negative.
+        x = sample_rng.standard_normal((rank, size)) * 10.0 ** sample_rng.integers(-2, 4)
+        gram = x.T @ x
+        values = top_eigenvalues(gram, k)
+        want = np.maximum(NumpyEigensolver().decompose_top(gram, k).values, 0.0)
+        assert values.shape == (min(k, size),)
+        assert np.all(values >= 0.0) and np.all(np.diff(values) <= 0.0)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=1e-12 * want[0])
+
+    def test_negative_roundoff_is_clipped(self):
+        gram = np.diag([4.0, 1.0, -1e-18])
+        np.testing.assert_array_equal(top_eigenvalues(gram, 3), [4.0, 1.0, 0.0])
+
+    def test_rejects_asymmetric(self):
+        mat = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ShapeError):
+            top_eigenvalues(mat, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        mat = np.eye(3)
+        mat[1, 1] = bad
+        with pytest.raises(ShapeError, match="NaN or infinite"):
+            top_eigenvalues(mat, 2)
 
 
 @settings(max_examples=25, deadline=None)
