@@ -4,11 +4,16 @@ health states, and graceful drain.
 Two layers live here:
 
 - :class:`GracefulHTTPServer` + :class:`HealthState` +
-  :class:`BaseEndpointHandler` — the stdlib-only serving substrate
-  (``http.server.HTTPServer`` accepting in a daemon thread, handing
-  each connection to a reused handler thread) shared by
-  the metrics endpoint below and the query tier in
-  :mod:`repro.serve.server`.  The server counts in-flight requests so
+  :class:`BaseEndpointHandler` — the serving substrate shared by the
+  metrics endpoint below and the query tier in
+  :mod:`repro.serve.server`.  **Thread model:** the server owns the
+  listening socket; every handler thread blocks in ``accept()`` on it
+  itself (the kernel wakes exactly one per connection), then reads the
+  request head, routes it and writes the response — one ``recv``, one
+  parse by splitting, one ``sendall`` — and loops.  A handler that was
+  the last idle one starts a standby before it serves, so a health
+  probe is accepted even while every other handler sits in a slow
+  request.  The server counts in-flight requests so
   :meth:`GracefulHTTPServer.drain` can wait them out under a bounded
   grace period, and the health state splits *liveness* (the process is
   up) from *readiness* (it should receive new traffic) the way
@@ -42,11 +47,15 @@ directly::
 
 from __future__ import annotations
 
+import functools
 import json
-import queue
+import re
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import traceback
+from email.utils import formatdate
+from http import HTTPStatus
 
 from repro.obs.export import render_openmetrics
 from repro.obs.registry import MetricsRegistry, registry as _default_registry
@@ -62,6 +71,14 @@ __all__ = [
 OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
+
+_TEXT = "text/plain; charset=utf-8"
+
+# Request-head limits (the stdlib server's, kept): bytes, header lines.
+_MAX_HEAD = 65536
+_MAX_HEADERS = 100
+
+_HEAD_END = re.compile(rb"\r?\n\r?\n")  # a bare LF ends a line too
 
 
 class HealthState:
@@ -89,73 +106,86 @@ class HealthState:
             self._ready.clear()
 
 
-class GracefulHTTPServer(HTTPServer):
-    """An HTTPServer with reused handler threads and a bounded drain.
+class GracefulHTTPServer:
+    """A listening socket served by reused handler threads, with a
+    bounded drain.
 
-    The accept loop hands each connection to an idle handler thread and
-    starts a new one only when none is idle, so the thread count
-    follows peak concurrency (admission, not a pool size, is what
-    sheds) and no request pays for a thread start.  Handlers live until
-    :meth:`server_close`.  A connection counts as in flight from the
-    hand-off until its response is written, so :meth:`drain` can block
-    — bounded by a grace period — on accepted-but-unstarted requests
-    as well as running ones.
+    Handler threads accept for themselves (no accept loop, no hand-off:
+    the module docstring's thread model) and live until
+    :meth:`server_close`; their count follows peak concurrency plus the
+    standby — admission, not a pool size, is what sheds — so no request
+    pays for a thread start once warm.  A connection counts as in
+    flight from its ``accept()`` until its response is written, so
+    :meth:`drain` also waits on connected-but-silent clients.
+
+    Args:
+        address: ``(host, port)`` to bind; port 0 picks a free one
+            (read it back from ``server_address``).
+        handler_class: the :class:`BaseEndpointHandler` subclass to
+            serve each connection with.
     """
 
-    #: Listen backlog.  socketserver's default of 5 overflows under a
-    #: burst of concurrent connections, and an overflowed backlog shows
-    #: up as 1s/3s SYN-retransmit latency spikes on *admitted* requests
-    #: — the admission queue, not the kernel, is where this tier sheds.
-    request_queue_size = 128
-
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, address: tuple[str, int], handler_class: type) -> None:
+        self._handler_class = handler_class
         self._active = 0
         self._idle = 0
-        self._active_cond = threading.Condition()
-        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        self._stopping = False
+        self._cond = threading.Condition()
         self._handlers: list[threading.Thread] = []
-        # Last: a failed bind calls server_close(), which reads the above.
-        super().__init__(*args, **kwargs)
+        # Backlog 128: a small one overflows under a burst of concurrent
+        # connections, which shows up as 1s/3s SYN-retransmit latency
+        # spikes on *admitted* requests — the admission queue, not the
+        # kernel, is where this tier sheds.
+        self._listener = socket.create_server(address, backlog=128)
+        self.server_address = self._listener.getsockname()
+        self._start_handler()
 
-    def process_request(self, request, client_address) -> None:
-        """Hand one accepted connection to a handler thread."""
-        with self._active_cond:
-            self._active += 1
-            reuse = self._idle > 0
-            if reuse:
-                self._idle -= 1  # that handler is now spoken for
-        self._handoff.put((request, client_address))
-        if not reuse:
-            handler = threading.Thread(
-                target=self._handle_connections,
-                name=f"repro-http-handler-{len(self._handlers)}",
-                daemon=True,
-            )
-            self._handlers.append(handler)
-            handler.start()
+    def _start_handler(self) -> None:
+        """Start a handler thread, counted idle (later callers hold ``_cond``)."""
+        self._idle += 1
+        handler = threading.Thread(
+            target=self._handle_connections,
+            name=f"repro-http-handler-{len(self._handlers)}",
+            daemon=True,
+        )
+        self._handlers.append(handler)
+        handler.start()
 
     def _handle_connections(self) -> None:
-        """One handler thread: serve connections until told to stop."""
-        while (item := self._handoff.get()) is not None:
-            request, client_address = item
+        """One handler thread: accept and serve until the listener stops."""
+        while True:
             try:
-                self.finish_request(request, client_address)
+                connection, _address = self._listener.accept()
+            except OSError:  # drain()'s wake, or a transient failure
+                with self._cond:
+                    if not self._stopping:
+                        continue
+                    self._idle -= 1
+                    self._cond.notify_all()
+                return
+            with self._cond:
+                self._active += 1
+                self._idle -= 1
+                if self._idle == 0 and not self._stopping:
+                    self._start_handler()  # the standby
+            try:
+                self._handler_class(connection).handle()
             except Exception:
-                self.handle_error(request, client_address)
+                # The boundary that must keep serving: record, move on.
+                traceback.print_exc()
             finally:
-                self.shutdown_request(request)
-                with self._active_cond:
+                connection.close()
+                with self._cond:
                     self._active -= 1
                     self._idle += 1
-                    self._active_cond.notify_all()
+                    self._cond.notify_all()
 
     def server_close(self) -> None:
         """Close the listener and stop the handler threads (a handler
         still inside a request past the drain grace is a daemon; it is
         not waited for beyond a second)."""
-        super().server_close()
-        for _handler in self._handlers:
-            self._handoff.put(None)
+        self.drain(0.0)
+        self._listener.close()
         deadline = time.monotonic() + 1.0
         for handler in self._handlers:
             handler.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -163,47 +193,141 @@ class GracefulHTTPServer(HTTPServer):
 
     @property
     def handler_threads(self) -> int:
-        """Handler threads started so far (peak concurrency)."""
+        """Handler threads started so far (peak concurrency + standby)."""
         return len(self._handlers)
 
     @property
     def active_requests(self) -> int:
-        with self._active_cond:
+        with self._cond:
             return self._active
 
     def drain(self, grace_s: float) -> bool:
-        """Wait until no requests are in flight, bounded by ``grace_s``.
+        """Stop accepting, then wait until no requests are in flight,
+        bounded by ``grace_s``.
 
         Returns True when the server drained fully, False when the
         grace period expired with requests still running (the caller
         closes anyway — bounded beats graceful when they conflict).
+        Handlers blocked in ``accept()`` are woken — by
+        ``listener.shutdown(SHUT_RDWR)``, which fails a blocked
+        ``accept()`` on Linux, where this tier runs and is tested;
+        closing the socket would not — and waited out too, so a
+        connection is either counted in flight or refused.
         """
-        deadline = time.monotonic() + max(0.0, grace_s)
-        with self._active_cond:
-            while self._active > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._active_cond.wait(timeout=remaining)
-        return True
+        with self._cond:
+            self._stopping = True
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already shut down
+            return self._cond.wait_for(
+                lambda: self._active == 0 and self._idle == 0,
+                timeout=max(0.0, grace_s),
+            )
 
 
-class BaseEndpointHandler(BaseHTTPRequestHandler):
-    """Shared request-handler plumbing: replies, health routes, quiet logs.
+class _Headers(dict):
+    """Request headers, keyed by lower-cased name."""
 
-    Subclasses set ``health`` (class attribute, bound per-server) and
-    route unknown paths through :meth:`handle_health` before 404ing.
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value — cached, so formatted once a second."""
+    return formatdate(second, usegmt=True)
+
+
+class BaseEndpointHandler:
+    """One connection, one request: read the head, route, reply once.
+
+    Subclasses implement ``do_GET`` against ``command``, ``path`` and
+    ``headers`` (case-insensitive ``get``), set ``health`` (class
+    attribute, bound per-server) and route unknown paths through
+    :meth:`handle_health` before 404ing.  The parser accepts what this
+    tier serves and nothing else: ``GET <target> HTTP/1.x`` plus at
+    most 100 ``name: value`` header lines in at most 64 KiB; anything
+    else is answered 400 / 414 / 431 / 501 / 505 before a route runs.
     """
 
-    protocol_version = "HTTP/1.1"
-
-    #: Socket timeout, seconds (``StreamRequestHandler`` applies it).  A
-    #: client that connects and sends nothing would otherwise pin a
-    #: handler thread forever and hold every drain to its grace cap.
+    #: Seconds a client has to deliver its whole request head (and to
+    #: take the response); past it the connection is hung up on.  A
+    #: client that sends nothing, or drips a byte at a time, would
+    #: otherwise pin a handler thread and hold every drain to its grace.
     timeout = 2.0
 
     # Bound by the owning server object before serving starts.
     health: HealthState | None = None
+
+    def __init__(self, connection: socket.socket) -> None:
+        self.connection = connection
+
+    def handle(self) -> None:
+        """Serve the connection's one request."""
+        head = self._read_head()
+        if head is None:
+            return
+        refusal = self._parse_head(head)
+        if refusal is None:
+            self.do_GET()
+        else:
+            self._reply(refusal[0], _TEXT, f"{refusal[1]}\n".encode())
+
+    def _read_head(self) -> bytearray | None:
+        """The request head up to its blank line (what follows it — a
+        body, a pipelined request — is ignored: every response closes
+        the connection), as far as it was read when oversized, or None
+        when the peer hung up or ran past the deadline first."""
+        deadline = time.monotonic() + self.timeout
+        received = bytearray()
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            self.connection.settimeout(remaining)
+            try:
+                chunk = self.connection.recv(_MAX_HEAD)
+            except OSError:  # timeout or reset
+                return None
+            if not chunk:
+                return None
+            scanned = max(0, len(received) - 3)  # a blank line may straddle
+            received += chunk
+            end = _HEAD_END.search(received, scanned)
+            if end is not None:
+                return received[: end.start()]
+            if len(received) > _MAX_HEAD:
+                return received
+
+    def _parse_head(self, head: bytearray) -> tuple[int, str] | None:
+        """Fill ``command`` / ``path`` / ``headers``, or return the
+        ``(status, message)`` to refuse the head with."""
+        lines = head.decode("latin-1").split("\n")
+        if len(lines[0]) > _MAX_HEAD:
+            return 414, "request line too long"
+        if len(head) > _MAX_HEAD:
+            return 431, "request head too large"
+        words = lines[0].split()
+        if len(words) != 3:
+            return 400, "bad request line"
+        self.command, self.path, version = words
+        self.headers = _Headers()
+        if not version.startswith("HTTP/"):
+            return 400, "bad HTTP version"
+        if not version.startswith("HTTP/1."):
+            return 505, "HTTP version not supported"
+        if len(lines) - 1 > _MAX_HEADERS:
+            return 431, "too many headers"
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon or not name or name != name.strip():
+                return 400, "bad header line"
+            # The first of a repeated header wins, as it did.
+            self.headers.setdefault(name.lower(), value.strip())
+        if self.command != "GET":
+            return 501, f"unsupported method {self.command!r}"
+        return None
 
     def _reply(
         self,
@@ -212,21 +336,24 @@ class BaseEndpointHandler(BaseHTTPRequestHandler):
         body: bytes,
         extra_headers: dict | None = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
         # One request per connection: an idle keep-alive connection
         # would pin a handler thread and stall drain() at its grace
         # cap, so the in-flight count must mean *requests*, not
-        # connections.  (send_header('Connection', 'close') also flips
-        # close_connection for us.)
-        self.send_header("Connection", "close")
+        # connections.
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            "Server: repro\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n"
+        )
         for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
+            head += f"{name}: {value}\r\n"
         try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
+            self.connection.settimeout(self.timeout)
+            self.connection.sendall(head.encode("latin-1") + b"\r\n" + body)
+        except OSError:
             pass  # client went away; nothing to salvage
 
     def handle_health(self, path: str) -> bool:
@@ -238,18 +365,15 @@ class BaseEndpointHandler(BaseHTTPRequestHandler):
         :class:`HealthState` — 503 while warming up or draining.
         """
         if path in ("/healthz", "/healthz/live"):
-            self._reply(200, "text/plain; charset=utf-8", b"ok\n")
+            self._reply(200, _TEXT, b"ok\n")
             return True
         if path == "/healthz/ready":
             if self.health is not None and self.health.ready:
-                self._reply(200, "text/plain; charset=utf-8", b"ready\n")
+                self._reply(200, _TEXT, b"ready\n")
             else:
-                self._reply(503, "text/plain; charset=utf-8", b"not ready\n")
+                self._reply(503, _TEXT, b"not ready\n")
             return True
         return False
-
-    def log_message(self, format, *args) -> None:
-        """Silence per-request stderr chatter; scrapes are frequent."""
 
 
 class _MetricsHandler(BaseEndpointHandler):
@@ -258,7 +382,7 @@ class _MetricsHandler(BaseEndpointHandler):
     # Set by MetricsServer before the server starts.
     registry: MetricsRegistry = _default_registry
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def do_GET(self) -> None:
         path = self.path.split("?", 1)[0]
         if path == "/metrics":
             body = render_openmetrics(registry=self.registry).encode()
@@ -273,7 +397,7 @@ class _MetricsHandler(BaseEndpointHandler):
 
 
 class MetricsServer:
-    """Serves the registry over HTTP from a background daemon thread.
+    """Serves the registry over HTTP from background daemon threads.
 
     Args:
         host: bind address; default loopback only.
@@ -297,7 +421,6 @@ class MetricsServer:
         self._port = int(port)
         self._registry = registry or _default_registry
         self._server: GracefulHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self.health = HealthState()
 
     @property
@@ -316,7 +439,7 @@ class MetricsServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "MetricsServer":
-        """Bind and start serving in a daemon thread; returns self."""
+        """Bind and start serving on daemon threads; returns self."""
         if self._server is not None:
             return self
         handler = type(
@@ -325,29 +448,18 @@ class MetricsServer:
             {"registry": self._registry, "health": self.health},
         )
         self._server = GracefulHTTPServer((self._host, self._port), handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics-http",
-            daemon=True,
-        )
-        self._thread.start()
         self.health.set_ready(True)
         return self
 
     def stop(self, drain_grace_s: float = 2.0) -> None:
-        """Drain and shut down: readiness flips first, then the accept
-        loop stops, in-flight scrapes get ``drain_grace_s`` to finish,
-        and the listener closes."""
-        server, thread = self._server, self._thread
-        self._server = None
-        self._thread = None
+        """Drain and shut down: readiness flips first, then accepting
+        stops, in-flight scrapes get ``drain_grace_s`` to finish, and
+        the listener closes."""
+        server, self._server = self._server, None
         self.health.set_ready(False)
         if server is not None:
-            server.shutdown()
             server.drain(drain_grace_s)
             server.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

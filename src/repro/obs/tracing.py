@@ -31,8 +31,9 @@ and worker, joined on the trace id.
 from __future__ import annotations
 
 import contextvars
+import os
+import random
 import time
-import uuid
 
 from repro.obs.registry import registry
 
@@ -56,9 +57,17 @@ _TRACE: contextvars.ContextVar["str | None"] = contextvars.ContextVar(
 )
 
 
+# One generator per process, seeded from the OS once, so drawing an id
+# is no system call (``uuid4`` reads ``os.urandom``, dropping the GIL,
+# per id).  A forked child re-seeds or it would replay its parent's ids.
+_ids = random.Random(os.urandom(16))
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
+
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id."""
-    return uuid.uuid4().hex[:16]
+    return f"{_ids.getrandbits(64):016x}"
 
 
 def current_trace_id() -> str | None:

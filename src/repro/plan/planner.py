@@ -121,6 +121,10 @@ class QueryPlan:
     with reasons.  ``summary_plan`` carries the
     :class:`~repro.summaries.store.SummaryPlan` computed during
     planning so execution reuses it instead of re-deriving coverage.
+    ``row_idx`` / ``col_idx`` (the resolved selection) and ``backend``
+    (the source it was priced against) travel with the decision, so
+    :meth:`repro.query.engine.QueryEngine.execute` can be handed the
+    plan and run exactly it — against that backend or not at all.
     """
 
     route: RouteEstimate
@@ -129,6 +133,9 @@ class QueryPlan:
     cells: int
     max_rmspe: float | None
     summary_plan: object | None = field(default=None, repr=False)
+    row_idx: np.ndarray | None = field(default=None, repr=False, compare=False)
+    col_idx: np.ndarray | None = field(default=None, repr=False, compare=False)
+    backend: object | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The explain payload — superset of the pre-planner keys."""
@@ -394,6 +401,9 @@ def plan_aggregate(
         cells=cells,
         max_rmspe=max_rmspe,
         summary_plan=summary_plan,
+        row_idx=row_idx,
+        col_idx=col_idx,
+        backend=backend,
     )
 
 

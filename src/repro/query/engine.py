@@ -209,18 +209,23 @@ class QueryEngine:
         """Shape of the matrix being queried."""
         return self._backend.shape
 
-    def execute(self, query: "CellQuery | AggregateQuery | tuple") -> QueryResult:
+    def execute(
+        self,
+        query: "CellQuery | AggregateQuery | tuple",
+        plan: QueryPlan | None = None,
+    ) -> QueryResult:
         """Answer any engine query object by dispatching on its type.
 
         The single entry point the executors (thread- and process-based)
         and the CLI batch runner share: :class:`CellQuery` and ``(row,
         col)`` tuples go to :meth:`cell`, :class:`AggregateQuery` to
-        :meth:`aggregate`.
+        :meth:`aggregate` (with ``plan``, when the caller holds this
+        query's already; cells are not planned).
         """
         if isinstance(query, (CellQuery, tuple)):
             return self.cell(query)
         if isinstance(query, AggregateQuery):
-            return self.aggregate(query)
+            return self.aggregate(query, plan=plan)
         raise QueryError(
             f"unsupported query type {type(query).__name__}: expected "
             "CellQuery, AggregateQuery, or (row, col)"
@@ -309,10 +314,9 @@ class QueryEngine:
         admissible route satisfies the budget (so explain and execute
         fail identically too).
         """
-        plan, _row_idx, _col_idx = self._plan(query, self._backend, max_rmspe)
-        return plan
+        return self._plan(query, self._backend, max_rmspe)
 
-    def _plan(self, query: AggregateQuery, backend: Backend, max_rmspe):
+    def _plan(self, query: AggregateQuery, backend: Backend, max_rmspe) -> QueryPlan:
         """Resolve the selection and route it through the planner."""
         budget = (
             validate_max_rmspe(max_rmspe)
@@ -322,7 +326,7 @@ class QueryEngine:
         row_idx, col_idx = query.selection.resolve(backend.shape)
         if row_idx.size == 0 or col_idx.size == 0:
             raise QueryError("aggregate over an empty selection")
-        plan = plan_aggregate(
+        return plan_aggregate(
             backend,
             query.function,
             row_idx,
@@ -332,10 +336,13 @@ class QueryEngine:
             use_summaries=self._use_summaries,
             max_rmspe=budget,
         )
-        return plan, row_idx, col_idx
 
     def aggregate(
-        self, query: AggregateQuery, *, max_rmspe: float | None = None
+        self,
+        query: AggregateQuery,
+        *,
+        max_rmspe: float | None = None,
+        plan: QueryPlan | None = None,
     ) -> QueryResult:
         """Answer an aggregate query along its planned route.
 
@@ -349,16 +356,26 @@ class QueryEngine:
         carries a :class:`~repro.obs.profile.QueryProfile` with the
         path taken, page accesses (measured *and* planner-predicted),
         pool hit rate, and phase timings.
+
+        ``plan`` hands back what :meth:`plan` returned for this very
+        query, so a caller that planned in order to route (the serving
+        tier) pays for no second plan.  It is executed as is while its
+        backend is still this engine's; after a :meth:`refresh` the
+        query is re-planned under the same budget, never answered from
+        a mix of the two.
         """
         backend = self._backend
-        plan, row_idx, col_idx = self._plan(query, backend, max_rmspe)
+        if plan is None:
+            plan = self._plan(query, backend, max_rmspe)
+        elif plan.backend is not backend:
+            plan = self._plan(query, backend, plan.max_rmspe)
         if not _obs.enabled:
-            return self._execute_plan(query, plan, row_idx, col_idx, backend)
+            return self._execute_plan(query, plan)
         _obs.counter(f"planner.route.{plan.route.name}").inc()
         capture = StatDelta(backend)
         start = time.perf_counter_ns()
         with _span("query.aggregate", function=query.function) as root:
-            result = self._execute_plan(query, plan, row_idx, col_idx, backend)
+            result = self._execute_plan(query, plan)
         profile = QueryProfile(
             path=result.route,
             function=query.function,
@@ -378,21 +395,15 @@ class QueryEngine:
         _slowlog.maybe_record(query, profile, root)
         return replace(result, profile=profile)
 
-    def _execute_plan(
-        self,
-        query: AggregateQuery,
-        plan: QueryPlan,
-        row_idx: np.ndarray,
-        col_idx: np.ndarray,
-        backend: Backend,
-    ) -> QueryResult:
+    def _execute_plan(self, query: AggregateQuery, plan: QueryPlan) -> QueryResult:
         """Execute the planner's chosen route against one snapshot.
 
-        ``backend`` is the one reference the caller read on entry, so
-        the whole evaluation — planning, fast path, and every streamed
-        chunk — sees a single backend even if :meth:`refresh` swaps the
-        engine's backend mid-query.
+        ``plan.backend`` is the one reference the plan was made
+        against, so the whole evaluation — planning, fast path, and
+        every streamed chunk — sees a single backend even if
+        :meth:`refresh` swaps the engine's backend mid-query.
         """
+        backend, row_idx, col_idx = plan.backend, plan.row_idx, plan.col_idx
         route = plan.route.name
         if route in (ROUTE_SUMMARY, ROUTE_SUMMARY_FACTOR):
             return self._run_summary(query.function, plan, backend)
@@ -542,5 +553,4 @@ class QueryEngine:
         if isinstance(query, (CellQuery, tuple)):
             _as_cell_query(query)  # arity/type validation only
             return {"path": "cell", "cells": 1, "estimated_row_fetches": 1}
-        plan, _row_idx, _col_idx = self._plan(query, self._backend, max_rmspe)
-        return plan.to_dict()
+        return self._plan(query, self._backend, max_rmspe).to_dict()

@@ -27,16 +27,19 @@ request flows through it as:
    stored residual estimate.  Queries with no admissible route
    (:class:`~repro.exceptions.RouteUnavailableError`) are shed instead
    of silently served wrong;
-5. **execute where you planned** — a healthy request is planned on the
-   parent's delta-capable engine (the twin of the worker engines).  A
-   plan that gathers no rows of U (``row_fetches == 0``: a full
-   ``summary`` hit, ``count``) and a single-cell probe (one mapped row)
-   are executed right there: the answer costs less than pickling the
-   question.  Such an answer says nothing about the pool, so it
-   neither consults the breaker (it must not take the half-open probe
-   slot) nor records a success on it;
+5. **execute where you planned, what you planned** — a healthy
+   aggregate is planned exactly once, on the parent's delta-capable
+   engine (the twin of the worker engines).  A plan that gathers no
+   rows of U (``row_fetches == 0``: a full ``summary`` hit, ``count``)
+   is handed back to that engine and executed right there, as is a
+   single-cell probe (one mapped row, never planned): the answer costs
+   less than pickling the question.  Such an answer says nothing about
+   the pool, so it neither consults the breaker (it must not take the
+   half-open probe slot) nor records a success on it;
 6. **pool** — every plan that gathers (``factor``, ``stream``,
-   ``summary+factor``) crosses to a worker, past the **breaker**
+   ``summary+factor``) crosses to a worker — as the query, not the
+   plan: nothing of a plan is pickled, the worker makes its own —
+   past the **breaker**
    (:mod:`repro.serve.breaker`, fed by the executor's ``on_rebuild``
    hook; a refusal is answered as in 4) with its deadline travelling
    with the task: still queued when it expires, it is dropped *in the
@@ -244,20 +247,24 @@ class RobustDispatcher:
             self._note_shed()
             raise
 
-    def _gathers(self, query) -> bool:
-        """True when the healthy plan for ``query`` gathers rows of U.
+    @staticmethod
+    def _plan(engine: QueryEngine, query):
+        """``engine``'s plan for an aggregate — the one object a request
+        is routed by, executed with or explained from — or None for a
+        cell probe, which is never planned."""
+        return engine.plan(query) if isinstance(query, AggregateQuery) else None
+
+    @staticmethod
+    def _gathers(plan) -> bool:
+        """True when ``plan`` gathers rows of U.
 
         Gathers are the pool's work; what is left — full rollup hits,
-        ``count``, one mapped row for a cell — the parent answers.  The
-        test is ``row_fetches``, not ``pages``: a mapped backend's pages
-        are logical only, so every route plans ``pages == 0``.  (The
-        engine cannot be handed a plan to execute, so a parent-side
-        aggregate is planned again inside ``execute``: 15-35 us.)
+        ``count``, one mapped row for a cell (no plan) — the parent
+        answers.  The test is ``row_fetches``, not ``pages``: a mapped
+        backend's pages are logical only, so every route plans
+        ``pages == 0``.
         """
-        return (
-            isinstance(query, AggregateQuery)
-            and self._planning.plan(query).route.row_fetches > 0
-        )
+        return plan is not None and plan.route.row_fetches > 0
 
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
@@ -281,13 +288,15 @@ class RobustDispatcher:
             if time.monotonic_ns() >= deadline_ns:
                 raise self._deadline_miss(start_ns, deadline_ns)
             brownout = self.brownout_active()
-            if not brownout and self._gathers(coerced):
+            plan = None if brownout else self._plan(self._planning, coerced)
+            if self._gathers(plan):
                 if self.breaker.allow():
                     return self._dispatch_pool(coerced, start_ns, deadline_ns)
                 # Open breaker but brownout says calm — races between
-                # the two checks land here; treat it as brownout.
-                brownout = True
-            return self._answer_here(coerced, start_ns, brownout)
+                # the two checks land here; treat it as brownout, on
+                # the SVD-only engine's own plan.
+                brownout, plan = True, None
+            return self._answer_here(coerced, start_ns, brownout, plan)
 
     def _deadline_miss(self, start_ns: int, deadline_ns: int) -> DeadlineExceededError:
         self._count("deadline_misses", "server.deadline_misses")
@@ -332,11 +341,12 @@ class RobustDispatcher:
                     ) from None
                 self._count("pool_retries", "server.pool_retries")
 
-    def _answer_here(self, query, start_ns: int, brownout: bool) -> dict:
+    def _answer_here(self, query, start_ns: int, brownout: bool, plan) -> dict:
         """Execute in the parent, on this mode's engine.
 
-        Healthy, that is the delta-capable twin of the workers: same
-        plan, same arithmetic, bit-identical value, never degraded.  In
+        Healthy, that is the delta-capable twin of the workers running
+        ``plan``, the one the request was routed by: same plan, same
+        arithmetic, bit-identical value, never degraded.  In
         brownout it is the SVD-only engine (module docstring, step 4):
         only a ``summary``-route answer is exact, so NOT degraded —
         which is what un-sheds min/max; every other aggregate and every
@@ -345,7 +355,8 @@ class RobustDispatcher:
         instead of silently served wrong.
         """
         try:
-            result = (self._fallback if brownout else self._planning).execute(query)
+            engine = self._fallback if brownout else self._planning
+            result = engine.execute(query, plan=plan)
         except RouteUnavailableError:
             self._note_shed()
             raise self.admission.shed(
@@ -422,14 +433,16 @@ class RobustDispatcher:
         coerced = coerce_query(query)
         brownout = self.brownout_active()
         engine = self._fallback if brownout else self._planning
+        plan = None
         try:
-            plan = engine.explain(coerced)
+            plan = self._plan(engine, coerced)
+            described = plan.to_dict() if plan else engine.explain(coerced)
         except RouteUnavailableError as exc:
-            plan = {"path": "shed", "reason": str(exc)}
-        plan["mode"] = "brownout" if brownout else "healthy"
-        pool = not brownout and self._gathers(coerced)
-        plan["executes_in"] = "pool" if pool else "parent"
-        return plan
+            described = {"path": "shed", "reason": str(exc)}
+        described["mode"] = "brownout" if brownout else "healthy"
+        pool = not brownout and self._gathers(plan)
+        described["executes_in"] = "pool" if pool else "parent"
+        return described
 
     # -- reporting ------------------------------------------------------
 

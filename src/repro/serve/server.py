@@ -1,8 +1,15 @@
 """The query-serving HTTP endpoint.
 
-:class:`QueryServer` is a stdlib-only HTTP front door (reused handler
-threads via the graceful plumbing in :mod:`repro.obs.serve`) over one
-:class:`~repro.serve.robust.RobustDispatcher`:
+:class:`QueryServer` is an HTTP front door over one
+:class:`~repro.serve.robust.RobustDispatcher`, on the plumbing in
+:mod:`repro.obs.serve`: reused handler threads that each ``accept()``
+a connection, read its request head, run the route below and write
+the response themselves — one thread, one read, one write per request,
+no accept loop or hand-off in between.  A request is ``GET`` over
+``HTTP/1.x`` with a head of at most 64 KiB and 100 headers, delivered
+within 2 s of connecting (the whole head, not each read); anything
+else is refused (400/414/431/501/505) or hung up on before a route
+runs, and every response closes its connection.  The routes:
 
 - ``GET /query?q=<text>`` — any query in the textual language
   (:mod:`repro.query.parser`);
@@ -97,7 +104,7 @@ class _QueryHandler(BaseEndpointHandler):
     dispatcher: RobustDispatcher = None  # type: ignore[assignment]
     config: ServeConfig = None  # type: ignore[assignment]
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def do_GET(self) -> None:
         try:
             split = urlsplit(self.path)
             path = split.path
@@ -274,7 +281,6 @@ class QueryServer:
         )
         self.health = HealthState()
         self._server: GracefulHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self._shutdown_event = threading.Event()
         self._stop_lock = threading.Lock()
         self._stopped = False
@@ -293,7 +299,7 @@ class QueryServer:
         return f"http://{self.config.host}:{self.port}"
 
     def start(self) -> "QueryServer":
-        """Warm the pool, bind, serve in a daemon thread; returns self."""
+        """Warm the pool, bind, serve on daemon threads; returns self."""
         if self._server is not None:
             return self
         # Fork the workers before any HTTP thread exists: mixing
@@ -312,12 +318,6 @@ class QueryServer:
         self._server = GracefulHTTPServer(
             (self.config.host, self.config.port), handler
         )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._thread.start()
         self.health.set_ready(True)
         _obs.gauge("server.ready").set(1)
         return self
@@ -339,14 +339,10 @@ class QueryServer:
         # Dispatcher first: new requests now shed with 503 + Retry-After
         # while the HTTP listener keeps answering health checks.
         self.drained_clean = self.dispatcher.drain()
-        server, thread = self._server, self._thread
-        self._server, self._thread = None, None
+        server, self._server = self._server, None
         if server is not None:
-            server.shutdown()
             server.drain(self.config.drain_grace_s)
             server.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
         self._shutdown_event.set()
 
     def request_shutdown(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.obs import NULL_SPAN, current_span, registry, span
 from repro.obs.tracing import (
     Span,
@@ -83,6 +85,11 @@ class TestTracePropagation:
         assert first != second
         assert len(first) == 16
         int(first, 16)  # must parse as hex
+
+    def test_100k_trace_ids_are_distinct_and_keep_the_format(self):
+        ids = [new_trace_id() for _ in range(100_000)]
+        assert len(set(ids)) == len(ids)
+        assert all(re.fullmatch(r"[0-9a-f]{16}", trace_id) for trace_id in ids)
 
     def test_trace_context_binds_and_restores(self):
         assert current_trace_id() is None

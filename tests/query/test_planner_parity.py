@@ -185,6 +185,76 @@ def test_explain_matches_execute_everywhere(backends, backend_name, include_delt
                     ), label
 
 
+@pytest.mark.parametrize("include_deltas", [True, False], ids=["deltas", "svd-only"])
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_handed_in_plan_executes_as_the_query_does(
+    backends, backend_name, include_deltas
+):
+    """Plan once: ``execute(query, plan=engine.plan(query))`` is
+    ``execute(query)`` — same value to the bit, same route, bound and
+    accounting — on every backend, mode, function, shape and budget
+    (``test_matrix_covers_every_route``: all five routes among them)."""
+    backend, kwargs = backends[backend_name]
+    engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
+    for function in FUNCTIONS:
+        for sel_name, selection in SELECTIONS.items():
+            for budget_name, budget in BUDGETS.items():
+                label = f"{backend_name}/{function}/{sel_name}/{budget_name}"
+                query = AggregateQuery(function, selection, max_rmspe=budget)
+                planned, plan = _attempt(lambda: engine.plan(query))
+                if planned == "unavailable":
+                    continue
+                handed = engine.execute(query, plan=plan)
+                direct = engine.execute(query)
+                assert handed.route == plan.route.name, label
+                assert (
+                    handed.value,
+                    handed.route,
+                    handed.error_bound,
+                    handed.cells_touched,
+                    handed.rows_fetched,
+                ) == (
+                    direct.value,
+                    direct.route,
+                    direct.error_bound,
+                    direct.cells_touched,
+                    direct.rows_fetched,
+                ), label
+
+
+@pytest.mark.parametrize("budget", [0.0, 0.9])
+@pytest.mark.parametrize("function", FUNCTIONS)
+def test_plan_made_before_a_refresh_answers_from_one_backend(
+    backends, function, budget
+):
+    """A plan travels with the backend it was priced against: executed
+    after ``refresh(other)`` it is re-planned — under the budget it was
+    made with — and the answer is wholly the new backend's, never the
+    old plan's indices and rollups read against the new data."""
+    fresh, _ = backends["compressed-fresh"]
+    stale, _ = backends["compressed-stale"]  # two more columns
+    engine = QueryEngine(fresh)
+    query = AggregateQuery(function, Selection())
+    plan = engine.plan(query, max_rmspe=budget)
+    old = engine.execute(query, plan=plan)
+    assert (old.route, old.cells_touched) == ("summary", 64 * 20)
+    engine.refresh(stale)
+    answered = engine.execute(query, plan=plan)
+    expected = QueryEngine(stale).aggregate(query, max_rmspe=budget)
+    assert expected.route != "summary"  # the rollups predate the append
+    assert (
+        answered.value,
+        answered.route,
+        answered.error_bound,
+        answered.cells_touched,
+    ) == (
+        expected.value,
+        expected.route,
+        expected.error_bound,
+        64 * 22,
+    )
+
+
 def _dense(source) -> np.ndarray:
     """The matrix ``source`` stands for, materialized by its own API."""
     if isinstance(source, np.ndarray):

@@ -8,12 +8,16 @@ appends, and pool recovery after a worker process dies.
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core import CompressedMatrix, build_compressed
 from repro.exceptions import QueryError, StorageError
+from repro.obs.tracing import new_trace_id
 from repro.query import (
     AggregateQuery,
     CellQuery,
@@ -67,6 +71,12 @@ def _mixed_queries(shape, count=18, seed=5):
         else:
             queries.append((int(rng.integers(0, rows)), int(rng.integers(0, cols))))
     return queries
+
+
+def _draw_trace_ids(count: int) -> tuple[int, list[str]]:
+    """Runs in a pool worker: its pid and the ids it drew."""
+    time.sleep(0.05)  # long enough for the other worker to take a task too
+    return os.getpid(), [new_trace_id() for _ in range(count)]
 
 
 def _sequential_answers(model_dir, queries):
@@ -192,6 +202,22 @@ class TestTracePropagation:
         (worker,) = caller.children
         assert worker.trace_id == "beef0000beef0000"
         assert worker.find("query.cell").trace_id == "beef0000beef0000"
+
+    def test_forked_workers_do_not_replay_the_parents_trace_ids(self, model_dir):
+        """Ids come from one seeded generator per process; a forked
+        worker inherits its parent's generator state and must re-seed,
+        or parent and workers would all draw the same ids next."""
+        with ProcessQueryExecutor(model_dir, max_workers=2) as executor:
+            # Both workers fork on the first submit, before any of the
+            # ids below is drawn.
+            futures = [executor._pool.submit(_draw_trace_ids, 500) for _ in range(8)]
+            drawn = {os.getpid(): [new_trace_id() for _ in range(500)]}
+            for future in futures:
+                pid, ids = future.result(timeout=30)
+                drawn.setdefault(pid, []).extend(ids)
+        assert len(drawn) == 3, "both workers and the parent should have drawn"
+        every = [trace_id for ids in drawn.values() for trace_id in ids]
+        assert len(set(every)) == len(every) == 9 * 500
 
     def test_no_trace_overhead_when_disabled(self, model_dir):
         from repro.obs import registry

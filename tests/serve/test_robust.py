@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DeadlineExceededError, OverloadedError, QueryError
+from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.query.process_executor import _CrashProbe
@@ -124,7 +128,9 @@ class TestParentPath:
         assert payload["cells"] == worker.cells_touched
         assert payload["rows_fetched"] == worker.rows_fetched
         assert payload["degraded"] is False
-        assert dispatcher.explain(query)["executes_in"] == "parent"
+        explained = dispatcher.explain(query)
+        assert explained["executes_in"] == "parent"
+        assert explained["path"] == payload.get("route", "cell")
 
     @pytest.mark.parametrize(
         "text", ["sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"]
@@ -136,9 +142,81 @@ class TestParentPath:
         assert plan["estimated_pages"] == 0 and plan["estimated_row_fetches"] == 50
         assert plan["executes_in"] == "pool"
         before = _pool_queries(dispatcher), dispatcher.pool_answers
-        dispatcher.dispatch(text)
+        assert dispatcher.dispatch(text)["route"] == plan["path"]
         assert _pool_queries(dispatcher) == before[0] + 1
         assert dispatcher.pool_answers == before[1] + 1
+
+    def test_each_aggregate_is_planned_once_per_process(
+        self, serve_model_dir, monkeypatch, enabled_registry
+    ):
+        """The plan dispatch routes by is the plan the parent executes:
+        one ``plan_aggregate`` call per parent-answered aggregate, one
+        in the parent plus the worker's own per gather, none for a
+        cell — and ``planner.route.*`` still counts answers, not plans."""
+        fork = multiprocessing.get_context("fork")
+        calls = {"parent": fork.Value("i", 0), "worker": fork.Value("i", 0)}
+        parent_pid = os.getpid()
+        plan_aggregate = engine_module.plan_aggregate
+
+        def counting(*args, **kwargs):
+            side = calls["parent" if os.getpid() == parent_pid else "worker"]
+            with side.get_lock():
+                side.value += 1
+            return plan_aggregate(*args, **kwargs)
+
+        def planned() -> tuple[int, int, int]:
+            counters = enabled_registry.snapshot()["counters"]
+            answers = sum(
+                value
+                for name, value in counters.items()
+                if name.startswith("planner.route.")
+            )
+            return calls["parent"].value, calls["worker"].value, answers
+
+        # Patched before the pool forks, so the workers count too.
+        monkeypatch.setattr(engine_module, "plan_aggregate", counting)
+        config = ServeConfig(workers=1, breaker_failures=1_000, brownout_sheds=1_000)
+        dispatcher = RobustDispatcher(serve_model_dir, config)
+        try:
+            dispatcher.warm()
+            for text in PARENT_QUERIES:
+                aggregate = 0 if text.startswith("cell") else 1
+                before = planned()
+                dispatcher.dispatch(text)
+                assert planned() == (
+                    before[0] + aggregate,
+                    before[1],
+                    before[2] + aggregate,
+                ), text
+                dispatcher.explain(text)
+                assert planned() == (
+                    before[0] + 2 * aggregate,
+                    before[1],
+                    before[2] + aggregate,
+                ), text
+            for text in ("sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"):
+                before = planned()
+                dispatcher.dispatch(text)
+                # The worker answered, and counted it in its own registry.
+                assert planned() == (before[0] + 1, before[1] + 1, before[2]), text
+        finally:
+            dispatcher.close()
+
+    def test_error_budget_reaches_the_one_plan(self, dispatcher):
+        """``max_rmspe`` rides on the query into the single plan: a
+        ``count`` gathers nothing on either factor route, so the parent
+        answers it — exactly by default, on the cheaper ``svd`` route
+        once the budget admits it."""
+        text = "count() rows 5:60 cols 3:40"
+        for budget, route in ((None, "factor"), (0.0, "factor"), (0.9, "svd")):
+            query = dataclasses.replace(parse_query(text), max_rmspe=budget)
+            before = dispatcher.parent_answers
+            explained = dispatcher.explain(query)
+            payload = dispatcher.dispatch(query)
+            assert dispatcher.parent_answers == before + 1
+            assert explained["max_rmspe"] == budget
+            assert explained["path"] == payload["route"] == route
+            assert payload["value"] == 55 * 37
 
     def test_parent_path_survives_a_dead_pool(self, serve_model_dir):
         config = ServeConfig(workers=1, breaker_failures=1_000, brownout_sheds=1_000)

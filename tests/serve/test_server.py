@@ -353,22 +353,29 @@ class TestDrain:
 
 class TestHandlerThreads:
     def test_sequential_requests_reuse_a_handler(self, serve_model_dir):
+        """Handlers accept for themselves and the one that takes the
+        last idle slot starts a standby, so a sequential client is
+        served by one handler plus that standby."""
         threads_before = threading.active_count()
         config = ServeConfig(port=0, workers=1)
         with QueryServer(serve_model_dir, config) as srv:
             for i in range(50):
                 assert _get(srv.url, f"/cell?row={i}&col=1")[0] == 200
             # The next connection can arrive a moment before the last
-            # handler marks itself idle: one spare at most.
-            assert 1 <= srv._server.handler_threads <= 2
-        # stop() joined the handlers, the accept loop and the pool's threads.
+            # handler marks itself idle: one spare at most, plus the
+            # standby.
+            assert 1 <= srv._server.handler_threads <= 3
+        # stop() joined the handlers (there is no accept-loop thread)
+        # and the pool's threads.
         assert threading.active_count() <= threads_before
 
     def test_health_answers_while_every_handler_is_blocked(
         self, serve_model_dir, monkeypatch
     ):
         """No handler count is configured: a probe arriving while all
-        handlers sit in slow gathers gets a thread of its own."""
+        handlers sit in slow gathers is accepted by the standby — which
+        starts the next standby before it answers (4 blocked + the
+        probe's handler + one standby)."""
         config = ServeConfig(port=0, workers=1, default_timeout_ms=30_000)
         with QueryServer(serve_model_dir, config) as srv:
             release = threading.Event()
@@ -396,7 +403,7 @@ class TestHandlerThreads:
                     time.sleep(0.005)
                 assert srv._server.active_requests == 4
                 assert _get(srv.url, "/healthz/ready", timeout=5.0)[0] == 200
-                assert srv._server.handler_threads == 5
+                assert srv._server.handler_threads == 6
             finally:
                 release.set()
                 for client in clients:
