@@ -22,9 +22,10 @@ Gives the library the operational surface a deployed system would have:
   dump the metrics registry (pool/pager counters, span timings) as JSON;
 - ``serve``   — serve a model over HTTP (``/query``, ``/cell``,
   ``/aggregate``, ``/groupby``, ``/explain``, ``/stats``, ``/healthz``
-  live/ready, ``/metrics``) on the multiprocess executor, with bounded admission,
-  load shedding (503 + Retry-After), per-request deadlines, brownout
-  degradation, and graceful SIGTERM drain;
+  live/ready, ``/metrics``), each request answered in the thread that
+  read it, with bounded admission, load shedding (503 + Retry-After),
+  per-request deadlines, brownout degradation, and graceful SIGTERM
+  drain;
 - ``serve-metrics`` — expose the live registry over HTTP (``/metrics``
   OpenMetrics text for Prometheus, ``/healthz``, ``/snapshot`` JSON),
   optionally exercising a model and writing rotating JSONL snapshots;
@@ -533,9 +534,9 @@ def cmd_serve(args) -> int:
 
     Serves one model directory (or a warehouse dataset via ``--root`` +
     ``--dataset``) over :class:`~repro.serve.server.QueryServer`:
-    multiprocess query execution behind bounded admission, per-request
-    deadlines, load shedding with ``Retry-After``, brownout (SVD-only)
-    degradation, and a breaker over worker crash-loops.  SIGTERM/SIGINT
+    every request answered by the handler thread that read it, behind
+    bounded admission, per-request deadlines, load shedding with
+    ``Retry-After`` and brownout (SVD-only) degradation.  SIGTERM/SIGINT
     drain gracefully and exit 0.
     """
     from repro.serve import QueryServer, ServeConfig
@@ -569,9 +570,6 @@ def cmd_serve(args) -> int:
         max_timeout_ms=args.max_timeout_ms,
         retry_after_s=args.retry_after_s,
         drain_grace_s=args.drain_grace_s,
-        breaker_failures=args.breaker_failures,
-        breaker_window_s=args.breaker_window_s,
-        breaker_cooldown_s=args.breaker_cooldown_s,
         brownout_sheds=args.brownout_sheds,
         brownout_window_s=args.brownout_window_s,
         on_corrupt="degraded" if args.allow_degraded else "raise",
@@ -1031,7 +1029,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=9465, help="TCP port (0 picks a free one)"
     )
     serve_q.add_argument(
-        "--workers", type=int, default=None, help="worker processes (default: cores)"
+        "--workers",
+        type=int,
+        default=None,
+        help="gathers computing at once (default: cores)",
     )
     serve_q.add_argument(
         "--max-queue-depth",
@@ -1068,21 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         help="SIGTERM waits this long for in-flight requests",
-    )
-    serve_q.add_argument(
-        "--breaker-failures",
-        type=int,
-        default=3,
-        help="pool rebuilds within the window that trip the breaker",
-    )
-    serve_q.add_argument(
-        "--breaker-window-s", type=float, default=30.0, help="breaker failure window"
-    )
-    serve_q.add_argument(
-        "--breaker-cooldown-s",
-        type=float,
-        default=5.0,
-        help="open-state dwell before a half-open probe",
     )
     serve_q.add_argument(
         "--brownout-sheds",

@@ -83,8 +83,7 @@ class OverloadedError(ReproError):
 
     Carries ``retry_after_s`` — the backoff hint the HTTP tier turns
     into a ``Retry-After`` header — and ``reason`` (``"depth"``,
-    ``"age"``, ``"drain"``, ``"brownout"``, or ``"breaker"``) naming
-    which guard fired.
+    ``"age"``, ``"drain"`` or ``"brownout"``) naming which guard fired.
     """
 
     def __init__(

@@ -26,7 +26,15 @@ __all__ = ["QueryProfile", "StatDelta"]
 
 @dataclass(frozen=True)
 class QueryProfile:
-    """Execution accounting for one answered query."""
+    """Execution accounting for one answered query.
+
+    The pool, I/O and delta counts are differences of process-wide
+    counters read before and after the query, so they include whatever
+    other threads on the same backend did meanwhile — true of the
+    thread executor's queries, and of every gather ``repro serve``
+    answers in its handler threads.  The wall times are this query's
+    own.
+    """
 
     #: 'factor' | 'stream' | 'cell' — the path that produced the value.
     path: str

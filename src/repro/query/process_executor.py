@@ -276,8 +276,7 @@ class ProcessQueryExecutor:
             :meth:`~repro.core.store.CompressedMatrix.open`.
         on_rebuild: optional zero-argument callback invoked (outside the
             executor lock is *not* guaranteed — keep it cheap and
-            non-blocking) each time a broken pool is replaced.  The
-            serving tier feeds its circuit breaker from this: a worker
+            non-blocking) each time a broken pool is replaced: a worker
             crash-loop shows up as a burst of rebuilds.
     """
 

@@ -1,4 +1,4 @@
-"""Fault-tolerant HTTP serving tier over the multiprocess executor.
+"""Fault-tolerant HTTP serving tier over the query engine.
 
 The paper's deployment story (Section 1) is a warehouse answering ad
 hoc queries from many analysts; this package is the network front door
@@ -9,28 +9,26 @@ that makes the reproduction *operable* under that load:
   threshold;
 - :mod:`repro.serve.admission` — bounded admission with queue-depth
   and queue-age load shedding (503 + ``Retry-After``);
-- :mod:`repro.serve.breaker` — a circuit breaker fed by worker-pool
-  rebuilds, gating the process pool while it crash-loops;
-- :mod:`repro.serve.robust` — the dispatcher tying deadlines,
-  admission, the breaker and *brownout* (SVD-only degraded answers)
-  around :class:`~repro.query.process_executor.ProcessQueryExecutor`;
-- :mod:`repro.serve.server` — the stdlib HTTP server
-  (:class:`~repro.serve.server.QueryServer`) exposing ``/query``,
-  ``/cell``, ``/aggregate``, ``/explain``, ``/stats``, ``/healthz``
+- :mod:`repro.serve.robust` — the dispatcher tying admission,
+  deadlines, gather slots and *brownout* (SVD-only degraded answers)
+  around the :class:`~repro.query.engine.QueryEngine` every handler
+  thread answers on;
+- :mod:`repro.serve.server` — the HTTP front door
+  (:class:`~repro.serve.server.QueryServer`, on the socket plumbing of
+  :mod:`repro.obs.serve`) exposing ``/query``, ``/cell``,
+  ``/aggregate``, ``/groupby``, ``/explain``, ``/stats``, ``/healthz``
   (live/ready split) and ``/metrics``, with graceful SIGTERM drain.
 
 ``repro serve`` wraps :class:`QueryServer` in a CLI.
 """
 
 from repro.serve.admission import AdmissionController
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
 from repro.serve.server import QueryServer
 
 __all__ = [
     "AdmissionController",
-    "CircuitBreaker",
     "QueryServer",
     "RobustDispatcher",
     "ServeConfig",

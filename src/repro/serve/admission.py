@@ -1,7 +1,7 @@
 """Bounded admission with load shedding.
 
-The failure mode this prevents: a burst of queries outruns the worker
-pool, the queue grows without bound, every queued request eventually
+The failure mode this prevents: a burst of queries outruns the gather
+slots, the queue grows without bound, every queued request eventually
 times out, and the server spends its capacity computing answers nobody
 is waiting for anymore.  Classic remedy (and the one this module
 implements): **admit a bounded amount of work and shed the rest
@@ -12,7 +12,7 @@ Two guards, checked at admission time:
 - **depth** — admitted-but-unfinished requests ≥ ``max_depth``;
 - **age** — the *oldest* in-flight request has been in the system
   longer than ``max_age_ms``.  Depth alone misses the pathological
-  case where a few slow queries wedge the pool: the queue is short but
+  case where a few slow queries hold every slot: the queue is short but
   stale, and piling new work behind it only manufactures deadline
   misses.
 
@@ -85,7 +85,7 @@ class AdmissionController:
         """Count one shed and build the error to raise for it.
 
         Shared by the two admission guards here and by the dispatcher's
-        drain/brownout/breaker sheds, so every 503 the server ever
+        drain/brownout sheds, so every 503 the server ever
         sends flows through one counter family.
         """
         with self._lock:

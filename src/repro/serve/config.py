@@ -22,7 +22,10 @@ class ServeConfig:
     Attributes:
         host: bind address (loopback by default).
         port: TCP port; 0 picks a free one.
-        workers: process-pool size (None → executor default).
+        workers: how many gathers (aggregates that read rows of U)
+            compute at once; further ones wait for a slot, no longer
+            than their deadline (None → the CPUs this process may run
+            on).
         max_queue_depth: admitted-but-unfinished request ceiling;
             beyond it new requests are shed with 503.
         max_queue_age_ms: when the *oldest* admitted request has been
@@ -36,17 +39,13 @@ class ServeConfig:
             responses.
         drain_grace_s: how long SIGTERM waits for in-flight requests
             before closing anyway.
-        breaker_failures: pool rebuilds within ``breaker_window_s``
-            that trip the circuit breaker open.
-        breaker_window_s: sliding window for counting those failures.
-        breaker_cooldown_s: how long the breaker stays open before
-            letting a probe query test the pool (half-open).
         brownout_sheds: shed events within ``brownout_window_s`` that
             flip the server into brownout (SVD-only answers).
         brownout_window_s: sliding window for counting those sheds.
-        on_corrupt: forwarded to ``CompressedMatrix.open`` in workers
-            ("degraded" starts serving even with a damaged delta
-            sidecar — answers carry ``degraded: true``).
+        on_corrupt: forwarded to the server's one
+            ``CompressedMatrix.open`` ("raise" refuses to serve a
+            damaged model; "degraded" starts serving even with a
+            damaged delta sidecar — answers carry ``degraded: true``).
     """
 
     host: str = "127.0.0.1"
@@ -58,9 +57,6 @@ class ServeConfig:
     max_timeout_ms: float = 60_000.0
     retry_after_s: float = 1.0
     drain_grace_s: float = 5.0
-    breaker_failures: int = 3
-    breaker_window_s: float = 30.0
-    breaker_cooldown_s: float = 5.0
     brownout_sheds: int = 8
     brownout_window_s: float = 10.0
     on_corrupt: str = "raise"
@@ -76,18 +72,14 @@ class ServeConfig:
             "max_timeout_ms",
             "retry_after_s",
             "drain_grace_s",
-            "breaker_window_s",
-            "breaker_cooldown_s",
             "brownout_window_s",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}"
                 )
-        if self.breaker_failures < 1:
-            raise ConfigurationError(
-                f"breaker_failures must be >= 1, got {self.breaker_failures}"
-            )
+        if self.workers is not None and self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if self.brownout_sheds < 1:
             raise ConfigurationError(
                 f"brownout_sheds must be >= 1, got {self.brownout_sheds}"

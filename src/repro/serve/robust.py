@@ -1,8 +1,11 @@
-"""The robust dispatcher: deadlines, admission, breaker, brownout.
+"""The robust dispatcher: admission, deadlines, gather slots, brownout.
 
 :class:`RobustDispatcher` is the policy layer between the HTTP handler
-and :class:`~repro.query.process_executor.ProcessQueryExecutor`.  One
-request flows through it as:
+and the query engine.  Every request is computed **by the handler
+thread that read it**, on engines over one mapped backend this process
+opened — there is no worker pool, so no question is pickled, no queue
+thread woken, and the engine's spans and counters land in the registry
+``/metrics`` scrapes.  One request flows through :meth:`dispatch` as:
 
 1. **drain check** — a draining server sheds immediately (503) so the
    load balancer's next health probe sees not-ready and moves on;
@@ -12,43 +15,44 @@ request flows through it as:
    ``monotonic_ns`` instant.  A request whose deadline has already
    passed when its ticket is admitted fails with
    :class:`~repro.exceptions.DeadlineExceededError` (504) before any
-   compute, in the parent exactly as a worker drops a task that
-   expired in its queue;
-4. **brownout** — under sustained shedding, a tripped breaker, or a
-   degraded model open, the request is answered in the parent by the
-   SVD-only engine (``QueryEngine(include_deltas=False)``), whose
-   planner (:func:`repro.plan.plan_aggregate`) admits exactly two
-   aggregate routes: a full-axis selection covered by the materialized
-   rollups is answered **exactly** (``degraded: false``, zero
-   ``u.mat`` pages) — including min/max, which the SVD factors alone
-   could not serve honestly — and everything else the factors can
-   express rides the ``svd`` route: no delta pass, no worker
-   round-trip, an answer stamped ``degraded: true`` with the model's
-   stored residual estimate.  Queries with no admissible route
-   (:class:`~repro.exceptions.RouteUnavailableError`) are shed instead
-   of silently served wrong;
-5. **execute where you planned, what you planned** — a healthy
-   aggregate is planned exactly once, on the parent's delta-capable
-   engine (the twin of the worker engines).  A plan that gathers no
-   rows of U (``row_fetches == 0``: a full ``summary`` hit, ``count``)
-   is handed back to that engine and executed right there, as is a
-   single-cell probe (one mapped row, never planned): the answer costs
-   less than pickling the question.  Such an answer says nothing about
-   the pool, so it neither consults the breaker (it must not take the
-   half-open probe slot) nor records a success on it;
-6. **pool** — every plan that gathers (``factor``, ``stream``,
-   ``summary+factor``) crosses to a worker — as the query, not the
-   plan: nothing of a plan is pickled, the worker makes its own —
-   past the **breaker**
-   (:mod:`repro.serve.breaker`, fed by the executor's ``on_rebuild``
-   hook; a refusal is answered as in 4) with its deadline travelling
-   with the task: still queued when it expires, it is dropped *in the
-   worker*; still running, the waiter fails with a 504.
+   compute;
+4. **plan once, on the engine that will answer** — the delta-capable
+   engine while healthy; under **brownout** (sustained shedding, or a
+   degraded model open) the SVD-only engine
+   (``QueryEngine(include_deltas=False)``), whose planner
+   (:func:`repro.plan.plan_aggregate`) admits exactly two aggregate
+   routes: a full-axis selection covered by the materialized rollups is
+   answered **exactly** (``degraded: false``, zero ``u.mat`` pages) —
+   including min/max, which the SVD factors alone could not serve
+   honestly — and everything else the factors can express rides the
+   ``svd`` route: no delta pass, an answer stamped ``degraded: true``
+   with the model's stored residual estimate.  Queries with no
+   admissible route (:class:`~repro.exceptions.RouteUnavailableError`)
+   are shed instead of silently served wrong.  A cell probe is never
+   planned;
+5. **execute here, what you planned** — the plan goes back to the
+   engine that made it.  A plan that gathers rows of U
+   (``row_fetches > 0``: ``factor``, ``stream``, ``summary+factor``,
+   ``svd``) first takes one of ``workers`` **slots** — how many gathers
+   compute at once — waiting no longer than its deadline: a gather
+   still queued when its deadline passes is dropped before any compute
+   (504), and it holds its admission ticket while it waits, so depth
+   and age shedding see the backlog.  Cells, full rollup hits,
+   ``count`` and group-bys never take a slot.  The deadline is compared
+   once more after execution, so a 200 never arrives after its
+   deadline, on any route.
 
-A worker crash mid-request surfaces as ``BrokenProcessPool`` on the
-future; the dispatcher retries exactly once against the rebuilt pool —
-which is what turns "a worker died" into zero client-visible 5xx
-(beyond deadline 504s) in the chaos tests.
+What the process pool this replaced gave, and this does not: a *running*
+gather cannot be abandoned mid-flight, so its 504 arrives when the
+compute ends rather than at the deadline (the pool's waiter got its 504
+on time while the worker kept burning a core for nobody); a hard crash
+inside the engine (a segfault, not a Python exception — those stay
+typed 500s) takes the server with it instead of one worker; and a ticket
+is now held for ~0.3 ms of compute *under* the GIL rather than across a
+wait that released it, so short requests queue for the GIL before step
+2, where no bound counts them — a small burst seldom finds the depth
+ceiling by itself, and past saturation admission sheds less than the
+pool did (ROADMAP 4(d)).
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.core.store import CompressedMatrix
@@ -68,12 +70,11 @@ from repro.exceptions import (
 )
 from repro.obs.registry import registry as _obs
 from repro.plan import ROUTE_SUMMARY
-from repro.query.engine import AggregateQuery, CellQuery, QueryEngine
-from repro.query.executor import coerce_query
+from repro.query.engine import AggregateQuery, QueryEngine
+from repro.query.executor import coerce_query, usable_cpu_count
 from repro.query.groupby import bucket_series
-from repro.query.process_executor import ProcessQueryExecutor
+from repro.query.parser import parse_query
 from repro.serve.admission import AdmissionController
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 
 __all__ = ["RobustDispatcher", "rmspe_estimate"]
@@ -94,7 +95,11 @@ def rmspe_estimate(model_dir: str | Path) -> float | None:
 
 
 class RobustDispatcher:
-    """Admission + deadlines + breaker + brownout around the pool.
+    """Admission + deadlines + gather slots + brownout around one engine.
+
+    Opens the model once, mapped, with ``config.on_corrupt``: a damaged
+    model raises its typed :class:`~repro.exceptions.StorageError` here
+    unless the config allows a degraded open.
 
     Args:
         model_dir: a ``CompressedMatrix`` model directory.
@@ -116,30 +121,18 @@ class RobustDispatcher:
             max_age_ms=self.config.max_queue_age_ms,
             retry_after_s=self.config.retry_after_s,
         )
-        self.breaker = CircuitBreaker(
-            failures=self.config.breaker_failures,
-            window_s=self.config.breaker_window_s,
-            cooldown_s=self.config.breaker_cooldown_s,
+        #: How many gathers compute at once.
+        self.workers = self.config.workers or usable_cpu_count()
+        self._slots = threading.Semaphore(self.workers)
+        self._backend = CompressedMatrix.open(
+            self.model_dir, on_corrupt=self.config.on_corrupt, mapped=True
         )
-        self.executor = ProcessQueryExecutor(
-            self.model_dir,
-            max_workers=self.config.workers,
-            on_corrupt=self.config.on_corrupt,
-            on_rebuild=self.breaker.record_failure,
-        )
-        # Parent-side SVD-only engine: the brownout answer path.  A
-        # "degraded" open tolerates a damaged delta sidecar — exactly
-        # the state brownout exists to keep serving through.
-        self._fallback_backend = CompressedMatrix.open(
-            self.model_dir, on_corrupt="degraded", mapped=True
-        )
-        self._fallback = QueryEngine(self._fallback_backend, include_deltas=False)
-        # Twin of the *worker* engines (delta-capable, same mapped
-        # backend): it plans every healthy request —
-        # so explain describes the route a worker would take — and
-        # answers the ones that gather no rows of U.
-        self._planning = QueryEngine(self._fallback_backend)
-        self.model_degraded = self._fallback_backend.degraded
+        # Two engines over the one backend: delta-capable (healthy) and
+        # SVD-only (brownout).  A degraded open — a damaged delta
+        # sidecar tolerated — is the state brownout keeps serving through.
+        self._engine = QueryEngine(self._backend)
+        self._fallback = QueryEngine(self._backend, include_deltas=False)
+        self.model_degraded = self._backend.degraded
         self.rmspe = (
             verified_rmspe
             if verified_rmspe is not None
@@ -150,11 +143,10 @@ class RobustDispatcher:
         self._count_lock = threading.Lock()
         self._draining = False
         self._closed = False
-        self.parent_answers = 0
-        self.pool_answers = 0
+        self.answers = 0
+        self.gathers = 0
         self.degraded_answers = 0
         self.deadline_misses = 0
-        self.pool_retries = 0
         self.summary_hits = 0
         self.summary_partial = 0
         self.summary_misses = 0
@@ -162,24 +154,28 @@ class RobustDispatcher:
 
     # -- lifecycle ------------------------------------------------------
 
-    def warm(self, timeout_s: float = 30.0) -> None:
-        """Fork and bootstrap the worker pool before taking traffic.
+    def warm(self) -> None:
+        """Answer one cell, one rollup and one gather before taking
+        traffic, on the engine that will serve.
 
-        ``ProcessPoolExecutor`` forks lazily on first submit; without a
-        warmup the first real request would pay the full fork +
-        model-open cost inside its deadline.
+        The backend builds some tables on first use (the summary
+        arrays, the delta index's per-row run lengths); without a
+        warmup the first real request of each kind would build them
+        inside its deadline.  Uncounted, and a no-op on an empty axis.
         """
-        shape = self._fallback.shape
-        probe = CellQuery(0, 0) if shape[0] and shape[1] else None
-        if probe is not None:
-            self.executor.submit(probe).result(timeout=timeout_s)
+        rows, cols = self._engine.shape
+        if not (rows and cols):
+            return
+        engine = self._fallback if self.model_degraded else self._engine
+        for text in ("cell(0, 0)", "sum() rows 0:1", "sum() rows 0:1 cols 0:1"):
+            engine.execute(parse_query(text))
 
     def drain(self) -> bool:
-        """Stop admitting, wait out in-flight work, stop the pool.
+        """Stop admitting, wait out in-flight work, release the model.
 
         Returns True when in-flight requests finished inside the grace
-        period, False when the grace expired first (the pool is shut
-        down regardless — bounded beats graceful).  Idempotent.
+        period, False when the grace expired first (the mapping is
+        released regardless — bounded beats graceful).  Idempotent.
         """
         self._draining = True
         drained = self.admission.wait_idle(self.config.drain_grace_s)
@@ -187,12 +183,11 @@ class RobustDispatcher:
         return drained
 
     def close(self) -> None:
-        """Release the pool and the fallback mapping (idempotent)."""
+        """Release the model mapping (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self.executor.shutdown(wait=True)
-        self._fallback_backend.close()
+        self._backend.close()
 
     @property
     def draining(self) -> bool:
@@ -213,11 +208,9 @@ class RobustDispatcher:
 
     def brownout_active(self) -> bool:
         """True while the server should answer from the SVD fast path
-        only: sustained shedding, a tripped breaker, or a model whose
-        delta sidecar failed verification at open."""
+        only: sustained shedding, or a model whose delta sidecar failed
+        verification at open."""
         if self.model_degraded:
-            active = True
-        elif self.breaker.state == "open":
             active = True
         else:
             now = time.monotonic()
@@ -254,18 +247,6 @@ class RobustDispatcher:
         cell probe, which is never planned."""
         return engine.plan(query) if isinstance(query, AggregateQuery) else None
 
-    @staticmethod
-    def _gathers(plan) -> bool:
-        """True when ``plan`` gathers rows of U.
-
-        Gathers are the pool's work; what is left — full rollup hits,
-        ``count``, one mapped row for a cell (no plan) — the parent
-        answers.  The test is ``row_fetches``, not ``pages``: a mapped
-        backend's pages are logical only, so every route plans
-        ``pages == 0``.
-        """
-        return plan is not None and plan.route.row_fetches > 0
-
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
 
@@ -288,15 +269,30 @@ class RobustDispatcher:
             if time.monotonic_ns() >= deadline_ns:
                 raise self._deadline_miss(start_ns, deadline_ns)
             brownout = self.brownout_active()
-            plan = None if brownout else self._plan(self._planning, coerced)
-            if self._gathers(plan):
-                if self.breaker.allow():
-                    return self._dispatch_pool(coerced, start_ns, deadline_ns)
-                # Open breaker but brownout says calm — races between
-                # the two checks land here; treat it as brownout, on
-                # the SVD-only engine's own plan.
-                brownout, plan = True, None
-            return self._answer_here(coerced, start_ns, brownout, plan)
+            try:
+                result, gathered = self._execute(coerced, brownout, start_ns, deadline_ns)
+            except RouteUnavailableError:
+                self._note_shed()
+                raise self.admission.shed(
+                    "brownout",
+                    "server is in brownout (SVD-only answers) and this query "
+                    "needs per-cell values; retry after "
+                    f"{self.config.retry_after_s:g}s",
+                ) from None
+            if time.monotonic_ns() >= deadline_ns:
+                # Computed, but late: a 200 never follows its deadline.
+                raise self._deadline_miss(start_ns, deadline_ns)
+            self._count("answers", "server.answers")
+            if gathered:
+                self._count("gathers", "server.gathers")
+            # Only a ``summary``-route brownout answer is exact; every
+            # other one is the bare factors, stamped with the stored RMSPE.
+            degraded = brownout and result.route != ROUTE_SUMMARY
+            if degraded:
+                self._count("degraded_answers", "server.degraded_answers")
+            elif brownout:
+                self._count("summary_brownout_hits", "server.summary.brownout_hits")
+            return self._payload(result, start_ns, degraded=degraded)
 
     def _deadline_miss(self, start_ns: int, deadline_ns: int) -> DeadlineExceededError:
         self._count("deadline_misses", "server.deadline_misses")
@@ -304,74 +300,24 @@ class RobustDispatcher:
             f"query exceeded its {int((deadline_ns - start_ns) / 1e6)} ms deadline"
         )
 
-    def _dispatch_pool(self, query, start_ns: int, deadline_ns: int) -> dict:
-        """A plan that gathers: run on the worker pool under a deadline."""
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                future = self.executor.submit(query, deadline_ns=deadline_ns)
-                remaining_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
-                result = future.result(timeout=remaining_s)
-                self.breaker.record_success()
-                self._count("pool_answers", "server.answers.pool")
-                return self._payload(result, start_ns, degraded=False)
-            except DeadlineExceededError:
-                # Worker-side queue drop: the deadline passed before a
-                # worker picked the task up.  Must precede the
-                # FuturesTimeoutError clause — on modern CPython that
-                # is an alias of builtin TimeoutError, which
-                # DeadlineExceededError subclasses.
-                self._count("deadline_misses", "server.deadline_misses")
-                raise
-            except FuturesTimeoutError:
-                future.cancel()
-                raise self._deadline_miss(start_ns, deadline_ns) from None
-            except BrokenProcessPool:
-                # A worker died under this request.  The executor
-                # rebuilds its pool on the next submit (feeding the
-                # breaker via on_rebuild); retry exactly once so a lone
-                # crash stays invisible to the client.
-                if attempts >= 2 or time.monotonic_ns() >= deadline_ns:
-                    self._note_shed()
-                    raise self.admission.shed(
-                        "breaker",
-                        "worker pool is unstable; retry after "
-                        f"{self.config.retry_after_s:g}s",
-                    ) from None
-                self._count("pool_retries", "server.pool_retries")
+    def _execute(self, query, brownout: bool, start_ns: int, deadline_ns: int):
+        """Plan on this mode's engine and run that plan in this thread.
 
-    def _answer_here(self, query, start_ns: int, brownout: bool, plan) -> dict:
-        """Execute in the parent, on this mode's engine.
-
-        Healthy, that is the delta-capable twin of the workers running
-        ``plan``, the one the request was routed by: same plan, same
-        arithmetic, bit-identical value, never degraded.  In
-        brownout it is the SVD-only engine (module docstring, step 4):
-        only a ``summary``-route answer is exact, so NOT degraded —
-        which is what un-sheds min/max; every other aggregate and every
-        cell (``svd_cell``) is the bare factors, stamped degraded with
-        the stored RMSPE, and a query with no admissible route is shed
-        instead of silently served wrong.
+        Returns ``(result, gathered)``.  The test for a gather is
+        ``row_fetches``, not ``pages``: a mapped backend's pages are
+        logical only, so every route plans ``pages == 0``.
         """
+        engine = self._fallback if brownout else self._engine
+        plan = self._plan(engine, query)
+        if plan is None or plan.route.row_fetches == 0:
+            return engine.execute(query, plan=plan), False
+        left_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
+        if not self._slots.acquire(timeout=left_s):
+            raise self._deadline_miss(start_ns, deadline_ns)
         try:
-            engine = self._fallback if brownout else self._planning
-            result = engine.execute(query, plan=plan)
-        except RouteUnavailableError:
-            self._note_shed()
-            raise self.admission.shed(
-                "brownout",
-                "server is in brownout (SVD-only answers) and this query "
-                "needs per-cell values; retry after "
-                f"{self.config.retry_after_s:g}s",
-            ) from None
-        self._count("parent_answers", "server.answers.parent")
-        degraded = brownout and result.route != ROUTE_SUMMARY
-        if degraded:
-            self._count("degraded_answers", "server.degraded_answers")
-        elif brownout:
-            self._count("summary_brownout_hits", "server.summary.brownout_hits")
-        return self._payload(result, start_ns, degraded=degraded)
+            return engine.execute(query, plan=plan), True
+        finally:
+            self._slots.release()
 
     def _payload(self, result, start_ns: int, degraded: bool) -> dict:
         elapsed_ms = (time.monotonic_ns() - start_ns) / 1e6
@@ -394,17 +340,16 @@ class RobustDispatcher:
     def groupby(self, by: str, function: str, limit: int | None = None) -> dict:
         """A whole dashboard series from the summary store.
 
-        Runs in the parent against the mapped fallback backend — a
-        summary hit reads only the small rollup arrays (zero ``u.mat``
-        pages, no pool round-trip), which is why group-bys stay cheap
-        even while the pool is rebuilding.  Admission still applies: a
-        stale store's streamed residual is real work.  Raises
-        :class:`~repro.exceptions.QueryError` for a bad axis/function,
-        :class:`~repro.exceptions.OverloadedError` when shed.
+        A summary hit reads only the small rollup arrays (zero
+        ``u.mat`` pages), so a group-by never takes a gather slot.
+        Admission still applies: a stale store's streamed residual is
+        real work.  Raises :class:`~repro.exceptions.QueryError` for a
+        bad axis/function, :class:`~repro.exceptions.OverloadedError`
+        when shed.
         """
         start_ns = time.monotonic_ns()
         with self._admit():
-            series = bucket_series(self._fallback_backend, by, function, limit)
+            series = bucket_series(self._backend, by, function, limit)
         path = series["path"]
         if path == "summary":
             self._count("summary_hits", "server.summary.hits")
@@ -417,31 +362,25 @@ class RobustDispatcher:
         return series
 
     def explain(self, query) -> dict:
-        """Plan a query without executing it (no pool round-trip).
+        """Plan a query without executing it.
 
-        Runs against the parent-side engine whose mode matches how
-        :meth:`dispatch` would answer *right now*: the delta-capable
-        twin of the pool workers while healthy, the SVD-only brownout
-        engine while :meth:`brownout_active` — so the reported route is
-        the executed route in either mode, and ``executes_in`` says
-        which side of the process boundary would run it (``"pool"``
-        only for a healthy plan that gathers).  A brownout query with
-        no admissible route explains as ``path="shed"`` (dispatch would
-        raise :class:`~repro.exceptions.OverloadedError`) rather than
+        Plans on the engine :meth:`dispatch` would answer with *right
+        now* — delta-capable while healthy, SVD-only while
+        :meth:`brownout_active` — so the reported route is the executed
+        route in either mode.  A brownout query with no admissible
+        route explains as ``path="shed"`` (dispatch would raise
+        :class:`~repro.exceptions.OverloadedError`) rather than
         inventing a plan.
         """
         coerced = coerce_query(query)
         brownout = self.brownout_active()
-        engine = self._fallback if brownout else self._planning
-        plan = None
+        engine = self._fallback if brownout else self._engine
         try:
             plan = self._plan(engine, coerced)
             described = plan.to_dict() if plan else engine.explain(coerced)
         except RouteUnavailableError as exc:
             described = {"path": "shed", "reason": str(exc)}
         described["mode"] = "brownout" if brownout else "healthy"
-        pool = not brownout and self._gathers(plan)
-        described["executes_in"] = "pool" if pool else "parent"
         return described
 
     # -- reporting ------------------------------------------------------
@@ -449,23 +388,18 @@ class RobustDispatcher:
     def stats(self) -> dict:
         """The ``/stats`` endpoint's snapshot of serving health.
 
-        ``parent_answers`` / ``pool_answers`` split :meth:`dispatch`'s
-        answers by the side of the process boundary that computed them,
-        so ``worker_metrics.queries`` counts gathers only.
+        ``answers`` counts every :meth:`dispatch` answer, ``gathers``
+        those of them that took one of the ``workers`` slots.
         """
         return {
             "queue_depth": self.admission.depth,
             "queue_age_ms": round(self.admission.oldest_age_ms(), 3),
             "admitted_total": self.admission.admitted_total,
             "shed_total": self.admission.shed_total,
-            "parent_answers": self.parent_answers,
-            "pool_answers": self.pool_answers,
+            "answers": self.answers,
+            "gathers": self.gathers,
             "deadline_misses": self.deadline_misses,
             "degraded_answers": self.degraded_answers,
-            "pool_retries": self.pool_retries,
-            "pool_restarts": self.executor.restarts,
-            "breaker_state": self.breaker.state,
-            "breaker_trips": self.breaker.trips,
             "summary_hits": self.summary_hits,
             "summary_partial": self.summary_partial,
             "summary_misses": self.summary_misses,
@@ -474,6 +408,5 @@ class RobustDispatcher:
             "model_degraded": self.model_degraded,
             "rmspe_estimate": self.rmspe,
             "draining": self._draining,
-            "workers": self.executor.max_workers,
-            "worker_metrics": self.executor.worker_metrics(),
+            "workers": self.workers,
         }

@@ -20,17 +20,17 @@ runs, and every response closes its connection.  The routes:
   a hit; ``by`` is ``day``/``week``/``month``/``quarter``/``year``/
   ``customer``);
 - ``GET /explain?q=<text>`` — the planner's chosen route (the one
-  ``/query`` would execute right now, healthy or brownout) and
-  ``executes_in`` (``parent`` or ``pool``), never executed;
+  ``/query`` would execute right now, healthy or brownout), never
+  executed;
 - ``GET /stats`` — the dispatcher's health snapshot (JSON);
 - ``GET /healthz`` / ``/healthz/live`` — liveness (always ``ok``);
 - ``GET /healthz/ready`` — readiness (503 while warming or draining);
 - ``GET /metrics`` — OpenMetrics exposition of the process registry.
 
-Cells, full rollup hits, ``count`` and group-bys are answered in the
-serving process (``parent_answers`` in ``/stats``); only an aggregate
-whose plan gathers rows of U crosses to a pool worker (``pool_answers``
-— so ``worker_metrics.queries`` counts gathers only).
+Every request is computed by the handler thread that read it
+(``answers`` in ``/stats``); an aggregate whose plan gathers rows of U
+first takes one of ``workers`` slots (``gathers``), waiting no longer
+than its deadline.
 
 Every query route accepts a deadline as ``?timeout_ms=`` or the
 ``X-Repro-Deadline-Ms`` header (query param wins), clamped to the
@@ -46,17 +46,22 @@ exception                             status  extras
 ====================================  ======  ==========================
 ``QueryError`` (parse/validation)     400     structured JSON error
 ``OverloadedError`` (shed)            503     ``Retry-After`` header
-``DeadlineExceededError``             504     —
+``DeadlineExceededError``             504     never a late 200
 anything else                         500     generic JSON, no traceback
 ====================================  ======  ==========================
 
-**Lifecycle** — ``start()`` warms the worker pool *before* accepting
-traffic (ProcessPoolExecutor forks lazily; the first request must not
-pay the fork) and only then flips readiness.  SIGTERM/SIGINT (via
-:meth:`install_signal_handlers` or :meth:`request_shutdown`) flips
-readiness off, sheds new requests with ``503``, waits out in-flight
-requests bounded by ``drain_grace_s``, stops the pool, and releases
-:meth:`serve_until_shutdown` so the CLI can ``exit 0``.
+A deadline that passes while a gather waits for a slot is a 504 before
+any compute; one that passes while the gather *runs* is a 504 when the
+compute ends (a thread cannot be abandoned mid-flight).
+
+**Lifecycle** — ``start()`` warms the serving engine *before* accepting
+traffic (one cell, one rollup, one gather: no request builds a lazy
+table inside its deadline) and only then flips readiness.
+SIGTERM/SIGINT (via :meth:`install_signal_handlers` or
+:meth:`request_shutdown`) flips readiness off, sheds new requests with
+``503``, waits out in-flight requests bounded by ``drain_grace_s``,
+releases the model, and releases :meth:`serve_until_shutdown` so the
+CLI can ``exit 0``.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ from repro.obs.serve import (
     GracefulHTTPServer,
     HealthState,
 )
-from repro.query.engine import AggregateQuery
+from repro.query.engine import AggregateQuery, CellQuery
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
@@ -194,7 +199,7 @@ class _QueryHandler(BaseEndpointHandler):
         if row is None or col is None:
             raise QueryError("/cell needs integer 'row' and 'col' parameters")
         try:
-            return parse_query(f"cell({int(row)}, {int(col)})")
+            return CellQuery(int(row), int(col))
         except ValueError:
             raise QueryError(
                 f"row/col must be integers, got row={row!r} col={col!r}"
@@ -299,12 +304,9 @@ class QueryServer:
         return f"http://{self.config.host}:{self.port}"
 
     def start(self) -> "QueryServer":
-        """Warm the pool, bind, serve on daemon threads; returns self."""
+        """Warm the engine, bind, serve on daemon threads; returns self."""
         if self._server is not None:
             return self
-        # Fork the workers before any HTTP thread exists: mixing
-        # fork-on-demand with live threads is where fork-safety bugs
-        # breed, and the first request shouldn't pay the fork anyway.
         self.dispatcher.warm()
         handler = type(
             "_BoundQueryHandler",
@@ -324,7 +326,7 @@ class QueryServer:
 
     def stop(self) -> None:
         """Graceful drain: readiness off → shed new work → wait out
-        in-flight requests (bounded) → stop pool and listener.
+        in-flight requests (bounded) → release model and listener.
 
         Idempotent and safe from signal handlers' deferred context (the
         actual call happens on the main thread via

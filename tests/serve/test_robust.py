@@ -1,53 +1,78 @@
-"""RobustDispatcher: deadlines, brownout, degraded answers, crash retry."""
+"""RobustDispatcher: deadlines, gather slots, brownout, degraded answers."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.exceptions import DeadlineExceededError, OverloadedError, QueryError
+from repro.core.store import CompressedMatrix
+from repro.exceptions import (
+    DeadlineExceededError,
+    OverloadedError,
+    QueryError,
+    StorageError,
+)
 from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
-from repro.query.process_executor import _CrashProbe
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher, rmspe_estimate
+
+SRC_DIR = Path(engine_module.__file__).parents[2]
+
+#: Never auto-brownout unless a test asks for it.
+CALM = dict(max_queue_depth=16, default_timeout_ms=10_000, brownout_sheds=1_000)
 
 
 @pytest.fixture(scope="module")
 def dispatcher(serve_model_dir):
-    config = ServeConfig(
-        workers=2,
-        max_queue_depth=16,
-        default_timeout_ms=10_000,
-        brownout_sheds=1_000,  # never auto-brownout in this module
-        breaker_failures=1_000,  # never auto-trip either
-    )
-    dispatcher = RobustDispatcher(serve_model_dir, config)
+    dispatcher = RobustDispatcher(serve_model_dir, ServeConfig(workers=2, **CALM))
     dispatcher.warm()
     yield dispatcher
     dispatcher.close()
 
 
+@pytest.fixture(scope="module")
+def stale_dispatcher(stale_model_dir):
+    dispatcher = RobustDispatcher(stale_model_dir, ServeConfig(workers=2, **CALM))
+    dispatcher.warm()
+    yield dispatcher
+    dispatcher.close()
+
+
+def _engine_answers(model_dir, texts):
+    """What a sequential engine over its own open of the model says."""
+    with CompressedMatrix.open(model_dir, mapped=True) as store:
+        engine = QueryEngine(store)
+        return [engine.execute(parse_query(text)) for text in texts]
+
+
 class TestHealthyPath:
     def test_pool_answers_match_engine(self, dispatcher, serve_model_dir):
-        from repro.core.store import CompressedMatrix
-
-        payload = dispatcher.dispatch("sum() rows 0:40 cols 0:25")
-        with CompressedMatrix.open(serve_model_dir) as store:
-            expected = QueryEngine(store).execute(
-                parse_query("sum() rows 0:40 cols 0:25")
-            )
+        text = "sum() rows 0:40 cols 0:25"
+        before = dispatcher.stats()
+        payload = dispatcher.dispatch(text)
+        (expected,) = _engine_answers(serve_model_dir, [text])
         assert payload["value"] == expected.value
         assert payload["degraded"] is False
         assert payload["cells"] == 40 * 25
+        # A gather: it took a slot, in this process.
+        after = dispatcher.stats()
+        assert after["answers"] == before["answers"] + 1
+        assert after["gathers"] == before["gathers"] + 1
+        assert not multiprocessing.active_children()
 
     def test_accepts_all_query_forms(self, dispatcher):
         assert dispatcher.dispatch((3, 7))["cells"] == 1
@@ -79,22 +104,35 @@ class TestHealthyPath:
 
     def test_explain_without_execution(self, dispatcher):
         # rows 0:10 x all cols is covered by the materialized row
-        # rollups, so the healthy workers answer it on the summary
+        # rollups, so the healthy engine answers it on the summary
         # route — and explain must say so (pre-planner, this explained
         # via the brownout engine as "factor": the divergence bug).
         plan = dispatcher.explain("avg() rows 0:10")
         assert plan["path"] == "summary"
         assert plan["mode"] == "healthy"
 
-    def test_explain_path_matches_dispatched_route(self, dispatcher):
-        for text in ("avg() rows 0:10", "sum() rows 0:40 cols 0:25", "min()"):
-            plan = dispatcher.explain(text)
-            payload = dispatcher.dispatch(text)
-            assert plan["path"] == payload["route"], text
+    def test_explain_path_matches_dispatched_route(
+        self, dispatcher, stale_dispatcher
+    ):
+        """Every route: the plan explained is the plan dispatched."""
+        cases = [
+            (dispatcher, "avg() rows 0:10", None, "summary"),
+            (dispatcher, "min()", None, "summary"),
+            (dispatcher, "sum() rows 0:40 cols 0:25", None, "factor"),
+            (dispatcher, "min() rows 0:40 cols 0:25", None, "stream"),
+            (dispatcher, "sum() rows 0:40 cols 0:25", 0.9, "svd"),
+            (stale_dispatcher, "min()", None, "summary+factor"),
+        ]
+        for target, text, budget, route in cases:
+            query = dataclasses.replace(parse_query(text), max_rmspe=budget)
+            plan = target.explain(query)
+            payload = target.dispatch(query)
+            assert plan["path"] == payload["route"] == route, text
+            assert "executes_in" not in plan
 
 
 #: Plans that gather no rows of U (full rollup hits, ``count``) and cell
-#: probes: the parent answers these.  Model is 80 x 50.
+#: probes: these never take a gather slot.  Model is 80 x 50.
 PARENT_QUERIES = [
     "cell(3, 7)",
     "cell(79, 49)",
@@ -106,60 +144,57 @@ PARENT_QUERIES = [
     "count() rows 5:60 cols 3:40",
 ]
 
-
-def _pool_queries(dispatcher) -> int:
-    return dispatcher.executor.worker_metrics()["queries"]
+#: Partial on both axes, so they gather: ``factor`` and ``stream``.
+GATHER_QUERIES = ["sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"]
 
 
 class TestParentPath:
     @pytest.mark.parametrize("text", PARENT_QUERIES)
-    def test_parent_answer_is_the_worker_answer(self, dispatcher, text):
+    def test_parent_answer_is_the_worker_answer(
+        self, dispatcher, serve_model_dir, text
+    ):
         query = parse_query(text)
-        before = _pool_queries(dispatcher), dispatcher.parent_answers
+        before = dispatcher.stats()
         payload = dispatcher.dispatch(query)
-        assert dispatcher.parent_answers == before[1] + 1
-        worker = dispatcher.executor.submit(query).result(timeout=30)
-        # Workers report their totals with each result: exactly one
-        # query reached the pool, and it was the direct submit.
-        assert _pool_queries(dispatcher) == before[0] + 1
-        assert payload["value"] == worker.value  # bit-identical, not approx
-        assert payload.get("route", "") == worker.route
-        assert payload.get("error_bound", 0.0) == worker.error_bound
-        assert payload["cells"] == worker.cells_touched
-        assert payload["rows_fetched"] == worker.rows_fetched
+        after = dispatcher.stats()
+        assert after["answers"] == before["answers"] + 1
+        assert after["gathers"] == before["gathers"]  # no slot taken
+        (engine,) = _engine_answers(serve_model_dir, [text])
+        assert payload["value"] == engine.value  # bit-identical, not approx
+        assert payload.get("route", "") == engine.route
+        assert payload.get("error_bound", 0.0) == engine.error_bound
+        assert payload["cells"] == engine.cells_touched
+        assert payload["rows_fetched"] == engine.rows_fetched
         assert payload["degraded"] is False
         explained = dispatcher.explain(query)
-        assert explained["executes_in"] == "parent"
         assert explained["path"] == payload.get("route", "cell")
 
-    @pytest.mark.parametrize(
-        "text", ["sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"]
-    )
-    def test_partial_rectangle_still_reaches_the_pool(self, dispatcher, text):
+    @pytest.mark.parametrize("text", GATHER_QUERIES, ids=["factor", "stream"])
+    def test_partial_rectangle_takes_a_gather_slot(self, dispatcher, text):
         # On a mapped backend every route plans pages == 0; only
         # row_fetches tells a gather from a rollup hit.
         plan = dispatcher.explain(text)
         assert plan["estimated_pages"] == 0 and plan["estimated_row_fetches"] == 50
-        assert plan["executes_in"] == "pool"
-        before = _pool_queries(dispatcher), dispatcher.pool_answers
+        before = dispatcher.stats()
         assert dispatcher.dispatch(text)["route"] == plan["path"]
-        assert _pool_queries(dispatcher) == before[0] + 1
-        assert dispatcher.pool_answers == before[1] + 1
+        after = dispatcher.stats()
+        assert after["answers"] == before["answers"] + 1
+        assert after["gathers"] == before["gathers"] + 1
 
     def test_each_aggregate_is_planned_once_per_process(
         self, serve_model_dir, monkeypatch, enabled_registry
     ):
-        """The plan dispatch routes by is the plan the parent executes:
-        one ``plan_aggregate`` call per parent-answered aggregate, one
-        in the parent plus the worker's own per gather, none for a
-        cell — and ``planner.route.*`` still counts answers, not plans."""
+        """The plan dispatch routes by is the plan it executes: one
+        ``plan_aggregate`` call per aggregate on every route, none for a
+        cell, none in a forked child (there is none) — and
+        ``planner.route.*`` counts answers, not plans."""
         fork = multiprocessing.get_context("fork")
-        calls = {"parent": fork.Value("i", 0), "worker": fork.Value("i", 0)}
+        calls = {"parent": fork.Value("i", 0), "child": fork.Value("i", 0)}
         parent_pid = os.getpid()
         plan_aggregate = engine_module.plan_aggregate
 
         def counting(*args, **kwargs):
-            side = calls["parent" if os.getpid() == parent_pid else "worker"]
+            side = calls["parent" if os.getpid() == parent_pid else "child"]
             with side.get_lock():
                 side.value += 1
             return plan_aggregate(*args, **kwargs)
@@ -171,89 +206,58 @@ class TestParentPath:
                 for name, value in counters.items()
                 if name.startswith("planner.route.")
             )
-            return calls["parent"].value, calls["worker"].value, answers
+            return calls["parent"].value, calls["child"].value, answers
 
-        # Patched before the pool forks, so the workers count too.
+        # Patched before the dispatcher exists: anything it forked
+        # would count too.
         monkeypatch.setattr(engine_module, "plan_aggregate", counting)
-        config = ServeConfig(workers=1, breaker_failures=1_000, brownout_sheds=1_000)
+        config = ServeConfig(workers=1, brownout_sheds=1_000)
         dispatcher = RobustDispatcher(serve_model_dir, config)
         try:
             dispatcher.warm()
-            for text in PARENT_QUERIES:
-                aggregate = 0 if text.startswith("cell") else 1
+            budgeted = dataclasses.replace(
+                parse_query(GATHER_QUERIES[0]), max_rmspe=0.9
+            )
+            assert dispatcher.explain(budgeted)["path"] == "svd"
+            for query in (*PARENT_QUERIES, *GATHER_QUERIES, budgeted):
+                aggregate = 0 if str(query).startswith("cell") else 1
                 before = planned()
-                dispatcher.dispatch(text)
+                dispatcher.dispatch(query)
                 assert planned() == (
                     before[0] + aggregate,
-                    before[1],
+                    0,
                     before[2] + aggregate,
-                ), text
-                dispatcher.explain(text)
+                ), query
+                dispatcher.explain(query)
                 assert planned() == (
                     before[0] + 2 * aggregate,
-                    before[1],
+                    0,
                     before[2] + aggregate,
-                ), text
-            for text in ("sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"):
-                before = planned()
-                dispatcher.dispatch(text)
-                # The worker answered, and counted it in its own registry.
-                assert planned() == (before[0] + 1, before[1] + 1, before[2]), text
+                ), query
+            assert not multiprocessing.active_children()
         finally:
             dispatcher.close()
 
     def test_error_budget_reaches_the_one_plan(self, dispatcher):
         """``max_rmspe`` rides on the query into the single plan: a
-        ``count`` gathers nothing on either factor route, so the parent
-        answers it — exactly by default, on the cheaper ``svd`` route
+        ``count`` gathers nothing on either factor route, so it takes no
+        slot — answered exactly by default, on the cheaper ``svd`` route
         once the budget admits it."""
         text = "count() rows 5:60 cols 3:40"
         for budget, route in ((None, "factor"), (0.0, "factor"), (0.9, "svd")):
             query = dataclasses.replace(parse_query(text), max_rmspe=budget)
-            before = dispatcher.parent_answers
+            before = dispatcher.stats()
             explained = dispatcher.explain(query)
             payload = dispatcher.dispatch(query)
-            assert dispatcher.parent_answers == before + 1
+            after = dispatcher.stats()
+            assert after["answers"] == before["answers"] + 1
+            assert after["gathers"] == before["gathers"]
             assert explained["max_rmspe"] == budget
             assert explained["path"] == payload["route"] == route
             assert payload["value"] == 55 * 37
 
-    def test_parent_path_survives_a_dead_pool(self, serve_model_dir):
-        config = ServeConfig(workers=1, breaker_failures=1_000, brownout_sheds=1_000)
-        dispatcher = RobustDispatcher(serve_model_dir, config)
-        try:
-            dispatcher.warm()
-            with pytest.raises(Exception):
-                dispatcher.executor.submit(_CrashProbe()).result(timeout=30)
-            for text in PARENT_QUERIES:
-                assert dispatcher.dispatch(text)["degraded"] is False
-            # Nobody touched the broken pool, so nobody rebuilt it.
-            assert dispatcher.executor.restarts == 0
-            assert dispatcher.stats()["parent_answers"] == len(PARENT_QUERIES)
-        finally:
-            dispatcher.close()
-
-    def test_parent_answer_leaves_the_breaker_alone(self, serve_model_dir):
-        config = ServeConfig(
-            workers=1, breaker_failures=1, breaker_cooldown_s=0.05, brownout_sheds=1_000
-        )
-        dispatcher = RobustDispatcher(serve_model_dir, config)
-        try:
-            dispatcher.breaker.record_failure()
-            time.sleep(0.06)
-            assert dispatcher.breaker.state == "half_open"
-            for text in PARENT_QUERIES:
-                assert dispatcher.dispatch(text)["degraded"] is False
-            # Neither the probe slot nor a verdict: still half-open,
-            # and the next gather is the probe that closes it.
-            assert dispatcher.breaker.state == "half_open"
-            assert dispatcher.dispatch("sum() rows 0:10 cols 0:25")["degraded"] is False
-            assert dispatcher.breaker.state == "closed"
-        finally:
-            dispatcher.close()
-
     def test_deadline_passed_at_admission_is_504_before_compute(
-        self, dispatcher, monkeypatch
+        self, dispatcher, monkeypatch, spy_on_execute
     ):
         admit = dispatcher.admission.admit
 
@@ -262,58 +266,192 @@ class TestParentPath:
             return admit()
 
         monkeypatch.setattr(dispatcher.admission, "admit", slow_admit)
+        executed = spy_on_execute(dispatcher)
         before = dispatcher.stats()
         for text in ("cell(3, 7)", "sum() rows 0:10", "sum() rows 0:10 cols 0:25"):
             with pytest.raises(DeadlineExceededError):
                 dispatcher.dispatch(text, timeout_ms=1)
         after = dispatcher.stats()
         assert after["deadline_misses"] == before["deadline_misses"] + 3
-        for key in ("parent_answers", "pool_answers"):
+        for key in ("answers", "gathers"):
             assert after[key] == before[key]
-        assert after["worker_metrics"]["queries"] == before["worker_metrics"]["queries"]
+        assert not executed
         assert after["queue_depth"] == 0  # the tickets were released
 
-    def test_concurrent_parent_dispatch_matches_sequential(self, dispatcher):
-        queries = [parse_query(text) for text in PARENT_QUERIES]
-        expected = [dispatcher.dispatch(query)["value"] for query in queries]
-        before = dispatcher.stats()
-        wrong: list = []
+    def test_concurrent_parent_dispatch_matches_sequential(
+        self, dispatcher, stale_dispatcher, serve_model_dir, stale_model_dir
+    ):
+        """8 threads x 200 over slot-free plans and gathers on all
+        three gathering routes: every value is the sequential engine's."""
+        for target, model_dir, texts, routes in (
+            (
+                dispatcher,
+                serve_model_dir,
+                PARENT_QUERIES + GATHER_QUERIES,
+                {"factor", "stream"},
+            ),
+            (
+                stale_dispatcher,
+                stale_model_dir,
+                ["min()", "cell(3, 51)", "max() rows 0:10"],
+                {"summary+factor"},
+            ),
+        ):
+            queries = [parse_query(text) for text in texts]
+            answers = _engine_answers(model_dir, texts)
+            expected = [answer.value for answer in answers]
+            # Aggregates (a cell has no route) that read rows of U.
+            gathers = [bool(a.route) and a.rows_fetched > 0 for a in answers]
+            assert routes <= {a.route for a, g in zip(answers, gathers) if g}
+            before = target.stats()
+            wrong: list = []
 
-        def hammer():
-            for i in range(200):
-                got = dispatcher.dispatch(queries[i % len(queries)])["value"]
-                if got != expected[i % len(queries)]:
-                    wrong.append((i, got))
+            def hammer():
+                for i in range(200):
+                    got = target.dispatch(queries[i % len(queries)])["value"]
+                    if got != expected[i % len(queries)]:
+                        wrong.append((i, got))
 
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not wrong
+            after = target.stats()
+            assert after["admitted_total"] == before["admitted_total"] + 1600
+            assert after["answers"] == before["answers"] + 1600
+            assert after["gathers"] == before["gathers"] + 8 * sum(
+                gathers[i % len(queries)] for i in range(200)
+            )
+            assert after["shed_total"] == before["shed_total"]
+            assert after["deadline_misses"] == before["deadline_misses"]
+            assert after["queue_depth"] == 0
+
+
+class TestGatherSlots:
+    """What the worker pool used to guarantee, kept by threads."""
+
+    @pytest.fixture()
+    def held(self, dispatcher, spy_on_execute):
+        """Every slot held by a gather blocked inside the engine.
+
+        Yields ``(executed, release)``: the queries the engine has been
+        handed so far, and the event that lets the holders finish.
+        """
+        release = threading.Event()
+        blocked = parse_query("avg() rows 20:70 cols 10:45")
+        executed = spy_on_execute(
+            dispatcher,
+            before=lambda query: query == blocked and release.wait(timeout=30),
+        )
+        payloads: list = []
+        holders = [
+            threading.Thread(
+                target=lambda: payloads.append(dispatcher.dispatch(blocked))
+            )
+            for _ in range(dispatcher.workers)
+        ]
+        for holder in holders:
+            holder.start()
+        deadline = time.monotonic() + 10.0
+        while len(executed) < len(holders) and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert len(executed) == len(holders)
+        assert dispatcher.stats()["queue_depth"] == len(holders)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            yield executed, release
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not wrong
+            release.set()
+            for holder in holders:
+                holder.join(timeout=30)
+        assert [payload["degraded"] for payload in payloads] == [False] * len(holders)
+
+    def test_gather_still_queued_at_its_deadline_is_dropped(
+        self, dispatcher, held
+    ):
+        executed, _release = held
+        before = dispatcher.stats()
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            dispatcher.dispatch(GATHER_QUERIES[0], timeout_ms=50)
+        waited = time.monotonic() - start
+        # Its own deadline (within ~2x), not the holders' release.
+        assert 0.05 <= waited < 0.25
         after = dispatcher.stats()
-        assert after["admitted_total"] == before["admitted_total"] + 1600
-        assert after["parent_answers"] == before["parent_answers"] + 1600
-        assert after["pool_answers"] == before["pool_answers"]
-        assert after["shed_total"] == before["shed_total"]
+        assert after["deadline_misses"] == before["deadline_misses"] + 1
+        assert after["gathers"] == before["gathers"]
+        assert after["queue_depth"] == dispatcher.workers  # ticket released
+        assert len(executed) == dispatcher.workers  # the engine never saw it
+
+    def test_slot_free_requests_answer_while_every_slot_is_held(
+        self, dispatcher, held
+    ):
+        for text in PARENT_QUERIES:
+            assert dispatcher.dispatch(text, timeout_ms=2_000)["degraded"] is False
+        assert dispatcher.groupby("month", "sum")["path"] == "summary"
+        assert dispatcher.stats()["queue_depth"] == dispatcher.workers
+
+    def test_waiting_gather_holds_its_ticket(self, dispatcher, held):
+        """Depth and age shedding see a gather queued for a slot."""
+        executed, release = held
+        payloads: list = []
+        waiter = threading.Thread(
+            target=lambda: payloads.append(
+                dispatcher.dispatch(GATHER_QUERIES[1], timeout_ms=5_000)
+            )
+        )
+        waiter.start()
+        deadline = time.monotonic() + 5.0
+        while (
+            dispatcher.stats()["queue_depth"] <= dispatcher.workers
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.002)
+        assert dispatcher.stats()["queue_depth"] == dispatcher.workers + 1
+        assert len(executed) == dispatcher.workers  # admitted, not computing
+        release.set()
+        waiter.join(timeout=30)
+        assert payloads and payloads[0]["route"] == "stream"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["cell(3, 7)", "sum() rows 0:10", *GATHER_QUERIES],
+        ids=["cell", "summary", "factor", "stream"],
+    )
+    def test_late_answer_is_504_not_200(
+        self, dispatcher, monkeypatch, spy_on_execute, text
+    ):
+        executed = spy_on_execute(dispatcher, before=lambda _query: time.sleep(0.03))
+        before = dispatcher.stats()
+        with pytest.raises(DeadlineExceededError):
+            dispatcher.dispatch(text, timeout_ms=10)
+        after = dispatcher.stats()
+        assert len(executed) == 1  # it did run: the answer was late, not skipped
+        assert after["deadline_misses"] == before["deadline_misses"] + 1
+        assert after["answers"] == before["answers"]
+        assert after["gathers"] == before["gathers"]
+        assert after["queue_depth"] == 0
+        # The slot came back: the same gather answers with time to spare.
+        monkeypatch.undo()
+        assert dispatcher.dispatch(text)["degraded"] is False
 
 
 class TestDeadlines:
     def test_expired_deadline_maps_to_deadline_error(self, dispatcher):
-        # clamp_timeout_ms floors at 1 ms; a worker round-trip on a
-        # fork-start pool virtually always exceeds it, but allow the
-        # occasional lucky fast answer — what must never happen is any
-        # *other* outcome.
+        # clamp_timeout_ms floors at 1 ms; a gather on this small model
+        # usually fits, a descheduled one does not — what must never
+        # happen is any *other* outcome.
         outcomes = set()
         for _ in range(5):
             try:
-                # Full on neither axis, so it gathers: pool work.
+                # Full on neither axis, so it gathers.
                 payload = dispatcher.dispatch(
                     "min() rows 0:40 cols 0:25", timeout_ms=0.001
                 )
@@ -337,7 +475,6 @@ class TestBrownout:
             workers=1,
             brownout_sheds=2,
             brownout_window_s=60.0,
-            breaker_failures=1_000,
         )
         dispatcher = RobustDispatcher(serve_model_dir, config)
         yield dispatcher
@@ -420,45 +557,6 @@ class TestBrownout:
             dispatcher.close()
 
 
-class TestBreakerIntegration:
-    def test_open_breaker_routes_to_degraded(self, serve_model_dir):
-        config = ServeConfig(
-            workers=1,
-            breaker_failures=1,
-            breaker_cooldown_s=60.0,
-            brownout_sheds=1_000,
-        )
-        dispatcher = RobustDispatcher(serve_model_dir, config)
-        try:
-            dispatcher.breaker.record_failure()
-            assert dispatcher.breaker.state == "open"
-            # Full-axis selections stay exact via the summary store even
-            # with the breaker open; only uncovered shapes degrade.
-            covered = dispatcher.dispatch("avg() rows 0:10")
-            assert covered["degraded"] is False
-            payload = dispatcher.dispatch("avg() rows 0:10 cols 0:10")
-            assert payload["degraded"] is True
-        finally:
-            dispatcher.close()
-
-    def test_worker_crash_feeds_breaker_and_retries_once(self, serve_model_dir):
-        config = ServeConfig(
-            workers=1, breaker_failures=1_000, brownout_sheds=1_000
-        )
-        dispatcher = RobustDispatcher(serve_model_dir, config)
-        try:
-            dispatcher.warm()
-            # Kill the (only) worker through the real dispatch path.
-            with pytest.raises(Exception):
-                dispatcher.executor.submit(_CrashProbe()).result(timeout=30)
-            # The next gather survives: broken pool -> rebuild -> retry.
-            payload = dispatcher.dispatch("sum() rows 0:10 cols 0:25")
-            assert payload["degraded"] is False
-            assert dispatcher.executor.restarts >= 1
-        finally:
-            dispatcher.close()
-
-
 class TestDrain:
     def test_draining_dispatcher_sheds_with_drain_reason(self, serve_model_dir):
         config = ServeConfig(workers=1, drain_grace_s=1.0)
@@ -470,7 +568,59 @@ class TestDrain:
         dispatcher.close()  # idempotent
 
 
+def _damaged_model(tmp_path):
+    """A copy-sized model whose delta sidecar is garbage: only a
+    degraded open succeeds."""
+    from repro.core.build import build_compressed
+
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 30))
+    data += 0.05 * rng.standard_normal(data.shape)
+    directory = tmp_path / "damaged"
+    build_compressed(data, directory, budget_fraction=0.2).close()
+    assert (directory / "deltas.bin").stat().st_size > 7
+    (directory / "deltas.bin").write_bytes(b"garbage")
+    return directory
+
+
 class TestDegradedModelOpen:
+    def test_damaged_model_refuses_to_serve_unless_allowed(self, tmp_path):
+        """The check the pool's constructor used to carry: the default
+        ``on_corrupt="raise"`` surfaces the storage layer's typed error
+        — the one ``repro serve`` prints, without a traceback, on its
+        way to exit 1; ``--allow-degraded`` serves, stamped."""
+        directory = _damaged_model(tmp_path)
+        with pytest.raises(StorageError) as excinfo:
+            RobustDispatcher(directory, ServeConfig(workers=1, on_corrupt="raise"))
+        with pytest.raises(StorageError):
+            RobustDispatcher(directory)  # raise is the default
+        serve = [sys.executable, "-m", "repro", "serve", str(directory), "--port", "0"]
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR), PYTHONUNBUFFERED="1")
+        refused = subprocess.run(
+            serve, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert refused.returncode == 1
+        assert refused.stderr.strip() == f"error: {excinfo.value}"
+        assert refused.stdout == ""
+        allowed = subprocess.Popen(
+            [*serve, "--allow-degraded"], env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            url = allowed.stdout.readline().split(" on ")[1].split()[0]
+            path = "/aggregate?fn=sum&rows=0:10&cols=0:10"
+            with urllib.request.urlopen(url + path, timeout=30) as reply:
+                payload = json.loads(reply.read())
+            assert payload["degraded"] is True and payload["route"] == "svd"
+            with urllib.request.urlopen(url + "/stats", timeout=30) as reply:
+                stats = json.loads(reply.read())
+            assert stats["model_degraded"] and stats["brownout"]
+            allowed.send_signal(signal.SIGTERM)
+            assert allowed.wait(timeout=30) == 0
+        finally:
+            allowed.kill()
+            allowed.wait()
+            allowed.stdout.close()
+
     def test_corrupt_delta_sidecar_serves_degraded(self, tmp_path):
         from repro.core.build import build_compressed
 

@@ -4,10 +4,11 @@ The robustness acceptance tests live here:
 
 - adversarial query text through the HTTP parser boundary must come
   back as structured 400s — never a 500, never a traceback;
-- a worker killed mid-traffic must cost zero non-deadline 5xx once the
-  pool rebuilds;
+- a storage fault under one request is that request's typed 500 and
+  nobody else's;
 - overload must shed with 503 + ``Retry-After`` instead of queueing
-  without bound;
+  without bound, and an answer computed past its deadline is a 504,
+  never a late 200;
 - SIGTERM must drain in-flight requests and exit 0.
 """
 
@@ -24,8 +25,8 @@ import urllib.request
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.exceptions import StorageError
 from repro.obs.serve import BaseEndpointHandler
-from repro.query.process_executor import _CrashProbe
 from repro.serve.config import ServeConfig
 from repro.serve.server import QueryServer
 
@@ -54,7 +55,6 @@ def server(serve_model_dir):
         max_queue_depth=32,
         default_timeout_ms=15_000,
         brownout_sheds=10_000,
-        breaker_failures=10_000,
     )
     with QueryServer(serve_model_dir, config) as srv:
         yield srv
@@ -97,20 +97,22 @@ class TestRoutes:
     def test_stats_route(self, server):
         status, _headers, stats = _get(server.url, "/stats")
         assert status == 200
-        assert stats["breaker_state"] == "closed"
         assert stats["workers"] == 2
         assert stats["admitted_total"] >= 1
+        assert stats["brownout"] is False and stats["draining"] is False
+        gone = ("breaker", "pool_", "parent_", "worker_metrics")
+        assert not [key for key in stats if key.startswith(gone)]
 
-    def test_stats_split_answers_by_side(self, server):
+    def test_stats_count_answers_and_gathers(self, server):
         before = _get(server.url, "/stats")[2]
         _get(server.url, "/cell?row=3&col=7")
         _get(server.url, "/aggregate?fn=sum&cols=0:10")
         _get(server.url, "/aggregate?fn=sum&rows=0:10&cols=0:10")
         after = _get(server.url, "/stats")[2]
-        assert after["parent_answers"] == before["parent_answers"] + 2
-        assert after["pool_answers"] == before["pool_answers"] + 1
+        assert after["answers"] == before["answers"] + 3
+        assert after["gathers"] == before["gathers"] + 1
         text = urllib.parse.quote("sum() rows 0:10 cols 0:10")
-        assert _get(server.url, f"/explain?q={text}")[2]["executes_in"] == "pool"
+        assert "executes_in" not in _get(server.url, f"/explain?q={text}")[2]
 
     def test_metrics_route_validates(self, server):
         from repro.obs.export import validate_openmetrics
@@ -124,8 +126,46 @@ class TestRoutes:
         assert text.rstrip().endswith("# EOF")
         assert "server_admitted" in text
         families = validate_openmetrics(text)
-        assert "repro_server_answers_parent" in families
-        assert "repro_server_answers_pool" in families
+        assert "repro_server_answers" in families
+        assert "repro_server_gathers" in families
+
+    def test_gathers_leave_their_spans_on_metrics(
+        self, stale_model_dir, enabled_registry
+    ):
+        """One gather on each gathering route, computed in this
+        process: its engine spans are in the registry ``/metrics``
+        scrapes, and the 200 names its trace."""
+        from repro.obs.export import validate_openmetrics
+
+        config = ServeConfig(port=0, workers=2, brownout_sheds=10_000)
+        with QueryServer(stale_model_dir, config) as srv:
+            enabled_registry.reset()  # drop the warm-up's spans
+            for query, route in (
+                ("fn=sum&rows=0:10&cols=0:10", "factor"),
+                ("fn=min&rows=0:10&cols=0:10", "stream"),
+                ("fn=min", "summary+factor"),
+            ):
+                status, _headers, payload = _get(srv.url, f"/aggregate?{query}")
+                assert (status, payload["route"]) == (200, route)
+                assert len(payload["trace_id"]) == 16
+            text = _get(srv.url, "/metrics")[2].decode()
+        assert {
+            "repro_span_query_aggregate",
+            "repro_span_query_factor_gather",
+            "repro_span_query_factor_gemm",
+            "repro_span_query_factor_delta",
+            "repro_span_query_stream_scan",
+            "repro_span_store_read_rows",
+        } <= set(validate_openmetrics(text))
+        counts = dict(
+            line.split() for line in text.splitlines() if "_count " in line
+        )
+        assert counts["repro_span_query_aggregate_count"] == "3"
+        assert counts["repro_span_query_factor_gather_count"] == "1"
+        assert counts["repro_span_query_factor_gemm_count"] == "1"
+        assert counts["repro_span_query_factor_delta_count"] == "1"
+        assert counts["repro_span_query_stream_scan_count"] == "2"
+        assert counts["repro_span_store_read_rows_count"] == "3"
 
     def test_health_split(self, server):
         assert _get(server.url, "/healthz")[0] == 200
@@ -154,6 +194,38 @@ class TestErrorContract:
     def test_non_numeric_cell_is_400(self, server):
         status, _headers, _payload = _get(server.url, "/cell?row=abc&col=0")
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "row,status,message",
+        [
+            ("-1", 400, "row -1 out of range [0, 80)"),
+            ("+3", 200, None),  # int() takes a sign ...
+            (" 5", 200, None),  # ... and surrounding blanks
+            ("1e3", 400, "row/col must be integers, got row='1e3' col='2'"),
+            (
+                "99999999999999999999",
+                400,
+                "row 99999999999999999999 out of range [0, 80)",
+            ),
+        ],
+        ids=["minus-one", "plus-three", "blank-five", "1e3", "twenty-digits"],
+    )
+    def test_cell_index_errors_say_what_is_wrong(self, server, row, status, message):
+        """An integer the matrix does not have is out of range, in the
+        engine's words; only a non-integer is "must be integers"."""
+        quoted = urllib.parse.quote(row, safe="")
+        got, _headers, payload = _get(server.url, f"/cell?row={quoted}&col=2")
+        assert got == status
+        if status == 200:
+            expected = _get(server.url, f"/cell?row={int(row)}&col=2")[2]
+            assert payload["value"] == expected["value"]
+        else:
+            assert payload == {"error": "bad_request", "message": message}
+
+    def test_negative_column_is_out_of_range(self, server):
+        status, _headers, payload = _get(server.url, "/cell?row=2&col=-1")
+        assert status == 400
+        assert payload["message"] == "col -1 out of range [0, 50)"
 
     def test_bad_timeout_is_400(self, server):
         for bad in ("banana", "-5", "0", "nan", "inf", "-inf"):
@@ -219,7 +291,6 @@ class TestOverload:
             retry_after_s=3.0,
             default_timeout_ms=15_000,
             brownout_sheds=10_000,
-            breaker_failures=10_000,
         )
         with QueryServer(serve_model_dir, config) as srv:
             outcomes: list[tuple[int, dict]] = []
@@ -227,16 +298,25 @@ class TestOverload:
 
             def blast():
                 # A gather (full on neither axis) holds its ticket for
-                # a pool round-trip; a rollup hit would be a 100 us window.
-                status, headers, _body = _get(
-                    srv.url, "/aggregate?fn=stddev&rows=0:60&cols=0:30", timeout=30.0
-                )
-                with lock:
-                    outcomes.append((status, headers))
+                # its compute; a rollup hit would be a 100 us window.
+                for _ in range(6):
+                    status, headers, _body = _get(
+                        srv.url,
+                        "/aggregate?fn=stddev&rows=0:60&cols=0:30",
+                        timeout=30.0,
+                    )
+                    with lock:
+                        outcomes.append((status, headers))
 
+            # 48 threads x 6 requests, not a dozen x 1: a gather holds
+            # its ticket for ~0.3 ms of compute under the GIL, so a small
+            # herd serializes *before* admission.  With one usable core,
+            # 12 x 1 never shed in 5 rounds on 6-7 of 20 server starts;
+            # 48 x 6 shed in its first round on 79 of 80 (ROADMAP 4(d);
+            # README "Given up, plainly" (3)).
             for _round in range(5):
                 threads = [
-                    threading.Thread(target=blast) for _ in range(12)
+                    threading.Thread(target=blast) for _ in range(48)
                 ]
                 for thread in threads:
                     thread.start()
@@ -246,7 +326,7 @@ class TestOverload:
                     break
             statuses = {status for status, _ in outcomes}
             assert statuses <= {200, 503}
-            assert 503 in statuses, "no shed under 12x concurrency at depth 1"
+            assert 503 in statuses, "no shed under 48x concurrency at depth 1"
             for status, headers in outcomes:
                 if status == 503:
                     assert headers.get("Retry-After") == "3"
@@ -256,51 +336,176 @@ class TestOverload:
             _status, _headers, body = _get(srv.url, "/metrics")
             assert "server_shed" in body.decode()
 
+    def test_a_held_ticket_sheds_every_arrival(self, serve_model_dir, spy_on_execute):
+        """The deterministic half of the herd test above: with the one
+        ticket held open (its gather blocked on an ``Event``), each of
+        12 arrivals is a 503 with ``Retry-After`` through the HTTP
+        boundary, and the holder is the only 200.  This does not show
+        that load *finds* the bound — only the herd does."""
+        config = ServeConfig(
+            port=0,
+            workers=1,
+            max_queue_depth=1,
+            retry_after_s=3.0,
+            default_timeout_ms=15_000,
+            brownout_sheds=10_000,
+        )
+        with QueryServer(serve_model_dir, config) as srv:
+            outcomes: list[tuple[int, dict]] = []
+            lock = threading.Lock()
+            release = threading.Event()
+            executed = spy_on_execute(
+                srv.dispatcher, before=lambda _query: release.wait(timeout=30.0)
+            )
+
+            def blast():
+                status, headers, _body = _get(
+                    srv.url, "/aggregate?fn=stddev&rows=0:60&cols=0:30", timeout=30.0
+                )
+                with lock:
+                    outcomes.append((status, headers))
+
+            holder = threading.Thread(target=blast)
+            holder.start()
+            deadline = time.monotonic() + 10.0
+            while not executed and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert executed
+            threads = [threading.Thread(target=blast) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            release.set()
+            holder.join(timeout=30.0)
+            assert sorted(status for status, _ in outcomes) == [200] + [503] * 12
+            for status, headers in outcomes:
+                if status == 503:
+                    assert headers.get("Retry-After") == "3"
+            assert _get(srv.url, "/stats")[2]["shed_total"] == 12
+
+
+class TestDeadlines:
+    def test_answer_computed_past_its_deadline_is_504(self, server, spy_on_execute):
+        """The deadline is compared again after execution: an overrun
+        gather is a 504 when its compute ends, never a late 200."""
+        spy_on_execute(server.dispatcher, before=lambda _query: time.sleep(0.05))
+        before = _get(server.url, "/stats")[2]
+        for path in (
+            "/aggregate?fn=sum&rows=0:40&cols=0:25",
+            "/aggregate?fn=min&rows=0:40&cols=0:25",
+            "/cell?row=3&col=7",
+        ):
+            status, _headers, payload = _get(server.url, path + "&timeout_ms=10")
+            assert status == 504, path
+            assert payload["error"] == "deadline_exceeded"
+        after = _get(server.url, "/stats")[2]
+        assert after["deadline_misses"] == before["deadline_misses"] + 3
+        assert after["answers"] == before["answers"]
+        assert after["queue_depth"] == 0
+
+
+class TestWarm:
+    def test_nothing_is_left_to_build_after_ready(self, serve_model_dir):
+        """``start()`` answers one cell, one rollup and one gather on
+        the serving engine, so the first real request of each kind finds
+        every lazy table (the delta index's row runs, the summary
+        arrays) already built."""
+        config = ServeConfig(port=0, workers=1)
+        with QueryServer(serve_model_dir, config) as srv:
+            backend = srv.dispatcher._backend
+            assert backend._summaries_checked
+            summaries, index_bytes = backend.summaries, backend.delta_index.size_bytes()
+            # More than keys + values: the row-run table is there.
+            index = backend.delta_index
+            assert index_bytes > index.keys.nbytes + index.values.nbytes
+            assert _get(srv.url, "/stats")[2]["answers"] == 0  # warm-up is uncounted
+            for path in (
+                "/cell?row=41&col=17",
+                "/aggregate?fn=avg&rows=5:30",
+                "/aggregate?fn=stddev&rows=5:70&cols=3:45",
+                "/aggregate?fn=max&rows=5:70&cols=3:45",
+            ):
+                assert _get(srv.url, path)[0] == 200
+            assert backend.summaries is summaries
+            assert backend.delta_index.size_bytes() == index_bytes
+
+    def test_warm_on_an_empty_axis_is_a_noop(self, serve_model_dir, monkeypatch):
+        config = ServeConfig(port=0, workers=1)
+        srv = QueryServer(serve_model_dir, config)
+        try:
+            engine = srv.dispatcher._engine
+            monkeypatch.setattr(
+                type(engine), "shape", property(lambda self: (0, 50))
+            )
+            monkeypatch.setattr(
+                type(engine), "execute", lambda *a, **k: pytest.fail("executed")
+            )
+            srv.dispatcher.warm()
+        finally:
+            srv.stop()
+
 
 class TestChaos:
-    def test_worker_kill_yields_no_non_deadline_5xx(self, serve_model_dir):
-        """Kill a worker mid-traffic; after the rebuild every response
-        is 200/503/504 — the crash never leaks a 500 to a client."""
+    def test_storage_fault_under_one_gather_is_that_requests_500(
+        self, serve_model_dir, spy_on_execute
+    ):
+        """A ``StorageError`` under one gather amid four-thread traffic
+        is that request's typed 500 and nobody else's: every other
+        status is 200, its slot and ticket come back, and the server
+        answers healthily afterwards."""
         config = ServeConfig(
             port=0,
             workers=2,
             max_queue_depth=64,
             default_timeout_ms=30_000,
             brownout_sheds=10_000,
-            breaker_failures=10_000,
         )
         with QueryServer(serve_model_dir, config) as srv:
-            statuses: list[int] = []
+            replies: list[tuple[int, dict]] = []
             lock = threading.Lock()
             stop = threading.Event()
+            calls = iter(range(10**9))
+
+            def fault_on_the_eleventh(_query):
+                if next(calls) == 10:  # next() on one iterator is atomic
+                    raise StorageError("injected: page 7 of u.mat failed its checksum")
+
+            spy_on_execute(srv.dispatcher, before=fault_on_the_eleventh)
 
             def traffic():
                 while not stop.is_set():
-                    status, _headers, _body = _get(
+                    status, _headers, body = _get(
                         srv.url, "/aggregate?fn=sum&rows=0:40&cols=0:25", timeout=60.0
                     )
                     with lock:
-                        statuses.append(status)
+                        replies.append((status, body))
 
             threads = [threading.Thread(target=traffic) for _ in range(4)]
             for thread in threads:
                 thread.start()
             try:
-                # Kill real worker processes through the real dispatch
-                # path, twice, with traffic in flight.
-                for _ in range(2):
-                    with pytest.raises(Exception):
-                        srv.dispatcher.executor.submit(_CrashProbe()).result(
-                            timeout=60
-                        )
+                deadline = time.monotonic() + 30.0
+                while len(replies) < 60 and time.monotonic() < deadline:
+                    time.sleep(0.01)
             finally:
                 stop.set()
                 for thread in threads:
                     thread.join(timeout=60)
-            assert statuses, "no traffic completed during the chaos window"
-            bad = [s for s in statuses if s not in (200, 503, 504)]
-            assert not bad, f"non-deadline 5xx leaked: {bad}"
-            # And the server still answers healthily afterwards.
+            failed = [body for status, body in replies if status != 200]
+            assert failed == [
+                {
+                    "error": "StorageError",
+                    "message": "injected: page 7 of u.mat failed its checksum",
+                }
+            ]
+            assert len(replies) >= 60
+            assert all(status in (200, 500) for status, _ in replies)
+            # Its slot and ticket came back, and the server still
+            # answers healthily afterwards.
+            stats = _get(srv.url, "/stats")[2]
+            assert stats["queue_depth"] == 0
+            assert stats["answers"] == stats["gathers"] == len(replies) - 1
             status, _headers, payload = _get(srv.url, "/cell?row=1&col=1")
             assert status == 200
             assert payload["degraded"] is False
@@ -365,8 +570,7 @@ class TestHandlerThreads:
             # handler marks itself idle: one spare at most, plus the
             # standby.
             assert 1 <= srv._server.handler_threads <= 3
-        # stop() joined the handlers (there is no accept-loop thread)
-        # and the pool's threads.
+        # stop() joined the handlers (there is no accept-loop thread).
         assert threading.active_count() <= threads_before
 
     def test_health_answers_while_every_handler_is_blocked(
