@@ -5,14 +5,25 @@ The byte-identity check for changes to the model-directory codec
 s=10%) at float64 and float32 through build, save, three column
 appends, a row append, and a deferred column append + summarize.
 
-Run the same script from two checkouts and `cmp` the outputs:
+Run the same script from two checkouts and compare the outputs:
 
     PYTHONPATH=src:. python benchmarks/model_dir_digests.py OUT.json [WORK_DIR]
+
+``benchmarks/results/model_dir_digests.json`` is the committed record of
+the current code, with the arithmetic it was made on (``made_on``: NumPy
+version, machine, the SIMD features NumPy — and with them its BLAS —
+dispatched to).  ``--check`` runs the lifecycle and exits 1 on any
+difference: from the record where ``made_on`` matches this interpreter,
+otherwise from a second run of itself (the build is deterministic),
+printing which it did:
+
+    PYTHONPATH=src:. python benchmarks/model_dir_digests.py --check RECORD.json [WORK_DIR]
 """
 
 import hashlib
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -80,22 +91,69 @@ def lifecycle(raw: np.ndarray, bytes_per_value: int, work: Path) -> dict:
     return out
 
 
-def main() -> None:
+def made_on() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # a NumPy that keeps them elsewhere matches no record
+        features = {}
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "simd": sorted(name for name, on in features.items() if on),
+    }
+
+
+def run(work_root: str | None) -> dict:
     raw = model.raw_matrix(model.FULL)
-    work_root = sys.argv[2] if len(sys.argv) > 2 else None
     work = Path(tempfile.mkdtemp(prefix="digests-", dir=work_root))
     try:
-        result = {
+        return {
             "float64": lifecycle(raw, 8, work),
             "float32": lifecycle(raw, 4, work),
+            "made_on": made_on(),
         }
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    Path(sys.argv[1]).write_text(json.dumps(result, indent=1, sort_keys=True))
-    flat = json.dumps(result, sort_keys=True).encode()
-    print("steps:", sum(len(v) for v in result.values()),
-          "files:", sum(len(d) for v in result.values() for d in v.values()),
-          "overall sha256:", hashlib.sha256(flat).hexdigest())
+
+
+def flat(result: dict) -> dict:
+    """``{"float64/i_build/u.mat": sha256, ...}``."""
+    return {
+        f"{precision}/{step}/{name}": digest
+        for precision in ("float64", "float32")
+        for step, files in result[precision].items()
+        for name, digest in files.items()
+    }
+
+
+def brief(made: dict) -> str:
+    return f"NumPy {made['numpy']} on {made['machine']}, {len(made['simd'])} SIMD features"
+
+
+def main() -> None:
+    check = sys.argv[1] == "--check"
+    args = sys.argv[2:] if check else sys.argv[1:]
+    work_root = args[1] if len(args) > 1 else None
+    result = run(work_root)
+    ours = flat(result)
+    if not check:
+        Path(args[0]).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        blob = json.dumps(result, sort_keys=True).encode()
+        print("steps:", len(result["float64"]) + len(result["float32"]),
+              "files:", len(ours), "overall sha256:", hashlib.sha256(blob).hexdigest())
+        return
+    record = json.loads(Path(args[0]).read_text())
+    if record["made_on"] == result["made_on"]:
+        print(f"comparing {len(ours)} files with the record {args[0]}")
+        theirs = flat(record)
+    else:
+        print(f"record made on {brief(record['made_on'])}; this is {brief(result['made_on'])}: "
+              f"comparing {len(ours)} files with a second run (determinism)")
+        theirs = flat(run(work_root))
+    changed = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+    if changed:
+        sys.exit("model directory bytes differ:\n  " + "\n  ".join(changed))
+    print("identical")
 
 
 if __name__ == "__main__":

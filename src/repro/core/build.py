@@ -9,8 +9,9 @@ is that path:
 1. pass 1-2 of the SVDD algorithm run through
    :meth:`~repro.core.svdd.SVDDCompressor.select_cutoff` — the *same*
    code path ``fit`` uses, so the two entry points cannot diverge on
-   ``k_opt`` or the delta set (their state is O(M^2) plus the delta
-   queues, independent of N);
+   ``k_opt`` or the delta set (their state is O(M^2) plus the k_max
+   delta queues, which hold ``sum_k gamma_k`` cells: a multiple of the
+   space budget, not of the matrix);
 2. pass 3 streams ``U`` rows *directly into the destination page file*
    via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
    per page, in the requested precision;
@@ -19,7 +20,9 @@ is that path:
    ``update_state.json``) that lets :mod:`repro.core.update` append new
    days or customers later without rescanning the original data.
 
-Peak memory is O(M^2 + gamma), regardless of N.
+Peak memory is O(M^2 + sum_k gamma_k) — see
+:func:`estimate_build_memory`; the source is read in three sequential
+scans (the Gram pass, the error pass, the ``U`` pass).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.core.store import CompressedMatrix
-from repro.core.svd import compute_u_to_store, source_shape
+from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape
 from repro.core.svdd import SVDDCompressor, _record_pass
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
@@ -93,8 +96,6 @@ def build_compressed(
     # actually land on disk), so an explicit compressor wins.
     bytes_per_value = int(getattr(fitter, "bytes_per_value", bytes_per_value))
 
-    from repro.core.svd import _row_chunks
-
     num_rows, num_cols = source_shape(source)
     selection = fitter.select_cutoff(source, jobs=jobs)
     k_opt = selection.k_opt
@@ -124,20 +125,7 @@ def build_compressed(
             u_store.close()
         _record_pass(3, pass3_start, num_rows)
 
-        # Zero-row flags need U row emptiness; derive from the source
-        # instead of re-reading U: a row is all-zero iff its projection
-        # onto every axis is zero AND it holds no delta, which for
-        # non-negative data equals the row itself being zero.  One more
-        # cheap pass over the source (row norms) finds them.
-        zero_rows = [np.empty(0, dtype=np.int64)]
-        index = 0
-        with _span("build.zero_row_scan", rows=num_rows):
-            for block in _row_chunks(source):
-                norms = np.abs(block).sum(axis=1)
-                zero_rows.append(index + np.flatnonzero(norms == 0.0))
-                index += block.shape[0]
-
-        keys, deltas, _scores = selection.delta_queue.finalize()
+        keys, deltas = selection.delta_queue.finalize()
         meta = write_model(
             staging,
             {
@@ -151,7 +139,7 @@ def build_compressed(
             v=v_opt,
             delta_keys=keys,
             delta_values=deltas,
-            zero_rows=np.concatenate(zero_rows),
+            zero_rows=selection.zero_rows,
             # The pass-1 state, so appends never rescan the data: the
             # Gram matrix carries the spectrum forward, the ledger the
             # energy split the drift estimate needs.
@@ -188,13 +176,22 @@ def build_compressed(
 
 
 def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) -> int:
-    """Rough peak bytes :func:`build_compressed` needs — O(M^2 + gamma).
+    """Rough peak bytes :func:`build_compressed` needs — O(M^2 + sum_k gamma_k).
 
     Useful for capacity planning before pointing the builder at a very
-    large store.  Ignores small constants; dominated by the Gram matrix,
-    the k_max working tensors (bounded at 64 MiB), and the delta queues.
+    large store.  Ignores small constants.  Pass 1 peaks at four M x M
+    arrays (the Gram matrix, its symmetrized copy and the eigensolver's
+    two); pass 2 holds the Gram matrix, four chunk arrays and the k_max
+    delta queues — 16-byte slots, two per unit of capacity ``gamma_k``
+    plus room for one chunk — which grow with ``s * N * M`` and are what
+    bounds a large build.
     """
     gram = num_cols * num_cols * 8
-    gamma = space.delta_budget(num_rows, num_cols, 1, budget_fraction)
-    queues = 2 * gamma * 24  # keys + values + scores at 2x capacity
-    return gram + min(64 * 1024 * 1024, queues) + 64 * 1024 * 1024
+    chunk_cells = min(_CHUNK_ROWS, num_rows) * num_cols
+    k_max = space.max_k_for_budget(num_rows, num_cols, budget_fraction)
+    slots = sum(
+        2 * space.delta_budget(num_rows, num_cols, k, budget_fraction) + chunk_cells
+        for k in range(1, k_max + 1)
+    )
+    pass2 = gram + 4 * chunk_cells * 8 + slots * 16
+    return max(4 * gram, pass2)

@@ -49,14 +49,12 @@ def _row_chunks(
     the unit of work the parallel passes hand to each worker.
     """
     if isinstance(source, MatrixStore):
-        block: list[np.ndarray] = []
-        for _, row in source.iter_rows(start, stop):
-            block.append(row)
-            if len(block) >= _CHUNK_ROWS:
-                yield np.vstack(block)
-                block = []
-        if block:
-            yield np.vstack(block)
+        # A store streams whole multiples of a chunk, so the boundaries
+        # fall where the ndarray branch puts them and both kinds of
+        # source build the same model, byte for byte.
+        for _, block in source.iter_row_blocks(start, stop):
+            for begin in range(0, block.shape[0], _CHUNK_ROWS):
+                yield block[begin : begin + _CHUNK_ROWS]
     else:
         arr = np.asarray(source, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:

@@ -18,7 +18,10 @@ The construction is the paper's 3-pass algorithm (Figure 5):
   reconstruction error under every candidate ``k``, feed the worst
   cells into per-``k`` bounded priority queues of capacity ``gamma_k``,
   and accumulate the post-correction error ``epsilon_k``; pick
-  ``k_opt = argmin_k epsilon_k``;
+  ``k_opt = argmin_k epsilon_k``.  The working set is one chunk: one
+  reconstruction per chunk, grown by one term per candidate, so the
+  rank-``k`` error of a 128-row block is in hand after ``k`` rank-1
+  updates and nothing is ever ``k_max`` deep;
 - **Pass 3** — stream once more, emitting the rows of ``U`` for
   ``k_opt`` (Eq. 11).
 
@@ -84,6 +87,8 @@ class CutoffSelection:
     all_singular_values: np.ndarray
     #: Full ``V`` at ``k_max``.
     all_v: np.ndarray
+    #: Indices of the all-zero rows, found while pass 2 had them in hand.
+    zero_rows: np.ndarray
 
     @property
     def residual_sse(self) -> float:
@@ -189,6 +194,15 @@ class SVDDCompressor:
         :func:`~repro.core.build.build_compressed`; the two entry
         points only differ in how pass 3 materializes ``U``.
 
+        Pass 2 keeps one reconstruction per chunk and adds one term per
+        candidate: after ``recon += proj[:, k] * v_k`` the chunk's
+        rank-``k`` error ``block - recon`` is summed into ``epsilon_k``
+        and offered, as one contiguous run of cell keys, to queue ``k``
+        — which holds ``(key, delta)`` for the ``gamma_k`` cells of
+        largest ``|delta|`` seen so far.  The terms are added in
+        increasing ``k``, so each error is the one a cumulative sum over
+        all ``k_max`` terms would give.
+
         Args:
             jobs: worker threads for the banded pass-1 Gram
                 accumulation; pass 2 is sequential either way and the
@@ -208,34 +222,29 @@ class SVDDCompressor:
         queues = [TopKBuffer(gamma) for gamma in gammas]
 
         # ---- Pass 2: per-k cell errors -> priority queues + epsilon_k.
-        # The working tensor is (rows, k_max, M); cap its footprint at
-        # ~64 MiB by re-chunking wide blocks, so huge k_max * M products
-        # cannot exhaust memory.
-        max_tensor_rows = max(
-            1, (64 * 1024 * 1024) // (8 * max(1, k_max * num_cols))
-        )
+        v_rows = np.ascontiguousarray(v.T)  # (k_max, M): one axis a row
         sse = np.zeros(k_max)  # sum of squared errors per candidate k
+        zero_rows = []
         row_base = 0
         pass2_start = time.perf_counter()
         with _span("build.pass2", rows=num_rows, k_max=int(k_max)):
-            for outer_block in _row_chunks(source):
-                for start in range(0, outer_block.shape[0], max_tensor_rows):
-                    block = outer_block[start : start + max_tensor_rows]
-                    count = block.shape[0]
-                    proj = block @ v  # (c, k_max): the U*Lambda coordinates
-                    # Cumulative rank-k reconstructions: recon[:, k, :] uses k+1 terms.
-                    terms = proj[:, :, None] * v.T[None, :, :]
-                    recon = np.cumsum(terms, axis=1)
-                    diff = block[:, None, :] - recon  # (c, k_max, M) deltas
-                    sse += np.einsum("ckm,ckm->k", diff, diff)
-                    keys = (
-                        (row_base + np.arange(count))[:, None] * num_cols
-                        + np.arange(num_cols)[None, :]
-                    ).ravel()
-                    for ki in range(k_max):
-                        deltas = diff[:, ki, :].ravel()
-                        queues[ki].offer(keys, deltas, np.abs(deltas))
-                    row_base += count
+            for block in _row_chunks(source):
+                zero_rows.append(
+                    row_base + np.flatnonzero(np.abs(block).sum(axis=1) == 0.0)
+                )
+                proj = block @ v  # (c, k_max): the U*Lambda coordinates
+                # Rank-k estimate, k growing.  It starts from -0.0, the
+                # additive identity bit for bit (0.0 + -0.0 is 0.0).
+                recon = np.full(block.shape, -0.0)
+                term = np.empty(block.shape)
+                diff = np.empty(block.shape)  # (c, M) deltas under rank k
+                deltas = diff.reshape(-1)
+                for ki in range(k_max):
+                    recon += np.multiply(proj[:, ki, None], v_rows[ki], out=term)
+                    np.subtract(block, recon, out=diff)
+                    sse[ki] += np.dot(deltas, deltas)
+                    queues[ki].offer(row_base * num_cols, deltas)
+                row_base += block.shape[0]
         _record_pass(2, pass2_start, num_rows)
 
         # epsilon_k: residual error after the affordable deltas are
@@ -256,6 +265,7 @@ class SVDDCompressor:
             delta_queue=queues[k_opt - 1],
             all_singular_values=singular_values,
             all_v=v,
+            zero_rows=np.concatenate(zero_rows),
         )
 
     # -- the 3-pass fit -------------------------------------------------------
@@ -270,7 +280,7 @@ class SVDDCompressor:
         u = compute_u(source, lam_opt, v_opt)
         svd_model = SVDModel(u=u, eigenvalues=lam_opt, v=v_opt)
 
-        keys, deltas, _scores = selection.delta_queue.finalize()
+        keys, deltas = selection.delta_queue.finalize()
         return SVDDModel(
             svd=svd_model,
             deltas=DeltaIndex(keys, deltas, svd_model.num_cols),
@@ -333,12 +343,7 @@ class NaiveSVDDCompressor:
                 recon = (block @ model.v) @ (model.v.T)
                 diff = block - recon
                 sse += float((diff * diff).sum())
-                keys = (
-                    (row_base + np.arange(block.shape[0]))[:, None] * num_cols
-                    + np.arange(num_cols)[None, :]
-                ).ravel()
-                flat = diff.ravel()
-                queue.offer(keys, flat, np.abs(flat))
+                queue.offer(row_base * num_cols, diff.ravel())
                 row_base += block.shape[0]
             epsilon = max(sse - queue.retained_score_sq_sum(), 0.0)
             epsilons[k - 1] = epsilon
@@ -356,14 +361,9 @@ class NaiveSVDDCompressor:
         for block in _row_chunks(source):
             recon = (block @ model.v) @ model.v.T
             diff = block - recon
-            keys = (
-                (row_base + np.arange(block.shape[0]))[:, None] * num_cols
-                + np.arange(num_cols)[None, :]
-            ).ravel()
-            flat = diff.ravel()
-            queue.offer(keys, flat, np.abs(flat))
+            queue.offer(row_base * num_cols, diff.ravel())
             row_base += block.shape[0]
-        keys, deltas, _scores = queue.finalize()
+        keys, deltas = queue.finalize()
         return SVDDModel(
             svd=model,
             deltas=DeltaIndex(keys, deltas, num_cols),

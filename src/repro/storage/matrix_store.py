@@ -5,11 +5,12 @@ on disk": an ``N x M`` float64 matrix stored row-major in a paged file.
 It supports exactly the two access patterns the paper's algorithms
 need —
 
-- **streamed passes** (:meth:`MatrixStore.iter_rows`): sequential,
-  row-at-a-time reads used by the one-pass Gram computation (Figure 2),
-  the error pass of SVDD (Figure 5), and the U-emitting pass
-  (Figure 3).  Completed full scans are counted in :attr:`pass_count`,
-  so tests can assert the '2-pass' and '3-pass' claims literally;
+- **streamed passes** (:meth:`MatrixStore.iter_row_blocks`, and
+  :meth:`MatrixStore.iter_rows` over it): sequential block reads used
+  by the one-pass Gram computation (Figure 2), the error pass of SVDD
+  (Figure 5), and the U-emitting pass (Figure 3).  Completed full
+  scans are counted in :attr:`pass_count`, so tests can assert the
+  '2-pass' and '3-pass' claims literally;
 - **random row / cell access** (:meth:`MatrixStore.row`,
   :meth:`MatrixStore.cell`) through an LRU :class:`BufferPool` — the
   cold-cell path on which the paper's one-disk-access-per-cell claim
@@ -559,10 +560,11 @@ class MatrixStore:
 
     # -- streamed passes ------------------------------------------------------
 
-    def iter_rows(
+    def iter_row_blocks(
         self, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(index, row)`` sequentially from ``start`` to ``stop``.
+        """Yield ``(index, block)`` sequentially from ``start`` to ``stop``:
+        float64 blocks of consecutive rows, ``index`` the first one's.
 
         Reads bypass the buffer pool (sequential scans must not thrash
         the cache serving random queries).  Iterating the whole matrix
@@ -584,17 +586,24 @@ class MatrixStore:
                 block = np.frombuffer(raw, dtype=self._dtype).reshape(
                     chunk, self._cols
                 )
-            for local in range(chunk):
-                yield index + local, block[local].astype(np.float64)
+            yield index, block.astype(np.float64)
             index += chunk
         if start == 0 and stop == self._rows:
             self.note_full_scan()
 
+    def iter_rows(
+        self, start: int = 0, stop: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """:meth:`iter_row_blocks` a row at a time: ``(index, row)``."""
+        for first, block in self.iter_row_blocks(start, stop):
+            for local, row in enumerate(block):
+                yield first + local, row
+
     def note_full_scan(self) -> None:
         """Count one completed full sequential scan.
 
-        Called by :meth:`iter_rows` when a single iterator covered the
-        whole matrix, and by parallel passes (e.g.
+        Called by :meth:`iter_row_blocks` when a single iterator covered
+        the whole matrix, and by parallel passes (e.g.
         :func:`~repro.core.svd.compute_gram` with ``jobs > 1``) whose
         workers each scanned a disjoint band — collectively one pass
         over the data, which is what the paper's pass accounting means.

@@ -4,15 +4,18 @@ The SVDD pass 2 (paper Figure 5) conceptually maintains one priority
 queue per candidate cutoff ``k``, each retaining the ``gamma_k``
 worst-reconstructed cells.  Pushing every cell of every row through a
 pointer-based heap is needlessly slow in Python, so the hot path uses
-this batch-partitioning equivalent: candidates are appended in chunks
-and compacted with ``numpy.partition`` whenever the buffer doubles,
-keeping exactly the top ``capacity`` items by score.  Amortized cost is
-O(1) per offered item; retained content is identical to the heap's (up
-to tie order among equal scores).
+this batch-partitioning equivalent: a batch is a contiguous run of cell
+keys offered *by position* (``key = base + position``, scored by
+``|value|``), only the cells that beat the current threshold are
+appended, and the buffer is compacted with ``numpy.argpartition``
+whenever it doubles, keeping exactly the top ``capacity`` items.
+Amortized cost is O(1) per offered item; retained content is identical
+to the heap's (up to which of several equal scores sit on the boundary).
 
 :class:`~repro.structures.heap.BoundedTopHeap` remains the
-item-at-a-time reference implementation; the property-based tests
-assert both structures retain the same score multiset.
+item-at-a-time reference implementation: it specifies *which scores* a
+bounded queue retains, and the property-based tests assert both
+structures retain the same score multiset.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from repro.exceptions import ConfigurationError
 
 
 class TopKBuffer:
-    """Retain the ``capacity`` items with the largest scores.
+    """Retain the ``capacity`` items with the largest ``|value|``.
 
-    Items are ``(key, value)`` pairs scored by a caller-supplied
-    non-negative score array (SVDD scores cells by ``|delta|``).
+    Items are ``(key, value)`` pairs, 16 bytes a slot; the score is
+    never stored, it is ``|value|`` recomputed where a compaction needs
+    it.
 
     Args:
         capacity: number of items to retain; zero yields an always-empty
@@ -38,7 +42,6 @@ class TopKBuffer:
             raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         size = max(capacity * 2, 1)
-        self._scores = np.empty(size)
         self._keys = np.empty(size, dtype=np.int64)
         self._values = np.empty(size)
         self._count = 0
@@ -47,48 +50,42 @@ class TopKBuffer:
     def __len__(self) -> int:
         """Number of currently buffered candidates (may exceed capacity
         transiently between compactions; never after :meth:`finalize`)."""
-        return min(self._count, self.capacity) if self._finalized else self._count
-
-    _finalized = False
+        return self._count
 
     @property
     def threshold(self) -> float:
         """Current admission threshold: scores at or below it are ignored."""
         return self._threshold
 
-    def offer(self, keys: np.ndarray, values: np.ndarray, scores: np.ndarray) -> None:
-        """Offer a batch of candidates.
+    def offer(self, base: int, values: np.ndarray) -> None:
+        """Offer the contiguous run of cells ``base .. base + len(values) - 1``.
 
         Args:
-            keys: int64 identifiers (cell keys).
-            values: payload values (signed deltas).
-            scores: non-negative ranking scores (``|delta|``); larger is
-                more worth retaining.
+            base: key of the first cell; the cell at position ``i`` has
+                key ``base + i``.
+            values: 1-d float64 payload (signed deltas); ``|value|`` is
+                the ranking score, larger is more worth retaining.
         """
         if self.capacity == 0:
             return
-        mask = scores > self._threshold
-        if not mask.any():
+        survivors = np.flatnonzero(np.abs(values) > self._threshold)
+        if survivors.size == 0:
             return
-        keys = np.asarray(keys, dtype=np.int64)[mask]
-        values = np.asarray(values, dtype=np.float64)[mask]
-        scores = np.asarray(scores, dtype=np.float64)[mask]
-        needed = self._count + scores.shape[0]
-        if needed > self._scores.shape[0]:
-            self._grow(needed)
-        end = self._count + scores.shape[0]
-        self._scores[self._count : end] = scores
-        self._keys[self._count : end] = keys
-        self._values[self._count : end] = values
+        end = self._count + survivors.size
+        if end > self._keys.shape[0]:
+            self._grow(end)
+        np.add(survivors, base, out=self._keys[self._count : end])
+        self._values[self._count : end] = values[survivors]
         self._count = end
         if self._count > 2 * self.capacity:
             self._compact()
 
     def _grow(self, needed: int) -> None:
-        size = max(needed, self._scores.shape[0] * 2)
-        for name in ("_scores", "_keys", "_values"):
+        # Exactly: the offer that outgrows 2x capacity compacts before it
+        # returns, so one batch past it is all a buffer ever holds.
+        for name in ("_keys", "_values"):
             old = getattr(self, name)
-            new = np.empty(size, dtype=old.dtype)
+            new = np.empty(needed, dtype=old.dtype)
             new[: self._count] = old[: self._count]
             setattr(self, name, new)
 
@@ -96,33 +93,22 @@ class TopKBuffer:
         """Shrink the buffer to exactly the top ``capacity`` scores."""
         if self._count <= self.capacity:
             return
-        idx = np.argpartition(self._scores[: self._count], self._count - self.capacity)
+        scores = np.abs(self._values[: self._count])
+        idx = np.argpartition(scores, self._count - self.capacity)
         keep = idx[self._count - self.capacity :]
-        self._scores[: self.capacity] = self._scores[keep]
         self._keys[: self.capacity] = self._keys[keep]
         self._values[: self.capacity] = self._values[keep]
         self._count = self.capacity
-        self._threshold = float(self._scores[: self._count].min())
+        self._threshold = float(scores[keep].min())
 
-    def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(keys, values, scores)`` of the retained top items.
-
-        Sorted by decreasing score (ties by key, for determinism).
-        """
+    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(keys, values)`` of the retained top items, in key order."""
         self._compact()
-        self._finalized = True
-        count = min(self._count, self.capacity)
-        scores = self._scores[:count]
-        order = np.lexsort((self._keys[:count], -scores))
-        return (
-            self._keys[:count][order].copy(),
-            self._values[:count][order].copy(),
-            scores[order].copy(),
-        )
+        order = np.argsort(self._keys[: self._count])
+        return self._keys[order], self._values[order]
 
     def retained_score_sq_sum(self) -> float:
         """Sum of squared retained scores (the delta energy SVDD removes)."""
         self._compact()
-        count = min(self._count, self.capacity)
-        retained = self._scores[:count]
+        retained = self._values[: self._count]
         return float((retained * retained).sum())

@@ -20,14 +20,19 @@ from repro.summaries import changed_cells
 
 
 def _topk_merge(old_keys, old_values, new_keys, new_values, budget):
-    """``_merge_deltas`` as it was: a ``TopKBuffer`` fed twice."""
+    """``_merge_deltas`` as it was: a ``TopKBuffer`` fed twice.
+
+    The queue takes batches by position, so it ranks positions in
+    old-then-new order and the cell keys are looked up afterwards.
+    """
     queue = TopKBuffer(max(0, budget))
     if old_keys.size:
-        queue.offer(old_keys, old_values, np.abs(old_values))
+        queue.offer(0, old_values)
     if new_keys.size:
-        queue.offer(new_keys, new_values, np.abs(new_values))
+        queue.offer(old_keys.size, new_values)
     retained_sq = float(queue.retained_score_sq_sum())
-    keys, values, _scores = queue.finalize()
+    positions, values = queue.finalize()
+    keys = np.concatenate([old_keys, new_keys])[positions]
     order = np.argsort(keys)
     return keys[order], values[order], retained_sq
 

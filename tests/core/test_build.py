@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import CompressedMatrix, SVDDCompressor
 from repro.core.build import build_compressed, estimate_build_memory
-from repro.data import phone_matrix
+from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import FormatError
 from repro.storage import MatrixStore
 
@@ -36,11 +38,26 @@ class TestBuildCompressed:
     def test_from_disk_source_with_pass_counting(self, tmp_path, data):
         source = MatrixStore.create(tmp_path / "x.mat", data)
         store = build_compressed(source, tmp_path / "model", 0.10)
-        # gram + error pass + U pass + zero-row pass = 4 sequential scans.
-        assert source.pass_count == 4
+        # gram + error pass + U pass = the paper's 3 sequential scans; the
+        # zero-row flags ride on the error pass.
+        assert source.pass_count == 3
         assert store.shape == data.shape
         store.close()
         source.close()
+
+    def test_store_and_ndarray_sources_build_the_same_bytes(self, tmp_path):
+        """A streamed store and an in-memory array are chunked alike."""
+        x = phone_matrix(300)  # one 256-row store block and a 44-row tail
+        x[17] = 0.0
+        with MatrixStore.create(tmp_path / "x.mat", x) as source:
+            build_compressed(source, tmp_path / "from_store", 0.10).close()
+        build_compressed(x, tmp_path / "from_array", 0.10).close()
+        names = sorted(f.name for f in (tmp_path / "from_array").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "from_store").iterdir())
+        for name in names:
+            assert (tmp_path / "from_store" / name).read_bytes() == (
+                tmp_path / "from_array" / name
+            ).read_bytes(), name
 
     def test_reopenable(self, tmp_path, data):
         build_compressed(data, tmp_path / "model", 0.10).close()
@@ -90,8 +107,23 @@ class TestMemoryEstimate:
         estimate = estimate_build_memory(2000, 0.01, 10_000)
         assert estimate >= 2000 * 2000 * 8
 
-    def test_independent_of_n_beyond_queue_cap(self):
-        small_n = estimate_build_memory(366, 0.10, 10_000)
-        huge_n = estimate_build_memory(366, 0.10, 100_000_000)
-        # The queue term saturates at its cap; memory does not grow with N.
-        assert huge_n <= small_n * 2
+    def test_linear_in_n_at_fixed_m_and_s(self):
+        # The queues hold 2 * gamma_k slots each and sum_k gamma_k grows
+        # with s * N * M: ten times the rows, ten times the memory.
+        small_n = estimate_build_memory(366, 0.10, 100_000)
+        large_n = estimate_build_memory(366, 0.10, 1_000_000)
+        assert large_n == pytest.approx(10 * small_n, rel=0.05)
+        assert small_n > 5 * 100_000 * 366 * 8 * 0.10  # several budgets' worth
+
+    @pytest.mark.parametrize("rows, cols", [(2000, 366), (500, 1098)])
+    def test_within_half_again_of_the_measured_peak(self, rows, cols):
+        x = phone_matrix(rows, PhoneConfig(num_days=cols))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            SVDDCompressor(budget_fraction=0.10).select_cutoff(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        estimate = estimate_build_memory(cols, 0.10, rows)
+        assert peak / 1.5 <= estimate <= peak * 1.5

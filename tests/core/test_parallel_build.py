@@ -104,8 +104,8 @@ class TestParallelBuild:
     def test_jobs_from_disk_source_pass_count(self, tmp_path, data):
         source = MatrixStore.create(tmp_path / "x.mat", data)
         store = build_compressed(source, tmp_path / "model", 0.10, jobs=4)
-        # Banded gram + error pass + U pass + zero-row pass: still 4 passes.
-        assert source.pass_count == 4
+        # Banded gram + error pass + U pass: still the paper's 3 passes.
+        assert source.pass_count == 3
         store.close()
         source.close()
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import SVDCompressor, SVDDCompressor
 from repro.core.model import cell_key
+from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ConfigurationError
 from repro.metrics import rmspe, worst_case_error
 from repro.storage import MatrixStore
@@ -219,3 +220,144 @@ class TestNaiveReference:
         assert naive_store.pass_count > 2 * fast_store.pass_count
         fast_store.close()
         naive_store.close()
+
+
+def _reference_pass_two(fitter, x, v):
+    """Pass 2 written the way it read before it was brought down to one
+    chunk: every candidate's terms at once, a cumulative sum over ``k``,
+    and a full sort per ``k`` where the build keeps a bounded queue.
+    The executable specification of ``select_cutoff`` past pass 1 (whose
+    ``V`` at ``k_max`` it is handed).
+
+    Returns ``(k_opt, epsilon, keys, values, unique, zero_rows)`` with
+    the retained cells of ``k_opt`` in key order; ``unique`` says whether
+    the smallest retained score beats the largest one left out (when it
+    ties, *which* of the tied cells is kept is nobody's contract).
+    """
+    num_rows, num_cols = x.shape
+    k_max = v.shape[1]
+    gammas = [fitter._gamma(num_rows, num_cols, k) for k in range(1, k_max + 1)]
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0)) for _ in gammas]
+    sse = np.zeros(k_max)
+    # Rows per tensor: the arithmetic is cell by cell, so how a chunk is
+    # cut changes memory (here ~16 MB a tensor), not one delta.
+    step = max(1, 2_000_000 // (k_max * num_cols))
+    for begin in range(0, num_rows, 128):
+        block = x[begin : begin + 128]
+        proj = block @ v
+        for lo in range(0, block.shape[0], step):
+            rows = slice(lo, lo + step)
+            terms = proj[rows, :, None] * v.T[None, :, :]
+            recon = np.cumsum(terms, axis=1)
+            diff = block[rows, None, :] - recon  # (c, k_max, M)
+            sse += np.einsum("ckm,ckm->k", diff, diff)
+            keys = (begin + lo) * num_cols + np.arange(diff.shape[0] * num_cols)
+            for ki, gamma in enumerate(gammas):
+                # One past gamma survives, to tell a tie at the boundary.
+                values = np.concatenate([kept[ki][1], diff[:, ki, :].ravel()])
+                top = np.argsort(-np.abs(values))[: gamma + 1]
+                kept[ki] = (np.concatenate([kept[ki][0], keys])[top], values[top])
+    retained_sq = [
+        float((values[:gamma] ** 2).sum()) for (_, values), gamma in zip(kept, gammas)
+    ]
+    epsilon = np.maximum(sse - np.array(retained_sq), 0.0)
+    k_opt = int(np.argmin(epsilon)) + 1
+    gamma = gammas[k_opt - 1]
+    keys, values = kept[k_opt - 1]
+    unique = values.size <= gamma or abs(values[gamma - 1]) > abs(values[gamma])
+    order = np.argsort(keys[:gamma])
+    zero_rows = np.flatnonzero(np.abs(x).sum(axis=1) == 0.0)
+    return k_opt, epsilon, keys[:gamma][order], values[:gamma][order], unique, zero_rows
+
+
+def _assert_matches_reference(fitter, x, jobs=1, expect_unique=True):
+    selection = fitter.select_cutoff(x, jobs=jobs)
+    k_opt, epsilon, ref_keys, ref_values, unique, zero_rows = _reference_pass_two(
+        fitter, x, selection.all_v
+    )
+    assert selection.k_opt == k_opt
+    # Summed in another order than the reference's einsum, and then a
+    # difference of two such sums: relative, and to the sums' own size.
+    np.testing.assert_allclose(
+        selection.candidate_errors,
+        epsilon,
+        rtol=1e-12,
+        atol=1e-12 * float((x * x).sum()),
+    )
+    np.testing.assert_array_equal(selection.zero_rows, zero_rows)
+    keys, values = selection.delta_queue.finalize()
+    assert np.all(np.diff(keys) > 0)
+    np.testing.assert_array_equal(np.sort(np.abs(values)), np.sort(np.abs(ref_values)))
+    if expect_unique is not None:
+        assert unique == expect_unique
+    if unique:
+        np.testing.assert_array_equal(keys, ref_keys)
+        np.testing.assert_array_equal(values, ref_values)
+    return selection
+
+
+class TestPassTwoAgainstTheTensorFormulation:
+    """One reconstruction per chunk and one term per candidate must
+    retain what the k_max-deep tensors and a full sort retain."""
+
+    @pytest.mark.parametrize("budget", [0.05, 0.10, 0.40])
+    def test_phone_budgets(self, budget):
+        _assert_matches_reference(SVDDCompressor(budget), phone_matrix(300))
+
+    @pytest.mark.parametrize("rows, budget", [(7, 0.40), (129, 0.10), (257, 0.10)])
+    def test_rows_beside_the_chunk_size(self, rows, budget):
+        _assert_matches_reference(SVDDCompressor(budget), phone_matrix(rows))
+
+    def test_zero_rows_and_tied_scores(self):
+        base = phone_matrix(128)
+        base[[3, 77, 127]] = 0.0
+        # Two identical chunks: every |delta| at least twice, bit for bit.
+        x = np.vstack([base, base])
+        selection = _assert_matches_reference(
+            SVDDCompressor(0.10), x, expect_unique=None
+        )
+        assert {3, 77, 127, 131, 205, 255} <= set(selection.zero_rows.tolist())
+        # One candidate and an odd gamma: the boundary splits a tied pair.
+        budget = ((256 + 1 + 366) * 8 + 16 * 1001 + 8) / (256 * 366 * 8)
+        fitter = SVDDCompressor(budget, k_max=1)
+        assert fitter._gamma(256, 366, 1) == 1001
+        _assert_matches_reference(fitter, x, expect_unique=False)
+
+    def test_single_candidate(self):
+        selection = _assert_matches_reference(
+            SVDDCompressor(0.10, k_max=1), phone_matrix(200)
+        )
+        assert selection.k_max == selection.k_opt == 1
+
+    def test_no_deltas_at_the_top_candidate(self):
+        # Three components and 8 bytes: gamma_3 = 0, gamma_2 = 334.
+        rows, cols = 300, 366
+        budget = (3 * (rows + 1 + cols) * 8 + 8) / (rows * cols * 8)
+        fitter = SVDDCompressor(budget)
+        assert fitter.candidate_cutoffs(rows, cols) == 3
+        assert [fitter._gamma(rows, cols, k) for k in (2, 3)] == [334, 0]
+        _assert_matches_reference(fitter, phone_matrix(rows))
+
+    def test_wide_matrix_many_candidates(self):
+        # 36 candidates x 2000 columns: one 128-row chunk, k_max deep,
+        # would be a 74 MB tensor.
+        x = phone_matrix(200, PhoneConfig(num_days=2000))
+        selection = _assert_matches_reference(SVDDCompressor(0.20), x)
+        assert selection.k_max == 36
+
+    def test_float32_accounting(self):
+        _assert_matches_reference(
+            SVDDCompressor(0.10, bytes_per_value=4), phone_matrix(300)
+        )
+
+    def test_banded_gram(self):
+        x = phone_matrix(300)
+        four = _assert_matches_reference(SVDDCompressor(0.10), x, jobs=4)
+        # Against jobs=1 the Gram matrix is summed in another order, so
+        # V moves in its last bits: same cells, deltas equal to rounding.
+        one = SVDDCompressor(0.10).select_cutoff(x)
+        assert four.k_opt == one.k_opt
+        keys4, values4 = four.delta_queue.finalize()
+        keys1, values1 = one.delta_queue.finalize()
+        np.testing.assert_array_equal(keys4, keys1)
+        np.testing.assert_allclose(values4, values1, rtol=0, atol=1e-9)

@@ -157,6 +157,27 @@ class TestScans:
         assert np.array_equal(store.read_all(), big)
         store.close()
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_block_scan_is_the_row_scan_in_blocks(self, tmp_path, rng, mapped, dtype):
+        big = rng.standard_normal((700, 11)).astype(dtype)
+        MatrixStore.create(tmp_path / "big.mat", big, dtype=dtype).close()
+        with MatrixStore.open(tmp_path / "big.mat", mapped=mapped) as store:
+            blocks = list(store.iter_row_blocks(3, 650))
+            assert store.pass_count == 0  # a band, not the matrix
+            assert [index for index, _ in blocks] == [3, 259, 515]
+            assert all(block.dtype == np.float64 for _, block in blocks)
+            assert np.array_equal(np.vstack([b for _, b in blocks]), big[3:650])
+            blocks[0][1][:] = 0.0  # a private copy, not the file's pages
+            rows = list(store.iter_rows(3, 650))
+            assert [index for index, _ in rows] == list(range(3, 650))
+            assert np.array_equal(np.vstack([r for _, r in rows]), big[3:650])
+            for _ in store.iter_row_blocks():
+                pass
+            assert store.pass_count == 1
+            with pytest.raises(QueryError):
+                list(store.iter_row_blocks(5, 3))
+
 
 class TestGeometry:
     def test_shape_properties(self, store):
