@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import emit, emit_json, format_table
+from benchmarks.conftest import emit, format_table
 from repro.core import CompressedMatrix, build_compressed
 from repro.core.update import append_columns
 from repro.data import phone_matrix
@@ -127,29 +127,6 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
         f"post-append bit-identical: {identical}"
     )
     emit("summaries", lines)
-    emit_json(
-        "summaries",
-        params={
-            "rows": ROWS,
-            "cols": COLS,
-            "budget_fraction": BUDGET,
-            "queries": len(queries),
-            "repeats": REPEATS,
-        },
-        metrics={
-            "summary_query_seconds": summary_s,
-            "factor_query_seconds": factor_s,
-            "speedup": speedup,
-            "groupby_month_seconds": groupby_s,
-            "pages_read_on_hit": int(pages_read),
-            "append_refresh_seconds": append_refresh_s,
-            "append_norefresh_seconds": append_norefresh_s,
-            "refresh_seconds": refresh_s,
-            "summarize_rebuild_seconds": summarize_rebuild_s,
-            "post_append_bit_identical": identical,
-        },
-    )
-
     # Acceptance: the summary route is >=10x the factor route on
     # dashboard aggregates and never touches u.mat.
     assert speedup >= 10.0, f"summary speedup only {speedup:.1f}x"

@@ -22,15 +22,16 @@ Gives the library the operational surface a deployed system would have:
   dump the metrics registry (pool/pager counters, span timings) as JSON;
 - ``serve``   — serve a model over HTTP (``/query``, ``/cell``,
   ``/aggregate``, ``/groupby``, ``/explain``, ``/stats``, ``/healthz``
-  live/ready, ``/metrics``), each request answered in the thread that
-  read it, with bounded admission, load shedding (503 + Retry-After),
-  per-request deadlines, brownout degradation, and graceful SIGTERM
-  drain;
+  live/ready, ``/metrics``, ``/snapshot``), each request answered in the
+  thread that read it, with bounded admission, load shedding (503 +
+  Retry-After), per-request deadlines, brownout degradation, and
+  graceful SIGTERM drain;
 - ``serve-metrics`` — expose the live registry over HTTP (``/metrics``
   OpenMetrics text for Prometheus, ``/healthz``, ``/snapshot`` JSON),
   optionally exercising a model and writing rotating JSONL snapshots;
-- ``top``     — live terminal monitor polling a ``serve-metrics``
-  endpoint: qps, pool hit rate, per-route latency quantiles, workers;
+- ``top``     — live terminal monitor polling ``/snapshot`` on a
+  ``serve`` or ``serve-metrics`` endpoint: qps, pool hit rate, per-route
+  latency quantiles, workers;
 - ``fsck``    — verify a model directory against its integrity manifest
   (full SHA-256 by default, ``--quick`` for sizes only) and confirm the
   model actually opens;
@@ -580,7 +581,7 @@ def cmd_serve(args) -> int:
     print(
         f"serving {model_dir} on {server.url}  "
         "(routes: /query /cell /aggregate /groupby /explain /stats /healthz "
-        "/metrics)"
+        "/metrics /snapshot)"
     )
     sys.stdout.flush()
     drained = server.serve_until_shutdown(duration_s=args.duration)
@@ -671,7 +672,7 @@ def format_top_frame(
 
 
 def cmd_top(args) -> int:
-    """Handle ``repro top``: poll a serve-metrics endpoint and render.
+    """Handle ``repro top``: poll a serve or serve-metrics endpoint and render.
 
     Fetches ``/snapshot`` every ``--interval`` seconds and prints a
     frame of qps (from counter deltas), pool hit rate, per-route
@@ -1144,10 +1145,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=cmd_serve_metrics)
 
     top = sub.add_parser(
-        "top", help="live monitor polling a serve-metrics endpoint"
+        "top", help="live monitor polling a serve or serve-metrics endpoint"
     )
     top.add_argument(
-        "--url", default="http://127.0.0.1:9464", help="serve-metrics base URL"
+        "--url",
+        default="http://127.0.0.1:9464",
+        help="base URL of a `repro serve` or `repro serve-metrics` server",
     )
     top.add_argument(
         "--interval", type=float, default=2.0, help="seconds between frames"

@@ -13,16 +13,13 @@
 - :mod:`repro.core.update` — incremental maintenance of a persistent
   model: :func:`append_columns` (new days) and
   :func:`repro.core.update.append_rows` (new customers) fold data in
-  without a rebuild.  The latter is reachable only via its module path
-  because :mod:`repro.core.streaming` already exports an in-memory
-  ``append_rows`` here.
+  without a rebuild.
 """
 
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel, cell_key
 from repro.core.robust import RobustSVDCompressor, RobustSVDDCompressor
-from repro.core.streaming import append_rows, project_rows, subspace_residual
 from repro.core.update import AppendResult, append_columns, load_update_state
 from repro.core.updates import BatchUpdater
 from repro.core.verify import VerificationReport, verify_model
@@ -62,14 +59,11 @@ __all__ = [
     "SVDModel",
     "VerificationReport",
     "append_columns",
-    "append_rows",
     "build_compressed",
     "estimate_build_memory",
     "load_update_state",
     "verify_model",
     "cell_key",
-    "project_rows",
-    "subspace_residual",
     "compute_gram",
     "compute_u",
     "compute_u_to_store",

@@ -17,8 +17,8 @@ asserting them:
 - :class:`~repro.obs.profile.QueryProfile` — per-query cost breakdown
   attached to :class:`~repro.query.engine.QueryResult` while telemetry
   is enabled;
-- :func:`~repro.obs.bench.write_bench_json` — schema-versioned JSON
-  benchmark records (git sha, params, metrics);
+- :func:`~repro.obs.bench.git_sha` — the commit a benchmark result is
+  stamped with;
 - :func:`~repro.obs.export.render_openmetrics` /
   :class:`~repro.obs.serve.MetricsServer` — Prometheus-scrapeable
   OpenMetrics text over the registry, plus a rotating JSONL snapshot
@@ -32,12 +32,7 @@ paths start recording.  Disabled, every site costs one attribute load
 and a branch — no allocation, no clock reads.
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    bench_record,
-    git_sha,
-    write_bench_json,
-)
+from repro.obs.bench import git_sha
 from repro.obs.export import (
     MetricsSnapshotWriter,
     render_openmetrics,
@@ -60,7 +55,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
     "Counter",
     "Gauge",
     "Histogram",
@@ -73,7 +67,6 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "StatDelta",
-    "bench_record",
     "current_span",
     "current_trace_id",
     "git_sha",
@@ -87,5 +80,4 @@ __all__ = [
     "span",
     "trace",
     "validate_openmetrics",
-    "write_bench_json",
 ]

@@ -1,61 +1,16 @@
-"""Machine-readable benchmark records.
+"""The commit a benchmark result was measured at.
 
-The free-form ``.txt`` tables under ``benchmarks/results/`` are good
-for humans and useless for trend analysis.  Each benchmark therefore
-also writes a **schema-versioned JSON record** — git sha, UTC
-timestamp, the run's parameters, and its measured metrics — so the
-performance trajectory of the repository is diffable across commits
-and consumable by CI artifact tooling.
-
-Record shape (``schema`` bumps on breaking changes)::
-
-    {
-      "schema": 2,
-      "name": "query_throughput",
-      "git_sha": "abc123…" | null,
-      "timestamp": "2026-08-06T12:00:00+00:00",
-      "params": {...},      # workload knobs: dataset, sizes, budgets
-      "metrics": {...}      # measured numbers only
-    }
-
-Schema history:
-
-- **2** — latency quantiles: throughput benches carry per-route
-  ``{"p50_ms", "p95_ms", "p99_ms", "count"}`` blocks (see
-  :func:`latency_summary_ms`) alongside the existing qps figures.
-- **1** — initial shape.
+``benchmarks/harness`` stamps every result set with :func:`git_sha`, so
+a number can always be traced to the code that produced it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
-from datetime import datetime, timezone
 from pathlib import Path
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "bench_record",
-    "git_sha",
-    "latency_summary_ms",
-    "write_bench_json",
-]
-
-BENCH_SCHEMA_VERSION = 2
-
-
-def latency_summary_ms(histogram) -> dict:
-    """A latency-quantile metrics block from a nanosecond Histogram.
-
-    ``{"p50_ms", "p95_ms", "p99_ms", "count"}`` — the schema-2 shape
-    throughput benches embed per route.  Quantiles are None when the
-    histogram is empty.
-    """
-    summary: dict = {"count": histogram.count}
-    for key, value in histogram.percentiles().items():
-        summary[f"{key}_ms"] = round(value / 1e6, 4) if value is not None else None
-    return summary
+__all__ = ["git_sha"]
 
 
 def git_sha(cwd: str | os.PathLike | None = None) -> str | None:
@@ -80,27 +35,3 @@ def git_sha(cwd: str | os.PathLike | None = None) -> str | None:
         return None
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else None
-
-
-def bench_record(name: str, params: dict, metrics: dict) -> dict:
-    """Assemble one schema-versioned benchmark record."""
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "name": name,
-        "git_sha": git_sha(),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "params": params,
-        "metrics": metrics,
-    }
-
-
-def write_bench_json(
-    directory: str | os.PathLike, name: str, params: dict, metrics: dict
-) -> Path:
-    """Write ``BENCH_<name>.json`` under ``directory``; returns the path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
-    record = bench_record(name, params, metrics)
-    path.write_text(json.dumps(record, indent=2, default=str) + "\n")
-    return path

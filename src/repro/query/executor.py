@@ -13,9 +13,10 @@ design leans on three properties of the stack underneath:
 
 - ``FilePager`` reads with positionless ``os.pread``, so concurrent
   page fetches never race on a shared file offset and take no lock;
-- ``BufferPool`` stripes its cache across shards (hash of the page id),
-  so two threads touching different pages rarely contend on the same
-  lock, and all page data is immutable once cached;
+- batched gathers copy rows out of the store's read-only mapped view
+  and take no lock; single ``row`` / ``cell`` reads share one
+  ``BufferPool`` lock that is held for a lookup, never across a disk
+  read, and all page data is immutable once cached;
 - NumPy releases the GIL inside the GEMM/gather kernels that dominate
   aggregate evaluation, so threads genuinely overlap on multi-core
   hosts (and still overlap I/O with compute on one core).
@@ -41,7 +42,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.exceptions import DeadlineExceededError, QueryError
+from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import current_trace_id, new_trace_id, trace
 from repro.query.engine import AggregateQuery, CellQuery, QueryEngine, QueryResult
@@ -92,8 +93,8 @@ def batch_throughput(queries: int, wall_s: float) -> float:
 
     A batch so small that ``wall_s`` underflows the timer's resolution
     used to report ``inf``, which then poisoned every ratio computed
-    from BENCH_concurrency records; clamp to 0.0 instead — an
-    unmeasurably fast batch carries no throughput information.
+    from it; clamp to 0.0 instead — an unmeasurably fast batch carries
+    no throughput information.
     """
     if wall_s <= 0.0:
         return 0.0
@@ -289,16 +290,9 @@ class QueryExecutor:
         """The shared engine (e.g. for ``explain`` or path stats)."""
         return self._engine
 
-    def submit(self, query, deadline_ns: int | None = None) -> "Future[QueryResult]":
+    def submit(self, query) -> "Future[QueryResult]":
         """Schedule one query; returns a future of its
-        :class:`~repro.query.engine.QueryResult`.
-
-        ``deadline_ns`` (a ``time.monotonic_ns`` instant) makes the
-        worker drop the query with
-        :class:`~repro.exceptions.DeadlineExceededError` if it is still
-        queued when the deadline passes — queued-but-doomed work never
-        occupies a worker.
-        """
+        :class:`~repro.query.engine.QueryResult`."""
         coerced = self._coerce(query)
         # Each query gets its trace id at submit time — inheriting the
         # caller's ambient trace when one is active — so the worker
@@ -316,7 +310,7 @@ class QueryExecutor:
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("QueryExecutor is shut down")
-            return self._pool.submit(self._run_one, coerced, trace_id, deadline_ns)
+            return self._pool.submit(self._run_one, coerced, trace_id)
 
     def map(self, queries) -> list:
         """Run ``queries`` across the pool; results in submission order.
@@ -348,18 +342,8 @@ class QueryExecutor:
         """Normalize the accepted query forms to engine query objects."""
         return coerce_query(query)
 
-    def _run_one(
-        self,
-        query,
-        trace_id: str | None = None,
-        deadline_ns: int | None = None,
-    ) -> QueryResult:
+    def _run_one(self, query, trace_id: str | None = None) -> QueryResult:
         """Worker body: execute one query with in-flight accounting."""
-        if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
-            _obs.counter("executor.deadline_drops").inc()
-            raise DeadlineExceededError(
-                "deadline expired before a worker picked the query up"
-            )
         gauge = _obs.gauge("executor.concurrency")
         gauge.add(1.0)
         try:

@@ -74,7 +74,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.exceptions import DeadlineExceededError, QueryError
+from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import current_trace_id, graft, new_trace_id, span, trace
 from repro.query.engine import QueryEngine, QueryResult
@@ -149,7 +149,6 @@ def _worker_init(directory: str, on_corrupt: str, telemetry: bool) -> None:
         engine=QueryEngine(backend),
         generation=0,
         queries=0,
-        deadline_drops=0,
     )
 
 
@@ -198,8 +197,8 @@ def _execute_traced(engine: QueryEngine, query, trace_id: str) -> QueryResult:
 
 
 def _worker_run(tasks: list, generation: int) -> tuple[list, dict]:
-    """Execute one chunk of ``(query, trace_id, deadline_ns)`` tasks
-    against this worker's mapping.
+    """Execute one chunk of ``(query, trace_id)`` tasks against this
+    worker's mapping.
 
     Returns ``(outcomes, stats)``: ``outcomes[i]`` is ``("ok", result)``
     or ``("err", exception)`` for ``tasks[i]`` — errors stay
@@ -208,34 +207,14 @@ def _worker_run(tasks: list, generation: int) -> tuple[list, dict]:
     without extra round trips.  A non-None ``trace_id`` (telemetry was
     on in the parent) runs the query inside that trace, and the
     finished span tree travels back on the result's profile.
-
-    A non-None ``deadline_ns`` is a ``time.monotonic_ns`` instant
-    (CLOCK_MONOTONIC is system-wide on Linux, so the parent's clock and
-    the forked worker's clock agree).  A task whose deadline has
-    already passed when the worker picks it up is dropped without
-    touching the engine — it fails with
-    :class:`~repro.exceptions.DeadlineExceededError` and counts toward
-    the worker's ``deadline_drops``, so queued-but-doomed work never
-    occupies a worker the serving tier is short of.
     """
     if generation > _STATE["generation"]:
         _worker_remap(generation)
     engine: QueryEngine = _STATE["engine"]
     outcomes = []
-    for query, trace_id, deadline_ns in tasks:
+    for query, trace_id in tasks:
         if isinstance(query, _CrashProbe):
             os._exit(query.exit_code)
-        if deadline_ns is not None and time.monotonic_ns() >= deadline_ns:
-            _STATE["deadline_drops"] += 1
-            outcomes.append(
-                (
-                    "err",
-                    DeadlineExceededError(
-                        "deadline expired before a worker picked the query up"
-                    ),
-                )
-            )
-            continue
         try:
             if trace_id is not None and _obs.enabled:
                 outcomes.append(("ok", _execute_traced(engine, query, trace_id)))
@@ -248,7 +227,6 @@ def _worker_run(tasks: list, generation: int) -> tuple[list, dict]:
         "pid": os.getpid(),
         "generation": _STATE["generation"],
         "queries": _STATE["queries"],
-        "deadline_drops": _STATE["deadline_drops"],
         **engine.stats,
     }
     return outcomes, stats
@@ -274,10 +252,6 @@ class ProcessQueryExecutor:
             :func:`~repro.query.executor.usable_cpu_count`).
         on_corrupt: forwarded to each worker's
             :meth:`~repro.core.store.CompressedMatrix.open`.
-        on_rebuild: optional zero-argument callback invoked (outside the
-            executor lock is *not* guaranteed — keep it cheap and
-            non-blocking) each time a broken pool is replaced: a worker
-            crash-loop shows up as a burst of rebuilds.
     """
 
     def __init__(
@@ -285,7 +259,6 @@ class ProcessQueryExecutor:
         directory: str | os.PathLike,
         max_workers: int | None = None,
         on_corrupt: str = "raise",
-        on_rebuild=None,
     ) -> None:
         workers = (
             _default_process_workers() if max_workers is None else int(max_workers)
@@ -314,13 +287,7 @@ class ProcessQueryExecutor:
             "queries": 0,
             "fast_path_hits": 0,
             "streamed": 0,
-            "deadline_drops": 0,
         }
-        self._on_rebuild = on_rebuild
-        #: Pool rebuilds this instance performed (the registry counter
-        #: ``executor.proc.restarts`` is process-global; the serving
-        #: tier needs a per-executor view).
-        self.restarts = 0
         self._pool = self._new_pool()
         _obs.gauge("executor.proc.workers").set(workers)
 
@@ -409,7 +376,7 @@ class ProcessQueryExecutor:
             return None
         return current_trace_id() or new_trace_id()
 
-    def submit(self, query, deadline_ns: int | None = None) -> "Future[QueryResult]":
+    def submit(self, query) -> "Future[QueryResult]":
         """Schedule one query; returns a future of its
         :class:`~repro.query.engine.QueryResult`.
 
@@ -418,16 +385,8 @@ class ProcessQueryExecutor:
         ``result.profile.extra["worker_span"]`` (the future resolves on
         a callback thread, so the caller grafts it if desired —
         :meth:`map` does so automatically).
-
-        ``deadline_ns`` (a ``time.monotonic_ns`` instant) travels with
-        the task: if it passes while the query is still queued, the
-        worker drops the task and the future fails with
-        :class:`~repro.exceptions.DeadlineExceededError` instead of
-        wasting a worker on an answer nobody is waiting for.
         """
-        inner = self._submit_chunk(
-            [(_coerce(query), self._trace_id_for_submit(), deadline_ns)]
-        )
+        inner = self._submit_chunk([(_coerce(query), self._trace_id_for_submit())])
         outer: Future = Future()
 
         def _unwrap(done: Future) -> None:
@@ -457,9 +416,7 @@ class ProcessQueryExecutor:
         span as results are collected, so a profiled batch renders one
         tree across the process hops.
         """
-        tasks = [
-            (_coerce(query), self._trace_id_for_submit(), None) for query in queries
-        ]
+        tasks = [(_coerce(query), self._trace_id_for_submit()) for query in queries]
         if chunksize < 1:
             raise QueryError(f"chunksize must be >= 1, got {chunksize}")
         chunks = [
@@ -537,14 +494,7 @@ class ProcessQueryExecutor:
         self._pool.shutdown(wait=False)
         self._retire_worker_stats_locked()
         self._pool = self._new_pool()
-        self.restarts += 1
         _obs.counter("executor.proc.restarts").inc()
-        if self._on_rebuild is not None:
-            try:
-                self._on_rebuild()
-            except Exception:
-                # A failing observer must not take down query dispatch.
-                pass
 
     def _retire_worker_stats_locked(self) -> None:
         """Accumulate the current workers' totals; caller holds the lock."""
@@ -579,10 +529,7 @@ class ProcessQueryExecutor:
             + sum(s.get("fast_path_hits", 0) for s in snapshots),
             "streamed": retired["streamed"]
             + sum(s.get("streamed", 0) for s in snapshots),
-            "deadline_drops": retired["deadline_drops"]
-            + sum(s.get("deadline_drops", 0) for s in snapshots),
         }
-        _obs.gauge("executor.proc.deadline_drops").set(merged["deadline_drops"])
         _obs.gauge("executor.proc.fast_path_hits").set(merged["fast_path_hits"])
         _obs.gauge("executor.proc.streamed").set(merged["streamed"])
         return merged

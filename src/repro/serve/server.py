@@ -25,7 +25,9 @@ runs, and every response closes its connection.  The routes:
 - ``GET /stats`` — the dispatcher's health snapshot (JSON);
 - ``GET /healthz`` / ``/healthz/live`` — liveness (always ``ok``);
 - ``GET /healthz/ready`` — readiness (503 while warming or draining);
-- ``GET /metrics`` — OpenMetrics exposition of the process registry.
+- ``GET /metrics`` — OpenMetrics exposition of the process registry;
+- ``GET /snapshot`` — the same registry as raw JSON (what ``repro top``
+  polls).
 
 Every request is computed by the handler thread that read it
 (``answers`` in ``/stats``); an aggregate whose plan gathers rows of U
@@ -123,6 +125,9 @@ class _QueryHandler(BaseEndpointHandler):
             if path == "/metrics":
                 body = render_openmetrics().encode()
                 self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
+            elif path == "/snapshot":
+                body = json.dumps(_obs.snapshot(), default=str).encode()
+                self._reply(200, _JSON, body)
             elif path == "/stats":
                 body = json.dumps(self.dispatcher.stats(), default=str).encode()
                 self._reply(200, _JSON, body)

@@ -368,10 +368,6 @@ class FilePager:
         self._require_open()
         self._pwrite(None, data)
 
-    def flush(self) -> None:
-        """No-op kept for API compatibility: fd writes are unbuffered."""
-        self._require_open()
-
     def sync(self) -> None:
         """``fsync`` — the data is on stable storage on return."""
         self._require_open()

@@ -14,6 +14,7 @@ from repro.core.update import append_columns, append_rows, load_update_state
 from repro.core.svd import spectrum_from_gram
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ChecksumError, FormatError, ShapeError
+from repro.metrics import rmspe
 from repro.obs.tracing import span
 from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
 
@@ -59,6 +60,20 @@ class TestAppendColumns:
         # frozen basis explains most of their energy.
         rel = np.linalg.norm(recon - target) / np.linalg.norm(target)
         assert rel < 0.2
+
+    def test_accuracy_within_1_5x_of_a_rebuild(self, built, tmp_path):
+        """Folding a week of similar days onto the frozen basis gives up
+        little against a rebuild of the extended matrix at the same
+        budget."""
+        directory, full = built
+        extended = full[:200, :373]
+        append_columns(directory, extended[:, 366:])
+        build_compressed(extended, tmp_path / "rebuilt", 0.10).close()
+        with CompressedMatrix.open(directory) as appended:
+            append_rmspe = rmspe(extended, appended.reconstruct_all())
+        with CompressedMatrix.open(tmp_path / "rebuilt") as rebuilt:
+            rebuild_rmspe = rmspe(extended, rebuilt.reconstruct_all())
+        assert append_rmspe <= 1.5 * rebuild_rmspe
 
     def test_old_answers_unchanged_cells(self, built):
         """Serving U and Lambda are frozen, so pre-append cells are

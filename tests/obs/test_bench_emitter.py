@@ -1,15 +1,10 @@
-"""Tests for the machine-readable benchmark record emitter."""
+"""Tests for the benchmark results' commit stamp and structured logs."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.bench import (
-    BENCH_SCHEMA_VERSION,
-    bench_record,
-    git_sha,
-    write_bench_json,
-)
+from repro.obs.bench import git_sha
 
 
 class TestGitSha:
@@ -28,33 +23,6 @@ class TestGitSha:
         monkeypatch.delenv("GITHUB_SHA", raising=False)
         monkeypatch.delenv("GIT_SHA", raising=False)
         assert git_sha(cwd=tmp_path) is None
-
-
-class TestRecords:
-    def test_record_shape(self, monkeypatch):
-        monkeypatch.setenv("GIT_SHA", "deadbeef")
-        record = bench_record("demo", params={"n": 10}, metrics={"qps": 5.0})
-        assert record["schema"] == BENCH_SCHEMA_VERSION
-        assert record["name"] == "demo"
-        assert record["git_sha"] == "deadbeef"
-        assert record["params"] == {"n": 10}
-        assert record["metrics"] == {"qps": 5.0}
-        # UTC ISO timestamp.
-        assert record["timestamp"].endswith("+00:00")
-
-    def test_write_creates_named_json(self, tmp_path):
-        path = write_bench_json(
-            tmp_path / "results", "storage_access", params={}, metrics={"m": 1}
-        )
-        assert path.name == "BENCH_storage_access.json"
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == BENCH_SCHEMA_VERSION
-        assert loaded["metrics"] == {"m": 1}
-
-    def test_rewrite_overwrites(self, tmp_path):
-        write_bench_json(tmp_path, "x", params={}, metrics={"v": 1})
-        path = write_bench_json(tmp_path, "x", params={}, metrics={"v": 2})
-        assert json.loads(path.read_text())["metrics"] == {"v": 2}
 
 
 class TestLogging:
@@ -95,20 +63,6 @@ class TestLogging:
         )
         assert "trace_id" not in untraced
         assert traced["trace_id"] == "feed0000deadbeef"
-
-    def test_latency_summary_ms_block(self):
-        from repro.obs import Histogram
-        from repro.obs.bench import latency_summary_ms
-
-        histogram = Histogram()
-        for value in (1_000_000.0, 2_000_000.0, 4_000_000.0):
-            histogram.observe(value)
-        block = latency_summary_ms(histogram)
-        assert block["count"] == 3
-        assert 1.0 <= block["p50_ms"] <= 4.0
-        assert block["p50_ms"] <= block["p95_ms"] <= block["p99_ms"]
-        empty = latency_summary_ms(Histogram())
-        assert empty == {"count": 0, "p50_ms": None, "p95_ms": None, "p99_ms": None}
 
     def test_log_event_silent_when_disabled(self):
         import io

@@ -167,6 +167,23 @@ class TestRoutes:
         assert counts["repro_span_query_stream_scan_count"] == "2"
         assert counts["repro_span_store_read_rows_count"] == "3"
 
+    def test_snapshot_route_feeds_repro_top(self, serve_model_dir, enabled_registry):
+        """``repro top`` polls ``/snapshot``: the query server answers it
+        with the registry its own requests record into."""
+        from repro.cli import format_top_frame
+
+        config = ServeConfig(port=0, workers=1, brownout_sheds=10_000)
+        with QueryServer(serve_model_dir, config) as srv:
+            enabled_registry.reset()  # drop the warm-up's spans
+            assert _get(srv.url, "/cell?row=3&col=7")[0] == 200
+            status, headers, snapshot = _get(srv.url, "/snapshot")
+        assert status == 200
+        assert "json" in headers["Content-Type"]
+        assert snapshot["histograms"]["span.query.cell"]["count"] == 1
+        frame = format_top_frame(snapshot)
+        assert "span.query.cell" in frame
+        assert "1 queries total" in frame
+
     def test_health_split(self, server):
         assert _get(server.url, "/healthz")[0] == 200
         assert _get(server.url, "/healthz")[2] == b"ok\n"

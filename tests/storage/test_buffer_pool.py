@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,53 @@ def pager(tmp_path):
         for page_id in range(10):
             pager.write_page(page_id, bytes([page_id]) * 128)
         yield pager
+
+
+@pytest.fixture()
+def big_pager(tmp_path):
+    with FilePager(tmp_path / "big.pg", page_size=128, create=True) as pager:
+        for page_id in range(200):
+            pager.write_page(page_id, bytes([page_id]) * 128)
+        yield pager
+
+
+def _run_threads(bodies):
+    """Run each callable on its own thread under a shortened switch
+    interval; a body that raises or hangs fails the test."""
+    errors = []
+
+    def guarded(body):
+        try:
+            body()
+        except Exception as error:  # reported below, on the test's thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=guarded, args=(body,)) for body in bodies]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+
+def _reader(pool, seed, pages, barrier, reads=2000):
+    """A thread body: ``reads`` seeded random pages out of the first
+    ``pages``, each checked against what ``big_pager`` wrote."""
+
+    def body():
+        rng = random.Random(seed)
+        barrier.wait(timeout=30)
+        for _ in range(reads):
+            page_id = rng.randrange(pages)
+            assert pool.get_page(page_id) == bytes([page_id]) * 128
+
+    return body
 
 
 class TestCaching:
@@ -72,6 +123,64 @@ class TestCaching:
         pool.invalidate()
         assert pool.cached_pages() == 0
 
+    def test_eviction_is_global_lru_at_default_capacity(self, big_pager):
+        # One recency order over all 64 pages: whichever page was used
+        # longest ago goes, wherever its id falls.
+        pool = BufferPool(big_pager, capacity=64)
+        for page_id in range(64):
+            pool.get_page(page_id)
+        pool.get_page(0)  # refresh 0; 1 is now the least recent of 64
+        pool.get_page(64)
+        assert pool.stats.evictions == 1
+        hits = pool.stats.hits
+        pool.get_page(0)
+        assert pool.stats.hits == hits + 1  # 0 stayed resident
+        pool.get_page(1)
+        assert pool.stats.hits == hits + 1  # 1 was the victim
+        assert pool.cached_pages() == 64
+
+    def test_concurrent_readers_agree(self, big_pager):
+        pool = BufferPool(big_pager, capacity=32)
+        barrier = threading.Barrier(8)
+        _run_threads([_reader(pool, seed, 200, barrier) for seed in range(8)])
+        assert pool.stats.hits + pool.stats.misses == 16_000
+        assert pool.cached_pages() <= 32
+
+    def test_racing_double_miss_caches_one_copy(self, pager):
+        # Both readers are inside the pager's read before either caches
+        # the page: two misses, one resident copy, nothing evicted.
+        both_reading = threading.Barrier(2)
+
+        class MeetInRead:
+            path = pager.path
+
+            def read_page(self, page_id):
+                both_reading.wait(timeout=30)
+                return pager.read_page(page_id)
+
+        pool = BufferPool(MeetInRead(), capacity=1)
+        got = []
+        _run_threads([lambda: got.append(pool.get_page(5))] * 2)
+        assert got == [bytes([5]) * 128] * 2
+        assert (pool.stats.misses, pool.stats.hits) == (2, 0)
+        assert pool.stats.evictions == 0
+        assert pool.cached_pages() == 1
+
+    def test_invalidate_during_reads(self, big_pager):
+        pool = BufferPool(big_pager, capacity=16)
+        barrier = threading.Barrier(5)
+
+        def invalidator():
+            rng = random.Random(99)
+            barrier.wait(timeout=30)
+            for _ in range(2000):
+                pool.invalidate(rng.choice([None, rng.randrange(40)]))
+
+        readers = [_reader(pool, seed, 40, barrier) for seed in range(4)]
+        _run_threads(readers + [invalidator])
+        assert pool.stats.hits + pool.stats.misses == 8_000
+        assert pool.cached_pages() <= 16
+
 
 class TestBatchedBypassAccounting:
     """Pages a batched gather serves around the cache count as
@@ -119,32 +228,6 @@ class TestBatchedBypassAccounting:
         assert exported["hit_rate"] == pytest.approx(1 / 11)
 
 
-class TestPinning:
-    def test_pinned_pages_survive_pressure(self, pager):
-        pool = BufferPool(pager, capacity=2)
-        pool.pin(0)
-        for page_id in range(1, 10):
-            pool.get_page(page_id)
-        pool.get_page(0)
-        assert pool.stats.misses == 10  # page 0 missed only once
-
-    def test_unpin_allows_eviction(self, pager):
-        pool = BufferPool(pager, capacity=2)
-        pool.pin(0)
-        pool.unpin(0)
-        for page_id in range(1, 5):
-            pool.get_page(page_id)
-        pool.get_page(0)
-        assert pool.stats.misses == 6  # page 0 was evicted and re-read
-
-    def test_all_pinned_overflow_tolerated(self, pager):
-        pool = BufferPool(pager, capacity=2)
-        pool.pin(0)
-        pool.pin(1)
-        data = pool.get_page(2)  # no evictable page; must still succeed
-        assert data == bytes([2]) * 128
-
-
 class TestReadSpan:
     def test_within_one_page(self, pager):
         pool = BufferPool(pager, capacity=4)
@@ -171,172 +254,3 @@ class TestReadSpan:
         pool = BufferPool(pager, capacity=4)
         with pytest.raises(PageError):
             read_span(pool, 128 * 9, 200)
-
-
-class TestClockPolicy:
-    def test_invalid_policy_rejected(self, pager):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            BufferPool(pager, capacity=2, policy="mru")
-
-    def test_contents_correct(self, pager):
-        pool = BufferPool(pager, capacity=3, policy="clock")
-        for page_id in [0, 1, 2, 3, 4, 0, 2, 4, 1]:
-            assert pool.get_page(page_id) == bytes([page_id]) * 128
-
-    def test_capacity_bounded(self, pager):
-        pool = BufferPool(pager, capacity=3, policy="clock")
-        for page_id in range(10):
-            pool.get_page(page_id)
-        assert pool.cached_pages() == 3
-
-    def test_unreferenced_victim_chosen(self, pager):
-        """After a sweep clears reference bits, the next eviction takes
-        the page that was not touched since — second-chance semantics."""
-        pool = BufferPool(pager, capacity=2, policy="clock")
-        pool.get_page(0)
-        pool.get_page(1)
-        pool.get_page(2)  # full sweep clears 0 and 1, wraps, evicts 0
-        # Resident: {1 (bit clear), 2 (bit set from insert)}.
-        pool.get_page(3)  # hand finds 1 unreferenced -> evicts 1
-        assert pool.get_page(2) == bytes([2]) * 128
-        assert pool.stats.misses == 4  # pages 0,1,2,3 missed once; 2 stayed hot
-
-    def test_pinned_pages_never_evicted(self, pager):
-        pool = BufferPool(pager, capacity=2, policy="clock")
-        pool.pin(0)
-        for page_id in range(1, 8):
-            pool.get_page(page_id)
-        pool.get_page(0)
-        assert pool.stats.misses == 8  # one miss per page; 0 stayed pinned
-
-    def test_invalidate_resets_clock_state(self, pager):
-        pool = BufferPool(pager, capacity=2, policy="clock")
-        pool.get_page(0)
-        pool.get_page(1)
-        pool.invalidate()
-        assert pool.cached_pages() == 0
-        for page_id in range(5):
-            pool.get_page(page_id)
-        assert pool.cached_pages() == 2
-
-    def test_invalidate_single_page(self, pager):
-        pool = BufferPool(pager, capacity=4, policy="clock")
-        pool.get_page(0)
-        pool.get_page(1)
-        pool.invalidate(0)
-        assert pool.cached_pages() == 1
-        pool.get_page(0)
-        assert pool.stats.misses == 3
-
-    def test_read_span_works_with_clock(self, pager):
-        from repro.storage.buffer_pool import read_span
-
-        pool = BufferPool(pager, capacity=2, policy="clock")
-        data = read_span(pool, 120, 16)
-        assert data == bytes([0]) * 8 + bytes([1]) * 8
-
-    def test_hit_rate_comparable_to_lru_on_skewed_workload(self, pager):
-        """On a Zipf-ish workload CLOCK approximates LRU's hit rate."""
-        import numpy as np
-
-        rng = np.random.default_rng(5)
-        workload = rng.zipf(1.5, size=2000) % 10
-        rates = {}
-        for policy in ("lru", "clock"):
-            pool = BufferPool(pager, capacity=4, policy=policy)
-            for page_id in workload:
-                pool.get_page(int(page_id))
-            rates[policy] = pool.stats.hit_rate
-        assert rates["clock"] > rates["lru"] - 0.10
-
-
-class TestSharding:
-    """Lock striping: shard selection, capacity split, concurrent use."""
-
-    def _big_pager(self, tmp_path, pages=64):
-        pager = FilePager(tmp_path / "big.pg", page_size=128, create=True)
-        for page_id in range(pages):
-            pager.write_page(page_id, bytes([page_id % 251]) * 128)
-        return pager
-
-    def test_small_pools_stay_single_shard(self, pager):
-        # Historical exact-LRU semantics depend on one shard; small
-        # capacities must not silently stripe.
-        assert BufferPool(pager, capacity=16).num_shards == 1
-
-    def test_large_pools_stripe_automatically(self, tmp_path):
-        pager = self._big_pager(tmp_path)
-        try:
-            assert BufferPool(pager, capacity=64).num_shards > 1
-        finally:
-            pager.close()
-
-    def test_explicit_shard_count(self, tmp_path):
-        pager = self._big_pager(tmp_path)
-        try:
-            pool = BufferPool(pager, capacity=64, shards=4)
-            assert pool.num_shards == 4
-            with pytest.raises(ConfigurationError):
-                BufferPool(pager, capacity=4, shards=8)
-            with pytest.raises(ConfigurationError):
-                BufferPool(pager, capacity=4, shards=0)
-        finally:
-            pager.close()
-
-    def test_shard_capacities_sum_to_total(self, tmp_path):
-        pager = self._big_pager(tmp_path)
-        try:
-            pool = BufferPool(pager, capacity=63, shards=4)
-            assert sum(s.capacity for s in pool._shards) == 63
-            for page_id in range(64):
-                pool.get_page(page_id)
-            assert pool.cached_pages() <= 63
-        finally:
-            pager.close()
-
-    def test_sharded_pool_serves_correct_bytes(self, tmp_path):
-        pager = self._big_pager(tmp_path)
-        try:
-            pool = BufferPool(pager, capacity=64, shards=4)
-            for page_id in (0, 1, 4, 5, 63, 17):
-                assert pool.get_page(page_id) == bytes([page_id % 251]) * 128
-                # Second access is a hit with the same bytes.
-                assert pool.get_page(page_id) == bytes([page_id % 251]) * 128
-        finally:
-            pager.close()
-
-    def test_concurrent_readers_agree(self, tmp_path):
-        import threading
-
-        pager = self._big_pager(tmp_path)
-        try:
-            pool = BufferPool(pager, capacity=32, shards=4)
-            barrier = threading.Barrier(8)
-            errors = []
-
-            def body(seed):
-                import random
-
-                rng = random.Random(seed)
-                barrier.wait()
-                for _ in range(300):
-                    page_id = rng.randrange(64)
-                    got = pool.get_page(page_id)
-                    if got != bytes([page_id % 251]) * 128:
-                        errors.append(page_id)
-
-            threads = [
-                threading.Thread(target=body, args=(seed,)) for seed in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert pool.cached_pages() <= 32
-            stats = pool.stats
-            assert stats.hits + stats.misses == 8 * 300
-        finally:
-            pager.close()
