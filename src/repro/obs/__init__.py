@@ -19,29 +19,24 @@ asserting them:
   is enabled;
 - :func:`~repro.obs.bench.git_sha` — the commit a benchmark result is
   stamped with;
-- :func:`~repro.obs.export.render_openmetrics` /
-  :class:`~repro.obs.serve.MetricsServer` — Prometheus-scrapeable
-  OpenMetrics text over the registry, plus a rotating JSONL snapshot
-  writer (:class:`~repro.obs.export.MetricsSnapshotWriter`);
+- :func:`~repro.obs.export.render_openmetrics` — Prometheus-scrapeable
+  OpenMetrics text over the registry, served as ``/metrics`` by
+  ``repro serve`` (:mod:`repro.serve.server`, the one client of the
+  socket plumbing in :mod:`repro.obs.serve`);
 - :data:`~repro.obs.slowlog.slow_query_log` — threshold-triggered
   structured log of full profiles + span trees for outlier queries.
 
 Everything is **off by default**: call ``registry.enable()`` (the CLI's
-``--profile`` flag and ``stats`` command do) and the instrumented hot
+``--profile`` flag and ``serve`` command do) and the instrumented hot
 paths start recording.  Disabled, every site costs one attribute load
 and a branch — no allocation, no clock reads.
 """
 
 from repro.obs.bench import git_sha
-from repro.obs.export import (
-    MetricsSnapshotWriter,
-    render_openmetrics,
-    validate_openmetrics,
-)
+from repro.obs.export import render_openmetrics, validate_openmetrics
 from repro.obs.logging import JsonLogger, log_event, set_log_stream
 from repro.obs.profile import QueryProfile, StatDelta
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry
-from repro.obs.serve import MetricsServer
 from repro.obs.slowlog import SlowQueryLog, slow_query_log
 from repro.obs.tracing import (
     NULL_SPAN,
@@ -60,8 +55,6 @@ __all__ = [
     "Histogram",
     "JsonLogger",
     "MetricsRegistry",
-    "MetricsServer",
-    "MetricsSnapshotWriter",
     "NULL_SPAN",
     "QueryProfile",
     "SlowQueryLog",

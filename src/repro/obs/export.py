@@ -1,20 +1,15 @@
-"""Metric export: OpenMetrics text rendering and JSONL snapshots.
+"""Metric export: OpenMetrics text rendering.
 
-Two export surfaces over one source of truth
-(:meth:`~repro.obs.registry.MetricsRegistry.snapshot`):
-
-- :func:`render_openmetrics` — the Prometheus/OpenMetrics text format
-  scrapers eat (``# TYPE`` declarations, labeled samples, trailing
-  ``# EOF``).  Counters become ``repro_<name>_total``, gauges
-  ``repro_<name>``, histograms **summaries** with p50/p95/p99 quantile
-  samples plus ``_count``/``_sum`` (values keep the registry's native
-  unit — nanoseconds for span histograms), and registered component
-  sources (pools, pagers, delta indexes) become per-instance labeled
-  gauges such as ``repro_pools_hits{name="u.mat"}``.
-- :class:`MetricsSnapshotWriter` — a rotating JSONL file of timestamped
-  full registry snapshots, the offline trail a long-lived serving
-  process leaves behind for trend tooling (and what CI uploads from
-  bench runs).
+:func:`render_openmetrics` turns a
+:meth:`~repro.obs.registry.MetricsRegistry.snapshot` into the
+Prometheus/OpenMetrics text format scrapers eat (``# TYPE``
+declarations, labeled samples, trailing ``# EOF``).  Counters become
+``repro_<name>_total``, gauges ``repro_<name>``, histograms
+**summaries** with p50/p95/p99 quantile samples plus ``_count``/``_sum``
+(values keep the registry's native unit — nanoseconds for span
+histograms), and registered component sources (pools, pagers, delta
+indexes) become per-instance labeled gauges such as
+``repro_pools_hits{name="u.mat"}``.
 
 :func:`validate_openmetrics` is the strict line-format check the tests
 and the CI smoke step run over everything the renderer emits — a
@@ -24,20 +19,12 @@ series at the scraper.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.obs.registry import MetricsRegistry, registry as _default_registry
 
-__all__ = [
-    "MetricsSnapshotWriter",
-    "render_openmetrics",
-    "validate_openmetrics",
-]
+__all__ = ["render_openmetrics", "validate_openmetrics"]
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -198,59 +185,3 @@ def validate_openmetrics(text: str) -> dict[str, str]:
                 f"line {number}: counter sample {name!r} must end in '_total'"
             )
     return families
-
-
-class MetricsSnapshotWriter:
-    """Appends timestamped registry snapshots to a rotating JSONL file.
-
-    Each :meth:`write` appends one self-contained JSON line
-    (``{"time": <ISO-8601 UTC>, "snapshot": {...}}`` plus any extra
-    fields).  When the file would exceed ``max_bytes`` the writer
-    rotates it Unix-style first (``metrics.jsonl`` ->
-    ``metrics.jsonl.1`` -> ... up to ``backups``), so a long-lived
-    serving process bounds its own disk footprint.
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        registry: MetricsRegistry | None = None,
-        max_bytes: int = 4_000_000,
-        backups: int = 2,
-    ) -> None:
-        self.path = Path(path)
-        self._registry = registry or _default_registry
-        self.max_bytes = int(max_bytes)
-        self.backups = int(backups)
-
-    def write(self, **extra) -> dict:
-        """Append one snapshot record; returns the record written."""
-        record = {
-            "time": datetime.now(timezone.utc).isoformat(),
-            **extra,
-            "snapshot": self._registry.snapshot(),
-        }
-        line = json.dumps(record, default=str) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if (
-            self.path.exists()
-            and self.path.stat().st_size + len(line) > self.max_bytes
-        ):
-            self._rotate()
-        with open(self.path, "a") as sink:
-            sink.write(line)
-        return record
-
-    def _rotate(self) -> None:
-        """Shift ``path`` -> ``path.1`` -> ... -> ``path.<backups>``."""
-        if self.backups < 1:
-            self.path.unlink(missing_ok=True)
-            return
-        oldest = self.path.with_name(f"{self.path.name}.{self.backups}")
-        oldest.unlink(missing_ok=True)
-        for index in range(self.backups - 1, 0, -1):
-            source = self.path.with_name(f"{self.path.name}.{index}")
-            if source.exists():
-                os.replace(source, self.path.with_name(f"{self.path.name}.{index + 1}"))
-        if self.path.exists():
-            os.replace(self.path, self.path.with_name(f"{self.path.name}.1"))

@@ -1,54 +1,27 @@
-"""Embedded HTTP plumbing for serving processes: metrics endpoint,
-health states, and graceful drain.
+"""Embedded HTTP plumbing for a serving process: a listening socket
+served by reused handler threads, health states, and graceful drain.
 
-Two layers live here:
-
-- :class:`GracefulHTTPServer` + :class:`HealthState` +
-  :class:`BaseEndpointHandler` — the serving substrate shared by the
-  metrics endpoint below and the query tier in
-  :mod:`repro.serve.server`.  **Thread model:** the server owns the
-  listening socket; every handler thread blocks in ``accept()`` on it
-  itself (the kernel wakes exactly one per connection), then reads the
-  request head, routes it and writes the response — one ``recv``, one
-  parse by splitting, one ``sendall`` — and loops.  A handler that was
-  the last idle one starts a standby before it serves, so a health
-  probe is accepted even while every other handler sits in a slow
-  request.  The server counts in-flight requests so
-  :meth:`GracefulHTTPServer.drain` can wait them out under a bounded
-  grace period, and the health state splits *liveness* (the process is
-  up) from *readiness* (it should receive new traffic) the way
-  orchestrators expect: a draining process is still live — don't
-  restart it — but not ready — stop routing to it.
-
-- :class:`MetricsServer` — the observability surface of a serving
-  process:
-
-  - ``GET /metrics`` — OpenMetrics exposition text from
-    :func:`repro.obs.export.render_openmetrics`, scrapeable by
-    Prometheus;
-  - ``GET /healthz`` — liveness probe, always ``ok`` (kept as the
-    bare-liveness spelling for existing scrapers);
-  - ``GET /healthz/live`` — explicit liveness, always ``ok``;
-  - ``GET /healthz/ready`` — readiness: ``200 ready`` until the server
-    starts draining, then ``503 draining``;
-  - ``GET /snapshot`` — the raw JSON registry snapshot (what
-    ``repro top`` polls: it needs counter values to difference into
-    rates, which the rendered text would make it re-parse).
-
-The metrics server holds no query-path locks: every request just calls
-``registry.snapshot()``, which reads each metric under its own short
-lock.  ``repro serve-metrics`` wraps this in a CLI; embedders use it
-directly::
-
-    with MetricsServer(port=9464) as server:
-        print(server.url)        # http://127.0.0.1:9464
-        ...                      # serve queries; scrape any time
+:class:`GracefulHTTPServer` + :class:`HealthState` +
+:class:`BaseEndpointHandler` are the substrate of the query tier in
+:mod:`repro.serve.server`, their one client (its handler adds the
+routes, ``/metrics`` and ``/snapshot`` among them).  **Thread model:**
+the server owns the listening socket; every handler thread blocks in
+``accept()`` on it itself (the kernel wakes exactly one per
+connection), then reads the request head, routes it and writes the
+response — one ``recv``, one parse by splitting, one ``sendall`` — and
+loops.  A handler that was the last idle one starts a standby before it
+serves, so a health probe is accepted even while every other handler
+sits in a slow request.  The server counts in-flight requests so
+:meth:`GracefulHTTPServer.drain` can wait them out under a bounded
+grace period, and the health state splits *liveness* (the process is
+up) from *readiness* (it should receive new traffic) the way
+orchestrators expect: a draining process is still live — don't restart
+it — but not ready — stop routing to it.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import re
 import socket
 import threading
@@ -57,14 +30,10 @@ import traceback
 from email.utils import formatdate
 from http import HTTPStatus
 
-from repro.obs.export import render_openmetrics
-from repro.obs.registry import MetricsRegistry, registry as _default_registry
-
 __all__ = [
     "BaseEndpointHandler",
     "GracefulHTTPServer",
     "HealthState",
-    "MetricsServer",
     "OPENMETRICS_CONTENT_TYPE",
 ]
 
@@ -374,95 +343,3 @@ class BaseEndpointHandler:
                 self._reply(503, _TEXT, b"not ready\n")
             return True
         return False
-
-
-class _MetricsHandler(BaseEndpointHandler):
-    """Routes /metrics, /healthz[/live|/ready] and /snapshot; 404 otherwise."""
-
-    # Set by MetricsServer before the server starts.
-    registry: MetricsRegistry = _default_registry
-
-    def do_GET(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_openmetrics(registry=self.registry).encode()
-            self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
-        elif self.handle_health(path):
-            pass
-        elif path == "/snapshot":
-            body = json.dumps(self.registry.snapshot(), default=str).encode()
-            self._reply(200, "application/json", body)
-        else:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-
-
-class MetricsServer:
-    """Serves the registry over HTTP from background daemon threads.
-
-    Args:
-        host: bind address; default loopback only.
-        port: TCP port; 0 picks a free one (read it back from
-            :attr:`port` after :meth:`start`).
-        registry: metrics registry to expose; defaults to the
-            process-wide one.
-
-    Usable as a context manager; :meth:`stop` is idempotent.  The
-    server is *ready* from :meth:`start` (it has no warmup) until
-    :meth:`stop` begins draining.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self._host = host
-        self._port = int(port)
-        self._registry = registry or _default_registry
-        self._server: GracefulHTTPServer | None = None
-        self.health = HealthState()
-
-    @property
-    def host(self) -> str:
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolves 0 once the server has started)."""
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "MetricsServer":
-        """Bind and start serving on daemon threads; returns self."""
-        if self._server is not None:
-            return self
-        handler = type(
-            "_BoundMetricsHandler",
-            (_MetricsHandler,),
-            {"registry": self._registry, "health": self.health},
-        )
-        self._server = GracefulHTTPServer((self._host, self._port), handler)
-        self.health.set_ready(True)
-        return self
-
-    def stop(self, drain_grace_s: float = 2.0) -> None:
-        """Drain and shut down: readiness flips first, then accepting
-        stops, in-flight scrapes get ``drain_grace_s`` to finish, and
-        the listener closes."""
-        server, self._server = self._server, None
-        self.health.set_ready(False)
-        if server is not None:
-            server.drain(drain_grace_s)
-            server.server_close()
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

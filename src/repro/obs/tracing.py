@@ -15,7 +15,7 @@ write — the hot path pays one attribute load and a branch.
 Every *finished* span also records its duration into the registry
 histogram ``span.<name>``, so long-lived processes accumulate timing
 distributions (e.g. ``span.build.pass2`` across many builds) that
-``repro stats``-style dumps can export.
+``repro serve``'s ``/metrics`` and ``/snapshot`` export.
 
 **Traces cross process boundaries.**  Every root span carries a
 ``trace_id`` — taken from the ambient :func:`trace` context when one is

@@ -8,7 +8,7 @@ package turns that observation into a runtime planner:
 :func:`plan_aggregate` enumerates the routes a query admits against a
 live backend, prices each one from catalog stats and buffer-pool state
 (pages touched, seek + transfer via
-:class:`~repro.costmodel.StorageTier`), attaches a per-route error
+:class:`~repro.plan.cost.StorageTier`), attaches a per-route error
 bound (0.0 for exact routes, the model's stored RMSPE estimate for the
 SVD-only route), and picks the cheapest route that satisfies the
 caller's ``max_rmspe`` error budget.

@@ -2,20 +2,68 @@
 
 The planner's cost of a route is first-order, like the paper's own
 reasoning: an I/O term (logical pages touched, priced through a
-:class:`~repro.costmodel.StorageTier`) plus a CPU term (a flop count
-scaled by a fixed per-element cost).  The absolute milliseconds are
-estimates; what the planner needs — and what
-``benchmarks/bench_planner.py`` asserts — is that the *ranking* of
-routes by predicted cost matches the ranking by measured latency.
+:class:`StorageTier`) plus a CPU term (a flop count scaled by a fixed
+per-element cost).  The absolute milliseconds are estimates; what the
+planner needs — and what CI's traced-``adhoc_agg`` guard asserts — is
+that the *ranking* of routes by predicted cost matches the ranking by
+measured latency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.costmodel import DISK, MEMORY, StorageTier
+from repro.exceptions import ConfigurationError
 
-__all__ = ["CostParams", "page_read_ms", "flops_ms"]
+__all__ = [
+    "CostParams",
+    "DISK",
+    "MEMORY",
+    "StorageTier",
+    "flops_ms",
+    "page_read_ms",
+]
+
+
+@dataclass(frozen=True)
+class StorageTier:
+    """A storage medium's first-order performance parameters.
+
+    Attributes:
+        name: label for reports.
+        seek_ms: average positioning latency per random access, in
+            milliseconds (tape: rewind/wind to offset; disk: seek +
+            rotational delay; memory: ~0).
+        mb_per_s: sequential transfer rate.
+        random_access: whether the medium supports random positioning
+            at per-access cost (False for tape, where any access
+            effectively streams from the current position).
+    """
+
+    name: str
+    seek_ms: float
+    mb_per_s: float
+    random_access: bool = True
+
+    def __post_init__(self) -> None:
+        if self.seek_ms < 0 or self.mb_per_s <= 0:
+            raise ConfigurationError(
+                f"invalid tier parameters: seek {self.seek_ms} ms, "
+                f"{self.mb_per_s} MB/s"
+            )
+
+    def access_ms(self, num_bytes: int) -> float:
+        """Latency of one random access reading ``num_bytes``."""
+        return self.seek_ms + num_bytes / (self.mb_per_s * 1e6) * 1e3
+
+    def scan_ms(self, num_bytes: int) -> float:
+        """Latency of one sequential scan of ``num_bytes``."""
+        return self.seek_ms + num_bytes / (self.mb_per_s * 1e6) * 1e3
+
+
+#: 1997-flavoured reference tiers (orders of magnitude are what matter).
+DISK = StorageTier("disk", seek_ms=12.0, mb_per_s=10.0)
+MEMORY = StorageTier("memory", seek_ms=0.0001, mb_per_s=500.0)
 
 
 @dataclass(frozen=True)
@@ -24,8 +72,8 @@ class CostParams:
 
     Attributes:
         tier: where a buffer-pool *miss* lands.  Disk-resident stores
-            default to :data:`~repro.costmodel.DISK`; mmap'd and
-            in-memory backends to :data:`~repro.costmodel.MEMORY`.
+            default to :data:`DISK`; mmap'd and in-memory backends to
+            :data:`MEMORY`.
         ns_per_cell: CPU cost of touching one value in a vectorized
             kernel (streamed reconstruction, rollup finalization).
         ns_per_factor_term: CPU cost of one multiply-add in the factor

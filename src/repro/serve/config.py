@@ -3,63 +3,71 @@
 The thresholds interlock — queue age only means something relative to
 the default deadline, brownout only triggers off shed bursts the
 admission controller produces — so they live in one frozen dataclass
-that the CLI builds from flags and the tests build directly.
+that the CLI builds from flags and the tests build directly; the
+defaults and their descriptions are written here and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 
 __all__ = ["ServeConfig"]
 
 
+def _knob(default, help: str):
+    """A config field carrying the one copy of its prose."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Knobs for :class:`~repro.serve.server.QueryServer`.
 
-    Attributes:
-        host: bind address (loopback by default).
-        port: TCP port; 0 picks a free one.
-        workers: how many gathers (aggregates that read rows of U)
-            compute at once; further ones wait for a slot, no longer
-            than their deadline (None → the CPUs this process may run
-            on).
-        max_queue_depth: admitted-but-unfinished request ceiling;
-            beyond it new requests are shed with 503.
-        max_queue_age_ms: when the *oldest* admitted request has been
-            in the system this long, new arrivals are shed — depth says
-            how much is queued, age says how stale the queue is.
-        default_timeout_ms: per-request deadline applied when the
-            client sends none.
-        max_timeout_ms: ceiling on client-requested deadlines (a
-            client asking for an hour still gets this).
-        retry_after_s: the ``Retry-After`` hint attached to shed
-            responses.
-        drain_grace_s: how long SIGTERM waits for in-flight requests
-            before closing anyway.
-        brownout_sheds: shed events within ``brownout_window_s`` that
-            flip the server into brownout (SVD-only answers).
-        brownout_window_s: sliding window for counting those sheds.
-        on_corrupt: forwarded to the server's one
-            ``CompressedMatrix.open`` ("raise" refuses to serve a
-            damaged model; "degraded" starts serving even with a
-            damaged delta sidecar — answers carry ``degraded: true``).
+    Each field's ``help`` is its documentation, and its name, type,
+    default and help are its ``repro serve`` flag (:mod:`repro.cli`
+    derives the flags from these fields).
     """
 
-    host: str = "127.0.0.1"
-    port: int = 0
-    workers: int | None = None
-    max_queue_depth: int = 64
-    max_queue_age_ms: float = 2_000.0
-    default_timeout_ms: float = 5_000.0
-    max_timeout_ms: float = 60_000.0
-    retry_after_s: float = 1.0
-    drain_grace_s: float = 5.0
-    brownout_sheds: int = 8
-    brownout_window_s: float = 10.0
-    on_corrupt: str = "raise"
+    host: str = _knob("127.0.0.1", "bind address")
+    port: int = _knob(0, "TCP port (0 picks a free one)")
+    workers: int | None = _knob(
+        None,
+        "gathers (aggregates that read rows of U) computing at once; "
+        "further ones wait for a slot, no longer than their deadline "
+        "(default: the CPUs this process may run on)",
+    )
+    max_queue_depth: int = _knob(
+        64,
+        "admitted-but-unfinished request ceiling; beyond it new requests "
+        "are shed (503)",
+    )
+    max_queue_age_ms: float = _knob(
+        2_000.0,
+        "shed new requests when the oldest admitted one has been in the "
+        "system this long (depth says how much is queued, age how stale)",
+    )
+    default_timeout_ms: float = _knob(
+        5_000.0, "per-request deadline when the client sends none"
+    )
+    max_timeout_ms: float = _knob(60_000.0, "ceiling on client-requested deadlines")
+    retry_after_s: float = _knob(1.0, "Retry-After hint on shed (503) responses")
+    drain_grace_s: float = _knob(
+        5.0, "SIGTERM waits this long for in-flight requests before closing anyway"
+    )
+    brownout_sheds: int = _knob(
+        8, "sheds within the window that trigger brownout (SVD-only answers)"
+    )
+    brownout_window_s: float = _knob(
+        10.0, "sliding window for counting those sheds, in seconds"
+    )
+    on_corrupt: str = _knob(
+        "raise",
+        "forwarded to the server's one CompressedMatrix.open: 'raise' "
+        "refuses to serve a damaged model; 'degraded' serves even if the "
+        "delta sidecar fails verification (answers stamped degraded)",
+    )
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:

@@ -104,15 +104,10 @@ class RobustDispatcher:
     Args:
         model_dir: a ``CompressedMatrix`` model directory.
         config: the serving thresholds.
-        verified_rmspe: warehouse-catalog RMSPE to stamp on degraded
-            answers; falls back to the model's stored estimate.
     """
 
     def __init__(
-        self,
-        model_dir: str | Path,
-        config: ServeConfig | None = None,
-        verified_rmspe: float | None = None,
+        self, model_dir: str | Path, config: ServeConfig | None = None
     ) -> None:
         self.config = config or ServeConfig()
         self.model_dir = Path(model_dir)
@@ -133,11 +128,8 @@ class RobustDispatcher:
         self._engine = QueryEngine(self._backend)
         self._fallback = QueryEngine(self._backend, include_deltas=False)
         self.model_degraded = self._backend.degraded
-        self.rmspe = (
-            verified_rmspe
-            if verified_rmspe is not None
-            else rmspe_estimate(self.model_dir)
-        )
+        #: Stamped on degraded answers: the model's stored estimate.
+        self.rmspe = rmspe_estimate(self.model_dir)
         self._shed_times: deque[float] = deque()
         self._shed_lock = threading.Lock()
         self._count_lock = threading.Lock()

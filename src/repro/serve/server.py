@@ -273,22 +273,16 @@ class QueryServer:
     Args:
         model_dir: a ``CompressedMatrix`` model directory.
         config: serving thresholds (:class:`ServeConfig`).
-        verified_rmspe: catalog RMSPE stamped on degraded answers.
 
     Usable as a context manager.  :attr:`url` resolves the bound port
     (``port=0`` picks a free one).
     """
 
     def __init__(
-        self,
-        model_dir: str | Path,
-        config: ServeConfig | None = None,
-        verified_rmspe: float | None = None,
+        self, model_dir: str | Path, config: ServeConfig | None = None
     ) -> None:
         self.config = config or ServeConfig()
-        self.dispatcher = RobustDispatcher(
-            model_dir, self.config, verified_rmspe=verified_rmspe
-        )
+        self.dispatcher = RobustDispatcher(model_dir, self.config)
         self.health = HealthState()
         self._server: GracefulHTTPServer | None = None
         self._shutdown_event = threading.Event()

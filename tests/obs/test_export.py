@@ -1,4 +1,4 @@
-"""Tests for metric export: OpenMetrics text, snapshots, HTTP serving.
+"""Tests for metric export: OpenMetrics text, rendered and validated.
 
 Includes the concurrent-export stress test: registry writers on eight
 threads plus a live process executor, while the main thread snapshots
@@ -8,20 +8,12 @@ inconsistent) and counters must never run backwards.
 
 from __future__ import annotations
 
-import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
-from repro.obs.export import (
-    MetricsSnapshotWriter,
-    render_openmetrics,
-    validate_openmetrics,
-)
+from repro.obs.export import render_openmetrics, validate_openmetrics
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.serve import OPENMETRICS_CONTENT_TYPE, MetricsServer
 
 
 def _sample_registry() -> MetricsRegistry:
@@ -121,99 +113,6 @@ class TestValidateOpenMetrics:
     def test_eof_must_be_last(self):
         with pytest.raises(ValueError, match="before end"):
             validate_openmetrics("# EOF\n# TYPE x gauge\nx 1\n# EOF\n")
-
-
-class TestMetricsSnapshotWriter:
-    def test_appends_timestamped_records(self, tmp_path):
-        registry = _sample_registry()
-        writer = MetricsSnapshotWriter(tmp_path / "metrics.jsonl", registry=registry)
-        writer.write(bench="demo")
-        writer.write()
-        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        record = json.loads(lines[0])
-        assert record["bench"] == "demo"
-        assert record["time"].endswith("+00:00")
-        assert record["snapshot"]["counters"]["executor.queries"] == 7
-
-    def test_rotation_bounds_disk_use(self, tmp_path):
-        registry = _sample_registry()
-        path = tmp_path / "metrics.jsonl"
-        writer = MetricsSnapshotWriter(
-            path, registry=registry, max_bytes=600, backups=2
-        )
-        for _ in range(12):
-            writer.write()
-        assert path.exists()
-        assert path.with_name("metrics.jsonl.1").exists()
-        assert path.with_name("metrics.jsonl.2").exists()
-        assert not path.with_name("metrics.jsonl.3").exists()
-        # Every surviving line is intact JSON.
-        for name in ("metrics.jsonl", "metrics.jsonl.1", "metrics.jsonl.2"):
-            for line in (tmp_path / name).read_text().splitlines():
-                json.loads(line)
-
-    def test_zero_backups_truncates(self, tmp_path):
-        registry = _sample_registry()
-        path = tmp_path / "metrics.jsonl"
-        writer = MetricsSnapshotWriter(
-            path, registry=registry, max_bytes=600, backups=0
-        )
-        for _ in range(8):
-            writer.write()
-        assert path.exists()
-        assert not path.with_name("metrics.jsonl.1").exists()
-
-
-class TestMetricsServer:
-    @pytest.fixture()
-    def server(self):
-        with MetricsServer(registry=_sample_registry()) as running:
-            yield running
-
-    def test_metrics_route_serves_valid_openmetrics(self, server):
-        with urllib.request.urlopen(server.url + "/metrics") as reply:
-            assert reply.headers["Content-Type"] == OPENMETRICS_CONTENT_TYPE
-            families = validate_openmetrics(reply.read().decode())
-        assert "repro_span_query_cell" in families
-
-    def test_healthz_route(self, server):
-        with urllib.request.urlopen(server.url + "/healthz") as reply:
-            assert reply.read() == b"ok\n"
-
-    def test_snapshot_route_serves_registry_json(self, server):
-        with urllib.request.urlopen(server.url + "/snapshot") as reply:
-            snapshot = json.load(reply)
-        assert snapshot["counters"]["executor.queries"] == 7
-        assert snapshot["histograms"]["span.query.cell"]["count"] == 3
-
-    def test_unknown_route_404s(self, server):
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(server.url + "/nope")
-        assert caught.value.code == 404
-
-    def test_port_zero_binds_free_port(self, server):
-        assert server.port > 0
-
-    def test_port_in_use_is_an_oserror(self, server):
-        # A failed bind calls server_close() before __init__ returns;
-        # it must surface as the bind error, not an AttributeError.
-        with pytest.raises(OSError):
-            MetricsServer(port=server.port).start()
-
-    def test_stop_is_idempotent(self):
-        server = MetricsServer(registry=MetricsRegistry()).start()
-        server.stop()
-        server.stop()
-
-    def test_stop_joins_the_handler_threads(self):
-        before = threading.active_count()
-        with MetricsServer(registry=MetricsRegistry()) as server:
-            for _ in range(5):
-                with urllib.request.urlopen(server.url + "/healthz") as reply:
-                    assert reply.read() == b"ok\n"
-            assert threading.active_count() > before
-        assert threading.active_count() <= before
 
 
 class TestConcurrentExport:

@@ -183,6 +183,7 @@ class TestRoutes:
         frame = format_top_frame(snapshot)
         assert "span.query.cell" in frame
         assert "1 queries total" in frame
+        assert "queue depth 0   shed 0 total   brownout off" in frame
 
     def test_health_split(self, server):
         assert _get(server.url, "/healthz")[0] == 200
@@ -547,6 +548,17 @@ class TestDrain:
         srv = QueryServer(serve_model_dir, config).start()
         srv.stop()
         srv.stop()
+
+    def test_port_in_use_is_an_oserror(self, server, serve_model_dir):
+        # A failed bind leaves no listener behind to close; it must
+        # surface as the bind error, not an AttributeError, and stop()
+        # must still release the model the dispatcher opened.
+        second = QueryServer(serve_model_dir, ServeConfig(port=server.port))
+        try:
+            with pytest.raises(OSError):
+                second.start()
+        finally:
+            second.stop()
 
     def test_silent_connection_is_closed_and_does_not_stall_stop(
         self, serve_model_dir, monkeypatch

@@ -1,11 +1,10 @@
-"""The wire, hostile: raw bytes against both HTTP front doors.
+"""The wire, hostile: raw bytes against the HTTP front door.
 
-Everything else in the suite reaches the servers through ``urllib``, so
-every byte their parser ever saw was well-formed.  Here a raw socket
+Everything else in the suite reaches the server through ``urllib``, so
+every byte its parser ever saw was well-formed.  Here a raw socket
 sends what a broken, slow or malicious peer would, against
-:class:`~repro.serve.server.QueryServer` and
-:class:`~repro.obs.serve.MetricsServer` alike (they share the request
-reader in :mod:`repro.obs.serve`):
+:class:`~repro.serve.server.QueryServer` (whose request reader is
+:mod:`repro.obs.serve`):
 
 - a table of malformed and borderline requests, each with the exact
   status it gets — or the hang-up, where no reply is owed;
@@ -31,12 +30,9 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.obs.registry import MetricsRegistry
-from repro.obs.serve import BaseEndpointHandler, MetricsServer
+from repro.obs.serve import BaseEndpointHandler
 from repro.serve.config import ServeConfig
 from repro.serve.server import QueryServer
-
-KINDS = ("query", "metrics")
 
 _TEXT = "text/plain; charset=utf-8"
 _JSON = "application/json; charset=utf-8"
@@ -46,26 +42,22 @@ _STATUS_LINE = re.compile(rb"HTTP/1\.1 (\d{3}) [ -~]+")
 _GRACE_S = 5.0
 
 
-def _start(kind: str, model_dir):
-    if kind == "query":
-        config = ServeConfig(port=0, workers=1, drain_grace_s=_GRACE_S)
-        return QueryServer(model_dir, config).start()
-    return MetricsServer(port=0, registry=MetricsRegistry()).start()
+def _start_query_server(model_dir):
+    config = ServeConfig(port=0, workers=1, drain_grace_s=_GRACE_S)
+    return QueryServer(model_dir, config).start()
 
 
-def _stop(server) -> None:
-    if isinstance(server, MetricsServer):
-        server.stop(drain_grace_s=_GRACE_S)
-    else:
-        server.stop()
+#: Every HTTP server in the package, by name -> how to start it: each
+#: faces the whole file.
+SERVERS = {"query": _start_query_server}
 
 
 @pytest.fixture(scope="module")
 def servers(serve_model_dir):
-    started = {kind: _start(kind, serve_model_dir) for kind in KINDS}
+    started = {kind: start(serve_model_dir) for kind, start in SERVERS.items()}
     yield started
     for server in started.values():
-        _stop(server)
+        server.stop()
 
 
 def _exchange(
@@ -109,7 +101,6 @@ def _response(raw: bytes) -> tuple[int, dict, bytes]:
 
 
 _OK = (200, _TEXT, b"ok\n")
-_NOT_FOUND = (404, _TEXT, b"not found\n")
 #: ``/cell?row=1&col=1`` on the session's 80 x 50 model.
 _CELL = (
     200,
@@ -135,37 +126,34 @@ _DEADLINE = (
     ).encode(),
 )
 
-#: name -> (request bytes, what QueryServer answers, what MetricsServer
-#: answers).  An answer is a bare status (the refusals the request
-#: reader makes itself — the body is prose), a ``(status, content type,
-#: body)`` triple recorded from the stdlib-based server this one
-#: replaced (a dict body is JSON compared without ``elapsed_ms``), or
-#: None: hung up on, nothing sent.
+#: name -> (request bytes, the answer).  An answer is a bare status (the
+#: refusals the request reader makes itself — the body is prose), a
+#: ``(status, content type, body)`` triple recorded from the
+#: stdlib-based server this one replaced (a dict body is JSON compared
+#: without ``elapsed_ms``), or None: hung up on, nothing sent.
 WIRE_TABLE = {
-    "plain": (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", _OK, _OK),
-    "http-1.0": (b"GET /healthz HTTP/1.0\r\n\r\n", _OK, _OK),
-    "lf-only-line-endings": (b"GET /healthz HTTP/1.1\nHost: x\n\n", _OK, _OK),
-    "empty-connection": (b"", None, None),
-    "missing-version": (b"GET /healthz\r\n\r\n", 400, 400),
-    "four-word-request-line": (b"GET /healthz extra HTTP/1.1\r\n\r\n", 400, 400),
-    "blank-line-only": (b"\r\n\r\n", 400, 400),
-    "not-http": (b"GET /healthz FTP/1.1\r\n\r\n", 400, 400),
-    "http-2.0": (b"GET /healthz HTTP/2.0\r\n\r\n", 505, 505),
-    "http-0.9": (b"GET /healthz HTTP/0.9\r\n\r\n", 505, 505),
-    "post": (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501, 501),
-    "head": (b"HEAD /healthz HTTP/1.1\r\n\r\n", 501, 501),
-    "header-without-colon": (b"GET /healthz HTTP/1.1\r\nHost x\r\n\r\n", 400, 400),
+    "plain": (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", _OK),
+    "http-1.0": (b"GET /healthz HTTP/1.0\r\n\r\n", _OK),
+    "lf-only-line-endings": (b"GET /healthz HTTP/1.1\nHost: x\n\n", _OK),
+    "empty-connection": (b"", None),
+    "missing-version": (b"GET /healthz\r\n\r\n", 400),
+    "four-word-request-line": (b"GET /healthz extra HTTP/1.1\r\n\r\n", 400),
+    "blank-line-only": (b"\r\n\r\n", 400),
+    "not-http": (b"GET /healthz FTP/1.1\r\n\r\n", 400),
+    "http-2.0": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "http-0.9": (b"GET /healthz HTTP/0.9\r\n\r\n", 505),
+    "post": (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    "head": (b"HEAD /healthz HTTP/1.1\r\n\r\n", 501),
+    "header-without-colon": (b"GET /healthz HTTP/1.1\r\nHost x\r\n\r\n", 400),
     "folded-header": (
         b"GET /healthz HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n",
         400,
-        400,
     ),
-    "space-before-colon": (b"GET /healthz HTTP/1.1\r\nHost : x\r\n\r\n", 400, 400),
+    "space-before-colon": (b"GET /healthz HTTP/1.1\r\nHost : x\r\n\r\n", 400),
     "100-headers": (
         b"GET /healthz HTTP/1.1\r\n"
         + b"".join(b"X-%d: y\r\n" % i for i in range(100))
         + b"\r\n",
-        _OK,
         _OK,
     ),
     "101-headers": (
@@ -173,68 +161,56 @@ WIRE_TABLE = {
         + b"".join(b"X-%d: y\r\n" % i for i in range(101))
         + b"\r\n",
         431,
-        431,
     ),
     "70-KiB-header": (
         b"GET /healthz HTTP/1.1\r\nX: " + b"a" * (70 * 1024) + b"\r\n\r\n",
-        431,
         431,
     ),
     "70-KiB-request-line": (
         b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
         414,
-        414,
     ),
     "nul-in-target": (
         b"GET /heal\x00thz HTTP/1.1\r\n\r\n",
         _no_route("/heal\x00thz"),
-        _NOT_FOUND,
     ),
     "non-latin-1-bytes": (
         b"GET /healthz\xff\xfe HTTP/1.1\r\nX-\xff: \xfe\r\n\r\n",
         _no_route("/healthz\xff\xfe"),
-        _NOT_FOUND,
     ),
     "absolute-form-target": (
         b"GET http://h/cell?row=1&col=1 HTTP/1.1\r\nHost: h\r\n\r\n",
         _CELL,
-        _NOT_FOUND,
     ),
     "pipelined-second-request": (
         b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz/ready HTTP/1.1\r\n\r\n",
-        _OK,
         _OK,
     ),
     "deadline-header-lower": (
         b"GET /cell?row=1&col=1 HTTP/1.1\r\nx-repro-deadline-ms: soon\r\n\r\n",
         _DEADLINE,
-        _NOT_FOUND,
     ),
     "deadline-header-upper": (
         b"GET /cell?row=1&col=1 HTTP/1.1\r\nX-REPRO-DEADLINE-MS: soon\r\n\r\n",
         _DEADLINE,
-        _NOT_FOUND,
     ),
     "deadline-header-mixed": (
         b"GET /cell?row=1&col=1 HTTP/1.1\r\nX-Repro-Deadline-Ms: soon\r\n\r\n",
         _DEADLINE,
-        _NOT_FOUND,
     ),
     "first-of-a-repeated-header-wins": (
         b"GET /cell?row=1&col=1 HTTP/1.1\r\n"
         b"X-Repro-Deadline-Ms: soon\r\nX-Repro-Deadline-Ms: 5000\r\n\r\n",
         _DEADLINE,
-        _NOT_FOUND,
     ),
-    "cell": (b"GET /cell?row=1&col=1 HTTP/1.1\r\n\r\n", _CELL, _NOT_FOUND),
+    "cell": (b"GET /cell?row=1&col=1 HTTP/1.1\r\n\r\n", _CELL),
 }
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SERVERS)
 @pytest.mark.parametrize("name", WIRE_TABLE)
 def test_wire_table(servers, kind, name):
-    payload, *answers = WIRE_TABLE[name]
-    expected = answers[KINDS.index(kind)]
+    payload, expected = WIRE_TABLE[name]
     # The empty connection half-closes so the server sees end of input
     # at once; a peer that stays silent instead is the deadline's case.
     raw = _exchange(servers[kind].port, [payload], half_close=not payload)
@@ -269,7 +245,7 @@ _PREFIXES = (
 _SUFFIXES = (b"", b"\r\n\r\n", b" HTTP/1.1\r\n\r\n", b"\n\n")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SERVERS)
 @settings(
     max_examples=120,
     deadline=None,
@@ -302,7 +278,7 @@ def test_any_bytes_get_one_response_or_a_hang_up(
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SERVERS)
 def test_request_split_across_three_sends_is_answered(servers, kind):
     pieces = [b"GET /heal", b"thz HTTP/1.1\r\nHo", b"st: x\r\n\r\n"]
     raw = _exchange(servers[kind].port, pieces, gap_s=0.05)
@@ -334,7 +310,7 @@ def _drip(port: int, stop: threading.Event, gap_s: float = 0.05) -> tuple[bytes,
     return received, time.monotonic() - start
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", SERVERS)
 def test_dripping_client_is_hung_up_on_at_the_whole_head_deadline(
     serve_model_dir, kind, monkeypatch
 ):
@@ -343,7 +319,7 @@ def test_dripping_client_is_hung_up_on_at_the_whole_head_deadline(
     still lose the connection — unanswered — once the deadline passes;
     nor may it hold ``stop()`` to the drain grace."""
     monkeypatch.setattr(BaseEndpointHandler, "timeout", 0.3)
-    server = _start(kind, serve_model_dir)
+    server = SERVERS[kind](serve_model_dir)
     try:
         received, elapsed = _drip(server.port, threading.Event())
         assert received == b""
@@ -363,10 +339,10 @@ def test_dripping_client_is_hung_up_on_at_the_whole_head_deadline(
             time.sleep(0.005)
         assert server._server.active_requests == 1
         start = time.monotonic()
-        _stop(server)
+        server.stop()
         assert time.monotonic() - start < _GRACE_S / 2
         stop_dripping.set()
         dripper.join(timeout=10.0)
         assert not dripper.is_alive()
     finally:
-        _stop(server)
+        server.stop()

@@ -117,8 +117,8 @@ class TestQueries:
 class TestTelemetryFlags:
     @pytest.fixture(autouse=True)
     def _restore_registry(self):
-        """CLI --profile/stats enable the process-wide registry; put it
-        back so later tests run with telemetry off."""
+        """CLI --profile enables the process-wide registry; put it back
+        so later tests run with telemetry off."""
         from repro.obs import registry
 
         yield
@@ -202,21 +202,6 @@ class TestTelemetryFlags:
         profile = json.loads(out[out.index("{") :])
         assert profile["path"] == "cell"
 
-    def test_stats_command_dumps_registry(self, model_dir, capsys):
-        import json
-
-        assert main(["stats", str(model_dir), "--queries", "50"]) == 0
-        dump = json.loads(capsys.readouterr().out)
-        summary = dump["summary"]
-        assert summary["queries"] == 50
-        # The paper's claim: ~1 pool access per cold random cell (zero-row
-        # flagged queries cost none at all).
-        assert summary["pool_accesses_per_query"] <= 1.0
-        registry_dump = dump["registry"]
-        assert registry_dump["enabled"] is True
-        assert any(name.endswith("u.mat") for name in registry_dump["pools"])
-        assert "span.query.cell" in registry_dump["histograms"]
-
 
 class TestObservabilityCommands:
     @pytest.fixture(autouse=True)
@@ -280,110 +265,212 @@ class TestObservabilityCommands:
         assert records[0]["total_ms"] > 0
         assert records[0]["profile"]["path"] in ("factor", "stream")
 
-    def test_serve_metrics_endpoint_round_trip(self, model_dir, tmp_path, capsys):
-        import threading
-        import urllib.request
 
-        from repro.obs.export import validate_openmetrics
+def _snapshot_after(server, cells: int = 0, path: str = "/cell?row={}&col=7") -> dict:
+    """Answer ``cells`` more requests, then take the server's ``/snapshot``."""
+    import urllib.request
 
-        snapshots = tmp_path / "metrics.jsonl"
-        # Find the bound port from the stdout banner printed at startup.
-        worker = threading.Thread(
-            target=main,
-            args=(
-                [
-                    "serve-metrics",
-                    "--model",
-                    str(model_dir),
-                    "--port",
-                    "0",
-                    "--exercise",
-                    "8",
-                    "--interval",
-                    "0.1",
-                    "--duration",
-                    "2.0",
-                    "--snapshots",
-                    str(snapshots),
-                ],
-            ),
-        )
-        worker.start()
-        try:
-            import time
-
-            url = None
-            for _ in range(100):
-                time.sleep(0.05)
-                out = capsys.readouterr().out
-                if "serving metrics on" in out:
-                    url = out.split()[3]
-                    break
-            assert url, "serve-metrics never printed its URL"
-            with urllib.request.urlopen(url + "/healthz") as reply:
-                assert reply.read() == b"ok\n"
-            with urllib.request.urlopen(url + "/metrics") as reply:
-                families = validate_openmetrics(reply.read().decode())
-            assert "repro_span_query_cell" in families
-        finally:
-            worker.join(timeout=30)
-        assert not worker.is_alive()
-        lines = snapshots.read_text().splitlines()
-        assert lines
-        assert "span.query.cell" in json.loads(lines[-1])["snapshot"]["histograms"]
+    for index in range(cells):
+        url = server.url + path.format(index)
+        with urllib.request.urlopen(url, timeout=30) as reply:
+            reply.read()
+    with urllib.request.urlopen(server.url + "/snapshot", timeout=30) as reply:
+        return json.load(reply)
 
 
 class TestTopFrame:
-    def _snapshot(self, queries=100, hits=90, misses=10):
-        return {
-            "enabled": True,
-            "counters": {"executor.queries": queries, "slowlog.records": 2},
-            "gauges": {"executor.workers": 4.0, "executor.concurrency": 1.0},
-            "histograms": {
-                "span.query.cell": {
-                    "count": queries,
-                    "p50": 50_000.0,
-                    "p95": 200_000.0,
-                    "p99": 900_000.0,
-                    "min": 10_000.0,
-                    "max": 1_000_000.0,
-                }
-            },
-            "pools": {"u.mat": {"hits": hits, "misses": misses}},
-        }
+    """``repro top`` renders what ``repro serve`` exports: every frame
+    here is rendered from the ``/snapshot`` of a live ``QueryServer``."""
 
-    def test_totals_frame_without_previous(self):
+    @pytest.fixture()
+    def server(self, model_dir, enabled_registry):
+        """A server that holds one request at a time (a ticket held by
+        the test sheds the next) and counts every query as slow."""
+        from repro.obs.slowlog import slow_query_log
+        from repro.serve import QueryServer, ServeConfig
+
+        slow_query_log.configure(0.0)
+        config = ServeConfig(port=0, workers=1, max_queue_depth=1)
+        try:
+            with QueryServer(model_dir, config) as server:
+                enabled_registry.reset()  # drop the warm-up's spans
+                yield server
+        finally:
+            slow_query_log.disable()
+
+    def test_totals_frame_without_previous(self, server):
         from repro.cli import format_top_frame
 
-        frame = format_top_frame(self._snapshot())
-        assert "100 queries total" in frame
-        assert "90.0%" in frame
+        frame = format_top_frame(_snapshot_after(server, 2))
+        assert "2 queries total" in frame
         assert "slow 2" in frame
+        assert "queue depth 0   shed 0 total   brownout off" in frame
         assert "span.query.cell" in frame
-        assert "0.050" in frame  # p50 in ms
-        assert "workers=4" in frame
+        assert "pool hit-rate" not in frame and "workers" not in frame
 
-    def test_rate_frame_differences_counters(self):
+    def test_rate_frame_differences_counters(self, server):
+        import urllib.error
+        import urllib.request
+
         from repro.cli import format_top_frame
 
-        frame = format_top_frame(
-            self._snapshot(queries=300), prev=self._snapshot(queries=100), dt=2.0
-        )
-        assert "100.0 qps" in frame
+        before = _snapshot_after(server, 1)
+        with server.dispatcher.admission.admit():
+            # The one ticket is held: this request is shed, and the
+            # snapshot taken meanwhile sees the queue it was shed from.
+            with pytest.raises(urllib.error.HTTPError) as shed:
+                urllib.request.urlopen(server.url + "/cell?row=1&col=1")
+            assert shed.value.code == 503
+            held = format_top_frame(_snapshot_after(server), prev=before, dt=2.0)
+        assert "queue depth 1   shed 0.5/s" in held
+        after = _snapshot_after(server, 4)
+        assert "2.0 qps" in format_top_frame(after, prev=before, dt=2.0)
 
-    def test_engine_only_traffic_counts_via_span_histograms(self):
+    def test_engine_only_traffic_counts_via_span_histograms(self, server):
+        """Queries are counted from the root spans' histograms — cells
+        and aggregates — which is what every serve request records."""
         from repro.cli import format_top_frame
 
-        snapshot = self._snapshot(queries=0)
-        snapshot["histograms"]["span.query.cell"]["count"] = 40
-        frame = format_top_frame(snapshot)
-        assert "40 queries total" in frame
+        _snapshot_after(server, 1, "/aggregate?fn=sum&rows={}:10&cols=0:10")
+        frame = format_top_frame(_snapshot_after(server, 3))
+        assert "4 queries total" in frame
+        assert "span.query.aggregate" in frame
 
-    def test_empty_snapshot_renders(self):
+    def test_empty_snapshot_renders(self, server):
         from repro.cli import format_top_frame
 
-        frame = format_top_frame({"counters": {}, "gauges": {}, "histograms": {}})
+        frame = format_top_frame(_snapshot_after(server))
+        assert "0 queries total" in frame
         assert "no span.query histograms" in frame
+
+    def test_unreachable_server_is_an_error_not_a_traceback(self, capsys):
+        code = main(["top", "--url", "http://127.0.0.1:1", "--iterations", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_default_url_is_where_serve_listens(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        port = parser.parse_args(["serve", "model"]).port
+        assert parser.parse_args(["top"]).url == f"http://127.0.0.1:{port}"
+
+
+def _subcommands(parser):
+    import argparse
+
+    (sub,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+class TestCommandTable:
+    COMMANDS = {
+        "build", "info", "append", "summarize", "cell", "aggregate", "query",
+        "batch", "serve", "top", "fsck", "verify", "scatter", "datasets",
+    }
+
+    def test_exactly_the_fourteen_commands(self):
+        from repro.cli import build_parser
+
+        assert set(_subcommands(build_parser())) == self.COMMANDS
+
+    def test_serve_defaults_are_the_config_fields(self):
+        """``serve``'s flags are derived from ``ServeConfig``: a parsed
+        default is the field's default, bar the fixed port."""
+        import dataclasses
+
+        from repro.cli import build_parser
+        from repro.serve import ServeConfig
+
+        args = build_parser().parse_args(["serve", "model"])
+        fields = dataclasses.fields(ServeConfig)
+        parsed = {field.name: getattr(args, field.name) for field in fields}
+        assert parsed.pop("port") == 9465
+        wanted = dataclasses.asdict(ServeConfig())
+        del wanted["port"]
+        assert parsed == wanted
+
+    def test_serve_passes_every_config_field_through(self, monkeypatch, capsys):
+        """Every field set on the command line — ``on_corrupt`` by its
+        switch — reaches the server's config."""
+        import dataclasses
+
+        import repro.serve
+        from repro.obs import registry
+        from repro.serve import ServeConfig
+
+        started = []
+
+        class Recorder:
+            url = "http://recorded"
+
+            def __init__(self, model_dir, config):
+                started.append((model_dir, config))
+
+            def start(self):
+                pass
+
+            def install_signal_handlers(self):
+                pass
+
+            def serve_until_shutdown(self, duration_s=None):
+                return True
+
+        monkeypatch.setattr(repro.serve, "QueryServer", Recorder)
+        # A value other than the default for every field: the numeric
+        # thresholds move by one.
+        wanted = {"host": "0.0.0.0", "workers": 3, "on_corrupt": "degraded"}
+        argv = ["serve", "some/model", "--allow-degraded"]
+        for field in dataclasses.fields(ServeConfig):
+            if field.name == "on_corrupt":
+                continue
+            if field.name not in wanted:
+                wanted[field.name] = field.default + 1
+            argv += ["--" + field.name.replace("_", "-"), str(wanted[field.name])]
+        try:
+            assert main(argv) == 0
+        finally:
+            registry.disable()
+            registry.reset()
+        ((model_dir, config),) = started
+        assert str(model_dir) == "some/model"
+        assert config == ServeConfig(**wanted)
+        assert config != ServeConfig()
+        banner = capsys.readouterr().out
+        assert "serving some/model on http://recorded  (routes: " in banner
+
+    def test_documented_command_lines_parse(self):
+        """Every ``python -m repro ...`` line of docs/API.md's CLI block
+        parses, and every command is in that block and in the module
+        docstring."""
+        import shlex
+        from pathlib import Path
+
+        import repro.cli
+        from repro.cli import build_parser
+
+        api = (Path(__file__).parent.parent / "docs" / "API.md").read_text()
+        block = api.split("\n## CLI\n", 1)[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        documented = [
+            shlex.split(line, comments=True)[3:]
+            for line in lines
+            if line.startswith("python -m repro ")
+        ]
+        parser = build_parser()
+        for argv in documented:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"docs/API.md: `repro {' '.join(argv)}` does not parse")
+        assert {argv[0] for argv in documented} == self.COMMANDS
+        for name in self.COMMANDS:
+            assert f"- ``{name}``" in repro.cli.__doc__, name
 
 
 class TestScatterAndDatasets:
@@ -466,44 +553,6 @@ class TestQueryAndVerifyCommands:
         # Different data -> certified bound violated -> nonzero exit.
         code = main(["verify", str(model_dir), "--dataset", "stocks"])
         assert code == 1
-
-
-class TestWarehouseCommands:
-    @pytest.fixture()
-    def root(self, tmp_path):
-        return str(tmp_path / "wh")
-
-    def test_ingest_list_verify_drop_cycle(self, root, capsys):
-        assert main(
-            ["wh-ingest", "--root", root, "--name", "calls",
-             "--dataset", "phone80", "--budget", "0.15"]
-        ) == 0
-        assert "ingested calls" in capsys.readouterr().out
-
-        assert main(["wh-list", "--root", root]) == 0
-        out = capsys.readouterr().out
-        assert "calls: 80x366" in out
-        assert "RMSPE=" in out
-
-        assert main(["wh-verify", "--root", root, "calls"]) == 0
-        assert "HOLDS" in capsys.readouterr().out
-
-        assert main(["wh-drop", "--root", root, "calls"]) == 0
-        main(["wh-list", "--root", root])
-        assert "(empty warehouse)" in capsys.readouterr().out
-
-    def test_duplicate_ingest_fails(self, root, capsys):
-        main(["wh-ingest", "--root", root, "--name", "a", "--dataset", "phone40"])
-        capsys.readouterr()
-        assert main(
-            ["wh-ingest", "--root", root, "--name", "a", "--dataset", "phone40"]
-        ) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_verify_unknown_name_fails(self, root, capsys):
-        main(["wh-ingest", "--root", root, "--name", "a", "--dataset", "phone40"])
-        capsys.readouterr()
-        assert main(["wh-verify", "--root", root, "nope"]) == 1
 
 
 class TestFsck:
