@@ -12,9 +12,9 @@ from __future__ import annotations
 from benchmarks.conftest import emit, format_table
 from repro.core import SVDDCompressor
 from repro.core.model import cell_key
-from repro.query import random_cell_queries
-from repro.structures.bloom import BloomFilter
-from repro.structures.hashtable import OpenAddressingTable
+from repro.lab.workload import random_cell_queries
+from repro.lab.bloom import BloomFilter
+from repro.lab.hashtable import OpenAddressingTable
 
 
 def test_ablation_bloom(phone2000, benchmark):

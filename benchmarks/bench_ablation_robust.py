@@ -20,12 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.core import (
-    RobustSVDCompressor,
-    RobustSVDDCompressor,
-    SVDCompressor,
-    SVDDCompressor,
-)
+from repro.core import SVDCompressor, SVDDCompressor
+from repro.lab.robust import RobustSVDCompressor, RobustSVDDCompressor
 from repro.data import phone_matrix
 from repro.metrics import rmspe
 

@@ -14,7 +14,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.core import NaiveSVDDCompressor, SVDDCompressor
+from repro.core import SVDDCompressor
+from repro.lab.naive_svdd import NaiveSVDDCompressor
 from repro.data import phone_matrix
 from repro.storage import MatrixStore
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit, format_table
 from repro.core import SVDDCompressor
-from repro.costmodel import (
+from repro.lab.costmodel import (
     DISK,
     MEMORY,
     TAPE,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import emit, format_table
-from repro.cube import CompressedCube, CubeCollapse, Tucker3, tucker3_space_bytes
+from repro.lab.cube import CompressedCube, CubeCollapse, Tucker3, tucker3_space_bytes
 from repro.metrics import rmspe
 
 

@@ -19,12 +19,9 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.core import compute_gram
-from repro.linalg import (
-    JacobiEigensolver,
-    NumpyEigensolver,
-    PowerIterationEigensolver,
-    TridiagonalEigensolver,
-)
+from repro.linalg import NumpyEigensolver
+from repro.lab.eigen import JacobiEigensolver, PowerIterationEigensolver
+from repro.lab.tridiagonal import TridiagonalEigensolver
 
 
 def test_eigensolvers(stocks381, benchmark):

@@ -14,7 +14,7 @@ approaches the cross-row factor methods on phone data.
 from __future__ import annotations
 
 from benchmarks.conftest import emit, format_table
-from repro.methods import (
+from repro.lab.methods import (
     AdaptiveDCTMethod,
     DCTMethod,
     DFTMethod,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.viz import ascii_scatter, outlier_rows, scatter_coordinates
+from repro.lab.viz import ascii_scatter, outlier_rows, scatter_coordinates
 
 
 def test_fig11_phone_scatter(phone2000, benchmark):

@@ -19,7 +19,7 @@ import pytest
 
 from benchmarks.conftest import BUDGET_SWEEP, emit, format_table
 from repro.exceptions import BudgetError
-from repro.methods import LosslessZlibMethod, standard_methods
+from repro.lab.methods import LosslessZlibMethod, standard_methods
 from repro.metrics import rmspe
 
 
@@ -70,7 +70,7 @@ def test_fig6_stocks(stocks381, benchmark):
 
 def test_fig6_shape_assertions(phone2000, stocks381, benchmark):
     """The qualitative orderings the paper reports, asserted at s=10%."""
-    from repro.methods import DCTMethod, SVDDMethod, SVDMethod
+    from repro.lab.methods import DCTMethod, SVDDMethod, SVDMethod
 
     budget = 0.10
     phone_errors = {
@@ -88,6 +88,6 @@ def test_fig6_shape_assertions(phone2000, stocks381, benchmark):
     assert stocks_errors["dct"] / stocks_errors["svd"] < 5
     assert phone_errors["dct"] / phone_errors["svd"] > 5
 
-    from repro.methods import SVDMethod as _SVDMethod
+    from repro.lab.methods import SVDMethod as _SVDMethod
 
     benchmark(lambda: _SVDMethod().fit(stocks381, budget))

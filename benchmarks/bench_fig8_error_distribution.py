@@ -42,7 +42,7 @@ def test_fig8_distribution(phone2000, benchmark):
         )
     median = float(np.median(full))
     lines.append(f"median cell error {median:.4g} vs max {full[0]:.4g}")
-    from repro.viz import ascii_histogram
+    from repro.lab.viz import ascii_histogram
 
     lines.append("")
     lines.append(

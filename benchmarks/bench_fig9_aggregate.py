@@ -17,7 +17,9 @@ from benchmarks.conftest import emit, format_table
 from repro.core import SVDDCompressor
 from repro.exceptions import QueryError
 from repro.metrics import query_error, rmspe
-from repro.query import QueryEngine, UniformSamplingEstimator, random_aggregate_queries
+from repro.query import QueryEngine
+from repro.lab.sampling import UniformSamplingEstimator
+from repro.lab.workload import random_aggregate_queries
 
 BUDGETS = (0.02, 0.05, 0.10, 0.15, 0.20)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.data import patients_matrix
-from repro.methods import DCTMethod, SVDDMethod, SVDMethod, StandardizedMethod
+from repro.lab.methods import DCTMethod, SVDDMethod, SVDMethod, StandardizedMethod
 from repro.metrics import rmspe
 
 BUDGET = 0.30

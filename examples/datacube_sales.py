@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cube import CompressedCube, CubeCollapse, Tucker3, tucker3_space_bytes
+from repro.lab.cube import CompressedCube, CubeCollapse, Tucker3, tucker3_space_bytes
 from repro.metrics import query_error, rmspe
 
 

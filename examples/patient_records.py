@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import SVDDCompressor, rmspe
 from repro.data import patient_field_names, patients_matrix
-from repro.methods import DCTMethod, SVDMethod
+from repro.lab.methods import DCTMethod, SVDMethod
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ from repro import (
     query_error,
 )
 from repro.data.phone import iter_phone_rows
-from repro.query import random_cell_queries
+from repro.lab.workload import random_cell_queries
 from repro.storage import MatrixStore
 
 

@@ -23,12 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import QueryEngine, AggregateQuery, Selection, rmspe
-from repro.core import (
-    BatchUpdater,
-    RobustSVDCompressor,
-    SVDCompressor,
-    SVDDCompressor,
-)
+from repro.core import SVDCompressor, SVDDCompressor
+from repro.lab.robust import RobustSVDCompressor
+from repro.lab.updates import BatchUpdater
 from repro.data import phone_matrix
 from repro.storage import MatrixStore
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro import SVDDCompressor, rmspe, worst_case_error
 from repro.data import stocks_matrix
-from repro.methods import DCTMethod, SVDDMethod, SVDMethod
-from repro.viz import ascii_scatter, outlier_rows, scatter_coordinates
+from repro.lab.methods import DCTMethod, SVDDMethod, SVDMethod
+from repro.lab.viz import ascii_scatter, outlier_rows, scatter_coordinates
 
 
 def compare_methods(prices: np.ndarray) -> None:

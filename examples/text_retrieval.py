@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import SVDDCompressor, rmspe
-from repro.data.documents import document_topics, documents_matrix
-from repro.query.similarity import (
+from repro.lab.documents import document_topics, documents_matrix
+from repro.lab.similarity import (
     distance_distortion,
     similar_rows,
     similar_to_vector,

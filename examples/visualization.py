@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import SVDDCompressor
 from repro.data import phone_matrix, stocks_matrix
-from repro.viz import ascii_scatter, outlier_rows, scatter_coordinates
+from repro.lab.viz import ascii_scatter, outlier_rows, scatter_coordinates
 
 
 def show(name: str, matrix: np.ndarray, commentary: str) -> None:

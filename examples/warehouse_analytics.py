@@ -22,8 +22,8 @@ from repro import AggregateQuery, QueryEngine, Selection, query_error
 from repro.data import phone_matrix, stocks_matrix
 from repro.metrics import delta_coverage, error_profile
 from repro.query import parse_query
-from repro.query.calendar import month_columns, week_columns, weekday_columns
-from repro.warehouse import Warehouse
+from repro.lab.calendar import month_columns, week_columns, weekday_columns
+from repro.lab.warehouse import Warehouse
 
 
 def build(warehouse: Warehouse) -> None:

@@ -17,21 +17,24 @@ Quickstart::
     value = model.reconstruct_cell(17, 200)       # O(k) + one hash probe
     print(model.cutoff, model.num_deltas, model.space_fraction())
 
-Subpackages:
+Subpackages — the product, what ``repro serve`` and the CLI run:
 
-- :mod:`repro.core` — SVD/SVDD compressors, models, persistent store;
-- :mod:`repro.methods` — competing methods (DCT, DFT, wavelets,
-  clustering, k-means, lossless) behind one interface;
-- :mod:`repro.query` — cell/aggregate query engine and the sampling
-  baseline;
+- :mod:`repro.core` — SVD/SVDD compressors, models, persistent store,
+  incremental appends;
+- :mod:`repro.query` — cell/aggregate query engine, parser, executors;
+- :mod:`repro.plan` / :mod:`repro.summaries` — route planner and rollups;
+- :mod:`repro.serve` / :mod:`repro.obs` — HTTP tier, metrics and tracing;
 - :mod:`repro.storage` — paged storage engine with disk-access
-  accounting;
+  accounting, the model-directory codec;
 - :mod:`repro.data` — synthetic stand-ins for the paper's datasets;
 - :mod:`repro.metrics` — RMSPE, worst-case, distribution, Q_err;
-- :mod:`repro.cube` — DataCube collapse + 3-mode PCA (Section 6.1);
-- :mod:`repro.viz` — SVD-space scatter plots (Appendix A);
-- :mod:`repro.linalg` / :mod:`repro.structures` — numerical and
-  data-structure substrates.
+- :mod:`repro.linalg` / :mod:`repro.structures` — the eigensolver
+  interface and the top-k buffer the build runs.
+
+The paper lab — Section 5's competing methods, the DataCube, scatter
+plots, ablation structures, from-scratch eigensolvers, the warehouse
+catalog — is :mod:`repro.lab`.  Nothing here imports it; take a lab
+name from its module (``from repro.lab.warehouse import Warehouse``).
 """
 
 from repro.core import (
@@ -46,7 +49,6 @@ from repro.exceptions import ReproError
 from repro.metrics import error_summary, query_error, rmspe, worst_case_error
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.storage import MatrixStore
-from repro.warehouse import Warehouse
 
 __version__ = "1.0.0"
 
@@ -62,7 +64,6 @@ __all__ = [
     "SVDDModel",
     "SVDModel",
     "Selection",
-    "Warehouse",
     "error_summary",
     "load_dataset",
     "query_error",

@@ -73,7 +73,6 @@ from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
 from repro.storage import MatrixStore
-from repro.viz import ascii_scatter, outlier_rows, scatter_coordinates
 
 
 def _parse_range(text: str, extent: int) -> range:
@@ -552,6 +551,9 @@ def cmd_verify(args) -> int:
 
 def cmd_scatter(args) -> int:
     """Handle ``repro scatter``: print the Appendix A ASCII plot."""
+    # The front door's one edge into the lab, taken only by this command.
+    from repro.lab.viz import ascii_scatter, outlier_rows, scatter_coordinates
+
     dataset = load_dataset(args.dataset)
     coords = scatter_coordinates(dataset.matrix, dimensions=2)
     print(f"{dataset.name}: {dataset.description}")

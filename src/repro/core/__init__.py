@@ -13,15 +13,19 @@
 - :mod:`repro.core.update` — incremental maintenance of a persistent
   model: :func:`append_columns` (new days) and
   :func:`repro.core.update.append_rows` (new customers) fold data in
-  without a rebuild.
+  without a rebuild;
+- :func:`build_compressed` / :func:`verify_model` — the out-of-core
+  build straight to a model directory, and its streamed audit.
+
+Product.  The Fig. 4 naive construction, robust SVD and the raw-store
+``BatchUpdater`` are ``repro.lab.naive_svdd``, ``repro.lab.robust`` and
+``repro.lab.updates``.
 """
 
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel, cell_key
-from repro.core.robust import RobustSVDCompressor, RobustSVDDCompressor
 from repro.core.update import AppendResult, append_columns, load_update_state
-from repro.core.updates import BatchUpdater
 from repro.core.verify import VerificationReport, verify_model
 from repro.core.space import (
     BYTES_PER_VALUE,
@@ -41,19 +45,15 @@ from repro.core.svd import (
     compute_u_to_store,
     spectrum_from_gram,
 )
-from repro.core.svdd import NaiveSVDDCompressor, SVDDCompressor
+from repro.core.svdd import SVDDCompressor
 
 __all__ = [
     "AppendResult",
     "BYTES_PER_VALUE",
-    "BatchUpdater",
-    "RobustSVDCompressor",
-    "RobustSVDDCompressor",
     "CompressedMatrix",
     "DELTA_RECORD_BYTES",
     "DeltaIndex",
     "SVDCompressor",
-    "NaiveSVDDCompressor",
     "SVDDCompressor",
     "SVDDModel",
     "SVDModel",

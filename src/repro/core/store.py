@@ -13,8 +13,8 @@ are :mod:`repro.storage.model_dir`); the delta table is the sorted
 :class:`~repro.core.delta_index.DeltaIndex` (one bisection per probe),
 adopted straight from ``deltas.bin`` — the same representation the
 in-memory :class:`~repro.core.model.SVDDModel` holds; the paper's hash
-table and Bloom filter live on only in ``repro.structures`` and their
-ablation bench.
+table and Bloom filter live on only in ``repro.lab`` and their ablation
+bench.
 
 Disk accesses are observable through the underlying buffer-pool
 statistics; the storage benchmark asserts the 1-access claim with them.

@@ -16,9 +16,12 @@ data.  Generators are deterministic in their seed, and row subsets are
 *prefix-stable*: ``phone_dataset(n)`` equals the first ``n`` rows of
 ``phone_dataset(m)`` for ``n <= m``, mirroring how the paper carved
 ``phone2000`` out of ``phone100K``.
+
+Product (the CLI's ``--dataset`` registry and the benchmark harness read
+these).  The IR setting's term-document generator is
+``repro.lab.documents``.
 """
 
-from repro.data.documents import DocumentsConfig, document_topics, documents_matrix
 from repro.data.patients import PatientsConfig, patient_field_names, patients_matrix
 from repro.data.phone import PhoneConfig, phone_matrix
 from repro.data.registry import Dataset, dataset_names, load_dataset
@@ -27,9 +30,6 @@ from repro.data.toy import TOY_COLUMNS, TOY_CUSTOMERS, toy_matrix
 
 __all__ = [
     "Dataset",
-    "DocumentsConfig",
-    "document_topics",
-    "documents_matrix",
     "PatientsConfig",
     "patient_field_names",
     "patients_matrix",

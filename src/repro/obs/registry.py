@@ -269,8 +269,8 @@ class MetricsRegistry:
     Args:
         enabled: initial state of the instrumentation flag.  The
             process-wide :data:`registry` starts disabled; the CLI's
-            ``--profile``/``stats`` paths and the benchmarks enable it
-            explicitly.
+            ``--profile`` / ``--slow-ms`` flags, ``repro serve`` and the
+            benchmarks enable it explicitly.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -402,5 +402,5 @@ class MetricsRegistry:
 
 
 #: The process-wide default registry.  Disabled until a caller (CLI
-#: ``--profile``/``stats``, a benchmark, a test) enables it.
+#: ``--profile``, ``repro serve``, a benchmark, a test) enables it.
 registry = MetricsRegistry()

@@ -81,11 +81,15 @@ class GracefulHTTPServer:
 
     Handler threads accept for themselves (no accept loop, no hand-off:
     the module docstring's thread model) and live until
-    :meth:`server_close`; their count follows peak concurrency plus the
-    standby — admission, not a pool size, is what sheds — so no request
-    pays for a thread start once warm.  A connection counts as in
-    flight from its ``accept()`` until its response is written, so
-    :meth:`drain` also waits on connected-but-silent clients.
+    :meth:`server_close`; their count is peak connections in flight
+    plus the standby — admission, not a pool size, is what sheds — so
+    no request pays for a thread start once warm.  A connection counts
+    as in flight from its ``accept()`` until its handler has written
+    the response, closed it and re-counted itself idle, so
+    :meth:`drain` also waits on connected-but-silent clients — and a
+    client that reacts to a reply before that handler has unwound is,
+    for the count, one connection more in flight than it has requests
+    outstanding.
 
     Args:
         address: ``(host, port)`` to bind; port 0 picks a free one
@@ -162,7 +166,7 @@ class GracefulHTTPServer:
 
     @property
     def handler_threads(self) -> int:
-        """Handler threads started so far (peak concurrency + standby)."""
+        """Handler threads started so far (peak in flight + standby)."""
         return len(self._handlers)
 
     @property

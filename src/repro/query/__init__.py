@@ -15,12 +15,16 @@ an in-memory matrix, a fitted model, or the persistent
 answers are obtained through the same code path and can be compared
 with :func:`~repro.metrics.query_error`.
 
-:class:`UniformSamplingEstimator` is the sampling baseline of
-Section 5.2 ('simple uniform sampling performed poorly compared with
-SVDD for aggregate queries').
+Beside the engine: :class:`Selection`, the textual form
+(:func:`parse_query` / :func:`format_query`), the group-by helpers and
+the thread and process executors for batches.
+
+Product.  The Section 5.2 sampling baseline, Fig. 9's workload
+generator, calendar selections and similarity search are
+``repro.lab.sampling``, ``.workload``, ``.calendar`` and
+``.similarity``.
 """
 
-from repro.query.calendar import month_columns, week_columns, weekday_columns, weekend_columns
 from repro.query.engine import CellQuery, AggregateQuery, QueryEngine, QueryResult
 from repro.query.executor import (
     BatchReport,
@@ -32,15 +36,7 @@ from repro.query.executor import (
 from repro.query.groupby import bucket_series, column_totals, row_totals, top_rows
 from repro.query.process_executor import ProcessQueryExecutor
 from repro.query.parser import format_query, parse_query
-from repro.query.sampling import UniformSamplingEstimator
 from repro.query.selection import Selection
-from repro.query.similarity import (
-    distance_distortion,
-    factor_distances,
-    similar_rows,
-    similar_to_vector,
-)
-from repro.query.workload import random_aggregate_queries, random_cell_queries
 
 __all__ = [
     "AggregateQuery",
@@ -50,14 +46,6 @@ __all__ = [
     "top_rows",
     "format_query",
     "parse_query",
-    "month_columns",
-    "week_columns",
-    "weekday_columns",
-    "weekend_columns",
-    "distance_distortion",
-    "factor_distances",
-    "similar_rows",
-    "similar_to_vector",
     "BatchReport",
     "CellQuery",
     "ProcessQueryExecutor",
@@ -68,7 +56,4 @@ __all__ = [
     "coerce_query",
     "usable_cpu_count",
     "Selection",
-    "UniformSamplingEstimator",
-    "random_aggregate_queries",
-    "random_cell_queries",
 ]

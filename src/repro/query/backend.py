@@ -10,7 +10,7 @@ shapes a source can have — a raw ndarray, a
 ``methods`` adapter), the persistent
 :class:`~repro.core.store.CompressedMatrix`, or anything row-only
 (``shape`` plus ``reconstruct_row``/``row``, e.g. a DCT or clustering
-:class:`~repro.methods.base.FittedModel`).  It resolves the kind once,
+:class:`~repro.lab.methods.base.FittedModel`).  It resolves the kind once,
 when the engine is built, into directly bound callables; no query pays
 for type inspection and a new source shape is an edit to this file
 alone.

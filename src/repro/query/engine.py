@@ -3,7 +3,7 @@
 A backend is anything exposing the matrix's cells: a raw ndarray, a
 :class:`~repro.storage.matrix_store.MatrixStore`, an in-memory model
 (:class:`~repro.core.model.SVDModel` / ``SVDDModel`` /
-:class:`~repro.methods.base.FittedModel`), or the on-disk
+:class:`~repro.lab.methods.base.FittedModel`), or the on-disk
 :class:`~repro.core.store.CompressedMatrix`.  The engine resolves its
 source once, at construction, through
 :func:`repro.query.backend.as_backend`, so the same query text runs

@@ -161,7 +161,7 @@ class QueryExecutor:
             (every shipped backend is).
         max_workers: pool size; defaults to ``min(8, cores + 2)``.
         close_backend: close the backend on :meth:`shutdown` (used by
-            :meth:`repro.warehouse.Warehouse.executor`, which opens the
+            :meth:`repro.lab.warehouse.Warehouse.executor`, which opens the
             model itself and hands ownership to the pool).
     """
 

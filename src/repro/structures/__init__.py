@@ -1,32 +1,16 @@
-"""Core data structures used by the SVDD delta machinery.
+"""The data structure the SVDD build runs.
 
-The paper's SVDD method stores outlier cells as ``(row, column, delta)``
-triplets in a hash table keyed by ``row*M + column`` (Section 4.2), with
-an optional main-memory Bloom filter in front of it to answer the
-common 'not an outlier' case without probing the table.  The 3-pass
-construction algorithm (Figure 5) maintains one bounded priority queue
-per candidate cutoff ``k`` holding the ``gamma_k`` worst-reconstructed
-cells seen so far.
+Pass 2 of the 3-pass construction (paper Figure 5) keeps, per candidate
+cutoff ``k``, the ``gamma_k`` worst-reconstructed cells seen so far:
+:class:`TopKBuffer`, a vectorized bounded top-k over ``(key, delta)``
+arrays.
 
-This package implements those three structures from scratch:
-
-- :class:`BloomFilter` and :class:`CountingBloomFilter`;
-- :class:`BoundedTopHeap` — fixed-capacity min-heap keeping the largest
-  items by key;
-- :class:`OpenAddressingTable` — int-keyed open-addressing hash table
-  with linear probing, the delta store's in-memory form.
+Product.  Section 4.2's from-scratch structures — the open-addressing
+hash table, the Bloom filter in front of it and the bounded heap that
+is ``TopKBuffer``'s reference — are ``repro.lab.hashtable``,
+``repro.lab.bloom`` and ``repro.lab.heap``.
 """
 
-from repro.structures.bloom import BloomFilter, CountingBloomFilter
-from repro.structures.hashtable import OpenAddressingTable
-from repro.structures.heap import BoundedTopHeap, HeapItem
 from repro.structures.topk import TopKBuffer
 
-__all__ = [
-    "BloomFilter",
-    "CountingBloomFilter",
-    "BoundedTopHeap",
-    "HeapItem",
-    "OpenAddressingTable",
-    "TopKBuffer",
-]
+__all__ = ["TopKBuffer"]

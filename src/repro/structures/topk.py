@@ -12,7 +12,7 @@ whenever it doubles, keeping exactly the top ``capacity`` items.
 Amortized cost is O(1) per offered item; retained content is identical
 to the heap's (up to which of several equal scores sit on the boundary).
 
-:class:`~repro.structures.heap.BoundedTopHeap` remains the
+:class:`~repro.lab.heap.BoundedTopHeap` remains the
 item-at-a-time reference implementation: it specifies *which scores* a
 bounded queue retains, and the property-based tests assert both
 structures retain the same score multiset.

@@ -159,7 +159,7 @@ class TestWorstCaseBound:
         """Cap k_max so the whole budget goes to components: gamma = 0
         is impossible here, so build the model by hand."""
         from repro.core import SVDDModel
-        from repro.structures import OpenAddressingTable
+        from repro.lab.hashtable import OpenAddressingTable
 
         rng = np.random.default_rng(1)
         x = np.outer(rng.random(100), rng.random(20))

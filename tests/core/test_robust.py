@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SVDCompressor, SVDDCompressor
-from repro.core.robust import (
+from repro.lab.robust import (
     RobustSVDCompressor,
     RobustSVDDCompressor,
     winsorized_gram,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, compute_gram, compute_u, spectrum_from_gram
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import JacobiEigensolver, is_column_orthonormal
+from repro.linalg import is_column_orthonormal
+from repro.lab.eigen import JacobiEigensolver
 from repro.metrics import rmspe
 from repro.storage import MatrixStore
 

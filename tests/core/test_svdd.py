@@ -179,7 +179,7 @@ class TestNaiveReference:
 
     @pytest.fixture(scope="class")
     def both(self, phone_small=None):
-        from repro.core import NaiveSVDDCompressor
+        from repro.lab.naive_svdd import NaiveSVDDCompressor
         from repro.data import phone_matrix
 
         data = phone_matrix(150)
@@ -206,7 +206,7 @@ class TestNaiveReference:
         )
 
     def test_fast_uses_three_passes_naive_many(self, tmp_path):
-        from repro.core import NaiveSVDDCompressor
+        from repro.lab.naive_svdd import NaiveSVDDCompressor
         from repro.data import phone_matrix
         from repro.storage import MatrixStore
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SVDDCompressor
-from repro.core.updates import BatchUpdater
+from repro.lab.updates import BatchUpdater
 from repro.exceptions import ConfigurationError, QueryError
 from repro.storage import MatrixStore
 

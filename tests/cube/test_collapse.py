@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube import CompressedCube, CubeCollapse
+from repro.lab.cube import CompressedCube, CubeCollapse
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube.nmode import TuckerN, tucker_space_bytes
-from repro.cube import Tucker3
+from repro.lab.cube.nmode import TuckerN, tucker_space_bytes
+from repro.lab.cube import Tucker3
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
 from repro.metrics import rmspe
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cube import Tucker3, tucker3_space_bytes
+from repro.lab.cube import Tucker3, tucker3_space_bytes
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
 from repro.metrics import rmspe
 

@@ -14,7 +14,7 @@ from repro.data.patients import (
     patients_matrix,
 )
 from repro.exceptions import DatasetError
-from repro.methods import DCTMethod, SVDMethod
+from repro.lab.methods import DCTMethod, SVDMethod
 from repro.metrics import rmspe
 
 

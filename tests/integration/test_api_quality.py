@@ -6,7 +6,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,57 +71,13 @@ class TestDocumentation:
             assert getattr(repro, name, None) is not None, name
 
 
-#: What ``repro serve`` and the query path run: the front door
-#: (``cli.py``), whole packages, and the named modules of the two
-#: packages that also hold lab code.
-_PRODUCT_PACKAGES = ("serve", "plan", "summaries", "storage", "obs")
-_PRODUCT_MODULES = {
-    "query": (
-        "engine backend fastpath selection components groupby parser "
-        "executor process_executor"
-    ).split(),
-    "core": "store build update svd svdd model delta_index space verify".split(),
-}
-
-#: Paper-figure baselines, ablation artifacts and extensions: reached by
-#: benchmarks, examples and their own tests only.
-_LAB = (
-    "repro.cube",
-    "repro.methods",
-    "repro.viz",
-    "repro.warehouse",
-    "repro.costmodel",
-    "repro.core.robust",
-    "repro.core.updates",
-    "repro.query.sampling",
-    "repro.query.calendar",
-    "repro.query.workload",
-    "repro.query.similarity",
-    "repro.structures.bloom",
-    "repro.structures.hashtable",
-    "repro.structures.heap",
-    "repro.data.documents",
-    "repro.data.patients",
-    "repro.linalg.tridiagonal",
-)
-
-#: The one edge that exists today: ``repro scatter`` prints Appendix A's
-#: plot, a paper artifact, from ``repro.viz``.  This is the whole
-#: allowance, so a second edge — ``cli`` or ``serve`` importing
-#: ``repro.warehouse`` again, say — fails.
-_KNOWN_LAB_EDGES = {("repro.cli", "repro.viz")}
-
+#: The one edge that exists: ``repro scatter`` prints Appendix A's plot,
+#: a paper artifact, from inside its handler.  This is the whole
+#: allowance, so a second edge — ``core/__init__.py`` re-exporting a lab
+#: class again, say — fails.
+_KNOWN_LAB_EDGES = {("repro.cli", "repro.lab.viz")}
 
 _SRC = Path(repro.__file__).parent
-
-
-def _product_files():
-    yield _SRC / "cli.py"
-    for package in _PRODUCT_PACKAGES:
-        yield from sorted((_SRC / package).glob("*.py"))
-    for package, modules in _PRODUCT_MODULES.items():
-        for module in modules:
-            yield _SRC / package / f"{module}.py"
 
 
 def _imported_names(path: Path):
@@ -139,19 +98,41 @@ def _imported_names(path: Path):
 
 
 def test_product_modules_do_not_import_the_lab():
-    """The serving stack stands without the paper lab: no product
-    module imports a lab module, at module level or lazily."""
-    files = list(_product_files())
-    assert all(path.is_file() for path in files)
+    """Product or lab is a path: no file under ``src/repro`` outside
+    ``lab/`` — every ``__init__`` included — imports ``repro.lab``, at
+    module level or lazily."""
     edges = set()
-    for path in files:
+    for path in sorted(_SRC.rglob("*.py")):
         relative = path.relative_to(_SRC).with_suffix("")
+        if relative.parts[0] == "lab":
+            continue
         module = ".".join(("repro", *relative.parts)).removesuffix(".__init__")
         for name in _imported_names(path):
-            for lab in _LAB:
-                if name == lab or name.startswith(lab + "."):
-                    edges.add((module, lab))
+            if name == "repro.lab" or name.startswith("repro.lab."):
+                edges.add((module, ".".join(name.split(".")[:3])))
     assert edges == _KNOWN_LAB_EDGES, sorted(edges - _KNOWN_LAB_EDGES)
+
+
+def test_the_front_doors_load_no_lab_module():
+    """The boundary at runtime, not only in the AST: what ``import
+    repro.serve`` and ``import repro.cli`` pull in.  The counts are the
+    import diet's record (79 and 82 before the lab was a directory); a
+    new product module moves them by one, on purpose."""
+    script = (
+        "import importlib, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
+        "loaded = [m for m in sys.modules if m == 'repro' or m.startswith('repro.')]\n"
+        "print(len(loaded), *[m for m in loaded if m.startswith('repro.lab')])\n"
+    )
+    for module, count in (("repro.serve", 67), ("repro.cli", 68)):
+        out = subprocess.run(
+            [sys.executable, "-c", script, module],
+            env={**os.environ, "PYTHONPATH": str(_SRC.parent)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert out == [str(count)], (module, out)
 
 
 @settings(max_examples=12, deadline=None)

@@ -9,13 +9,8 @@ import pytest
 from repro.core import CompressedMatrix, SVDDCompressor
 from repro.data.phone import iter_phone_rows
 from repro.metrics import query_error, rmspe
-from repro.query import (
-    AggregateQuery,
-    QueryEngine,
-    Selection,
-    random_aggregate_queries,
-    random_cell_queries,
-)
+from repro.query import AggregateQuery, QueryEngine, Selection
+from repro.lab.workload import random_aggregate_queries, random_cell_queries
 from repro.storage import MatrixStore
 
 

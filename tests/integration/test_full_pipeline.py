@@ -12,7 +12,8 @@ import pytest
 from repro.cli import main
 from repro.core import CompressedMatrix, build_compressed, verify_model
 from repro.data import phone_matrix
-from repro.query import QueryEngine, parse_query, similar_rows
+from repro.query import QueryEngine, parse_query
+from repro.lab.similarity import similar_rows
 from repro.storage import (
     MatrixStore,
     matrix_store_from_csv,

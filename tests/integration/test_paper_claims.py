@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import SVDCompressor, SVDDCompressor
-from repro.methods import (
+from repro.lab.methods import (
     DCTMethod,
     HierarchicalClusteringMethod,
     LosslessZlibMethod,

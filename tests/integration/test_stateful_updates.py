@@ -17,7 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.updates import BatchUpdater
+from repro.lab.updates import BatchUpdater
 from repro.storage import MatrixStore
 
 _COLS = 6

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.linalg import (
     EigenResult,
-    JacobiEigensolver,
     NumpyEigensolver,
-    PowerIterationEigensolver,
     default_eigensolver,
     top_eigenvalues,
 )
+from repro.lab.eigen import JacobiEigensolver, PowerIterationEigensolver
 
 SOLVERS = [NumpyEigensolver(), JacobiEigensolver(), PowerIterationEigensolver()]
 SOLVER_IDS = ["numpy", "jacobi", "power"]

@@ -8,11 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import (
-    NumpyEigensolver,
-    TridiagonalEigensolver,
-    householder_tridiagonalize,
-)
+from repro.linalg import NumpyEigensolver
+from repro.lab.tridiagonal import TridiagonalEigensolver, householder_tridiagonalize
 
 
 def random_symmetric(seed: int, n: int) -> np.ndarray:

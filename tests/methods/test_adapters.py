@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SVDCompressor, SVDDCompressor
 from repro.exceptions import ShapeError
-from repro.methods import SVDDMethod, SVDMethod, standard_methods
+from repro.lab.methods import SVDDMethod, SVDMethod, standard_methods
 from repro.metrics import rmspe
 
 

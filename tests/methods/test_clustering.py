@@ -8,7 +8,7 @@ import scipy.cluster.hierarchy as sch
 import scipy.spatial.distance as ssd
 
 from repro.exceptions import BudgetError, ConfigurationError, DatasetError
-from repro.methods import (
+from repro.lab.methods import (
     HierarchicalClusteringMethod,
     KMeansMethod,
     clusters_for_budget,

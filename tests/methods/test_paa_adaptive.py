@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.methods import (
+from repro.lab.methods import (
     AdaptiveDCTMethod,
     DCTMethod,
     PAAMethod,

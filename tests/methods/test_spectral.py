@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.methods import (
+from repro.lab.methods import (
     DCTMethod,
     DFTMethod,
     HaarWaveletMethod,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.data import patients_matrix
 from repro.exceptions import BudgetError
-from repro.methods import (
+from repro.lab.methods import (
     DCTMethod,
     SVDDMethod,
     SVDMethod,

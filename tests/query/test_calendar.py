@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, QueryEngine, Selection
-from repro.query.calendar import (
+from repro.lab.calendar import (
     MONDAY,
     SATURDAY,
     month_columns,

@@ -159,7 +159,7 @@ class TestBatchReport:
 
 class TestWarehouseIntegration:
     def test_warehouse_executor_owns_model(self, data, tmp_path):
-        from repro.warehouse import Warehouse
+        from repro.lab.warehouse import Warehouse
 
         warehouse = Warehouse(tmp_path)
         warehouse.ingest("sales", data, keep_raw=False, verify=False)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, SVDDCompressor
 from repro.exceptions import QueryError
-from repro.methods import SVDDMethod
+from repro.lab.methods import SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.fastpath import factor_aggregate
 

@@ -138,13 +138,13 @@ class TestPricing:
         assert params.factor_floor_ms < params.stream_floor_ms
 
     def test_for_backend_tiers(self):
-        from repro.costmodel import DISK, MEMORY
+        from repro.lab.costmodel import DISK, MEMORY
 
         assert CostParams.for_backend(True).tier is MEMORY
         assert CostParams.for_backend(False).tier is DISK
 
     def test_page_read_blends_hits_and_misses(self):
-        from repro.costmodel import DISK, MEMORY
+        from repro.lab.costmodel import DISK, MEMORY
 
         params = CostParams(tier=DISK)
         cold = page_read_ms(params, pages=4, page_bytes=4096, hit_rate=0.0)

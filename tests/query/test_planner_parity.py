@@ -24,7 +24,7 @@ from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor
 from repro.core.build import build_compressed
 from repro.core.update import append_columns
 from repro.exceptions import QueryError, RouteUnavailableError
-from repro.methods import DCTMethod, SVDDMethod
+from repro.lab.methods import DCTMethod, SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.backend import as_backend
 from repro.storage import MatrixStore

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BudgetError, QueryError
-from repro.query import AggregateQuery, Selection, UniformSamplingEstimator
+from repro.query import AggregateQuery, Selection
+from repro.lab.sampling import UniformSamplingEstimator
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,8 @@ class TestVersusSVDD:
         """Section 5.2: uniform sampling performs poorly vs SVDD."""
         from repro.core import SVDDCompressor
         from repro.metrics import query_error
-        from repro.query import QueryEngine, random_aggregate_queries
+        from repro.query import QueryEngine
+        from repro.lab.workload import random_aggregate_queries
 
         budget = 0.05
         svdd = QueryEngine(SVDDCompressor(budget_fraction=budget).fit(data))

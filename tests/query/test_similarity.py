@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import SVDCompressor, SVDDCompressor
-from repro.data.documents import DocumentsConfig, document_topics, documents_matrix
+from repro.lab.documents import DocumentsConfig, document_topics, documents_matrix
 from repro.exceptions import ConfigurationError, QueryError
-from repro.query.similarity import (
+from repro.lab.similarity import (
     distance_distortion,
     factor_distances,
     similar_rows,

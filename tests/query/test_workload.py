@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.query import random_aggregate_queries, random_cell_queries
+from repro.lab.workload import random_aggregate_queries, random_cell_queries
 
 
 class TestAggregateWorkload:

@@ -47,6 +47,17 @@ def _get(base: str, path: str, timeout: float = 30.0):
     return status, headers, body
 
 
+def _settle(server, timeout: float = 10.0) -> None:
+    """Wait until no connection is in flight.  A handler re-counts
+    itself idle a moment *after* its client sees the reply or the
+    hang-up, so a test that counts connections or handlers waits the
+    last one out first."""
+    deadline = time.monotonic() + timeout
+    while server.active_requests and time.monotonic() < deadline:
+        time.sleep(0.0005)
+    assert server.active_requests == 0
+
+
 @pytest.fixture(scope="module")
 def server(serve_model_dir):
     config = ServeConfig(
@@ -572,6 +583,7 @@ class TestDrain:
         try:
             with socket.create_connection((config.host, srv.port), timeout=5.0) as silent:
                 assert silent.recv(1) == b""  # the server hung up first
+            _settle(srv._server)
             with socket.create_connection((config.host, srv.port), timeout=5.0):
                 # In flight from the hand-off, before any byte arrives.
                 deadline = time.monotonic() + 5.0
@@ -586,19 +598,37 @@ class TestDrain:
 
 
 class TestHandlerThreads:
-    def test_sequential_requests_reuse_a_handler(self, serve_model_dir):
-        """Handlers accept for themselves and the one that takes the
-        last idle slot starts a standby, so a sequential client is
-        served by one handler plus that standby."""
+    def test_sequential_requests_reuse_a_handler(self, serve_model_dir, monkeypatch):
+        """A standby starts only when every existing handler is between
+        its ``accept()`` and re-counting itself idle, so the thread
+        count is peak connections in flight + 1 and does not grow with
+        the number of requests.  A client that reacts to a reply before
+        its handler has unwound (CPU steal, a GIL hand-off) overlaps it,
+        so the first loop is held to the peak it recorded, not to a
+        constant (it read 3-5 beside a busy loop pinned to the same
+        core); the second waits each handler out and must add none."""
         threads_before = threading.active_count()
         config = ServeConfig(port=0, workers=1)
         with QueryServer(serve_model_dir, config) as srv:
+            server = srv._server
+            in_flight_at_start = []
+            start_handler = server._start_handler
+
+            def recording_start():  # runs under the server's lock
+                in_flight_at_start.append(server._active)
+                start_handler()
+
+            monkeypatch.setattr(server, "_start_handler", recording_start)
+
             for i in range(50):
                 assert _get(srv.url, f"/cell?row={i}&col=1")[0] == 200
-            # The next connection can arrive a moment before the last
-            # handler marks itself idle: one spare at most, plus the
-            # standby.
-            assert 1 <= srv._server.handler_threads <= 3
+            _settle(server)
+            handlers = server.handler_threads
+            assert handlers == max(in_flight_at_start) + 1
+            for i in range(450):
+                assert _get(srv.url, f"/cell?row={i % 50}&col=1")[0] == 200
+                _settle(server)
+            assert server.handler_threads == handlers
         # stop() joined the handlers (there is no accept-loop thread).
         assert threading.active_count() <= threads_before
 

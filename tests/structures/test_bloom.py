@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.structures import BloomFilter, CountingBloomFilter
-from repro.structures.bloom import optimal_parameters
+from repro.lab.bloom import BloomFilter, CountingBloomFilter
+from repro.lab.bloom import optimal_parameters
 
 
 class TestSizing:

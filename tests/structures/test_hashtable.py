@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.structures import OpenAddressingTable
+from repro.lab.hashtable import OpenAddressingTable
 
 
 class TestBasics:

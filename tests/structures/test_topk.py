@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.structures import BoundedTopHeap, TopKBuffer
+from repro.structures import TopKBuffer
+from repro.lab.heap import BoundedTopHeap
 
 
 def heap_scores(capacity: int, values) -> list[float]:

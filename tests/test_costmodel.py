@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.costmodel import (
+from repro.lab.costmodel import (
     DISK,
     MEMORY,
     TAPE,

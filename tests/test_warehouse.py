@@ -10,7 +10,7 @@ import pytest
 from repro.data import phone_matrix, stocks_matrix
 from repro.exceptions import ConfigurationError, DatasetError, FormatError
 from repro.storage import MatrixStore
-from repro.warehouse import Warehouse
+from repro.lab.warehouse import Warehouse
 
 
 @pytest.fixture()

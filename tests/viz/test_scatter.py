@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SVDCompressor
 from repro.exceptions import ConfigurationError
-from repro.viz import ascii_scatter, outlier_rows, scatter_coordinates
+from repro.lab.viz import ascii_scatter, outlier_rows, scatter_coordinates
 
 
 class TestCoordinates:
@@ -93,7 +93,7 @@ class TestAsciiScatter:
 
 class TestAsciiHistogram:
     def test_basic_render(self, rng):
-        from repro.viz import ascii_histogram
+        from repro.lab.viz import ascii_histogram
 
         text = ascii_histogram(rng.random(500), bins=5, title="errors")
         lines = text.split("\n")
@@ -102,14 +102,14 @@ class TestAsciiHistogram:
         assert "#" in text
 
     def test_counts_sum_to_total(self, rng):
-        from repro.viz import ascii_histogram
+        from repro.lab.viz import ascii_histogram
 
         text = ascii_histogram(rng.random(200), bins=4)
         counts = [int(line.rsplit(" ", 1)[1]) for line in text.split("\n")]
         assert sum(counts) == 200
 
     def test_log_bins_span_orders_of_magnitude(self, rng):
-        from repro.viz import ascii_histogram
+        from repro.lab.viz import ascii_histogram
 
         values = 10.0 ** rng.uniform(-3, 3, size=300)
         text = ascii_histogram(values, bins=6, log_bins=True)
@@ -117,7 +117,7 @@ class TestAsciiHistogram:
 
     def test_validation(self, rng):
         from repro.exceptions import ConfigurationError
-        from repro.viz import ascii_histogram
+        from repro.lab.viz import ascii_histogram
 
         with pytest.raises(ConfigurationError):
             ascii_histogram(np.array([]))
