@@ -520,12 +520,17 @@ def cmd_fsck(args) -> int:
     only with ``--quick``), then attempts a strict ``open()`` so purely
     structural damage (bad meta, shape mismatches) is caught even on
     legacy directories without a manifest.  Exit code 0 only when both
-    checks pass.
+    checks pass.  A directory an interrupted append left only as
+    ``<model>.trash`` is moved back first.
     """
+    from repro.storage.atomic import restore_trash
     from repro.storage.integrity import verify_manifest
 
+    restored = restore_trash(args.model)
     report = verify_manifest(args.model, deep=not args.quick)
     out = report.to_dict()
+    if restored:
+        out["restored"] = f"{args.model}.trash (left by an interrupted swap)"
     try:
         CompressedMatrix.open(args.model).close()
         out["opens"] = "ok"

@@ -29,7 +29,8 @@ def is_symmetric(a: np.ndarray, tol: float = 1e-10) -> bool:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         return False
     scale = max(1.0, float(np.abs(arr).max()))
-    return bool(np.abs(arr - arr.T).max() <= tol * scale)
+    skew = arr - arr.T
+    return bool(np.abs(skew, out=skew).max() <= tol * scale)
 
 
 def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -40,7 +41,9 @@ def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if not is_symmetric(arr, tol=tol):
         raise ShapeError("matrix is not symmetric within tolerance")
     # Symmetrize exactly so downstream rotations see a clean input.
-    return (arr + arr.T) / 2.0
+    sym = arr + arr.T
+    sym /= 2.0
+    return sym
 
 
 def is_column_orthonormal(a: np.ndarray, tol: float = 1e-8) -> bool:

@@ -5,16 +5,26 @@ save must never leave a directory that ``open()`` accepts but answers
 incorrectly.  Every persistent artifact therefore goes through one of
 two protocols implemented here:
 
-- **single file** — :func:`atomic_write_bytes`: write to a temporary
-  sibling, fsync it, ``os.replace`` into place, fsync the directory.
-  A crash at any point leaves either the old file or the new file,
-  never a prefix of the new one;
 - **whole directory** — :func:`staged_directory`: the caller writes a
   complete model into a staging sibling; on success every file and the
   staging directory are fsynced, any previous version is moved aside,
-  and the staging directory is renamed into place in one step.  A
-  leftover ``*.staging`` directory from a crashed save is inert (opens
-  target the final name) and is swept by the next save.
+  and the staging directory is renamed into place in one step.  This is
+  how every save, build and append writes
+  (:func:`~repro.storage.model_dir.write_model`).  Inside the staging
+  directory files are written *plainly*: nothing there is visible until
+  the commit, and the commit's flush — each file once, then the
+  directory, then the publishing rename, then the parent — is the whole
+  durability guarantee; a second, earlier flush per file bought nothing.
+  A leftover ``*.staging`` directory from a crashed save is inert
+  (opens target the final name) and is swept by the next save; a
+  version a killed swap left only as ``*.trash`` is moved back by the
+  next writer (:func:`restore_trash`);
+- **single file** — :func:`atomic_write_bytes`: write to a temporary
+  sibling, fsync it, ``os.replace`` into place, fsync the directory.
+  A crash at any point leaves either the old file or the new file,
+  never a prefix of the new one.  For the one writer that changes a
+  *live* directory, whose readers may be looking:
+  :func:`~repro.summaries.compute.summarize_directory`.
 
 ``fsync`` makes the rename durable, not just atomic: without it a
 power cut can roll back a rename the process already observed.
@@ -111,6 +121,7 @@ def staged_directory(final: str | os.PathLike) -> Iterator[Path]:
     """
     final = Path(final)
     final.parent.mkdir(parents=True, exist_ok=True)
+    restore_trash(final)
     staging = final.with_name(final.name + STAGING_SUFFIX)
     if staging.exists():
         # Debris from a save that crashed before commit; the final
@@ -125,6 +136,27 @@ def staged_directory(final: str | os.PathLike) -> Iterator[Path]:
         raise
 
 
+def restore_trash(final: str | os.PathLike) -> bool:
+    """Move back a version a swap set aside and never replaced.
+
+    :func:`commit_staged` renames ``final`` to ``final.trash``, then the
+    staging directory to ``final``; a process killed between the two
+    leaves only the ``.trash``.  Every writer starts here
+    (:func:`staged_directory`; an append, before it reads:
+    ``read_model(for_append=True)``), and ``repro fsck`` calls it.  A reader
+    must not: under a live swap ``final`` is missing for a moment, and
+    renaming the trash back then would race the writer.  Returns whether
+    anything was restored.
+    """
+    final = Path(final)
+    trash = final.with_name(final.name + TRASH_SUFFIX)
+    if final.exists() or not trash.exists():
+        return False
+    os.rename(trash, final)
+    fsync_dir(final.parent)
+    return True
+
+
 def commit_staged(staging: Path, final: Path) -> None:
     """Make ``staging`` durable, then swap it into ``final``."""
     for entry in sorted(staging.iterdir()):
@@ -137,7 +169,12 @@ def commit_staged(staging: Path, final: Path) -> None:
         if trash.exists():
             shutil.rmtree(trash)
         os.rename(final, trash)
-    os.rename(staging, final)
+    try:
+        os.rename(staging, final)
+    except BaseException:
+        if trash is not None:
+            os.rename(trash, final)  # roll back: ``final`` is never left missing
+        raise
     fsync_dir(final.parent)
     if trash is not None:
         shutil.rmtree(trash, ignore_errors=True)

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import ChecksumError, FormatError
-from repro.storage.atomic import atomic_write_bytes
 
 #: Magic per value precision: the key is always an 8-byte packed cell
 #: id, the delta value is stored at the owning model's 'b' — float64
@@ -60,8 +59,10 @@ class DeltaFile:
 
         Records are written sorted by key so files are canonical: two
         models with the same outlier set produce byte-identical files.
-        The file lands atomically (temp sibling + fsync + rename), so a
-        crash mid-write never leaves a torn delta table.
+        A plain write: the product's one caller,
+        :func:`~repro.storage.model_dir.write_model`, fills a staging
+        directory nobody sees before
+        :func:`~repro.storage.atomic.staged_directory` has flushed it.
 
         Args:
             keys: cell keys ``row * M + col``, in any order.
@@ -85,7 +86,7 @@ class DeltaFile:
         body = records.tobytes()
         crc = zlib.crc32(body) & 0xFFFFFFFF
         header = struct.pack(_HEADER_FMT, magic, keys.size, crc)
-        atomic_write_bytes(path, header + body)
+        Path(path).write_bytes(header + body)
         return int(keys.size)
 
     @staticmethod

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import ChecksumError, FormatError
-from repro.storage.atomic import atomic_write_bytes
 
 __all__ = [
     "MANIFEST_NAME",
@@ -76,10 +75,12 @@ def write_manifest(
 ) -> dict:
     """Hash every regular file in ``directory`` into ``manifest.json``.
 
-    Returns the manifest dict.  The manifest itself lands atomically,
-    so a crash while writing it leaves the directory without a manifest
-    (verification then degrades to the per-file header checks) rather
-    than with a torn one.
+    Returns the manifest dict.  A plain write, for a *staging*
+    directory: nothing in it is visible before
+    :func:`~repro.storage.atomic.staged_directory` has flushed every
+    file.  (The one writer of a live directory,
+    :func:`~repro.summaries.compute.summarize_directory`, lands the same
+    bytes through :func:`~repro.storage.atomic.atomic_write_bytes`.)
 
     Args:
         reuse: prior manifest entries (``name -> {"sha256", "bytes"}``)
@@ -88,6 +89,15 @@ def write_manifest(
             entry is only trusted when the file's current size matches
             its recorded ``bytes``; otherwise the file is re-hashed.
     """
+    data = _manifest_bytes(directory, reuse)
+    (Path(directory) / MANIFEST_NAME).write_bytes(data)
+    return json.loads(data)
+
+
+def _manifest_bytes(
+    directory: str | os.PathLike, reuse: dict[str, dict] | None
+) -> bytes:
+    """The ``manifest.json`` :func:`write_manifest` writes, not written."""
     directory = Path(directory)
     reuse = reuse or {}
     files: dict[str, dict] = {}
@@ -104,10 +114,7 @@ def write_manifest(
             "bytes": size,
         }
     manifest = {"format_version": FORMAT_VERSION, "files": files}
-    atomic_write_bytes(
-        directory / MANIFEST_NAME, json.dumps(manifest, indent=2).encode()
-    )
-    return manifest
+    return json.dumps(manifest, indent=2).encode()
 
 
 def load_manifest(directory: str | os.PathLike) -> dict | None:

@@ -34,14 +34,14 @@ from __future__ import annotations
 import json
 import mmap
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import ChecksumError, FormatError, ReproError
 from repro.obs.tracing import span as _span
-from repro.storage.atomic import link_or_copy
+from repro.storage.atomic import link_or_copy, restore_trash
 from repro.storage.delta_file import DeltaFile, close_mapping
 from repro.storage.integrity import check_entry, load_manifest, write_manifest
 from repro.storage.matrix_store import MatrixStore
@@ -140,13 +140,13 @@ class ModelParts:
     #: ``update_state.json`` (None on models that cannot be appended to).
     update_state: dict | None
     #: The pass-1 Gram matrix, loaded only for an append.
-    gram: np.ndarray | None
+    gram: np.ndarray | None = None
     #: The manifest's ``files`` mapping ({} when there is no manifest).
-    manifest_files: dict
+    manifest_files: dict = field(default_factory=dict)
     #: Validation failures ``on_corrupt="degraded"`` absorbed.
-    degraded_reasons: list[str]
+    degraded_reasons: list[str] = field(default_factory=list)
     #: Open mapping behind ``delta_keys``/``delta_values`` when ``mapped``.
-    delta_mm: mmap.mmap | None
+    delta_mm: mmap.mmap | None = None
 
     @property
     def rows(self) -> int:
@@ -259,6 +259,23 @@ def read_generation(directory: str | Path) -> tuple[int, int, int, int]:
     return _generation(_read_meta(directory), read_update_state(directory))
 
 
+def _require_shapes(
+    directory: Path, meta: dict, u_store: MatrixStore, eigenvalues: np.ndarray, v: np.ndarray
+) -> None:
+    """The factors must have the shapes ``meta`` declares."""
+    rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
+    stored = (rows, u_columns(cutoff, _bytes_per_value(meta)))
+    if u_store.shape != stored:
+        raise FormatError(
+            f"{directory}: U store shape {u_store.shape} does not match meta {stored}"
+        )
+    if eigenvalues.shape != (cutoff,) or v.shape != (cols, cutoff):
+        raise FormatError(
+            f"{directory}: factor shapes {eigenvalues.shape}, {v.shape} do "
+            f"not match meta ({cutoff},), ({cols}, {cutoff})"
+        )
+
+
 def _load_npy(path: Path) -> np.ndarray:
     if not path.exists():
         raise FormatError(f"{path.parent}: missing {path.name}")
@@ -299,8 +316,12 @@ def read_model(
             this one.  Requires an ``svdd`` model with its update
             ledger and Gram matrix (loaded into ``gram``), and verifies
             the manifest SHA-256 of every file in ``_APPEND_INPUTS``.
+            A directory a killed swap left only as ``<dir>.trash`` is
+            moved back first (:func:`~repro.storage.atomic.restore_trash`).
     """
     directory = Path(directory)
+    if for_append:
+        restore_trash(directory)  # a writer may finish what a killed swap left
     meta = _read_meta(directory)
     reasons: list[str] = []
 
@@ -330,7 +351,7 @@ def read_model(
     if not (directory / U_NAME).exists():
         raise FormatError(f"{directory}: missing {U_NAME}")
 
-    rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
+    rows, cols = int(meta["rows"]), int(meta["cols"])
     no_rows = np.empty(0, dtype=np.int64)
     no_deltas = (no_rows, np.empty(0, dtype=np.float64), None)
 
@@ -365,7 +386,7 @@ def read_model(
         check(GRAM_NAME)
         if not for_append:
             return None
-        gram = _load_npy(directory / GRAM_NAME).astype(np.float64)
+        gram = _load_npy(directory / GRAM_NAME).astype(np.float64, copy=False)
         if gram.shape != (cols, cols):
             raise FormatError(
                 f"{directory}: {GRAM_NAME} shape {gram.shape} does not "
@@ -384,17 +405,7 @@ def read_model(
     try:
         eigenvalues = _load_npy(directory / LAMBDA_NAME).astype(np.float64)
         v = _load_npy(directory / V_NAME).astype(np.float64)
-        stored = (rows, u_columns(cutoff, _bytes_per_value(meta)))
-        if u_store.shape != stored:
-            raise FormatError(
-                f"{directory}: U store shape {u_store.shape} does not match "
-                f"meta {stored}"
-            )
-        if eigenvalues.shape != (cutoff,) or v.shape != (cols, cutoff):
-            raise FormatError(
-                f"{directory}: factor shapes {eigenvalues.shape}, {v.shape} do "
-                f"not match meta ({cutoff},), ({cols}, {cutoff})"
-            )
+        _require_shapes(directory, meta, u_store, eigenvalues, v)
         zero_rows = (
             optional(load_zero_rows, no_rows) if meta.get("zero_rows") else no_rows
         )
@@ -480,7 +491,11 @@ def write_model(
 
     bytes_per_value = _bytes_per_value(meta)
     dtype = factor_dtype(bytes_per_value)
-    cutoff, cols = int(meta["cutoff"]), int(meta["cols"])
+    rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
+
+    def stored(values: np.ndarray) -> np.ndarray:
+        """``values`` as a read of the file they are written to returns them."""
+        return values.astype(dtype, copy=False).astype(np.float64, copy=False)
 
     if u is not None:
         padded = np.zeros((u.shape[0], u_columns(cutoff, bytes_per_value)))
@@ -513,16 +528,29 @@ def write_model(
                 carried[name] = previous.manifest_files[name]
 
     delta_keys = np.asarray(delta_keys, dtype=np.int64)
-    delta_values = np.asarray(delta_values, dtype=np.float64)
+    delta_values = stored(np.asarray(delta_values, dtype=np.float64))
+    if not (np.diff(delta_keys) > 0).all():  # appends pass them sorted
+        order = np.argsort(delta_keys, kind="stable")
+        delta_keys, delta_values = delta_keys[order], delta_values[order]
     if delta_keys.size:
+        if (
+            delta_keys[0] < 0
+            or delta_keys[-1] >= rows * cols
+            or not (np.diff(delta_keys) > 0).all()
+        ):
+            raise FormatError(
+                f"{staging}: delta keys must be distinct cells of the "
+                f"{rows} x {cols} matrix"
+            )
         DeltaFile.write(
             staging / DELTAS_NAME, delta_keys, delta_values, bytes_per_value
         )
     zero_rows = np.asarray(zero_rows, dtype=np.int64)
     if zero_rows.size and delta_keys.size:
         zero_rows = zero_rows[~np.isin(zero_rows, np.unique(delta_keys // cols))]
+    zero_rows = np.sort(zero_rows)
     if zero_rows.size:
-        np.save(staging / ZERO_ROWS_NAME, np.sort(zero_rows))
+        np.save(staging / ZERO_ROWS_NAME, zero_rows)
 
     counts = {"num_deltas": int(delta_keys.size), "zero_rows": int(zero_rows.size)}
     known = {**meta, **counts, "bytes_per_value": bytes_per_value}
@@ -537,16 +565,25 @@ def write_model(
 
     # Summaries ride the same staged swap, so a model is born (and
     # re-born by every append) with rollups stamped for its generation.
-    if previous is None:
-        materialize_summaries(staging)
-    else:
-        carry_summaries(
-            previous,
-            staging,
-            _generation(meta, update_state),
-            delta_keys,
-            delta_values,
-            refresh_summaries,
+    # They are computed from what a read of ``staging`` would return —
+    # the values at their stored precision, U out of the staged file,
+    # the invariants that read enforces checked here — without the read.
+    with MatrixStore.open(staging / U_NAME) as u_store:
+        staged = ModelParts(
+            directory=staging,
+            meta=meta,
+            u_store=u_store,
+            eigenvalues=previous.eigenvalues if eigenvalues is None else stored(eigenvalues),
+            v=previous.v if v is None else stored(v),
+            delta_keys=delta_keys,
+            delta_values=delta_values,
+            zero_rows=zero_rows,
+            update_state=update_state,
         )
+        _require_shapes(staging, meta, u_store, staged.eigenvalues, staged.v)
+        if previous is None:
+            materialize_summaries(staged)
+        else:
+            carry_summaries(previous, staged, refresh_summaries)
     write_manifest(staging, reuse=carried)
     return meta

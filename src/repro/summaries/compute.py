@@ -35,12 +35,21 @@ the k×k Gram einsum plus per-delta corrections — the same math the
 factor fast path uses for ``stddev``), which is O(N·k²) and cheap, so
 cold and incremental trivially agree.
 
-All inputs are loaded from the *on-disk* artifacts of the directory
-being summarized, through the same
-:func:`~repro.storage.model_dir.read_model` every open uses (never from
-in-memory float64 arrays), so float32 models round-trip identically
-whether summaries are built inside ``save``/``append`` staging or later
-by ``repro summarize``.
+All inputs are the model's values *at their stored precision*:
+``repro summarize`` reads them through the same
+:func:`~repro.storage.model_dir.read_model` every open uses, and
+:func:`~repro.storage.model_dir.write_model` hands over what that read
+would return (each array cast through the stored dtype, U out of the
+staged file) instead of re-reading what it wrote a moment ago — so
+float32 models round-trip identically whether summaries are built
+inside ``save``/``append`` staging or later.
+
+:func:`_materialize` computes the six files; who asked writes them.
+Inside a staging directory (:func:`materialize_summaries`) they are
+plain writes — the commit flushes every staged file once, before the
+rename that publishes them.  :func:`summarize_directory` works on a
+*live* directory, so each file lands through
+:func:`~repro.storage.atomic.atomic_write_bytes`, the state file last.
 """
 
 from __future__ import annotations
@@ -52,12 +61,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import QueryError, ReproError
+from repro.exceptions import ChecksumError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import atomic_write_bytes, link_or_copy
-from repro.storage.integrity import write_manifest
+from repro.storage.integrity import MANIFEST_NAME, _manifest_bytes, check_entry
 from repro.storage.matrix_store import MatrixStore
 from repro.storage.model_dir import ModelParts, read_model
 
@@ -169,6 +178,9 @@ def bucket_stats(col_stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
     float operations are fixed-length sums and order-free min/max, so
     identical inputs give identical bytes.
     """
+    if (np.diff(edges) == 1).all():
+        # One-day buckets (the ``day`` level): the profile itself.
+        return col_stats[:, int(edges[0]) : int(edges[-1])].copy()
     buckets = int(edges.size) - 1
     out = np.empty((4, buckets))
     for index in range(buckets):
@@ -387,21 +399,30 @@ def stamped_generation(state: dict) -> tuple[int, int, int, int]:
     return tuple(int(state[key]) for key in ("rows", "cols", "num_deltas", "appends"))
 
 
-def load_prior(
-    directory: str | Path, generation: tuple[int, int, int, int]
-) -> dict | None:
-    """The incremental-maintenance inputs of an existing summary store.
+def load_prior(parts: ModelParts) -> dict | None:
+    """The incremental-maintenance inputs of a model's summary store.
 
     Returns ``{"state", "col_blocks", "row_chunks"}`` when the
-    directory holds a structurally valid store on this tile grid
-    stamped for ``generation`` (the model's ``(rows, cols, num_deltas,
-    appends)``), None otherwise — a refresh then starts cold.
+    directory of ``parts`` holds a structurally valid store on this tile
+    grid stamped for its generation, None otherwise — a refresh then
+    starts cold.  The two tile files are inputs the refresh copies clean
+    tiles out of and re-hashes, so their manifest SHA-256 is checked
+    first: carrying a damaged tile forward would launder the damage into
+    a clean manifest.
     """
-    directory = Path(directory)
+    directory = parts.directory
     state = load_state(directory)
-    if state is None or stamped_generation(state) != generation:
+    if state is None or stamped_generation(state) != parts.generation:
         return None
     if (int(state["block_rows"]), int(state["chunk_cols"])) != (BLOCK_ROWS, CHUNK_COLS):
+        return None
+    try:
+        for name in (COLBLOCKS_NAME, ROWCHUNKS_NAME):
+            check_entry(directory, parts.manifest_files, name, deep=True)
+    except ChecksumError as exc:
+        if _obs.enabled:
+            _obs.counter("update.summary_prior_rejected").inc()
+        log_event("update.summary_prior_rejected", directory=str(directory), reason=str(exc))
         return None
     try:
         col_blocks = np.load(directory / COLBLOCKS_NAME, allow_pickle=False)
@@ -427,24 +448,26 @@ def _array_bytes(array: np.ndarray) -> bytes:
 
 
 def materialize_summaries(
-    directory: str | Path,
+    staged: ModelParts,
     prior: dict | None = None,
     dirty: dict[int, set[int]] | None = None,
-    start_date: str | None = None,
 ) -> dict:
-    """Build (or refresh) the summary files inside ``directory``.
+    """Build (or refresh) the summary files of a model being staged.
 
-    With ``prior``/``dirty`` (from :func:`load_prior` /
-    :func:`dirty_tiles`), clean tiles are copied from the prior arrays
-    and only the dirty ones recomputed; the result is bit-identical to
-    a cold build by the tile-grid contract in the module docstring.
-    Writes are individually atomic; when ``directory`` is a staging
-    sibling the enclosing swap makes the whole set atomic.
+    ``staged`` is the version :func:`~repro.storage.model_dir.write_model`
+    is assembling, as a read of its staging directory would return it;
+    the files are written there plainly.  With ``prior``/``dirty`` (from
+    :func:`load_prior` / :func:`dirty_tiles`), clean tiles are copied
+    from the prior arrays and only the dirty ones recomputed; the result
+    is bit-identical to a cold build by the tile-grid contract in the
+    module docstring.
 
     Returns the state dict that was written.
     """
-    with read_model(directory) as parts:
-        return _materialize(parts, prior, dirty, start_date)
+    state, files = _materialize(staged, prior, dirty, None)
+    for name, data in files:
+        (staged.directory / name).write_bytes(data)
+    return state
 
 
 def _materialize(
@@ -452,7 +475,9 @@ def _materialize(
     prior: dict | None,
     dirty: dict[int, set[int]] | None,
     start_date: str | None,
-) -> dict:
+) -> tuple[dict, list[tuple[str, bytes]]]:
+    """The summary store of ``parts``: its state, and the six files as
+    ``(name, bytes)`` in the order to write them (the state file last)."""
     directory = parts.directory
     started = time.perf_counter()
     num_rows, num_cols, num_deltas, appends = parts.generation
@@ -522,13 +547,8 @@ def _materialize(
         ]
     )
 
-    atomic_write_bytes(directory / COLBLOCKS_NAME, _array_bytes(col_blocks))
-    atomic_write_bytes(directory / ROWCHUNKS_NAME, _array_bytes(row_chunks))
-    atomic_write_bytes(directory / COLS_NAME, _array_bytes(col_stats))
-    atomic_write_bytes(directory / ROWS_NAME, _array_bytes(row_stats))
     levels_buf = io.BytesIO()
     np.savez(levels_buf, **level_arrays)
-    atomic_write_bytes(directory / LEVELS_NAME, levels_buf.getvalue())
 
     state = {
         "format_version": _FORMAT_VERSION,
@@ -543,32 +563,27 @@ def _materialize(
         "levels": list(LEVELS),
         "start_date": start_date,
     }
-    # State lands last: a crash mid-materialization leaves a state file
-    # that stamps the previous generation, which the loader rejects.
-    atomic_write_bytes(
-        directory / STATE_NAME, json.dumps(state, indent=2).encode()
-    )
     if _obs.enabled:
         _obs.counter("summaries.materializations").inc()
         _obs.gauge("summaries.seconds").set(time.perf_counter() - started)
-    return state
+    return state, [
+        (COLBLOCKS_NAME, _array_bytes(col_blocks)),
+        (ROWCHUNKS_NAME, _array_bytes(row_chunks)),
+        (COLS_NAME, _array_bytes(col_stats)),
+        (ROWS_NAME, _array_bytes(row_stats)),
+        (LEVELS_NAME, levels_buf.getvalue()),
+        (STATE_NAME, json.dumps(state, indent=2).encode()),
+    ]
 
 
-def carry_summaries(
-    previous: ModelParts,
-    staging: Path,
-    generation: tuple[int, int, int, int],
-    delta_keys: np.ndarray,
-    delta_values: np.ndarray,
-    refresh: bool,
-) -> None:
+def carry_summaries(previous: ModelParts, staged: ModelParts, refresh: bool) -> None:
     """Maintain the summary store inside an append's staging directory.
 
-    ``previous`` is the pre-append model; ``staging`` holds the
-    post-append one, whose ``generation`` and outliers
-    (``delta_keys``/``delta_values``) are passed in.  Comparing them
-    against the previous set (re-based to the new key space — a column
-    append changes ``M``) yields the churned cells: the delta budget re-competition can evict
+    ``previous`` is the pre-append model; ``staged`` the post-append one
+    as :func:`~repro.storage.model_dir.write_model` holds it (outliers
+    sorted by key).  Comparing its outliers against the previous set
+    (re-based to the new key space — a column append changes ``M``)
+    yields the churned cells: the delta budget re-competition can evict
     an old outlier far from the appended region, and the tile holding it
     reconstructs differently from then on.
 
@@ -585,19 +600,18 @@ def carry_summaries(
       otherwise the covered tiles can no longer be trusted and the
       summaries are dropped instead.
     """
-    prior = load_prior(previous.directory, previous.generation)
+    prior = load_prior(previous)
     if prior is None:
         if refresh:
             with _span("update.summaries", mode="cold"):
-                materialize_summaries(staging)
+                materialize_summaries(staged)
         return
-    num_rows, num_cols, num_deltas, appends = generation
-    order = np.argsort(delta_keys, kind="stable")  # appends pass them sorted
+    num_rows, num_cols, num_deltas, appends = staged.generation
     churn = changed_cells(
         previous.delta_keys_at(num_cols),
         previous.delta_values,
-        delta_keys[order],
-        delta_values[order],
+        staged.delta_keys,
+        staged.delta_values,
     )
     covered = (
         int(prior["state"]["covered_rows"]),
@@ -611,7 +625,7 @@ def carry_summaries(
             tiles=sum(len(chunks) for chunks in dirty.values()),
             churn=int(churn.size),
         ):
-            materialize_summaries(staging, prior=prior, dirty=dirty)
+            materialize_summaries(staged, prior, dirty)
         if _obs.enabled:
             _obs.counter("update.summary_refreshes").inc()
         return
@@ -624,10 +638,10 @@ def carry_summaries(
         return
     for name in SUMMARY_FILES:
         if name != STATE_NAME and (previous.directory / name).exists():
-            link_or_copy(previous.directory / name, staging / name)
+            link_or_copy(previous.directory / name, staged.directory / name)
     state = dict(prior["state"])
     state.update(rows=num_rows, cols=num_cols, num_deltas=num_deltas, appends=appends)
-    (staging / STATE_NAME).write_text(json.dumps(state, indent=2))
+    (staged.directory / STATE_NAME).write_text(json.dumps(state, indent=2))
     if _obs.enabled:
         _obs.counter("update.summary_defers").inc()
 
@@ -667,7 +681,7 @@ def summarize_directory(
 
     with read_model(directory) as parts:
         shape = parts.generation[:2]
-        prior = None if rebuild else load_prior(directory, parts.generation)
+        prior = None if rebuild else load_prior(parts)
         status, tiles = "rebuilt", None
         if prior is not None:
             state = prior["state"]
@@ -683,13 +697,17 @@ def summarize_directory(
                 # the dirty set.
                 tiles = dirty_tiles(*covered, shape, np.empty(0, dtype=np.int64))
                 status = "refreshed"
-        state = _materialize(parts, prior, tiles, start_date)
+        state, files = _materialize(parts, prior, tiles, start_date)
         reuse = {
             name: entry
             for name, entry in parts.manifest_files.items()
             if name not in SUMMARY_FILES
         }
-    write_manifest(directory, reuse=reuse)
+    # A live directory: every file is old or new, never torn, and the
+    # state file lands after the arrays it stamps.
+    for name, data in files:
+        atomic_write_bytes(directory / name, data)
+    atomic_write_bytes(directory / MANIFEST_NAME, _manifest_bytes(directory, reuse))
     log_event(
         "summaries.summarize",
         directory=str(directory),

@@ -14,6 +14,7 @@ from repro.core.update import append_columns, append_rows, load_update_state
 from repro.core.svd import spectrum_from_gram
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ChecksumError, FormatError, ShapeError
+from repro.linalg import top_eigenvalues
 from repro.metrics import rmspe
 from repro.obs.tracing import span
 from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
@@ -359,6 +360,91 @@ class TestDriftAndRebuildFlag:
         assert result.drift == stored == pytest.approx(max(0.0, reference), rel=1e-9)
 
 
+def _dense_drift(directory, cutoff) -> float:
+    """Drift from the dense eigensolve of the stored Gram — the reference
+    the append's block-Krylov estimate is held to."""
+    state = load_update_state(directory)
+    fresh = float(top_eigenvalues(np.load(directory / GRAM_NAME), cutoff).sum())
+    return max(0.0, 1.0 - state["captured_energy"] / fresh)
+
+
+class TestDriftSeesWhatTheBasisCannot:
+    """A Krylov space grown from ``[V; V_new]`` alone never leaves what
+    the frozen basis sees: it reported drift 5.6e-16 here, where the
+    dense solve says 0.9 — blind in exactly the case drift exists for."""
+
+    def test_silent_customers_start_calling(self, tmp_path):
+        rng = np.random.default_rng(3)
+        active = rng.random((200, 3)) @ rng.random((3, 60)) * 10
+        directory = tmp_path / "model"
+        with build_compressed(np.vstack([active, np.zeros((200, 60))]), directory, 0.10) as store:
+            cutoff = store.cutoff
+        # Four new days on which only the silent half calls: V_new is
+        # zero and the new Gram block is coupled to nothing else.
+        new_days = np.vstack([np.zeros((200, 4)), rng.random((200, 4)) * 200])
+        result = append_columns(directory, new_days)
+        assert result.drift >= 0.9 and result.rebuild_recommended
+        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        # The next append's new days are ordinary; the block the basis
+        # never saw is now reachable through the probe columns only.
+        ordinary = np.vstack([rng.random((200, 3)) @ rng.random((3, 5)) * 10, np.zeros((200, 5))])
+        result = append_columns(directory, ordinary)
+        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        assert result.drift >= 0.85 and result.rebuild_recommended
+
+    def test_new_customers_call_on_silent_days(self, tmp_path):
+        """The row-append twin: the new rows live on days where V is zero."""
+        rng = np.random.default_rng(4)
+        active = rng.random((200, 3)) @ rng.random((3, 60)) * 10
+        directory = tmp_path / "model"
+        with build_compressed(np.hstack([active, np.zeros((200, 200))]), directory, 0.10) as store:
+            cutoff = store.cutoff
+        new_rows = np.hstack([np.zeros((4, 60)), rng.random((4, 200)) * 300])
+        result = append_rows(directory, new_rows)
+        assert result.drift >= 0.9 and result.rebuild_recommended
+        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        # More new customers than the start block has room for: sketched.
+        crowd = np.hstack([np.zeros((40, 60)), rng.random((40, 200)) * 300])
+        result = append_rows(directory, crowd)
+        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+
+
+class TestDriftParityOverASequence:
+    """ROADMAP 1(b)'s first step: through twenty appends with a shift in
+    them, the stored drift is the dense solve's and the flag flips at
+    the same append."""
+
+    @pytest.mark.parametrize("shift", ["level", "new_class"])
+    def test_twenty_appends(self, tmp_path, shift):
+        start, days, changes_at = 128, 7, 9
+        data = phone_matrix(300, PhoneConfig(num_days=start + 20 * days))
+        turn = start + changes_at * days
+        if shift == "level":
+            # Every customer calls more, every day of the week alike.
+            data[:, turn:] += 2.0 * data[:, :start].mean(axis=1, keepdims=True)
+        else:
+            # A fifth of the customers are silent, then call around the clock.
+            joiners = np.arange(0, 300, 5)
+            data[joiners, :turn] = 0.0
+            data[joiners, turn:] = 40.0 * np.random.default_rng(1).lognormal(
+                0.0, 0.25, (joiners.size, data.shape[1] - turn)
+            )
+        directory = tmp_path / "model"
+        with build_compressed(data[:, :start], directory, 0.10) as store:
+            cutoff = store.cutoff
+        flagged, dense_flagged = [], False
+        for step in range(20):
+            lo = start + days * step
+            result = append_columns(directory, data[:, lo : lo + days], drift_threshold=1e-4)
+            dense = _dense_drift(directory, cutoff)
+            assert result.drift == pytest.approx(dense, abs=1e-9), step
+            dense_flagged = dense_flagged or dense > 1e-4
+            assert result.rebuild_recommended == dense_flagged, step
+            flagged.append(result.rebuild_recommended)
+        # The flag is down before the shift and up (and latched) after it.
+        assert not any(flagged[:changes_at - 2]) and all(flagged[changes_at + 2 :])
+
+
 class TestPrerequisites:
     def test_legacy_model_without_state_rejected(self, tmp_path, phone_small):
         model = SVDDCompressor(budget_fraction=0.10).fit(phone_small)
@@ -405,9 +491,12 @@ class TestSpans:
         merge = root.find("update.merge_deltas")
         assert merge.attrs["candidates"] == old_deltas + 200 * 14
         assert merge.attrs["kept"] == result.num_deltas <= merge.attrs["budget"]
-        assert root.find("update.drift").attrs == {"cols": 380}
+        drift = root.find("update.drift").attrs
+        assert drift["cols"] == 380 and drift["certified"] is True
+        assert 1 <= drift["blocks"] <= 8 and drift["basis"] < 380
         write = root.find("update.write_model")
-        assert write.find("update.summaries") is not None
+        assert write.attrs == {"files": 15, "fsyncs": 17}
+        assert write.find("update.summaries").attrs["mode"] == "incremental"
         children = [child.name for child in root.children]
         assert children.index("update.merge_deltas") < children.index("update.drift")
         assert children[-1] == "update.write_model"

@@ -203,6 +203,145 @@ class TestTopEigenvalues:
             top_eigenvalues(mat, 2)
 
 
+def _with_spectrum(rng: np.random.Generator, values) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetric matrix with eigenvalues ``values``, and its eigenvectors."""
+    vectors = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    matrix = (vectors * np.asarray(values, dtype=np.float64)) @ vectors.T
+    return (matrix + matrix.T) / 2.0, vectors
+
+
+def _assert_top_sum(matrix, k, start):
+    """``top_eigenvalues(matrix, k, start)`` against the dense reference:
+    the top-``k`` sum to 1e-10 of itself, never above it beyond round-off."""
+    got = top_eigenvalues(matrix, k, start)
+    want = top_eigenvalues(matrix, k)
+    assert got.shape == want.shape
+    assert np.all(got >= 0.0) and np.all(np.diff(got) <= 1e-12 * max(want[0], 1e-300))
+    assert abs(got.sum() - want.sum()) <= 1e-10 * want.sum()
+    assert got.sum() <= want.sum() * (1.0 + 1e-13)
+
+
+class TestTopEigenvaluesFromAStart:
+    """The block-Krylov path against ``eigvalsh`` (the path without
+    ``start``), on the spectra and start blocks that break iterations."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(min_value=2, max_value=70),
+        k=st.integers(min_value=1, max_value=8),
+        kind=st.sampled_from(["decaying", "clustered", "repeated", "rank_below_k"]),
+        closeness=st.integers(min_value=1, max_value=13),
+        noise=st.sampled_from([0.0, 1e-8, 1e-3, 1.0]),
+    )
+    def test_matches_dense_on_hard_spectra(self, seed, size, k, kind, closeness, noise):
+        """``size <= k`` and start blocks as wide as the matrix included."""
+        rng = np.random.default_rng(seed)
+        values = 10.0 ** rng.uniform(-3, 3) * np.sort(rng.uniform(0.0, 1.0, size))[::-1]
+        top = min(k, size)
+        if kind == "clustered" and top < size:
+            # lambda_{k+1} / lambda_k -> 1: no gap to converge across.
+            values[top:] *= values[top - 1] * (1.0 - 10.0**-closeness) / values[top]
+        elif kind == "repeated":
+            values[: max(2, top)] = values[0]
+        elif kind == "rank_below_k":
+            values[max(1, top - 2) :] = 0.0
+        matrix, vectors = _with_spectrum(rng, values)
+        start = np.hstack(
+            [
+                vectors[:, :top] + noise * rng.standard_normal((size, top)),
+                rng.standard_normal((size, 3)),
+            ]
+        )
+        _assert_top_sum(matrix, k, start)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(min_value=12, max_value=70),
+        k=st.integers(min_value=1, max_value=6),
+        multiplicity=st.integers(min_value=1, max_value=3),
+    )
+    def test_start_orthogonal_to_the_dominant_eigenvectors(self, seed, size, k, multiplicity):
+        """The warm block spans eigenvectors ``multiplicity..`` only; the
+        probe columns are all that can find the (repeated) top value."""
+        rng = np.random.default_rng(seed)
+        values = np.sort(rng.uniform(0.0, 1.0, size))[::-1]
+        values[:multiplicity] = 5.0
+        matrix, vectors = _with_spectrum(rng, values)
+        warm = vectors[:, multiplicity : multiplicity + k]
+        _assert_top_sum(matrix, k, np.hstack([warm, rng.standard_normal((size, 3))]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        old=st.integers(min_value=10, max_value=60),
+        new=st.integers(min_value=1, max_value=7),
+        k=st.integers(min_value=1, max_value=6),
+        cover=st.sampled_from(["unit_vectors", "probes"]),
+    )
+    def test_decoupled_dominant_diagonal_block(self, seed, old, new, k, cover):
+        """What a column append of a new customer class builds: the new
+        days' block carries the energy and is coupled to nothing the warm
+        block touches."""
+        rng = np.random.default_rng(seed)
+        history, vectors = _with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, old))[::-1])
+        factor = rng.standard_normal((new + 2, new))
+        size = old + new
+        matrix = np.zeros((size, size))
+        matrix[:old, :old] = history
+        matrix[old:, old:] = 100.0 * factor.T @ factor
+        warm = np.vstack([vectors[:, :k], np.zeros((new, k))])
+        if cover == "unit_vectors":
+            unseen = np.eye(size, new, -old)
+        else:
+            unseen = rng.standard_normal((size, 3))
+        _assert_top_sum(matrix, k, np.hstack([warm, unseen]))
+
+    def test_a_start_that_covers_nothing_new_is_blind(self):
+        """Why callers add the unseen directions: a Krylov space grown
+        from the warm block alone never leaves the old coordinates."""
+        rng = np.random.default_rng(5)
+        history, vectors = _with_spectrum(rng, np.linspace(1.0, 0.1, 30))
+        matrix = np.zeros((34, 34))
+        matrix[:30, :30] = history
+        matrix[30:, 30:] = 50.0 * np.eye(4)
+        warm = np.vstack([vectors[:, :4] + 1e-3 * rng.standard_normal((30, 4)), np.zeros((4, 4))])
+        blind = top_eigenvalues(matrix, 3, warm)
+        assert blind.sum() < 0.1 * top_eigenvalues(matrix, 3).sum()
+        _assert_top_sum(matrix, 3, np.hstack([warm, np.eye(34, 4, -30)]))
+
+    def test_reports_how_it_got_there(self, rng):
+        from repro.linalg.eigen import _top_eigenvalues
+
+        values = np.concatenate([[9.0, 7.0, 5.0], np.linspace(1.0, 0.0, 197)])
+        matrix, vectors = _with_spectrum(rng, values)
+        start = vectors[:, :3] + 1e-3 * rng.standard_normal((200, 3))
+        got, how = _top_eigenvalues(matrix, 3, start)
+        assert how["certified"] and 1 <= how["blocks"] <= 8
+        assert how["basis"] == 3 * how["blocks"]
+        np.testing.assert_allclose(got, [9.0, 7.0, 5.0], rtol=1e-12)
+        # No gap and one start column: eight blocks cannot certify it.
+        flat, _ = _with_spectrum(rng, np.linspace(1.0, 0.99, 200))
+        got, how = _top_eigenvalues(flat, 3, rng.standard_normal((200, 1)))
+        assert not how["certified"] and how["blocks"] == 8
+        np.testing.assert_allclose(got, top_eigenvalues(flat, 3), rtol=0, atol=0)
+        # Without a start: the dense solve, nothing iterated.
+        assert _top_eigenvalues(flat, 3, None)[1] == {
+            "blocks": 0, "basis": 0, "certified": False,
+        }
+
+    def test_zero_matrix_and_zero_start_columns(self):
+        start = np.zeros((6, 2))
+        np.testing.assert_array_equal(top_eigenvalues(np.zeros((6, 6)), 2, start), [0.0, 0.0])
+        start[:, 0] = 1.0
+        np.testing.assert_array_equal(top_eigenvalues(np.zeros((6, 6)), 2, start), [0.0, 0.0])
+        np.testing.assert_allclose(
+            top_eigenvalues(np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0]), 2, start),
+            [3.0, 2.0],
+        )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

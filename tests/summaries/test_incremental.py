@@ -164,3 +164,60 @@ class TestTornWrites:
             == state["appends"]
         )
         assert _summary_bytes(directory) == before
+
+
+class TestDamagedPriorIsNotLaundered:
+    """The two tile files are inputs an incremental refresh copies clean
+    tiles out of and re-hashes: a flipped byte in one must not come out
+    the other side under a clean manifest."""
+
+    @staticmethod
+    def _flip_a_clean_tile_byte(directory, name):
+        path = directory / name
+        raw = bytearray(path.read_bytes())
+        raw[-(8 * 290) + 3] ^= 0x10  # a value of the last stat row, column 10: chunk 0
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("bytes_per_value", [8, 4])
+    @pytest.mark.parametrize("name", ["summary_colblocks.npy", "summary_rowchunks.npy"])
+    def test_append_over_a_damaged_tile_file_refreshes_cold(
+        self, tmp_path, enabled_registry, bytes_per_value, name
+    ):
+        from repro.storage.integrity import verify_manifest
+
+        rng = np.random.default_rng(8)
+        data = rng.random((300, 300)) * 10
+        data[7, 3] += 400.0
+        directory = tmp_path / "model"
+        build_compressed(
+            data, directory, budget_fraction=0.20, bytes_per_value=bytes_per_value
+        ).close()
+        self._flip_a_clean_tile_byte(directory, name)
+        assert not verify_manifest(directory).ok
+
+        # Two quiet days: only the tile of the second column chunk is dirty,
+        # so an incremental refresh would copy the damaged one forward.
+        append_columns(directory, np.zeros((300, 2)))
+        assert enabled_registry.counter("update.summary_prior_rejected").value == 1
+        assert enabled_registry.counter("update.summary_refreshes").value == 0
+        assert verify_manifest(directory).ok
+        assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
+
+    def test_deferred_append_drops_a_damaged_store(self, tmp_path):
+        rng = np.random.default_rng(8)
+        directory = tmp_path / "model"
+        build_compressed(rng.random((300, 300)) * 10, directory, budget_fraction=0.20).close()
+        self._flip_a_clean_tile_byte(directory, "summary_colblocks.npy")
+        append_columns(directory, np.zeros((300, 2)), refresh_summaries=False)
+        assert SummaryStore.load(directory) is None
+        assert not any((directory / name).exists() for name in SUMMARY_FILES)
+
+    def test_summarize_over_a_damaged_tile_file_rebuilds(self, model, tmp_path):
+        directory, _rng = model
+        append_columns(directory, np.zeros((300, 7)), refresh_summaries=False)
+        path = directory / "summary_colblocks.npy"
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x10
+        path.write_bytes(bytes(raw))
+        assert summarize_directory(directory)["status"] == "rebuilt"
+        assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
