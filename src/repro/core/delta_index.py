@@ -185,19 +185,21 @@ class DeltaIndex:
     # -- hash-table-compatible scalar access --------------------------------
 
     def get(self, key: int, default: float = 0.0) -> float:
-        """Value for one cell key, or ``default`` when not stored."""
+        """Value for one cell key, or ``default`` when not stored: one
+        bisection, counted in one locked block."""
+        keys = self._keys
+        pos = int(keys.searchsorted(key))
+        hit = pos < keys.size and keys[pos] == key
+        stats = self.stats
         with self._stats_lock:
-            self.stats["lookups"] += 1
-            self.stats["keys_probed"] += 1
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < self._keys.size and self._keys[pos] == key:
-            with self._stats_lock:
-                self.stats["hits"] += 1
-            return float(self._values[pos])
-        return default
+            stats["lookups"] += 1
+            stats["keys_probed"] += 1
+            if hit:
+                stats["hits"] += 1
+        return float(self._values[pos]) if hit else default
 
     def __contains__(self, key: int) -> bool:
-        pos = int(np.searchsorted(self._keys, key))
+        pos = int(self._keys.searchsorted(key))
         return pos < self._keys.size and self._keys[pos] == key
 
     def items(self) -> Iterator[tuple[int, float]]:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
-from repro.core.model import SVDDModel, SVDModel, as_index_array, cell_key
+from repro.core.model import SVDDModel, SVDModel, as_index_array
 from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
@@ -95,11 +95,8 @@ class CompressedMatrix:
         #: while the summary files were built for the full model, and
         #: post-swap the live directory may hold a *newer* generation.
         self._generation = parts.generation
-        self.stats = {
-            "cell_queries": 0,
-            "table_probes": 0,
-            "zero_row_skips": 0,
-        }
+        #: Cells answered by the Section 6.2 zero-row flag, no disk read.
+        self.stats = {"zero_row_skips": 0}
         # Guards the stats dict: dict ``+=`` is a read-modify-write, and
         # the QueryExecutor issues queries from many threads.
         self._stats_lock = threading.Lock()
@@ -415,32 +412,33 @@ class CompressedMatrix:
 
     # -- queries ----------------------------------------------------------------
 
-    def _delta_for(self, row: int, col: int) -> float:
-        if self._deltas is None:
-            return 0.0
-        self._bump("table_probes")
-        return self._deltas.get(cell_key(row, col, self.shape[1]), 0.0)
-
     def _zero_mask(self, row_idx: np.ndarray) -> np.ndarray:
         """Boolean mask of selected rows that are flagged all-zero
         (``row_idx`` already range-checked by the caller)."""
         return self._zero_flag[row_idx]
 
     def cell(self, row: int, col: int) -> float:
-        """Reconstruct one cell: one U-row disk access + O(k) arithmetic."""
+        """Reconstruct one cell: one U-row disk access + O(k) arithmetic.
+
+        A probe pays for one U page (a pool hit or one pager read, the
+        row handed over as the cached page itself), one k-term dot
+        product and one bisection of the delta keys — and for the two
+        locks that count them, the pool's and the delta index's.
+        """
         rows, cols = self.shape
         if not 0 <= row < rows:
             raise QueryError(f"row {row} out of range [0, {rows})")
         if not 0 <= col < cols:
             raise QueryError(f"col {col} out of range [0, {cols})")
-        self._bump("cell_queries")
         if row in self._zero_rows:
             # Flagged inactive customer: answer without any disk access.
             self._bump("zero_row_skips")
             return 0.0
         u_row = self._u_store.row(row)[: self.cutoff]
         base = float(np.dot(u_row * self._eigenvalues, self._v[col]))
-        return base + self._delta_for(row, col)
+        deltas = self._deltas
+        # The paper's delta key is the row-major cell ordinal row*M + col.
+        return base + (0.0 if deltas is None else deltas.get(row * cols + col, 0.0))
 
     def svd_cell(self, row: int, col: int) -> float:
         """Reconstruct one cell from the SVD factors alone (no delta probe).
@@ -457,7 +455,6 @@ class CompressedMatrix:
             raise QueryError(f"row {row} out of range [0, {rows})")
         if not 0 <= col < cols:
             raise QueryError(f"col {col} out of range [0, {cols})")
-        self._bump("cell_queries")
         if row in self._zero_rows:
             self._bump("zero_row_skips")
             return 0.0
@@ -540,7 +537,6 @@ class CompressedMatrix:
             raise QueryError(f"row selection outside [0, {total_rows})")
         if col_idx.min() < 0 or col_idx.max() >= total_cols:
             raise QueryError(f"col selection outside [0, {total_cols})")
-        self._bump("cell_queries", int(row_idx.size))
         zero = self._zero_mask(row_idx)
         self._bump("zero_row_skips", int(zero.sum()))
         out = np.zeros(row_idx.size)
@@ -552,7 +548,6 @@ class CompressedMatrix:
             )
             out[live] = np.einsum("ik,ik->i", scaled_u, self._v[col_idx[live]])
         if self._deltas is not None and len(self._deltas) > 0:
-            self._bump("table_probes", int(row_idx.size))
             out += self._deltas.lookup(row_idx * total_cols + col_idx)
         return out
 

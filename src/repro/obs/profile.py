@@ -24,9 +24,12 @@ from dataclasses import asdict, dataclass, field
 __all__ = ["QueryProfile", "StatDelta"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryProfile:
     """Execution accounting for one answered query.
+
+    Slotted, not frozen (a frozen build pays an ``object.__setattr__``
+    per field, per traced probe); nothing mutates one once handed out.
 
     The pool, I/O and delta counts are differences of process-wide
     counters read before and after the query, so they include whatever
@@ -104,46 +107,35 @@ class StatDelta:
         self._io = backend.io_stats
         index = backend.delta_index
         self._delta = None if index is None else index.stats
-        before: dict[str, int] = {}
-        if self._pool is not None:
-            before["hits"] = self._pool.hits
-            before["misses"] = self._pool.misses
-            before["bypasses"] = self._pool.bypasses
-            before["evictions"] = self._pool.evictions
-        if self._io is not None:
-            before["reads"] = self._io.reads
-            before["bytes_read"] = self._io.bytes_read
-        if self._delta is not None:
-            before["lookups"] = self._delta["lookups"]
-            before["keys_probed"] = self._delta["keys_probed"]
-        self._before = before
+        self._before = self._counts()
 
-    def collect(self) -> dict[str, int]:
-        """Counter increments since construction, keyed for QueryProfile."""
-        out = {
-            "pool_hits": 0,
-            "pool_misses": 0,
-            "pool_bypasses": 0,
-            "pool_evictions": 0,
-            "pages_read": 0,
-            "io_reads": 0,
-            "io_bytes_read": 0,
-            "delta_lookups": 0,
-            "delta_keys_probed": 0,
-        }
-        before = self._before
-        if self._pool is not None:
-            out["pool_hits"] = self._pool.hits - before["hits"]
-            out["pool_misses"] = self._pool.misses - before["misses"]
-            out["pool_bypasses"] = self._pool.bypasses - before["bypasses"]
-            out["pool_evictions"] = self._pool.evictions - before["evictions"]
-            out["pages_read"] = (
-                out["pool_hits"] + out["pool_misses"] + out["pool_bypasses"]
-            )
-        if self._io is not None:
-            out["io_reads"] = self._io.reads - before["reads"]
-            out["io_bytes_read"] = self._io.bytes_read - before["bytes_read"]
-        if self._delta is not None:
-            out["delta_lookups"] = self._delta["lookups"] - before["lookups"]
-            out["delta_keys_probed"] = self._delta["keys_probed"] - before["keys_probed"]
-        return out
+    def _counts(self) -> tuple:
+        """``(pool, io, delta)`` counter tuples, zeros for an absent one."""
+        pool, io, delta = self._pool, self._io, self._delta
+        return (
+            (0, 0, 0, 0)
+            if pool is None
+            else (pool.hits, pool.misses, pool.bypasses, pool.evictions),
+            (0, 0) if io is None else (io.reads, io.bytes_read),
+            (0, 0) if delta is None else (delta["lookups"], delta["keys_probed"]),
+        )
+
+    def collect(self) -> tuple[int, ...]:
+        """Counter increments since construction, in QueryProfile's field
+        order from ``pages_read`` to ``delta_keys_probed`` — so a profile
+        takes them positionally, after its four leading fields, without
+        binding nine keywords per query."""
+        (h0, m0, b0, e0), (r0, rb0), (l0, k0) = self._before
+        (h1, m1, b1, e1), (r1, rb1), (l1, k1) = self._counts()
+        hits, misses, bypasses = h1 - h0, m1 - m0, b1 - b0
+        return (
+            hits + misses + bypasses,
+            hits,
+            misses,
+            bypasses,
+            e1 - e0,
+            r1 - r0,
+            rb1 - rb0,
+            l1 - l0,
+            k1 - k0,
+        )

@@ -7,12 +7,12 @@ single registry through which every layer's counters are reachable:
 - **counters / gauges / histograms** created on demand by name
   (``registry.counter("delta.lookups").inc()``), histograms carrying
   nanosecond-precision timing observations from the span tracer;
-- **registered sources** — the always-on per-component stat structs
-  (:class:`~repro.storage.buffer_pool.PoolStats`,
-  :class:`~repro.storage.pager.IOStats`, delta-index stat dicts) held
-  by weak reference, so one :meth:`MetricsRegistry.snapshot` exports
-  every live pool and pager instead of leaving them siloed inside
-  their owners.
+- **registered sources** — the always-on stat structs of every buffer
+  pool and pager (:class:`~repro.storage.buffer_pool.PoolStats`,
+  :class:`~repro.storage.pager.IOStats`; nothing else registers one)
+  held by weak reference, so one :meth:`MetricsRegistry.snapshot`
+  exports every live pool and pager instead of leaving them siloed
+  inside their owners.
 
 Instrumentation is **disabled by default** and must stay near-free when
 off: every hot-path site guards on the plain attribute
@@ -279,6 +279,9 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        # Span name -> its ``span.<name>`` histogram, so a finished span
+        # builds no prefixed name; emptied by :meth:`reset` with the rest.
+        self._span_histograms: dict[str, Histogram] = {}
         # kind -> list of (name, weakref-to-stats).  Dead refs are
         # pruned on snapshot; names repeat when many instances share
         # one (e.g. every test's "u" pool) and are suffixed on export.
@@ -300,6 +303,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._span_histograms.clear()
 
     # -- named metrics ---------------------------------------------------
 
@@ -326,6 +330,18 @@ class MetricsRegistry:
         except KeyError:
             with self._lock:
                 return self._histograms.setdefault(name, Histogram())
+
+    def _span_histogram(self, span_name: str) -> Histogram:
+        """``histogram("span." + span_name)``, remembered per span name."""
+        histogram = self._span_histograms.get(span_name)
+        if histogram is None:
+            # One locked step, so a racing reset() cannot leave a
+            # histogram remembered here that the registry has dropped.
+            with self._lock:
+                name = f"span.{span_name}"
+                histogram = self._histograms.setdefault(name, Histogram())
+                self._span_histograms[span_name] = histogram
+        return histogram
 
     def timer(self, name: str) -> _Timer:
         """Time a ``with`` block into ``histogram(name)`` (nanoseconds)."""

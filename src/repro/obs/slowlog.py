@@ -136,8 +136,11 @@ class SlowQueryLog:
                     return f"{part.start}:{part.stop}"
                 return str(part)
             return f"{function}() rows {_fmt(rows)} cols {_fmt(cols)}"
-        row = getattr(query, "row", None)
-        col = getattr(query, "col", None)
+        if isinstance(query, tuple) and len(query) == 2:
+            row, col = query  # the engine's plain (row, col) cell probe
+        else:
+            row = getattr(query, "row", None)
+            col = getattr(query, "col", None)
         if row is not None and col is not None:
             return f"cell({row}, {col})"
         return repr(query)

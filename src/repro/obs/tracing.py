@@ -67,7 +67,7 @@ if hasattr(os, "register_at_fork"):
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id."""
-    return f"{_ids.getrandbits(64):016x}"
+    return _ids.randbytes(8).hex()
 
 
 def current_trace_id() -> str | None:
@@ -142,7 +142,7 @@ class Span:
         if self._token is not None:
             _ACTIVE.reset(self._token)
             self._token = None
-        registry.histogram(f"span.{self.name}").observe(self.duration_ns)
+        registry._span_histogram(self.name).observe(self.end_ns - self.start_ns)
 
     def set(self, **attrs) -> "Span":
         """Attach key/value attributes to the span."""

@@ -20,6 +20,7 @@ explained route *is* the executed route by construction.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -106,31 +107,38 @@ class QueryResult:
 
 
 def _as_cell_query(query) -> CellQuery:
-    """Coerce a ``(row, col)`` tuple into a :class:`CellQuery`.
+    """A :class:`CellQuery` or ``(row, col)`` pair as a CellQuery of two
+    ints: the one cell coercion behind every front door.
 
-    Malformed tuples (wrong arity, non-numeric members) raise
-    :class:`QueryError` — never ``TypeError`` — so the serving tier's
-    "structured 400, never a traceback" contract holds for fuzzed
-    query payloads.
+    An index is what ``operator.index`` accepts (Python and NumPy
+    integers), never a bool.  Anything else is a :class:`QueryError` —
+    never a ``TypeError``, never a truncated neighbouring cell — so the
+    serving tier answers a fuzzed payload with a structured 400.
     """
     if isinstance(query, CellQuery):
-        return query
-    try:
-        arity = len(query)
-    except TypeError as exc:
-        raise QueryError(
-            f"unsupported cell query {query!r}: expected CellQuery or (row, col)"
-        ) from exc
-    if arity != 2:
-        raise QueryError(
-            f"cell query tuple must be (row, col); got {arity} elements"
-        )
-    try:
-        return CellQuery(int(query[0]), int(query[1]))
-    except (TypeError, ValueError) as exc:
-        raise QueryError(
-            f"cell query indices must be integers, got {query!r}"
-        ) from exc
+        row, col = query.row, query.col
+    else:
+        try:
+            arity = len(query)
+            if arity == 2:
+                row, col = query[0], query[1]
+        except (TypeError, LookupError) as exc:
+            raise QueryError(
+                f"unsupported cell query {query!r}: expected CellQuery or (row, col)"
+            ) from exc
+        if arity != 2:
+            raise QueryError(
+                f"cell query tuple must be (row, col); got {arity} elements"
+            )
+    if type(row) is int and type(col) is int:
+        return query if isinstance(query, CellQuery) else CellQuery(row, col)
+    # ``operator.index`` refuses NumPy's bool but takes Python's.
+    if not isinstance(row, bool) and not isinstance(col, bool):
+        try:
+            return CellQuery(operator.index(row), operator.index(col))
+        except TypeError:
+            pass
+    raise QueryError(f"cell query indices must be integers, got {query!r}")
 
 
 class QueryEngine:
@@ -238,40 +246,38 @@ class QueryEngine:
         :class:`~repro.obs.profile.QueryProfile` measuring the probe's
         page accesses and wall time.
         """
-        query = _as_cell_query(query)
+        # The common probe, a pair of ints, needs no CellQuery.
+        row, col = query if type(query) is tuple and len(query) == 2 else (None, None)
+        if type(row) is not int or type(col) is not int:
+            query = _as_cell_query(query)
+            row, col = query.row, query.col
         backend = self._backend
         rows, cols = backend.shape
-        if not 0 <= query.row < rows:
-            raise QueryError(f"row {query.row} out of range [0, {rows})")
-        if not 0 <= query.col < cols:
-            raise QueryError(f"col {query.col} out of range [0, {cols})")
+        if not 0 <= row < rows:
+            raise QueryError(f"row {row} out of range [0, {rows})")
+        if not 0 <= col < cols:
+            raise QueryError(f"col {col} out of range [0, {cols})")
         probe = backend.cell
         if not self._include_deltas and backend.svd_cell is not None:
             probe = backend.svd_cell
         if not _obs.enabled:
-            return QueryResult(
-                value=float(probe(query.row, query.col)),
-                cells_touched=1,
-                rows_fetched=1,
-            )
+            return QueryResult(float(probe(row, col)), 1, 1)
         capture = StatDelta(backend)
         start = time.perf_counter_ns()
-        with _span("query.cell", row=query.row, col=query.col) as root:
-            value = float(probe(query.row, query.col))
+        with _span("query.cell", row=row, col=col) as root:
+            value = float(probe(row, col))
         profile = QueryProfile(
-            path="cell",
-            function=None,
-            cells=1,
-            rows_fetched=1,
+            "cell",
+            None,
+            1,
+            1,
+            *capture.collect(),
             total_ns=time.perf_counter_ns() - start,
             backend=backend.name,
             trace_id=root.trace_id or "",
-            **capture.collect(),
         )
         _slowlog.maybe_record(query, profile, root)
-        return QueryResult(
-            value=value, cells_touched=1, rows_fetched=1, profile=profile
-        )
+        return QueryResult(value, 1, 1, profile)
 
     def cells(self, queries) -> list[QueryResult]:
         """Answer a batch of cell queries in one vectorized pass.
@@ -284,13 +290,17 @@ class QueryEngine:
         and row fetch, matching :meth:`cell`.
         """
         coerced = [_as_cell_query(query) for query in queries]
-        pairs = [(query.row, query.col) for query in coerced]
-        if not pairs:
+        if not coerced:
             return []
-        rows = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        cols = np.asarray([p[1] for p in pairs], dtype=np.int64)
         backend = self._backend
         num_rows, num_cols = backend.shape
+        try:
+            rows = np.asarray([query.row for query in coerced], dtype=np.int64)
+            cols = np.asarray([query.col for query in coerced], dtype=np.int64)
+        except OverflowError:
+            raise QueryError(
+                f"cell selection outside [0, {num_rows}) x [0, {num_cols})"
+            ) from None
         if rows.min() < 0 or rows.max() >= num_rows:
             raise QueryError(f"row selection outside [0, {num_rows})")
         if cols.min() < 0 or cols.max() >= num_cols:
@@ -377,10 +387,11 @@ class QueryEngine:
         with _span("query.aggregate", function=query.function) as root:
             result = self._execute_plan(query, plan)
         profile = QueryProfile(
-            path=result.route,
-            function=query.function,
-            cells=result.cells_touched,
-            rows_fetched=result.rows_fetched,
+            result.route,
+            query.function,
+            result.cells_touched,
+            result.rows_fetched,
+            *capture.collect(),
             total_ns=time.perf_counter_ns() - start,
             gather_ns=root.total_ns("query.factor.gather"),
             gemm_ns=root.total_ns("query.factor.gemm"),
@@ -390,7 +401,6 @@ class QueryEngine:
             trace_id=root.trace_id or "",
             error_bound=result.error_bound,
             predicted_pages=plan.route.pages,
-            **capture.collect(),
         )
         _slowlog.maybe_record(query, profile, root)
         return replace(result, profile=profile)

@@ -46,6 +46,7 @@ from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import current_trace_id, new_trace_id, trace
 from repro.query.engine import AggregateQuery, CellQuery, QueryEngine, QueryResult
+from repro.query.engine import _as_cell_query
 from repro.query.parser import parse_query
 
 __all__ = [
@@ -104,26 +105,18 @@ def batch_throughput(queries: int, wall_s: float) -> float:
 def coerce_query(query):
     """Normalize the accepted query forms to engine query objects.
 
-    The shared front door of both executors: :class:`CellQuery` /
-    :class:`AggregateQuery` pass through, query text goes through
-    :func:`~repro.query.parser.parse_query`, and ``(row, col)`` tuples
-    become cell queries.
+    The shared front door of both executors: an
+    :class:`AggregateQuery` passes through, query text goes through
+    :func:`~repro.query.parser.parse_query`, and a :class:`CellQuery`
+    or ``(row, col)`` tuple through the engine's one cell coercion
+    (integer indices only, else :class:`QueryError`).
     """
-    if isinstance(query, (CellQuery, AggregateQuery)):
+    if isinstance(query, AggregateQuery):
         return query
     if isinstance(query, str):
         return parse_query(query)
-    if isinstance(query, tuple):
-        if len(query) != 2:
-            raise QueryError(
-                f"cell query tuple must be (row, col); got {len(query)} elements"
-            )
-        try:
-            return CellQuery(int(query[0]), int(query[1]))
-        except (TypeError, ValueError) as exc:
-            raise QueryError(
-                f"cell query indices must be integers, got {query!r}"
-            ) from exc
+    if isinstance(query, (CellQuery, tuple)):
+        return _as_cell_query(query)
     raise QueryError(
         f"unsupported query form {type(query).__name__}: expected "
         "CellQuery, AggregateQuery, (row, col), or query text"
@@ -293,7 +286,7 @@ class QueryExecutor:
     def submit(self, query) -> "Future[QueryResult]":
         """Schedule one query; returns a future of its
         :class:`~repro.query.engine.QueryResult`."""
-        coerced = self._coerce(query)
+        coerced = coerce_query(query)
         # Each query gets its trace id at submit time — inheriting the
         # caller's ambient trace when one is active — so the worker
         # thread's spans, profile and log lines all join on it.
@@ -337,10 +330,6 @@ class QueryExecutor:
         )
 
     # -- internals ------------------------------------------------------
-
-    def _coerce(self, query):
-        """Normalize the accepted query forms to engine query objects."""
-        return coerce_query(query)
 
     def _run_one(self, query, trace_id: str | None = None) -> QueryResult:
         """Worker body: execute one query with in-flight accounting."""

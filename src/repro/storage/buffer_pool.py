@@ -7,11 +7,12 @@ per cell because the row of ``U`` lives in one block while ``V`` and
 workload through a pool and inspecting these counters.
 
 One policy, one lock: the resident set is a single ``OrderedDict`` in
-recency order, guarded by one mutex, and eviction is global LRU over
-the whole capacity.  Only single ``row`` / ``cell`` reads come through
-here (batched gathers copy out of the store's mapped view), and a hit
-holds the lock for a lookup and a reorder, so there is nothing for a
-second lock to un-serialize.
+recency order, guarded by one mutex that the pool's :class:`PoolStats`
+share (a hit is counted inside the lookup that found it), and eviction
+is global LRU over the whole capacity.  Only single ``row`` / ``cell``
+reads come through here (batched gathers copy out of the store's mapped
+view), and a hit holds the lock for a lookup and a reorder, so there is
+nothing for a second lock to un-serialize.
 
 The physical read on a miss happens **outside** the lock, so a slow
 disk read of one page never blocks hits on the others.  Page data is
@@ -45,8 +46,9 @@ class PoolStats:
     would appear to have a high hit rate simply because its reads were
     never counted.
 
-    Mutation goes through :meth:`add`, which holds a per-struct lock so
-    the counts stay exact when many threads share one pool.
+    Mutation holds ``_lock`` so the counts stay exact when many threads
+    share one pool: :meth:`add` and :meth:`reset` take it, and a
+    :class:`BufferPool` passes its own lock in and counts under it.
     """
 
     hits: int = 0
@@ -119,23 +121,24 @@ class BufferPool:
         self.pager = pager
         self.capacity = capacity
         self.name = name if name is not None else pager.path.name
-        self.stats = PoolStats()
-        _obs.register_source("pools", self.name, self.stats)
         self._lock = threading.Lock()
+        self.stats = PoolStats(_lock=self._lock)
+        _obs.register_source("pools", self.name, self.stats)
         # Resident pages, least recently used first.
         self._pages: OrderedDict[int, bytes] = OrderedDict()
 
     def get_page(self, page_id: int) -> bytes:
         """Return page contents, loading through the pager on a miss."""
+        stats = self.stats
         with self._lock:
             data = self._pages.get(page_id)
             if data is not None:
                 self._pages.move_to_end(page_id)
-                self.stats.add(hits=1)
+                stats.hits += 1
                 return data
         data = self.pager.read_page(page_id)
-        evicted = 0
         with self._lock:
+            stats.misses += 1
             if page_id in self._pages:
                 # A racing reader cached it first; the bytes are identical.
                 self._pages.move_to_end(page_id)
@@ -143,8 +146,7 @@ class BufferPool:
                 self._pages[page_id] = data
                 while len(self._pages) > self.capacity:
                     self._pages.popitem(last=False)
-                    evicted += 1
-        self.stats.add(misses=1, evictions=evicted)
+                    stats.evictions += 1
         return data
 
     def invalidate(self, page_id: int | None = None) -> None:
@@ -164,21 +166,20 @@ class BufferPool:
 def read_span(pool: BufferPool, offset: int, length: int) -> bytes:
     """Read ``length`` bytes starting at absolute file ``offset`` via the pool.
 
-    Handles spans that straddle page boundaries; raises
-    :class:`PageError` if the span extends past the file end.
+    A span inside one page is one slice of the cached page — the page
+    itself when the span is the whole page, as a ``u.mat`` row is; a
+    span across pages joins them.  Raises :class:`PageError` if the
+    span extends past the file end.
     """
     if length < 0 or offset < 0:
         raise PageError(f"invalid span offset={offset} length={length}")
+    if length == 0:
+        return b""
     page_size = pool.pager.page_size
-    chunks: list[bytes] = []
-    remaining = length
-    position = offset
-    while remaining > 0:
-        page_id = position // page_size
-        within = position % page_size
-        take = min(remaining, page_size - within)
-        page = pool.get_page(page_id)
-        chunks.append(page[within : within + take])
-        position += take
-        remaining -= take
-    return b"".join(chunks)
+    first, within = divmod(offset, page_size)
+    last = (offset + length - 1) // page_size
+    if first == last:
+        # Slicing a whole ``bytes`` object returns that object.
+        return pool.get_page(first)[within : within + length]
+    pages = b"".join(pool.get_page(page_id) for page_id in range(first, last + 1))
+    return pages[within : within + length]

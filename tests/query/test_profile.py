@@ -98,6 +98,9 @@ class TestFactorPath:
         # accesses equal the plan's row-fetch estimate.
         assert profile.rows_fetched == plan["estimated_row_fetches"] == 120
         assert profile.pages_read == plan["estimated_row_fetches"]
+        # A gather serves its pages around the pool, with no pager read.
+        assert profile.pool_bypasses == 120
+        assert (profile.pool_hits, profile.pool_misses, profile.io_reads) == (0, 0, 0)
 
     def test_value_unchanged_by_profiling(self, disk_store, query, enabled_registry):
         engine = QueryEngine(disk_store)
@@ -155,6 +158,10 @@ class TestCellPath:
         # Section 4.1's claim: one U-page access reconstructs the cell.
         assert profile.pages_read == 1
         assert profile.pool_misses == 1
+        assert (profile.pool_hits, profile.pool_bypasses, profile.pool_evictions) == (0, 0, 0)
+        assert profile.io_reads == 1
+        assert profile.io_bytes_read == disk_store.u_store.page_size
+        assert profile.delta_lookups == profile.delta_keys_probed == 1
 
     def test_warm_cell_hits_pool(self, disk_store, enabled_registry):
         engine = QueryEngine(disk_store)
@@ -163,6 +170,7 @@ class TestCellPath:
         assert profile.pages_read == 1
         assert profile.pool_hits == 1
         assert profile.pool_hit_rate == 1.0
+        assert (profile.pool_misses, profile.pool_evictions, profile.io_reads) == (0, 0, 0)
 
     def test_profile_serializes_to_json(self, disk_store, enabled_registry):
         import json

@@ -233,6 +233,13 @@ class TestReadSpan:
         pool = BufferPool(pager, capacity=4)
         assert read_span(pool, 130, 5) == bytes([1]) * 5
 
+    def test_whole_page_is_the_page_read(self, pager):
+        pool = BufferPool(pager, capacity=4)
+        data = read_span(pool, 128 * 3, 128)
+        assert type(data) is bytes and data == pager.read_page(3)
+        assert read_span(pool, 128 * 3, 128) == pager.read_page(3)
+        assert (pool.stats.misses, pool.stats.hits) == (1, 1)
+
     def test_across_page_boundary(self, pager):
         pool = BufferPool(pager, capacity=4)
         data = read_span(pool, 120, 16)
