@@ -25,7 +25,8 @@ range or aggregate query to walk the whole table in Python.  A
   factor-space aggregate fast path fold corrections without walking
   every stored delta.  A column selection that *is* its span (a time
   range) skips the column matching: every candidate is a hit, so the
-  cost is O(|R| log D + |S| + c), and
+  cost is O(|R| log D + |S| + c), and their sum (``select_sum``, what
+  ``sum``/``avg`` fold) is a gather of their values alone, and
 - how many deltas a set of rows holds is a gather out of a lazily built
   table of per-row run lengths (``count_in_rows``), which is what the
   planner prices a fold with.
@@ -48,18 +49,18 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import registry as _obs
 
 
+def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Every position of the slices ``[starts[i], starts[i] + counts[i])``, in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+
+
 def _expand_slices(
     starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the slices ``[starts[i], starts[i] + counts[i])``.
-
-    Returns ``(owner, positions)``: every position covered by a slice,
-    slice after slice, and the index ``i`` of the slice it came from.
-    """
-    owner = np.repeat(np.arange(counts.size), counts)
-    ends = np.cumsum(counts)
-    positions = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
-    return owner, positions
+    """``(owner, positions)``: :func:`_slice_positions` and, for each
+    position, the index ``i`` of the slice it came from."""
+    return np.repeat(np.arange(counts.size), counts), _slice_positions(starts, counts)
 
 
 class DeltaIndex:
@@ -285,16 +286,15 @@ class DeltaIndex:
         probed = 0
         row_pos = col_pos = picked = np.empty(0, dtype=np.int64)
         if self._keys.size and row_sel.size and col_sel.size:
-            # Each row's deltas are one contiguous key run; bisect it
-            # down to the selection's column span.  Clamping the span to
-            # the matrix keeps a stray column from aliasing into the
-            # neighbouring row's keys.
+            # Clamping the span to the matrix keeps a stray column from
+            # aliasing into the neighbouring row's keys (and an emptied
+            # span from bisecting backwards).
             row_base = row_sel * self._num_cols
             col_lo = max(int(col_sel.min()), 0)
             col_hi = min(int(col_sel.max()), self._num_cols - 1)
-            starts = np.searchsorted(self._keys, row_base + col_lo)
-            counts = np.searchsorted(self._keys, row_base + col_hi + 1) - starts
-            probed = int(counts.sum())
+            if col_lo <= col_hi:
+                starts, counts = self._runs(row_base, col_lo, col_hi)
+                probed = int(counts.sum())
         if probed:
             cand_row_pos, cand = _expand_slices(starts, counts)
             # Each candidate's column as an offset into the span.
@@ -316,13 +316,41 @@ class DeltaIndex:
                 row_pos = cand_row_pos[owner]
                 col_pos = order[where]
                 picked = cand[owner]
-        with self._stats_lock:
-            self.stats["lookups"] += 1
-            self.stats["keys_probed"] += probed
-            self.stats["hits"] += int(picked.size)
-        if _obs.enabled:
-            _obs.counter("delta.lookups").inc()
-            _obs.counter("delta.keys_probed").inc(probed)
+        self._count(probed, int(picked.size))
         return (
             row_pos, col_pos, row_sel[row_pos], col_sel[col_pos], self._values[picked]
         )
+
+    def select_sum(self, row_sel, col_sel) -> float:
+        """``float(self.select(row_sel, col_sel)[4].sum())`` to the bit,
+        counted alike.  Over a time range the candidates are the answer:
+        their values are gathered in ``select``'s order (hence the same
+        sum) and no position, row or column array is built."""
+        row_sel = np.asarray(row_sel, dtype=np.int64)
+        col_sel = np.asarray(col_sel, dtype=np.int64)
+        lo, hi = (int(col_sel[0]), int(col_sel[-1])) if col_sel.size else (0, -1)
+        span = 0 <= lo <= hi < self._num_cols
+        if not (span and np.array_equal(col_sel, np.arange(lo, hi + 1))):
+            return float(self.select(row_sel, col_sel)[4].sum())
+        starts, counts = self._runs(row_sel * self._num_cols, lo, hi)
+        probed = int(counts.sum())
+        self._count(probed, probed)
+        if not probed:
+            return 0.0
+        return float(self._values[_slice_positions(starts, counts)].sum())
+
+    def _runs(self, row_base: np.ndarray, col_lo: int, col_hi: int):
+        """``(starts, counts)`` of each row's keys (``row_base`` = row *
+        num_cols) in the in-matrix columns ``[col_lo, col_hi]``."""
+        starts = np.searchsorted(self._keys, row_base + col_lo)
+        return starts, np.searchsorted(self._keys, row_base + col_hi + 1) - starts
+
+    def _count(self, probed: int, hits: int) -> None:
+        """One range probe: ``probed`` candidate keys, ``hits`` returned."""
+        with self._stats_lock:
+            self.stats["lookups"] += 1
+            self.stats["keys_probed"] += probed
+            self.stats["hits"] += hits
+        if _obs.enabled:
+            _obs.counter("delta.lookups").inc()
+            _obs.counter("delta.keys_probed").inc(probed)

@@ -72,13 +72,16 @@ def finalize(function: str, comps: Components) -> float:
     raise QueryError(f"unknown aggregate {function!r}")
 
 
-def stream_components(backend, row_idx: np.ndarray, col_idx: np.ndarray) -> Components:
+def stream_components(
+    backend, row_idx: np.ndarray, col_idx: np.ndarray, function: str
+) -> Components:
     """Exact components of ``row_idx x col_idx`` by blocked streaming.
 
     ``backend`` is a resolved :class:`~repro.query.backend.Backend`.
     This is the residual evaluator: the cells a summary bucket does not
     cover are reconstructed (delta-corrected) in vectorized blocks and
-    reduced to components on the fly.
+    reduced on the fly to the count and what :func:`finalize` reads for
+    ``function``: a ``min`` pays for no sum and no squares.
     """
     total = 0.0
     total_sq = 0.0
@@ -90,9 +93,13 @@ def stream_components(backend, row_idx: np.ndarray, col_idx: np.ndarray) -> Comp
     for start in range(0, int(row_idx.size), _STREAM_BLOCK_ROWS):
         chunk = row_idx[start : start + _STREAM_BLOCK_ROWS]
         block = backend.block(chunk, col_idx)
-        total += float(block.sum())
-        total_sq += float((block * block).sum())
-        minimum = min(minimum, float(block.min()))
-        maximum = max(maximum, float(block.max()))
+        if function in ("sum", "avg", "stddev"):
+            total += float(block.sum())
+        if function == "stddev":
+            total_sq += float((block * block).sum())
+        if function == "min":
+            minimum = min(minimum, float(block.min()))
+        if function == "max":
+            maximum = max(maximum, float(block.max()))
         count += int(block.size)
     return Components(total, total_sq, minimum, maximum, count)

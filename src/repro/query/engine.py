@@ -456,7 +456,9 @@ class QueryEngine:
                 rows=sum(int(rows.size) for rows, _cols in summary.residuals),
             ):
                 for rows, cols in summary.residuals:
-                    comps = comps.merge(stream_components(backend, rows, cols))
+                    comps = comps.merge(
+                        stream_components(backend, rows, cols, function)
+                    )
                     rows_fetched += int(rows.size)
         value = _finalize_components(function, comps)
         route = plan.route.name
@@ -485,7 +487,7 @@ class QueryEngine:
         with self._stats_lock:
             self.stats["streamed"] += 1
         with _span("query.stream.scan", rows=int(row_idx.size)):
-            comps = stream_components(backend, row_idx, col_idx)
+            comps = stream_components(backend, row_idx, col_idx, function)
         value = _finalize_components(function, comps)
         return QueryResult(
             value=value,

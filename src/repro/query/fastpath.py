@@ -21,7 +21,10 @@ selection are located by bisecting each selected row's key slice
 candidate keys in those rows' column span — see
 :meth:`~repro.core.delta_index.DeltaIndex.select`), each shifting the
 sum by ``d`` and the sum of squares by ``2 * x_hat[i, j] * d + d^2`` —
-no pass over the stored outlier set.
+no pass over the stored outlier set.  Only ``stddev`` needs to know
+where a delta sits; ``sum``/``avg`` fold the deltas' sum alone
+(:meth:`~repro.core.delta_index.DeltaIndex.select_sum`: over a time
+range one gather of their values, the same float ``select`` gives).
 
 The factors come from the backend's one optional capability,
 ``factors(row_idx)`` (:mod:`repro.query.backend`).  For the persistent
@@ -95,12 +98,14 @@ def factor_aggregate(
 
     if include_deltas and index is not None and len(index) > 0:
         with _span("query.factor.delta", stored=len(index)):
-            row_pos, _col_pos, _rows, delta_cols, values = index.select(
-                row_idx, col_idx
-            )
-            if values.size:
-                total += float(values.sum())
-                if need_squares:
+            if not need_squares:
+                total += index.select_sum(row_idx, col_idx)
+            else:
+                row_pos, _col_pos, _rows, delta_cols, values = index.select(
+                    row_idx, col_idx
+                )
+                if values.size:
+                    total += float(values.sum())
                     base = np.einsum("ik,ik->i", scaled_u[row_pos], v[delta_cols])
                     total_sq += float((2.0 * base * values + values * values).sum())
 

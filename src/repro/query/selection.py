@@ -5,9 +5,10 @@ query's cell set is their cross product (the paper's 'some rows and
 columns of the data matrix', Section 5.2).  A selection holds what it
 was given; :meth:`Selection.resolve` normalizes it to sorted unique
 index arrays and validates it against a matrix shape, at execution
-time.  Indices must be integers: anything NumPy would have to truncate
-or parse (floats, strings, bools) is a :class:`QueryError`, never an
-answer about a neighbouring row.
+time.  Indices must be a flat list of integers: anything NumPy would
+have to truncate or parse (floats, strings, bools) or flatten (a nested
+list, a 2-D array) is a :class:`QueryError`, never an answer about a
+neighbouring row.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
         raise QueryError(
             f"selection indices must be machine-size integers: {exc}"
         ) from exc
+    if arr.ndim != 1:
+        raise QueryError(
+            f"selection indices must be a flat list, got shape {arr.shape}"
+        )
     if arr.size == 0:
         raise QueryError("selection must include at least one index")
     kind = arr.dtype.kind
@@ -65,7 +70,9 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
         raise QueryError(
             f"selection indices must be machine-size integers, got {arr.dtype} values"
         )
-    return np.unique(arr.astype(np.int64, copy=False))
+    arr = arr.astype(np.int64, copy=False)
+    # A strictly increasing list (a sorted row set) skips np.unique's sort.
+    return arr if (arr[1:] > arr[:-1]).all() else np.unique(arr)
 
 
 @dataclass(frozen=True)

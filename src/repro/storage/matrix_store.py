@@ -482,10 +482,20 @@ class MatrixStore:
         """:meth:`pages_for_rows` for a validated, non-empty ``idx``."""
         row_bytes = self._cols * self._item
         page_size = self._pager.page_size
+        if (idx[1:] > idx[:-1]).all():
+            # Strictly increasing: a contiguous run is one byte range, and
+            # whole-page rows (the data starts at page 1) share no page.
+            low, high = int(idx[0]), int(idx[-1])
+            if high - low + 1 == idx.size:
+                start = self._data_offset + low * row_bytes
+                end = self._data_offset + (high + 1) * row_bytes - 1
+                return end // page_size - start // page_size + 1
+            if row_bytes % page_size == 0:
+                return idx.size * row_bytes // page_size
         offsets = self._data_offset + idx * row_bytes
         first = offsets // page_size
         last = (offsets + (row_bytes - 1)) // page_size
-        if idx.size > 1 and (idx[1:] < idx[:-1]).any():
+        if (idx[1:] < idx[:-1]).any():
             # Unsorted: union the runs first..last.  Unioning the
             # clipped shifts first+d covers them without a per-row loop.
             max_span = int((last - first).max())

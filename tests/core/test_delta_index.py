@@ -289,6 +289,85 @@ def test_property_range_branch_equals_general_matching(case):
         assert stray_stats["hits"] == np.count_nonzero(inside)
 
 
+# -- the sum-only fold -----------------------------------------------------------
+
+
+@st.composite
+def _sum_cases(draw):
+    num_rows = draw(st.integers(1, 8))
+    num_cols = draw(st.integers(1, 8))
+    cells = num_rows * num_cols
+    keys = draw(
+        st.one_of(st.just(set()), st.sets(st.integers(0, cells - 1), max_size=cells))
+    )
+    row_sel = draw(st.lists(st.integers(0, num_rows - 1), max_size=8))  # repeats allowed
+    col_lo = draw(st.integers(0, num_cols - 1))
+    span = list(range(col_lo, draw(st.integers(col_lo, num_cols - 1)) + 1))
+    col_sel = draw(
+        st.one_of(
+            st.just(span),  # a time range
+            st.lists(st.integers(0, num_cols - 1), max_size=6).map(sorted),  # scattered
+            st.permutations(span),  # unsorted
+            st.just(span + span[:1]),  # repeated
+            st.lists(st.integers(-3, num_cols + 2), max_size=6),  # stray
+        )
+    )
+    return num_rows, num_cols, sorted(keys), row_sel, col_sel, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sum_cases())
+@example(case=(3, 4, [], [0, 1], [0, 1, 2], 0))  # empty index
+@example(case=(3, 4, [1, 2, 5], [0, 0, 1], [1, 2], 0))  # repeated row, range
+@example(case=(3, 4, [3, 4, 7, 8], [1], [-3], 0))  # every column left of the matrix
+@example(case=(3, 4, [3, 4, 7, 8], [0, 1], [5, 6], 0))  # ...and right of it
+@example(case=(3, 4, [3, 4, 7, 8], [1], [-1, 0, 1, 2, 3], 0))  # a span leaving it
+def test_property_select_sum_is_selects_sum(case):
+    """``select_sum`` == ``float(select(...)[4].sum())`` to the bit, and
+    moves ``stats`` exactly as ``select`` does, for any column shape."""
+    num_rows, num_cols, keys, row_sel, col_sel, seed = case
+    keys = np.asarray(keys, dtype=np.int64)
+    # Values of mixed sign and magnitude: a different summation order
+    # would show in the last bits.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(keys.size) * rng.lognormal(0.0, 4.0, keys.size)
+    summed, selected = (DeltaIndex(keys, values, num_cols) for _ in range(2))
+    got = summed.select_sum(row_sel, col_sel)
+    want = float(selected.select(row_sel, col_sel)[4].sum())
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert summed.stats == selected.stats
+
+
+def test_select_sum_of_a_time_range_skips_the_positions(enabled_registry):
+    """Over a time range with many rows (so the pairwise sum's blocking
+    matters) the sum is bit-equal, counted alike in ``stats`` and the
+    registry, and builds no row/column positions."""
+
+    def counters():
+        names = ("delta.lookups", "delta.keys_probed")
+        return [enabled_registry.counter(name).value for name in names]
+
+    rng = np.random.default_rng(31)
+    num_rows, num_cols = 600, 50
+    keys = np.flatnonzero(rng.random(num_rows * num_cols) < 0.3)
+    values = rng.standard_normal(keys.size) * rng.lognormal(0.0, 4.0, keys.size)
+    rows = np.sort(rng.choice(num_rows, 400, replace=False))
+    rows = np.concatenate([rows, rows[:50]])  # repeated rows count again
+    cols = np.arange(7, 40)
+    summed, selected = (DeltaIndex(keys, values, num_cols) for _ in range(2))
+    start = counters()
+    with mock.patch.object(delta_index, "_expand_slices") as positions:
+        got = summed.select_sum(rows, cols)
+    assert positions.call_count == 0
+    middle = counters()
+    want = float(selected.select(rows, cols)[4].sum())
+    end = counters()
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert summed.stats == selected.stats and summed.stats["hits"] > 1000
+    assert [b - a for a, b in zip(start, middle)] == [b - a for a, b in zip(middle, end)]
+    assert middle[0] - start[0] == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     num_cols=st.integers(1, 8),

@@ -168,9 +168,29 @@ class TestNonIntegerIndices:
         assert rows.dtype == np.int64
         assert list(rows) == [1, 3]
 
+    def test_increasing_list_resolves_as_given(self):
+        rows, _cols = Selection(rows=[0, 5, 7, 9]).resolve((10, 10))
+        assert rows.dtype == np.int64 and list(rows) == [0, 5, 7, 9]
+
     def test_engine_raises_instead_of_answering_about_row_one(self):
         from repro.query import AggregateQuery, QueryEngine
 
         engine = QueryEngine(np.arange(20.0).reshape(4, 5))
         with pytest.raises(QueryError):
             engine.aggregate(AggregateQuery("sum", Selection(rows=[1.7], cols=[0])))
+
+
+class TestNonFlatIndices:
+    """A nested index list is a typed error, not the flattened rows
+    (a 2 x 2 list used to answer rows 0, 5, 7 and 9)."""
+
+    @pytest.mark.parametrize(
+        "nested",
+        [[[0, 5], [7, 9]], np.array([[0, 5], [7, 9]]), [[3]], np.zeros((1, 0), dtype=int)],
+        ids=["list", "ndarray", "1x1", "1x0"],
+    )
+    def test_rejected_on_either_axis(self, nested):
+        with pytest.raises(QueryError, match="flat list"):
+            Selection(rows=nested, cols=[1]).resolve((10, 10))
+        with pytest.raises(QueryError, match="flat list"):
+            Selection(rows=[1], cols=nested).resolve((10, 10))

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
@@ -436,6 +436,48 @@ def _page_union(store: MatrixStore, cols: int, idx) -> int:
         start = page + int(i) * row_bytes  # data begins after the header page
         pages.update(range(start // page, (start + row_bytes - 1) // page + 1))
     return len(pages)
+
+
+@st.composite
+def _page_cases(draw):
+    """A layout (whole-page rows or rows that straddle pages) and a row
+    list of one shape: contiguous, strictly increasing, sorted with
+    duplicates, or unsorted."""
+    layout = draw(st.sampled_from(_LAYOUTS + [(16, np.float64, 64)]))
+    rows = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["contiguous", "increasing", "duplicates", "unsorted"]))
+    if kind == "contiguous":
+        low = draw(st.integers(0, rows - 1))
+        return layout, rows, list(range(low, draw(st.integers(low, rows - 1)) + 1))
+    picks = sorted(draw(st.sets(st.integers(0, rows - 1), min_size=1)))
+    if kind == "duplicates":
+        return layout, rows, sorted(picks + draw(st.lists(st.sampled_from(picks), min_size=1)))
+    if kind == "unsorted":
+        return layout, rows, draw(st.permutations(picks))
+    return layout, rows, picks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_page_cases())
+# One row, a contiguous run across straddling rows, increasing rows that
+# share pages, two-page rows, a repeated row and a reversed list.
+@example(case=((8, np.float64, 64), 5, [3]))
+@example(case=((3, np.float64, 64), 40, list(range(7, 31))))
+@example(case=((5, np.float32, 64), 40, [0, 2, 3, 9, 30]))
+@example(case=((16, np.float64, 64), 12, [1, 4, 5, 11]))
+@example(case=((8, np.float64, 64), 12, [2, 2, 5]))
+@example(case=((11, np.float64, 64), 12, [9, 4, 0]))
+def test_property_page_count_closed_forms(tmp_path_factory, case):
+    """``pages_for_rows`` (closed forms for contiguous and whole-page
+    strictly increasing rows, arithmetic otherwise) == the union of every
+    row's byte run, on every layout and row-list shape."""
+    (cols, dtype, page_size), rows, idx = case
+    path = tmp_path_factory.mktemp("pages") / "m.mat"
+    with MatrixStore.create(
+        path, np.zeros((rows, cols)), page_size=page_size, pool_capacity=2, dtype=dtype
+    ) as store:
+        assert store.pages_for_rows(idx) == _page_union(store, cols, idx)
+        assert store.pages_for_rows(np.asarray(idx)) == _page_union(store, cols, idx)
 
 
 @settings(max_examples=60, deadline=None)
