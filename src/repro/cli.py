@@ -8,10 +8,11 @@ Gives the library the operational surface a deployed system would have:
   append/drift state);
 - ``append``  — fold new days (``--cols``) or customers (``--rows``)
   into an existing model crash-atomically, without a rebuild
-  (``--defer-summaries`` postpones the rollup refresh);
-- ``summarize`` — materialize or refresh a model's summary store (the
-  persisted time-hierarchy rollups behind ``path=summary`` answers and
-  ``/groupby``);
+  (``--defer-summaries`` skips the rollup refresh and leaves the model
+  without a usable summary store until ``summarize``);
+- ``summarize`` — rebuild a model's summary store when it is missing
+  or stale (the persisted time-hierarchy rollups behind
+  ``path=summary`` answers and ``/groupby``);
 - ``cell``    — reconstruct one cell, reporting the disk accesses used;
 - ``aggregate`` — run an aggregate query over row/column ranges;
 - ``query``   — run a textual query ('avg() rows 0:100 cols 7:14');
@@ -166,17 +167,7 @@ def _print_summary_state(model_dir) -> None:
             "(run `repro summarize` to materialize)"
         )
         return
-    if store.fresh:
-        print(
-            f"  summaries: fresh ({store.covered_rows} x "
-            f"{store.covered_cols} covered)"
-        )
-        return
-    print(
-        f"  summaries: lagging — covers {store.covered_rows} x "
-        f"{store.covered_cols} of {store.model_rows} x {store.model_cols} "
-        "(deferred append; run `repro summarize` to catch up)"
-    )
+    print(f"  summaries: fresh ({store.model_rows} x {store.model_cols} covered)")
 
 
 def cmd_append(args) -> int:
@@ -207,19 +198,15 @@ def cmd_append(args) -> int:
         f"rebuild recommended: {result.rebuild_recommended}"
     )
     if not refresh:
-        print(
-            "summaries: refresh deferred "
-            "(run `repro summarize` to catch up)"
-        )
+        print("summaries: refresh deferred (run `repro summarize` to rebuild)")
     return 0
 
 
 def cmd_summarize(args) -> int:
     """Handle ``repro summarize``: bring a model's summary store up to date.
 
-    The refresh is crash-atomic (staged swap) and incremental where the
-    existing store covers part of the model; ``--rebuild`` forces a
-    cold recompute.
+    A fresh store is left alone; a missing or stale one is rebuilt cold,
+    file by file, the state last.  ``--rebuild`` forces the recompute.
     """
     from repro.summaries import summarize_directory
 
@@ -228,8 +215,7 @@ def cmd_summarize(args) -> int:
     )
     state = report["state"]
     print(
-        f"{report['status']} — covers "
-        f"{state['covered_rows']} x {state['covered_cols']} "
+        f"{report['status']} — covers {state['rows']} x {state['cols']} "
         f"({report['seconds']:.2f}s)"
     )
     return 0
@@ -682,14 +668,15 @@ COMMANDS = (
             _arg(
                 "--defer-summaries",
                 action="store_true",
-                help="skip the summary-store refresh (catch up later with "
-                "`repro summarize`); the append itself stays crash-atomic",
+                help="skip the summary-store refresh: queries take the exact "
+                "factor/stream routes until `repro summarize` rebuilds it; "
+                "the append itself stays crash-atomic",
             ),
         ),
     ),
     (
         "summarize",
-        "materialize or refresh a model's summary store (rollups)",
+        "materialize or rebuild a model's summary store (rollups)",
         cmd_summarize,
         (
             _MODEL,
@@ -701,7 +688,8 @@ COMMANDS = (
             _arg(
                 "--start-date",
                 help="calendar date of column 0 (YYYY-MM-DD) for "
-                "calendar-aligned month/quarter/year buckets",
+                "calendar-aligned month/quarter/year buckets (default: "
+                "the date the previous store recorded)",
             ),
         ),
     ),

@@ -417,9 +417,9 @@ def append_columns(
             (persisted for subsequent appends).
         refresh_summaries: incrementally refresh the summary store as
             part of the append (only tiles overlapping the new days or
-            churned deltas recompute).  ``False`` defers the refresh to
-            a later ``repro summarize`` when the churn pattern allows
-            it, otherwise drops the summaries.
+            churned deltas recompute).  ``False`` leaves the model
+            without a usable store until ``repro summarize`` rebuilds
+            it; queries take the exact factor/stream routes meanwhile.
 
     The append costs two streamed passes over the on-disk ``U`` (each
     ``O(N k)`` I/O), the top-``k`` eigenvalues of the ``(M+d)``-sized

@@ -24,7 +24,6 @@ from repro.plan.planner import (
     ROUTE_FACTOR,
     ROUTE_STREAM,
     ROUTE_SUMMARY,
-    ROUTE_SUMMARY_FACTOR,
     ROUTE_SVD,
     ROUTES,
     QueryPlan,
@@ -43,7 +42,6 @@ __all__ = [
     "ROUTE_FACTOR",
     "ROUTE_STREAM",
     "ROUTE_SUMMARY",
-    "ROUTE_SUMMARY_FACTOR",
     "ROUTE_SVD",
     "page_read_ms",
     "plan_aggregate",

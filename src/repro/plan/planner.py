@@ -11,7 +11,6 @@ The route lattice for one ``AggregateQuery`` over ``R x S`` cells:
 route               needs                                  error bound
 ==================  =====================================  ===========
 ``summary``         rollups covering the full selection    0.0 (exact)
-``summary+factor``  rollup core + streamable residual      0.0 (exact)
 ``factor``          factor form, sum/avg/count/stddev,
                     delta fold available                   0.0 (exact)
 ``stream``          per-cell values (delta-corrected)      0.0 (exact)
@@ -20,7 +19,7 @@ route               needs                                  error bound
 
 Admissibility is decided from backend capabilities and the engine's
 mode (``include_deltas=False`` — the brownout engine — forfeits the
-delta fold, so ``factor``/``stream``/partial-summary routes drop out);
+delta fold, so the ``factor`` and ``stream`` routes drop out);
 pricing comes from :mod:`repro.plan.cost`; the cheapest route whose
 error bound fits the caller's ``max_rmspe`` budget wins, with exact
 routes preferred on cost ties.  ``max_rmspe=0.0`` therefore *provably*
@@ -47,7 +46,6 @@ __all__ = [
     "ROUTE_FACTOR",
     "ROUTE_STREAM",
     "ROUTE_SUMMARY",
-    "ROUTE_SUMMARY_FACTOR",
     "ROUTE_SVD",
     "QueryPlan",
     "RejectedRoute",
@@ -57,7 +55,6 @@ __all__ = [
 ]
 
 ROUTE_SUMMARY = "summary"
-ROUTE_SUMMARY_FACTOR = "summary+factor"
 ROUTE_FACTOR = "factor"
 ROUTE_SVD = "svd"
 ROUTE_STREAM = "stream"
@@ -67,7 +64,6 @@ ROUTE_STREAM = "stream"
 #: route wins, keeping plans deterministic.
 ROUTES = (
     ROUTE_SUMMARY,
-    ROUTE_SUMMARY_FACTOR,
     ROUTE_FACTOR,
     ROUTE_SVD,
     ROUTE_STREAM,
@@ -119,8 +115,8 @@ class QueryPlan:
     ``route`` is the winner; ``candidates`` every admissible route in
     cost order (winner first); ``rejected`` the inadmissible routes
     with reasons.  ``summary_plan`` carries the
-    :class:`~repro.summaries.store.SummaryPlan` computed during
-    planning so execution reuses it instead of re-deriving coverage.
+    :class:`~repro.query.components.Components` the summary store
+    answered during planning, so execution reuses them.
     ``row_idx`` / ``col_idx`` (the resolved selection) and ``backend``
     (the source it was priced against) travel with the decision, so
     :meth:`repro.query.engine.QueryEngine.execute` can be handed the
@@ -198,8 +194,6 @@ def plan_aggregate(
     cells = int(row_idx.size) * int(col_idx.size)
     if params is None:
         params = CostParams.for_backend(backend.memory_resident)
-    # A mapped store's "pages" are logical only — they never seek.
-    priced_store = None if backend.memory_resident else backend.paged_store
     rank = backend.rank
     candidates: list[RouteEstimate] = []
     rejected: list[RejectedRoute] = []
@@ -208,17 +202,16 @@ def plan_aggregate(
     def reject(name: str, reason: str) -> None:
         rejected.append(RejectedRoute(name, reason))
 
-    def pages_and_bytes(rows: np.ndarray) -> tuple[int, int]:
-        """(distinct pages, page bytes) a gather of ``rows`` touches."""
-        if priced_store is None or rows.size == 0:
-            return 0, 0
-        return priced_store.pages_for_rows(rows), priced_store.page_size
-
     # The factor, svd and stream routes all gather the selected rows:
-    # count their pages once.
-    row_pages, row_page_bytes = pages_and_bytes(row_idx)
+    # count their pages once.  A mapped store's "pages" are logical
+    # only — they never seek.
+    row_pages, row_page_bytes = 0, 0
+    priced_store = None if backend.memory_resident else backend.paged_store
+    if priced_store is not None and row_idx.size:
+        row_pages = priced_store.pages_for_rows(row_idx)
+        row_page_bytes = priced_store.page_size
 
-    # -- summary routes ------------------------------------------------
+    # -- summary route -------------------------------------------------
     if not use_summaries:
         reject(ROUTE_SUMMARY, "summaries disabled for this engine")
     else:
@@ -232,7 +225,7 @@ def plan_aggregate(
                     ROUTE_SUMMARY,
                     "selection does not span a full axis of the rollups",
                 )
-            elif summary_plan.full_hit:
+            else:
                 touched = int(row_idx.size) + int(col_idx.size)
                 candidates.append(
                     RouteEstimate(
@@ -241,40 +234,6 @@ def plan_aggregate(
                         + flops_ms(touched, params.ns_per_cell),
                         pages=0,
                         row_fetches=0,
-                        error_bound=0.0,
-                    )
-                )
-            elif not include_deltas:
-                reject(
-                    ROUTE_SUMMARY_FACTOR,
-                    "residual streaming needs delta-corrected rows, "
-                    "unavailable on the SVD-only engine",
-                )
-            else:
-                resid_rows = np.unique(
-                    np.concatenate(
-                        [rows for rows, _cols in summary_plan.residuals]
-                    )
-                )
-                resid_cells = sum(
-                    int(rows.size) * int(cols.size)
-                    for rows, cols in summary_plan.residuals
-                )
-                pages, page_bytes = pages_and_bytes(resid_rows)
-                fetches = sum(
-                    int(rows.size) for rows, _cols in summary_plan.residuals
-                )
-                candidates.append(
-                    RouteEstimate(
-                        ROUTE_SUMMARY_FACTOR,
-                        cost_ms=params.summary_floor_ms
-                        + params.stream_floor_ms
-                        + page_read_ms(params, pages, page_bytes)
-                        + flops_ms(
-                            resid_cells * max(rank, 1), params.ns_per_cell
-                        ),
-                        pages=pages,
-                        row_fetches=fetches,
                         error_bound=0.0,
                     )
                 )

@@ -36,7 +36,6 @@ from repro.plan.planner import (
     ROUTE_FACTOR,
     ROUTE_STREAM,
     ROUTE_SUMMARY,
-    ROUTE_SUMMARY_FACTOR,
     ROUTE_SVD,
     QueryPlan,
     plan_aggregate,
@@ -170,10 +169,7 @@ class QueryEngine:
             (:class:`~repro.summaries.store.SummaryStore`).  A
             selection spanning a full axis is answered from
             materialized rollups — exact, delta-inclusive, zero
-            ``u.mat`` pages — with any uncovered edge streamed as a
-            residual and merged (the residual streaming needs the
-            delta-corrected rows, so partial hits require
-            ``include_deltas=True``).
+            ``u.mat`` pages.
 
     Every aggregate is routed by :func:`repro.plan.plan_aggregate`
     under the query's ``max_rmspe`` budget; :meth:`explain` and
@@ -195,7 +191,6 @@ class QueryEngine:
             "fast_path_hits": 0,
             "streamed": 0,
             "summary_hits": 0,
-            "summary_partial": 0,
         }
         # Query evaluation itself is stateless per call; this lock only
         # guards the path counters so concurrent executor workers can
@@ -415,8 +410,8 @@ class QueryEngine:
         """
         backend, row_idx, col_idx = plan.backend, plan.row_idx, plan.col_idx
         route = plan.route.name
-        if route in (ROUTE_SUMMARY, ROUTE_SUMMARY_FACTOR):
-            return self._run_summary(query.function, plan, backend)
+        if route == ROUTE_SUMMARY:
+            return self._run_summary(query.function, plan)
         if route in (ROUTE_FACTOR, ROUTE_SVD):
             # The planner admitted this route on the same immutable
             # backend, so its factor form cannot have gone away.
@@ -438,41 +433,18 @@ class QueryEngine:
             )
         return self._run_stream(query.function, row_idx, col_idx, backend)
 
-    def _run_summary(
-        self, function: str, plan: QueryPlan, backend: Backend
-    ) -> QueryResult:
-        """Serve a summary full or partial hit chosen by the planner.
-
-        A full hit touches no ``u.mat`` pages at all; a partial hit
-        ("summary+factor") streams only the residual rectangles the
-        rollups do not cover and merges components — exact either way.
-        """
-        summary = plan.summary_plan
-        comps = summary.core
-        rows_fetched = 0
-        if summary.residuals:
-            with _span(
-                "query.stream.scan",
-                rows=sum(int(rows.size) for rows, _cols in summary.residuals),
-            ):
-                for rows, cols in summary.residuals:
-                    comps = comps.merge(
-                        stream_components(backend, rows, cols, function)
-                    )
-                    rows_fetched += int(rows.size)
-        value = _finalize_components(function, comps)
-        route = plan.route.name
+    def _run_summary(self, function: str, plan: QueryPlan) -> QueryResult:
+        """Serve a summary hit chosen by the planner: no ``u.mat`` pages."""
+        comps = plan.summary_plan
         with self._stats_lock:
-            self.stats[
-                "summary_hits" if summary.full_hit else "summary_partial"
-            ] += 1
+            self.stats["summary_hits"] += 1
         if _obs.enabled:
-            _obs.counter(f"query.path.{route}").inc()
+            _obs.counter(f"query.path.{ROUTE_SUMMARY}").inc()
         return QueryResult(
-            value=value,
+            value=_finalize_components(function, comps),
             cells_touched=comps.count,
-            rows_fetched=rows_fetched,
-            route=route,
+            rows_fetched=0,
+            route=ROUTE_SUMMARY,
             error_bound=0.0,
         )
 
@@ -500,8 +472,8 @@ class QueryEngine:
     def try_summary(self, query) -> QueryResult | None:
         """Answer an aggregate *entirely* from the summary store.
 
-        Returns None unless the store fully covers the selection — no
-        residual streaming, no factor math, zero page reads.  Works
+        Returns None unless the selection spans a full axis of the
+        store — no factor math, zero page reads.  Works
         regardless of ``include_deltas``: the rollups fold the deltas
         in at materialization time, so even the brownout (SVD-only)
         engine can hand out these answers as exact.  That is how the
@@ -517,10 +489,10 @@ class QueryEngine:
             row_idx, col_idx = query.selection.resolve(backend.shape)
         except QueryError:
             return None
-        plan = store.plan(row_idx, col_idx)
-        if plan is None or not plan.full_hit:
+        comps = store.plan(row_idx, col_idx)
+        if comps is None:
             return None
-        value = _finalize_components(query.function, plan.core)
+        value = _finalize_components(query.function, comps)
         with self._stats_lock:
             self.stats["summary_hits"] += 1
         profile = None
@@ -529,14 +501,14 @@ class QueryEngine:
             profile = QueryProfile(
                 path="summary",
                 function=query.function,
-                cells=plan.core.count,
+                cells=comps.count,
                 rows_fetched=0,
                 pages_read=0,
                 backend=backend.name,
             )
         return QueryResult(
             value=value,
-            cells_touched=plan.core.count,
+            cells_touched=comps.count,
             rows_fetched=0,
             profile=profile,
             route="summary",

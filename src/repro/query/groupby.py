@@ -19,8 +19,8 @@ When the backend carries a materialized summary store
 (:class:`repro.summaries.SummaryStore`), full-axis profiles are
 answered straight from the persisted rollups — zero ``u.mat`` pages —
 and :func:`bucket_series` serves whole dashboard series ("sum by
-month", "top customers") the same way, merging a streamed residual
-when the store's coverage lags the model after a deferred append.
+month", "top customers") the same way; without a store (none built
+yet, or a deferred append left it stale) the series is streamed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ, bucket_stats
 from repro.summaries.compute import level_edges as _level_edges
 from repro.summaries.store import GROUP_BY_AXES, _finalize_vector
 
-#: Rows per block when streaming profile residuals.
+#: Rows per block when streaming a profile.
 _PROFILE_BLOCK_ROWS = 512
 
 
@@ -50,7 +50,7 @@ def row_totals(backend, selection: Selection | None = None) -> np.ndarray:
     row_idx, col_idx = (selection or Selection()).resolve(backend.shape)
 
     store = backend.summaries
-    if store is not None and store.fresh and col_idx.size == backend.shape[1]:
+    if store is not None and col_idx.size == backend.shape[1]:
         # Full-width selection: the per-customer profile already holds
         # the delta-corrected answer; no U pages touched.
         return np.asarray(store.row_stats[S_SUM][row_idx], dtype=np.float64).copy()
@@ -76,7 +76,7 @@ def column_totals(backend, selection: Selection | None = None) -> np.ndarray:
     row_idx, col_idx = (selection or Selection()).resolve(backend.shape)
 
     store = backend.summaries
-    if store is not None and store.fresh and row_idx.size == backend.shape[0]:
+    if store is not None and row_idx.size == backend.shape[0]:
         # Full-height selection: answer from the per-day profile.
         return np.asarray(store.col_stats[S_SUM][col_idx], dtype=np.float64).copy()
 
@@ -115,9 +115,8 @@ def _stream_profiles(adapter, row_idx, col_idx):
     """Per-row and per-column 4-stat profiles of one rectangle, streamed.
 
     Returns ``(row_stats, col_stats)`` of shapes ``(4, len(row_idx))``
-    and ``(4, len(col_idx))`` in ``S_SUM/S_SUMSQ/S_MIN/S_MAX`` order.
-    This is the residual evaluator for coverage a deferred append left
-    behind the summary store.
+    and ``(4, len(col_idx))`` in ``S_SUM/S_SUMSQ/S_MIN/S_MAX`` order:
+    a group-by's answer on a model without a summary store.
     """
     rows_n, cols_n = int(row_idx.size), int(col_idx.size)
     row_stats = np.zeros((4, rows_n))
@@ -141,58 +140,6 @@ def _stream_profiles(adapter, row_idx, col_idx):
     return row_stats, col_stats
 
 
-def _merge_stats(left, right):
-    """Merge two 4-stat arrays over disjoint cell sets, elementwise."""
-    merged = np.empty_like(left)
-    merged[S_SUM] = left[S_SUM] + right[S_SUM]
-    merged[S_SUMSQ] = left[S_SUMSQ] + right[S_SUMSQ]
-    merged[S_MIN] = np.minimum(left[S_MIN], right[S_MIN])
-    merged[S_MAX] = np.maximum(left[S_MAX], right[S_MAX])
-    return merged
-
-
-def _combined_col_profile(adapter, store):
-    """Full-model per-column profile: summary core + streamed residual."""
-    num_rows, num_cols = adapter.shape
-    cr, cc = store.covered_rows, store.covered_cols
-    full = np.zeros((4, num_cols))
-    full[S_MIN] = np.inf
-    full[S_MAX] = -np.inf
-    full[:, :cc] = np.asarray(store.col_stats, dtype=np.float64)
-    if cc < num_cols:  # appended days, covered customers
-        _rows, tail = _stream_profiles(
-            adapter, np.arange(cr, dtype=np.int64), np.arange(cc, num_cols)
-        )
-        full[:, cc:] = tail
-    if cr < num_rows:  # appended customers, every day
-        _rows, below = _stream_profiles(
-            adapter, np.arange(cr, num_rows, dtype=np.int64), np.arange(num_cols)
-        )
-        full = _merge_stats(full, below)
-    return full
-
-
-def _combined_row_profile(adapter, store):
-    """Full-model per-row profile: summary core + streamed residual."""
-    num_rows, num_cols = adapter.shape
-    cr, cc = store.covered_rows, store.covered_cols
-    full = np.zeros((4, num_rows))
-    full[S_MIN] = np.inf
-    full[S_MAX] = -np.inf
-    full[:, :cr] = np.asarray(store.row_stats, dtype=np.float64)
-    if cc < num_cols:
-        tail, _cols = _stream_profiles(
-            adapter, np.arange(cr, dtype=np.int64), np.arange(cc, num_cols)
-        )
-        full[:, :cr] = _merge_stats(full[:, :cr], tail)
-    if cr < num_rows:
-        below, _cols = _stream_profiles(
-            adapter, np.arange(cr, num_rows, dtype=np.int64), np.arange(num_cols)
-        )
-        full[:, cr:] = below
-    return full
-
-
 def bucket_series(backend, by: str, function: str, limit: int | None = None) -> dict:
     """A whole group-by series: one value per bucket of ``by``.
 
@@ -202,11 +149,10 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
     truncates the series: top-``limit`` by value for ``customer``
     (descending), most recent ``limit`` buckets for time levels.
 
-    Served from the materialized summary store when the backend has a
-    fresh one (``path="summary"``, zero ``u.mat`` pages); a stale store
-    contributes its core with the uncovered edge streamed and merged
-    (``path="summary+stream"``); without a store the whole series is
-    streamed (``path="stream"``).  Returns a JSON-ready dict with the
+    Served from the materialized summary store when the backend has
+    one (``path="summary"``, zero ``u.mat`` pages); without one the
+    whole series is streamed (``path="stream"``), with structural
+    month/quarter/year widths.  Returns a JSON-ready dict with the
     series, its bucket edges or labels, and the path taken.
     """
     if by not in GROUP_BY_AXES:
@@ -218,35 +164,22 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
     adapter = as_backend(backend)
     num_rows, num_cols = adapter.shape
     store = adapter.summaries
-    partial = store is not None and not store.fresh
-    path = "stream" if store is None else ("summary+stream" if partial else "summary")
+    path = "stream" if store is None else "summary"
 
-    if store is not None and not partial:
+    if store is not None:
         labels_or_edges, values = store.bucket_values(by, function)
     else:
-        start_date = store.start_date if store is not None else None
+        row_stats, col_stats = _stream_profiles(
+            adapter,
+            np.arange(num_rows, dtype=np.int64),
+            np.arange(num_cols, dtype=np.int64),
+        )
         if by == "customer":
-            if store is not None:
-                row_stats = _combined_row_profile(adapter, store)
-            else:
-                row_stats, _cols = _stream_profiles(
-                    adapter,
-                    np.arange(num_rows, dtype=np.int64),
-                    np.arange(num_cols, dtype=np.int64),
-                )
             labels_or_edges = np.arange(num_rows, dtype=np.int64)
             counts = np.full(num_rows, float(num_cols))
             values = _finalize_vector(function, row_stats, counts)
         else:
-            if store is not None:
-                col_stats = _combined_col_profile(adapter, store)
-            else:
-                _rows, col_stats = _stream_profiles(
-                    adapter,
-                    np.arange(num_rows, dtype=np.int64),
-                    np.arange(num_cols, dtype=np.int64),
-                )
-            edges = _level_edges(by, num_cols, start_date)
+            edges = _level_edges(by, num_cols)
             bucketed = bucket_stats(col_stats, edges)
             counts = np.diff(edges).astype(np.float64) * num_rows
             labels_or_edges, values = edges, _finalize_vector(
@@ -273,6 +206,5 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
         "buckets": int(values.size),
         "values": [float(value) for value in values],
         "path": path,
-        "partial": partial,
         **payload,
     }

@@ -32,15 +32,14 @@ thread woken, and the engine's spans and counters land in the registry
    planned;
 5. **execute here, what you planned** — the plan goes back to the
    engine that made it.  A plan that gathers rows of U
-   (``row_fetches > 0``: ``factor``, ``stream``, ``summary+factor``,
-   ``svd``) first takes one of ``workers`` **slots** — how many gathers
-   compute at once — waiting no longer than its deadline: a gather
-   still queued when its deadline passes is dropped before any compute
-   (504), and it holds its admission ticket while it waits, so depth
-   and age shedding see the backlog.  Cells, full rollup hits,
-   ``count`` and group-bys never take a slot.  The deadline is compared
-   once more after execution, so a 200 never arrives after its
-   deadline, on any route.
+   (``row_fetches > 0``: ``factor``, ``stream``, ``svd``) first takes
+   one of ``workers`` **slots** — how many gathers compute at once —
+   waiting no longer than its deadline: a gather still queued when its
+   deadline passes is dropped before any compute (504), and it holds
+   its admission ticket while it waits, so depth and age shedding see
+   the backlog.  Cells, rollup hits, ``count`` and group-bys never take
+   a slot.  The deadline is compared once more after execution, so a
+   200 never arrives after its deadline, on any route.
 
 What the process pool this replaced gave, and this does not: a *running*
 gather cannot be abandoned mid-flight, so its 504 arrives when the
@@ -140,7 +139,6 @@ class RobustDispatcher:
         self.degraded_answers = 0
         self.deadline_misses = 0
         self.summary_hits = 0
-        self.summary_partial = 0
         self.summary_misses = 0
         self.summary_brownout_hits = 0
 
@@ -334,8 +332,8 @@ class RobustDispatcher:
 
         A summary hit reads only the small rollup arrays (zero
         ``u.mat`` pages), so a group-by never takes a gather slot.
-        Admission still applies: a stale store's streamed residual is
-        real work.  Raises :class:`~repro.exceptions.QueryError` for a
+        Admission still applies: a model without a store streams the
+        series, which is real work.  Raises :class:`~repro.exceptions.QueryError` for a
         bad axis/function, :class:`~repro.exceptions.OverloadedError`
         when shed.
         """
@@ -345,8 +343,6 @@ class RobustDispatcher:
         path = series["path"]
         if path == "summary":
             self._count("summary_hits", "server.summary.hits")
-        elif path == "summary+stream":
-            self._count("summary_partial", "server.summary.partial")
         else:
             self._count("summary_misses", "server.summary.misses")
         series["degraded"] = bool(self.model_degraded and path != "summary")
@@ -393,7 +389,6 @@ class RobustDispatcher:
             "deadline_misses": self.deadline_misses,
             "degraded_answers": self.degraded_answers,
             "summary_hits": self.summary_hits,
-            "summary_partial": self.summary_partial,
             "summary_misses": self.summary_misses,
             "summary_brownout_hits": self.summary_brownout_hits,
             "brownout": self.brownout_active(),

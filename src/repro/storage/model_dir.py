@@ -482,8 +482,8 @@ def write_model(
             is neither passed nor already in ``staging`` is hardlinked
             from it, and keeps its manifest entry instead of being
             re-hashed.
-        refresh_summaries: with ``previous``, False defers the summary
-            refresh to a later ``repro summarize`` (see
+        refresh_summaries: with ``previous``, False skips the summary
+            refresh until a later ``repro summarize`` (see
             :func:`repro.summaries.compute.carry_summaries`).
     """
     # Lazy: repro.summaries sits above the storage layer.

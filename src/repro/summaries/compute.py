@@ -4,13 +4,22 @@ Six files land beside the model artifacts (all covered by the model's
 integrity manifest and the ``staged_directory`` swap):
 
 ```
-summary_state.json      generation stamp + coverage + layout parameters
-summary_cols.npy        (4, covered_cols)   per-day sum/sumsq/min/max
-summary_rows.npy        (4, covered_rows)   per-customer sum/sumsq/min/max
-summary_colblocks.npy   (4, B, covered_cols) per-row-block column partials
-summary_rowchunks.npy   (2, covered_rows, C) per-column-chunk row min/max
+summary_state.json      generation stamp + layout parameters + start_date
+summary_cols.npy        (4, cols)     per-day sum/sumsq/min/max
+summary_rows.npy        (4, rows)     per-customer sum/sumsq/min/max
+summary_colblocks.npy   (4, B, cols)  per-row-block column partials
+summary_rowchunks.npy   (2, rows, C)  per-column-chunk row min/max
 summary_levels.npz      edges_<level> / stats_<level> rollups + grand totals
 ```
+
+A store always covers the whole model it is stamped for.  The state
+still records ``covered_rows``/``covered_cols``, equal to
+``rows``/``cols``, so the format stays readable both ways; a state
+whose coverage lags its stamp is refused like a foreign generation.
+A deferred append (:func:`carry_summaries` with ``refresh=False``)
+carries ``summary_state.json`` forward alone and unchanged: its stamp
+names the previous generation, so no reader uses it, but the next cold
+materialization takes its ``start_date``.
 
 **The bit-identical contract.**  Incremental regeneration after an
 append must produce *byte-identical* arrays to a cold rebuild of the
@@ -337,14 +346,14 @@ def changed_cells(
 
 
 def dirty_tiles(
-    covered_rows: int,
-    covered_cols: int,
+    prior_rows: int,
+    prior_cols: int,
     shape: tuple[int, int],
     churn_keys: np.ndarray,
 ) -> dict[int, set[int]]:
     """The tile set an incremental refresh must recompute.
 
-    Everything beyond the prior coverage is dirty (new rows/columns and
+    Everything beyond the prior shape is dirty (new rows/columns and
     the boundary block/chunk whose GEMM shape changed), plus the tile
     of every churned delta cell.  ``churn_keys`` address the *new*
     (post-append) key space.
@@ -352,8 +361,8 @@ def dirty_tiles(
     num_rows, num_cols = shape
     blocks = _ceil_div(num_rows, BLOCK_ROWS)
     chunks = _ceil_div(num_cols, CHUNK_COLS)
-    first_dirty_chunk = covered_cols // CHUNK_COLS if covered_cols < num_cols else chunks
-    first_dirty_block = covered_rows // BLOCK_ROWS if covered_rows < num_rows else blocks
+    first_dirty_chunk = prior_cols // CHUNK_COLS if prior_cols < num_cols else chunks
+    first_dirty_block = prior_rows // BLOCK_ROWS if prior_rows < num_rows else blocks
     dirty: dict[int, set[int]] = {}
     if first_dirty_chunk < chunks:
         for block in range(blocks):
@@ -394,9 +403,20 @@ def load_state(directory: Path) -> dict | None:
     return state
 
 
-def stamped_generation(state: dict) -> tuple[int, int, int, int]:
-    """The model generation a summary state was written for."""
-    return tuple(int(state[key]) for key in ("rows", "cols", "num_deltas", "appends"))
+def stamped_generation(state: dict) -> tuple[int, int, int, int] | None:
+    """The model generation a summary state was written for, or None
+    when its coverage lags that generation (compares unequal to all)."""
+    rows, cols = int(state["rows"]), int(state["cols"])
+    if (int(state["covered_rows"]), int(state["covered_cols"])) != (rows, cols):
+        return None
+    return rows, cols, int(state["num_deltas"]), int(state["appends"])
+
+
+def _recorded_start_date(directory: Path) -> str | None:
+    """The calendar anchor the directory's last summary state recorded,
+    whatever generation it is stamped for."""
+    state = load_state(directory)
+    return None if state is None else state.get("start_date")
 
 
 def load_prior(parts: ModelParts) -> dict | None:
@@ -429,11 +449,10 @@ def load_prior(parts: ModelParts) -> dict | None:
         row_chunks = np.load(directory / ROWCHUNKS_NAME, allow_pickle=False)
     except Exception:
         return None
-    covered_rows = int(state["covered_rows"])
-    covered_cols = int(state["covered_cols"])
-    if col_blocks.shape != (4, _ceil_div(covered_rows, BLOCK_ROWS), covered_cols):
+    rows, cols = int(state["rows"]), int(state["cols"])
+    if col_blocks.shape != (4, _ceil_div(rows, BLOCK_ROWS), cols):
         return None
-    if row_chunks.shape != (2, covered_rows, _ceil_div(covered_cols, CHUNK_COLS)):
+    if row_chunks.shape != (2, rows, _ceil_div(cols, CHUNK_COLS)):
         return None
     return {"state": state, "col_blocks": col_blocks, "row_chunks": row_chunks}
 
@@ -451,6 +470,7 @@ def materialize_summaries(
     staged: ModelParts,
     prior: dict | None = None,
     dirty: dict[int, set[int]] | None = None,
+    start_date: str | None = None,
 ) -> dict:
     """Build (or refresh) the summary files of a model being staged.
 
@@ -460,11 +480,12 @@ def materialize_summaries(
     :func:`load_prior` / :func:`dirty_tiles`), clean tiles are copied
     from the prior arrays and only the dirty ones recomputed; the result
     is bit-identical to a cold build by the tile-grid contract in the
-    module docstring.
+    module docstring.  ``start_date`` anchors a cold build's calendar
+    levels; a refresh keeps the prior's.
 
     Returns the state dict that was written.
     """
-    state, files = _materialize(staged, prior, dirty, None)
+    state, files = _materialize(staged, prior, dirty, start_date)
     for name, data in files:
         (staged.directory / name).write_bytes(data)
     return state
@@ -581,69 +602,52 @@ def carry_summaries(previous: ModelParts, staged: ModelParts, refresh: bool) -> 
 
     ``previous`` is the pre-append model; ``staged`` the post-append one
     as :func:`~repro.storage.model_dir.write_model` holds it (outliers
-    sorted by key).  Comparing its outliers against the previous set
-    (re-based to the new key space — a column append changes ``M``)
-    yields the churned cells: the delta budget re-competition can evict
-    an old outlier far from the appended region, and the tile holding it
-    reconstructs differently from then on.
-
-    Three outcomes:
+    sorted by key).  Three outcomes:
 
     - ``refresh`` with a valid prior → recompute only the dirty tiles
       (appended region, resized boundary tiles, churn tiles) —
-      bit-identical to a cold rebuild;
-    - ``refresh`` without one → cold build inside staging;
-    - ``refresh=False`` (deferred) → hardlink the summary files forward
-      with the *old* coverage recorded in a re-stamped state, so a
-      later ``repro summarize`` can catch up incrementally.  Valid only
-      when every churned cell lies outside the covered region;
-      otherwise the covered tiles can no longer be trusted and the
-      summaries are dropped instead.
+      bit-identical to a cold rebuild.  The churn is the staged
+      outliers compared against the previous set (re-based to the new
+      key space — a column append changes ``M``): the delta budget
+      re-competition can evict an old outlier far from the appended
+      region, and the tile holding it reconstructs differently;
+    - ``refresh`` without one → cold build inside staging, anchored at
+      the ``start_date`` the previous state recorded;
+    - ``refresh=False`` (deferred) → hardlink ``summary_state.json``
+      forward alone and unchanged.  The model has no usable store until
+      :func:`summarize_directory` rebuilds it; the state keeps the
+      calendar anchor for that rebuild.
     """
+    if not refresh:
+        if (previous.directory / STATE_NAME).exists():
+            link_or_copy(previous.directory / STATE_NAME, staged.directory / STATE_NAME)
+        if _obs.enabled:
+            _obs.counter("update.summary_defers").inc()
+        return
     prior = load_prior(previous)
     if prior is None:
-        if refresh:
-            with _span("update.summaries", mode="cold"):
-                materialize_summaries(staged)
+        with _span("update.summaries", mode="cold"):
+            materialize_summaries(
+                staged, start_date=_recorded_start_date(previous.directory)
+            )
         return
-    num_rows, num_cols, num_deltas, appends = staged.generation
+    shape = staged.generation[:2]
     churn = changed_cells(
-        previous.delta_keys_at(num_cols),
+        previous.delta_keys_at(shape[1]),
         previous.delta_values,
         staged.delta_keys,
         staged.delta_values,
     )
-    covered = (
-        int(prior["state"]["covered_rows"]),
-        int(prior["state"]["covered_cols"]),
-    )
-    if refresh:
-        dirty = dirty_tiles(covered[0], covered[1], (num_rows, num_cols), churn)
-        with _span(
-            "update.summaries",
-            mode="incremental",
-            tiles=sum(len(chunks) for chunks in dirty.values()),
-            churn=int(churn.size),
-        ):
-            materialize_summaries(staged, prior, dirty)
-        if _obs.enabled:
-            _obs.counter("update.summary_refreshes").inc()
-        return
-    confined = bool(
-        np.all((churn // num_cols >= covered[0]) | (churn % num_cols >= covered[1]))
-    )
-    if not confined:
-        if _obs.enabled:
-            _obs.counter("update.summary_drops").inc()
-        return
-    for name in SUMMARY_FILES:
-        if name != STATE_NAME and (previous.directory / name).exists():
-            link_or_copy(previous.directory / name, staged.directory / name)
-    state = dict(prior["state"])
-    state.update(rows=num_rows, cols=num_cols, num_deltas=num_deltas, appends=appends)
-    (staged.directory / STATE_NAME).write_text(json.dumps(state, indent=2))
+    dirty = dirty_tiles(*previous.generation[:2], shape, churn)
+    with _span(
+        "update.summaries",
+        mode="incremental",
+        tiles=sum(len(chunks) for chunks in dirty.values()),
+        churn=int(churn.size),
+    ):
+        materialize_summaries(staged, prior, dirty)
     if _obs.enabled:
-        _obs.counter("update.summary_defers").inc()
+        _obs.counter("update.summary_refreshes").inc()
 
 
 def summarize_directory(
@@ -655,18 +659,17 @@ def summarize_directory(
 
     The cubedash-gen-style ops entry point behind ``repro summarize``:
 
-    - already fresh (and no ``--rebuild``/``start_date`` change) →
-      no-op, status ``"fresh"``;
-    - stale only in *coverage* (a deferred append stamped the current
-      generation but left ``covered_* < rows/cols``) → incremental
-      catch-up over the uncovered tiles, status ``"refreshed"``;
-    - anything else (no store, foreign generation, ``--rebuild``) →
-      cold build, status ``"rebuilt"``.
+    - a store stamped for this model (and no ``--rebuild``, no new
+      ``start_date``) → no-op, status ``"fresh"``;
+    - anything else (no store, a stale or lagging stamp, a deferred
+      append, ``--rebuild``) → cold build, status ``"rebuilt"``.
 
-    The model is read — and so validated — first: a damaged directory
-    is refused before any summary file is touched.  The integrity
-    manifest is rewritten afterwards, reusing the recorded hashes of
-    every non-summary file.
+    Without ``start_date`` the build keeps the calendar anchor the
+    directory's last summary state recorded, whatever its stamp.  The
+    model is read — and so validated — first: a damaged directory is
+    refused before any summary file is touched.  The integrity manifest
+    is rewritten afterwards, reusing the recorded hashes of every
+    non-summary file.
     """
     directory = Path(directory)
     started = time.perf_counter()
@@ -680,24 +683,13 @@ def summarize_directory(
         }
 
     with read_model(directory) as parts:
-        shape = parts.generation[:2]
+        recorded = _recorded_start_date(directory)
+        if start_date is None:
+            start_date = recorded
         prior = None if rebuild else load_prior(parts)
-        status, tiles = "rebuilt", None
-        if prior is not None:
-            state = prior["state"]
-            covered = (int(state["covered_rows"]), int(state["covered_cols"]))
-            if start_date is not None and state.get("start_date") != start_date:
-                prior = None  # bucket edges move: every level recomputes
-            elif covered == shape:
-                return report("fresh", state)
-            else:
-                # Deferred-append catch-up.  The defer path only carries
-                # summaries forward when delta churn stayed inside the
-                # appended region, so the uncovered tiles are exactly
-                # the dirty set.
-                tiles = dirty_tiles(*covered, shape, np.empty(0, dtype=np.int64))
-                status = "refreshed"
-        state, files = _materialize(parts, prior, tiles, start_date)
+        if prior is not None and start_date == recorded:
+            return report("fresh", prior["state"])
+        state, files = _materialize(parts, None, None, start_date)
         reuse = {
             name: entry
             for name, entry in parts.manifest_files.items()
@@ -711,7 +703,7 @@ def summarize_directory(
     log_event(
         "summaries.summarize",
         directory=str(directory),
-        status=status,
+        status="rebuilt",
         seconds=round(time.perf_counter() - started, 6),
     )
-    return report(status, state)
+    return report("rebuilt", state)

@@ -6,23 +6,19 @@ directory, validates the generation stamp against the live model
 describes a different model and is refused), and answers two kinds of
 requests:
 
-- **aggregate planning** (:meth:`plan`): decompose a rectangular
-  selection into a *core* answered from precomputed components plus
-  *residual* rectangles the caller streams.  Sum/sumsq/count merge by
-  addition and min/max by comparison over disjoint rectangles, so the
-  merged answer is exact — not an approximation;
+- **aggregate planning** (:meth:`plan`): the exact components of a
+  selection that spans a full axis, from the precomputed profiles;
 - **bucket series** (:meth:`bucket_values`): a whole group-by
   ("sum by day", "avg by month", "max by customer") evaluated
   vectorized from the rollup arrays, zero ``u.mat`` pages.
 
-A store whose coverage is *behind* the model (a deferred append) is
-still loadable — ``fresh`` is False and plans grow residual
-rectangles over the uncovered rows/columns.
+A loaded store always covers the whole model it is stamped for.  A
+deferred append leaves none: its carried state names the previous
+generation, so it is refused until ``repro summarize`` rebuilds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,29 +36,11 @@ from repro.summaries.compute import (
     S_SUMSQ,
 )
 
-__all__ = ["SummaryPlan", "SummaryStore"]
+__all__ = ["SummaryStore"]
 
 #: Group-by axes bucket_values understands: the time hierarchy plus the
 #: per-customer profile.
 GROUP_BY_AXES = LEVELS + ("customer",)
-
-
-@dataclass(frozen=True)
-class SummaryPlan:
-    """A selection decomposed into summary core + streamed residuals.
-
-    ``core`` holds the components of every covered cell; ``residuals``
-    are disjoint ``(row_idx, col_idx)`` rectangles (possibly empty)
-    whose cells the summary does not cover.  An empty residual list is
-    a full hit.
-    """
-
-    core: Components
-    residuals: list = field(default_factory=list)
-
-    @property
-    def full_hit(self) -> bool:
-        return not self.residuals
 
 
 class SummaryStore:
@@ -125,12 +103,8 @@ class SummaryStore:
         except Exception:
             _obs.counter("summary.load_failures").inc()
             return None
-        covered_rows = int(state["covered_rows"])
-        covered_cols = int(state["covered_cols"])
-        if col_stats.shape != (4, covered_cols) or row_stats.shape != (
-            4,
-            covered_rows,
-        ):
+        rows, cols = int(state["rows"]), int(state["cols"])
+        if col_stats.shape != (4, cols) or row_stats.shape != (4, rows):
             _obs.counter("summary.load_failures").inc()
             return None
         for level in LEVELS:
@@ -150,33 +124,17 @@ class SummaryStore:
         return int(self._state["cols"])
 
     @property
-    def covered_rows(self) -> int:
-        return int(self._state["covered_rows"])
-
-    @property
-    def covered_cols(self) -> int:
-        return int(self._state["covered_cols"])
-
-    @property
-    def fresh(self) -> bool:
-        """True when coverage spans the whole model (no deferred tail)."""
-        return (self.covered_rows, self.covered_cols) == (
-            self.model_rows,
-            self.model_cols,
-        )
-
-    @property
     def start_date(self) -> str | None:
         return self._state.get("start_date")
 
     @property
     def row_stats(self) -> np.ndarray:
-        """(4, covered_rows) per-customer sum/sumsq/min/max."""
+        """(4, rows) per-customer sum/sumsq/min/max."""
         return self._row_stats
 
     @property
     def col_stats(self) -> np.ndarray:
-        """(4, covered_cols) per-day sum/sumsq/min/max."""
+        """(4, cols) per-day sum/sumsq/min/max."""
         return self._col_stats
 
     def level_edges(self, level: str) -> np.ndarray:
@@ -190,87 +148,42 @@ class SummaryStore:
 
     @property
     def grand(self) -> Components:
-        """Components of every covered cell."""
+        """Components of every cell of the model."""
         raw = self._levels["grand"]
         return Components(
             total=float(raw[S_SUM]),
             total_sq=float(raw[S_SUMSQ]),
             minimum=float(raw[S_MIN]),
             maximum=float(raw[S_MAX]),
-            count=self.covered_rows * self.covered_cols,
+            count=self.model_rows * self.model_cols,
         )
 
     # -- aggregate planning ---------------------------------------------
 
-    def components_for_cols(self, col_idx: np.ndarray) -> Components:
-        """Components of ``all covered rows × col_idx`` (cols < covered)."""
-        if col_idx.size == 0:
-            return Components()
-        sel = self._col_stats[:, col_idx]
-        return Components(
-            total=float(sel[S_SUM].sum()),
-            total_sq=float(sel[S_SUMSQ].sum()),
-            minimum=float(sel[S_MIN].min()),
-            maximum=float(sel[S_MAX].max()),
-            count=self.covered_rows * int(col_idx.size),
-        )
+    def plan(self, row_idx: np.ndarray, col_idx: np.ndarray) -> Components | None:
+        """The selection's components, or None when summaries cannot help.
 
-    def components_for_rows(self, row_idx: np.ndarray) -> Components:
-        """Components of ``row_idx × all covered cols`` (rows < covered)."""
-        if row_idx.size == 0:
-            return Components()
-        sel = self._row_stats[:, row_idx]
-        return Components(
-            total=float(sel[S_SUM].sum()),
-            total_sq=float(sel[S_SUMSQ].sum()),
-            minimum=float(sel[S_MIN].min()),
-            maximum=float(sel[S_MAX].max()),
-            count=int(row_idx.size) * self.covered_cols,
-        )
-
-    def plan(self, row_idx: np.ndarray, col_idx: np.ndarray) -> SummaryPlan | None:
-        """Decompose a selection, or None when summaries cannot help.
-
-        The store keeps *marginal* profiles, so a plan exists only when
-        the selection spans a full axis: all rows (answer from the
+        The store keeps *marginal* profiles, so an answer exists only
+        when the selection spans a full axis: all rows (answer from the
         per-day profile) or all columns (per-customer profile).
         Arbitrary sub-rectangles return None and take the factor path.
         """
-        num_rows, num_cols = self.model_rows, self.model_cols
-        rows_all = int(row_idx.size) == num_rows
-        cols_all = int(col_idx.size) == num_cols
-        cr, cc = self.covered_rows, self.covered_cols
-        if rows_all:
-            core_cols = col_idx[col_idx < cc]
-            if core_cols.size == 0:
-                return None
-            residuals = []
-            tail_cols = col_idx[col_idx >= cc]
-            if tail_cols.size:
-                residuals.append(
-                    (np.arange(cr, dtype=np.int64), tail_cols)
-                )
-            if cr < num_rows:
-                residuals.append(
-                    (np.arange(cr, num_rows, dtype=np.int64), col_idx)
-                )
-            return SummaryPlan(self.components_for_cols(core_cols), residuals)
-        if cols_all:
-            core_rows = row_idx[row_idx < cr]
-            if core_rows.size == 0:
-                return None
-            residuals = []
-            if cc < num_cols:
-                residuals.append(
-                    (core_rows, np.arange(cc, num_cols, dtype=np.int64))
-                )
-            tail_rows = row_idx[row_idx >= cr]
-            if tail_rows.size:
-                residuals.append(
-                    (tail_rows, np.arange(num_cols, dtype=np.int64))
-                )
-            return SummaryPlan(self.components_for_rows(core_rows), residuals)
-        return None
+        if row_idx.size == 0 or col_idx.size == 0:
+            return None
+        if int(row_idx.size) == self.model_rows:
+            stats, index, width = self._col_stats, col_idx, self.model_rows
+        elif int(col_idx.size) == self.model_cols:
+            stats, index, width = self._row_stats, row_idx, self.model_cols
+        else:
+            return None
+        sel = stats[:, index]
+        return Components(
+            total=float(sel[S_SUM].sum()),
+            total_sq=float(sel[S_SUMSQ].sum()),
+            minimum=float(sel[S_MIN].min()),
+            maximum=float(sel[S_MAX].max()),
+            count=width * int(index.size),
+        )
 
     # -- bucket series --------------------------------------------------
 
@@ -279,19 +192,17 @@ class SummaryStore:
 
         Returns ``(edges_or_labels, values)``: bucket edges for time
         levels (bucket ``i`` = columns ``[edges[i], edges[i+1])``),
-        row labels for ``by="customer"``.  Values cover only the
-        summarized region — callers merge a residual when ``fresh`` is
-        False (see :func:`repro.query.groupby.bucket_series`).
+        row labels for ``by="customer"``.
         """
         if by == "customer":
             stats = self._row_stats
-            labels = np.arange(self.covered_rows, dtype=np.int64)
-            counts = np.full(self.covered_rows, float(self.covered_cols))
+            labels = np.arange(self.model_rows, dtype=np.int64)
+            counts = np.full(self.model_rows, float(self.model_cols))
             return labels, _finalize_vector(function, stats, counts)
         if by in LEVELS:
             stats = self._levels[f"stats_{by}"]
             edges = self._levels[f"edges_{by}"]
-            counts = np.diff(edges).astype(np.float64) * self.covered_rows
+            counts = np.diff(edges).astype(np.float64) * self.model_rows
             return edges, _finalize_vector(function, stats, counts)
         raise QueryError(
             f"unknown group-by axis {by!r}; expected one of {GROUP_BY_AXES}"

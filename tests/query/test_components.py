@@ -2,8 +2,8 @@
 
 ``stream_components(..., function)`` skips the sums, squares and
 extrema :func:`finalize` does not read for ``function``; the answer must
-be the one every component gives, on the stream route and merged into a
-``summary+factor`` core alike.
+be the one every component gives, on a summarized model and on one a
+deferred append left without its summary store alike.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def fresh(tmp_path_factory, data):
 
 @pytest.fixture(scope="module")
 def stale(tmp_path_factory, data):
-    """Summaries not refreshed across an append: a full-axis selection
-    is a partial hit with residual rectangles to stream."""
+    """Summaries not refreshed across an append: no usable store, so a
+    full-axis selection takes the factor or stream route."""
     directory = tmp_path_factory.mktemp("components") / "stale"
     build_compressed(data, directory, budget_fraction=0.25).close()
     append_columns(
@@ -96,21 +96,27 @@ def test_function_components_finalize_like_all(data, fresh, function, selection,
 
 @pytest.mark.parametrize("function", AGGREGATES)
 def test_summary_factor_merge_finalizes_like_all(stale, function):
+    """A full-height selection over the appended days on the deferred
+    model: the summary route is absent, and the factor or stream answer
+    is the one every component, merged block by block, gives."""
     engine = QueryEngine(stale)
     query = AggregateQuery(function, Selection(cols=range(20, 33)))  # 3 new days
     plan = engine.plan(query)
-    summary = plan.summary_plan
-    assert summary is not None and summary.residuals
+    assert plan.summary_plan is None
+    assert {r.name: r.reason for r in plan.rejected}["summary"] == (
+        "backend has no summary store"
+    )
     backend = as_backend(stale)
-    merged = all_merged = summary.core
-    for rows, cols in summary.residuals:
-        merged = merged.merge(stream_components(backend, rows, cols, function))
-        all_merged = all_merged.merge(_all_components(backend, rows, cols))
-    want = finalize(function, all_merged)
-    assert finalize(function, merged) == want
-    if function in ("min", "max", "stddev"):  # the rest plan the cheaper factor sums
-        assert plan.route.name == "summary+factor"
-        assert engine.aggregate(query, plan=plan).value == want
+    rows, cols = np.arange(stale.shape[0]), np.arange(20, 33)
+    want = finalize(function, _all_components(backend, rows, cols))
+    assert finalize(function, stream_components(backend, rows, cols, function)) == want
+    result = engine.aggregate(query, plan=plan)
+    if function in ("min", "max"):  # the rest plan the cheaper factor sums
+        assert result.route == "stream"
+        assert result.value == want
+    else:
+        assert result.route == "factor"
+        assert result.value == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("function", ["min", "max"])

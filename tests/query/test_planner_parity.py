@@ -5,7 +5,8 @@ engine mode, aggregate function, selection shape, and error budget,
 ``explain`` must name exactly the route ``aggregate`` takes — and when
 no route is admissible, both must raise the same
 :class:`RouteUnavailableError`.  The matrix deliberately spans the
-summary store's three states (fresh, stale-after-append, absent) and
+summary store's three states (fresh, dropped by a deferred append,
+disabled) and
 both engine delta modes, because those were the axes along which the
 pre-planner call sites diverged.
 
@@ -68,9 +69,9 @@ def fresh_dir(tmp_path_factory, data):
 def stale_dir(tmp_path_factory, data):
     """A model whose summaries were NOT refreshed across an append.
 
-    The deferred refresh carries the files forward stamped with the
-    *old* coverage, so full-axis selections become partial hits — the
-    ``summary+factor`` route's natural habitat.
+    A deferred append leaves no usable store: only the previous state
+    file rides forward, stamped for the previous generation, so every
+    query takes the exact factor/stream routes until ``summarize``.
     """
     directory = tmp_path_factory.mktemp("parity") / "stale"
     build_compressed(data, directory, budget_fraction=0.25).close()
@@ -111,9 +112,7 @@ def backends(tmp_path_factory, data, svdd_model, fresh_dir, stale_dir):
         tmp_path_factory.mktemp("parity-raw") / "x.mat", data
     )
     assert fresh.summaries is not None, "fresh model must carry summaries"
-    assert stale.summaries is not None and not stale.summaries.fresh, (
-        "deferred append must leave partially-covered summaries"
-    )
+    assert stale.summaries is None, "deferred append must leave no usable store"
     yield {
         "ndarray": (data, {}),
         "matrix-store": (raw_store, {}),
@@ -193,7 +192,7 @@ def test_handed_in_plan_executes_as_the_query_does(
     """Plan once: ``execute(query, plan=engine.plan(query))`` is
     ``execute(query)`` — same value to the bit, same route, bound and
     accounting — on every backend, mode, function, shape and budget
-    (``test_matrix_covers_every_route``: all five routes among them)."""
+    (``test_matrix_covers_every_route``: all four routes among them)."""
     backend, kwargs = backends[backend_name]
     engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
     for function in FUNCTIONS:
@@ -338,7 +337,7 @@ def test_unsupported_source_rejected_at_construction(source):
 
 def test_matrix_covers_every_route(backends):
     """Sanity check on the matrix itself: across all combinations the
-    planner exercises all five routes (no silently dead lattice arm)."""
+    planner exercises all four routes (no silently dead lattice arm)."""
     seen = set()
     for backend_name, (backend, kwargs) in backends.items():
         for include_deltas in (True, False):
@@ -350,41 +349,28 @@ def test_matrix_covers_every_route(backends):
                         outcome, plan = _attempt(lambda: engine.explain(query))
                         if outcome == "ok":
                             seen.add(plan["path"])
-    assert {"summary", "summary+factor", "factor", "svd", "stream"} <= seen
+    assert seen == {"summary", "factor", "svd", "stream"}
 
 
-def test_stale_summaries_take_partial_route_without_divergence(backends):
-    """The partially-covered model must not hand out full rollup hits —
-    the residual columns the rollups miss get streamed and merged, and
-    explain names that exact decomposition via the same planner."""
+def test_stale_summaries_take_exact_routes_until_summarize(backends):
+    """The deferred model hands out no rollup answer at all: the planner
+    rejects the summary route as absent, factor-capable aggregates take
+    ``factor`` and min/max ``stream``, and every answer is the dense
+    oracle's."""
     backend, kwargs = backends["compressed-stale"]
     engine = QueryEngine(backend, **kwargs)
-
-    # A factor-capable aggregate: the full rollup hit must be off the
-    # table, summary+factor must be priced as an exact candidate, and
-    # whatever wins, explain and execute agree.
-    avg = AggregateQuery("avg", Selection(rows=range(0, 12)))
-    plan = engine.explain(avg)
-    assert plan["path"] != "summary"
-    candidates = {c["route"]: c for c in plan["candidates"]}
-    assert "summary" not in candidates
-    assert candidates["summary+factor"]["error_bound"] == 0.0
-    assert candidates["summary+factor"]["row_fetches"] > 0  # residual stream
-    assert engine.aggregate(avg).route == plan["path"]
-
-    # min cannot use factor space, and over the full matrix the rollup
-    # core plus a two-column residual beats streaming every cell — the
-    # partial summary route wins outright.
-    low = AggregateQuery("min", Selection())
-    plan = engine.explain(low)
-    assert plan["path"] == "summary+factor"
-    result = engine.aggregate(low)
-    assert result.route == "summary+factor"
-    assert result.error_bound == 0.0
-    assert engine.stats["summary_partial"] == 1
+    dense = backend.reconstruct_all()
+    for function, route in (("avg", "factor"), ("min", "stream")):
+        for selection in (Selection(), Selection(rows=range(0, 12))):
+            query = AggregateQuery(function, selection)
+            plan = engine.explain(query)
+            rejected = {r["route"]: r["reason"] for r in plan["rejected"]}
+            assert rejected["summary"] == "backend has no summary store"
+            result = engine.aggregate(query)
+            assert result.route == plan["path"] == route
+            rows, cols = selection.resolve(dense.shape)
+            expected = getattr(np, {"avg": "mean"}.get(function, function))(
+                dense[np.ix_(rows, cols)]
+            )
+            assert result.value == pytest.approx(expected, rel=1e-9)
     assert engine.stats["summary_hits"] == 0
-    reference = QueryEngine(backend, use_fast_path=False, use_summaries=False)
-    assert result.value == pytest.approx(
-        reference.aggregate(AggregateQuery("min", low.selection)).value,
-        rel=1e-9,
-    )

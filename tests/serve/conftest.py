@@ -24,10 +24,8 @@ def serve_model_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def stale_model_dir(serve_model_dir, tmp_path_factory):
-    """The serve model after a deferred append: its rollups cover 50 of
-    52 columns, so a full-axis min/max plans ``summary+factor``.  (Two
-    all-zero days churn no stored delta, so the rollups are carried
-    forward rather than dropped.)"""
+    """The serve model after a deferred append: it has no usable summary
+    store, so a full-axis min/max plans ``stream``."""
     directory = tmp_path_factory.mktemp("serve-stale") / "model"
     shutil.copytree(serve_model_dir, directory)
     append_columns(directory, np.zeros((80, 2)), refresh_summaries=False)

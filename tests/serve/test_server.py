@@ -154,7 +154,7 @@ class TestRoutes:
             for query, route in (
                 ("fn=sum&rows=0:10&cols=0:10", "factor"),
                 ("fn=min&rows=0:10&cols=0:10", "stream"),
-                ("fn=min", "summary+factor"),
+                ("fn=min", "stream"),
             ):
                 status, _headers, payload = _get(srv.url, f"/aggregate?{query}")
                 assert (status, payload["route"]) == (200, route)

@@ -7,6 +7,8 @@ non-issue.  And because summaries ride the same staged-directory swap
 as the model files, a crash at any point leaves either the old
 generation (stamped, so the loader rejects it against the new model)
 or the new one — never a half-written store that serves wrong numbers.
+A deferred append leaves no usable store, only the previous state
+file, which keeps the calendar anchor for the rebuild.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import CompressedMatrix, build_compressed
+from repro.cli import main
 from repro.core.update import append_columns, append_rows
 from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.storage.atomic import STAGING_SUFFIX
@@ -85,39 +88,36 @@ class TestBitIdenticalRefresh:
 class TestDeferredRefresh:
     def test_defer_then_catch_up(self, model, tmp_path):
         directory, _rng = model
-        # Zero-valued new days cannot evict existing deltas, so the
-        # churn stays confined to the appended region and the old
-        # coverage carries forward instead of being dropped.
+        state = (directory / STATE_NAME).read_bytes()
         append_columns(directory, np.zeros((300, 7)), refresh_summaries=False)
-        store = SummaryStore.load(directory)
-        assert store is not None and not store.fresh
-        assert (store.covered_rows, store.covered_cols) == (300, 80)
+        # Only the state file rides forward, unchanged: it names the
+        # previous generation, so no reader takes it for a store.
+        assert [n for n in SUMMARY_FILES if (directory / n).exists()] == [STATE_NAME]
+        assert (directory / STATE_NAME).read_bytes() == state
+        assert SummaryStore.load(directory) is None
 
-        # Stale coverage still serves: core + streamed residual.
         with CompressedMatrix.open(directory) as saved:
+            assert saved.summaries is None
             series = bucket_series(saved, "week", "sum")
-            assert series["path"] == "summary+stream" and series["partial"]
+            assert series["path"] == "stream" and "partial" not in series
 
         report = summarize_directory(directory)
-        assert report["status"] == "refreshed"
+        assert report["status"] == "rebuilt"
         assert _summary_bytes(directory) == _rebuilt_bytes(
             directory, tmp_path, "catchup"
         )
+        assert summarize_directory(directory)["status"] == "fresh"
 
     def test_eviction_outside_appended_region_drops_store(self, model):
         directory, rng = model
-        # Large new values compete for the delta budget; if any old
-        # delta is evicted the deferred store must be dropped rather
-        # than carried forward wrong.  Either outcome (confined or
-        # dropped) must leave the loader consistent.
+        # Large new values compete for the delta budget and evict old
+        # deltas; whatever the churn, a deferred append leaves no store.
         append_columns(
             directory, rng.random((300, 30)) * 500, refresh_summaries=False
         )
-        store = SummaryStore.load(directory)
-        if store is not None:  # carried forward: must be stale, not wrong
-            assert not store.fresh
+        assert SummaryStore.load(directory) is None
         summarize_directory(directory)
-        assert SummaryStore.load(directory).fresh
+        assert SummaryStore.load(directory) is not None
 
 
 class TestTornWrites:
@@ -151,7 +151,7 @@ class TestTornWrites:
             assert np.isfinite(value)
         # summarize repairs it in place.
         assert summarize_directory(directory)["status"] == "rebuilt"
-        assert SummaryStore.load(directory).fresh
+        assert SummaryStore.load(directory) is not None
 
     def test_interrupted_summarize_keeps_old_store_valid(self, model):
         directory, _rng = model
@@ -204,20 +204,90 @@ class TestDamagedPriorIsNotLaundered:
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
 
     def test_deferred_append_drops_a_damaged_store(self, tmp_path):
+        from repro.storage.integrity import verify_manifest
+
         rng = np.random.default_rng(8)
         directory = tmp_path / "model"
         build_compressed(rng.random((300, 300)) * 10, directory, budget_fraction=0.20).close()
         self._flip_a_clean_tile_byte(directory, "summary_colblocks.npy")
         append_columns(directory, np.zeros((300, 2)), refresh_summaries=False)
         assert SummaryStore.load(directory) is None
-        assert not any((directory / name).exists() for name in SUMMARY_FILES)
+        assert [n for n in SUMMARY_FILES if (directory / n).exists()] == [STATE_NAME]
+        assert verify_manifest(directory).ok
 
     def test_summarize_over_a_damaged_tile_file_rebuilds(self, model, tmp_path):
         directory, _rng = model
-        append_columns(directory, np.zeros((300, 7)), refresh_summaries=False)
         path = directory / "summary_colblocks.npy"
         raw = bytearray(path.read_bytes())
         raw[-5] ^= 0x10
         path.write_bytes(bytes(raw))
         assert summarize_directory(directory)["status"] == "rebuilt"
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
+
+
+def _start_date(directory):
+    return json.loads((directory / STATE_NAME).read_text())["start_date"]
+
+
+class TestCalendarAnchor:
+    """Every cold materialization keeps the ``start_date`` the previous
+    state recorded unless the caller passes one: month, quarter and year
+    buckets must not silently fall back to 28/91/364-day widths."""
+
+    ANCHOR = "2024-01-15"
+
+    @pytest.fixture()
+    def anchored(self, model):
+        directory, rng = model
+        summarize_directory(directory, start_date=self.ANCHOR)
+        assert _start_date(directory) == self.ANCHOR
+        return directory, rng
+
+    def test_rebuild_keeps_the_anchor(self, anchored):
+        directory, _rng = anchored
+        assert summarize_directory(directory, rebuild=True)["status"] == "rebuilt"
+        assert _start_date(directory) == self.ANCHOR
+
+    def test_summarize_after_a_deferred_append_keeps_the_anchor(self, anchored):
+        directory, rng = anchored
+        # Loud days evict old deltas: no store survives such an append,
+        # with or without a lagging-coverage carry.
+        append_columns(directory, rng.random((300, 30)) * 500, refresh_summaries=False)
+        summarize_directory(directory)
+        assert _start_date(directory) == self.ANCHOR
+        with CompressedMatrix.open(directory) as saved:
+            edges = bucket_series(saved, "month", "sum")["edges"]
+        assert edges[:3] == [0, 17, 46]  # Feb 1 and Mar 1 2024 from Jan 15
+
+    def test_cold_refresh_after_a_rejected_prior_keeps_the_anchor(
+        self, anchored, enabled_registry
+    ):
+        directory, rng = anchored
+        TestDamagedPriorIsNotLaundered._flip_a_clean_tile_byte(
+            directory, "summary_colblocks.npy"
+        )
+        append_columns(directory, rng.random((300, 3)) * 10)
+        assert enabled_registry.counter("update.summary_prior_rejected").value == 1
+        assert _start_date(directory) == self.ANCHOR
+
+
+class TestLegacyLaggingState:
+    """A state whose coverage lags its stamp — what an older deferred
+    append wrote — is refused as absent, like a foreign generation."""
+
+    def test_lagging_state_is_absent_and_summarize_rebuilds(self, model, capsys):
+        directory, _rng = model
+        state = json.loads((directory / STATE_NAME).read_text())
+        state["covered_cols"] = state["cols"] - 7
+        (directory / STATE_NAME).write_text(json.dumps(state, indent=2))
+
+        assert SummaryStore.load(directory) is None
+        with CompressedMatrix.open(directory) as saved:
+            plan = QueryEngine(saved).plan(AggregateQuery("min", Selection()))
+        rejected = {r.name: r.reason for r in plan.rejected}
+        assert rejected["summary"] == "backend has no summary store"
+        assert plan.route.name == "stream"
+
+        assert main(["summarize", str(directory)]) == 0
+        assert capsys.readouterr().out.startswith("rebuilt")
+        assert SummaryStore.load(directory) is not None

@@ -62,7 +62,7 @@ class TestBucketSeries:
 
     def test_stream_path_on_plain_backend(self, exact):
         series = bucket_series(exact, "week", "max")
-        assert series["path"] == "stream" and not series["partial"]
+        assert series["path"] == "stream" and "partial" not in series
         edges = series["edges"]
         for i, value in enumerate(series["values"]):
             assert value == exact[:, edges[i] : edges[i + 1]].max()

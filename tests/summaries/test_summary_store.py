@@ -64,7 +64,8 @@ class TestLevelEdges:
 class TestExactness:
     def test_marginals_match_reconstruction(self, model_dir, exact):
         store = SummaryStore.load(model_dir)
-        assert store is not None and store.fresh
+        assert store is not None
+        assert store.col_stats.shape == (4, exact.shape[1])
         np.testing.assert_allclose(
             store.col_stats[S_SUM], exact.sum(axis=0), rtol=1e-9
         )
@@ -113,9 +114,9 @@ class TestPlanning:
         store = SummaryStore.load(model_dir)
         rows, cols = store.model_rows, store.model_cols
         plan = store.plan(np.arange(rows), np.arange(0, cols, 2))
-        assert plan is not None and plan.full_hit
+        assert plan is not None and plan.count == rows * ((cols + 1) // 2)
         plan = store.plan(np.arange(0, rows, 5), np.arange(cols))
-        assert plan is not None and plan.full_hit
+        assert plan is not None and plan.count == ((rows + 4) // 5) * cols
 
     def test_sub_rectangle_returns_none(self, model_dir):
         store = SummaryStore.load(model_dir)
