@@ -5,9 +5,9 @@ decision-support queries the paper motivates ('total volume per month',
 'who are our biggest customers') stop paying O(N) factor work per
 query.  This bench builds the phone model at scale-up size, measures a
 covered aggregate on the summary route vs the factor route, asserts
-the >=10x speedup and the zero-page property, and checks the
-incremental-maintenance contract: after appending a week, the summary
-files are byte-identical to a cold rebuild's.
+the >=10x speedup and the zero-page property, and checks that the
+store an append builds is byte-identical to a ``summarize --rebuild``
+of the same model.
 """
 
 from __future__ import annotations
@@ -81,15 +81,15 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
 
     speedup = factor_s / summary_s
 
-    # Incremental maintenance: append a week, then diff the summary
-    # files against a cold rebuild of the same model — byte-identical.
+    # Append a week, then diff the summary files against a rebuild of
+    # the same model — byte-identical.
     rng = np.random.default_rng(17)
     new_days = data[:, :NEW_DAYS] * (
         1.0 + 0.05 * rng.standard_normal((ROWS, NEW_DAYS))
     )
     # The same append with the refresh deferred, on a pre-append copy:
-    # the difference isolates the dirty-tile refresh, which is what a
-    # cold rebuild would replace (the whole append is not).
+    # the difference isolates the append's summary build from the rest
+    # of the append.
     norefresh = root / "norefresh"
     shutil.copytree(root / "model", norefresh)
     append_start = time.perf_counter()

@@ -59,7 +59,7 @@ from the post-append ``V`` *and* what that basis cannot see
 solve, which stays as the fallback and as the tests' reference.
 
 An append pays for what arrived: the model is read once (the summaries
-are refreshed from the arrays the append already holds), and every file
+are built from the arrays the append already holds), and every file
 of the next version is written once, plainly, into the staging
 directory, whose commit flushes each of them once before publishing.
 """
@@ -415,9 +415,8 @@ def append_columns(
             customer per appended day.
         drift_threshold: override the advisory rebuild threshold
             (persisted for subsequent appends).
-        refresh_summaries: incrementally refresh the summary store as
-            part of the append (only tiles overlapping the new days or
-            churned deltas recompute).  ``False`` leaves the model
+        refresh_summaries: build the grown model's summary store
+            cold, as part of the append.  ``False`` leaves the model
             without a usable store until ``repro summarize`` rebuilds
             it; queries take the exact factor/stream routes meanwhile.
 

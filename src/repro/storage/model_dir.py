@@ -483,7 +483,7 @@ def write_model(
             from it, and keeps its manifest entry instead of being
             re-hashed.
         refresh_summaries: with ``previous``, False skips the summary
-            refresh until a later ``repro summarize`` (see
+            build until a later ``repro summarize`` (see
             :func:`repro.summaries.compute.carry_summaries`).
     """
     # Lazy: repro.summaries sits above the storage layer.

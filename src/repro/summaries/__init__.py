@@ -7,11 +7,11 @@ materializes the answers once — per-day column profiles, per-customer
 row profiles, day→week→month→quarter→year rollups and grand totals,
 each bucket carrying ``sum/sumsq/min/max/count`` so every engine
 aggregate (including ``avg`` and ``stddev``) derives for free — and
-keeps them incrementally fresh across ``append_columns`` /
-``append_rows``.
+materializes them again for every version ``append_columns`` /
+``append_rows`` writes.
 
-Layout and the bit-identical incremental-maintenance contract are
-documented in :mod:`repro.summaries.compute`; the read side
+Layout and the fixed reduction order are documented in
+:mod:`repro.summaries.compute`; the read side
 (freshness validation, query planning, bucket series) lives in
 :mod:`repro.summaries.store`.
 """
@@ -19,8 +19,6 @@ documented in :mod:`repro.summaries.compute`; the read side
 from repro.summaries.compute import (
     LEVELS,
     SUMMARY_FILES,
-    changed_cells,
-    dirty_tiles,
     level_edges,
     materialize_summaries,
     summarize_directory,
@@ -31,8 +29,6 @@ __all__ = [
     "LEVELS",
     "SUMMARY_FILES",
     "SummaryStore",
-    "changed_cells",
-    "dirty_tiles",
     "level_edges",
     "materialize_summaries",
     "summarize_directory",

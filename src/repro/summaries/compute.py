@@ -1,14 +1,12 @@
-"""Materialization of the summary store, cold and incremental.
+"""Materialization of the summary store, always cold.
 
-Six files land beside the model artifacts (all covered by the model's
+Four files land beside the model artifacts (all covered by the model's
 integrity manifest and the ``staged_directory`` swap):
 
 ```
 summary_state.json      generation stamp + layout parameters + start_date
 summary_cols.npy        (4, cols)     per-day sum/sumsq/min/max
 summary_rows.npy        (4, rows)     per-customer sum/sumsq/min/max
-summary_colblocks.npy   (4, B, cols)  per-row-block column partials
-summary_rowchunks.npy   (2, rows, C)  per-column-chunk row min/max
 summary_levels.npz      edges_<level> / stats_<level> rollups + grand totals
 ```
 
@@ -16,33 +14,24 @@ A store always covers the whole model it is stamped for.  The state
 still records ``covered_rows``/``covered_cols``, equal to
 ``rows``/``cols``, so the format stays readable both ways; a state
 whose coverage lags its stamp is refused like a foreign generation.
-A deferred append (:func:`carry_summaries` with ``refresh=False``)
-carries ``summary_state.json`` forward alone and unchanged: its stamp
-names the previous generation, so no reader uses it, but the next cold
-materialization takes its ``start_date``.
+A refreshing append materializes its version's store cold, like a
+build.  A deferred append (:func:`carry_summaries` with
+``refresh=False``) carries ``summary_state.json`` forward alone and
+unchanged: its stamp names the previous generation, so no reader uses
+it, but the next cold materialization takes its ``start_date``.
 
-**The bit-identical contract.**  Incremental regeneration after an
-append must produce *byte-identical* arrays to a cold rebuild of the
-same model — otherwise "refresh" and "rebuild" silently disagree and
-freshness can never be tested exactly.  Float addition is not
-associative and BLAS GEMM results depend on operand shapes, so the
-computation is defined over a fixed *tile grid*: row blocks of
-:data:`BLOCK_ROWS` (aligned to absolute row index) by column chunks of
-:data:`CHUNK_COLS` (aligned to absolute column index).  Each tile is
-reconstructed with the same expression regardless of why it is being
-computed (``(U_blk Λ) V_chunkᵀ`` plus the deltas inside the tile), the
-per-block column partials and per-chunk row extrema are stored, and
-everything else — column profile, hierarchy rollups, grand totals — is
-a deterministic pure function of those partials.  An append therefore
-recomputes only the *dirty* tiles (new rows/columns, resized boundary
-tiles, and tiles holding a churned delta cell) and still lands on the
-cold-rebuild bytes.
+**One fixed reduction order.**  Float addition is not associative and
+BLAS GEMM results depend on operand shapes, so the reconstruction is
+walked over a fixed *tile grid*: row blocks of :data:`BLOCK_ROWS`
+(aligned to absolute row index) by column chunks of :data:`CHUNK_COLS`
+(aligned to absolute column index), each tile ``(U_blk Λ) V_chunkᵀ``
+plus the deltas inside it, per-day sums accumulated block by block in
+ascending order.  The same model therefore gives the same bytes
+whoever materializes it — a build, an append or ``repro summarize``.
 
-Per-customer ``sum``/``sumsq`` are the one exception to tiling: they
-are always recomputed in full from the factor form (``(u∘λ)·Σv`` and
-the k×k Gram einsum plus per-delta corrections — the same math the
-factor fast path uses for ``stddev``), which is O(N·k²) and cheap, so
-cold and incremental trivially agree.
+Per-customer ``sum``/``sumsq`` come from the factor form (``(u∘λ)·Σv``
+and the k×k Gram einsum plus per-delta corrections — the same math the
+factor fast path uses for ``stddev``), which is O(N·k²).
 
 All inputs are the model's values *at their stored precision*:
 ``repro summarize`` reads them through the same
@@ -53,7 +42,7 @@ staged file) instead of re-reading what it wrote a moment ago — so
 float32 models round-trip identically whether summaries are built
 inside ``save``/``append`` staging or later.
 
-:func:`_materialize` computes the six files; who asked writes them.
+:func:`_materialize` computes the four files; who asked writes them.
 Inside a staging directory (:func:`materialize_summaries`) they are
 plain writes — the commit flushes every staged file once, before the
 rename that publishes them.  :func:`summarize_directory` works on a
@@ -70,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import ChecksumError, QueryError, ReproError
+from repro.exceptions import ChecksumError, QueryError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -86,10 +75,7 @@ __all__ = [
     "SUMMARY_FILES",
     "STATE_NAME",
     "carry_summaries",
-    "changed_cells",
-    "dirty_tiles",
     "level_edges",
-    "load_prior",
     "materialize_summaries",
     "summarize_directory",
 ]
@@ -113,24 +99,14 @@ _CALENDAR_MONTHS = {"month": 1, "quarter": 3, "year": 12}
 STATE_NAME = "summary_state.json"
 COLS_NAME = "summary_cols.npy"
 ROWS_NAME = "summary_rows.npy"
-COLBLOCKS_NAME = "summary_colblocks.npy"
-ROWCHUNKS_NAME = "summary_rowchunks.npy"
 LEVELS_NAME = "summary_levels.npz"
 
-SUMMARY_FILES = (
-    STATE_NAME,
-    COLS_NAME,
-    ROWS_NAME,
-    COLBLOCKS_NAME,
-    ROWCHUNKS_NAME,
-    LEVELS_NAME,
-)
+SUMMARY_FILES = (STATE_NAME, COLS_NAME, ROWS_NAME, LEVELS_NAME)
+#: Per-tile partials older directories hold beside the store.  Nothing
+#: reads them; an append does not carry them and ``summarize`` drops them.
+_RETIRED_FILES = ("summary_colblocks.npy", "summary_rowchunks.npy")
 
 _FORMAT_VERSION = 1
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # -- bucket edges ----------------------------------------------------------
@@ -202,58 +178,10 @@ def bucket_stats(col_stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- tile computation ------------------------------------------------------
+# -- profiles --------------------------------------------------------------
 
 
-def _compute_tiles(
-    u_store: MatrixStore,
-    cutoff: int,
-    lam: np.ndarray,
-    v: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    shape: tuple[int, int],
-    col_blocks: np.ndarray,
-    row_chunks: np.ndarray,
-    dirty: dict[int, set[int]],
-) -> None:
-    """Recompute every dirty tile in place.
-
-    The canonical tile expression: reconstruct the (block × chunk)
-    rectangle as one GEMM of fixed, absolute-aligned shape, fold the
-    deltas whose cells fall inside it, then reduce to per-column
-    partials and per-row extrema.  Cold builds and incremental
-    refreshes both come through here with identical tile shapes, which
-    is what makes them bit-identical.
-    """
-    num_rows, num_cols = shape
-    for block in sorted(dirty):
-        lo = block * BLOCK_ROWS
-        hi = min(lo + BLOCK_ROWS, num_rows)
-        u_blk = u_store.read_rows(np.arange(lo, hi, dtype=np.int64))[:, :cutoff]
-        scaled = u_blk * lam
-        k_lo, k_hi = np.searchsorted(keys, [lo * num_cols, hi * num_cols])
-        blk_keys = keys[k_lo:k_hi]
-        blk_vals = values[k_lo:k_hi]
-        blk_rows = blk_keys // num_cols - lo
-        blk_cols = blk_keys % num_cols
-        for chunk in sorted(dirty[block]):
-            c_lo = chunk * CHUNK_COLS
-            c_hi = min(c_lo + CHUNK_COLS, num_cols)
-            tile = scaled @ v[c_lo:c_hi].T
-            inside = (blk_cols >= c_lo) & (blk_cols < c_hi)
-            if inside.any():
-                # Delta keys are unique, so fancy += cannot collide.
-                tile[blk_rows[inside], blk_cols[inside] - c_lo] += blk_vals[inside]
-            col_blocks[S_SUM, block, c_lo:c_hi] = tile.sum(axis=0)
-            col_blocks[S_SUMSQ, block, c_lo:c_hi] = (tile * tile).sum(axis=0)
-            col_blocks[S_MIN, block, c_lo:c_hi] = tile.min(axis=0)
-            col_blocks[S_MAX, block, c_lo:c_hi] = tile.max(axis=0)
-            row_chunks[0, lo:hi, chunk] = tile.min(axis=1)
-            row_chunks[1, lo:hi, chunk] = tile.max(axis=1)
-
-
-def _row_profiles(
+def _profiles(
     u_store: MatrixStore,
     cutoff: int,
     lam: np.ndarray,
@@ -262,122 +190,60 @@ def _row_profiles(
     values: np.ndarray,
     shape: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(sum, sumsq)`` over all columns, in factor form.
+    """The (4, M) per-day and (4, N) per-customer profiles, one pass over U.
 
-    Always a full recompute: ``row_sum = (u∘λ)·Σv_j + Σδ`` and
-    ``row_sumsq`` via the k×k Gram einsum plus the exact per-delta
-    correction ``2·x̂·δ + δ²`` — the same identities
-    :func:`repro.query.fastpath.factor_aggregate` uses, O(N·k²) total.
+    Each tile of the grid is reconstructed as one GEMM of fixed,
+    absolute-aligned shape with the deltas inside it folded in; per-day
+    sums add up block by block in ascending order, min/max reduce
+    order-free.  Per-customer ``sum``/``sumsq`` skip the tiles:
+    ``row_sum = (u∘λ)·Σv_j + Σδ`` and ``row_sumsq`` via the k×k Gram
+    einsum plus the exact per-delta correction ``2·x̂·δ + δ²`` — the
+    identities :func:`repro.query.fastpath.factor_aggregate` uses.
     """
     num_rows, num_cols = shape
     v_sum = v.sum(axis=0)
     gram = v.T @ v
-    row_sum = np.zeros(num_rows)
-    row_sumsq = np.zeros(num_rows)
+    cols = np.zeros((4, num_cols))
+    cols[S_MIN] = np.inf
+    cols[S_MAX] = -np.inf
+    rows = np.zeros((4, num_rows))
+    rows[S_MIN] = np.inf
+    rows[S_MAX] = -np.inf
     for lo in range(0, num_rows, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, num_rows)
         u_blk = u_store.read_rows(np.arange(lo, hi, dtype=np.int64))[:, :cutoff]
         scaled = u_blk * lam
-        row_sum[lo:hi] = scaled @ v_sum
-        row_sumsq[lo:hi] = np.einsum("nk,kl,nl->n", scaled, gram, scaled)
         k_lo, k_hi = np.searchsorted(keys, [lo * num_cols, hi * num_cols])
-        if k_hi > k_lo:
-            blk_keys = keys[k_lo:k_hi]
-            blk_vals = values[k_lo:k_hi]
-            rows_abs = blk_keys // num_cols
-            base = np.einsum(
-                "ik,ik->i", scaled[rows_abs - lo], v[blk_keys % num_cols]
+        blk_keys = keys[k_lo:k_hi]
+        blk_vals = values[k_lo:k_hi]
+        blk_rows = blk_keys // num_cols - lo
+        blk_cols = blk_keys % num_cols
+        for c_lo in range(0, num_cols, CHUNK_COLS):
+            c_hi = min(c_lo + CHUNK_COLS, num_cols)
+            tile = scaled @ v[c_lo:c_hi].T
+            inside = (blk_cols >= c_lo) & (blk_cols < c_hi)
+            if inside.any():
+                # Delta keys are unique, so fancy += cannot collide.
+                tile[blk_rows[inside], blk_cols[inside] - c_lo] += blk_vals[inside]
+            day = cols[:, c_lo:c_hi]
+            day[S_SUM] += tile.sum(axis=0)
+            day[S_SUMSQ] += (tile * tile).sum(axis=0)
+            np.minimum(day[S_MIN], tile.min(axis=0), out=day[S_MIN])
+            np.maximum(day[S_MAX], tile.max(axis=0), out=day[S_MAX])
+            np.minimum(rows[S_MIN, lo:hi], tile.min(axis=1), out=rows[S_MIN, lo:hi])
+            np.maximum(rows[S_MAX, lo:hi], tile.max(axis=1), out=rows[S_MAX, lo:hi])
+        rows[S_SUM, lo:hi] = scaled @ v_sum
+        rows[S_SUMSQ, lo:hi] = np.einsum("nk,kl,nl->n", scaled, gram, scaled)
+        if blk_keys.size:
+            base = np.einsum("ik,ik->i", scaled[blk_rows], v[blk_cols])
+            np.add.at(rows[S_SUM], blk_rows + lo, blk_vals)
+            np.add.at(
+                rows[S_SUMSQ], blk_rows + lo, 2.0 * base * blk_vals + blk_vals * blk_vals
             )
-            np.add.at(row_sum, rows_abs, blk_vals)
-            np.add.at(row_sumsq, rows_abs, 2.0 * base * blk_vals + blk_vals * blk_vals)
-    return row_sum, row_sumsq
+    return cols, rows
 
 
-def _derive_col_stats(col_blocks: np.ndarray) -> np.ndarray:
-    """Collapse per-block partials to the (4, M) column profile.
-
-    Sums accumulate block-by-block in ascending block order (a fixed
-    sequential reduction, so incremental and cold runs add in the same
-    order); min/max reductions are order-free and exact.
-    """
-    num_blocks = col_blocks.shape[1]
-    num_cols = col_blocks.shape[2]
-    total = np.zeros(num_cols)
-    total_sq = np.zeros(num_cols)
-    for block in range(num_blocks):
-        total += col_blocks[S_SUM, block]
-        total_sq += col_blocks[S_SUMSQ, block]
-    minimum = np.min(col_blocks[S_MIN], axis=0)
-    maximum = np.max(col_blocks[S_MAX], axis=0)
-    return np.stack([total, total_sq, minimum, maximum])
-
-
-# -- append support: churn and dirty tiles ---------------------------------
-
-
-def changed_cells(
-    old_keys: np.ndarray,
-    old_values: np.ndarray,
-    new_keys: np.ndarray,
-    new_values: np.ndarray,
-) -> np.ndarray:
-    """Cell keys whose delta changed between two sorted delta tables.
-
-    The symmetric difference of the ``(key, value)`` record sets:
-    appends re-run the delta budget competition, which can *evict* old
-    outliers — a cell whose delta disappears reconstructs differently,
-    so its tile is dirty even though no data near it changed.  Both key
-    arrays must be sorted and unique and address the same (post-append)
-    key space; the result is sorted.
-    """
-    if old_keys.size == 0 or new_keys.size == 0:
-        return np.concatenate([old_keys, new_keys])
-    # Sorted merge: where each new key sits among the old ones (clipped,
-    # so a key past the last old key compares unequal instead of
-    # indexing out of range).
-    pos = np.minimum(np.searchsorted(old_keys, new_keys), old_keys.size - 1)
-    kept = old_keys[pos] == new_keys
-    survivors = pos[kept]
-    evicted = np.ones(old_keys.size, dtype=bool)
-    evicted[survivors] = False
-    moved = ~kept  # admitted, or kept with a different value
-    moved[kept] = old_values[survivors] != new_values[kept]
-    return np.sort(np.concatenate([old_keys[evicted], new_keys[moved]]))
-
-
-def dirty_tiles(
-    prior_rows: int,
-    prior_cols: int,
-    shape: tuple[int, int],
-    churn_keys: np.ndarray,
-) -> dict[int, set[int]]:
-    """The tile set an incremental refresh must recompute.
-
-    Everything beyond the prior shape is dirty (new rows/columns and
-    the boundary block/chunk whose GEMM shape changed), plus the tile
-    of every churned delta cell.  ``churn_keys`` address the *new*
-    (post-append) key space.
-    """
-    num_rows, num_cols = shape
-    blocks = _ceil_div(num_rows, BLOCK_ROWS)
-    chunks = _ceil_div(num_cols, CHUNK_COLS)
-    first_dirty_chunk = prior_cols // CHUNK_COLS if prior_cols < num_cols else chunks
-    first_dirty_block = prior_rows // BLOCK_ROWS if prior_rows < num_rows else blocks
-    dirty: dict[int, set[int]] = {}
-    if first_dirty_chunk < chunks:
-        for block in range(blocks):
-            dirty.setdefault(block, set()).update(range(first_dirty_chunk, chunks))
-    for block in range(first_dirty_block, blocks):
-        dirty.setdefault(block, set()).update(range(chunks))
-    if churn_keys.size:
-        churn_blocks = (churn_keys // num_cols) // BLOCK_ROWS
-        churn_chunks = (churn_keys % num_cols) // CHUNK_COLS
-        for block, chunk in zip(churn_blocks.tolist(), churn_chunks.tolist()):
-            dirty.setdefault(block, set()).add(chunk)
-    return dirty
-
-
-# -- prior state -----------------------------------------------------------
+# -- state -----------------------------------------------------------------
 
 
 def load_state(directory: Path) -> dict | None:
@@ -419,42 +285,21 @@ def _recorded_start_date(directory: Path) -> str | None:
     return None if state is None else state.get("start_date")
 
 
-def load_prior(parts: ModelParts) -> dict | None:
-    """The incremental-maintenance inputs of a model's summary store.
-
-    Returns ``{"state", "col_blocks", "row_chunks"}`` when the
-    directory of ``parts`` holds a structurally valid store on this tile
-    grid stamped for its generation, None otherwise — a refresh then
-    starts cold.  The two tile files are inputs the refresh copies clean
-    tiles out of and re-hashes, so their manifest SHA-256 is checked
-    first: carrying a damaged tile forward would launder the damage into
-    a clean manifest.
-    """
+def _intact_state(parts: ModelParts) -> dict | None:
+    """The state of a store stamped for ``parts``' generation whose files
+    are all present and match their manifest SHA-256; None otherwise."""
     directory = parts.directory
     state = load_state(directory)
     if state is None or stamped_generation(state) != parts.generation:
         return None
-    if (int(state["block_rows"]), int(state["chunk_cols"])) != (BLOCK_ROWS, CHUNK_COLS):
-        return None
     try:
-        for name in (COLBLOCKS_NAME, ROWCHUNKS_NAME):
+        for name in SUMMARY_FILES:
+            if not (directory / name).is_file():
+                return None
             check_entry(directory, parts.manifest_files, name, deep=True)
-    except ChecksumError as exc:
-        if _obs.enabled:
-            _obs.counter("update.summary_prior_rejected").inc()
-        log_event("update.summary_prior_rejected", directory=str(directory), reason=str(exc))
+    except ChecksumError:
         return None
-    try:
-        col_blocks = np.load(directory / COLBLOCKS_NAME, allow_pickle=False)
-        row_chunks = np.load(directory / ROWCHUNKS_NAME, allow_pickle=False)
-    except Exception:
-        return None
-    rows, cols = int(state["rows"]), int(state["cols"])
-    if col_blocks.shape != (4, _ceil_div(rows, BLOCK_ROWS), cols):
-        return None
-    if row_chunks.shape != (2, rows, _ceil_div(cols, CHUNK_COLS)):
-        return None
-    return {"state": state, "col_blocks": col_blocks, "row_chunks": row_chunks}
+    return state
 
 
 # -- materialization -------------------------------------------------------
@@ -466,94 +311,39 @@ def _array_bytes(array: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def materialize_summaries(
-    staged: ModelParts,
-    prior: dict | None = None,
-    dirty: dict[int, set[int]] | None = None,
-    start_date: str | None = None,
-) -> dict:
-    """Build (or refresh) the summary files of a model being staged.
+def materialize_summaries(staged: ModelParts, start_date: str | None = None) -> dict:
+    """Build the summary files of a model being staged.
 
     ``staged`` is the version :func:`~repro.storage.model_dir.write_model`
     is assembling, as a read of its staging directory would return it;
-    the files are written there plainly.  With ``prior``/``dirty`` (from
-    :func:`load_prior` / :func:`dirty_tiles`), clean tiles are copied
-    from the prior arrays and only the dirty ones recomputed; the result
-    is bit-identical to a cold build by the tile-grid contract in the
-    module docstring.  ``start_date`` anchors a cold build's calendar
-    levels; a refresh keeps the prior's.
+    the files are written there plainly.  ``start_date`` anchors the
+    calendar levels.
 
     Returns the state dict that was written.
     """
-    state, files = _materialize(staged, prior, dirty, start_date)
+    state, files = _materialize(staged, start_date)
     for name, data in files:
         (staged.directory / name).write_bytes(data)
     return state
 
 
 def _materialize(
-    parts: ModelParts,
-    prior: dict | None,
-    dirty: dict[int, set[int]] | None,
-    start_date: str | None,
+    parts: ModelParts, start_date: str | None
 ) -> tuple[dict, list[tuple[str, bytes]]]:
-    """The summary store of ``parts``: its state, and the six files as
+    """The summary store of ``parts``: its state, and the four files as
     ``(name, bytes)`` in the order to write them (the state file last)."""
-    directory = parts.directory
     started = time.perf_counter()
     num_rows, num_cols, num_deltas, appends = parts.generation
-    blocks = _ceil_div(num_rows, BLOCK_ROWS)
-    chunks = _ceil_div(num_cols, CHUNK_COLS)
-
-    col_blocks = np.full((4, blocks, num_cols), np.nan)
-    row_chunks = np.empty((2, num_rows, chunks))
-    row_chunks[0].fill(np.inf)
-    row_chunks[1].fill(-np.inf)
-
-    if prior is None:
-        dirty = {block: set(range(chunks)) for block in range(blocks)}
-    else:
-        if dirty is None:
-            raise ReproError("incremental materialization needs a dirty tile set")
-        prior_blocks = prior["col_blocks"]
-        prior_chunks = prior["row_chunks"]
-        col_blocks[:, : prior_blocks.shape[1], : prior_blocks.shape[2]] = prior_blocks
-        row_chunks[:, : prior_chunks.shape[1], : prior_chunks.shape[2]] = prior_chunks
-        if start_date is None:
-            start_date = prior["state"].get("start_date")
-
-    model = (
-        parts.u_store,
-        parts.cutoff,
-        parts.eigenvalues,
-        parts.v,
-        parts.delta_keys,
-        parts.delta_values,
-        (num_rows, num_cols),
-    )
-    with _span(
-        "summaries.tiles",
-        tiles=sum(len(chunk_set) for chunk_set in dirty.values()),
-    ):
-        _compute_tiles(*model, col_blocks, row_chunks, dirty)
-    with _span("summaries.row_profiles", rows=num_rows):
-        row_sum, row_sumsq = _row_profiles(*model)
-
-    if np.isnan(col_blocks).any():
-        raise ReproError(
-            f"{directory}: summary tile grid left uncovered tiles — "
-            "dirty set does not match prior coverage"
+    with _span("summaries.profiles", rows=num_rows, cols=num_cols):
+        col_stats, row_stats = _profiles(
+            parts.u_store,
+            parts.cutoff,
+            parts.eigenvalues,
+            parts.v,
+            parts.delta_keys,
+            parts.delta_values,
+            (num_rows, num_cols),
         )
-
-    col_stats = _derive_col_stats(col_blocks)
-    row_stats = np.stack(
-        [
-            row_sum,
-            row_sumsq,
-            np.min(row_chunks[0], axis=1),
-            np.max(row_chunks[1], axis=1),
-        ]
-    )
     level_arrays: dict[str, np.ndarray] = {}
     for level in LEVELS:
         edges = level_edges(level, num_cols, start_date)
@@ -588,8 +378,6 @@ def _materialize(
         _obs.counter("summaries.materializations").inc()
         _obs.gauge("summaries.seconds").set(time.perf_counter() - started)
     return state, [
-        (COLBLOCKS_NAME, _array_bytes(col_blocks)),
-        (ROWCHUNKS_NAME, _array_bytes(row_chunks)),
         (COLS_NAME, _array_bytes(col_stats)),
         (ROWS_NAME, _array_bytes(row_stats)),
         (LEVELS_NAME, levels_buf.getvalue()),
@@ -601,53 +389,23 @@ def carry_summaries(previous: ModelParts, staged: ModelParts, refresh: bool) -> 
     """Maintain the summary store inside an append's staging directory.
 
     ``previous`` is the pre-append model; ``staged`` the post-append one
-    as :func:`~repro.storage.model_dir.write_model` holds it (outliers
-    sorted by key).  Three outcomes:
+    as :func:`~repro.storage.model_dir.write_model` holds it.
 
-    - ``refresh`` with a valid prior → recompute only the dirty tiles
-      (appended region, resized boundary tiles, churn tiles) —
-      bit-identical to a cold rebuild.  The churn is the staged
-      outliers compared against the previous set (re-based to the new
-      key space — a column append changes ``M``): the delta budget
-      re-competition can evict an old outlier far from the appended
-      region, and the tile holding it reconstructs differently;
-    - ``refresh`` without one → cold build inside staging, anchored at
-      the ``start_date`` the previous state recorded;
+    - ``refresh`` → a cold build inside staging, anchored at the
+      ``start_date`` the previous state recorded;
     - ``refresh=False`` (deferred) → hardlink ``summary_state.json``
       forward alone and unchanged.  The model has no usable store until
       :func:`summarize_directory` rebuilds it; the state keeps the
       calendar anchor for that rebuild.
     """
-    if not refresh:
-        if (previous.directory / STATE_NAME).exists():
-            link_or_copy(previous.directory / STATE_NAME, staged.directory / STATE_NAME)
-        if _obs.enabled:
-            _obs.counter("update.summary_defers").inc()
+    if refresh:
+        with _span("update.summaries"):
+            materialize_summaries(staged, _recorded_start_date(previous.directory))
         return
-    prior = load_prior(previous)
-    if prior is None:
-        with _span("update.summaries", mode="cold"):
-            materialize_summaries(
-                staged, start_date=_recorded_start_date(previous.directory)
-            )
-        return
-    shape = staged.generation[:2]
-    churn = changed_cells(
-        previous.delta_keys_at(shape[1]),
-        previous.delta_values,
-        staged.delta_keys,
-        staged.delta_values,
-    )
-    dirty = dirty_tiles(*previous.generation[:2], shape, churn)
-    with _span(
-        "update.summaries",
-        mode="incremental",
-        tiles=sum(len(chunks) for chunks in dirty.values()),
-        churn=int(churn.size),
-    ):
-        materialize_summaries(staged, prior, dirty)
+    if (previous.directory / STATE_NAME).exists():
+        link_or_copy(previous.directory / STATE_NAME, staged.directory / STATE_NAME)
     if _obs.enabled:
-        _obs.counter("update.summary_refreshes").inc()
+        _obs.counter("update.summary_defers").inc()
 
 
 def summarize_directory(
@@ -659,10 +417,12 @@ def summarize_directory(
 
     The cubedash-gen-style ops entry point behind ``repro summarize``:
 
-    - a store stamped for this model (and no ``--rebuild``, no new
-      ``start_date``) → no-op, status ``"fresh"``;
-    - anything else (no store, a stale or lagging stamp, a deferred
-      append, ``--rebuild``) → cold build, status ``"rebuilt"``.
+    - a store stamped for this model whose files match the manifest
+      (and no ``--rebuild``, no new ``start_date``) → no-op, status
+      ``"fresh"``;
+    - anything else (no store, a stale, lagging or damaged one, a
+      deferred append, retired tile files, ``--rebuild``) → cold
+      build, status ``"rebuilt"``.
 
     Without ``start_date`` the build keeps the calendar anchor the
     directory's last summary state recorded, whatever its stamp.  The
@@ -686,10 +446,13 @@ def summarize_directory(
         recorded = _recorded_start_date(directory)
         if start_date is None:
             start_date = recorded
-        prior = None if rebuild else load_prior(parts)
-        if prior is not None and start_date == recorded:
-            return report("fresh", prior["state"])
-        state, files = _materialize(parts, None, None, start_date)
+        retired = [
+            directory / name for name in _RETIRED_FILES if (directory / name).exists()
+        ]
+        current = None if rebuild or retired else _intact_state(parts)
+        if current is not None and start_date == recorded:
+            return report("fresh", current)
+        state, files = _materialize(parts, start_date)
         reuse = {
             name: entry
             for name, entry in parts.manifest_files.items()
@@ -699,6 +462,8 @@ def summarize_directory(
     # state file lands after the arrays it stamps.
     for name, data in files:
         atomic_write_bytes(directory / name, data)
+    for path in retired:
+        path.unlink()
     atomic_write_bytes(directory / MANIFEST_NAME, _manifest_bytes(directory, reuse))
     log_event(
         "summaries.summarize",

@@ -1,6 +1,6 @@
 """Read side of the summary store: freshness, planning, bucket series.
 
-:class:`SummaryStore` loads the six ``summary_*`` files of a model
+:class:`SummaryStore` loads the four ``summary_*`` files of a model
 directory, validates the generation stamp against the live model
 (shape, delta count, append counter — any mismatch means the store
 describes a different model and is refused), and answers two kinds of

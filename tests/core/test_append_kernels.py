@@ -1,10 +1,8 @@
-"""The append's two set kernels against the formulations they replaced.
+"""The append's delta merge against the formulation it replaced.
 
 ``_merge_deltas`` (one partition over old deltas + new residuals) must
 retain exactly what the ``TopKBuffer`` offer/offer/``finalize`` sequence
-retained, and ``changed_cells`` (a sorted merge) must return exactly
-what the ``union1d`` + per-table lookup returned.  The old formulations
-live on here, as the references.
+retained.  The old formulation lives on here, as the reference.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.update import _merge_deltas
 from repro.structures.topk import TopKBuffer
-from repro.summaries import changed_cells
 
 
 def _topk_merge(old_keys, old_values, new_keys, new_values, budget):
@@ -35,26 +32,6 @@ def _topk_merge(old_keys, old_values, new_keys, new_values, budget):
     keys = np.concatenate([old_keys, new_keys])[positions]
     order = np.argsort(keys)
     return keys[order], values[order], retained_sq
-
-
-def _values_at(probe_keys, table_keys, table_values):
-    if table_keys.size == 0 or probe_keys.size == 0:
-        return np.zeros(probe_keys.shape, dtype=bool), np.zeros(probe_keys.shape)
-    pos = np.searchsorted(table_keys, probe_keys)
-    clipped = np.minimum(pos, table_keys.size - 1)
-    present = (pos < table_keys.size) & (table_keys[clipped] == probe_keys)
-    return present, np.where(present, table_values[clipped], 0.0)
-
-
-def _union_changed(old_keys, old_values, new_keys, new_values):
-    """``changed_cells`` as it was: hash union, then two lookups."""
-    all_keys = np.union1d(old_keys, new_keys)
-    old_present, old_vals = _values_at(all_keys, old_keys, old_values)
-    new_present, new_vals = _values_at(all_keys, new_keys, new_values)
-    changed = (old_present != new_present) | (
-        old_present & new_present & (old_vals != new_vals)
-    )
-    return all_keys[changed]
 
 
 def _candidates(seed: int, n_old: int, n_new: int, tied: bool):
@@ -154,70 +131,3 @@ class TestMergeDeltasMatchesTopKBuffer:
         args = _candidates(4, 10, 500, tied=True)
         _assert_bit_equal(_merge_deltas(*args, 6), _topk_merge(*args, 6))
 
-
-def _table(keys, values):
-    return np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.float64)
-
-
-class TestChangedCellsMatchesUnion:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        universe=st.integers(1, 60),
-        old_share=st.floats(0.0, 1.0),
-        new_share=st.floats(0.0, 1.0),
-    )
-    def test_random_sorted_unique_tables(self, seed, universe, old_share, new_share):
-        rng = np.random.default_rng(seed)
-        cells = np.sort(rng.choice(4 * universe, size=universe, replace=False))
-        old_keys = cells[rng.random(universe) < old_share]
-        new_keys = cells[rng.random(universe) < new_share]
-        # Two value levels: a surviving key keeps its value about half
-        # the time.
-        old_values = rng.choice([1.0, -2.5], size=old_keys.size)
-        new_values = rng.choice([1.0, -2.5], size=new_keys.size)
-        got = changed_cells(old_keys, old_values, new_keys, new_values)
-        want = _union_changed(old_keys, old_values, new_keys, new_values)
-        np.testing.assert_array_equal(got, want)
-        assert got.dtype == np.int64
-
-    @pytest.mark.parametrize(
-        "old, new, churn",
-        [
-            # evicted only
-            (([2, 5, 9], [1.0, 2.0, 3.0]), ([5], [2.0]), [2, 9]),
-            # admitted only
-            (([5], [2.0]), ([2, 5, 9], [1.0, 2.0, 3.0]), [2, 9]),
-            # value changed in place
-            (([2, 5, 9], [1.0, 2.0, 3.0]), ([2, 5, 9], [1.0, -2.0, 3.0]), [5]),
-            # identical tables
-            (([2, 5, 9], [1.0, 2.0, 3.0]), ([2, 5, 9], [1.0, 2.0, 3.0]), []),
-            # empty old / empty new / both
-            (([], []), ([3, 4], [1.0, 1.0]), [3, 4]),
-            (([3, 4], [1.0, 1.0]), ([], []), [3, 4]),
-            (([], []), ([], []), []),
-            # everything at once, interleaved
-            (([1, 4, 6, 8], [1.0, 2.0, 3.0, 4.0]), ([0, 4, 6, 7], [9.0, 2.0, 5.0, 9.0]), [0, 1, 6, 7, 8]),
-        ],
-    )
-    def test_named_cases(self, old, new, churn):
-        got = changed_cells(*_table(*old), *_table(*new))
-        np.testing.assert_array_equal(got, np.asarray(churn, dtype=np.int64))
-        np.testing.assert_array_equal(got, _union_changed(*_table(*old), *_table(*new)))
-
-    def test_key_past_the_last_old_key_does_not_alias(self):
-        # searchsorted puts 50 one past the end; clipped onto the last
-        # old slot it must compare unequal - even holding that slot's
-        # value - and the last old key must still count as kept.
-        old = _table([3, 7, 20], [1.0, 2.0, 3.0])
-        new = _table([3, 7, 20, 50], [1.0, 2.0, 3.0, 3.0])
-        np.testing.assert_array_equal(changed_cells(*old, *new), [50])
-        np.testing.assert_array_equal(
-            changed_cells(*old, *_table([50], [3.0])), [3, 7, 20, 50]
-        )
-
-    def test_float32_table_compares_by_value(self):
-        old = (np.array([1, 2], dtype=np.int64), np.array([0.5, 0.1], dtype=np.float32))
-        new = _table([1, 2], [0.5, 0.1])  # 0.1 is not a float32 value
-        np.testing.assert_array_equal(changed_cells(*old, *new), [2])
-        np.testing.assert_array_equal(_union_changed(*old, *new), [2])

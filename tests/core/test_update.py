@@ -495,8 +495,9 @@ class TestSpans:
         assert drift["cols"] == 380 and drift["certified"] is True
         assert 1 <= drift["blocks"] <= 8 and drift["basis"] < 380
         write = root.find("update.write_model")
-        assert write.attrs == {"files": 15, "fsyncs": 17}
-        assert write.find("update.summaries").attrs["mode"] == "incremental"
+        assert write.attrs == {"files": 13, "fsyncs": 15}
+        profiles = write.find("update.summaries").find("summaries.profiles")
+        assert profiles.attrs == {"rows": 200, "cols": 380}
         children = [child.name for child in root.children]
         assert children.index("update.merge_deltas") < children.index("update.drift")
         assert children[-1] == "update.write_model"

@@ -1,4 +1,4 @@
-"""Incremental maintenance: bit-identical refresh, defer, torn writes.
+"""Summary maintenance: every version's store is a cold build, defer, torn writes.
 
 The contract under test is strong: after any sequence of appends, the
 summary files on disk are **byte-identical** to a cold rebuild of the
@@ -8,7 +8,9 @@ as the model files, a crash at any point leaves either the old
 generation (stamped, so the loader rejects it against the new model)
 or the new one — never a half-written store that serves wrong numbers.
 A deferred append leaves no usable store, only the previous state
-file, which keeps the calendar anchor for the rebuild.
+file, which keeps the calendar anchor for the rebuild.  The two tile
+files an older incremental refresh wrote are read by no one and left
+behind by the next append or ``repro summarize``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ from repro.cli import main
 from repro.core.update import append_columns, append_rows
 from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.storage.atomic import STAGING_SUFFIX
+from repro.storage.integrity import verify_manifest, write_manifest
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
 from repro.summaries.compute import STATE_NAME
+
+LEGACY_TILES = ("summary_colblocks.npy", "summary_rowchunks.npy")
 
 
 def _summary_bytes(directory):
@@ -167,24 +172,31 @@ class TestTornWrites:
 
 
 class TestDamagedPriorIsNotLaundered:
-    """The two tile files are inputs an incremental refresh copies clean
-    tiles out of and re-hashes: a flipped byte in one must not come out
-    the other side under a clean manifest."""
+    """No append or summarize reads a previous store to write the next
+    one, so a flipped byte in a summary file — or in a tile file an
+    older version left — never comes out the other side under a clean
+    manifest."""
 
     @staticmethod
-    def _flip_a_clean_tile_byte(directory, name):
+    def _flip_a_byte(directory, name):
         path = directory / name
         raw = bytearray(path.read_bytes())
-        raw[-(8 * 290) + 3] ^= 0x10  # a value of the last stat row, column 10: chunk 0
+        raw[-5] ^= 0x10
         path.write_bytes(bytes(raw))
 
-    @pytest.mark.parametrize("bytes_per_value", [8, 4])
-    @pytest.mark.parametrize("name", ["summary_colblocks.npy", "summary_rowchunks.npy"])
-    def test_append_over_a_damaged_tile_file_refreshes_cold(
-        self, tmp_path, enabled_registry, bytes_per_value, name
-    ):
-        from repro.storage.integrity import verify_manifest
+    @staticmethod
+    def _legacy_tiles(directory):
+        """The two tile files an older incremental refresh wrote beside
+        the store, listed in the manifest as that version listed them."""
+        for name in LEGACY_TILES:
+            np.save(directory / name, np.zeros((2, 300)))
+        write_manifest(directory)
 
+    @pytest.mark.parametrize("bytes_per_value", [8, 4])
+    @pytest.mark.parametrize("name", LEGACY_TILES)
+    def test_append_over_a_damaged_tile_file_refreshes_cold(
+        self, tmp_path, bytes_per_value, name
+    ):
         rng = np.random.default_rng(8)
         data = rng.random((300, 300)) * 10
         data[7, 3] += 400.0
@@ -192,24 +204,20 @@ class TestDamagedPriorIsNotLaundered:
         build_compressed(
             data, directory, budget_fraction=0.20, bytes_per_value=bytes_per_value
         ).close()
-        self._flip_a_clean_tile_byte(directory, name)
+        self._legacy_tiles(directory)
+        self._flip_a_byte(directory, name)
         assert not verify_manifest(directory).ok
 
-        # Two quiet days: only the tile of the second column chunk is dirty,
-        # so an incremental refresh would copy the damaged one forward.
         append_columns(directory, np.zeros((300, 2)))
-        assert enabled_registry.counter("update.summary_prior_rejected").value == 1
-        assert enabled_registry.counter("update.summary_refreshes").value == 0
+        assert not any((directory / tile).exists() for tile in LEGACY_TILES)
         assert verify_manifest(directory).ok
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
 
     def test_deferred_append_drops_a_damaged_store(self, tmp_path):
-        from repro.storage.integrity import verify_manifest
-
         rng = np.random.default_rng(8)
         directory = tmp_path / "model"
         build_compressed(rng.random((300, 300)) * 10, directory, budget_fraction=0.20).close()
-        self._flip_a_clean_tile_byte(directory, "summary_colblocks.npy")
+        self._flip_a_byte(directory, "summary_cols.npy")
         append_columns(directory, np.zeros((300, 2)), refresh_summaries=False)
         assert SummaryStore.load(directory) is None
         assert [n for n in SUMMARY_FILES if (directory / n).exists()] == [STATE_NAME]
@@ -217,11 +225,23 @@ class TestDamagedPriorIsNotLaundered:
 
     def test_summarize_over_a_damaged_tile_file_rebuilds(self, model, tmp_path):
         directory, _rng = model
-        path = directory / "summary_colblocks.npy"
-        raw = bytearray(path.read_bytes())
-        raw[-5] ^= 0x10
-        path.write_bytes(bytes(raw))
+        self._legacy_tiles(directory)
+        self._flip_a_byte(directory, "summary_colblocks.npy")
         assert summarize_directory(directory)["status"] == "rebuilt"
+        assert not any((directory / tile).exists() for tile in LEGACY_TILES)
+        assert verify_manifest(directory).ok
+        assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
+        assert summarize_directory(directory)["status"] == "fresh"
+
+    @pytest.mark.parametrize(
+        "name", ["summary_cols.npy", "summary_rows.npy", "summary_levels.npz"]
+    )
+    def test_summarize_over_a_damaged_summary_file_rebuilds(self, model, tmp_path, name):
+        directory, _rng = model
+        self._flip_a_byte(directory, name)
+        assert not verify_manifest(directory).ok
+        assert summarize_directory(directory)["status"] == "rebuilt"
+        assert verify_manifest(directory).ok
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
 
 
@@ -259,16 +279,13 @@ class TestCalendarAnchor:
             edges = bucket_series(saved, "month", "sum")["edges"]
         assert edges[:3] == [0, 17, 46]  # Feb 1 and Mar 1 2024 from Jan 15
 
-    def test_cold_refresh_after_a_rejected_prior_keeps_the_anchor(
-        self, anchored, enabled_registry
-    ):
+    def test_refreshing_append_keeps_the_anchor(self, anchored):
         directory, rng = anchored
-        TestDamagedPriorIsNotLaundered._flip_a_clean_tile_byte(
-            directory, "summary_colblocks.npy"
-        )
         append_columns(directory, rng.random((300, 3)) * 10)
-        assert enabled_registry.counter("update.summary_prior_rejected").value == 1
         assert _start_date(directory) == self.ANCHOR
+        with CompressedMatrix.open(directory) as saved:
+            edges = bucket_series(saved, "month", "sum")["edges"]
+        assert edges[:3] == [0, 17, 46]
 
 
 class TestLegacyLaggingState:
