@@ -16,6 +16,7 @@ Run:  python examples/robust_and_updates.py
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 from pathlib import Path
@@ -78,12 +79,15 @@ def fastpath_demo() -> None:
     model = SVDDCompressor(budget_fraction=0.10).fit(data)
     query = AggregateQuery("avg", Selection(rows=range(0, 1500), cols=range(50, 200)))
 
-    fast = QueryEngine(model, use_fast_path=True)
-    slow = QueryEngine(model, use_fast_path=False)
+    engine = QueryEngine(model)
     t0 = time.perf_counter()
-    fast_value = fast.aggregate(query).value
+    fast_value = engine.aggregate(query).value  # the planner picks factor
     t1 = time.perf_counter()
-    slow_value = slow.aggregate(query).value
+    # The streamed reference: the same plan, forced onto its stream route.
+    plan = engine.plan(query)
+    (stream,) = [c for c in plan.candidates if c.name == "stream"]
+    forced = dataclasses.replace(plan, route=stream)
+    slow_value = engine.execute(query, plan=forced).value
     t2 = time.perf_counter()
     print(f"  factor space : {fast_value:.6f} in {(t1 - t0) * 1e3:.2f} ms")
     print(f"  row streaming: {slow_value:.6f} in {(t2 - t1) * 1e3:.2f} ms")

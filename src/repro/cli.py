@@ -13,9 +13,9 @@ Gives the library the operational surface a deployed system would have:
 - ``summarize`` — rebuild a model's summary store when it is missing
   or stale (the persisted time-hierarchy rollups behind
   ``path=summary`` answers and ``/groupby``);
-- ``cell``    — reconstruct one cell, reporting the disk accesses used;
-- ``aggregate`` — run an aggregate query over row/column ranges;
-- ``query``   — run a textual query ('avg() rows 0:100 cols 7:14');
+- ``query``   — run a textual query: a cell (``'cell(1234, 200)'``,
+  reporting the disk accesses used) or an aggregate over row/column
+  ranges (``'avg() rows 0:100 cols 7:14'``);
 - ``batch``   — run a file of queries through a concurrent executor
   (``--mode sequential|thread|process``; process mode serves from
   worker processes sharing the model through mmap);
@@ -35,10 +35,10 @@ Gives the library the operational surface a deployed system would have:
 - ``scatter`` — render the Appendix A scatter plot for a dataset;
 - ``datasets`` — list the built-in synthetic datasets.
 
-The query commands take ``--profile`` (execute with telemetry enabled
-and print the per-query :class:`~repro.obs.profile.QueryProfile` as
-JSON); ``aggregate`` and ``query`` also ``--explain`` (print the
-engine's plan as JSON instead of executing).
+``query`` takes ``--profile`` (execute with telemetry enabled and print
+the per-query :class:`~repro.obs.profile.QueryProfile` as JSON),
+``--explain`` (print the engine's plan as JSON instead of executing)
+and ``--max-rmspe`` (the aggregate's error budget).
 
 Every command is one row of :data:`COMMANDS` — name, help, handler,
 arguments — and :func:`build_parser` is a loop over it.
@@ -47,10 +47,10 @@ Examples::
 
     python -m repro build --dataset phone2000 --budget 0.10 --out model/
     python -m repro info model/
-    python -m repro cell model/ 1234 200
-    python -m repro aggregate model/ --function avg --rows 0:100 --cols 7:14
-    python -m repro aggregate model/ --rows 0:100 --explain
-    python -m repro aggregate model/ --rows 0:100 --profile
+    python -m repro query model/ 'cell(1234, 200)'
+    python -m repro query model/ 'avg() rows 0:100 cols 7:14'
+    python -m repro query model/ 'avg() rows 0:100' --explain
+    python -m repro query model/ 'avg() rows 0:100' --profile
     python -m repro serve model/ --workers 2
     python -m repro scatter stocks
 """
@@ -70,23 +70,10 @@ from repro.core import CompressedMatrix
 from repro.data import load_dataset
 from repro.exceptions import ReproError
 from repro.obs import registry
-from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
+from repro.query import AggregateQuery, CellQuery, QueryEngine
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
 from repro.storage import MatrixStore
-
-
-def _parse_range(text: str, extent: int) -> range:
-    """Parse 'a:b' / 'a' / ':' into a range within [0, extent)."""
-    if text == ":":
-        return range(extent)
-    if ":" in text:
-        start_text, stop_text = text.split(":", 1)
-        start = int(start_text) if start_text else 0
-        stop = int(stop_text) if stop_text else extent
-        return range(start, stop)
-    index = int(text)
-    return range(index, index + 1)
 
 
 @contextlib.contextmanager
@@ -221,22 +208,24 @@ def cmd_summarize(args) -> int:
     return 0
 
 
-def _answer(args, build_query, label: str, explain: bool = False) -> int:
-    """The body ``cell``, ``aggregate`` and ``query`` share: open the
-    model, build the query (``build_query(store)``), then print its
-    plan (``explain``) or its answer — a cell's with the disk accesses
-    it cost, an aggregate's with the cells it covered — and, under
-    ``--profile``, the :class:`~repro.obs.profile.QueryProfile`."""
+def cmd_query(args) -> int:
+    """Handle ``repro query``: parse a textual query, then print its
+    plan (``--explain``) or its answer — a cell's with the disk
+    accesses it cost, an aggregate's with the cells it covered — and,
+    under ``--profile``, the :class:`~repro.obs.profile.QueryProfile`."""
+    query = parse_query(args.text)
+    if args.max_rmspe is not None and isinstance(query, AggregateQuery):
+        query = dataclasses.replace(query, max_rmspe=args.max_rmspe)
     if args.profile:
         registry.enable()
     with CompressedMatrix.open(args.model) as store:
-        query = build_query(store)
         engine = QueryEngine(store)
-        if explain:
+        if args.explain:
             print(json.dumps(engine.explain(query), indent=2))
             return 0
         store.u_pool_stats.reset()
         result = engine.execute(query)
+        label = args.text.strip()
         if isinstance(query, CellQuery):
             print(f"{label} = {result.value:.6g}")
             print(f"disk accesses: {store.u_pool_stats.misses}")
@@ -245,41 +234,6 @@ def _answer(args, build_query, label: str, explain: bool = False) -> int:
         if result.profile is not None:
             print(result.profile.to_json())
     return 0
-
-
-def cmd_cell(args) -> int:
-    """Handle ``repro cell``: reconstruct one cell with access accounting."""
-    return _answer(
-        args,
-        lambda _store: CellQuery(args.row, args.col),
-        f"cell ({args.row}, {args.col})",
-    )
-
-
-def cmd_aggregate(args) -> int:
-    """Handle ``repro aggregate``: run one aggregate over ranges."""
-
-    def build_query(store):
-        rows, cols = store.shape
-        selection = Selection(
-            rows=_parse_range(args.rows, rows), cols=_parse_range(args.cols, cols)
-        )
-        return AggregateQuery(args.function, selection, max_rmspe=args.max_rmspe)
-
-    label = f"{args.function}(rows={args.rows}, cols={args.cols})"
-    return _answer(args, build_query, label, explain=args.explain)
-
-
-def cmd_query(args) -> int:
-    """Handle ``repro query``: parse and run a textual query."""
-
-    def build_query(_store):
-        query = parse_query(args.text)
-        if args.max_rmspe is not None and isinstance(query, AggregateQuery):
-            query = dataclasses.replace(query, max_rmspe=args.max_rmspe)
-        return query
-
-    return _answer(args, build_query, args.text.strip(), explain=args.explain)
 
 
 def _arm_slow_log(args) -> None:
@@ -576,23 +530,6 @@ _SOURCE = [
     _arg("--dataset", help="built-in dataset name (e.g. phone2000)"),
     _arg("--input", help="path to a MatrixStore file"),
 ]
-_PROFILE = _arg(
-    "--profile", action="store_true", help="print the QueryProfile as JSON"
-)
-_PLAN_OPTIONS = (
-    _arg(
-        "--explain",
-        action="store_true",
-        help="print the query plan as JSON instead of executing",
-    ),
-    _PROFILE,
-    _arg(
-        "--max-rmspe",
-        type=float,
-        help="error budget: admit the approximate SVD-only route when its "
-        "stored RMSPE fits (0 = exact only)",
-    ),
-)
 _SLOW_LOG = (
     _arg(
         "--slow-ms",
@@ -694,31 +631,26 @@ COMMANDS = (
         ),
     ),
     (
-        "cell",
-        "reconstruct one cell",
-        cmd_cell,
-        (_MODEL, _arg("row", type=int), _arg("col", type=int), _PROFILE),
-    ),
-    (
-        "aggregate",
-        "run an aggregate query",
-        cmd_aggregate,
-        (
-            _MODEL,
-            _arg("--function", default="avg", help="sum|avg|count|min|max|stddev"),
-            _arg("--rows", default=":", help="row range a:b (default all)"),
-            _arg("--cols", default=":", help="col range a:b (default all)"),
-            *_PLAN_OPTIONS,
-        ),
-    ),
-    (
         "query",
         "run a textual query against a model",
         cmd_query,
         (
             _MODEL,
             _arg("text", help="e.g. 'avg() rows 0:100 cols 7:14' or 'cell(3, 5)'"),
-            *_PLAN_OPTIONS,
+            _arg(
+                "--explain",
+                action="store_true",
+                help="print the query plan as JSON instead of executing",
+            ),
+            _arg(
+                "--profile", action="store_true", help="print the QueryProfile as JSON"
+            ),
+            _arg(
+                "--max-rmspe",
+                type=float,
+                help="error budget: admit the approximate SVD-only route when its "
+                "stored RMSPE fits (0 = exact only)",
+            ),
         ),
     ),
     (

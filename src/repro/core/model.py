@@ -96,12 +96,6 @@ class SVDModel:
             raise QueryError(f"row {row} out of range [0, {self.num_rows})")
         return (self.u[row] * self.eigenvalues) @ self.v.T
 
-    def reconstruct_column(self, col: int) -> np.ndarray:
-        """Reconstruct one full column (all customers on one day)."""
-        if not 0 <= col < self.num_cols:
-            raise QueryError(f"col {col} out of range [0, {self.num_cols})")
-        return self.u @ (self.eigenvalues * self.v[col])
-
     def _check_selection(self, row_idx: np.ndarray, col_idx: np.ndarray) -> None:
         if row_idx.size == 0 or col_idx.size == 0:
             raise QueryError("selection must be non-empty")
@@ -116,21 +110,6 @@ class SVDModel:
         col_idx = as_index_array(cols)
         self._check_selection(row_idx, col_idx)
         return (self.u[row_idx] * self.eigenvalues) @ self.v[col_idx].T
-
-    def reconstruct_cells(self, rows, cols) -> np.ndarray:
-        """Reconstruct the cells ``(rows[i], cols[i])`` in one einsum."""
-        row_idx = np.asarray(rows, dtype=np.int64).ravel()
-        col_idx = np.asarray(cols, dtype=np.int64).ravel()
-        if row_idx.shape != col_idx.shape:
-            raise QueryError(
-                f"rows and cols must align, got {row_idx.size} vs {col_idx.size}"
-            )
-        if row_idx.size == 0:
-            return np.empty(0)
-        self._check_selection(row_idx, col_idx)
-        return np.einsum(
-            "ik,ik->i", self.u[row_idx] * self.eigenvalues, self.v[col_idx]
-        )
 
     def reconstruct(self) -> np.ndarray:
         """Materialize the full rank-k approximation (Eq. 8)."""
@@ -241,18 +220,6 @@ class SVDDModel:
         if len(index) > 0:
             row_pos, col_pos, _r, _c, values = index.select(row_idx, col_idx)
             out[row_pos, col_pos] += values
-        return out
-
-    def reconstruct_cells(self, rows, cols) -> np.ndarray:
-        """Reconstruct the cells ``(rows[i], cols[i])``, deltas folded in."""
-        out = self.svd.reconstruct_cells(rows, cols)
-        index = self.deltas
-        if len(index) > 0 and out.size > 0:
-            keys = (
-                np.asarray(rows, dtype=np.int64).ravel() * self.num_cols
-                + np.asarray(cols, dtype=np.int64).ravel()
-            )
-            out = out + index.lookup(keys)
         return out
 
     def reconstruct(self) -> np.ndarray:

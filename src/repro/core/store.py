@@ -95,6 +95,11 @@ class CompressedMatrix:
         #: while the summary files were built for the full model, and
         #: post-swap the live directory may hold a *newer* generation.
         self._generation = parts.generation
+        # From the ledger read with this generation's files, not the
+        # live directory a later append may have swapped.
+        from repro.core.update import rmspe_from_state
+
+        self._rmspe_estimate = rmspe_from_state(parts.update_state)
         #: Cells answered by the Section 6.2 zero-row flag, no disk read.
         self.stats = {"zero_row_skips": 0}
         # Guards the stats dict: dict ``+=`` is a read-modify-write, and
@@ -363,25 +368,18 @@ class CompressedMatrix:
             self._summaries_checked = True
         return self._summaries_cache
 
-    _rmspe_cache: float | None = None
-    _rmspe_checked: bool = False
-
     @property
     def rmspe_estimate(self) -> float | None:
         """Stored relative reconstruction error of the rank-k truncation.
 
-        Read lazily from ``update_state.json`` (see
-        :func:`repro.core.update.stored_rmspe_estimate`) and cached,
-        including a cached miss.  The query planner uses it as the
-        error bound of the SVD-only route; None means the model
-        predates the update subsystem and carries no estimate.
+        Computed at open from the ``update_state.json`` read with this
+        store's files (see :func:`repro.core.update.rmspe_from_state`),
+        so a store keeps its own generation's estimate after an append
+        swaps the directory.  The query planner uses it as the error
+        bound of the SVD-only route; None means the model predates the
+        update subsystem and carries no estimate.
         """
-        if not self._rmspe_checked:
-            from repro.core.update import stored_rmspe_estimate
-
-            self._rmspe_cache = stored_rmspe_estimate(self._directory)
-            self._rmspe_checked = True
-        return self._rmspe_cache
+        return self._rmspe_estimate
 
     @property
     def bytes_per_value(self) -> int:
@@ -411,11 +409,6 @@ class CompressedMatrix:
         )
 
     # -- queries ----------------------------------------------------------------
-
-    def _zero_mask(self, row_idx: np.ndarray) -> np.ndarray:
-        """Boolean mask of selected rows that are flagged all-zero
-        (``row_idx`` already range-checked by the caller)."""
-        return self._zero_flag[row_idx]
 
     def cell(self, row: int, col: int) -> float:
         """Reconstruct one cell: one U-row disk access + O(k) arithmetic.
@@ -461,35 +454,6 @@ class CompressedMatrix:
         u_row = self._u_store.row(row)[: self.cutoff]
         return float(np.dot(u_row * self._eigenvalues, self._v[col]))
 
-    def row(self, row: int) -> np.ndarray:
-        """Reconstruct a whole row — still a single U-row access."""
-        rows, cols = self.shape
-        if not 0 <= row < rows:
-            raise QueryError(f"row {row} out of range [0, {rows})")
-        if row in self._zero_rows:
-            self._bump("zero_row_skips")
-            return np.zeros(cols)
-        u_row = self._u_store.row(row)[: self.cutoff]
-        out = (u_row * self._eigenvalues) @ self._v.T
-        if self._deltas is not None:
-            delta_cols, delta_values = self._deltas.for_row(row)
-            out[delta_cols] += delta_values
-        return out
-
-    def column(self, col: int) -> np.ndarray:
-        """Reconstruct a whole column (streams U once)."""
-        rows, cols = self.shape
-        if not 0 <= col < cols:
-            raise QueryError(f"col {col} out of range [0, {cols})")
-        weights = self._eigenvalues * self._v[col]
-        out = np.empty(rows)
-        for start, block in self._u_blocks():
-            out[start : start + block.shape[0]] = block @ weights
-        if self._deltas is not None:
-            delta_rows, delta_values = self._deltas.for_col(col)
-            out[delta_rows] += delta_values
-        return out
-
     def _u_blocks(self):
         """All of ``U`` as ``(start_row, block)`` gathers of
         ``_U_BLOCK_ROWS`` rows, one GEMM's worth each; iterating to the
@@ -514,43 +478,6 @@ class CompressedMatrix:
         u_sel = self._u_store.read_rows(row_idx)[:, : self.cutoff]
         return u_sel * self._eigenvalues, self._v, self._deltas, int(row_idx.size)
 
-    def cells(self, rows, cols) -> np.ndarray:
-        """Reconstruct many cells at once: one batched U gather.
-
-        ``rows`` and ``cols`` are aligned index arrays naming the cells
-        ``(rows[i], cols[i])``.  The selected U rows arrive through one
-        :meth:`~repro.storage.matrix_store.MatrixStore.read_rows` batch
-        (duplicate rows cost one page access), the per-cell dot products
-        are one einsum, and delta corrections resolve with a single
-        vectorized key lookup — no per-cell Python.
-        """
-        row_idx = np.asarray(rows, dtype=np.int64).ravel()
-        col_idx = np.asarray(cols, dtype=np.int64).ravel()
-        if row_idx.shape != col_idx.shape:
-            raise QueryError(
-                f"rows and cols must align, got {row_idx.size} vs {col_idx.size}"
-            )
-        total_rows, total_cols = self.shape
-        if row_idx.size == 0:
-            return np.empty(0)
-        if row_idx.min() < 0 or row_idx.max() >= total_rows:
-            raise QueryError(f"row selection outside [0, {total_rows})")
-        if col_idx.min() < 0 or col_idx.max() >= total_cols:
-            raise QueryError(f"col selection outside [0, {total_cols})")
-        zero = self._zero_mask(row_idx)
-        self._bump("zero_row_skips", int(zero.sum()))
-        out = np.zeros(row_idx.size)
-        live = ~zero
-        if live.any():
-            scaled_u = (
-                self._u_store.read_rows(row_idx[live])[:, : self.cutoff]
-                * self._eigenvalues
-            )
-            out[live] = np.einsum("ik,ik->i", scaled_u, self._v[col_idx[live]])
-        if self._deltas is not None and len(self._deltas) > 0:
-            out += self._deltas.lookup(row_idx * total_cols + col_idx)
-        return out
-
     def reconstruct_range(self, rows, cols) -> np.ndarray:
         """Reconstruct an arbitrary submatrix (selected rows x columns).
 
@@ -573,7 +500,7 @@ class CompressedMatrix:
             raise QueryError(f"col selection outside [0, {total_cols})")
         v_sel = self._v[col_idx]  # (m_sel, k)
         out = np.zeros((row_idx.size, col_idx.size))
-        zero = self._zero_mask(row_idx)
+        zero = self._zero_flag[row_idx]
         self._bump("zero_row_skips", int(zero.sum()))
         live = ~zero
         if live.any():

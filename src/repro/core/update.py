@@ -78,9 +78,7 @@ from repro.core import space
 from repro.core.build import DRIFT_THRESHOLD_DEFAULT
 from repro.exceptions import (
     ConfigurationError,
-    FormatError,
     ShapeError,
-    StorageError,
 )
 from repro.linalg import require_matrix
 from repro.linalg.eigen import _top_eigenvalues
@@ -100,7 +98,7 @@ __all__ = [
     "append_columns",
     "append_rows",
     "load_update_state",
-    "stored_rmspe_estimate",
+    "rmspe_from_state",
 ]
 
 #: Rows per block when streaming the on-disk ``U`` file.
@@ -151,28 +149,27 @@ class AppendResult:
 def load_update_state(model_dir: str | os.PathLike) -> dict:
     """Parse a model directory's ``update_state.json``.
 
-    Raises :class:`FormatError` when the directory has no incremental
-    state (models written by ``CompressedMatrix.save`` before the
-    update subsystem, or with the state files deleted) — those models
-    can only be refreshed by a full rebuild.
+    Raises :class:`~repro.exceptions.FormatError` when the directory
+    has no incremental state (models written by
+    ``CompressedMatrix.save`` before the update subsystem, or with the
+    state files deleted) — those models can only be refreshed by a
+    full rebuild.
     """
     return read_update_state(model_dir, required=True)
 
 
-def stored_rmspe_estimate(model_dir: str | os.PathLike) -> float | None:
-    """The model's stored residual error fraction, if recorded.
+def rmspe_from_state(state: dict | None) -> float | None:
+    """The residual error fraction an append ledger records, if any.
 
-    ``update_state.json`` tracks the energies the incremental
-    maintenance path needs (total signal energy and the SSE the rank-k
-    truncation left behind); their ratio's square root estimates the
-    relative reconstruction error an SVD-only answer carries.  The
-    query planner uses it as the error bound of the ``svd`` route.
-    None when the model predates the update subsystem or recorded no
-    energy.
+    ``state`` is a parsed ``update_state.json``, which tracks the
+    energies the incremental maintenance path needs (total signal
+    energy and the SSE the rank-k truncation left behind); their
+    ratio's square root estimates the relative reconstruction error an
+    SVD-only answer carries.  The query planner uses it as the error
+    bound of the ``svd`` route.  None when the model predates the
+    update subsystem (no ledger) or recorded no energy.
     """
-    try:
-        state = load_update_state(model_dir)
-    except (FormatError, StorageError, OSError):
+    if state is None:
         return None
     total = float(state.get("total_energy", 0.0) or 0.0)
     residual = float(state.get("residual_sse", 0.0) or 0.0)

@@ -66,7 +66,8 @@ def _rows_of(source) -> tuple[tuple[int, int], callable]:
 
 def _model_rows_of(model) -> tuple[tuple[int, int], callable]:
     if isinstance(model, CompressedMatrix):
-        return model.shape, model.row
+        cols = np.arange(model.shape[1])
+        return model.shape, lambda i: model.reconstruct_range([i], cols)[0]
     if isinstance(model, (SVDModel, SVDDModel)):
         return model.shape, model.reconstruct_row
     raise ShapeError(

@@ -30,7 +30,6 @@ from repro.plan.planner import (
     RejectedRoute,
     RouteEstimate,
     plan_aggregate,
-    svd_error_bound,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "ROUTE_SVD",
     "page_read_ms",
     "plan_aggregate",
-    "svd_error_bound",
 ]

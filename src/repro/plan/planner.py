@@ -51,7 +51,6 @@ __all__ = [
     "RejectedRoute",
     "RouteEstimate",
     "plan_aggregate",
-    "svd_error_bound",
 ]
 
 ROUTE_SUMMARY = "summary"
@@ -148,12 +147,6 @@ class QueryPlan:
         }
 
 
-def svd_error_bound(backend) -> float | None:
-    """The RMSPE the SVD-only route would carry, or None when unknown
-    (see :attr:`repro.query.backend.Backend.rmspe_estimate`)."""
-    return as_backend(backend).rmspe_estimate
-
-
 # -- planning --------------------------------------------------------------
 
 
@@ -163,9 +156,7 @@ def plan_aggregate(
     row_idx: np.ndarray,
     col_idx: np.ndarray,
     *,
-    use_fast_path: bool = True,
     include_deltas: bool = True,
-    use_summaries: bool = True,
     max_rmspe: float | None = None,
     params: CostParams | None = None,
 ) -> QueryPlan:
@@ -177,9 +168,8 @@ def plan_aggregate(
         function: one of the supported aggregates.
         row_idx / col_idx: the resolved selection (sorted index
             arrays from :meth:`Selection.resolve`).
-        use_fast_path / include_deltas / use_summaries: the engine's
-            mode flags — they gate admissibility exactly as execution
-            honors them.
+        include_deltas: the engine's mode — False (the brownout
+            engine) forfeits the delta fold, exactly as execution does.
         max_rmspe: the caller's error budget.  None means "exact only"
             on a delta-capable engine and "best effort" on a brownout
             engine; 0.0 always means exact and never admits ``svd``.
@@ -212,40 +202,32 @@ def plan_aggregate(
         row_page_bytes = priced_store.page_size
 
     # -- summary route -------------------------------------------------
-    if not use_summaries:
-        reject(ROUTE_SUMMARY, "summaries disabled for this engine")
+    sstore = backend.summaries
+    if sstore is None:
+        reject(ROUTE_SUMMARY, "backend has no summary store")
     else:
-        sstore = backend.summaries
-        if sstore is None:
-            reject(ROUTE_SUMMARY, "backend has no summary store")
+        summary_plan = sstore.plan(row_idx, col_idx)
+        if summary_plan is None:
+            reject(
+                ROUTE_SUMMARY,
+                "selection does not span a full axis of the rollups",
+            )
         else:
-            summary_plan = sstore.plan(row_idx, col_idx)
-            if summary_plan is None:
-                reject(
+            touched = int(row_idx.size) + int(col_idx.size)
+            candidates.append(
+                RouteEstimate(
                     ROUTE_SUMMARY,
-                    "selection does not span a full axis of the rollups",
+                    cost_ms=params.summary_floor_ms
+                    + flops_ms(touched, params.ns_per_cell),
+                    pages=0,
+                    row_fetches=0,
+                    error_bound=0.0,
                 )
-            else:
-                touched = int(row_idx.size) + int(col_idx.size)
-                candidates.append(
-                    RouteEstimate(
-                        ROUTE_SUMMARY,
-                        cost_ms=params.summary_floor_ms
-                        + flops_ms(touched, params.ns_per_cell),
-                        pages=0,
-                        row_fetches=0,
-                        error_bound=0.0,
-                    )
-                )
+            )
 
     # -- factor-space routes (exact and SVD-only) ----------------------
     factor_capable = True
-    if not use_fast_path:
-        factor_capable = False
-        reason = "factor fast path disabled for this engine"
-        reject(ROUTE_FACTOR, reason)
-        reject(ROUTE_SVD, reason)
-    elif function not in FACTOR_FUNCTIONS:
+    if function not in FACTOR_FUNCTIONS:
         factor_capable = False
         reason = f"{function!r} needs per-cell values, not factor sums"
         reject(ROUTE_FACTOR, reason)

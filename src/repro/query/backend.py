@@ -17,10 +17,9 @@ alone.
 
 Vocabulary every backend offers:
 
-- ``shape``; ``cell(row, col)``; ``cells(rows, cols)`` for aligned
-  index arrays; ``block(row_idx, col_idx)``, the dense float64
-  submatrix — always an array, the row-at-a-time loop for row-only
-  sources lives here and nowhere else;
+- ``shape``; ``cell(row, col)``; ``block(row_idx, col_idx)``, the
+  dense float64 submatrix — always an array, the row-at-a-time loop
+  for row-only sources lives here and nowhere else;
 - ``svd_cell`` — the delta-free probe, or None;
 - ``factors(row_idx) -> (scaled_u, v, delta_index, rows_fetched)`` —
   the selected rows as ``u_i * Lambda``, the pinned ``V``, the outlier
@@ -61,7 +60,6 @@ class Backend:
     source: object
     shape: tuple[int, int]
     cell: Callable[[int, int], float]
-    cells: Callable[[np.ndarray, np.ndarray], np.ndarray]
     block: Callable[[np.ndarray, np.ndarray], np.ndarray]
     svd_cell: Callable[[int, int], float] | None = None
     factors: Callable[[np.ndarray], tuple] | None = None
@@ -115,13 +113,11 @@ class Backend:
         """The RMSPE an SVD-only answer carries, or None when unknown.
 
         For the persistent store this is the residual-energy estimate
-        in ``update_state.json`` (see
-        :func:`repro.core.update.stored_rmspe_estimate`); any source
-        exposing an ``rmspe_estimate`` attribute or method is honored.
+        its ``update_state.json`` recorded when it was opened (see
+        :func:`repro.core.update.rmspe_from_state`); any source
+        exposing an ``rmspe_estimate`` attribute is honored.
         """
         bound = getattr(self.source, "rmspe_estimate", None)
-        if callable(bound):
-            bound = bound()
         if bound is None:
             return None
         bound = float(bound)
@@ -135,7 +131,6 @@ def _from_ndarray(matrix: np.ndarray) -> Backend:
         source=matrix,
         shape=tuple(matrix.shape),
         cell=lambda row, col: float(matrix[row, col]),
-        cells=lambda rows, cols: matrix[rows, cols].astype(np.float64),
         block=lambda row_idx, col_idx: matrix[np.ix_(row_idx, col_idx)].astype(
             np.float64
         ),
@@ -147,7 +142,6 @@ def _from_matrix_store(store: MatrixStore) -> Backend:
         source=store,
         shape=tuple(store.shape),
         cell=store.cell,
-        cells=lambda rows, cols: store.read_rows(rows)[np.arange(rows.size), cols],
         block=lambda row_idx, col_idx: store.read_rows(row_idx)[:, col_idx],
         paged_store=store,
     )
@@ -168,7 +162,6 @@ def _from_model(source, model: SVDModel | SVDDModel) -> Backend:
         source=source,
         shape=model.shape,
         cell=model.reconstruct_cell,
-        cells=model.reconstruct_cells,
         block=model.reconstruct_range,
         factors=factors,
         rank=svd.cutoff,
@@ -181,7 +174,6 @@ def _from_compressed(store: CompressedMatrix) -> Backend:
         source=store,
         shape=store.shape,
         cell=store.cell,
-        cells=store.cells,
         block=store.reconstruct_range,
         svd_cell=store.svd_cell,
         factors=store.factors,
@@ -212,9 +204,6 @@ def _from_rows(source) -> Backend:
         source=source,
         shape=tuple(source.shape),
         cell=probe,
-        cells=lambda rows, cols: np.array(
-            [float(probe(int(r), int(c))) for r, c in zip(rows, cols)]
-        ),
         block=lambda row_idx, col_idx: np.stack(
             [row(int(index))[col_idx] for index in row_idx]
         ),

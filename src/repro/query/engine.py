@@ -140,16 +140,22 @@ def _as_cell_query(query) -> CellQuery:
     raise QueryError(f"cell query indices must be integers, got {query!r}")
 
 
+def _check_cell(row: int, col: int, shape: tuple[int, int]) -> None:
+    """Raise :class:`QueryError` unless ``(row, col)`` lies in ``shape``:
+    the range check :meth:`QueryEngine.cell` and
+    :meth:`QueryEngine.explain` share."""
+    rows, cols = shape
+    if not 0 <= row < rows:
+        raise QueryError(f"row {row} out of range [0, {rows})")
+    if not 0 <= col < cols:
+        raise QueryError(f"col {col} out of range [0, {cols})")
+
+
 class QueryEngine:
     """Executes cell and aggregate queries against one backend.
 
     Args:
         backend: the data source (see module docstring).
-        use_fast_path: evaluate sum/avg/count/stddev aggregates on
-            SVD/SVDD backends in factor space — O(rows * k) instead of
-            O(rows * cols * k) — falling back to row streaming for
-            min/max and non-factor backends.  The two paths agree to
-            float tolerance (asserted in the test suite).
         include_deltas: with False, answer from the SVD factors alone —
             factor-space aggregates skip the delta fold and cell
             queries use :meth:`CompressedMatrix.svd_cell` when the
@@ -164,29 +170,17 @@ class QueryEngine:
             :class:`~repro.exceptions.RouteUnavailableError` instead of
             silently streaming delta-corrected rows, which the serving
             tier sheds as a brownout.
-        use_summaries: let the planner consider the backend's
-            precomputed summary store
-            (:class:`~repro.summaries.store.SummaryStore`).  A
-            selection spanning a full axis is answered from
-            materialized rollups — exact, delta-inclusive, zero
-            ``u.mat`` pages.
 
     Every aggregate is routed by :func:`repro.plan.plan_aggregate`
     under the query's ``max_rmspe`` budget; :meth:`explain` and
-    :meth:`aggregate` call the same planner with the same inputs.
+    :meth:`aggregate` call the same planner with the same inputs.  A
+    caller that wants another admissible route hands :meth:`execute`
+    the plan with that candidate as its ``route``.
     """
 
-    def __init__(
-        self,
-        backend,
-        use_fast_path: bool = True,
-        include_deltas: bool = True,
-        use_summaries: bool = True,
-    ) -> None:
+    def __init__(self, backend, include_deltas: bool = True) -> None:
         self._backend = as_backend(backend)
-        self._use_fast_path = use_fast_path
         self._include_deltas = include_deltas
-        self._use_summaries = use_summaries
         self.stats = {
             "fast_path_hits": 0,
             "streamed": 0,
@@ -248,10 +242,9 @@ class QueryEngine:
             row, col = query.row, query.col
         backend = self._backend
         rows, cols = backend.shape
-        if not 0 <= row < rows:
-            raise QueryError(f"row {row} out of range [0, {rows})")
-        if not 0 <= col < cols:
-            raise QueryError(f"col {col} out of range [0, {cols})")
+        # Tested inline so an in-range probe pays for no call.
+        if not (0 <= row < rows and 0 <= col < cols):
+            _check_cell(row, col, (rows, cols))
         probe = backend.cell
         if not self._include_deltas and backend.svd_cell is not None:
             probe = backend.svd_cell
@@ -273,38 +266,6 @@ class QueryEngine:
         )
         _slowlog.maybe_record(query, profile, root)
         return QueryResult(value, 1, 1, profile)
-
-    def cells(self, queries) -> list[QueryResult]:
-        """Answer a batch of cell queries in one vectorized pass.
-
-        ``queries`` is a sequence of :class:`CellQuery` or ``(row, col)``
-        tuples.  Backends with a batch form (``CompressedMatrix.cells``,
-        the models' ``reconstruct_cells``, ndarray fancy indexing)
-        answer the whole batch with one coalesced gather; per-query
-        accounting stays exact — each result reports its own single cell
-        and row fetch, matching :meth:`cell`.
-        """
-        coerced = [_as_cell_query(query) for query in queries]
-        if not coerced:
-            return []
-        backend = self._backend
-        num_rows, num_cols = backend.shape
-        try:
-            rows = np.asarray([query.row for query in coerced], dtype=np.int64)
-            cols = np.asarray([query.col for query in coerced], dtype=np.int64)
-        except OverflowError:
-            raise QueryError(
-                f"cell selection outside [0, {num_rows}) x [0, {num_cols})"
-            ) from None
-        if rows.min() < 0 or rows.max() >= num_rows:
-            raise QueryError(f"row selection outside [0, {num_rows})")
-        if cols.min() < 0 or cols.max() >= num_cols:
-            raise QueryError(f"col selection outside [0, {num_cols})")
-        values = backend.cells(rows, cols)
-        return [
-            QueryResult(value=float(value), cells_touched=1, rows_fetched=1)
-            for value in values
-        ]
 
     def plan(
         self, query: AggregateQuery, *, max_rmspe: float | None = None
@@ -336,9 +297,7 @@ class QueryEngine:
             query.function,
             row_idx,
             col_idx,
-            use_fast_path=self._use_fast_path,
             include_deltas=self._include_deltas,
-            use_summaries=self._use_summaries,
             max_rmspe=budget,
         )
 
@@ -479,7 +438,7 @@ class QueryEngine:
         engine can hand out these answers as exact.  That is how the
         dispatcher un-sheds min/max during brownout.
         """
-        if not isinstance(query, AggregateQuery) or not self._use_summaries:
+        if not isinstance(query, AggregateQuery):
             return None
         backend = self._backend
         store = backend.summaries
@@ -532,9 +491,12 @@ class QueryEngine:
 
         Raises :class:`~repro.exceptions.RouteUnavailableError` exactly
         when :meth:`aggregate` would — an unanswerable query explains
-        as unanswerable instead of inventing a route.
+        as unanswerable instead of inventing a route — and
+        :class:`~repro.exceptions.QueryError` for a cell :meth:`cell`
+        would refuse.
         """
         if isinstance(query, (CellQuery, tuple)):
-            _as_cell_query(query)  # arity/type validation only
+            cell = _as_cell_query(query)
+            _check_cell(cell.row, cell.col, self._backend.shape)
             return {"path": "cell", "cells": 1, "estimated_row_fetches": 1}
         return self._plan(query, self._backend, max_rmspe).to_dict()

@@ -76,21 +76,7 @@ from repro.query.parser import parse_query
 from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
 
-__all__ = ["RobustDispatcher", "rmspe_estimate"]
-
-
-def rmspe_estimate(model_dir: str | Path) -> float | None:
-    """The model's stored residual error fraction, if recorded.
-
-    ``update_state.json`` tracks the energies the incremental
-    maintenance path needs (total signal energy and the SSE the rank-k
-    truncation left behind); their ratio's square root is the stored
-    estimate of the relative reconstruction error a brownout (SVD-only)
-    answer carries.  None when the model predates the update subsystem.
-    """
-    from repro.core.update import stored_rmspe_estimate
-
-    return stored_rmspe_estimate(model_dir)
+__all__ = ["RobustDispatcher"]
 
 
 class RobustDispatcher:
@@ -128,7 +114,7 @@ class RobustDispatcher:
         self._fallback = QueryEngine(self._backend, include_deltas=False)
         self.model_degraded = self._backend.degraded
         #: Stamped on degraded answers: the model's stored estimate.
-        self.rmspe = rmspe_estimate(self.model_dir)
+        self.rmspe = self._backend.rmspe_estimate
         self._shed_times: deque[float] = deque()
         self._shed_lock = threading.Lock()
         self._count_lock = threading.Lock()

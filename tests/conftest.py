@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data import phone_matrix, stocks_matrix, toy_matrix
+
+
+def run_route(engine, query, route: str):
+    """Answer ``query`` along the admissible ``route``, whichever route
+    the planner prefers: its plan, with that candidate as the route,
+    handed to ``execute`` (the seam the serving tier routes by)."""
+    plan = engine.plan(query)
+    (forced,) = [c for c in plan.candidates if c.name == route]
+    return engine.execute(query, plan=dataclasses.replace(plan, route=forced))
 
 
 @pytest.fixture(scope="session")

@@ -139,7 +139,7 @@ class TestDegradedOpens:
             np.testing.assert_allclose(
                 store.reconstruct_all(), model.reconstruct(), atol=1e-9
             )
-            assert np.allclose(store.row(7), 0.0)
+            assert np.allclose(store.reconstruct_range([7], range(store.shape[1])), 0.0)
 
     def test_critical_file_corruption_fatal_even_degraded(self, saved):
         directory, _ = saved

@@ -46,7 +46,7 @@ class TestReconstructionConsistency:
             assert row[j] == pytest.approx(model.reconstruct_cell(5, j))
 
     def test_column_matches_cells(self, model):
-        col = model.reconstruct_column(42)
+        col = model.reconstruct_range(range(model.num_rows), [42])[:, 0]
         for i in (0, 60, 119):
             assert col[i] == pytest.approx(model.reconstruct_cell(i, 42))
 
@@ -62,7 +62,7 @@ class TestReconstructionConsistency:
         with pytest.raises(QueryError):
             model.reconstruct_row(-1)
         with pytest.raises(QueryError):
-            model.reconstruct_column(400)
+            model.reconstruct_range([0], [400])
 
 
 class TestTruncate:

@@ -76,11 +76,13 @@ class TestQueries:
             )
 
     def test_row_matches_model(self, saved, svdd_model):
-        assert np.allclose(saved.row(42), svdd_model.reconstruct_row(42), atol=1e-9)
+        row = saved.reconstruct_range([42], range(saved.shape[1]))[0]
+        assert np.allclose(row, svdd_model.reconstruct_row(42), atol=1e-9)
 
     def test_column_matches_model(self, saved, svdd_model):
         full = svdd_model.reconstruct()
-        assert np.allclose(saved.column(17), full[:, 17], atol=1e-9)
+        column = saved.reconstruct_range(range(saved.shape[0]), [17])[:, 0]
+        assert np.allclose(column, full[:, 17], atol=1e-9)
 
     def test_bounds_checked(self, saved):
         with pytest.raises(QueryError):
@@ -88,17 +90,17 @@ class TestQueries:
         with pytest.raises(QueryError):
             saved.cell(0, 366)
         with pytest.raises(QueryError):
-            saved.row(-1)
+            saved.reconstruct_range([-1], [0])
         with pytest.raises(QueryError):
-            saved.column(366)
+            saved.reconstruct_range([0], [366])
 
     def test_space_bytes_positive(self, saved, svdd_model):
         assert saved.space_bytes() == svdd_model.space_bytes()
 
 
 class TestBlockedScans:
-    """``column`` and ``reconstruct_all`` gather U in blocks; the row at
-    a time loop they replaced stays here as the reference.  One GEMM
+    """``reconstruct_all`` gathers U in blocks; the row at a time loop
+    it replaced stays here as the reference.  One GEMM
     sums a cell's k products in another order than k mat-vecs did, so
     the results agree to 1e-12 of the cell — or, where the terms (or a
     delta and the value it corrects) cancel, of the largest cell."""
@@ -122,25 +124,9 @@ class TestBlockedScans:
         )
         assert saved.u_store.pass_count == passes + 1  # still one full scan
 
-    def test_column_equals_the_per_row_loop(self, saved, block_rows):
-        cutoff = saved.cutoff
-        for col in (0, 17, 365):
-            weights = saved._eigenvalues * saved._v[col]
-            want = np.empty(saved.shape[0])
-            for index, u_row in saved.u_store.iter_rows():
-                want[index] = float(u_row[:cutoff] @ weights)
-            delta_rows, delta_values = saved.delta_index.for_col(col)
-            want[delta_rows] += delta_values
-            passes = saved.u_store.pass_count
-            np.testing.assert_allclose(
-                saved.column(col), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
-            )
-            assert saved.u_store.pass_count == passes + 1
-
     def test_scans_read_no_page_through_the_pager(self, saved):
         reads = saved.u_io_stats.reads
         saved.reconstruct_all()
-        saved.column(3)
         assert saved.u_io_stats.reads == reads
         assert saved.u_pool_stats.hits == saved.u_pool_stats.misses == 0
 
@@ -232,13 +218,15 @@ class TestReconstructRange:
 
 def _assert_answers_like_model(store, model):
     """Every cell of ``store`` equals the in-memory model's, through the
-    batched path (whole grid) and the scalar path (every outlier cell
+    rectangle path (whole grid) and the scalar path (every outlier cell
     and as many cells without a delta)."""
     rows, cols = store.shape
     expected = model.reconstruct()
-    grid_rows, grid_cols = np.divmod(np.arange(rows * cols), cols)
     np.testing.assert_allclose(
-        store.cells(grid_rows, grid_cols), expected.ravel(), rtol=1e-12, atol=1e-9
+        store.reconstruct_range(range(rows), range(cols)),
+        expected,
+        rtol=1e-12,
+        atol=1e-9,
     )
     outliers = [(row, col) for row, col, _delta in model.outlier_cells()]
     plain = [(row, (col + 1) % cols) for row, col in outliers]
@@ -309,25 +297,23 @@ class TestBloomFprPersistence:
 
 
 class TestBatchCells:
+    """A batch of cells is a rectangle: ``reconstruct_range``."""
+
     def test_cells_match_scalar_cell(self, saved):
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 150, size=40)
         cols = rng.integers(0, 366, size=40)
-        batch = saved.cells(rows, cols)
-        scalar = [saved.cell(int(r), int(c)) for r, c in zip(rows, cols)]
+        batch = saved.reconstruct_range(rows, cols)
+        scalar = [[saved.cell(int(r), int(c)) for c in cols] for r in rows]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
 
     def test_duplicate_rows_coalesce_page_reads(self, tmp_path, svdd_model):
         store = CompressedMatrix.save(svdd_model, tmp_path / "m")
         store.u_pool_stats.reset()
-        store.cells([5, 5, 5, 5], [0, 1, 2, 3])
-        assert store.u_pool_stats.accesses == 1  # one page for all four cells
+        store.reconstruct_range([5, 5, 5, 5], [0, 1, 2, 3])
+        assert store.u_pool_stats.accesses == 1  # one page for all sixteen cells
         store.close()
-
-    def test_misaligned_batch_rejected(self, saved):
-        with pytest.raises(QueryError):
-            saved.cells([1, 2], [3])
 
     def test_batch_bounds_checked(self, saved):
         with pytest.raises(QueryError):
-            saved.cells([0, 9999], [0, 0])
+            saved.reconstruct_range([0, 9999], [0, 0])

@@ -1,10 +1,10 @@
 """Equivalence and accounting tests for the vectorized query paths.
 
-The batch APIs (``QueryEngine.cells``, the blocked streaming aggregate,
-``CompressedMatrix.cells``/``reconstruct_range`` over the DeltaIndex)
-must agree with the scalar paths to float tolerance, and the execution
-accounting must report real work: row fetches on the factor fast path
-against a disk-resident backend, and a side-effect-free ``explain``.
+The blocked streaming aggregate and ``CompressedMatrix.reconstruct_range``
+over the DeltaIndex must agree with the scalar paths to float
+tolerance, and the execution accounting must report real work: row
+fetches on the factor fast path against a disk-resident backend, and a
+side-effect-free ``explain``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import pytest
 
 from repro.core import CompressedMatrix, DeltaIndex, SVDDCompressor, SVDDModel, SVDModel
 from repro.exceptions import QueryError
-from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
-from repro.storage import MatrixStore
+from repro.query import AggregateQuery, QueryEngine, Selection
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -56,56 +56,6 @@ def delta_heavy_model(num_rows=60, num_cols=24, num_deltas=300, seed=5):
     return SVDDModel(svd=svd, deltas=DeltaIndex(keys, values, num_cols))
 
 
-class TestBatchCells:
-    def test_matches_scalar_cells_on_compressed(self, saved):
-        rng = np.random.default_rng(7)
-        queries = [
-            (int(r), int(c))
-            for r, c in zip(rng.integers(0, 120, 50), rng.integers(0, 30, 50))
-        ]
-        engine = QueryEngine(saved)
-        batch = engine.cells(queries)
-        assert len(batch) == 50
-        for (row, col), result in zip(queries, batch):
-            assert result.value == pytest.approx(
-                engine.cell((row, col)).value, rel=1e-12, abs=1e-12
-            )
-            assert result.cells_touched == 1
-            assert result.rows_fetched == 1
-
-    def test_accepts_cellquery_objects(self, saved):
-        engine = QueryEngine(saved)
-        batch = engine.cells([CellQuery(0, 0), (1, 1)])
-        assert batch[0].value == pytest.approx(engine.cell((0, 0)).value)
-        assert batch[1].value == pytest.approx(engine.cell((1, 1)).value)
-
-    def test_empty_batch(self, saved):
-        assert QueryEngine(saved).cells([]) == []
-
-    def test_bounds_checked(self, saved):
-        with pytest.raises(QueryError):
-            QueryEngine(saved).cells([(0, 0), (999, 0)])
-
-    @pytest.mark.parametrize("backend_kind", ["ndarray", "model", "store"])
-    def test_matches_scalar_on_all_backends(
-        self, tmp_path, data, svdd_model, backend_kind
-    ):
-        backend = {
-            "ndarray": data,
-            "model": svdd_model,
-            "store": None,
-        }[backend_kind]
-        if backend_kind == "store":
-            backend = MatrixStore.create(tmp_path / "m.mat", data)
-        engine = QueryEngine(backend)
-        queries = [(3, 4), (3, 4), (119, 29), (0, 0)]  # duplicates allowed
-        batch = engine.cells(queries)
-        for pair, result in zip(queries, batch):
-            assert result.value == pytest.approx(engine.cell(pair).value)
-        if backend_kind == "store":
-            backend.close()
-
-
 class TestVectorizedAggregates:
     SELECTIONS = [
         Selection(rows=[0, 11, 47, 90], cols=[0, 3, 21, 29]),
@@ -120,7 +70,7 @@ class TestVectorizedAggregates:
     ):
         """The blocked ndarray streaming equals a hand-rolled row loop."""
         query = AggregateQuery(function, self.SELECTIONS[selection_idx])
-        engine = QueryEngine(data, use_fast_path=False)
+        engine = QueryEngine(data)
         row_idx, col_idx = query.selection.resolve(engine.shape)
         reference = {
             "sum": np.sum,
@@ -139,8 +89,9 @@ class TestVectorizedAggregates:
         query = AggregateQuery(
             function, Selection(rows=range(0, 60, 2), cols=range(0, 24, 3))
         )
-        fast = QueryEngine(model, use_fast_path=True).aggregate(query).value
-        slow = QueryEngine(model, use_fast_path=False).aggregate(query).value
+        engine = QueryEngine(model)
+        fast = run_route(engine, query, "factor").value
+        slow = run_route(engine, query, "stream").value
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-8)
 
     @pytest.mark.parametrize("function", ["sum", "avg", "stddev", "min", "max"])
@@ -167,17 +118,17 @@ class TestVectorizedAggregates:
 
 class TestAccounting:
     def test_fast_path_reports_real_row_fetches_on_disk(self, saved):
-        # use_summaries=False: a full-column selection would otherwise be
-        # answered from the materialized rollups without touching U.
-        engine = QueryEngine(saved, use_fast_path=True, use_summaries=False)
+        # Forced: a full-column selection would otherwise be answered
+        # from the materialized rollups without touching U.
         query = AggregateQuery("sum", Selection(rows=range(10)))
-        result = engine.aggregate(query)
-        assert engine.stats["fast_path_hits"] == 1
+        result = run_route(QueryEngine(saved), query, "factor")
+        assert result.route == "factor"
         assert result.rows_fetched == 10  # U rows really fetched from disk
 
     def test_fast_path_reports_zero_fetches_in_memory(self, svdd_model):
-        engine = QueryEngine(svdd_model, use_fast_path=True)
+        engine = QueryEngine(svdd_model)
         result = engine.aggregate(AggregateQuery("sum", Selection(rows=range(10))))
+        assert result.route == "factor"
         assert result.rows_fetched == 0
 
     def test_count_needs_no_fetches_anywhere(self, saved):
@@ -187,9 +138,12 @@ class TestAccounting:
         assert result.rows_fetched == 0
 
     def test_explain_performs_no_disk_access(self, saved):
-        engine = QueryEngine(saved, use_summaries=False)
+        # Partial on both axes, so the rollups cannot answer it.
+        engine = QueryEngine(saved)
         before = saved.u_pool_stats.accesses
-        plan = engine.explain(AggregateQuery("sum", Selection(rows=range(25))))
+        plan = engine.explain(
+            AggregateQuery("sum", Selection(rows=range(25), cols=range(10)))
+        )
         assert saved.u_pool_stats.accesses == before  # side-effect free
         assert plan["path"] == "factor"
         assert plan["estimated_row_fetches"] == 25

@@ -5,8 +5,7 @@ with ``int()`` — ``(1.7, 2)``, ``("3", 5)`` and ``(True, 2)`` answered
 cells (1, 2), (3, 5) and (1, 2) — and a ``CellQuery`` built with a
 float raised a bare ``TypeError`` from deep in the store.  Every such
 query is now a :class:`QueryError` (a 400 at the HTTP tier), through
-the engine, its batch form, the executors' coercion and the serving
-dispatcher alike; Python and NumPy integers are still accepted.
+the engine, the executors' coercion and the serving dispatcher alike; Python and NumPy integers are still accepted.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ def _front_door(name, engine, dispatcher):
     """``name``'s entry point as ``query -> what names the cell``."""
     return {
         "engine.cell": lambda query: engine.cell(query).value,
-        "engine.cells": lambda query: engine.cells([query])[0].value,
         "engine.execute": lambda query: engine.execute(query).value,
         "coerce_query": coerce_query,
         "dispatch": lambda query: dispatcher.dispatch(query)["value"],
     }[name]
 
 
-FRONT_DOORS = ["engine.cell", "engine.cells", "engine.execute", "coerce_query", "dispatch"]
+FRONT_DOORS = ["engine.cell", "engine.execute", "coerce_query", "dispatch"]
 
 NOT_INTEGERS = [
     pytest.param((1.7, 2), id="float-row"),
@@ -72,11 +70,6 @@ NOT_INTEGERS = [
 def test_non_integer_index_is_a_query_error(door, query, engine, dispatcher):
     with pytest.raises(QueryError, match="must be integers"):
         _front_door(door, engine, dispatcher)(query)
-
-
-def test_batch_index_past_int64_is_a_query_error(engine):
-    with pytest.raises(QueryError):
-        engine.cells([(0, 0), (2**70, 0)])
 
 
 @pytest.mark.parametrize("door", FRONT_DOORS)

@@ -9,6 +9,7 @@ from repro.core import SVDDCompressor
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.storage import MatrixStore
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,14 @@ class TestExplain:
         plan = engine.explain(CellQuery(1, 1))
         assert plan == {"path": "cell", "cells": 1, "estimated_row_fetches": 1}
 
+    @pytest.mark.parametrize("cell", [(99999, 0), (0, 99999), (-1, 0), (0, -1)])
+    def test_out_of_range_cell_fails_as_execute_does(self, engine, cell):
+        with pytest.raises(QueryError, match="out of range") as executed:
+            engine.execute(cell)
+        with pytest.raises(QueryError, match="out of range") as explained:
+            engine.explain(cell)
+        assert str(explained.value) == str(executed.value)
+
     def test_stream_path_for_ndarray(self, engine):
         plan = engine.explain(AggregateQuery("sum", Selection(rows=range(5))))
         assert plan["path"] == "stream"
@@ -140,6 +149,6 @@ class TestExplain:
 
     def test_disabled_fast_path_streams(self, data):
         model = SVDDCompressor(budget_fraction=0.30).fit(data)
-        engine = QueryEngine(model, use_fast_path=False)
-        plan = engine.explain(AggregateQuery("sum", Selection()))
-        assert plan["path"] == "stream"
+        result = run_route(QueryEngine(model), AggregateQuery("sum", Selection()), "stream")
+        assert result.route == "stream"
+        assert result.rows_fetched == model.num_rows

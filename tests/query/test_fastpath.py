@@ -12,6 +12,7 @@ from repro.exceptions import QueryError
 from repro.lab.methods import SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.fastpath import factor_aggregate
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -48,51 +49,50 @@ class TestAgreementWithStreaming:
     @pytest.mark.parametrize("selection_idx", range(len(SELECTIONS)))
     def test_svd_backend(self, svd_model, function, selection_idx):
         query = AggregateQuery(function, SELECTIONS[selection_idx])
-        fast = QueryEngine(svd_model, use_fast_path=True)
-        slow = QueryEngine(svd_model, use_fast_path=False)
+        engine = QueryEngine(svd_model)
+        fast = engine.aggregate(query)
+        assert fast.route == "factor"
         # stddev of a tiny selection suffers catastrophic cancellation in
         # E[x^2] - E[x]^2 (both paths use it); allow absolute slack at the
         # scale sqrt(eps) * |x| implies.
-        assert fast.aggregate(query).value == pytest.approx(
-            slow.aggregate(query).value, rel=1e-9, abs=1e-4
+        assert fast.value == pytest.approx(
+            run_route(engine, query, "stream").value, rel=1e-9, abs=1e-4
         )
-        assert fast.stats["fast_path_hits"] == 1
-        assert slow.stats["fast_path_hits"] == 0
 
     @pytest.mark.parametrize("function", ["sum", "avg", "count", "stddev"])
     @pytest.mark.parametrize("selection_idx", range(len(SELECTIONS)))
     def test_svdd_backend_with_deltas(self, svdd_model, function, selection_idx):
         assert svdd_model.num_deltas > 0  # the point of this test
         query = AggregateQuery(function, SELECTIONS[selection_idx])
-        fast = QueryEngine(svdd_model, use_fast_path=True)
-        slow = QueryEngine(svdd_model, use_fast_path=False)
-        assert fast.aggregate(query).value == pytest.approx(
-            slow.aggregate(query).value, rel=1e-9, abs=1e-4
+        engine = QueryEngine(svdd_model)
+        assert run_route(engine, query, "factor").value == pytest.approx(
+            run_route(engine, query, "stream").value, rel=1e-9, abs=1e-4
         )
 
     def test_method_adapter_backend(self, data):
         fitted = SVDDMethod().fit(data, 0.20)
         query = AggregateQuery("sum", Selection(rows=range(30), cols=range(5)))
-        fast = QueryEngine(fitted, use_fast_path=True)
-        slow = QueryEngine(fitted, use_fast_path=False)
-        assert fast.aggregate(query).value == pytest.approx(
-            slow.aggregate(query).value, rel=1e-9
+        engine = QueryEngine(fitted)
+        fast = engine.aggregate(query)
+        assert fast.route == "factor"
+        assert fast.value == pytest.approx(
+            run_route(engine, query, "stream").value, rel=1e-9
         )
-        assert fast.stats["fast_path_hits"] == 1
 
 
 class TestFallbacks:
     def test_min_max_fall_back(self, svdd_model):
-        engine = QueryEngine(svdd_model, use_fast_path=True)
+        engine = QueryEngine(svdd_model)
         for function in ("min", "max"):
-            engine.aggregate(AggregateQuery(function, Selection(rows=range(10))))
-        assert engine.stats["streamed"] == 2
-        assert engine.stats["fast_path_hits"] == 0
+            result = engine.aggregate(
+                AggregateQuery(function, Selection(rows=range(10)))
+            )
+            assert result.route == "stream"
 
     def test_ndarray_backend_falls_back(self, data):
-        engine = QueryEngine(data, use_fast_path=True)
-        engine.aggregate(AggregateQuery("sum", Selection(rows=range(10))))
-        assert engine.stats["streamed"] == 1
+        engine = QueryEngine(data)
+        result = engine.aggregate(AggregateQuery("sum", Selection(rows=range(10))))
+        assert result.route == "stream"
 
     def test_factor_aggregate_rejects_unknown(self, svd_model):
         rows = np.arange(5)
@@ -105,8 +105,9 @@ class TestFallbacks:
 
 class TestComplexity:
     def test_fast_path_never_fetches_rows(self, svdd_model):
-        engine = QueryEngine(svdd_model, use_fast_path=True)
+        engine = QueryEngine(svdd_model)
         result = engine.aggregate(AggregateQuery("avg", Selection()))
+        assert result.route == "factor"
         assert result.rows_fetched == 0
         assert result.cells_touched == svdd_model.num_rows * svdd_model.num_cols
 
@@ -123,8 +124,9 @@ def test_property_fast_equals_slow(seed, function):
     rows = sorted(set(rng.integers(0, 40, size=8).tolist()))
     cols = sorted(set(rng.integers(0, 15, size=5).tolist()))
     query = AggregateQuery(function, Selection(rows=rows, cols=cols))
-    fast = QueryEngine(model, use_fast_path=True).aggregate(query).value
-    slow = QueryEngine(model, use_fast_path=False).aggregate(query).value
+    engine = QueryEngine(model)
+    fast = run_route(engine, query, "factor").value
+    slow = run_route(engine, query, "stream").value
     assert fast == pytest.approx(slow, rel=1e-8, abs=1e-8)
 
 
@@ -135,12 +137,12 @@ class TestCompressedMatrixBackend:
         directory = tmp_path_factory.mktemp("fp") / "model"
         store = CompressedMatrix.save(svdd_model, directory)
         query = AggregateQuery("sum", Selection(rows=range(0, 200, 7), cols=range(0, 40, 3)))
-        fast = QueryEngine(store, use_fast_path=True)
-        slow = QueryEngine(store, use_fast_path=False)
-        assert fast.aggregate(query).value == pytest.approx(
-            slow.aggregate(query).value, rel=1e-6
+        engine = QueryEngine(store)
+        fast = engine.aggregate(query)
+        assert fast.route == "factor"
+        assert fast.value == pytest.approx(
+            run_route(engine, query, "stream").value, rel=1e-6
         )
-        assert fast.stats["fast_path_hits"] == 1
         store.close()
 
     def test_stddev_with_deltas(self, tmp_path_factory, data, svdd_model):
@@ -149,7 +151,8 @@ class TestCompressedMatrixBackend:
         directory = tmp_path_factory.mktemp("fp2") / "model"
         store = CompressedMatrix.save(svdd_model, directory)
         query = AggregateQuery("stddev", Selection(rows=range(100)))
-        fast = QueryEngine(store, use_fast_path=True).aggregate(query).value
-        slow = QueryEngine(store, use_fast_path=False).aggregate(query).value
+        engine = QueryEngine(store)
+        fast = run_route(engine, query, "factor").value
+        slow = run_route(engine, query, "stream").value
         assert fast == pytest.approx(slow, rel=1e-6, abs=1e-6)
         store.close()

@@ -25,10 +25,11 @@ from repro.plan import (
     CostParams,
     page_read_ms,
     plan_aggregate,
-    svd_error_bound,
 )
 from repro.plan.planner import validate_max_rmspe
 from repro.query import AggregateQuery, QueryEngine, Selection
+from repro.query.backend import as_backend
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +107,6 @@ class TestRouteSelection:
         plan = plan_aggregate(compressed, "count", row_idx, col_idx)
         assert plan.route.row_fetches == 0
         assert plan.route.pages == 0
-
-    def test_summaries_disabled_rejects_summary_route(self, compressed):
-        row_idx, col_idx = _resolve(compressed, rows=range(0, 10))
-        plan = plan_aggregate(
-            compressed, "avg", row_idx, col_idx, use_summaries=False
-        )
-        assert plan.route.name != ROUTE_SUMMARY
-        rejected = {r.name: r.reason for r in plan.rejected}
-        assert rejected[ROUTE_SUMMARY] == "summaries disabled for this engine"
 
     def test_ndarray_backend_streams_or_summarizes_only(self, data):
         row_idx, col_idx = _resolve(data, rows=range(0, 10), cols=range(0, 10))
@@ -288,7 +280,7 @@ class TestMaxRmspeSemantics:
         assert rejected[ROUTE_SVD] == "max_rmspe=0 demands an exact answer"
 
     def test_loose_budget_admits_svd_with_stored_estimate(self, compressed):
-        bound = svd_error_bound(compressed)
+        bound = compressed.rmspe_estimate
         assert bound is not None and bound > 0.0
         idx = _resolve(compressed, rows=range(0, 10), cols=range(0, 10))
         plan = plan_aggregate(compressed, "sum", *idx, max_rmspe=1.0)
@@ -298,7 +290,7 @@ class TestMaxRmspeSemantics:
         assert plan.route.error_bound == pytest.approx(bound)
 
     def test_tight_budget_rejects_svd_with_reason(self, compressed):
-        bound = svd_error_bound(compressed)
+        bound = compressed.rmspe_estimate
         tight = bound / 2
         idx = _resolve(compressed, rows=range(0, 10), cols=range(0, 10))
         plan = plan_aggregate(compressed, "sum", *idx, max_rmspe=tight)
@@ -314,7 +306,7 @@ class TestMaxRmspeSemantics:
         assert "explicit max_rmspe budget" in rejected[ROUTE_SVD]
 
     def test_budget_without_stored_estimate_rejects_svd(self, svdd_model):
-        assert svd_error_bound(svdd_model) is None
+        assert as_backend(svdd_model).rmspe_estimate is None
         idx = _resolve(svdd_model, rows=range(0, 10), cols=range(0, 10))
         plan = plan_aggregate(svdd_model, "sum", *idx, max_rmspe=0.5)
         assert plan.route.name != ROUTE_SVD
@@ -326,7 +318,7 @@ class TestMaxRmspeSemantics:
 
         backend = copy.copy(svdd_model)
         backend.rmspe_estimate = 0.05
-        assert svd_error_bound(backend) == pytest.approx(0.05)
+        assert as_backend(backend).rmspe_estimate == pytest.approx(0.05)
         idx = _resolve(backend, rows=range(0, 10), cols=range(0, 10))
         plan = plan_aggregate(backend, "sum", *idx, max_rmspe=0.1)
         assert plan.route.name == ROUTE_SVD
@@ -372,8 +364,7 @@ class TestEngineIntegration:
         assert result.route != ROUTE_SVD
         assert result.error_bound == 0.0
         # The exact route reproduces the delta-corrected values.
-        reference = QueryEngine(compressed, use_fast_path=False, use_summaries=False)
-        exact = reference.aggregate(AggregateQuery("sum", query.selection))
+        exact = run_route(engine, AggregateQuery("sum", query.selection), "stream")
         assert result.value == pytest.approx(exact.value, rel=1e-9)
 
     def test_loose_budget_takes_svd_and_stamps_bound(self, compressed):
@@ -381,7 +372,7 @@ class TestEngineIntegration:
         query = AggregateQuery("sum", Selection(rows=range(0, 10), cols=range(0, 10)))
         result = engine.aggregate(query, max_rmspe=1.0)
         assert result.route == ROUTE_SVD
-        assert result.error_bound == pytest.approx(svd_error_bound(compressed))
+        assert result.error_bound == pytest.approx(compressed.rmspe_estimate)
 
     def test_planner_route_counter(self, compressed, enabled_registry):
         engine = QueryEngine(compressed)
@@ -459,8 +450,6 @@ class TestMalformedCellTuples:
         engine = QueryEngine(data)
         with pytest.raises(QueryError):
             engine.cell((1, "x"))
-        with pytest.raises(QueryError):
-            engine.cells([(1, 2), (None, 3)])
 
     def test_executor_coercion_matches(self):
         from repro.query.executor import coerce_query

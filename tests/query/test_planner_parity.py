@@ -5,14 +5,14 @@ engine mode, aggregate function, selection shape, and error budget,
 ``explain`` must name exactly the route ``aggregate`` takes — and when
 no route is admissible, both must raise the same
 :class:`RouteUnavailableError`.  The matrix deliberately spans the
-summary store's three states (fresh, dropped by a deferred append,
-disabled) and
-both engine delta modes, because those were the axes along which the
-pre-planner call sites diverged.
+summary store's two states (fresh, and dropped by a deferred append)
+and both engine delta modes, because those were the axes along which
+the pre-planner call sites diverged.  Every exact answer is checked
+against a dense NumPy oracle of the same backend.
 
 The same backend matrix doubles as the conformance suite for the one
 backend seam (:mod:`repro.query.backend`): every source shape answers
-``cell``/``cells``/``block``/``factors`` like a dense NumPy oracle, and
+``cell``/``block``/``factors`` like a dense NumPy oracle, and
 offers ``factors`` exactly where the planner admits the factor route.
 """
 
@@ -31,6 +31,16 @@ from repro.query.backend import as_backend
 from repro.storage import MatrixStore
 
 FUNCTIONS = ("sum", "avg", "count", "min", "max", "stddev")
+
+#: Each aggregate over a dense block: the oracle exact answers meet.
+ORACLE = {
+    "sum": np.sum,
+    "avg": np.mean,
+    "count": np.size,
+    "min": np.min,
+    "max": np.max,
+    "stddev": np.std,
+}
 
 SELECTIONS = {
     "full": Selection(),
@@ -94,7 +104,6 @@ BACKEND_NAMES = [
     "compressed-fresh",
     "compressed-mapped",
     "compressed-stale",
-    "compressed-no-summaries",
 ]
 
 #: The source shapes that have a factor form.
@@ -103,8 +112,8 @@ FACTOR_BACKENDS = {name for name in BACKEND_NAMES if "svd" in name or "compresse
 
 @pytest.fixture(scope="module")
 def backends(tmp_path_factory, data, svdd_model, fresh_dir, stale_dir):
-    """name -> (backend, engine_kwargs): every source shape the seam
-    resolves, and the three summary states."""
+    """name -> backend: every source shape the seam resolves, and the
+    two summary states."""
     fresh = CompressedMatrix.open(fresh_dir)
     mapped = CompressedMatrix.open(fresh_dir, mapped=True)
     stale = CompressedMatrix.open(stale_dir)
@@ -114,16 +123,15 @@ def backends(tmp_path_factory, data, svdd_model, fresh_dir, stale_dir):
     assert fresh.summaries is not None, "fresh model must carry summaries"
     assert stale.summaries is None, "deferred append must leave no usable store"
     yield {
-        "ndarray": (data, {}),
-        "matrix-store": (raw_store, {}),
-        "svd-in-memory": (SVDCompressor(k=4).fit(data), {}),
-        "svdd-in-memory": (svdd_model, {}),
-        "svdd-adapter": (SVDDMethod().fit(data, 0.25), {}),
-        "row-only-dct": (DCTMethod().fit(data, 0.25), {}),
-        "compressed-fresh": (fresh, {}),
-        "compressed-mapped": (mapped, {}),
-        "compressed-stale": (stale, {}),
-        "compressed-no-summaries": (fresh, {"use_summaries": False}),
+        "ndarray": data,
+        "matrix-store": raw_store,
+        "svd-in-memory": SVDCompressor(k=4).fit(data),
+        "svdd-in-memory": svdd_model,
+        "svdd-adapter": SVDDMethod().fit(data, 0.25),
+        "row-only-dct": DCTMethod().fit(data, 0.25),
+        "compressed-fresh": fresh,
+        "compressed-mapped": mapped,
+        "compressed-stale": stale,
     }
     for store in (fresh, mapped, stale, raw_store):
         store.close()
@@ -140,9 +148,9 @@ def _attempt(callable_):
 @pytest.mark.parametrize("include_deltas", [True, False], ids=["deltas", "svd-only"])
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 def test_explain_matches_execute_everywhere(backends, backend_name, include_deltas):
-    backend, kwargs = backends[backend_name]
-    engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
-    reference = QueryEngine(backend, use_fast_path=False, use_summaries=False)
+    backend = backends[backend_name]
+    engine = QueryEngine(backend, include_deltas=include_deltas)
+    dense = _dense(backend)
     for function in FUNCTIONS:
         for sel_name, selection in SELECTIONS.items():
             for budget_name, budget in BUDGETS.items():
@@ -173,14 +181,13 @@ def test_explain_matches_execute_everywhere(backends, backend_name, include_delt
                     assert result.route != "svd", label
                     assert result.error_bound == 0.0, label
 
-                # 4. Every exact answer agrees with the delta-corrected
-                #    streaming reference on the same backend.
+                # 4. Every exact answer agrees with the dense oracle of
+                #    the same backend.
                 if result.error_bound == 0.0:
-                    expected = reference.aggregate(
-                        AggregateQuery(function, selection)
-                    )
+                    rows, cols = selection.resolve(dense.shape)
+                    expected = ORACLE[function](dense[np.ix_(rows, cols)])
                     assert result.value == pytest.approx(
-                        expected.value, rel=1e-9, abs=1e-9
+                        expected, rel=1e-9, abs=1e-9
                     ), label
 
 
@@ -193,8 +200,8 @@ def test_handed_in_plan_executes_as_the_query_does(
     ``execute(query)`` — same value to the bit, same route, bound and
     accounting — on every backend, mode, function, shape and budget
     (``test_matrix_covers_every_route``: all four routes among them)."""
-    backend, kwargs = backends[backend_name]
-    engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
+    backend = backends[backend_name]
+    engine = QueryEngine(backend, include_deltas=include_deltas)
     for function in FUNCTIONS:
         for sel_name, selection in SELECTIONS.items():
             for budget_name, budget in BUDGETS.items():
@@ -230,8 +237,8 @@ def test_plan_made_before_a_refresh_answers_from_one_backend(
     after ``refresh(other)`` it is re-planned — under the budget it was
     made with — and the answer is wholly the new backend's, never the
     old plan's indices and rollups read against the new data."""
-    fresh, _ = backends["compressed-fresh"]
-    stale, _ = backends["compressed-stale"]  # two more columns
+    fresh = backends["compressed-fresh"]
+    stale = backends["compressed-stale"]  # two more columns
     engine = QueryEngine(fresh)
     query = AggregateQuery(function, Selection())
     plan = engine.plan(query, max_rmspe=budget)
@@ -270,7 +277,7 @@ def test_backend_seam_conformance(backends, backend_name):
     """Every source shape speaks the seam's vocabulary like the dense
     oracle, and offers ``factors`` exactly where the planner admits the
     factor route."""
-    source, _kwargs = backends[backend_name]
+    source = backends[backend_name]
     backend = as_backend(source)
     assert as_backend(backend) is backend  # idempotent
     dense = _dense(source)
@@ -282,7 +289,6 @@ def test_backend_seam_conformance(backends, backend_name):
     rows[:3], cols[:3] = (7, 33, 60), (3, 15, 1)  # the planted outliers
     for row, col in zip(rows.tolist(), cols.tolist()):
         assert backend.cell(row, col) == pytest.approx(dense[row, col], abs=1e-9)
-    np.testing.assert_allclose(backend.cells(rows, cols), dense[rows, cols], atol=1e-9)
 
     row_idx = np.array([60, 4, 7, 33, 12], dtype=np.int64)  # unsorted on purpose
     col_idx = np.array([1, 2, 3, 15, 19], dtype=np.int64)
@@ -339,9 +345,9 @@ def test_matrix_covers_every_route(backends):
     """Sanity check on the matrix itself: across all combinations the
     planner exercises all four routes (no silently dead lattice arm)."""
     seen = set()
-    for backend_name, (backend, kwargs) in backends.items():
+    for backend in backends.values():
         for include_deltas in (True, False):
-            engine = QueryEngine(backend, include_deltas=include_deltas, **kwargs)
+            engine = QueryEngine(backend, include_deltas=include_deltas)
             for function in FUNCTIONS:
                 for selection in SELECTIONS.values():
                     for budget in BUDGETS.values():
@@ -357,8 +363,8 @@ def test_stale_summaries_take_exact_routes_until_summarize(backends):
     rejects the summary route as absent, factor-capable aggregates take
     ``factor`` and min/max ``stream``, and every answer is the dense
     oracle's."""
-    backend, kwargs = backends["compressed-stale"]
-    engine = QueryEngine(backend, **kwargs)
+    backend = backends["compressed-stale"]
+    engine = QueryEngine(backend)
     dense = backend.reconstruct_all()
     for function, route in (("avg", "factor"), ("min", "stream")):
         for selection in (Selection(), Selection(rows=range(0, 12))):
@@ -369,8 +375,6 @@ def test_stale_summaries_take_exact_routes_until_summarize(backends):
             result = engine.aggregate(query)
             assert result.route == plan["path"] == route
             rows, cols = selection.resolve(dense.shape)
-            expected = getattr(np, {"avg": "mean"}.get(function, function))(
-                dense[np.ix_(rows, cols)]
-            )
+            expected = ORACLE[function](dense[np.ix_(rows, cols)])
             assert result.value == pytest.approx(expected, rel=1e-9)
     assert engine.stats["summary_hits"] == 0

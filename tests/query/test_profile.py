@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import CompressedMatrix, SVDDCompressor
 from repro.query import AggregateQuery, QueryEngine, Selection
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +142,7 @@ class TestStreamPath:
         assert profile.gemm_ns == 0
 
     def test_fast_path_disabled_streams_sum(self, memory_model, query, enabled_registry):
-        engine = QueryEngine(memory_model, use_fast_path=False)
-        profile = engine.aggregate(query).profile
+        profile = run_route(QueryEngine(memory_model), query, "stream").profile
         assert profile.path == "stream"
         assert profile.rows_fetched == 120
 

@@ -17,7 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.build import build_compressed
 from repro.core.store import CompressedMatrix
+from repro.core.update import append_columns, rmspe_from_state
+from repro.data import phone_matrix
 from repro.exceptions import (
     DeadlineExceededError,
     OverloadedError,
@@ -28,7 +31,7 @@ from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
-from repro.serve.robust import RobustDispatcher, rmspe_estimate
+from repro.serve.robust import RobustDispatcher
 
 SRC_DIR = Path(engine_module.__file__).parents[2]
 
@@ -110,6 +113,15 @@ class TestHealthyPath:
         plan = dispatcher.explain("avg() rows 0:10")
         assert plan["path"] == "summary"
         assert plan["mode"] == "healthy"
+
+    def test_explain_refuses_the_cell_dispatch_refuses(self, dispatcher):
+        # /explain answers 400 exactly where /query does, cells included.
+        for text in ("cell(99999, 0)", "cell(0, 50)"):
+            with pytest.raises(QueryError, match="out of range"):
+                dispatcher.dispatch(text)
+            with pytest.raises(QueryError, match="out of range"):
+                dispatcher.explain(text)
+        assert dispatcher.explain("cell(79, 49)")["path"] == "cell"
 
     def test_explain_path_matches_dispatched_route(
         self, dispatcher, stale_dispatcher
@@ -650,9 +662,33 @@ class TestDegradedModelOpen:
 
 
 class TestRmspeEstimate:
-    def test_estimate_from_update_state(self, serve_model_dir):
-        estimate = rmspe_estimate(serve_model_dir)
-        assert estimate is None or (0.0 <= estimate < 1.0)
+    def test_estimate_from_update_state(self, dispatcher, serve_model_dir):
+        with CompressedMatrix.open(serve_model_dir) as store:
+            estimate = store.rmspe_estimate
+        assert estimate is not None and 0.0 <= estimate < 1.0
+        assert dispatcher.rmspe == estimate
+        assert dispatcher.stats()["rmspe_estimate"] == estimate
 
-    def test_missing_state_returns_none(self, tmp_path):
-        assert rmspe_estimate(tmp_path) is None
+    def test_missing_state_returns_none(self):
+        assert rmspe_from_state(None) is None
+        assert rmspe_from_state({"total_energy": 0.0}) is None
+
+    def test_a_store_keeps_its_own_generations_estimate(self, tmp_path):
+        """An append swaps the directory under an open store: the store
+        keeps the estimate of the files it opened, and stamps that one
+        on its ``svd``-route answers."""
+        data = phone_matrix(400)
+        directory = tmp_path / "model"
+        build_compressed(data[:, :70], directory, budget_fraction=0.10).close()
+        with CompressedMatrix.open(directory) as probe:
+            own = probe.rmspe_estimate
+        with CompressedMatrix.open(directory) as old:
+            append_columns(directory, data[:, 70:84])
+            with old.reopen() as new:
+                assert new.shape == (400, 84)
+                assert new.rmspe_estimate != own
+            assert old.shape == (400, 70)
+            assert old.rmspe_estimate == own
+            query = parse_query("sum() rows 0:10 cols 0:10")
+            result = QueryEngine(old).aggregate(query, max_rmspe=1.0)
+            assert (result.route, result.error_bound) == ("svd", own)

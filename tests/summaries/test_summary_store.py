@@ -20,6 +20,7 @@ from repro.exceptions import QueryError
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.summaries import LEVELS, SummaryStore, level_edges
 from repro.summaries.compute import S_MAX, S_MIN, S_SUM, STATE_NAME
+from tests.conftest import run_route
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +94,10 @@ class TestExactness:
     def test_engine_summary_equals_streamed(self, model_dir, function, exact):
         with CompressedMatrix.open(model_dir) as saved:
             query = AggregateQuery(function, Selection(cols=range(0, 95, 3)))
-            with_summaries = QueryEngine(saved).aggregate(query)
-            reference = QueryEngine(saved, use_summaries=False).aggregate(query)
+            engine = QueryEngine(saved)
+            with_summaries = engine.aggregate(query)
+            reference = run_route(engine, query, "stream")
+            assert with_summaries.route == "summary"
             assert with_summaries.value == pytest.approx(
                 reference.value, rel=1e-9, abs=1e-9
             )

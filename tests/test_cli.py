@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import _parse_range, main
+from repro.cli import main
 from repro.core import CompressedMatrix
 from repro.storage import MatrixStore
 
@@ -21,21 +21,6 @@ def model_dir(tmp_path_factory):
     )
     assert code == 0
     return out
-
-
-class TestParseRange:
-    def test_full(self):
-        assert _parse_range(":", 10) == range(10)
-
-    def test_bounded(self):
-        assert _parse_range("2:5", 10) == range(2, 5)
-
-    def test_open_ended(self):
-        assert _parse_range("3:", 10) == range(3, 10)
-        assert _parse_range(":4", 10) == range(0, 4)
-
-    def test_single_index(self):
-        assert _parse_range("7", 10) == range(7, 8)
 
 
 class TestBuild:
@@ -77,41 +62,33 @@ class TestQueries:
         assert "principal components" in out
 
     def test_cell(self, model_dir, capsys):
-        assert main(["cell", str(model_dir), "10", "100"]) == 0
+        assert main(["query", str(model_dir), "cell(10, 100)"]) == 0
         out = capsys.readouterr().out
-        assert "cell (10, 100)" in out
+        assert "cell(10, 100) =" in out
         assert "disk accesses: 1" in out
 
     def test_cell_matches_library(self, model_dir, capsys):
-        main(["cell", str(model_dir), "5", "5"])
+        main(["query", str(model_dir), "cell(5, 5)"])
         printed = float(capsys.readouterr().out.split("=")[1].split("\n")[0])
         with CompressedMatrix.open(model_dir) as store:
             assert printed == pytest.approx(store.cell(5, 5), rel=1e-4, abs=1e-4)
 
     def test_aggregate(self, model_dir, capsys):
-        code = main(
-            [
-                "aggregate",
-                str(model_dir),
-                "--function",
-                "avg",
-                "--rows",
-                "0:50",
-                "--cols",
-                "0:30",
-            ]
-        )
+        code = main(["query", str(model_dir), "avg() rows 0:50 cols 0:30"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "avg(" in out
+        assert "avg() rows 0:50 cols 0:30 =" in out
         assert "1500 cells" in out
 
     def test_aggregate_bad_function(self, model_dir, capsys):
-        assert main(["aggregate", str(model_dir), "--function", "median"]) == 1
+        assert main(["query", str(model_dir), "median() rows 0:10"]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_cell_out_of_range(self, model_dir, capsys):
-        assert main(["cell", str(model_dir), "9999", "0"]) == 1
+        for flags in ([], ["--explain"]):
+            text = "cell(9999, 0)"
+            assert main(["query", str(model_dir), text, *flags]) == 1
+            assert "row 9999 out of range" in capsys.readouterr().err
 
 
 class TestTelemetryFlags:
@@ -129,17 +106,7 @@ class TestTelemetryFlags:
         import json
 
         code = main(
-            [
-                "aggregate",
-                str(model_dir),
-                "--function",
-                "sum",
-                "--rows",
-                "0:40",
-                "--cols",
-                "0:20",
-                "--explain",
-            ]
+            ["query", str(model_dir), "sum() rows 0:40 cols 0:20", "--explain"]
         )
         assert code == 0
         plan = json.loads(capsys.readouterr().out)
@@ -150,16 +117,7 @@ class TestTelemetryFlags:
     def test_aggregate_profile_matches_explain_estimate(self, model_dir, capsys):
         import json
 
-        args = [
-            "aggregate",
-            str(model_dir),
-            "--function",
-            "sum",
-            "--rows",
-            "0:40",
-            "--cols",
-            "0:20",
-        ]
+        args = ["query", str(model_dir), "sum() rows 0:40 cols 0:20"]
         assert main(args + ["--explain"]) == 0
         plan = json.loads(capsys.readouterr().out)
 
@@ -173,7 +131,7 @@ class TestTelemetryFlags:
     def test_cell_profile_reports_one_page(self, model_dir, capsys):
         import json
 
-        assert main(["cell", str(model_dir), "10", "100", "--profile"]) == 0
+        assert main(["query", str(model_dir), "cell(10, 100)", "--profile"]) == 0
         out = capsys.readouterr().out
         profile = json.loads(out[out.index("{") :])
         assert profile["path"] == "cell"
@@ -370,11 +328,11 @@ def _subcommands(parser):
 
 class TestCommandTable:
     COMMANDS = {
-        "build", "info", "append", "summarize", "cell", "aggregate", "query",
-        "batch", "serve", "top", "fsck", "verify", "scatter", "datasets",
+        "build", "info", "append", "summarize", "query", "batch", "serve",
+        "top", "fsck", "verify", "scatter", "datasets",
     }
 
-    def test_exactly_the_fourteen_commands(self):
+    def test_exactly_the_twelve_commands(self):
         from repro.cli import build_parser
 
         assert set(_subcommands(build_parser())) == self.COMMANDS
