@@ -66,11 +66,8 @@ def calendar_queries(warehouse: Warehouse) -> None:
     )
 
     weekdays = Selection(cols=weekday_columns(366))
-    query = AggregateQuery("avg", weekdays)
-    print(
-        f"  weekday average: {approx.aggregate(query).value:.4f} "
-        f"(factor-space fast path: {approx.stats['fast_path_hits']} hits)"
-    )
+    result = approx.aggregate(AggregateQuery("avg", weekdays))
+    print(f"  weekday average: {result.value:.4f} (route: {result.route})")
 
     textual = parse_query("stddev() rows 0:500")
     print(

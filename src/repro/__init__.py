@@ -21,7 +21,7 @@ Subpackages — the product, what ``repro serve`` and the CLI run:
 
 - :mod:`repro.core` — SVD/SVDD compressors, models, persistent store,
   incremental appends;
-- :mod:`repro.query` — cell/aggregate query engine, parser, executors;
+- :mod:`repro.query` — cell/aggregate query engine, parser, group-bys;
 - :mod:`repro.plan` / :mod:`repro.summaries` — route planner and rollups;
 - :mod:`repro.serve` / :mod:`repro.obs` — HTTP tier, metrics and tracing;
 - :mod:`repro.storage` — paged storage engine with disk-access

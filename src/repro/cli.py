@@ -16,9 +16,8 @@ Gives the library the operational surface a deployed system would have:
 - ``query``   — run a textual query: a cell (``'cell(1234, 200)'``,
   reporting the disk accesses used) or an aggregate over row/column
   ranges (``'avg() rows 0:100 cols 7:14'``);
-- ``batch``   — run a file of queries through a concurrent executor
-  (``--mode sequential|thread|process``; process mode serves from
-  worker processes sharing the model through mmap);
+- ``batch``   — answer a file of queries in order on one engine and
+  report the batch's queries per second;
 - ``serve``   — serve a model over HTTP (``/query``, ``/cell``,
   ``/aggregate``, ``/groupby``, ``/explain``, ``/stats``, ``/healthz``
   live/ready, ``/metrics``, ``/snapshot``), each request answered in the
@@ -246,19 +245,15 @@ def _arm_slow_log(args) -> None:
 
 
 def cmd_batch(args) -> int:
-    """Handle ``repro batch``: run many queries through an executor.
+    """Handle ``repro batch``: answer many queries on one engine, in order.
 
     Queries come from ``--file`` (one textual query per line; blank
     lines and ``#`` comments skipped) and/or repeated ``--query`` flags.
-    ``--mode`` picks the serving strategy: ``sequential`` (one engine,
-    the baseline), ``thread`` (shared-backend thread pool), or
-    ``process`` (worker processes sharing ``u.mat`` through mmap — the
-    mode that scales past the GIL on multi-core hosts).
     """
     import time
 
-    from repro.query import BatchReport
-    from repro.query.executor import batch_throughput, coerce_query
+    from repro.obs.tracing import NULL_SPAN, span
+    from repro.query.engine import coerce_query
 
     texts: list[str] = []
     if args.file:
@@ -273,52 +268,18 @@ def cmd_batch(args) -> int:
     if args.profile:
         registry.enable()
     _arm_slow_log(args)
-
-    def _run() -> BatchReport:
-        if args.mode == "process":
-            from repro.query import ProcessQueryExecutor
-
-            with ProcessQueryExecutor(args.model, max_workers=args.workers) as pool:
-                return pool.run_batch(texts, chunksize=args.chunksize)
-        if args.mode == "thread":
-            from repro.query import QueryExecutor
-
-            backend = CompressedMatrix.open(args.model)
-            with QueryExecutor(
-                backend, max_workers=args.workers, close_backend=True
-            ) as pool:
-                return pool.run_batch(texts)
-        with CompressedMatrix.open(args.model) as store:
-            engine = QueryEngine(store)
-            start = time.perf_counter()
-            results = [engine.execute(coerce_query(text)) for text in texts]
-            wall = time.perf_counter() - start
-        return BatchReport(
-            results=results,
-            queries=len(texts),
-            workers=1,
-            wall_s=wall,
-            throughput_qps=batch_throughput(len(texts), wall),
-        )
-
-    if args.profile:
-        # One root span for the whole batch: sequential queries nest
-        # under it directly, and process-mode workers' span trees are
-        # grafted under it as results are collected — the printed tree
-        # spans caller and workers, joined on trace ids.
-        from repro.obs.tracing import span as _span, trace as _trace
-
-        with _trace(), _span("batch", mode=args.mode, queries=len(texts)) as root:
-            report = _run()
-    else:
-        report = _run()
-    for text, result in zip(texts, report.results):
+    # With --profile, one root span holds every query's spans (and its
+    # trace id joins them); otherwise each query is its own trace.
+    root = span("batch", queries=len(texts)) if args.profile else NULL_SPAN
+    with CompressedMatrix.open(args.model) as store, root:
+        engine = QueryEngine(store)
+        start = time.perf_counter()
+        results = [engine.execute(coerce_query(text)) for text in texts]
+        wall = time.perf_counter() - start
+    for text, result in zip(texts, results):
         print(f"{text} = {result.value:.6g}")
-    print(
-        f"# {report.queries} queries, {report.workers} worker(s) "
-        f"[{args.mode}], {report.wall_s:.3f}s, "
-        f"{report.throughput_qps:.1f} qps"
-    )
+    qps = len(texts) / wall if wall > 0 else 0.0
+    print(f"# {len(texts)} queries, {wall:.3f}s, {qps:.1f} qps")
     if args.profile:
         print(json.dumps(root.to_dict(), indent=2))
     return 0
@@ -655,29 +616,16 @@ COMMANDS = (
     ),
     (
         "batch",
-        "run a batch of queries through a concurrent executor",
+        "answer a batch of queries in order on one engine",
         cmd_batch,
         (
             _MODEL,
             _arg("--file", help="file of textual queries, one per line ('#' comments)"),
             _arg("--query", action="append", help="inline textual query (repeatable)"),
             _arg(
-                "--mode",
-                choices=("sequential", "thread", "process"),
-                default="thread",
-                help="serving strategy (default: thread)",
-            ),
-            _arg("--workers", type=int, help="pool size (default: auto)"),
-            _arg(
-                "--chunksize",
-                type=int,
-                help="queries per worker round trip (process mode; default: auto)",
-            ),
-            _arg(
                 "--profile",
                 action="store_true",
-                help="enable telemetry and print the batch span tree as JSON "
-                "(process mode grafts worker trees into it)",
+                help="enable telemetry and print the batch span tree as JSON",
             ),
             *_SLOW_LOG,
         ),

@@ -6,12 +6,8 @@ range or aggregate query to walk the whole table in Python.  A
 :class:`DeltaIndex` is the query-side companion structure: the same
 ``(key, delta)`` records held as *sorted parallel NumPy arrays*, so
 
-- a batch of cell keys resolves with one :func:`numpy.searchsorted`
-  (``lookup``),
 - the deltas of one row occupy a contiguous slice found by bisecting the
   key range ``[row*M, (row+1)*M)`` (``for_row``),
-- the deltas of one column come from a lazily built column-sorted
-  permutation (``for_col``),
 - the deltas falling inside an arbitrary row x column selection are
   located — with their positions *within* the selection — entirely in
   vector code (``select``): each selected row's key slice is bisected
@@ -105,7 +101,6 @@ class DeltaIndex:
         # allocate 2x its key bytes up front.
         self._rows_cache: np.ndarray | None = None
         self._cols_cache: np.ndarray | None = None
-        self._col_order: np.ndarray | None = None  # built on first for_col
         self._row_counts_cache: np.ndarray | None = None
         #: Probe accounting: scalar/batched lookups, keys tested, hits.
         self.stats = {"lookups": 0, "keys_probed": 0, "hits": 0}
@@ -210,25 +205,6 @@ class DeltaIndex:
 
     # -- vectorized access ----------------------------------------------------
 
-    def lookup(self, keys) -> np.ndarray:
-        """Delta for each key in a batch (0.0 where no delta is stored)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        out = np.zeros(keys.shape, dtype=np.float64)
-        if self._keys.size == 0 or keys.size == 0:
-            return out
-        pos = np.searchsorted(self._keys, keys)
-        clipped = np.minimum(pos, self._keys.size - 1)
-        found = (pos < self._keys.size) & (self._keys[clipped] == keys)
-        out[found] = self._values[clipped[found]]
-        with self._stats_lock:
-            self.stats["lookups"] += 1
-            self.stats["keys_probed"] += int(keys.size)
-            self.stats["hits"] += int(found.sum())
-        if _obs.enabled:
-            _obs.counter("delta.lookups").inc()
-            _obs.counter("delta.keys_probed").inc(int(keys.size))
-        return out
-
     def for_row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """``(cols, deltas)`` stored for one row — a contiguous key slice."""
         lo = np.searchsorted(self._keys, row * self._num_cols)
@@ -236,16 +212,6 @@ class DeltaIndex:
         # Derive columns from the key slice directly (tiny) rather than
         # touching the full lazy column cache.
         return self._keys[lo:hi] % self._num_cols, self._values[lo:hi]
-
-    def for_col(self, col: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, deltas)`` stored for one column."""
-        if self._col_order is None:
-            self._col_order = np.lexsort((self._rows, self._cols))
-        by_col = self._cols[self._col_order]
-        lo = np.searchsorted(by_col, col)
-        hi = np.searchsorted(by_col, col + 1)
-        picked = self._col_order[lo:hi]
-        return self._rows[picked], self._values[picked]
 
     def count_in_rows(self, row_idx) -> int:
         """Stored deltas in the rows ``row_idx`` (non-negative indices;

@@ -103,7 +103,7 @@ class CompressedMatrix:
         #: Cells answered by the Section 6.2 zero-row flag, no disk read.
         self.stats = {"zero_row_skips": 0}
         # Guards the stats dict: dict ``+=`` is a read-modify-write, and
-        # the QueryExecutor issues queries from many threads.
+        # serve's handler threads query one store at once.
         self._stats_lock = threading.Lock()
 
     def _bump(self, key: str, amount: int = 1) -> None:
@@ -192,10 +192,7 @@ class CompressedMatrix:
                 reads of ``u.mat`` too (batched gathers index a
                 read-only ``mmap`` view on every open) and serve the
                 deltas from a shared mapping.  Every process mapping
-                the same model shares the kernel's page-cache pages,
-                which is what lets N worker processes serve queries
-                over one copy of the model in memory
-                (:class:`~repro.query.process_executor.ProcessQueryExecutor`).
+                the same model shares the kernel's page-cache pages.
 
         Opening is safe against a concurrent crash-atomic append: the
         incremental-update path replaces the whole model directory with

@@ -71,10 +71,8 @@ class RouteUnavailableError(QueryError):
 class DeadlineExceededError(ReproError, TimeoutError):
     """A query's deadline expired before (or while) it was answered.
 
-    Raised by the executors when a queued query's deadline passes before
-    a worker picks it up, and by the serving tier when an admitted
-    request runs out of time.  Crosses the pickle boundary intact (the
-    worker constructs it with a single message argument).
+    Raised by the serving tier when an admitted request runs out of
+    time.
     """
 
 

@@ -250,49 +250,6 @@ class Warehouse:
             self.root / name / "model", pool_capacity, on_corrupt=on_corrupt
         )
 
-    def executor(
-        self,
-        name: str,
-        max_workers: int | None = None,
-        pool_capacity: int = 64,
-        on_corrupt: str = "raise",
-        mode: str = "thread",
-    ):
-        """Open a dataset behind a concurrent query executor.
-
-        The convenience entry point for concurrent serving.
-        ``mode="thread"`` (the default) opens the model in this process
-        and hands ownership to a
-        :class:`~repro.query.executor.QueryExecutor`, so closing the
-        executor (or leaving its ``with`` block) closes the model too.
-        ``mode="process"`` returns a
-        :class:`~repro.query.process_executor.ProcessQueryExecutor`
-        instead: worker processes open the model directory themselves
-        and share ``u.mat`` through mmap, scaling past the GIL on
-        multi-core hosts (``pool_capacity`` is ignored — mapped reads
-        bypass the buffer pool)::
-
-            with warehouse.executor("sales", max_workers=4, mode="process") as pool:
-                report = pool.run_batch(queries)
-        """
-        if mode == "process":
-            from repro.query.process_executor import ProcessQueryExecutor
-
-            self.entry(name)
-            return ProcessQueryExecutor(
-                self.root / name / "model",
-                max_workers=max_workers,
-                on_corrupt=on_corrupt,
-            )
-        if mode != "thread":
-            raise DatasetError(
-                f"unknown executor mode {mode!r}: expected 'thread' or 'process'"
-            )
-        from repro.query.executor import QueryExecutor
-
-        backend = self.open(name, pool_capacity, on_corrupt=on_corrupt)
-        return QueryExecutor(backend, max_workers=max_workers, close_backend=True)
-
     def fsck(self, name: str, deep: bool = True):
         """Integrity-check one dataset's model directory."""
         from repro.storage.integrity import verify_manifest

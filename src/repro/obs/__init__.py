@@ -43,7 +43,6 @@ from repro.obs.tracing import (
     Span,
     current_span,
     current_trace_id,
-    graft,
     new_trace_id,
     span,
     trace,
@@ -63,7 +62,6 @@ __all__ = [
     "current_span",
     "current_trace_id",
     "git_sha",
-    "graft",
     "log_event",
     "new_trace_id",
     "registry",

@@ -19,7 +19,7 @@ paged store or without deltas report all-zero sections.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 __all__ = ["QueryProfile", "StatDelta"]
 
@@ -33,10 +33,9 @@ class QueryProfile:
 
     The pool, I/O and delta counts are differences of process-wide
     counters read before and after the query, so they include whatever
-    other threads on the same backend did meanwhile — true of the
-    thread executor's queries, and of every gather ``repro serve``
-    answers in its handler threads.  The wall times are this query's
-    own.
+    other threads on the same backend did meanwhile — true of every
+    gather ``repro serve`` answers in its handler threads.  The wall
+    times are this query's own.
     """
 
     #: 'factor' | 'stream' | 'cell' — the path that produced the value.
@@ -76,10 +75,8 @@ class QueryProfile:
     #: for unplanned (cell) queries.
     predicted_pages: int | None = None
     #: Trace id of the span tree this query ran under — the join key
-    #: between profiles, structured log lines, and (for process-mode
-    #: queries) the worker's grafted span tree.
+    #: between profiles, structured log lines and span trees.
     trace_id: str = ""
-    extra: dict = field(default_factory=dict)
 
     @property
     def pool_hit_rate(self) -> float:

@@ -25,9 +25,8 @@ a per-metric lock (an uncontended CPython lock is tens of nanoseconds),
 gauges expose an atomic ``add`` for in-flight accounting, and
 ``snapshot`` copies the metric maps under the registry lock so
 concurrent metric creation cannot corrupt an export.  This is what
-keeps the pool/pager/executor counters honest when the
-:class:`~repro.query.executor.QueryExecutor` runs queries on many
-threads.
+keeps the pool/pager counters honest while ``repro serve``'s handler
+threads answer queries at once.
 """
 
 from __future__ import annotations
@@ -72,8 +71,8 @@ class Gauge:
     """A point-in-time numeric metric (last write wins).
 
     ``set`` is a single atomic attribute store and needs no lock;
-    ``add`` (used for in-flight style gauges such as the executor's
-    ``executor.concurrency``) is a read-modify-write and takes one.
+    ``add`` (for in-flight style gauges) is a read-modify-write and
+    takes one.
     """
 
     __slots__ = ("value", "_lock")

@@ -40,8 +40,8 @@ class SlowQueryLog:
 
     Configure with :meth:`configure`; until then every
     :meth:`maybe_record` call returns immediately after one attribute
-    load.  Thread-safe: the executors' worker threads all record
-    through one instance.
+    load.  Thread-safe: serve's handler threads all record through
+    one instance.
     """
 
     def __init__(self, capacity: int = 64) -> None:

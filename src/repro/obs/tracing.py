@@ -17,15 +17,10 @@ histogram ``span.<name>``, so long-lived processes accumulate timing
 distributions (e.g. ``span.build.pass2`` across many builds) that
 ``repro serve``'s ``/metrics`` and ``/snapshot`` export.
 
-**Traces cross process boundaries.**  Every root span carries a
-``trace_id`` — taken from the ambient :func:`trace` context when one is
-active, freshly minted otherwise — and child spans inherit their
-parent's.  The executors open a :func:`trace` context per submitted
-query, ship the id through the pickle boundary to worker processes, and
-the worker's finished span tree (serialized with :meth:`Span.to_dict`)
-is grafted back into the caller's live span with :func:`graft` — so a
-process-mode ``--profile`` run shows one coherent tree spanning caller
-and worker, joined on the trace id.
+Every root span carries a ``trace_id`` — taken from the ambient
+:func:`trace` context when one is active, freshly minted otherwise —
+and child spans inherit their parent's: the join key between span
+trees, profiles, structured log lines and the slow log.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ __all__ = [
     "Span",
     "current_span",
     "current_trace_id",
-    "graft",
     "new_trace_id",
     "span",
     "trace",
@@ -177,8 +171,7 @@ class Span:
 
     def to_dict(self) -> dict:
         """The span tree (name, trace id, duration, attrs, children),
-        JSON-ready — and the wire format worker processes ship finished
-        trees back in (see :meth:`from_dict`)."""
+        JSON-ready."""
         return {
             "name": self.name,
             "trace_id": self.trace_id,
@@ -186,23 +179,6 @@ class Span:
             "attrs": dict(self.attrs),
             "children": [child.to_dict() for child in self.children],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        """Rebuild a finished span tree from its :meth:`to_dict` form.
-
-        The reconstructed spans carry the original names, attrs, trace
-        ids and durations; they are already "finished" (never entered),
-        so grafting them never touches the context stack or re-records
-        their durations into the registry.
-        """
-        span = cls(data["name"], dict(data.get("attrs") or {}))
-        span.trace_id = data.get("trace_id")
-        span.end_ns = int(data.get("duration_ns") or 0)
-        span.children = [
-            cls.from_dict(child) for child in data.get("children") or ()
-        ]
-        return span
 
 
 class _NullSpan:
@@ -244,23 +220,3 @@ def span(name: str, **attrs):
 def current_span() -> Span | None:
     """The innermost active real span in this context, if any."""
     return _ACTIVE.get()
-
-
-def graft(tree: dict | None) -> Span | None:
-    """Attach a serialized span tree under the current active span.
-
-    ``tree`` is a :meth:`Span.to_dict` payload — typically a worker
-    process's finished span tree shipped back alongside a query result.
-    Grafting it makes the caller's profile/trace output show one
-    coherent tree across the process hop.  Returns the reconstructed
-    root, or None when ``tree`` is None or no span is active (nothing
-    to attach to).
-    """
-    if tree is None:
-        return None
-    parent = _ACTIVE.get()
-    if parent is None:
-        return None
-    child = Span.from_dict(tree)
-    parent.children.append(child)
-    return child

@@ -16,8 +16,7 @@ answers are obtained through the same code path and can be compared
 with :func:`~repro.metrics.query_error`.
 
 Beside the engine: :class:`Selection`, the textual form
-(:func:`parse_query` / :func:`format_query`), the group-by helpers and
-the thread and process executors for batches.
+(:func:`parse_query` / :func:`format_query`) and the group-by helpers.
 
 Product.  The Section 5.2 sampling baseline, Fig. 9's workload
 generator, calendar selections and similarity search are
@@ -26,15 +25,7 @@ generator, calendar selections and similarity search are
 """
 
 from repro.query.engine import CellQuery, AggregateQuery, QueryEngine, QueryResult
-from repro.query.executor import (
-    BatchReport,
-    QueryExecutor,
-    batch_throughput,
-    coerce_query,
-    usable_cpu_count,
-)
 from repro.query.groupby import bucket_series, column_totals, row_totals, top_rows
-from repro.query.process_executor import ProcessQueryExecutor
 from repro.query.parser import format_query, parse_query
 from repro.query.selection import Selection
 
@@ -46,14 +37,8 @@ __all__ = [
     "top_rows",
     "format_query",
     "parse_query",
-    "BatchReport",
     "CellQuery",
-    "ProcessQueryExecutor",
     "QueryEngine",
-    "QueryExecutor",
     "QueryResult",
-    "batch_throughput",
-    "coerce_query",
-    "usable_cpu_count",
     "Selection",
 ]

@@ -1,13 +1,11 @@
-"""Mergeable aggregate components.
+"""Aggregate components: the five sufficient statistics of a cell set.
 
 Every aggregate the engine serves (sum/avg/count/min/max/stddev) is a
-pure function of five sufficient statistics over the selected cells:
-``(total, total_sq, minimum, maximum, count)``.  The summary store keeps
-exactly these per bucket, and they merge across disjoint cell sets by
-addition (min/max by comparison) — which is what lets a query be
-answered as *summary-core plus residual*: the covered part comes from
-precomputed buckets, the uncovered edge is streamed, and the merged
-components finalize to the same answer a full scan would produce.
+pure function of ``(total, total_sq, minimum, maximum, count)`` over
+the selected cells.  The summary store keeps exactly these per bucket
+and the stream route reduces them from reconstructed rows; both
+finalize through :func:`finalize`, so a summary-served answer and a
+streamed one come from the same formulas.
 """
 
 from __future__ import annotations
@@ -28,23 +26,13 @@ _STREAM_BLOCK_ROWS = 512
 
 @dataclass(frozen=True)
 class Components:
-    """Sufficient statistics of one disjoint cell set."""
+    """Sufficient statistics of one cell set."""
 
     total: float = 0.0
     total_sq: float = 0.0
     minimum: float = np.inf
     maximum: float = -np.inf
     count: int = 0
-
-    def merge(self, other: "Components") -> "Components":
-        """Components of the union of two *disjoint* cell sets."""
-        return Components(
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-            count=self.count + other.count,
-        )
 
 
 def finalize(function: str, comps: Components) -> float:
@@ -78,10 +66,10 @@ def stream_components(
     """Exact components of ``row_idx x col_idx`` by blocked streaming.
 
     ``backend`` is a resolved :class:`~repro.query.backend.Backend`.
-    This is the residual evaluator: the cells a summary bucket does not
-    cover are reconstructed (delta-corrected) in vectorized blocks and
-    reduced on the fly to the count and what :func:`finalize` reads for
-    ``function``: a ``min`` pays for no sum and no squares.
+    The stream route's evaluator: the selected cells are reconstructed
+    (delta-corrected) in vectorized blocks and reduced on the fly to the
+    count and what :func:`finalize` reads for ``function``: a ``min``
+    pays for no sum and no squares.
     """
     total = 0.0
     total_sq = 0.0

@@ -21,7 +21,7 @@ explained route *is* the executed route by construction.
 from __future__ import annotations
 
 import operator
-import threading
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -140,6 +140,41 @@ def _as_cell_query(query) -> CellQuery:
     raise QueryError(f"cell query indices must be integers, got {query!r}")
 
 
+def coerce_query(query) -> "CellQuery | AggregateQuery":
+    """Normalize the accepted query forms to engine query objects.
+
+    The front door of ``repro batch`` and the serving dispatcher: an
+    :class:`AggregateQuery` passes through, query text goes through
+    :func:`~repro.query.parser.parse_query`, and a :class:`CellQuery`
+    or ``(row, col)`` tuple through :func:`_as_cell_query`.
+    """
+    if isinstance(query, AggregateQuery):
+        return query
+    if isinstance(query, str):
+        from repro.query.parser import parse_query  # the parser imports this module
+
+        return parse_query(query)
+    if isinstance(query, (CellQuery, tuple)):
+        return _as_cell_query(query)
+    raise QueryError(
+        f"unsupported query form {type(query).__name__}: expected "
+        "CellQuery, AggregateQuery, (row, col), or query text"
+    )
+
+
+def usable_cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (a pinned container's ``os.cpu_count()`` reports the whole
+    machine), else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return max(1, len(getaffinity(0)))
+        except OSError:
+            pass
+    return max(1, os.cpu_count() or 1)
+
+
 def _check_cell(row: int, col: int, shape: tuple[int, int]) -> None:
     """Raise :class:`QueryError` unless ``(row, col)`` lies in ``shape``:
     the range check :meth:`QueryEngine.cell` and
@@ -181,15 +216,6 @@ class QueryEngine:
     def __init__(self, backend, include_deltas: bool = True) -> None:
         self._backend = as_backend(backend)
         self._include_deltas = include_deltas
-        self.stats = {
-            "fast_path_hits": 0,
-            "streamed": 0,
-            "summary_hits": 0,
-        }
-        # Query evaluation itself is stateless per call; this lock only
-        # guards the path counters so concurrent executor workers can
-        # share one engine without losing increments.
-        self._stats_lock = threading.Lock()
 
     def refresh(self, backend) -> None:
         """Swap in a new backend (e.g. a reopened post-append store).
@@ -213,9 +239,9 @@ class QueryEngine:
     ) -> QueryResult:
         """Answer any engine query object by dispatching on its type.
 
-        The single entry point the executors (thread- and process-based)
-        and the CLI batch runner share: :class:`CellQuery` and ``(row,
-        col)`` tuples go to :meth:`cell`, :class:`AggregateQuery` to
+        The single entry point ``repro batch`` and the serving
+        dispatcher share: :class:`CellQuery` and ``(row, col)`` tuples
+        go to :meth:`cell`, :class:`AggregateQuery` to
         :meth:`aggregate` (with ``plan``, when the caller holds this
         query's already; cells are not planned).
         """
@@ -381,8 +407,6 @@ class QueryEngine:
                 query.function,
                 include_deltas=route == ROUTE_FACTOR,
             )
-            with self._stats_lock:
-                self.stats["fast_path_hits"] += 1
             return QueryResult(
                 value=value,
                 cells_touched=plan.cells,
@@ -395,8 +419,6 @@ class QueryEngine:
     def _run_summary(self, function: str, plan: QueryPlan) -> QueryResult:
         """Serve a summary hit chosen by the planner: no ``u.mat`` pages."""
         comps = plan.summary_plan
-        with self._stats_lock:
-            self.stats["summary_hits"] += 1
         if _obs.enabled:
             _obs.counter(f"query.path.{ROUTE_SUMMARY}").inc()
         return QueryResult(
@@ -415,8 +437,6 @@ class QueryEngine:
         backend: Backend,
     ) -> QueryResult:
         """Stream the selected rows in vectorized blocks (exact)."""
-        with self._stats_lock:
-            self.stats["streamed"] += 1
         with _span("query.stream.scan", rows=int(row_idx.size)):
             comps = stream_components(backend, row_idx, col_idx, function)
         value = _finalize_components(function, comps)
@@ -452,8 +472,6 @@ class QueryEngine:
         if comps is None:
             return None
         value = _finalize_components(query.function, comps)
-        with self._stats_lock:
-            self.stats["summary_hits"] += 1
         profile = None
         if _obs.enabled:
             _obs.counter("query.path.summary").inc()

@@ -69,8 +69,12 @@ from repro.exceptions import (
 )
 from repro.obs.registry import registry as _obs
 from repro.plan import ROUTE_SUMMARY
-from repro.query.engine import AggregateQuery, QueryEngine
-from repro.query.executor import coerce_query, usable_cpu_count
+from repro.query.engine import (
+    AggregateQuery,
+    QueryEngine,
+    coerce_query,
+    usable_cpu_count,
+)
 from repro.query.groupby import bucket_series
 from repro.query.parser import parse_query
 from repro.serve.admission import AdmissionController
@@ -226,8 +230,8 @@ class RobustDispatcher:
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
 
-        ``query`` is any executor-accepted form (query text, ``(row,
-        col)``, engine query objects).  Raises:
+        ``query`` is any :func:`~repro.query.engine.coerce_query` form
+        (query text, ``(row, col)``, engine query objects).  Raises:
 
         - :class:`~repro.exceptions.QueryError` — malformed (→ 400);
         - :class:`~repro.exceptions.OverloadedError` — shed (→ 503);

@@ -93,8 +93,8 @@ class MatrixStore:
     the one physical copy of the file that threads and processes share.
     ``open(mapped=True)`` additionally takes the buffer pool and pager
     out of :meth:`row`, :meth:`cell` and :meth:`iter_rows` — nothing is
-    cached per process and no page is accounted — which is the memory
-    model the multiprocess query executor relies on.  Such a store is a
+    cached per process and no page is accounted — which is how
+    ``repro serve`` opens its model.  Such a store is a
     read-only snapshot of the file at open time; :meth:`append_rows`
     refuses to run on one.
     """

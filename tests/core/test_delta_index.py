@@ -64,26 +64,12 @@ class TestScalarAccess:
 
 
 class TestVectorizedAccess:
-    def test_lookup(self, index):
-        out = index.lookup([12, 13, 89, 0, 37])
-        assert list(out) == [5.0, 0.0, 0.25, 0.0, 1.5]
-
-    def test_lookup_empty_batch(self, index):
-        assert index.lookup(np.empty(0, dtype=np.int64)).size == 0
-
     def test_for_row(self, index):
         cols, values = index.for_row(3)
         assert list(cols) == [0, 7]
         assert list(values) == [-2.0, 1.5]
         cols, values = index.for_row(2)
         assert cols.size == 0 and values.size == 0
-
-    def test_for_col(self, index):
-        rows, values = index.for_col(0)
-        assert list(rows) == [3]
-        assert list(values) == [-2.0]
-        rows, values = index.for_col(5)
-        assert rows.size == 0
 
 
 class TestSelect:

@@ -124,7 +124,7 @@ def test_the_front_doors_load_no_lab_module():
         "loaded = [m for m in sys.modules if m == 'repro' or m.startswith('repro.')]\n"
         "print(len(loaded), *[m for m in loaded if m.startswith('repro.lab')])\n"
     )
-    for module, count in (("repro.serve", 67), ("repro.cli", 68)):
+    for module, count in (("repro.serve", 65), ("repro.cli", 66)):
         out = subprocess.run(
             [sys.executable, "-c", script, module],
             env={**os.environ, "PYTHONPATH": str(_SRC.parent)},
@@ -133,6 +133,26 @@ def test_the_front_doors_load_no_lab_module():
             check=True,
         ).stdout.split()
         assert out == [str(count)], (module, out)
+
+
+def test_the_front_doors_load_no_worker_pool():
+    """The CLI and the serve tier answer on one engine in the caller's
+    thread: importing them loads neither executor module nor
+    ``multiprocessing``."""
+    pools = ("multiprocessing", "repro.query.executor", "repro.query.process_executor")
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.serve\n"
+        f"print(*[m for m in {pools!r} if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(_SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out == []
 
 
 @settings(max_examples=12, deadline=None)

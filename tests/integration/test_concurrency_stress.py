@@ -8,7 +8,8 @@ interleaved cell queries, aggregates, and fresh ``open()`` calls, and
 require every answer to equal — ``==``, not approx — the
 single-threaded answer.  A second round repeats the exercise under
 injected transient read faults, which the pager's retry loop must
-absorb without changing a single bit.
+absorb without changing a single bit, and a third sends the same
+workloads through one shared serving dispatcher.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import pytest
 
 from repro.core import CompressedMatrix, build_compressed
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
+from repro.serve.config import ServeConfig
+from repro.serve.robust import RobustDispatcher
 from repro.storage import faults
 from repro.storage.faults import FaultPlan
 
@@ -135,12 +138,34 @@ class TestConcurrencyStress:
             _stress(model_dir, expected)
         assert plan.injected >= 1
 
-    def test_executor_against_stress_workload(self, model_dir, expected):
-        """The executor path produces the same bits as raw threads."""
-        from repro.query import QueryExecutor
-
+    def test_dispatcher_against_stress_workload(self, model_dir, expected):
+        """Plain threads sharing one ``RobustDispatcher.dispatch`` — the
+        serve tier's door — give the same bits as single-threaded."""
+        config = ServeConfig(
+            workers=2,
+            max_queue_depth=4 * THREADS,
+            max_queue_age_ms=60_000.0,
+            default_timeout_ms=60_000.0,
+        )
         with CompressedMatrix.open(model_dir) as model:
-            with QueryExecutor(model, max_workers=THREADS) as pool:
-                for index in range(THREADS):
-                    results = pool.map(_workload(model.shape, seed=index))
-                    assert [r.value for r in results] == expected[index]
+            shape = model.shape
+        dispatcher = RobustDispatcher(model_dir, config)
+        barrier = threading.Barrier(THREADS)
+        got: dict[int, list] = {}
+
+        def body(thread_index: int) -> None:
+            queries = _workload(shape, seed=thread_index)
+            barrier.wait()
+            got[thread_index] = [dispatcher.dispatch(q)["value"] for q in queries]
+
+        threads = [
+            threading.Thread(target=body, args=(index,)) for index in range(THREADS)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            dispatcher.close()
+        assert got == expected

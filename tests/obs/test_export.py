@@ -1,9 +1,9 @@
 """Tests for metric export: OpenMetrics text, rendered and validated.
 
 Includes the concurrent-export stress test: registry writers on eight
-threads plus a live process executor, while the main thread snapshots
-and renders continuously — exports must never be torn (internally
-inconsistent) and counters must never run backwards.
+threads while the main thread snapshots and renders continuously —
+exports must never be torn (internally inconsistent) and counters must
+never run backwards.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class TestValidateOpenMetrics:
 
 
 class TestConcurrentExport:
-    """Exports under fire: 8 writer threads + a live process executor.
+    """Exports under fire: 8 writer threads.
 
     Every snapshot/render taken while writers are running must be
     internally consistent (validatable, quantiles inside [min, max])
@@ -126,16 +126,7 @@ class TestConcurrentExport:
     WRITER_THREADS = 8
     ROUNDS = 120
 
-    def test_exports_never_torn_or_non_monotonic(
-        self, tmp_path, rng, enabled_registry
-    ):
-        from repro.core import build_compressed
-        from repro.query import ProcessQueryExecutor
-
-        data = rng.standard_normal((60, 4)) @ rng.standard_normal((4, 24))
-        model_dir = tmp_path / "model"
-        build_compressed(data, model_dir).close()
-
+    def test_exports_never_torn_or_non_monotonic(self, enabled_registry):
         stop = threading.Event()
         errors: list[BaseException] = []
 
@@ -154,44 +145,36 @@ class TestConcurrentExport:
             threading.Thread(target=writer, args=(index,))
             for index in range(self.WRITER_THREADS)
         ]
-        with ProcessQueryExecutor(model_dir, max_workers=2) as executor:
+        for thread in threads:
+            thread.start()
+        previous_counters: dict[str, float] = {}
+        previous_hist_count = 0
+        try:
+            for _ in range(self.ROUNDS):
+                snapshot = enabled_registry.snapshot()
+                validate_openmetrics(render_openmetrics(snapshot))
+                counters = snapshot["counters"]
+                for name, before in previous_counters.items():
+                    assert counters.get(name, 0) >= before, name
+                previous_counters = dict(counters)
+                summary = snapshot["histograms"].get("span.query.cell")
+                if summary and summary["count"]:
+                    assert summary["count"] >= previous_hist_count
+                    previous_hist_count = summary["count"]
+                    assert summary["min"] <= summary["p50"]
+                    assert summary["p50"] <= summary["p95"] <= summary["p99"]
+                    # The p99 bucket bound may round one step above
+                    # the true maximum, never more.
+                    assert summary["p99"] <= summary["max"] * 1.2
+        finally:
+            stop.set()
             for thread in threads:
-                thread.start()
-            futures = [executor.submit((r % 60, r % 24)) for r in range(24)]
-            previous_counters: dict[str, float] = {}
-            previous_hist_count = 0
-            try:
-                for _ in range(self.ROUNDS):
-                    snapshot = enabled_registry.snapshot()
-                    validate_openmetrics(render_openmetrics(snapshot))
-                    counters = snapshot["counters"]
-                    for name, before in previous_counters.items():
-                        assert counters.get(name, 0) >= before, name
-                    previous_counters = dict(counters)
-                    summary = snapshot["histograms"].get("span.query.cell")
-                    if summary and summary["count"]:
-                        assert summary["count"] >= previous_hist_count
-                        previous_hist_count = summary["count"]
-                        assert summary["min"] <= summary["p50"]
-                        assert summary["p50"] <= summary["p95"] <= summary["p99"]
-                        # The p99 bucket bound may round one step above
-                        # the true maximum, never more.
-                        assert summary["p99"] <= summary["max"] * 1.2
-            finally:
-                stop.set()
-                for thread in threads:
-                    thread.join()
-            for future in futures:
-                future.result()
-            # Retired or live, the executor's merged view stays sane.
-            merged = executor.worker_metrics()
-            assert merged["queries"] == 24
+                thread.join()
         assert not errors
         final = enabled_registry.snapshot()
         assert final["counters"]["hammer.writes"] == (
             final["histograms"]["span.query.cell"]["count"]
         )
-        assert final["counters"]["executor.proc.queries"] == 24
 
     def test_merged_histograms_equal_sum_of_parts(self):
         import numpy as np

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+
+import pytest
 
 from repro.obs import NULL_SPAN, current_span, registry, span
 from repro.obs.tracing import (
     Span,
     current_trace_id,
-    graft,
     new_trace_id,
     trace,
 )
@@ -117,44 +119,21 @@ class TestTracePropagation:
         assert lonely.trace_id is not None
         assert len(lonely.trace_id) == 16
 
-    def test_from_dict_preserves_tree_and_durations(self, enabled_registry):
-        with trace("cafe000000000000"), span("worker") as worker:
-            with span("step", rows=4):
-                pass
-        rebuilt = Span.from_dict(worker.to_dict())
-        assert rebuilt.name == "worker"
-        assert rebuilt.trace_id == "cafe000000000000"
-        assert rebuilt.duration_ns == worker.duration_ns
-        (step,) = rebuilt.children
-        assert step.name == "step"
-        assert step.attrs == {"rows": 4}
-        assert step.duration_ns == worker.children[0].duration_ns
-
-    def test_from_dict_does_not_rerecord_histograms(self, enabled_registry):
-        with span("once") as once:
-            pass
-        assert enabled_registry.histogram("span.once").count == 1
-        Span.from_dict(once.to_dict())
-        assert enabled_registry.histogram("span.once").count == 1
-
-    def test_graft_attaches_under_active_span(self, enabled_registry):
-        with span("remote") as remote:
-            with span("remote.step"):
-                pass
-        wire = remote.to_dict()
-        with span("caller") as caller:
-            grafted = graft(wire)
-        assert grafted is not None
-        assert grafted in caller.children
-        assert caller.find("remote.step") is not None
-
-    def test_graft_without_active_span_is_noop(self, enabled_registry):
-        with span("remote") as remote:
-            pass
-        assert current_span() is None
-        assert graft(remote.to_dict()) is None
-
-    def test_graft_none_is_noop(self, enabled_registry):
-        with span("caller") as caller:
-            assert graft(None) is None
-        assert caller.children == []
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_does_not_replay_the_parents_trace_ids(self):
+        """Ids come from one seeded generator per process: a forked
+        child inherits its parent's generator state and must re-seed,
+        or parent and child would draw the same ids next."""
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            os.close(read_end)
+            os.write(write_end, " ".join(new_trace_id() for _ in range(500)).encode())
+            os._exit(0)
+        os.close(write_end)
+        mine = [new_trace_id() for _ in range(500)]
+        with os.fdopen(read_end) as pipe:
+            theirs = pipe.read().split()
+        os.waitpid(pid, 0)
+        assert len(theirs) == 500
+        assert len(set(mine + theirs)) == 1000

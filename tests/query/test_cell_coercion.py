@@ -5,7 +5,8 @@ with ``int()`` — ``(1.7, 2)``, ``("3", 5)`` and ``(True, 2)`` answered
 cells (1, 2), (3, 5) and (1, 2) — and a ``CellQuery`` built with a
 float raised a bare ``TypeError`` from deep in the store.  Every such
 query is now a :class:`QueryError` (a 400 at the HTTP tier), through
-the engine, the executors' coercion and the serving dispatcher alike; Python and NumPy integers are still accepted.
+the engine, ``coerce_query`` and the serving dispatcher alike; Python
+and NumPy integers are still accepted.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import pytest
 
 from repro.core.build import build_compressed
 from repro.exceptions import QueryError
-from repro.query.engine import CellQuery, QueryEngine
-from repro.query.executor import coerce_query
+from repro.query.engine import CellQuery, QueryEngine, coerce_query
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
 

@@ -26,20 +26,16 @@ from repro.query.engine import AGGREGATES
 
 
 def _all_components(backend, row_idx, col_idx) -> Components:
-    """Every component, block by block in the stream's order."""
-    comps = Components()
+    """Every component, folded block by block in the stream's order."""
+    total, total_sq, minimum, maximum, count = 0.0, 0.0, np.inf, -np.inf, 0
     for start in range(0, row_idx.size, _STREAM_BLOCK_ROWS):
         block = backend.block(row_idx[start : start + _STREAM_BLOCK_ROWS], col_idx)
-        comps = comps.merge(
-            Components(
-                float(block.sum()),
-                float((block * block).sum()),
-                float(block.min()),
-                float(block.max()),
-                int(block.size),
-            )
-        )
-    return comps
+        total += float(block.sum())
+        total_sq += float((block * block).sum())
+        minimum = min(minimum, float(block.min()))
+        maximum = max(maximum, float(block.max()))
+        count += int(block.size)
+    return Components(total, total_sq, minimum, maximum, count)
 
 
 @pytest.fixture(scope="module")

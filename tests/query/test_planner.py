@@ -451,8 +451,8 @@ class TestMalformedCellTuples:
         with pytest.raises(QueryError):
             engine.cell((1, "x"))
 
-    def test_executor_coercion_matches(self):
-        from repro.query.executor import coerce_query
+    def test_coerce_query_matches(self):
+        from repro.query.engine import coerce_query
 
         with pytest.raises(QueryError):
             coerce_query((1, 2, 3))

@@ -377,4 +377,4 @@ def test_stale_summaries_take_exact_routes_until_summarize(backends):
             rows, cols = selection.resolve(dense.shape)
             expected = ORACLE[function](dense[np.ix_(rows, cols)])
             assert result.value == pytest.approx(expected, rel=1e-9)
-    assert engine.stats["summary_hits"] == 0
+    assert engine.try_summary(AggregateQuery("sum", Selection())) is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -172,9 +173,7 @@ class TestObservabilityCommands:
         registry.disable()
         registry.reset()
 
-    def test_batch_profile_process_mode_prints_grafted_tree(
-        self, model_dir, capsys
-    ):
+    def test_batch_profile_prints_one_tree(self, model_dir, capsys):
         code = main(
             [
                 "batch",
@@ -183,10 +182,6 @@ class TestObservabilityCommands:
                 "avg() rows 0:20 cols 0:10",
                 "--query",
                 "cell(3, 5)",
-                "--mode",
-                "process",
-                "--workers",
-                "2",
                 "--profile",
             ]
         )
@@ -194,11 +189,11 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         tree = json.loads(out[out.index("{") :])
         assert tree["name"] == "batch"
-        workers = [c for c in tree["children"] if c["name"] == "query.worker"]
-        assert len(workers) == 2
-        # One coherent trace family across the caller and both workers.
-        assert {w["trace_id"] for w in workers} == {tree["trace_id"]}
-        assert any(w["children"] for w in workers)
+        assert tree["attrs"] == {"queries": 2}
+        names = [child["name"] for child in tree["children"]]
+        assert names == ["query.aggregate", "query.cell"]
+        # One trace across the batch: every query's spans join on it.
+        assert {c["trace_id"] for c in tree["children"]} == {tree["trace_id"]}
 
     def test_batch_slow_log_captures_queries(self, model_dir, tmp_path, capsys):
         slow = tmp_path / "slow.jsonl"
@@ -208,8 +203,6 @@ class TestObservabilityCommands:
                 str(model_dir),
                 "--query",
                 "avg() rows 0:20 cols 0:10",
-                "--mode",
-                "sequential",
                 "--slow-ms",
                 "0.0",
                 "--slow-log",
@@ -458,7 +451,7 @@ class TestQueryAndVerifyCommands:
         assert main(["query", str(model_dir), "fetch everything"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_batch_modes_agree(self, model_dir, tmp_path, capsys):
+    def test_batch_answers_a_file_in_order(self, model_dir, tmp_path, capsys):
         queries = tmp_path / "queries.txt"
         queries.write_text(
             "# comment lines and blanks are skipped\n"
@@ -466,29 +459,14 @@ class TestQueryAndVerifyCommands:
             "sum() rows 0:50 cols 0:30\n"
             "cell(10, 100)\n"
         )
-        outputs = {}
-        for mode in ("sequential", "thread", "process"):
-            code = main(
-                [
-                    "batch",
-                    str(model_dir),
-                    "--file",
-                    str(queries),
-                    "--mode",
-                    mode,
-                    "--workers",
-                    "2",
-                ]
-            )
-            assert code == 0
-            out = capsys.readouterr().out
-            assert f"[{mode}]" in out
-            # Answer lines must be identical across the three modes.
-            outputs[mode] = [
-                line for line in out.splitlines() if " = " in line
-            ]
-        assert outputs["sequential"] == outputs["thread"] == outputs["process"]
-        assert len(outputs["sequential"]) == 2
+        assert main(["batch", str(model_dir), "--file", str(queries)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"# 2 queries, \d+\.\d{3}s, \d+\.\d qps", lines[-1])
+        # The answers `repro query` prints, in the file's order.
+        for line, text in zip(lines, ("sum() rows 0:50 cols 0:30", "cell(10, 100)")):
+            assert main(["query", str(model_dir), text]) == 0
+            want = capsys.readouterr().out.splitlines()[0].split(" = ")[1]
+            assert line == f"{text} = {want.split()[0]}"
 
     def test_batch_inline_query(self, model_dir, capsys):
         code = main(

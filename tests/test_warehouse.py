@@ -76,34 +76,6 @@ class TestQuerying:
             warehouse.entry("nope")
 
 
-class TestExecutorModes:
-    def test_thread_and_process_modes_agree(self, warehouse):
-        warehouse.ingest("calls", phone_matrix(60), keep_raw=False, verify=False)
-        query = "sum() rows 0:30 cols 0:100"
-        with warehouse.executor("calls", max_workers=2) as pool:
-            threaded = pool.submit(query).result().value
-        with warehouse.executor("calls", max_workers=2, mode="process") as pool:
-            processed = pool.submit(query).result().value
-        assert threaded == processed
-
-    def test_process_mode_returns_process_executor(self, warehouse):
-        from repro.query import ProcessQueryExecutor
-
-        warehouse.ingest("calls", phone_matrix(50), keep_raw=False, verify=False)
-        with warehouse.executor("calls", mode="process", max_workers=1) as pool:
-            assert isinstance(pool, ProcessQueryExecutor)
-            assert pool.directory == warehouse.root / "calls" / "model"
-
-    def test_unknown_mode_rejected(self, warehouse):
-        warehouse.ingest("calls", phone_matrix(50), keep_raw=False, verify=False)
-        with pytest.raises(DatasetError):
-            warehouse.executor("calls", mode="coroutine")
-
-    def test_process_mode_unknown_dataset_rejected(self, warehouse):
-        with pytest.raises(DatasetError):
-            warehouse.executor("nope", mode="process")
-
-
 class TestPersistence:
     def test_catalog_survives_reopen(self, tmp_path):
         first = Warehouse(tmp_path / "wh")
