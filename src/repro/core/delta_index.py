@@ -8,24 +8,21 @@ range or aggregate query to walk the whole table in Python.  A
 
 - the deltas of one row occupy a contiguous slice found by bisecting the
   key range ``[row*M, (row+1)*M)`` (``for_row``),
-- the deltas falling inside an arbitrary row x column selection are
-  located — with their positions *within* the selection — entirely in
-  vector code (``select``): each selected row's key slice is bisected
-  down to the selection's column span and only those candidate keys are
-  tested against the column set.  For |R| selected rows, |S| selected
-  columns of M, D stored deltas and c candidates (the selected rows'
-  deltas between the smallest and largest selected column) that is
-  O(|R| log D + (|S| + M) log |S| + c) — the cost follows the
-  selection, never the stored outlier count — which is what lets
+- one derived table, the CSR row offsets (``row_start[r]``: where row
+  ``r``'s key run begins), hands over any selected rows' deltas without
+  a search: a run of rows ``a..b`` is the one key slice
+  ``[row_start[a], row_start[b + 1])``, scattered rows expand their own
+  runs, and both are masked by column.  So the deltas inside a row x
+  column selection — with their positions *within* it — cost O(|R| + r)
+  for |R| rows holding r deltas (``select``), plus O((|S| + M) log |S|)
+  to match |S| columns that are not a time range; never the stored
+  outlier count.  That is what lets
   :meth:`~repro.core.store.CompressedMatrix.reconstruct_range` and the
-  factor-space aggregate fast path fold corrections without walking
-  every stored delta.  A column selection that *is* its span (a time
-  range) skips the column matching: every candidate is a hit, so the
-  cost is O(|R| log D + |S| + c), and their sum (``select_sum``, what
-  ``sum``/``avg`` fold) is a gather of their values alone, and
-- how many deltas a set of rows holds is a gather out of a lazily built
-  table of per-row run lengths (``count_in_rows``), which is what the
-  planner prices a fold with.
+  factor-space fast path fold corrections; over a time range the sum
+  ``sum``/``avg`` fold (``select_sum``) gathers the values alone, and
+- a set of rows' delta count (``count_in_rows``, the planner's price of
+  a fold) is two reads of the table for a run of rows, one gather per
+  row otherwise.
 
 Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
 pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
@@ -47,16 +44,19 @@ from repro.obs.registry import registry as _obs
 
 def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Every position of the slices ``[starts[i], starts[i] + counts[i])``, in order."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    positions = (starts + counts - counts.cumsum()).repeat(counts)
+    positions += np.arange(positions.size)
+    return positions
 
 
-def _expand_slices(
-    starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(owner, positions)``: :func:`_slice_positions` and, for each
-    position, the index ``i`` of the slice it came from."""
-    return np.repeat(np.arange(counts.size), counts), _slice_positions(starts, counts)
+def _run_of(sel: np.ndarray) -> tuple[int, int] | None:
+    """``(first, last)`` when ``sel`` is exactly ``first, first + 1, ...,
+    last`` (a time range, a block of rows), else None."""
+    if sel.size:
+        first, last = int(sel[0]), int(sel[-1])
+        if last - first + 1 == sel.size and (sel[1:] > sel[:-1]).all():
+            return first, last
+    return None
 
 
 class DeltaIndex:
@@ -101,7 +101,7 @@ class DeltaIndex:
         # allocate 2x its key bytes up front.
         self._rows_cache: np.ndarray | None = None
         self._cols_cache: np.ndarray | None = None
-        self._row_counts_cache: np.ndarray | None = None
+        self._row_start_cache: np.ndarray | None = None
         #: Probe accounting: scalar/batched lookups, keys tested, hits.
         self.stats = {"lookups": 0, "keys_probed": 0, "hits": 0}
         # The key/value arrays are immutable after construction, so
@@ -138,18 +138,17 @@ class DeltaIndex:
         return self._cols_cache
 
     @property
-    def _row_counts(self) -> np.ndarray:
-        """Length of each row's key run, for every row up to the last
-        one holding a delta, then one 0 for all later rows to clip onto
-        (8 bytes a row, built on first use)."""
-        if self._row_counts_cache is None:
+    def _row_start(self) -> np.ndarray:
+        """Row ``r``'s keys are ``keys[row_start[r]:row_start[r + 1]]``
+        up to the last row holding a delta (8 bytes a row, built on
+        first use); read with ``mode="clip"``, other rows hold none."""
+        if self._row_start_cache is None:
             # Benign race, as for ``_rows``.
             last_row = int(self._keys[-1]) // self._num_cols if self._keys.size else -1
-            offsets = np.searchsorted(
+            self._row_start_cache = np.searchsorted(
                 self._keys, np.arange(last_row + 2) * self._num_cols
             )
-            self._row_counts_cache = np.append(np.diff(offsets), 0)
-        return self._row_counts_cache
+        return self._row_start_cache
 
     @property
     def rows(self) -> np.ndarray:
@@ -169,14 +168,10 @@ class DeltaIndex:
     def size_bytes(self) -> int:
         """In-memory footprint: keys/values plus any materialized
         derived arrays (lazy row/col caches count only once built)."""
-        total = int(self._keys.nbytes + self._values.nbytes)
-        if self._rows_cache is not None:
-            total += int(self._rows_cache.nbytes)
-        if self._cols_cache is not None:
-            total += int(self._cols_cache.nbytes)
-        if self._row_counts_cache is not None:
-            total += int(self._row_counts_cache.nbytes)
-        return total
+        caches = (self._rows_cache, self._cols_cache, self._row_start_cache)
+        return int(self._keys.nbytes + self._values.nbytes) + sum(
+            int(cache.nbytes) for cache in caches if cache is not None
+        )
 
     # -- hash-table-compatible scalar access --------------------------------
 
@@ -214,15 +209,12 @@ class DeltaIndex:
         return self._keys[lo:hi] % self._num_cols, self._values[lo:hi]
 
     def count_in_rows(self, row_idx) -> int:
-        """Stored deltas in the rows ``row_idx`` (non-negative indices;
-        a repeated row counts each time): what folding a selection of
-        those rows can touch at most.  No key is examined — one gather
-        out of the per-row run lengths — so the planner can price a
-        fold by the selection instead of the stored outlier count.
-        """
-        rows = np.asarray(row_idx, dtype=np.int64)
-        # Rows past the last delta-holding row clip onto the trailing 0.
-        return int(self._row_counts.take(rows, mode="clip").sum())
+        """Stored deltas in the rows ``row_idx`` (a repeated row counts
+        each time, a row outside the matrix none): what folding them can
+        touch at most, read off the row table without examining a key —
+        the planner's price of a fold."""
+        runs = self._key_runs(np.asarray(row_idx, dtype=np.int64).ravel())
+        return runs.stop - runs.start if isinstance(runs, slice) else int(runs[1].sum())
 
     def select(
         self, row_sel, col_sel
@@ -238,8 +230,8 @@ class DeltaIndex:
         unique.  Entries follow ``row_sel`` order, key order within a
         row.
 
-        Only the selected rows' key slices are examined:
-        ``stats["keys_probed"]`` grows by the candidate keys tested (the
+        Only the selected rows' key runs are examined:
+        ``stats["keys_probed"]`` grows by the candidate keys (the
         selected rows' deltas within the column span), ``stats["hits"]``
         by the deltas returned.  When ``col_sel`` is exactly its span —
         ascending, unit step, inside the matrix, as every time range
@@ -249,67 +241,74 @@ class DeltaIndex:
         """
         row_sel = np.asarray(row_sel, dtype=np.int64)
         col_sel = np.asarray(col_sel, dtype=np.int64)
+        row_pos = col_pos = np.empty(0, dtype=np.int64)
+        values = np.empty(0)
         probed = 0
-        row_pos = col_pos = picked = np.empty(0, dtype=np.int64)
-        if self._keys.size and row_sel.size and col_sel.size:
-            # Clamping the span to the matrix keeps a stray column from
-            # aliasing into the neighbouring row's keys (and an emptied
-            # span from bisecting backwards).
-            row_base = row_sel * self._num_cols
-            col_lo = max(int(col_sel.min()), 0)
-            col_hi = min(int(col_sel.max()), self._num_cols - 1)
-            if col_lo <= col_hi:
-                starts, counts = self._runs(row_base, col_lo, col_hi)
-                probed = int(counts.sum())
-        if probed:
-            cand_row_pos, cand = _expand_slices(starts, counts)
-            # Each candidate's column as an offset into the span.
-            offset = self._keys[cand] - (row_base[cand_row_pos] + col_lo)
-            if np.array_equal(col_sel, np.arange(col_lo, col_hi + 1)):
-                # The selection is its own span (a time range): every
-                # candidate is a hit and sits at its offset.
-                row_pos, col_pos, picked = cand_row_pos, offset, cand
-            else:
+        if row_sel.size and col_sel.size:
+            # The span clamped to the matrix: a stray column matches nothing.
+            run = _run_of(col_sel)
+            lo, hi = run or (int(col_sel.min()), int(col_sel.max()))
+            col_lo, col_hi = max(lo, 0), min(hi, self._num_cols - 1)
+            row_pos, col_pos, values = self._in_span(row_sel, col_lo, col_hi, True)
+            probed = int(values.size)
+            if probed and run != (col_lo, col_hi):
                 # Occurrences of each candidate's column within col_sel:
-                # the span's column at ``offset`` sits at sorted
-                # positions [bounds[offset], bounds[offset + 1]).
+                # the span's column at offset ``col_pos`` sits at sorted
+                # positions [bounds[col_pos], bounds[col_pos + 1]).
                 order = np.argsort(col_sel, kind="stable")
-                bounds = np.searchsorted(
-                    col_sel[order], np.arange(col_lo, col_hi + 2)
-                )
-                first = bounds[offset]
-                owner, where = _expand_slices(first, bounds[offset + 1] - first)
-                row_pos = cand_row_pos[owner]
-                col_pos = order[where]
-                picked = cand[owner]
-        self._count(probed, int(picked.size))
-        return (
-            row_pos, col_pos, row_sel[row_pos], col_sel[col_pos], self._values[picked]
-        )
+                bounds = col_sel[order].searchsorted(np.arange(col_lo, col_hi + 2))
+                first = bounds[col_pos]
+                counts = bounds[col_pos + 1] - first
+                owner = np.arange(counts.size).repeat(counts)
+                where = _slice_positions(first, counts)
+                row_pos, col_pos, values = row_pos[owner], order[where], values[owner]
+        self._count(probed, int(values.size))
+        return row_pos, col_pos, row_sel[row_pos], col_sel[col_pos], values
 
     def select_sum(self, row_sel, col_sel) -> float:
         """``float(self.select(row_sel, col_sel)[4].sum())`` to the bit,
         counted alike.  Over a time range the candidates are the answer:
         their values are gathered in ``select``'s order (hence the same
-        sum) and no position, row or column array is built."""
+        sum) and no row or column position is built."""
         row_sel = np.asarray(row_sel, dtype=np.int64)
         col_sel = np.asarray(col_sel, dtype=np.int64)
-        lo, hi = (int(col_sel[0]), int(col_sel[-1])) if col_sel.size else (0, -1)
-        span = 0 <= lo <= hi < self._num_cols
-        if not (span and np.array_equal(col_sel, np.arange(lo, hi + 1))):
+        span = _run_of(col_sel)
+        if span is None or span[0] < 0 or span[1] >= self._num_cols:
             return float(self.select(row_sel, col_sel)[4].sum())
-        starts, counts = self._runs(row_sel * self._num_cols, lo, hi)
-        probed = int(counts.sum())
-        self._count(probed, probed)
-        if not probed:
-            return 0.0
-        return float(self._values[_slice_positions(starts, counts)].sum())
+        values = self._in_span(row_sel, *span, False)[2]
+        self._count(int(values.size), int(values.size))
+        return float(values.sum())
 
-    def _runs(self, row_base: np.ndarray, col_lo: int, col_hi: int):
-        """``(starts, counts)`` of each row's keys (``row_base`` = row *
-        num_cols) in the in-matrix columns ``[col_lo, col_hi]``."""
-        starts = np.searchsorted(self._keys, row_base + col_lo)
-        return starts, np.searchsorted(self._keys, row_base + col_hi + 1) - starts
+    def _key_runs(self, row_sel: np.ndarray):
+        """Where the keys of the rows ``row_sel`` sit, in ``row_sel``
+        order: one slice when the rows are a run ``a..b`` (or none),
+        else ``(starts, counts)``, one key run per row."""
+        table = self._row_start
+        run = _run_of(row_sel)
+        if run is None and row_sel.size:
+            starts = table.take(row_sel, mode="clip")
+            return starts, table.take(row_sel + 1, mode="clip") - starts
+        first, last = run or (0, -1)
+        lo, hi = table.take([first, last + 1], mode="clip").tolist()
+        return slice(lo, hi)
+
+    def _in_span(self, row_sel: np.ndarray, col_lo: int, col_hi: int, owners: bool):
+        """``(row_pos, col_pos, values)`` of the rows' deltas in columns
+        ``col_lo..col_hi``, in ``row_sel`` order: the entry of ``row_sel``
+        and offset into the span of each (None unless ``owners``)."""
+        runs = self._key_runs(row_sel)
+        if isinstance(runs, slice):
+            cols = self._cols[runs]
+            inside = (cols >= col_lo) & (cols <= col_hi)
+            values = self._values[runs][inside]
+            row_pos = self._rows[runs][inside] - row_sel[0] if owners else None
+        else:
+            where = _slice_positions(*runs)
+            cols = self._cols.take(where)
+            inside = (cols >= col_lo) & (cols <= col_hi)
+            values = self._values.take(where[inside])
+            row_pos = np.arange(row_sel.size).repeat(runs[1])[inside] if owners else None
+        return row_pos, cols[inside] - col_lo if owners else None, values
 
     def _count(self, probed: int, hits: int) -> None:
         """One range probe: ``probed`` candidate keys, ``hits`` returned."""

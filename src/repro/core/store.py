@@ -495,14 +495,19 @@ class CompressedMatrix:
             raise QueryError(f"row selection outside [0, {total_rows})")
         if col_idx.min() < 0 or col_idx.max() >= total_cols:
             raise QueryError(f"col selection outside [0, {total_cols})")
-        v_sel = self._v[col_idx]  # (m_sel, k)
-        out = np.zeros((row_idx.size, col_idx.size))
-        zero = self._zero_flag[row_idx]
-        self._bump("zero_row_skips", int(zero.sum()))
-        live = ~zero
-        if live.any():
-            u_sel = self._u_store.read_rows(row_idx[live])[:, : self.cutoff]
-            out[live] = (u_sel * self._eigenvalues) @ v_sel.T
+        v_sel = self._v.take(col_idx, axis=0)  # (m_sel, k)
+        zero = self._zero_flag.take(row_idx)
+        skipped = int(np.count_nonzero(zero))
+        self._bump("zero_row_skips", skipped)
+        if not skipped:
+            u_sel = self._u_store.read_rows(row_idx)[:, : self.cutoff]
+            out = (u_sel * self._eigenvalues) @ v_sel.T
+        else:
+            out = np.zeros((row_idx.size, col_idx.size))
+            live = ~zero
+            if skipped < row_idx.size:
+                u_sel = self._u_store.read_rows(row_idx[live])[:, : self.cutoff]
+                out[live] = (u_sel * self._eigenvalues) @ v_sel.T
         if self._deltas is not None and len(self._deltas) > 0:
             row_pos, col_pos, _r, _c, values = self._deltas.select(
                 row_idx, col_idx

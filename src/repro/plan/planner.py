@@ -193,13 +193,13 @@ def plan_aggregate(
         rejected.append(RejectedRoute(name, reason))
 
     # The factor, svd and stream routes all gather the selected rows:
-    # count their pages once.  A mapped store's "pages" are logical
-    # only — they never seek.
-    row_pages, row_page_bytes = 0, 0
+    # count and price their pages once.  A mapped store's "pages" are
+    # logical only — they never seek.
+    row_pages, gather_ms = 0, 0.0
     priced_store = None if backend.memory_resident else backend.paged_store
     if priced_store is not None and row_idx.size:
         row_pages = priced_store.pages_for_rows(row_idx)
-        row_page_bytes = priced_store.page_size
+        gather_ms = page_read_ms(params, row_pages, priced_store.page_size)
 
     # -- summary route -------------------------------------------------
     sstore = backend.summaries
@@ -240,18 +240,18 @@ def plan_aggregate(
 
     if factor_capable:
         if function == "count":
-            fetches, pages, page_bytes = 0, 0, 0
+            fetches, pages, read_ms = 0, 0, 0.0
             base_flops = 0.0
         else:
             # Only a paged store's factor gather fetches rows.
             fetches = int(row_idx.size) if backend.paged_store is not None else 0
-            pages, page_bytes = row_pages, row_page_bytes
+            pages, read_ms = row_pages, gather_ms
             base_flops = float(row_idx.size) * max(rank, 1)
             if function == "stddev":
                 base_flops += float(row_idx.size) * max(rank, 1) ** 2
         base_cost = (
             params.factor_floor_ms
-            + page_read_ms(params, pages, page_bytes)
+            + read_ms
             + flops_ms(base_flops, params.ns_per_factor_term)
         )
 
@@ -275,7 +275,8 @@ def plan_aggregate(
         else:
             reject(ROUTE_FACTOR, "delta fold unavailable on the SVD-only engine")
 
-        bound = backend.rmspe_estimate
+        # Read only when a budget can admit the route.
+        bound = None if include_deltas and max_rmspe is None else backend.rmspe_estimate
         if max_rmspe is not None and max_rmspe <= 0.0:
             reject(ROUTE_SVD, "max_rmspe=0 demands an exact answer")
         elif include_deltas and max_rmspe is None:
@@ -312,7 +313,7 @@ def plan_aggregate(
             RouteEstimate(
                 ROUTE_STREAM,
                 cost_ms=params.stream_floor_ms
-                + page_read_ms(params, row_pages, row_page_bytes)
+                + gather_ms
                 + flops_ms(cells * (max(rank, 1) + 1), params.ns_per_cell),
                 pages=row_pages,
                 row_fetches=int(row_idx.size),

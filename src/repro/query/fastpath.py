@@ -16,10 +16,10 @@ which is O(|R| * k) work instead of O(|R| * |S| * k).  Sums of squares
 
 Delta corrections fold in through the sorted
 :class:`~repro.core.delta_index.DeltaIndex`: the deltas inside the
-selection are located by bisecting each selected row's key slice
-(O(|R| log D + c) for |R| selected rows of a D-delta index and c
-candidate keys in those rows' column span — see
-:meth:`~repro.core.delta_index.DeltaIndex.select`), each shifting the
+selection are read off its row offsets — the selected rows' key runs,
+masked by column, O(|R| + r) for |R| selected rows holding r deltas,
+whatever the index's size (see
+:meth:`~repro.core.delta_index.DeltaIndex.select`) — each shifting the
 sum by ``d`` and the sum of squares by ``2 * x_hat[i, j] * d + d^2`` —
 no pass over the stored outlier set.  Only ``stddev`` needs to know
 where a delta sits; ``sum``/``avg`` fold the deltas' sum alone
@@ -86,7 +86,7 @@ def factor_aggregate(
 
     need_squares = function == "stddev"
     with _span("query.factor.gemm"):
-        v_sel = v[col_idx]  # (m_sel, k)
+        v_sel = v.take(col_idx, axis=0)  # (m_sel, k)
         col_sum = v_sel.sum(axis=0)  # (k,)
         row_sums = scaled_u @ col_sum  # (n,)
         total = float(row_sums.sum())
@@ -106,7 +106,11 @@ def factor_aggregate(
                 )
                 if values.size:
                     total += float(values.sum())
-                    base = np.einsum("ik,ik->i", scaled_u[row_pos], v[delta_cols])
+                    base = np.einsum(
+                        "ik,ik->i",
+                        scaled_u.take(row_pos, axis=0),
+                        v.take(delta_cols, axis=0),
+                    )
                     total_sq += float((2.0 * base * values + values * values).sum())
 
     if function == "sum":

@@ -139,15 +139,16 @@ class RobustDispatcher:
         traffic, on the engine that will serve.
 
         The backend builds some tables on first use (the summary
-        arrays, the delta index's per-row run lengths); without a
-        warmup the first real request of each kind would build them
-        inside its deadline.  Uncounted, and a no-op on an empty axis.
+        arrays, the delta index's row offsets and the row and column
+        of each delta, which a ``stddev`` fold reads); without a warmup
+        the first real request of each kind would build them inside its
+        deadline.  Uncounted, and a no-op on an empty axis.
         """
         rows, cols = self._engine.shape
         if not (rows and cols):
             return
         engine = self._fallback if self.model_degraded else self._engine
-        for text in ("cell(0, 0)", "sum() rows 0:1", "sum() rows 0:1 cols 0:1"):
+        for text in ("cell(0, 0)", "sum() rows 0:1", "stddev() rows 0:1 cols 0:1"):
             engine.execute(parse_query(text))
 
     def drain(self) -> bool:

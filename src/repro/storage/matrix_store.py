@@ -468,21 +468,26 @@ class MatrixStore:
         idx = np.asarray(indices, dtype=np.int64).ravel()
         if idx.size == 0:
             return 0
-        self._check_rows(idx)
-        return self._page_count(idx)
+        return self._page_count(idx, self._check_rows(idx))
 
-    def _check_rows(self, idx: np.ndarray) -> None:
-        low, high = idx.min(), idx.max()
+    def _check_rows(self, idx: np.ndarray) -> bool:
+        """Raise unless the non-empty ``idx`` names rows of this store;
+        return whether it strictly increases (then its ends are its
+        bounds, and no other pass over it is needed to know them)."""
+        ascending = bool((idx[1:] > idx[:-1]).all())
+        low, high = (idx[0], idx[-1]) if ascending else (idx.min(), idx.max())
         if low < 0 or high >= self._rows:
             raise QueryError(
                 f"row selection outside [0, {self._rows}): [{low}, {high}]"
             )
+        return ascending
 
-    def _page_count(self, idx: np.ndarray) -> int:
-        """:meth:`pages_for_rows` for a validated, non-empty ``idx``."""
+    def _page_count(self, idx: np.ndarray, ascending: bool) -> int:
+        """:meth:`pages_for_rows` for a validated, non-empty ``idx``
+        that strictly increases when ``ascending``."""
         row_bytes = self._cols * self._item
         page_size = self._pager.page_size
-        if (idx[1:] > idx[:-1]).all():
+        if ascending:
             # Strictly increasing: a contiguous run is one byte range, and
             # whole-page rows (the data starts at page 1) share no page.
             low, high = int(idx[0]), int(idx[-1])
@@ -551,10 +556,10 @@ class MatrixStore:
 
     def _read_rows(self, idx: np.ndarray) -> np.ndarray:
         view = self._live_view()
-        self._check_rows(idx)
+        ascending = self._check_rows(idx)
         if not self._mapped:
-            self._pool.stats.add(bypasses=self._page_count(idx))
-        return view[idx].astype(np.float64, copy=False)
+            self._pool.stats.add(bypasses=self._page_count(idx, ascending))
+        return view.take(idx, axis=0).astype(np.float64, copy=False)
 
     def cell(self, row: int, col: int) -> float:
         """Read one cell through the buffer pool (the view when ``mapped``)."""

@@ -5,14 +5,12 @@ from __future__ import annotations
 import contextlib
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import delta_index
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError
 from repro.storage.delta_file import DeltaFile
@@ -220,20 +218,23 @@ def test_property_range_branch_equals_general_matching(case):
     span = np.arange(col_lo, col_hi + 1)
 
     def run(col_sel):
-        """``select`` on a fresh index, and how often it flattened
-        slices: once (the candidates) on the range branch, twice
-        (candidates, then their occurrences in ``col_sel``) through the
-        general matching, never when the rows hold no candidate."""
+        """``select`` on a fresh index, and its ``stats``."""
         index = DeltaIndex(keys, values, num_cols)
-        flatten = delta_index._expand_slices
-        with mock.patch.object(delta_index, "_expand_slices", wraps=flatten) as spy:
-            selected = index.select(row_sel, np.asarray(col_sel, dtype=np.int64))
-        return selected, spy.call_count, index.stats
+        selected = index.select(row_sel, np.asarray(col_sel, dtype=np.int64))
+        return selected, index.stats
 
-    in_range, expansions, range_stats = run(span)
-    # All of a range's candidates are hits; none at all expands nothing.
-    assert range_stats["keys_probed"] == range_stats["hits"]
-    assert expansions == (1 if range_stats["hits"] else 0)
+    def in_span(lo, hi):
+        """The selected rows' deltas in columns lo..hi (a repeated row
+        counts again): what a probe with that span counts."""
+        return int(np.count_nonzero(dense[row_sel][:, max(lo, 0) : hi + 1]))
+
+    in_range, range_stats = run(span)
+    # All of a range's candidates are hits, and nothing else is probed.
+    assert range_stats == {
+        "lookups": 1,
+        "keys_probed": in_span(col_lo, col_hi),
+        "hits": in_span(col_lo, col_hi),
+    }
     row_pos, col_pos, rows, cols, vals = in_range
     expected = dense[np.ix_(row_sel, span)]
     folded = np.zeros_like(expected)
@@ -243,9 +244,7 @@ def test_property_range_branch_equals_general_matching(case):
     np.testing.assert_array_equal(rows, row_sel[row_pos])
     np.testing.assert_array_equal(cols, span[col_pos])
 
-    general, expansions, general_stats = run(shuffled)
-    if vals.size:
-        assert expansions == (1 if list(shuffled) == span.tolist() else 2)
+    general, general_stats = run(shuffled)
     # Same entries in the same (row_sel order, key order within a row)
     # sequence; only the positions into col_sel differ.
     for got, want in zip(general[2:], in_range[2:]):
@@ -253,8 +252,7 @@ def test_property_range_branch_equals_general_matching(case):
     np.testing.assert_array_equal(np.asarray(shuffled)[general[1]], cols)
     assert general_stats == range_stats  # lookups, keys_probed, hits
 
-    repeated, expansions, repeated_stats = run(span.tolist() + [repeat])
-    assert expansions == (2 if vals.size else 0)
+    repeated, repeated_stats = run(span.tolist() + [repeat])
     assert set(_triples(repeated)) == set(_triples(in_range))
     assert repeated_stats["keys_probed"] == range_stats["keys_probed"]
     assert repeated_stats["hits"] == range_stats["hits"] + np.count_nonzero(
@@ -265,13 +263,13 @@ def test_property_range_branch_equals_general_matching(case):
     # own clamped span: general matching, and the stray column matches
     # nothing (row r's column -1 is not row r-1's column M-1).
     for stray in (np.arange(-1, col_hi + 1), np.arange(col_lo, num_cols + 1)):
-        selected, expansions, stray_stats = run(stray)
+        selected, stray_stats = run(stray)
         inside = dense[np.ix_(row_sel, np.clip(stray, 0, num_cols - 1))]
         inside[:, (stray < 0) | (stray >= num_cols)] = 0.0
         folded = np.zeros_like(inside)
         folded[selected[0], selected[1]] += selected[4]
         np.testing.assert_array_equal(folded, inside)
-        assert expansions == (2 if stray_stats["keys_probed"] else 0)
+        assert stray_stats["keys_probed"] == in_span(stray[0], stray[-1])
         assert stray_stats["hits"] == np.count_nonzero(inside)
 
 
@@ -324,10 +322,11 @@ def test_property_select_sum_is_selects_sum(case):
     assert summed.stats == selected.stats
 
 
-def test_select_sum_of_a_time_range_skips_the_positions(enabled_registry):
+def test_select_sum_of_a_time_range_is_bit_equal_and_counted(enabled_registry):
     """Over a time range with many rows (so the pairwise sum's blocking
-    matters) the sum is bit-equal, counted alike in ``stats`` and the
-    registry, and builds no row/column positions."""
+    matters) the sum is bit-equal to ``select``'s and counted alike in
+    ``stats`` and the registry: every in-range delta of every selected
+    row, once per occurrence of the row, probed and hit."""
 
     def counters():
         names = ("delta.lookups", "delta.keys_probed")
@@ -342,14 +341,17 @@ def test_select_sum_of_a_time_range_skips_the_positions(enabled_registry):
     cols = np.arange(7, 40)
     summed, selected = (DeltaIndex(keys, values, num_cols) for _ in range(2))
     start = counters()
-    with mock.patch.object(delta_index, "_expand_slices") as positions:
-        got = summed.select_sum(rows, cols)
-    assert positions.call_count == 0
+    got = summed.select_sum(rows, cols)
     middle = counters()
     want = float(selected.select(rows, cols)[4].sum())
     end = counters()
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
-    assert summed.stats == selected.stats and summed.stats["hits"] > 1000
+    assert summed.stats == selected.stats
+    dense = np.zeros(num_rows * num_cols)
+    dense[keys] = 1
+    stored = int(dense.reshape(num_rows, num_cols)[rows][:, cols].sum())
+    assert stored > 1000
+    assert summed.stats == {"lookups": 1, "keys_probed": stored, "hits": stored}
     assert [b - a for a, b in zip(start, middle)] == [b - a for a, b in zip(middle, end)]
     assert middle[0] - start[0] == 1
 
@@ -358,15 +360,112 @@ def test_select_sum_of_a_time_range_skips_the_positions(enabled_registry):
 @given(
     num_cols=st.integers(1, 8),
     keys=st.sets(st.integers(0, 63), max_size=40),
-    rows=st.lists(st.integers(0, 40), max_size=12),
+    rows=st.lists(st.integers(-5, 70), max_size=12),
 )
 @example(num_cols=4, keys=set(), rows=[0, 3, 3])  # empty index
 @example(num_cols=4, keys={0, 5, 6}, rows=[])  # no rows
 @example(num_cols=4, keys={0, 5, 6}, rows=[1, 1, 2, 9, 1000])  # past the last key
+@example(num_cols=10, keys={0, 1, 2, 53}, rows=[-1])  # a negative row holds none
+@example(num_cols=10, keys={0, 1, 2, 53}, rows=[-1, 0, 1])  # a run starting left of 0
 def test_property_count_in_rows_matches_bincount(num_cols, keys, rows):
     keys = np.asarray(sorted(keys), dtype=np.int64)
     index = DeltaIndex(keys, np.ones(keys.size), num_cols)
     rows = np.asarray(rows, dtype=np.int64)
     per_row = np.bincount(keys // num_cols, minlength=int(rows.max(initial=0)) + 1)
-    assert index.count_in_rows(rows) == int(per_row[rows].sum())
+    inside = rows[rows >= 0]
+    assert index.count_in_rows(rows) == int(per_row[inside].sum())
     assert index.stats == {"lookups": 0, "keys_probed": 0, "hits": 0}  # no key read
+
+
+# -- one oracle for all three reads ------------------------------------------------
+
+
+def _row_shapes(num_rows: int):
+    """Row selections of every shape the row table serves: a run of rows
+    (possibly leaving the matrix at either end), scattered ascending,
+    repeated, unsorted, and rows outside the matrix."""
+    row = st.integers(-3, num_rows + 2)
+    run = st.tuples(row, st.integers(0, 5)).map(lambda r: list(range(r[0], r[0] + r[1])))
+    return st.one_of(
+        run,
+        st.sets(st.integers(0, num_rows - 1), max_size=6).map(sorted),
+        st.lists(st.integers(0, num_rows - 1), max_size=6).map(sorted),  # repeats
+        st.lists(row, max_size=8),  # unsorted, negative, past the end
+    )
+
+
+@st.composite
+def _scan_cases(draw):
+    num_rows = draw(st.integers(1, 8))
+    num_cols = draw(st.integers(1, 8))
+    cells = num_rows * num_cols
+    keys = draw(
+        st.one_of(st.just(set()), st.sets(st.integers(0, cells - 1), max_size=cells))
+    )
+    row_sel = draw(_row_shapes(num_rows))
+    col_lo = draw(st.integers(0, num_cols - 1))
+    span = list(range(col_lo, draw(st.integers(col_lo, num_cols - 1)) + 1))
+    col_sel = draw(
+        st.one_of(
+            st.just(span),  # a time range
+            st.permutations(span),  # unsorted
+            st.just(span + span[:1]),  # repeated
+            st.lists(st.integers(-3, num_cols + 2), max_size=6),  # stray
+        )
+    )
+    return num_rows, num_cols, sorted(keys), row_sel, col_sel, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scan_cases())
+@example(case=(3, 4, [], [0, 1, 2], [0, 1], False))  # empty index, a run of rows
+@example(case=(3, 4, [], [5, -1], [0], True))  # empty mapped index
+@example(case=(3, 4, [0, 1, 2, 11], [-2, -1, 0, 1], [0, 1, 2, 3], False))
+@example(case=(3, 4, [0, 1, 2, 11], [1, 2, 3, 4], [1, 2, 3], True))
+@example(case=(3, 4, [0, 1, 2, 11], [2, 0, 2, -1], [3, -1, 0, 6], False))
+def test_property_reads_match_a_dense_scan(case):
+    """``select``, ``select_sum`` and ``count_in_rows`` equal a dense
+    NumPy scan for any row and column shape, on an in-memory and on a
+    mapped index, and count exactly the selected rows' deltas inside
+    the (clamped) column span."""
+    num_rows, num_cols, keys, row_sel, col_sel, mapped = case
+    keys = np.asarray(keys, dtype=np.int64)
+    values = 1.0 + np.arange(keys.size, dtype=np.float64)  # exact sums
+    # A margin of zeros around the matrix stands for "outside".
+    pad = 8
+    dense = np.zeros((num_rows + 2 * pad, num_cols + 2 * pad))
+    dense[keys // num_cols + pad, keys % num_cols + pad] = values
+    row_sel = np.asarray(row_sel, dtype=np.int64)
+    col_sel = np.asarray(col_sel, dtype=np.int64)
+    block = dense[np.ix_(row_sel + pad, col_sel + pad)]
+    # The scan's entries in select's order: row_sel order, then column
+    # order, then col_sel order for a repeated column.
+    by_column = np.argsort(col_sel, kind="stable")
+    want = [
+        (i, int(j), v)
+        for i in range(row_sel.size)
+        for j in by_column
+        if (v := block[i, j]) != 0.0
+    ]
+    want.sort(key=lambda e: (e[0], col_sel[e[1]]))
+    probed = 0
+    if row_sel.size and col_sel.size:
+        lo, hi = max(int(col_sel.min()), 0), min(int(col_sel.max()), num_cols - 1)
+        probed = int(np.count_nonzero(dense[row_sel + pad][:, lo + pad : hi + pad + 1]))
+
+    if mapped:
+        source = _mapped_index(keys, values, num_cols)
+    else:
+        source = contextlib.nullcontext(DeltaIndex(keys, values, num_cols))
+    with source as index:
+        row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
+        assert index.stats == {"lookups": 1, "keys_probed": probed, "hits": len(want)}
+        total = index.select_sum(row_sel, col_sel)
+        assert index.count_in_rows(row_sel) == np.count_nonzero(dense[row_sel + pad])
+        stats = dict(index.stats)
+
+    assert list(zip(row_pos.tolist(), col_pos.tolist(), vals.tolist())) == want
+    np.testing.assert_array_equal(rows, row_sel[row_pos])
+    np.testing.assert_array_equal(cols, col_sel[col_pos])
+    assert total == float(sum(v for _i, _j, v in want))
+    assert stats == {"lookups": 2, "keys_probed": 2 * probed, "hits": 2 * len(want)}

@@ -438,14 +438,14 @@ class TestWarm:
     def test_nothing_is_left_to_build_after_ready(self, serve_model_dir):
         """``start()`` answers one cell, one rollup and one gather on
         the serving engine, so the first real request of each kind finds
-        every lazy table (the delta index's row runs, the summary
-        arrays) already built."""
+        every lazy table (the delta index's row offsets and per-delta
+        rows and columns, the summary arrays) already built."""
         config = ServeConfig(port=0, workers=1)
         with QueryServer(serve_model_dir, config) as srv:
             backend = srv.dispatcher._backend
             assert backend._summaries_checked
             summaries, index_bytes = backend.summaries, backend.delta_index.size_bytes()
-            # More than keys + values: the row-run table is there.
+            # More than keys + values: the row table is there.
             index = backend.delta_index
             assert index_bytes > index.keys.nbytes + index.values.nbytes
             assert _get(srv.url, "/stats")[2]["answers"] == 0  # warm-up is uncounted
