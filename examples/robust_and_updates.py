@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Extensions walkthrough: robust axes, batched updates, fast aggregates.
+"""Extensions walkthrough: robust axes, appends, fast aggregates.
 
 Covers the features beyond the paper's core evaluation:
 
 1. **Robust SVD** (future-work item b): a whale customer tilts plain
    SVD's axes; winsorized axes fix the bulk and hand the whale to the
    delta table.
-2. **Batched off-line updates** (the paper's update model): patch cells,
-   append customers, rebuild in one scan.
+2. **Appends** (beyond the paper's off-line rebuild): fold new days
+   and new customers into a model directory in place, and watch the
+   drift that says when a rebuild is due.
 3. **Factor-space aggregates**: the same answer as row streaming,
    computed straight from U, Lambda, V.
 
@@ -24,11 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import QueryEngine, AggregateQuery, Selection, rmspe
-from repro.core import SVDCompressor, SVDDCompressor
+from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor, build_compressed
+from repro.core.update import append_columns, append_rows
 from repro.lab.robust import RobustSVDCompressor
-from repro.lab.updates import BatchUpdater
 from repro.data import phone_matrix
-from repro.storage import MatrixStore
 
 
 def robust_demo() -> None:
@@ -49,28 +49,26 @@ def robust_demo() -> None:
 
 
 def updates_demo() -> None:
-    print("=== 2. batched off-line updates ===")
+    print("=== 2. appends to a model directory ===")
+    data = phone_matrix(800)
+    rng = np.random.default_rng(9)
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        store = MatrixStore.create(root / "v1.mat", phone_matrix(800))
-        updater = BatchUpdater(store)
-        updater.update_cell(5, 100, 999.0)  # a correction
-        new_customer = np.abs(np.random.default_rng(9).random(366) * 20)
-        new_index = updater.append_row(new_customer)
-        new_store, model = updater.rebuild(
-            root / "v2.mat", compressor=SVDDCompressor(budget_fraction=0.10)
-        )
-        print(
-            f"  rebuilt in {store.pass_count} scan(s) of the old store; "
-            f"new shape {new_store.shape}"
-        )
-        print(
-            f"  corrected cell now reconstructs to "
-            f"{model.reconstruct_cell(5, 100):.1f} (target 999.0)"
-        )
-        print(f"  appended customer lives at row {new_index}\n")
-        new_store.close()
-        store.close()
+        model_dir = Path(tmp) / "model"
+        build_compressed(data[:, :359], model_dir, budget_fraction=0.10).close()
+        week = append_columns(model_dir, data[:, 359:])  # a new week of days
+        newcomers = data[rng.integers(0, 800, 20)] * rng.lognormal(0.0, 0.25, (20, 366))
+        customers = append_rows(model_dir, newcomers)
+        for result in (week, customers):
+            print(
+                f"  appended {result.appended} {result.kind}: shape "
+                f"{result.rows}x{result.cols}, drift {result.drift:.2e}, "
+                f"rebuild_recommended {result.rebuild_recommended}"
+            )
+        with CompressedMatrix.open(model_dir) as store:
+            print(
+                f"  stated RMSPE {store.rmspe_estimate:.4f}; a rebuild is "
+                f"build_compressed over the grown data\n"
+            )
 
 
 def fastpath_demo() -> None:

@@ -17,9 +17,9 @@
 - :func:`build_compressed` / :func:`verify_model` — the out-of-core
   build straight to a model directory, and its streamed audit.
 
-Product.  The Fig. 4 naive construction, robust SVD and the raw-store
-``BatchUpdater`` are ``repro.lab.naive_svdd``, ``repro.lab.robust`` and
-``repro.lab.updates``.
+Product.  The Fig. 4 naive construction and robust SVD are
+``repro.lab.naive_svdd`` and ``repro.lab.robust``.  Section 1's batched
+off-line rebuild is :func:`build_compressed` over the grown data.
 """
 
 from repro.core.build import build_compressed, estimate_build_memory

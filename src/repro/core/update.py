@@ -303,12 +303,15 @@ def _finish_append(
         state.get("raw_bytes_per_value"),
     )
     candidates = parts.delta_values.size + candidate_values.size
+    # A zero residual corrects nothing: it takes no slot (and so never
+    # un-flags an all-zero row).
+    live = candidate_values != 0.0
     with _span("update.merge_deltas", candidates=candidates, budget=budget) as merge:
         merged_keys, merged_values, retained_sq = _merge_deltas(
             parts.delta_keys_at(shape[1]),
             parts.delta_values,
-            candidate_keys,
-            candidate_values,
+            candidate_keys[live],
+            candidate_values[live],
             min(budget, shape[0] * shape[1]),
         )
         merge.set(kept=int(merged_keys.size))
@@ -321,7 +324,7 @@ def _finish_append(
         0.0,
         float(state["residual_sse"])
         + float((parts.delta_values**2).sum())
-        + (new_energy - captured_inc)
+        + float(candidate_values @ candidate_values)
         - retained_sq,
     )
     axis, counter = _KINDS[kind]

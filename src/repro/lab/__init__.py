@@ -31,8 +31,6 @@ References and ablations for the method itself:
 - :mod:`repro.lab.eigen`, :mod:`repro.lab.tridiagonal` — from-scratch
   eigensolvers beside LAPACK;
 - :mod:`repro.lab.robust` — robust SVD (future work b);
-- :mod:`repro.lab.updates` — Section 1's batched off-line rebuild of a
-  raw store;
 - :mod:`repro.lab.costmodel` — the introduction's storage economics as
   a table;
 - :mod:`repro.lab.warehouse` — a catalog of named models for the

@@ -59,7 +59,7 @@ class PhysicalDesign:
         """Estimated latency of one ad hoc cell query."""
         if self.wholesale or not self.tier.random_access:
             # Tape or monolithic compression: stream everything.
-            return self.tier.scan_ms(self.total_bytes)
+            return self.tier.access_ms(self.total_bytes)
         return self.cell_accesses * self.tier.access_ms(self.cell_access_bytes)
 
     def aggregate_query_ms(self, rows_touched: int) -> float:
@@ -69,7 +69,7 @@ class PhysicalDesign:
             # zero per-row page fetches.
             return self.tier.access_ms(self.total_bytes)
         if self.wholesale or not self.tier.random_access:
-            return self.tier.scan_ms(self.total_bytes)
+            return self.tier.access_ms(self.total_bytes)
         # One access per touched row block, amortizing sequential runs
         # as independent accesses (pessimistic for the raw layout,
         # exact for the compressed U store).

@@ -56,10 +56,6 @@ class StorageTier:
         """Latency of one random access reading ``num_bytes``."""
         return self.seek_ms + num_bytes / (self.mb_per_s * 1e6) * 1e3
 
-    def scan_ms(self, num_bytes: int) -> float:
-        """Latency of one sequential scan of ``num_bytes``."""
-        return self.seek_ms + num_bytes / (self.mb_per_s * 1e6) * 1e3
-
 
 #: 1997-flavoured reference tiers (orders of magnitude are what matter).
 DISK = StorageTier("disk", seek_ms=12.0, mb_per_s=10.0)
@@ -71,9 +67,9 @@ class CostParams:
     """Knobs of the planner's pricing model.
 
     Attributes:
-        tier: where a buffer-pool *miss* lands.  Disk-resident stores
-            default to :data:`DISK`; mmap'd and in-memory backends to
-            :data:`MEMORY`.
+        tier: the medium every priced page access lands on.
+            Disk-resident stores default to :data:`DISK`; mmap'd and
+            in-memory backends to :data:`MEMORY`.
         ns_per_cell: CPU cost of touching one value in a vectorized
             kernel (streamed reconstruction, rollup finalization).
         ns_per_factor_term: CPU cost of one multiply-add in the factor
@@ -110,26 +106,17 @@ _MEMORY_PARAMS = CostParams(tier=MEMORY)
 _DISK_PARAMS = CostParams(tier=DISK)
 
 
-def page_read_ms(
-    params: CostParams, pages: int, page_bytes: int, hit_rate: float = 0.0
-) -> float:
-    """Price ``pages`` logical page accesses.
+def page_read_ms(params: CostParams, pages: int, page_bytes: int) -> float:
+    """Price ``pages`` logical page accesses, each a seek + transfer on
+    the params' tier.
 
-    The fraction ``hit_rate`` expected to be served from memory costs a
-    memory access; the rest pay the tier's seek + transfer.  ``pages``
-    is the *logical* count (what ``QueryProfile.pages_read`` measures).
-    The planner prices every route's gather at the default: a gather
-    never consults the buffer pool, so the pool's hit rate says nothing
-    about it.
+    ``pages`` is the *logical* count (what ``QueryProfile.pages_read``
+    measures).  A gather never consults the buffer pool, so no hit rate
+    discounts it.
     """
     if pages <= 0:
         return 0.0
-    hit_rate = min(max(hit_rate, 0.0), 1.0)
-    misses = pages * (1.0 - hit_rate)
-    hits = pages - misses
-    return misses * params.tier.access_ms(page_bytes) + hits * MEMORY.access_ms(
-        page_bytes
-    )
+    return pages * params.tier.access_ms(page_bytes)
 
 
 def flops_ms(count: float, ns_per_term: float) -> float:

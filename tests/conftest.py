@@ -10,11 +10,12 @@ import pytest
 from repro.data import phone_matrix, stocks_matrix, toy_matrix
 
 
-def run_route(engine, query, route: str):
+def run_route(engine, query, route: str, plan=None):
     """Answer ``query`` along the admissible ``route``, whichever route
-    the planner prefers: its plan, with that candidate as the route,
-    handed to ``execute`` (the seam the serving tier routes by)."""
-    plan = engine.plan(query)
+    the planner prefers: its plan (``plan``, when the caller holds it),
+    with that candidate as the route, handed to ``execute`` (the seam
+    the serving tier routes by)."""
+    plan = engine.plan(query) if plan is None else plan
     (forced,) = [c for c in plan.candidates if c.name == route]
     return engine.execute(query, plan=dataclasses.replace(plan, route=forced))
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import CompressedMatrix, SVDDCompressor
 from repro.exceptions import ChecksumError, ConfigurationError, FormatError
-from repro.obs.registry import registry
 from repro.storage.delta_file import DeltaFile
 
 MODEL_FILES = [
@@ -109,26 +108,6 @@ class TestCrashMidSave:
 
 
 class TestDegradedOpens:
-    def test_corrupt_deltas_fall_back_to_svd_only(self, saved):
-        directory, model = saved
-        path = directory / "deltas.bin"
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF  # body bit-flip: size unchanged, CRC broken
-        path.write_bytes(bytes(raw))
-
-        with pytest.raises(ChecksumError):
-            CompressedMatrix.open(directory)
-
-        before = registry.counter("store.degraded_opens").value
-        with CompressedMatrix.open(directory, on_corrupt="degraded") as store:
-            assert store.degraded
-            assert any("deltas.bin" in reason for reason in store.degraded_reasons)
-            assert store.num_deltas == 0
-            np.testing.assert_allclose(
-                store.reconstruct_all(), model.svd.reconstruct(), atol=1e-9
-            )
-        assert registry.counter("store.degraded_opens").value == before + 1
-
     def test_corrupt_zero_rows_degrade_without_changing_answers(self, saved):
         """Zero-row flags are a fast path; dropping them is lossless."""
         directory, model = saved

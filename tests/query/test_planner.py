@@ -135,15 +135,14 @@ class TestPricing:
         assert CostParams.for_backend(True).tier is MEMORY
         assert CostParams.for_backend(False).tier is DISK
 
-    def test_page_read_blends_hits_and_misses(self):
+    def test_page_read_prices_every_page_on_the_tier(self):
         from repro.lab.costmodel import DISK, MEMORY
 
-        params = CostParams(tier=DISK)
-        cold = page_read_ms(params, pages=4, page_bytes=4096, hit_rate=0.0)
-        warm = page_read_ms(params, pages=4, page_bytes=4096, hit_rate=1.0)
-        assert cold == pytest.approx(4 * DISK.access_ms(4096))
-        assert warm == pytest.approx(4 * MEMORY.access_ms(4096))
-        assert warm < cold
+        disk = page_read_ms(CostParams(tier=DISK), pages=4, page_bytes=4096)
+        memory = page_read_ms(CostParams(tier=MEMORY), pages=4, page_bytes=4096)
+        assert disk == 4 * DISK.access_ms(4096)
+        assert memory == 4 * MEMORY.access_ms(4096)
+        assert page_read_ms(CostParams(tier=DISK), pages=0, page_bytes=4096) == 0.0
 
     def test_gather_pages_counted_once_and_blind_to_the_pool(
         self, compressed, monkeypatch

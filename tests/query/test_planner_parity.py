@@ -356,25 +356,3 @@ def test_matrix_covers_every_route(backends):
                         if outcome == "ok":
                             seen.add(plan["path"])
     assert seen == {"summary", "factor", "svd", "stream"}
-
-
-def test_stale_summaries_take_exact_routes_until_summarize(backends):
-    """The deferred model hands out no rollup answer at all: the planner
-    rejects the summary route as absent, factor-capable aggregates take
-    ``factor`` and min/max ``stream``, and every answer is the dense
-    oracle's."""
-    backend = backends["compressed-stale"]
-    engine = QueryEngine(backend)
-    dense = backend.reconstruct_all()
-    for function, route in (("avg", "factor"), ("min", "stream")):
-        for selection in (Selection(), Selection(rows=range(0, 12))):
-            query = AggregateQuery(function, selection)
-            plan = engine.explain(query)
-            rejected = {r["route"]: r["reason"] for r in plan["rejected"]}
-            assert rejected["summary"] == "backend has no summary store"
-            result = engine.aggregate(query)
-            assert result.route == plan["path"] == route
-            rows, cols = selection.resolve(dense.shape)
-            expected = ORACLE[function](dense[np.ix_(rows, cols)])
-            assert result.value == pytest.approx(expected, rel=1e-9)
-    assert engine.try_summary(AggregateQuery("sum", Selection())) is None

@@ -81,4 +81,4 @@ class TestDesigns:
         design = PhysicalDesign(
             "x", DISK, total_bytes=10**9, cell_access_bytes=8, wholesale=True
         )
-        assert design.cell_query_ms() == pytest.approx(DISK.scan_ms(10**9))
+        assert design.cell_query_ms() == pytest.approx(DISK.access_ms(10**9))
