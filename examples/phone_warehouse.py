@@ -6,10 +6,11 @@ volumes too large to keep uncompressed, queried ad hoc by analysts.
 This example builds the warehouse fully out-of-core:
 
 1. stream customer rows to an on-disk MatrixStore (the raw warehouse);
-2. run the 3-pass SVDD construction against the store — the matrix is
-   never materialized in memory;
-3. persist the compressed model and serve typical analyst queries,
-   reporting both accuracy and disk-access counts.
+2. build the compressed model from the store with the 3-pass SVDD
+   construction — neither the matrix nor U is ever materialized in
+   memory; U streams straight into its page file;
+3. serve typical analyst queries from the model directory, reporting
+   both accuracy and disk-access counts.
 
 Run:  python examples/phone_warehouse.py [num_customers]
 """
@@ -27,9 +28,9 @@ from repro import (
     CompressedMatrix,
     QueryEngine,
     Selection,
-    SVDDCompressor,
     query_error,
 )
+from repro.core import build_compressed
 from repro.data.phone import iter_phone_rows
 from repro.lab.workload import random_cell_queries
 from repro.storage import MatrixStore
@@ -44,13 +45,12 @@ def build_warehouse(root: Path, num_customers: int) -> tuple[MatrixStore, Compre
     print(f"raw warehouse: {raw_bytes / 1e6:.1f} MB on disk")
 
     print("running the 3-pass SVDD construction (10% space budget) ...")
-    model = SVDDCompressor(budget_fraction=0.10).fit(raw)
+    compressed = build_compressed(raw, root / "compressed", budget_fraction=0.10)
     print(
         f"  passes over the data: {raw.pass_count} (paper: 3)\n"
-        f"  k_opt = {model.cutoff} principal components, "
-        f"{model.num_deltas} outlier deltas"
+        f"  k_opt = {compressed.cutoff} principal components, "
+        f"{compressed.num_deltas} outlier deltas"
     )
-    compressed = CompressedMatrix.save(model, root / "compressed")
     comp_bytes = sum(f.stat().st_size for f in (root / "compressed").iterdir())
     print(
         f"compressed model: {comp_bytes / 1e6:.2f} MB on disk "

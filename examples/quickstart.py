@@ -20,7 +20,6 @@ import numpy as np
 
 from repro import (
     AggregateQuery,
-    CompressedMatrix,
     QueryEngine,
     Selection,
     SVDCompressor,
@@ -28,6 +27,7 @@ from repro import (
     query_error,
     rmspe,
 )
+from repro.core import build_compressed
 from repro.data import TOY_COLUMNS, TOY_CUSTOMERS, phone_matrix, toy_matrix
 
 
@@ -78,9 +78,10 @@ def warehouse_example() -> None:
         f"(error {query_error(exact, approx):.4%})"
     )
 
-    # Persist and reopen: V/Lambda/deltas pinned in memory, U paged on disk.
+    # Build the model directory (the same compressor, U streamed to
+    # disk): V/Lambda/deltas pinned in memory, U paged on disk.
     with tempfile.TemporaryDirectory() as tmp:
-        store = CompressedMatrix.save(model, tmp + "/model")
+        store = build_compressed(data, tmp + "/model", budget_fraction=0.10)
         print(
             f"persisted model: cell (0, 0) -> {store.cell(0, 0):.3f} "
             f"in {store.u_pool_stats.misses} disk access(es)"

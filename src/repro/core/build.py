@@ -1,10 +1,10 @@
 """One-call, constant-memory construction of a persistent model.
 
-``SVDDCompressor.fit`` followed by ``CompressedMatrix.save`` holds the
-``N x k`` matrix ``U`` in memory between the two steps.  That is fine up
-to millions of rows, but the truly-out-of-core path the paper's setting
-implies should never materialize anything O(N).  :func:`build_compressed`
-is that path:
+:func:`build_compressed` is the one way a fresh model directory is
+written (the appends in :mod:`repro.core.update` write every later
+version).  ``SVDDCompressor.fit`` holds the ``N x k`` matrix ``U`` in
+memory; the out-of-core path the paper's setting implies never
+materializes anything O(N):
 
 1. pass 1-2 of the SVDD algorithm run through
    :meth:`~repro.core.svdd.SVDDCompressor.select_cutoff` — the *same*
@@ -65,9 +65,9 @@ def build_compressed(
 ) -> CompressedMatrix:
     """Compress ``source`` straight into a model directory.
 
-    Unlike ``compressor.fit(...)`` + ``CompressedMatrix.save(...)``,
-    ``U`` never exists in memory: pass 3 streams it into the page file.
-    Returns the opened :class:`CompressedMatrix`.
+    Unlike ``compressor.fit(...)``, ``U`` never exists in memory: pass
+    3 streams it into the page file.  Returns the opened
+    :class:`CompressedMatrix`.
 
     Args:
         source: the data (on-disk store or ndarray).

@@ -19,14 +19,18 @@ bench.
 Disk accesses are observable through the underlying buffer-pool
 statistics; the storage benchmark asserts the 1-access claim with them.
 
-Because the model *replaces* the raw matrix on disk, persistence is
-crash-safe: :meth:`CompressedMatrix.save` assembles the directory in a
-staging sibling, fsyncs it, and renames it into place, so an
-interrupted save leaves either the previous model or a directory
-``open()`` cleanly rejects.  ``open(on_corrupt="degraded")`` downgrades
-a model whose *optional* artifacts (``deltas.bin``, ``zero_rows.npy``)
-fail validation to SVD-only answers instead of refusing service; the
-factor files themselves are always load-bearing and always verified.
+This module only opens models.  They are written by
+:func:`~repro.core.build.build_compressed` (a fresh model) and
+:func:`~repro.core.update.append_columns` /
+:func:`~repro.core.update.append_rows` (the next version).  Because the
+model *replaces* the raw matrix on disk, each of them is crash-safe: it
+assembles the directory in a staging sibling, fsyncs it, and renames it
+into place, so an interrupted build or append leaves either the
+previous model or a directory ``open()`` cleanly rejects.
+``open(on_corrupt="degraded")`` downgrades a model whose *optional*
+artifacts (``deltas.bin``, ``zero_rows.npy``) fail validation to
+SVD-only answers instead of refusing service; the factor files
+themselves are always load-bearing and always verified.
 """
 
 from __future__ import annotations
@@ -40,13 +44,12 @@ import numpy as np
 
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
-from repro.core.model import SVDDModel, SVDModel, as_index_array
+from repro.core.model import as_index_array
 from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
-from repro.storage.atomic import staged_directory
 from repro.storage.delta_file import close_mapping
-from repro.storage.model_dir import ModelParts, read_model, write_model
+from repro.storage.model_dir import ModelParts, read_model
 
 #: An ``open()`` racing a crash-atomic append's rename swap can read a
 #: mix of old- and new-generation files, which the integrity checks
@@ -111,57 +114,7 @@ class CompressedMatrix:
         with self._stats_lock:
             self.stats[key] += amount
 
-    # -- persistence --------------------------------------------------------
-
-    @classmethod
-    def save(
-        cls,
-        model: SVDModel | SVDDModel,
-        directory: str | os.PathLike,
-        bytes_per_value: int = 8,
-    ) -> "CompressedMatrix":
-        """Serialize a fitted model to ``directory`` and open it.
-
-        The directory is assembled in a staging sibling, fsynced, and
-        atomically swapped into place, so a crash at any point leaves
-        either the previous model (if one existed) or no model — never
-        a torn one.  An integrity manifest (per-file SHA-256 + sizes)
-        is written beside the model files.
-
-        Args:
-            bytes_per_value: on-disk precision of the factor matrices —
-                8 stores float64, 4 stores float32.  Halving 'b' lets
-                the same byte budget hold twice the principal
-                components (see the precision ablation bench); the
-                reconstruction then carries ~1e-7 relative quantization
-                noise.
-        """
-        directory = Path(directory)
-        svd = model.svd if isinstance(model, SVDDModel) else model
-        deltas = model.deltas if isinstance(model, SVDDModel) else None
-        keys, values = (deltas.keys, deltas.values) if deltas is not None else ((), ())
-        with staged_directory(directory) as staging:
-            write_model(
-                staging,
-                {
-                    "kind": "svdd" if isinstance(model, SVDDModel) else "svd",
-                    "rows": svd.num_rows,
-                    "cols": svd.num_cols,
-                    "cutoff": svd.cutoff,
-                    "bytes_per_value": bytes_per_value,
-                },
-                u=svd.u,
-                eigenvalues=svd.eigenvalues,
-                v=svd.v,
-                delta_keys=keys,
-                delta_values=values,
-                # Section 6.2 'practical issue': flag all-zero customers
-                # so their cells are answered without touching the disk
-                # at all.  A row is provably all-zero when its U
-                # coordinates are zero and it holds no delta.
-                zero_rows=np.flatnonzero(~svd.u.any(axis=1)),
-            )
-        return cls.open(directory)
+    # -- opening --------------------------------------------------------------
 
     @classmethod
     def open(
@@ -171,7 +124,7 @@ class CompressedMatrix:
         on_corrupt: str = "raise",
         mapped: bool = False,
     ) -> "CompressedMatrix":
-        """Open a previously saved model; V/Lambda/deltas load into memory.
+        """Open a model directory; V/Lambda/deltas load into memory.
 
         When a manifest is present, file sizes are verified cheaply up
         front (full hashing is ``repro fsck``'s job).  ``meta.json`` is

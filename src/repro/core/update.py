@@ -150,10 +150,9 @@ def load_update_state(model_dir: str | os.PathLike) -> dict:
     """Parse a model directory's ``update_state.json``.
 
     Raises :class:`~repro.exceptions.FormatError` when the directory
-    has no incremental state (models written by
-    ``CompressedMatrix.save`` before the update subsystem, or with the
-    state files deleted) — those models can only be refreshed by a
-    full rebuild.
+    has no incremental state (models written before the update
+    subsystem, or with the state files deleted) — those models can only
+    be refreshed by a full rebuild.
     """
     return read_update_state(model_dir, required=True)
 

@@ -16,7 +16,8 @@ answers are obtained through the same code path and can be compared
 with :func:`~repro.metrics.query_error`.
 
 Beside the engine: :class:`Selection`, the textual form
-(:func:`parse_query` / :func:`format_query`) and the group-by helpers.
+(:func:`parse_query` / :func:`format_query`) and the group-by series
+(:func:`bucket_series`).
 
 Product.  The Section 5.2 sampling baseline, Fig. 9's workload
 generator, calendar selections and similarity search are
@@ -25,16 +26,13 @@ generator, calendar selections and similarity search are
 """
 
 from repro.query.engine import CellQuery, AggregateQuery, QueryEngine, QueryResult
-from repro.query.groupby import bucket_series, column_totals, row_totals, top_rows
+from repro.query.groupby import bucket_series
 from repro.query.parser import format_query, parse_query
 from repro.query.selection import Selection
 
 __all__ = [
     "AggregateQuery",
     "bucket_series",
-    "column_totals",
-    "row_totals",
-    "top_rows",
     "format_query",
     "parse_query",
     "CellQuery",

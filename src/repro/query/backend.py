@@ -29,7 +29,8 @@ Vocabulary every backend offers:
   ``MatrixStore`` and row-only sources do not;
 - the facts the planner and the profiler read: ``rank``,
   ``delta_index``, ``paged_store`` / ``memory_resident``,
-  ``pool_stats`` / ``io_stats``, ``summaries``, ``rmspe_estimate``.
+  ``pool_stats`` / ``io_stats``, ``summaries``, ``start_date``,
+  ``rmspe_estimate``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.storage.matrix_store import MatrixStore
 __all__ = ["Backend", "as_backend"]
 
 
-def _no_deltas() -> None:
+def _none() -> None:
     return None
 
 
@@ -70,7 +71,8 @@ class Backend:
     paged_store: MatrixStore | None = None
     # A getter, not the index: a closed mapped store must be able to
     # drop its index (and with it the delta mapping's last buffer).
-    _deltas: Callable[[], DeltaIndex | None] = _no_deltas
+    _deltas: Callable[[], DeltaIndex | None] = _none
+    _anchor: Callable[[], str | None] = _none
 
     @property
     def name(self) -> str:
@@ -107,6 +109,14 @@ class Backend:
         if store is None or (store.model_rows, store.model_cols) != self.shape:
             return None
         return store
+
+    @property
+    def start_date(self) -> str | None:
+        """The calendar date of column 0 (``YYYY-MM-DD``) the source's
+        summary state recorded, whether or not that store is still
+        fresh; None when it recorded none.  Read on demand: only a
+        group-by streamed without a store needs it."""
+        return self._anchor()
 
     @property
     def rmspe_estimate(self) -> float | None:
@@ -170,6 +180,9 @@ def _from_model(source, model: SVDModel | SVDDModel) -> Backend:
 
 
 def _from_compressed(store: CompressedMatrix) -> Backend:
+    # Lazy: repro.summaries sits above this seam.
+    from repro.summaries.compute import recorded_start_date
+
     return Backend(
         source=store,
         shape=store.shape,
@@ -180,6 +193,7 @@ def _from_compressed(store: CompressedMatrix) -> Backend:
         rank=store.cutoff,
         paged_store=store.u_store,
         _deltas=lambda: store.delta_index,
+        _anchor=lambda: recorded_start_date(store.directory),
     )
 
 

@@ -17,8 +17,8 @@ package provides a small storage engine:
 - :class:`DeltaFile` — the serialized form of the SVDD outlier table;
 - :mod:`repro.storage.model_dir` — the model directory built from
   those pieces: its file layout, the one reader every open/append/
-  summarize parses it with, the one writer every save/build/append
-  assembles it with.
+  summarize parses it with, the one writer the build and both
+  appends assemble it with.
 
 Durability and fault tolerance live beside the data path:
 

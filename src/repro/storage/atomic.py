@@ -1,22 +1,22 @@
 """Crash-safe filesystem primitives for the storage layer.
 
 The model *replaces* the raw matrix on disk, so a torn write during a
-save must never leave a directory that ``open()`` accepts but answers
-incorrectly.  Every persistent artifact therefore goes through one of
-two protocols implemented here:
+build or append must never leave a directory that ``open()`` accepts
+but answers incorrectly.  Every persistent artifact therefore goes
+through one of two protocols implemented here:
 
 - **whole directory** — :func:`staged_directory`: the caller writes a
   complete model into a staging sibling; on success every file and the
   staging directory are fsynced, any previous version is moved aside,
   and the staging directory is renamed into place in one step.  This is
-  how every save, build and append writes
+  how the build and every append write
   (:func:`~repro.storage.model_dir.write_model`).  Inside the staging
   directory files are written *plainly*: nothing there is visible until
   the commit, and the commit's flush — each file once, then the
   directory, then the publishing rename, then the parent — is the whole
   durability guarantee; a second, earlier flush per file bought nothing.
-  A leftover ``*.staging`` directory from a crashed save is inert
-  (opens target the final name) and is swept by the next save; a
+  A leftover ``*.staging`` directory from a crashed write is inert
+  (opens target the final name) and is swept by the next one; a
   version a killed swap left only as ``*.trash`` is moved back by the
   next writer (:func:`restore_trash`);
 - **single file** — :func:`atomic_write_bytes`: write to a temporary
@@ -46,7 +46,7 @@ __all__ = [
     "staged_directory",
 ]
 
-#: Suffix of the sibling a directory save stages into.
+#: Suffix of the sibling a directory write stages into.
 STAGING_SUFFIX = ".staging"
 #: Suffix the previous version is moved to during the commit swap.
 TRASH_SUFFIX = ".trash"
@@ -124,7 +124,7 @@ def staged_directory(final: str | os.PathLike) -> Iterator[Path]:
     restore_trash(final)
     staging = final.with_name(final.name + STAGING_SUFFIX)
     if staging.exists():
-        # Debris from a save that crashed before commit; the final
+        # Debris from a write that crashed before commit; the final
         # directory (if any) is still the authoritative version.
         shutil.rmtree(staging)
     staging.mkdir()

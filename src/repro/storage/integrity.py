@@ -53,7 +53,7 @@ FORMAT_VERSION = 1
 #: Bytes hashed per read while digesting a file.
 _CHUNK = 1 << 20
 
-#: Files a save may legitimately leave beside the manifest without
+#: Files a write may legitimately leave beside the manifest without
 #: being covered by it.
 _UNTRACKED = {MANIFEST_NAME}
 

@@ -643,12 +643,3 @@ class MatrixStore:
             out[index] = row
         return out
 
-
-def as_store(matrix_or_store, tmp_path: str | os.PathLike) -> MatrixStore:
-    """Coerce an ndarray to a :class:`MatrixStore`, passing stores through."""
-    if isinstance(matrix_or_store, MatrixStore):
-        return matrix_or_store
-    arr = np.asarray(matrix_or_store, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ConfigurationError("expected a 2-d array or MatrixStore")
-    return MatrixStore.create(tmp_path, arr)

@@ -11,13 +11,13 @@ table pinned in memory:
 <dir>/v.npy              V matrix
 <dir>/deltas.bin         outlier records, sorted by key (absent when none)
 <dir>/zero_rows.npy      all-zero customers (absent when none)
-<dir>/gram.npy           pass-1 Gram matrix  } only on models that can be
-<dir>/update_state.json  energy/drift ledger } appended to without a rescan
+<dir>/gram.npy           pass-1 Gram matrix  } the append ledger (absent
+<dir>/update_state.json  energy/drift ledger } only from older directories)
 <dir>/summary_*          the summary store (repro.summaries.compute)
 <dir>/manifest.json      per-file SHA-256 + sizes of all of the above
 ```
 
-Every module that opens, saves, builds, appends to or summarizes a
+Every module that opens, builds, appends to or summarizes a
 model goes through :func:`read_model` and :func:`write_model`; no other
 module spells a file name, a dtype cast or the ``meta.json`` keys.
 :func:`read_model` validates what it returns (and, for an append,
@@ -232,9 +232,9 @@ def _read_meta(directory: Path) -> dict:
 def read_update_state(directory: str | Path, required: bool = False) -> dict | None:
     """Parse ``update_state.json``.
 
-    A model without one (written by ``CompressedMatrix.save``, or
-    predating the update subsystem) opens and answers but cannot be
-    appended to: None, or with ``required`` a :class:`FormatError`.
+    A model without one (written before the update subsystem) opens
+    and answers but cannot be appended to: None, or with ``required`` a
+    :class:`FormatError`.
     """
     path = Path(directory) / UPDATE_STATE_NAME
     if not path.exists():
@@ -448,11 +448,11 @@ def write_model(
     delta_keys: np.ndarray,
     delta_values: np.ndarray,
     zero_rows: np.ndarray,
+    gram: np.ndarray,
+    update_state: dict,
     u: np.ndarray | None = None,
     eigenvalues: np.ndarray | None = None,
     v: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-    update_state: dict | None = None,
     previous: ModelParts | None = None,
     refresh_summaries: bool = True,
 ) -> dict:
@@ -471,13 +471,12 @@ def write_model(
             a delta are dropped here — a flagged row is answered 0.0
             without looking at the delta table (Section 6.2) — and the
             rest are written sorted.
-        u: ``(n, cutoff)`` rows of U to store — all of them, or with
-            ``previous`` the rows to append to a copy of its ``u.mat``.
-            A caller that streams U writes ``staging / U_NAME`` itself
-            (with :func:`u_page_size` pages) and passes None.
+        gram, update_state: the append ledger.
+        u: with ``previous``, the ``(n, cutoff)`` rows of U to append to
+            a copy of its ``u.mat``.  A fresh model's build streams U
+            into ``staging / U_NAME`` itself (with :func:`u_page_size`
+            pages) and passes None.
         eigenvalues, v: the pinned factors, cast to the stored precision.
-        gram, update_state: the append ledger; omitted, the model opens
-            and answers but cannot be appended to.
         previous: the version this one derives from.  A factor file that
             is neither passed nor already in ``staging`` is hardlinked
             from it, and keeps its manifest entry instead of being
@@ -498,24 +497,16 @@ def write_model(
         return values.astype(dtype, copy=False).astype(np.float64, copy=False)
 
     if u is not None:
+        # U grows: copy, then stream the new rows onto the copy.  The
+        # live file is never modified, so readers stay consistent and a
+        # crash mid-append discards only the staging directory.
         padded = np.zeros((u.shape[0], u_columns(cutoff, bytes_per_value)))
         padded[:, :cutoff] = u
-        if previous is None:
-            MatrixStore.create(
-                staging / U_NAME,
-                padded,
-                page_size=u_page_size(cutoff, bytes_per_value),
-                dtype=dtype,
-            ).close()
-        else:
-            # U grows: copy, then stream the new rows onto the copy.  The
-            # live file is never modified, so readers stay consistent and
-            # a crash mid-append discards only the staging directory.
-            check_entry(previous.directory, previous.manifest_files, U_NAME, deep=True)
-            shutil.copyfile(previous.directory / U_NAME, staging / U_NAME)
-            with _span("update.append_u_rows", rows=u.shape[0]):
-                with MatrixStore.open(staging / U_NAME) as grown:
-                    grown.append_rows(padded)
+        check_entry(previous.directory, previous.manifest_files, U_NAME, deep=True)
+        shutil.copyfile(previous.directory / U_NAME, staging / U_NAME)
+        with _span("update.append_u_rows", rows=u.shape[0]):
+            with MatrixStore.open(staging / U_NAME) as grown:
+                grown.append_rows(padded)
     if eigenvalues is not None:
         np.save(staging / LAMBDA_NAME, eigenvalues.astype(dtype))
     if v is not None:
@@ -558,10 +549,8 @@ def write_model(
     # know (a hand-edited or newer meta.json) ride along behind.
     meta = {key: known[key] for key in _META_KEYS} | known
     (staging / META_NAME).write_text(json.dumps(meta, indent=2))
-    if gram is not None:
-        np.save(staging / GRAM_NAME, gram)
-    if update_state is not None:
-        (staging / UPDATE_STATE_NAME).write_text(json.dumps(update_state, indent=2))
+    np.save(staging / GRAM_NAME, gram)
+    (staging / UPDATE_STATE_NAME).write_text(json.dumps(update_state, indent=2))
 
     # Summaries ride the same staged swap, so a model is born (and
     # re-born by every append) with rollups stamped for its generation.

@@ -40,7 +40,7 @@ All inputs are the model's values *at their stored precision*:
 would return (each array cast through the stored dtype, U out of the
 staged file) instead of re-reading what it wrote a moment ago — so
 float32 models round-trip identically whether summaries are built
-inside ``save``/``append`` staging or later.
+inside build/append staging or later.
 
 :func:`_materialize` computes the four files; who asked writes them.
 Inside a staging directory (:func:`materialize_summaries`) they are
@@ -278,7 +278,7 @@ def stamped_generation(state: dict) -> tuple[int, int, int, int] | None:
     return rows, cols, int(state["num_deltas"]), int(state["appends"])
 
 
-def _recorded_start_date(directory: Path) -> str | None:
+def recorded_start_date(directory: Path) -> str | None:
     """The calendar anchor the directory's last summary state recorded,
     whatever generation it is stamped for."""
     state = load_state(directory)
@@ -400,7 +400,7 @@ def carry_summaries(previous: ModelParts, staged: ModelParts, refresh: bool) -> 
     """
     if refresh:
         with _span("update.summaries"):
-            materialize_summaries(staged, _recorded_start_date(previous.directory))
+            materialize_summaries(staged, recorded_start_date(previous.directory))
         return
     if (previous.directory / STATE_NAME).exists():
         link_or_copy(previous.directory / STATE_NAME, staged.directory / STATE_NAME)
@@ -443,7 +443,7 @@ def summarize_directory(
         }
 
     with read_model(directory) as parts:
-        recorded = _recorded_start_date(directory)
+        recorded = recorded_start_date(directory)
         if start_date is None:
             start_date = recorded
         retired = [

@@ -20,6 +20,18 @@ def run_route(engine, query, route: str, plan=None):
     return engine.execute(query, plan=dataclasses.replace(plan, route=forced))
 
 
+def strip_ledger(directory) -> None:
+    """Make a built model directory what writers before the update
+    subsystem left: no append ledger (``update_state.json``,
+    ``gram.npy``) and a manifest that never listed it."""
+    from repro.storage.integrity import write_manifest
+    from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
+
+    for name in (GRAM_NAME, UPDATE_STATE_NAME):
+        (directory / name).unlink()
+    write_manifest(directory)
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Deterministic generator for ad hoc random inputs."""

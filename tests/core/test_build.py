@@ -20,21 +20,6 @@ def data():
 
 
 class TestBuildCompressed:
-    def test_equivalent_to_fit_plus_save(self, tmp_path, data):
-        """The streamed build and the two-step path agree cell for cell."""
-        model = SVDDCompressor(budget_fraction=0.10).fit(data)
-        two_step = CompressedMatrix.save(model, tmp_path / "two_step")
-        streamed = build_compressed(data, tmp_path / "streamed", 0.10)
-        assert streamed.cutoff == two_step.cutoff
-        assert streamed.num_deltas == two_step.num_deltas
-        rng = np.random.default_rng(1)
-        for row, col in rng.integers(0, [200, 366], size=(30, 2)):
-            assert streamed.cell(int(row), int(col)) == pytest.approx(
-                two_step.cell(int(row), int(col)), abs=1e-9
-            )
-        streamed.close()
-        two_step.close()
-
     def test_from_disk_source_with_pass_counting(self, tmp_path, data):
         source = MatrixStore.create(tmp_path / "x.mat", data)
         store = build_compressed(source, tmp_path / "model", 0.10)

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, build_compressed
 from repro.query.engine import QueryEngine
 from repro.storage import MatrixStore
 
@@ -27,11 +27,6 @@ def _data(rows: int, cols: int, seed: int, zero_rows=()) -> np.ndarray:
     data += 0.05 * rng.standard_normal(data.shape)
     data[list(zero_rows)] = 0.0
     return data
-
-
-@pytest.fixture(scope="module")
-def model():
-    return SVDDCompressor(budget_fraction=0.2).fit(_data(48, 20, 1, zero_rows=(5, 17)))
 
 
 def _formula(store: CompressedMatrix) -> np.ndarray:
@@ -56,8 +51,9 @@ def _formula(store: CompressedMatrix) -> np.ndarray:
 class TestAnswersAreTheFormula:
     @pytest.mark.parametrize("bytes_per_value", [8, 4])
     @pytest.mark.parametrize("mapped", [False, True], ids=["pooled", "mapped"])
-    def test_every_cell_bit_identical(self, tmp_path, model, bytes_per_value, mapped):
-        CompressedMatrix.save(model, tmp_path / "m", bytes_per_value=bytes_per_value).close()
+    def test_every_cell_bit_identical(self, tmp_path, bytes_per_value, mapped):
+        data = _data(48, 20, 1, zero_rows=(5, 17))
+        build_compressed(data, tmp_path / "m", 0.2, bytes_per_value=bytes_per_value).close()
         # A pool far smaller than the rows: probes see hits and misses.
         with CompressedMatrix.open(tmp_path / "m", pool_capacity=4, mapped=mapped) as store:
             assert store.num_deltas > 0 and store.num_zero_rows == 2
@@ -91,8 +87,7 @@ class TestCountsUnderThreads:
 
     def test_eight_threads_count_every_probe_once(self, tmp_path):
         data = _data(400, 24, 3)
-        model = SVDDCompressor(budget_fraction=0.2).fit(data)
-        CompressedMatrix.save(model, tmp_path / "m").close()
+        build_compressed(data, tmp_path / "m", 0.2).close()
         with CompressedMatrix.open(tmp_path / "m", pool_capacity=64) as store:
             rows, cols = store.shape
             assert store.num_zero_rows == 0 and store.num_deltas > 0

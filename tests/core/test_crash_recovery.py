@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 from repro.exceptions import ChecksumError, ConfigurationError, FormatError
 from repro.storage.delta_file import DeltaFile
 
@@ -33,13 +33,13 @@ OPTIONAL_FILES = {"deltas.bin", "zero_rows.npy"}
 
 @pytest.fixture()
 def saved(tmp_path, rng):
-    """A saved model exercising every artifact: outliers and a zero row."""
+    """A built model exercising every artifact: outliers and a zero row."""
     data = rng.random((64, 16)) * 5
     data[7] = 0.0
     data[2, 3] += 400.0
     model = SVDDCompressor(budget_fraction=0.20).fit(data)
     directory = tmp_path / "model"
-    CompressedMatrix.save(model, directory).close()
+    build_compressed(data, directory, 0.20).close()
     for name in MODEL_FILES:
         assert (directory / name).exists(), f"fixture must produce {name}"
     return directory, model

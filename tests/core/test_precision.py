@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 from repro.exceptions import FormatError
 from repro.metrics import rmspe
 
@@ -17,70 +17,80 @@ def data():
     return phone_matrix(200)
 
 
+#: Budget high enough that k exceeds the 64-byte page-padding floor,
+#: so the float32 U file is genuinely smaller on disk.
+BUDGET = 0.40
+
+
 @pytest.fixture(scope="module")
-def model(data):
-    # Budget high enough that k exceeds the 64-byte page-padding floor,
-    # so the float32 U file is genuinely smaller on disk.
-    return SVDDCompressor(budget_fraction=0.40).fit(data)
+def half_compressor():
+    return SVDDCompressor(BUDGET, bytes_per_value=4, raw_bytes_per_value=8)
 
 
 class TestFloat32Storage:
-    def test_roundtrip(self, tmp_path, model):
-        store = CompressedMatrix.save(model, tmp_path / "m32", bytes_per_value=4)
+    def test_roundtrip(self, tmp_path, data):
+        store = build_compressed(data, tmp_path / "m32", BUDGET, bytes_per_value=4)
         assert store.bytes_per_value == 4
         reopened = CompressedMatrix.open(tmp_path / "m32")
         assert reopened.bytes_per_value == 4
         reopened.close()
         store.close()
 
-    def test_quantization_noise_is_tiny(self, tmp_path, model, data):
-        full = CompressedMatrix.save(model, tmp_path / "m64", bytes_per_value=8)
-        half = CompressedMatrix.save(model, tmp_path / "m32", bytes_per_value=4)
-        err_full = rmspe(data, full.reconstruct_all())
+    def test_quantization_noise_is_tiny(self, tmp_path, data, half_compressor):
+        """One model at two precisions: the b=4 compressor's in-memory
+        fit (float64) and its build (float32 on disk) share k and the
+        deltas, so they differ by the quantization alone."""
+        full = half_compressor.fit(data)
+        half = build_compressed(data, tmp_path / "m32", compressor=half_compressor)
+        assert (half.bytes_per_value, half.cutoff) == (4, full.cutoff)
+        assert half.num_deltas == full.num_deltas
+        err_full = rmspe(data, full.reconstruct())
         err_half = rmspe(data, half.reconstruct_all())
         # float32 adds ~1e-7 relative noise; invisible next to the
         # truncation error itself.
         assert err_half == pytest.approx(err_full, rel=1e-3)
-        full.close()
         half.close()
 
-    def test_on_disk_u_is_half_the_size(self, tmp_path, model):
-        full = CompressedMatrix.save(model, tmp_path / "m64", bytes_per_value=8)
-        half = CompressedMatrix.save(model, tmp_path / "m32", bytes_per_value=4)
+    def test_on_disk_u_is_half_the_size(self, tmp_path, data):
+        full = build_compressed(data, tmp_path / "m64", BUDGET)
+        # The same k at b=4: the float32 U rows halve.
+        capped = SVDDCompressor(BUDGET, k_max=full.cutoff, bytes_per_value=4)
+        half = build_compressed(data, tmp_path / "m32", compressor=capped)
+        assert half.cutoff == full.cutoff
         size_full = (tmp_path / "m64" / "u.mat").stat().st_size
         size_half = (tmp_path / "m32" / "u.mat").stat().st_size
         assert size_half < size_full * 0.6
         full.close()
         half.close()
 
-    def test_space_accounting_uses_b(self, tmp_path, model):
-        half = CompressedMatrix.save(model, tmp_path / "m32", bytes_per_value=4)
-        full = CompressedMatrix.save(model, tmp_path / "m64", bytes_per_value=8)
-        # Same k and delta count; the SVD part's bytes halve AND each
-        # delta record drops from 16 bytes (8-byte key + float64) to 12
-        # (8-byte key + float32) — the accounting follows the disk.
+    def test_space_accounting_uses_b(self, tmp_path, data):
+        full = build_compressed(data, tmp_path / "m64", BUDGET)
+        capped = SVDDCompressor(BUDGET, k_max=full.cutoff, bytes_per_value=4)
+        half = build_compressed(data, tmp_path / "m32", compressor=capped)
+        # Same k: the SVD part's bytes halve, and each delta record
+        # drops from 16 bytes (8-byte key + float64) to 12 (8-byte key
+        # + float32) — the accounting follows the disk.
         from repro.core import space
 
-        diff = full.space_bytes() - half.space_bytes()
         rows, cols = full.shape
+        assert half.cutoff == full.cutoff and half.num_deltas > 0
         svd_diff = space.svd_space_bytes(rows, cols, full.cutoff, 8) - (
             space.svd_space_bytes(rows, cols, full.cutoff, 4)
         )
-        delta_diff = full.num_deltas * (
-            space.delta_record_bytes(8) - space.delta_record_bytes(4)
+        delta_diff = full.num_deltas * space.delta_record_bytes(8) - (
+            half.num_deltas * space.delta_record_bytes(4)
         )
-        assert full.num_deltas == half.num_deltas > 0
-        assert diff == svd_diff + delta_diff
+        assert full.space_bytes() - half.space_bytes() == svd_diff + delta_diff
         full.close()
         half.close()
 
-    def test_delta_file_on_disk_matches_accounting(self, tmp_path, model):
+    def test_delta_file_on_disk_matches_accounting(self, tmp_path, data):
         """Eq. 9's delta term equals the actual deltas.bin payload size."""
         from repro.core.space import delta_record_bytes
         from repro.storage.delta_file import DeltaFile
 
         for b, name in ((4, "m32"), (8, "m64")):
-            store = CompressedMatrix.save(model, tmp_path / name, bytes_per_value=b)
+            store = build_compressed(data, tmp_path / name, BUDGET, bytes_per_value=b)
             on_disk = (tmp_path / name / "deltas.bin").stat().st_size
             assert on_disk == DeltaFile.size_bytes(store.num_deltas, b)
             # size_bytes = header + records; the accounting charges only
@@ -89,14 +99,14 @@ class TestFloat32Storage:
             assert on_disk - header == store.num_deltas * delta_record_bytes(b)
             store.close()
 
-    def test_one_disk_access_preserved(self, tmp_path, model):
-        store = CompressedMatrix.save(model, tmp_path / "m32", bytes_per_value=4)
+    def test_one_disk_access_preserved(self, tmp_path, data):
+        store = build_compressed(data, tmp_path / "m32", BUDGET, bytes_per_value=4)
         assert store._u_store.pages_per_row() == 1
         store.close()
 
-    def test_invalid_precision_rejected(self, tmp_path, model):
+    def test_invalid_precision_rejected(self, tmp_path, data):
         with pytest.raises(FormatError):
-            CompressedMatrix.save(model, tmp_path / "bad", bytes_per_value=2)
+            build_compressed(data, tmp_path / "bad", BUDGET, bytes_per_value=2)
 
 
 class TestPrecisionVsComponentsTradeoff:

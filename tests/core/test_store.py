@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor
 from repro.core.build import build_compressed
+from repro.core.update import append_columns
 from repro.data import phone_matrix
 from repro.exceptions import FormatError, QueryError
+from tests.conftest import strip_ledger
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,10 @@ def svdd_model(data):
 
 
 @pytest.fixture()
-def saved(tmp_path, svdd_model):
-    store = CompressedMatrix.save(svdd_model, tmp_path / "model")
+def saved(tmp_path, data):
+    # The same compressor as ``svdd_model``: same k and deltas, and U
+    # equal to the in-memory fit's to ~1e-12.
+    store = build_compressed(data, tmp_path / "model", 0.10)
     yield store
     store.close()
 
@@ -33,7 +37,7 @@ def saved(tmp_path, svdd_model):
 class TestPersistence:
     def test_save_open_roundtrip(self, tmp_path, svdd_model, data):
         directory = tmp_path / "model"
-        CompressedMatrix.save(svdd_model, directory).close()
+        build_compressed(data, directory, 0.10).close()
         with CompressedMatrix.open(directory) as store:
             assert store.shape == data.shape
             assert store.cutoff == svdd_model.cutoff
@@ -41,28 +45,41 @@ class TestPersistence:
             assert np.allclose(store.reconstruct_all(), svdd_model.reconstruct())
 
     def test_svd_model_without_deltas(self, tmp_path, data):
-        model = SVDCompressor(k=6).fit(data)
-        with CompressedMatrix.save(model, tmp_path / "svd") as store:
+        """A ``kind: "svd"`` directory (no deltas, no ledger: what a
+        writer of SVD-only models left) opens and answers SVD-only, and
+        refuses an append."""
+        directory = tmp_path / "svd"
+        with build_compressed(data, directory, 0.10) as built:
+            want = built.svd_cell(3, 3)
+        meta = json.loads((directory / "meta.json").read_text())
+        meta.update(kind="svd", num_deltas=0, zero_rows=0)
+        (directory / "meta.json").write_text(json.dumps(meta))
+        for name in ("deltas.bin", "zero_rows.npy"):
+            (directory / name).unlink(missing_ok=True)
+        strip_ledger(directory)
+        with CompressedMatrix.open(directory) as store:
             assert store.num_deltas == 0
-            assert store.cell(3, 3) == pytest.approx(model.reconstruct_cell(3, 3))
+            assert store.cell(3, 3) == want
+        with pytest.raises(FormatError, match="svdd"):
+            append_columns(directory, np.ones((data.shape[0], 2)))
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(FormatError):
             CompressedMatrix.open(tmp_path / "empty")
 
-    def test_meta_shape_mismatch_rejected(self, tmp_path, svdd_model):
+    def test_meta_shape_mismatch_rejected(self, tmp_path, data):
         directory = tmp_path / "model"
-        CompressedMatrix.save(svdd_model, directory).close()
+        build_compressed(data, directory, 0.10).close()
         meta = json.loads((directory / "meta.json").read_text())
         meta["rows"] += 1
         (directory / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(FormatError):
             CompressedMatrix.open(directory)
 
-    def test_missing_delta_file_rejected(self, tmp_path, svdd_model):
+    def test_missing_delta_file_rejected(self, tmp_path, data):
         directory = tmp_path / "model"
-        CompressedMatrix.save(svdd_model, directory).close()
+        build_compressed(data, directory, 0.10).close()
         (directory / "deltas.bin").unlink()
         with pytest.raises(FormatError):
             CompressedMatrix.open(directory)
@@ -134,8 +151,8 @@ class TestBlockedScans:
 class TestDiskAccessClaim:
     """Section 4.1: 'only a single disk access is required' per cell."""
 
-    def test_one_page_miss_per_cold_row(self, tmp_path, svdd_model):
-        store = CompressedMatrix.save(svdd_model, tmp_path / "m")
+    def test_one_page_miss_per_cold_row(self, tmp_path, data):
+        store = build_compressed(data, tmp_path / "m", 0.10)
         store.u_pool_stats.reset()
         store.stats["zero_row_skips"] = 0
         # 30 distinct cold rows -> one page miss each, except rows the
@@ -146,8 +163,8 @@ class TestDiskAccessClaim:
         assert store.u_pool_stats.misses <= 30
         store.close()
 
-    def test_repeated_cell_hits_cache(self, tmp_path, svdd_model):
-        store = CompressedMatrix.save(svdd_model, tmp_path / "m")
+    def test_repeated_cell_hits_cache(self, tmp_path, data):
+        store = build_compressed(data, tmp_path / "m", 0.10)
         store.cell(5, 5)
         store.u_pool_stats.reset()
         store.cell(5, 99)  # same U row: zero further misses
@@ -243,33 +260,30 @@ class TestBloomFprPersistence:
     def test_strict_fpr_round_trips(self, tmp_path, data, svdd_model):
         """Writers emit neither key; a directory stamped with a strict
         filter target by an older build still opens and answers."""
-        saved, built = tmp_path / "saved", tmp_path / "built"
-        CompressedMatrix.save(svdd_model, saved).close()
+        built = tmp_path / "built"
         build_compressed(data, built, budget_fraction=0.10).close()
-        for directory in (saved, built):
-            meta = json.loads((directory / "meta.json").read_text())
-            assert "bloom" not in meta and "bloom_fpr" not in meta
+        meta = json.loads((built / "meta.json").read_text())
+        assert "bloom" not in meta and "bloom_fpr" not in meta
         meta.update(bloom=True, bloom_fpr=0.001)
         (built / "meta.json").write_text(json.dumps(meta))
         with CompressedMatrix.open(built) as store:
             assert store.num_deltas > 0
             assert json.loads((built / "meta.json").read_text())["bloom_fpr"] == 0.001
-        with CompressedMatrix.open(saved) as store:
             _assert_answers_like_model(store, svdd_model)
 
-    def test_old_directory_without_fpr_defaults(self, tmp_path, svdd_model):
+    def test_old_directory_without_fpr_defaults(self, tmp_path, data, svdd_model):
         directory = tmp_path / "legacy"
-        CompressedMatrix.save(svdd_model, directory).close()
+        build_compressed(data, directory, 0.10).close()
         meta = json.loads((directory / "meta.json").read_text())
         meta["bloom"] = True  # a directory from before bloom_fpr was recorded
         (directory / "meta.json").write_text(json.dumps(meta))
         with CompressedMatrix.open(directory) as store:
             _assert_answers_like_model(store, svdd_model)
 
-    def test_parent_commit_bloom_meta_opens(self, tmp_path, svdd_model):
+    def test_parent_commit_bloom_meta_opens(self, tmp_path, data, svdd_model):
         # meta.json exactly as the last Bloom-rebuilding commit wrote it.
         directory = tmp_path / "parent"
-        CompressedMatrix.save(svdd_model, directory).close()
+        build_compressed(data, directory, 0.10).close()
         rows, cols = svdd_model.shape
         meta = {
             "kind": "svdd",
@@ -288,13 +302,6 @@ class TestBloomFprPersistence:
                 assert store.num_deltas == svdd_model.num_deltas
                 _assert_answers_like_model(store, svdd_model)
 
-    def test_svd_model_records_no_fpr(self, tmp_path, data):
-        model = SVDCompressor(k=4).fit(data)
-        directory = tmp_path / "svd"
-        CompressedMatrix.save(model, directory).close()
-        meta = json.loads((directory / "meta.json").read_text())
-        assert "bloom_fpr" not in meta
-
 
 class TestBatchCells:
     """A batch of cells is a rectangle: ``reconstruct_range``."""
@@ -307,8 +314,8 @@ class TestBatchCells:
         scalar = [[saved.cell(int(r), int(c)) for c in cols] for r in rows]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
 
-    def test_duplicate_rows_coalesce_page_reads(self, tmp_path, svdd_model):
-        store = CompressedMatrix.save(svdd_model, tmp_path / "m")
+    def test_duplicate_rows_coalesce_page_reads(self, tmp_path, data):
+        store = build_compressed(data, tmp_path / "m", 0.10)
         store.u_pool_stats.reset()
         store.reconstruct_range([5, 5, 5, 5], [0, 1, 2, 3])
         assert store.u_pool_stats.accesses == 1  # one page for all sixteen cells

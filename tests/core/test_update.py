@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix
 from repro.core.build import build_compressed
 from repro.core.update import append_columns, append_rows, load_update_state
 from repro.core.svd import spectrum_from_gram
@@ -18,6 +18,7 @@ from repro.linalg import top_eigenvalues
 from repro.metrics import rmspe
 from repro.obs.tracing import span
 from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
+from tests.conftest import strip_ledger
 
 
 @pytest.fixture(scope="module")
@@ -336,11 +337,18 @@ class TestDriftParityOverASequence:
 
 
 class TestPrerequisites:
-    def test_legacy_model_without_state_rejected(self, tmp_path, phone_small):
-        model = SVDDCompressor(budget_fraction=0.10).fit(phone_small)
-        CompressedMatrix.save(model, tmp_path / "legacy").close()
+    def test_legacy_model_without_state_rejected(self, built):
+        """A ledger-less directory (what writers before the update
+        subsystem left) opens and answers, but refuses an append."""
+        directory, full = built
+        with CompressedMatrix.open(directory) as store:
+            want = store.reconstruct_all()
+        strip_ledger(directory)
+        with CompressedMatrix.open(directory) as store:
+            assert store.rmspe_estimate is None
+            np.testing.assert_array_equal(store.reconstruct_all(), want)
         with pytest.raises(FormatError, match="update"):
-            append_columns(tmp_path / "legacy", np.ones((200, 2)))
+            append_columns(directory, full[:200, 366:])
 
     def test_missing_gram_rejected(self, built):
         directory, full = built

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDCompressor, SVDDCompressor, verify_model
+from repro.core import SVDCompressor, SVDDCompressor, build_compressed, verify_model
 from repro.data import phone_matrix
 from repro.exceptions import ShapeError
 from repro.metrics import rmspe
@@ -55,7 +55,7 @@ class TestVerify:
 
     def test_works_against_stores(self, tmp_path, data, svdd):
         raw = MatrixStore.create(tmp_path / "raw.mat", data)
-        compressed = CompressedMatrix.save(svdd, tmp_path / "model")
+        compressed = build_compressed(data, tmp_path / "model", 0.10)  # svdd's compressor
         report = verify_model(raw, compressed)
         assert report.ok
         assert report.rmspe == pytest.approx(rmspe(data, svdd.reconstruct()), rel=1e-9)

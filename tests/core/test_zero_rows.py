@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +23,7 @@ def matrix_with_inactive(rng=None):
 class TestZeroRowFlagging:
     def test_inactive_rows_flagged(self, tmp_path, matrix_with_inactive):
         x, inactive = matrix_with_inactive
-        model = SVDDCompressor(budget_fraction=0.20).fit(x)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(x, tmp_path / "m", 0.20)
         assert store.num_zero_rows >= len(inactive)
         store.close()
 
@@ -32,8 +31,7 @@ class TestZeroRowFlagging:
         self, tmp_path, matrix_with_inactive
     ):
         x, inactive = matrix_with_inactive
-        model = SVDDCompressor(budget_fraction=0.20).fit(x)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(x, tmp_path / "m", 0.20)
         store.u_pool_stats.reset()
         for row in inactive:
             assert store.cell(row, 5) == 0.0
@@ -47,14 +45,13 @@ class TestZeroRowFlagging:
     def test_active_rows_unaffected(self, tmp_path, matrix_with_inactive):
         x, _inactive = matrix_with_inactive
         model = SVDDCompressor(budget_fraction=0.20).fit(x)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(x, tmp_path / "m", 0.20)
         assert store.cell(0, 0) == pytest.approx(model.reconstruct_cell(0, 0))
         store.close()
 
     def test_flag_survives_reopen(self, tmp_path, matrix_with_inactive):
         x, inactive = matrix_with_inactive
-        model = SVDDCompressor(budget_fraction=0.20).fit(x)
-        CompressedMatrix.save(model, tmp_path / "m").close()
+        build_compressed(x, tmp_path / "m", 0.20).close()
         store = CompressedMatrix.open(tmp_path / "m")
         assert store.num_zero_rows >= len(inactive)
         assert store.cell(inactive[0], 3) == 0.0
@@ -62,15 +59,13 @@ class TestZeroRowFlagging:
 
     def test_no_flags_when_all_rows_active(self, tmp_path, phone_small):
         active = phone_small + 1.0  # shift away from zero everywhere
-        model = SVDDCompressor(budget_fraction=0.10).fit(active)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(active, tmp_path / "m", 0.10)
         assert store.num_zero_rows == 0
         store.close()
 
     def test_column_respects_zero_rows(self, tmp_path, matrix_with_inactive):
         x, inactive = matrix_with_inactive
-        model = SVDDCompressor(budget_fraction=0.20).fit(x)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(x, tmp_path / "m", 0.20)
         column = store.reconstruct_range(range(store.shape[0]), [3])[:, 0]
         for row in inactive:
             # Zero U rows reconstruct to zero through the normal path too;
@@ -92,8 +87,6 @@ class TestZeroFlagMasksBatches:
 
     @pytest.fixture()
     def built(self, tmp_path, matrix_with_inactive):
-        from repro.core.build import build_compressed
-
         x, inactive = matrix_with_inactive
         store = build_compressed(x, tmp_path / "m", budget_fraction=0.20)
         yield store, inactive
@@ -151,7 +144,6 @@ class TestZeroFlagMasksBatches:
             ]
 
     def test_model_without_zero_rows_masks_nothing(self, tmp_path, phone_small):
-        model = SVDDCompressor(budget_fraction=0.10).fit(phone_small + 1.0)
-        with CompressedMatrix.save(model, tmp_path / "m") as store:
+        with build_compressed(phone_small + 1.0, tmp_path / "m", 0.10) as store:
             assert store.num_zero_rows == 0
             assert not store._zero_flag.any()

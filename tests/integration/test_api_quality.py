@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 from repro.exceptions import BudgetError
 
 
@@ -166,15 +166,17 @@ def test_the_front_doors_load_no_worker_pool():
 def test_property_persist_roundtrip(
     tmp_path_factory, seed, rows, cols, budget, precision
 ):
-    """Any fitted model survives save/open with cell-level agreement."""
+    """Any built model reopens agreeing cell for cell with its
+    compressor's in-memory fit."""
     rng = np.random.default_rng(seed)
     data = rng.random((rows, cols)) * 10
+    compressor = SVDDCompressor(budget_fraction=budget, bytes_per_value=precision)
     try:
-        model = SVDDCompressor(budget_fraction=budget).fit(data)
+        model = compressor.fit(data)
     except BudgetError:
         return
     directory = tmp_path_factory.mktemp("rt") / "model"
-    CompressedMatrix.save(model, directory, bytes_per_value=precision).close()
+    build_compressed(data, directory, compressor=compressor).close()
     store = CompressedMatrix.open(directory)
     try:
         tolerance = 1e-9 if precision == 8 else 1e-4 * max(1.0, np.abs(data).max())

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 from repro.data.phone import iter_phone_rows
 from repro.metrics import query_error, rmspe
 from repro.query import AggregateQuery, QueryEngine, Selection
@@ -22,8 +22,9 @@ def pipeline(tmp_path_factory, phone_medium):
     raw = MatrixStore.create_from_rows(
         root / "raw.mat", iter_phone_rows(600), num_cols=366
     )
-    model = SVDDCompressor(budget_fraction=0.10).fit(raw)
-    compressed = CompressedMatrix.save(model, root / "model")
+    compressed = build_compressed(raw, root / "model", 0.10)
+    # The same compressor in memory, for the model-level claims.
+    model = SVDDCompressor(budget_fraction=0.10).fit(phone_medium)
     yield raw, model, compressed, phone_medium
     compressed.close()
     raw.close()
@@ -96,7 +97,7 @@ class TestBatchedRebuild:
         extra = rng.random((20, 366)) * 3
         updated = np.vstack([phone_small, extra])
         model = SVDDCompressor(budget_fraction=0.10).fit(updated)
-        store = CompressedMatrix.save(model, tmp_path / "v2")
+        store = build_compressed(updated, tmp_path / "v2", 0.10)
         assert store.shape == (220, 366)
         assert store.cell(219, 100) == pytest.approx(
             model.reconstruct_cell(219, 100)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
 from repro.exceptions import (
     BudgetError,
     ChecksumError,
@@ -24,8 +24,7 @@ class TestCorruptionDetection:
     def _saved_model(self, tmp_path, rng):
         data = rng.random((80, 20)) * 10
         data[3, 7] += 400.0
-        model = SVDDCompressor(budget_fraction=0.20).fit(data)
-        store = CompressedMatrix.save(model, tmp_path / "m")
+        store = build_compressed(data, tmp_path / "m", 0.20)
         store.close()
         return tmp_path / "m"
 
@@ -91,8 +90,7 @@ class TestResourceDiscipline:
         store = MatrixStore.create(tmp_path / "x.mat", data)
         store.close()
         store.close()
-        model = SVDDCompressor(budget_fraction=0.5).fit(data)
-        cm = CompressedMatrix.save(model, tmp_path / "m")
+        cm = build_compressed(data, tmp_path / "m", 0.5)
         cm.close()
         cm.close()
 

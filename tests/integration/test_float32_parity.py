@@ -1,7 +1,7 @@
 """End-to-end ``bytes_per_value=4`` parity: build, query, fsck, append.
 
 The float32 storage mode must be a first-class citizen of the whole
-lifecycle, not just of ``save()``: the streamed build writes float32
+lifecycle: the streamed build writes float32
 factors and 12-byte delta records, queries agree with the float64 model
 to float32 noise, ``fsck`` verifies the manifest, and an append folds
 new days in about as well as at float64.  That every appended file

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, DeltaIndex, SVDDCompressor, SVDDModel, SVDModel
+from repro.core import CompressedMatrix, DeltaIndex, SVDDCompressor, SVDDModel, SVDModel, build_compressed
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, QueryEngine, Selection
 from tests.conftest import run_route
@@ -36,9 +36,9 @@ def svdd_model(data):
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory, svdd_model):
+def saved(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("batch") / "model"
-    store = CompressedMatrix.save(svdd_model, directory)
+    store = build_compressed(data, directory, 0.20)  # svdd_model's compressor
     yield store
     store.close()
 
@@ -106,8 +106,10 @@ class TestVectorizedAggregates:
         assert disk == pytest.approx(memory, rel=1e-9, abs=1e-7)
 
     def test_delta_heavy_range_reconstruction_roundtrip(self, tmp_path):
-        model = delta_heavy_model()
-        store = CompressedMatrix.save(model, tmp_path / "dh")
+        data = delta_heavy_model().reconstruct()  # rank 4 + 300 spikes
+        model = SVDDCompressor(budget_fraction=0.5).fit(data)
+        store = build_compressed(data, tmp_path / "dh", 0.5)
+        assert store.num_deltas == model.num_deltas > 100
         rows = [17, 3, 44]  # deliberately unsorted
         cols = [20, 1, 9, 0]
         block = store.reconstruct_range(rows, cols)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SVDDCompressor
+from repro.core import SVDDCompressor, build_compressed
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
 from repro.storage import MatrixStore
@@ -96,10 +96,8 @@ class TestBackends:
         assert approx_value == pytest.approx(exact_value, rel=0.1)
 
     def test_compressed_store_backend(self, tmp_path, data):
-        from repro.core import CompressedMatrix
-
         model = SVDDCompressor(budget_fraction=0.30).fit(data)
-        store = CompressedMatrix.save(model, tmp_path / "cm")
+        store = build_compressed(data, tmp_path / "cm", 0.30)
         engine = QueryEngine(store)
         assert engine.cell((3, 3)).value == pytest.approx(
             model.reconstruct_cell(3, 3)

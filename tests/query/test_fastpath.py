@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SVDCompressor, SVDDCompressor
+from repro.core import SVDCompressor, SVDDCompressor, build_compressed
 from repro.exceptions import QueryError
 from repro.lab.methods import SVDDMethod
 from repro.query import AggregateQuery, QueryEngine, Selection
@@ -131,11 +131,9 @@ def test_property_fast_equals_slow(seed, function):
 
 
 class TestCompressedMatrixBackend:
-    def test_agrees_with_streaming(self, tmp_path_factory, data, svdd_model):
-        from repro.core import CompressedMatrix
-
+    def test_agrees_with_streaming(self, tmp_path_factory, data):
         directory = tmp_path_factory.mktemp("fp") / "model"
-        store = CompressedMatrix.save(svdd_model, directory)
+        store = build_compressed(data, directory, 0.20)
         query = AggregateQuery("sum", Selection(rows=range(0, 200, 7), cols=range(0, 40, 3)))
         engine = QueryEngine(store)
         fast = engine.aggregate(query)
@@ -145,11 +143,9 @@ class TestCompressedMatrixBackend:
         )
         store.close()
 
-    def test_stddev_with_deltas(self, tmp_path_factory, data, svdd_model):
-        from repro.core import CompressedMatrix
-
+    def test_stddev_with_deltas(self, tmp_path_factory, data):
         directory = tmp_path_factory.mktemp("fp2") / "model"
-        store = CompressedMatrix.save(svdd_model, directory)
+        store = build_compressed(data, directory, 0.20)
         query = AggregateQuery("stddev", Selection(rows=range(100)))
         engine = QueryEngine(store)
         fast = run_route(engine, query, "factor").value

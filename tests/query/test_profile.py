@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import SVDDCompressor, build_compressed
 from repro.query import AggregateQuery, QueryEngine, Selection
 from tests.conftest import run_route
 
@@ -23,9 +23,9 @@ def memory_model(phone_small):
 
 
 @pytest.fixture(scope="module")
-def disk_store(tmp_path_factory, memory_model):
-    store = CompressedMatrix.save(
-        memory_model, tmp_path_factory.mktemp("profile") / "model"
+def disk_store(tmp_path_factory, phone_small):
+    store = build_compressed(
+        phone_small, tmp_path_factory.mktemp("profile") / "model", 0.10
     )
     yield store
     store.close()

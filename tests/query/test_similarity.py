@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SVDCompressor, SVDDCompressor
+from repro.core import SVDCompressor, SVDDCompressor, build_compressed
 from repro.lab.documents import DocumentsConfig, document_topics, documents_matrix
 from repro.exceptions import ConfigurationError, QueryError
 from repro.lab.similarity import (
@@ -77,15 +77,14 @@ class TestSimilarRows:
         svdd = SVDDCompressor(budget_fraction=0.2).fit(documents)
         assert similar_rows(svdd, 0, count=3).shape == (3,)
 
-    def test_any_factor_backend(self, tmp_path, model, documents):
+    def test_any_factor_backend(self, tmp_path, documents):
         """Similarity reads the backend seam's ``factors``: a persistent
-        store finds the model's neighbours, a factor-less source is
-        refused."""
-        from repro.core import CompressedMatrix
-
-        with CompressedMatrix.save(model, tmp_path / "m") as store:
+        store finds its compressor's in-memory neighbours, a factor-less
+        source is refused."""
+        svdd = SVDDCompressor(budget_fraction=0.2).fit(documents)
+        with build_compressed(documents, tmp_path / "m", 0.2) as store:
             assert list(similar_rows(store, 0, count=5)) == list(
-                similar_rows(model, 0, count=5)
+                similar_rows(svdd, 0, count=5)
             )
         with pytest.raises(QueryError):
             similar_rows(documents, 0)

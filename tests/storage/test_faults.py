@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import CompressedMatrix, build_compressed
 from repro.exceptions import ReproError, RetryExhaustedError
 from repro.obs.registry import registry
 from repro.storage import BufferPool, FilePager, MatrixStore
@@ -131,29 +131,26 @@ class TestWriteFaults:
             np.testing.assert_allclose(store.read_all(), original)
 
     def test_torn_save_preserves_previous_model(self, tmp_path, rng):
-        """A torn write mid-save leaves the committed model untouched."""
+        """A torn write mid-build leaves the committed model untouched."""
         data = rng.random((60, 12)) * 10
         data[3, 7] += 300.0
-        model = SVDDCompressor(budget_fraction=0.20).fit(data)
         directory = tmp_path / "m"
-        CompressedMatrix.save(model, directory).close()
+        with build_compressed(data, directory, 0.20) as store:
+            committed = store.reconstruct_all()
         with faults.inject(FaultPlan(path_substring="u.mat", fail_write_at=2)):
             with pytest.raises(OSError):
-                CompressedMatrix.save(model, directory)
+                build_compressed(data * 2.0, directory, 0.20)
         assert not directory.with_name(directory.name + STAGING_SUFFIX).exists()
         with CompressedMatrix.open(directory) as store:
             assert not store.degraded
-            np.testing.assert_allclose(
-                store.reconstruct_all(), model.reconstruct(), atol=1e-9
-            )
+            np.testing.assert_array_equal(store.reconstruct_all(), committed)
 
     def test_torn_save_to_fresh_directory_leaves_nothing(self, tmp_path, rng):
         data = rng.random((40, 8))
-        model = SVDDCompressor(budget_fraction=0.30).fit(data)
         directory = tmp_path / "fresh"
         with faults.inject(FaultPlan(path_substring="u.mat", fail_write_at=2)):
             with pytest.raises(OSError):
-                CompressedMatrix.save(model, directory)
+                build_compressed(data, directory, 0.30)
         assert not directory.exists()
         assert not directory.with_name(directory.name + STAGING_SUFFIX).exists()
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core import CompressedMatrix, SVDDCompressor
+from repro.core import build_compressed
 from repro.exceptions import FormatError
 from repro.storage.atomic import atomic_write_bytes, staged_directory
 from repro.storage.integrity import (
@@ -21,8 +21,7 @@ from repro.storage.integrity import (
 def model_dir(tmp_path, rng):
     data = rng.random((60, 15)) * 10
     data[2, 3] += 250.0
-    model = SVDDCompressor(budget_fraction=0.20).fit(data)
-    CompressedMatrix.save(model, tmp_path / "m").close()
+    build_compressed(data, tmp_path / "m", 0.20).close()
     return tmp_path / "m"
 
 

@@ -19,24 +19,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CompressedMatrix, SVDDCompressor, build_compressed
+from repro.core import CompressedMatrix, build_compressed
 from repro.core.update import append_columns, append_rows
 from repro.exceptions import ChecksumError, FormatError, ReproError
 from repro.storage import MatrixStore
 from repro.storage.atomic import staged_directory
 from repro.storage.delta_file import DeltaFile
 from repro.storage.integrity import MANIFEST_NAME, verify_manifest
-from repro.storage.model_dir import read_model, write_model
+from repro.storage.model_dir import (
+    U_NAME,
+    factor_dtype,
+    read_model,
+    u_columns,
+    u_page_size,
+    write_model,
+)
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
 
 SHAPE = (64, 16)
 
-#: What a saved model holds; a built one adds the append ledger.
-SAVED_FILES = {
+#: What a built model holds.
+BUILT_FILES = {
     "meta.json", "u.mat", "lambda.npy", "v.npy", "deltas.bin", "zero_rows.npy",
-    MANIFEST_NAME, *SUMMARY_FILES,
+    "gram.npy", "update_state.json", MANIFEST_NAME, *SUMMARY_FILES,
 }
-BUILT_FILES = SAVED_FILES | {"gram.npy", "update_state.json"}
 
 
 def _data() -> np.ndarray:
@@ -192,15 +198,6 @@ class TestFileSet:
             BUILT_FILES - {MANIFEST_NAME}
         )
 
-    def test_save_writes_the_documented_files(self, tmp_path):
-        fitted = SVDDCompressor(budget_fraction=0.20).fit(_data())
-        CompressedMatrix.save(fitted, tmp_path / "saved").close()
-        assert {path.name for path in (tmp_path / "saved").iterdir()} == SAVED_FILES
-        report = verify_manifest(tmp_path / "saved")
-        assert report.ok and {check.name for check in report.checks} == (
-            SAVED_FILES - {MANIFEST_NAME}
-        )
-
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -209,11 +206,10 @@ class TestFileSet:
     shape=st.tuples(st.integers(1, 12), st.integers(1, 9)),
     num_deltas=st.integers(0, 6),
     num_zero=st.integers(0, 3),
-    with_ledger=st.booleans(),
     refresh=st.booleans(),
 )
 def test_written_parts_read_back_equal(
-    tmp_path_factory, seed, bytes_per_value, shape, num_deltas, num_zero, with_ledger, refresh
+    tmp_path_factory, seed, bytes_per_value, shape, num_deltas, num_zero, refresh
 ):
     """Writer -> reader is the identity on every part, at the stored
     precision; a second version derived from the first carries forward
@@ -233,8 +229,8 @@ def test_written_parts_read_back_equal(
     v = rng.standard_normal((cols, cutoff))
     keys = rng.choice(rows * cols, size=min(num_deltas, rows * cols), replace=False)
     values = rng.standard_normal(keys.size)
-    gram = rng.standard_normal((cols, cols)) if with_ledger else None
-    ledger = {"budget_fraction": 0.1, "appends": 3} if with_ledger else None
+    gram = rng.standard_normal((cols, cols))
+    ledger = {"budget_fraction": 0.1, "appends": 3}
     meta = {
         "kind": "svdd", "rows": rows, "cols": cols,
         "cutoff": cutoff, "bytes_per_value": bytes_per_value,
@@ -242,17 +238,24 @@ def test_written_parts_read_back_equal(
 
     directory = tmp_path_factory.mktemp("roundtrip") / "model"
     with staged_directory(directory) as staging:
+        # A fresh model's U is the build's to stream, as it does here.
+        padded = np.zeros((rows, u_columns(cutoff, bytes_per_value)))
+        padded[:, :cutoff] = u
+        MatrixStore.create(
+            staging / U_NAME, padded, page_size=u_page_size(cutoff, bytes_per_value),
+            dtype=factor_dtype(bytes_per_value),
+        ).close()
         written = write_model(
-            staging, meta, u=u, eigenvalues=lam, v=v, delta_keys=keys,
+            staging, meta, eigenvalues=lam, v=v, delta_keys=keys,
             delta_values=values, zero_rows=zero, gram=gram, update_state=ledger,
         )
     assert verify_manifest(directory).ok
 
     order = np.argsort(keys)
     flagged = np.setdiff1d(zero, keys // cols)
-    with read_model(directory, for_append=with_ledger) as parts:
+    with read_model(directory, for_append=True) as parts:
         assert parts.meta == written
-        assert parts.generation == (rows, cols, keys.size, 3 if with_ledger else 0)
+        assert parts.generation == (rows, cols, keys.size, 3)
         np.testing.assert_array_equal(parts.eigenvalues, at_rest(lam))
         np.testing.assert_array_equal(parts.v, at_rest(v))
         stored_u = parts.u_store.read_rows(np.arange(rows))
@@ -262,8 +265,7 @@ def test_written_parts_read_back_equal(
         np.testing.assert_array_equal(parts.delta_values, at_rest(values[order]))
         np.testing.assert_array_equal(parts.zero_rows, flagged)
         assert parts.update_state == ledger
-        if with_ledger:
-            np.testing.assert_array_equal(parts.gram, gram)
+        np.testing.assert_array_equal(parts.gram, gram)
         assert set(parts.manifest_files) == {
             path.name for path in directory.iterdir()
         } - {MANIFEST_NAME}
@@ -271,19 +273,19 @@ def test_written_parts_read_back_equal(
         # The next version: one more column, everything else carried.
         grown_v = np.vstack([parts.v, rng.standard_normal((1, cutoff))])
         rebased = parts.delta_keys // cols * (cols + 1) + parts.delta_keys % cols
-        next_ledger = {**ledger, "appends": 4} if with_ledger else None
+        grown_gram = rng.standard_normal((cols + 1, cols + 1))
         with staged_directory(directory) as staging:
             write_model(
                 staging, {**parts.meta, "cols": cols + 1}, v=grown_v,
                 delta_keys=rebased, delta_values=parts.delta_values,
-                zero_rows=parts.zero_rows, update_state=next_ledger,
+                zero_rows=parts.zero_rows, gram=grown_gram,
+                update_state={**ledger, "appends": 4},
                 previous=parts, refresh_summaries=refresh,
             )
     assert verify_manifest(directory).ok
-    with read_model(directory) as after:
-        assert after.generation == (
-            rows, cols + 1, keys.size, 4 if with_ledger else 0
-        )
+    with read_model(directory, for_append=True) as after:
+        assert after.generation == (rows, cols + 1, keys.size, 4)
+        np.testing.assert_array_equal(after.gram, grown_gram)
         np.testing.assert_array_equal(after.eigenvalues, at_rest(lam))
         np.testing.assert_array_equal(after.v, at_rest(grown_v))
         np.testing.assert_array_equal(

@@ -1,6 +1,6 @@
 """The staged commit: what is flushed when, and what a failed swap leaves.
 
-``commit_staged`` is the durability guarantee of every save, build and
+``commit_staged`` is the durability guarantee of every build and
 append: each staged file flushed, then the staging directory, *then*
 the publishing rename, then the parent.  Nothing written into a staging
 directory needs a flush of its own before that — these tests pin both

@@ -287,6 +287,21 @@ class TestCalendarAnchor:
             edges = bucket_series(saved, "month", "sum")["edges"]
         assert edges[:3] == [0, 17, 46]
 
+    @pytest.mark.parametrize("level", ["month", "quarter"])
+    def test_a_stale_store_streams_on_the_anchor(self, anchored, level):
+        """A deferred append leaves no fresh store, so the series is
+        streamed: bucketed and valued as ``summarize`` will serve it."""
+        directory, rng = anchored
+        append_columns(directory, rng.random((300, 7)) * 10, refresh_summaries=False)
+        with CompressedMatrix.open(directory) as stale:
+            streamed = bucket_series(stale, level, "sum")
+        summarize_directory(directory)
+        with CompressedMatrix.open(directory) as fresh:
+            summarized = bucket_series(fresh, level, "sum")
+        assert (streamed["path"], summarized["path"]) == ("stream", "summary")
+        assert streamed["edges"] == summarized["edges"]
+        assert streamed["values"] == pytest.approx(summarized["values"], rel=1e-9)
+
 
 class TestLegacyLaggingState:
     """A state whose coverage lags its stamp — what an older deferred

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.core import CompressedMatrix
 from repro.storage import MatrixStore
+from tests.conftest import strip_ledger
 
 
 @pytest.fixture(scope="module")
@@ -591,14 +592,9 @@ class TestAppend:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_legacy_model_fails_cleanly(self, tmp_path, rng, capsys):
-        from repro.core import SVDDCompressor
-
-        model = SVDDCompressor(budget_fraction=0.2).fit(rng.random((30, 20)))
-        CompressedMatrix.save(model, tmp_path / "legacy").close()
-        np.save(tmp_path / "cols.npy", np.ones((30, 2)))
-        code = main(
-            ["append", str(tmp_path / "legacy"), "--cols", str(tmp_path / "cols.npy")]
-        )
+    def test_legacy_model_fails_cleanly(self, appendable, capsys):
+        out, root = appendable
+        strip_ledger(out)
+        code = main(["append", str(out), "--cols", str(root / "cols.npy")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
