@@ -121,8 +121,12 @@ def cmd_info(args) -> int:
         print(f"  principal components (k): {store.cutoff}")
         print(f"  outlier deltas: {store.num_deltas}")
         print(f"  flagged zero rows: {store.num_zero_rows}")
+        raw = rows * cols * 8
         print(f"  model bytes (Eq. 9 accounting): {store.space_bytes()}")
-        print(f"  space fraction: {store.space_bytes() / (rows * cols * 8):.2%}")
+        print(f"  space fraction: {store.space_bytes() / raw:.2%}")
+        # Beside the paper's model: summaries, append ledger, manifest.
+        on_disk = sum(p.stat().st_size for p in Path(args.model).rglob("*") if p.is_file())
+        print(f"  on disk: {on_disk} ({on_disk / raw:.2%} of raw)")
     try:
         state = load_update_state(args.model)
     except FormatError:
@@ -134,8 +138,8 @@ def cmd_info(args) -> int:
         f"+{state.get('cols_appended', 0)} cols)"
     )
     print(
-        f"  drift: {state.get('drift', 0.0):.4f} "
-        f"(threshold {state.get('drift_threshold', 0.0):.2f}, "
+        f"  drift: {state.get('drift', 0.0):.3g} "
+        f"(threshold {state.get('drift_threshold', 0.0):.3g}, "
         f"rebuild recommended: {state.get('rebuild_recommended', False)})"
     )
     _print_summary_state(args.model)
@@ -180,7 +184,7 @@ def cmd_append(args) -> int:
         f"({result.seconds:.2f}s)"
     )
     print(
-        f"drift: {result.drift:.4f}  "
+        f"drift: {result.drift:.3g}  "
         f"rebuild recommended: {result.rebuild_recommended}"
     )
     if not refresh:

@@ -16,7 +16,8 @@ materializes anything O(N):
    via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
    per page, in the requested precision;
 3. ``V``, the eigenvalues, the deltas and the metadata are written
-   beside it, along with the pass-1 state (``gram.npy`` +
+   beside it, along with the append ledger (``sketch.npy``, the top
+   ``l = 2k`` of the pass-1 spectrum, :func:`gram_sketch`, and
    ``update_state.json``) that lets :mod:`repro.core.update` append new
    days or customers later without rescanning the original data.
 
@@ -38,7 +39,7 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.core.store import CompressedMatrix
-from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape
+from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape, spectrum_from_gram
 from repro.core.svdd import SVDDCompressor, _record_pass
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
@@ -53,6 +54,18 @@ from repro.storage.model_dir import (
 
 #: Advisory drift level at which appends flag ``rebuild_recommended``.
 DRIFT_THRESHOLD_DEFAULT = 0.10
+
+
+def sketch_rows(cutoff: int, cols: int) -> int:
+    """Rows ``l`` of a rank-``cutoff`` model's drift sketch: ``min(2k, M)``."""
+    return min(2 * cutoff, cols)
+
+
+def gram_sketch(gram: np.ndarray, cutoff: int) -> np.ndarray:
+    """The drift sketch of a Gram matrix: ``S = Lambda_l V_l^t``, so that
+    ``S^t S`` is the top-``l`` part of ``gram``."""
+    singular, v = spectrum_from_gram(gram, sketch_rows(cutoff, gram.shape[0]))
+    return singular[:, None] * v.T
 
 
 def build_compressed(
@@ -141,9 +154,9 @@ def build_compressed(
             delta_values=deltas,
             zero_rows=selection.zero_rows,
             # The pass-1 state, so appends never rescan the data: the
-            # Gram matrix carries the spectrum forward, the ledger the
-            # energy split the drift estimate needs.
-            gram=selection.gram,
+            # sketch carries the top of the spectrum forward, the ledger
+            # the energy split the drift estimate needs.
+            sketch=gram_sketch(selection.gram, k_opt),
             update_state={
                 "format_version": 1,
                 "budget_fraction": float(fitter.budget_fraction),

@@ -14,15 +14,15 @@ already compressed:
       v_j = Lambda^{-1} U^t x_j        (Eq. 11 applied to X^t),
 
   computed in one streamed pass over the on-disk ``U`` page file — the
-  original data is never touched.  The persisted pass-1 Gram state is
-  extended with the new columns (cross terms estimated through the
-  model, the new block exact), and the delta budget pass re-runs over
-  the old outliers plus every new cell;
+  original data is never touched.  The drift sketch is grown by the
+  new columns (cross terms estimated through the model, the new block
+  exact), and the delta budget pass re-runs over the old outliers plus
+  every new cell;
 - :func:`append_rows` streams new customers' ``U`` rows (projection by
   the same Eq. 11) straight onto a staged copy of the page file through
-  :meth:`~repro.storage.matrix_store.MatrixStore.append_rows`, updates
-  the Gram state exactly, and lets the new rows' worst cells compete
-  for the enlarged delta budget.
+  :meth:`~repro.storage.matrix_store.MatrixStore.append_rows`, folds
+  the new rows into the drift sketch, and lets the new rows' worst
+  cells compete for the enlarged delta budget.
 
 Both flavors read the model through
 :func:`~repro.storage.model_dir.read_model` — a damaged directory is
@@ -44,7 +44,7 @@ serialize.
 
 Because the basis is frozen between rebuilds, the model slowly drifts
 from what a fresh rebuild would produce.  Each append therefore
-re-derives the top of the updated Gram matrix's spectrum and reports
+re-derives the top of the updated spectrum and reports
 
     drift = 1 - (energy retained by the stored spectrum)
                 / (energy the fresh spectrum would retain)
@@ -52,11 +52,15 @@ re-derives the top of the updated Gram matrix's spectrum and reports
 persisted in ``update_state.json`` together with the exact energy
 bookkeeping; once drift crosses the advisory threshold the state (and
 the returned :class:`AppendResult`) carries ``rebuild_recommended``.
-The fresh energy is a sum of ``k`` eigenvalues, so it comes from a
-block-Krylov iteration (:func:`repro.linalg.top_eigenvalues`) started
-from the post-append ``V`` *and* what that basis cannot see
-(:func:`_drift_start`) — ``O(M^2 k)`` instead of the dense ``O(M^3)``
-solve, which stays as the fallback and as the tests' reference.
+The fresh spectrum comes from ``sketch.npy``, an ``l x M`` spectral
+sketch ``S = Lambda_l V_l^t`` (``l = 2k``) whose ``S^t S`` is the top of
+the pass-1 Gram matrix: each append folds its new block into the
+sketch with one eigenproblem of size ``l + 2d`` (:func:`_grown_columns`)
+or a Frequent-Directions step (:func:`_grown_rows`), takes the top-``k``
+energy from it, and truncates back to ``l`` rows (:func:`_truncate`) —
+``O(l M)`` state at any ``N``, after **Concatenated Matrix SVD**
+(PAPERS.md).  What the truncations discard is positive, so a sketch
+can only understate the fresh energy a row append adds.
 
 An append pays for what arrived: the model is read once (the summaries
 are built from the arrays the append already holds), and every file
@@ -75,13 +79,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import space
-from repro.core.build import DRIFT_THRESHOLD_DEFAULT
+from repro.core.build import DRIFT_THRESHOLD_DEFAULT, sketch_rows
 from repro.exceptions import (
     ConfigurationError,
     ShapeError,
 )
-from repro.linalg import require_matrix
-from repro.linalg.eigen import _top_eigenvalues
+from repro.linalg import default_eigensolver, require_matrix
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -103,10 +106,6 @@ __all__ = [
 
 #: Rows per block when streaming the on-disk ``U`` file.
 _U_BLOCK_ROWS = 1024
-
-#: Seed of the drift start block's sketch and probe columns: fixed, so
-#: ``drift`` (and ``update_state.json``) repeats for the same appends.
-_DRIFT_SEED = 0x5EED
 
 #: Per append kind: the axis of the new data that grows the matrix, and
 #: the name its running total goes by in the ledger and the metrics.
@@ -207,35 +206,47 @@ def _merge_deltas(
     return keys[order], values[order], float((scores * scores).sum())
 
 
-def _drift_start(v: np.ndarray, unseen: np.ndarray) -> np.ndarray:
-    """The block the drift eigensolve starts from, ``(M, <= 3k)``.
+def _grown_columns(
+    sketch: np.ndarray, cross: np.ndarray, x_new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, decreasing, of ``[[S^t S, C], [C^t, X_new^t X_new]]``.
 
-    The post-append ``v`` already spans the fresh top-``k`` eigenvectors
-    to ~1e-5 — but a Krylov space grown from it alone never leaves what
-    the frozen basis can see, and reports zero drift in exactly the case
-    drift exists for.  So ``unseen`` joins it: the unit vectors of
-    appended columns (their Gram block may be coupled to nothing else),
-    or appended rows' residuals under the frozen basis, transposed —
-    sketched down to ``k`` columns when wider — and ``k`` fixed-seed
-    Gaussian columns against any other exact orthogonality (what an
-    earlier append left outside the basis).
+    Every column of ``S^t S`` and of the cross block ``C`` lies in the
+    span ``Q`` of ``[S^t, C]``, so the grown matrix is exactly its
+    restriction to ``diag(Q, I_d)``: an eigenproblem of size at most
+    ``l + 2d``, not ``M + d``.
     """
-    rng = np.random.default_rng(_DRIFT_SEED)
-    cols, k = v.shape
-    if unseen.shape[1] > k:
-        unseen = unseen @ rng.standard_normal((unseen.shape[1], k))
-    return np.hstack([v, unseen, rng.standard_normal((cols, k))])
+    basis = np.linalg.qr(np.hstack([sketch.T, cross]))[0]  # (M, r)
+    seen = sketch @ basis
+    coupled = basis.T @ cross
+    small = np.block([[seen.T @ seen, coupled], [coupled.T, x_new.T @ x_new]])
+    eigen = default_eigensolver().decompose(small)
+    width = basis.shape[1]
+    return eigen.values, np.vstack([basis @ eigen.vectors[:width], eigen.vectors[width:]])
+
+
+def _grown_rows(sketch: np.ndarray, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, decreasing, of ``S^t S + X_new^t X_new``: the thin SVD
+    of ``[S; X_new]`` (a Frequent-Directions step)."""
+    _, singular, vt = np.linalg.svd(np.vstack([sketch, x_new]), full_matrices=False)
+    return singular * singular, vt.T
+
+
+def _truncate(values: np.ndarray, vectors: np.ndarray, rows: int) -> np.ndarray:
+    """The top-``rows`` positive part of a decreasing spectrum as sketch
+    rows ``sqrt(theta) w^t``."""
+    keep = values[:rows] > 0.0
+    return np.sqrt(values[:rows][keep])[:, None] * vectors[:, :rows][:, keep].T
 
 
 def _drift_state(
     state: dict,
-    gram: np.ndarray,
+    values: np.ndarray,
     cutoff: int,
     drift_threshold: float | None,
-    start: np.ndarray,
-) -> tuple[float, float, bool, dict]:
-    """``(drift, threshold, rebuild_recommended, how)`` for the updated
-    Gram; ``how`` is the eigensolve's ``blocks``/``basis``/``certified``."""
+) -> tuple[float, float, bool]:
+    """``(drift, threshold, rebuild_recommended)`` for the grown sketch's
+    decreasing spectrum ``values``."""
     threshold = (
         float(drift_threshold)
         if drift_threshold is not None
@@ -246,12 +257,11 @@ def _drift_state(
             f"drift_threshold must be in (0, 1], got {threshold}"
         )
     # Energy a freshly computed rank-``cutoff`` spectrum would retain.
-    values, how = _top_eigenvalues(gram, cutoff, start)
-    fresh = float(values.sum())
+    fresh = float(np.maximum(values[:cutoff], 0.0).sum())
     captured = float(state["captured_energy"])
     drift = max(0.0, 1.0 - captured / fresh) if fresh > 0.0 else 0.0
     recommended = bool(state.get("rebuild_recommended")) or drift > threshold
-    return drift, threshold, recommended, how
+    return drift, threshold, recommended
 
 
 def _emit_metrics(result: AppendResult) -> None:
@@ -277,8 +287,7 @@ def _finish_append(
     candidate_keys: np.ndarray,
     candidate_values: np.ndarray,
     captured_inc: float,
-    gram: np.ndarray,
-    drift_start: np.ndarray,
+    cross: np.ndarray | None,
     zero_rows: np.ndarray,
     drift_threshold: float | None,
     refresh_summaries: bool,
@@ -287,9 +296,12 @@ def _finish_append(
     """What both append flavors do once their own math is done.
 
     Re-runs the delta budget competition over the old outliers and the
-    new cells' residuals (keys in the post-append ``shape``), brings the energy ledger and the drift estimate
-    up to date, and stages the next version of the directory
-    (``written``: the factor parts this flavor changed, as
+    new cells' residuals (keys in the post-append ``shape``), brings
+    the energy ledger up to date, folds ``x_new`` into the sketch (with
+    ``cross``, ``X_old^t X_new``, for new columns; None for new rows),
+    takes drift from the grown sketch and truncates it to the next one,
+    and stages the next version of the directory (``written``: the
+    factor parts this flavor changed, as
     :func:`~repro.storage.model_dir.write_model` takes them).
     """
     state = dict(parts.update_state)
@@ -333,11 +345,16 @@ def _finish_append(
     state["residual_sse"] = residual_sse
     state["appends"] = int(state.get("appends", 0)) + 1
     state[counter] = int(state.get(counter, 0)) + added
-    with _span("update.drift", cols=shape[1]) as drifting:
-        drift, threshold, recommended, how = _drift_state(
-            state, gram, cutoff, drift_threshold, drift_start
+    rows = sketch_rows(cutoff, shape[1])
+    with _span("update.drift", cols=shape[1], sketch=rows):
+        if cross is None:
+            values, vectors = _grown_rows(parts.sketch, x_new)
+        else:
+            values, vectors = _grown_columns(parts.sketch, cross, x_new)
+        drift, threshold, recommended = _drift_state(
+            state, values, cutoff, drift_threshold
         )
-        drifting.set(**how)
+        sketch = _truncate(values, vectors, rows)
     state["drift"] = drift
     state["drift_threshold"] = threshold
     state["rebuild_recommended"] = recommended
@@ -349,7 +366,7 @@ def _finish_append(
             delta_keys=merged_keys,
             delta_values=merged_values,
             zero_rows=zero_rows,
-            gram=gram,
+            sketch=sketch,
             update_state=state,
             previous=parts,
             refresh_summaries=refresh_summaries,
@@ -380,7 +397,7 @@ def _finish_append(
 
 
 def _add_delta_cross(cross: np.ndarray, parts: ModelParts, x_new: np.ndarray) -> None:
-    """Add the stored deltas' share to the Gram cross block, in place:
+    """Add the stored deltas' share to the cross block, in place:
     ``cross[c, j] += sum of delta(r, c) * x_new[r, j]`` over the outliers.
 
     One ``bincount`` per new day; each bucket's first record is the
@@ -420,11 +437,9 @@ def append_columns(
             it; queries take the exact factor/stream routes meanwhile.
 
     The append costs two streamed passes over the on-disk ``U`` (each
-    ``O(N k)`` I/O), the top-``k`` eigenvalues of the ``(M+d)``-sized
-    Gram (a few ``O(M^2 k)`` Krylov blocks from a warm start; the dense
-    ``O(M^3)`` solve only when those cannot certify the sum), and one
-    partition over the old deltas plus the ``N d`` new residuals —
-    independent of the original matrix's cells.
+    ``O(N k)`` I/O), one eigenproblem of size ``l + 2d`` for the drift
+    sketch, and one partition over the old deltas plus the ``N d`` new
+    residuals — independent of the original matrix's cells.
     """
     started = time.perf_counter()
     with read_model(Path(model_dir), for_append=True) as parts:
@@ -472,17 +487,11 @@ def append_columns(
             + (num_cols + np.arange(added))[None, :]
         ).ravel()
 
-        # Gram extension: the new block is exact, the cross block
-        # estimated through the model (X_old ~ U Lambda V^t plus the
-        # stored deltas).
+        # The sketch grows by the new block, exact, and the cross block
+        # X_old^t X_new estimated through the model (X_old ~ U Lambda
+        # V^t plus the stored deltas).
         cross = v @ (lam[:, None] * projection)  # (M, d)
         _add_delta_cross(cross, parts, x_new)
-        new_gram = np.empty((new_total_cols, new_total_cols))
-        new_gram[:num_cols, :num_cols] = parts.gram
-        new_gram[:num_cols, num_cols:] = cross
-        new_gram[num_cols:, :num_cols] = cross.T
-        new_gram[num_cols:, num_cols:] = x_new.T @ x_new
-        parts.gram = None  # inside new_gram now: M^2 floats less to hold from here on
 
         # Rows still all-zero: previously flagged and zero across the
         # appended days.
@@ -498,8 +507,7 @@ def append_columns(
             candidate_keys,
             residual.ravel(),
             captured_inc,
-            new_gram,
-            _drift_start(v_grown, np.eye(new_total_cols, added, -num_cols)),
+            cross,
             zero_rows,
             drift_threshold,
             refresh_summaries,
@@ -521,7 +529,7 @@ def append_rows(
     New rows join by projection onto the frozen axes (Eq. 11,
     ``u = x V Lambda^{-1}``); their ``U`` rows are streamed onto
     a staged copy of the page file through ``MatrixStore.append_rows``,
-    the Gram state is updated *exactly* (``C += X_new^t X_new``), and
+    the drift sketch takes them in by a Frequent-Directions step, and
     the new rows' worst-reconstructed cells compete with the existing
     outliers for the enlarged delta budget.  Crash-atomic like
     :func:`append_columns`.
@@ -563,8 +571,7 @@ def append_rows(
             candidate_keys,
             residual.ravel(),
             float((recon * recon).sum()),
-            parts.gram + x_new.T @ x_new,
-            _drift_start(v, residual.T),
+            None,
             np.concatenate([parts.zero_rows, new_zero]),
             drift_threshold,
             refresh_summaries,

@@ -9,7 +9,6 @@ provides that step:
   eigenpairs (:class:`EigenResult`) sorted by decreasing eigenvalue;
 - :class:`NumpyEigensolver` — ``numpy.linalg.eigh``, what
   :func:`default_eigensolver` returns;
-- :func:`top_eigenvalues` — for callers that need no eigenvector;
 - the input checks (:func:`require_symmetric` and friends).
 
 Product.  The from-scratch solvers (cyclic Jacobi, deflated power
@@ -22,7 +21,6 @@ from repro.linalg.eigen import (
     NumpyEigensolver,
     SymmetricEigensolver,
     default_eigensolver,
-    top_eigenvalues,
 )
 from repro.linalg.validate import (
     is_column_orthonormal,
@@ -36,7 +34,6 @@ __all__ = [
     "NumpyEigensolver",
     "SymmetricEigensolver",
     "default_eigensolver",
-    "top_eigenvalues",
     "is_column_orthonormal",
     "is_symmetric",
     "require_matrix",

@@ -86,108 +86,6 @@ class NumpyEigensolver(SymmetricEigensolver):
         return _sorted_result(values, vectors)
 
 
-#: Krylov blocks tried before :func:`top_eigenvalues` gives up on a start.
-_MAX_BLOCKS = 8
-#: Estimated error of the top-``k`` sum, relative to it, that certifies.
-_RITZ_TOL = 1e-14
-#: A direction of a new block counts as already inside the basis below
-#: this fraction of the block's norm.
-_RANK_TOL = 1e-10
-
-
-def top_eigenvalues(
-    matrix: np.ndarray, k: int, start: np.ndarray | None = None
-) -> np.ndarray:
-    """The ``k`` largest eigenvalues of a symmetric PSD ``matrix``, decreasing.
-
-    Values only, which is all a spectrum-energy sum (the append's drift
-    estimate) needs.  Round-off negatives are clipped to 0.
-
-    Without ``start`` this is LAPACK's dense solve (``eigvalsh``: the
-    tridiagonal reduction, no eigenvectors), ``O(n^3)``.  With
-    ``start`` — an ``(n, p)`` block whose columns roughly span the top
-    eigenvectors — it is a block-Krylov Rayleigh–Ritz iteration in
-    ``O(n^2 p)`` per block: the basis grows by ``matrix`` times its last
-    block, fully re-orthogonalised, until the Ritz residuals
-    ``‖G y − θ y‖`` of the top ``k`` certify the sum to 1e-14 of itself.
-    Ritz values are lower bounds, so the sum is never overstated.  A
-    Krylov space only ever sees what its start block is not orthogonal
-    to: **the caller's block must cover every direction that could carry
-    a top eigenvalue** (a few Gaussian columns cover the unforeseen).  A
-    start that does not certify within a few blocks, or whose basis
-    would reach ``n``, gets the dense answer.
-    """
-    return _top_eigenvalues(matrix, k, start)[0]
-
-
-def _top_eigenvalues(
-    matrix: np.ndarray, k: int, start: np.ndarray | None
-) -> tuple[np.ndarray, dict]:
-    """:func:`top_eigenvalues` and how it got there: ``blocks`` tried,
-    final ``basis`` width, and whether the iteration ``certified`` (False:
-    the values are the dense solve's)."""
-    sym = require_symmetric(matrix)
-    k = min(max(k, 0), sym.shape[0])
-    values, blocks, basis = None, 0, 0
-    if start is not None and k > 0:
-        values, blocks, basis = _ritz_top(sym, k, np.asarray(start, dtype=np.float64))
-    how = {"blocks": blocks, "basis": basis, "certified": values is not None}
-    if values is None:
-        values = np.linalg.eigvalsh(sym)[::-1][:k]
-    return np.maximum(values, 0.0), how
-
-
-def _orthonormal_outside(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning what ``block`` adds to ``basis``."""
-    scale = np.linalg.norm(block)
-    block = block - basis @ (basis.T @ block)
-    left, singular, _ = np.linalg.svd(block, full_matrices=False)
-    block = left[:, singular > _RANK_TOL * scale]
-    # Scaling a direction of relative size 1e-10 up to a unit vector
-    # scales up what the first projection left behind; project again.
-    return np.linalg.qr(block - basis @ (basis.T @ block))[0]
-
-
-def _ritz_top(
-    sym: np.ndarray, k: int, start: np.ndarray
-) -> tuple[np.ndarray | None, int, int]:
-    """``(values, blocks, basis width)``: the top-``k`` Ritz values of
-    ``sym`` over the block-Krylov space of ``start`` — None when they
-    could not be certified."""
-    size = sym.shape[0]
-    norms = np.linalg.norm(start, axis=0)
-    block = start[:, norms > 0.0] / norms[norms > 0.0]
-    basis = image = np.empty((size, 0))  # Q and G Q
-    small = np.empty((0, 0))  # Q^t G Q
-    for blocks in range(1, _MAX_BLOCKS + 1):
-        block = _orthonormal_outside(basis, block)
-        basis = np.hstack([basis, block])
-        if block.shape[1] == 0 or basis.shape[1] >= size:
-            break  # nothing left to add, or no cheaper than the dense solve
-        block = sym @ block
-        image = np.hstack([image, block])
-        fresh = basis.T @ block
-        small = np.block([[small, fresh[: small.shape[0]]], [fresh.T]])
-        if blocks == 1 or basis.shape[1] <= k:
-            # Until the matrix has multiplied every start column once, a
-            # column's small share of a large eigenvalue stays invisible.
-            continue
-        theta, vectors = np.linalg.eigh(small)
-        theta, vectors = theta[::-1], vectors[:, ::-1]
-        residual = np.linalg.norm(image @ vectors - (basis @ vectors) * theta, axis=0)
-        # Some eigenvalue lies within its residual of every Ritz value,
-        # so the top k are the top k only once no other pair reaches
-        # them; across that gap a Ritz value's error is quadratic in
-        # its residual instead of bounded by it.
-        gap = theta[k - 1] - (theta[k:] + residual[k:]).max()
-        error = np.linalg.norm(residual[:k])
-        if error < gap:
-            error *= error / gap
-        if gap > 0.0 and error <= _RITZ_TOL * theta[:k].sum():
-            return theta[:k], blocks, basis.shape[1]
-    return None, blocks, basis.shape[1]
-
-
 def default_eigensolver() -> SymmetricEigensolver:
     """The solver used when callers don't specify one (LAPACK-backed)."""
     return NumpyEigensolver()

@@ -11,7 +11,7 @@ table pinned in memory:
 <dir>/v.npy              V matrix
 <dir>/deltas.bin         outlier records, sorted by key (absent when none)
 <dir>/zero_rows.npy      all-zero customers (absent when none)
-<dir>/gram.npy           pass-1 Gram matrix  } the append ledger (absent
+<dir>/sketch.npy         l x M drift sketch  } the append ledger (absent
 <dir>/update_state.json  energy/drift ledger } only from older directories)
 <dir>/summary_*          the summary store (repro.summaries.compute)
 <dir>/manifest.json      per-file SHA-256 + sizes of all of the above
@@ -27,6 +27,11 @@ directory is refused with the same typed error whoever asks.
 :func:`~repro.storage.atomic.staged_directory` swap makes the new
 version visible — writing the parts it is handed and hardlinking the
 rest forward from the previous version.
+
+Directories written before the sketch hold ``gram.npy``, the ``M x M``
+pass-1 Gram matrix, in its place.  They open and answer as any other;
+an append reads the Gram as the sketch it converts to, and the version
+it writes has ``sketch.npy`` and no Gram.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from repro.storage.integrity import check_entry, load_manifest, write_manifest
 from repro.storage.matrix_store import MatrixStore
 
 __all__ = [
-    "GRAM_NAME",
+    "SKETCH_NAME",
     "UPDATE_STATE_NAME",
     "U_NAME",
     "ModelParts",
@@ -66,6 +71,8 @@ LAMBDA_NAME = "lambda.npy"
 V_NAME = "v.npy"
 DELTAS_NAME = "deltas.bin"
 ZERO_ROWS_NAME = "zero_rows.npy"
+SKETCH_NAME = "sketch.npy"
+#: What older writers kept instead of the sketch (read, never written).
 GRAM_NAME = "gram.npy"
 UPDATE_STATE_NAME = "update_state.json"
 
@@ -85,8 +92,9 @@ _FACTOR_FILES = (U_NAME, LAMBDA_NAME, V_NAME)
 #: SHA-256 is checked first: re-deriving a file from damaged bytes and
 #: re-hashing the result would launder the damage into a clean manifest.
 #: (``deltas.bin`` carries its own CRC; ``u.mat`` is hardlinked by a
-#: column append and checked where a row append copies it.)
-_APPEND_INPUTS = (LAMBDA_NAME, V_NAME, ZERO_ROWS_NAME, GRAM_NAME, UPDATE_STATE_NAME)
+#: column append and checked where a row append copies it.)  The
+#: legacy Gram is the sketch's input where it stands in for one.
+_APPEND_INPUTS = (LAMBDA_NAME, V_NAME, ZERO_ROWS_NAME, SKETCH_NAME, GRAM_NAME, UPDATE_STATE_NAME)
 
 
 def u_columns(cutoff: int, item_size: int) -> int:
@@ -139,8 +147,8 @@ class ModelParts:
     zero_rows: np.ndarray
     #: ``update_state.json`` (None on models that cannot be appended to).
     update_state: dict | None
-    #: The pass-1 Gram matrix, loaded only for an append.
-    gram: np.ndarray | None = None
+    #: The ``(l, cols)`` drift sketch, loaded only for an append.
+    sketch: np.ndarray | None = None
     #: The manifest's ``files`` mapping ({} when there is no manifest).
     manifest_files: dict = field(default_factory=dict)
     #: Validation failures ``on_corrupt="degraded"`` absorbed.
@@ -314,7 +322,7 @@ def read_model(
             factor files are always load-bearing.
         for_append: the caller is about to derive the next version from
             this one.  Requires an ``svdd`` model with its update
-            ledger and Gram matrix (loaded into ``gram``), and verifies
+            ledger and drift sketch (loaded into ``sketch``), and verifies
             the manifest SHA-256 of every file in ``_APPEND_INPUTS``.
             A directory a killed swap left only as ``<dir>.trash`` is
             moved back first (:func:`~repro.storage.atomic.restore_trash`).
@@ -380,19 +388,28 @@ def read_model(
             return DeltaFile.map_arrays(path, **expect)
         return (*DeltaFile.read_arrays(path, **expect), None)
 
-    def load_gram():
-        # Only an append looks inside the M x M Gram matrix; every
-        # other read stops at the manifest's size check.
-        check(GRAM_NAME)
+    def load_sketch():
+        # Only an append looks inside the sketch; every other read stops
+        # at the manifest's size check.
+        legacy = (directory / GRAM_NAME).exists() and not (directory / SKETCH_NAME).exists()
+        name = GRAM_NAME if legacy else SKETCH_NAME
+        check(name)
         if not for_append:
             return None
-        gram = _load_npy(directory / GRAM_NAME).astype(np.float64, copy=False)
-        if gram.shape != (cols, cols):
+        array = _load_npy(directory / name).astype(np.float64, copy=False)
+        fits = array.shape == (cols, cols) if legacy else (
+            array.ndim == 2 and array.shape[0] <= cols and array.shape[1] == cols
+        )
+        if not (fits and np.isfinite(array).all()):
             raise FormatError(
-                f"{directory}: {GRAM_NAME} shape {gram.shape} does not "
-                f"match meta cols {cols}"
+                f"{directory}: {name} of shape {array.shape} is not a finite "
+                f"({'' if legacy else '<= '}{cols}, {cols}) array"
             )
-        return gram
+        if legacy:
+            from repro.core.build import gram_sketch  # lazy: core sits above storage
+
+            return gram_sketch(array, int(meta["cutoff"]))
+        return array
 
     def load_update_state():
         check(UPDATE_STATE_NAME)
@@ -413,7 +430,7 @@ def read_model(
             optional(load_deltas, no_deltas) if int(meta["num_deltas"]) > 0 else no_deltas
         )
         update_state = optional(load_update_state, None)
-        gram = optional(load_gram, None)
+        sketch = optional(load_sketch, None)
     except Exception as exc:
         delta_keys = delta_values = None  # views into the mapping
         close_mapping(delta_mm)
@@ -431,7 +448,7 @@ def read_model(
         delta_values=delta_values,
         zero_rows=zero_rows,
         update_state=update_state,
-        gram=gram,
+        sketch=sketch,
         manifest_files=files,
         degraded_reasons=reasons,
         delta_mm=delta_mm,
@@ -448,7 +465,7 @@ def write_model(
     delta_keys: np.ndarray,
     delta_values: np.ndarray,
     zero_rows: np.ndarray,
-    gram: np.ndarray,
+    sketch: np.ndarray,
     update_state: dict,
     u: np.ndarray | None = None,
     eigenvalues: np.ndarray | None = None,
@@ -471,7 +488,7 @@ def write_model(
             a delta are dropped here — a flagged row is answered 0.0
             without looking at the delta table (Section 6.2) — and the
             rest are written sorted.
-        gram, update_state: the append ledger.
+        sketch, update_state: the append ledger.
         u: with ``previous``, the ``(n, cutoff)`` rows of U to append to
             a copy of its ``u.mat``.  A fresh model's build streams U
             into ``staging / U_NAME`` itself (with :func:`u_page_size`
@@ -549,7 +566,7 @@ def write_model(
     # know (a hand-edited or newer meta.json) ride along behind.
     meta = {key: known[key] for key in _META_KEYS} | known
     (staging / META_NAME).write_text(json.dumps(meta, indent=2))
-    np.save(staging / GRAM_NAME, gram)
+    np.save(staging / SKETCH_NAME, sketch)
     (staging / UPDATE_STATE_NAME).write_text(json.dumps(update_state, indent=2))
 
     # Summaries ride the same staged swap, so a model is born (and

@@ -11,14 +11,13 @@ import pytest
 from repro.core import CompressedMatrix
 from repro.core.build import build_compressed
 from repro.core.update import append_columns, append_rows, load_update_state
-from repro.core.svd import spectrum_from_gram
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ChecksumError, FormatError, ShapeError
-from repro.linalg import top_eigenvalues
 from repro.metrics import rmspe
 from repro.obs.tracing import span
-from repro.storage.model_dir import GRAM_NAME, UPDATE_STATE_NAME
-from tests.conftest import strip_ledger
+from repro.storage.integrity import write_manifest
+from repro.storage.model_dir import SKETCH_NAME, UPDATE_STATE_NAME
+from tests.conftest import strip_ledger, swap_in_gram
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +87,21 @@ class TestAppendRows:
         rel = np.linalg.norm(recon - new_rows) / np.linalg.norm(new_rows)
         assert rel < 0.2
 
-    def test_gram_update_is_exact(self, built):
+    def test_sketch_takes_new_rows_by_frequent_directions(self, built):
+        """The next sketch never overstates ``S^t S + X_new^t X_new``, and
+        what it leaves out is that sum's spectrum beyond its ``l`` rows."""
         directory, full = built
-        gram_before = np.load(directory / GRAM_NAME)
+        before = np.load(directory / SKETCH_NAME)
         new_rows = full[200:, :366]
         append_rows(directory, new_rows)
-        gram_after = np.load(directory / GRAM_NAME)
-        np.testing.assert_allclose(
-            gram_after, gram_before + new_rows.T @ new_rows, rtol=1e-10
-        )
+        after = np.load(directory / SKETCH_NAME)
+        with CompressedMatrix.open(directory) as store:
+            assert before.shape == after.shape == (2 * store.cutoff, 366)
+        grown = before.T @ before + new_rows.T @ new_rows
+        spectrum = np.linalg.eigvalsh(grown)[::-1]
+        left_out = np.linalg.eigvalsh(grown - after.T @ after)
+        assert left_out.min() >= -1e-9 * spectrum[0]
+        assert left_out.max() == pytest.approx(spectrum[after.shape[0]], rel=1e-6)
 
     def test_shape_mismatch_rejected(self, built):
         directory, _ = built
@@ -185,6 +190,45 @@ class TestCrashAtomicity:
             CompressedMatrix.open(directory)
 
 
+class DenseOracle:
+    """The drift a dense ``M x M`` Gram gives, from a Gram the test keeps.
+
+    It starts at ``X^t X``; a column append grows it by ``R^t X_new``
+    and ``X_new^t X_new`` (``R`` the pre-append reconstruction, which is
+    how the model sees the old columns), a row append adds
+    ``X_new^t X_new``.  A column append's sketch drift is held within
+    1e-6 of it; a row append's never above it and within 2% below
+    (what the sketch's truncations discard is positive)."""
+
+    def __init__(self, directory, data):
+        self.directory = directory
+        self.gram = data.T @ data
+        with CompressedMatrix.open(directory) as store:
+            self.cutoff = store.cutoff
+
+    def append(self, kind, block, **kwargs):
+        if kind == "columns":
+            with CompressedMatrix.open(self.directory) as store:
+                cross = store.reconstruct_all().T @ block
+            self.gram = np.block([[self.gram, cross], [cross.T, block.T @ block]])
+            return append_columns(self.directory, block, **kwargs)
+        self.gram = self.gram + block.T @ block
+        return append_rows(self.directory, block, **kwargs)
+
+    def drift(self) -> float:
+        fresh = np.maximum(np.linalg.eigvalsh(self.gram)[::-1][: self.cutoff], 0.0).sum()
+        captured = load_update_state(self.directory)["captured_energy"]
+        return max(0.0, 1.0 - captured / fresh)
+
+    def assert_close(self, result, step=None) -> float:
+        dense = self.drift()
+        if result.kind == "columns":
+            assert result.drift == pytest.approx(dense, abs=1e-6), step
+        else:
+            assert dense * 0.98 <= result.drift <= dense + 1e-12, step
+        return dense
+
+
 class TestDriftAndRebuildFlag:
     def test_fresh_build_has_zero_drift(self, built):
         directory, _ = built
@@ -219,68 +263,56 @@ class TestDriftAndRebuildFlag:
         assert load_update_state(directory)["drift_threshold"] == 0.42
 
     def test_stored_drift_matches_full_decomposition_through_lifecycle(self, tmp_path):
-        """The append sums eigenvalues only; the stored drift must still
-        be what the full eigendecomposition of the stored Gram gives."""
+        """The append folds a sketch; the stored drift must still be what
+        the full eigendecomposition of the dense Gram gives."""
         rng = np.random.default_rng(1997)
         grown = phone_matrix(2000, PhoneConfig(num_days=128))
         directory = tmp_path / "model"
-        with build_compressed(grown, directory, 0.10) as store:
-            cutoff = store.cutoff
-
-        def reference_drift():
-            state = load_update_state(directory)
-            singular, _v = spectrum_from_gram(np.load(directory / GRAM_NAME), cutoff)
-            fresh = float((singular * singular).sum())
-            return state["drift"], 1.0 - state["captured_energy"] / fresh
+        build_compressed(grown, directory, 0.10).close()
+        oracle = DenseOracle(directory, grown)
 
         for _ in range(3):
             # The same weekdays 18 weeks back, under fresh noise.
             source = grown[:, grown.shape[1] - 126 :][:, :7]
             new_days = source * rng.lognormal(0.0, 0.25, source.shape)
-            result = append_columns(directory, new_days)
+            result = oracle.append("columns", new_days)
             grown = np.hstack([grown, new_days])
-            stored, reference = reference_drift()
-            assert reference > 1e-5
-            assert result.drift == stored == pytest.approx(reference, rel=1e-9)
+            assert oracle.drift() > 1e-5
+            assert result.drift == load_update_state(directory)["drift"]
+            oracle.assert_close(result)
 
         new_rows = grown[rng.integers(0, 2000, 37)] * rng.lognormal(0.0, 0.25, (37, 149))
-        result = append_rows(directory, new_rows)
-        stored, reference = reference_drift()
+        result = oracle.append("rows", new_rows)
         # Rows projected through the appended (no longer orthonormal) V
         # over-count captured energy here: the ratio passes 1, drift clips.
-        assert result.drift == stored == pytest.approx(max(0.0, reference), rel=1e-9)
-
-
-def _dense_drift(directory, cutoff) -> float:
-    """Drift from the dense eigensolve of the stored Gram — the reference
-    the append's block-Krylov estimate is held to."""
-    state = load_update_state(directory)
-    fresh = float(top_eigenvalues(np.load(directory / GRAM_NAME), cutoff).sum())
-    return max(0.0, 1.0 - state["captured_energy"] / fresh)
+        assert result.drift == load_update_state(directory)["drift"] == oracle.drift() == 0.0
 
 
 class TestDriftSeesWhatTheBasisCannot:
-    """A Krylov space grown from ``[V; V_new]`` alone never leaves what
-    the frozen basis sees: it reported drift 5.6e-16 here, where the
-    dense solve says 0.9 — blind in exactly the case drift exists for."""
+    """New days (or customers) on which only the silent half calls leave
+    ``V_new`` zero and their Gram block coupled to nothing the frozen
+    basis sees; drift must still report them (a Krylov solve grown from
+    the basis alone once reported 5.6e-16 here, where the dense solve
+    says 0.9)."""
 
     def test_silent_customers_start_calling(self, tmp_path):
         rng = np.random.default_rng(3)
         active = rng.random((200, 3)) @ rng.random((3, 60)) * 10
         directory = tmp_path / "model"
-        with build_compressed(np.vstack([active, np.zeros((200, 60))]), directory, 0.10) as store:
-            cutoff = store.cutoff
+        data = np.vstack([active, np.zeros((200, 60))])
+        build_compressed(data, directory, 0.10).close()
+        oracle = DenseOracle(directory, data)
         # Four new days on which only the silent half calls: V_new is
         # zero and the new Gram block is coupled to nothing else.
         new_days = np.vstack([np.zeros((200, 4)), rng.random((200, 4)) * 200])
-        result = append_columns(directory, new_days)
+        result = oracle.append("columns", new_days)
         assert result.drift >= 0.9 and result.rebuild_recommended
-        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        oracle.assert_close(result)
         # The next append's new days are ordinary; the block the basis
-        # never saw is now reachable through the probe columns only.
+        # never saw lives on in the sketch alone.
         ordinary = np.vstack([rng.random((200, 3)) @ rng.random((3, 5)) * 10, np.zeros((200, 5))])
-        result = append_columns(directory, ordinary)
-        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        result = oracle.append("columns", ordinary)
+        oracle.assert_close(result)
         assert result.drift >= 0.85 and result.rebuild_recommended
 
     def test_new_customers_call_on_silent_days(self, tmp_path):
@@ -288,52 +320,101 @@ class TestDriftSeesWhatTheBasisCannot:
         rng = np.random.default_rng(4)
         active = rng.random((200, 3)) @ rng.random((3, 60)) * 10
         directory = tmp_path / "model"
-        with build_compressed(np.hstack([active, np.zeros((200, 200))]), directory, 0.10) as store:
-            cutoff = store.cutoff
+        data = np.hstack([active, np.zeros((200, 200))])
+        build_compressed(data, directory, 0.10).close()
+        oracle = DenseOracle(directory, data)
         new_rows = np.hstack([np.zeros((4, 60)), rng.random((4, 200)) * 300])
-        result = append_rows(directory, new_rows)
+        result = oracle.append("rows", new_rows)
         assert result.drift >= 0.9 and result.rebuild_recommended
-        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
-        # More new customers than the start block has room for: sketched.
+        oracle.assert_close(result)
+        # More new customers than the sketch has rows.
         crowd = np.hstack([np.zeros((40, 60)), rng.random((40, 200)) * 300])
-        result = append_rows(directory, crowd)
-        assert result.drift == pytest.approx(_dense_drift(directory, cutoff), abs=1e-9)
+        oracle.assert_close(oracle.append("rows", crowd))
+
+
+def _sequence(shift: str):
+    """``(built data, twenty (kind, block) appends, threshold)``; the
+    shifts start with the tenth append."""
+    start, days, changes_at = 128, 7, 9
+    if shift == "rows":
+        data = phone_matrix(900, PhoneConfig(num_days=start))
+        batches = [data[300 + 30 * b : 330 + 30 * b] for b in range(20)]
+        # The newcomers call three times as much, plus a flat floor.
+        floor = data[:300].mean()
+        batches[changes_at:] = [3.0 * x + floor for x in batches[changes_at:]]
+        return data[:300], [("rows", x) for x in batches], 1e-2
+    if shift == "mixed":
+        # No shift: a day for everyone, then thirty new customers.
+        data = phone_matrix(600, PhoneConfig(num_days=start + 10 * days))
+        steps, rows, cols = [], 300, start
+        for _ in range(10):
+            steps.append(("columns", data[:rows, cols : cols + days]))
+            cols += days
+            steps.append(("rows", data[rows : rows + 30, :cols]))
+            rows += 30
+        return data[:300, :start], steps, 1e-4
+    data = phone_matrix(300, PhoneConfig(num_days=start + 20 * days))
+    turn = start + changes_at * days
+    if shift == "level":
+        # Every customer calls more, every day of the week alike.
+        data[:, turn:] += 2.0 * data[:, :start].mean(axis=1, keepdims=True)
+    else:
+        # A fifth of the customers are silent, then call around the clock.
+        joiners = np.arange(0, 300, 5)
+        data[joiners, :turn] = 0.0
+        data[joiners, turn:] = 40.0 * np.random.default_rng(1).lognormal(
+            0.0, 0.25, (joiners.size, data.shape[1] - turn)
+        )
+    lows = range(start, start + 20 * days, days)
+    return data[:, :start], [("columns", data[:, lo : lo + days]) for lo in lows], 1e-4
 
 
 class TestDriftParityOverASequence:
-    """ROADMAP 1(b)'s first step: through twenty appends with a shift in
-    them, the stored drift is the dense solve's and the flag flips at
-    the same append."""
+    """Through twenty appends with a shift in them, the stored drift is
+    the dense Gram's (within :class:`DenseOracle`'s tolerances) and the
+    flag flips at the same append."""
 
-    @pytest.mark.parametrize("shift", ["level", "new_class"])
+    #: The append the flag first goes up at, per sequence.
+    FIRST_FLAG = {"level": 7, "new_class": 10, "rows": 9, "mixed": None}
+
+    @pytest.mark.parametrize("shift", ["level", "new_class", "rows", "mixed"])
     def test_twenty_appends(self, tmp_path, shift):
-        start, days, changes_at = 128, 7, 9
-        data = phone_matrix(300, PhoneConfig(num_days=start + 20 * days))
-        turn = start + changes_at * days
-        if shift == "level":
-            # Every customer calls more, every day of the week alike.
-            data[:, turn:] += 2.0 * data[:, :start].mean(axis=1, keepdims=True)
-        else:
-            # A fifth of the customers are silent, then call around the clock.
-            joiners = np.arange(0, 300, 5)
-            data[joiners, :turn] = 0.0
-            data[joiners, turn:] = 40.0 * np.random.default_rng(1).lognormal(
-                0.0, 0.25, (joiners.size, data.shape[1] - turn)
-            )
+        built, steps, threshold = _sequence(shift)
         directory = tmp_path / "model"
-        with build_compressed(data[:, :start], directory, 0.10) as store:
-            cutoff = store.cutoff
+        build_compressed(built, directory, 0.10).close()
+        oracle = DenseOracle(directory, built)
         flagged, dense_flagged = [], False
-        for step in range(20):
-            lo = start + days * step
-            result = append_columns(directory, data[:, lo : lo + days], drift_threshold=1e-4)
-            dense = _dense_drift(directory, cutoff)
-            assert result.drift == pytest.approx(dense, abs=1e-9), step
-            dense_flagged = dense_flagged or dense > 1e-4
+        for step, (kind, block) in enumerate(steps):
+            result = oracle.append(kind, block, drift_threshold=threshold)
+            dense = oracle.assert_close(result, step)
+            dense_flagged = dense_flagged or dense > threshold
             assert result.rebuild_recommended == dense_flagged, step
             flagged.append(result.rebuild_recommended)
         # The flag is down before the shift and up (and latched) after it.
-        assert not any(flagged[:changes_at - 2]) and all(flagged[changes_at + 2 :])
+        first = flagged.index(True) if any(flagged) else None
+        assert first == self.FIRST_FLAG[shift]
+        assert first is None or all(flagged[first:])
+
+
+class TestLegacyGram:
+    def test_first_append_converts_the_gram(self, tmp_path):
+        """A directory that holds the ``M x M`` Gram instead of a sketch
+        appends as if built with the sketch, and is left without it."""
+        data = phone_matrix(300, PhoneConfig(num_days=135))
+        new_days = data[:, 128:]
+        drifts = []
+        for name in ("sketch", "legacy"):
+            directory = tmp_path / name
+            build_compressed(data[:, :128], directory, 0.10).close()
+            if name == "legacy":
+                swap_in_gram(directory, data[:, :128])
+                with CompressedMatrix.open(directory) as store:
+                    assert store.reconstruct_range(range(3), range(4)).shape == (3, 4)
+            drifts.append(append_columns(directory, new_days).drift)
+            assert not (directory / "gram.npy").exists()
+            assert np.load(directory / SKETCH_NAME).shape[1] == 135
+        assert drifts[0] > 0.0
+        assert drifts[1] == pytest.approx(drifts[0], abs=1e-12)
 
 
 class TestPrerequisites:
@@ -350,11 +431,24 @@ class TestPrerequisites:
         with pytest.raises(FormatError, match="update"):
             append_columns(directory, full[:200, 366:])
 
-    def test_missing_gram_rejected(self, built):
+    def test_missing_sketch_rejected(self, built):
         directory, full = built
-        (directory / GRAM_NAME).unlink()
-        with pytest.raises(FormatError, match="gram"):
+        (directory / SKETCH_NAME).unlink()
+        with pytest.raises(FormatError, match="sketch"):
             append_columns(directory, full[:200, 366:])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full((3, 366), np.nan), np.ones((367, 366)), np.ones((4, 365)), np.ones(366)],
+        ids=["nan", "too-tall", "narrow", "1-d"],
+    )
+    def test_non_finite_or_misshapen_sketch_rejected(self, built, bad):
+        """Even when the manifest vouches for it."""
+        directory, full = built
+        np.save(directory / SKETCH_NAME, bad)
+        write_manifest(directory)
+        with pytest.raises(FormatError, match="sketch"):
+            append_rows(directory, full[200:, :366])
 
     def test_corrupt_state_rejected(self, built):
         directory, full = built
@@ -389,9 +483,8 @@ class TestSpans:
         merge = root.find("update.merge_deltas")
         assert merge.attrs["candidates"] == old_deltas + 200 * 14
         assert merge.attrs["kept"] == result.num_deltas <= merge.attrs["budget"]
-        drift = root.find("update.drift").attrs
-        assert drift["cols"] == 380 and drift["certified"] is True
-        assert 1 <= drift["blocks"] <= 8 and drift["basis"] < 380
+        with CompressedMatrix.open(directory) as store:
+            assert root.find("update.drift").attrs == {"cols": 380, "sketch": 2 * store.cutoff}
         write = root.find("update.write_model")
         assert write.attrs == {"files": 13, "fsyncs": 15}
         profiles = write.find("update.summaries").find("summaries.profiles")

@@ -35,13 +35,14 @@ from repro.storage.model_dir import (
     write_model,
 )
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
+from tests.conftest import swap_in_gram
 
 SHAPE = (64, 16)
 
 #: What a built model holds.
 BUILT_FILES = {
     "meta.json", "u.mat", "lambda.npy", "v.npy", "deltas.bin", "zero_rows.npy",
-    "gram.npy", "update_state.json", MANIFEST_NAME, *SUMMARY_FILES,
+    "sketch.npy", "update_state.json", MANIFEST_NAME, *SUMMARY_FILES,
 }
 
 
@@ -106,7 +107,7 @@ DAMAGE = {
     "bad-zero-rows": _bad_zero_rows,
     "short-u": _short_u,
     "deltas-count": _stale_deltas,
-    "gram-shape": lambda d: np.save(d / "gram.npy", np.zeros((3, 3))),
+    "sketch-shape": lambda d: np.save(d / "sketch.npy", np.zeros((3, 3))),
     "state-not-json": lambda d: (d / "update_state.json").write_text("{broken"),
 }
 
@@ -119,14 +120,14 @@ CONSUMERS = {
 
 
 #: Every consumer x damage x with/without a manifest — except that only
-#: an append looks *inside* ``gram.npy``: other reads stop at the
+#: an append looks *inside* ``sketch.npy``: other reads stop at the
 #: manifest's size check, so without a manifest they do not notice.
 CASES = [
     (consumer, damage, manifest)
     for consumer in sorted(CONSUMERS)
     for damage in sorted(DAMAGE)
     for manifest in ("manifest", "no-manifest")
-    if (damage, manifest) != ("gram-shape", "no-manifest")
+    if (damage, manifest) != ("sketch-shape", "no-manifest")
     or consumer.startswith("append")
 ]
 
@@ -168,11 +169,15 @@ class TestAppendDoesNotLaunderCorruption:
         [
             ("v.npy", "append_columns"),
             ("gram.npy", "append_columns"),
+            ("sketch.npy", "append_columns"),
             ("v.npy", "append_rows"),
+            ("sketch.npy", "append_rows"),
             ("u.mat", "append_rows"),
         ],
     )
     def test_flipped_byte_is_refused(self, model, name, append):
+        if name == "gram.npy":  # what writers before the sketch left
+            swap_in_gram(model, _data())
         self._flip_last_byte(model / name)
         CompressedMatrix.open(model).close()  # sizes still match
         before = _digests(model)
@@ -229,7 +234,7 @@ def test_written_parts_read_back_equal(
     v = rng.standard_normal((cols, cutoff))
     keys = rng.choice(rows * cols, size=min(num_deltas, rows * cols), replace=False)
     values = rng.standard_normal(keys.size)
-    gram = rng.standard_normal((cols, cols))
+    sketch = rng.standard_normal((int(rng.integers(0, cols + 1)), cols))
     ledger = {"budget_fraction": 0.1, "appends": 3}
     meta = {
         "kind": "svdd", "rows": rows, "cols": cols,
@@ -247,7 +252,7 @@ def test_written_parts_read_back_equal(
         ).close()
         written = write_model(
             staging, meta, eigenvalues=lam, v=v, delta_keys=keys,
-            delta_values=values, zero_rows=zero, gram=gram, update_state=ledger,
+            delta_values=values, zero_rows=zero, sketch=sketch, update_state=ledger,
         )
     assert verify_manifest(directory).ok
 
@@ -265,7 +270,7 @@ def test_written_parts_read_back_equal(
         np.testing.assert_array_equal(parts.delta_values, at_rest(values[order]))
         np.testing.assert_array_equal(parts.zero_rows, flagged)
         assert parts.update_state == ledger
-        np.testing.assert_array_equal(parts.gram, gram)
+        np.testing.assert_array_equal(parts.sketch, sketch)
         assert set(parts.manifest_files) == {
             path.name for path in directory.iterdir()
         } - {MANIFEST_NAME}
@@ -273,19 +278,19 @@ def test_written_parts_read_back_equal(
         # The next version: one more column, everything else carried.
         grown_v = np.vstack([parts.v, rng.standard_normal((1, cutoff))])
         rebased = parts.delta_keys // cols * (cols + 1) + parts.delta_keys % cols
-        grown_gram = rng.standard_normal((cols + 1, cols + 1))
+        grown_sketch = rng.standard_normal((sketch.shape[0], cols + 1))
         with staged_directory(directory) as staging:
             write_model(
                 staging, {**parts.meta, "cols": cols + 1}, v=grown_v,
                 delta_keys=rebased, delta_values=parts.delta_values,
-                zero_rows=parts.zero_rows, gram=grown_gram,
+                zero_rows=parts.zero_rows, sketch=grown_sketch,
                 update_state={**ledger, "appends": 4},
                 previous=parts, refresh_summaries=refresh,
             )
     assert verify_manifest(directory).ok
     with read_model(directory, for_append=True) as after:
         assert after.generation == (rows, cols + 1, keys.size, 4)
-        np.testing.assert_array_equal(after.gram, grown_gram)
+        np.testing.assert_array_equal(after.sketch, grown_sketch)
         np.testing.assert_array_equal(after.eigenvalues, at_rest(lam))
         np.testing.assert_array_equal(after.v, at_rest(grown_v))
         np.testing.assert_array_equal(

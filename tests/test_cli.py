@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import CompressedMatrix
+from repro.core import CompressedMatrix, build_compressed
+from repro.core.update import append_columns, load_update_state
+from repro.data import PhoneConfig, phone_matrix
 from repro.storage import MatrixStore
 from tests.conftest import strip_ledger
 
@@ -62,6 +64,16 @@ class TestQueries:
         out = capsys.readouterr().out
         assert "150 x 366" in out
         assert "principal components" in out
+
+    def test_info_reports_bytes_on_disk(self, model_dir, capsys):
+        """Beside the Eq. 9 accounting: every file the directory holds."""
+        assert main(["info", str(model_dir)]) == 0
+        out = capsys.readouterr().out
+        accounted = int(re.search(r"Eq\. 9 accounting\): (\d+)", out).group(1))
+        on_disk, share = re.search(r"on disk: (\d+) \(([\d.]+)% of raw\)", out).groups()
+        files = sum(p.stat().st_size for p in model_dir.rglob("*") if p.is_file())
+        assert int(on_disk) == files >= accounted
+        assert float(share) == pytest.approx(100 * files / (150 * 366 * 8), abs=0.005)
 
     def test_cell(self, model_dir, capsys):
         assert main(["query", str(model_dir), "cell(10, 100)"]) == 0
@@ -575,6 +587,22 @@ class TestAppend:
         assert "drift:" in captured
         with CompressedMatrix.open(out) as store:
             assert store.shape == (70, 40)
+
+    def test_small_drift_and_threshold_keep_their_digits(self, tmp_path, capsys):
+        data = phone_matrix(300, PhoneConfig(num_days=142))
+        out = tmp_path / "model"
+        build_compressed(data[:, :128], out, 0.10).close()
+        append_columns(out, data[:, 128:135], drift_threshold=1e-4)
+        np.save(tmp_path / "week.npy", data[:, 135:])
+        assert main(["append", str(out), "--cols", str(tmp_path / "week.npy")]) == 0
+        assert main(["info", str(out)]) == 0
+        printed = capsys.readouterr().out
+        drift = load_update_state(out)["drift"]
+        assert 0.0 < drift < 1e-4
+        appended = re.search(r"^drift: (\S+)", printed, re.M).group(1)
+        info, threshold = re.search(r" drift: (\S+) \(threshold ([^,]+),", printed).groups()
+        assert float(appended) == float(info) == pytest.approx(drift, rel=1e-2)
+        assert float(threshold) == 1e-4
 
     def test_info_reports_append_state(self, appendable, capsys):
         out, root = appendable
