@@ -4,11 +4,15 @@ The paper's algorithmic contribution inside SVDD is factoring the per-k
 work into shared passes: 'We can factor out several passes and do the
 whole operation in three passes rather than 3 * k_max.'  This bench runs
 both constructions on the same on-disk store and reports measured pass
-counts and wall time, asserting they produce identical models.
+counts and wall time, asserting they produce identical models.  It
+also reports how many cells pass 2 admitted to its queues against the
+``sum_k gamma_k`` they keep, and how many queues its sampled floors left
+short (each one costs a refill scan).
 """
 
 from __future__ import annotations
 
+import io
 import time
 
 import numpy as np
@@ -17,6 +21,7 @@ from benchmarks.conftest import emit, format_table
 from repro.core import SVDDCompressor
 from repro.lab.naive_svdd import NaiveSVDDCompressor
 from repro.data import phone_matrix
+from repro.obs import registry, set_log_stream
 from repro.storage import MatrixStore
 
 BUDGET = 0.10
@@ -28,10 +33,22 @@ def test_construction_cost(tmp_path_factory, benchmark):
     data = phone_matrix(ROWS)
 
     fast_store = MatrixStore.create(root / "fast.mat", data)
-    start = time.perf_counter()
-    fast_model = SVDDCompressor(budget_fraction=BUDGET).fit(fast_store)
-    fast_time = time.perf_counter() - start
+    fitter = SVDDCompressor(budget_fraction=BUDGET)
+    registry.enable()
+    set_log_stream(io.StringIO())
+    try:
+        start = time.perf_counter()
+        fast_model = fitter.fit(fast_store)
+        fast_time = time.perf_counter() - start
+        admitted = int(registry.gauge("build.pass2.admitted").value)
+        short = int(registry.gauge("build.pass2.short_queues").value)
+    finally:
+        set_log_stream(None)
+        registry.disable()
     fast_passes = fast_store.pass_count
+    kept = sum(
+        fitter._gamma(ROWS, data.shape[1], k) for k in range(1, fast_model.k_max + 1)
+    )
 
     naive_store = MatrixStore.create(root / "naive.mat", data)
     start = time.perf_counter()
@@ -54,6 +71,10 @@ def test_construction_cost(tmp_path_factory, benchmark):
         f"(paper predicts ~k_max = {fast_model.k_max}x)"
     )
     lines.append("models identical: same k_opt, same outlier cells")
+    lines.append(
+        f"pass 2 admitted {admitted:,} cells to keep sum_k gamma_k = {kept:,} "
+        f"({admitted / kept:.2f}x); short queues refilled: {short}"
+    )
     emit("construction_cost", lines)
 
     # Identical results...

@@ -11,19 +11,20 @@ materializes anything O(N):
    code path ``fit`` uses, so the two entry points cannot diverge on
    ``k_opt`` or the delta set (their state is O(M^2) plus the k_max
    delta queues, which hold ``sum_k gamma_k`` cells: a multiple of the
-   space budget, not of the matrix);
+   space budget, not of the matrix; each starts at a sampled floor);
 2. pass 3 streams ``U`` rows *directly into the destination page file*
    via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
    per page, in the requested precision;
 3. ``V``, the eigenvalues, the deltas and the metadata are written
    beside it, along with the append ledger (``sketch.npy``, the top
-   ``l = 2k`` of the pass-1 spectrum, :func:`gram_sketch`, and
-   ``update_state.json``) that lets :mod:`repro.core.update` append new
-   days or customers later without rescanning the original data.
+   ``l = 2k`` of the pass-1 spectrum, and ``update_state.json``) that
+   lets :mod:`repro.core.update` append new days or customers later
+   without rescanning the original data.
 
 Peak memory is O(M^2 + sum_k gamma_k) — see
 :func:`estimate_build_memory`; the source is read in three sequential
-scans (the Gram pass, the error pass, the ``U`` pass).
+scans (the Gram pass, the error pass, the ``U`` pass) and a 128-row
+sample; a fourth only when a floor left a queue short of ``gamma_k``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.core.store import CompressedMatrix
 from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape, spectrum_from_gram
-from repro.core.svdd import SVDDCompressor, _record_pass
+from repro.core.svdd import SVDDCompressor, _record_pass, sketch_rows
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
 from repro.storage.matrix_store import MatrixStore
@@ -56,14 +57,10 @@ from repro.storage.model_dir import (
 DRIFT_THRESHOLD_DEFAULT = 0.10
 
 
-def sketch_rows(cutoff: int, cols: int) -> int:
-    """Rows ``l`` of a rank-``cutoff`` model's drift sketch: ``min(2k, M)``."""
-    return min(2 * cutoff, cols)
-
-
 def gram_sketch(gram: np.ndarray, cutoff: int) -> np.ndarray:
     """The drift sketch of a Gram matrix: ``S = Lambda_l V_l^t``, so that
-    ``S^t S`` is the top-``l`` part of ``gram``."""
+    ``S^t S`` is the top-``l`` part of ``gram`` (what a directory that
+    still holds the legacy Gram converts through)."""
     singular, v = spectrum_from_gram(gram, sketch_rows(cutoff, gram.shape[0]))
     return singular[:, None] * v.T
 
@@ -156,13 +153,13 @@ def build_compressed(
             # The pass-1 state, so appends never rescan the data: the
             # sketch carries the top of the spectrum forward, the ledger
             # the energy split the drift estimate needs.
-            sketch=gram_sketch(selection.gram, k_opt),
+            sketch=selection.sketch,
             update_state={
                 "format_version": 1,
                 "budget_fraction": float(fitter.budget_fraction),
                 "bytes_per_value": int(fitter.bytes_per_value),
                 "raw_bytes_per_value": fitter.raw_bytes_per_value,
-                "total_energy": float(np.trace(selection.gram)),
+                "total_energy": selection.total_energy,
                 "captured_energy": float((lam_opt * lam_opt).sum()),
                 "residual_sse": selection.residual_sse,
                 "appends": 0,
@@ -194,17 +191,18 @@ def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) 
     Useful for capacity planning before pointing the builder at a very
     large store.  Ignores small constants.  Pass 1 peaks at four M x M
     arrays (the Gram matrix, its symmetrized copy and the eigensolver's
-    two); pass 2 holds the Gram matrix, four chunk arrays and the k_max
-    delta queues — 16-byte slots, two per unit of capacity ``gamma_k``
-    plus room for one chunk — which grow with ``s * N * M`` and are what
-    bounds a large build.
+    two); pass 2 holds four chunk arrays and the k_max delta queues —
+    16-byte slots, two per unit of capacity ``gamma_k`` (a floored queue
+    takes about three times its share of a chunk, so no chunk overflows
+    it) — which grow with ``s * N * M`` and are what bounds a large
+    build.
     """
     gram = num_cols * num_cols * 8
     chunk_cells = min(_CHUNK_ROWS, num_rows) * num_cols
     k_max = space.max_k_for_budget(num_rows, num_cols, budget_fraction)
     slots = sum(
-        2 * space.delta_budget(num_rows, num_cols, k, budget_fraction) + chunk_cells
+        2 * space.delta_budget(num_rows, num_cols, k, budget_fraction)
         for k in range(1, k_max + 1)
     )
-    pass2 = gram + 4 * chunk_cells * 8 + slots * 16
+    pass2 = 4 * chunk_cells * 8 + slots * 16
     return max(4 * gram, pass2)

@@ -21,7 +21,9 @@ The construction is the paper's 3-pass algorithm (Figure 5):
   ``k_opt = argmin_k epsilon_k``.  The working set is one chunk: one
   reconstruction per chunk, grown by one term per candidate, so the
   rank-``k`` error of a 128-row block is in hand after ``k`` rank-1
-  updates and nothing is ever ``k_max`` deep;
+  updates and nothing is ever ``k_max`` deep.  Each queue starts at a
+  floor sampled from 128 strided rows, so it admits ~3x what it keeps;
+  one the floor left short is refilled by a (rare) fourth scan;
 - **Pass 3** — stream once more, emitting the rows of ``U`` for
   ``k_opt`` (Eq. 11).
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -57,6 +60,16 @@ from repro.obs.tracing import span as _span
 from repro.storage.matrix_store import MatrixStore
 from repro.structures.topk import TopKBuffer
 
+#: Rows in the strided sample that sets each candidate queue's floor.
+_FLOOR_SAMPLE_ROWS = 128
+#: A floor leaves this many times a queue's share of the sample above it.
+_FLOOR_SLACK = 3
+
+
+def sketch_rows(cutoff: int, cols: int) -> int:
+    """Rows ``l`` of a rank-``cutoff`` model's drift sketch: ``min(2k, M)``."""
+    return min(2 * cutoff, cols)
+
 
 @dataclass(frozen=True)
 class CutoffSelection:
@@ -68,9 +81,10 @@ class CutoffSelection:
     retained delta set, or the budget arithmetic.
     """
 
-    #: The M x M Gram matrix ``X^t X`` (pass-1 state; persisting it is
-    #: what lets appends update the spectrum without rescanning X).
-    gram: np.ndarray
+    #: The drift sketch ``Lambda_l V_l^t``, ``l = min(2 k_opt, M)`` rows.
+    sketch: np.ndarray
+    #: ``trace(X^t X)``, the matrix's energy (the drift ledger's total).
+    total_energy: float
     #: Singular values at the chosen cutoff ``k_opt``, decreasing.
     singular_values: np.ndarray
     #: ``V`` restricted to the first ``k_opt`` columns (M x k_opt).
@@ -96,21 +110,70 @@ class CutoffSelection:
         return float(self.candidate_errors[self.k_opt - 1])
 
 
-def _record_pass(number: int, start: float, num_rows: int) -> None:
-    """Record one build pass's wall time and throughput (when enabled)."""
+def _record_pass(number: int, start: float, num_rows: int, **counts: int) -> None:
+    """Record one build pass's wall time, throughput and ``counts`` (when enabled)."""
     if not _obs.enabled:
         return
     elapsed = time.perf_counter() - start
     _obs.gauge(f"build.pass{number}.seconds").set(elapsed)
     rows_per_s = num_rows / elapsed if elapsed > 0 else 0.0
     _obs.gauge(f"build.pass{number}.rows_per_s").set(rows_per_s)
+    for name, value in counts.items():
+        _obs.gauge(f"build.pass{number}.{name}").set(value)
     log_event(
         "build.pass",
         number=number,
         seconds=round(elapsed, 6),
         rows=num_rows,
         rows_per_s=round(rows_per_s, 1),
+        **counts,
     )
+
+
+def _rank_errors(block: np.ndarray, v: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+    """Yield ``block``'s flattened error under rank ``k = 1 .. depth``: one
+    reconstruction grown by one term per ``k``, in one reused buffer."""
+    proj = block @ v  # (c, k_max): the U*Lambda coordinates
+    v_rows = np.ascontiguousarray(v.T)  # (k_max, M): one axis a row
+    # Rank-k estimate, k growing.  It starts from -0.0, the additive
+    # identity bit for bit (0.0 + -0.0 is 0.0).
+    recon = np.full(block.shape, -0.0)
+    term = np.empty(block.shape)
+    diff = np.empty(block.shape)  # (c, M) deltas under rank k
+    for ki in range(depth):
+        recon += np.multiply(proj[:, ki, None], v_rows[ki], out=term)
+        yield np.subtract(block, recon, out=diff).reshape(-1)
+
+
+def _scan_errors(source, v, queues, sse, zero_rows) -> None:
+    """One pass-2 scan: offer each chunk's rank-``k`` errors, one
+    contiguous run of cell keys, to ``queues[k - 1]``, sum them into
+    ``sse[k - 1]`` and note the all-zero rows."""
+    row_base = 0
+    for block in _row_chunks(source):
+        zero_rows.append(row_base + np.flatnonzero(np.abs(block).sum(axis=1) == 0.0))
+        for ki, deltas in enumerate(_rank_errors(block, v, len(queues))):
+            sse[ki] += np.dot(deltas, deltas)
+            queues[ki].offer(row_base * v.shape[0], deltas)
+        row_base += block.shape[0]
+
+
+def _sample_floors(source, v: np.ndarray, gammas: list[int]) -> list[float]:
+    """Queue ``k``'s floor: the ``(j+1)``-th largest ``|error|`` under rank
+    ``k`` of the ``m`` cells of a strided row sample, ``j = ceil(slack *
+    gamma_k * m / (N M))`` (``-inf`` when ``j >= m``)."""
+    num_rows, num_cols = source_shape(source)
+    rows = np.linspace(0, num_rows - 1, min(num_rows, _FLOOR_SAMPLE_ROWS)).astype(int)
+    if isinstance(source, MatrixStore):
+        sample = source.read_rows(rows)
+    else:
+        sample = np.asarray(source, dtype=np.float64)[rows]
+    floors = []
+    for gamma, deltas in zip(gammas, _rank_errors(sample, v, len(gammas))):
+        j = -(-_FLOOR_SLACK * gamma * deltas.size // (num_rows * num_cols))  # ceil
+        rank = deltas.size - 1 - j
+        floors.append(np.partition(np.abs(deltas), rank)[rank] if rank >= 0 else -np.inf)
+    return floors
 
 
 class SVDDCompressor:
@@ -168,9 +231,6 @@ class SVDDCompressor:
         )
         return min(k_fit, self.k_max) if self.k_max is not None else k_fit
 
-    # Backwards-compatible alias for callers of the old private name.
-    _candidate_cutoffs = candidate_cutoffs
-
     def _gamma(self, num_rows: int, num_cols: int, k: int) -> int:
         gamma = space.delta_budget(
             num_rows,
@@ -203,6 +263,10 @@ class SVDDCompressor:
         increasing ``k``, so each error is the one a cumulative sum over
         all ``k_max`` terms would give.
 
+        A queue admits only cells above its floor (:func:`_sample_floors`),
+        so it holds the global top ``gamma_k`` unless it ends short of
+        ``gamma_k`` cells; the short ones are refilled by one more scan.
+
         Args:
             jobs: worker threads for the banded pass-1 Gram
                 accumulation; pass 2 is sequential either way and the
@@ -210,42 +274,41 @@ class SVDDCompressor:
         """
         num_rows, num_cols = source_shape(source)
 
-        # ---- Pass 1: Lambda and V at k_max; per-k delta budgets.
+        # ---- Pass 1: the spectrum to the sketch's depth; per-k delta budgets.
         k_max = self.candidate_cutoffs(num_rows, num_cols)
         pass1_start = time.perf_counter()
         with _span("build.pass1", rows=num_rows, cols=num_cols):
             gram = compute_gram(source, jobs=jobs)
-            singular_values, v = spectrum_from_gram(gram, k_max, self.eigensolver)
+            total_energy = float(np.trace(gram))
+            depth = sketch_rows(k_max, num_cols)
+            spectrum, vectors = spectrum_from_gram(gram, depth, self.eigensolver)
+            del gram
         _record_pass(1, pass1_start, num_rows)
-        k_max = singular_values.shape[0]  # effective rank may cut it down
+        k_max = min(k_max, spectrum.shape[0])  # effective rank may cut it down
+        singular_values = spectrum[:k_max]
+        v = vectors[:, :k_max]
         gammas = [self._gamma(num_rows, num_cols, k) for k in range(1, k_max + 1)]
-        queues = [TopKBuffer(gamma) for gamma in gammas]
 
         # ---- Pass 2: per-k cell errors -> priority queues + epsilon_k.
-        v_rows = np.ascontiguousarray(v.T)  # (k_max, M): one axis a row
         sse = np.zeros(k_max)  # sum of squared errors per candidate k
         zero_rows = []
-        row_base = 0
         pass2_start = time.perf_counter()
         with _span("build.pass2", rows=num_rows, k_max=int(k_max)):
-            for block in _row_chunks(source):
-                zero_rows.append(
-                    row_base + np.flatnonzero(np.abs(block).sum(axis=1) == 0.0)
-                )
-                proj = block @ v  # (c, k_max): the U*Lambda coordinates
-                # Rank-k estimate, k growing.  It starts from -0.0, the
-                # additive identity bit for bit (0.0 + -0.0 is 0.0).
-                recon = np.full(block.shape, -0.0)
-                term = np.empty(block.shape)
-                diff = np.empty(block.shape)  # (c, M) deltas under rank k
-                deltas = diff.reshape(-1)
-                for ki in range(k_max):
-                    recon += np.multiply(proj[:, ki, None], v_rows[ki], out=term)
-                    np.subtract(block, recon, out=diff)
-                    sse[ki] += np.dot(deltas, deltas)
-                    queues[ki].offer(row_base * num_cols, deltas)
-                row_base += block.shape[0]
-        _record_pass(2, pass2_start, num_rows)
+            floors = _sample_floors(source, v, gammas)
+            queues = [TopKBuffer(g, floor) for g, floor in zip(gammas, floors)]
+            _scan_errors(source, v, queues, sse, zero_rows)
+            admitted = sum(q.admitted for q in queues)
+            short = [ki for ki, q in enumerate(queues) if len(q) < q.capacity]
+            if short:
+                depth = short[-1] + 1
+                refill = [TopKBuffer(gammas[k] if k in short else 0) for k in range(depth)]
+                _scan_errors(source, v, refill, np.zeros(depth), [])
+                for ki in short:
+                    queues[ki] = refill[ki]
+                admitted += sum(q.admitted for q in refill)
+        _record_pass(
+            2, pass2_start, num_rows, admitted=admitted, short_queues=len(short)
+        )
 
         # epsilon_k: residual error after the affordable deltas are
         # corrected exactly (their squared error leaves the total).
@@ -254,9 +317,11 @@ class SVDDCompressor:
         )
         epsilon = np.maximum(epsilon, 0.0)  # guard float cancellation
         k_opt = int(np.argmin(epsilon)) + 1
+        sketch_count = sketch_rows(k_opt, num_cols)
 
         return CutoffSelection(
-            gram=gram,
+            sketch=spectrum[:sketch_count, None] * vectors[:, :sketch_count].T,
+            total_energy=total_energy,
             singular_values=singular_values[:k_opt],
             v=v[:, :k_opt],
             k_opt=k_opt,

@@ -12,6 +12,10 @@ whenever it doubles, keeping exactly the top ``capacity`` items.
 Amortized cost is O(1) per offered item; retained content is identical
 to the heap's (up to which of several equal scores sit on the boundary).
 
+A buffer may start at a *floor*: it retains the top ``capacity`` of the
+scores above it, the global top unless ``len(buf) < capacity`` shows the
+floor lay above the ``capacity``-th score.
+
 :class:`~repro.lab.heap.BoundedTopHeap` remains the
 item-at-a-time reference implementation: it specifies *which scores* a
 bounded queue retains, and the property-based tests assert both
@@ -35,9 +39,10 @@ class TopKBuffer:
     Args:
         capacity: number of items to retain; zero yields an always-empty
             buffer (the all-budget-to-PCs regime).
+        floor: the starting threshold; only scores above it are admitted.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, capacity: int, floor: float = -np.inf) -> None:
         if capacity < 0:
             raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
@@ -45,7 +50,8 @@ class TopKBuffer:
         self._keys = np.empty(size, dtype=np.int64)
         self._values = np.empty(size)
         self._count = 0
-        self._threshold = -np.inf  # admits everything until first full compaction
+        self._threshold = float(floor)  # raised by each full compaction
+        self.admitted = 0  # cells :meth:`offer` took in, over the buffer's life
 
     def __len__(self) -> int:
         """Number of currently buffered candidates (may exceed capacity
@@ -77,6 +83,7 @@ class TopKBuffer:
         np.add(survivors, base, out=self._keys[self._count : end])
         self._values[self._count : end] = values[survivors]
         self._count = end
+        self.admitted += survivors.size
         if self._count > 2 * self.capacity:
             self._compact()
 

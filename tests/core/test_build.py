@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from repro.core import CompressedMatrix, SVDDCompressor
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import FormatError
+from repro.obs import set_log_stream
 from repro.storage import MatrixStore
 
 
@@ -85,6 +88,28 @@ class TestBuildCompressed:
         store = build_compressed(data, tmp_path / "model", 0.10)
         assert store.space_bytes() <= 0.10 * data.size * 8 + 1e-9
         store.close()
+
+
+class TestPassTwoReport:
+    def test_admits_a_few_times_what_it_keeps(self, tmp_path, enabled_registry):
+        rows, cols = 2000, 366
+        stream = io.StringIO()
+        set_log_stream(stream)
+        try:
+            build_compressed(phone_matrix(rows), tmp_path / "model", 0.10).close()
+        finally:
+            set_log_stream(None)
+        fitter = SVDDCompressor(0.10)
+        kept = sum(
+            fitter._gamma(rows, cols, k)
+            for k in range(1, fitter.candidate_cutoffs(rows, cols) + 1)
+        )
+        admitted = enabled_registry.gauge("build.pass2.admitted").value
+        assert kept <= admitted <= 3 * kept  # unfloored queues admit 6.89x
+        assert enabled_registry.gauge("build.pass2.short_queues").value == 0
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        (pass2,) = [e for e in events if e["event"] == "build.pass" and e["number"] == 2]
+        assert (pass2["admitted"], pass2["short_queues"]) == (admitted, 0)
 
 
 class TestMemoryEstimate:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, SVDDCompressor
 from repro.core.model import cell_key
@@ -361,3 +363,48 @@ class TestPassTwoAgainstTheTensorFormulation:
         keys1, values1 = one.delta_queue.finalize()
         np.testing.assert_array_equal(keys4, keys1)
         np.testing.assert_allclose(values4, values1, rtol=0, atol=1e-9)
+
+    def test_every_queue_short_is_refilled(self, tmp_path, enabled_registry):
+        # The 128 sampled rows ten times louder than the rest: every
+        # floor sits above all but a few of the cells it must keep.
+        x = phone_matrix(1000)
+        x[np.linspace(0, 999, 128).astype(np.int64)] *= 10.0
+        fitter = SVDDCompressor(0.10)
+        selection = _assert_matches_reference(fitter, x)
+        short = enabled_registry.gauge("build.pass2.short_queues").value
+        assert short == selection.k_max
+        with MatrixStore.create(tmp_path / "x.mat", x) as source:
+            fitter.fit(source)
+            assert source.pass_count == 4  # Gram, errors, the refill, U
+
+    def test_tied_integers(self):
+        # 600 rows drawn from 40 rows of small integers: every |delta|
+        # recurs, and floors land on scores many cells share.
+        rng = np.random.default_rng(44)
+        base = rng.integers(0, 4, size=(40, 30)).astype(np.float64)
+        base[7] = 0.0
+        x = base[rng.integers(0, 40, size=600)]
+        _assert_matches_reference(SVDDCompressor(0.25), x, expect_unique=None)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(40, 1000),
+        cols=st.integers(10, 60),
+        budget=st.floats(0.15, 0.6),
+        sigma=st.floats(0.0, 2.5),
+        loud=st.sampled_from([1.0, 3.0, 10.0]),
+    )
+    def test_property_random_shapes_budgets_and_row_scales(
+        self, seed, rows, cols, budget, sigma, loud
+    ):
+        """Low-rank data, noise, and rows scaled by a lognormal: the
+        floors meet loud and quiet rows in every proportion.  ``loud``
+        scales the rows the floors are sampled from, so some queues
+        come out short and are refilled beside others that are not."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, cols))
+        x += 0.1 * rng.standard_normal((rows, cols))
+        x *= rng.lognormal(0.0, sigma, size=(rows, 1))
+        x[np.linspace(0, rows - 1, min(rows, 128)).astype(np.int64)] *= loud
+        _assert_matches_reference(SVDDCompressor(budget), x, expect_unique=None)

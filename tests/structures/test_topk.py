@@ -152,3 +152,65 @@ def test_property_equivalent_to_heap(seed, capacity, batches, levels):
     assert np.all(np.diff(keys) > 0)
     assert [offered[key] for key in keys] == list(values)
     assert all(a <= b for a, b in zip(thresholds, thresholds[1:]))
+
+
+_floored = dict(
+    seed=st.integers(0, 2**31 - 1),
+    capacity=st.integers(1, 40),
+    sizes=st.lists(st.integers(0, 60), min_size=1, max_size=12),
+    quantile=st.floats(0.0, 1.0),
+    levels=st.sampled_from([None, 3]),
+)
+
+
+def _offer_floored(seed, capacity, sizes, quantile, levels):
+    """Offer batches to a buffer floored at a quantile of their scores;
+    return the buffer, every offered value and the thresholds seen."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        values = rng.standard_normal(sum(sizes))
+    else:
+        values = rng.integers(-levels, levels + 1, sum(sizes)).astype(np.float64)
+    floor = float(np.quantile(np.abs(values), quantile)) if values.size else 0.0
+    buf = TopKBuffer(capacity, floor)
+    thresholds = [buf.threshold]
+    base = 0
+    for size in sizes:
+        buf.offer(base, values[base : base + size])
+        thresholds.append(buf.threshold)
+        base += size
+    return buf, floor, values, thresholds
+
+
+class TestFloor:
+    """A buffer started at a floor: what pass 2's sampled floors rely on."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_floored)
+    def test_retains_the_top_capacity_above_the_floor(self, **case):
+        buf, floor, values, _ = _offer_floored(**case)
+        above = values[np.abs(values) > floor]
+        assert buf.admitted <= above.size
+        keys, kept = buf.finalize()
+        assert sorted(np.abs(kept)) == heap_scores(buf.capacity, above)
+        assert [values[key] for key in keys] == list(kept)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_floored)
+    def test_short_means_the_floor_is_above_the_capacity_th_score(self, **case):
+        buf, floor, values, _ = _offer_floored(**case)
+        scores = np.sort(np.abs(values))[::-1]
+        short = len(buf) < buf.capacity
+        assert short == (scores.size < buf.capacity or scores[buf.capacity - 1] <= floor)
+        if not short:  # then the floor cost nothing: the global top
+            _, kept = buf.finalize()
+            assert sorted(np.abs(kept)) == heap_scores(buf.capacity, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_floored)
+    def test_threshold_never_drops_below_the_floor(self, **case):
+        buf, floor, _, thresholds = _offer_floored(**case)
+        assert thresholds[0] == floor
+        buf.finalize()
+        thresholds.append(buf.threshold)
+        assert all(floor <= a <= b for a, b in zip(thresholds, thresholds[1:]))
