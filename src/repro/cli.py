@@ -111,8 +111,7 @@ def cmd_build(args) -> int:
 
 def cmd_info(args) -> int:
     """Handle ``repro info``: print a model's catalog facts."""
-    from repro.exceptions import FormatError
-    from repro.core.update import load_update_state
+    from repro.storage.model_dir import read_update_state
 
     with CompressedMatrix.open(args.model) as store:
         rows, cols = store.shape
@@ -127,20 +126,15 @@ def cmd_info(args) -> int:
         # Beside the paper's model: summaries, append ledger, manifest.
         on_disk = sum(p.stat().st_size for p in Path(args.model).rglob("*") if p.is_file())
         print(f"  on disk: {on_disk} ({on_disk / raw:.2%} of raw)")
-    try:
-        state = load_update_state(args.model)
-    except FormatError:
-        print("  incremental updates: unavailable (no update state)")
-        return 0
+    state = read_update_state(args.model)
     print(
-        f"  appends: {state.get('appends', 0)} "
-        f"(+{state.get('rows_appended', 0)} rows, "
-        f"+{state.get('cols_appended', 0)} cols)"
+        f"  appends: {state['appends']} "
+        f"(+{state['rows_appended']} rows, +{state['cols_appended']} cols)"
     )
     print(
-        f"  drift: {state.get('drift', 0.0):.3g} "
-        f"(threshold {state.get('drift_threshold', 0.0):.3g}, "
-        f"rebuild recommended: {state.get('rebuild_recommended', False)})"
+        f"  drift: {state['drift']:.3g} "
+        f"(threshold {state['drift_threshold']:.3g}, "
+        f"rebuild recommended: {state['rebuild_recommended']})"
     )
     _print_summary_state(args.model)
     return 0
@@ -422,10 +416,10 @@ def cmd_fsck(args) -> int:
     """Handle ``repro fsck``: integrity-check a model directory.
 
     Verifies every file against the manifest (SHA-256 + sizes; sizes
-    only with ``--quick``), then attempts a strict ``open()`` so purely
-    structural damage (bad meta, shape mismatches) is caught even on
-    legacy directories without a manifest.  Exit code 0 only when both
-    checks pass.  A directory an interrupted append left only as
+    only with ``--quick``; a missing or unreadable manifest is itself
+    the problem), then attempts a strict ``open()`` so purely
+    structural damage (bad meta, shape mismatches) is caught too.  Exit
+    code 0 only when both checks pass.  A directory an interrupted append left only as
     ``<model>.trash`` is moved back first.
     """
     from repro.storage.atomic import restore_trash

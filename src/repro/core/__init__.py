@@ -25,7 +25,7 @@ off-line rebuild is :func:`build_compressed` over the grown data.
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel, cell_key
-from repro.core.update import AppendResult, append_columns, load_update_state
+from repro.core.update import AppendResult, append_columns
 from repro.core.verify import VerificationReport, verify_model
 from repro.core.space import (
     BYTES_PER_VALUE,
@@ -61,7 +61,6 @@ __all__ = [
     "append_columns",
     "build_compressed",
     "estimate_build_memory",
-    "load_update_state",
     "verify_model",
     "cell_key",
     "compute_gram",

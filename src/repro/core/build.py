@@ -40,8 +40,8 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.core.store import CompressedMatrix
-from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape, spectrum_from_gram
-from repro.core.svdd import SVDDCompressor, _record_pass, sketch_rows
+from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape
+from repro.core.svdd import SVDDCompressor, _record_pass
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
 from repro.storage.matrix_store import MatrixStore
@@ -55,14 +55,6 @@ from repro.storage.model_dir import (
 
 #: Advisory drift level at which appends flag ``rebuild_recommended``.
 DRIFT_THRESHOLD_DEFAULT = 0.10
-
-
-def gram_sketch(gram: np.ndarray, cutoff: int) -> np.ndarray:
-    """The drift sketch of a Gram matrix: ``S = Lambda_l V_l^t``, so that
-    ``S^t S`` is the top-``l`` part of ``gram`` (what a directory that
-    still holds the legacy Gram converts through)."""
-    singular, v = spectrum_from_gram(gram, sketch_rows(cutoff, gram.shape[0]))
-    return singular[:, None] * v.T
 
 
 def build_compressed(
@@ -157,7 +149,6 @@ def build_compressed(
             update_state={
                 "format_version": 1,
                 "budget_fraction": float(fitter.budget_fraction),
-                "bytes_per_value": int(fitter.bytes_per_value),
                 "raw_bytes_per_value": fitter.raw_bytes_per_value,
                 "total_energy": selection.total_energy,
                 "captured_energy": float((lam_opt * lam_opt).sum()),

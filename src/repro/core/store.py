@@ -126,8 +126,8 @@ class CompressedMatrix:
     ) -> "CompressedMatrix":
         """Open a model directory; V/Lambda/deltas load into memory.
 
-        When a manifest is present, file sizes are verified cheaply up
-        front (full hashing is ``repro fsck``'s job).  ``meta.json`` is
+        File sizes are verified against the manifest cheaply up front
+        (full hashing is ``repro fsck``'s job).  ``meta.json`` is
         exempt from the size check: it is validated structurally on
         parse, and hand-editing metadata is a supported escape hatch.
 
@@ -136,7 +136,8 @@ class CompressedMatrix:
                 error; ``"degraded"`` falls back to SVD-only answers —
                 no deltas, no zero-row fast path —
                 when only the *optional* artifacts (``deltas.bin``,
-                ``zero_rows.npy``, the manifest itself) are damaged.
+                ``zero_rows.npy``, the ledger, the manifest itself) are
+                damaged or missing.
                 Degraded opens increment the ``store.degraded_opens``
                 registry counter and emit a ``store.degraded_open``
                 structured log event; the factor files are always
@@ -326,8 +327,8 @@ class CompressedMatrix:
         store's files (see :func:`repro.core.update.rmspe_from_state`),
         so a store keeps its own generation's estimate after an append
         swaps the directory.  The query planner uses it as the error
-        bound of the SVD-only route; None means the model predates the
-        update subsystem and carries no estimate.
+        bound of the SVD-only route; None means a degraded open dropped
+        the ledger, or it recorded no energy.
         """
         return self._rmspe_estimate
 

@@ -79,7 +79,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import space
-from repro.core.build import DRIFT_THRESHOLD_DEFAULT, sketch_rows
+from repro.core.svdd import sketch_rows
 from repro.exceptions import (
     ConfigurationError,
     ShapeError,
@@ -89,18 +89,12 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import staged_directory
-from repro.storage.model_dir import (
-    ModelParts,
-    read_model,
-    read_update_state,
-    write_model,
-)
+from repro.storage.model_dir import ModelParts, read_model, write_model
 
 __all__ = [
     "AppendResult",
     "append_columns",
     "append_rows",
-    "load_update_state",
     "rmspe_from_state",
 ]
 
@@ -145,17 +139,6 @@ class AppendResult:
 # -- state loading ---------------------------------------------------------
 
 
-def load_update_state(model_dir: str | os.PathLike) -> dict:
-    """Parse a model directory's ``update_state.json``.
-
-    Raises :class:`~repro.exceptions.FormatError` when the directory
-    has no incremental state (models written before the update
-    subsystem, or with the state files deleted) — those models can only
-    be refreshed by a full rebuild.
-    """
-    return read_update_state(model_dir, required=True)
-
-
 def rmspe_from_state(state: dict | None) -> float | None:
     """The residual error fraction an append ledger records, if any.
 
@@ -164,16 +147,15 @@ def rmspe_from_state(state: dict | None) -> float | None:
     energy and the SSE the rank-k truncation left behind); their
     ratio's square root estimates the relative reconstruction error an
     SVD-only answer carries.  The query planner uses it as the error
-    bound of the ``svd`` route.  None when the model predates the
-    update subsystem (no ledger) or recorded no energy.
+    bound of the ``svd`` route.  None when a degraded read dropped the
+    ledger or it recorded no energy.
     """
     if state is None:
         return None
-    total = float(state.get("total_energy", 0.0) or 0.0)
-    residual = float(state.get("residual_sse", 0.0) or 0.0)
+    total = float(state["total_energy"])
     if total <= 0.0:
         return None
-    return math.sqrt(max(residual, 0.0) / total)
+    return math.sqrt(max(float(state["residual_sse"]), 0.0) / total)
 
 
 def _inv(lam: np.ndarray) -> np.ndarray:
@@ -250,7 +232,7 @@ def _drift_state(
     threshold = (
         float(drift_threshold)
         if drift_threshold is not None
-        else float(state.get("drift_threshold", DRIFT_THRESHOLD_DEFAULT))
+        else float(state["drift_threshold"])
     )
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError(
@@ -260,7 +242,7 @@ def _drift_state(
     fresh = float(np.maximum(values[:cutoff], 0.0).sum())
     captured = float(state["captured_energy"])
     drift = max(0.0, 1.0 - captured / fresh) if fresh > 0.0 else 0.0
-    recommended = bool(state.get("rebuild_recommended")) or drift > threshold
+    recommended = bool(state["rebuild_recommended"]) or drift > threshold
     return drift, threshold, recommended
 
 
@@ -310,8 +292,8 @@ def _finish_append(
         *shape,
         cutoff,
         float(state["budget_fraction"]),
-        int(state.get("bytes_per_value", parts.bytes_per_value)),
-        state.get("raw_bytes_per_value"),
+        parts.bytes_per_value,
+        state["raw_bytes_per_value"],
     )
     candidates = parts.delta_values.size + candidate_values.size
     # A zero residual corrects nothing: it takes no slot (and so never
@@ -343,8 +325,8 @@ def _finish_append(
     state["total_energy"] = total_energy
     state["captured_energy"] = float(state["captured_energy"]) + captured_inc
     state["residual_sse"] = residual_sse
-    state["appends"] = int(state.get("appends", 0)) + 1
-    state[counter] = int(state.get(counter, 0)) + added
+    state["appends"] = int(state["appends"]) + 1
+    state[counter] = int(state[counter]) + added
     rows = sketch_rows(cutoff, shape[1])
     with _span("update.drift", cols=shape[1], sketch=rows):
         if cross is None:

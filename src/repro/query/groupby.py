@@ -7,11 +7,12 @@ across all customers'.  :func:`bucket_series` is the one door for them
 over any selection of rows and days is the planner's
 (:class:`~repro.query.engine.QueryEngine`).
 
-When the backend carries a fresh summary store
-(:class:`repro.summaries.SummaryStore`) the series is answered straight
-from the persisted rollups — zero ``u.mat`` pages; without one (none
-built yet, or a deferred append left it stale) it is streamed, bucketed
-by the calendar anchor the directory's summary state recorded.
+Every series comes from a pair of profiles — per customer and per day
+— and a calendar anchor, through one :class:`repro.summaries.SummaryStore`.
+When the backend carries a fresh store its persisted profiles are used,
+zero ``u.mat`` pages; without one (none built yet, or a deferred append
+left it stale) the profiles are streamed and anchored where the
+directory's summary state recorded.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import numpy as np
 from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
 from repro.query.backend import as_backend
-from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ, bucket_stats
-from repro.summaries.compute import level_edges as _level_edges
-from repro.summaries.store import GROUP_BY_AXES, _finalize_vector
+from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ
+from repro.summaries.store import GROUP_BY_AXES, SummaryStore, _finalize_vector
 
 #: Rows per block when streaming a profile.
 _PROFILE_BLOCK_ROWS = 512
@@ -85,31 +85,22 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
     num_rows, num_cols = adapter.shape
     store = adapter.summaries
     path = "stream" if store is None else "summary"
-
-    if store is not None:
-        labels_or_edges, values = store.bucket_values(by, function)
-    else:
+    if store is None:
         row_stats, col_stats = _stream_profiles(adapter)
-        if by == "customer":
-            labels_or_edges = np.arange(num_rows, dtype=np.int64)
-            counts = np.full(num_rows, float(num_cols))
-            values = _finalize_vector(function, row_stats, counts)
-        else:
-            edges = _level_edges(by, num_cols, adapter.start_date)
-            bucketed = bucket_stats(col_stats, edges)
-            counts = np.diff(edges).astype(np.float64) * num_rows
-            labels_or_edges, values = edges, _finalize_vector(
-                function, bucketed, counts
-            )
+        store = SummaryStore(col_stats, row_stats, adapter.start_date)
 
     if by == "customer":
-        labels = labels_or_edges
+        counts = np.full(num_rows, float(num_cols))
+        values = _finalize_vector(function, store.row_stats, counts)
+        labels = np.arange(num_rows, dtype=np.int64)
         if limit is not None and limit < values.size:
             order = np.argsort(values)[::-1][:limit]
             labels, values = labels[order], values[order]
         payload = {"labels": [int(label) for label in labels]}
     else:
-        edges = labels_or_edges
+        edges, stats = store.rollup(by)
+        counts = np.diff(edges).astype(np.float64) * num_rows
+        values = _finalize_vector(function, stats, counts)
         if limit is not None and (edges.size - 1) > limit:
             edges = edges[-(limit + 1) :]
             values = values[-limit:]

@@ -23,8 +23,10 @@ Verification has two price points:
 
 ``meta.json`` is listed in the manifest (so ``fsck`` notices tampering)
 but exempt from the open-time size check: it is self-validating on
-parse, and hand-editing metadata on legacy directories is a supported
-escape hatch.
+parse, and hand-editing metadata is a supported escape hatch.  Every
+other file a reader loads must have an entry: a directory without a
+manifest, or a file the manifest does not list, is refused — nothing
+can be checked, so nothing is trusted.
 """
 
 from __future__ import annotations
@@ -117,16 +119,16 @@ def _manifest_bytes(
     return json.dumps(manifest, indent=2).encode()
 
 
-def load_manifest(directory: str | os.PathLike) -> dict | None:
-    """Parse a directory's manifest; ``None`` when absent.
+def load_manifest(directory: str | os.PathLike) -> dict:
+    """Parse a directory's manifest.
 
     Raises:
-        FormatError: the manifest exists but is unreadable, is not the
+        FormatError: the manifest is absent or unreadable, is not the
             expected shape, or declares an unknown format version.
     """
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
-        return None
+        raise FormatError(f"{directory}: missing {MANIFEST_NAME}")
     try:
         manifest = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -150,18 +152,18 @@ def check_entry(
     entry in ``files`` (a manifest's ``files`` mapping).
 
     Compares the byte size — one ``stat``, what every open can afford —
-    and, with ``deep``, the SHA-256.  A file with no entry, or absent
-    from the directory, passes: whether it must exist is the caller's
-    rule.
+    and, with ``deep``, the SHA-256.  Every caller loads ``name``, so a
+    file with no entry, or absent from the directory, is a
+    :class:`FormatError`.
     """
     expected = files.get(name)
-    if expected is None:
-        return
     path = directory / name
+    if expected is None:
+        raise FormatError(f"{path}: not listed in {MANIFEST_NAME}")
     try:
         actual = path.stat().st_size
     except FileNotFoundError:
-        return
+        raise FormatError(f"{directory}: missing {name}") from None
     if actual != expected.get("bytes"):
         raise ChecksumError(
             f"{path}: size {actual} does not match manifest "
@@ -178,7 +180,8 @@ class FileCheck:
     """Verification outcome for one manifest entry (or stray file)."""
 
     name: str
-    #: ``ok`` | ``missing`` | ``size-mismatch`` | ``hash-mismatch`` | ``extra``
+    #: ``ok`` | ``missing`` | ``size-mismatch`` | ``hash-mismatch`` |
+    #: ``extra`` | ``unreadable`` (the manifest itself)
     status: str
     detail: str = ""
 
@@ -194,13 +197,12 @@ class IntegrityReport:
 
     directory: str
     deep: bool
-    has_manifest: bool
     checks: list[FileCheck] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         """True when every tracked file verified clean."""
-        return self.has_manifest and all(check.ok for check in self.checks)
+        return all(check.ok for check in self.checks)
 
     def problems(self) -> list[FileCheck]:
         """The failing checks, in directory order."""
@@ -211,7 +213,6 @@ class IntegrityReport:
         return {
             "directory": self.directory,
             "mode": "deep" if self.deep else "quick",
-            "has_manifest": self.has_manifest,
             "ok": self.ok,
             "files": {
                 check.name: {"status": check.status, "detail": check.detail}
@@ -225,16 +226,20 @@ def verify_manifest(
 ) -> IntegrityReport:
     """Check a directory's files against its manifest.
 
+    A manifest that is absent or unreadable is the report's one
+    problem: nothing else can be checked without it.
+
     Args:
         deep: hash every file (``repro fsck`` default).  When False,
             only byte sizes are compared — the cheap open-time check.
     """
     directory = Path(directory)
-    manifest = load_manifest(directory)
-    report = IntegrityReport(
-        directory=str(directory), deep=deep, has_manifest=manifest is not None
-    )
-    if manifest is None:
+    report = IntegrityReport(directory=str(directory), deep=deep)
+    try:
+        manifest = load_manifest(directory)
+    except FormatError as exc:
+        status = "unreadable" if (directory / MANIFEST_NAME).exists() else "missing"
+        report.checks.append(FileCheck(MANIFEST_NAME, status, str(exc)))
         return report
     tracked = manifest["files"]
     for name in sorted(tracked):

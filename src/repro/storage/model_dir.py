@@ -11,8 +11,8 @@ table pinned in memory:
 <dir>/v.npy              V matrix
 <dir>/deltas.bin         outlier records, sorted by key (absent when none)
 <dir>/zero_rows.npy      all-zero customers (absent when none)
-<dir>/sketch.npy         l x M drift sketch  } the append ledger (absent
-<dir>/update_state.json  energy/drift ledger } only from older directories)
+<dir>/sketch.npy         l x M drift sketch  } the append ledger
+<dir>/update_state.json  energy/drift ledger }
 <dir>/summary_*          the summary store (repro.summaries.compute)
 <dir>/manifest.json      per-file SHA-256 + sizes of all of the above
 ```
@@ -28,10 +28,11 @@ directory is refused with the same typed error whoever asks.
 version visible — writing the parts it is handed and hardlinking the
 rest forward from the previous version.
 
-Directories written before the sketch hold ``gram.npy``, the ``M x M``
-pass-1 Gram matrix, in its place.  They open and answer as any other;
-an append reads the Gram as the sketch it converts to, and the version
-it writes has ``sketch.npy`` and no Gram.
+There is one layout, the one :func:`write_model` writes.  A directory
+missing any part of it — the manifest, the ledger, the sketch, a
+``meta.json`` key — is refused with a :class:`FormatError` naming the
+part; ``on_corrupt="degraded"`` absorbs a missing manifest or ledger as
+it absorbs a damaged one.
 """
 
 from __future__ import annotations
@@ -72,16 +73,13 @@ V_NAME = "v.npy"
 DELTAS_NAME = "deltas.bin"
 ZERO_ROWS_NAME = "zero_rows.npy"
 SKETCH_NAME = "sketch.npy"
-#: What older writers kept instead of the sketch (read, never written).
-GRAM_NAME = "gram.npy"
 UPDATE_STATE_NAME = "update_state.json"
 
-#: ``meta.json`` keys, in the order they are written; the first five
-#: must be present for a directory to be a model at all.
+#: ``meta.json`` keys, in the order they are written; all of them must
+#: be present for a directory to be a model at all.
 _META_KEYS = (
     "kind", "rows", "cols", "cutoff", "num_deltas", "zero_rows", "bytes_per_value",
 )
-_REQUIRED_META_KEYS = _META_KEYS[:5]
 
 #: Files no query can be answered without: a version that does not
 #: rewrite one carries it forward by hardlink, and corruption here is
@@ -92,9 +90,8 @@ _FACTOR_FILES = (U_NAME, LAMBDA_NAME, V_NAME)
 #: SHA-256 is checked first: re-deriving a file from damaged bytes and
 #: re-hashing the result would launder the damage into a clean manifest.
 #: (``deltas.bin`` carries its own CRC; ``u.mat`` is hardlinked by a
-#: column append and checked where a row append copies it.)  The
-#: legacy Gram is the sketch's input where it stands in for one.
-_APPEND_INPUTS = (LAMBDA_NAME, V_NAME, ZERO_ROWS_NAME, SKETCH_NAME, GRAM_NAME, UPDATE_STATE_NAME)
+#: column append and checked where a row append copies it.)
+_APPEND_INPUTS = (LAMBDA_NAME, V_NAME, ZERO_ROWS_NAME, SKETCH_NAME, UPDATE_STATE_NAME)
 
 
 def u_columns(cutoff: int, item_size: int) -> int:
@@ -110,10 +107,6 @@ def u_columns(cutoff: int, item_size: int) -> int:
 def u_page_size(cutoff: int, item_size: int) -> int:
     """Page size holding exactly one (padded) U row."""
     return u_columns(cutoff, item_size) * item_size
-
-
-def _bytes_per_value(meta: dict) -> int:
-    return int(meta.get("bytes_per_value", 8))  # absent on pre-float32 models
 
 
 def factor_dtype(bytes_per_value: int):
@@ -145,11 +138,11 @@ class ModelParts:
     delta_values: np.ndarray
     #: Flagged all-zero rows, int64, every one inside ``[0, rows)``.
     zero_rows: np.ndarray
-    #: ``update_state.json`` (None on models that cannot be appended to).
+    #: ``update_state.json`` (None when a degraded read dropped it).
     update_state: dict | None
     #: The ``(l, cols)`` drift sketch, loaded only for an append.
     sketch: np.ndarray | None = None
-    #: The manifest's ``files`` mapping ({} when there is no manifest).
+    #: The manifest's ``files`` mapping ({} when a degraded read dropped it).
     manifest_files: dict = field(default_factory=dict)
     #: Validation failures ``on_corrupt="degraded"`` absorbed.
     degraded_reasons: list[str] = field(default_factory=list)
@@ -170,7 +163,7 @@ class ModelParts:
 
     @property
     def bytes_per_value(self) -> int:
-        return _bytes_per_value(self.meta)
+        return int(self.meta["bytes_per_value"])
 
     def delta_keys_at(self, cols: int) -> np.ndarray:
         """``delta_keys`` as they pack (``row * cols + col``) in a matrix
@@ -202,12 +195,10 @@ class ModelParts:
 
 
 def _generation(meta: dict, update_state: dict | None) -> tuple[int, int, int, int]:
-    return (
-        int(meta["rows"]),
-        int(meta["cols"]),
-        int(meta["num_deltas"]),
-        int((update_state or {}).get("appends", 0)),
-    )
+    # A degraded read that dropped the ledger cannot say which version
+    # it holds: -1 appends matches no summary store.
+    appends = -1 if update_state is None else int(update_state["appends"])
+    return int(meta["rows"]), int(meta["cols"]), int(meta["num_deltas"]), appends
 
 
 def _read_json_object(path: Path) -> dict:
@@ -228,31 +219,23 @@ def _read_meta(directory: Path) -> dict:
     if not path.exists():
         raise FormatError(f"{directory}: not a model directory (no {META_NAME})")
     meta = _read_json_object(path)
-    missing = [key for key in _REQUIRED_META_KEYS if key not in meta]
+    missing = [key for key in _META_KEYS if key not in meta]
     if missing:
         raise FormatError(f"{path}: missing required keys {missing}")
-    for key in _REQUIRED_META_KEYS[1:]:
+    if meta["kind"] != "svdd":
+        raise FormatError(f"{path}: not an svdd model (kind {meta['kind']!r})")
+    for key in _META_KEYS[1:]:
         if not isinstance(meta[key], int) or meta[key] < 0:
             raise FormatError(f"{path}: {key!r} must be a count, got {meta[key]!r}")
+    factor_dtype(meta["bytes_per_value"])
     return meta
 
 
-def read_update_state(directory: str | Path, required: bool = False) -> dict | None:
-    """Parse ``update_state.json``.
-
-    A model without one (written before the update subsystem) opens
-    and answers but cannot be appended to: None, or with ``required`` a
-    :class:`FormatError`.
-    """
+def read_update_state(directory: str | Path) -> dict:
+    """Parse ``update_state.json``, the append ledger every model has."""
     path = Path(directory) / UPDATE_STATE_NAME
     if not path.exists():
-        if required:
-            raise FormatError(
-                f"{directory}: no {UPDATE_STATE_NAME} — this model predates the "
-                "incremental update subsystem; rebuild it with build_compressed "
-                "to make it appendable"
-            )
-        return None
+        raise FormatError(f"{directory}: missing {UPDATE_STATE_NAME}")
     state = _read_json_object(path)
     if "budget_fraction" not in state:
         raise FormatError(f"{path}: update state missing 'budget_fraction'")
@@ -272,7 +255,7 @@ def _require_shapes(
 ) -> None:
     """The factors must have the shapes ``meta`` declares."""
     rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
-    stored = (rows, u_columns(cutoff, _bytes_per_value(meta)))
+    stored = (rows, u_columns(cutoff, int(meta["bytes_per_value"])))
     if u_store.shape != stored:
         raise FormatError(
             f"{directory}: U store shape {u_store.shape} does not match meta {stored}"
@@ -303,12 +286,13 @@ def read_model(
 ) -> ModelParts:
     """Parse and validate a model directory.
 
-    When a manifest is present the size of every file read is checked
-    against it first — one ``stat`` each catches truncation and the
-    torn tail (full hashing is ``repro fsck``'s job).  ``meta.json`` is
-    exempt: it is validated structurally on parse, and hand-editing
-    metadata is a supported escape hatch.  Every failure is a
-    :class:`FormatError` or :class:`ChecksumError` naming the file.
+    The size of every file read is checked against the manifest first —
+    one ``stat`` each catches truncation and the torn tail (full
+    hashing is ``repro fsck``'s job); a file it does not list is
+    refused.  ``meta.json`` is exempt: it is validated structurally on
+    parse, and hand-editing metadata is a supported escape hatch.
+    Every failure is a :class:`FormatError` or :class:`ChecksumError`
+    naming the file.
 
     Args:
         pool_capacity, mapped: how ``u.mat`` is opened (see
@@ -318,12 +302,13 @@ def read_model(
         on_corrupt: ``"degraded"`` absorbs damage to the parts a model
             can answer without — manifest, ``deltas.bin``,
             ``zero_rows.npy``, the update ledger — into
-            ``degraded_reasons`` and returns those parts empty.  The
-            factor files are always load-bearing.
+            ``degraded_reasons`` and returns those parts empty (without
+            a manifest, no file is size-checked).  The factor files are
+            always load-bearing.
         for_append: the caller is about to derive the next version from
-            this one.  Requires an ``svdd`` model with its update
-            ledger and drift sketch (loaded into ``sketch``), and verifies
-            the manifest SHA-256 of every file in ``_APPEND_INPUTS``.
+            this one.  Loads the drift sketch (into ``sketch``) and
+            verifies the manifest SHA-256 of every file in
+            ``_APPEND_INPUTS``.
             A directory a killed swap left only as ``<dir>.trash`` is
             moved back first (:func:`~repro.storage.atomic.restore_trash`).
     """
@@ -346,14 +331,9 @@ def read_model(
     files = manifest["files"] if manifest is not None else {}
 
     def check(name: str) -> None:
-        deep = for_append and name in _APPEND_INPUTS
-        check_entry(directory, files, name, deep=deep)
+        if manifest is not None:
+            check_entry(directory, files, name, deep=for_append and name in _APPEND_INPUTS)
 
-    if for_append and meta["kind"] != "svdd":
-        raise FormatError(
-            f"{directory}: incremental appends require an svdd model, "
-            f"got kind {meta['kind']!r}"
-        )
     for name in _FACTOR_FILES:
         check(name)
     if not (directory / U_NAME).exists():
@@ -391,29 +371,23 @@ def read_model(
     def load_sketch():
         # Only an append looks inside the sketch; every other read stops
         # at the manifest's size check.
-        legacy = (directory / GRAM_NAME).exists() and not (directory / SKETCH_NAME).exists()
-        name = GRAM_NAME if legacy else SKETCH_NAME
-        check(name)
+        check(SKETCH_NAME)
         if not for_append:
             return None
-        array = _load_npy(directory / name).astype(np.float64, copy=False)
-        fits = array.shape == (cols, cols) if legacy else (
+        array = _load_npy(directory / SKETCH_NAME).astype(np.float64, copy=False)
+        if not (
             array.ndim == 2 and array.shape[0] <= cols and array.shape[1] == cols
-        )
-        if not (fits and np.isfinite(array).all()):
+            and np.isfinite(array).all()
+        ):
             raise FormatError(
-                f"{directory}: {name} of shape {array.shape} is not a finite "
-                f"({'' if legacy else '<= '}{cols}, {cols}) array"
+                f"{directory}: {SKETCH_NAME} of shape {array.shape} is not a "
+                f"finite (<= {cols}, {cols}) array"
             )
-        if legacy:
-            from repro.core.build import gram_sketch  # lazy: core sits above storage
-
-            return gram_sketch(array, int(meta["cutoff"]))
         return array
 
-    def load_update_state():
+    def load_ledger():
         check(UPDATE_STATE_NAME)
-        return read_update_state(directory, required=for_append)
+        return read_update_state(directory)
 
     u_store = MatrixStore.open(
         directory / U_NAME, pool_capacity=pool_capacity, mapped=mapped
@@ -424,12 +398,12 @@ def read_model(
         v = _load_npy(directory / V_NAME).astype(np.float64)
         _require_shapes(directory, meta, u_store, eigenvalues, v)
         zero_rows = (
-            optional(load_zero_rows, no_rows) if meta.get("zero_rows") else no_rows
+            optional(load_zero_rows, no_rows) if meta["zero_rows"] else no_rows
         )
         delta_keys, delta_values, delta_mm = (
             optional(load_deltas, no_deltas) if int(meta["num_deltas"]) > 0 else no_deltas
         )
-        update_state = optional(load_update_state, None)
+        update_state = optional(load_ledger, None)
         sketch = optional(load_sketch, None)
     except Exception as exc:
         delta_keys = delta_values = None  # views into the mapping
@@ -505,7 +479,7 @@ def write_model(
     # Lazy: repro.summaries sits above the storage layer.
     from repro.summaries.compute import carry_summaries, materialize_summaries
 
-    bytes_per_value = _bytes_per_value(meta)
+    bytes_per_value = int(meta["bytes_per_value"])
     dtype = factor_dtype(bytes_per_value)
     rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
 
@@ -561,7 +535,7 @@ def write_model(
         np.save(staging / ZERO_ROWS_NAME, zero_rows)
 
     counts = {"num_deltas": int(delta_keys.size), "zero_rows": int(zero_rows.size)}
-    known = {**meta, **counts, "bytes_per_value": bytes_per_value}
+    known = {**meta, **counts}
     # Canonical key order first; keys this version of the code does not
     # know (a hand-edited or newer meta.json) ride along behind.
     meta = {key: known[key] for key in _META_KEYS} | known

@@ -3,12 +3,12 @@
 The paper's motivating workload is decision-support aggregates ("total
 volume per day across all customers").  Answering those from factor
 space costs a streamed pass over ``U`` per request; this package
-materializes the answers once — per-day column profiles, per-customer
-row profiles, day→week→month→quarter→year rollups and grand totals,
-each bucket carrying ``sum/sumsq/min/max/count`` so every engine
-aggregate (including ``avg`` and ``stddev``) derives for free — and
-materializes them again for every version ``append_columns`` /
-``append_rows`` writes.
+materializes the answers once — per-day column profiles and
+per-customer row profiles, each entry carrying ``sum/sumsq/min/max``
+so every engine aggregate (including ``avg`` and ``stddev``) derives
+for free; the day→week→month→quarter→year rollups are bucketed from
+the per-day profile when first asked for — and materializes them again
+for every version ``append_columns`` / ``append_rows`` writes.
 
 Layout and the fixed reduction order are documented in
 :mod:`repro.summaries.compute`; the read side

@@ -1,19 +1,19 @@
 """Materialization of the summary store, always cold.
 
-Four files land beside the model artifacts (all covered by the model's
+Three files land beside the model artifacts (all covered by the model's
 integrity manifest and the ``staged_directory`` swap):
 
 ```
 summary_state.json      generation stamp + layout parameters + start_date
 summary_cols.npy        (4, cols)     per-day sum/sumsq/min/max
 summary_rows.npy        (4, rows)     per-customer sum/sumsq/min/max
-summary_levels.npz      edges_<level> / stats_<level> rollups + grand totals
 ```
 
-A store always covers the whole model it is stamped for.  The state
-still records ``covered_rows``/``covered_cols``, equal to
-``rows``/``cols``, so the format stays readable both ways; a state
-whose coverage lags its stamp is refused like a foreign generation.
+Nothing derivable is stored: the week/month/quarter/year rollups are
+:func:`bucket_stats` of the per-day profile over :func:`level_edges`,
+which the reader computes on first use.
+
+A store always covers the whole model it is stamped for.
 A refreshing append materializes its version's store cold, like a
 build.  A deferred append (:func:`carry_summaries` with
 ``refresh=False``) carries ``summary_state.json`` forward alone and
@@ -42,7 +42,7 @@ staged file) instead of re-reading what it wrote a moment ago — so
 float32 models round-trip identically whether summaries are built
 inside build/append staging or later.
 
-:func:`_materialize` computes the four files; who asked writes them.
+:func:`_materialize` computes the three files; who asked writes them.
 Inside a staging directory (:func:`materialize_summaries`) they are
 plain writes — the commit flushes every staged file once, before the
 rename that publishes them.  :func:`summarize_directory` works on a
@@ -59,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import ChecksumError, QueryError
+from repro.exceptions import ChecksumError, FormatError, QueryError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -74,6 +74,7 @@ __all__ = [
     "LEVELS",
     "SUMMARY_FILES",
     "STATE_NAME",
+    "bucket_stats",
     "carry_summaries",
     "level_edges",
     "materialize_summaries",
@@ -99,12 +100,8 @@ _CALENDAR_MONTHS = {"month": 1, "quarter": 3, "year": 12}
 STATE_NAME = "summary_state.json"
 COLS_NAME = "summary_cols.npy"
 ROWS_NAME = "summary_rows.npy"
-LEVELS_NAME = "summary_levels.npz"
 
-SUMMARY_FILES = (STATE_NAME, COLS_NAME, ROWS_NAME, LEVELS_NAME)
-#: Per-tile partials older directories hold beside the store.  Nothing
-#: reads them; an append does not carry them and ``summarize`` drops them.
-_RETIRED_FILES = ("summary_colblocks.npy", "summary_rowchunks.npy")
+SUMMARY_FILES = (STATE_NAME, COLS_NAME, ROWS_NAME)
 
 _FORMAT_VERSION = 1
 
@@ -254,28 +251,15 @@ def load_state(directory: Path) -> dict | None:
         return None
     if not isinstance(state, dict) or state.get("format_version") != _FORMAT_VERSION:
         return None
-    required = (
-        "rows",
-        "cols",
-        "covered_rows",
-        "covered_cols",
-        "num_deltas",
-        "appends",
-        "block_rows",
-        "chunk_cols",
-    )
+    required = ("rows", "cols", "num_deltas", "appends", "block_rows", "chunk_cols")
     if any(key not in state for key in required):
         return None
     return state
 
 
-def stamped_generation(state: dict) -> tuple[int, int, int, int] | None:
-    """The model generation a summary state was written for, or None
-    when its coverage lags that generation (compares unequal to all)."""
-    rows, cols = int(state["rows"]), int(state["cols"])
-    if (int(state["covered_rows"]), int(state["covered_cols"])) != (rows, cols):
-        return None
-    return rows, cols, int(state["num_deltas"]), int(state["appends"])
+def stamped_generation(state: dict) -> tuple[int, int, int, int]:
+    """The model generation a summary state was written for."""
+    return tuple(int(state[key]) for key in ("rows", "cols", "num_deltas", "appends"))
 
 
 def recorded_start_date(directory: Path) -> str | None:
@@ -294,10 +278,8 @@ def _intact_state(parts: ModelParts) -> dict | None:
         return None
     try:
         for name in SUMMARY_FILES:
-            if not (directory / name).is_file():
-                return None
             check_entry(directory, parts.manifest_files, name, deep=True)
-    except ChecksumError:
+    except (ChecksumError, FormatError):
         return None
     return state
 
@@ -330,7 +312,7 @@ def materialize_summaries(staged: ModelParts, start_date: str | None = None) -> 
 def _materialize(
     parts: ModelParts, start_date: str | None
 ) -> tuple[dict, list[tuple[str, bytes]]]:
-    """The summary store of ``parts``: its state, and the four files as
+    """The summary store of ``parts``: its state, and the three files as
     ``(name, bytes)`` in the order to write them (the state file last)."""
     started = time.perf_counter()
     num_rows, num_cols, num_deltas, appends = parts.generation
@@ -344,34 +326,14 @@ def _materialize(
             parts.delta_values,
             (num_rows, num_cols),
         )
-    level_arrays: dict[str, np.ndarray] = {}
-    for level in LEVELS:
-        edges = level_edges(level, num_cols, start_date)
-        level_arrays[f"edges_{level}"] = edges
-        level_arrays[f"stats_{level}"] = bucket_stats(col_stats, edges)
-    level_arrays["grand"] = np.array(
-        [
-            col_stats[S_SUM].sum(),
-            col_stats[S_SUMSQ].sum(),
-            col_stats[S_MIN].min(),
-            col_stats[S_MAX].max(),
-        ]
-    )
-
-    levels_buf = io.BytesIO()
-    np.savez(levels_buf, **level_arrays)
-
     state = {
         "format_version": _FORMAT_VERSION,
         "rows": num_rows,
         "cols": num_cols,
-        "covered_rows": num_rows,
-        "covered_cols": num_cols,
         "num_deltas": num_deltas,
         "appends": appends,
         "block_rows": BLOCK_ROWS,
         "chunk_cols": CHUNK_COLS,
-        "levels": list(LEVELS),
         "start_date": start_date,
     }
     if _obs.enabled:
@@ -380,7 +342,6 @@ def _materialize(
     return state, [
         (COLS_NAME, _array_bytes(col_stats)),
         (ROWS_NAME, _array_bytes(row_stats)),
-        (LEVELS_NAME, levels_buf.getvalue()),
         (STATE_NAME, json.dumps(state, indent=2).encode()),
     ]
 
@@ -420,9 +381,8 @@ def summarize_directory(
     - a store stamped for this model whose files match the manifest
       (and no ``--rebuild``, no new ``start_date``) → no-op, status
       ``"fresh"``;
-    - anything else (no store, a stale, lagging or damaged one, a
-      deferred append, retired tile files, ``--rebuild``) → cold
-      build, status ``"rebuilt"``.
+    - anything else (no store, a stale or damaged one, a deferred
+      append, ``--rebuild``) → cold build, status ``"rebuilt"``.
 
     Without ``start_date`` the build keeps the calendar anchor the
     directory's last summary state recorded, whatever its stamp.  The
@@ -446,10 +406,7 @@ def summarize_directory(
         recorded = recorded_start_date(directory)
         if start_date is None:
             start_date = recorded
-        retired = [
-            directory / name for name in _RETIRED_FILES if (directory / name).exists()
-        ]
-        current = None if rebuild or retired else _intact_state(parts)
+        current = None if rebuild else _intact_state(parts)
         if current is not None and start_date == recorded:
             return report("fresh", current)
         state, files = _materialize(parts, start_date)
@@ -462,8 +419,6 @@ def summarize_directory(
     # state file lands after the arrays it stamps.
     for name, data in files:
         atomic_write_bytes(directory / name, data)
-    for path in retired:
-        path.unlink()
     atomic_write_bytes(directory / MANIFEST_NAME, _manifest_bytes(directory, reuse))
     log_event(
         "summaries.summarize",

@@ -1,6 +1,6 @@
 """Read side of the summary store: freshness, planning, bucket series.
 
-:class:`SummaryStore` loads the four ``summary_*`` files of a model
+:class:`SummaryStore` loads the three ``summary_*`` files of a model
 directory, validates the generation stamp against the live model
 (shape, delta count, append counter — any mismatch means the store
 describes a different model and is refused), and answers two kinds of
@@ -8,9 +8,10 @@ requests:
 
 - **aggregate planning** (:meth:`plan`): the exact components of a
   selection that spans a full axis, from the precomputed profiles;
-- **bucket series** (:meth:`bucket_values`): a whole group-by
-  ("sum by day", "avg by month", "max by customer") evaluated
-  vectorized from the rollup arrays, zero ``u.mat`` pages.
+- **rollups** (:meth:`rollup`): one time level's bucket edges and
+  stats, bucketed from the per-day profile on first use and kept —
+  what :func:`repro.query.groupby.bucket_series` serves a group-by
+  from, zero ``u.mat`` pages.
 
 A loaded store always covers the whole model it is stamped for.  A
 deferred append leaves none: its carried state names the previous
@@ -34,29 +35,32 @@ from repro.summaries.compute import (
     S_MIN,
     S_SUM,
     S_SUMSQ,
+    bucket_stats,
+    level_edges,
 )
 
 __all__ = ["SummaryStore"]
 
-#: Group-by axes bucket_values understands: the time hierarchy plus the
-#: per-customer profile.
+#: Group-by axes: the time hierarchy plus the per-customer profile.
 GROUP_BY_AXES = LEVELS + ("customer",)
 
 
 class SummaryStore:
-    """Validated, read-only view over one directory's summary files."""
+    """Validated, read-only view over one model's two profiles.
+
+    ``col_stats`` and ``row_stats`` are the (4, cols) per-day and
+    (4, rows) per-customer sum/sumsq/min/max; ``start_date`` anchors the
+    calendar levels.  :meth:`load` reads them from a directory; a
+    group-by over a model without a store wraps streamed ones.
+    """
 
     def __init__(
-        self,
-        state: dict,
-        col_stats: np.ndarray,
-        row_stats: np.ndarray,
-        levels: dict[str, np.ndarray],
+        self, col_stats: np.ndarray, row_stats: np.ndarray, start_date: str | None
     ) -> None:
-        self._state = state
         self._col_stats = col_stats
         self._row_stats = row_stats
-        self._levels = levels
+        self._start_date = start_date
+        self._rollups: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- loading --------------------------------------------------------
 
@@ -98,8 +102,6 @@ class SummaryStore:
             row_stats = np.load(
                 directory / compute.ROWS_NAME, mmap_mode=mode, allow_pickle=False
             )
-            with np.load(directory / compute.LEVELS_NAME) as bundle:
-                levels = {name: bundle[name] for name in bundle.files}
         except Exception:
             _obs.counter("summary.load_failures").inc()
             return None
@@ -107,25 +109,21 @@ class SummaryStore:
         if col_stats.shape != (4, cols) or row_stats.shape != (4, rows):
             _obs.counter("summary.load_failures").inc()
             return None
-        for level in LEVELS:
-            if f"stats_{level}" not in levels or f"edges_{level}" not in levels:
-                _obs.counter("summary.load_failures").inc()
-                return None
-        return cls(state, col_stats, row_stats, levels)
+        return cls(col_stats, row_stats, state.get("start_date"))
 
     # -- identity -------------------------------------------------------
 
     @property
     def model_rows(self) -> int:
-        return int(self._state["rows"])
+        return int(self._row_stats.shape[1])
 
     @property
     def model_cols(self) -> int:
-        return int(self._state["cols"])
+        return int(self._col_stats.shape[1])
 
     @property
     def start_date(self) -> str | None:
-        return self._state.get("start_date")
+        return self._start_date
 
     @property
     def row_stats(self) -> np.ndarray:
@@ -137,26 +135,17 @@ class SummaryStore:
         """(4, cols) per-day sum/sumsq/min/max."""
         return self._col_stats
 
-    def level_edges(self, level: str) -> np.ndarray:
-        """Bucket boundaries of one rollup level (see
-        :func:`repro.summaries.compute.level_edges`)."""
-        return self._levels[f"edges_{level}"]
-
-    def level_stats(self, level: str) -> np.ndarray:
-        """(4, buckets) sum/sumsq/min/max rollup of one level."""
-        return self._levels[f"stats_{level}"]
-
-    @property
-    def grand(self) -> Components:
-        """Components of every cell of the model."""
-        raw = self._levels["grand"]
-        return Components(
-            total=float(raw[S_SUM]),
-            total_sq=float(raw[S_SUMSQ]),
-            minimum=float(raw[S_MIN]),
-            maximum=float(raw[S_MAX]),
-            count=self.model_rows * self.model_cols,
-        )
+    def rollup(self, level: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(edges, stats)`` of one time level: bucket ``i`` is columns
+        ``[edges[i], edges[i+1])`` (see
+        :func:`repro.summaries.compute.level_edges`), ``stats`` its
+        (4, buckets) sum/sumsq/min/max.  Bucketed from the per-day
+        profile on first use and kept for the store's lifetime."""
+        cached = self._rollups.get(level)
+        if cached is None:
+            edges = level_edges(level, self.model_cols, self._start_date)
+            cached = self._rollups[level] = (edges, bucket_stats(self._col_stats, edges))
+        return cached
 
     # -- aggregate planning ---------------------------------------------
 
@@ -183,29 +172,6 @@ class SummaryStore:
             minimum=float(sel[S_MIN].min()),
             maximum=float(sel[S_MAX].max()),
             count=width * int(index.size),
-        )
-
-    # -- bucket series --------------------------------------------------
-
-    def bucket_values(self, by: str, function: str) -> tuple[np.ndarray, np.ndarray]:
-        """A whole group-by series, vectorized from the rollups.
-
-        Returns ``(edges_or_labels, values)``: bucket edges for time
-        levels (bucket ``i`` = columns ``[edges[i], edges[i+1])``),
-        row labels for ``by="customer"``.
-        """
-        if by == "customer":
-            stats = self._row_stats
-            labels = np.arange(self.model_rows, dtype=np.int64)
-            counts = np.full(self.model_rows, float(self.model_cols))
-            return labels, _finalize_vector(function, stats, counts)
-        if by in LEVELS:
-            stats = self._levels[f"stats_{by}"]
-            edges = self._levels[f"edges_{by}"]
-            counts = np.diff(edges).astype(np.float64) * self.model_rows
-            return edges, _finalize_vector(function, stats, counts)
-        raise QueryError(
-            f"unknown group-by axis {by!r}; expected one of {GROUP_BY_AXES}"
         )
 
 

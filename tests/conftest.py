@@ -20,30 +20,6 @@ def run_route(engine, query, route: str, plan=None):
     return engine.execute(query, plan=dataclasses.replace(plan, route=forced))
 
 
-def strip_ledger(directory) -> None:
-    """Make a built model directory what writers before the update
-    subsystem left: no append ledger (``update_state.json``,
-    ``sketch.npy``) and a manifest that never listed it."""
-    from repro.storage.integrity import write_manifest
-    from repro.storage.model_dir import SKETCH_NAME, UPDATE_STATE_NAME
-
-    for name in (SKETCH_NAME, UPDATE_STATE_NAME):
-        (directory / name).unlink()
-    write_manifest(directory)
-
-
-def swap_in_gram(directory, data) -> None:
-    """Make a model directory built over ``data`` what writers before the
-    drift sketch left: the ``M x M`` Gram ``gram.npy`` where
-    ``sketch.npy`` is, and a manifest that lists it."""
-    from repro.storage.integrity import write_manifest
-    from repro.storage.model_dir import SKETCH_NAME
-
-    (directory / SKETCH_NAME).unlink()
-    np.save(directory / "gram.npy", data.T @ data)
-    write_manifest(directory)
-
-
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Deterministic generator for ad hoc random inputs."""

@@ -88,12 +88,17 @@ class TestCrashMidSave:
         finally:
             store.close()
 
-    def test_missing_manifest_is_tolerated(self, saved):
-        """Pre-manifest directories stay openable (legacy compatibility)."""
+    def test_missing_manifest_raises_or_degrades(self, saved):
+        """Without a manifest no file can be checked: a strict open
+        refuses the directory, a degraded one answers from the factors
+        it still trusts, saying why."""
         directory, model = saved
         (directory / "manifest.json").unlink()
-        with CompressedMatrix.open(directory) as store:
-            assert not store.degraded
+        with pytest.raises(FormatError, match="missing manifest.json"):
+            CompressedMatrix.open(directory)
+        with CompressedMatrix.open(directory, on_corrupt="degraded") as store:
+            assert store.degraded
+            assert any("manifest.json" in reason for reason in store.degraded_reasons)
             np.testing.assert_allclose(
                 store.reconstruct_all(), model.reconstruct(), atol=1e-9
             )

@@ -12,7 +12,6 @@ from repro.core.build import build_compressed
 from repro.core.update import append_columns
 from repro.data import phone_matrix
 from repro.exceptions import FormatError, QueryError
-from tests.conftest import strip_ledger
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +44,17 @@ class TestPersistence:
             assert np.allclose(store.reconstruct_all(), svdd_model.reconstruct())
 
     def test_svd_model_without_deltas(self, tmp_path, data):
-        """A ``kind: "svd"`` directory (no deltas, no ledger: what a
-        writer of SVD-only models left) opens and answers SVD-only, and
-        refuses an append."""
+        """A ``kind: "svd"`` directory (what a writer of SVD-only models
+        left) is no model this code writes: open, degraded open and
+        append all refuse it, naming the kind."""
         directory = tmp_path / "svd"
-        with build_compressed(data, directory, 0.10) as built:
-            want = built.svd_cell(3, 3)
+        build_compressed(data, directory, 0.10).close()
         meta = json.loads((directory / "meta.json").read_text())
         meta.update(kind="svd", num_deltas=0, zero_rows=0)
         (directory / "meta.json").write_text(json.dumps(meta))
-        for name in ("deltas.bin", "zero_rows.npy"):
-            (directory / name).unlink(missing_ok=True)
-        strip_ledger(directory)
-        with CompressedMatrix.open(directory) as store:
-            assert store.num_deltas == 0
-            assert store.cell(3, 3) == want
+        for on_corrupt in ("raise", "degraded"):
+            with pytest.raises(FormatError, match="svdd"):
+                CompressedMatrix.open(directory, on_corrupt=on_corrupt)
         with pytest.raises(FormatError, match="svdd"):
             append_columns(directory, np.ones((data.shape[0], 2)))
 

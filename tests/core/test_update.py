@@ -10,14 +10,13 @@ import pytest
 
 from repro.core import CompressedMatrix
 from repro.core.build import build_compressed
-from repro.core.update import append_columns, append_rows, load_update_state
+from repro.core.update import append_columns, append_rows
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ChecksumError, FormatError, ShapeError
 from repro.metrics import rmspe
 from repro.obs.tracing import span
 from repro.storage.integrity import write_manifest
-from repro.storage.model_dir import SKETCH_NAME, UPDATE_STATE_NAME
-from tests.conftest import strip_ledger, swap_in_gram
+from repro.storage.model_dir import SKETCH_NAME, UPDATE_STATE_NAME, read_update_state
 
 
 @pytest.fixture(scope="module")
@@ -179,15 +178,21 @@ class TestCrashAtomicity:
             assert store.num_deltas == 0
 
     def test_stale_meta_count_rejected_without_manifest(self, built):
-        """Even with the manifest gone (legacy directory), a record
-        count that disagrees with meta.json must not load."""
+        """With the manifest gone nothing can be size-checked, so a
+        strict open refuses the directory; a degraded one still finds a
+        record count that disagrees with meta.json and drops the stale
+        table rather than serve it."""
         directory, _ = built
         (directory / "manifest.json").unlink()
         meta = json.loads((directory / "meta.json").read_text())
         meta["num_deltas"] += 1
         (directory / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match="expects"):
+        with pytest.raises(FormatError, match="manifest.json"):
             CompressedMatrix.open(directory)
+        with CompressedMatrix.open(directory, on_corrupt="degraded") as store:
+            assert store.num_deltas == 0
+            reasons = " ".join(store.degraded_reasons)
+            assert "manifest.json" in reasons and "expects" in reasons
 
 
 class DenseOracle:
@@ -217,7 +222,7 @@ class DenseOracle:
 
     def drift(self) -> float:
         fresh = np.maximum(np.linalg.eigvalsh(self.gram)[::-1][: self.cutoff], 0.0).sum()
-        captured = load_update_state(self.directory)["captured_energy"]
+        captured = read_update_state(self.directory)["captured_energy"]
         return max(0.0, 1.0 - captured / fresh)
 
     def assert_close(self, result, step=None) -> float:
@@ -232,7 +237,7 @@ class DenseOracle:
 class TestDriftAndRebuildFlag:
     def test_fresh_build_has_zero_drift(self, built):
         directory, _ = built
-        state = load_update_state(directory)
+        state = read_update_state(directory)
         assert state["drift"] == 0.0
         assert state["rebuild_recommended"] is False
 
@@ -260,7 +265,7 @@ class TestDriftAndRebuildFlag:
     def test_threshold_persisted(self, built):
         directory, full = built
         append_columns(directory, full[:200, 366:], drift_threshold=0.42)
-        assert load_update_state(directory)["drift_threshold"] == 0.42
+        assert read_update_state(directory)["drift_threshold"] == 0.42
 
     def test_stored_drift_matches_full_decomposition_through_lifecycle(self, tmp_path):
         """The append folds a sketch; the stored drift must still be what
@@ -278,14 +283,14 @@ class TestDriftAndRebuildFlag:
             result = oracle.append("columns", new_days)
             grown = np.hstack([grown, new_days])
             assert oracle.drift() > 1e-5
-            assert result.drift == load_update_state(directory)["drift"]
+            assert result.drift == read_update_state(directory)["drift"]
             oracle.assert_close(result)
 
         new_rows = grown[rng.integers(0, 2000, 37)] * rng.lognormal(0.0, 0.25, (37, 149))
         result = oracle.append("rows", new_rows)
         # Rows projected through the appended (no longer orthonormal) V
         # over-count captured energy here: the ratio passes 1, drift clips.
-        assert result.drift == load_update_state(directory)["drift"] == oracle.drift() == 0.0
+        assert result.drift == read_update_state(directory)["drift"] == oracle.drift() == 0.0
 
 
 class TestDriftSeesWhatTheBasisCannot:
@@ -396,40 +401,21 @@ class TestDriftParityOverASequence:
         assert first is None or all(flagged[first:])
 
 
-class TestLegacyGram:
-    def test_first_append_converts_the_gram(self, tmp_path):
-        """A directory that holds the ``M x M`` Gram instead of a sketch
-        appends as if built with the sketch, and is left without it."""
-        data = phone_matrix(300, PhoneConfig(num_days=135))
-        new_days = data[:, 128:]
-        drifts = []
-        for name in ("sketch", "legacy"):
-            directory = tmp_path / name
-            build_compressed(data[:, :128], directory, 0.10).close()
-            if name == "legacy":
-                swap_in_gram(directory, data[:, :128])
-                with CompressedMatrix.open(directory) as store:
-                    assert store.reconstruct_range(range(3), range(4)).shape == (3, 4)
-            drifts.append(append_columns(directory, new_days).drift)
-            assert not (directory / "gram.npy").exists()
-            assert np.load(directory / SKETCH_NAME).shape[1] == 135
-        assert drifts[0] > 0.0
-        assert drifts[1] == pytest.approx(drifts[0], abs=1e-12)
-
-
 class TestPrerequisites:
     def test_legacy_model_without_state_rejected(self, built):
-        """A ledger-less directory (what writers before the update
-        subsystem left) opens and answers, but refuses an append."""
+        """A ledger-less directory is refused by a strict open and by an
+        append; a degraded open answers without the ledger's estimate."""
         directory, full = built
         with CompressedMatrix.open(directory) as store:
             want = store.reconstruct_all()
-        strip_ledger(directory)
-        with CompressedMatrix.open(directory) as store:
-            assert store.rmspe_estimate is None
-            np.testing.assert_array_equal(store.reconstruct_all(), want)
-        with pytest.raises(FormatError, match="update"):
+        (directory / UPDATE_STATE_NAME).unlink()
+        with pytest.raises(FormatError, match=UPDATE_STATE_NAME):
+            CompressedMatrix.open(directory)
+        with pytest.raises(FormatError, match=UPDATE_STATE_NAME):
             append_columns(directory, full[:200, 366:])
+        with CompressedMatrix.open(directory, on_corrupt="degraded") as store:
+            assert store.degraded and store.rmspe_estimate is None
+            np.testing.assert_array_equal(store.reconstruct_all(), want)
 
     def test_missing_sketch_rejected(self, built):
         directory, full = built
@@ -454,11 +440,11 @@ class TestPrerequisites:
         directory, full = built
         (directory / UPDATE_STATE_NAME).write_text("{broken")
         # The manifest notices first (ChecksumError); without one the
-        # parse does (FormatError).
+        # directory is refused outright (FormatError).
         with pytest.raises((FormatError, ChecksumError)):
             append_rows(directory, full[200:, :366])
         (directory / "manifest.json").unlink()
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="manifest.json"):
             append_rows(directory, full[200:, :366])
 
 
@@ -486,7 +472,7 @@ class TestSpans:
         with CompressedMatrix.open(directory) as store:
             assert root.find("update.drift").attrs == {"cols": 380, "sketch": 2 * store.cutoff}
         write = root.find("update.write_model")
-        assert write.attrs == {"files": 13, "fsyncs": 15}
+        assert write.attrs == {"files": 12, "fsyncs": 14}
         profiles = write.find("update.summaries").find("summaries.profiles")
         assert profiles.attrs == {"rows": 200, "cols": 380}
         children = [child.name for child in root.children]

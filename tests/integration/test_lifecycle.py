@@ -49,7 +49,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core import CompressedMatrix, build_compressed, space
-from repro.core.update import append_columns, append_rows, load_update_state
+from repro.core.update import append_columns, append_rows
 from repro.exceptions import ChecksumError
 from repro.obs.registry import registry
 from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
@@ -60,6 +60,7 @@ from repro.storage import faults, model_dir
 from repro.storage.delta_file import DeltaFile
 from repro.storage.faults import FaultPlan
 from repro.storage.integrity import verify_manifest
+from repro.storage.model_dir import read_update_state
 from repro.summaries import summarize_directory
 from tests.conftest import run_route
 
@@ -336,11 +337,12 @@ class LifecycleMachine(RuleBasedStateMachine):
     def _check_bookkeeping(self, store) -> None:
         rows, cols = self.logical.shape
         assert store.shape == (rows, cols)
-        state = load_update_state(self.directory)
+        state = read_update_state(self.directory)
         for key, value in self.appends.items():
             assert state[key] == value, key
         b = self.bytes_per_value
-        assert state["bytes_per_value"] == store.bytes_per_value == b
+        assert store.bytes_per_value == b
+        assert "bytes_per_value" not in state  # meta.json's copy is the only one
         assert store.num_deltas <= space.delta_budget(rows, cols, store.cutoff, BUDGET, b)
         assert store.space_bytes() <= BUDGET * rows * cols * b + 1e-9
         # Every stored file keeps the build's precision.

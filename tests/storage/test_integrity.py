@@ -87,11 +87,18 @@ class TestManifestVerification:
         assert report.ok  # extras noted, not fatal
         assert any(check.status == "extra" for check in report.checks)
 
-    def test_directory_without_manifest(self, tmp_path):
-        (tmp_path / "legacy").mkdir()
-        report = verify_manifest(tmp_path / "legacy")
-        assert not report.has_manifest
+    def test_directory_without_manifest(self, model_dir):
+        (model_dir / MANIFEST_NAME).unlink()
+        report = verify_manifest(model_dir)
         assert not report.ok
+        assert [(c.name, c.status) for c in report.problems()] == [(MANIFEST_NAME, "missing")]
+
+    def test_unreadable_manifest_is_the_one_problem(self, model_dir):
+        (model_dir / MANIFEST_NAME).write_text("{not json")
+        report = verify_manifest(model_dir)
+        assert [(c.name, c.status) for c in report.problems()] == [
+            (MANIFEST_NAME, "unreadable")
+        ]
 
     def test_report_to_dict_is_json_ready(self, model_dir):
         dumped = json.dumps(verify_manifest(model_dir).to_dict())
@@ -99,8 +106,9 @@ class TestManifestVerification:
 
 
 class TestManifestLoading:
-    def test_absent_manifest_is_none(self, tmp_path):
-        assert load_manifest(tmp_path) is None
+    def test_absent_manifest_is_refused(self, tmp_path):
+        with pytest.raises(FormatError, match="missing manifest.json"):
+            load_manifest(tmp_path)
 
     def test_garbage_manifest_rejected(self, model_dir):
         (model_dir / MANIFEST_NAME).write_text("{not json")

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core import CompressedMatrix, build_compressed
 from repro.core.update import append_columns, append_rows
 from repro.exceptions import ChecksumError, FormatError, ReproError
@@ -35,7 +36,6 @@ from repro.storage.model_dir import (
     write_model,
 )
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
-from tests.conftest import swap_in_gram
 
 SHAPE = (64, 16)
 
@@ -101,6 +101,12 @@ def _stale_deltas(directory) -> None:
     DeltaFile.write(directory / "deltas.bin", keys[:-1], values[:-1])
 
 
+def _meta_without_precision(directory) -> None:
+    meta = json.loads((directory / "meta.json").read_text())
+    del meta["bytes_per_value"]
+    (directory / "meta.json").write_text(json.dumps(meta))
+
+
 DAMAGE = {
     "truncated-v": lambda d: _truncate(d / "v.npy"),
     "truncated-lambda": lambda d: _truncate(d / "lambda.npy"),
@@ -109,6 +115,11 @@ DAMAGE = {
     "deltas-count": _stale_deltas,
     "sketch-shape": lambda d: np.save(d / "sketch.npy", np.zeros((3, 3))),
     "state-not-json": lambda d: (d / "update_state.json").write_text("{broken"),
+    # A part of the one layout missing: each is refused as damage is.
+    "manifest-missing": lambda d: (d / MANIFEST_NAME).unlink(),
+    "ledger-missing": lambda d: (d / "update_state.json").unlink(),
+    "sketch-missing": lambda d: (d / "sketch.npy").unlink(),
+    "meta-without-bytes_per_value": _meta_without_precision,
 }
 
 CONSUMERS = {
@@ -119,26 +130,15 @@ CONSUMERS = {
 }
 
 
-#: Every consumer x damage x with/without a manifest — except that only
-#: an append looks *inside* ``sketch.npy``: other reads stop at the
-#: manifest's size check, so without a manifest they do not notice.
-CASES = [
-    (consumer, damage, manifest)
-    for consumer in sorted(CONSUMERS)
-    for damage in sorted(DAMAGE)
-    for manifest in ("manifest", "no-manifest")
-    if (damage, manifest) != ("sketch-shape", "no-manifest")
-    or consumer.startswith("append")
-]
+#: Every consumer x every damage.
+CASES = [(consumer, damage) for consumer in sorted(CONSUMERS) for damage in sorted(DAMAGE)]
 
 
 class TestDamagedDirectoryIsRefused:
-    @pytest.mark.parametrize("consumer, damage, manifest", CASES)
-    def test_typed_error_and_nothing_written(self, model, consumer, damage, manifest):
+    @pytest.mark.parametrize("consumer, damage", CASES)
+    def test_typed_error_and_nothing_written(self, model, consumer, damage):
         """The same refusal from every entry point, before anything is
         staged: a ``ReproError`` subclass, the directory untouched."""
-        if manifest == "no-manifest":
-            (model / MANIFEST_NAME).unlink()
         DAMAGE[damage](model)
         before = _digests(model)
         with pytest.raises(ReproError) as raised:
@@ -168,7 +168,6 @@ class TestAppendDoesNotLaunderCorruption:
         "name, append",
         [
             ("v.npy", "append_columns"),
-            ("gram.npy", "append_columns"),
             ("sketch.npy", "append_columns"),
             ("v.npy", "append_rows"),
             ("sketch.npy", "append_rows"),
@@ -176,8 +175,6 @@ class TestAppendDoesNotLaunderCorruption:
         ],
     )
     def test_flipped_byte_is_refused(self, model, name, append):
-        if name == "gram.npy":  # what writers before the sketch left
-            swap_in_gram(model, _data())
         self._flip_last_byte(model / name)
         CompressedMatrix.open(model).close()  # sizes still match
         before = _digests(model)
@@ -189,10 +186,27 @@ class TestAppendDoesNotLaunderCorruption:
             (name, "hash-mismatch")
         ]
 
-    def test_directory_without_manifest_stays_appendable(self, model):
+    def test_directory_without_manifest_stays_byte_identical(self, model, capsys):
+        """Damage whose size is right, in a directory whose manifest is
+        gone: no writer may re-derive files from it under a fresh
+        manifest, and ``fsck`` names what it cannot check."""
         (model / MANIFEST_NAME).unlink()
-        assert append_columns(model, np.ones((SHAPE[0], 2))).cols == SHAPE[1] + 2
-        assert verify_manifest(model).ok  # the append wrote a fresh one
+        lam = np.load(model / "lambda.npy")
+        lam[0] *= 1.5
+        np.save(model / "lambda.npy", lam)
+        before = _digests(model)
+        for consumer in ("append_columns", "append_rows", "summarize"):
+            with pytest.raises(ReproError, match=MANIFEST_NAME):
+                CONSUMERS[consumer](model)
+            assert _digests(model) == before
+        assert main(["fsck", str(model)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["files"][MANIFEST_NAME]["status"] == "missing"
+        with pytest.raises(FormatError, match=MANIFEST_NAME):
+            CompressedMatrix.open(model)
+        with CompressedMatrix.open(model, on_corrupt="degraded") as store:
+            assert store.degraded
+        assert _digests(model) == before
 
 
 class TestFileSet:

@@ -8,9 +8,7 @@ as the model files, a crash at any point leaves either the old
 generation (stamped, so the loader rejects it against the new model)
 or the new one — never a half-written store that serves wrong numbers.
 A deferred append leaves no usable store, only the previous state
-file, which keeps the calendar anchor for the rebuild.  The two tile
-files an older incremental refresh wrote are read by no one and left
-behind by the next append or ``repro summarize``.
+file, which keeps the calendar anchor for the rebuild.
 """
 
 from __future__ import annotations
@@ -26,11 +24,9 @@ from repro.cli import main
 from repro.core.update import append_columns, append_rows
 from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.storage.atomic import STAGING_SUFFIX
-from repro.storage.integrity import verify_manifest, write_manifest
+from repro.storage.integrity import verify_manifest
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
 from repro.summaries.compute import STATE_NAME
-
-LEGACY_TILES = ("summary_colblocks.npy", "summary_rowchunks.npy")
 
 
 def _summary_bytes(directory):
@@ -173,9 +169,8 @@ class TestTornWrites:
 
 class TestDamagedPriorIsNotLaundered:
     """No append or summarize reads a previous store to write the next
-    one, so a flipped byte in a summary file — or in a tile file an
-    older version left — never comes out the other side under a clean
-    manifest."""
+    one, so a flipped byte in a summary file never comes out the other
+    side under a clean manifest."""
 
     @staticmethod
     def _flip_a_byte(directory, name):
@@ -184,17 +179,9 @@ class TestDamagedPriorIsNotLaundered:
         raw[-5] ^= 0x10
         path.write_bytes(bytes(raw))
 
-    @staticmethod
-    def _legacy_tiles(directory):
-        """The two tile files an older incremental refresh wrote beside
-        the store, listed in the manifest as that version listed them."""
-        for name in LEGACY_TILES:
-            np.save(directory / name, np.zeros((2, 300)))
-        write_manifest(directory)
-
     @pytest.mark.parametrize("bytes_per_value", [8, 4])
-    @pytest.mark.parametrize("name", LEGACY_TILES)
-    def test_append_over_a_damaged_tile_file_refreshes_cold(
+    @pytest.mark.parametrize("name", SUMMARY_FILES)
+    def test_append_over_a_damaged_summary_file_refreshes_cold(
         self, tmp_path, bytes_per_value, name
     ):
         rng = np.random.default_rng(8)
@@ -204,12 +191,10 @@ class TestDamagedPriorIsNotLaundered:
         build_compressed(
             data, directory, budget_fraction=0.20, bytes_per_value=bytes_per_value
         ).close()
-        self._legacy_tiles(directory)
         self._flip_a_byte(directory, name)
         assert not verify_manifest(directory).ok
 
         append_columns(directory, np.zeros((300, 2)))
-        assert not any((directory / tile).exists() for tile in LEGACY_TILES)
         assert verify_manifest(directory).ok
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
 
@@ -223,19 +208,7 @@ class TestDamagedPriorIsNotLaundered:
         assert [n for n in SUMMARY_FILES if (directory / n).exists()] == [STATE_NAME]
         assert verify_manifest(directory).ok
 
-    def test_summarize_over_a_damaged_tile_file_rebuilds(self, model, tmp_path):
-        directory, _rng = model
-        self._legacy_tiles(directory)
-        self._flip_a_byte(directory, "summary_colblocks.npy")
-        assert summarize_directory(directory)["status"] == "rebuilt"
-        assert not any((directory / tile).exists() for tile in LEGACY_TILES)
-        assert verify_manifest(directory).ok
-        assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
-        assert summarize_directory(directory)["status"] == "fresh"
-
-    @pytest.mark.parametrize(
-        "name", ["summary_cols.npy", "summary_rows.npy", "summary_levels.npz"]
-    )
+    @pytest.mark.parametrize("name", ["summary_cols.npy", "summary_rows.npy"])
     def test_summarize_over_a_damaged_summary_file_rebuilds(self, model, tmp_path, name):
         directory, _rng = model
         self._flip_a_byte(directory, name)
@@ -303,14 +276,14 @@ class TestCalendarAnchor:
         assert streamed["values"] == pytest.approx(summarized["values"], rel=1e-9)
 
 
-class TestLegacyLaggingState:
-    """A state whose coverage lags its stamp — what an older deferred
-    append wrote — is refused as absent, like a foreign generation."""
+class TestForeignState:
+    """A state stamped for another generation of the model is refused as
+    absent: the planner streams, and ``summarize`` rebuilds."""
 
-    def test_lagging_state_is_absent_and_summarize_rebuilds(self, model, capsys):
+    def test_foreign_state_is_absent_and_summarize_rebuilds(self, model, capsys):
         directory, _rng = model
         state = json.loads((directory / STATE_NAME).read_text())
-        state["covered_cols"] = state["cols"] - 7
+        state["appends"] += 1
         (directory / STATE_NAME).write_text(json.dumps(state, indent=2))
 
         assert SummaryStore.load(directory) is None

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import CompressedMatrix, build_compressed
 from repro.exceptions import QueryError
-from repro.query import AggregateQuery, QueryEngine, Selection
+from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.summaries import LEVELS, SummaryStore, level_edges
 from repro.summaries.compute import S_MAX, S_MIN, S_SUM, STATE_NAME
 from tests.conftest import run_route
@@ -80,8 +80,8 @@ class TestExactness:
     @pytest.mark.parametrize("level", LEVELS)
     def test_level_rollups_match_reconstruction(self, model_dir, exact, level):
         store = SummaryStore.load(model_dir)
-        edges = store.level_edges(level)
-        stats = store.level_stats(level)
+        edges, stats = store.rollup(level)
+        assert store.rollup(level)[1] is stats  # bucketed once per store
         for i in range(edges.size - 1):
             block = exact[:, edges[i] : edges[i + 1]]
             assert stats[S_SUM, i] == pytest.approx(block.sum(), rel=1e-9)
@@ -105,7 +105,7 @@ class TestExactness:
 
     def test_grand_components(self, model_dir, exact):
         store = SummaryStore.load(model_dir)
-        grand = store.grand
+        grand = store.plan(np.arange(store.model_rows), np.arange(store.model_cols))
         assert grand.total == pytest.approx(exact.sum(), rel=1e-12)
         assert grand.minimum == exact.min()
         assert grand.maximum == exact.max()
@@ -127,8 +127,10 @@ class TestPlanning:
 
     @pytest.mark.parametrize("function", ["sum", "min", "max", "stddev"])
     def test_bucket_values_match_reconstruction(self, model_dir, exact, function):
-        store = SummaryStore.load(model_dir)
-        edges, values = store.bucket_values("month", function)
+        with CompressedMatrix.open(model_dir) as saved:
+            series = bucket_series(saved, "month", function)
+        assert series["path"] == "summary"
+        edges, values = np.asarray(series["edges"]), series["values"]
         for i in range(edges.size - 1):
             block = exact[:, edges[i] : edges[i + 1]]
             ref = {
@@ -140,9 +142,10 @@ class TestPlanning:
             assert values[i] == pytest.approx(float(ref), rel=1e-9, abs=1e-9)
 
     def test_bucket_values_rejects_unknown_axis(self, model_dir):
-        store = SummaryStore.load(model_dir)
         with pytest.raises(QueryError):
-            store.bucket_values("hour", "sum")
+            SummaryStore.load(model_dir).rollup("hour")
+        with CompressedMatrix.open(model_dir) as saved, pytest.raises(QueryError):
+            bucket_series(saved, "hour", "sum")
 
 
 class TestValidation:

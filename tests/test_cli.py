@@ -10,10 +10,10 @@ import pytest
 
 from repro.cli import main
 from repro.core import CompressedMatrix, build_compressed
-from repro.core.update import append_columns, load_update_state
+from repro.core.update import append_columns
 from repro.data import PhoneConfig, phone_matrix
 from repro.storage import MatrixStore
-from tests.conftest import strip_ledger
+from repro.storage.model_dir import read_update_state
 
 
 @pytest.fixture(scope="module")
@@ -548,7 +548,12 @@ class TestFsck:
         (fsck_model / "meta.json").write_text("{broken")
         assert main(["fsck", str(fsck_model)]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["has_manifest"] is False
+        assert report["files"] == {
+            "manifest.json": {
+                "status": "missing",
+                "detail": f"{fsck_model}: missing manifest.json",
+            }
+        }
         assert report["opens"].startswith("error:")
 
 
@@ -597,7 +602,7 @@ class TestAppend:
         assert main(["append", str(out), "--cols", str(tmp_path / "week.npy")]) == 0
         assert main(["info", str(out)]) == 0
         printed = capsys.readouterr().out
-        drift = load_update_state(out)["drift"]
+        drift = read_update_state(out)["drift"]
         assert 0.0 < drift < 1e-4
         appended = re.search(r"^drift: (\S+)", printed, re.M).group(1)
         info, threshold = re.search(r" drift: (\S+) \(threshold ([^,]+),", printed).groups()
@@ -621,8 +626,12 @@ class TestAppend:
         assert "error:" in capsys.readouterr().err
 
     def test_legacy_model_fails_cleanly(self, appendable, capsys):
+        """A directory without the append ledger is not a model this
+        code writes: ``info`` and ``append`` both refuse it, untouched."""
         out, root = appendable
-        strip_ledger(out)
-        code = main(["append", str(out), "--cols", str(root / "cols.npy")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        (out / "update_state.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for argv in (["info", str(out)], ["append", str(out), "--cols", str(root / "cols.npy")]):
+            assert main(argv) == 1
+            assert "update_state.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
