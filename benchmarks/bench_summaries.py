@@ -86,10 +86,15 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
             factor_s = _time_aggregates(
                 _off_summary(summary_engine), queries, repeats=3
             )
-            groupby_start = time.perf_counter()
+            # The first call buckets the month level out of the column
+            # profile; every later one reads the kept rollup.
+            first_start = time.perf_counter()
             series = bucket_series(store, "month", "sum")
-            groupby_s = time.perf_counter() - groupby_start
+            first_groupby_s = time.perf_counter() - first_start
             assert series["path"] == "summary"
+            groupby_s = _time_aggregates(
+                lambda level: bucket_series(store, level, "sum"), ["month"]
+            )
     finally:
         registry.disable()
 
@@ -134,7 +139,8 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
         ],
     )
     lines.append(
-        f"speedup: {speedup:.0f}x   groupby(month): {groupby_s * 1e3:.2f} ms   "
+        f"speedup: {speedup:.0f}x   first groupby(month): "
+        f"{first_groupby_s * 1e3:.2f} ms   groupby(month): {groupby_s * 1e3:.3f} ms   "
         f"append+refresh: {append_refresh_s:.2f}s = append "
         f"{append_norefresh_s:.2f}s + refresh {refresh_s:.2f}s "
         f"(cold summarize {summarize_rebuild_s:.2f}s)   "

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import registry as _obs
+from repro.storage.matrix_store import Ascending
 
 
 def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -57,6 +58,15 @@ def _run_of(sel: np.ndarray) -> tuple[int, int] | None:
         if last - first + 1 == sel.size and (sel[1:] > sel[:-1]).all():
             return first, last
     return None
+
+
+def _with_run(sel) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """``sel`` as an int64 array and its :func:`_run_of`: read off an
+    :class:`~repro.storage.matrix_store.Ascending`, checked otherwise."""
+    if isinstance(sel, Ascending):
+        return sel.idx, sel.run
+    sel = np.asarray(sel, dtype=np.int64).ravel()
+    return sel, _run_of(sel)
 
 
 class DeltaIndex:
@@ -213,7 +223,7 @@ class DeltaIndex:
         each time, a row outside the matrix none): what folding them can
         touch at most, read off the row table without examining a key —
         the planner's price of a fold."""
-        runs = self._key_runs(np.asarray(row_idx, dtype=np.int64).ravel())
+        runs = self._key_runs(*_with_run(row_idx))
         return runs.stop - runs.start if isinstance(runs, slice) else int(runs[1].sum())
 
     def select(
@@ -239,17 +249,15 @@ class DeltaIndex:
         matched; scattered, unsorted, repeated or stray columns take
         the general matching below, with the same output.
         """
-        row_sel = np.asarray(row_sel, dtype=np.int64)
-        col_sel = np.asarray(col_sel, dtype=np.int64)
+        (row_sel, row_run), (col_sel, run) = _with_run(row_sel), _with_run(col_sel)
         row_pos = col_pos = np.empty(0, dtype=np.int64)
         values = np.empty(0)
         probed = 0
         if row_sel.size and col_sel.size:
             # The span clamped to the matrix: a stray column matches nothing.
-            run = _run_of(col_sel)
             lo, hi = run or (int(col_sel.min()), int(col_sel.max()))
             col_lo, col_hi = max(lo, 0), min(hi, self._num_cols - 1)
-            row_pos, col_pos, values = self._in_span(row_sel, col_lo, col_hi, True)
+            row_pos, col_pos, values = self._in_span(row_sel, row_run, col_lo, col_hi, True)
             probed = int(values.size)
             if probed and run != (col_lo, col_hi):
                 # Occurrences of each candidate's column within col_sel:
@@ -270,21 +278,18 @@ class DeltaIndex:
         counted alike.  Over a time range the candidates are the answer:
         their values are gathered in ``select``'s order (hence the same
         sum) and no row or column position is built."""
-        row_sel = np.asarray(row_sel, dtype=np.int64)
-        col_sel = np.asarray(col_sel, dtype=np.int64)
-        span = _run_of(col_sel)
+        span = _with_run(col_sel)[1]
         if span is None or span[0] < 0 or span[1] >= self._num_cols:
             return float(self.select(row_sel, col_sel)[4].sum())
-        values = self._in_span(row_sel, *span, False)[2]
+        values = self._in_span(*_with_run(row_sel), *span, False)[2]
         self._count(int(values.size), int(values.size))
         return float(values.sum())
 
-    def _key_runs(self, row_sel: np.ndarray):
-        """Where the keys of the rows ``row_sel`` sit, in ``row_sel``
-        order: one slice when the rows are a run ``a..b`` (or none),
-        else ``(starts, counts)``, one key run per row."""
+    def _key_runs(self, row_sel: np.ndarray, run: tuple[int, int] | None):
+        """Where the keys of the rows ``row_sel`` (the run ``run`` when
+        not None) sit, in ``row_sel`` order: one slice for a run ``a..b``
+        (or no rows), else ``(starts, counts)``, one key run per row."""
         table = self._row_start
-        run = _run_of(row_sel)
         if run is None and row_sel.size:
             starts = table.take(row_sel, mode="clip")
             return starts, table.take(row_sel + 1, mode="clip") - starts
@@ -292,11 +297,11 @@ class DeltaIndex:
         lo, hi = table.take([first, last + 1], mode="clip").tolist()
         return slice(lo, hi)
 
-    def _in_span(self, row_sel: np.ndarray, col_lo: int, col_hi: int, owners: bool):
+    def _in_span(self, row_sel, row_run, col_lo: int, col_hi: int, owners: bool):
         """``(row_pos, col_pos, values)`` of the rows' deltas in columns
         ``col_lo..col_hi``, in ``row_sel`` order: the entry of ``row_sel``
         and offset into the span of each (None unless ``owners``)."""
-        runs = self._key_runs(row_sel)
+        runs = self._key_runs(row_sel, row_run)
         if isinstance(runs, slice):
             cols = self._cols[runs]
             inside = (cols >= col_lo) & (cols <= col_hi)

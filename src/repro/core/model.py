@@ -18,6 +18,7 @@ import numpy as np
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
+from repro.storage.matrix_store import Ascending
 
 
 def as_index_array(indices) -> np.ndarray:
@@ -26,7 +27,7 @@ def as_index_array(indices) -> np.ndarray:
     Arrays, ranges and sequences convert directly; only a generic
     iterable (generator, set) is drained into a list first.
     """
-    if not isinstance(indices, (np.ndarray, range, list, tuple)):
+    if not isinstance(indices, (np.ndarray, Ascending, range, list, tuple)):
         indices = list(indices)
     return np.asarray(indices, dtype=np.int64)
 

@@ -49,6 +49,7 @@ from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.storage.delta_file import close_mapping
+from repro.storage.matrix_store import Ascending
 from repro.storage.model_dir import ModelParts, read_model
 
 #: An ``open()`` racing a crash-atomic append's rename swap can read a
@@ -438,34 +439,33 @@ class CompressedMatrix:
         against the selected V columns, and the delta corrections inside
         the rectangle fold in via the sorted
         :class:`~repro.core.delta_index.DeltaIndex` — no per-row or
-        per-delta Python loops.
+        per-delta Python loops.  A resolved selection (two
+        :class:`~repro.storage.matrix_store.Ascending`) is not checked again.
         """
-        row_idx = as_index_array(rows)
-        col_idx = as_index_array(cols)
-        total_rows, total_cols = self.shape
-        if row_idx.size == 0 or col_idx.size == 0:
-            raise QueryError("reconstruct_range needs non-empty selections")
-        if row_idx.min() < 0 or row_idx.max() >= total_rows:
-            raise QueryError(f"row selection outside [0, {total_rows})")
-        if col_idx.min() < 0 or col_idx.max() >= total_cols:
-            raise QueryError(f"col selection outside [0, {total_cols})")
-        v_sel = self._v.take(col_idx, axis=0)  # (m_sel, k)
-        zero = self._zero_flag.take(row_idx)
+        if not (isinstance(rows, Ascending) and isinstance(cols, Ascending)):
+            rows, cols = as_index_array(rows), as_index_array(cols)
+            total_rows, total_cols = self.shape
+            if rows.size == 0 or cols.size == 0:
+                raise QueryError("reconstruct_range needs non-empty selections")
+            if rows.min() < 0 or rows.max() >= total_rows:
+                raise QueryError(f"row selection outside [0, {total_rows})")
+            if cols.min() < 0 or cols.max() >= total_cols:
+                raise QueryError(f"col selection outside [0, {total_cols})")
+        v_sel = self._v.take(cols, axis=0)  # (m_sel, k)
+        zero = self._zero_flag.take(rows)
         skipped = int(np.count_nonzero(zero))
         self._bump("zero_row_skips", skipped)
         if not skipped:
-            u_sel = self._u_store.read_rows(row_idx)[:, : self.cutoff]
+            u_sel = self._u_store.read_rows(rows)[:, : self.cutoff]
             out = (u_sel * self._eigenvalues) @ v_sel.T
         else:
-            out = np.zeros((row_idx.size, col_idx.size))
+            out = np.zeros((rows.size, cols.size))
             live = ~zero
-            if skipped < row_idx.size:
-                u_sel = self._u_store.read_rows(row_idx[live])[:, : self.cutoff]
+            if skipped < rows.size:
+                u_sel = self._u_store.read_rows(rows[live])[:, : self.cutoff]
                 out[live] = (u_sel * self._eigenvalues) @ v_sel.T
         if self._deltas is not None and len(self._deltas) > 0:
-            row_pos, col_pos, _r, _c, values = self._deltas.select(
-                row_idx, col_idx
-            )
+            row_pos, col_pos, _r, _c, values = self._deltas.select(rows, cols)
             out[row_pos, col_pos] += values
         return out
 

@@ -166,8 +166,8 @@ def plan_aggregate(
         backend: the engine's data source — raw, or already resolved
             by :func:`~repro.query.backend.as_backend`.
         function: one of the supported aggregates.
-        row_idx / col_idx: the resolved selection (sorted index
-            arrays from :meth:`Selection.resolve`).
+        row_idx / col_idx: the resolved selection (sorted index arrays
+            from :meth:`Selection.resolve`, or the engine's ``Ascending``).
         include_deltas: the engine's mode — False (the brownout
             engine) forfeits the delta fold, exactly as execution does.
         max_rmspe: the caller's error budget.  None means "exact only"

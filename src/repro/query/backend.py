@@ -219,7 +219,7 @@ def _from_rows(source) -> Backend:
         shape=tuple(source.shape),
         cell=probe,
         block=lambda row_idx, col_idx: np.stack(
-            [row(int(index))[col_idx] for index in row_idx]
+            [row(int(index))[col_idx] for index in np.asarray(row_idx)]
         ),
     )
 

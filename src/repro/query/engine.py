@@ -46,6 +46,7 @@ from repro.query.components import finalize as _finalize_components
 from repro.query.components import stream_components
 from repro.query.fastpath import factor_aggregate
 from repro.query.selection import Selection
+from repro.storage.matrix_store import Ascending
 
 #: Aggregate functions supported by :class:`AggregateQuery` (Section 5.2
 #: names sum, avg, stddev as examples; count/min/max round out the set).
@@ -315,9 +316,8 @@ class QueryEngine:
             if max_rmspe is not None
             else query.max_rmspe
         )
-        row_idx, col_idx = query.selection.resolve(backend.shape)
-        if row_idx.size == 0 or col_idx.size == 0:
-            raise QueryError("aggregate over an empty selection")
+        # Checked once, here: every layer below reads what resolve proved.
+        row_idx, col_idx = map(Ascending, query.selection.resolve(backend.shape))
         return plan_aggregate(
             backend,
             query.function,

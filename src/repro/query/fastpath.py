@@ -14,6 +14,9 @@ which is O(|R| * k) work instead of O(|R| * |S| * k).  Sums of squares
     sum_j x_hat[i, j]^2 = (u_i * lambda) G (u_i * lambda)^t,
     G = sum_{j in S} v_j v_j^t
 
+and over the selected rows ``W`` to the trace ``trace(G W^t W)``: one
+``k x k`` GEMM and an elementwise product, not a three-operand einsum.
+
 Delta corrections fold in through the sorted
 :class:`~repro.core.delta_index.DeltaIndex`: the deltas inside the
 selection are read off its row offsets — the selected rows' key runs,
@@ -94,7 +97,7 @@ def factor_aggregate(
         total_sq = 0.0
         if need_squares:
             gram = v_sel.T @ v_sel  # (k, k)
-            total_sq = float(np.einsum("nk,kl,nl->", scaled_u, gram, scaled_u))
+            total_sq = float((gram * (scaled_u.T @ scaled_u)).sum())
 
     if include_deltas and index is not None and len(index) > 0:
         with _span("query.factor.delta", stored=len(index)):

@@ -30,7 +30,8 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
     if isinstance(indices, slice):
         if extent is None:
             raise QueryError("slice selections need a known extent")
-        return np.arange(extent, dtype=np.int64)[indices]
+        arr = np.arange(extent, dtype=np.int64)[indices]
+        return arr if (indices.step or 1) > 0 else arr[::-1].copy()
     if isinstance(indices, range):
         # Bounds-check before materializing: a hostile 'rows 0:10**21'
         # (with ANY step — range(0, 10**18, 2) is just as unbounded as
@@ -89,7 +90,8 @@ class Selection:
     def resolve(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Concrete sorted index arrays for a matrix of ``shape``.
 
-        Raises :class:`QueryError` for out-of-range indices.
+        Raises :class:`QueryError` for out-of-range indices.  The one
+        check a query's selection gets (the engine carries it as ``Ascending``).
         """
         num_rows, num_cols = shape
         rows = _normalize(self.rows, num_rows)

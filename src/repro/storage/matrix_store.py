@@ -63,6 +63,30 @@ _DTYPE_CODES = {0: np.dtype(np.float64), 1: np.dtype(np.float32)}
 _CODES_BY_DTYPE = {dtype: code for code, dtype in _DTYPE_CODES.items()}
 
 
+class Ascending:
+    """Non-empty int64 indices ``idx`` that ``Selection.resolve`` proved
+    strictly increasing and inside the matrix: the layers below read its
+    bounds and whether it is a run off its ends instead of checking the
+    array again.  NumPy reads it as ``idx``."""
+
+    __slots__ = ("idx", "size", "run")
+
+    def __init__(self, idx: np.ndarray) -> None:
+        first, last = int(idx[0]), int(idx[-1])
+        self.idx, self.size = idx, idx.size
+        #: ``(first, last)`` when ``idx`` is ``first, first + 1, ..., last``.
+        self.run = (first, last) if last - first + 1 == idx.size else None
+
+    def __getitem__(self, part) -> "Ascending":
+        """A unit-step slice or a boolean mask of it: still ascending."""
+        if isinstance(part, slice) and part.step in (None, 1) or getattr(part, "dtype", 0) == bool:
+            return Ascending(self.idx[part])
+        raise TypeError(f"an Ascending stays one under a slice or a mask, not {part!r}")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self.idx, dtype=dtype)
+
+
 def _close_mapping(mm: _mmap.mmap | None) -> None:
     """Close ``mm`` unless a reader still holds a slice of its view (a
     gather or scan in flight on another thread) — then the mapping is
@@ -462,13 +486,19 @@ class MatrixStore:
         Pure arithmetic, no I/O and no pool traffic: the count
         :meth:`read_rows` accounts for a gather and the query planner
         prices before executing one.  Duplicate indices count once.
-        O(n) for sorted input (what ``Selection.resolve`` produces);
-        unsorted input pays a sort.
+        O(1) for a run or whole-page rows of an :class:`Ascending`,
+        O(n) for other sorted input; unsorted input pays a sort.
         """
+        idx, ascending = self._rows_of(indices)
+        return self._page_count(idx, ascending) if idx.size else 0
+
+    def _rows_of(self, indices) -> tuple[np.ndarray, bool]:
+        """``indices`` as int64 rows and whether they strictly increase:
+        an :class:`Ascending` is taken as proven, anything else checked."""
+        if isinstance(indices, Ascending):
+            return indices.idx, True
         idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return 0
-        return self._page_count(idx, self._check_rows(idx))
+        return idx, idx.size > 0 and self._check_rows(idx)
 
     def _check_rows(self, idx: np.ndarray) -> bool:
         """Raise unless the non-empty ``idx`` names rows of this store;
@@ -485,34 +515,24 @@ class MatrixStore:
     def _page_count(self, idx: np.ndarray, ascending: bool) -> int:
         """:meth:`pages_for_rows` for a validated, non-empty ``idx``
         that strictly increases when ``ascending``."""
+        if not ascending:
+            idx = np.unique(idx)  # the same pages, in order, each row once
         row_bytes = self._cols * self._item
         page_size = self._pager.page_size
-        if ascending:
-            # Strictly increasing: a contiguous run is one byte range, and
-            # whole-page rows (the data starts at page 1) share no page.
-            low, high = int(idx[0]), int(idx[-1])
-            if high - low + 1 == idx.size:
-                start = self._data_offset + low * row_bytes
-                end = self._data_offset + (high + 1) * row_bytes - 1
-                return end // page_size - start // page_size + 1
-            if row_bytes % page_size == 0:
-                return idx.size * row_bytes // page_size
+        # Strictly increasing: a contiguous run is one byte range, and
+        # whole-page rows (the data starts at page 1) share no page.
+        low, high = int(idx[0]), int(idx[-1])
+        if high - low + 1 == idx.size:
+            start = self._data_offset + low * row_bytes
+            end = self._data_offset + (high + 1) * row_bytes - 1
+            return end // page_size - start // page_size + 1
+        if row_bytes % page_size == 0:
+            return idx.size * row_bytes // page_size
         offsets = self._data_offset + idx * row_bytes
         first = offsets // page_size
         last = (offsets + (row_bytes - 1)) // page_size
-        if (idx[1:] < idx[:-1]).any():
-            # Unsorted: union the runs first..last.  Unioning the
-            # clipped shifts first+d covers them without a per-row loop.
-            max_span = int((last - first).max())
-            return int(
-                np.unique(
-                    np.concatenate(
-                        [np.minimum(first + d, last) for d in range(max_span + 1)]
-                    )
-                ).size
-            )
-        # Sorted: first and last are both monotone, so each row adds the
-        # pages of its run that lie beyond the previous row's last page.
+        # first and last are both monotone, so each row adds the pages
+        # of its run that lie beyond the previous row's last page.
         fresh = last[1:] - np.maximum(first[1:], last[:-1] + 1) + 1
         return int(last[0] - first[0] + 1 + np.maximum(fresh, 0).sum())
 
@@ -544,19 +564,18 @@ class MatrixStore:
         open its distinct logical pages (:meth:`pages_for_rows`) are
         added to ``pool_stats.bypasses``.
         """
-        idx = np.asarray(indices, dtype=np.int64).ravel()
+        idx, ascending = self._rows_of(indices)
         if idx.size == 0:
             return np.empty((0, self._cols), dtype=np.float64)
         if _obs.enabled:
             _obs.counter("store.read_rows.calls").inc()
             _obs.counter("store.read_rows.rows").inc(int(idx.size))
             with _span("store.read_rows", rows=int(idx.size)):
-                return self._read_rows(idx)
-        return self._read_rows(idx)
+                return self._read_rows(idx, ascending)
+        return self._read_rows(idx, ascending)
 
-    def _read_rows(self, idx: np.ndarray) -> np.ndarray:
+    def _read_rows(self, idx: np.ndarray, ascending: bool) -> np.ndarray:
         view = self._live_view()
-        ascending = self._check_rows(idx)
         if not self._mapped:
             self._pool.stats.add(bypasses=self._page_count(idx, ascending))
         return view.take(idx, axis=0).astype(np.float64, copy=False)

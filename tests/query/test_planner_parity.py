@@ -356,3 +356,52 @@ def test_matrix_covers_every_route(backends):
                         if outcome == "ok":
                             seen.add(plan["path"])
     assert seen == {"summary", "factor", "svd", "stream"}
+
+
+#: The selections whose resolved facts (a run or not, its ends) steer
+#: the planner, the U-row gather and the delta fold down different
+#: branches, on the ``zero-tail`` model below (64 x 20, rows 58-63 all
+#: zero, so no delta lies past row 57).
+BOUNDARY_SELECTIONS = {
+    "one-row": Selection(rows=[17], cols=range(2, 14)),
+    "one-col": Selection(rows=range(4, 30), cols=[5]),
+    "last-row": Selection(rows=[2, 33, 63], cols=range(0, 20)),
+    "run-past-last-delta": Selection(rows=range(50, 64), cols=range(1, 16)),
+    "run-from-row-0": Selection(rows=range(0, 9), cols=range(3, 11)),
+    "full-axis": Selection(cols=range(4, 9)),
+    "unsorted-duplicated": Selection(rows=[40, 3, 40, 12, 3, 7], cols=[9, 2, 9, 15, 5]),
+}
+
+
+@pytest.fixture(scope="module")
+def zero_tail(tmp_path_factory, data):
+    tail = data.copy()
+    tail[58:] = 0.0
+    directory = tmp_path_factory.mktemp("parity") / "zero-tail"
+    build_compressed(tail, directory, budget_fraction=0.25).close()
+    store = CompressedMatrix.open(directory)
+    assert int(store.delta_index.rows.max()) < 58 < store.shape[0] - 1
+    yield store
+    store.close()
+
+
+@pytest.mark.parametrize("name", BOUNDARY_SELECTIONS)
+def test_boundary_selections_on_the_factor_and_stream_routes(zero_tail, name):
+    """Each boundary selection, answered along the factor and the
+    stream route, equals the dense NumPy oracle."""
+    from tests.conftest import run_route
+
+    selection = BOUNDARY_SELECTIONS[name]
+    dense = zero_tail.reconstruct_all()
+    rows, cols = selection.resolve(dense.shape)
+    block = dense[np.ix_(rows, cols)]
+    engine = QueryEngine(zero_tail)
+    for function in FUNCTIONS:
+        query = AggregateQuery(function, selection)
+        routes = {c.name for c in engine.plan(query).candidates}
+        assert "stream" in routes and (function in ("min", "max")) != ("factor" in routes)
+        for route in routes & {"factor", "stream"}:
+            result = run_route(engine, query, route)
+            assert result.value == pytest.approx(
+                ORACLE[function](block), rel=1e-9, abs=1e-9
+            ), f"{name}/{function}/{route}"

@@ -25,6 +25,10 @@ class TestResolve:
         rows, cols = Selection(rows=slice(1, 4), cols=slice(None)).resolve((6, 3))
         assert list(rows) == [1, 2, 3]
         assert list(cols) == [0, 1, 2]
+        # A negative step selects the same set, resolved ascending.
+        rows, cols = Selection(rows=slice(None, None, -2), cols=slice(3, 0, -1)).resolve((6, 5))
+        assert list(rows) == [1, 3, 5]
+        assert list(cols) == [1, 2, 3]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(QueryError):

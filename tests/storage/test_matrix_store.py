@@ -20,6 +20,7 @@ from repro.exceptions import (
     StoreClosedError,
 )
 from repro.storage import MatrixStore
+from repro.storage.matrix_store import Ascending
 
 
 @pytest.fixture()
@@ -478,6 +479,8 @@ def test_property_page_count_closed_forms(tmp_path_factory, case):
     ) as store:
         assert store.pages_for_rows(idx) == _page_union(store, cols, idx)
         assert store.pages_for_rows(np.asarray(idx)) == _page_union(store, cols, idx)
+        # The same rows as a resolved selection: priced without a check.
+        assert store.pages_for_rows(Ascending(np.unique(idx))) == _page_union(store, cols, idx)
 
 
 @settings(max_examples=60, deadline=None)
