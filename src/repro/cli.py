@@ -290,7 +290,7 @@ def cmd_serve(args) -> int:
     :class:`~repro.serve.server.QueryServer`: every request answered by
     the handler thread that read it, behind bounded admission,
     per-request deadlines, load shedding with ``Retry-After`` and
-    brownout (SVD-only) degradation.  SIGTERM/SIGINT drain gracefully
+    brownout (queries planned under the model's stored RMSPE).  SIGTERM/SIGINT drain gracefully
     and exit 0.
     """
     from repro.serve import QueryServer

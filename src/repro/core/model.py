@@ -244,7 +244,8 @@ class SVDDModel:
         )
 
     def worst_case_bound(self) -> float:
-        """A certified bound on any cell's reconstruction error.
+        """A bound on any cell's reconstruction error — for a fresh
+        build only.
 
         Stored outlier cells reconstruct exactly; every other cell's
         error was, at construction time, no larger than the smallest
@@ -253,9 +254,12 @@ class SVDDModel:
         table — infinity when no deltas are stored (plain-SVD regime),
         zero when every cell is stored.
 
+        Not after an append: old unstored cells never compete again and
+        can exceed the new ``min |delta|`` (4,079 did on phone 1200 x 150
+        after three 7-day appends and a 300-row append).
+
         This is the mechanism behind the paper's Table 3/4 observation
-        that SVDD 'bounds the worst error pretty well', exposed as a
-        queryable guarantee.
+        that SVDD 'bounds the worst error pretty well'.
         """
         if len(self.deltas) == 0:
             return float("inf")

@@ -271,6 +271,12 @@ class CompressedMatrix:
         return self._deltas
 
     @property
+    def deltas_lost(self) -> bool:
+        """True when ``meta.json`` counts deltas this open could not
+        load: a degraded open that dropped ``deltas.bin``."""
+        return self._generation[2] > self.num_deltas
+
+    @property
     def directory(self) -> Path:
         return self._directory
 
@@ -342,9 +348,9 @@ class CompressedMatrix:
     def degraded(self) -> bool:
         """True when this store opened without its optional artifacts.
 
-        A degraded store answers every query from the SVD factors alone
-        (no delta corrections, no zero-row fast path)
-        — approximate but never silently wrong about what it is.
+        What it lost decides what it can still answer exactly: without
+        ``deltas.bin`` (:attr:`deltas_lost`) its cells are the bare SVD
+        and the planner admits no exact factor or stream route.
         """
         return bool(self._degraded_reasons)
 
@@ -384,27 +390,6 @@ class CompressedMatrix:
         deltas = self._deltas
         # The paper's delta key is the row-major cell ordinal row*M + col.
         return base + (0.0 if deltas is None else deltas.get(row * cols + col, 0.0))
-
-    def svd_cell(self, row: int, col: int) -> float:
-        """Reconstruct one cell from the SVD factors alone (no delta probe).
-
-        The rank-k approximation the paper calls x-hat, before outlier
-        correction: still one U-row disk access + O(k) arithmetic, but
-        deliberately skipping the delta lookup.  The serving tier's
-        brownout mode answers with this when the delta subsystem is
-        unavailable or being shed, alongside the model's stored RMSPE
-        estimate.
-        """
-        rows, cols = self.shape
-        if not 0 <= row < rows:
-            raise QueryError(f"row {row} out of range [0, {rows})")
-        if not 0 <= col < cols:
-            raise QueryError(f"col {col} out of range [0, {cols})")
-        if row in self._zero_rows:
-            self._bump("zero_row_skips")
-            return 0.0
-        u_row = self._u_store.row(row)[: self.cutoff]
-        return float(np.dot(u_row * self._eigenvalues, self._v[col]))
 
     def _u_blocks(self):
         """All of ``U`` as ``(start_row, block)`` gathers of

@@ -68,8 +68,8 @@ class QueryProfile:
     backend: str = ""
     #: Achieved error bound of the route that answered the query: 0.0
     #: for exact routes, the model's stored RMSPE estimate for an
-    #: SVD-only answer, None when that estimate is unknown.
-    error_bound: float | None = 0.0
+    #: ``svd``-route answer.
+    error_bound: float = 0.0
     #: Pages the planner predicted the chosen route would touch; pair
     #: with ``pages_read`` (measured) to audit the cost model.  None
     #: for unplanned (cell) queries.

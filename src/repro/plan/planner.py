@@ -2,8 +2,9 @@
 
 :func:`plan_aggregate` is the single planning entry point shared by
 ``QueryEngine.aggregate``, ``QueryEngine.explain``, the serving tier's
-brownout dispatch, and the CLI — the structural fix for the
-explain/execute divergences that hard-coded call sites accumulated.
+dispatch (healthy and brownout alike), and the CLI — the structural
+fix for the explain/execute divergences that hard-coded call sites
+accumulated.
 
 The route lattice for one ``AggregateQuery`` over ``R x S`` cells:
 
@@ -17,14 +18,16 @@ route               needs                                  error bound
 ``svd``             factor form, sum/avg/count/stddev      stored RMSPE
 ==================  =====================================  ===========
 
-Admissibility is decided from backend capabilities and the engine's
-mode (``include_deltas=False`` — the brownout engine — forfeits the
-delta fold, so the ``factor`` and ``stream`` routes drop out);
-pricing comes from :mod:`repro.plan.cost`; the cheapest route whose
-error bound fits the caller's ``max_rmspe`` budget wins, with exact
-routes preferred on cost ties.  ``max_rmspe=0.0`` therefore *provably*
-never selects ``svd``: the route is rejected before pricing whenever
-the budget is not strictly positive.
+Admissibility is decided from backend capabilities (a store whose open
+lost its deltas, ``Backend.deltas_lost``, has no delta fold and no
+delta-corrected rows, so ``factor`` and ``stream`` drop out); pricing
+comes from :mod:`repro.plan.cost`; the cheapest route whose error bound
+fits the caller's ``max_rmspe`` budget wins, with exact routes
+preferred on cost ties.  ``max_rmspe=None`` means exact only, and
+``max_rmspe=0.0`` *provably* never selects ``svd``: the route is
+rejected before pricing whenever the budget is not strictly positive.
+Brownout is not a mode here: the serving tier passes the model's own
+estimate as the budget.
 
 Planning is side-effect free — no pages are read, no backend state
 changes — so explain can call it as often as it likes.
@@ -73,16 +76,15 @@ ROUTES = (
 class RouteEstimate:
     """One admissible route, priced.
 
-    ``error_bound`` is 0.0 for exact routes, the model's stored RMSPE
-    estimate for ``svd``, and None when the ``svd`` route is admissible
-    (brownout) but the model carries no stored estimate.
+    ``error_bound`` is 0.0 for exact routes and the model's stored
+    RMSPE estimate for ``svd`` (admitted only when there is one).
     """
 
     name: str
     cost_ms: float
     pages: int
     row_fetches: int
-    error_bound: float | None
+    error_bound: float
 
     def to_dict(self) -> dict:
         """JSON-ready form for the explain payload's candidate list."""
@@ -156,7 +158,6 @@ def plan_aggregate(
     row_idx: np.ndarray,
     col_idx: np.ndarray,
     *,
-    include_deltas: bool = True,
     max_rmspe: float | None = None,
     params: CostParams | None = None,
 ) -> QueryPlan:
@@ -168,11 +169,9 @@ def plan_aggregate(
         function: one of the supported aggregates.
         row_idx / col_idx: the resolved selection (sorted index arrays
             from :meth:`Selection.resolve`, or the engine's ``Ascending``).
-        include_deltas: the engine's mode — False (the brownout
-            engine) forfeits the delta fold, exactly as execution does.
-        max_rmspe: the caller's error budget.  None means "exact only"
-            on a delta-capable engine and "best effort" on a brownout
-            engine; 0.0 always means exact and never admits ``svd``.
+        max_rmspe: the caller's error budget.  None and 0.0 both mean
+            "exact only"; 0.0 is also the explicit demand.  A positive
+            budget admits ``svd`` when the stored estimate fits it.
         params: pricing overrides (defaults derived from the backend).
 
     Raises:
@@ -238,6 +237,8 @@ def plan_aggregate(
         reject(ROUTE_FACTOR, reason)
         reject(ROUTE_SVD, reason)
 
+    # Without its deltas a store can fold none and stream none exactly.
+    lost = "the store's open lost its deltas; no exact fold exists"
     if factor_capable:
         if function == "count":
             fetches, pages, read_ms = 0, 0, 0.0
@@ -255,60 +256,41 @@ def plan_aggregate(
             + flops_ms(base_flops, params.ns_per_factor_term)
         )
 
-        if include_deltas:
+        def factor_route(name: str, cost_ms: float, bound: float) -> None:
+            candidates.append(RouteEstimate(name, cost_ms, pages, fetches, bound))
+
+        index = backend.delta_index
+        if backend.deltas_lost:
+            reject(ROUTE_FACTOR, lost)
+        elif index is None or function == "count":  # nothing to fold
+            factor_route(ROUTE_FACTOR, base_cost, 0.0)
+        else:
             # The fold walks the selected rows' key runs, not the index:
             # price the deltas those rows hold.
-            index = backend.delta_index
-            delta_cost = flops_ms(
-                0 if index is None else index.count_in_rows(row_idx),
-                params.ns_per_cell,
-            )
-            candidates.append(
-                RouteEstimate(
-                    ROUTE_FACTOR,
-                    cost_ms=base_cost + delta_cost,
-                    pages=pages,
-                    row_fetches=fetches,
-                    error_bound=0.0,
-                )
-            )
-        else:
-            reject(ROUTE_FACTOR, "delta fold unavailable on the SVD-only engine")
+            fold_ms = flops_ms(index.count_in_rows(row_idx), params.ns_per_cell)
+            factor_route(ROUTE_FACTOR, base_cost + fold_ms, 0.0)
 
-        # Read only when a budget can admit the route.
-        bound = None if include_deltas and max_rmspe is None else backend.rmspe_estimate
-        if max_rmspe is not None and max_rmspe <= 0.0:
+        if max_rmspe is None:
+            reject(ROUTE_SVD, "approximate route needs an explicit max_rmspe budget")
+        elif max_rmspe <= 0.0:
             reject(ROUTE_SVD, "max_rmspe=0 demands an exact answer")
-        elif include_deltas and max_rmspe is None:
+        elif (bound := backend.rmspe_estimate) is None:
             reject(
                 ROUTE_SVD,
-                "approximate route needs an explicit max_rmspe budget",
+                "model carries no stored RMSPE estimate to check the budget against",
             )
-        elif max_rmspe is not None and bound is None:
+        elif bound > max_rmspe:
             reject(
                 ROUTE_SVD,
-                "model carries no stored RMSPE estimate to check the "
-                "budget against",
-            )
-        elif max_rmspe is not None and bound > max_rmspe:
-            reject(
-                ROUTE_SVD,
-                f"estimated rmspe {bound:.6f} exceeds the "
-                f"max_rmspe={max_rmspe:g} budget",
+                f"estimated rmspe {bound:.6f} exceeds the max_rmspe={max_rmspe:g} budget",
             )
         else:
-            candidates.append(
-                RouteEstimate(
-                    ROUTE_SVD,
-                    cost_ms=base_cost,
-                    pages=pages,
-                    row_fetches=fetches,
-                    error_bound=bound,
-                )
-            )
+            factor_route(ROUTE_SVD, base_cost, bound)
 
     # -- row streaming -------------------------------------------------
-    if include_deltas:
+    if backend.deltas_lost:
+        reject(ROUTE_STREAM, lost)
+    else:
         candidates.append(
             RouteEstimate(
                 ROUTE_STREAM,
@@ -319,12 +301,6 @@ def plan_aggregate(
                 row_fetches=int(row_idx.size),
                 error_bound=0.0,
             )
-        )
-    else:
-        reject(
-            ROUTE_STREAM,
-            "streaming reconstructs delta-corrected rows, unavailable on "
-            "the SVD-only engine",
         )
 
     if not candidates:

@@ -20,7 +20,6 @@ Vocabulary every backend offers:
 - ``shape``; ``cell(row, col)``; ``block(row_idx, col_idx)``, the
   dense float64 submatrix — always an array, the row-at-a-time loop
   for row-only sources lives here and nowhere else;
-- ``svd_cell`` — the delta-free probe, or None;
 - ``factors(row_idx) -> (scaled_u, v, delta_index, rows_fetched)`` —
   the selected rows as ``u_i * Lambda``, the pinned ``V``, the outlier
   index (None when the source stores no deltas) and the U-row fetches
@@ -28,9 +27,9 @@ Vocabulary every backend offers:
   The in-memory models and ``CompressedMatrix`` offer it; ndarray,
   ``MatrixStore`` and row-only sources do not;
 - the facts the planner and the profiler read: ``rank``,
-  ``delta_index``, ``paged_store`` / ``memory_resident``,
-  ``pool_stats`` / ``io_stats``, ``summaries``, ``start_date``,
-  ``rmspe_estimate``.
+  ``delta_index``, ``deltas_lost``, ``paged_store`` /
+  ``memory_resident``, ``pool_stats`` / ``io_stats``, ``summaries``,
+  ``start_date``, ``rmspe_estimate``.
 """
 
 from __future__ import annotations
@@ -62,13 +61,16 @@ class Backend:
     shape: tuple[int, int]
     cell: Callable[[int, int], float]
     block: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    svd_cell: Callable[[int, int], float] | None = None
     factors: Callable[[np.ndarray], tuple] | None = None
     #: Retained principal components (0 without a factor form).
     rank: int = 0
     #: The paged store whose pages a row fetch hits, or None when rows
     #: come from memory.
     paged_store: MatrixStore | None = None
+    #: True when the source's model counts deltas its open could not
+    #: load (a degraded open that dropped ``deltas.bin``): its cells and
+    #: streamed rows are the bare SVD, and no exact fold exists.
+    deltas_lost: bool = False
     # A getter, not the index: a closed mapped store must be able to
     # drop its index (and with it the delta mapping's last buffer).
     _deltas: Callable[[], DeltaIndex | None] = _none
@@ -188,10 +190,10 @@ def _from_compressed(store: CompressedMatrix) -> Backend:
         shape=store.shape,
         cell=store.cell,
         block=store.reconstruct_range,
-        svd_cell=store.svd_cell,
         factors=store.factors,
         rank=store.cutoff,
         paged_store=store.u_store,
+        deltas_lost=store.deltas_lost,
         _deltas=lambda: store.delta_index,
         _anchor=lambda: recorded_start_date(store.directory),
     )

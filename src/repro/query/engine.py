@@ -66,8 +66,7 @@ class AggregateQuery:
     """An aggregate ``function`` over the cells of ``selection``.
 
     ``max_rmspe`` is the per-query error budget handed to the planner:
-    None means exact-only on a delta-capable engine (and best-effort on
-    the brownout engine); ``0.0`` demands exactness everywhere; a
+    None means exact only; ``0.0`` demands exactness outright; a
     positive fraction admits the approximate SVD-only route when the
     model's stored RMSPE estimate fits the budget.
     """
@@ -91,11 +90,10 @@ class QueryResult:
     ``route`` names the planner route that produced the value (empty
     for cell probes, which are not planned); ``error_bound`` is the
     achieved bound — 0.0 for every exact route, the model's stored
-    RMSPE estimate for an SVD-only answer, None when that estimate is
-    unknown.  ``profile`` carries the per-query
-    :class:`~repro.obs.profile.QueryProfile` (path taken, page reads,
-    pool hit rate, phase timings) while the process-wide telemetry
-    registry is enabled; it is None on unprofiled runs.
+    RMSPE estimate for an ``svd``-route answer.  ``profile`` carries
+    the per-query :class:`~repro.obs.profile.QueryProfile` (path taken,
+    page reads, pool hit rate, phase timings) while the process-wide
+    telemetry registry is enabled; it is None on unprofiled runs.
     """
 
     value: float
@@ -103,7 +101,7 @@ class QueryResult:
     rows_fetched: int
     profile: QueryProfile | None = field(default=None, compare=False)
     route: str = field(default="", compare=False)
-    error_bound: float | None = field(default=0.0, compare=False)
+    error_bound: float = field(default=0.0, compare=False)
 
 
 def _as_cell_query(query) -> CellQuery:
@@ -192,20 +190,6 @@ class QueryEngine:
 
     Args:
         backend: the data source (see module docstring).
-        include_deltas: with False, answer from the SVD factors alone —
-            factor-space aggregates skip the delta fold and cell
-            queries use :meth:`CompressedMatrix.svd_cell` when the
-            backend offers it.  This is the serving tier's brownout
-            engine: answers are the paper's rank-k approximation with
-            bounded RMSPE, never the delta-corrected exact-outlier
-            values.  Two exceptions stay *exact* even in brownout: a
-            selection fully covered by the materialized rollups (they
-            fold deltas in at build time) and ``count``.  Aggregates
-            that genuinely need per-cell values (min/max off the
-            rollups, non-factor backends) raise
-            :class:`~repro.exceptions.RouteUnavailableError` instead of
-            silently streaming delta-corrected rows, which the serving
-            tier sheds as a brownout.
 
     Every aggregate is routed by :func:`repro.plan.plan_aggregate`
     under the query's ``max_rmspe`` budget; :meth:`explain` and
@@ -214,9 +198,8 @@ class QueryEngine:
     the plan with that candidate as its ``route``.
     """
 
-    def __init__(self, backend, include_deltas: bool = True) -> None:
+    def __init__(self, backend) -> None:
         self._backend = as_backend(backend)
-        self._include_deltas = include_deltas
 
     def refresh(self, backend) -> None:
         """Swap in a new backend (e.g. a reopened post-append store).
@@ -272,15 +255,12 @@ class QueryEngine:
         # Tested inline so an in-range probe pays for no call.
         if not (0 <= row < rows and 0 <= col < cols):
             _check_cell(row, col, (rows, cols))
-        probe = backend.cell
-        if not self._include_deltas and backend.svd_cell is not None:
-            probe = backend.svd_cell
         if not _obs.enabled:
-            return QueryResult(float(probe(row, col)), 1, 1)
+            return QueryResult(float(backend.cell(row, col)), 1, 1)
         capture = StatDelta(backend)
         start = time.perf_counter_ns()
         with _span("query.cell", row=row, col=col) as root:
-            value = float(probe(row, col))
+            value = float(backend.cell(row, col))
         profile = QueryProfile(
             "cell",
             None,
@@ -323,7 +303,6 @@ class QueryEngine:
             query.function,
             row_idx,
             col_idx,
-            include_deltas=self._include_deltas,
             max_rmspe=budget,
         )
 
@@ -405,7 +384,7 @@ class QueryEngine:
                 row_idx,
                 col_idx,
                 query.function,
-                include_deltas=route == ROUTE_FACTOR,
+                fold_deltas=route == ROUTE_FACTOR,
             )
             return QueryResult(
                 value=value,
@@ -452,11 +431,11 @@ class QueryEngine:
         """Answer an aggregate *entirely* from the summary store.
 
         Returns None unless the selection spans a full axis of the
-        store — no factor math, zero page reads.  Works
-        regardless of ``include_deltas``: the rollups fold the deltas
-        in at materialization time, so even the brownout (SVD-only)
-        engine can hand out these answers as exact.  That is how the
-        dispatcher un-sheds min/max during brownout.
+        store — no factor math, zero page reads.  The planner's
+        ``summary`` route answers the same selections; no product code
+        calls this any more.  The benchmark harness's traced loop
+        (``benchmarks/harness/trace.py``) does, so it goes when that
+        loop does.
         """
         if not isinstance(query, AggregateQuery):
             return None

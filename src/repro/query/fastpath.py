@@ -59,7 +59,7 @@ def factor_aggregate(
     row_idx: np.ndarray,
     col_idx: np.ndarray,
     function: str,
-    include_deltas: bool = True,
+    fold_deltas: bool = True,
 ) -> tuple[float, int] | None:
     """Evaluate sum/avg/count/stddev in factor space.
 
@@ -69,10 +69,10 @@ def factor_aggregate(
     performed (non-zero only for disk-resident backends) — or None if
     the backend or function does not support the fast path.
 
-    ``include_deltas=False`` skips the delta fold entirely and answers
-    from the SVD factors alone — the serving tier's brownout mode, where
-    the answer is the paper's rank-k approximation with its stored
-    RMSPE estimate instead of the delta-corrected value.
+    ``fold_deltas=False`` skips the delta fold entirely and answers
+    from the SVD factors alone — the planner's ``svd`` route: the
+    paper's rank-k approximation, stamped with its stored RMSPE
+    estimate instead of the delta-corrected value.
     """
     backend = as_backend(source)
     if function not in FACTOR_FUNCTIONS or backend.factors is None:
@@ -99,7 +99,7 @@ def factor_aggregate(
             gram = v_sel.T @ v_sel  # (k, k)
             total_sq = float((gram * (scaled_u.T @ scaled_u)).sum())
 
-    if include_deltas and index is not None and len(index) > 0:
+    if fold_deltas and index is not None and len(index) > 0:
         with _span("query.factor.delta", stored=len(index)):
             if not need_squares:
                 total += index.select_sum(row_idx, col_idx)

@@ -10,9 +10,10 @@ that makes the reproduction *operable* under that load:
 - :mod:`repro.serve.admission` — bounded admission with queue-depth
   and queue-age load shedding (503 + ``Retry-After``);
 - :mod:`repro.serve.robust` — the dispatcher tying admission,
-  deadlines, gather slots and *brownout* (SVD-only degraded answers)
-  around the :class:`~repro.query.engine.QueryEngine` every handler
-  thread answers on;
+  deadlines, gather slots and *brownout* (queries planned under the
+  model's own stored RMSPE as their error budget) around the one
+  :class:`~repro.query.engine.QueryEngine` every handler thread
+  answers on;
 - :mod:`repro.serve.server` — the HTTP front door
   (:class:`~repro.serve.server.QueryServer`, on the socket plumbing of
   :mod:`repro.obs.serve`) exposing ``/query``, ``/cell``,

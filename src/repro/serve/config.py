@@ -57,7 +57,9 @@ class ServeConfig:
         5.0, "SIGTERM waits this long for in-flight requests before closing anyway"
     )
     brownout_sheds: int = _knob(
-        8, "sheds within the window that trigger brownout (SVD-only answers)"
+        8,
+        "sheds within the window that trigger brownout (queries without "
+        "their own max_rmspe are planned under the model's stored RMSPE)",
     )
     brownout_window_s: float = _knob(
         10.0, "sliding window for counting those sheds, in seconds"

@@ -2,10 +2,10 @@
 
 :class:`RobustDispatcher` is the policy layer between the HTTP handler
 and the query engine.  Every request is computed **by the handler
-thread that read it**, on engines over one mapped backend this process
-opened — there is no worker pool, so no question is pickled, no queue
-thread woken, and the engine's spans and counters land in the registry
-``/metrics`` scrapes.  One request flows through :meth:`dispatch` as:
+thread that read it**, on the one engine over the one mapped backend
+this process opened — there is no worker pool, so no question is
+pickled, no queue thread woken, and the engine's spans and counters
+land in the registry ``/metrics`` scrapes.  One request flows through :meth:`dispatch` as:
 
 1. **drain check** — a draining server sheds immediately (503) so the
    load balancer's next health probe sees not-ready and moves on;
@@ -16,20 +16,15 @@ thread woken, and the engine's spans and counters land in the registry
    passed when its ticket is admitted fails with
    :class:`~repro.exceptions.DeadlineExceededError` (504) before any
    compute;
-4. **plan once, on the engine that will answer** — the delta-capable
-   engine while healthy; under **brownout** (sustained shedding, or a
-   degraded model open) the SVD-only engine
-   (``QueryEngine(include_deltas=False)``), whose planner
-   (:func:`repro.plan.plan_aggregate`) admits exactly two aggregate
-   routes: a full-axis selection covered by the materialized rollups is
-   answered **exactly** (``degraded: false``, zero ``u.mat`` pages) —
-   including min/max, which the SVD factors alone could not serve
-   honestly — and everything else the factors can express rides the
-   ``svd`` route: no delta pass, an answer stamped ``degraded: true``
-   with the model's stored residual estimate.  Queries with no
-   admissible route (:class:`~repro.exceptions.RouteUnavailableError`)
-   are shed instead of silently served wrong.  A cell probe is never
-   planned;
+4. **plan once** (:func:`repro.plan.plan_aggregate`).  **Brownout**
+   (sustained shedding, or a degraded open) is a budget: a query that
+   set none is planned under the model's stored RMSPE estimate.  A
+   rollup hit stays exact (min/max included), a partial sum/avg/stddev
+   takes ``svd`` (stamped ``degraded: true`` with the estimate), and a
+   plan that would ``stream``, or no route at all, is shed with reason
+   ``brownout``.  A client's own budget is kept (``max_rmspe=0`` buys
+   an exact ``factor`` answer).  A cell is never planned; it is
+   ``degraded`` only on a store that lost its deltas;
 5. **execute here, what you planned** — the plan goes back to the
    engine that made it.  A plan that gathers rows of U
    (``row_fetches > 0``: ``factor``, ``stream``, ``svd``) first takes
@@ -68,7 +63,7 @@ from repro.exceptions import (
     RouteUnavailableError,
 )
 from repro.obs.registry import registry as _obs
-from repro.plan import ROUTE_SUMMARY
+from repro.plan import ROUTE_STREAM, ROUTE_SUMMARY, ROUTE_SVD
 from repro.query.engine import (
     AggregateQuery,
     QueryEngine,
@@ -111,13 +106,12 @@ class RobustDispatcher:
         self._backend = CompressedMatrix.open(
             self.model_dir, on_corrupt=self.config.on_corrupt, mapped=True
         )
-        # Two engines over the one backend: delta-capable (healthy) and
-        # SVD-only (brownout).  A degraded open — a damaged delta
-        # sidecar tolerated — is the state brownout keeps serving through.
+        # One engine, healthy or in brownout (a degraded open stays in
+        # brownout): brownout changes the budget, nothing else.
         self._engine = QueryEngine(self._backend)
-        self._fallback = QueryEngine(self._backend, include_deltas=False)
         self.model_degraded = self._backend.degraded
-        #: Stamped on degraded answers: the model's stored estimate.
+        self._deltas_lost = self._backend.deltas_lost
+        #: Brownout's budget and ``svd`` answers' stamp.
         self.rmspe = self._backend.rmspe_estimate
         self._shed_times: deque[float] = deque()
         self._shed_lock = threading.Lock()
@@ -136,7 +130,7 @@ class RobustDispatcher:
 
     def warm(self) -> None:
         """Answer one cell, one rollup and one gather before taking
-        traffic, on the engine that will serve.
+        traffic, planned as they will be served.
 
         The backend builds some tables on first use (the summary
         arrays, the delta index's row offsets and the row and column
@@ -147,9 +141,12 @@ class RobustDispatcher:
         rows, cols = self._engine.shape
         if not (rows and cols):
             return
-        engine = self._fallback if self.model_degraded else self._engine
         for text in ("cell(0, 0)", "sum() rows 0:1", "stddev() rows 0:1 cols 0:1"):
-            engine.execute(parse_query(text))
+            query = parse_query(text)
+            try:
+                self._engine.execute(query, plan=self._plan(query, self.model_degraded))
+            except RouteUnavailableError:
+                pass  # shed when served, so nothing to warm
 
     def drain(self) -> bool:
         """Stop admitting, wait out in-flight work, release the model.
@@ -188,9 +185,8 @@ class RobustDispatcher:
             self._shed_times.popleft()
 
     def brownout_active(self) -> bool:
-        """True while the server should answer from the SVD fast path
-        only: sustained shedding, or a model whose delta sidecar failed
-        verification at open."""
+        """True while the server plans under the model's stated error:
+        sustained shedding, or a model that opened degraded."""
         if self.model_degraded:
             active = True
         else:
@@ -221,12 +217,17 @@ class RobustDispatcher:
             self._note_shed()
             raise
 
-    @staticmethod
-    def _plan(engine: QueryEngine, query):
-        """``engine``'s plan for an aggregate — the one object a request
-        is routed by, executed with or explained from — or None for a
-        cell probe, which is never planned."""
-        return engine.plan(query) if isinstance(query, AggregateQuery) else None
+    def _plan(self, query, brownout: bool):
+        """The plan a request is routed by, executed with or explained
+        from — None for a cell, which is never planned.  Brownout plans
+        under the model's estimate and refuses a streaming plan."""
+        if not isinstance(query, AggregateQuery):
+            return None
+        budget = self.rmspe if brownout and query.max_rmspe is None else None
+        plan = self._engine.plan(query, max_rmspe=budget)
+        if brownout and plan.route.name == ROUTE_STREAM:
+            raise RouteUnavailableError("streaming per-cell values is shed in brownout")
+        return plan
 
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
@@ -256,8 +257,8 @@ class RobustDispatcher:
                 self._note_shed()
                 raise self.admission.shed(
                     "brownout",
-                    "server is in brownout (SVD-only answers) and this query "
-                    "needs per-cell values; retry after "
+                    "server is in brownout (answers within the model's stated "
+                    "error) and this query has no route it serves; retry after "
                     f"{self.config.retry_after_s:g}s",
                 ) from None
             if time.monotonic_ns() >= deadline_ns:
@@ -266,12 +267,13 @@ class RobustDispatcher:
             self._count("answers", "server.answers")
             if gathered:
                 self._count("gathers", "server.gathers")
-            # Only a ``summary``-route brownout answer is exact; every
-            # other one is the bare factors, stamped with the stored RMSPE.
-            degraded = brownout and result.route != ROUTE_SUMMARY
+            # The bare SVD: the ``svd`` route, or a store's lost deltas.
+            degraded = result.route == ROUTE_SVD or (
+                not result.route and self._deltas_lost
+            )
             if degraded:
                 self._count("degraded_answers", "server.degraded_answers")
-            elif brownout:
+            elif brownout and result.route == ROUTE_SUMMARY:
                 self._count("summary_brownout_hits", "server.summary.brownout_hits")
             return self._payload(result, start_ns, degraded=degraded)
 
@@ -282,21 +284,20 @@ class RobustDispatcher:
         )
 
     def _execute(self, query, brownout: bool, start_ns: int, deadline_ns: int):
-        """Plan on this mode's engine and run that plan in this thread.
+        """Plan for this mode and run that plan in this thread.
 
         Returns ``(result, gathered)``.  The test for a gather is
         ``row_fetches``, not ``pages``: a mapped backend's pages are
         logical only, so every route plans ``pages == 0``.
         """
-        engine = self._fallback if brownout else self._engine
-        plan = self._plan(engine, query)
+        plan = self._plan(query, brownout)
         if plan is None or plan.route.row_fetches == 0:
-            return engine.execute(query, plan=plan), False
+            return self._engine.execute(query, plan=plan), False
         left_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
         if not self._slots.acquire(timeout=left_s):
             raise self._deadline_miss(start_ns, deadline_ns)
         try:
-            return engine.execute(query, plan=plan), True
+            return self._engine.execute(query, plan=plan), True
         finally:
             self._slots.release()
 
@@ -336,27 +337,25 @@ class RobustDispatcher:
             self._count("summary_hits", "server.summary.hits")
         else:
             self._count("summary_misses", "server.summary.misses")
-        series["degraded"] = bool(self.model_degraded and path != "summary")
+        series["degraded"] = self._deltas_lost and path != "summary"
         series["elapsed_ms"] = round((time.monotonic_ns() - start_ns) / 1e6, 3)
         return series
 
     def explain(self, query) -> dict:
         """Plan a query without executing it.
 
-        Plans on the engine :meth:`dispatch` would answer with *right
-        now* — delta-capable while healthy, SVD-only while
+        Plans as :meth:`dispatch` would *right now* — under the query's
+        own budget while healthy, under the model's estimate while
         :meth:`brownout_active` — so the reported route is the executed
-        route in either mode.  A brownout query with no admissible
-        route explains as ``path="shed"`` (dispatch would raise
-        :class:`~repro.exceptions.OverloadedError`) rather than
-        inventing a plan.
+        route in either mode.  A brownout query :meth:`dispatch` would
+        shed (:class:`~repro.exceptions.OverloadedError`) explains as
+        ``path="shed"`` rather than inventing a plan.
         """
         coerced = coerce_query(query)
         brownout = self.brownout_active()
-        engine = self._fallback if brownout else self._engine
         try:
-            plan = self._plan(engine, coerced)
-            described = plan.to_dict() if plan else engine.explain(coerced)
+            plan = self._plan(coerced, brownout)
+            described = plan.to_dict() if plan else self._engine.explain(coerced)
         except RouteUnavailableError as exc:
             described = {"path": "shed", "reason": str(exc)}
         described["mode"] = "brownout" if brownout else "healthy"

@@ -230,7 +230,7 @@ def _profiles(
             np.minimum(rows[S_MIN, lo:hi], tile.min(axis=1), out=rows[S_MIN, lo:hi])
             np.maximum(rows[S_MAX, lo:hi], tile.max(axis=1), out=rows[S_MAX, lo:hi])
         rows[S_SUM, lo:hi] = scaled @ v_sum
-        rows[S_SUMSQ, lo:hi] = np.einsum("nk,kl,nl->n", scaled, gram, scaled)
+        rows[S_SUMSQ, lo:hi] = ((scaled @ gram) * scaled).sum(axis=1)
         if blk_keys.size:
             base = np.einsum("ik,ik->i", scaled[blk_rows], v[blk_cols])
             np.add.at(rows[S_SUM], blk_rows + lo, blk_vals)

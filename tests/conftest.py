@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ def run_route(engine, query, route: str, plan=None):
     plan = engine.plan(query) if plan is None else plan
     (forced,) = [c for c in plan.candidates if c.name == route]
     return engine.execute(query, plan=dataclasses.replace(plan, route=forced))
+
+
+def lose_deltas(directory) -> None:
+    """Flip a byte of a model's ``deltas.bin`` (size kept, CRC broken):
+    it then opens only with ``on_corrupt="degraded"``, without deltas."""
+    path = Path(directory) / "deltas.bin"
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0xFF
+    path.write_bytes(bytes(raw))
 
 
 @pytest.fixture(scope="session")

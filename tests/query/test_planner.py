@@ -3,12 +3,16 @@
 Covers the route lattice and pricing (``repro.plan``), the
 ``max_rmspe`` budget semantics — including the structural guarantee
 that ``max_rmspe=0.0`` can never select the approximate SVD-only
-route — the brownout explain/execute parity that used to diverge, the
+route — explain/execute parity on a store that lost its deltas (what
+the serving tier's brownout budget meets on a degraded open), the
 typed-error contract for malformed cell tuples, and the stepped-range
 DoS guard in :class:`Selection`.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from repro.plan import (
 from repro.plan.planner import validate_max_rmspe
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.backend import as_backend
-from tests.conftest import run_route
+from tests.conftest import lose_deltas, run_route
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +66,21 @@ def compressed(model_dir):
     from repro.core import CompressedMatrix
 
     store = CompressedMatrix.open(model_dir)
+    yield store
+    store.close()
+
+
+@pytest.fixture(scope="module")
+def lost(tmp_path_factory, model_dir):
+    """``model_dir``'s model opened degraded after its ``deltas.bin``
+    broke: the planner must find no exact fold on it."""
+    from repro.core import CompressedMatrix
+
+    directory = tmp_path_factory.mktemp("planner-lost") / "model"
+    shutil.copytree(model_dir, directory)
+    lose_deltas(directory)
+    store = CompressedMatrix.open(directory, on_corrupt="degraded")
+    assert store.deltas_lost and store.rmspe_estimate is not None
     yield store
     store.close()
 
@@ -230,6 +249,17 @@ class TestFoldPricedBySelectedRows:
         one_more = factor_cost(np.append(mine, 13 * cols))  # a selected row
         assert one_more == pytest.approx(base + CostParams().ns_per_cell / 1e6)
 
+    def test_count_folds_nothing_so_factor_ties_svd(self, compressed):
+        """``count`` returns before any fold, so it is priced with none:
+        however many deltas the selected rows hold, the exact route
+        costs what ``svd`` does and wins the tie."""
+        idx = _resolve(compressed, rows=range(0, 10), cols=range(0, 10))
+        assert compressed.delta_index.count_in_rows(idx[0]) > 0
+        plan = plan_aggregate(compressed, "count", *idx, max_rmspe=1.0)
+        assert _cost(plan, ROUTE_FACTOR) == _cost(plan, ROUTE_SVD)
+        assert plan.route.name == ROUTE_FACTOR
+        assert plan.route.error_bound == 0.0
+
     def test_no_deltas_in_the_selected_rows_ties_svd_and_exact_wins(self, compressed):
         index = compressed.delta_index
         free = np.flatnonzero(np.bincount(index.rows, minlength=compressed.shape[0]) == 0)
@@ -242,35 +272,28 @@ class TestFoldPricedBySelectedRows:
 
 
 class TestMaxRmspeSemantics:
-    def test_zero_budget_provably_never_selects_svd(self, compressed, svdd_model, data):
-        """max_rmspe=0.0 rejects svd before pricing, on every backend,
-        engine mode, function, and selection shape."""
-        backends = [compressed, svdd_model, data]
+    def test_zero_budget_provably_never_selects_svd(
+        self, compressed, svdd_model, data, lost
+    ):
+        """max_rmspe=0.0 rejects svd before pricing, on every backend (a
+        store that lost its deltas too), function, and selection shape."""
+        backends = [compressed, svdd_model, data, lost]
         selections = [
             dict(rows=range(0, 10)),
             dict(rows=range(0, 10), cols=range(0, 10)),
             dict(),
         ]
         for backend in backends:
-            for include_deltas in (True, False):
-                for function in ("sum", "avg", "count", "min", "max", "stddev"):
-                    for sel in selections:
-                        idx = _resolve(backend, **sel)
-                        try:
-                            plan = plan_aggregate(
-                                backend,
-                                function,
-                                *idx,
-                                include_deltas=include_deltas,
-                                max_rmspe=0.0,
-                            )
-                        except RouteUnavailableError:
-                            continue  # no route at all beats a wrong route
-                        assert plan.route.name != ROUTE_SVD
-                        assert all(
-                            c.name != ROUTE_SVD for c in plan.candidates
-                        )
-                        assert plan.route.error_bound == 0.0
+            for function in ("sum", "avg", "count", "min", "max", "stddev"):
+                for sel in selections:
+                    idx = _resolve(backend, **sel)
+                    try:
+                        plan = plan_aggregate(backend, function, *idx, max_rmspe=0.0)
+                    except RouteUnavailableError:
+                        continue  # no route at all beats a wrong route
+                    assert plan.route.name != ROUTE_SVD
+                    assert all(c.name != ROUTE_SVD for c in plan.candidates)
+                    assert plan.route.error_bound == 0.0
 
     def test_zero_budget_rejection_reason(self, compressed):
         idx = _resolve(compressed, rows=range(0, 10), cols=range(0, 10))
@@ -390,12 +413,15 @@ class TestEngineIntegration:
 
 
 class TestBrownoutParity:
-    """The regression the planner exists to prevent: the SVD-only
-    (brownout) engine must explain and execute identically."""
+    """The regression the planner exists to prevent: on a store that
+    lost its deltas (the degraded open brownout serves through) explain
+    and execute agree, and neither passes the bare SVD off as exact."""
 
-    def test_min_sub_rectangle_unanswerable_both_ways(self, svdd_model):
-        engine = QueryEngine(svdd_model, include_deltas=False)
-        query = AggregateQuery("min", Selection(rows=range(0, 10), cols=range(0, 10)))
+    def test_min_sub_rectangle_unanswerable_both_ways(self, lost):
+        engine = QueryEngine(lost)
+        query = AggregateQuery(
+            "min", Selection(rows=range(0, 10), cols=range(0, 10)), max_rmspe=1.0
+        )
         with pytest.raises(RouteUnavailableError):
             engine.explain(query)
         with pytest.raises(RouteUnavailableError):
@@ -404,18 +430,28 @@ class TestBrownoutParity:
     def test_route_unavailable_is_a_query_error(self):
         assert issubclass(RouteUnavailableError, QueryError)
 
-    def test_brownout_engine_degrades_to_svd_by_default(self, svdd_model):
-        engine = QueryEngine(svdd_model, include_deltas=False)
-        query = AggregateQuery("sum", Selection(rows=range(0, 10), cols=range(0, 10)))
+    def test_brownout_engine_degrades_to_svd_by_default(self, lost):
+        """Brownout's budget is the model's own estimate: under it a
+        partial sum takes ``svd``, stamped with it; with no budget there
+        is no exact route left."""
+        engine = QueryEngine(lost)
+        query = AggregateQuery(
+            "sum",
+            Selection(rows=range(0, 10), cols=range(0, 10)),
+            max_rmspe=lost.rmspe_estimate,
+        )
         plan = engine.explain(query)
         result = engine.aggregate(query)
         assert plan["path"] == ROUTE_SVD == result.route
-        # In-memory model without a stored estimate: bound unknown.
-        assert plan["error_bound"] is None
-        assert result.error_bound is None
+        assert plan["error_bound"] == result.error_bound == lost.rmspe_estimate
+        rejected = {r["route"]: r["reason"] for r in plan["rejected"]}
+        assert "lost its deltas" in rejected[ROUTE_FACTOR]
+        assert "lost its deltas" in rejected[ROUTE_STREAM]
+        with pytest.raises(RouteUnavailableError):
+            engine.aggregate(dataclasses.replace(query, max_rmspe=None))
 
-    def test_brownout_zero_budget_sheds_instead_of_svd(self, svdd_model):
-        engine = QueryEngine(svdd_model, include_deltas=False)
+    def test_brownout_zero_budget_sheds_instead_of_svd(self, lost):
+        engine = QueryEngine(lost)
         query = AggregateQuery(
             "sum", Selection(rows=range(0, 10), cols=range(0, 10)), max_rmspe=0.0
         )
@@ -424,8 +460,8 @@ class TestBrownoutParity:
         with pytest.raises(RouteUnavailableError):
             engine.explain(query)
 
-    def test_unavailable_message_names_every_rejection(self, svdd_model):
-        engine = QueryEngine(svdd_model, include_deltas=False)
+    def test_unavailable_message_names_every_rejection(self, lost):
+        engine = QueryEngine(lost)
         query = AggregateQuery("max", Selection(rows=range(0, 10), cols=range(0, 10)))
         with pytest.raises(RouteUnavailableError) as excinfo:
             engine.aggregate(query)

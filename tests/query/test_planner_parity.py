@@ -1,13 +1,15 @@
 """Matrixed explain/execute parity suite.
 
 The planner's whole reason to exist: for every combination of backend,
-engine mode, aggregate function, selection shape, and error budget,
+serving mode, aggregate function, selection shape, and error budget,
 ``explain`` must name exactly the route ``aggregate`` takes — and when
 no route is admissible, both must raise the same
 :class:`RouteUnavailableError`.  The matrix deliberately spans the
 summary store's two states (fresh, and dropped by a deferred append)
-and both engine delta modes, because those were the axes along which
-the pre-planner call sites diverged.  Every exact answer is checked
+and both serving modes (``deltas``: the query's own budget;
+``svd-only``: brownout's, the model's stored estimate when the query
+set none), because those were the axes along which the pre-planner
+call sites diverged.  Every exact answer is checked
 against a dense NumPy oracle of the same backend.
 
 The same backend matrix doubles as the conformance suite for the one
@@ -137,6 +139,19 @@ def backends(tmp_path_factory, data, svdd_model, fresh_dir, stale_dir):
         store.close()
 
 
+#: The serving modes: a query's own budget, or brownout's.
+MODES = dict(argvalues=[False, True], ids=["deltas", "svd-only"])
+
+
+def _budget(backend, budget, brownout: bool):
+    """The budget a query is planned under: its own, or in brownout —
+    when it set none — the model's stored estimate, as the serving
+    tier plans it."""
+    if brownout and budget is None:
+        return as_backend(backend).rmspe_estimate
+    return budget
+
+
 def _attempt(callable_):
     """(outcome, payload): outcome is 'ok' or 'unavailable'."""
     try:
@@ -145,16 +160,17 @@ def _attempt(callable_):
         return "unavailable", str(exc)
 
 
-@pytest.mark.parametrize("include_deltas", [True, False], ids=["deltas", "svd-only"])
+@pytest.mark.parametrize("brownout", **MODES)
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_explain_matches_execute_everywhere(backends, backend_name, include_deltas):
+def test_explain_matches_execute_everywhere(backends, backend_name, brownout):
     backend = backends[backend_name]
-    engine = QueryEngine(backend, include_deltas=include_deltas)
+    engine = QueryEngine(backend)
     dense = _dense(backend)
     for function in FUNCTIONS:
         for sel_name, selection in SELECTIONS.items():
             for budget_name, budget in BUDGETS.items():
                 label = f"{backend_name}/{function}/{sel_name}/{budget_name}"
+                budget = _budget(backend, budget, brownout)
                 query = AggregateQuery(function, selection, max_rmspe=budget)
                 explained, plan = _attempt(lambda: engine.explain(query))
                 executed, result = _attempt(lambda: engine.aggregate(query))
@@ -191,21 +207,20 @@ def test_explain_matches_execute_everywhere(backends, backend_name, include_delt
                     ), label
 
 
-@pytest.mark.parametrize("include_deltas", [True, False], ids=["deltas", "svd-only"])
+@pytest.mark.parametrize("brownout", **MODES)
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
-def test_handed_in_plan_executes_as_the_query_does(
-    backends, backend_name, include_deltas
-):
+def test_handed_in_plan_executes_as_the_query_does(backends, backend_name, brownout):
     """Plan once: ``execute(query, plan=engine.plan(query))`` is
     ``execute(query)`` — same value to the bit, same route, bound and
     accounting — on every backend, mode, function, shape and budget
     (``test_matrix_covers_every_route``: all four routes among them)."""
     backend = backends[backend_name]
-    engine = QueryEngine(backend, include_deltas=include_deltas)
+    engine = QueryEngine(backend)
     for function in FUNCTIONS:
         for sel_name, selection in SELECTIONS.items():
             for budget_name, budget in BUDGETS.items():
                 label = f"{backend_name}/{function}/{sel_name}/{budget_name}"
+                budget = _budget(backend, budget, brownout)
                 query = AggregateQuery(function, selection, max_rmspe=budget)
                 planned, plan = _attempt(lambda: engine.plan(query))
                 if planned == "unavailable":
@@ -346,11 +361,12 @@ def test_matrix_covers_every_route(backends):
     planner exercises all four routes (no silently dead lattice arm)."""
     seen = set()
     for backend in backends.values():
-        for include_deltas in (True, False):
-            engine = QueryEngine(backend, include_deltas=include_deltas)
+        engine = QueryEngine(backend)
+        for brownout in (False, True):
             for function in FUNCTIONS:
                 for selection in SELECTIONS.values():
                     for budget in BUDGETS.values():
+                        budget = _budget(backend, budget, brownout)
                         query = AggregateQuery(function, selection, max_rmspe=budget)
                         outcome, plan = _attempt(lambda: engine.explain(query))
                         if outcome == "ok":

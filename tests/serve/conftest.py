@@ -34,8 +34,8 @@ def stale_model_dir(serve_model_dir, tmp_path_factory):
 
 @pytest.fixture()
 def spy_on_execute(monkeypatch):
-    """``spy_on_execute(dispatcher, before=None)`` wraps the healthy
-    engine's ``execute`` for this test: returns the list of queries it
+    """``spy_on_execute(dispatcher, before=None)`` wraps the
+    dispatcher's engine's ``execute`` for this test: returns the list of queries it
     has been handed so far; ``before(query)`` runs first (to sleep,
     block or raise)."""
 

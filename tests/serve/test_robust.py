@@ -32,6 +32,7 @@ from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
+from tests.conftest import lose_deltas, run_route
 
 SRC_DIR = Path(engine_module.__file__).parents[2]
 
@@ -254,10 +255,10 @@ class TestParentPath:
     def test_error_budget_reaches_the_one_plan(self, dispatcher):
         """``max_rmspe`` rides on the query into the single plan: a
         ``count`` gathers nothing on either factor route, so it takes no
-        slot — answered exactly by default, on the cheaper ``svd`` route
-        once the budget admits it."""
+        slot — and folds nothing, so the exact route ties ``svd`` and is
+        taken under every budget."""
         text = "count() rows 5:60 cols 3:40"
-        for budget, route in ((None, "factor"), (0.0, "factor"), (0.9, "svd")):
+        for budget, route in ((None, "factor"), (0.0, "factor"), (0.9, "factor")):
             query = dataclasses.replace(parse_query(text), max_rmspe=budget)
             before = dispatcher.stats()
             explained = dispatcher.explain(query)
@@ -504,43 +505,70 @@ class TestBrownout:
     def test_degraded_answer_is_svd_only_and_stamped(
         self, brownout_dispatcher, serve_model_dir
     ):
-        from repro.core.store import CompressedMatrix
-
+        """Brownout plans a partial sum under the model's estimate: the
+        ``svd`` route, stamped with it, explained as dispatched.  A
+        client that demands exactness is served exactly, not shed."""
         for _ in range(2):
             brownout_dispatcher._note_shed()
-        payload = brownout_dispatcher.dispatch("sum() rows 0:40 cols 0:25")
+        text = "sum() rows 0:40 cols 0:25"
+        explained = brownout_dispatcher.explain(text)
+        payload = brownout_dispatcher.dispatch(text)
+        assert explained["mode"] == "brownout"
+        assert explained["path"] == payload["route"] == "svd"
         assert payload["degraded"] is True
-        assert "rmspe_estimate" in payload
+        assert payload["error_bound"] == payload["rmspe_estimate"]
+        assert payload["error_bound"] == brownout_dispatcher.rmspe
+        query = parse_query(text)
         with CompressedMatrix.open(serve_model_dir) as store:
-            svd_only = QueryEngine(store, include_deltas=False).execute(
-                parse_query("sum() rows 0:40 cols 0:25")
-            )
-            exact = QueryEngine(store).execute(
-                parse_query("sum() rows 0:40 cols 0:25")
-            )
+            engine = QueryEngine(store)
+            forced = run_route(engine, query, "svd", engine.plan(query, max_rmspe=1.0))
+            exact = engine.execute(query)
             deltas = len(store.delta_index)
-        assert payload["value"] == svd_only.value
+        assert payload["value"] == forced.value
         if deltas:
             assert payload["value"] != exact.value
+        demanded = dataclasses.replace(query, max_rmspe=0.0)
+        assert brownout_dispatcher.explain(demanded)["path"] == "factor"
+        payload = brownout_dispatcher.dispatch(demanded)
+        assert (payload["route"], payload["degraded"]) == ("factor", False)
+        assert payload["value"] == exact.value
 
-    def test_degraded_cell_uses_svd_reconstruction(self, brownout_dispatcher):
+    def test_degraded_cell_uses_svd_reconstruction(
+        self, brownout_dispatcher, serve_model_dir, tmp_path
+    ):
+        """A brownout cell keeps its delta probe: exact on a healthy
+        model.  Only a store that lost its deltas answers a cell from
+        the SVD reconstruction, stamped ``degraded``."""
         for _ in range(2):
             brownout_dispatcher._note_shed()
         payload = brownout_dispatcher.dispatch("cell(5, 5)")
-        assert payload["degraded"] is True
-        assert np.isfinite(payload["value"])
+        assert payload["degraded"] is False
+        with CompressedMatrix.open(serve_model_dir) as store:
+            assert payload["value"] == store.cell(5, 5)
+        directory = _damaged_model(tmp_path)
+        damaged = RobustDispatcher(
+            directory, ServeConfig(workers=1, on_corrupt="degraded")
+        )
+        try:
+            payload = damaged.dispatch("cell(5, 5)")
+            assert payload["degraded"] is True
+            assert payload["rmspe_estimate"] == damaged.rmspe
+            scaled_u, v, index, _fetched = damaged._backend.factors(np.array([5]))
+            assert index is None
+            assert payload["value"] == pytest.approx(float(scaled_u[0] @ v[5]), rel=1e-12)
+        finally:
+            damaged.close()
 
     def test_full_matrix_min_max_exact_from_summaries(
         self, brownout_dispatcher, serve_model_dir
     ):
         # Full-axis min/max are covered by the summary rollups, so the
         # brownout path answers them exactly instead of shedding.
-        from repro.core.store import CompressedMatrix
-
         for _ in range(2):
             brownout_dispatcher._note_shed()
+        assert brownout_dispatcher.explain("min()")["path"] == "summary"
         payload = brownout_dispatcher.dispatch("min()")
-        assert payload["degraded"] is False
+        assert (payload["route"], payload["degraded"]) == ("summary", False)
         with CompressedMatrix.open(serve_model_dir) as store:
             exact = QueryEngine(store).execute(parse_query("min()"))
         assert payload["value"] == exact.value
@@ -549,10 +577,13 @@ class TestBrownout:
     def test_sub_rectangle_min_max_still_shed_during_brownout(
         self, brownout_dispatcher
     ):
+        text = "min() rows 0:10 cols 0:10"
+        assert brownout_dispatcher.explain(text)["path"] == "stream"
         for _ in range(2):
             brownout_dispatcher._note_shed()
+        assert brownout_dispatcher.explain(text)["path"] == "shed"
         with pytest.raises(OverloadedError) as excinfo:
-            brownout_dispatcher.dispatch("min() rows 0:10 cols 0:10")
+            brownout_dispatcher.dispatch(text)
         assert excinfo.value.reason == "brownout"
 
     def test_brownout_exits_when_window_drains(self, serve_model_dir):
@@ -636,27 +667,42 @@ class TestDegradedModelOpen:
             allowed.stdout.close()
 
     def test_corrupt_delta_sidecar_serves_degraded(self, tmp_path):
-        from repro.core.build import build_compressed
-
+        """A model that lost its deltas stays in brownout: full-axis
+        answers are exact from the rollups (they folded the lost deltas
+        in when they were built), a partial sum is the ``svd`` route
+        stamped with the estimate, and a partial min/max — or a demand
+        for exactness no route can meet — is shed."""
         rng = np.random.default_rng(3)
         data = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 30))
+        data[5, 7] += 40.0  # an outlier the deltas correct
         directory = tmp_path / "model"
         build_compressed(data, directory, budget_fraction=0.2).close()
-        # Corrupt the delta sidecar so only a degraded open succeeds.
-        delta_path = directory / "deltas.bin"
-        if delta_path.exists():
-            delta_path.write_bytes(b"garbage")
+        with CompressedMatrix.open(directory) as healthy:
+            dense = healthy.reconstruct_all()
+        lose_deltas(directory)
         config = ServeConfig(workers=1, on_corrupt="degraded")
         dispatcher = RobustDispatcher(directory, config)
         try:
-            if dispatcher.model_degraded:
-                # The rollups folded the (now-lost) deltas in when they
-                # were materialized at build time, so full-axis answers
-                # survive the corrupt sidecar exactly.
-                covered = dispatcher.dispatch("sum() rows 0:10")
+            assert dispatcher.model_degraded and dispatcher.brownout_active()
+            for text in ("sum() rows 0:10", "min()", "max() cols 3:9"):
+                covered = dispatcher.dispatch(text)
+                assert dispatcher.explain(text)["path"] == covered["route"] == "summary"
                 assert covered["degraded"] is False
-                payload = dispatcher.dispatch("sum() rows 0:10 cols 0:10")
-                assert payload["degraded"] is True
+                assert covered["error_bound"] == 0.0
+            assert covered["value"] == pytest.approx(dense[:, 3:9].max(), rel=1e-9)
+            text = "sum() rows 0:10 cols 0:10"
+            payload = dispatcher.dispatch(text)
+            assert dispatcher.explain(text)["path"] == payload["route"] == "svd"
+            assert payload["degraded"] is True
+            assert dispatcher.rmspe is not None
+            assert payload["error_bound"] == dispatcher.rmspe
+            for text in ("min() rows 0:10 cols 0:10", "sum() rows 0:10 cols 0:10"):
+                query = dataclasses.replace(parse_query(text), max_rmspe=0.0)
+                assert dispatcher.explain(query)["path"] == "shed"
+                with pytest.raises(OverloadedError) as excinfo:
+                    dispatcher.dispatch(query)
+                assert excinfo.value.reason == "brownout"
+            assert dispatcher.dispatch("cell(5, 7)")["degraded"] is True
         finally:
             dispatcher.close()
 
