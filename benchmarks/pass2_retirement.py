@@ -65,15 +65,13 @@ def work_kept(raw: np.ndarray, budget: float) -> tuple[int, float]:
     sse = np.zeros(k_max)
     live = np.ones(k_max, dtype=bool)
     offers = chunks = 0
-    row_base = 0
     for block in _row_chunks(raw):
         chunks += 1
         for ki, deltas in enumerate(_rank_errors(block, v, k_max)):
             if live[ki]:
                 offers += 1
                 sse[ki] += np.dot(deltas, deltas)
-                queues[ki].offer(row_base * num_cols, deltas)
-        row_base += block.shape[0]
+                queues[ki].offer(deltas)
         top = np.array([q.retained_score_sq_sum() for q in queues])
         full = np.array([len(q) >= q.capacity for q in queues])
         lower = np.where(full, sse - top, 0.0)

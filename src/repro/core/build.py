@@ -10,11 +10,11 @@ materializes anything O(N):
    :meth:`~repro.core.svdd.SVDDCompressor.select_cutoff` — the *same*
    code path ``fit`` uses, so the two entry points cannot diverge on
    ``k_opt`` or the delta set (their state is O(M^2) plus the k_max
-   delta queues, which hold ``sum_k gamma_k`` cells: a multiple of the
+   score queues, ``sum_k gamma_k`` 8-byte scores: a multiple of the
    space budget, not of the matrix; each starts at a sampled floor);
 2. pass 3 streams ``U`` rows *directly into the destination page file*
    via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
-   per page, in the requested precision;
+   per page, in the requested precision, collecting ``k_opt``'s deltas;
 3. ``V``, the eigenvalues, the deltas and the metadata are written
    beside it, along with the append ledger (``sketch.npy``, the top
    ``l = 2k`` of the pass-1 spectrum, and ``update_state.json``) that
@@ -23,8 +23,8 @@ materializes anything O(N):
 
 Peak memory is O(M^2 + sum_k gamma_k) — see
 :func:`estimate_build_memory`; the source is read in three sequential
-scans (the Gram pass, the error pass, the ``U`` pass) and a 128-row
-sample; a fourth only when a floor left a queue short of ``gamma_k``.
+scans (the Gram pass, the error pass, the ``U`` + deltas pass) and a
+128-row sample; a fourth only when a floor left a queue short of ``gamma_k``.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.storage.model_dir import (
     u_page_size,
     write_model,
 )
+from repro.structures.topk import _ROOM
 
 #: Advisory drift level at which appends flag ``rebuild_recommended``.
 DRIFT_THRESHOLD_DEFAULT = 0.10
@@ -112,6 +113,7 @@ def build_compressed(
     padded_lam = np.zeros(pad_cols)
     padded_lam[:k_opt] = lam_opt
     # Padded columns have zero singular values -> zero U coordinates.
+    sweep = selection.delta_sweep()
     with staged_directory(directory) as staging:
         pass3_start = time.perf_counter()
         with _span("build.pass3", rows=num_rows, k_opt=k_opt):
@@ -123,11 +125,13 @@ def build_compressed(
                 page_size=u_page_size(k_opt, bytes_per_value),
                 dtype=factor_dtype(bytes_per_value),
                 jobs=jobs,
+                tap=sweep,
             )
             u_store.close()
         _record_pass(3, pass3_start, num_rows)
 
-        keys, deltas = selection.delta_queue.finalize()
+        keys, deltas = sweep.deltas()
+        residual = max(selection.error_energy - float(np.dot(deltas, deltas)), 0.0)
         meta = write_model(
             staging,
             {
@@ -152,7 +156,7 @@ def build_compressed(
                 "raw_bytes_per_value": fitter.raw_bytes_per_value,
                 "total_energy": selection.total_energy,
                 "captured_energy": float((lam_opt * lam_opt).sum()),
-                "residual_sse": selection.residual_sse,
+                "residual_sse": residual,
                 "appends": 0,
                 "rows_appended": 0,
                 "cols_appended": 0,
@@ -182,18 +186,18 @@ def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) 
     Useful for capacity planning before pointing the builder at a very
     large store.  Ignores small constants.  Pass 1 peaks at four M x M
     arrays (the Gram matrix, its symmetrized copy and the eigensolver's
-    two); pass 2 holds four chunk arrays and the k_max delta queues —
-    16-byte slots, two per unit of capacity ``gamma_k`` (a floored queue
-    takes about three times its share of a chunk, so no chunk overflows
-    it) — which grow with ``s * N * M`` and are what bounds a large
-    build.
+    two); pass 2 holds four chunk arrays and the k_max score queues —
+    8-byte slots, ``_ROOM`` (1.25) per unit of capacity ``gamma_k`` —
+    which grow with ``s * N * M`` and bound a large build.  Pass 3's
+    16-byte deltas of ``k_opt`` are charged on top, at ``gamma_1``.
     """
     gram = num_cols * num_cols * 8
     chunk_cells = min(_CHUNK_ROWS, num_rows) * num_cols
     k_max = space.max_k_for_budget(num_rows, num_cols, budget_fraction)
-    slots = sum(
-        2 * space.delta_budget(num_rows, num_cols, k, budget_fraction)
+    gammas = [
+        space.delta_budget(num_rows, num_cols, k, budget_fraction)
         for k in range(1, k_max + 1)
-    )
-    pass2 = 4 * chunk_cells * 8 + slots * 16
+    ]
+    queues = int(_ROOM * 8 * sum(gammas))
+    pass2 = 4 * chunk_cells * 8 + queues + 16 * max(gammas, default=0)
     return max(4 * gram, pass2)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -106,36 +106,31 @@ def compute_gram(source: MatrixStore | np.ndarray, jobs: int = 1) -> np.ndarray:
     if num_rows == 0:
         raise ShapeError("source produced no rows")
     bands = _row_bands(num_rows, jobs)
-    if len(bands) == 1:
-        gram: np.ndarray | None = None
-        for block in _row_chunks(source):
-            if gram is None:
-                gram = np.zeros((block.shape[1], block.shape[1]))
-            gram += block.T @ block
-        if gram is None:
-            raise ShapeError("source produced no rows")
-        # Accumulation is exactly symmetric in theory; enforce it so the
-        # eigensolver sees a clean symmetric input despite float rounding.
-        return (gram + gram.T) / 2.0
 
-    def band_gram(band: tuple[int, int]) -> np.ndarray | None:
+    def band_gram(band: tuple[int, int | None]) -> np.ndarray | None:
         local: np.ndarray | None = None
-        for block in _row_chunks(source, band[0], band[1]):
+        for block in _row_chunks(source, *band):
             if local is None:
                 local = np.zeros((block.shape[1], block.shape[1]))
             local += block.T @ block
         return local
 
-    with ThreadPoolExecutor(
-        max_workers=len(bands), thread_name_prefix="repro-gram"
-    ) as pool:
-        locals_ = [g for g in pool.map(band_gram, bands) if g is not None]
+    if len(bands) == 1:
+        locals_ = [band_gram((0, None))]  # one plain scan
+    else:
+        with ThreadPoolExecutor(
+            max_workers=len(bands), thread_name_prefix="repro-gram"
+        ) as pool:
+            locals_ = list(pool.map(band_gram, bands))
+        if isinstance(source, MatrixStore):
+            # The bands together covered the matrix once: one paper pass.
+            source.note_full_scan()
+    locals_ = [g for g in locals_ if g is not None]
     if not locals_:
         raise ShapeError("source produced no rows")
-    gram = np.sum(locals_, axis=0)
-    if isinstance(source, MatrixStore):
-        # The bands together covered the matrix once: one paper pass.
-        source.note_full_scan()
+    gram = np.sum(locals_, axis=0) if len(locals_) > 1 else locals_[0]
+    # Accumulation is exactly symmetric in theory; enforce it so the
+    # eigensolver sees a clean symmetric input despite float rounding.
     return (gram + gram.T) / 2.0
 
 
@@ -179,6 +174,12 @@ def compute_u(
     Components with a zero singular value get zero coordinates (they
     contribute nothing to reconstruction either way).
     """
+    return np.vstack(list(_projected(source, singular_values, v, None)))
+
+
+def _projected(source, singular_values, v, tap, jobs=1) -> Iterator[np.ndarray]:
+    """``(block @ V) L^{-1}`` for each source block, in row order; ``tap``,
+    when given, sees each block first (SVDD's pass 3 collects its deltas)."""
     lam = np.asarray(singular_values, dtype=np.float64)
     vmat = np.asarray(v, dtype=np.float64)
     if lam.ndim != 1 or vmat.ndim != 2 or vmat.shape[1] != lam.shape[0]:
@@ -186,10 +187,16 @@ def compute_u(
             f"inconsistent spectrum: V {vmat.shape}, singular values {lam.shape}"
         )
     inv_lam = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-    blocks = []
-    for block in _row_chunks(source):
-        blocks.append((block @ vmat) * inv_lam)
-    return np.vstack(blocks)
+
+    def blocks():
+        for block in _row_chunks(source):
+            if tap is not None:
+                tap(block)
+            yield block
+
+    if jobs > 1:
+        return _overlapped_projection(blocks(), vmat, inv_lam)
+    return ((block @ vmat) * inv_lam for block in blocks())
 
 
 def compute_u_to_store(
@@ -200,6 +207,7 @@ def compute_u_to_store(
     page_size: int | None = None,
     dtype=np.float64,
     jobs: int = 1,
+    tap: Callable[[np.ndarray], None] | None = None,
 ):
     """Pass 2 variant that streams U rows straight to a new MatrixStore.
 
@@ -220,27 +228,13 @@ def compute_u_to_store(
             giving the paper's one-access layout).
         dtype: on-disk element type of U.
         jobs: ``> 1`` enables the overlapped producer/writer pipeline.
+        tap: called with every source block, in row order, before it
+            is projected (on the producer thread when ``jobs > 1``).
     """
-    from repro.storage.matrix_store import MatrixStore
-
-    lam = np.asarray(singular_values, dtype=np.float64)
-    vmat = np.asarray(v, dtype=np.float64)
-    if lam.ndim != 1 or vmat.ndim != 2 or vmat.shape[1] != lam.shape[0]:
-        raise ShapeError(
-            f"inconsistent spectrum: V {vmat.shape}, singular values {lam.shape}"
-        )
-    inv_lam = np.where(lam > 0.0, 1.0 / np.where(lam > 0.0, lam, 1.0), 0.0)
-    item = np.dtype(dtype).itemsize
-    cols = lam.shape[0]
+    u_blocks = _projected(source, singular_values, v, tap, jobs)
+    cols = np.asarray(singular_values).shape[0]
     if page_size is None:
-        page_size = max(64, cols * item)
-
-    if jobs > 1:
-        u_blocks = _overlapped_projection(source, vmat, inv_lam)
-    else:
-        u_blocks = (
-            (block @ vmat) * inv_lam for block in _row_chunks(source)
-        )
+        page_size = max(64, cols * np.dtype(dtype).itemsize)
 
     def u_rows():
         for projected in u_blocks:
@@ -261,13 +255,13 @@ _DONE = object()
 
 
 def _overlapped_projection(
-    source: "MatrixStore | np.ndarray",
+    source_blocks: Iterable[np.ndarray],
     vmat: np.ndarray,
     inv_lam: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """Yield projected U blocks computed by a background producer.
 
-    The producer reads and projects source blocks into a bounded queue;
+    The producer reads and projects ``source_blocks`` into a bounded queue;
     this generator (running on the writer's thread) drains it in order.
     A producer exception is forwarded through the queue and re-raised
     here, so failures surface on the caller's thread as usual.
@@ -276,7 +270,7 @@ def _overlapped_projection(
 
     def produce() -> None:
         try:
-            for block in _row_chunks(source):
+            for block in source_blocks:
                 blocks.put((block @ vmat) * inv_lam)
         except BaseException as exc:  # forwarded, not swallowed
             blocks.put(exc)

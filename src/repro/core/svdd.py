@@ -16,16 +16,15 @@ The construction is the paper's 3-pass algorithm (Figure 5):
   ``k = 1 .. k_max``;
 - **Pass 2** — stream the matrix once; for every row compute the
   reconstruction error under every candidate ``k``, feed the worst
-  cells into per-``k`` bounded priority queues of capacity ``gamma_k``,
-  and accumulate the post-correction error ``epsilon_k``; pick
-  ``k_opt = argmin_k epsilon_k``.  The working set is one chunk: one
-  reconstruction per chunk, grown by one term per candidate, so the
-  rank-``k`` error of a 128-row block is in hand after ``k`` rank-1
-  updates and nothing is ever ``k_max`` deep.  Each queue starts at a
-  floor sampled from 128 strided rows, so it admits ~3x what it keeps;
-  one the floor left short is refilled by a (rare) fourth scan;
+  cells' scores into per-``k`` bounded priority queues of capacity
+  ``gamma_k``, and accumulate the post-correction error ``epsilon_k``;
+  pick ``k_opt = argmin_k epsilon_k``.  The working set is one chunk:
+  one reconstruction per chunk, grown by one term per candidate, so
+  nothing is ever ``k_max`` deep.  Each queue starts at a floor
+  sampled from 128 strided rows, so it admits ~3x what it keeps; one
+  the floor left short is refilled by a (rare) fourth scan;
 - **Pass 3** — stream once more, emitting the rows of ``U`` for
-  ``k_opt`` (Eq. 11).
+  ``k_opt`` (Eq. 11) and collecting its deltas at its queue's cut.
 
 Reconstruction of a cell is the plain-SVD estimate (Eq. 12) plus an
 exact correction when the cell is in the delta table — one bisection of
@@ -46,19 +45,19 @@ from repro.core import space
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import (
+    _projected,
     _row_chunks,
     compute_gram,
-    compute_u,
     source_shape,
     spectrum_from_gram,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShapeError
 from repro.linalg import SymmetricEigensolver, default_eigensolver
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.matrix_store import MatrixStore
-from repro.structures.topk import TopKBuffer
+from repro.structures.topk import Cut, TopKBuffer
 
 #: Rows in the strided sample that sets each candidate queue's floor.
 _FLOOR_SAMPLE_ROWS = 128
@@ -74,7 +73,7 @@ def sketch_rows(cutoff: int, cols: int) -> int:
 @dataclass(frozen=True)
 class CutoffSelection:
     """Outcome of SVDD passes 1-2: everything pass 3 (and incremental
-    maintenance) needs, with ``U`` deliberately absent.
+    maintenance) needs, with ``U`` and the deltas deliberately absent.
 
     ``fit`` and :func:`~repro.core.build.build_compressed` both consume
     this, so the two entry points cannot diverge on ``k_opt``, the
@@ -95,19 +94,18 @@ class CutoffSelection:
     k_max: int
     #: ``epsilon_k`` for every candidate ``k`` (post-delta residual SSE).
     candidate_errors: np.ndarray
-    #: The bounded priority queue of worst cells at ``k_opt``.
-    delta_queue: TopKBuffer
-    #: Full spectrum at ``k_max`` (what ``k_opt`` was chosen from).
-    all_singular_values: np.ndarray
+    #: Where ``k_opt``'s queue ended: the cut pass 3 collects its deltas at.
+    delta_cut: Cut
+    #: ``k_opt``'s squared error before deltas (less theirs: the residual SSE).
+    error_energy: float
     #: Full ``V`` at ``k_max``.
     all_v: np.ndarray
     #: Indices of the all-zero rows, found while pass 2 had them in hand.
     zero_rows: np.ndarray
 
-    @property
-    def residual_sse(self) -> float:
-        """Residual sum of squared errors at ``k_opt`` after deltas."""
-        return float(self.candidate_errors[self.k_opt - 1])
+    def delta_sweep(self) -> "DeltaSweep":
+        """Pass 3's collector of ``k_opt``'s deltas (fed every chunk)."""
+        return DeltaSweep(self.delta_cut, self.all_v, self.k_opt)
 
 
 def _record_pass(number: int, start: float, num_rows: int, **counts: int) -> None:
@@ -130,9 +128,9 @@ def _record_pass(number: int, start: float, num_rows: int, **counts: int) -> Non
     )
 
 
-def _rank_errors(block: np.ndarray, v: np.ndarray, depth: int) -> Iterator[np.ndarray]:
-    """Yield ``block``'s flattened error under rank ``k = 1 .. depth``: one
-    reconstruction grown by one term per ``k``, in one reused buffer."""
+def _rank_errors(block, v, depth: int, first: int = 1) -> Iterator[np.ndarray]:
+    """Yield ``block``'s flattened error under rank ``k = first .. depth``:
+    one reconstruction grown by one term per ``k``, in one reused buffer."""
     proj = block @ v  # (c, k_max): the U*Lambda coordinates
     v_rows = np.ascontiguousarray(v.T)  # (k_max, M): one axis a row
     # Rank-k estimate, k growing.  It starts from -0.0, the additive
@@ -142,20 +140,57 @@ def _rank_errors(block: np.ndarray, v: np.ndarray, depth: int) -> Iterator[np.nd
     diff = np.empty(block.shape)  # (c, M) deltas under rank k
     for ki in range(depth):
         recon += np.multiply(proj[:, ki, None], v_rows[ki], out=term)
-        yield np.subtract(block, recon, out=diff).reshape(-1)
+        if ki + 1 >= first:
+            yield np.subtract(block, recon, out=diff).reshape(-1)
 
 
 def _scan_errors(source, v, queues, sse, zero_rows) -> None:
-    """One pass-2 scan: offer each chunk's rank-``k`` errors, one
-    contiguous run of cell keys, to ``queues[k - 1]``, sum them into
-    ``sse[k - 1]`` and note the all-zero rows."""
+    """One pass-2 scan: chunk errors under rank ``k`` go to ``queues[k - 1]``
+    and ``sse[k - 1]``, all-zero rows to ``zero_rows``."""
     row_base = 0
     for block in _row_chunks(source):
         zero_rows.append(row_base + np.flatnonzero(np.abs(block).sum(axis=1) == 0.0))
         for ki, deltas in enumerate(_rank_errors(block, v, len(queues))):
             sse[ki] += np.dot(deltas, deltas)
-            queues[ki].offer(row_base * v.shape[0], deltas)
+            queues[ki].offer(deltas)
         row_base += block.shape[0]
+
+
+class DeltaSweep:
+    """The cells a :class:`~repro.structures.topk.Cut` keeps, in key order:
+    every one above ``cut.score``, then the first ``cut.ties`` at it.
+    Called with pass 3's chunks (in row order, cut as pass 2 cut them),
+    it recomputes their rank-``depth`` errors with the ``V`` the queue's
+    came from (pass 2's k_max-wide one: GEMM columns are not bit-stable
+    across widths)."""
+
+    def __init__(self, cut: Cut, v: np.ndarray, depth: int) -> None:
+        self._cut, self._ties = cut.score, cut.ties
+        self._v, self._depth = v, depth
+        self._filled = self._base = 0  # cells kept; next chunk's first key
+        self._keys = np.empty(cut.count, dtype=np.int64)
+        self._values = np.empty(cut.count)
+
+    def __call__(self, block: np.ndarray) -> None:
+        (deltas,) = _rank_errors(block, self._v, self._depth, first=self._depth)
+        scores = np.abs(deltas)
+        keep = scores > self._cut
+        if self._ties:
+            tied = np.flatnonzero(scores == self._cut)[: self._ties]
+            keep[tied] = True
+            self._ties -= tied.size
+        picked = np.flatnonzero(keep)
+        end = self._filled + picked.size
+        np.add(picked, self._base, out=self._keys[self._filled : end])
+        self._values[self._filled : end] = deltas[picked]
+        self._filled = end
+        self._base += deltas.size
+
+    def deltas(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, values)``, once every chunk is in: all ``cut.count``."""
+        if self._filled != self._keys.size:  # the source changed between scans
+            raise ShapeError(f"{self._filled} of {self._keys.size} cells at the cut")
+        return self._keys, self._values
 
 
 def _sample_floors(source, v: np.ndarray, gammas: list[int]) -> list[float]:
@@ -257,11 +292,11 @@ class SVDDCompressor:
         Pass 2 keeps one reconstruction per chunk and adds one term per
         candidate: after ``recon += proj[:, k] * v_k`` the chunk's
         rank-``k`` error ``block - recon`` is summed into ``epsilon_k``
-        and offered, as one contiguous run of cell keys, to queue ``k``
-        — which holds ``(key, delta)`` for the ``gamma_k`` cells of
-        largest ``|delta|`` seen so far.  The terms are added in
-        increasing ``k``, so each error is the one a cumulative sum over
-        all ``k_max`` terms would give.
+        and offered to queue ``k`` — which holds the ``gamma_k`` largest
+        ``|delta|`` scores seen so far, not their cells (pass 3 collects
+        ``k_opt``'s: :meth:`CutoffSelection.delta_sweep`).  The terms are
+        added in increasing ``k``, so each error is the one a cumulative
+        sum over all ``k_max`` terms would give.
 
         A queue admits only cells above its floor (:func:`_sample_floors`),
         so it holds the global top ``gamma_k`` unless it ends short of
@@ -327,8 +362,8 @@ class SVDDCompressor:
             k_opt=k_opt,
             k_max=k_max,
             candidate_errors=epsilon,
-            delta_queue=queues[k_opt - 1],
-            all_singular_values=singular_values,
+            delta_cut=queues[k_opt - 1].cut(),
+            error_energy=float(sse[k_opt - 1]),
             all_v=v,
             zero_rows=np.concatenate(zero_rows),
         )
@@ -339,16 +374,13 @@ class SVDDCompressor:
         """Run the three passes and return the fitted :class:`SVDDModel`."""
         selection = self.select_cutoff(source)
 
-        # ---- Pass 3: U for the chosen cutoff.
-        lam_opt = selection.singular_values
-        v_opt = selection.v
-        u = compute_u(source, lam_opt, v_opt)
-        svd_model = SVDModel(u=u, eigenvalues=lam_opt, v=v_opt)
-
-        keys, deltas = selection.delta_queue.finalize()
+        # ---- Pass 3: U for the chosen cutoff, and its deltas.
+        lam, v, sweep = selection.singular_values, selection.v, selection.delta_sweep()
+        u = np.vstack(list(_projected(source, lam, v, sweep)))
+        svd_model = SVDModel(u=u, eigenvalues=lam, v=v)
         return SVDDModel(
             svd=svd_model,
-            deltas=DeltaIndex(keys, deltas, svd_model.num_cols),
+            deltas=DeltaIndex(*sweep.deltas(), svd_model.num_cols),
             k_max=selection.k_max,
             candidate_errors=selection.candidate_errors,
         )

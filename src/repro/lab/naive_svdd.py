@@ -10,7 +10,7 @@ from repro.core import space
 from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel
 from repro.core.svd import SVDCompressor, _row_chunks, source_shape
-from repro.core.svdd import SVDDCompressor
+from repro.core.svdd import DeltaSweep, SVDDCompressor, _rank_errors
 from repro.linalg import SymmetricEigensolver
 from repro.storage.matrix_store import MatrixStore
 from repro.structures.topk import TopKBuffer
@@ -21,9 +21,10 @@ class NaiveSVDDCompressor:
     construction the 3-pass algorithm replaces.
 
     For each candidate ``k = 1 .. k_max`` it recomputes the SVD (two
-    passes), scans for every cell's error, picks the ``gamma_k`` largest
-    (a further pass), and finally refits at the best ``k`` — about
-    ``3 * k_max`` passes over the data versus Figure 5's three.  Kept as
+    passes), scans for every cell's error, keeps the ``gamma_k`` largest
+    scores (a further pass), and finally refits at the best ``k`` and
+    collects its cells at that candidate's cut — about ``3 * k_max``
+    passes over the data versus Figure 5's three.  Kept as
     an executable specification: the test suite asserts the fast
     algorithm chooses the same ``k_opt`` and delta set, and the
     construction-cost benchmark measures the pass-count gap.
@@ -53,6 +54,7 @@ class NaiveSVDDCompressor:
         best_epsilon = np.inf
         best_k = 1
         epsilons = np.empty(k_max)
+        cuts = []
         for k in range(1, k_max + 1):
             # "compute the SVD of the array with given k (two passes)"
             model = SVDCompressor(
@@ -60,38 +62,29 @@ class NaiveSVDDCompressor:
             ).fit(source)
             # "find the errors for every cell ... pick the gamma_k largest
             # ones (one more pass) and compute the error measure"
-            gamma = self._fast._gamma(num_rows, num_cols, model.cutoff)
-            queue = TopKBuffer(gamma)
+            queue = TopKBuffer(self._fast._gamma(num_rows, num_cols, model.cutoff))
             sse = 0.0
-            row_base = 0
             for block in _row_chunks(source):
-                recon = (block @ model.v) @ (model.v.T)
-                diff = block - recon
-                sse += float((diff * diff).sum())
-                queue.offer(row_base * num_cols, diff.ravel())
-                row_base += block.shape[0]
+                (deltas,) = _rank_errors(block, model.v, model.cutoff, first=model.cutoff)
+                sse += float(np.dot(deltas, deltas))
+                queue.offer(deltas)
             epsilon = max(sse - queue.retained_score_sq_sum(), 0.0)
             epsilons[k - 1] = epsilon
+            cuts.append(queue.cut())
             if epsilon < best_epsilon:
                 best_epsilon = epsilon
                 best_k = k
 
-        # Final refit at k_opt, rebuilding its delta set.
+        # Final refit at k_opt; one more pass collects its deltas at its cut.
         model = SVDCompressor(k=best_k, eigensolver=self._fast.eigensolver).fit(
             source
         )
-        gamma = self._fast._gamma(num_rows, num_cols, model.cutoff)
-        queue = TopKBuffer(gamma)
-        row_base = 0
+        sweep = DeltaSweep(cuts[best_k - 1], model.v, model.cutoff)
         for block in _row_chunks(source):
-            recon = (block @ model.v) @ model.v.T
-            diff = block - recon
-            queue.offer(row_base * num_cols, diff.ravel())
-            row_base += block.shape[0]
-        keys, deltas = queue.finalize()
+            sweep(block)
         return SVDDModel(
             svd=model,
-            deltas=DeltaIndex(keys, deltas, num_cols),
+            deltas=DeltaIndex(*sweep.deltas(), num_cols),
             k_max=k_max,
             candidate_errors=epsilons,
         )

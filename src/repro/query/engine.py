@@ -88,11 +88,11 @@ class QueryResult:
     """An answered query: the value plus execution accounting.
 
     ``route`` names the planner route that produced the value (empty
-    for cell probes, which are not planned); ``error_bound`` is the
-    achieved bound — 0.0 for every exact route, the model's stored
-    RMSPE estimate for an ``svd``-route answer.  ``profile`` carries
-    the per-query :class:`~repro.obs.profile.QueryProfile` (path taken,
-    page reads, pool hit rate, phase timings) while the process-wide
+    for an unplanned cell probe, ``svd`` if its store lost its deltas);
+    ``error_bound`` is the achieved bound — 0.0 for every exact route,
+    the stored RMSPE estimate (or None) for an ``svd`` answer.  ``profile``
+    carries the per-query :class:`~repro.obs.profile.QueryProfile` (path
+    taken, page reads, pool hit rate, phase timings) while the process-wide
     telemetry registry is enabled; it is None on unprofiled runs.
     """
 
@@ -101,7 +101,7 @@ class QueryResult:
     rows_fetched: int
     profile: QueryProfile | None = field(default=None, compare=False)
     route: str = field(default="", compare=False)
-    error_bound: float = field(default=0.0, compare=False)
+    error_bound: float | None = field(default=0.0, compare=False)
 
 
 def _as_cell_query(query) -> CellQuery:
@@ -199,17 +199,20 @@ class QueryEngine:
     """
 
     def __init__(self, backend) -> None:
-        self._backend = as_backend(backend)
+        self.refresh(backend)
 
     def refresh(self, backend) -> None:
         """Swap in a new backend (e.g. a reopened post-append store).
 
-        The swap is a single reference assignment, and every public
-        method reads ``self._backend`` exactly once on entry, so each
-        answer is computed wholly against the old or wholly against the
-        new state — never a mix.
+        Each swap is a single reference assignment, and every public
+        method reads one (``_cells`` or ``_backend``) exactly once on
+        entry, so no answer mixes the old and the new state.
         """
-        self._backend = as_backend(backend)
+        backend = as_backend(backend)
+        # Cells of a store that lost its deltas are ``svd`` answers.
+        svd = (ROUTE_SVD, backend.rmspe_estimate) if backend.deltas_lost else ("", 0.0)
+        self._cells = (backend, *svd)
+        self._backend = backend
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -250,13 +253,13 @@ class QueryEngine:
         if type(row) is not int or type(col) is not int:
             query = _as_cell_query(query)
             row, col = query.row, query.col
-        backend = self._backend
+        backend, route, bound = self._cells
         rows, cols = backend.shape
         # Tested inline so an in-range probe pays for no call.
         if not (0 <= row < rows and 0 <= col < cols):
             _check_cell(row, col, (rows, cols))
         if not _obs.enabled:
-            return QueryResult(float(backend.cell(row, col)), 1, 1)
+            return QueryResult(float(backend.cell(row, col)), 1, 1, None, route, bound)
         capture = StatDelta(backend)
         start = time.perf_counter_ns()
         with _span("query.cell", row=row, col=col) as root:
@@ -272,7 +275,7 @@ class QueryEngine:
             trace_id=root.trace_id or "",
         )
         _slowlog.maybe_record(query, profile, root)
-        return QueryResult(value, 1, 1, profile)
+        return QueryResult(value, 1, 1, profile, route, bound)
 
     def plan(
         self, query: AggregateQuery, *, max_rmspe: float | None = None

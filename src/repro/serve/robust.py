@@ -110,7 +110,6 @@ class RobustDispatcher:
         # brownout): brownout changes the budget, nothing else.
         self._engine = QueryEngine(self._backend)
         self.model_degraded = self._backend.degraded
-        self._deltas_lost = self._backend.deltas_lost
         #: Brownout's budget and ``svd`` answers' stamp.
         self.rmspe = self._backend.rmspe_estimate
         self._shed_times: deque[float] = deque()
@@ -267,10 +266,8 @@ class RobustDispatcher:
             self._count("answers", "server.answers")
             if gathered:
                 self._count("gathers", "server.gathers")
-            # The bare SVD: the ``svd`` route, or a store's lost deltas.
-            degraded = result.route == ROUTE_SVD or (
-                not result.route and self._deltas_lost
-            )
+            # The bare SVD (a cell of a store that lost its deltas too).
+            degraded = result.route == ROUTE_SVD
             if degraded:
                 self._count("degraded_answers", "server.degraded_answers")
             elif brownout and result.route == ROUTE_SUMMARY:
@@ -337,7 +334,7 @@ class RobustDispatcher:
             self._count("summary_hits", "server.summary.hits")
         else:
             self._count("summary_misses", "server.summary.misses")
-        series["degraded"] = self._deltas_lost and path != "summary"
+        series["degraded"] = self._backend.deltas_lost and path != "summary"
         series["elapsed_ms"] = round((time.monotonic_ns() - start_ns) / 1e6, 3)
         return series
 

@@ -1,9 +1,8 @@
 """The data structure the SVDD build runs.
 
 Pass 2 of the 3-pass construction (paper Figure 5) keeps, per candidate
-cutoff ``k``, the ``gamma_k`` worst-reconstructed cells seen so far:
-:class:`TopKBuffer`, a vectorized bounded top-k over ``(key, delta)``
-arrays.
+cutoff ``k``, the ``|error|`` scores of the ``gamma_k`` worst cells seen
+so far in a :class:`TopKBuffer`, whose :class:`Cut` pass 3 collects at.
 
 Product.  Section 4.2's from-scratch structures — the open-addressing
 hash table, the Bloom filter in front of it and the bounded heap that
@@ -11,6 +10,6 @@ is ``TopKBuffer``'s reference — are ``repro.lab.hashtable``,
 ``repro.lab.bloom`` and ``repro.lab.heap``.
 """
 
-from repro.structures.topk import TopKBuffer
+from repro.structures.topk import Cut, TopKBuffer
 
-__all__ = ["TopKBuffer"]
+__all__ = ["Cut", "TopKBuffer"]

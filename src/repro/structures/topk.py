@@ -1,43 +1,44 @@
-"""Vectorized bounded top-k selection.
+"""Vectorized bounded top-k selection of scores.
 
-The SVDD pass 2 (paper Figure 5) conceptually maintains one priority
-queue per candidate cutoff ``k``, each retaining the ``gamma_k``
-worst-reconstructed cells.  Pushing every cell of every row through a
-pointer-based heap is needlessly slow in Python, so the hot path uses
-this batch-partitioning equivalent: a batch is a contiguous run of cell
-keys offered *by position* (``key = base + position``, scored by
-``|value|``), only the cells that beat the current threshold are
-appended, and the buffer is compacted with ``numpy.argpartition``
-whenever it doubles, keeping exactly the top ``capacity`` items.
-Amortized cost is O(1) per offered item; retained content is identical
-to the heap's (up to which of several equal scores sit on the boundary).
-
-A buffer may start at a *floor*: it retains the top ``capacity`` of the
-scores above it, the global top unless ``len(buf) < capacity`` shows the
-floor lay above the ``capacity``-th score.
-
-:class:`~repro.lab.heap.BoundedTopHeap` remains the
-item-at-a-time reference implementation: it specifies *which scores* a
-bounded queue retains, and the property-based tests assert both
-structures retain the same score multiset.
+SVDD's pass 2 (paper Figure 5) keeps one priority queue per candidate
+cutoff ``k``, of its ``gamma_k`` worst-reconstructed cells, and needs of
+it only the energy it retains and its :class:`Cut` (where pass 3
+collects the winner's cells).  So a queue holds ``|error|`` scores, 8
+bytes a slot, compacted in place by ``numpy.partition`` to the top
+``capacity`` whenever ``_ROOM * capacity`` slots fill.  Started at a
+*floor*, it retains the top ``capacity`` scores above it: the global top
+unless ``len(buf) < capacity`` shows the floor lay above the
+``capacity``-th score.  :class:`~repro.lab.heap.BoundedTopHeap` is the
+item-at-a-time reference: both retain the same score multiset.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 
+#: A queue compacts when its scores fill this many times its capacity.
+_ROOM = 1.25
+
+
+class Cut(NamedTuple):
+    """A queue's ``capacity``-th largest ``score`` (``+inf`` at capacity 0,
+    ``-inf`` when short), how many retained scores tie it, and how many
+    it retains."""
+
+    score: float
+    ties: int
+    count: int
+
 
 class TopKBuffer:
-    """Retain the ``capacity`` items with the largest ``|value|``.
-
-    Items are ``(key, value)`` pairs, 16 bytes a slot; the score is
-    never stored, it is ``|value|`` recomputed where a compaction needs
-    it.
+    """Retain the ``capacity`` largest ``|value|`` scores offered.
 
     Args:
-        capacity: number of items to retain; zero yields an always-empty
+        capacity: number of scores to retain; zero yields an always-empty
             buffer (the all-budget-to-PCs regime).
         floor: the starting threshold; only scores above it are admitted.
     """
@@ -46,76 +47,56 @@ class TopKBuffer:
         if capacity < 0:
             raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        size = max(capacity * 2, 1)
-        self._keys = np.empty(size, dtype=np.int64)
-        self._values = np.empty(size)
+        self._scores = np.empty(max(int(capacity * _ROOM), capacity + 1))
         self._count = 0
-        self._threshold = float(floor)  # raised by each full compaction
-        self.admitted = 0  # cells :meth:`offer` took in, over the buffer's life
+        self.threshold = float(floor)  # admits scores above it; compactions raise it
+        self.admitted = 0  # scores :meth:`offer` took in, over the buffer's life
 
     def __len__(self) -> int:
-        """Number of currently buffered candidates (may exceed capacity
-        transiently between compactions; never after :meth:`finalize`)."""
+        """Scores held now (``capacity`` at most after a compaction)."""
         return self._count
 
-    @property
-    def threshold(self) -> float:
-        """Current admission threshold: scores at or below it are ignored."""
-        return self._threshold
-
-    def offer(self, base: int, values: np.ndarray) -> None:
-        """Offer the contiguous run of cells ``base .. base + len(values) - 1``.
-
-        Args:
-            base: key of the first cell; the cell at position ``i`` has
-                key ``base + i``.
-            values: 1-d float64 payload (signed deltas); ``|value|`` is
-                the ranking score, larger is more worth retaining.
-        """
+    def offer(self, values: np.ndarray) -> None:
+        """Offer a batch; ``|value|`` is each one's score."""
         if self.capacity == 0:
             return
-        survivors = np.flatnonzero(np.abs(values) > self._threshold)
-        if survivors.size == 0:
-            return
-        end = self._count + survivors.size
-        if end > self._keys.shape[0]:
-            self._grow(end)
-        np.add(survivors, base, out=self._keys[self._count : end])
-        self._values[self._count : end] = values[survivors]
-        self._count = end
-        self.admitted += survivors.size
-        if self._count > 2 * self.capacity:
+        scores = np.abs(values)
+        survivors = scores[scores > self.threshold]
+        while survivors.size:
+            take = min(survivors.size, self._scores.size - self._count)
+            self._scores[self._count : self._count + take] = survivors[:take]
+            self._count += take
+            self.admitted += take
+            if self._count < self._scores.size:
+                return
             self._compact()
-
-    def _grow(self, needed: int) -> None:
-        # Exactly: the offer that outgrows 2x capacity compacts before it
-        # returns, so one batch past it is all a buffer ever holds.
-        for name in ("_keys", "_values"):
-            old = getattr(self, name)
-            new = np.empty(needed, dtype=old.dtype)
-            new[: self._count] = old[: self._count]
-            setattr(self, name, new)
+            survivors = survivors[take:]
+            survivors = survivors[survivors > self.threshold]
 
     def _compact(self) -> None:
         """Shrink the buffer to exactly the top ``capacity`` scores."""
-        if self._count <= self.capacity:
+        count, capacity = self._count, self.capacity
+        if count <= capacity:
             return
-        scores = np.abs(self._values[: self._count])
-        idx = np.argpartition(scores, self._count - self.capacity)
-        keep = idx[self._count - self.capacity :]
-        self._keys[: self.capacity] = self._keys[keep]
-        self._values[: self.capacity] = self._values[keep]
-        self._count = self.capacity
-        self._threshold = float(scores[keep].min())
-
-    def finalize(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(keys, values)`` of the retained top items, in key order."""
-        self._compact()
-        order = np.argsort(self._keys[: self._count])
-        return self._keys[order], self._values[order]
+        held = self._scores[:count]
+        held.partition(count - capacity)
+        self.threshold = float(held[count - capacity])
+        held[: count - capacity] = held[capacity:]  # disjoint: count <= 2 capacity
+        self._count = capacity
 
     def retained_score_sq_sum(self) -> float:
         """Sum of squared retained scores (the delta energy SVDD removes)."""
         self._compact()
-        retained = self._values[: self._count]
-        return float((retained * retained).sum())
+        retained = self._scores[: self._count]
+        return float(np.dot(retained, retained))
+
+    def cut(self) -> Cut:
+        """The queue's :class:`Cut`, after a final compaction."""
+        self._compact()
+        if self.capacity == 0:
+            return Cut(np.inf, 0, 0)
+        if self._count < self.capacity:
+            return Cut(-np.inf, 0, self._count)
+        retained = self._scores[: self._count]
+        score = float(retained.min())
+        return Cut(score, int(np.count_nonzero(retained == score)), self._count)

@@ -1,8 +1,9 @@
 """The append's delta merge against the formulation it replaced.
 
 ``_merge_deltas`` (one partition over old deltas + new residuals) must
-retain exactly what the ``TopKBuffer`` offer/offer/``finalize`` sequence
-retained.  The old formulation lives on here, as the reference.
+retain exactly what a bounded ``(position, value)`` queue fed the old
+side, then the new, retained.  That queue was the build's ``TopKBuffer``
+before it kept scores only; it lives on here, as the reference.
 """
 
 from __future__ import annotations
@@ -13,25 +14,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.update import _merge_deltas
-from repro.structures.topk import TopKBuffer
+
+
+class _PairQueue:
+    """Top ``capacity`` of ``(position, value)`` pairs by ``|value|``:
+    a batch's values above a strict threshold are appended by position,
+    and an ``argpartition`` keeps the top ``capacity`` (and raises the
+    threshold to their smallest score) whenever the queue holds more
+    than twice that."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.positions = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0)
+        self.threshold = -np.inf
+
+    def offer(self, base: int, values: np.ndarray) -> None:
+        if self.capacity == 0:
+            return
+        survivors = np.flatnonzero(np.abs(values) > self.threshold)
+        self.positions = np.concatenate([self.positions, survivors + base])
+        self.values = np.concatenate([self.values, values[survivors]])
+        if self.positions.size > 2 * self.capacity:
+            self.compact()
+
+    def compact(self) -> None:
+        count = self.positions.size
+        if count <= self.capacity:
+            return
+        scores = np.abs(self.values)
+        keep = np.argpartition(scores, count - self.capacity)[count - self.capacity :]
+        self.positions, self.values = self.positions[keep], self.values[keep]
+        self.threshold = float(scores[keep].min())
 
 
 def _topk_merge(old_keys, old_values, new_keys, new_values, budget):
-    """``_merge_deltas`` as it was: a ``TopKBuffer`` fed twice.
+    """``_merge_deltas`` as it was: a ``_PairQueue`` fed twice.
 
     The queue takes batches by position, so it ranks positions in
     old-then-new order and the cell keys are looked up afterwards.
     """
-    queue = TopKBuffer(max(0, budget))
+    queue = _PairQueue(max(0, budget))
     if old_keys.size:
         queue.offer(0, old_values)
     if new_keys.size:
         queue.offer(old_keys.size, new_values)
-    retained_sq = float(queue.retained_score_sq_sum())
-    positions, values = queue.finalize()
-    keys = np.concatenate([old_keys, new_keys])[positions]
+    queue.compact()
+    retained_sq = float((queue.values * queue.values).sum())
+    keys = np.concatenate([old_keys, new_keys])[queue.positions]
     order = np.argsort(keys)
-    return keys[order], values[order], retained_sq
+    return keys[order], queue.values[order], retained_sq
 
 
 def _candidates(seed: int, n_old: int, n_new: int, tied: bool):
@@ -66,7 +98,7 @@ class TestMergeDeltasMatchesTopKBuffer:
     def test_bit_identical_without_early_compaction(
         self, seed, budget, old_share, n_new, tied
     ):
-        # Old side <= 2 * budget: TopKBuffer holds it uncompacted, so its
+        # Old side <= 2 * budget: the queue holds it uncompacted, so its
         # only partition runs over the same concatenated array.
         n_old = int(round(old_share * 2 * budget))
         args = _candidates(seed, n_old, n_new, tied)
@@ -84,7 +116,7 @@ class TestMergeDeltasMatchesTopKBuffer:
         self, seed, budget, extra_old, n_new, tied
     ):
         # Old side > 2 * budget (a tiny model whose budget collapsed):
-        # TopKBuffer compacts before the second offer and its strict
+        # the queue compacts before the second offer and its strict
         # threshold then drops tied newcomers, so which of several equal
         # scores survives may differ - the retained scores may not.
         args = _candidates(seed, 2 * budget + extra_old, n_new, tied)
@@ -126,7 +158,7 @@ class TestMergeDeltasMatchesTopKBuffer:
             _assert_bit_equal(_merge_deltas(*args, budget), _topk_merge(*args, budget))
 
     def test_new_side_larger_than_twice_the_budget(self):
-        # TopKBuffer compacts inside the second offer - over the same
+        # The queue compacts inside the second offer - over the same
         # concatenated array the single partition sees.
         args = _candidates(4, 10, 500, tied=True)
         _assert_bit_equal(_merge_deltas(*args, 6), _topk_merge(*args, 6))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import CompressedMatrix, SVDDCompressor
 from repro.core.build import build_compressed, estimate_build_memory
+from repro.core.svd import _CHUNK_ROWS
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import FormatError
 from repro.obs import set_log_stream
@@ -118,8 +119,8 @@ class TestMemoryEstimate:
         assert estimate >= 2000 * 2000 * 8
 
     def test_linear_in_n_at_fixed_m_and_s(self):
-        # The queues hold 2 * gamma_k slots each and sum_k gamma_k grows
-        # with s * N * M: ten times the rows, ten times the memory.
+        # The queues hold 1.25 * gamma_k slots each and sum_k gamma_k
+        # grows with s * N * M: ten times the rows, ten times the memory.
         small_n = estimate_build_memory(366, 0.10, 100_000)
         large_n = estimate_build_memory(366, 0.10, 1_000_000)
         assert large_n == pytest.approx(10 * small_n, rel=0.05)
@@ -137,3 +138,24 @@ class TestMemoryEstimate:
             tracemalloc.stop()
         estimate = estimate_build_memory(cols, 0.10, rows)
         assert peak / 1.5 <= estimate <= peak * 1.5
+
+    def test_pass_two_keeps_scores_not_cells(self):
+        """Pass 2's queues cost 10 bytes per unit of capacity (8-byte
+        scores, 1.25 slots each): the peak stays under 12 bytes a unit
+        beside pass 1's four M x M arrays and four chunk arrays, where
+        ``(key, delta)`` pairs in twice the slots cost 32."""
+        rows, cols = 2000, 366
+        x = phone_matrix(rows, PhoneConfig(num_days=cols))
+        fitter = SVDDCompressor(budget_fraction=0.10)
+        capacity = sum(
+            fitter._gamma(rows, cols, k)
+            for k in range(1, fitter.candidate_cutoffs(rows, cols) + 1)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fitter.select_cutoff(x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * capacity + 4 * cols * cols * 8 + 4 * _CHUNK_ROWS * cols * 8

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, SVDDCompressor
 from repro.core.model import cell_key
+from repro.core.svd import _row_chunks
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ConfigurationError
 from repro.metrics import rmspe, worst_case_error
@@ -272,6 +273,14 @@ def _reference_pass_two(fitter, x, v):
     return k_opt, epsilon, keys[:gamma][order], values[:gamma][order], unique, zero_rows
 
 
+def _swept(selection, x):
+    """``(keys, values)`` pass 3 collects for ``selection`` from ``x``."""
+    sweep = selection.delta_sweep()
+    for block in _row_chunks(x):
+        sweep(block)
+    return sweep.deltas()
+
+
 def _assert_matches_reference(fitter, x, jobs=1, expect_unique=True):
     selection = fitter.select_cutoff(x, jobs=jobs)
     k_opt, epsilon, ref_keys, ref_values, unique, zero_rows = _reference_pass_two(
@@ -287,9 +296,16 @@ def _assert_matches_reference(fitter, x, jobs=1, expect_unique=True):
         atol=1e-12 * float((x * x).sum()),
     )
     np.testing.assert_array_equal(selection.zero_rows, zero_rows)
-    keys, values = selection.delta_queue.finalize()
+    keys, values = _swept(selection, x)
+    # Exactly gamma cells, none below the cut, each at most once.
+    cut = selection.delta_cut
+    assert keys.size == cut.count == ref_keys.size
+    assert np.all(np.abs(values) >= cut.score)
     assert np.all(np.diff(keys) > 0)
     np.testing.assert_array_equal(np.sort(np.abs(values)), np.sort(np.abs(ref_values)))
+    assert selection.error_energy - float(np.dot(values, values)) == pytest.approx(
+        epsilon[k_opt - 1], rel=1e-12, abs=1e-12 * float((x * x).sum())
+    )
     if expect_unique is not None:
         assert unique == expect_unique
     if unique:
@@ -359,8 +375,8 @@ class TestPassTwoAgainstTheTensorFormulation:
         # V moves in its last bits: same cells, deltas equal to rounding.
         one = SVDDCompressor(0.10).select_cutoff(x)
         assert four.k_opt == one.k_opt
-        keys4, values4 = four.delta_queue.finalize()
-        keys1, values1 = one.delta_queue.finalize()
+        keys4, values4 = _swept(four, x)
+        keys1, values1 = _swept(one, x)
         np.testing.assert_array_equal(keys4, keys1)
         np.testing.assert_allclose(values4, values1, rtol=0, atol=1e-9)
 

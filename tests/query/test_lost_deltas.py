@@ -8,7 +8,8 @@ stamped both ``error_bound: 0.0`` (``sum() rows 0:200 cols 5:30`` 1.2%
 off, ``min() rows 0:50 cols 0:10`` the wrong value).  Now the planner
 reads ``Backend.deltas_lost``: with no budget such a query has no
 route; under a budget it takes ``svd``, stamped with the stored
-estimate; and every answer stamped 0.0 is the model's dense form.
+estimate; every answer stamped 0.0 is the model's dense form; and a
+cell, the bare SVD, says so: route ``svd``, the same stamp.
 """
 
 from __future__ import annotations
@@ -119,3 +120,29 @@ def test_every_answer_stamped_exact_is_the_dense_form(dense_and_lost):
                     else:
                         assert result.error_bound == store.rmspe_estimate
     assert stamped_exact > 0  # the rollups' full-axis answers
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+def test_a_cell_is_the_svd_route_and_carries_its_stamp(
+    dense_and_lost, request, traced
+):
+    """A cell of the store is the bare SVD: route ``svd``, stamped with
+    what an ``svd`` aggregate carries.  The engine settles it when it
+    is built or refreshed, so a healthy backend's cells stay unstamped."""
+    if traced:
+        request.getfixturevalue("enabled_registry")
+    dense, store = dense_and_lost
+    # The cell the lost deltas moved most.
+    moved = np.abs(dense - store.reconstruct_all())
+    cell = tuple(int(i) for i in np.unravel_index(moved.argmax(), dense.shape))
+    engine = QueryEngine(dense)
+    healthy = engine.cell(cell)
+    assert (healthy.route, healthy.error_bound) == ("", 0.0)
+    engine.refresh(store)
+    result = engine.cell(cell)
+    query = parse_query("sum() rows 0:200 cols 5:30")
+    aggregate = engine.aggregate(query, max_rmspe=1.0)
+    assert result.route == aggregate.route == "svd"
+    assert result.error_bound == aggregate.error_bound == store.rmspe_estimate
+    assert result.value == store.cell(*cell) != pytest.approx(dense[cell], rel=1e-9)
+    assert (result.profile is not None) == traced
