@@ -30,9 +30,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+# Assigned, not defaulted: every file of a build depends on the BLAS
+# thread count (a 2-thread build differs in U, V, Lambda and the deltas),
+# so a caller's exported setting must not reach NumPy.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 

@@ -26,8 +26,8 @@ range or aggregate query to walk the whole table in Python.  A
 
 Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
 pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
-is safe without ``np.add.at``.  The index is immutable; rebuilding it
-costs one argsort and is only done at model-open time.
+is safe without ``np.add.at``.  The index is immutable; building it
+from a delta file's sorted arrays costs one O(n) order check.
 """
 
 from __future__ import annotations
@@ -73,23 +73,19 @@ class DeltaIndex:
     """Immutable sorted-array view of an outlier-delta set.
 
     Args:
-        keys: cell keys ``row * num_cols + col`` (need not be sorted).
+        keys: cell keys ``row * num_cols + col``.  Strictly increasing
+            keys (the canonical delta-file order, which
+            :meth:`DeltaFile.read_arrays` validates) are adopted as
+            they are after one O(n) comparison; any other order is
+            sorted into private copies.
         values: the delta for each key, aligned with ``keys``.
         num_cols: ``M`` of the matrix the keys address.
-        assume_sorted: skip the argsort and its copies.  Only pass
-            True for arrays already validated strictly increasing (the
-            canonical delta-file order, which
-            :meth:`DeltaFile.read_arrays` and
-            :meth:`DeltaFile.map_arrays` both enforce).  Contiguous
-            arrays are adopted as-is; the strided views ``map_arrays``
-            hands out over the record body are not — ``.ravel()`` below
-            gathers each into one private contiguous array, so a mapped
-            open pays one copy of the keys and one of the values per
-            process (the mapping itself stays shared and is only read
-            at open).
+
+    A persistent store's index is the one private in-memory copy of its
+    delta table (§4.1 pages only ``U``): nothing maps ``deltas.bin``.
     """
 
-    def __init__(self, keys, values, num_cols: int, assume_sorted: bool = False) -> None:
+    def __init__(self, keys, values, num_cols: int) -> None:
         keys = np.asarray(keys, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.float64).ravel()
         if keys.shape != values.shape:
@@ -98,17 +94,15 @@ class DeltaIndex:
             )
         if num_cols < 1:
             raise ConfigurationError(f"num_cols must be >= 1, got {num_cols}")
-        if assume_sorted:
-            self._keys = keys
-            self._values = values
-        else:
+        if not (keys[1:] > keys[:-1]).all():
             order = np.argsort(keys, kind="stable")
-            self._keys = np.ascontiguousarray(keys[order])
-            self._values = np.ascontiguousarray(values[order])
+            keys, values = keys[order], values[order]
+        self._keys = keys
+        self._values = values
         self._num_cols = int(num_cols)
         # Derived row/col arrays materialize on first use: cell lookups
-        # and row slices never need them, and a mapped index should not
-        # allocate 2x its key bytes up front.
+        # and row slices never need them, so an open should not allocate
+        # 2x its key bytes up front.
         self._rows_cache: np.ndarray | None = None
         self._cols_cache: np.ndarray | None = None
         self._row_start_cache: np.ndarray | None = None

@@ -48,7 +48,6 @@ from repro.core.model import as_index_array
 from repro.exceptions import ConfigurationError, QueryError, ReproError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
-from repro.storage.delta_file import close_mapping
 from repro.storage.matrix_store import Ascending
 from repro.storage.model_dir import ModelParts, read_model
 
@@ -71,16 +70,12 @@ class CompressedMatrix:
         self._eigenvalues = parts.eigenvalues
         self._v = parts.v
         # The reader validated strict key order, so the index adopts
-        # the arrays without its own argsort + copies.
+        # its private arrays without an argsort.
         self._deltas = (
-            DeltaIndex(
-                parts.delta_keys, parts.delta_values, parts.cols, assume_sorted=True
-            )
+            DeltaIndex(parts.delta_keys, parts.delta_values, parts.cols)
             if parts.delta_keys.size
             else None
         )
-        #: Open delta-file mapping of a ``mapped=True`` open (else None).
-        self._delta_mm = parts.delta_mm
         self._directory = parts.directory
         # Section 6.2's flag, twice: a set for single probes and one
         # boolean per row (a byte each) for masking a batch of rows.
@@ -145,9 +140,10 @@ class CompressedMatrix:
                 verified and always fatal when corrupt.
             mapped: take the buffer pool out of single-row and cell
                 reads of ``u.mat`` too (batched gathers index a
-                read-only ``mmap`` view on every open) and serve the
-                deltas from a shared mapping.  Every process mapping
-                the same model shares the kernel's page-cache pages.
+                read-only ``mmap`` view on every open).  It says how
+                ``u.mat`` is read and nothing else: V, Lambda and the
+                delta table are one private in-memory copy on every
+                open, as in §4.1.
 
         Opening is safe against a concurrent crash-atomic append: the
         incremental-update path replaces the whole model directory with
@@ -227,15 +223,8 @@ class CompressedMatrix:
         )
 
     def close(self) -> None:
-        """Release the U store's file handle and any delta mapping."""
+        """Release the U store's file handle."""
         self._u_store.close()
-        mm = self._delta_mm
-        if mm is not None:
-            self._delta_mm = None
-            # Drop the index so the mmap's exported buffers are
-            # released before closing.
-            self._deltas = None
-            close_mapping(mm)
 
     def __enter__(self) -> "CompressedMatrix":
         return self
@@ -321,7 +310,7 @@ class CompressedMatrix:
             from repro.summaries.store import SummaryStore
 
             self._summaries_cache = SummaryStore.load(
-                self._directory, expected=self._generation, mapped=self.mapped
+                self._directory, expected=self._generation
             )
             self._summaries_checked = True
         return self._summaries_cache

@@ -71,20 +71,14 @@ class Backend:
     #: load (a degraded open that dropped ``deltas.bin``): its cells and
     #: streamed rows are the bare SVD, and no exact fold exists.
     deltas_lost: bool = False
-    # A getter, not the index: a closed mapped store must be able to
-    # drop its index (and with it the delta mapping's last buffer).
-    _deltas: Callable[[], DeltaIndex | None] = _none
+    #: The source's outlier index, or None when it stores no deltas.
+    delta_index: DeltaIndex | None = None
     _anchor: Callable[[], str | None] = _none
 
     @property
     def name(self) -> str:
         """The source's class name, for dumped profiles."""
         return type(self.source).__name__
-
-    @property
-    def delta_index(self) -> DeltaIndex | None:
-        """The source's outlier index, or None when it stores no deltas."""
-        return self._deltas()
 
     @property
     def memory_resident(self) -> bool:
@@ -177,7 +171,7 @@ def _from_model(source, model: SVDModel | SVDDModel) -> Backend:
         block=model.reconstruct_range,
         factors=factors,
         rank=svd.cutoff,
-        _deltas=lambda: deltas,
+        delta_index=deltas,
     )
 
 
@@ -194,7 +188,7 @@ def _from_compressed(store: CompressedMatrix) -> Backend:
         rank=store.cutoff,
         paged_store=store.u_store,
         deltas_lost=store.deltas_lost,
-        _deltas=lambda: store.delta_index,
+        delta_index=store.delta_index,
         _anchor=lambda: recorded_start_date(store.directory),
     )
 

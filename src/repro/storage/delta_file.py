@@ -3,14 +3,15 @@
 The deltas are the part of the SVDD model that lives beside ``U`` on
 disk: a flat file of ``(cell_key, delta)`` records plus a CRC-guarded
 header.  On open, the records load as the sorted key/value arrays a
-:class:`~repro.core.delta_index.DeltaIndex` adopts (the paper keeps the
-table in main memory; the on-disk form exists so the model survives
-restarts and so its size can be charged against the storage budget).
+:class:`~repro.core.delta_index.DeltaIndex` adopts: one private
+in-memory copy per open, however ``u.mat`` is read (the paper's §4.1
+keeps the table in main memory; the on-disk form exists so the model
+survives restarts and so its size can be charged against the storage
+budget).
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import zlib
@@ -35,6 +36,9 @@ _BY_MAGIC = {
 }
 _MAGIC_BY_BYTES = {8: _MAGIC, 4: _MAGIC_F32}
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+#: Records per read: 64 KiB of float64 records, a buffer the allocator
+#: reuses from open to open.
+_CHUNK_RECORDS = 4096
 
 
 def _record_dtype(bytes_per_value: int) -> tuple[bytes, np.dtype]:
@@ -45,7 +49,12 @@ def _record_dtype(bytes_per_value: int) -> tuple[bytes, np.dtype]:
 
 
 class DeltaFile:
-    """Reader/writer for the on-disk delta table."""
+    """Reader/writer for the on-disk delta table.
+
+    There is one way in: :meth:`read_arrays` reads the whole file,
+    validates it and copies the records out into heap arrays.  Nothing
+    maps ``deltas.bin`` — a ``mapped=True`` open maps ``u.mat`` only.
+    """
 
     @staticmethod
     def write(
@@ -97,10 +106,12 @@ class DeltaFile:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Load a delta file as ``(keys, deltas)`` NumPy arrays.
 
-        One ``frombuffer`` over the validated record body — no
-        per-record Python.  Keys come back sorted (the canonical file
+        The body streams a chunk of records at a time through one
+        small reused buffer into the two arrays returned: no
+        per-record Python, and no second copy of the file beside the
+        one an open keeps.  Keys come back sorted (the canonical file
         order), which is exactly the form
-        :class:`~repro.core.delta_index.DeltaIndex` wants.  Both value
+        :class:`~repro.core.delta_index.DeltaIndex` adopts.  Both value
         precisions (``RPRDLT01``/float64, ``RPRDLT02``/float32) load
         transparently; values always come back float64.
 
@@ -114,110 +125,51 @@ class DeltaFile:
                 many records — catches a delta file swapped or rewritten
                 out from under its ``meta.json`` (e.g. a torn append).
         """
-        records = _validated_records(
-            path, Path(path).read_bytes(), num_cells, expected_count
-        )
-        return records["k"].astype(np.int64), records["d"].astype(np.float64)
-
-    @staticmethod
-    def map_arrays(
-        path: str | os.PathLike,
-        num_cells: int | None = None,
-        expected_count: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, "mmap.mmap"]:
-        """Memory-map a delta file as ``(keys, deltas, mm)``.
-
-        The mmap-backed twin of :meth:`read_arrays` — the same
-        validation, but the record body is
-        a shared read-only mapping instead of a private heap copy, so a
-        pool of worker processes mapping the same file shares one
-        physical copy of the page cache (the same trick ``u.mat`` plays
-        via ``MatrixStore.open(mapped=True)``).
-
-        ``keys`` is a zero-copy strided int64 view into the mapping;
-        ``deltas`` is likewise zero-copy for float64 files and a small
-        upcast copy for float32 ones.  The caller owns ``mm`` and must
-        keep it open for as long as the arrays are alive, then drop the
-        array references before closing it.
-        """
         with open(path, "rb") as handle:
-            try:
-                mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except ValueError as exc:  # zero-length file
-                raise FormatError(f"{path}: truncated delta file") from exc
-        try:
-            records = _validated_records(path, mm, num_cells, expected_count)
-        except BaseException:
-            close_mapping(mm)
-            raise
-        deltas = records["d"]
-        if deltas.dtype != np.float64:
-            deltas = deltas.astype(np.float64)
-        return records["k"], deltas, mm
+            header = handle.read(_HEADER_SIZE)
+            if len(header) < _HEADER_SIZE:
+                raise FormatError(f"{path}: truncated delta file")
+            magic, count, crc = struct.unpack(_HEADER_FMT, header)
+            if magic not in _BY_MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}")
+            record_dtype = _BY_MAGIC[magic]
+            body = os.fstat(handle.fileno()).st_size - _HEADER_SIZE
+            held = body // record_dtype.itemsize
+            if held < count:
+                raise FormatError(f"{path}: expected {count} records, file holds {held}")
+            keys = np.empty(count, dtype=np.int64)
+            values = np.empty(count, dtype=np.float64)
+            chunk = np.empty(min(count, _CHUNK_RECORDS), dtype=record_dtype)
+            body_crc = 0
+            for start in range(0, count, _CHUNK_RECORDS):
+                part = chunk[: min(_CHUNK_RECORDS, count - start)]
+                if handle.readinto(part) != part.nbytes:
+                    raise FormatError(f"{path}: truncated delta file")
+                body_crc = zlib.crc32(part, body_crc)
+                keys[start : start + part.size] = part["k"]
+                values[start : start + part.size] = part["d"]
+        if body_crc != crc:
+            raise ChecksumError(f"{path}: delta records failed checksum")
+        if expected_count is not None and count != expected_count:
+            raise FormatError(
+                f"{path}: holds {count} delta records but the model "
+                f"metadata expects {expected_count} — stale or torn delta file"
+            )
+        if num_cells is not None and count:
+            if not (keys[1:] > keys[:-1]).all():
+                raise FormatError(
+                    f"{path}: delta keys are not strictly increasing "
+                    "(canonical files are sorted and duplicate-free)"
+                )
+            if keys[0] < 0 or keys[-1] >= num_cells:
+                raise FormatError(
+                    f"{path}: delta key range [{keys[0]}, {keys[-1]}] "
+                    f"outside the matrix's cells [0, {num_cells})"
+                )
+        return keys, values
 
     @staticmethod
     def size_bytes(record_count: int, bytes_per_value: int = 8) -> int:
         """On-disk size of a delta file with ``record_count`` records."""
         _magic, record_dtype = _record_dtype(bytes_per_value)
         return _HEADER_SIZE + record_count * record_dtype.itemsize
-
-
-def close_mapping(mm: "mmap.mmap | None") -> None:
-    """Release a mapping :meth:`DeltaFile.map_arrays` returned.
-
-    Drop the arrays first.  While something still holds a view into
-    the map (another thread's lookup, a failed validation's traceback)
-    closing raises ``BufferError``; the mapping is then released with
-    its last export instead.
-    """
-    if mm is not None:
-        try:
-            mm.close()
-        except BufferError:
-            pass
-
-
-def _validated_records(
-    path: str | os.PathLike,
-    buffer,
-    num_cells: int | None,
-    expected_count: int | None,
-) -> np.ndarray:
-    """The records of a delta file held in ``buffer`` (its bytes or a
-    mapping of them), as a structured view — after the header, length,
-    CRC, record-count and key-order checks every loader applies."""
-    size = len(buffer)
-    if size < _HEADER_SIZE:
-        raise FormatError(f"{path}: truncated delta file")
-    magic, count, crc = struct.unpack_from(_HEADER_FMT, buffer)
-    if magic not in _BY_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    record_dtype = _BY_MAGIC[magic]
-    if size - _HEADER_SIZE < count * record_dtype.itemsize:
-        raise FormatError(
-            f"{path}: expected {count} records, file holds "
-            f"{(size - _HEADER_SIZE) // record_dtype.itemsize}"
-        )
-    records = np.frombuffer(
-        buffer, dtype=record_dtype, count=count, offset=_HEADER_SIZE
-    )
-    if (zlib.crc32(records) & 0xFFFFFFFF) != crc:
-        raise ChecksumError(f"{path}: delta records failed checksum")
-    if expected_count is not None and count != expected_count:
-        raise FormatError(
-            f"{path}: holds {count} delta records but the model "
-            f"metadata expects {expected_count} — stale or torn delta file"
-        )
-    keys = records["k"]
-    if num_cells is not None and count:
-        if keys.min() < 0 or keys.max() >= num_cells:
-            raise FormatError(
-                f"{path}: delta key range [{keys.min()}, {keys.max()}] "
-                f"outside the matrix's cells [0, {num_cells})"
-            )
-        if count > 1 and not (np.diff(keys) > 0).all():
-            raise FormatError(
-                f"{path}: delta keys are not strictly increasing "
-                "(canonical files are sorted and duplicate-free)"
-            )
-    return records

@@ -38,7 +38,6 @@ it absorbs a damaged one.
 from __future__ import annotations
 
 import json
-import mmap
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +47,7 @@ import numpy as np
 from repro.exceptions import ChecksumError, FormatError, ReproError
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import link_or_copy, restore_trash
-from repro.storage.delta_file import DeltaFile, close_mapping
+from repro.storage.delta_file import DeltaFile
 from repro.storage.integrity import check_entry, load_manifest, write_manifest
 from repro.storage.matrix_store import MatrixStore
 
@@ -122,9 +121,10 @@ def factor_dtype(bytes_per_value: int):
 @dataclass
 class ModelParts:
     """A model directory's validated contents, as :func:`read_model`
-    returns them.  Owns the open ``u_store`` (and the delta mapping of
-    a ``mapped`` read) until :meth:`close` — or until a
-    :class:`~repro.core.store.CompressedMatrix` adopts them."""
+    returns them.  Owns the open ``u_store`` until :meth:`close` — or
+    until a :class:`~repro.core.store.CompressedMatrix` adopts them.
+    The delta table is one private in-memory copy, however ``u.mat``
+    was opened (§4.1: only ``U`` is paged)."""
 
     directory: Path
     meta: dict
@@ -146,8 +146,6 @@ class ModelParts:
     manifest_files: dict = field(default_factory=dict)
     #: Validation failures ``on_corrupt="degraded"`` absorbed.
     degraded_reasons: list[str] = field(default_factory=list)
-    #: Open mapping behind ``delta_keys``/``delta_values`` when ``mapped``.
-    delta_mm: mmap.mmap | None = None
 
     @property
     def rows(self) -> int:
@@ -179,13 +177,8 @@ class ModelParts:
         return _generation(self.meta, self.update_state)
 
     def close(self) -> None:
-        """Release the U store's file handle and any delta mapping."""
+        """Release the U store's file handle."""
         self.u_store.close()
-        mm, self.delta_mm = self.delta_mm, None
-        if mm is not None:
-            # Drop the views first so the map's exports are released.
-            self.delta_keys = self.delta_values = np.empty(0)
-            close_mapping(mm)
 
     def __enter__(self) -> "ModelParts":
         return self
@@ -296,9 +289,8 @@ def read_model(
 
     Args:
         pool_capacity, mapped: how ``u.mat`` is opened (see
-            :meth:`MatrixStore.open`); ``mapped`` also serves the
-            deltas from a shared read-only mapping instead of a heap
-            copy.
+            :meth:`MatrixStore.open`).  Nothing else is mapped: the
+            deltas are read into one private heap copy either way.
         on_corrupt: ``"degraded"`` absorbs damage to the parts a model
             can answer without — manifest, ``deltas.bin``,
             ``zero_rows.npy``, the update ledger — into
@@ -341,7 +333,7 @@ def read_model(
 
     rows, cols = int(meta["rows"]), int(meta["cols"])
     no_rows = np.empty(0, dtype=np.int64)
-    no_deltas = (no_rows, np.empty(0, dtype=np.float64), None)
+    no_deltas = (no_rows, np.empty(0, dtype=np.float64))
 
     def load_zero_rows():
         # Dropping the flags is answer-preserving: a flagged row's U
@@ -363,10 +355,9 @@ def read_model(
         path = directory / DELTAS_NAME
         if not path.exists():
             raise FormatError(f"{directory}: missing {DELTAS_NAME}")
-        expect = {"num_cells": rows * cols, "expected_count": int(meta["num_deltas"])}
-        if mapped:
-            return DeltaFile.map_arrays(path, **expect)
-        return (*DeltaFile.read_arrays(path, **expect), None)
+        return DeltaFile.read_arrays(
+            path, num_cells=rows * cols, expected_count=int(meta["num_deltas"])
+        )
 
     def load_sketch():
         # Only an append looks inside the sketch; every other read stops
@@ -392,7 +383,6 @@ def read_model(
     u_store = MatrixStore.open(
         directory / U_NAME, pool_capacity=pool_capacity, mapped=mapped
     )
-    delta_keys = delta_values = delta_mm = None
     try:
         eigenvalues = _load_npy(directory / LAMBDA_NAME).astype(np.float64)
         v = _load_npy(directory / V_NAME).astype(np.float64)
@@ -400,14 +390,12 @@ def read_model(
         zero_rows = (
             optional(load_zero_rows, no_rows) if meta["zero_rows"] else no_rows
         )
-        delta_keys, delta_values, delta_mm = (
+        delta_keys, delta_values = (
             optional(load_deltas, no_deltas) if int(meta["num_deltas"]) > 0 else no_deltas
         )
         update_state = optional(load_ledger, None)
         sketch = optional(load_sketch, None)
     except Exception as exc:
-        delta_keys = delta_values = None  # views into the mapping
-        close_mapping(delta_mm)
         u_store.close()
         if isinstance(exc, ReproError):
             raise
@@ -425,7 +413,6 @@ def read_model(
         sketch=sketch,
         manifest_files=files,
         degraded_reasons=reasons,
-        delta_mm=delta_mm,
     )
 
 

@@ -69,9 +69,9 @@ class SummaryStore:
         cls,
         directory: str | Path,
         expected: tuple[int, int, int, int] | None = None,
-        mapped: bool = False,
     ) -> "SummaryStore | None":
-        """Load the store if present and stamped for the live model.
+        """Load the store if present and stamped for the live model:
+        the two profiles are read into memory once.
 
         ``expected`` is ``(rows, cols, num_deltas, appends)`` of the
         model the caller already has open; when None it is read from
@@ -95,13 +95,8 @@ class SummaryStore:
             _obs.counter("summary.load_failures").inc()
             return None
         try:
-            mode = "r" if mapped else None
-            col_stats = np.load(
-                directory / compute.COLS_NAME, mmap_mode=mode, allow_pickle=False
-            )
-            row_stats = np.load(
-                directory / compute.ROWS_NAME, mmap_mode=mode, allow_pickle=False
-            )
+            col_stats = np.load(directory / compute.COLS_NAME, allow_pickle=False)
+            row_stats = np.load(directory / compute.ROWS_NAME, allow_pickle=False)
         except Exception:
             _obs.counter("summary.load_failures").inc()
             return None

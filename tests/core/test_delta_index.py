@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import tempfile
 from pathlib import Path
 
@@ -31,6 +30,23 @@ class TestConstruction:
         index = DeltaIndex([30, 12, 89, 37], [-2.0, 5.0, 0.25, 1.5], NUM_COLS)
         assert list(index.keys) == [12, 30, 37, 89]
         assert list(index.values) == [5.0, -2.0, 1.5, 0.25]
+
+    def test_adopts_sorted_input_and_sorts_shuffled_input(self):
+        keys = np.array([12, 30, 37, 89], dtype=np.int64)
+        values = np.array([5.0, -2.0, 1.5, 0.25])
+        adopted = DeltaIndex(keys, values, NUM_COLS)
+        assert np.shares_memory(adopted.keys, keys)
+        assert np.shares_memory(adopted.values, values)
+        order = np.array([2, 0, 3, 1])
+        shuffled = DeltaIndex(keys[order], values[order], NUM_COLS)
+        np.testing.assert_array_equal(shuffled.keys, adopted.keys)
+        np.testing.assert_array_equal(shuffled.values, adopted.values)
+        # Sorted with a repeated key is not strictly increasing: sorted
+        # (stably) into a copy, not adopted.
+        repeated = np.array([12, 12, 30], dtype=np.int64)
+        index = DeltaIndex(repeated, [1.0, 2.0, 3.0], NUM_COLS)
+        assert not np.shares_memory(index.keys, repeated)
+        assert list(index.values) == [1.0, 2.0, 3.0]
 
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -91,24 +107,15 @@ class TestSelect:
         assert values.size == 0
 
 
-@contextlib.contextmanager
-def _mapped_index(keys, values, num_cols):
-    """The index the way a ``mapped=True`` store builds it: adopted from
-    the read-only arrays of a memory-mapped delta file."""
+def _file_index(keys, values, num_rows, num_cols):
+    """The index the way a persistent store builds it: adopted from the
+    arrays :meth:`DeltaFile.read_arrays` validated and copied out."""
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "deltas.bin"
         DeltaFile.write(path, keys, values)
-        mapped_keys, mapped_values, mm = DeltaFile.map_arrays(path)
-        try:
-            yield DeltaIndex(mapped_keys, mapped_values, num_cols, assume_sorted=True)
-        finally:
-            del mapped_keys, mapped_values
-            try:
-                mm.close()
-            except BufferError:
-                # The caller's index still views the map (a 0/1-record
-                # view is adopted without a copy); freed with the index.
-                pass
+        return DeltaIndex(
+            *DeltaFile.read_arrays(path, num_cells=num_rows * num_cols), num_cols
+        )
 
 
 @st.composite
@@ -135,7 +142,7 @@ def _select_cases(draw):
 def test_property_select_matches_dict_scan(case):
     """``select`` equals a dense-mask oracle, one entry per occurrence of
     a repeated selection entry, and probes only the selected rows."""
-    num_rows, num_cols, keys, row_sel, col_sel, mapped = case
+    num_rows, num_cols, keys, row_sel, col_sel, from_file = case
     keys = np.asarray(keys, dtype=np.int64)
     values = 1.0 + np.arange(keys.size, dtype=np.float64)  # distinct, non-zero
     dense = np.zeros((num_rows, num_cols))
@@ -143,13 +150,12 @@ def test_property_select_matches_dict_scan(case):
     row_sel = np.asarray(row_sel, dtype=np.int64)
     col_sel = np.asarray(col_sel, dtype=np.int64)
 
-    if mapped:
-        source = _mapped_index(keys, values, num_cols)
+    if from_file:
+        index = _file_index(keys, values, num_rows, num_cols)
     else:
-        source = contextlib.nullcontext(DeltaIndex(keys, values, num_cols))
-    with source as index:
-        row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
-        stats = dict(index.stats)
+        index = DeltaIndex(keys, values, num_cols)
+    row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
+    stats = dict(index.stats)
 
     expected = dense[np.ix_(row_sel, col_sel)]
     assert vals.size == np.count_nonzero(expected)
@@ -419,16 +425,16 @@ def _scan_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_scan_cases())
 @example(case=(3, 4, [], [0, 1, 2], [0, 1], False))  # empty index, a run of rows
-@example(case=(3, 4, [], [5, -1], [0], True))  # empty mapped index
+@example(case=(3, 4, [], [5, -1], [0], True))  # empty index read from a file
 @example(case=(3, 4, [0, 1, 2, 11], [-2, -1, 0, 1], [0, 1, 2, 3], False))
 @example(case=(3, 4, [0, 1, 2, 11], [1, 2, 3, 4], [1, 2, 3], True))
 @example(case=(3, 4, [0, 1, 2, 11], [2, 0, 2, -1], [3, -1, 0, 6], False))
 def test_property_reads_match_a_dense_scan(case):
     """``select``, ``select_sum`` and ``count_in_rows`` equal a dense
-    NumPy scan for any row and column shape, on an in-memory and on a
-    mapped index, and count exactly the selected rows' deltas inside
-    the (clamped) column span."""
-    num_rows, num_cols, keys, row_sel, col_sel, mapped = case
+    NumPy scan for any row and column shape, on an index built in memory
+    and on one read from a delta file, and count exactly the selected
+    rows' deltas inside the (clamped) column span."""
+    num_rows, num_cols, keys, row_sel, col_sel, from_file = case
     keys = np.asarray(keys, dtype=np.int64)
     values = 1.0 + np.arange(keys.size, dtype=np.float64)  # exact sums
     # A margin of zeros around the matrix stands for "outside".
@@ -453,16 +459,15 @@ def test_property_reads_match_a_dense_scan(case):
         lo, hi = max(int(col_sel.min()), 0), min(int(col_sel.max()), num_cols - 1)
         probed = int(np.count_nonzero(dense[row_sel + pad][:, lo + pad : hi + pad + 1]))
 
-    if mapped:
-        source = _mapped_index(keys, values, num_cols)
+    if from_file:
+        index = _file_index(keys, values, num_rows, num_cols)
     else:
-        source = contextlib.nullcontext(DeltaIndex(keys, values, num_cols))
-    with source as index:
-        row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
-        assert index.stats == {"lookups": 1, "keys_probed": probed, "hits": len(want)}
-        total = index.select_sum(row_sel, col_sel)
-        assert index.count_in_rows(row_sel) == np.count_nonzero(dense[row_sel + pad])
-        stats = dict(index.stats)
+        index = DeltaIndex(keys, values, num_cols)
+    row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
+    assert index.stats == {"lookups": 1, "keys_probed": probed, "hits": len(want)}
+    total = index.select_sum(row_sel, col_sel)
+    assert index.count_in_rows(row_sel) == np.count_nonzero(dense[row_sel + pad])
+    stats = dict(index.stats)
 
     assert list(zip(row_pos.tolist(), col_pos.tolist(), vals.tolist())) == want
     np.testing.assert_array_equal(rows, row_sel[row_pos])

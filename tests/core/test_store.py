@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ class TestPersistence:
                 CompressedMatrix.open(directory, on_corrupt=on_corrupt)
         with pytest.raises(FormatError, match="svdd"):
             append_columns(directory, np.ones((data.shape[0], 2)))
+
+    def test_mapped_open_maps_u_only(self, tmp_path, data):
+        """A ``mapped=True`` open maps ``u.mat`` and nothing else: the
+        delta table is one private in-memory copy (§4.1)."""
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps on this platform")
+        directory = (tmp_path / "model").resolve()
+        build_compressed(data, directory, 0.10).close()
+        with CompressedMatrix.open(directory, mapped=True) as store:
+            mappings = maps.read_text()
+            assert str(directory / "u.mat") in mappings
+            assert str(directory / "deltas.bin") not in mappings
+            index = store.delta_index
+            for array in (index.keys, index.values):
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                assert array.flags.owndata  # a heap array, not a buffer's view
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()

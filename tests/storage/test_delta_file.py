@@ -137,6 +137,14 @@ class TestCorruption:
         with pytest.raises(FormatError):
             DeltaFile.read_arrays(path)
 
+    def test_key_range_enforced(self, tmp_path):
+        path = tmp_path / "d.bin"
+        _write(path, [(i * 7, float(i)) for i in range(10)])  # max key 63
+        with pytest.raises(FormatError, match="outside the matrix"):
+            DeltaFile.read_arrays(path, num_cells=50)
+        keys, _values = DeltaFile.read_arrays(path, num_cells=64)
+        assert keys[-1] == 63
+
     def test_flipped_record_bit(self, tmp_path):
         path = tmp_path / "d.bin"
         _write(path, [(1, 1.0), (2, 2.0)])
@@ -191,60 +199,3 @@ def test_property_bytes_match_reference(
     assert _write(path, pairs, bytes_per_value=bytes_per_value) == len(pairs)
     assert path.read_bytes() == _reference_bytes(pairs, bytes_per_value)
 
-
-class TestMapArrays:
-    """The zero-copy mmap twin of read_arrays (worker shared mapping)."""
-
-    def _write(self, path, count=50, bytes_per_value=8):
-        records = [(i * 7, float(i) - 3.5) for i in range(count)]
-        _write(path, records, bytes_per_value=bytes_per_value)
-        return records
-
-    @pytest.mark.parametrize("bytes_per_value", [8, 4])
-    def test_matches_read_arrays(self, tmp_path, bytes_per_value):
-        path = tmp_path / "d.bin"
-        self._write(path, bytes_per_value=bytes_per_value)
-        keys, values = DeltaFile.read_arrays(path)
-        mapped_keys, mapped_values, mm = DeltaFile.map_arrays(path)
-        try:
-            import numpy as np
-
-            np.testing.assert_array_equal(mapped_keys, keys)
-            np.testing.assert_array_equal(mapped_values, values)
-            assert mapped_values.dtype == np.float64
-        finally:
-            del mapped_keys, mapped_values
-            mm.close()
-
-    def test_float64_values_are_zero_copy(self, tmp_path):
-        path = tmp_path / "d.bin"
-        self._write(path)
-        keys, values, mm = DeltaFile.map_arrays(path)
-        try:
-            # Both arrays are views over the mapping, not heap copies.
-            assert keys.base is not None and values.base is not None
-            assert not keys.flags.owndata and not values.flags.owndata
-        finally:
-            del keys, values
-            mm.close()
-
-    def test_corruption_detected(self, tmp_path):
-        path = tmp_path / "d.bin"
-        self._write(path)
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0x01
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError):
-            DeltaFile.map_arrays(path)
-
-    def test_key_range_enforced(self, tmp_path):
-        path = tmp_path / "d.bin"
-        self._write(path, count=10)  # max key 63
-        with pytest.raises(FormatError):
-            DeltaFile.map_arrays(path, num_cells=50)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "d.bin"
-        self._write(path, count=10)
-        with pytest.raises(FormatError):
-            DeltaFile.map_arrays(path, expected_count=11)
