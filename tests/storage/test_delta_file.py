@@ -155,6 +155,47 @@ class TestCorruption:
             DeltaFile.read_arrays(path)
 
 
+class TestMapArrays:
+    """The delta read of a ``mapped=True`` open: ``u.mat`` is mapped,
+    ``deltas.bin`` goes through :meth:`DeltaFile.read_arrays`, and its
+    checks still reject a damaged or swapped table."""
+
+    def _model(self, tmp_path):
+        from repro.core.build import build_compressed
+        from repro.data import phone_matrix
+
+        directory = tmp_path / "model"
+        build_compressed(phone_matrix(40), directory, 0.10).close()
+        return directory
+
+    def test_corruption_detected(self, tmp_path):
+        from repro.core import CompressedMatrix
+
+        directory = self._model(tmp_path)
+        path = directory / "deltas.bin"
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            CompressedMatrix.open(directory, mapped=True)
+
+    def test_count_mismatch_rejected(self, tmp_path):
+        from repro.core import CompressedMatrix
+
+        directory = self._model(tmp_path)
+        path = directory / "deltas.bin"
+        size = path.stat().st_size
+        keys, values = DeltaFile.read_arrays(path)
+        assert keys.size > 1
+        # A torn append: a valid table one record short, padded back to
+        # the manifest's size so only the record count gives it away.
+        DeltaFile.write(path, keys[:-1], values[:-1])
+        with open(path, "ab") as handle:
+            handle.write(bytes(size - path.stat().st_size))
+        with pytest.raises(FormatError, match="expects"):
+            CompressedMatrix.open(directory, mapped=True)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     records=st.dictionaries(
