@@ -1,10 +1,11 @@
-"""Substrate bench: the interchangeable symmetric eigensolvers.
+"""Substrate bench: the lab's symmetric eigensolvers against LAPACK.
 
 The two-pass algorithm's in-memory step is the eigendecomposition of
-the M x M Gram matrix.  This bench compares the three solvers the
-library ships — LAPACK (numpy), the from-scratch cyclic Jacobi, and
-deflated power iteration for top-k — on a real Gram matrix, reporting
-wall time and agreement with LAPACK.
+the M x M Gram matrix, which the product hands to LAPACK
+(``repro.core.svd.eigenpairs``).  This bench compares four solvers —
+LAPACK (numpy), the from-scratch cyclic Jacobi, Householder + implicit
+QL, and deflated power iteration for top-k — on a real Gram matrix,
+reporting wall time and agreement with LAPACK.
 
 Expected shape: all three agree to tight tolerance; LAPACK is fastest;
 power iteration wins when only a few components are needed relative to
@@ -19,8 +20,11 @@ import numpy as np
 
 from benchmarks.conftest import emit, format_table
 from repro.core import compute_gram
-from repro.linalg import NumpyEigensolver
-from repro.lab.eigen import JacobiEigensolver, PowerIterationEigensolver
+from repro.lab.eigen import (
+    JacobiEigensolver,
+    NumpyEigensolver,
+    PowerIterationEigensolver,
+)
 from repro.lab.tridiagonal import TridiagonalEigensolver
 
 

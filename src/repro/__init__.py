@@ -14,7 +14,7 @@ Quickstart::
 
     matrix = np.random.rand(2000, 366)
     model = SVDDCompressor(budget_fraction=0.10).fit(matrix)
-    value = model.reconstruct_cell(17, 200)       # O(k) + one hash probe
+    value = model.reconstruct_cell(17, 200)       # O(k) + one bisection
     print(model.cutoff, model.num_deltas, model.space_fraction())
 
 Subpackages — the product, what ``repro serve`` and the CLI run:
@@ -28,8 +28,7 @@ Subpackages — the product, what ``repro serve`` and the CLI run:
   accounting, the model-directory codec;
 - :mod:`repro.data` — synthetic stand-ins for the paper's datasets;
 - :mod:`repro.metrics` — RMSPE, worst-case, distribution, Q_err;
-- :mod:`repro.linalg` / :mod:`repro.structures` — the eigensolver
-  interface and the top-k buffer the build runs.
+- :mod:`repro.structures` — the top-k score queue the build runs.
 
 The paper lab — Section 5's competing methods, the DataCube, scatter
 plots, ablation structures, from-scratch eigensolvers, the warehouse

@@ -185,8 +185,9 @@ def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) 
 
     Useful for capacity planning before pointing the builder at a very
     large store.  Ignores small constants.  Pass 1 peaks at four M x M
-    arrays (the Gram matrix, its symmetrized copy and the eigensolver's
-    two); pass 2 holds four chunk arrays and the k_max score queues —
+    arrays (the Gram matrix, the symmetrized copy that
+    :func:`~repro.core.svd.eigenpairs` hands to ``numpy.linalg.eigh``,
+    and the eigenvectors before and after sorting); pass 2 holds four chunk arrays and the k_max score queues —
     8-byte slots, ``_ROOM`` (1.25) per unit of capacity ``gamma_k`` —
     which grow with ``s * N * M`` and bound a large build.  Pass 3's
     16-byte deltas of ``k_opt`` are charged on top, at ``gamma_1``.

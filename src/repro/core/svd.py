@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.model import SVDModel
 from repro.core import space
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import SymmetricEigensolver, default_eigensolver
 from repro.storage.matrix_store import MatrixStore
 
 #: Relative threshold below which an eigenvalue of C is treated as zero
@@ -134,11 +133,45 @@ def compute_gram(source: MatrixStore | np.ndarray, jobs: int = 1) -> np.ndarray:
     return (gram + gram.T) / 2.0
 
 
-def spectrum_from_gram(
-    gram: np.ndarray,
-    k: int,
-    eigensolver: SymmetricEigensolver | None = None,
+def sort_eigenpairs(
+    values: np.ndarray, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs by decreasing eigenvalue, the order the spectral
+    decomposition (Eq. 4) assumes.
+
+    Each eigenvector is signed so that its largest-magnitude entry is
+    positive: a vector is defined only up to sign, and this makes
+    results comparable across solvers and runs.
+    """
+    order = np.argsort(values)[::-1]
+    values, vectors = values[order], vectors[:, order]
+    pivots = np.abs(vectors).argmax(axis=0)
+    vectors[:, vectors[pivots, np.arange(vectors.shape[1])] < 0] *= -1.0
+    return values, vectors
+
+
+def eigenpairs(
+    matrix: np.ndarray, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` largest eigenpairs of a symmetric matrix (all when
+    ``k`` is None), by LAPACK's ``numpy.linalg.eigh``.
+
+    Returns ``(values, vectors)`` in :func:`sort_eigenpairs`' order:
+    column ``j`` of ``vectors`` is the unit eigenvector of
+    ``values[j]``.  The matrix is symmetrized exactly first, so float
+    rounding in a Gram's accumulation cannot reach the solve.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError("symmetric matrix contains NaN or infinite values")
+    values, vectors = sort_eigenpairs(*np.linalg.eigh((arr + arr.T) / 2.0))
+    if k is None:
+        return values, vectors
+    # Copies, so that the cut does not keep the whole M x M basis alive.
+    return values[:k].copy(), vectors[:, :k].copy()
+
+
+def spectrum_from_gram(gram: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose ``C`` and return ``(singular_values, V)`` truncated to ``k``.
 
     By Lemma 3.2 the eigenvalues of ``C`` are the squared singular
@@ -148,13 +181,12 @@ def spectrum_from_gram(
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    solver = eigensolver or default_eigensolver()
-    result = solver.decompose_top(np.asarray(gram, dtype=np.float64), k)
-    eigenvalues = np.maximum(result.values, 0.0)
+    values, vectors = eigenpairs(gram, k)
+    eigenvalues = np.maximum(values, 0.0)
     top = eigenvalues[0] if eigenvalues.size else 0.0
     keep = eigenvalues > _RANK_TOL * max(top, 1.0)
     singular_values = np.sqrt(eigenvalues[keep])
-    v = result.vectors[:, keep]
+    v = vectors[:, keep]
     if singular_values.size == 0:
         # A zero matrix: keep a single null component so downstream
         # shapes stay consistent (reconstruction is identically zero).
@@ -313,8 +345,6 @@ class SVDCompressor:
     Args:
         k: explicit cutoff.
         budget_fraction: space budget ``s`` in (0, 1].
-        eigensolver: symmetric eigensolver for the Gram matrix
-            (default: LAPACK-backed).
         bytes_per_value: the 'b' of the space accounting.
     """
 
@@ -322,7 +352,6 @@ class SVDCompressor:
         self,
         k: int | None = None,
         budget_fraction: float | None = None,
-        eigensolver: SymmetricEigensolver | None = None,
         bytes_per_value: int = space.BYTES_PER_VALUE,
     ) -> None:
         if (k is None) == (budget_fraction is None):
@@ -333,7 +362,6 @@ class SVDCompressor:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         self.k = k
         self.budget_fraction = budget_fraction
-        self.eigensolver = eigensolver or default_eigensolver()
         self.bytes_per_value = bytes_per_value
 
     def resolve_cutoff(self, num_rows: int, num_cols: int) -> int:
@@ -349,6 +377,6 @@ class SVDCompressor:
         num_rows, num_cols = source_shape(source)
         cutoff = self.resolve_cutoff(num_rows, num_cols)
         gram = compute_gram(source)  # pass 1
-        singular_values, v = spectrum_from_gram(gram, cutoff, self.eigensolver)
+        singular_values, v = spectrum_from_gram(gram, cutoff)
         u = compute_u(source, singular_values, v)  # pass 2
         return SVDModel(u=u, eigenvalues=singular_values, v=v)

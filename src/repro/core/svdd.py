@@ -52,7 +52,6 @@ from repro.core.svd import (
     spectrum_from_gram,
 )
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import SymmetricEigensolver, default_eigensolver
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -218,7 +217,6 @@ class SVDDCompressor:
         budget_fraction: space budget ``s`` in (0, 1].
         k_max: optional cap on the candidate cutoffs considered
             (default: the largest cutoff that fits the budget).
-        eigensolver: solver for the Gram eigenproblem.
         bytes_per_value: 'b' in the space accounting (the model's
             per-number cost; 4 = float32 storage).
         raw_bytes_per_value: element size of the uncompressed matrix the
@@ -230,7 +228,6 @@ class SVDDCompressor:
         self,
         budget_fraction: float,
         k_max: int | None = None,
-        eigensolver: SymmetricEigensolver | None = None,
         bytes_per_value: int = space.BYTES_PER_VALUE,
         raw_bytes_per_value: int | None = None,
     ) -> None:
@@ -242,7 +239,6 @@ class SVDDCompressor:
             raise ConfigurationError(f"k_max must be >= 1, got {k_max}")
         self.budget_fraction = budget_fraction
         self.k_max = k_max
-        self.eigensolver = eigensolver or default_eigensolver()
         self.bytes_per_value = bytes_per_value
         self.raw_bytes_per_value = raw_bytes_per_value
 
@@ -316,7 +312,7 @@ class SVDDCompressor:
             gram = compute_gram(source, jobs=jobs)
             total_energy = float(np.trace(gram))
             depth = sketch_rows(k_max, num_cols)
-            spectrum, vectors = spectrum_from_gram(gram, depth, self.eigensolver)
+            spectrum, vectors = spectrum_from_gram(gram, depth)
             del gram
         _record_pass(1, pass1_start, num_rows)
         k_max = min(k_max, spectrum.shape[0])  # effective rank may cut it down

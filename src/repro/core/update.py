@@ -79,12 +79,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import space
+from repro.core.svd import eigenpairs
 from repro.core.svdd import sketch_rows
 from repro.exceptions import (
     ConfigurationError,
     ShapeError,
 )
-from repro.linalg import default_eigensolver, require_matrix
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
@@ -158,6 +158,24 @@ def rmspe_from_state(state: dict | None) -> float | None:
     return math.sqrt(max(float(state["residual_sse"]), 0.0) / total)
 
 
+def require_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` as a 2-d float64 array, raising :class:`ShapeError` otherwise.
+
+    Accepts anything ``numpy.asarray`` accepts; rejects arrays that are
+    not two-dimensional or that contain non-finite values.  Appended
+    data comes from outside the program, so it is refused by name here,
+    before any pass over ``U``.
+    """
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ShapeError(f"{name} must be non-empty, got shape={arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError(f"{name} contains NaN or infinite values")
+    return arr
+
+
 def _inv(lam: np.ndarray) -> np.ndarray:
     """``Lambda^{-1}`` with zero (padded/degenerate) values mapped to 0."""
     positive = lam > 0.0
@@ -202,9 +220,9 @@ def _grown_columns(
     seen = sketch @ basis
     coupled = basis.T @ cross
     small = np.block([[seen.T @ seen, coupled], [coupled.T, x_new.T @ x_new]])
-    eigen = default_eigensolver().decompose(small)
+    values, vectors = eigenpairs(small)
     width = basis.shape[1]
-    return eigen.values, np.vstack([basis @ eigen.vectors[:width], eigen.vectors[width:]])
+    return values, np.vstack([basis @ vectors[:width], vectors[width:]])
 
 
 def _grown_rows(sketch: np.ndarray, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

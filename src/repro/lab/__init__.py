@@ -28,8 +28,9 @@ References and ablations for the method itself:
   :mod:`repro.lab.heap` — Section 4.2's hash table, Bloom filter and
   bounded heap (the product runs the sorted ``DeltaIndex`` and
   ``TopKBuffer``);
-- :mod:`repro.lab.eigen`, :mod:`repro.lab.tridiagonal` — from-scratch
-  eigensolvers beside LAPACK;
+- :mod:`repro.lab.eigen`, :mod:`repro.lab.tridiagonal` — the
+  eigensolver interface and from-scratch solvers beside LAPACK (the
+  product calls ``numpy.linalg.eigh`` directly);
 - :mod:`repro.lab.robust` — robust SVD (future work b);
 - :mod:`repro.lab.costmodel` — the introduction's storage economics as
   a table;

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.space import BYTES_PER_VALUE
+from repro.core.svd import eigenpairs
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
-from repro.linalg import SymmetricEigensolver, default_eigensolver
 
 
 def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -49,14 +49,12 @@ class TuckerN:
     Args:
         ranks: one rank per tensor mode.
         hooi_iterations: ALS refinement sweeps after HOSVD (0 = HOSVD).
-        eigensolver: solver for the per-mode Gram eigenproblems.
     """
 
     def __init__(
         self,
         ranks: tuple[int, ...],
         hooi_iterations: int = 5,
-        eigensolver: SymmetricEigensolver | None = None,
     ) -> None:
         if len(ranks) < 2 or any(r < 1 for r in ranks):
             raise ConfigurationError(
@@ -68,16 +66,13 @@ class TuckerN:
             )
         self.ranks = tuple(int(r) for r in ranks)
         self.hooi_iterations = hooi_iterations
-        self.eigensolver = eigensolver or default_eigensolver()
         self.factors: list[np.ndarray] | None = None
         self.core: np.ndarray | None = None
         self._shape: tuple[int, ...] | None = None
 
-    def _leading_eigenvectors(self, unfolding: np.ndarray, rank: int) -> np.ndarray:
-        gram = unfolding @ unfolding.T
-        gram = (gram + gram.T) / 2.0
-        result = self.eigensolver.decompose_top(gram, min(rank, gram.shape[0]))
-        return result.vectors
+    @staticmethod
+    def _leading_eigenvectors(unfolding: np.ndarray, rank: int) -> np.ndarray:
+        return eigenpairs(unfolding @ unfolding.T, min(rank, unfolding.shape[0]))[1]
 
     def fit(self, tensor: np.ndarray) -> "TuckerN":
         """Fit the model; returns self."""

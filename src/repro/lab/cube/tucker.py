@@ -8,8 +8,8 @@ Approximates a cube element as
 with factor matrices ``A`` (I x r1), ``B`` (J x r2), ``C`` (K x r3) and
 a small core tensor ``G``.  Fitting is HOSVD (truncated eigenvectors of
 each mode's unfolding) followed by HOOI alternating-least-squares
-refinement, both built on the same symmetric eigensolvers as the matrix
-path.
+refinement, both built on the same LAPACK eigensolve as the matrix path
+(:func:`repro.core.svd.eigenpairs`).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.space import BYTES_PER_VALUE
+from repro.core.svd import eigenpairs
 from repro.exceptions import ConfigurationError, QueryError, ShapeError
-from repro.linalg import SymmetricEigensolver, default_eigensolver
 
 
 def _unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
@@ -50,14 +50,12 @@ class Tucker3:
         ranks: per-mode ranks.
         hooi_iterations: ALS refinement sweeps after the HOSVD
             initialization (0 = plain HOSVD).
-        eigensolver: solver for the per-mode Gram eigenproblems.
     """
 
     def __init__(
         self,
         ranks: tuple[int, int, int],
         hooi_iterations: int = 5,
-        eigensolver: SymmetricEigensolver | None = None,
     ) -> None:
         if len(ranks) != 3 or any(r < 1 for r in ranks):
             raise ConfigurationError(f"ranks must be three positive ints, got {ranks}")
@@ -67,16 +65,13 @@ class Tucker3:
             )
         self.ranks = tuple(int(r) for r in ranks)
         self.hooi_iterations = hooi_iterations
-        self.eigensolver = eigensolver or default_eigensolver()
         self.factors: list[np.ndarray] | None = None
         self.core: np.ndarray | None = None
         self._shape: tuple[int, int, int] | None = None
 
-    def _leading_eigenvectors(self, unfolding: np.ndarray, rank: int) -> np.ndarray:
-        gram = unfolding @ unfolding.T
-        gram = (gram + gram.T) / 2.0
-        result = self.eigensolver.decompose_top(gram, min(rank, gram.shape[0]))
-        return result.vectors
+    @staticmethod
+    def _leading_eigenvectors(unfolding: np.ndarray, rank: int) -> np.ndarray:
+        return eigenpairs(unfolding @ unfolding.T, min(rank, unfolding.shape[0]))[1]
 
     def fit(self, cube: np.ndarray) -> "Tucker3":
         """Fit the model; returns self."""

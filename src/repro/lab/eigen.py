@@ -1,21 +1,103 @@
-"""From-scratch symmetric eigensolvers: cyclic Jacobi and deflated
-power iteration.
+"""Symmetric eigensolvers beside LAPACK: the interface they share,
+cyclic Jacobi and deflated power iteration.
 
 The kind of self-contained numerical kernel a 1997 system would ship,
 kept for ``benchmarks/bench_eigensolvers.py`` and as cross-checks of
-:class:`~repro.linalg.eigen.NumpyEigensolver`, which is what the
-product runs.  Both implement
-:class:`~repro.linalg.eigen.SymmetricEigensolver`; the era-faithful
-``tred2``/``tqli`` pipeline is :mod:`repro.lab.tridiagonal`.
+LAPACK.  The product calls ``numpy.linalg.eigh`` directly, through
+:func:`repro.core.svd.eigenpairs`; :class:`NumpyEigensolver` is that
+call behind this module's :class:`SymmetricEigensolver` interface, the
+reference every solver here is compared against.  Every solver returns
+its eigenpairs in the product's order (:func:`repro.core.svd.sort_eigenpairs`).
+The era-faithful ``tred2``/``tqli`` pipeline is
+:mod:`repro.lab.tridiagonal`.
 """
 
 from __future__ import annotations
 
+import abc
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.linalg.eigen import EigenResult, SymmetricEigensolver, _sorted_result
-from repro.linalg.validate import require_symmetric
+from repro.core.svd import eigenpairs, sort_eigenpairs
+from repro.exceptions import ConfigurationError, ConvergenceError, ShapeError
+
+
+def is_symmetric(a: np.ndarray, tol: float = 1e-10) -> bool:
+    """True when ``a`` is square and symmetric to within ``tol``."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return False
+    scale = max(1.0, float(np.abs(arr).max()))
+    skew = arr - arr.T
+    return bool(np.abs(skew, out=skew).max() <= tol * scale)
+
+
+def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Validate and return ``a`` as a symmetric float64 matrix,
+    symmetrized exactly so that downstream rotations see a clean input."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2 or arr.size == 0 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"matrix must be square, got shape={arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ShapeError("symmetric matrix contains NaN or infinite values")
+    if not is_symmetric(arr, tol=tol):
+        raise ShapeError("matrix is not symmetric within tolerance")
+    return (arr + arr.T) / 2.0
+
+
+def is_column_orthonormal(a: np.ndarray, tol: float = 1e-8) -> bool:
+    """True when the columns of ``a`` are mutually orthogonal unit vectors.
+
+    This is the paper's definition of a column-orthonormal matrix:
+    ``U^t x U = I`` (Section 3.3).
+    """
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2:
+        return False
+    gram = arr.T @ arr
+    return bool(np.abs(gram - np.eye(arr.shape[1])).max() <= tol)
+
+
+@dataclass(frozen=True)
+class EigenResult:
+    """Eigenpairs of a symmetric matrix, sorted by decreasing eigenvalue.
+
+    Attributes:
+        values: 1-d array of eigenvalues, ``values[0] >= values[1] >= ...``.
+        vectors: matrix whose column ``j`` is the unit eigenvector for
+            ``values[j]``.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def top(self, k: int) -> "EigenResult":
+        """Return only the ``k`` largest eigenpairs."""
+        if k < 0:
+            raise ConfigurationError(f"k must be non-negative, got {k}")
+        k = min(k, self.values.shape[0])
+        return EigenResult(self.values[:k].copy(), self.vectors[:, :k].copy())
+
+
+class SymmetricEigensolver(abc.ABC):
+    """Interface for solvers of the symmetric eigenproblem ``S u = lambda u``."""
+
+    @abc.abstractmethod
+    def decompose(self, matrix: np.ndarray) -> EigenResult:
+        """Return all eigenpairs of the symmetric ``matrix``."""
+
+    def decompose_top(self, matrix: np.ndarray, k: int) -> EigenResult:
+        """Return the ``k`` largest eigenpairs (default: full solve then cut)."""
+        return self.decompose(matrix).top(k)
+
+
+class NumpyEigensolver(SymmetricEigensolver):
+    """LAPACK's ``numpy.linalg.eigh``, as the product calls it: the
+    reference the from-scratch solvers are validated against."""
+
+    def decompose(self, matrix: np.ndarray) -> EigenResult:
+        return EigenResult(*eigenpairs(require_symmetric(matrix)))
 
 
 class JacobiEigensolver(SymmetricEigensolver):
@@ -63,7 +145,7 @@ class JacobiEigensolver(SymmetricEigensolver):
                     f"Jacobi failed to converge in {self.max_sweeps} sweeps "
                     f"(off-diagonal norm {off:.3e})"
                 )
-        return _sorted_result(a.diagonal().copy(), vectors)
+        return EigenResult(*sort_eigenpairs(a.diagonal().copy(), vectors))
 
     @staticmethod
     def _offdiagonal_norm(a: np.ndarray) -> float:
@@ -154,7 +236,7 @@ class PowerIterationEigensolver(SymmetricEigensolver):
             vectors[:, j] = vector
             # Deflate: remove the found component from the matrix.
             a -= value * np.outer(vector, vector)
-        return _sorted_result(values, vectors)
+        return EigenResult(*sort_eigenpairs(values, vectors))
 
     def _dominant_pair(
         self, a: np.ndarray, rng: np.random.Generator
@@ -177,7 +259,4 @@ class PowerIterationEigensolver(SymmetricEigensolver):
                 vector = nxt
                 break
             vector = nxt
-        pivot = int(np.argmax(np.abs(vector)))
-        if vector[pivot] < 0:
-            vector = -vector
         return value, vector

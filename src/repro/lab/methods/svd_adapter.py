@@ -10,7 +10,6 @@ import numpy as np
 from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import SVDCompressor
 from repro.core.svdd import SVDDCompressor
-from repro.linalg import SymmetricEigensolver
 from repro.lab.methods.base import CompressionMethod, FittedModel
 
 
@@ -39,15 +38,9 @@ class SVDMethod(CompressionMethod):
 
     name = "svd"
 
-    def __init__(self, eigensolver: SymmetricEigensolver | None = None) -> None:
-        self.eigensolver = eigensolver
-
     def fit(self, matrix: np.ndarray, budget_fraction: float) -> _SVDFitted:
         arr = self._validate(matrix, budget_fraction)
-        compressor = SVDCompressor(
-            budget_fraction=budget_fraction, eigensolver=self.eigensolver
-        )
-        return _SVDFitted(compressor.fit(arr))
+        return _SVDFitted(SVDCompressor(budget_fraction=budget_fraction).fit(arr))
 
 
 class SVDDMethod(CompressionMethod):
@@ -55,12 +48,6 @@ class SVDDMethod(CompressionMethod):
 
     name = "delta"
 
-    def __init__(self, eigensolver: SymmetricEigensolver | None = None) -> None:
-        self.eigensolver = eigensolver
-
     def fit(self, matrix: np.ndarray, budget_fraction: float) -> _SVDFitted:
         arr = self._validate(matrix, budget_fraction)
-        compressor = SVDDCompressor(
-            budget_fraction=budget_fraction, eigensolver=self.eigensolver
-        )
-        return _SVDFitted(compressor.fit(arr))
+        return _SVDFitted(SVDDCompressor(budget_fraction=budget_fraction).fit(arr))

@@ -11,7 +11,6 @@ from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel
 from repro.core.svd import SVDCompressor, _row_chunks, source_shape
 from repro.core.svdd import DeltaSweep, SVDDCompressor, _rank_errors
-from repro.linalg import SymmetricEigensolver
 from repro.storage.matrix_store import MatrixStore
 from repro.structures.topk import TopKBuffer
 
@@ -36,13 +35,11 @@ class NaiveSVDDCompressor:
         self,
         budget_fraction: float,
         k_max: int | None = None,
-        eigensolver: SymmetricEigensolver | None = None,
         bytes_per_value: int = space.BYTES_PER_VALUE,
     ) -> None:
         self._fast = SVDDCompressor(
             budget_fraction=budget_fraction,
             k_max=k_max,
-            eigensolver=eigensolver,
             bytes_per_value=bytes_per_value,
         )
 
@@ -57,9 +54,7 @@ class NaiveSVDDCompressor:
         cuts = []
         for k in range(1, k_max + 1):
             # "compute the SVD of the array with given k (two passes)"
-            model = SVDCompressor(
-                k=k, eigensolver=self._fast.eigensolver
-            ).fit(source)
+            model = SVDCompressor(k=k).fit(source)
             # "find the errors for every cell ... pick the gamma_k largest
             # ones (one more pass) and compute the error measure"
             queue = TopKBuffer(self._fast._gamma(num_rows, num_cols, model.cutoff))
@@ -76,9 +71,7 @@ class NaiveSVDDCompressor:
                 best_k = k
 
         # Final refit at k_opt; one more pass collects its deltas at its cut.
-        model = SVDCompressor(k=best_k, eigensolver=self._fast.eigensolver).fit(
-            source
-        )
+        model = SVDCompressor(k=best_k).fit(source)
         sweep = DeltaSweep(cuts[best_k - 1], model.v, model.cutoff)
         for block in _row_chunks(source):
             sweep(block)

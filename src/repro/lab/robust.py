@@ -38,7 +38,6 @@ from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import compute_u, spectrum_from_gram
 from repro.core.svdd import SVDDCompressor
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import SymmetricEigensolver, default_eigensolver
 from repro.storage.matrix_store import MatrixStore
 
 
@@ -87,7 +86,6 @@ class RobustSVDCompressor:
         budget_fraction: space budget (exactly one of k / budget_fraction).
         clip_percentile: row-norm percentile above which influence is
             capped.  100 disables winsorization (plain SVD axes).
-        eigensolver: solver for the Gram eigenproblem.
     """
 
     def __init__(
@@ -95,7 +93,6 @@ class RobustSVDCompressor:
         k: int | None = None,
         budget_fraction: float | None = None,
         clip_percentile: float = 99.0,
-        eigensolver: SymmetricEigensolver | None = None,
     ) -> None:
         if (k is None) == (budget_fraction is None):
             raise ConfigurationError("exactly one of k / budget_fraction must be given")
@@ -106,7 +103,6 @@ class RobustSVDCompressor:
         self.k = k
         self.budget_fraction = budget_fraction
         self.clip_percentile = clip_percentile
-        self.eigensolver = eigensolver or default_eigensolver()
 
     def _cutoff(self, num_rows: int, num_cols: int) -> int:
         if self.k is not None:
@@ -130,7 +126,7 @@ class RobustSVDCompressor:
             source = np.asarray(source, dtype=np.float64)
         cutoff = self._cutoff(*source_shape(source))
         gram = winsorized_gram(source, self.clip_percentile)
-        singular, v = spectrum_from_gram(gram, cutoff, self.eigensolver)
+        singular, v = spectrum_from_gram(gram, cutoff)
         # Rescale the singular values to the *original* data's energy
         # along the robust axes, so Eq. 12 reconstruction stays unbiased:
         # lambda_j^2 = ||X v_j||^2.
@@ -164,7 +160,6 @@ class RobustSVDDCompressor:
         self,
         budget_fraction: float,
         clip_percentile: float = 99.0,
-        eigensolver: SymmetricEigensolver | None = None,
     ) -> None:
         if not 0.0 < budget_fraction <= 1.0:
             raise ConfigurationError(
@@ -172,23 +167,18 @@ class RobustSVDDCompressor:
             )
         self.budget_fraction = budget_fraction
         self.clip_percentile = clip_percentile
-        self.eigensolver = eigensolver
 
     def fit(self, matrix: np.ndarray) -> SVDDModel:
         """Fit robust axes, then store the worst residuals as deltas."""
         arr = np.asarray(matrix, dtype=np.float64)
         # Reuse the standard SVDD optimizer to choose the k/delta split.
-        baseline = SVDDCompressor(
-            budget_fraction=self.budget_fraction, eigensolver=self.eigensolver
-        ).fit(arr)
+        baseline = SVDDCompressor(budget_fraction=self.budget_fraction).fit(arr)
         k_opt = baseline.cutoff
         gamma = space.delta_budget(
             arr.shape[0], arr.shape[1], k_opt, self.budget_fraction
         )
         robust = RobustSVDCompressor(
-            k=k_opt,
-            clip_percentile=self.clip_percentile,
-            eigensolver=self.eigensolver,
+            k=k_opt, clip_percentile=self.clip_percentile
         ).fit(arr)
 
         residual = arr - robust.reconstruct()

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError
-from repro.linalg.eigen import EigenResult, SymmetricEigensolver, _sorted_result
-from repro.linalg.validate import require_symmetric
+from repro.core.svd import sort_eigenpairs
+from repro.lab.eigen import EigenResult, SymmetricEigensolver, require_symmetric
 
 
 def householder_tridiagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,4 +159,4 @@ class TridiagonalEigensolver(SymmetricEigensolver):
         values, vectors = ql_implicit_shift(
             diag, off, q, max_iterations=self.max_iterations
         )
-        return _sorted_result(values, vectors)
+        return EigenResult(*sort_eigenpairs(values, vectors))

@@ -2,10 +2,11 @@
 
 Every aggregate the engine serves (sum/avg/count/min/max/stddev) is a
 pure function of ``(total, total_sq, minimum, maximum, count)`` over
-the selected cells.  The summary store keeps exactly these per bucket
-and the stream route reduces them from reconstructed rows; both
-finalize through :func:`finalize`, so a summary-served answer and a
-streamed one come from the same formulas.
+the selected cells.  The summary store keeps exactly these per bucket,
+the stream route reduces them from reconstructed rows and the factor
+route folds them in factor space; all of them, and every group-by
+series, finalize through :func:`finalize`, so each answer comes from
+the same formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ _STREAM_BLOCK_ROWS = 512
 
 @dataclass(frozen=True)
 class Components:
-    """Sufficient statistics of one cell set."""
+    """Sufficient statistics of one cell set, or of each bucket of a
+    group-by series (then every field is an array, one entry a bucket,
+    and ``count`` a float array)."""
 
     total: float = 0.0
     total_sq: float = 0.0
@@ -35,28 +38,31 @@ class Components:
     count: int = 0
 
 
-def finalize(function: str, comps: Components) -> float:
-    """Evaluate one aggregate from its components.
+def finalize(function: str, comps: Components) -> float | np.ndarray:
+    """Evaluate one aggregate from its components: a float for one
+    cell set, an array for a group-by series' buckets.
 
-    Every route finalizes here, so a summary-served answer and a
-    streamed answer come from the same formulas.
+    Every route and every series finalizes here, so a summary-served
+    answer, a streamed one and a factor-space one come from the same
+    formulas.
     """
-    if comps.count == 0:
+    count = comps.count
+    if isinstance(count, int) and count == 0:
         raise QueryError("aggregate over an empty selection")
     if function == "sum":
         return comps.total
     if function == "avg":
-        return comps.total / comps.count
+        return comps.total / count
     if function == "count":
-        return float(comps.count)
+        return 1.0 * count  # a float, as every answer is
     if function == "min":
         return comps.minimum
     if function == "max":
         return comps.maximum
     if function == "stddev":
-        mean = comps.total / comps.count
-        variance = max(comps.total_sq / comps.count - mean * mean, 0.0)
-        return float(np.sqrt(variance))
+        mean = comps.total / count
+        deviation = np.sqrt(np.maximum(comps.total_sq / count - mean * mean, 0.0))
+        return float(deviation) if deviation.ndim == 0 else deviation
     raise QueryError(f"unknown aggregate {function!r}")
 
 

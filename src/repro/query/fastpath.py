@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.obs.tracing import span as _span
 from repro.query.backend import as_backend
+from repro.query.components import Components, finalize
 
 #: Aggregates the factor path can answer without per-cell values.
 FACTOR_FUNCTIONS = ("sum", "avg", "count", "stddev")
@@ -82,7 +83,7 @@ def factor_aggregate(
     if function == "count":
         # Pure arithmetic on the selection geometry: no factor gather,
         # hence no row fetches.
-        return float(count), 0
+        return finalize(function, Components(count=count)), 0
 
     with _span("query.factor.gather", rows=int(row_idx.size)):
         scaled_u, v, index, rows_fetched = backend.factors(row_idx)
@@ -116,11 +117,4 @@ def factor_aggregate(
                     )
                     total_sq += float((2.0 * base * values + values * values).sum())
 
-    if function == "sum":
-        return total, rows_fetched
-    if function == "avg":
-        return total / count, rows_fetched
-    # stddev
-    mean = total / count
-    variance = max(total_sq / count - mean * mean, 0.0)
-    return float(np.sqrt(variance)), rows_fetched
+    return finalize(function, Components(total, total_sq, count=count)), rows_fetched

@@ -22,8 +22,9 @@ import numpy as np
 from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
 from repro.query.backend import as_backend
+from repro.query.components import Components, finalize
 from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ
-from repro.summaries.store import GROUP_BY_AXES, SummaryStore, _finalize_vector
+from repro.summaries.store import GROUP_BY_AXES, SummaryStore
 
 #: Rows per block when streaming a profile.
 _PROFILE_BLOCK_ROWS = 512
@@ -56,6 +57,14 @@ def _stream_profiles(adapter):
         np.minimum(col_stats[S_MIN], block.min(axis=0), out=col_stats[S_MIN])
         np.maximum(col_stats[S_MAX], block.max(axis=0), out=col_stats[S_MAX])
     return row_stats, col_stats
+
+
+def _series(function: str, stats: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One ``function`` value per bucket of ``(4, buckets)`` stats."""
+    return finalize(
+        function,
+        Components(stats[S_SUM], stats[S_SUMSQ], stats[S_MIN], stats[S_MAX], counts),
+    )
 
 
 def bucket_series(backend, by: str, function: str, limit: int | None = None) -> dict:
@@ -91,7 +100,7 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
 
     if by == "customer":
         counts = np.full(num_rows, float(num_cols))
-        values = _finalize_vector(function, store.row_stats, counts)
+        values = _series(function, store.row_stats, counts)
         labels = np.arange(num_rows, dtype=np.int64)
         if limit is not None and limit < values.size:
             order = np.argsort(values)[::-1][:limit]
@@ -100,7 +109,7 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
     else:
         edges, stats = store.rollup(by)
         counts = np.diff(edges).astype(np.float64) * num_rows
-        values = _finalize_vector(function, stats, counts)
+        values = _series(function, stats, counts)
         if limit is not None and (edges.size - 1) > limit:
             edges = edges[-(limit + 1) :]
             values = values[-limit:]

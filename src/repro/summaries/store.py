@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import QueryError, ReproError
+from repro.exceptions import ReproError
 from repro.obs.registry import registry as _obs
 from repro.query.components import Components
 from repro.storage.model_dir import read_generation
@@ -169,23 +169,3 @@ class SummaryStore:
             count=width * int(index.size),
         )
 
-
-def _finalize_vector(
-    function: str, stats: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Vector form of :func:`repro.query.components.finalize`."""
-    if function == "sum":
-        return np.asarray(stats[S_SUM], dtype=np.float64).copy()
-    if function == "count":
-        return counts.copy()
-    if function == "avg":
-        return stats[S_SUM] / counts
-    if function == "min":
-        return np.asarray(stats[S_MIN], dtype=np.float64).copy()
-    if function == "max":
-        return np.asarray(stats[S_MAX], dtype=np.float64).copy()
-    if function == "stddev":
-        mean = stats[S_SUM] / counts
-        variance = np.maximum(stats[S_SUMSQ] / counts - mean * mean, 0.0)
-        return np.sqrt(variance)
-    raise QueryError(f"unknown aggregate {function!r}")

@@ -13,7 +13,7 @@ from repro.core import CompressedMatrix, SVDDCompressor
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.core.svd import _CHUNK_ROWS
 from repro.data import PhoneConfig, phone_matrix
-from repro.exceptions import FormatError
+from repro.exceptions import FormatError, ShapeError
 from repro.obs import set_log_stream
 from repro.storage import MatrixStore
 
@@ -89,6 +89,20 @@ class TestBuildCompressed:
         store = build_compressed(data, tmp_path / "model", 0.10)
         assert store.space_bytes() <= 0.10 * data.size * 8 + 1e-9
         store.close()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["build_compressed", "fit"])
+    def test_non_finite_source_refused(self, tmp_path, data, entry, bad):
+        """A NaN or inf in the source reaches the Gram, whose solve
+        refuses it by type; no model directory is left behind."""
+        x = data.copy()
+        x[7, 11] = bad
+        with pytest.raises(ShapeError):
+            if entry == "fit":
+                SVDDCompressor(budget_fraction=0.10).fit(x)
+            else:
+                build_compressed(x, tmp_path / "model", 0.10)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPassTwoReport:

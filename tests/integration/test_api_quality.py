@@ -124,7 +124,7 @@ def test_the_front_doors_load_no_lab_module():
         "loaded = [m for m in sys.modules if m == 'repro' or m.startswith('repro.')]\n"
         "print(len(loaded), *[m for m in loaded if m.startswith('repro.lab')])\n"
     )
-    for module, count in (("repro.serve", 65), ("repro.cli", 66)):
+    for module, count in (("repro.serve", 62), ("repro.cli", 63)):
         out = subprocess.run(
             [sys.executable, "-c", script, module],
             env={**os.environ, "PYTHONPATH": str(_SRC.parent)},

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import (
+from repro.core.svd import eigenpairs
+from repro.lab.eigen import (
     EigenResult,
+    JacobiEigensolver,
     NumpyEigensolver,
-    default_eigensolver,
+    PowerIterationEigensolver,
 )
-from repro.lab.eigen import JacobiEigensolver, PowerIterationEigensolver
 
 SOLVERS = [NumpyEigensolver(), JacobiEigensolver(), PowerIterationEigensolver()]
 SOLVER_IDS = ["numpy", "jacobi", "power"]
@@ -158,9 +159,13 @@ class TestEigenResult:
         assert result.top(99).values.shape == (4,)
 
     def test_default_solver_is_usable(self, rng):
+        """The lab's LAPACK reference is the product's own solve."""
         mat = random_psd(rng, 5)
-        result = default_eigensolver().decompose(mat)
+        result = NumpyEigensolver().decompose(mat)
         assert isinstance(result, EigenResult)
+        values, vectors = eigenpairs(mat)
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(result.vectors, vectors)
 
 
 @settings(max_examples=25, deadline=None)

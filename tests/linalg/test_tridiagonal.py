@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.linalg import NumpyEigensolver
+from repro.lab.eigen import NumpyEigensolver
 from repro.lab.tridiagonal import TridiagonalEigensolver, householder_tridiagonalize
 
 
@@ -77,13 +77,13 @@ class TestSolver:
             TridiagonalEigensolver(max_iterations=0)
 
     def test_usable_in_svd_compressor(self):
-        from repro.core import SVDCompressor
+        """Table 1's toy matrix: the square roots of its Gram's two
+        non-zero eigenvalues are the paper's 9.64 and 5.29."""
+        from repro.core import compute_gram
         from repro.data import toy_matrix
 
-        model = SVDCompressor(k=5, eigensolver=TridiagonalEigensolver()).fit(
-            toy_matrix()
-        )
-        assert model.eigenvalues == pytest.approx([9.64, 5.29], abs=0.005)
+        result = TridiagonalEigensolver().decompose_top(compute_gram(toy_matrix()), 2)
+        assert np.sqrt(result.values) == pytest.approx([9.64, 5.29], abs=0.005)
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.linalg import (
-    is_column_orthonormal,
-    is_symmetric,
-    require_matrix,
-    require_symmetric,
-)
+from repro.core.update import require_matrix
+from repro.lab.eigen import is_column_orthonormal, is_symmetric, require_symmetric
 
 
 class TestRequireMatrix:
