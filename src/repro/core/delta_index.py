@@ -22,7 +22,8 @@ range or aggregate query to walk the whole table in Python.  A
   ``sum``/``avg`` fold (``select_sum``) gathers the values alone, and
 - a set of rows' delta count (``count_in_rows``, the planner's price of
   a fold) is two reads of the table for a run of rows, one gather per
-  row otherwise.
+  row otherwise; a resolved selection's key runs, once found, are noted
+  on it, and the fold walks them without a second lookup.
 
 Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
 pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
@@ -217,8 +218,8 @@ class DeltaIndex:
         each time, a row outside the matrix none): what folding them can
         touch at most, read off the row table without examining a key —
         the planner's price of a fold."""
-        runs = self._key_runs(*_with_run(row_idx))
-        return runs.stop - runs.start if isinstance(runs, slice) else int(runs[1].sum())
+        runs = self._rows_and_runs(row_idx)[1]
+        return runs.stop - runs.start if isinstance(runs, slice) else int(np.add.reduce(runs[1]))
 
     def select(
         self, row_sel, col_sel
@@ -243,7 +244,8 @@ class DeltaIndex:
         matched; scattered, unsorted, repeated or stray columns take
         the general matching below, with the same output.
         """
-        (row_sel, row_run), (col_sel, run) = _with_run(row_sel), _with_run(col_sel)
+        row_sel, runs = self._rows_and_runs(row_sel)
+        col_sel, run = _with_run(col_sel)
         row_pos = col_pos = np.empty(0, dtype=np.int64)
         values = np.empty(0)
         probed = 0
@@ -251,7 +253,7 @@ class DeltaIndex:
             # The span clamped to the matrix: a stray column matches nothing.
             lo, hi = run or (int(col_sel.min()), int(col_sel.max()))
             col_lo, col_hi = max(lo, 0), min(hi, self._num_cols - 1)
-            row_pos, col_pos, values = self._in_span(row_sel, row_run, col_lo, col_hi, True)
+            row_pos, col_pos, values = self._in_span(row_sel, runs, col_lo, col_hi, True)
             probed = int(values.size)
             if probed and run != (col_lo, col_hi):
                 # Occurrences of each candidate's column within col_sel:
@@ -275,9 +277,22 @@ class DeltaIndex:
         span = _with_run(col_sel)[1]
         if span is None or span[0] < 0 or span[1] >= self._num_cols:
             return float(self.select(row_sel, col_sel)[4].sum())
-        values = self._in_span(*_with_run(row_sel), *span, False)[2]
+        values = self._in_span(*self._rows_and_runs(row_sel), *span, False)[2]
         self._count(int(values.size), int(values.size))
-        return float(values.sum())
+        return float(np.add.reduce(values))
+
+    def _rows_and_runs(self, row_sel) -> tuple[np.ndarray, object]:
+        """``row_sel`` as an int64 array and its :meth:`_key_runs`: an
+        :class:`~repro.storage.matrix_store.Ascending`'s are looked up
+        once, by whichever of the planner's price and the fold asks
+        first, and noted on it for the other."""
+        if not isinstance(row_sel, Ascending):
+            row_sel, run = _with_run(row_sel)
+            return row_sel, self._key_runs(row_sel, run)
+        noted = row_sel.key_runs
+        if noted is None or noted[0] is not self:
+            noted = row_sel.key_runs = (self, self._key_runs(row_sel.idx, row_sel.run))
+        return row_sel.idx, noted[1]
 
     def _key_runs(self, row_sel: np.ndarray, run: tuple[int, int] | None):
         """Where the keys of the rows ``row_sel`` (the run ``run`` when
@@ -291,11 +306,12 @@ class DeltaIndex:
         lo, hi = table.take([first, last + 1], mode="clip").tolist()
         return slice(lo, hi)
 
-    def _in_span(self, row_sel, row_run, col_lo: int, col_hi: int, owners: bool):
-        """``(row_pos, col_pos, values)`` of the rows' deltas in columns
-        ``col_lo..col_hi``, in ``row_sel`` order: the entry of ``row_sel``
-        and offset into the span of each (None unless ``owners``)."""
-        runs = self._key_runs(row_sel, row_run)
+    def _in_span(self, row_sel, runs, col_lo: int, col_hi: int, owners: bool):
+        """``(row_pos, col_pos, values)`` of the deltas in columns
+        ``col_lo..col_hi`` of the rows ``row_sel``, whose keys sit at
+        ``runs`` (:meth:`_key_runs`), in ``row_sel`` order: the entry of
+        ``row_sel`` and offset into the span of each (None unless
+        ``owners``)."""
         if isinstance(runs, slice):
             cols = self._cols[runs]
             inside = (cols >= col_lo) & (cols <= col_hi)

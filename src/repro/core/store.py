@@ -401,7 +401,7 @@ class CompressedMatrix:
         planner's — the pinned ``V``, the outlier index (None for plain
         SVD models) and the U-row fetches the gather performed.
         """
-        u_sel = self._u_store.read_rows(row_idx)[:, : self.cutoff]
+        u_sel = self._u_store.read_rows(row_idx)[:, : self._eigenvalues.size]
         return u_sel * self._eigenvalues, self._v, self._deltas, int(row_idx.size)
 
     def reconstruct_range(self, rows, cols) -> np.ndarray:
@@ -416,7 +416,9 @@ class CompressedMatrix:
         per-delta Python loops.  A resolved selection (two
         :class:`~repro.storage.matrix_store.Ascending`) is not checked again.
         """
-        if not (isinstance(rows, Ascending) and isinstance(cols, Ascending)):
+        if isinstance(rows, Ascending) and isinstance(cols, Ascending):
+            row_idx, col_idx = rows.idx, cols.idx
+        else:
             rows, cols = as_index_array(rows), as_index_array(cols)
             total_rows, total_cols = self.shape
             if rows.size == 0 or cols.size == 0:
@@ -425,18 +427,19 @@ class CompressedMatrix:
                 raise QueryError(f"row selection outside [0, {total_rows})")
             if cols.min() < 0 or cols.max() >= total_cols:
                 raise QueryError(f"col selection outside [0, {total_cols})")
-        v_sel = self._v.take(cols, axis=0)  # (m_sel, k)
-        zero = self._zero_flag.take(rows)
+            row_idx, col_idx = rows, cols
+        v_sel = self._v.take(col_idx, axis=0)  # (m_sel, k)
+        zero = self._zero_flag.take(row_idx)
         skipped = int(np.count_nonzero(zero))
-        self._bump("zero_row_skips", skipped)
         if not skipped:
-            u_sel = self._u_store.read_rows(rows)[:, : self.cutoff]
+            u_sel = self._u_store.read_rows(rows)[:, : self._eigenvalues.size]
             out = (u_sel * self._eigenvalues) @ v_sel.T
         else:
+            self._bump("zero_row_skips", skipped)
             out = np.zeros((rows.size, cols.size))
             live = ~zero
             if skipped < rows.size:
-                u_sel = self._u_store.read_rows(rows[live])[:, : self.cutoff]
+                u_sel = self._u_store.read_rows(rows[live])[:, : self._eigenvalues.size]
                 out[live] = (u_sel * self._eigenvalues) @ v_sel.T
         if self._deltas is not None and len(self._deltas) > 0:
             row_pos, col_pos, _r, _c, values = self._deltas.select(rows, cols)

@@ -127,10 +127,10 @@ def compute_gram(source: MatrixStore | np.ndarray, jobs: int = 1) -> np.ndarray:
     locals_ = [g for g in locals_ if g is not None]
     if not locals_:
         raise ShapeError("source produced no rows")
-    gram = np.sum(locals_, axis=0) if len(locals_) > 1 else locals_[0]
-    # Accumulation is exactly symmetric in theory; enforce it so the
-    # eigensolver sees a clean symmetric input despite float rounding.
-    return (gram + gram.T) / 2.0
+    # Symmetric in theory, perhaps not to the last bit: ``eigenpairs``
+    # symmetrizes what it solves, and the diagonal (the trace, the
+    # build's total energy) is exact either way.
+    return np.sum(locals_, axis=0) if len(locals_) > 1 else locals_[0]
 
 
 def sort_eigenpairs(

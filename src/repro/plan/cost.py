@@ -20,7 +20,6 @@ __all__ = [
     "DISK",
     "MEMORY",
     "StorageTier",
-    "flops_ms",
     "page_read_ms",
 ]
 
@@ -117,8 +116,3 @@ def page_read_ms(params: CostParams, pages: int, page_bytes: int) -> float:
     if pages <= 0:
         return 0.0
     return pages * params.tier.access_ms(page_bytes)
-
-
-def flops_ms(count: float, ns_per_term: float) -> float:
-    """CPU term: ``count`` vectorized operations at ``ns_per_term``."""
-    return max(count, 0.0) * ns_per_term / 1e6

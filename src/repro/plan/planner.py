@@ -20,8 +20,10 @@ route               needs                                  error bound
 
 Admissibility is decided from backend capabilities (a store whose open
 lost its deltas, ``Backend.deltas_lost``, has no delta fold and no
-delta-corrected rows, so ``factor`` and ``stream`` drop out); pricing
-comes from :mod:`repro.plan.cost`; the cheapest route whose error bound
+delta-corrected rows, so ``factor`` and ``stream`` drop out); a price
+is a page term (:mod:`repro.plan.cost`, at ``Backend.pricing``'s
+per-page price) plus CPU terms, each an operation count at
+``CostParams.ns_per_*`` nanoseconds; the cheapest route whose error bound
 fits the caller's ``max_rmspe`` budget wins, with exact routes
 preferred on cost ties.  ``max_rmspe=None`` means exact only, and
 ``max_rmspe=0.0`` *provably* never selects ``svd``: the route is
@@ -36,12 +38,13 @@ changes — so explain can call it as often as it likes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from repro.exceptions import QueryError, RouteUnavailableError
-from repro.plan.cost import CostParams, flops_ms, page_read_ms
-from repro.query.backend import as_backend
+from repro.query.backend import Backend, as_backend
 from repro.query.fastpath import FACTOR_FUNCTIONS
 
 __all__ = [
@@ -151,6 +154,30 @@ class QueryPlan:
 
 # -- planning --------------------------------------------------------------
 
+#: Rejections whose reason depends on no query: built once, not per plan.
+_NO_SUMMARY_STORE = RejectedRoute(ROUTE_SUMMARY, "backend has no summary store")
+_NOT_A_FULL_AXIS = RejectedRoute(
+    ROUTE_SUMMARY, "selection does not span a full axis of the rollups"
+)
+# Without its deltas a store can fold none and stream none exactly.
+_LOST = "the store's open lost its deltas; no exact fold exists"
+_LOST_FACTOR = RejectedRoute(ROUTE_FACTOR, _LOST)
+_LOST_STREAM = RejectedRoute(ROUTE_STREAM, _LOST)
+_SVD_NO_BUDGET = RejectedRoute(
+    ROUTE_SVD, "approximate route needs an explicit max_rmspe budget"
+)
+_SVD_EXACT = RejectedRoute(ROUTE_SVD, "max_rmspe=0 demands an exact answer")
+_SVD_NO_ESTIMATE = RejectedRoute(
+    ROUTE_SVD, "model carries no stored RMSPE estimate to check the budget against"
+)
+_by_cost = attrgetter("cost_ms")
+
+
+@lru_cache(maxsize=8)
+def _no_factor_routes(reason: str) -> tuple[RejectedRoute, RejectedRoute]:
+    """Both factor-space routes, turned down for ``reason``."""
+    return RejectedRoute(ROUTE_FACTOR, reason), RejectedRoute(ROUTE_SVD, reason)
+
 
 def plan_aggregate(
     backend,
@@ -159,7 +186,6 @@ def plan_aggregate(
     col_idx: np.ndarray,
     *,
     max_rmspe: float | None = None,
-    params: CostParams | None = None,
 ) -> QueryPlan:
     """Enumerate, price, and choose a route for one aggregate.
 
@@ -168,137 +194,117 @@ def plan_aggregate(
             by :func:`~repro.query.backend.as_backend`.
         function: one of the supported aggregates.
         row_idx / col_idx: the resolved selection (sorted index arrays
-            from :meth:`Selection.resolve`, or the engine's ``Ascending``).
+            from :meth:`Selection.resolve`, or the engine's ``Ascending``,
+            which keeps the counts of its pages and delta key runs made
+            here for the execution that follows).
         max_rmspe: the caller's error budget.  None and 0.0 both mean
             "exact only"; 0.0 is also the explicit demand.  A positive
             budget admits ``svd`` when the stored estimate fits it.
-        params: pricing overrides (defaults derived from the backend).
 
     Raises:
         RouteUnavailableError: no admissible route satisfies the
             budget.  The message names every rejected route and why, so
             explain and execute fail identically and diagnosably.
     """
-    backend = as_backend(backend)
-    cells = int(row_idx.size) * int(col_idx.size)
-    if params is None:
-        params = CostParams.for_backend(backend.memory_resident)
-    rank = backend.rank
+    if not isinstance(backend, Backend):
+        backend = as_backend(backend)
+    params, priced_store, page_ms, rank = backend.pricing
+    num_rows, num_cols = int(row_idx.size), int(col_idx.size)
+    cells = num_rows * num_cols
     candidates: list[RouteEstimate] = []
     rejected: list[RejectedRoute] = []
     summary_plan = None
-
-    def reject(name: str, reason: str) -> None:
-        rejected.append(RejectedRoute(name, reason))
 
     # The factor, svd and stream routes all gather the selected rows:
     # count and price their pages once.  A mapped store's "pages" are
     # logical only — they never seek.
     row_pages, gather_ms = 0, 0.0
-    priced_store = None if backend.memory_resident else backend.paged_store
-    if priced_store is not None and row_idx.size:
+    if priced_store is not None and num_rows:
         row_pages = priced_store.pages_for_rows(row_idx)
-        gather_ms = page_read_ms(params, row_pages, priced_store.page_size)
+        gather_ms = row_pages * page_ms
 
-    # -- summary route -------------------------------------------------
+    # -- summary route: rollups answer a selection spanning a full axis.
     sstore = backend.summaries
     if sstore is None:
-        reject(ROUTE_SUMMARY, "backend has no summary store")
+        rejected.append(_NO_SUMMARY_STORE)
+    elif num_rows != backend.shape[0] and num_cols != backend.shape[1]:
+        rejected.append(_NOT_A_FULL_AXIS)
+    elif (summary_plan := sstore.plan(row_idx, col_idx)) is None:
+        rejected.append(_NOT_A_FULL_AXIS)
     else:
-        summary_plan = sstore.plan(row_idx, col_idx)
-        if summary_plan is None:
-            reject(
+        candidates.append(
+            RouteEstimate(
                 ROUTE_SUMMARY,
-                "selection does not span a full axis of the rollups",
+                cost_ms=params.summary_floor_ms
+                + (num_rows + num_cols) * params.ns_per_cell / 1e6,
+                pages=0,
+                row_fetches=0,
+                error_bound=0.0,
             )
-        else:
-            touched = int(row_idx.size) + int(col_idx.size)
-            candidates.append(
-                RouteEstimate(
-                    ROUTE_SUMMARY,
-                    cost_ms=params.summary_floor_ms
-                    + flops_ms(touched, params.ns_per_cell),
-                    pages=0,
-                    row_fetches=0,
-                    error_bound=0.0,
-                )
-            )
+        )
 
     # -- factor-space routes (exact and SVD-only) ----------------------
-    factor_capable = True
     if function not in FACTOR_FUNCTIONS:
-        factor_capable = False
-        reason = f"{function!r} needs per-cell values, not factor sums"
-        reject(ROUTE_FACTOR, reason)
-        reject(ROUTE_SVD, reason)
+        rejected.extend(
+            _no_factor_routes(f"{function!r} needs per-cell values, not factor sums")
+        )
     elif backend.factors is None:
-        factor_capable = False
-        reason = "backend has no factor form"
-        reject(ROUTE_FACTOR, reason)
-        reject(ROUTE_SVD, reason)
-
-    # Without its deltas a store can fold none and stream none exactly.
-    lost = "the store's open lost its deltas; no exact fold exists"
-    if factor_capable:
+        rejected.extend(_no_factor_routes("backend has no factor form"))
+    else:
         if function == "count":
             fetches, pages, read_ms = 0, 0, 0.0
             base_flops = 0.0
         else:
             # Only a paged store's factor gather fetches rows.
-            fetches = int(row_idx.size) if backend.paged_store is not None else 0
+            fetches = num_rows if backend.paged_store is not None else 0
             pages, read_ms = row_pages, gather_ms
-            base_flops = float(row_idx.size) * max(rank, 1)
+            base_flops = float(num_rows) * rank
             if function == "stddev":
-                base_flops += float(row_idx.size) * max(rank, 1) ** 2
+                base_flops += float(num_rows) * rank**2
         base_cost = (
             params.factor_floor_ms
             + read_ms
-            + flops_ms(base_flops, params.ns_per_factor_term)
+            + base_flops * params.ns_per_factor_term / 1e6
         )
-
-        def factor_route(name: str, cost_ms: float, bound: float) -> None:
-            candidates.append(RouteEstimate(name, cost_ms, pages, fetches, bound))
-
         index = backend.delta_index
         if backend.deltas_lost:
-            reject(ROUTE_FACTOR, lost)
-        elif index is None or function == "count":  # nothing to fold
-            factor_route(ROUTE_FACTOR, base_cost, 0.0)
+            rejected.append(_LOST_FACTOR)
         else:
-            # The fold walks the selected rows' key runs, not the index:
-            # price the deltas those rows hold.
-            fold_ms = flops_ms(index.count_in_rows(row_idx), params.ns_per_cell)
-            factor_route(ROUTE_FACTOR, base_cost + fold_ms, 0.0)
+            cost_ms = base_cost
+            if index is not None and function != "count":
+                # The fold walks the selected rows' key runs, not the
+                # index: price the deltas those rows hold.
+                cost_ms += index.count_in_rows(row_idx) * params.ns_per_cell / 1e6
+            candidates.append(RouteEstimate(ROUTE_FACTOR, cost_ms, pages, fetches, 0.0))
 
         if max_rmspe is None:
-            reject(ROUTE_SVD, "approximate route needs an explicit max_rmspe budget")
+            rejected.append(_SVD_NO_BUDGET)
         elif max_rmspe <= 0.0:
-            reject(ROUTE_SVD, "max_rmspe=0 demands an exact answer")
+            rejected.append(_SVD_EXACT)
         elif (bound := backend.rmspe_estimate) is None:
-            reject(
-                ROUTE_SVD,
-                "model carries no stored RMSPE estimate to check the budget against",
-            )
+            rejected.append(_SVD_NO_ESTIMATE)
         elif bound > max_rmspe:
-            reject(
-                ROUTE_SVD,
-                f"estimated rmspe {bound:.6f} exceeds the max_rmspe={max_rmspe:g} budget",
+            rejected.append(
+                RejectedRoute(
+                    ROUTE_SVD,
+                    f"estimated rmspe {bound:.6f} exceeds the max_rmspe={max_rmspe:g} budget",
+                )
             )
         else:
-            factor_route(ROUTE_SVD, base_cost, bound)
+            candidates.append(RouteEstimate(ROUTE_SVD, base_cost, pages, fetches, bound))
 
     # -- row streaming -------------------------------------------------
     if backend.deltas_lost:
-        reject(ROUTE_STREAM, lost)
+        rejected.append(_LOST_STREAM)
     else:
         candidates.append(
             RouteEstimate(
                 ROUTE_STREAM,
                 cost_ms=params.stream_floor_ms
                 + gather_ms
-                + flops_ms(cells * (max(rank, 1) + 1), params.ns_per_cell),
+                + cells * (rank + 1) * params.ns_per_cell / 1e6,
                 pages=row_pages,
-                row_fetches=int(row_idx.size),
+                row_fetches=num_rows,
                 error_bound=0.0,
             )
         )
@@ -310,10 +316,11 @@ def plan_aggregate(
             f"(max_rmspe={max_rmspe!r}) — {detail}"
         )
 
-    candidates.sort(key=lambda c: (c.cost_ms, ROUTES.index(c.name)))
-    chosen = candidates[0]
+    # Candidates arrive in ROUTES order, so a stable sort by cost breaks
+    # ties by the route's preference.
+    candidates.sort(key=_by_cost)
     return QueryPlan(
-        route=chosen,
+        route=candidates[0],
         candidates=tuple(candidates),
         rejected=tuple(rejected),
         cells=cells,

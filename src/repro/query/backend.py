@@ -27,14 +27,15 @@ Vocabulary every backend offers:
   The in-memory models and ``CompressedMatrix`` offer it; ndarray,
   ``MatrixStore`` and row-only sources do not;
 - the facts the planner and the profiler read: ``rank``,
-  ``delta_index``, ``deltas_lost``, ``paged_store`` /
-  ``memory_resident``, ``pool_stats`` / ``io_stats``, ``summaries``,
-  ``start_date``, ``rmspe_estimate``.
+  ``delta_index``, ``deltas_lost``, ``paged_store``, ``pricing`` (the
+  planner's per-source constants), ``pool_stats`` / ``io_stats``,
+  ``summaries``, ``start_date``, ``rmspe_estimate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -81,12 +82,6 @@ class Backend:
         return type(self.source).__name__
 
     @property
-    def memory_resident(self) -> bool:
-        """True when row fetches cost memory, not seeks: no paged store,
-        or one opened ``mapped=True`` (its pages are page cache)."""
-        return self.paged_store is None or self.paged_store.mapped
-
-    @property
     def pool_stats(self):
         """Buffer-pool counters of the paged store (None without one)."""
         return None if self.paged_store is None else self.paged_store.pool_stats
@@ -96,15 +91,34 @@ class Backend:
         """Pager counters of the paged store (None without one)."""
         return None if self.paged_store is None else self.paged_store.io_stats
 
-    @property
+    @cached_property
     def summaries(self):
         """The source's :class:`~repro.summaries.store.SummaryStore`
-        when it has one describing this shape, else None.  Read through
-        to the source each time: the persistent store loads it lazily."""
+        when it has one describing this shape, else None.  Read on first
+        use (the persistent store loads it lazily, and keeps what it
+        loaded), then kept."""
         store = getattr(self.source, "summaries", None)
         if store is None or (store.model_rows, store.model_cols) != self.shape:
             return None
         return store
+
+    @cached_property
+    def pricing(self) -> tuple:
+        """``(params, priced_store, page_ms, rank)``: what the planner
+        prices with here, fixed for the source's life — its
+        :class:`~repro.plan.cost.CostParams`, the paged store whose pages
+        a gather pays for, one such page's price (a read is linear in
+        pages) and ``max(rank, 1)``.  Rows cost memory, not seeks, without
+        a paged store or from one opened ``mapped=True`` (its pages are
+        page cache): then no page is priced (None, 0.0)."""
+        from repro.plan.cost import CostParams, page_read_ms  # the planner sits above
+
+        store = self.paged_store
+        if store is not None and store.mapped:
+            store = None
+        params = CostParams.for_backend(store is None)
+        page_ms = 0.0 if store is None else page_read_ms(params, 1, store.page_size)
+        return params, store, page_ms, max(self.rank, 1)
 
     @property
     def start_date(self) -> str | None:

@@ -82,18 +82,23 @@ def stream_components(
     minimum = np.inf
     maximum = -np.inf
     count = 0
-    if row_idx.size == 0 or col_idx.size == 0:
+    size = int(row_idx.size)
+    if size == 0 or col_idx.size == 0:
         return Components()
-    for start in range(0, int(row_idx.size), _STREAM_BLOCK_ROWS):
-        chunk = row_idx[start : start + _STREAM_BLOCK_ROWS]
+    for start in range(0, size, _STREAM_BLOCK_ROWS):
+        # One block is the selection itself, and keeps what was counted on it.
+        chunk = row_idx
+        if size > _STREAM_BLOCK_ROWS:
+            chunk = row_idx[start : start + _STREAM_BLOCK_ROWS]
         block = backend.block(chunk, col_idx)
+        # The ufuncs' reduce is what ndarray.sum/min/max run, without their wrappers.
         if function in ("sum", "avg", "stddev"):
-            total += float(block.sum())
+            total += float(np.add.reduce(block, axis=None))
         if function == "stddev":
-            total_sq += float((block * block).sum())
+            total_sq += float(np.add.reduce(block * block, axis=None))
         if function == "min":
-            minimum = min(minimum, float(block.min()))
+            minimum = min(minimum, float(np.minimum.reduce(block, axis=None)))
         if function == "max":
-            maximum = max(maximum, float(block.max()))
+            maximum = max(maximum, float(np.maximum.reduce(block, axis=None)))
         count += int(block.size)
     return Components(total, total_sq, minimum, maximum, count)

@@ -419,7 +419,10 @@ class QueryEngine:
         backend: Backend,
     ) -> QueryResult:
         """Stream the selected rows in vectorized blocks (exact)."""
-        with _span("query.stream.scan", rows=int(row_idx.size)):
+        if _obs.enabled:
+            with _span("query.stream.scan", rows=int(row_idx.size)):
+                comps = stream_components(backend, row_idx, col_idx, function)
+        else:
             comps = stream_components(backend, row_idx, col_idx, function)
         value = _finalize_components(function, comps)
         return QueryResult(

@@ -38,17 +38,16 @@ fetches are the paper's disk accesses, so :func:`factor_aggregate` reports them
 alongside the value and the engine surfaces them in
 ``QueryResult.rows_fetched``.
 
-:func:`factor_aggregate` returns None for aggregates that genuinely
-need per-cell values (min/max), letting the engine fall back to row
-streaming.  The engine asserts both paths agree in its tests.
+``min``/``max`` need per-cell values: the planner streams them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
-from repro.query.backend import as_backend
+from repro.query.backend import Backend, as_backend
 from repro.query.components import Components, finalize
 
 #: Aggregates the factor path can answer without per-cell values.
@@ -74,8 +73,11 @@ def factor_aggregate(
     from the SVD factors alone — the planner's ``svd`` route: the
     paper's rank-k approximation, stamped with its stored RMSPE
     estimate instead of the delta-corrected value.
+
+    Its three phases are the spans ``query.factor.gather``, ``.gemm``
+    and ``.delta`` while telemetry is enabled, and plain calls otherwise.
     """
-    backend = as_backend(source)
+    backend = source if isinstance(source, Backend) else as_backend(source)
     if function not in FACTOR_FUNCTIONS or backend.factors is None:
         return None
 
@@ -85,36 +87,53 @@ def factor_aggregate(
         # hence no row fetches.
         return finalize(function, Components(count=count)), 0
 
-    with _span("query.factor.gather", rows=int(row_idx.size)):
-        scaled_u, v, index, rows_fetched = backend.factors(row_idx)
-
     need_squares = function == "stddev"
-    with _span("query.factor.gemm"):
-        v_sel = v.take(col_idx, axis=0)  # (m_sel, k)
-        col_sum = v_sel.sum(axis=0)  # (k,)
-        row_sums = scaled_u @ col_sum  # (n,)
-        total = float(row_sums.sum())
-
-        total_sq = 0.0
-        if need_squares:
-            gram = v_sel.T @ v_sel  # (k, k)
-            total_sq = float((gram * (scaled_u.T @ scaled_u)).sum())
-
-    if fold_deltas and index is not None and len(index) > 0:
-        with _span("query.factor.delta", stored=len(index)):
-            if not need_squares:
-                total += index.select_sum(row_idx, col_idx)
-            else:
-                row_pos, _col_pos, _rows, delta_cols, values = index.select(
-                    row_idx, col_idx
+    cols = getattr(col_idx, "idx", col_idx)  # an Ascending's array
+    if not _obs.enabled:
+        scaled_u, v, index, rows_fetched = backend.factors(row_idx)
+        total, total_sq = _project(scaled_u, v, cols, need_squares)
+        if fold_deltas and index is not None and len(index) > 0:
+            total, total_sq = _fold(
+                index, row_idx, col_idx, scaled_u, v, total, total_sq, need_squares
+            )
+    else:
+        with _span("query.factor.gather", rows=int(row_idx.size)):
+            scaled_u, v, index, rows_fetched = backend.factors(row_idx)
+        with _span("query.factor.gemm"):
+            total, total_sq = _project(scaled_u, v, cols, need_squares)
+        if fold_deltas and index is not None and len(index) > 0:
+            with _span("query.factor.delta", stored=len(index)):
+                total, total_sq = _fold(
+                    index, row_idx, col_idx, scaled_u, v, total, total_sq, need_squares
                 )
-                if values.size:
-                    total += float(values.sum())
-                    base = np.einsum(
-                        "ik,ik->i",
-                        scaled_u.take(row_pos, axis=0),
-                        v.take(delta_cols, axis=0),
-                    )
-                    total_sq += float((2.0 * base * values + values * values).sum())
-
     return finalize(function, Components(total, total_sq, count=count)), rows_fetched
+
+
+def _project(
+    scaled_u: np.ndarray, v: np.ndarray, cols: np.ndarray, need_squares: bool
+) -> tuple[float, float]:
+    """The selection's sum (and sum of squares) over the bare factors."""
+    v_sel = v.take(cols, axis=0)  # (m_sel, k)
+    # np.add.reduce is ndarray.sum's own loop, without its Python wrapper.
+    row_sums = scaled_u @ np.add.reduce(v_sel, axis=0)  # (n,)
+    total = float(np.add.reduce(row_sums))
+    if not need_squares:
+        return total, 0.0
+    gram = v_sel.T @ v_sel  # (k, k)
+    return total, float(np.add.reduce(gram * (scaled_u.T @ scaled_u), axis=None))
+
+
+def _fold(index, row_idx, col_idx, scaled_u, v, total, total_sq, need_squares):
+    """``(total, total_sq)`` with the selection's deltas folded in."""
+    if not need_squares:
+        return total + index.select_sum(row_idx, col_idx), total_sq
+    row_pos, _col_pos, _rows, delta_cols, values = index.select(row_idx, col_idx)
+    if values.size:
+        total += float(np.add.reduce(values))
+        base = np.einsum(
+            "ik,ik->i",
+            scaled_u.take(row_pos, axis=0),
+            v.take(delta_cols, axis=0),
+        )
+        total_sq += float(np.add.reduce(2.0 * base * values + values * values))
+    return total, total_sq

@@ -21,17 +21,18 @@ import numpy as np
 from repro.exceptions import QueryError
 
 
-def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.ndarray | None:
-    """Sorted unique int64 array, or None for 'all' when extent unknown."""
-    if indices is None:
-        if extent is None:
-            return None
-        return np.arange(extent, dtype=np.int64)
-    if isinstance(indices, slice):
-        if extent is None:
-            raise QueryError("slice selections need a known extent")
-        arr = np.arange(extent, dtype=np.int64)[indices]
-        return arr if (indices.step or 1) > 0 else arr[::-1].copy()
+def _normalize(indices: Iterable[int] | slice | None, extent: int, axis: str) -> np.ndarray:
+    """``indices`` as sorted unique int64 indices inside ``[0, extent)``,
+    or a :class:`QueryError`: the one check of one axis (named ``axis``)
+    of a selection, made where each form of selection can fail."""
+    if indices is None or isinstance(indices, slice):
+        arr = np.arange(extent, dtype=np.int64)
+        if indices is not None:
+            arr = arr[indices] if (indices.step or 1) > 0 else arr[indices][::-1].copy()
+        # A slice (or a zero-extent matrix) can select nothing.
+        if arr.size == 0:
+            raise QueryError(f"{axis} selection is empty — it covers no cells")
+        return arr
     if isinstance(indices, range):
         # Bounds-check before materializing: a hostile 'rows 0:10**21'
         # (with ANY step — range(0, 10**18, 2) is just as unbounded as
@@ -48,14 +49,17 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
             lo, hi = start + (size - 1) * step, start
         if size == 0:
             raise QueryError("selection must include at least one index")
-        if extent is not None and (lo < 0 or hi >= extent):
+        if lo < 0 or hi >= extent:
             raise QueryError(f"selection [{lo}, {hi}] outside [0, {extent})")
         arr = np.arange(start, stop, step, dtype=np.int64)
         return arr if step > 0 else arr[::-1].copy()
+    # A list or an array is read as it is; any other iterable is listed.
+    items = indices if isinstance(indices, (list, np.ndarray)) else list(indices)
     try:
         # The dtype NumPy infers, not one forced on it: int64 would
-        # truncate 1.7 to row 1, parse "2" and read True as row 1.
-        arr = np.asarray(list(indices))
+        # truncate 1.7 to row 1 and parse "2".  A copy: the selection
+        # must not move with the caller's array.
+        arr = np.array(items)
     except (OverflowError, ValueError, TypeError) as exc:
         raise QueryError(
             f"selection indices must be machine-size integers: {exc}"
@@ -72,8 +76,19 @@ def _normalize(indices: Iterable[int] | slice | None, extent: int | None) -> np.
             f"selection indices must be machine-size integers, got {arr.dtype} values"
         )
     arr = arr.astype(np.int64, copy=False)
-    # A strictly increasing list (a sorted row set) skips np.unique's sort.
-    return arr if (arr[1:] > arr[:-1]).all() else np.unique(arr)
+    # A strictly increasing list (a sorted row set) skips np.unique's sort;
+    # counting the increases costs less than ndarray.all's Python wrapper.
+    rising = arr[1:] > arr[:-1]
+    ordered = arr if np.count_nonzero(rising) == rising.size else np.unique(arr)
+    first, last = ordered[0], ordered[-1]
+    if first < 0 or last >= extent:
+        raise QueryError(f"{axis} selection [{first}, {last}] outside [0, {extent})")
+    # NumPy reads a bool among integers as 0 or 1, so only a selection
+    # that reaches down to 1 can hold one, and only the items read so.
+    if first <= 1 and isinstance(items, list):
+        if any(isinstance(items[i], (bool, np.bool_)) for i in np.flatnonzero(arr <= 1)):
+            raise QueryError("selection indices must be integers, not bools")
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -90,27 +105,12 @@ class Selection:
     def resolve(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         """Concrete sorted index arrays for a matrix of ``shape``.
 
-        Raises :class:`QueryError` for out-of-range indices.  The one
-        check a query's selection gets (the engine carries it as ``Ascending``).
+        Raises :class:`QueryError` for an empty selection or out-of-range
+        indices.  The one check a query's selection gets (the engine
+        carries it as ``Ascending``).
         """
         num_rows, num_cols = shape
-        rows = _normalize(self.rows, num_rows)
-        cols = _normalize(self.cols, num_cols)
-        # Slices (and zero-extent matrices) can normalize to nothing;
-        # surface that as a QueryError, not an IndexError downstream.
-        if rows.size == 0:
-            raise QueryError("row selection is empty — it covers no cells")
-        if cols.size == 0:
-            raise QueryError("column selection is empty — it covers no cells")
-        if rows[0] < 0 or rows[-1] >= num_rows:
-            raise QueryError(
-                f"row selection [{rows[0]}, {rows[-1]}] outside [0, {num_rows})"
-            )
-        if cols[0] < 0 or cols[-1] >= num_cols:
-            raise QueryError(
-                f"column selection [{cols[0]}, {cols[-1]}] outside [0, {num_cols})"
-            )
-        return rows, cols
+        return _normalize(self.rows, num_rows, "row"), _normalize(self.cols, num_cols, "column")
 
     def cell_count(self, shape: tuple[int, int]) -> int:
         """Number of cells the selection covers on a matrix of ``shape``."""

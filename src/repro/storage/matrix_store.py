@@ -67,15 +67,19 @@ class Ascending:
     """Non-empty int64 indices ``idx`` that ``Selection.resolve`` proved
     strictly increasing and inside the matrix: the layers below read its
     bounds and whether it is a run off its ends instead of checking the
-    array again.  NumPy reads it as ``idx``."""
+    array again.  NumPy reads it as ``idx``.  Its pages in a store and
+    its key runs in a delta index are counted once, by the first layer
+    that asks (for a plan's selection, the planner), and noted on it as
+    ``(owner, count)`` for the others: the gather and the fold."""
 
-    __slots__ = ("idx", "size", "run")
+    __slots__ = ("idx", "size", "run", "pages", "key_runs")
 
     def __init__(self, idx: np.ndarray) -> None:
         first, last = int(idx[0]), int(idx[-1])
         self.idx, self.size = idx, idx.size
         #: ``(first, last)`` when ``idx`` is ``first, first + 1, ..., last``.
         self.run = (first, last) if last - first + 1 == idx.size else None
+        self.pages = self.key_runs = None
 
     def __getitem__(self, part) -> "Ascending":
         """A unit-step slice or a boolean mask of it: still ascending."""
@@ -489,6 +493,11 @@ class MatrixStore:
         O(1) for a run or whole-page rows of an :class:`Ascending`,
         O(n) for other sorted input; unsorted input pays a sort.
         """
+        if isinstance(indices, Ascending):
+            noted = indices.pages
+            if noted is None or noted[0] is not self:
+                noted = indices.pages = (self, self._page_count(indices.idx, True))
+            return noted[1]
         idx, ascending = self._rows_of(indices)
         return self._page_count(idx, ascending) if idx.size else 0
 
@@ -571,13 +580,16 @@ class MatrixStore:
             _obs.counter("store.read_rows.calls").inc()
             _obs.counter("store.read_rows.rows").inc(int(idx.size))
             with _span("store.read_rows", rows=int(idx.size)):
-                return self._read_rows(idx, ascending)
-        return self._read_rows(idx, ascending)
+                return self._read_rows(indices, idx, ascending)
+        return self._read_rows(indices, idx, ascending)
 
-    def _read_rows(self, idx: np.ndarray, ascending: bool) -> np.ndarray:
+    def _read_rows(self, indices, idx: np.ndarray, ascending: bool) -> np.ndarray:
         view = self._live_view()
         if not self._mapped:
-            self._pool.stats.add(bypasses=self._page_count(idx, ascending))
+            # An Ascending's pages were counted when its plan priced them.
+            counted = isinstance(indices, Ascending)
+            pages = self.pages_for_rows(indices) if counted else self._page_count(idx, ascending)
+            self._pool.stats.add(bypasses=pages)
         return view.take(idx, axis=0).astype(np.float64, copy=False)
 
     def cell(self, row: int, col: int) -> float:

@@ -10,9 +10,13 @@ outside arrays keep their checks.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import CompressedMatrix
 from repro.core import delta_index as delta_index_module
 from repro.core.build import build_compressed
@@ -133,3 +137,50 @@ def test_plans_match_plans_from_plain_arrays(tmp_path):
                 harness_store, op.function, *query.selection.resolve(shape)
             )
             assert engine.plan(query) == plain
+
+
+#: Frames under ``src/repro`` one aggregate entered before its path
+#: computed each fact about its selection once: per function, the
+#: scattered and the run selection below.
+CALLS_BEFORE = {
+    "sum": (72, 71),
+    "avg": (72, 71),
+    "stddev": (72, 72),
+    "count": (38, 38),
+    "min": (64, 64),
+    "max": (64, 64),
+}
+
+
+def _frames(call) -> int:
+    """Python frames under ``src/repro`` that ``call()`` enters."""
+    package = str(Path(repro.__file__).parent)
+    entered = 0
+
+    def count(frame, event, _arg):
+        nonlocal entered
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            entered += 1
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def test_an_aggregate_stays_inside_its_call_budget(store):
+    """The per-op constant is counted, not timed: resolve, plan and
+    execute must each stay one pass over what the selection needs."""
+    engine = QueryEngine(store)
+    frames = {}
+    for function, before in CALLS_BEFORE.items():
+        for rows, budget in zip((SCATTERED, range(100, 180)), before):
+            query = AggregateQuery(function, Selection(rows=rows, cols=range(30, 90)))
+            engine.aggregate(query)  # warm: lazy tables and caches are built
+            frames[function, type(rows).__name__] = spent = _frames(
+                lambda: engine.aggregate(query)
+            )
+            assert spent < budget, (function, rows, spent)
+    assert sum(frames.values()) / len(frames) <= 32, frames

@@ -140,6 +140,10 @@ class TestNonIntegerIndices:
             ["2"],
             [True],
             np.array([True, False]),
+            # A bool among integers: NumPy would read it as row 0 or 1.
+            [True, 2],
+            [np.int64(3), True],
+            (np.bool_(False), 4),
             [None],
             [2**63],  # fits uint64, not an index
             [2**64],
