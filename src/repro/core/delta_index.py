@@ -43,6 +43,10 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import registry as _obs
 from repro.storage.matrix_store import Ascending
 
+#: ``delta.lookups`` / ``delta.keys_probed``, bound once.
+_LOOKUPS = _obs.bind_counter("delta.lookups")
+_KEYS_PROBED = _obs.bind_counter("delta.keys_probed")
+
 
 def _slice_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Every position of the slices ``[starts[i], starts[i] + counts[i])``, in order."""
@@ -332,5 +336,5 @@ class DeltaIndex:
             self.stats["keys_probed"] += probed
             self.stats["hits"] += hits
         if _obs.enabled:
-            _obs.counter("delta.lookups").inc()
-            _obs.counter("delta.keys_probed").inc(probed)
+            _LOOKUPS.inc()
+            _KEYS_PROBED.inc(probed)

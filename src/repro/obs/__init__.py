@@ -35,7 +35,7 @@ and a branch — no allocation, no clock reads.
 from repro.obs.bench import git_sha
 from repro.obs.export import render_openmetrics, validate_openmetrics
 from repro.obs.logging import JsonLogger, log_event, set_log_stream
-from repro.obs.profile import QueryProfile, StatDelta
+from repro.obs.profile import QueryProfile
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, registry
 from repro.obs.slowlog import SlowQueryLog, slow_query_log
 from repro.obs.tracing import (
@@ -58,7 +58,6 @@ __all__ = [
     "QueryProfile",
     "SlowQueryLog",
     "Span",
-    "StatDelta",
     "current_span",
     "current_trace_id",
     "git_sha",

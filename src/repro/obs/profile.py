@@ -10,10 +10,13 @@ The engine only builds profiles while the process-wide registry is
 enabled; a disabled run returns results whose ``profile`` is None and
 pays nothing beyond the guard branch.
 
-:class:`StatDelta` is the capture half: it snapshots a resolved
-:class:`~repro.query.backend.Backend`'s pool, pager and delta-index
-counters before the query and diffs them after; backends without a
-paged store or without deltas report all-zero sections.
+:func:`counters` is the capture half: it reads the pool, pager and
+delta-index counters a resolved
+:class:`~repro.query.backend.Backend` names in ``Backend.counters``
+(resolved once per backend), before the query and after; the
+difference, ``map(operator.sub, after, before)``, is a profile's
+fields from ``pages_read`` to ``delta_keys_probed``.  A backend without
+a paged store or without deltas reads zeros there.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-__all__ = ["QueryProfile", "StatDelta"]
+__all__ = ["QueryProfile", "counters"]
 
 
 @dataclass(slots=True)
@@ -94,45 +97,23 @@ class QueryProfile:
         return json.dumps(self.to_dict(), indent=indent, default=str)
 
 
-class StatDelta:
-    """Snapshot a backend's counters now; diff them after the query."""
-
-    __slots__ = ("_pool", "_io", "_delta", "_before")
-
-    def __init__(self, backend) -> None:
-        self._pool = backend.pool_stats
-        self._io = backend.io_stats
-        index = backend.delta_index
-        self._delta = None if index is None else index.stats
-        self._before = self._counts()
-
-    def _counts(self) -> tuple:
-        """``(pool, io, delta)`` counter tuples, zeros for an absent one."""
-        pool, io, delta = self._pool, self._io, self._delta
-        return (
-            (0, 0, 0, 0)
-            if pool is None
-            else (pool.hits, pool.misses, pool.bypasses, pool.evictions),
-            (0, 0) if io is None else (io.reads, io.bytes_read),
-            (0, 0) if delta is None else (delta["lookups"], delta["keys_probed"]),
-        )
-
-    def collect(self) -> tuple[int, ...]:
-        """Counter increments since construction, in QueryProfile's field
-        order from ``pages_read`` to ``delta_keys_probed`` — so a profile
-        takes them positionally, after its four leading fields, without
-        binding nine keywords per query."""
-        (h0, m0, b0, e0), (r0, rb0), (l0, k0) = self._before
-        (h1, m1, b1, e1), (r1, rb1), (l1, k1) = self._counts()
-        hits, misses, bypasses = h1 - h0, m1 - m0, b1 - b0
-        return (
-            hits + misses + bypasses,
-            hits,
-            misses,
-            bypasses,
-            e1 - e0,
-            r1 - r0,
-            rb1 - rb0,
-            l1 - l0,
-            k1 - k0,
-        )
+def counters(sources: tuple) -> tuple[int, ...]:
+    """The counters a profile diffs, in QueryProfile's field order from
+    ``pages_read`` (pool hits + misses + bypasses) to
+    ``delta_keys_probed``; ``sources`` is a backend's ``(pool stats,
+    I/O stats, delta-index stats)``, each None when absent."""
+    pool, io, delta = sources
+    hits, misses, bypasses, evictions = (
+        (0, 0, 0, 0)
+        if pool is None
+        else (pool.hits, pool.misses, pool.bypasses, pool.evictions)
+    )
+    return (
+        hits + misses + bypasses,
+        hits,
+        misses,
+        bypasses,
+        evictions,
+        *((0, 0) if io is None else (io.reads, io.bytes_read)),
+        *((0, 0) if delta is None else (delta["lookups"], delta["keys_probed"])),
+    )

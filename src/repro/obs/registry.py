@@ -7,6 +7,9 @@ single registry through which every layer's counters are reachable:
 - **counters / gauges / histograms** created on demand by name
   (``registry.counter("delta.lookups").inc()``), histograms carrying
   nanosecond-precision timing observations from the span tracer;
+- **watched gauges** — a gauge whose value a callable reads at
+  :meth:`MetricsRegistry.snapshot` (the serving tier's queue depth,
+  queue age and brownout flag), so nothing is written per request;
 - **registered sources** — the always-on stat structs of every buffer
   pool and pager (:class:`~repro.storage.buffer_pool.PoolStats`,
   :class:`~repro.storage.pager.IOStats`; nothing else registers one)
@@ -20,21 +23,33 @@ off: every hot-path site guards on the plain attribute
 component stat structs it registers are the same cheap integer fields
 the storage layer has always maintained.
 
+**A metric object lives as long as its registry**, so a hot path binds
+it once (:meth:`MetricsRegistry.bind_counter`, or a module constant)
+instead of looking it up by name per call.  :meth:`MetricsRegistry.reset`
+zeroes every metric in place, and a snapshot lists the metrics written
+or looked up by name since the last reset — what it listed when reset
+dropped them.
+
 All metric mutations are **thread-safe**: counters and histograms take
 a per-metric lock (an uncontended CPython lock is tens of nanoseconds),
 gauges expose an atomic ``add`` for in-flight accounting, and
 ``snapshot`` copies the metric maps under the registry lock so
-concurrent metric creation cannot corrupt an export.  This is what
-keeps the pool/pager counters honest while ``repro serve``'s handler
-threads answer queries at once.
+concurrent metric creation cannot corrupt an export.  A finished span
+takes no lock at all: its duration is appended to one pending queue (a
+``deque`` append is atomic) and folded into its ``span.<name>``
+histogram when anything reads histograms, or when the queue reaches
+:data:`FOLD_AT` records — so a read is exact, and a span costs one
+append.  This is what keeps the pool/pager counters honest while
+``repro serve``'s handler threads answer queries at once.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 import weakref
+from bisect import bisect_left
+from collections import deque
 from typing import Callable, Iterator
 
 __all__ = [
@@ -46,7 +61,24 @@ __all__ = [
 ]
 
 
-class Counter:
+class _Scalar:
+    """One number under a lock, listed in snapshots once written or
+    looked up since the last reset."""
+
+    __slots__ = ("value", "_lock", "listed")
+    _zero: float = 0
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._clear()
+
+    def _clear(self) -> None:
+        with self._lock:
+            self.value = self._zero
+            self.listed = False
+
+
+class Counter(_Scalar):
     """A monotonically increasing integer metric.
 
     ``inc`` is thread-safe: Python's ``+=`` on an attribute is a
@@ -55,19 +87,16 @@ class Counter:
     no lock (it is a single attribute load of an int).
     """
 
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0
-        self._lock = threading.Lock()
+    __slots__ = ()
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1); safe to call from any thread."""
         with self._lock:
             self.value += int(amount)
+            self.listed = True
 
 
-class Gauge:
+class Gauge(_Scalar):
     """A point-in-time numeric metric (last write wins).
 
     ``set`` is a single atomic attribute store and needs no lock;
@@ -75,50 +104,39 @@ class Gauge:
     takes one.
     """
 
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
+    _zero = 0.0
 
     def set(self, value: float) -> None:
         """Record the current value."""
         self.value = float(value)
+        self.listed = True
 
     def add(self, delta: float) -> float:
         """Shift the gauge by ``delta`` atomically; returns the new value."""
         with self._lock:
             self.value += float(delta)
+            self.listed = True
             return self.value
 
 
 #: Log-scale bucket layout shared by every histogram: bucket ``i``
-#: covers values in ``(2**(i/4 - 1/4), 2**(i/4)]`` — a ~19% growth
-#: factor, fine enough that a p99 read off a bucket bound is within
-#: one fifth of the true value.  176 buckets span 1 ns .. ~2**44 ns
-#: (about five hours), the full range a span duration can plausibly
-#: take; values outside clamp to the end buckets.
+#: covers values in ``(2**(i/4), 2**((i+1)/4)]`` (bucket 0 everything
+#: up to ``2**(1/4)``) — a ~19% growth factor, fine enough that a p99
+#: read off a bucket bound is within one fifth of the true value.  176
+#: buckets span 1 ns .. ~2**44 ns (about five hours), the full range a
+#: span duration can plausibly take; larger values clamp to the last.
 _BUCKET_COUNT = 176
 _BUCKETS_PER_OCTAVE = 4
-_LOG2_SCALE = 1.0 / math.log(2.0) * _BUCKETS_PER_OCTAVE
-#: Upper bound of each bucket (inclusive), precomputed once.
+#: Upper bound of each bucket (inclusive), precomputed once: a value's
+#: bucket is one C bisection of these, ``min(bisect_left(...), 175)``.
 _BUCKET_BOUNDS = tuple(
     2.0 ** ((index + 1) / _BUCKETS_PER_OCTAVE) for index in range(_BUCKET_COUNT)
 )
+_LAST_BUCKET = _BUCKET_COUNT - 1
 
-
-def _bucket_index(value: float) -> int:
-    """The log-scale bucket a positive value falls into (clamped)."""
-    if value <= 1.0:
-        return 0
-    index = int(math.log(value) * _LOG2_SCALE)
-    # Float log can land exactly on a bound's neighbour; nudge so the
-    # bucket's upper bound is truly >= value.
-    if index > 0 and value <= _BUCKET_BOUNDS[index - 1]:
-        index -= 1
-    if index >= _BUCKET_COUNT:
-        return _BUCKET_COUNT - 1
-    return index
+#: Pending span records that make a span's own thread fold the queue.
+FOLD_AT = 1024
 
 
 class Histogram:
@@ -138,28 +156,38 @@ class Histogram:
     under the destination's.
     """
 
-    __slots__ = ("count", "total", "minimum", "maximum", "buckets", "_lock")
+    __slots__ = ("count", "total", "minimum", "maximum", "buckets", "_lock", "listed")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self.buckets = [0] * _BUCKET_COUNT
         self._lock = threading.Lock()
+        self._clear()
+
+    def _clear(self) -> None:
+        with self._lock:
+            self.count = 0
+            self.total = 0.0
+            self.minimum = float("inf")
+            self.maximum = float("-inf")
+            self.buckets = [0] * _BUCKET_COUNT
+            self.listed = False
 
     def observe(self, value: float) -> None:
         """Record one observation; safe to call from any thread."""
-        value = float(value)
-        index = _bucket_index(value)
+        self._observe_all((float(value),))
+
+    def _observe_all(self, values) -> None:
+        """Record a batch of float observations under one lock hold."""
         with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.minimum:
-                self.minimum = value
-            if value > self.maximum:
-                self.maximum = value
-            self.buckets[index] += 1
+            buckets = self.buckets
+            for value in values:
+                self.count += 1
+                self.total += value
+                if value < self.minimum:
+                    self.minimum = value
+                if value > self.maximum:
+                    self.maximum = value
+                buckets[min(bisect_left(_BUCKET_BOUNDS, value), _LAST_BUCKET)] += 1
+            self.listed = True
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other``'s distribution into this histogram.
@@ -185,6 +213,7 @@ class Histogram:
             for index, extra in enumerate(buckets):
                 if extra:
                     self.buckets[index] += extra
+            self.listed = True
         return self
 
     @property
@@ -203,18 +232,7 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            count = self.count
-            if count == 0:
-                return None
-            target = q * count
-            cumulative = 0
-            bound = self.maximum
-            for index, bucket in enumerate(self.buckets):
-                cumulative += bucket
-                if cumulative >= target:
-                    bound = _BUCKET_BOUNDS[index]
-                    break
-            return min(max(bound, self.minimum), self.maximum)
+            return _quantile(q, self.count, self.minimum, self.maximum, self.buckets)
 
     def percentiles(self) -> dict:
         """The standard latency quantiles: p50/p95/p99 (None when empty)."""
@@ -225,15 +243,39 @@ class Histogram:
         }
 
     def to_dict(self) -> dict:
-        """Summary plus p50/p95/p99, JSON-ready (bounds None when empty)."""
+        """Summary plus p50/p95/p99, JSON-ready (bounds None when empty),
+        all read under one hold of the lock."""
+        with self._lock:
+            count, total = self.count, self.total
+            minimum, maximum = self.minimum, self.maximum
+            buckets = list(self.buckets)
         return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else None,
-            "max": self.maximum if self.count else None,
-            "mean": self.mean,
-            **self.percentiles(),
+            "count": count,
+            "total": total,
+            "min": minimum if count else None,
+            "max": maximum if count else None,
+            "mean": total / count if count else 0.0,
+            **{
+                f"p{round(q * 100)}": _quantile(q, count, minimum, maximum, buckets)
+                for q in (0.50, 0.95, 0.99)
+            },
         }
+
+
+def _quantile(q: float, count: int, minimum: float, maximum: float, buckets) -> float | None:
+    """The upper bound of the bucket holding the q-th of ``count``
+    observations, clamped to ``[minimum, maximum]`` (None when empty)."""
+    if count == 0:
+        return None
+    target = q * count
+    cumulative = 0
+    bound = maximum
+    for index, bucket in enumerate(buckets):
+        cumulative += bucket
+        if cumulative >= target:
+            bound = _BUCKET_BOUNDS[index]
+            break
+    return min(max(bound, minimum), maximum)
 
 
 class _Timer:
@@ -279,8 +321,13 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         # Span name -> its ``span.<name>`` histogram, so a finished span
-        # builds no prefixed name; emptied by :meth:`reset` with the rest.
+        # builds no prefixed name.
         self._span_histograms: dict[str, Histogram] = {}
+        # Finished spans not yet folded: ``(histogram, duration_ns)``.
+        self._pending: deque = deque()
+        self._fold_lock = threading.Lock()
+        # Gauge name -> weak reference to the method that reads it.
+        self._watched: dict[str, Callable[[], Callable | None]] = {}
         # kind -> list of (name, weakref-to-stats).  Dead refs are
         # pruned on snapshot; names repeat when many instances share
         # one (e.g. every test's "u" pool) and are suffixed on export.
@@ -297,17 +344,29 @@ class MetricsRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop all named metrics (registered sources are kept)."""
+        """Zero every named metric and unlist it until it is next
+        written or looked up (registered sources and watched gauges
+        are kept)."""
+        self._pending.clear()
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._span_histograms.clear()
+            for metric in (
+                *self._counters.values(),
+                *self._gauges.values(),
+                *self._histograms.values(),
+            ):
+                metric._clear()
 
     # -- named metrics ---------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
+        """Get or create the counter ``name``, listed from now on."""
+        counter = self.bind_counter(name)
+        counter.listed = True
+        return counter
+
+    def bind_counter(self, name: str) -> Counter:
+        """Get or create the counter ``name`` for a caller that keeps
+        it: it is listed once first incremented."""
         try:
             return self._counters[name]
         except KeyError:
@@ -315,32 +374,67 @@ class MetricsRegistry:
                 return self._counters.setdefault(name, Counter())
 
     def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
+        """Get or create the gauge ``name``, listed from now on."""
         try:
-            return self._gauges[name]
+            gauge = self._gauges[name]
         except KeyError:
             with self._lock:
-                return self._gauges.setdefault(name, Gauge())
+                gauge = self._gauges.setdefault(name, Gauge())
+        gauge.listed = True
+        return gauge
+
+    def watch(self, name: str, read: Callable[[], float]) -> None:
+        """Report gauge ``name`` as what the bound method ``read``
+        returns at each snapshot, while its object lives.
+
+        Held weakly; a later watch of the same name replaces it.  A
+        watched gauge is listed whether or not it was reset.
+        """
+        with self._lock:
+            self._watched[name] = weakref.WeakMethod(read)
 
     def histogram(self, name: str) -> Histogram:
-        """Get or create the histogram ``name``."""
+        """Get or create the histogram ``name``, listed from now on
+        (finished spans are folded in first)."""
+        self._fold()
         try:
-            return self._histograms[name]
+            histogram = self._histograms[name]
         except KeyError:
             with self._lock:
-                return self._histograms.setdefault(name, Histogram())
+                histogram = self._histograms.setdefault(name, Histogram())
+        histogram.listed = True
+        return histogram
 
     def _span_histogram(self, span_name: str) -> Histogram:
-        """``histogram("span." + span_name)``, remembered per span name."""
+        """``histogram("span." + span_name)``, remembered per span name
+        and listed once a span is folded into it."""
         histogram = self._span_histograms.get(span_name)
         if histogram is None:
-            # One locked step, so a racing reset() cannot leave a
-            # histogram remembered here that the registry has dropped.
             with self._lock:
                 name = f"span.{span_name}"
                 histogram = self._histograms.setdefault(name, Histogram())
                 self._span_histograms[span_name] = histogram
         return histogram
+
+    def _fold(self) -> None:
+        """Fold every pending span record into its histogram."""
+        pending = self._pending
+        if not pending:
+            return
+        with self._fold_lock:
+            batches: dict[Histogram, list[float]] = {}
+            while pending:
+                try:
+                    histogram, elapsed = pending.popleft()
+                except IndexError:  # a reset cleared the queue meanwhile
+                    break
+                batch = batches.get(histogram)
+                if batch is None:
+                    batches[histogram] = [float(elapsed)]
+                else:
+                    batch.append(float(elapsed))
+            for histogram, batch in batches.items():
+                histogram._observe_all(batch)
 
     def timer(self, name: str) -> _Timer:
         """Time a ``with`` block into ``histogram(name)`` (nanoseconds)."""
@@ -383,24 +477,32 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Everything the registry knows, as one JSON-ready dict.
 
-        The metric maps are copied under the registry lock so a thread
-        creating a new counter mid-snapshot cannot break the iteration.
+        Pending spans are folded first.  The metric maps are copied
+        under the registry lock so a thread creating a new counter
+        mid-snapshot cannot break the iteration.
         """
+        self._fold()
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
+            gauges = {name: g.value for name, g in self._gauges.items() if g.listed}
             histograms = dict(self._histograms)
+            watched = dict(self._watched)
+        for name, ref in watched.items():
+            read = ref()
+            if read is not None:
+                gauges[name] = float(read())
         out: dict = {
             "enabled": self.enabled,
             "counters": {
-                name: counter.value for name, counter in sorted(counters.items())
+                name: counter.value
+                for name, counter in sorted(counters.items())
+                if counter.listed
             },
-            "gauges": {
-                name: gauge.value for name, gauge in sorted(gauges.items())
-            },
+            "gauges": dict(sorted(gauges.items())),
             "histograms": {
                 name: histogram.to_dict()
                 for name, histogram in sorted(histograms.items())
+                if histogram.listed
             },
         }
         for kind in sorted(self._sources):

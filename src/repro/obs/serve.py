@@ -49,6 +49,9 @@ _MAX_HEADERS = 100
 
 _HEAD_END = re.compile(rb"\r?\n\r?\n")  # a bare LF ends a line too
 
+#: Status code -> reason phrase, read once.
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+
 
 class HealthState:
     """Liveness/readiness split for a serving process.
@@ -103,7 +106,10 @@ class GracefulHTTPServer:
         self._active = 0
         self._idle = 0
         self._stopping = False
-        self._cond = threading.Condition()
+        # The counts' lock, taken as itself per connection (a plain lock
+        # is entered in C); drain() waits on the condition built on it.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._handlers: list[threading.Thread] = []
         # Backlog 128: a small one overflows under a burst of concurrent
         # connections, which shows up as 1s/3s SYN-retransmit latency
@@ -114,7 +120,7 @@ class GracefulHTTPServer:
         self._start_handler()
 
     def _start_handler(self) -> None:
-        """Start a handler thread, counted idle (later callers hold ``_cond``)."""
+        """Start a handler thread, counted idle (later callers hold ``_lock``)."""
         self._idle += 1
         handler = threading.Thread(
             target=self._handle_connections,
@@ -130,13 +136,13 @@ class GracefulHTTPServer:
             try:
                 connection, _address = self._listener.accept()
             except OSError:  # drain()'s wake, or a transient failure
-                with self._cond:
+                with self._lock:
                     if not self._stopping:
                         continue
                     self._idle -= 1
                     self._cond.notify_all()
                 return
-            with self._cond:
+            with self._lock:
                 self._active += 1
                 self._idle -= 1
                 if self._idle == 0 and not self._stopping:
@@ -148,10 +154,11 @@ class GracefulHTTPServer:
                 traceback.print_exc()
             finally:
                 connection.close()
-                with self._cond:
+                with self._lock:
                     self._active -= 1
                     self._idle += 1
-                    self._cond.notify_all()
+                    if self._stopping:  # only drain() waits on the counts
+                        self._cond.notify_all()
 
     def server_close(self) -> None:
         """Close the listener and stop the handler threads (a handler
@@ -171,7 +178,7 @@ class GracefulHTTPServer:
 
     @property
     def active_requests(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._active
 
     def drain(self, grace_s: float) -> bool:
@@ -199,13 +206,6 @@ class GracefulHTTPServer:
             )
 
 
-class _Headers(dict):
-    """Request headers, keyed by lower-cased name."""
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
-
-
 @functools.lru_cache(maxsize=1)
 def _http_date(second: int) -> str:
     """The ``Date`` header value — cached, so formatted once a second."""
@@ -216,7 +216,7 @@ class BaseEndpointHandler:
     """One connection, one request: read the head, route, reply once.
 
     Subclasses implement ``do_GET`` against ``command``, ``path`` and
-    ``headers`` (case-insensitive ``get``), set ``health`` (class
+    ``headers`` (a dict keyed by lower-cased name), set ``health`` (class
     attribute, bound per-server) and route unknown paths through
     :meth:`handle_health` before 404ing.  The parser accepts what this
     tier serves and nothing else: ``GET <target> HTTP/1.x`` plus at
@@ -285,7 +285,7 @@ class BaseEndpointHandler:
         if len(words) != 3:
             return 400, "bad request line"
         self.command, self.path, version = words
-        self.headers = _Headers()
+        self.headers: dict[str, str] = {}
         if not version.startswith("HTTP/"):
             return 400, "bad HTTP version"
         if not version.startswith("HTTP/1."):
@@ -314,7 +314,7 @@ class BaseEndpointHandler:
         # cap, so the in-flight count must mean *requests*, not
         # connections.
         head = (
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"HTTP/1.1 {status} {_PHRASES[status]}\r\n"
             "Server: repro\r\n"
             f"Date: {_http_date(int(time.time()))}\r\n"
             f"Content-Type: {content_type}\r\n"

@@ -15,7 +15,12 @@ write — the hot path pays one attribute load and a branch.
 Every *finished* span also records its duration into the registry
 histogram ``span.<name>``, so long-lived processes accumulate timing
 distributions (e.g. ``span.build.pass2`` across many builds) that
-``repro serve``'s ``/metrics`` and ``/snapshot`` export.
+``repro serve``'s ``/metrics`` and ``/snapshot`` export.  A span is
+recorded once, as it closes, and takes no lock: its duration joins the
+registry's pending queue (folded into the histogram when histograms
+are read) and is added to its parent's per-name totals, so
+:meth:`Span.total_ns` — a query profile's phase times — is a lookup,
+not a walk of the tree.
 
 Every root span carries a ``trace_id`` — taken from the ambient
 :func:`trace` context when one is active, freshly minted otherwise —
@@ -30,7 +35,7 @@ import os
 import random
 import time
 
-from repro.obs.registry import registry
+from repro.obs.registry import FOLD_AT, registry
 
 __all__ = [
     "NULL_SPAN",
@@ -60,8 +65,8 @@ if hasattr(os, "register_at_fork"):
 
 
 def new_trace_id() -> str:
-    """A fresh 16-hex-char trace id."""
-    return _ids.randbytes(8).hex()
+    """A fresh 16-hex-char trace id (``Random.randbytes(8)``'s bytes)."""
+    return _ids.getrandbits(64).to_bytes(8, "little").hex()
 
 
 def current_trace_id() -> str | None:
@@ -98,7 +103,7 @@ def trace(trace_id: str | None = None) -> _TraceContext:
 
 
 class Span:
-    """One timed section; use as a context manager."""
+    """One timed section; use as a context manager.  Made by :func:`span`."""
 
     __slots__ = (
         "name",
@@ -107,36 +112,39 @@ class Span:
         "start_ns",
         "end_ns",
         "children",
+        "totals",
+        "_parent",
         "_token",
     )
 
-    def __init__(self, name: str, attrs: dict | None = None) -> None:
-        self.name = name
-        self.attrs = attrs or {}
-        self.trace_id: str | None = None
-        self.start_ns = 0
-        self.end_ns = 0
-        self.children: list["Span"] = []
-        self._token: contextvars.Token | None = None
-
     def __enter__(self) -> "Span":
-        parent = _ACTIVE.get()
+        parent = self._parent = _ACTIVE.get()
         if parent is not None:
             parent.children.append(self)
             self.trace_id = parent.trace_id
         else:
-            # Root span: join the ambient trace, or start a new one.
-            self.trace_id = _TRACE.get() or new_trace_id()
+            # Root span: join the ambient trace, or start a new one
+            # (new_trace_id, inline).
+            self.trace_id = _TRACE.get() or _ids.getrandbits(64).to_bytes(8, "little").hex()
         self._token = _ACTIVE.set(self)
         self.start_ns = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.end_ns = time.perf_counter_ns()
-        if self._token is not None:
-            _ACTIVE.reset(self._token)
-            self._token = None
-        registry._span_histogram(self.name).observe(self.end_ns - self.start_ns)
+        self.end_ns = end = time.perf_counter_ns()
+        _ACTIVE.reset(self._token)
+        elapsed = end - self.start_ns
+        name = self.name
+        parent = self._parent
+        if parent is not None:
+            totals = parent.totals
+            totals[name] = totals.get(name, 0) + elapsed
+            for inner, spent in self.totals.items():
+                totals[inner] = totals.get(inner, 0) + spent
+        histogram = _span_histograms.get(name) or registry._span_histogram(name)
+        _pending.append((histogram, elapsed))
+        if len(_pending) >= FOLD_AT:
+            registry._fold()
 
     def set(self, **attrs) -> "Span":
         """Attach key/value attributes to the span."""
@@ -161,13 +169,9 @@ class Span:
         return None
 
     def total_ns(self, name: str) -> int:
-        """Summed duration of all descendant spans named ``name``."""
-        total = 0
-        for child in self.children:
-            if child.name == name:
-                total += child.duration_ns
-            total += child.total_ns(name)
-        return total
+        """Summed duration of the finished descendant spans named
+        ``name`` (each added up as it closed)."""
+        return self.totals.get(name, 0)
 
     def to_dict(self) -> dict:
         """The span tree (name, trace id, duration, attrs, children),
@@ -181,6 +185,11 @@ class Span:
         }
 
 
+_new_span = object.__new__
+_span_histograms = registry._span_histograms
+_pending = registry._pending
+
+
 class _NullSpan:
     """Shared no-op stand-in returned while tracing is disabled."""
 
@@ -188,7 +197,8 @@ class _NullSpan:
 
     children: tuple = ()
     attrs: dict = {}
-    duration_ns = 0
+    totals: dict = {}
+    start_ns = end_ns = duration_ns = 0
     trace_id = None
 
     def __enter__(self) -> "_NullSpan":
@@ -211,10 +221,18 @@ NULL_SPAN = _NullSpan()
 
 
 def span(name: str, **attrs):
-    """Open a span named ``name`` (no-op singleton when disabled)."""
+    """A span named ``name`` to open with ``with`` (the no-op singleton
+    when disabled)."""
     if not registry.enabled:
         return NULL_SPAN
-    return Span(name, attrs or None)
+    made = _new_span(Span)
+    made.name = name
+    made.attrs = attrs
+    made.children = []
+    made.totals = {}
+    made.trace_id = None
+    made.end_ns = 0
+    return made
 
 
 def current_span() -> Span | None:

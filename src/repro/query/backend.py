@@ -28,8 +28,9 @@ Vocabulary every backend offers:
   ``MatrixStore`` and row-only sources do not;
 - the facts the planner and the profiler read: ``rank``,
   ``delta_index``, ``deltas_lost``, ``paged_store``, ``pricing`` (the
-  planner's per-source constants), ``pool_stats`` / ``io_stats``,
-  ``summaries``, ``start_date``, ``rmspe_estimate``.
+  planner's per-source constants), ``counters`` (the stat structs a
+  query profile diffs), ``name``, ``summaries``, ``start_date``,
+  ``rmspe_estimate``.
 """
 
 from __future__ import annotations
@@ -76,20 +77,24 @@ class Backend:
     delta_index: DeltaIndex | None = None
     _anchor: Callable[[], str | None] = _none
 
-    @property
+    @cached_property
     def name(self) -> str:
         """The source's class name, for dumped profiles."""
         return type(self.source).__name__
 
-    @property
-    def pool_stats(self):
-        """Buffer-pool counters of the paged store (None without one)."""
-        return None if self.paged_store is None else self.paged_store.pool_stats
-
-    @property
-    def io_stats(self):
-        """Pager counters of the paged store (None without one)."""
-        return None if self.paged_store is None else self.paged_store.io_stats
+    @cached_property
+    def counters(self) -> tuple:
+        """``(pool stats, I/O stats, delta-index stats)`` — the paged
+        store's buffer-pool and pager counters and the outlier index's
+        lookup counts, each None when absent: what a query profile
+        diffs (:func:`repro.obs.profile.counters`).  Each is one live
+        struct for the source's life, so it is resolved once."""
+        store, index = self.paged_store, self.delta_index
+        return (
+            None if store is None else store.pool_stats,
+            None if store is None else store.io_stats,
+            None if index is None else index.stats,
+        )
 
     @cached_property
     def summaries(self):

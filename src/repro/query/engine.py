@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import operator
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import QueryError
-from repro.obs.profile import QueryProfile, StatDelta
+from repro.obs.profile import QueryProfile, counters
 from repro.obs.registry import registry as _obs
 from repro.obs.slowlog import slow_query_log as _slowlog
 from repro.obs.tracing import span as _span
@@ -37,6 +36,7 @@ from repro.plan.planner import (
     ROUTE_STREAM,
     ROUTE_SUMMARY,
     ROUTE_SVD,
+    ROUTES,
     QueryPlan,
     plan_aggregate,
     validate_max_rmspe,
@@ -51,6 +51,11 @@ from repro.storage.matrix_store import Ascending
 #: Aggregate functions supported by :class:`AggregateQuery` (Section 5.2
 #: names sum, avg, stddev as examples; count/min/max round out the set).
 AGGREGATES = ("sum", "avg", "count", "min", "max", "stddev")
+
+#: ``planner.route.<route>``, bound once: an executed plan counts here.
+_ROUTED = {route: _obs.bind_counter(f"planner.route.{route}") for route in ROUTES}
+_SUMMARY_PATH = _obs.bind_counter(f"query.path.{ROUTE_SUMMARY}")
+_sub = operator.sub
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class AggregateQuery:
             raise QueryError(
                 f"unknown aggregate {self.function!r}; expected one of {AGGREGATES}"
             )
-        object.__setattr__(self, "max_rmspe", validate_max_rmspe(self.max_rmspe))
+        if self.max_rmspe is not None:
+            object.__setattr__(self, "max_rmspe", validate_max_rmspe(self.max_rmspe))
 
 
 @dataclass(frozen=True)
@@ -248,8 +254,12 @@ class QueryEngine:
         :class:`~repro.obs.profile.QueryProfile` measuring the probe's
         page accesses and wall time.
         """
-        # The common probe, a pair of ints, needs no CellQuery.
-        row, col = query if type(query) is tuple and len(query) == 2 else (None, None)
+        # The common probes, a CellQuery or a pair of ints, are read as
+        # they are.
+        if type(query) is CellQuery:
+            row, col = query.row, query.col
+        else:
+            row, col = query if type(query) is tuple and len(query) == 2 else (None, None)
         if type(row) is not int or type(col) is not int:
             query = _as_cell_query(query)
             row, col = query.row, query.col
@@ -260,8 +270,8 @@ class QueryEngine:
             _check_cell(row, col, (rows, cols))
         if not _obs.enabled:
             return QueryResult(float(backend.cell(row, col)), 1, 1, None, route, bound)
-        capture = StatDelta(backend)
-        start = time.perf_counter_ns()
+        sources = backend.counters
+        before = counters(sources)
         with _span("query.cell", row=row, col=col) as root:
             value = float(backend.cell(row, col))
         profile = QueryProfile(
@@ -269,12 +279,13 @@ class QueryEngine:
             None,
             1,
             1,
-            *capture.collect(),
-            total_ns=time.perf_counter_ns() - start,
+            *map(_sub, counters(sources), before),
+            total_ns=root.end_ns - root.start_ns,
             backend=backend.name,
             trace_id=root.trace_id or "",
         )
-        _slowlog.maybe_record(query, profile, root)
+        if _slowlog.threshold_ns is not None:
+            _slowlog.maybe_record(query, profile, root)
         return QueryResult(value, 1, 1, profile, route, bound)
 
     def plan(
@@ -341,34 +352,40 @@ class QueryEngine:
             plan = self._plan(query, backend, max_rmspe)
         elif plan.backend is not backend:
             plan = self._plan(query, backend, plan.max_rmspe)
+        function = query.function
         if not _obs.enabled:
-            return self._execute_plan(query, plan)
-        _obs.counter(f"planner.route.{plan.route.name}").inc()
-        capture = StatDelta(backend)
-        start = time.perf_counter_ns()
-        with _span("query.aggregate", function=query.function) as root:
-            result = self._execute_plan(query, plan)
+            value, cells, rows_fetched, route, bound = self._answer(function, plan)
+            return QueryResult(value, cells, rows_fetched, None, route, bound)
+        _ROUTED[plan.route.name].inc()
+        sources = backend.counters
+        before = counters(sources)
+        with _span("query.aggregate", function=function) as root:
+            value, cells, rows_fetched, route, bound = self._answer(function, plan)
+        phases = root.totals
         profile = QueryProfile(
-            result.route,
-            query.function,
-            result.cells_touched,
-            result.rows_fetched,
-            *capture.collect(),
-            total_ns=time.perf_counter_ns() - start,
-            gather_ns=root.total_ns("query.factor.gather"),
-            gemm_ns=root.total_ns("query.factor.gemm"),
-            delta_ns=root.total_ns("query.factor.delta"),
-            stream_ns=root.total_ns("query.stream.scan"),
+            route,
+            function,
+            cells,
+            rows_fetched,
+            *map(_sub, counters(sources), before),
+            total_ns=root.end_ns - root.start_ns,
+            gather_ns=phases.get("query.factor.gather", 0),
+            gemm_ns=phases.get("query.factor.gemm", 0),
+            delta_ns=phases.get("query.factor.delta", 0),
+            stream_ns=phases.get("query.stream.scan", 0),
             backend=backend.name,
             trace_id=root.trace_id or "",
-            error_bound=result.error_bound,
+            error_bound=bound,
             predicted_pages=plan.route.pages,
         )
-        _slowlog.maybe_record(query, profile, root)
-        return replace(result, profile=profile)
+        if _slowlog.threshold_ns is not None:
+            _slowlog.maybe_record(query, profile, root)
+        return QueryResult(value, cells, rows_fetched, profile, route, bound)
 
-    def _execute_plan(self, query: AggregateQuery, plan: QueryPlan) -> QueryResult:
-        """Execute the planner's chosen route against one snapshot.
+    def _answer(self, function: str, plan: QueryPlan) -> tuple:
+        """Execute the planner's chosen route against one snapshot:
+        ``(value, cells_touched, rows_fetched, route, error_bound)``,
+        the fields of the :class:`QueryResult` the caller builds once.
 
         ``plan.backend`` is the one reference the plan was made
         against, so the whole evaluation — planning, fast path, and
@@ -378,60 +395,26 @@ class QueryEngine:
         backend, row_idx, col_idx = plan.backend, plan.row_idx, plan.col_idx
         route = plan.route.name
         if route == ROUTE_SUMMARY:
-            return self._run_summary(query.function, plan)
+            # A summary hit: no ``u.mat`` pages.
+            comps = plan.summary_plan
+            if _obs.enabled:
+                _SUMMARY_PATH.inc()
+            return _finalize_components(function, comps), comps.count, 0, route, 0.0
         if route in (ROUTE_FACTOR, ROUTE_SVD):
             # The planner admitted this route on the same immutable
             # backend, so its factor form cannot have gone away.
             value, rows_fetched = factor_aggregate(
-                backend,
-                row_idx,
-                col_idx,
-                query.function,
-                fold_deltas=route == ROUTE_FACTOR,
+                backend, row_idx, col_idx, function, fold_deltas=route == ROUTE_FACTOR
             )
-            return QueryResult(
-                value=value,
-                cells_touched=plan.cells,
-                rows_fetched=rows_fetched,
-                route=route,
-                error_bound=plan.route.error_bound,
-            )
-        return self._run_stream(query.function, row_idx, col_idx, backend)
-
-    def _run_summary(self, function: str, plan: QueryPlan) -> QueryResult:
-        """Serve a summary hit chosen by the planner: no ``u.mat`` pages."""
-        comps = plan.summary_plan
-        if _obs.enabled:
-            _obs.counter(f"query.path.{ROUTE_SUMMARY}").inc()
-        return QueryResult(
-            value=_finalize_components(function, comps),
-            cells_touched=comps.count,
-            rows_fetched=0,
-            route=ROUTE_SUMMARY,
-            error_bound=0.0,
-        )
-
-    def _run_stream(
-        self,
-        function: str,
-        row_idx: np.ndarray,
-        col_idx: np.ndarray,
-        backend: Backend,
-    ) -> QueryResult:
-        """Stream the selected rows in vectorized blocks (exact)."""
+            return value, plan.cells, rows_fetched, route, plan.route.error_bound
+        # Stream the selected rows in vectorized blocks (exact).
         if _obs.enabled:
             with _span("query.stream.scan", rows=int(row_idx.size)):
                 comps = stream_components(backend, row_idx, col_idx, function)
         else:
             comps = stream_components(backend, row_idx, col_idx, function)
         value = _finalize_components(function, comps)
-        return QueryResult(
-            value=value,
-            cells_touched=comps.count,
-            rows_fetched=int(row_idx.size),
-            route=ROUTE_STREAM,
-            error_bound=0.0,
-        )
+        return value, comps.count, int(row_idx.size), ROUTE_STREAM, 0.0
 
     def try_summary(self, query) -> QueryResult | None:
         """Answer an aggregate *entirely* from the summary store.
@@ -459,7 +442,7 @@ class QueryEngine:
         value = _finalize_components(query.function, comps)
         profile = None
         if _obs.enabled:
-            _obs.counter("query.path.summary").inc()
+            _SUMMARY_PATH.inc()
             profile = QueryProfile(
                 path="summary",
                 function=query.function,

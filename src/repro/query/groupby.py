@@ -21,13 +21,16 @@ import numpy as np
 
 from repro.exceptions import QueryError
 from repro.obs.registry import registry as _obs
-from repro.query.backend import as_backend
+from repro.query.backend import Backend, as_backend
 from repro.query.components import Components, finalize
 from repro.summaries.compute import S_MAX, S_MIN, S_SUM, S_SUMSQ
 from repro.summaries.store import GROUP_BY_AXES, SummaryStore
 
 #: Rows per block when streaming a profile.
 _PROFILE_BLOCK_ROWS = 512
+
+#: ``groupby.path.<path>``, bound once.
+_PATHS = {path: _obs.bind_counter(f"groupby.path.{path}") for path in ("summary", "stream")}
 
 
 def _stream_profiles(adapter):
@@ -90,7 +93,7 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
         )
     if limit is not None and limit < 1:
         raise QueryError(f"limit must be >= 1, got {limit}")
-    adapter = as_backend(backend)
+    adapter = backend if isinstance(backend, Backend) else as_backend(backend)
     num_rows, num_cols = adapter.shape
     store = adapter.summaries
     path = "stream" if store is None else "summary"
@@ -105,22 +108,22 @@ def bucket_series(backend, by: str, function: str, limit: int | None = None) -> 
         if limit is not None and limit < values.size:
             order = np.argsort(values)[::-1][:limit]
             labels, values = labels[order], values[order]
-        payload = {"labels": [int(label) for label in labels]}
+        payload = {"labels": labels.tolist()}
     else:
         edges, stats = store.rollup(by)
-        counts = np.diff(edges).astype(np.float64) * num_rows
+        counts = (edges[1:] - edges[:-1]).astype(np.float64) * num_rows
         values = _series(function, stats, counts)
         if limit is not None and (edges.size - 1) > limit:
             edges = edges[-(limit + 1) :]
             values = values[-limit:]
-        payload = {"edges": [int(edge) for edge in edges]}
+        payload = {"edges": edges.tolist()}
     if _obs.enabled:
-        _obs.counter(f"groupby.path.{path}").inc()
+        _PATHS[path].inc()
     return {
         "by": by,
         "function": function,
         "buckets": int(values.size),
-        "values": [float(value) for value in values],
+        "values": values.astype(np.float64).tolist(),
         "path": path,
         **payload,
     }

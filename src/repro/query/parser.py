@@ -37,8 +37,31 @@ _AGG_RE = re.compile(
 )
 
 
-def _parse_indices(text: str, what: str):
-    """Parse '0:100', '7', or '3,17,42' into a Selection-compatible value."""
+#: What a range or a list may hold: digits, ':', ',' and whitespace.
+_INDICES_RE = re.compile(r"[0-9:,\s]+")
+
+
+def parse_function(text: str) -> str:
+    """An aggregate function's name, case and surrounding space aside;
+    raises :class:`QueryError` for a name outside :data:`AGGREGATES`."""
+    function = text.strip().lower()
+    if function not in AGGREGATES:
+        raise QueryError(
+            f"unknown aggregate {function!r}; expected one of {AGGREGATES}"
+        )
+    return function
+
+
+def parse_indices(text: str, what: str):
+    """Parse '0:100', '7', or '3,17,42' into a Selection-compatible value.
+
+    ``what`` names the clause or parameter (``rows``/``cols``) in the
+    :class:`QueryError` a malformed one raises.
+    """
+    if not _INDICES_RE.fullmatch(text):
+        raise QueryError(
+            f"bad {what} {text!r}; expected start:stop, an index or a comma list"
+        )
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -69,16 +92,12 @@ def parse_query(text: str) -> CellQuery | AggregateQuery:
             f"cannot parse query {text!r}; expected e.g. "
             "'avg() rows 0:100 cols 7:14' or 'cell(3, 5)'"
         )
-    function = agg_match.group("fn").lower()
-    if function not in AGGREGATES:
-        raise QueryError(
-            f"unknown aggregate {function!r}; expected one of {AGGREGATES}"
-        )
+    function = parse_function(agg_match.group("fn"))
     rows_text = agg_match.group("rows")
     cols_text = agg_match.group("cols")
     selection = Selection(
-        rows=_parse_indices(rows_text, "rows") if rows_text else None,
-        cols=_parse_indices(cols_text, "cols") if cols_text else None,
+        rows=parse_indices(rows_text, "rows") if rows_text else None,
+        cols=parse_indices(cols_text, "cols") if cols_text else None,
     )
     return AggregateQuery(function, selection)
 

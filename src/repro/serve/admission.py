@@ -18,8 +18,11 @@ Two guards, checked at admission time:
 
 Both fire :class:`~repro.exceptions.OverloadedError` (the HTTP tier
 maps it to ``503`` + ``Retry-After``) and count into
-``server.shed.<reason>``.  Admission itself is a context-managed
-ticket so the depth gauge can never leak on an error path.
+``server.shed.<reason>``.  Admission itself is a ticket, released once
+(a context manager, or ``release()`` in a ``finally``), so the depth
+can never leak on an error path.  The ``server.queue_depth`` and
+``server.queue_age_ms`` gauges are watched: a snapshot reads them off
+the in-flight table, and no request writes them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ from repro.exceptions import OverloadedError
 from repro.obs.registry import registry as _obs
 
 __all__ = ["AdmissionController"]
+
+_ADMITTED = _obs.bind_counter("server.admitted")
+_SHED = _obs.bind_counter("server.shed")
 
 
 class AdmissionController:
@@ -55,8 +61,13 @@ class AdmissionController:
         self._inflight: dict[int, int] = {}
         self.admitted_total = 0
         self.shed_total = 0
+        _obs.watch("server.queue_depth", self._depth_gauge)
+        _obs.watch("server.queue_age_ms", self.oldest_age_ms)
 
     # -- observation ----------------------------------------------------
+
+    def _depth_gauge(self) -> float:
+        return float(len(self._inflight))
 
     @property
     def depth(self) -> int:
@@ -75,10 +86,6 @@ class AdmissionController:
         oldest_ns = next(iter(self._inflight.values()))
         return (now_ns - oldest_ns) / 1e6
 
-    def _publish_locked(self, now_ns: int) -> None:
-        _obs.gauge("server.queue_depth").set(len(self._inflight))
-        _obs.gauge("server.queue_age_ms").set(self._oldest_age_ms_locked(now_ns))
-
     # -- admission ------------------------------------------------------
 
     def shed(self, reason: str, message: str | None = None) -> OverloadedError:
@@ -90,7 +97,7 @@ class AdmissionController:
         """
         with self._lock:
             self.shed_total += 1
-        _obs.counter("server.shed").inc()
+        _SHED.inc()
         _obs.counter(f"server.shed.{reason}").inc()
         return OverloadedError(
             message or f"overloaded ({reason}); retry after "
@@ -108,19 +115,22 @@ class AdmissionController:
                 ... run the query ...
         """
         now_ns = time.monotonic_ns()
+        inflight = self._inflight
         with self._lock:
-            if len(self._inflight) >= self.max_depth:
-                depth = len(self._inflight)
-            elif self._oldest_age_ms_locked(now_ns) > self.max_age_ms:
+            depth = len(inflight)
+            if depth >= self.max_depth:
+                pass
+            elif depth and (now_ns - next(iter(inflight.values()))) / 1e6 > self.max_age_ms:
                 raise self._shed_locked_age(now_ns)
             else:
-                self._next_ticket += 1
-                ticket = self._next_ticket
-                self._inflight[ticket] = now_ns
+                self._next_ticket = ticket = self._next_ticket + 1
+                inflight[ticket] = now_ns
                 self.admitted_total += 1
-                self._publish_locked(now_ns)
-                _obs.counter("server.admitted").inc()
-                return _Ticket(self, ticket)
+                _ADMITTED.inc()
+                admitted = _new_ticket(_Ticket)
+                admitted._controller = self
+                admitted._id = ticket
+                return admitted
         # Depth shed: raise outside the lock (shed() re-acquires it).
         raise self.shed(
             "depth",
@@ -131,7 +141,7 @@ class AdmissionController:
     def _shed_locked_age(self, now_ns: int) -> OverloadedError:
         # Called with the lock held; inline the shed bookkeeping.
         self.shed_total += 1
-        _obs.counter("server.shed").inc()
+        _SHED.inc()
         _obs.counter("server.shed.age").inc()
         age = self._oldest_age_ms_locked(now_ns)
         return OverloadedError(
@@ -141,12 +151,6 @@ class AdmissionController:
             retry_after_s=self.retry_after_s,
             reason="age",
         )
-
-    def _release(self, ticket: int) -> None:
-        now_ns = time.monotonic_ns()
-        with self._lock:
-            self._inflight.pop(ticket, None)
-            self._publish_locked(now_ns)
 
     def wait_idle(self, grace_s: float) -> bool:
         """Busy-wait (coarsely) until no requests are in flight.
@@ -164,22 +168,23 @@ class AdmissionController:
 
 
 class _Ticket:
-    """One admitted request; releasing is idempotent."""
+    """One admitted request; releasing is idempotent.  Made by
+    :meth:`AdmissionController.admit`."""
 
-    __slots__ = ("_controller", "_id", "_released")
-
-    def __init__(self, controller: AdmissionController, ticket_id: int) -> None:
-        self._controller = controller
-        self._id = ticket_id
-        self._released = False
+    __slots__ = ("_controller", "_id")
 
     def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._controller._release(self._id)
+        ticket, self._id = self._id, None
+        if ticket is not None:
+            controller = self._controller
+            with controller._lock:
+                controller._inflight.pop(ticket, None)
 
     def __enter__(self) -> "_Ticket":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.release()
+
+
+_new_ticket = object.__new__

@@ -64,8 +64,10 @@ from repro.exceptions import (
 )
 from repro.obs.registry import registry as _obs
 from repro.plan import ROUTE_STREAM, ROUTE_SUMMARY, ROUTE_SVD
+from repro.query.backend import as_backend
 from repro.query.engine import (
     AggregateQuery,
+    CellQuery,
     QueryEngine,
     coerce_query,
     usable_cpu_count,
@@ -76,6 +78,11 @@ from repro.serve.admission import AdmissionController
 from repro.serve.config import ServeConfig
 
 __all__ = ["RobustDispatcher"]
+
+_ANSWERS = _obs.bind_counter("server.answers")
+_GATHERS = _obs.bind_counter("server.gathers")
+_SUMMARY_HITS = _obs.bind_counter("server.summary.hits")
+_SUMMARY_MISSES = _obs.bind_counter("server.summary.misses")
 
 
 class RobustDispatcher:
@@ -106,12 +113,15 @@ class RobustDispatcher:
         self._backend = CompressedMatrix.open(
             self.model_dir, on_corrupt=self.config.on_corrupt, mapped=True
         )
+        # Resolved once, for the engine and the group-bys alike.
+        self._resolved = as_backend(self._backend)
         # One engine, healthy or in brownout (a degraded open stays in
         # brownout): brownout changes the budget, nothing else.
-        self._engine = QueryEngine(self._backend)
+        self._engine = QueryEngine(self._resolved)
         self.model_degraded = self._backend.degraded
         #: Brownout's budget and ``svd`` answers' stamp.
         self.rmspe = self._backend.rmspe_estimate
+        self._default_budget_ns = int(self.config.clamp_timeout_ms(None) * 1e6)
         self._shed_times: deque[float] = deque()
         self._shed_lock = threading.Lock()
         self._count_lock = threading.Lock()
@@ -124,6 +134,7 @@ class RobustDispatcher:
         self.summary_hits = 0
         self.summary_misses = 0
         self.summary_brownout_hits = 0
+        _obs.watch("server.brownout", self._brownout_gauge)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -187,14 +198,15 @@ class RobustDispatcher:
         """True while the server plans under the model's stated error:
         sustained shedding, or a model that opened degraded."""
         if self.model_degraded:
-            active = True
-        else:
-            now = time.monotonic()
-            with self._shed_lock:
-                self._prune_sheds_locked(now)
-                active = len(self._shed_times) >= self.config.brownout_sheds
-        _obs.gauge("server.brownout").set(1 if active else 0)
-        return active
+            return True
+        now = time.monotonic()
+        with self._shed_lock:
+            self._prune_sheds_locked(now)
+            return len(self._shed_times) >= self.config.brownout_sheds
+
+    def _brownout_gauge(self) -> float:
+        """The ``server.brownout`` gauge, read at each snapshot."""
+        return 1.0 if self.brownout_active() else 0.0
 
     # -- dispatch -------------------------------------------------------
 
@@ -228,6 +240,12 @@ class RobustDispatcher:
             raise RouteUnavailableError("streaming per-cell values is shed in brownout")
         return plan
 
+    def _budget_ns(self, timeout_ms: float | None) -> int:
+        """A request's time to answer: its clamped timeout, or the default."""
+        if timeout_ms is None:
+            return self._default_budget_ns
+        return int(self.config.clamp_timeout_ms(timeout_ms) * 1e6)
+
     def dispatch(self, query, timeout_ms: float | None = None) -> dict:
         """Answer one request under the full robustness policy.
 
@@ -242,16 +260,20 @@ class RobustDispatcher:
         Returns the response payload dict (value, accounting, degraded
         stamp, elapsed time).
         """
-        coerced = coerce_query(query)  # QueryError propagates (→ 400)
-        budget_ms = self.config.clamp_timeout_ms(timeout_ms)
+        if type(query) is not CellQuery and type(query) is not AggregateQuery:
+            query = coerce_query(query)  # QueryError propagates (→ 400)
         start_ns = time.monotonic_ns()
-        deadline_ns = start_ns + int(budget_ms * 1e6)
-        with self._admit():
+        deadline_ns = start_ns + self._budget_ns(timeout_ms)
+        ticket = self._admit()
+        try:
             if time.monotonic_ns() >= deadline_ns:
                 raise self._deadline_miss(start_ns, deadline_ns)
-            brownout = self.brownout_active()
+            # Asked only while something was shed in the window.
+            brownout = self.model_degraded or (
+                bool(self._shed_times) and self.brownout_active()
+            )
             try:
-                result, gathered = self._execute(coerced, brownout, start_ns, deadline_ns)
+                result, gathered = self._execute(query, brownout, start_ns, deadline_ns)
             except RouteUnavailableError:
                 self._note_shed()
                 raise self.admission.shed(
@@ -263,16 +285,38 @@ class RobustDispatcher:
             if time.monotonic_ns() >= deadline_ns:
                 # Computed, but late: a 200 never follows its deadline.
                 raise self._deadline_miss(start_ns, deadline_ns)
-            self._count("answers", "server.answers")
+        finally:
+            ticket.release()
+        with self._count_lock:
+            self.answers += 1
             if gathered:
-                self._count("gathers", "server.gathers")
-            # The bare SVD (a cell of a store that lost its deltas too).
-            degraded = result.route == ROUTE_SVD
-            if degraded:
-                self._count("degraded_answers", "server.degraded_answers")
-            elif brownout and result.route == ROUTE_SUMMARY:
-                self._count("summary_brownout_hits", "server.summary.brownout_hits")
-            return self._payload(result, start_ns, degraded=degraded)
+                self.gathers += 1
+        _ANSWERS.inc()
+        if gathered:
+            _GATHERS.inc()
+        route = result.route
+        # The bare SVD (a cell of a store that lost its deltas too).
+        degraded = route == ROUTE_SVD
+        if degraded:
+            self._count("degraded_answers", "server.degraded_answers")
+        elif brownout and route == ROUTE_SUMMARY:
+            self._count("summary_brownout_hits", "server.summary.brownout_hits")
+        payload = {
+            "value": result.value,
+            "cells": result.cells_touched,
+            "rows_fetched": result.rows_fetched,
+            "degraded": degraded,
+            "elapsed_ms": round((time.monotonic_ns() - start_ns) / 1e6, 3),
+        }
+        if route:
+            payload["route"] = route
+            payload["error_bound"] = result.error_bound
+        if degraded:
+            payload["rmspe_estimate"] = self.rmspe
+        profile = result.profile
+        if profile is not None and profile.trace_id:
+            payload["trace_id"] = profile.trace_id
+        return payload
 
     def _deadline_miss(self, start_ns: int, deadline_ns: int) -> DeadlineExceededError:
         self._count("deadline_misses", "server.deadline_misses")
@@ -287,8 +331,10 @@ class RobustDispatcher:
         ``row_fetches``, not ``pages``: a mapped backend's pages are
         logical only, so every route plans ``pages == 0``.
         """
+        if type(query) is CellQuery:
+            return self._engine.execute(query), False
         plan = self._plan(query, brownout)
-        if plan is None or plan.route.row_fetches == 0:
+        if plan.route.row_fetches == 0:
             return self._engine.execute(query, plan=plan), False
         left_s = max(0.0, (deadline_ns - time.monotonic_ns()) / 1e9)
         if not self._slots.acquire(timeout=left_s):
@@ -298,43 +344,44 @@ class RobustDispatcher:
         finally:
             self._slots.release()
 
-    def _payload(self, result, start_ns: int, degraded: bool) -> dict:
-        elapsed_ms = (time.monotonic_ns() - start_ns) / 1e6
-        payload = {
-            "value": result.value,
-            "cells": result.cells_touched,
-            "rows_fetched": result.rows_fetched,
-            "degraded": degraded,
-            "elapsed_ms": round(elapsed_ms, 3),
-        }
-        if result.route:
-            payload["route"] = result.route
-            payload["error_bound"] = result.error_bound
-        if degraded:
-            payload["rmspe_estimate"] = self.rmspe
-        if result.profile is not None and result.profile.trace_id:
-            payload["trace_id"] = result.profile.trace_id
-        return payload
-
-    def groupby(self, by: str, function: str, limit: int | None = None) -> dict:
+    def groupby(
+        self,
+        by: str,
+        function: str,
+        limit: int | None = None,
+        timeout_ms: float | None = None,
+    ) -> dict:
         """A whole dashboard series from the summary store.
 
         A summary hit reads only the small rollup arrays (zero
         ``u.mat`` pages), so a group-by never takes a gather slot.
-        Admission still applies: a model without a store streams the
-        series, which is real work.  Raises :class:`~repro.exceptions.QueryError` for a
-        bad axis/function, :class:`~repro.exceptions.OverloadedError`
-        when shed.
+        Admission and the deadline still apply, as in :meth:`dispatch`:
+        a model without a store streams the series, which is real work.
+        Raises :class:`~repro.exceptions.QueryError` for a bad
+        axis/function, :class:`~repro.exceptions.OverloadedError` when
+        shed, :class:`~repro.exceptions.DeadlineExceededError` past the
+        deadline.
         """
         start_ns = time.monotonic_ns()
-        with self._admit():
-            series = bucket_series(self._backend, by, function, limit)
+        deadline_ns = start_ns + self._budget_ns(timeout_ms)
+        ticket = self._admit()
+        try:
+            if time.monotonic_ns() >= deadline_ns:
+                raise self._deadline_miss(start_ns, deadline_ns)
+            series = bucket_series(self._resolved, by, function, limit)
+            if time.monotonic_ns() >= deadline_ns:
+                raise self._deadline_miss(start_ns, deadline_ns)
+        finally:
+            ticket.release()
         path = series["path"]
-        if path == "summary":
-            self._count("summary_hits", "server.summary.hits")
-        else:
-            self._count("summary_misses", "server.summary.misses")
-        series["degraded"] = self._backend.deltas_lost and path != "summary"
+        hit = path == "summary"
+        with self._count_lock:
+            if hit:
+                self.summary_hits += 1
+            else:
+                self.summary_misses += 1
+        (_SUMMARY_HITS if hit else _SUMMARY_MISSES).inc()
+        series["degraded"] = self._resolved.deltas_lost and path != "summary"
         series["elapsed_ms"] = round((time.monotonic_ns() - start_ns) / 1e6, 3)
         return series
 

@@ -34,12 +34,22 @@ Every request is computed by the handler thread that read it
 first takes one of ``workers`` slots (``gathers``), waiting no longer
 than its deadline.
 
-Every query route accepts a deadline as ``?timeout_ms=`` or the
+A request target becomes engine query objects in one step: its query
+string is split once (``%xx`` and ``+`` decoded, the last value of a
+repeated name wins, as ``parse_qs`` reads it), ``/cell`` is a
+``CellQuery`` of two ints, and ``/aggregate`` an ``AggregateQuery``
+whose ``rows`` and ``cols`` are each read as a range or a list on
+their own (:func:`~repro.query.parser.parse_indices`); ``/query`` and
+``/explain`` parse their text.
+
+Every query route (``/query``, ``/cell``, ``/aggregate``, ``/groupby``,
+``/explain``) reads a deadline as ``?timeout_ms=`` or the
 ``X-Repro-Deadline-Ms`` header (query param wins), clamped to the
-configured maximum.  ``/query``, ``/aggregate``, and ``/explain``
-additionally accept ``?max_rmspe=`` — the per-query error budget the
-planner enforces (0 demands exactness; a positive fraction admits the
-approximate SVD-only route when the model's stored estimate fits).
+configured maximum; a malformed one is a 400 on each.  ``/query``,
+``/aggregate``, and ``/explain`` additionally accept ``?max_rmspe=`` —
+the per-query error budget the planner enforces (0 demands exactness; a
+positive fraction admits the approximate SVD-only route when the
+model's stored estimate fits).
 
 **Error contract** — the handler maps exceptions, never leaks them:
 
@@ -53,8 +63,8 @@ anything else                         500     generic JSON, no traceback
 ====================================  ======  ==========================
 
 A deadline that passes while a gather waits for a slot is a 504 before
-any compute; one that passes while the gather *runs* is a 504 when the
-compute ends (a thread cannot be abandoned mid-flight).
+any compute; one that passes while the gather (or a group-by) *runs* is
+a 504 when the compute ends (a thread cannot be abandoned mid-flight).
 
 **Lifecycle** — ``start()`` warms the serving engine *before* accepting
 traffic (one cell, one rollup, one gather: no request builds a lazy
@@ -74,7 +84,7 @@ import math
 import signal
 import threading
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from repro.exceptions import (
     DeadlineExceededError,
@@ -91,7 +101,8 @@ from repro.obs.serve import (
     HealthState,
 )
 from repro.query.engine import AggregateQuery, CellQuery
-from repro.query.parser import parse_query
+from repro.query.parser import parse_function, parse_indices, parse_query
+from repro.query.selection import Selection
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
 
@@ -104,6 +115,31 @@ def _error_body(kind: str, message: str) -> bytes:
     return json.dumps({"error": kind, "message": message}).encode()
 
 
+def _split_target(target: str) -> tuple[str, dict]:
+    """``(path, params)`` of a request target, ``params`` holding the
+    last value of each name, as ``parse_qs(keep_blank_values=True)``
+    and a last-wins pick read them; raises ``ValueError`` where
+    ``urlsplit`` does.  An origin-form target (``/path?query``, no
+    fragment) is split here; any other form goes through ``urlsplit``.
+    """
+    if target[:1] == "/" and target[1:2] != "/" and "#" not in target:
+        path, _mark, query = target.partition("?")
+    else:
+        split = urlsplit(target)
+        path, query = split.path, split.query
+    params = {}
+    if query:
+        for field in query.split("&"):
+            if field:
+                name, _eq, value = field.partition("=")
+                if "+" in name or "%" in name:
+                    name = unquote(name.replace("+", " "))
+                if "+" in value or "%" in value:
+                    value = unquote(value.replace("+", " "))
+                params[name] = value
+    return path, params
+
+
 class _QueryHandler(BaseEndpointHandler):
     """Routes one request; all state lives on the bound server object."""
 
@@ -113,35 +149,15 @@ class _QueryHandler(BaseEndpointHandler):
 
     def do_GET(self) -> None:
         try:
-            split = urlsplit(self.path)
-            path = split.path
-            params = parse_qs(split.query, keep_blank_values=True)
+            path, params = _split_target(self.path)
         except ValueError:
             self._reply(400, _JSON, _error_body("bad_request", "unparseable URL"))
             return
         try:
-            if self.handle_health(path):
-                return
-            if path == "/metrics":
-                body = render_openmetrics().encode()
-                self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
-            elif path == "/snapshot":
-                body = json.dumps(_obs.snapshot(), default=str).encode()
-                self._reply(200, _JSON, body)
-            elif path == "/stats":
-                body = json.dumps(self.dispatcher.stats(), default=str).encode()
-                self._reply(200, _JSON, body)
-            elif path == "/query":
-                self._run_query(self._text_query(params), params)
-            elif path == "/cell":
-                self._run_query(self._cell_query(params), params)
-            elif path == "/aggregate":
-                self._run_query(self._aggregate_query(params), params)
-            elif path == "/groupby":
-                self._groupby(params)
-            elif path == "/explain":
-                self._explain(params)
-            else:
+            route = _ROUTES.get(path)
+            if route is not None:
+                route(self, params)
+            elif not self.handle_health(path):
                 self._reply(
                     404, _JSON, _error_body("not_found", f"no route {path}")
                 )
@@ -172,60 +188,10 @@ class _QueryHandler(BaseEndpointHandler):
 
     # -- request parsing ------------------------------------------------
 
-    @staticmethod
-    def _one(params: dict, name: str) -> str | None:
-        values = params.get(name)
-        if not values:
-            return None
-        return values[-1]
-
-    def _text_query(self, params: dict):
-        text = self._one(params, "q")
-        if text is None:
-            raise QueryError("missing required parameter 'q'")
-        return self._with_budget(parse_query(text), params)
-
-    def _with_budget(self, query, params: dict):
-        """Attach a ``max_rmspe=`` error budget to an aggregate query.
-
-        Validation happens in ``AggregateQuery.__post_init__`` (a bad
-        budget is a :class:`QueryError` → 400); the parameter is
-        rejected on queries that cannot carry one.
-        """
-        raw = self._one(params, "max_rmspe")
-        if raw is None:
-            return query
-        if not isinstance(query, AggregateQuery):
-            raise QueryError("max_rmspe only applies to aggregate queries")
-        return dataclasses.replace(query, max_rmspe=raw)
-
-    def _cell_query(self, params: dict):
-        row, col = self._one(params, "row"), self._one(params, "col")
-        if row is None or col is None:
-            raise QueryError("/cell needs integer 'row' and 'col' parameters")
-        try:
-            return CellQuery(int(row), int(col))
-        except ValueError:
-            raise QueryError(
-                f"row/col must be integers, got row={row!r} col={col!r}"
-            ) from None
-
-    def _aggregate_query(self, params: dict):
-        fn = self._one(params, "fn")
-        if fn is None:
-            raise QueryError("/aggregate needs an 'fn' parameter")
-        parts = [f"{fn}()"]
-        rows, cols = self._one(params, "rows"), self._one(params, "cols")
-        if rows:
-            parts.append(f"rows {rows}")
-        if cols:
-            parts.append(f"cols {cols}")
-        return self._with_budget(parse_query(" ".join(parts)), params)
-
     def _timeout_ms(self, params: dict) -> float | None:
-        raw = self._one(params, "timeout_ms")
-        if raw is None:
-            raw = self.headers.get("X-Repro-Deadline-Ms")
+        """The request's deadline in ms (None: the default), read the
+        same way on every query route."""
+        raw = params.get("timeout_ms", self.headers.get("x-repro-deadline-ms"))
         if raw is None:
             return None
         try:
@@ -233,23 +199,59 @@ class _QueryHandler(BaseEndpointHandler):
         except ValueError:
             raise QueryError(f"timeout_ms must be a number, got {raw!r}") from None
         if not (math.isfinite(value) and value > 0):
-            raise QueryError(
-                f"timeout_ms must be positive and finite, got {value:g}"
-            )
+            raise QueryError(f"timeout_ms must be positive and finite, got {value:g}")
         return value
 
-    # -- query routes ---------------------------------------------------
+    def _text_query(self, params: dict):
+        text = params.get("q")
+        if text is None:
+            raise QueryError("missing required parameter 'q'")
+        query = parse_query(text)
+        raw = params.get("max_rmspe")
+        if raw is None:
+            return query
+        # Validated by AggregateQuery (a bad budget is a 400).
+        if not isinstance(query, AggregateQuery):
+            raise QueryError("max_rmspe only applies to aggregate queries")
+        return dataclasses.replace(query, max_rmspe=raw)
 
-    def _run_query(self, query, params: dict) -> None:
-        payload = self.dispatcher.dispatch(
-            query, timeout_ms=self._timeout_ms(params)
-        )
+    # -- routes ----------------------------------------------------------
+
+    def _answer(self, query, params: dict) -> None:
+        payload = self.dispatcher.dispatch(query, timeout_ms=self._timeout_ms(params))
         self._reply(200, _JSON, json.dumps(payload).encode())
 
+    def _query(self, params: dict) -> None:
+        self._answer(self._text_query(params), params)
+
+    def _cell(self, params: dict) -> None:
+        row, col = params.get("row"), params.get("col")
+        if row is None or col is None:
+            raise QueryError("/cell needs integer 'row' and 'col' parameters")
+        try:
+            query = CellQuery(int(row), int(col))
+        except ValueError:
+            raise QueryError(
+                f"row/col must be integers, got row={row!r} col={col!r}"
+            ) from None
+        self._answer(query, params)
+
+    def _aggregate(self, params: dict) -> None:
+        fn = params.get("fn")
+        if fn is None:
+            raise QueryError("/aggregate needs an 'fn' parameter")
+        function = parse_function(fn)
+        rows, cols = params.get("rows"), params.get("cols")
+        selection = Selection(
+            rows=parse_indices(rows, "rows") if rows else None,
+            cols=parse_indices(cols, "cols") if cols else None,
+        )
+        self._answer(AggregateQuery(function, selection, params.get("max_rmspe")), params)
+
     def _groupby(self, params: dict) -> None:
-        by = self._one(params, "by") or "day"
-        fn = self._one(params, "fn") or "sum"
-        raw_limit = self._one(params, "limit")
+        by = params.get("by") or "day"
+        fn = params.get("fn") or "sum"
+        raw_limit = params.get("limit")
         limit = None
         if raw_limit is not None:
             try:
@@ -258,13 +260,43 @@ class _QueryHandler(BaseEndpointHandler):
                 raise QueryError(
                     f"limit must be an integer, got {raw_limit!r}"
                 ) from None
-        payload = self.dispatcher.groupby(by, fn, limit=limit)
+        payload = self.dispatcher.groupby(
+            by, fn, limit=limit, timeout_ms=self._timeout_ms(params)
+        )
         self._reply(200, _JSON, json.dumps(payload).encode())
 
     def _explain(self, params: dict) -> None:
         query = self._text_query(params)
+        # Read as on every query route; planning is not admitted, so
+        # no deadline binds it.
+        self._timeout_ms(params)
         plan = self.dispatcher.explain(query)
         self._reply(200, _JSON, json.dumps(plan).encode())
+
+    def _metrics(self, _params: dict) -> None:
+        body = render_openmetrics().encode()
+        self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
+
+    def _snapshot(self, _params: dict) -> None:
+        body = json.dumps(_obs.snapshot(), default=str).encode()
+        self._reply(200, _JSON, body)
+
+    def _stats(self, _params: dict) -> None:
+        body = json.dumps(self.dispatcher.stats(), default=str).encode()
+        self._reply(200, _JSON, body)
+
+
+#: Path -> route; the health routes and 404 are ``do_GET``'s fallback.
+_ROUTES = {
+    "/metrics": _QueryHandler._metrics,
+    "/snapshot": _QueryHandler._snapshot,
+    "/stats": _QueryHandler._stats,
+    "/query": _QueryHandler._query,
+    "/cell": _QueryHandler._cell,
+    "/aggregate": _QueryHandler._aggregate,
+    "/groupby": _QueryHandler._groupby,
+    "/explain": _QueryHandler._explain,
+}
 
 
 class QueryServer:

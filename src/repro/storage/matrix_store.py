@@ -56,6 +56,9 @@ from repro.storage.pager import PAGE_SIZE_DEFAULT, FilePager
 _MAGIC = b"RPRMTX02"
 _HEADER_FMT = "<8sQQIBI"  # magic, rows, cols, page_size, dtype code, crc32
 _STREAM_CHUNK_ROWS = 256
+#: ``store.read_rows.calls`` / ``.rows``, bound once.
+_READ_CALLS = _obs.bind_counter("store.read_rows.calls")
+_READ_ROWS = _obs.bind_counter("store.read_rows.rows")
 
 #: Storable element types: code <-> numpy dtype.  float32 halves the
 #: per-number cost 'b', letting the same budget hold twice the model.
@@ -577,8 +580,8 @@ class MatrixStore:
         if idx.size == 0:
             return np.empty((0, self._cols), dtype=np.float64)
         if _obs.enabled:
-            _obs.counter("store.read_rows.calls").inc()
-            _obs.counter("store.read_rows.rows").inc(int(idx.size))
+            _READ_CALLS.inc()
+            _READ_ROWS.inc(int(idx.size))
             with _span("store.read_rows", rows=int(idx.size)):
                 return self._read_rows(indices, idx, ascending)
         return self._read_rows(indices, idx, ascending)

@@ -154,18 +154,21 @@ class SummaryStore:
         """
         if row_idx.size == 0 or col_idx.size == 0:
             return None
-        if int(row_idx.size) == self.model_rows:
-            stats, index, width = self._col_stats, col_idx, self.model_rows
-        elif int(col_idx.size) == self.model_cols:
-            stats, index, width = self._row_stats, row_idx, self.model_cols
+        rows, cols = self._row_stats.shape[1], self._col_stats.shape[1]
+        if row_idx.size == rows:
+            stats, index, width = self._col_stats, col_idx, rows
+        elif col_idx.size == cols:
+            stats, index, width = self._row_stats, row_idx, cols
         else:
             return None
-        sel = stats[:, index]
+        sel = stats[:, getattr(index, "idx", index)]  # an Ascending's array
+        # The ufunc reductions are ndarray.sum/min/max without their
+        # Python wrappers.
         return Components(
-            total=float(sel[S_SUM].sum()),
-            total_sq=float(sel[S_SUMSQ].sum()),
-            minimum=float(sel[S_MIN].min()),
-            maximum=float(sel[S_MAX].max()),
-            count=width * int(index.size),
+            total=float(np.add.reduce(sel[S_SUM])),
+            total_sq=float(np.add.reduce(sel[S_SUMSQ])),
+            minimum=float(np.minimum.reduce(sel[S_MIN])),
+            maximum=float(np.maximum.reduce(sel[S_MAX])),
+            count=int(width) * int(index.size),
         )
 

@@ -295,3 +295,70 @@ class TestSources:
             assert "m.mat" in snap["pagers"]
         finally:
             store.close()
+
+
+class TestBoundMetrics:
+    """A metric object lives as long as its registry: bound once, it
+    keeps counting across resets, and a snapshot lists what was written
+    or looked up since the last reset."""
+
+    def test_a_bound_counter_is_listed_once_incremented(self):
+        reg = MetricsRegistry()
+        bound = reg.bind_counter("hot.path")
+        assert "hot.path" not in reg.snapshot()["counters"]
+        bound.inc(0)
+        assert reg.snapshot()["counters"] == {"hot.path": 0}
+        assert reg.counter("hot.path") is bound
+
+    def test_reset_zeroes_in_place_and_unlists(self):
+        reg = MetricsRegistry()
+        bound = reg.bind_counter("a")
+        bound.inc(5)
+        reg.gauge("g").set(2.0)
+        reg.histogram("h").observe(3.0)
+        reg.reset()
+        assert reg.snapshot()["counters"] == {}
+        assert reg.snapshot()["gauges"] == {}
+        assert reg.snapshot()["histograms"] == {}
+        bound.inc()
+        assert reg.snapshot()["counters"] == {"a": 1}
+        assert reg.counter("a") is bound
+
+    def test_a_lookup_by_name_lists_the_metric(self):
+        reg = MetricsRegistry()
+        reg.counter("c").inc()
+        reg.reset()
+        reg.counter("c")
+        reg.histogram("h")
+        snap = reg.snapshot()
+        assert snap["counters"] == {"c": 0}
+        assert snap["histograms"]["h"]["count"] == 0
+
+    def test_a_watched_gauge_is_read_at_snapshot_while_its_owner_lives(self):
+        reg = MetricsRegistry()
+
+        class Owner:
+            depth = 3
+
+            def read(self) -> float:
+                return self.depth
+
+        owner = Owner()
+        reg.watch("queue.depth", owner.read)
+        reg.reset()
+        assert reg.snapshot()["gauges"] == {"queue.depth": 3.0}
+        owner.depth = 0
+        assert reg.snapshot()["gauges"] == {"queue.depth": 0.0}
+        del owner
+        assert reg.snapshot()["gauges"] == {}
+
+    def test_bucket_is_the_first_bound_at_or_above_the_value(self):
+        from repro.obs.registry import _BUCKET_BOUNDS
+
+        histogram = Histogram()
+        for value in (0.5, 1.0, _BUCKET_BOUNDS[0], _BUCKET_BOUNDS[0] * 1.0001,
+                      _BUCKET_BOUNDS[40], 2.0**60):
+            histogram.observe(value)
+        assert [i for i, n in enumerate(histogram.buckets) for _ in range(n)] == [
+            0, 0, 0, 1, 40, 175,
+        ]

@@ -137,3 +137,64 @@ class TestTracePropagation:
         os.waitpid(pid, 0)
         assert len(theirs) == 500
         assert len(set(mine + theirs)) == 1000
+
+
+class TestRecordedOnce:
+    def test_spans_are_folded_exactly_when_histograms_are_read(self, enabled_registry):
+        from repro.obs.registry import FOLD_AT
+
+        for _ in range(FOLD_AT + 7):
+            with span("many"):
+                pass
+        assert enabled_registry.snapshot()["histograms"]["span.many"]["count"] == FOLD_AT + 7
+        assert enabled_registry.histogram("span.many").count == FOLD_AT + 7
+
+    def test_total_ns_adds_up_finished_descendants_as_they_close(self, enabled_registry):
+        with span("root") as root:
+            with span("mid") as mid:
+                with span("leaf") as first:
+                    pass
+            with span("leaf") as second:
+                pass
+        assert root.total_ns("leaf") == first.duration_ns + second.duration_ns
+        assert root.total_ns("mid") == mid.duration_ns
+        assert mid.total_ns("leaf") == first.duration_ns
+        assert root.total_ns("missing") == 0
+
+    def test_spans_closed_by_many_threads_are_all_folded(self, enabled_registry):
+        """Eight threads close spans while a ninth snapshots: no record
+        is lost between the lock-free append and the fold."""
+        import sys
+        import threading
+
+        per_thread, threads = 3000, 8
+        stop = threading.Event()
+        seen = []
+
+        def close_spans() -> None:
+            for _ in range(per_thread):
+                with span("hammered"):
+                    pass
+
+        def snapshot() -> None:
+            while not stop.is_set():
+                seen.append(enabled_registry.snapshot()["histograms"].get("span.hammered"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=close_spans) for _ in range(threads)]
+            reader = threading.Thread(target=snapshot)
+            reader.start()
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and not reader.is_alive()
+        counts = [h["count"] for h in seen if h]
+        assert counts == sorted(counts)
+        assert enabled_registry.histogram("span.hammered").count == per_thread * threads

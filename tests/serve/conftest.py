@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import shutil
+import socket
+import sys
 
 import numpy as np
 import pytest
@@ -11,14 +13,46 @@ from repro.core.build import build_compressed
 from repro.core.update import append_columns
 
 
-@pytest.fixture(scope="session")
-def serve_model_dir(tmp_path_factory):
-    """A compact compressed model (80 x 50, low rank + noise)."""
+def build_serve_model(directory) -> None:
+    """Build the serve tests' model (80 x 50, low rank + noise) into
+    ``directory``."""
     rng = np.random.default_rng(7)
     data = rng.standard_normal((80, 4)) @ rng.standard_normal((4, 50))
     data += 0.01 * rng.standard_normal((80, 50))
-    directory = tmp_path_factory.mktemp("serve") / "model"
     build_compressed(data, directory, budget_fraction=0.2).close()
+
+
+def serve_once(handler_class, target: str, headers=(), profile=None) -> bytes:
+    """The raw response to ``GET target`` served by one
+    ``handler_class(connection).handle()`` over a socket pair, in this
+    thread; ``profile``, when given, is the ``sys.setprofile`` function
+    for exactly that call."""
+    client, server = socket.socketpair()
+    try:
+        head = f"GET {target} HTTP/1.1\r\nHost: x\r\n"
+        head += "".join(f"{name}: {value}\r\n" for name, value in headers)
+        client.sendall((head + "\r\n").encode("latin-1"))
+        handler = handler_class(server)
+        sys.setprofile(profile)
+        try:
+            handler.handle()
+        finally:
+            sys.setprofile(None)
+        server.close()
+        reply = b""
+        while chunk := client.recv(65536):
+            reply += chunk
+        return reply
+    finally:
+        client.close()
+        server.close()
+
+
+@pytest.fixture(scope="session")
+def serve_model_dir(tmp_path_factory):
+    """A compact compressed model (80 x 50, low rank + noise)."""
+    directory = tmp_path_factory.mktemp("serve") / "model"
+    build_serve_model(directory)
     return directory
 
 

@@ -433,6 +433,29 @@ class TestDeadlines:
         assert after["answers"] == before["answers"]
         assert after["queue_depth"] == 0
 
+    def test_groupby_computed_past_its_deadline_is_504(self, server, monkeypatch):
+        """A group-by keeps its deadline as ``dispatch`` does: a series
+        that overruns it is a 504, not a late 200."""
+        import repro.serve.robust as robust
+
+        series = robust.bucket_series
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(robust, "bucket_series", slow)
+        before = _get(server.url, "/stats")[2]
+        status, _headers, payload = _get(server.url, "/groupby?by=month&timeout_ms=10")
+        assert status == 504
+        assert payload["error"] == "deadline_exceeded"
+        status, _headers, payload = _get(server.url, "/groupby?by=month&timeout_ms=5000")
+        assert status == 200 and payload["path"] == "summary"
+        after = _get(server.url, "/stats")[2]
+        assert after["deadline_misses"] == before["deadline_misses"] + 1
+        assert after["summary_hits"] == before["summary_hits"] + 1
+        assert after["queue_depth"] == 0
+
 
 class TestWarm:
     def test_nothing_is_left_to_build_after_ready(self, serve_model_dir):

@@ -204,6 +204,32 @@ WIRE_TABLE = {
         _DEADLINE,
     ),
     "cell": (b"GET /cell?row=1&col=1 HTTP/1.1\r\n\r\n", _CELL),
+    # Every query route reads its deadline as /cell does.
+    "groupby-timeout-param": (
+        b"GET /groupby?by=month&timeout_ms=soon HTTP/1.1\r\n\r\n",
+        _DEADLINE,
+    ),
+    "groupby-timeout-negative": (
+        b"GET /groupby?by=month&timeout_ms=-5 HTTP/1.1\r\n\r\n",
+        (
+            400,
+            _JSON,
+            json.dumps(
+                {
+                    "error": "bad_request",
+                    "message": "timeout_ms must be positive and finite, got -5",
+                }
+            ).encode(),
+        ),
+    ),
+    "groupby-deadline-header": (
+        b"GET /groupby?by=month HTTP/1.1\r\nX-Repro-Deadline-Ms: soon\r\n\r\n",
+        _DEADLINE,
+    ),
+    "explain-timeout-param": (
+        b"GET /explain?q=count()&timeout_ms=soon HTTP/1.1\r\n\r\n",
+        _DEADLINE,
+    ),
 }
 
 

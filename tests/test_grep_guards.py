@@ -1,14 +1,20 @@
-"""Two of CI's grep guards, run by pytest as well.
+"""Four of CI's grep guards, run by pytest as well.
 
 The ``.github/workflows/ci.yml`` steps "One way to ask" and "Checked
 once" grep the tree for names and shapes that must not come back: a
 route switch, a second reconstruction shape, a deleted writer or query
 door, a planner that re-checks a resolved selection, and the
-three-operand sum-of-squares einsum.  This test runs the same patterns
-over the same paths, so a local ``pytest`` catches a breach before CI
-does.  The CI steps stay as they are; a pattern changed there is
-changed here too.  (Patterns that would match their own text here are
-spelled with a one-letter class, e.g. ``row_total[s]``.)
+three-operand sum-of-squares einsum.  The steps "Reused handler
+threads, own sockets" and "Serve answers where it accepts, one server,
+one front door" guard the serving tier: one thread-start site in
+``obs/serve.py``, no stdlib server plumbing or hand-off queue, no
+process pool or breaker behind ``repro serve``, no second HTTP server,
+no warehouse surface and no process or future machinery in
+``src/repro/serve``.  This test runs the same patterns over the same
+paths, so a local ``pytest`` catches a breach before CI does.  The CI
+steps stay as they are; a pattern changed there is changed here too.
+(Patterns that would match their own text here are spelled with a
+one-letter class, e.g. ``row_total[s]``.)
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: name -> (pattern, paths under the root, directory names skipped).
+#: A process pool, its retry loop or its breaker (CI's ``$GONE``).
+_GONE = r"ProcessQueryExecutor|process_executor|BrokenProcessPool|CircuitBreaker|breaker"
+
+#: name -> (pattern, paths under the root, directory names skipped[,
+#: file suffixes searched — every text file when absent]).
 GUARDS = {
     "a route switch or a second reconstruction shape": (
         r"use_fast_path|use_summaries|reconstruct_cells|reconstruct_column"
@@ -43,16 +53,45 @@ GUARDS = {
         ("src/repro",),
         (),
     ),
+    "stdlib server plumbing or a hand-off queue": (
+        r"http\.server|socketserver|BaseHTTPRequestHandle[r]|SimpleQueu[e]",
+        ("src/repro",),
+        (),
+    ),
+    "thread-per-connection code in the serving tier": (
+        r"ThreadingHTTPServe[r]|ThreadingMixI[n]|process_request_threa[d]",
+        ("src/repro/obs/serve.py", "src/repro/serve"),
+        (),
+    ),
+    "the pool or its breaker in src/repro/serve": (_GONE, ("src/repro/serve",), ()),
+    "the second HTTP server": (
+        r"Metrics[S]erver|_Metrics[H]andler|Metrics[S]napshotWriter|serve[-_]metrics",
+        ("src", "tests", "docs", ".github"),
+        ("history",),
+        (".py", ".md", ".yml"),
+    ),
+    "warehouse surface in cli, serve or obs": (
+        r"verified_rmspe|wh-ingest|wh-list|wh-verify|wh-drop",
+        ("src/repro/cli.py", "src/repro/serve", "src/repro/obs"),
+        (),
+    ),
+    "process or future machinery in src/repro/serve": (
+        r"multiprocessing|concurrent\.futures",
+        ("src/repro/serve",),
+        (),
+    ),
 }
 
 
-def _text_files(paths, skipped):
+def _text_files(paths, skipped, suffixes=None):
     """Every text file under ``paths`` (grep -rI's set), byte caches aside."""
     for name in paths:
         path = ROOT / name
         for file in [path] if path.is_file() else sorted(path.rglob("*")):
             parts = set(file.relative_to(ROOT).parts)
             if not file.is_file() or "__pycache__" in parts or parts & set(skipped):
+                continue
+            if suffixes is not None and file.suffix not in suffixes:
                 continue
             data = file.read_bytes()
             if b"\0" not in data:
@@ -61,10 +100,10 @@ def _text_files(paths, skipped):
 
 @pytest.mark.parametrize("name", GUARDS)
 def test_nothing_the_guard_forbids_is_back(name):
-    pattern, paths, skipped = GUARDS[name]
+    pattern, paths, skipped, *suffixes = GUARDS[name]
     found = [
         f"{file.relative_to(ROOT)}:{number}: {line.strip()}"
-        for file, text in _text_files(paths, skipped)
+        for file, text in _text_files(paths, skipped, *suffixes)
         for number, line in enumerate(text.splitlines(), 1)
         if re.search(pattern, line)
     ]
@@ -79,3 +118,40 @@ def test_the_serve_guard_keeps_its_sed_anchors(anchor):
     stay, once."""
     text = (ROOT / "src/repro/cli.py").read_text()
     assert len(re.findall(anchor, text, re.MULTILINE)) == 1
+
+
+def test_obs_serve_starts_threads_at_one_site():
+    """Handler threads accept for themselves: one ``threading.Thread(``
+    line in ``obs/serve.py`` (CI's ``grep -c``)."""
+    text = (ROOT / "src/repro/obs/serve.py").read_text()
+    assert sum("threading.Thread(" in line for line in text.splitlines()) == 1
+
+
+def _sed_range(lines: list[str], first: str, last: str) -> list[str]:
+    """``sed -n '/first/,/last/p'``: each run of lines from one matching
+    ``first`` through the next matching ``last`` (or the end)."""
+    out, inside = [], False
+    for line in lines:
+        if not inside and re.search(first, line):
+            inside = True
+            out.append(line)
+            continue
+        if inside:
+            out.append(line)
+            if re.search(last, line):
+                inside = False
+    return out
+
+
+def test_no_pool_or_breaker_behind_repro_serve():
+    """``cmd_serve`` and the serve flags' table carry no pool or
+    breaker (CI cuts ``cli.py`` with ``sed`` at these anchors)."""
+    lines = (ROOT / "src/repro/cli.py").read_text().splitlines()
+    cut = _sed_range(lines, r"^def cmd_serve\(", r"^def format_top_frame")
+    cut += _sed_range(lines, r"^_SERVE_PORT = ", r"^COMMANDS = ")
+    assert cut
+    assert not [line for line in cut if re.search(_GONE, line)]
+
+
+def test_the_breaker_module_stays_gone():
+    assert not (ROOT / "src/repro/serve/breaker.py").exists()
