@@ -5,14 +5,16 @@ Each model size runs in a fresh child process, which records its
 (``phone_matrix``), ``build_compressed`` at s = 10% (timed: ``build_s``),
 ``CompressedMatrix.open`` and a dense ``reconstruct_all``.  The mark
 only rises, so a phase that adds nothing to it did not set it; "build
-adds" is the build's mark over the data's, the figure pass 2's queues
-set.  Three children per size; the table prints each phase's median
-mark and the fastest build.
+adds" is the build's mark over the data's (pass 2's histograms hold a
+few hundred kilobytes: what grows with N is k_opt's deltas, in pass 3
+and as the model writes them).  Three children per size; the table
+prints each phase's median mark and the fastest build.
 
     PYTHONPATH=src:. python benchmarks/bench_build_memory.py [ROWS ...]
 
-Rows default to 4000 (the harness model's 4000 x 366) and 20000.  One
-BLAS thread.  Writes ``benchmarks/results/build_memory.txt``.
+Rows default to 4000 (the harness model's 4000 x 366), 20000 and
+100000 (the paper's N).  One BLAS thread.  Writes
+``benchmarks/results/build_memory.txt``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def main() -> None:
 
     from benchmarks.conftest import emit
 
-    sizes = [int(arg) for arg in sys.argv[1:]] or [4000, 20000]
+    sizes = [int(arg) for arg in sys.argv[1:]] or [4000, 20000, 100000]
     lines = [
         f"ru_maxrss (MB, median of {RUNS} fresh processes) after each phase; "
         f"s = {BUDGET:.0%}, one BLAS thread",

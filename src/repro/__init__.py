@@ -27,8 +27,7 @@ Subpackages — the product, what ``repro serve`` and the CLI run:
 - :mod:`repro.storage` — paged storage engine with disk-access
   accounting, the model-directory codec;
 - :mod:`repro.data` — synthetic stand-ins for the paper's datasets;
-- :mod:`repro.metrics` — RMSPE, worst-case, distribution, Q_err;
-- :mod:`repro.structures` — the top-k score queue the build runs.
+- :mod:`repro.metrics` — RMSPE, worst-case, distribution, Q_err.
 
 The paper lab — Section 5's competing methods, the DataCube, scatter
 plots, ablation structures, from-scratch eigensolvers, the warehouse

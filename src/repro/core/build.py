@@ -9,9 +9,8 @@ materializes anything O(N):
 1. pass 1-2 of the SVDD algorithm run through
    :meth:`~repro.core.svdd.SVDDCompressor.select_cutoff` — the *same*
    code path ``fit`` uses, so the two entry points cannot diverge on
-   ``k_opt`` or the delta set (their state is O(M^2) plus the k_max
-   score queues, ``sum_k gamma_k`` 8-byte scores: a multiple of the
-   space budget, not of the matrix; each starts at a sampled floor);
+   ``k_opt`` or the delta set (their state is O(M^2), a chunk, and one
+   score histogram per candidate: a few hundred bins each, whatever N);
 2. pass 3 streams ``U`` rows *directly into the destination page file*
    via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
    per page, in the requested precision, collecting ``k_opt``'s deltas;
@@ -21,10 +20,11 @@ materializes anything O(N):
    lets :mod:`repro.core.update` append new days or customers later
    without rescanning the original data.
 
-Peak memory is O(M^2 + sum_k gamma_k) — see
-:func:`estimate_build_memory`; the source is read in three sequential
-scans (the Gram pass, the error pass, the ``U`` + deltas pass) and a
-128-row sample; a fourth only when a floor left a queue short of ``gamma_k``.
+Peak memory is O(M^2 + gamma_1) (:func:`estimate_build_memory`): only
+``k_opt``'s deltas grow with N.  The source is read in three scans (the
+Gram pass, the error pass, the ``U`` + deltas pass) and a 128-row
+sample; a fourth only when pass 2 needs one (a short histogram, or
+overlapping brackets).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.core.store import CompressedMatrix
 from repro.core.svd import _CHUNK_ROWS, compute_u_to_store, source_shape
+from repro.core.histogram import BIN_BITS
 from repro.core.svdd import SVDDCompressor, _record_pass
 from repro.exceptions import FormatError
 from repro.storage.atomic import staged_directory
@@ -52,7 +53,6 @@ from repro.storage.model_dir import (
     u_page_size,
     write_model,
 )
-from repro.structures.topk import _ROOM
 
 #: Advisory drift level at which appends flag ``rebuild_recommended``.
 DRIFT_THRESHOLD_DEFAULT = 0.10
@@ -181,24 +181,21 @@ def build_compressed(
 
 
 def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) -> int:
-    """Rough peak bytes :func:`build_compressed` needs — O(M^2 + sum_k gamma_k).
+    """Rough peak bytes :func:`build_compressed` needs — O(M^2 + gamma_1).
 
     Useful for capacity planning before pointing the builder at a very
     large store.  Ignores small constants.  Pass 1 peaks at four M x M
     arrays (the Gram matrix, the symmetrized copy that
     :func:`~repro.core.svd.eigenpairs` hands to ``numpy.linalg.eigh``,
-    and the eigenvectors before and after sorting); pass 2 holds four chunk arrays and the k_max score queues —
-    8-byte slots, ``_ROOM`` (1.25) per unit of capacity ``gamma_k`` —
-    which grow with ``s * N * M`` and bound a large build.  Pass 3's
-    16-byte deltas of ``k_opt`` are charged on top, at ``gamma_1``.
+    and the eigenvectors before and after sorting).  Passes 2-3 hold
+    four chunk arrays, k_max histograms (charged at 20 octaves of
+    16-byte bins, floor to top), and ``k_opt``'s 16-byte cells in or above its cut bin:
+    ``gamma_1`` at most, and about ``2**-BIN_BITS`` of that more.
     """
     gram = num_cols * num_cols * 8
     chunk_cells = min(_CHUNK_ROWS, num_rows) * num_cols
     k_max = space.max_k_for_budget(num_rows, num_cols, budget_fraction)
-    gammas = [
-        space.delta_budget(num_rows, num_cols, k, budget_fraction)
-        for k in range(1, k_max + 1)
-    ]
-    queues = int(_ROOM * 8 * sum(gammas))
-    pass2 = 4 * chunk_cells * 8 + queues + 16 * max(gammas, default=0)
-    return max(4 * gram, pass2)
+    gamma_1 = space.delta_budget(num_rows, num_cols, 1, budget_fraction) if k_max else 0
+    bins = k_max * 20 * 2**BIN_BITS * 16
+    cells = int(16 * gamma_1 * (1 + 2.0**-BIN_BITS))
+    return max(4 * gram, 4 * chunk_cells * 8 + bins + cells)

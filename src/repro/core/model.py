@@ -164,9 +164,9 @@ class SVDDModel:
         svd: the truncated SVD kept after the k_opt decision.
         deltas: sorted index mapping cell key -> (actual - reconstructed).
         k_max: the pass-1 upper cutoff considered.
-        candidate_errors: the epsilon_k curve from pass 2 (sum of squared
-            errors after delta correction for each candidate k, index 0
-            holding k=1); kept for diagnostics and the k_opt ablation.
+        candidate_errors: pass 2's ``[low, high]`` brackets on epsilon_k,
+            the post-delta SSE of each candidate k (row 0 holding k=1),
+            ``low == high`` where exact (k_opt after pass 3); diagnostics.
     """
 
     svd: SVDModel

@@ -15,22 +15,20 @@ The construction is the paper's 3-pass algorithm (Figure 5):
   the affordable outlier count ``gamma_k`` for each candidate
   ``k = 1 .. k_max``;
 - **Pass 2** — stream the matrix once; for every row compute the
-  reconstruction error under every candidate ``k``, feed the worst
-  cells' scores into per-``k`` bounded priority queues of capacity
-  ``gamma_k``, and accumulate the post-correction error ``epsilon_k``;
-  pick ``k_opt = argmin_k epsilon_k``.  The working set is one chunk:
-  one reconstruction per chunk, grown by one term per candidate, so
-  nothing is ever ``k_max`` deep.  Each queue starts at a floor
-  sampled from 128 strided rows, so it admits ~3x what it keeps; one
-  the floor left short is refilled by a (rare) fourth scan;
+  reconstruction error under every candidate ``k``, count the cells'
+  scores into a per-``k`` histogram (the paper's priority queue,
+  counted: :mod:`repro.core.histogram`) that brackets the
+  post-correction error ``epsilon_k``; pick ``k_opt = argmin_k
+  epsilon_k``.  The working set is one chunk, grown by one term per
+  candidate, so nothing is ever ``k_max`` deep.  A (rare) fourth scan
+  refills a histogram its sampled floor left short, or settles
+  candidates whose brackets overlap;
 - **Pass 3** — stream once more, emitting the rows of ``U`` for
-  ``k_opt`` (Eq. 11) and collecting its deltas at its queue's cut.
+  ``k_opt`` (Eq. 11) and collecting its deltas, cut exactly.
 
 Reconstruction of a cell is the plain-SVD estimate (Eq. 12) plus an
-exact correction when the cell is in the delta table — one bisection of
-the sorted :class:`~repro.core.delta_index.DeltaIndex` (the paper's hash
-table and Bloom filter survive as ``repro.lab.hashtable`` /
-``repro.lab.bloom`` and the ``bench_ablation_bloom`` artifact).
+exact correction when the cell is in the sorted
+:class:`~repro.core.delta_index.DeltaIndex`.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ import numpy as np
 
 from repro.core import space
 from repro.core.delta_index import DeltaIndex
+from repro.core.histogram import ScoreHistogram
 from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import (
     _projected,
@@ -56,12 +55,13 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.matrix_store import MatrixStore
-from repro.structures.topk import Cut, TopKBuffer
 
-#: Rows in the strided sample that sets each candidate queue's floor.
+#: Rows in the strided sample that sets each candidate histogram's floor.
 _FLOOR_SAMPLE_ROWS = 128
-#: A floor leaves this many times a queue's share of the sample above it.
+#: A floor leaves this many times a candidate's share of the sample above it.
 _FLOOR_SLACK = 3
+#: A histogram raises its floor to its cut bin every this many chunks.
+_RAISE_EVERY = 4
 
 
 def sketch_rows(cutoff: int, cols: int) -> int:
@@ -91,10 +91,11 @@ class CutoffSelection:
     k_opt: int
     #: Largest candidate cutoff that fit the budget.
     k_max: int
-    #: ``epsilon_k`` for every candidate ``k`` (post-delta residual SSE).
+    #: ``[low, high]`` brackets on ``epsilon_k`` (post-delta residual SSE)
+    #: for every candidate ``k``, ``low == high`` where it is exact.
     candidate_errors: np.ndarray
-    #: Where ``k_opt``'s queue ended: the cut pass 3 collects its deltas at.
-    delta_cut: Cut
+    #: ``k_opt``'s histogram: where pass 3 cuts its deltas.
+    histogram: ScoreHistogram
     #: ``k_opt``'s squared error before deltas (less theirs: the residual SSE).
     error_energy: float
     #: Full ``V`` at ``k_max``.
@@ -104,7 +105,7 @@ class CutoffSelection:
 
     def delta_sweep(self) -> "DeltaSweep":
         """Pass 3's collector of ``k_opt``'s deltas (fed every chunk)."""
-        return DeltaSweep(self.delta_cut, self.all_v, self.k_opt)
+        return DeltaSweep(self.histogram, self.all_v, self.k_opt)
 
 
 def _record_pass(number: int, start: float, num_rows: int, **counts: int) -> None:
@@ -143,57 +144,64 @@ def _rank_errors(block, v, depth: int, first: int = 1) -> Iterator[np.ndarray]:
             yield np.subtract(block, recon, out=diff).reshape(-1)
 
 
-def _scan_errors(source, v, queues, sse, zero_rows) -> None:
-    """One pass-2 scan: chunk errors under rank ``k`` go to ``queues[k - 1]``
-    and ``sse[k - 1]``, all-zero rows to ``zero_rows``."""
+def _scan_errors(source, v, hists, sse, zero_rows) -> None:
+    """One pass-2 scan: chunk scores under rank ``k`` go to ``hists[k - 1]``
+    (none where it is None), squared errors to ``sse[k - 1]`` and
+    all-zero rows to ``zero_rows``."""
     row_base = 0
-    for block in _row_chunks(source):
+    for chunk, block in enumerate(_row_chunks(source), 1):
         zero_rows.append(row_base + np.flatnonzero(np.abs(block).sum(axis=1) == 0.0))
-        for ki, deltas in enumerate(_rank_errors(block, v, len(queues))):
+        scores = np.empty(block.size)
+        for ki, deltas in enumerate(_rank_errors(block, v, len(hists))):
             sse[ki] += np.dot(deltas, deltas)
-            queues[ki].offer(deltas)
+            if hists[ki] is not None:
+                hists[ki].add(np.abs(deltas, out=scores))
+        for hist in filter(None, hists) if chunk % _RAISE_EVERY == 0 else ():
+            hist.raise_floor()
         row_base += block.shape[0]
 
 
 class DeltaSweep:
-    """The cells a :class:`~repro.structures.topk.Cut` keeps, in key order:
-    every one above ``cut.score``, then the first ``cut.ties`` at it.
-    Called with pass 3's chunks (in row order, cut as pass 2 cut them),
-    it recomputes their rank-``depth`` errors with the ``V`` the queue's
-    came from (pass 2's k_max-wide one: GEMM columns are not bit-stable
-    across widths)."""
+    """The top ``gamma`` cells of a histogram, in key order, ties at the
+    ``gamma``-th score going to the first keys.  Called with pass 3's
+    chunks (in row order, cut as pass 2 cut them), it keeps every cell
+    in or above the cut bin — the count pass 2 took — recomputing their
+    rank-``depth`` errors with the ``V`` pass 2 binned (its k_max-wide
+    one: GEMM columns are not bit-stable across widths)."""
 
-    def __init__(self, cut: Cut, v: np.ndarray, depth: int) -> None:
-        self._cut, self._ties = cut.score, cut.ties
+    def __init__(self, hist: ScoreHistogram, v: np.ndarray, depth: int) -> None:
+        (self._floor, count), self._gamma = hist.sweep_cut(), hist.gamma
         self._v, self._depth = v, depth
         self._filled = self._base = 0  # cells kept; next chunk's first key
-        self._keys = np.empty(cut.count, dtype=np.int64)
-        self._values = np.empty(cut.count)
+        self._cells = np.empty(count, dtype=np.int64)
+        self._values = np.empty(count)
 
     def __call__(self, block: np.ndarray) -> None:
         (deltas,) = _rank_errors(block, self._v, self._depth, first=self._depth)
-        scores = np.abs(deltas)
-        keep = scores > self._cut
-        if self._ties:
-            tied = np.flatnonzero(scores == self._cut)[: self._ties]
-            keep[tied] = True
-            self._ties -= tied.size
-        picked = np.flatnonzero(keep)
+        picked = np.flatnonzero(np.abs(deltas) >= self._floor)
         end = self._filled + picked.size
-        np.add(picked, self._base, out=self._keys[self._filled : end])
+        np.add(picked, self._base, out=self._cells[self._filled : end])
         self._values[self._filled : end] = deltas[picked]
         self._filled = end
         self._base += deltas.size
 
     def deltas(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, values)``, once every chunk is in: all ``cut.count``."""
-        if self._filled != self._keys.size:  # the source changed between scans
-            raise ShapeError(f"{self._filled} of {self._keys.size} cells at the cut")
-        return self._keys, self._values
+        """``(keys, values)`` of the top ``gamma``, once every chunk is in."""
+        if self._filled != self._cells.size:  # the source changed between scans
+            raise ShapeError(f"{self._filled} of {self._cells.size} cells at the cut")
+        spare = self._cells.size - self._gamma
+        if spare:  # keep the top gamma alone from here on
+            scores = np.abs(self._values)
+            cut = np.partition(scores, spare)[spare]
+            keep = scores > cut
+            keep[np.flatnonzero(scores == cut)[: self._gamma - np.count_nonzero(keep)]] = True
+            self._cells, self._values = self._cells[keep], self._values[keep]
+            self._filled = self._gamma
+        return self._cells, self._values
 
 
 def _sample_floors(source, v: np.ndarray, gammas: list[int]) -> list[float]:
-    """Queue ``k``'s floor: the ``(j+1)``-th largest ``|error|`` under rank
+    """Histogram ``k``'s floor: the ``(j+1)``-th largest ``|error|`` under rank
     ``k`` of the ``m`` cells of a strided row sample, ``j = ceil(slack *
     gamma_k * m / (N M))`` (``-inf`` when ``j >= m``)."""
     num_rows, num_cols = source_shape(source)
@@ -249,30 +257,22 @@ class SVDDCompressor:
 
         The budget-derived :func:`~repro.core.space.max_k_for_budget`,
         clipped by an explicit ``k_max`` argument when one was given.
-        Public because build pipelines size their candidate queues with
-        it; :func:`~repro.core.build.build_compressed` and :meth:`fit`
+        Public because build pipelines size their candidate histograms
+        with it; :func:`~repro.core.build.build_compressed` and :meth:`fit`
         both go through here, so they can never disagree.
         """
-        k_fit = space.max_k_for_budget(
-            num_rows,
-            num_cols,
-            self.budget_fraction,
-            self.bytes_per_value,
-            self.raw_bytes_per_value,
-        )
+        k_fit = space.max_k_for_budget(num_rows, num_cols, *self._accounting)
         return min(k_fit, self.k_max) if self.k_max is not None else k_fit
 
     def _gamma(self, num_rows: int, num_cols: int, k: int) -> int:
-        gamma = space.delta_budget(
-            num_rows,
-            num_cols,
-            k,
-            self.budget_fraction,
-            self.bytes_per_value,
-            self.raw_bytes_per_value,
-        )
+        gamma = space.delta_budget(num_rows, num_cols, k, *self._accounting)
         # Storing more deltas than cells is meaningless.
         return min(gamma, num_rows * num_cols)
+
+    @property
+    def _accounting(self) -> tuple[float, int, int | None]:
+        """The space accounting's ``(s, b, raw b)``."""
+        return self.budget_fraction, self.bytes_per_value, self.raw_bytes_per_value
 
     # -- passes 1-2 (shared with the streamed build) -----------------------
 
@@ -287,16 +287,18 @@ class SVDDCompressor:
 
         Pass 2 keeps one reconstruction per chunk and adds one term per
         candidate: after ``recon += proj[:, k] * v_k`` the chunk's
-        rank-``k`` error ``block - recon`` is summed into ``epsilon_k``
-        and offered to queue ``k`` — which holds the ``gamma_k`` largest
-        ``|delta|`` scores seen so far, not their cells (pass 3 collects
-        ``k_opt``'s: :meth:`CutoffSelection.delta_sweep`).  The terms are
-        added in increasing ``k``, so each error is the one a cumulative
-        sum over all ``k_max`` terms would give.
+        rank-``k`` error ``block - recon`` is summed into the squared
+        error and counted into histogram ``k`` (scores, not cells: pass
+        3 collects ``k_opt``'s, :meth:`CutoffSelection.delta_sweep`).
+        The terms are added in increasing ``k``, so each error is the
+        one a cumulative sum over all ``k_max`` terms would give.
 
-        A queue admits only cells above its floor (:func:`_sample_floors`),
-        so it holds the global top ``gamma_k`` unless it ends short of
-        ``gamma_k`` cells; the short ones are refilled by one more scan.
+        A histogram counts only scores above its floor
+        (:func:`_sample_floors`) and brackets ``epsilon_k``.  One more
+        scan bins again, unfloored, the histograms a floor left short,
+        and keeps the cut bins' exact scores of the candidates whose
+        brackets overlap ``k_opt``'s: ``k_opt = argmin epsilon_k``
+        either way, ties to the smallest ``k``.
 
         Args:
             jobs: worker threads for the banded pass-1 Gram
@@ -320,34 +322,38 @@ class SVDDCompressor:
         v = vectors[:, :k_max]
         gammas = [self._gamma(num_rows, num_cols, k) for k in range(1, k_max + 1)]
 
-        # ---- Pass 2: per-k cell errors -> priority queues + epsilon_k.
+        # ---- Pass 2: per-k cell errors -> histograms + epsilon_k brackets.
         sse = np.zeros(k_max)  # sum of squared errors per candidate k
         zero_rows = []
         pass2_start = time.perf_counter()
         with _span("build.pass2", rows=num_rows, k_max=int(k_max)):
             floors = _sample_floors(source, v, gammas)
-            queues = [TopKBuffer(g, floor) for g, floor in zip(gammas, floors)]
-            _scan_errors(source, v, queues, sse, zero_rows)
-            admitted = sum(q.admitted for q in queues)
-            short = [ki for ki, q in enumerate(queues) if len(q) < q.capacity]
-            if short:
-                depth = short[-1] + 1
-                refill = [TopKBuffer(gammas[k] if k in short else 0) for k in range(depth)]
-                _scan_errors(source, v, refill, np.zeros(depth), [])
-                for ki in short:
-                    queues[ki] = refill[ki]
-                admitted += sum(q.admitted for q in refill)
+            hists = [ScoreHistogram(g, floor) for g, floor in zip(gammas, floors)]
+            _scan_errors(source, v, hists, sse, zero_rows)
+            admitted = sum(hist.admitted for hist in hists)
+            short = rescan = [ki for ki, hist in enumerate(hists) if hist.cut() is None]
+            for ki in short:
+                hists[ki] = ScoreHistogram(gammas[ki], -np.inf)
+            while True:
+                if rescan:
+                    scanned = [hists[k] if k in rescan else None for k in range(rescan[-1] + 1)]
+                    _scan_errors(source, v, scanned, np.zeros(len(scanned)), [])
+                # [low, high] of epsilon_k: the deltas' energy leaves sse.
+                retained = np.array([hist.bracket() for hist in hists])
+                epsilon = np.maximum(sse[:, None] - retained[:, ::-1], 0.0)
+                contenders = epsilon[:, 0] <= epsilon[:, 1].min()
+                doubt = contenders & (epsilon[:, 0] < epsilon[:, 1])
+                rescan = np.flatnonzero(doubt).tolist() if contenders.sum() > 1 else []
+                if not rescan:
+                    break
+                for ki in rescan:
+                    hists[ki].held = []
+            admitted += sum(hists[ki].admitted for ki in short)
         _record_pass(
             2, pass2_start, num_rows, admitted=admitted, short_queues=len(short)
         )
 
-        # epsilon_k: residual error after the affordable deltas are
-        # corrected exactly (their squared error leaves the total).
-        epsilon = np.array(
-            [sse[ki] - queues[ki].retained_score_sq_sum() for ki in range(k_max)]
-        )
-        epsilon = np.maximum(epsilon, 0.0)  # guard float cancellation
-        k_opt = int(np.argmin(epsilon)) + 1
+        k_opt = int(np.argmin(np.where(contenders, epsilon[:, 1], np.inf))) + 1
         sketch_count = sketch_rows(k_opt, num_cols)
 
         return CutoffSelection(
@@ -358,7 +364,7 @@ class SVDDCompressor:
             k_opt=k_opt,
             k_max=k_max,
             candidate_errors=epsilon,
-            delta_cut=queues[k_opt - 1].cut(),
+            histogram=hists[k_opt - 1],
             error_energy=float(sse[k_opt - 1]),
             all_v=v,
             zero_rows=np.concatenate(zero_rows),
@@ -374,9 +380,12 @@ class SVDDCompressor:
         lam, v, sweep = selection.singular_values, selection.v, selection.delta_sweep()
         u = np.vstack(list(_projected(source, lam, v, sweep)))
         svd_model = SVDModel(u=u, eigenvalues=lam, v=v)
+        keys, values = sweep.deltas()
+        errors = selection.candidate_errors.copy()  # k_opt's exact now:
+        errors[selection.k_opt - 1] = max(selection.error_energy - np.dot(values, values), 0)
         return SVDDModel(
             svd=svd_model,
-            deltas=DeltaIndex(*sweep.deltas(), svd_model.num_cols),
+            deltas=DeltaIndex(keys, values, svd_model.num_cols),
             k_max=selection.k_max,
-            candidate_errors=selection.candidate_errors,
+            candidate_errors=errors,
         )

@@ -27,7 +27,7 @@ References and ablations for the method itself:
 - :mod:`repro.lab.bloom`, :mod:`repro.lab.hashtable`,
   :mod:`repro.lab.heap` — Section 4.2's hash table, Bloom filter and
   bounded heap (the product runs the sorted ``DeltaIndex`` and
-  ``TopKBuffer``);
+  counts pass 2 in ``repro.core.histogram``);
 - :mod:`repro.lab.eigen`, :mod:`repro.lab.tridiagonal` — the
   eigensolver interface and from-scratch solvers beside LAPACK (the
   product calls ``numpy.linalg.eigh`` directly);

@@ -132,13 +132,21 @@ class TestMemoryEstimate:
         estimate = estimate_build_memory(2000, 0.01, 10_000)
         assert estimate >= 2000 * 2000 * 8
 
-    def test_linear_in_n_at_fixed_m_and_s(self):
-        # The queues hold 1.25 * gamma_k slots each and sum_k gamma_k
-        # grows with s * N * M: ten times the rows, ten times the memory.
-        small_n = estimate_build_memory(366, 0.10, 100_000)
-        large_n = estimate_build_memory(366, 0.10, 1_000_000)
-        assert large_n == pytest.approx(10 * small_n, rel=0.05)
-        assert small_n > 5 * 100_000 * 366 * 8 * 0.10  # several budgets' worth
+    def test_selection_peak_flat_in_n(self):
+        """Passes 1-2 hold the M x M arrays, a chunk and one histogram
+        per candidate, none of which grows with N: four times the rows
+        stay under 1.25 times the peak."""
+        peaks = []
+        for rows in (2000, 8000):
+            x = phone_matrix(rows, PhoneConfig(num_days=366))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                SVDDCompressor(budget_fraction=0.10).select_cutoff(x)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("rows, cols", [(2000, 366), (500, 1098)])
     def test_within_half_again_of_the_measured_peak(self, rows, cols):

@@ -1,4 +1,4 @@
-"""Four of CI's grep guards, run by pytest as well.
+"""Five of CI's grep guards, run by pytest as well.
 
 The ``.github/workflows/ci.yml`` steps "One way to ask" and "Checked
 once" grep the tree for names and shapes that must not come back: a
@@ -10,7 +10,10 @@ one front door" guard the serving tier: one thread-start site in
 ``obs/serve.py``, no stdlib server plumbing or hand-off queue, no
 process pool or breaker behind ``repro serve``, no second HTTP server,
 no warehouse surface and no process or future machinery in
-``src/repro/serve``.  This test runs the same patterns over the same
+``src/repro/serve``.  The build guard ("a k_max-deep tensor, a queue
+of cells or a fourth scan is back in the build") keeps pass 2 a chunk
+deep, its histograms free of cell keys, and build.py free of scans.
+This test runs the same patterns over the same
 paths, so a local ``pytest`` catches a breach before CI does.  The CI
 steps stay as they are; a pattern changed there is changed here too.
 (Patterns that would match their own text here are spelled with a
@@ -78,6 +81,22 @@ GUARDS = {
     "process or future machinery in src/repro/serve": (
         r"multiprocessing|concurrent\.futures",
         ("src/repro/serve",),
+        (),
+    ),
+    "a k_max-deep tensor in pass 2": (
+        r"cumsum|\[:, None, :\]|\[None, :, :\]|max_tensor_rows",
+        ("src/repro/core/svdd.py",),
+        (),
+    ),
+    "cell keys in the pass-2 histograms": (r"_keys", ("src/repro/core/histogram.py",), ()),
+    "a queue of cells handed to pass 3": (
+        r"delta_queu[e]|\.finaliz[e]\(\)|def finaliz[e]\(self",
+        ("src", "tests"),
+        (),
+    ),
+    "a scan spelled in build.py": (
+        r"_row_chunks|zero_row_scan|iter_row",
+        ("src/repro/core/build.py",),
         (),
     ),
 }
