@@ -19,12 +19,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.plan.cost import DISK, MEMORY, StorageTier
 
 
-#: The third 1997-flavoured reference tier; the planner prices with the
-#: other two, so they live with it.
+@dataclass(frozen=True)
+class StorageTier:
+    """A storage medium's first-order performance parameters.
+
+    Attributes:
+        name: label for reports.
+        seek_ms: average positioning latency per random access, in
+            milliseconds (tape: rewind/wind to offset; disk: seek +
+            rotational delay; memory: ~0).
+        mb_per_s: sequential transfer rate.
+        random_access: whether the medium supports random positioning
+            at per-access cost (False for tape, where any access
+            effectively streams from the current position).
+    """
+
+    name: str
+    seek_ms: float
+    mb_per_s: float
+    random_access: bool = True
+
+    def __post_init__(self) -> None:
+        if self.seek_ms < 0 or self.mb_per_s <= 0:
+            raise ConfigurationError(
+                f"invalid tier parameters: seek {self.seek_ms} ms, "
+                f"{self.mb_per_s} MB/s"
+            )
+
+    def access_ms(self, num_bytes: int) -> float:
+        """Latency of one random access reading ``num_bytes``."""
+        return self.seek_ms + num_bytes / (self.mb_per_s * 1e6) * 1e3
+
+
+#: 1997-flavoured reference tiers (orders of magnitude are what matter).
 TAPE = StorageTier("tape", seek_ms=30_000.0, mb_per_s=5.0, random_access=False)
+DISK = StorageTier("disk", seek_ms=12.0, mb_per_s=10.0)
+MEMORY = StorageTier("memory", seek_ms=0.0001, mb_per_s=500.0)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ route               needs                                  error bound
 Admissibility is decided from backend capabilities (a store whose open
 lost its deltas, ``Backend.deltas_lost``, has no delta fold and no
 delta-corrected rows, so ``factor`` and ``stream`` drop out); a price
-is a page term (:mod:`repro.plan.cost`, at ``Backend.pricing``'s
-per-page price) plus CPU terms, each an operation count at
-``CostParams.ns_per_*`` nanoseconds; the cheapest route whose error bound
-fits the caller's ``max_rmspe`` budget wins, with exact routes
-preferred on cost ties.  ``max_rmspe=None`` means exact only, and
+is CPU alone, a floor plus operation counts at :data:`NS_PER_CELL` and
+:data:`NS_PER_FACTOR_TERM` nanoseconds (every open gathers rows from a
+mmap view or memory, so pages are counted, never priced); the cheapest
+route whose error bound fits the caller's ``max_rmspe`` budget wins,
+with exact routes preferred on cost ties.  ``max_rmspe=None`` means exact only, and
 ``max_rmspe=0.0`` *provably* never selects ``svd``: the route is
 rejected before pricing whenever the budget is not strictly positive.
 Brownout is not a mode here: the serving tier passes the model's own
@@ -152,6 +152,38 @@ class QueryPlan:
         }
 
 
+# -- pricing ---------------------------------------------------------------
+#
+# A route's price is what ``QueryEngine.execute`` takes to answer along
+# it, profile and all: a floor for the per-query work every route does
+# (plan, dispatch, profile, finalize) plus operation counts.  Counts
+# follow "Tutorial: Complexity analysis of Singular Value Decomposition
+# and its variants": ``|R| k`` multiply-adds for a factor sum, ``|R| k^2``
+# more for a stddev Gram.  One fit to the benchmark harness's traced
+# ``engine.execute`` times (phone 4,000 x 366 at a 10% budget, one BLAS
+# thread, a 2-core x86-64 box; docs/ARCHITECTURE.md, "Pricing", names
+# the fit's script and output) set each floor to 0.11 ms + 3.3x, and
+# each rate to 3.3x, the values the planner priced with before
+# (floors 0.001 / 0.002 / 0.01 ms, 1 ns a cell, 2 ns a term): every
+# difference between two prices is the earlier one times 3.3, so every
+# route and candidate order stays where it was.
+
+#: Nanoseconds per value a vectorized kernel touches (a streamed
+#: reconstruction's ``k + 1`` per cell, a rollup's row and column
+#: totals, a delta the factor route folds).
+NS_PER_CELL = 3.3
+#: Nanoseconds per multiply-add of the factor GEMM.
+NS_PER_FACTOR_TERM = 6.6
+#: Fixed cost of a summary answer: the per-query work alone, since the
+#: rollups are in memory.
+SUMMARY_FLOOR_MS = 0.1133
+#: Fixed cost of the factor path: two small GEMM dispatches more.
+FACTOR_FLOOR_MS = 0.1166
+#: Fixed cost of the blocked streaming path, the largest: its block loop
+#: pays interpreter overhead the one-shot GEMM routes do not.  The
+#: floors keep the small-query order summary < factor < stream.
+STREAM_FLOOR_MS = 0.143
+
 # -- planning --------------------------------------------------------------
 
 #: Rejections whose reason depends on no query: built once, not per plan.
@@ -208,7 +240,7 @@ def plan_aggregate(
     """
     if not isinstance(backend, Backend):
         backend = as_backend(backend)
-    params, priced_store, page_ms, rank = backend.pricing
+    counted_store, rank = backend.pricing
     num_rows, num_cols = int(row_idx.size), int(col_idx.size)
     cells = num_rows * num_cols
     candidates: list[RouteEstimate] = []
@@ -216,12 +248,10 @@ def plan_aggregate(
     summary_plan = None
 
     # The factor, svd and stream routes all gather the selected rows:
-    # count and price their pages once.  A mapped store's "pages" are
-    # logical only — they never seek.
-    row_pages, gather_ms = 0, 0.0
-    if priced_store is not None and num_rows:
-        row_pages = priced_store.pages_for_rows(row_idx)
-        gather_ms = row_pages * page_ms
+    # count their pages once.  The count is reported, not priced.
+    row_pages = 0
+    if counted_store is not None and num_rows:
+        row_pages = counted_store.pages_for_rows(row_idx)
 
     # -- summary route: rollups answer a selection spanning a full axis.
     sstore = backend.summaries
@@ -235,8 +265,7 @@ def plan_aggregate(
         candidates.append(
             RouteEstimate(
                 ROUTE_SUMMARY,
-                cost_ms=params.summary_floor_ms
-                + (num_rows + num_cols) * params.ns_per_cell / 1e6,
+                cost_ms=SUMMARY_FLOOR_MS + (num_rows + num_cols) * NS_PER_CELL / 1e6,
                 pages=0,
                 row_fetches=0,
                 error_bound=0.0,
@@ -252,20 +281,16 @@ def plan_aggregate(
         rejected.extend(_no_factor_routes("backend has no factor form"))
     else:
         if function == "count":
-            fetches, pages, read_ms = 0, 0, 0.0
+            fetches, pages = 0, 0
             base_flops = 0.0
         else:
             # Only a paged store's factor gather fetches rows.
             fetches = num_rows if backend.paged_store is not None else 0
-            pages, read_ms = row_pages, gather_ms
+            pages = row_pages
             base_flops = float(num_rows) * rank
             if function == "stddev":
                 base_flops += float(num_rows) * rank**2
-        base_cost = (
-            params.factor_floor_ms
-            + read_ms
-            + base_flops * params.ns_per_factor_term / 1e6
-        )
+        base_cost = FACTOR_FLOOR_MS + base_flops * NS_PER_FACTOR_TERM / 1e6
         index = backend.delta_index
         if backend.deltas_lost:
             rejected.append(_LOST_FACTOR)
@@ -274,7 +299,7 @@ def plan_aggregate(
             if index is not None and function != "count":
                 # The fold walks the selected rows' key runs, not the
                 # index: price the deltas those rows hold.
-                cost_ms += index.count_in_rows(row_idx) * params.ns_per_cell / 1e6
+                cost_ms += index.count_in_rows(row_idx) * NS_PER_CELL / 1e6
             candidates.append(RouteEstimate(ROUTE_FACTOR, cost_ms, pages, fetches, 0.0))
 
         if max_rmspe is None:
@@ -300,9 +325,7 @@ def plan_aggregate(
         candidates.append(
             RouteEstimate(
                 ROUTE_STREAM,
-                cost_ms=params.stream_floor_ms
-                + gather_ms
-                + cells * (rank + 1) * params.ns_per_cell / 1e6,
+                cost_ms=STREAM_FLOOR_MS + cells * (rank + 1) * NS_PER_CELL / 1e6,
                 pages=row_pages,
                 row_fetches=num_rows,
                 error_bound=0.0,

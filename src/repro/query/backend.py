@@ -28,9 +28,9 @@ Vocabulary every backend offers:
   ``MatrixStore`` and row-only sources do not;
 - the facts the planner and the profiler read: ``rank``,
   ``delta_index``, ``deltas_lost``, ``paged_store``, ``pricing`` (the
-  planner's per-source constants), ``counters`` (the stat structs a
-  query profile diffs), ``name``, ``summaries``, ``start_date``,
-  ``rmspe_estimate``.
+  store whose pages a plan counts, and the rank it prices with),
+  ``counters`` (the stat structs a query profile diffs), ``name``,
+  ``summaries``, ``start_date``, ``rmspe_estimate``.
 """
 
 from __future__ import annotations
@@ -109,21 +109,15 @@ class Backend:
 
     @cached_property
     def pricing(self) -> tuple:
-        """``(params, priced_store, page_ms, rank)``: what the planner
-        prices with here, fixed for the source's life — its
-        :class:`~repro.plan.cost.CostParams`, the paged store whose pages
-        a gather pays for, one such page's price (a read is linear in
-        pages) and ``max(rank, 1)``.  Rows cost memory, not seeks, without
-        a paged store or from one opened ``mapped=True`` (its pages are
-        page cache): then no page is priced (None, 0.0)."""
-        from repro.plan.cost import CostParams, page_read_ms  # the planner sits above
-
+        """``(counted_store, rank)``: what the planner reads here, fixed
+        for the source's life — the paged store whose pages a gather's
+        plan counts, and ``max(rank, 1)``.  A store opened
+        ``mapped=True`` counts none (None), nor does a source without
+        a paged store."""
         store = self.paged_store
         if store is not None and store.mapped:
             store = None
-        params = CostParams.for_backend(store is None)
-        page_ms = 0.0 if store is None else page_read_ms(params, 1, store.page_size)
-        return params, store, page_ms, max(self.rank, 1)
+        return store, max(self.rank, 1)
 
     @property
     def start_date(self) -> str | None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -87,15 +86,20 @@ class DeltaFile:
             raise FormatError(
                 f"{path}: keys and values must align, got {keys.size} vs {values.size}"
             )
-        # Stable: O(n) on the sorted keys every model writer passes.
-        order = np.argsort(keys, kind="stable")
         records = np.empty(keys.size, dtype=record_dtype)
-        records["k"] = keys[order]
-        records["d"] = values[order]
-        body = records.tobytes()
+        if np.all(keys[1:] >= keys[:-1]):
+            # Every model writer passes sorted keys: no order to gather by.
+            records["k"] = keys
+            records["d"] = values
+        else:
+            order = np.argsort(keys, kind="stable")
+            records["k"] = keys[order]
+            records["d"] = values[order]
+        body = records.view(np.uint8)
         crc = zlib.crc32(body) & 0xFFFFFFFF
-        header = struct.pack(_HEADER_FMT, magic, keys.size, crc)
-        Path(path).write_bytes(header + body)
+        with open(path, "wb") as handle:
+            handle.write(struct.pack(_HEADER_FMT, magic, keys.size, crc))
+            handle.write(body)
         return int(keys.size)
 
     @staticmethod

@@ -126,6 +126,29 @@ def test_plans_prices_counters_and_answers_match_the_corpus(tmp_path):
         assert got[key] == record, key
 
 
+def test_a_default_and_a_mapped_open_price_every_query_alike(tmp_path):
+    """Every open gathers rows from a mmap view, so where a store's
+    pages live prices nothing: a default and a ``mapped=True`` open of
+    one model give every corpus query the same candidates at the same
+    prices (only the default open counts pages)."""
+    directory = tmp_path / "model"
+    build_compressed(phone_matrix(ROWS), directory, budget_fraction=0.10).close()
+    with CompressedMatrix.open(directory) as default, CompressedMatrix.open(
+        directory, mapped=True
+    ) as mapped:
+        engines = QueryEngine(default), QueryEngine(mapped)
+        for rows, cols in SELECTIONS.values():
+            for function in FUNCTIONS:
+                for budget in BUDGETS:
+                    query = AggregateQuery(function, Selection(rows, cols), budget)
+                    try:
+                        plans = [engine.plan(query) for engine in engines]
+                    except RouteUnavailableError:
+                        continue
+                    priced = [[(c.name, c.cost_ms) for c in p.candidates] for p in plans]
+                    assert priced[0] == priced[1], query
+
+
 if __name__ == "__main__":
     work = Path(tempfile.mkdtemp(prefix="plan-corpus-"))
     try:

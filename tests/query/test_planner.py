@@ -26,10 +26,9 @@ from repro.plan import (
     ROUTE_SUMMARY,
     ROUTE_SVD,
     ROUTES,
-    CostParams,
-    page_read_ms,
     plan_aggregate,
 )
+from repro.plan import planner
 from repro.plan.planner import validate_max_rmspe
 from repro.query import AggregateQuery, QueryEngine, Selection
 from repro.query.backend import as_backend
@@ -144,24 +143,8 @@ class TestRouteSelection:
 
 class TestPricing:
     def test_floor_ordering_encodes_small_query_ranking(self):
-        params = CostParams()
-        assert params.summary_floor_ms < params.factor_floor_ms
-        assert params.factor_floor_ms < params.stream_floor_ms
-
-    def test_for_backend_tiers(self):
-        from repro.lab.costmodel import DISK, MEMORY
-
-        assert CostParams.for_backend(True).tier is MEMORY
-        assert CostParams.for_backend(False).tier is DISK
-
-    def test_page_read_prices_every_page_on_the_tier(self):
-        from repro.lab.costmodel import DISK, MEMORY
-
-        disk = page_read_ms(CostParams(tier=DISK), pages=4, page_bytes=4096)
-        memory = page_read_ms(CostParams(tier=MEMORY), pages=4, page_bytes=4096)
-        assert disk == 4 * DISK.access_ms(4096)
-        assert memory == 4 * MEMORY.access_ms(4096)
-        assert page_read_ms(CostParams(tier=DISK), pages=0, page_bytes=4096) == 0.0
+        assert planner.SUMMARY_FLOOR_MS < planner.FACTOR_FLOOR_MS
+        assert planner.FACTOR_FLOOR_MS < planner.STREAM_FLOOR_MS
 
     def test_gather_pages_counted_once_and_blind_to_the_pool(
         self, compressed, monkeypatch
@@ -224,9 +207,8 @@ class TestFoldPricedBySelectedRows:
         plan = plan_aggregate(phone_store, "sum", *idx)
         assert plan.route.name == ROUTE_FACTOR
         # Priced at every stored delta, the same query streamed.
-        params = CostParams.for_backend(False)
         fold = index.count_in_rows(idx[0])
-        whole_index = (len(index) - fold) * params.ns_per_cell / 1e6
+        whole_index = (len(index) - fold) * planner.NS_PER_CELL / 1e6
         assert _cost(plan, ROUTE_FACTOR) + whole_index > _cost(plan, ROUTE_STREAM)
 
     def test_deltas_in_unselected_rows_do_not_move_the_price(self, svdd_model):
@@ -247,7 +229,7 @@ class TestFoldPricedBySelectedRows:
         base = factor_cost(mine)
         assert factor_cost(np.concatenate([mine, elsewhere])) == base
         one_more = factor_cost(np.append(mine, 13 * cols))  # a selected row
-        assert one_more == pytest.approx(base + CostParams().ns_per_cell / 1e6)
+        assert one_more == pytest.approx(base + planner.NS_PER_CELL / 1e6)
 
     def test_count_folds_nothing_so_factor_ties_svd(self, compressed):
         """``count`` returns before any fold, so it is priced with none:

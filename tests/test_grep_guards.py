@@ -3,8 +3,9 @@
 The ``.github/workflows/ci.yml`` steps "One way to ask" and "Checked
 once" grep the tree for names and shapes that must not come back: a
 route switch, a second reconstruction shape, a deleted writer or query
-door, a planner that re-checks a resolved selection, and the
-three-operand sum-of-squares einsum.  The steps "Reused handler
+door, a storage tier pricing the planner outside the lab, a planner
+that re-checks a resolved selection, and the three-operand
+sum-of-squares einsum.  The steps "Reused handler
 threads, own sockets" and "Serve answers where it accepts, one server,
 one front door" guard the serving tier: one thread-start site in
 ``obs/serve.py``, no stdlib server plumbing or hand-off queue, no
@@ -45,6 +46,11 @@ GUARDS = {
         r"CompressedMatrix\.save|def save\(|row_total[s]|column_total[s]|top_row[s]|as_stor[e]",
         ("src", "tests", "examples", "docs", "README.md"),
         ("history",),
+    ),
+    "a storage tier pricing the planner": (
+        r"StorageTier|seek_ms|mb_per_s|for_backend|page_read_ms",
+        ("src/repro",),
+        ("lab",),
     ),
     "the planner re-checking a resolved selection": (
         r"_check_rows|_run_of",
