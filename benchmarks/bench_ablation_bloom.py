@@ -11,26 +11,27 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit, format_table
 from repro.core import SVDDCompressor
-from repro.core.model import cell_key
 from repro.lab.workload import random_cell_queries
 from repro.lab.bloom import BloomFilter
-from repro.lab.hashtable import OpenAddressingTable
+from repro.lab.hashtable import OpenAddressingTable, cell_key
 
 
 def test_ablation_bloom(phone2000, benchmark):
     queries = random_cell_queries(phone2000.shape, count=5000, seed=12)
 
-    # The runtime answers deltas from the sorted DeltaIndex; the paper's
-    # Section 4.2 structures are rebuilt here from the fitted model's
-    # delta keys and values, so the ablation measures them directly.
+    # The runtime answers deltas from the row-indexed DeltaIndex; the
+    # paper's Section 4.2 structures are rebuilt here from the fitted
+    # model's cells, keyed row*M + col, so the ablation measures them
+    # directly.
     model = SVDDCompressor(budget_fraction=0.10).fit(phone2000)
-    keys, values = model.deltas.keys.tolist(), model.deltas.values.tolist()
+    num_cols = model.num_cols
+    index = model.deltas
+    keys = (index.rows * num_cols + index.cols).tolist()
     table = OpenAddressingTable(initial_capacity=max(16, 2 * len(keys)))
-    for key, delta in zip(keys, values):
+    for key, delta in zip(keys, index.values.tolist()):
         table.put(key, delta)
     bloom = BloomFilter(len(keys), 0.01)
     bloom.update(keys)
-    num_cols = model.num_cols
 
     def delta_for(row: int, col: int, use_filter: bool) -> tuple[float, int]:
         """``(delta, table probes)`` for one cell, Section 4.2 style."""
@@ -44,7 +45,7 @@ def test_ablation_bloom(phone2000, benchmark):
         probes = 0
         for query in queries:
             delta, probed = delta_for(query.row, query.col, use_filter)
-            assert delta == model.deltas.get(cell_key(query.row, query.col, num_cols))
+            assert delta == index.get(query.row, query.col)
             probes += probed
         return probes, table.probe_count
 

@@ -24,12 +24,11 @@ off-line rebuild is :func:`build_compressed` over the grown data.
 
 from repro.core.build import build_compressed, estimate_build_memory
 from repro.core.delta_index import DeltaIndex
-from repro.core.model import SVDDModel, SVDModel, cell_key
+from repro.core.model import SVDDModel, SVDModel
 from repro.core.update import AppendResult, append_columns
 from repro.core.verify import VerificationReport, verify_model
 from repro.core.space import (
     BYTES_PER_VALUE,
-    DELTA_RECORD_BYTES,
     delta_budget,
     max_k_for_budget,
     svd_space_bytes,
@@ -51,7 +50,6 @@ __all__ = [
     "AppendResult",
     "BYTES_PER_VALUE",
     "CompressedMatrix",
-    "DELTA_RECORD_BYTES",
     "DeltaIndex",
     "SVDCompressor",
     "SVDDCompressor",
@@ -62,7 +60,6 @@ __all__ = [
     "build_compressed",
     "estimate_build_memory",
     "verify_model",
-    "cell_key",
     "compute_gram",
     "compute_u",
     "compute_u_to_store",

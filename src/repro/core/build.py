@@ -12,8 +12,9 @@ materializes anything O(N):
    ``k_opt`` or the delta set (their state is O(M^2), a chunk, and one
    score histogram per candidate: a few hundred bins each, whatever N);
 2. pass 3 streams ``U`` rows *directly into the destination page file*
-   via :func:`~repro.core.svd.compute_u_to_store` — padded to one row
-   per page, in the requested precision, collecting ``k_opt``'s deltas;
+   via :func:`~repro.core.svd.compute_u_to_store` — one row of ``k_opt``
+   values per page, in the requested precision, collecting ``k_opt``'s
+   deltas;
 3. ``V``, the eigenvalues, the deltas and the metadata are written
    beside it, along with the append ledger (``sketch.npy``, the top
    ``l = 2k`` of the pass-1 spectrum, and ``update_state.json``) that
@@ -49,7 +50,6 @@ from repro.storage.matrix_store import MatrixStore
 from repro.storage.model_dir import (
     U_NAME,
     factor_dtype,
-    u_columns,
     u_page_size,
     write_model,
 )
@@ -107,20 +107,14 @@ def build_compressed(
     # Pass 3 onward writes the model files; they are assembled in a
     # staging sibling and atomically swapped into ``directory`` so an
     # interrupted build leaves either the previous model or nothing.
-    pad_cols = u_columns(k_opt, bytes_per_value)
-    padded_v = np.zeros((num_cols, pad_cols))
-    padded_v[:, :k_opt] = v_opt
-    padded_lam = np.zeros(pad_cols)
-    padded_lam[:k_opt] = lam_opt
-    # Padded columns have zero singular values -> zero U coordinates.
     sweep = selection.delta_sweep()
     with staged_directory(directory) as staging:
         pass3_start = time.perf_counter()
         with _span("build.pass3", rows=num_rows, k_opt=k_opt):
             u_store = compute_u_to_store(
                 source,
-                padded_lam,
-                padded_v,
+                lam_opt,
+                v_opt,
                 staging / U_NAME,
                 page_size=u_page_size(k_opt, bytes_per_value),
                 dtype=factor_dtype(bytes_per_value),
@@ -130,8 +124,9 @@ def build_compressed(
             u_store.close()
         _record_pass(3, pass3_start, num_rows)
 
-        keys, deltas = sweep.deltas()
-        residual = max(selection.error_energy - float(np.dot(deltas, deltas)), 0.0)
+        deltas = sweep.deltas()
+        retained = float(np.dot(deltas.values, deltas.values))
+        residual = max(selection.error_energy - retained, 0.0)
         meta = write_model(
             staging,
             {
@@ -143,8 +138,7 @@ def build_compressed(
             },
             eigenvalues=lam_opt,
             v=v_opt,
-            delta_keys=keys,
-            delta_values=deltas,
+            deltas=deltas,
             zero_rows=selection.zero_rows,
             # The pass-1 state, so appends never rescan the data: the
             # sketch carries the top of the spectrum forward, the ledger
@@ -189,7 +183,8 @@ def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) 
     :func:`~repro.core.svd.eigenpairs` hands to ``numpy.linalg.eigh``,
     and the eigenvectors before and after sorting).  Passes 2-3 hold
     four chunk arrays, k_max histograms (charged at 20 octaves of
-    16-byte bins, floor to top), and ``k_opt``'s 16-byte cells in or above its cut bin:
+    16-byte bins, floor to top), and ``k_opt``'s cells in or above its cut bin
+    (an 8-byte row, a 2-byte column and an 8-byte value each):
     ``gamma_1`` at most, and about ``2**-BIN_BITS`` of that more.
     """
     gram = num_cols * num_cols * 8
@@ -197,5 +192,5 @@ def estimate_build_memory(num_cols: int, budget_fraction: float, num_rows: int) 
     k_max = space.max_k_for_budget(num_rows, num_cols, budget_fraction)
     gamma_1 = space.delta_budget(num_rows, num_cols, 1, budget_fraction) if k_max else 0
     bins = k_max * 20 * 2**BIN_BITS * 16
-    cells = int(16 * gamma_1 * (1 + 2.0**-BIN_BITS))
+    cells = int(18 * gamma_1 * (1 + 2.0**-BIN_BITS))
     return max(4 * gram, 4 * chunk_cells * 8 + bins + cells)

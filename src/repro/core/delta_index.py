@@ -3,44 +3,43 @@
 The paper stores outlier cells in a hash table keyed by ``row*M + col``
 (Section 4.2), which is ideal for the single-cell probe but forces every
 range or aggregate query to walk the whole table in Python.  A
-:class:`DeltaIndex` is the query-side companion structure: the same
-``(key, delta)`` records held as *sorted parallel NumPy arrays*, so
+:class:`DeltaIndex` holds the table in the compressed-sparse-row form
+``deltas.bin`` stores (:class:`~repro.storage.delta_file.DeltaTable`),
+adopted as read, so
 
-- the deltas of one row occupy a contiguous slice found by bisecting the
-  key range ``[row*M, (row+1)*M)`` (``for_row``),
-- one derived table, the CSR row offsets (``row_start[r]``: where row
-  ``r``'s key run begins), hands over any selected rows' deltas without
-  a search: a run of rows ``a..b`` is the one key slice
-  ``[row_start[a], row_start[b + 1])``, scattered rows expand their own
-  runs, and both are masked by column.  So the deltas inside a row x
-  column selection — with their positions *within* it — cost O(|R| + r)
-  for |R| rows holding r deltas (``select``), plus O((|S| + M) log |S|)
-  to match |S| columns that are not a time range; never the stored
-  outlier count.  That is what lets
+- a cell probe (``get``) is one bisection of its row's columns,
+  ``cols[row_start[r]:row_start[r + 1]]``, and a row's deltas are that
+  slice (``for_row``),
+- any selected rows' deltas come without a search: a run of rows
+  ``a..b`` is the one slice ``[row_start[a], row_start[b + 1])``,
+  scattered rows expand their own runs, and both are masked by column.
+  So the deltas inside a row x column selection — with their positions
+  *within* it — cost O(|R| + r) for |R| rows holding r deltas
+  (``select``), plus O((|S| + M) log |S|) to match |S| columns that are
+  not a time range; never the stored outlier count.  That is what lets
   :meth:`~repro.core.store.CompressedMatrix.reconstruct_range` and the
   factor-space fast path fold corrections; over a time range the sum
   ``sum``/``avg`` fold (``select_sum``) gathers the values alone, and
 - a set of rows' delta count (``count_in_rows``, the planner's price of
-  a fold) is two reads of the table for a run of rows, one gather per
-  row otherwise; a resolved selection's key runs, once found, are noted
+  a fold) is two reads of the row starts for a run of rows, one gather
+  per row otherwise; a resolved selection's runs, once found, are noted
   on it, and the fold walks them without a second lookup.
 
-Keys are unique (one delta per cell), so the ``(row_pos, col_pos)``
+Cells are unique (one delta per cell), so the ``(row_pos, col_pos)``
 pairs ``select`` returns are unique too and fancy-indexed ``+=`` folding
-is safe without ``np.add.at``.  The index is immutable; building it
-from a delta file's sorted arrays costs one O(n) order check.
+is safe without ``np.add.at``.  The index is immutable.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import registry as _obs
+from repro.storage.delta_file import DeltaTable
 from repro.storage.matrix_store import Ascending
 
 #: ``delta.lookups`` / ``delta.keys_probed``, bound once.
@@ -75,147 +74,104 @@ def _with_run(sel) -> tuple[np.ndarray, tuple[int, int] | None]:
 
 
 class DeltaIndex:
-    """Immutable sorted-array view of an outlier-delta set.
+    """Immutable compressed-sparse-row view of an outlier-delta set.
 
     Args:
-        keys: cell keys ``row * num_cols + col``.  Strictly increasing
-            keys (the canonical delta-file order, which
-            :meth:`DeltaFile.read_arrays` validates) are adopted as
-            they are after one O(n) comparison; any other order is
-            sorted into private copies.
-        values: the delta for each key, aligned with ``keys``.
-        num_cols: ``M`` of the matrix the keys address.
+        table: the deltas as :meth:`DeltaFile.read_arrays` returns them
+            (or a build makes them): int64 row starts, ``N + 1`` of
+            them, and each row's uint16 columns, strictly increasing,
+            with their values.  The arrays are adopted, not copied.
+        num_cols: ``M`` of the matrix the table covers.
 
     A persistent store's index is the one private in-memory copy of its
     delta table (§4.1 pages only ``U``): nothing maps ``deltas.bin``.
     """
 
-    def __init__(self, keys, values, num_cols: int) -> None:
-        keys = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if keys.shape != values.shape:
+    def __init__(self, table: DeltaTable, num_cols: int) -> None:
+        row_start, cols, values = table
+        if cols.shape != values.shape or row_start.ndim != 1 or row_start.size < 1:
             raise ConfigurationError(
-                f"keys and values must align, got {keys.shape} vs {values.shape}"
+                f"row starts, columns and values must align, got "
+                f"{row_start.shape}, {cols.shape}, {values.shape}"
             )
         if num_cols < 1:
             raise ConfigurationError(f"num_cols must be >= 1, got {num_cols}")
-        if not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            keys, values = keys[order], values[order]
-        self._keys = keys
-        self._values = values
+        self._row_start = np.ascontiguousarray(row_start, dtype=np.int64)
+        self._cols = np.ascontiguousarray(cols, dtype=np.uint16)
+        self._values = np.ascontiguousarray(values, dtype=np.float64)
         self._num_cols = int(num_cols)
-        # Derived row/col arrays materialize on first use: cell lookups
-        # and row slices never need them, so an open should not allocate
-        # 2x its key bytes up front.
-        self._rows_cache: np.ndarray | None = None
-        self._cols_cache: np.ndarray | None = None
-        self._row_start_cache: np.ndarray | None = None
+        # The scalar probe reads through memoryviews of the same arrays:
+        # plain ints and floats, no NumPy scalar per step.
+        self._start_view = memoryview(self._row_start)
+        self._col_view = memoryview(self._cols)
+        self._value_view = memoryview(self._values)
         #: Probe accounting: scalar/batched lookups, keys tested, hits.
         self.stats = {"lookups": 0, "keys_probed": 0, "hits": 0}
-        # The key/value arrays are immutable after construction, so
-        # concurrent lookups are safe; only the stats dict mutates and
-        # its read-modify-write increments go through this lock.
+        # The arrays are immutable after construction, so concurrent
+        # lookups are safe; only the stats dict mutates and its
+        # read-modify-write increments go through this lock.
         self._stats_lock = threading.Lock()
 
     # -- geometry -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return int(self._keys.size)
+        return int(self._cols.size)
 
     @property
     def num_cols(self) -> int:
         return self._num_cols
 
     @property
-    def keys(self) -> np.ndarray:
-        """Sorted cell keys (read-only view)."""
-        return self._keys
-
-    @property
-    def _rows(self) -> np.ndarray:
-        if self._rows_cache is None:
-            # Benign race: concurrent first calls compute identical
-            # arrays and the last assignment wins.
-            self._rows_cache = self._keys // self._num_cols
-        return self._rows_cache
-
-    @property
-    def _cols(self) -> np.ndarray:
-        if self._cols_cache is None:
-            self._cols_cache = self._keys % self._num_cols
-        return self._cols_cache
-
-    @property
-    def _row_start(self) -> np.ndarray:
-        """Row ``r``'s keys are ``keys[row_start[r]:row_start[r + 1]]``
-        up to the last row holding a delta (8 bytes a row, built on
-        first use); read with ``mode="clip"``, other rows hold none."""
-        if self._row_start_cache is None:
-            # Benign race, as for ``_rows``.
-            last_row = int(self._keys[-1]) // self._num_cols if self._keys.size else -1
-            self._row_start_cache = np.searchsorted(
-                self._keys, np.arange(last_row + 2) * self._num_cols
-            )
-        return self._row_start_cache
+    def row_start(self) -> np.ndarray:
+        """Row ``r``'s deltas are ``[row_start[r], row_start[r + 1])``."""
+        return self._row_start
 
     @property
     def rows(self) -> np.ndarray:
-        """Row of each stored delta, aligned with :attr:`keys`."""
-        return self._rows
+        """Row of each stored delta, aligned with :attr:`cols` (built per call)."""
+        return np.arange(self._row_start.size - 1).repeat(np.diff(self._row_start))
 
     @property
     def cols(self) -> np.ndarray:
-        """Column of each stored delta, aligned with :attr:`keys`."""
+        """Column of each stored delta, row by row."""
         return self._cols
 
     @property
     def values(self) -> np.ndarray:
-        """Delta of each key, aligned with :attr:`keys`."""
+        """Delta of each cell, aligned with :attr:`cols`."""
         return self._values
 
     def size_bytes(self) -> int:
-        """In-memory footprint: keys/values plus any materialized
-        derived arrays (lazy row/col caches count only once built)."""
-        caches = (self._rows_cache, self._cols_cache, self._row_start_cache)
-        return int(self._keys.nbytes + self._values.nbytes) + sum(
-            int(cache.nbytes) for cache in caches if cache is not None
-        )
+        """In-memory footprint: row starts, columns and values."""
+        return int(self._row_start.nbytes + self._cols.nbytes + self._values.nbytes)
 
-    # -- hash-table-compatible scalar access --------------------------------
+    # -- access ---------------------------------------------------------------
 
-    def get(self, key: int, default: float = 0.0) -> float:
-        """Value for one cell key, or ``default`` when not stored: one
-        bisection, counted in one locked block."""
-        keys = self._keys
-        pos = int(keys.searchsorted(key))
-        hit = pos < keys.size and keys[pos] == key
+    def get(self, row: int, col: int | None = None, default: float = 0.0) -> float:
+        """Value stored for the cell ``(row, col)``, or ``default``: one
+        bisection inside the row's run, counted in one locked block.
+        Called with ``row`` alone, it reads it as the paper's cell key
+        ``row * M + col`` (the benchmark harness's traced probe)."""
+        if col is None:
+            row, col = divmod(row, self._num_cols)
+        starts, cols = self._start_view, self._col_view
+        hit = False
+        if 0 <= row < len(starts) - 1:
+            hi = starts[row + 1]
+            pos = bisect_left(cols, col, starts[row], hi)
+            hit = pos < hi and cols[pos] == col
         stats = self.stats
         with self._stats_lock:
             stats["lookups"] += 1
             stats["keys_probed"] += 1
             if hit:
                 stats["hits"] += 1
-        return float(self._values[pos]) if hit else default
-
-    def __contains__(self, key: int) -> bool:
-        pos = int(self._keys.searchsorted(key))
-        return pos < self._keys.size and self._keys[pos] == key
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        """Iterate ``(key, delta)`` in key order."""
-        for key, value in zip(self._keys, self._values):
-            yield int(key), float(value)
-
-    # -- vectorized access ----------------------------------------------------
+        return self._value_view[pos] if hit else default
 
     def for_row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, deltas)`` stored for one row — a contiguous key slice."""
-        lo = np.searchsorted(self._keys, row * self._num_cols)
-        hi = np.searchsorted(self._keys, (row + 1) * self._num_cols)
-        # Derive columns from the key slice directly (tiny) rather than
-        # touching the full lazy column cache.
-        return self._keys[lo:hi] % self._num_cols, self._values[lo:hi]
+        """``(cols, deltas)`` stored for one row: its slice of the table."""
+        lo, hi = self._row_start.take([row, row + 1], mode="clip").tolist()
+        return self._cols[lo:hi], self._values[lo:hi]
 
     def count_in_rows(self, row_idx) -> int:
         """Stored deltas in the rows ``row_idx`` (a repeated row counts
@@ -236,11 +192,11 @@ class DeltaIndex:
         folding into a reconstructed block.  A selection entry that
         repeats gets one output entry per occurrence, so every copy of a
         repeated row or column is corrected; the position pairs stay
-        unique.  Entries follow ``row_sel`` order, key order within a
+        unique.  Entries follow ``row_sel`` order, column order within a
         row.
 
-        Only the selected rows' key runs are examined:
-        ``stats["keys_probed"]`` grows by the candidate keys (the
+        Only the selected rows' runs are examined:
+        ``stats["keys_probed"]`` grows by the candidate cells (the
         selected rows' deltas within the column span), ``stats["hits"]``
         by the deltas returned.  When ``col_sel`` is exactly its span —
         ascending, unit step, inside the matrix, as every time range
@@ -299,9 +255,9 @@ class DeltaIndex:
         return row_sel.idx, noted[1]
 
     def _key_runs(self, row_sel: np.ndarray, run: tuple[int, int] | None):
-        """Where the keys of the rows ``row_sel`` (the run ``run`` when
+        """Where the deltas of the rows ``row_sel`` (the run ``run`` when
         not None) sit, in ``row_sel`` order: one slice for a run ``a..b``
-        (or no rows), else ``(starts, counts)``, one key run per row."""
+        (or no rows), else ``(starts, counts)``, one run per row."""
         table = self._row_start
         if run is None and row_sel.size:
             starts = table.take(row_sel, mode="clip")
@@ -312,22 +268,29 @@ class DeltaIndex:
 
     def _in_span(self, row_sel, runs, col_lo: int, col_hi: int, owners: bool):
         """``(row_pos, col_pos, values)`` of the deltas in columns
-        ``col_lo..col_hi`` of the rows ``row_sel``, whose keys sit at
-        ``runs`` (:meth:`_key_runs`), in ``row_sel`` order: the entry of
+        ``col_lo..col_hi`` of the rows ``row_sel``, which sit at ``runs``
+        (:meth:`_key_runs`), in ``row_sel`` order: the entry of
         ``row_sel`` and offset into the span of each (None unless
         ``owners``)."""
+        table = self._row_start
         if isinstance(runs, slice):
             cols = self._cols[runs]
             inside = (cols >= col_lo) & (cols <= col_hi)
             values = self._values[runs][inside]
-            row_pos = self._rows[runs][inside] - row_sel[0] if owners else None
+            if owners:
+                first = int(row_sel[0])
+                ends = table.take(np.arange(first, first + row_sel.size + 1), mode="clip")
+                row_pos = np.arange(row_sel.size).repeat(np.diff(ends))[inside]
         else:
             where = _slice_positions(*runs)
             cols = self._cols.take(where)
             inside = (cols >= col_lo) & (cols <= col_hi)
             values = self._values.take(where[inside])
-            row_pos = np.arange(row_sel.size).repeat(runs[1])[inside] if owners else None
-        return row_pos, cols[inside] - col_lo if owners else None, values
+            if owners:
+                row_pos = np.arange(row_sel.size).repeat(runs[1])[inside]
+        if not owners:
+            return None, None, values
+        return row_pos, cols[inside] - col_lo, values
 
     def _count(self, probed: int, hits: int) -> None:
         """One range probe: ``probed`` candidate keys, ``hits`` returned."""

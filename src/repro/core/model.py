@@ -4,7 +4,7 @@ A :class:`SVDModel` holds the truncated factors ``U`` (N x k), the
 eigenvalues ``Lambda`` (k,) and ``V`` (M x k) of the paper's Eq. 8, and
 reconstructs cells with Eq. 12 in O(k).  A :class:`SVDDModel` wraps an
 SVD model with the outlier delta table (Section 4.2), held as the same
-sorted :class:`~repro.core.delta_index.DeltaIndex` the persistent store
+row-indexed :class:`~repro.core.delta_index.DeltaIndex` the persistent store
 answers from: reconstruction first computes the SVD estimate, then
 corrects it exactly if the cell is a recorded outlier.
 """
@@ -151,18 +151,13 @@ class SVDModel:
         return self.u[:, :dimensions] * self.eigenvalues[:dimensions]
 
 
-def cell_key(row: int, col: int, num_cols: int) -> int:
-    """The paper's delta-table key: row-major cell ordinal ``row*M + col``."""
-    return row * num_cols + col
-
-
 @dataclass
 class SVDDModel:
     """SVD with Deltas: the paper's proposed method (Section 4.2).
 
     Attributes:
         svd: the truncated SVD kept after the k_opt decision.
-        deltas: sorted index mapping cell key -> (actual - reconstructed).
+        deltas: the outlier table, cell -> (actual - reconstructed).
         k_max: the pass-1 upper cutoff considered.
         candidate_errors: pass 2's ``[low, high]`` brackets on epsilon_k,
             the post-delta SSE of each candidate k (row 0 holding k=1),
@@ -199,13 +194,13 @@ class SVDDModel:
     def reconstruct_cell(self, row: int, col: int) -> float:
         """SVD estimate plus exact delta correction for outliers."""
         base = self.svd.reconstruct_cell(row, col)
-        return base + self.deltas.get(cell_key(row, col, self.num_cols), 0.0)
+        return base + self.deltas.get(row, col, 0.0)
 
     def reconstruct_row(self, row: int) -> np.ndarray:
         """Reconstruct one row, applying any stored delta corrections.
 
-        The row's corrections come from one bisection of the sorted
-        delta index instead of M per-cell probes.
+        The row's corrections are its slice of the delta table instead
+        of M per-cell probes.
         """
         out = self.svd.reconstruct_row(row)
         delta_cols, delta_values = self.deltas.for_row(row)
@@ -268,7 +263,7 @@ class SVDDModel:
         return float(np.abs(self.deltas.values).min())
 
     def outlier_cells(self) -> list[tuple[int, int, float]]:
-        """The stored ``(row, col, delta)`` triplets, sorted by cell key."""
+        """The stored ``(row, col, delta)`` triplets, in row-major order."""
         index = self.deltas
         return list(
             zip(index.rows.tolist(), index.cols.tolist(), index.values.tolist())

@@ -7,11 +7,14 @@ bytes per number).  Plain SVD with cutoff ``k`` costs
     (N*k + k + k*M) * b          (Eq. 9)
 
 SVDD splits the same budget between principal components and outlier
-deltas; each delta is a ``(row, column, delta)`` triplet which we store
-as an 8-byte packed cell key (``row*M + column``, as the paper keys its
-hash table) plus a value at the model's precision ('b' bytes — see
-:func:`delta_record_bytes`), matching the on-disk
-:class:`~repro.storage.delta_file.DeltaFile` record exactly.
+deltas, and charges both as the model directory stores them.  Each
+delta is a ``(row, column, delta)`` triplet, stored as the
+compressed-sparse-row table :class:`~repro.storage.delta_file.DeltaFile`
+writes: a 2-byte column and a value at the model's precision ('b'
+bytes — see :func:`delta_record_bytes`) per delta, and one 4-byte row
+start per row plus one, ``4 (N + 1)`` bytes charged once
+(:func:`row_table_bytes`).  ``U`` is stored one row of ``k`` values a
+page, as Eq. 9 charges it.
 """
 
 from __future__ import annotations
@@ -21,30 +24,22 @@ from repro.exceptions import BudgetError, ConfigurationError
 #: Default bytes per stored number ('b' in the paper's accounting).
 BYTES_PER_VALUE = 8
 
-#: On-disk bytes per outlier delta record at the default precision
-#: (packed 8-byte cell key + float64 delta).  Precision-aware callers
-#: should use :func:`delta_record_bytes` instead.
-DELTA_RECORD_BYTES = 16
-
-#: Bytes of the packed ``row*M + col`` cell key in a delta record; the
-#: key is always int64 regardless of the value precision, because the
-#: key range is set by N*M, not by 'b'.
-DELTA_KEY_BYTES = 8
+_COL_BYTES, _ROW_START_BYTES = 2, 4  # a uint16 column, an int32 row start
 
 
 def delta_record_bytes(bytes_per_value: int = BYTES_PER_VALUE) -> int:
-    """On-disk bytes per delta record at a given value precision.
-
-    A record is an 8-byte cell key plus one value at the model's 'b';
-    float32 models (``b=4``) therefore pay 12 bytes per outlier, not
-    16 — which is what :class:`~repro.storage.delta_file.DeltaFile`
-    actually writes for them.
-    """
+    """Bytes each delta adds to the table: its 2-byte column plus its
+    value at the model's 'b' (10 at float64, 6 at float32)."""
     if bytes_per_value not in (4, 8):
         raise ConfigurationError(
             f"bytes_per_value must be 4 or 8, got {bytes_per_value}"
         )
-    return DELTA_KEY_BYTES + bytes_per_value
+    return _COL_BYTES + bytes_per_value
+
+
+def row_table_bytes(num_rows: int) -> int:
+    """The delta table's fixed part: ``N + 1`` int32 row starts."""
+    return _ROW_START_BYTES * (num_rows + 1)
 
 
 def _check_dims(num_rows: int, num_cols: int) -> None:
@@ -86,18 +81,21 @@ def svdd_space_bytes(
     num_deltas: int,
     bytes_per_value: int = BYTES_PER_VALUE,
 ) -> int:
-    """SVDD model size: SVD part plus the outlier delta records.
+    """SVDD model size: SVD part plus the delta table.
 
-    The delta term uses :func:`delta_record_bytes` so float32 models
-    (``bytes_per_value=4``) are charged the 12 bytes per record their
-    :class:`~repro.storage.delta_file.DeltaFile` actually occupies.
+    The table is what :class:`~repro.storage.delta_file.DeltaFile`
+    writes: :func:`row_table_bytes` once and :func:`delta_record_bytes`
+    per delta at the model's 'b' (none of it when no delta is stored:
+    the file is absent).
     """
     if num_deltas < 0:
         raise ConfigurationError(f"num_deltas must be >= 0, got {num_deltas}")
-    return (
-        svd_space_bytes(num_rows, num_cols, k, bytes_per_value)
-        + num_deltas * delta_record_bytes(bytes_per_value)
+    table = (
+        row_table_bytes(num_rows) + num_deltas * delta_record_bytes(bytes_per_value)
+        if num_deltas
+        else 0
     )
+    return svd_space_bytes(num_rows, num_cols, k, bytes_per_value) + table
 
 
 def max_k_for_budget(
@@ -149,11 +147,16 @@ def delta_budget(
     """``gamma_k``: how many outlier deltas fit beside ``k`` components.
 
     This is the count the SVDD pass-1 estimates for each candidate
-    ``k`` (paper Fig. 5).  Never negative; zero means the whole budget
-    went to principal components.  ``raw_bytes_per_value`` as in
-    :func:`max_k_for_budget`.
+    ``k`` (paper Fig. 5): what is left beside the components, less the
+    table's row starts, in deltas.  Never negative; zero means the
+    whole budget went to principal components.  ``raw_bytes_per_value``
+    as in :func:`max_k_for_budget`.
     """
     raw = raw_bytes_per_value if raw_bytes_per_value is not None else bytes_per_value
     budget = budget_fraction * uncompressed_bytes(num_rows, num_cols, raw)
-    remaining = budget - svd_space_bytes(num_rows, num_cols, k, bytes_per_value)
+    remaining = (
+        budget
+        - svd_space_bytes(num_rows, num_cols, k, bytes_per_value)
+        - row_table_bytes(num_rows)
+    )
     return max(0, int(remaining // delta_record_bytes(bytes_per_value)))

@@ -9,12 +9,12 @@ for the delta.
 
 :class:`CompressedMatrix` implements that layout on a directory (the
 files, and the one reader and one writer every module goes through,
-are :mod:`repro.storage.model_dir`); the delta table is the sorted
-:class:`~repro.core.delta_index.DeltaIndex` (one bisection per probe),
-adopted straight from ``deltas.bin`` — the same representation the
-in-memory :class:`~repro.core.model.SVDDModel` holds; the paper's hash
-table and Bloom filter live on only in ``repro.lab`` and their ablation
-bench.
+are :mod:`repro.storage.model_dir`); the delta table is the row-indexed
+:class:`~repro.core.delta_index.DeltaIndex` (one bisection of a row's
+columns per probe), adopted as ``deltas.bin`` stores it — the same
+representation the in-memory :class:`~repro.core.model.SVDDModel`
+holds; the paper's hash table and Bloom filter live on only in
+``repro.lab`` and their ablation bench.
 
 Disk accesses are observable through the underlying buffer-pool
 statistics; the storage benchmark asserts the 1-access claim with them.
@@ -69,13 +69,9 @@ class CompressedMatrix:
         self._u_store = parts.u_store
         self._eigenvalues = parts.eigenvalues
         self._v = parts.v
-        # The reader validated strict key order, so the index adopts
-        # its private arrays without an argsort.
-        self._deltas = (
-            DeltaIndex(parts.delta_keys, parts.delta_values, parts.cols)
-            if parts.delta_keys.size
-            else None
-        )
+        # The reader validated the table, so the index adopts its
+        # private arrays as they are.
+        self._deltas = DeltaIndex(parts.deltas, parts.cols) if parts.deltas.count else None
         self._directory = parts.directory
         # Section 6.2's flag, twice: a set for single probes and one
         # boolean per row (a byte each) for masking a batch of rows.
@@ -255,8 +251,14 @@ class CompressedMatrix:
         return len(self._deltas) if self._deltas is not None else 0
 
     @property
+    def appends(self) -> int:
+        """Appends since the build, as read at open (-1 when a degraded
+        open dropped the ledger)."""
+        return self._generation[3]
+
+    @property
     def delta_index(self) -> DeltaIndex | None:
-        """The sorted-array outlier index (None for plain SVD models)."""
+        """The row-indexed outlier table (None for plain SVD models)."""
         return self._deltas
 
     @property
@@ -362,7 +364,7 @@ class CompressedMatrix:
 
         A probe pays for one U page (a pool hit or one pager read, the
         row handed over as the cached page itself), one k-term dot
-        product and one bisection of the delta keys — and for the two
+        product and one bisection of the row's delta columns — and for the two
         locks that count them, the pool's and the delta index's.
         """
         rows, cols = self.shape
@@ -374,11 +376,9 @@ class CompressedMatrix:
             # Flagged inactive customer: answer without any disk access.
             self._bump("zero_row_skips")
             return 0.0
-        u_row = self._u_store.row(row)[: self.cutoff]
-        base = float(np.dot(u_row * self._eigenvalues, self._v[col]))
+        base = float(np.dot(self._u_store.row(row) * self._eigenvalues, self._v[col]))
         deltas = self._deltas
-        # The paper's delta key is the row-major cell ordinal row*M + col.
-        return base + (0.0 if deltas is None else deltas.get(row * cols + col, 0.0))
+        return base + (0.0 if deltas is None else deltas.get(row, col, 0.0))
 
     def _u_blocks(self):
         """All of ``U`` as ``(start_row, block)`` gathers of
@@ -387,7 +387,7 @@ class CompressedMatrix:
         num_rows = self._u_store.num_rows
         for lo in range(0, num_rows, _U_BLOCK_ROWS):
             hi = min(lo + _U_BLOCK_ROWS, num_rows)
-            yield lo, self._u_store.read_rows(np.arange(lo, hi))[:, : self.cutoff]
+            yield lo, self._u_store.read_rows(np.arange(lo, hi))
         self._u_store.note_full_scan()
 
     def factors(self, row_idx: np.ndarray):
@@ -401,7 +401,7 @@ class CompressedMatrix:
         planner's — the pinned ``V``, the outlier index (None for plain
         SVD models) and the U-row fetches the gather performed.
         """
-        u_sel = self._u_store.read_rows(row_idx)[:, : self._eigenvalues.size]
+        u_sel = self._u_store.read_rows(row_idx)
         return u_sel * self._eigenvalues, self._v, self._deltas, int(row_idx.size)
 
     def reconstruct_range(self, rows, cols) -> np.ndarray:
@@ -432,14 +432,14 @@ class CompressedMatrix:
         zero = self._zero_flag.take(row_idx)
         skipped = int(np.count_nonzero(zero))
         if not skipped:
-            u_sel = self._u_store.read_rows(rows)[:, : self._eigenvalues.size]
+            u_sel = self._u_store.read_rows(rows)
             out = (u_sel * self._eigenvalues) @ v_sel.T
         else:
             self._bump("zero_row_skips", skipped)
             out = np.zeros((rows.size, cols.size))
             live = ~zero
             if skipped < rows.size:
-                u_sel = self._u_store.read_rows(rows[live])[:, : self._eigenvalues.size]
+                u_sel = self._u_store.read_rows(rows[live])
                 out[live] = (u_sel * self._eigenvalues) @ v_sel.T
         if self._deltas is not None and len(self._deltas) > 0:
             row_pos, col_pos, _r, _c, values = self._deltas.select(rows, cols)
@@ -454,6 +454,6 @@ class CompressedMatrix:
             stop = start + block.shape[0]
             out[start:stop] = (block * self._eigenvalues) @ self._v.T
         if self._deltas is not None:
-            # Keys are unique, so fancy-indexed += cannot collide.
+            # Cells are unique, so fancy-indexed += cannot collide.
             out[self._deltas.rows, self._deltas.cols] += self._deltas.values
         return out

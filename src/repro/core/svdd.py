@@ -54,6 +54,7 @@ from repro.exceptions import ConfigurationError, ShapeError
 from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
+from repro.storage.delta_file import DeltaTable, check_width
 from repro.storage.matrix_store import MatrixStore
 
 #: Rows in the strided sample that sets each candidate histogram's floor.
@@ -62,6 +63,7 @@ _FLOOR_SAMPLE_ROWS = 128
 _FLOOR_SLACK = 3
 #: A histogram raises its floor to its cut bin every this many chunks.
 _RAISE_EVERY = 4
+_ROUNDING = 1e-12  # an epsilon_k this small beside its SSE is 0
 
 
 def sketch_rows(cutoff: int, cols: int) -> int:
@@ -162,8 +164,8 @@ def _scan_errors(source, v, hists, sse, zero_rows) -> None:
 
 
 class DeltaSweep:
-    """The top ``gamma`` cells of a histogram, in key order, ties at the
-    ``gamma``-th score going to the first keys.  Called with pass 3's
+    """The top ``gamma`` cells of a histogram, in row-major order, ties at
+    the ``gamma``-th score going to the first cells.  Called with pass 3's
     chunks (in row order, cut as pass 2 cut them), it keeps every cell
     in or above the cut bin — the count pass 2 took — recomputing their
     rank-``depth`` errors with the ``V`` pass 2 binned (its k_max-wide
@@ -172,32 +174,36 @@ class DeltaSweep:
     def __init__(self, hist: ScoreHistogram, v: np.ndarray, depth: int) -> None:
         (self._floor, count), self._gamma = hist.sweep_cut(), hist.gamma
         self._v, self._depth = v, depth
-        self._filled = self._base = 0  # cells kept; next chunk's first key
-        self._cells = np.empty(count, dtype=np.int64)
+        self._filled = self._base = 0  # cells kept; next chunk's first row
+        self._rows = np.empty(count, dtype=np.int64)
+        self._cols = np.empty(count, dtype=np.uint16)
         self._values = np.empty(count)
 
     def __call__(self, block: np.ndarray) -> None:
         (deltas,) = _rank_errors(block, self._v, self._depth, first=self._depth)
-        picked = np.flatnonzero(np.abs(deltas) >= self._floor)
-        end = self._filled + picked.size
-        np.add(picked, self._base, out=self._cells[self._filled : end])
-        self._values[self._filled : end] = deltas[picked]
+        deltas = deltas.reshape(block.shape)
+        rows, cols = np.nonzero(np.abs(deltas) >= self._floor)
+        end = self._filled + rows.size
+        np.add(rows, self._base, out=self._rows[self._filled : end])
+        self._cols[self._filled : end] = cols
+        self._values[self._filled : end] = deltas[rows, cols]
         self._filled = end
-        self._base += deltas.size
+        self._base += block.shape[0]
 
-    def deltas(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, values)`` of the top ``gamma``, once every chunk is in."""
-        if self._filled != self._cells.size:  # the source changed between scans
-            raise ShapeError(f"{self._filled} of {self._cells.size} cells at the cut")
-        spare = self._cells.size - self._gamma
+    def deltas(self) -> DeltaTable:
+        """The top ``gamma`` as a table, once every chunk is in."""
+        if self._filled != self._values.size:  # the source changed between scans
+            raise ShapeError(f"{self._filled} of {self._values.size} cells at the cut")
+        spare = self._values.size - self._gamma
         if spare:  # keep the top gamma alone from here on
             scores = np.abs(self._values)
             cut = np.partition(scores, spare)[spare]
             keep = scores > cut
             keep[np.flatnonzero(scores == cut)[: self._gamma - np.count_nonzero(keep)]] = True
-            self._cells, self._values = self._cells[keep], self._values[keep]
+            kept = (self._rows, self._cols, self._values)
+            self._rows, self._cols, self._values = (array[keep] for array in kept)
             self._filled = self._gamma
-        return self._cells, self._values
+        return DeltaTable.from_cells(self._rows, self._cols, self._values, self._base)
 
 
 def _sample_floors(source, v: np.ndarray, gammas: list[int]) -> list[float]:
@@ -306,6 +312,7 @@ class SVDDCompressor:
                 selection is identical for any ``jobs``.
         """
         num_rows, num_cols = source_shape(source)
+        check_width(num_cols)
 
         # ---- Pass 1: the spectrum to the sketch's depth; per-k delta budgets.
         k_max = self.candidate_cutoffs(num_rows, num_cols)
@@ -338,9 +345,11 @@ class SVDDCompressor:
                 if rescan:
                     scanned = [hists[k] if k in rescan else None for k in range(rescan[-1] + 1)]
                     _scan_errors(source, v, scanned, np.zeros(len(scanned)), [])
-                # [low, high] of epsilon_k: the deltas' energy leaves sse.
+                # [low, high] of epsilon_k: the deltas' energy leaves sse
+                # (an exact 0 reads a few ulps of either sign: rounding).
                 retained = np.array([hist.bracket() for hist in hists])
                 epsilon = np.maximum(sse[:, None] - retained[:, ::-1], 0.0)
+                epsilon[epsilon <= _ROUNDING * sse[:, None]] = 0.0
                 contenders = epsilon[:, 0] <= epsilon[:, 1].min()
                 doubt = contenders & (epsilon[:, 0] < epsilon[:, 1])
                 rescan = np.flatnonzero(doubt).tolist() if contenders.sum() > 1 else []
@@ -380,12 +389,13 @@ class SVDDCompressor:
         lam, v, sweep = selection.singular_values, selection.v, selection.delta_sweep()
         u = np.vstack(list(_projected(source, lam, v, sweep)))
         svd_model = SVDModel(u=u, eigenvalues=lam, v=v)
-        keys, values = sweep.deltas()
+        deltas = sweep.deltas()
         errors = selection.candidate_errors.copy()  # k_opt's exact now:
-        errors[selection.k_opt - 1] = max(selection.error_energy - np.dot(values, values), 0)
+        retained = np.dot(deltas.values, deltas.values)
+        errors[selection.k_opt - 1] = max(selection.error_energy - retained, 0)
         return SVDDModel(
             svd=svd_model,
-            deltas=DeltaIndex(keys, values, svd_model.num_cols),
+            deltas=DeltaIndex(deltas, svd_model.num_cols),
             k_max=selection.k_max,
             candidate_errors=errors,
         )

@@ -89,6 +89,7 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import staged_directory
+from repro.storage.delta_file import DeltaTable
 from repro.storage.model_dir import ModelParts, read_model, write_model
 
 __all__ = [
@@ -183,27 +184,32 @@ def _inv(lam: np.ndarray) -> np.ndarray:
 
 
 def _merge_deltas(
-    old_keys: np.ndarray,
-    old_values: np.ndarray,
-    new_keys: np.ndarray,
+    old: DeltaTable,
+    new_rows: np.ndarray,
+    new_cols: np.ndarray,
     new_values: np.ndarray,
     budget: int,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Top-``budget`` outliers (by |value|) among old and new candidates.
-
-    Returns ``(keys, values, retained_sq)`` where ``retained_sq`` is the
-    squared-error mass the retained deltas correct exactly.  One
-    partition over all candidates (the bounded queue of paper Fig. 5,
-    filled in one batch), then the kept keys sorted.
+    num_rows: int,
+) -> tuple[DeltaTable, float]:
+    """Top-``budget`` outliers (by |value|) among the old table and the
+    new cells: the ``num_rows``-row table and the squared-error mass it
+    corrects exactly.  One partition over all candidates (the bounded
+    queue of paper Fig. 5, filled in one batch), then one stable sort by
+    row: a row's old cells precede its new ones, which sit right of
+    every old column (new days) or below every old row (new customers).
     """
-    keys = np.concatenate([old_keys, new_keys])
-    values = np.concatenate([old_values, new_values])
+    rows = np.concatenate([old.rows(), new_rows])
+    cols = np.concatenate([old.cols, new_cols])
+    values = np.concatenate([old.values, new_values])
     scores = np.abs(values)
     if scores.size > budget:
-        keep = np.argpartition(scores, -budget)[-budget:] if budget > 0 else slice(0)
-        keys, values, scores = keys[keep], values[keep], scores[keep]
-    order = np.argsort(keys)
-    return keys[order], values[order], float((scores * scores).sum())
+        kept = np.argpartition(scores, -budget)[-budget:] if budget > 0 else []
+        keep = np.zeros(scores.size, dtype=bool)
+        keep[kept] = True
+        rows, cols, values, scores = rows[keep], cols[keep], values[keep], scores[kept]
+    order = np.argsort(rows, kind="stable")
+    table = DeltaTable.from_cells(rows[order], cols[order], values[order], num_rows)
+    return table, float((scores * scores).sum())
 
 
 def _grown_columns(
@@ -284,7 +290,7 @@ def _finish_append(
     kind: str,
     x_new: np.ndarray,
     shape: tuple[int, int],
-    candidate_keys: np.ndarray,
+    candidate_cells: tuple[np.ndarray, np.ndarray],
     candidate_values: np.ndarray,
     captured_inc: float,
     cross: np.ndarray | None,
@@ -296,7 +302,8 @@ def _finish_append(
     """What both append flavors do once their own math is done.
 
     Re-runs the delta budget competition over the old outliers and the
-    new cells' residuals (keys in the post-append ``shape``), brings
+    new cells' residuals (``candidate_cells``: their rows and columns in
+    the post-append ``shape``), brings
     the energy ledger up to date, folds ``x_new`` into the sketch (with
     ``cross``, ``X_old^t X_new``, for new columns; None for new rows),
     takes drift from the grown sketch and truncates it to the next one,
@@ -313,19 +320,22 @@ def _finish_append(
         parts.bytes_per_value,
         state["raw_bytes_per_value"],
     )
-    candidates = parts.delta_values.size + candidate_values.size
+    old = parts.deltas
+    candidates = old.count + candidate_values.size
     # A zero residual corrects nothing: it takes no slot (and so never
     # un-flags an all-zero row).
     live = candidate_values != 0.0
+    rows, cols = candidate_cells
     with _span("update.merge_deltas", candidates=candidates, budget=budget) as merge:
-        merged_keys, merged_values, retained_sq = _merge_deltas(
-            parts.delta_keys_at(shape[1]),
-            parts.delta_values,
-            candidate_keys[live],
+        merged, retained_sq = _merge_deltas(
+            old,
+            rows[live],
+            cols[live],
             candidate_values[live],
             min(budget, shape[0] * shape[1]),
+            shape[0],
         )
-        merge.set(kept=int(merged_keys.size))
+        merge.set(kept=merged.count)
 
     # Exact energy bookkeeping: residual = everything the factors and
     # the retained deltas do not explain.
@@ -334,7 +344,7 @@ def _finish_append(
     residual_sse = max(
         0.0,
         float(state["residual_sse"])
-        + float((parts.delta_values**2).sum())
+        + float((old.values**2).sum())
         + float(candidate_values @ candidate_values)
         - retained_sq,
     )
@@ -363,8 +373,7 @@ def _finish_append(
         write_model(
             staging,
             {**parts.meta, "rows": shape[0], "cols": shape[1]},
-            delta_keys=merged_keys,
-            delta_values=merged_values,
+            deltas=merged,
             zero_rows=zero_rows,
             sketch=sketch,
             update_state=state,
@@ -383,7 +392,7 @@ def _finish_append(
         appended=added,
         rows=shape[0],
         cols=shape[1],
-        num_deltas=int(merged_keys.size),
+        num_deltas=merged.count,
         drift=drift,
         rebuild_recommended=recommended,
         residual_fraction=residual_sse / total_energy if total_energy > 0 else 0.0,
@@ -396,22 +405,24 @@ def _finish_append(
 # -- append columns (new days) ---------------------------------------------
 
 
-def _add_delta_cross(cross: np.ndarray, parts: ModelParts, x_new: np.ndarray) -> None:
+def _add_delta_cross(cross: np.ndarray, deltas: DeltaTable, x_new: np.ndarray) -> None:
     """Add the stored deltas' share to the cross block, in place:
     ``cross[c, j] += sum of delta(r, c) * x_new[r, j]`` over the outliers.
 
-    One ``bincount`` per new day; each bucket's first record is the
-    value it starts from, so the additions run in key order (what
+    One ``bincount`` per new day (``x_new[r, j]`` repeated for each of
+    row ``r``'s deltas); each bucket's first record is the value it
+    starts from, so the additions run in row-major order (what
     ``np.add.at`` did, byte for byte, at a third of the time).
     """
-    if not parts.delta_keys.size:
+    if not deltas.count:
         return
-    old_rows, old_cols = np.divmod(parts.delta_keys, parts.cols)
-    buckets = np.concatenate([np.arange(parts.cols), old_cols])
+    num_cols = cross.shape[0]
+    buckets = np.concatenate([np.arange(num_cols), deltas.cols])
+    per_row = np.diff(deltas.row_start)
     for j in range(cross.shape[1]):
-        contrib = parts.delta_values * x_new[old_rows, j]
+        contrib = deltas.values * np.repeat(x_new[:, j], per_row)
         cross[:, j] = np.bincount(
-            buckets, np.concatenate([cross[:, j], contrib]), parts.cols
+            buckets, np.concatenate([cross[:, j], contrib]), num_cols
         )
 
 
@@ -461,7 +472,7 @@ def append_columns(
             summary tile grid's row blocks, gathered the same way."""
             for lo in range(0, num_rows, _U_BLOCK_ROWS):
                 hi = min(lo + _U_BLOCK_ROWS, num_rows)
-                yield lo, parts.u_store.read_rows(np.arange(lo, hi))[:, :cutoff]
+                yield lo, parts.u_store.read_rows(np.arange(lo, hi))
 
         # Pass A over U: P = U^t X_new, the new columns' coordinates.
         projection = np.zeros((cutoff, added))
@@ -482,16 +493,16 @@ def append_columns(
                 captured_inc += float((recon * recon).sum())
                 stop = start + block.shape[0]
                 residual[start:stop] = x_new[start:stop] - recon
-        candidate_keys = (
-            np.arange(num_rows)[:, None] * new_total_cols
-            + (num_cols + np.arange(added))[None, :]
-        ).ravel()
+        candidate_cells = (
+            np.repeat(np.arange(num_rows), added),
+            np.tile(num_cols + np.arange(added), num_rows),
+        )
 
         # The sketch grows by the new block, exact, and the cross block
         # X_old^t X_new estimated through the model (X_old ~ U Lambda
         # V^t plus the stored deltas).
         cross = v @ (lam[:, None] * projection)  # (M, d)
-        _add_delta_cross(cross, parts, x_new)
+        _add_delta_cross(cross, parts.deltas, x_new)
 
         # Rows still all-zero: previously flagged and zero across the
         # appended days.
@@ -504,7 +515,7 @@ def append_columns(
             "columns",
             x_new,
             (num_rows, new_total_cols),
-            candidate_keys,
+            candidate_cells,
             residual.ravel(),
             captured_inc,
             cross,
@@ -554,9 +565,10 @@ def append_rows(
             residual = x_new - recon
 
         row_idx = num_rows + np.arange(added)
-        candidate_keys = (
-            row_idx[:, None] * num_cols + np.arange(num_cols)[None, :]
-        ).ravel()
+        candidate_cells = (
+            np.repeat(row_idx, num_cols),
+            np.tile(np.arange(num_cols), added),
+        )
         # Appended all-zero customers earn the zero-row fast path;
         # existing flags survive as-is — old rows gained no cells and
         # kept their deltas only by merit.
@@ -568,7 +580,7 @@ def append_rows(
             "rows",
             x_new,
             (num_rows + added, num_cols),
-            candidate_keys,
+            candidate_cells,
             residual.ravel(),
             float((recon * recon).sum()),
             None,

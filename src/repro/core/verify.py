@@ -98,9 +98,10 @@ def verify_model(source, model) -> VerificationReport:
     holds = None
     if isinstance(model, SVDDModel):
         certified = model.worst_case_bound()
-    elif isinstance(model, CompressedMatrix) and model.num_deltas > 0:
-        deltas = model._deltas
-        certified = min(abs(delta) for _key, delta in deltas.items())
+    elif isinstance(model, CompressedMatrix) and model.num_deltas and model.appends == 0:
+        # As SVDDModel.worst_case_bound: min |delta| bounds the unstored
+        # cells of a fresh build only (an append's never compete again).
+        certified = float(np.abs(model.delta_index.values).min())
     if certified is not None and np.isfinite(certified):
         holds = acc.max_abs_error() <= certified + 1e-9
 

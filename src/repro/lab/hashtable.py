@@ -22,6 +22,11 @@ _EMPTY = -1
 _MASK64 = (1 << 64) - 1
 
 
+def cell_key(row: int, col: int, num_cols: int) -> int:
+    """The paper's delta-table key: row-major cell ordinal ``row*M + col``."""
+    return row * num_cols + col
+
+
 def _mix(key: int) -> int:
     """SplitMix64 finalizer — cheap, well-distributed integer hashing."""
     z = (key + 0x9E3779B97F4A7C15) & _MASK64

@@ -11,6 +11,7 @@ from repro.core.delta_index import DeltaIndex
 from repro.core.model import SVDDModel
 from repro.core.svd import SVDCompressor, _row_chunks, source_shape
 from repro.core.svdd import SVDDCompressor, _rank_errors
+from repro.storage.delta_file import DeltaTable
 from repro.storage.matrix_store import MatrixStore
 
 
@@ -90,7 +91,10 @@ class NaiveSVDDCompressor:
         keys = _top(errors, gammas[best_k - 1])
         return SVDDModel(
             svd=model,
-            deltas=DeltaIndex(keys, errors[keys], num_cols),
+            deltas=DeltaIndex(
+                DeltaTable.from_cells(*np.divmod(keys, num_cols), errors[keys], num_rows),
+                num_cols,
+            ),
             k_max=k_max,
             candidate_errors=np.repeat(epsilons[:, None], 2, axis=1),
         )

@@ -38,6 +38,7 @@ from repro.core.model import SVDDModel, SVDModel
 from repro.core.svd import compute_u, spectrum_from_gram
 from repro.core.svdd import SVDDCompressor
 from repro.exceptions import ConfigurationError, ShapeError
+from repro.storage.delta_file import DeltaTable
 from repro.storage.matrix_store import MatrixStore
 
 
@@ -189,7 +190,12 @@ class RobustSVDDCompressor:
             worst = np.argpartition(flat, flat.size - gamma)[flat.size - gamma :]
         return SVDDModel(
             svd=robust,
-            deltas=DeltaIndex(worst, residual.ravel()[worst], arr.shape[1]),
+            deltas=DeltaIndex(
+                DeltaTable.from_cells(
+                    *np.divmod(worst, arr.shape[1]), residual.ravel()[worst], arr.shape[0]
+                ),
+                arr.shape[1],
+            ),
             k_max=baseline.k_max,
             candidate_errors=baseline.candidate_errors,
         )

@@ -14,7 +14,8 @@ package provides a small storage engine:
 - :class:`MatrixStore` — an on-disk row-major float64 matrix with
   streamed row iteration (a 'pass') and random row access through the
   buffer pool;
-- :class:`DeltaFile` — the serialized form of the SVDD outlier table;
+- :class:`DeltaFile` — the serialized form of the SVDD outlier table,
+  :class:`DeltaTable` its row-start/column/value arrays;
 - :mod:`repro.storage.model_dir` — the model directory built from
   those pieces: its file layout, the one reader every open/append/
   summarize parses it with, the one writer the build and both
@@ -34,7 +35,7 @@ Durability and fault tolerance live beside the data path:
 from repro.storage.atomic import atomic_write_bytes, staged_directory
 from repro.storage.buffer_pool import BufferPool, PoolStats
 from repro.storage.csv_io import matrix_store_from_csv, matrix_store_to_csv
-from repro.storage.delta_file import DeltaFile
+from repro.storage.delta_file import DeltaFile, DeltaTable
 from repro.storage.faults import FaultPlan
 from repro.storage.integrity import (
     IntegrityReport,
@@ -52,6 +53,7 @@ __all__ = [
     "atomic_write_bytes",
     "staged_directory",
     "DeltaFile",
+    "DeltaTable",
     "FaultPlan",
     "FilePager",
     "IntegrityReport",

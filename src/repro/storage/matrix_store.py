@@ -22,9 +22,10 @@ need —
   are accounted as pool ``bypasses`` so the paper's disk-access tables
   still report.
 
-File layout: one header page (magic, version, shape, page size, CRC of
-the header fields) followed by the row-major float64 data region
-starting at the second page.
+File layout: the header (magic, version, shape, page size, CRC of the
+header fields), padded to whole pages — one page, unless a page is
+smaller than the header's 33 bytes — followed by the row-major data
+region.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from repro.storage.pager import PAGE_SIZE_DEFAULT, FilePager
 
 _MAGIC = b"RPRMTX02"
 _HEADER_FMT = "<8sQQIBI"  # magic, rows, cols, page_size, dtype code, crc32
+_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _STREAM_CHUNK_ROWS = 256
 #: ``store.read_rows.calls`` / ``.rows``, bound once.
 _READ_CALLS = _obs.bind_counter("store.read_rows.calls")
@@ -145,7 +147,8 @@ class MatrixStore:
         self._dtype = np.dtype(dtype)
         self._item = self._dtype.itemsize
         self._pool = BufferPool(pager, capacity=pool_capacity)
-        self._data_offset = pager.page_size
+        # The data region starts at the first page past the header.
+        self._data_offset = -(-_HEADER_SIZE // pager.page_size) * pager.page_size
         self._pass_count = 0
         self._pass_lock = threading.Lock()
         self._mapped = mapped
@@ -200,6 +203,13 @@ class MatrixStore:
         return self._mapped
 
     # -- construction -----------------------------------------------------
+
+    @staticmethod
+    def _write_header(pager: FilePager, header: bytes) -> None:
+        """Write ``header`` over the first pages, the last one zero-padded."""
+        size = pager.page_size
+        for page in range(-(-len(header) // size)):
+            pager.write_page(page, header[page * size : (page + 1) * size])
 
     @staticmethod
     def _pack_header(rows: int, cols: int, page_size: int, dtype_code: int) -> bytes:
@@ -261,9 +271,9 @@ class MatrixStore:
         tmp = path.with_name(path.name + ".tmp")
         pager = FilePager(tmp, page_size=page_size, create=True)
         try:
-            # Reserve the header page; the true header is rewritten at
-            # the end once the row count is known.
-            pager.write_page(0, b"\x00" * page_size)
+            # Reserve the header's pages; the true header is rewritten
+            # at the end once the row count is known.
+            cls._write_header(pager, bytes(_HEADER_SIZE))
             count = 0
             buffer: list[bytes] = []
             buffered_rows = 0
@@ -284,8 +294,8 @@ class MatrixStore:
                 pager.append_raw(b"".join(buffer))
             if count == 0:
                 raise ShapeError("cannot create a store with zero rows")
-            pager.write_page(
-                0,
+            cls._write_header(
+                pager,
                 cls._pack_header(
                     count, num_cols, page_size, _CODES_BY_DTYPE[store_dtype]
                 ),
@@ -355,7 +365,7 @@ class MatrixStore:
         """Append rows at the end of the store, in place; returns the count.
 
         The data bytes land first (the pager appends at the current end
-        of the data region), then the header page is rewritten with the
+        of the data region), then the header is rewritten with the
         new row count and the file is fsynced — so a reader of the *old*
         header still sees a fully consistent prefix.  The append is
         nevertheless not crash-atomic as a whole (a crash between the
@@ -392,8 +402,8 @@ class MatrixStore:
         if appended == 0:
             return 0
         new_rows = self._rows + appended
-        self._pager.write_page(
-            0,
+        self._write_header(
+            self._pager,
             self._pack_header(
                 new_rows,
                 self._cols,

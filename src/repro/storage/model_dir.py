@@ -6,10 +6,10 @@ table pinned in memory:
 
 ```
 <dir>/meta.json          shape, cutoff, delta and zero-row counts, precision
-<dir>/u.mat              MatrixStore of U, page size == one (padded) U row
+<dir>/u.mat              MatrixStore of U, page size == one U row (k values)
 <dir>/lambda.npy         eigenvalues
 <dir>/v.npy              V matrix
-<dir>/deltas.bin         outlier records, sorted by key (absent when none)
+<dir>/deltas.bin         outlier table, row starts + columns + values (absent when none)
 <dir>/zero_rows.npy      all-zero customers (absent when none)
 <dir>/sketch.npy         l x M drift sketch  } the append ledger
 <dir>/update_state.json  energy/drift ledger }
@@ -47,7 +47,7 @@ import numpy as np
 from repro.exceptions import ChecksumError, FormatError, ReproError
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import link_or_copy, restore_trash
-from repro.storage.delta_file import DeltaFile
+from repro.storage.delta_file import DeltaFile, DeltaTable, check_width
 from repro.storage.integrity import check_entry, load_manifest, write_manifest
 from repro.storage.matrix_store import MatrixStore
 
@@ -60,7 +60,6 @@ __all__ = [
     "read_generation",
     "read_model",
     "read_update_state",
-    "u_columns",
     "u_page_size",
     "write_model",
 ]
@@ -93,19 +92,11 @@ _FACTOR_FILES = (U_NAME, LAMBDA_NAME, V_NAME)
 _APPEND_INPUTS = (LAMBDA_NAME, V_NAME, ZERO_ROWS_NAME, SKETCH_NAME, UPDATE_STATE_NAME)
 
 
-def u_columns(cutoff: int, item_size: int) -> int:
-    """Stored columns per U row: padded so one row is exactly one page.
-
-    The pager's minimum page is 64 bytes; smaller cutoffs are
-    zero-padded so every row stays page-aligned and the paper's
-    one-disk-access-per-cell property holds for any k and element size.
-    """
-    return max(64 // item_size, cutoff)
-
-
 def u_page_size(cutoff: int, item_size: int) -> int:
-    """Page size holding exactly one (padded) U row."""
-    return u_columns(cutoff, item_size) * item_size
+    """Page size holding exactly one U row: the paper's one disk access
+    per cell, for any k and element size, with nothing stored beyond
+    what Eq. 9 charges."""
+    return cutoff * item_size
 
 
 def factor_dtype(bytes_per_value: int):
@@ -132,10 +123,9 @@ class ModelParts:
     #: Pinned factors, upcast to float64 for computation.
     eigenvalues: np.ndarray
     v: np.ndarray
-    #: Strictly increasing cell keys and their deltas (empty when the
-    #: model has none, or a degraded read dropped them).
-    delta_keys: np.ndarray
-    delta_values: np.ndarray
+    #: The outlier table, one row start per row plus one (empty when
+    #: the model has none, or a degraded read dropped it).
+    deltas: DeltaTable
     #: Flagged all-zero rows, int64, every one inside ``[0, rows)``.
     zero_rows: np.ndarray
     #: ``update_state.json`` (None when a degraded read dropped it).
@@ -162,13 +152,6 @@ class ModelParts:
     @property
     def bytes_per_value(self) -> int:
         return int(self.meta["bytes_per_value"])
-
-    def delta_keys_at(self, cols: int) -> np.ndarray:
-        """``delta_keys`` as they pack (``row * cols + col``) in a matrix
-        ``cols`` wide: a column append re-bases the keys, the cells stay."""
-        if cols == self.cols:
-            return self.delta_keys
-        return self.delta_keys // self.cols * cols + self.delta_keys % self.cols
 
     @property
     def generation(self) -> tuple[int, int, int, int]:
@@ -248,7 +231,7 @@ def _require_shapes(
 ) -> None:
     """The factors must have the shapes ``meta`` declares."""
     rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
-    stored = (rows, u_columns(cutoff, int(meta["bytes_per_value"])))
+    stored = (rows, cutoff)
     if u_store.shape != stored:
         raise FormatError(
             f"{directory}: U store shape {u_store.shape} does not match meta {stored}"
@@ -333,7 +316,7 @@ def read_model(
 
     rows, cols = int(meta["rows"]), int(meta["cols"])
     no_rows = np.empty(0, dtype=np.int64)
-    no_deltas = (no_rows, np.empty(0, dtype=np.float64))
+    no_deltas = DeltaTable(np.zeros(rows + 1, dtype=np.int64), np.empty(0, np.uint16), np.empty(0))
 
     def load_zero_rows():
         # Dropping the flags is answer-preserving: a flagged row's U
@@ -356,7 +339,7 @@ def read_model(
         if not path.exists():
             raise FormatError(f"{directory}: missing {DELTAS_NAME}")
         return DeltaFile.read_arrays(
-            path, num_cells=rows * cols, expected_count=int(meta["num_deltas"])
+            path, shape=(rows, cols), expected_count=int(meta["num_deltas"])
         )
 
     def load_sketch():
@@ -390,7 +373,7 @@ def read_model(
         zero_rows = (
             optional(load_zero_rows, no_rows) if meta["zero_rows"] else no_rows
         )
-        delta_keys, delta_values = (
+        deltas = (
             optional(load_deltas, no_deltas) if int(meta["num_deltas"]) > 0 else no_deltas
         )
         update_state = optional(load_ledger, None)
@@ -406,8 +389,7 @@ def read_model(
         u_store=u_store,
         eigenvalues=eigenvalues,
         v=v,
-        delta_keys=delta_keys,
-        delta_values=delta_values,
+        deltas=deltas,
         zero_rows=zero_rows,
         update_state=update_state,
         sketch=sketch,
@@ -423,8 +405,7 @@ def write_model(
     staging: Path,
     meta: dict,
     *,
-    delta_keys: np.ndarray,
-    delta_values: np.ndarray,
+    deltas: DeltaTable,
     zero_rows: np.ndarray,
     sketch: np.ndarray,
     update_state: dict,
@@ -444,7 +425,8 @@ def write_model(
             ``bytes_per_value`` of the version being written (an append
             passes the previous ``meta.json`` with the grown dimension
             replaced); the delta and zero-row counts are filled in here.
-        delta_keys, delta_values: the version's outliers, any order.
+        deltas: the version's outlier table (columns may not exceed
+            what a uint16 addresses: a wider model is refused).
         zero_rows: rows known to be all zero in the data.  Those holding
             a delta are dropped here — a flagged row is answered 0.0
             without looking at the delta table (Section 6.2) — and the
@@ -469,6 +451,7 @@ def write_model(
     bytes_per_value = int(meta["bytes_per_value"])
     dtype = factor_dtype(bytes_per_value)
     rows, cols, cutoff = int(meta["rows"]), int(meta["cols"]), int(meta["cutoff"])
+    check_width(cols)
 
     def stored(values: np.ndarray) -> np.ndarray:
         """``values`` as a read of the file they are written to returns them."""
@@ -478,13 +461,11 @@ def write_model(
         # U grows: copy, then stream the new rows onto the copy.  The
         # live file is never modified, so readers stay consistent and a
         # crash mid-append discards only the staging directory.
-        padded = np.zeros((u.shape[0], u_columns(cutoff, bytes_per_value)))
-        padded[:, :cutoff] = u
         check_entry(previous.directory, previous.manifest_files, U_NAME, deep=True)
         shutil.copyfile(previous.directory / U_NAME, staging / U_NAME)
         with _span("update.append_u_rows", rows=u.shape[0]):
             with MatrixStore.open(staging / U_NAME) as grown:
-                grown.append_rows(padded)
+                grown.append_rows(u)
     if eigenvalues is not None:
         np.save(staging / LAMBDA_NAME, eigenvalues.astype(dtype))
     if v is not None:
@@ -496,32 +477,17 @@ def write_model(
             if name in previous.manifest_files:
                 carried[name] = previous.manifest_files[name]
 
-    delta_keys = np.asarray(delta_keys, dtype=np.int64)
-    delta_values = stored(np.asarray(delta_values, dtype=np.float64))
-    if not (np.diff(delta_keys) > 0).all():  # appends pass them sorted
-        order = np.argsort(delta_keys, kind="stable")
-        delta_keys, delta_values = delta_keys[order], delta_values[order]
-    if delta_keys.size:
-        if (
-            delta_keys[0] < 0
-            or delta_keys[-1] >= rows * cols
-            or not (np.diff(delta_keys) > 0).all()
-        ):
-            raise FormatError(
-                f"{staging}: delta keys must be distinct cells of the "
-                f"{rows} x {cols} matrix"
-            )
-        DeltaFile.write(
-            staging / DELTAS_NAME, delta_keys, delta_values, bytes_per_value
-        )
+    deltas = deltas._replace(values=stored(deltas.values))
+    if deltas.count:
+        DeltaFile.write(staging / DELTAS_NAME, deltas, (rows, cols), bytes_per_value)
     zero_rows = np.asarray(zero_rows, dtype=np.int64)
-    if zero_rows.size and delta_keys.size:
-        zero_rows = zero_rows[~np.isin(zero_rows, np.unique(delta_keys // cols))]
+    if zero_rows.size and deltas.count:
+        zero_rows = zero_rows[np.diff(deltas.row_start)[zero_rows] == 0]
     zero_rows = np.sort(zero_rows)
     if zero_rows.size:
         np.save(staging / ZERO_ROWS_NAME, zero_rows)
 
-    counts = {"num_deltas": int(delta_keys.size), "zero_rows": int(zero_rows.size)}
+    counts = {"num_deltas": deltas.count, "zero_rows": int(zero_rows.size)}
     known = {**meta, **counts}
     # Canonical key order first; keys this version of the code does not
     # know (a hand-edited or newer meta.json) ride along behind.
@@ -542,8 +508,7 @@ def write_model(
             u_store=u_store,
             eigenvalues=previous.eigenvalues if eigenvalues is None else stored(eigenvalues),
             v=previous.v if v is None else stored(v),
-            delta_keys=delta_keys,
-            delta_values=delta_values,
+            deltas=deltas,
             zero_rows=zero_rows,
             update_state=update_state,
         )

@@ -154,8 +154,8 @@ class FilePager:
         page_size: int = PAGE_SIZE_DEFAULT,
         create: bool = False,
     ) -> None:
-        if page_size < 64:
-            raise ConfigurationError(f"page_size must be >= 64, got {page_size}")
+        if page_size < 4:  # one float32: a u.mat page is one row of U
+            raise ConfigurationError(f"page_size must be >= 4, got {page_size}")
         self.path = Path(path)
         self.page_size = page_size
         self.stats = IOStats()

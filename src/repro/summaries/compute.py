@@ -64,6 +64,7 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import atomic_write_bytes, link_or_copy
+from repro.storage.delta_file import DeltaTable
 from repro.storage.integrity import MANIFEST_NAME, _manifest_bytes, check_entry
 from repro.storage.matrix_store import MatrixStore
 from repro.storage.model_dir import ModelParts, read_model
@@ -180,11 +181,9 @@ def bucket_stats(col_stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 def _profiles(
     u_store: MatrixStore,
-    cutoff: int,
     lam: np.ndarray,
     v: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
+    deltas: DeltaTable,
     shape: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (4, M) per-day and (4, N) per-customer profiles, one pass over U.
@@ -208,19 +207,18 @@ def _profiles(
     rows[S_MAX] = -np.inf
     for lo in range(0, num_rows, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, num_rows)
-        u_blk = u_store.read_rows(np.arange(lo, hi, dtype=np.int64))[:, :cutoff]
+        u_blk = u_store.read_rows(np.arange(lo, hi, dtype=np.int64))
         scaled = u_blk * lam
-        k_lo, k_hi = np.searchsorted(keys, [lo * num_cols, hi * num_cols])
-        blk_keys = keys[k_lo:k_hi]
-        blk_vals = values[k_lo:k_hi]
-        blk_rows = blk_keys // num_cols - lo
-        blk_cols = blk_keys % num_cols
+        starts = deltas.row_start[lo : hi + 1]
+        blk_cols = deltas.cols[starts[0] : starts[-1]]
+        blk_vals = deltas.values[starts[0] : starts[-1]]
+        blk_rows = np.arange(hi - lo).repeat(np.diff(starts))
         for c_lo in range(0, num_cols, CHUNK_COLS):
             c_hi = min(c_lo + CHUNK_COLS, num_cols)
             tile = scaled @ v[c_lo:c_hi].T
             inside = (blk_cols >= c_lo) & (blk_cols < c_hi)
             if inside.any():
-                # Delta keys are unique, so fancy += cannot collide.
+                # Delta cells are unique, so fancy += cannot collide.
                 tile[blk_rows[inside], blk_cols[inside] - c_lo] += blk_vals[inside]
             day = cols[:, c_lo:c_hi]
             day[S_SUM] += tile.sum(axis=0)
@@ -231,7 +229,7 @@ def _profiles(
             np.maximum(rows[S_MAX, lo:hi], tile.max(axis=1), out=rows[S_MAX, lo:hi])
         rows[S_SUM, lo:hi] = scaled @ v_sum
         rows[S_SUMSQ, lo:hi] = ((scaled @ gram) * scaled).sum(axis=1)
-        if blk_keys.size:
+        if blk_cols.size:
             base = np.einsum("ik,ik->i", scaled[blk_rows], v[blk_cols])
             np.add.at(rows[S_SUM], blk_rows + lo, blk_vals)
             np.add.at(
@@ -319,11 +317,9 @@ def _materialize(
     with _span("summaries.profiles", rows=num_rows, cols=num_cols):
         col_stats, row_stats = _profiles(
             parts.u_store,
-            parts.cutoff,
             parts.eigenvalues,
             parts.v,
-            parts.delta_keys,
-            parts.delta_values,
+            parts.deltas,
             (num_rows, num_cols),
         )
     state = {

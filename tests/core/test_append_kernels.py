@@ -2,7 +2,8 @@
 
 ``_merge_deltas`` (one partition over old deltas + new residuals) must
 retain exactly what a bounded ``(position, value)`` queue fed the old
-side, then the new, retained.  That queue was the build's ``TopKBuffer``
+side, then the new, retained (cells named here by ``row * M + col``
+keys, whose order is the table's row-major order).  That queue was the build's ``TopKBuffer``
 before it kept scores only; it lives on here, as the reference.
 """
 
@@ -14,6 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.update import _merge_deltas
+from repro.storage.delta_file import DeltaTable
+
+#: The width of the matrix the candidates' keys ``row * M + col`` name.
+_WIDTH = 7
+
+
+def _merge(old_keys, old_values, new_keys, new_values, budget):
+    """``_merge_deltas`` over the cells the keys name, its table read
+    back as ``(keys, values, retained_sq)``."""
+    num_rows = int(max(old_keys.max(initial=0), new_keys.max(initial=0))) // _WIDTH + 1
+    old = DeltaTable.from_cells(old_keys // _WIDTH, old_keys % _WIDTH, old_values, num_rows)
+    table, retained_sq = _merge_deltas(
+        old, new_keys // _WIDTH, new_keys % _WIDTH, new_values, budget, num_rows
+    )
+    return table.rows() * _WIDTH + table.cols, table.values, retained_sq
 
 
 class _PairQueue:
@@ -102,7 +118,7 @@ class TestMergeDeltasMatchesTopKBuffer:
         # only partition runs over the same concatenated array.
         n_old = int(round(old_share * 2 * budget))
         args = _candidates(seed, n_old, n_new, tied)
-        _assert_bit_equal(_merge_deltas(*args, budget), _topk_merge(*args, budget))
+        _assert_bit_equal(_merge(*args, budget), _topk_merge(*args, budget))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -120,7 +136,7 @@ class TestMergeDeltasMatchesTopKBuffer:
         # threshold then drops tied newcomers, so which of several equal
         # scores survives may differ - the retained scores may not.
         args = _candidates(seed, 2 * budget + extra_old, n_new, tied)
-        keys, values, retained_sq = _merge_deltas(*args, budget)
+        keys, values, retained_sq = _merge(*args, budget)
         ref_keys, ref_values, ref_sq = _topk_merge(*args, budget)
         assert keys.size == ref_keys.size == min(budget, args[0].size + args[2].size)
         np.testing.assert_array_equal(np.sort(np.abs(values)), np.sort(np.abs(ref_values)))
@@ -130,7 +146,7 @@ class TestMergeDeltasMatchesTopKBuffer:
     @pytest.mark.parametrize("budget", [0, -3])
     def test_no_budget_keeps_nothing(self, budget):
         args = _candidates(1, 5, 9, tied=False)
-        keys, values, retained_sq = _merge_deltas(*args, budget)
+        keys, values, retained_sq = _merge(*args, budget)
         assert keys.size == 0 and values.size == 0 and retained_sq == 0.0
         assert keys.dtype == np.int64 and values.dtype == np.float64
         _assert_bit_equal((keys, values, retained_sq), _topk_merge(*args, budget))
@@ -138,7 +154,7 @@ class TestMergeDeltasMatchesTopKBuffer:
     @pytest.mark.parametrize("budget", [14, 15, 1000])
     def test_budget_covering_every_candidate_keeps_all(self, budget):
         args = _candidates(2, 5, 9, tied=True)
-        keys, values, retained_sq = _merge_deltas(*args, budget)
+        keys, values, retained_sq = _merge(*args, budget)
         assert keys.size == 14
         np.testing.assert_array_equal(keys, np.sort(np.concatenate([args[0], args[2]])))
         _assert_bit_equal((keys, values, retained_sq), _topk_merge(*args, budget))
@@ -146,7 +162,7 @@ class TestMergeDeltasMatchesTopKBuffer:
     @pytest.mark.parametrize("n_old, n_new", [(0, 30), (12, 0), (0, 0)])
     def test_empty_side(self, n_old, n_new):
         args = _candidates(3, n_old, n_new, tied=False)
-        _assert_bit_equal(_merge_deltas(*args, 8), _topk_merge(*args, 8))
+        _assert_bit_equal(_merge(*args, 8), _topk_merge(*args, 8))
 
     def test_all_scores_tied_across_the_boundary(self):
         old_keys = np.arange(0, 20, 2)
@@ -155,11 +171,11 @@ class TestMergeDeltasMatchesTopKBuffer:
         new_values = np.where(new_keys % 3 == 0, -1.5, 1.5)
         args = (old_keys, old_values, new_keys, new_values)
         for budget in (5, 7, 10, 29):  # 10 old cells: no compaction from 5 up
-            _assert_bit_equal(_merge_deltas(*args, budget), _topk_merge(*args, budget))
+            _assert_bit_equal(_merge(*args, budget), _topk_merge(*args, budget))
 
     def test_new_side_larger_than_twice_the_budget(self):
         # The queue compacts inside the second offer - over the same
         # concatenated array the single partition sees.
         args = _candidates(4, 10, 500, tied=True)
-        _assert_bit_equal(_merge_deltas(*args, 6), _topk_merge(*args, 6))
+        _assert_bit_equal(_merge(*args, 6), _topk_merge(*args, 6))
 

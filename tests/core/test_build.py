@@ -48,6 +48,12 @@ class TestBuildCompressed:
                 tmp_path / "from_array" / name
             ).read_bytes(), name
 
+    def test_a_matrix_wider_than_a_uint16_column_is_refused(self, tmp_path):
+        """Refused before pass 1, whose Gram would be 65,536 x 65,536."""
+        with pytest.raises(FormatError, match="65535 columns"):
+            build_compressed(np.ones((2, 65_536)), tmp_path / "wide", 0.5)
+        assert not (tmp_path / "wide").exists()
+
     def test_reopenable(self, tmp_path, data):
         build_compressed(data, tmp_path / "model", 0.10).close()
         store = CompressedMatrix.open(tmp_path / "model")

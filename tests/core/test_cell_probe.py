@@ -36,11 +36,12 @@ def _formula(store: CompressedMatrix) -> np.ndarray:
     scaled_u, v, deltas, _fetched = store.factors(np.arange(rows))
     stored = {}
     if deltas is not None:
-        stored = dict(zip(deltas.keys.tolist(), deltas.values.tolist()))
+        cells = zip(deltas.rows.tolist(), deltas.cols.tolist())
+        stored = dict(zip(cells, deltas.values.tolist()))
     return np.array(
         [
             [
-                float(np.dot(scaled_u[r], v[c])) + stored.get(r * cols + c, 0.0)
+                float(np.dot(scaled_u[r], v[c])) + stored.get((r, c), 0.0)
                 for c in range(cols)
             ]
             for r in range(rows)
@@ -96,8 +97,12 @@ class TestCountsUnderThreads:
                 for seed in range(self.THREADS)
             ]
             everything = np.concatenate(probes)
+            index = store.delta_index
             stored_hits = int(
-                np.isin(everything[:, 0] * cols + everything[:, 1], store.delta_index.keys).sum()
+                np.isin(
+                    everything[:, 0] * cols + everything[:, 1],
+                    index.rows * cols + index.cols,
+                ).sum()
             )
             engine = QueryEngine(store)
             pool, io, delta = store.u_pool_stats, store.u_io_stats, store.delta_index.stats

@@ -132,13 +132,13 @@ class TestDegradedOpens:
             CompressedMatrix.open(directory, on_corrupt="degraded")
 
     def test_out_of_range_delta_key_rejected(self, saved):
-        """A delta key outside [0, rows*cols) is structural corruption."""
+        """A delta outside the matrix's columns is structural corruption."""
         directory, _ = saved
         path = directory / "deltas.bin"
-        keys, values = DeltaFile.read_arrays(path)
-        keys = keys.copy()
-        keys[-1] = 64 * 16 + 7  # same record count -> same file size
-        DeltaFile.write(path, keys, values)
+        table = DeltaFile.read_arrays(path)
+        cols = table.cols.copy()
+        cols[-1] = 16 + 7  # a row's last column; same count -> same file size
+        DeltaFile.write(path, table._replace(cols=cols), (64, 65535))
         with pytest.raises(FormatError, match="out of range|outside"):
             CompressedMatrix.open(directory)
         with CompressedMatrix.open(directory, on_corrupt="degraded") as store:

@@ -1,4 +1,4 @@
-"""Tests for the sorted-array outlier index."""
+"""Tests for the row-indexed outlier index."""
 
 from __future__ import annotations
 
@@ -12,45 +12,56 @@ from hypothesis import strategies as st
 
 from repro.core.delta_index import DeltaIndex
 from repro.exceptions import ConfigurationError
-from repro.storage.delta_file import DeltaFile
+from repro.storage.delta_file import DeltaFile, DeltaTable
 
 NUM_COLS = 10
 
 
+def _index(keys, values, num_cols, num_rows=None) -> DeltaIndex:
+    """The index of the cells ``keys`` name (``row * num_cols + col``, in
+    any order), in a matrix of ``num_rows`` rows (default: up to the last
+    row holding one)."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if num_rows is None:
+        num_rows = int(keys.max()) // num_cols + 1 if keys.size else 1
+    table = DeltaTable.from_cells(keys // num_cols, keys % num_cols, values, num_rows)
+    return DeltaIndex(table, num_cols)
+
+
 @pytest.fixture()
 def index() -> DeltaIndex:
-    # Cells (1,2)=5.0, (3,0)=-2.0, (3,7)=1.5, (8,9)=0.25 on a 10-wide matrix.
+    # Cells (1,2)=5.0, (3,0)=-2.0, (3,7)=1.5, (8,9)=0.25 on a 10 x 10 matrix.
     keys = [12, 30, 37, 89]
     values = [5.0, -2.0, 1.5, 0.25]
-    return DeltaIndex(keys, values, NUM_COLS)
+    return _index(keys, values, NUM_COLS, 10)
 
 
 class TestConstruction:
     def test_sorts_unsorted_input(self):
-        index = DeltaIndex([30, 12, 89, 37], [-2.0, 5.0, 0.25, 1.5], NUM_COLS)
-        assert list(index.keys) == [12, 30, 37, 89]
+        index = _index([30, 12, 89, 37], [-2.0, 5.0, 0.25, 1.5], NUM_COLS)
+        assert list(index.rows) == [1, 3, 3, 8]
+        assert list(index.cols) == [2, 0, 7, 9]
         assert list(index.values) == [5.0, -2.0, 1.5, 0.25]
 
     def test_adopts_sorted_input_and_sorts_shuffled_input(self):
-        keys = np.array([12, 30, 37, 89], dtype=np.int64)
+        rows = np.array([1, 3, 3, 8])
+        cols = np.array([2, 0, 7, 9], dtype=np.uint16)
         values = np.array([5.0, -2.0, 1.5, 0.25])
-        adopted = DeltaIndex(keys, values, NUM_COLS)
-        assert np.shares_memory(adopted.keys, keys)
+        table = DeltaTable.from_cells(rows, cols, values, 10)
+        np.testing.assert_array_equal(table.row_start, [0, 0, 1, 1, 3, 3, 3, 3, 3, 4, 4])
+        adopted = DeltaIndex(table, NUM_COLS)
+        assert np.shares_memory(adopted.cols, cols)
         assert np.shares_memory(adopted.values, values)
+        assert np.shares_memory(adopted.row_start, table.row_start)
         order = np.array([2, 0, 3, 1])
-        shuffled = DeltaIndex(keys[order], values[order], NUM_COLS)
-        np.testing.assert_array_equal(shuffled.keys, adopted.keys)
-        np.testing.assert_array_equal(shuffled.values, adopted.values)
-        # Sorted with a repeated key is not strictly increasing: sorted
-        # (stably) into a copy, not adopted.
-        repeated = np.array([12, 12, 30], dtype=np.int64)
-        index = DeltaIndex(repeated, [1.0, 2.0, 3.0], NUM_COLS)
-        assert not np.shares_memory(index.keys, repeated)
-        assert list(index.values) == [1.0, 2.0, 3.0]
+        shuffled = DeltaTable.from_cells(rows[order], cols[order], values[order], 10)
+        for got, want in zip(shuffled, table):
+            np.testing.assert_array_equal(got, want)
 
     def test_misaligned_arrays_rejected(self):
+        table = DeltaTable(np.array([0, 2]), np.array([1, 2], dtype=np.uint16), np.ones(1))
         with pytest.raises(ConfigurationError):
-            DeltaIndex([1, 2], [1.0], NUM_COLS)
+            DeltaIndex(table, NUM_COLS)
 
     def test_row_col_decomposition(self, index):
         assert list(index.rows) == [1, 3, 3, 8]
@@ -59,22 +70,14 @@ class TestConstruction:
 
 class TestScalarAccess:
     def test_get_present_and_absent(self, index):
-        assert index.get(12) == 5.0
-        assert index.get(13) == 0.0
-        assert index.get(13, default=-1.0) == -1.0
-
-    def test_contains(self, index):
-        assert 37 in index
-        assert 36 not in index
-        assert 1000 not in index
-
-    def test_items_in_key_order(self, index):
-        assert list(index.items()) == [
-            (12, 5.0),
-            (30, -2.0),
-            (37, 1.5),
-            (89, 0.25),
-        ]
+        assert index.get(1, 2) == 5.0
+        assert index.get(3, 7) == 1.5
+        assert index.get(1, 3) == 0.0
+        assert index.get(1, 3, default=-1.0) == -1.0
+        # An empty row, and rows outside the matrix, hold nothing.
+        for row in (0, 9, 10, -1):
+            assert index.get(row, 2, default=-1.0) == -1.0
+        assert index.stats == {"lookups": 8, "keys_probed": 8, "hits": 2}
 
 
 class TestVectorizedAccess:
@@ -84,6 +87,8 @@ class TestVectorizedAccess:
         assert list(values) == [-2.0, 1.5]
         cols, values = index.for_row(2)
         assert cols.size == 0 and values.size == 0
+        for row in (-1, 10, 11):
+            assert index.for_row(row)[0].size == 0
 
 
 class TestSelect:
@@ -112,10 +117,10 @@ def _file_index(keys, values, num_rows, num_cols):
     arrays :meth:`DeltaFile.read_arrays` validated and copied out."""
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "deltas.bin"
-        DeltaFile.write(path, keys, values)
-        return DeltaIndex(
-            *DeltaFile.read_arrays(path, num_cells=num_rows * num_cols), num_cols
-        )
+        keys = np.asarray(keys, dtype=np.int64)
+        table = DeltaTable.from_cells(keys // num_cols, keys % num_cols, values, num_rows)
+        DeltaFile.write(path, table, (num_rows, num_cols))
+        return DeltaIndex(DeltaFile.read_arrays(path, shape=(num_rows, num_cols)), num_cols)
 
 
 @st.composite
@@ -153,7 +158,7 @@ def test_property_select_matches_dict_scan(case):
     if from_file:
         index = _file_index(keys, values, num_rows, num_cols)
     else:
-        index = DeltaIndex(keys, values, num_cols)
+        index = _index(keys, values, num_cols, num_rows)
     row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
     stats = dict(index.stats)
 
@@ -225,7 +230,7 @@ def test_property_range_branch_equals_general_matching(case):
 
     def run(col_sel):
         """``select`` on a fresh index, and its ``stats``."""
-        index = DeltaIndex(keys, values, num_cols)
+        index = _index(keys, values, num_cols, num_rows)
         selected = index.select(row_sel, np.asarray(col_sel, dtype=np.int64))
         return selected, index.stats
 
@@ -251,7 +256,7 @@ def test_property_range_branch_equals_general_matching(case):
     np.testing.assert_array_equal(cols, span[col_pos])
 
     general, general_stats = run(shuffled)
-    # Same entries in the same (row_sel order, key order within a row)
+    # Same entries in the same (row_sel order, column order within a row)
     # sequence; only the positions into col_sel differ.
     for got, want in zip(general[2:], in_range[2:]):
         np.testing.assert_array_equal(got, want)
@@ -321,7 +326,7 @@ def test_property_select_sum_is_selects_sum(case):
     # would show in the last bits.
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(keys.size) * rng.lognormal(0.0, 4.0, keys.size)
-    summed, selected = (DeltaIndex(keys, values, num_cols) for _ in range(2))
+    summed, selected = (_index(keys, values, num_cols, num_rows) for _ in range(2))
     got = summed.select_sum(row_sel, col_sel)
     want = float(selected.select(row_sel, col_sel)[4].sum())
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -345,7 +350,7 @@ def test_select_sum_of_a_time_range_is_bit_equal_and_counted(enabled_registry):
     rows = np.sort(rng.choice(num_rows, 400, replace=False))
     rows = np.concatenate([rows, rows[:50]])  # repeated rows count again
     cols = np.arange(7, 40)
-    summed, selected = (DeltaIndex(keys, values, num_cols) for _ in range(2))
+    summed, selected = (_index(keys, values, num_cols, num_rows) for _ in range(2))
     start = counters()
     got = summed.select_sum(rows, cols)
     middle = counters()
@@ -375,7 +380,7 @@ def test_select_sum_of_a_time_range_is_bit_equal_and_counted(enabled_registry):
 @example(num_cols=10, keys={0, 1, 2, 53}, rows=[-1, 0, 1])  # a run starting left of 0
 def test_property_count_in_rows_matches_bincount(num_cols, keys, rows):
     keys = np.asarray(sorted(keys), dtype=np.int64)
-    index = DeltaIndex(keys, np.ones(keys.size), num_cols)
+    index = _index(keys, np.ones(keys.size), num_cols)
     rows = np.asarray(rows, dtype=np.int64)
     per_row = np.bincount(keys // num_cols, minlength=int(rows.max(initial=0)) + 1)
     inside = rows[rows >= 0]
@@ -462,7 +467,7 @@ def test_property_reads_match_a_dense_scan(case):
     if from_file:
         index = _file_index(keys, values, num_rows, num_cols)
     else:
-        index = DeltaIndex(keys, values, num_cols)
+        index = _index(keys, values, num_cols, num_rows)
     row_pos, col_pos, rows, cols, vals = index.select(row_sel, col_sel)
     assert index.stats == {"lookups": 1, "keys_probed": probed, "hits": len(want)}
     total = index.select_sum(row_sel, col_sel)

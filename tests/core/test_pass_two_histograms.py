@@ -15,7 +15,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SVDDCompressor
@@ -43,13 +43,15 @@ def _fed(gamma, floor, batches, raise_every=1):
 
 
 def _cut_cells(hist, batches):
-    """The cells pass 3 keeps for ``hist``, key = position in the
-    batches' concatenation.  Each batch is a chunk of one-column rows,
-    whose rank-1 error under a zero ``V`` is the value itself."""
+    """``(keys, values)`` of the cells pass 3 keeps for ``hist``, key =
+    position in the batches' concatenation.  Each batch is a chunk of
+    one-column rows (so a key is a row), whose rank-1 error under a
+    zero ``V`` is the value itself."""
     sweep = DeltaSweep(hist, np.zeros((1, 1)), 1)
     for values in batches:
         sweep(np.asarray(values, dtype=np.float64).reshape(-1, 1))
-    return sweep.deltas()
+    table = sweep.deltas()
+    return table.rows(), table.values
 
 
 def _check(batches, gamma, floor, raise_every=1):
@@ -169,6 +171,7 @@ def test_property_histogram_against_a_dense_sort(
     sigma=st.floats(0.0, 2.5),
     levels=st.sampled_from([None, 2, 5]),
 )
+@example(seed=0, rows=40, cols=39, budget=0.5, sigma=2.0, levels=2)  # see below
 def test_property_selection_against_the_tensor_formulation(
     seed, rows, cols, budget, sigma, levels
 ):
@@ -205,6 +208,26 @@ def test_property_selection_against_the_tensor_formulation(
     )
 
 
+def test_an_epsilon_within_rounding_of_zero_ties_to_the_first_k():
+    """40 x 39 rounded to 2 levels at s = 0.5: k = 1 and k = 2 store every
+    nonzero error, so both epsilons are 0 in exact arithmetic, and the
+    dense reference reads them so.  The build's ``sse - retained`` for
+    k = 1 left 7.1e-15 beside k = 2's 0 and picked k = 2; within rounding
+    of 0 is 0, and the first k takes the tie."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 39))
+    x += 0.1 * rng.standard_normal((40, 39))
+    x *= rng.lognormal(0.0, 2.0, size=(40, 1))
+    x = np.round(np.clip(x / np.abs(x).max(), -1, 1) * 2)
+    fitter = SVDDCompressor(0.5)
+    selection = fitter.select_cutoff(x)
+    reference = _reference_pass_two(fitter, x, selection.all_v)
+    assert reference[0] == 1 and not reference[1][:2].any()
+    assert selection.k_opt == 1
+    assert not selection.candidate_errors[:2].any()
+    _assert_matches_reference(fitter, x, expect_unique=None, max_width=None, reference=reference)
+
+
 def _tied_candidates(seed: int) -> tuple[np.ndarray, SVDDCompressor]:
     """Two candidates with exactly the same ``epsilon``.  Each row has one
     nonzero cell, so the columns are orthogonal, ``V`` is exact unit
@@ -213,10 +236,11 @@ def _tied_candidates(seed: int) -> tuple[np.ndarray, SVDDCompressor]:
     the deltas rank 1 spends on it, so both candidates store the same
     odd integers of the rest (two to a bin: the brackets are not
     points) and leave the same energy."""
-    rows, cols = 400, 20
-    fitter = SVDDCompressor(0.12)
+    rows, cols = 1000, 20
+    fitter = SVDDCompressor(0.131)
     assert fitter.candidate_cutoffs(rows, cols) == 2
     spent = fitter._gamma(rows, cols, 1) - fitter._gamma(rows, cols, 2)
+    assert fitter._gamma(rows, cols, 2) < rows - 100 - spent  # the rest meet a cut
     rng = np.random.default_rng(seed)
     x = np.zeros((rows, cols))
     order = rng.permutation(rows)

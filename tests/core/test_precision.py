@@ -17,8 +17,7 @@ def data():
     return phone_matrix(200)
 
 
-#: Budget high enough that k exceeds the 64-byte page-padding floor,
-#: so the float32 U file is genuinely smaller on disk.
+#: Budget high enough to buy several components and many deltas.
 BUDGET = 0.40
 
 
@@ -67,9 +66,10 @@ class TestFloat32Storage:
         full = build_compressed(data, tmp_path / "m64", BUDGET)
         capped = SVDDCompressor(BUDGET, k_max=full.cutoff, bytes_per_value=4)
         half = build_compressed(data, tmp_path / "m32", compressor=capped)
-        # Same k: the SVD part's bytes halve, and each delta record
-        # drops from 16 bytes (8-byte key + float64) to 12 (8-byte key
-        # + float32) — the accounting follows the disk.
+        # Same k: the SVD part's bytes halve, and each delta drops from
+        # 10 bytes (2-byte column + float64) to 6 (2-byte column +
+        # float32); the row starts cost both the same — the accounting
+        # follows the disk.
         from repro.core import space
 
         rows, cols = full.shape
@@ -86,17 +86,24 @@ class TestFloat32Storage:
 
     def test_delta_file_on_disk_matches_accounting(self, tmp_path, data):
         """Eq. 9's delta term equals the actual deltas.bin payload size."""
-        from repro.core.space import delta_record_bytes
+        from repro.core import space
         from repro.storage.delta_file import DeltaFile
 
+        rows, cols = data.shape
         for b, name in ((4, "m32"), (8, "m64")):
             store = build_compressed(data, tmp_path / name, BUDGET, bytes_per_value=b)
+            k, count = store.cutoff, store.num_deltas
             on_disk = (tmp_path / name / "deltas.bin").stat().st_size
-            assert on_disk == DeltaFile.size_bytes(store.num_deltas, b)
-            # size_bytes = header + records; the accounting charges only
-            # the per-record cost, so the two agree up to the fixed header.
-            header = DeltaFile.size_bytes(0, b)
-            assert on_disk - header == store.num_deltas * delta_record_bytes(b)
+            assert on_disk == DeltaFile.size_bytes(count, rows, b)
+            # size_bytes = header + row starts + deltas; the accounting
+            # charges the row starts and the deltas, so the two agree up
+            # to the fixed header.
+            table = space.svdd_space_bytes(rows, cols, k, count, b) - space.svd_space_bytes(
+                rows, cols, k, b
+            )
+            assert table == space.row_table_bytes(rows) + count * space.delta_record_bytes(b)
+            header = DeltaFile.size_bytes(0, rows, b) - space.row_table_bytes(rows)
+            assert on_disk - header == table
             store.close()
 
     def test_one_disk_access_preserved(self, tmp_path, data):

@@ -62,9 +62,11 @@ class TestMaxKForBudget:
 
 class TestDeltaBudget:
     def test_remaining_budget_buys_deltas(self):
-        # budget 10% of 1000x100x8 = 80_000 B; k=1 costs (1000+1+100)*8 = 8808 B
+        # budget 10% of 1000x100x8 = 80_000 B; k=1 costs (1000+1+100)*8 =
+        # 8808 B and the row starts 4 * 1001 = 4004 B; a delta is a
+        # 2-byte column and an 8-byte value.
         gamma = space.delta_budget(1000, 100, 1, 0.10)
-        assert gamma == (80_000 - 8808) // 16
+        assert gamma == (80_000 - 8808 - 4004) // 10
 
     def test_never_negative(self):
         assert space.delta_budget(1000, 100, 99, 0.01) == 0
@@ -76,7 +78,10 @@ class TestDeltaBudget:
     def test_svdd_space_combines(self):
         assert space.svdd_space_bytes(100, 10, 2, 5) == space.svd_space_bytes(
             100, 10, 2
-        ) + 5 * space.DELTA_RECORD_BYTES
+        ) + 4 * 101 + 5 * 10
+        # No delta, no table: the file is absent.
+        assert space.svdd_space_bytes(100, 10, 2, 0) == space.svd_space_bytes(100, 10, 2)
+        assert space.delta_record_bytes(4) == 6
 
     def test_negative_deltas_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -72,7 +72,7 @@ class TestPersistence:
             assert str(directory / "u.mat") in mappings
             assert str(directory / "deltas.bin") not in mappings
             index = store.delta_index
-            for array in (index.keys, index.values):
+            for array in (index.row_start, index.cols, index.values):
                 while isinstance(array.base, np.ndarray):
                     array = array.base
                 assert array.flags.owndata  # a heap array, not a buffer's view

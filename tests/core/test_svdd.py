@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SVDCompressor, SVDDCompressor
-from repro.core.model import cell_key
 from repro.core.svd import _row_chunks
 from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ConfigurationError
@@ -56,7 +55,7 @@ class TestConstruction:
         a = SVDDCompressor(budget_fraction=0.05).fit(phone_small)
         b = SVDDCompressor(budget_fraction=0.05).fit(phone_small)
         assert a.cutoff == b.cutoff
-        assert sorted(a.deltas.items()) == sorted(b.deltas.items())
+        assert a.outlier_cells() == b.outlier_cells()
 
 
 class TestBudgetRespect:
@@ -165,16 +164,15 @@ class TestEpsilonCurve:
 
 class TestDeltaIndex:
     def test_index_holds_every_outlier(self, spiky_matrix):
-        """``model.deltas`` is the sorted index: every stored outlier is
-        a member and reconstructs exactly."""
+        """``model.deltas`` is the row-major table: every stored outlier
+        is found by its cell and reconstructs exactly."""
         model = SVDDCompressor(budget_fraction=0.10).fit(spiky_matrix)
-        cols = model.num_cols
         cells = model.outlier_cells()
         assert len(cells) == model.num_deltas > 0
-        assert np.all(np.diff(model.deltas.keys) > 0)
+        assert model.deltas.row_start.size == model.num_rows + 1
+        assert sorted(cells) == cells and len({cell[:2] for cell in cells}) == len(cells)
         for row, col, delta in cells:
-            assert cell_key(row, col, cols) in model.deltas
-            assert model.deltas.get(cell_key(row, col, cols)) == delta
+            assert model.deltas.get(row, col) == delta
             assert model.reconstruct_cell(row, col) == pytest.approx(
                 spiky_matrix[row, col], abs=1e-6
             )
@@ -204,7 +202,8 @@ class TestNaiveReference:
 
     def test_same_outlier_cells(self, both):
         _data, fast, naive = both
-        np.testing.assert_array_equal(fast.deltas.keys, naive.deltas.keys)
+        np.testing.assert_array_equal(fast.deltas.row_start, naive.deltas.row_start)
+        np.testing.assert_array_equal(fast.deltas.cols, naive.deltas.cols)
 
     def test_same_delta_values(self, both):
         _data, fast, naive = both
@@ -290,11 +289,14 @@ def _assert_brackets_hold(brackets, epsilon, x, max_width=2e-3):
 
 
 def _swept(selection, x):
-    """``(keys, values)`` pass 3 collects for ``selection`` from ``x``."""
+    """``(keys, values)`` pass 3 collects for ``selection`` from ``x``,
+    each cell keyed ``row * M + col`` as the reference keys it."""
     sweep = selection.delta_sweep()
     for block in _row_chunks(x):
         sweep(block)
-    return sweep.deltas()
+    table = sweep.deltas()
+    assert table.row_start.size == x.shape[0] + 1
+    return table.rows() * x.shape[1] + table.cols, table.values
 
 
 def _assert_matches_reference(
@@ -349,7 +351,7 @@ class TestPassTwoAgainstTheTensorFormulation:
         )
         assert {3, 77, 127, 131, 205, 255} <= set(selection.zero_rows.tolist())
         # One candidate and an odd gamma: the boundary splits a tied pair.
-        budget = ((256 + 1 + 366) * 8 + 16 * 1001 + 8) / (256 * 366 * 8)
+        budget = ((256 + 1 + 366) * 8 + 4 * 257 + 10 * 1001 + 8) / (256 * 366 * 8)
         fitter = SVDDCompressor(budget, k_max=1)
         assert fitter._gamma(256, 366, 1) == 1001
         _assert_matches_reference(fitter, x, expect_unique=False)
@@ -361,12 +363,13 @@ class TestPassTwoAgainstTheTensorFormulation:
         assert selection.k_max == selection.k_opt == 1
 
     def test_no_deltas_at_the_top_candidate(self):
-        # Three components and 8 bytes: gamma_3 = 0, gamma_2 = 334.
+        # Three components and 8 bytes: gamma_3 = 0 (the 1,204 bytes of
+        # row starts do not fit), gamma_2 = 414.
         rows, cols = 300, 366
         budget = (3 * (rows + 1 + cols) * 8 + 8) / (rows * cols * 8)
         fitter = SVDDCompressor(budget)
         assert fitter.candidate_cutoffs(rows, cols) == 3
-        assert [fitter._gamma(rows, cols, k) for k in (2, 3)] == [334, 0]
+        assert [fitter._gamma(rows, cols, k) for k in (2, 3)] == [414, 0]
         _assert_matches_reference(fitter, phone_matrix(rows))
 
     def test_wide_matrix_many_candidates(self):

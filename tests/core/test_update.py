@@ -162,13 +162,16 @@ class TestCrashAtomicity:
         the matching meta/manifest: open() must reject the stale pairing
         (count check + manifest), degraded opens must drop the deltas."""
         from repro.exceptions import ChecksumError
-        from repro.storage.delta_file import DeltaFile
+        from repro.storage.delta_file import DeltaFile, DeltaTable
 
-        directory, full = built
-        keys, values = DeltaFile.read_arrays(directory / "deltas.bin")
-        extra_keys = np.append(keys, [int(keys.max()) + 1])
-        extra_values = np.append(values, [123.0])
-        DeltaFile.write(directory / "deltas.bin", extra_keys, extra_values)
+        directory, _full = built
+        table = DeltaFile.read_arrays(directory / "deltas.bin")
+        # A valid table one delta short of what meta.json counts.
+        rows = table.row_start.size - 1
+        short = DeltaTable.from_cells(
+            table.rows()[:-1], table.cols[:-1], table.values[:-1], rows
+        )
+        DeltaFile.write(directory / "deltas.bin", short, (rows, 366))
         # Strict open fails the manifest size check (ChecksumError) or,
         # on legacy directories, the meta record-count check (FormatError).
         with pytest.raises((FormatError, ChecksumError)):
@@ -379,8 +382,11 @@ class TestDriftParityOverASequence:
     the dense Gram's (within :class:`DenseOracle`'s tolerances) and the
     flag flips at the same append."""
 
-    #: The append the flag first goes up at, per sequence.
-    FIRST_FLAG = {"level": 7, "new_class": 10, "rows": 9, "mixed": None}
+    #: The append the flag first goes up at, per sequence.  A level
+    #: shift adds each customer's mean to every day: the rank-2 model
+    #: this budget buys holds that direction already, so neither the
+    #: stored nor the dense drift reaches the threshold.
+    FIRST_FLAG = {"level": None, "new_class": 10, "rows": 9, "mixed": None}
 
     @pytest.mark.parametrize("shift", ["level", "new_class", "rows", "mixed"])
     def test_twenty_appends(self, tmp_path, shift):

@@ -5,8 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SVDCompressor, SVDDCompressor, build_compressed, verify_model
-from repro.data import phone_matrix
+from repro.core import (
+    CompressedMatrix,
+    SVDCompressor,
+    SVDDCompressor,
+    append_columns,
+    build_compressed,
+    verify_model,
+)
+from repro.data import PhoneConfig, phone_matrix
 from repro.exceptions import ShapeError
 from repro.metrics import rmspe
 from repro.storage import MatrixStore
@@ -66,3 +73,20 @@ class TestVerify:
         text = verify_model(data, svdd).summary()
         assert "RMSPE" in text
         assert "HOLDS" in text
+
+    def test_an_appended_model_is_not_certified(self, tmp_path):
+        """``min |delta|`` bounds a fresh build's unstored cells only:
+        after appends the old unstored cells never compete again, so a
+        healthy appended model must not read VIOLATED."""
+        data = phone_matrix(1200, PhoneConfig(num_days=171))
+        compressed = build_compressed(data[:, :150], tmp_path / "model", 0.10)
+        fresh = verify_model(data[:, :150], compressed)
+        assert fresh.certified_bound is not None and fresh.bound_holds is True
+        compressed.close()
+        for start in range(150, 171, 7):
+            append_columns(tmp_path / "model", data[:, start : start + 7])
+        with CompressedMatrix.open(tmp_path / "model") as appended:
+            report = verify_model(data, appended)
+            assert report.certified_bound is None and report.bound_holds is None
+            assert report.ok
+            assert appended.appends == 3

@@ -40,7 +40,7 @@ def models(data, tmp_path_factory):
 
 class TestBuildParity:
     def test_both_models_stay_within_budget(self, models):
-        """The honest 12-byte record accounting legitimately shifts the
+        """The honest 6-byte delta accounting legitimately shifts the
         b=4 optimum (deltas are relatively pricier than at b=8, so k_opt
         may grow); what must hold is that each model fits its own
         b-sized budget."""
@@ -53,16 +53,17 @@ class TestBuildParity:
             # per component than the b=8 model affords.
             assert half.cutoff >= full.cutoff
 
-    def test_delta_records_are_12_bytes_on_disk(self, models):
+    def test_delta_records_are_6_bytes_on_disk(self, models):
         _m64, m32 = models
         with CompressedMatrix.open(m32) as half:
-            count = half.num_deltas
+            count, rows = half.num_deltas, half.shape[0]
         assert count > 0
         on_disk = (m32 / "deltas.bin").stat().st_size
-        assert on_disk == DeltaFile.size_bytes(count, bytes_per_value=4)
-        assert on_disk == DeltaFile.size_bytes(0, bytes_per_value=4) + count * (
+        assert on_disk == DeltaFile.size_bytes(count, rows, bytes_per_value=4)
+        assert on_disk == DeltaFile.size_bytes(0, rows, bytes_per_value=4) + count * (
             delta_record_bytes(4)
         )
+        assert delta_record_bytes(4) == 6
 
     def test_factors_stored_as_float32(self, models):
         _m64, m32 = models

@@ -355,7 +355,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert store.u_store.dtype == dtype
         assert np.load(self.directory / "v.npy").dtype == dtype
         assert (self.directory / "deltas.bin").stat().st_size == DeltaFile.size_bytes(
-            store.num_deltas, bytes_per_value=b
+            store.num_deltas, rows, bytes_per_value=b
         )
         # The zero-row flags are exactly the all-zero customers.
         silent = np.flatnonzero(~self.logical.any(axis=1))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import CompressedMatrix, DeltaIndex, SVDDCompressor, SVDDModel, SVDModel, build_compressed
+from repro.storage.delta_file import DeltaTable
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, QueryEngine, Selection
 from tests.conftest import run_route
@@ -53,7 +54,8 @@ def delta_heavy_model(num_rows=60, num_cols=24, num_deltas=300, seed=5):
     svd = SVDModel(u=u, eigenvalues=eigenvalues, v=v)
     keys = rng.choice(num_rows * num_cols, size=num_deltas, replace=False)
     values = rng.standard_normal(num_deltas) * 3
-    return SVDDModel(svd=svd, deltas=DeltaIndex(keys, values, num_cols))
+    table = DeltaTable.from_cells(*np.divmod(keys, num_cols), values, num_rows)
+    return SVDDModel(svd=svd, deltas=DeltaIndex(table, num_cols))
 
 
 class TestVectorizedAggregates:

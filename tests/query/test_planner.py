@@ -181,7 +181,7 @@ class TestPricing:
 @pytest.fixture(scope="module")
 def phone_store(tmp_path_factory):
     """The benchmark harness's fixed model: phone 4000 x 366 at a 10%
-    budget, 57,915 stored deltas — far more than any one query folds."""
+    budget, 105,038 stored deltas — far more than any one query folds."""
     from repro.core import CompressedMatrix
     from repro.data import phone_matrix
 
@@ -202,7 +202,7 @@ class TestFoldPricedBySelectedRows:
 
     def test_small_rectangle_on_a_delta_heavy_store_plans_factor(self, phone_store):
         index = phone_store.delta_index
-        assert len(index) == 57915
+        assert len(index) == 105038
         idx = _resolve(phone_store, rows=range(100, 120), cols=range(40, 70))
         plan = plan_aggregate(phone_store, "sum", *idx)
         assert plan.route.name == ROUTE_FACTOR
@@ -215,6 +215,7 @@ class TestFoldPricedBySelectedRows:
         from dataclasses import replace
 
         from repro.core.delta_index import DeltaIndex
+        from repro.storage.delta_file import DeltaTable
 
         rows, cols = svdd_model.shape
         idx = _resolve(svdd_model, rows=range(10, 20), cols=range(0, 10))
@@ -222,7 +223,8 @@ class TestFoldPricedBySelectedRows:
         elsewhere = np.arange(50 * cols, 60 * cols)  # ten unselected rows, full
 
         def factor_cost(keys):
-            index = DeltaIndex(keys, np.ones(len(keys)), cols)
+            table = DeltaTable.from_cells(*np.divmod(keys, cols), np.ones(len(keys)), rows)
+            index = DeltaIndex(table, cols)
             plan = plan_aggregate(replace(svdd_model, deltas=index), "sum", *idx)
             return _cost(plan, ROUTE_FACTOR)
 

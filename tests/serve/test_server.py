@@ -461,16 +461,17 @@ class TestWarm:
     def test_nothing_is_left_to_build_after_ready(self, serve_model_dir):
         """``start()`` answers one cell, one rollup and one gather on
         the serving engine, so the first real request of each kind finds
-        every lazy table (the delta index's row offsets and per-delta
-        rows and columns, the summary arrays) already built."""
+        every lazy table (the summary arrays) already built; the delta
+        index has none (its row table is read, not derived)."""
         config = ServeConfig(port=0, workers=1)
         with QueryServer(serve_model_dir, config) as srv:
             backend = srv.dispatcher._backend
             assert backend._summaries_checked
             summaries, index_bytes = backend.summaries, backend.delta_index.size_bytes()
-            # More than keys + values: the row table is there.
             index = backend.delta_index
-            assert index_bytes > index.keys.nbytes + index.values.nbytes
+            assert index_bytes == sum(
+                array.nbytes for array in (index.row_start, index.cols, index.values)
+            )
             assert _get(srv.url, "/stats")[2]["answers"] == 0  # warm-up is uncounted
             for path in (
                 "/cell?row=41&col=17",

@@ -105,7 +105,7 @@ _OK = (200, _TEXT, b"ok\n")
 _CELL = (
     200,
     _JSON,
-    {"value": 0.3648868565497124, "cells": 1, "rows_fetched": 1, "degraded": False},
+    {"value": 0.36488685654971237, "cells": 1, "rows_fetched": 1, "degraded": False},
 )
 
 

@@ -181,6 +181,23 @@ class TestScans:
 
 
 class TestGeometry:
+    @pytest.mark.parametrize("dtype, cols", [(np.float64, 3), (np.float32, 3), (np.float32, 1)])
+    def test_a_page_smaller_than_the_header(self, tmp_path, rng, dtype, cols):
+        """One U row a page (a model's u.mat): the header spans as many
+        pages as it needs, and rows read, append and reopen as usual."""
+        matrix = rng.standard_normal((9, cols)).astype(dtype).astype(np.float64)
+        page = cols * np.dtype(dtype).itemsize
+        path = tmp_path / "u.mat"
+        with MatrixStore.create(path, matrix, page_size=page, dtype=dtype) as store:
+            assert store.pages_per_row() == 1
+            assert path.stat().st_size == -(-33 // page) * page + 9 * page
+            store.append_rows(matrix[:4])
+        with MatrixStore.open(path) as store:
+            assert store.shape == (13, cols) and store.page_size == page
+            grown = np.vstack([matrix, matrix[:4]])
+            np.testing.assert_array_equal(store.read_rows(np.arange(13)), grown)
+            np.testing.assert_array_equal(store.row(11), matrix[2])
+
     def test_shape_properties(self, store):
         assert store.shape == (57, 23)
         assert store.num_rows == 57
@@ -425,6 +442,10 @@ _LAYOUTS = [
     (3, np.float64, 64),
     (5, np.float32, 64),
     (11, np.float64, 64),
+    # A model's u.mat: one row a page, smaller than the 33-byte header.
+    (3, np.float64, 24),
+    (3, np.float32, 12),
+    (1, np.float32, 4),
 ]
 
 
@@ -432,9 +453,10 @@ def _page_union(store: MatrixStore, cols: int, idx) -> int:
     """The pre-mmap definition: distinct pages over each row's byte run."""
     row_bytes = cols * store.dtype.itemsize
     page = store.page_size
+    header = -(-33 // page) * page  # data begins after the header's pages
     pages = set()
     for i in idx:
-        start = page + int(i) * row_bytes  # data begins after the header page
+        start = header + int(i) * row_bytes
         pages.update(range(start // page, (start + row_bytes - 1) // page + 1))
     return len(pages)
 

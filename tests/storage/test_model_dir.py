@@ -25,13 +25,12 @@ from repro.core.update import append_columns, append_rows
 from repro.exceptions import ChecksumError, FormatError, ReproError
 from repro.storage import MatrixStore
 from repro.storage.atomic import staged_directory
-from repro.storage.delta_file import DeltaFile
+from repro.storage.delta_file import DeltaFile, DeltaTable
 from repro.storage.integrity import MANIFEST_NAME, verify_manifest
 from repro.storage.model_dir import (
     U_NAME,
     factor_dtype,
     read_model,
-    u_columns,
     u_page_size,
     write_model,
 )
@@ -97,8 +96,10 @@ def _short_u(directory) -> None:
 
 
 def _stale_deltas(directory) -> None:
-    keys, values = DeltaFile.read_arrays(directory / "deltas.bin")
-    DeltaFile.write(directory / "deltas.bin", keys[:-1], values[:-1])
+    table = DeltaFile.read_arrays(directory / "deltas.bin")
+    rows = table.row_start.size - 1
+    short = DeltaTable.from_cells(table.rows()[:-1], table.cols[:-1], table.values[:-1], rows)
+    DeltaFile.write(directory / "deltas.bin", short, SHAPE)
 
 
 def _meta_without_precision(directory) -> None:
@@ -258,15 +259,14 @@ def test_written_parts_read_back_equal(
     directory = tmp_path_factory.mktemp("roundtrip") / "model"
     with staged_directory(directory) as staging:
         # A fresh model's U is the build's to stream, as it does here.
-        padded = np.zeros((rows, u_columns(cutoff, bytes_per_value)))
-        padded[:, :cutoff] = u
         MatrixStore.create(
-            staging / U_NAME, padded, page_size=u_page_size(cutoff, bytes_per_value),
+            staging / U_NAME, u, page_size=u_page_size(cutoff, bytes_per_value),
             dtype=factor_dtype(bytes_per_value),
         ).close()
+        table = DeltaTable.from_cells(keys // cols, keys % cols, values, rows)
         written = write_model(
-            staging, meta, eigenvalues=lam, v=v, delta_keys=keys,
-            delta_values=values, zero_rows=zero, sketch=sketch, update_state=ledger,
+            staging, meta, eigenvalues=lam, v=v, deltas=table,
+            zero_rows=zero, sketch=sketch, update_state=ledger,
         )
     assert verify_manifest(directory).ok
 
@@ -278,10 +278,10 @@ def test_written_parts_read_back_equal(
         np.testing.assert_array_equal(parts.eigenvalues, at_rest(lam))
         np.testing.assert_array_equal(parts.v, at_rest(v))
         stored_u = parts.u_store.read_rows(np.arange(rows))
-        np.testing.assert_array_equal(stored_u[:, :cutoff], at_rest(u))
-        assert not stored_u[:, cutoff:].any()  # page padding
-        np.testing.assert_array_equal(parts.delta_keys, keys[order])
-        np.testing.assert_array_equal(parts.delta_values, at_rest(values[order]))
+        np.testing.assert_array_equal(stored_u, at_rest(u))  # one row a page
+        np.testing.assert_array_equal(parts.deltas.rows(), keys[order] // cols)
+        np.testing.assert_array_equal(parts.deltas.cols, keys[order] % cols)
+        np.testing.assert_array_equal(parts.deltas.values, at_rest(values[order]))
         np.testing.assert_array_equal(parts.zero_rows, flagged)
         assert parts.update_state == ledger
         np.testing.assert_array_equal(parts.sketch, sketch)
@@ -289,14 +289,15 @@ def test_written_parts_read_back_equal(
             path.name for path in directory.iterdir()
         } - {MANIFEST_NAME}
 
-        # The next version: one more column, everything else carried.
+        # The next version: one more column, everything else carried
+        # (the delta table as it is: a cell's row and column stay).
         grown_v = np.vstack([parts.v, rng.standard_normal((1, cutoff))])
-        rebased = parts.delta_keys // cols * (cols + 1) + parts.delta_keys % cols
+        carried = parts.deltas
         grown_sketch = rng.standard_normal((sketch.shape[0], cols + 1))
         with staged_directory(directory) as staging:
             write_model(
                 staging, {**parts.meta, "cols": cols + 1}, v=grown_v,
-                delta_keys=rebased, delta_values=parts.delta_values,
+                deltas=carried,
                 zero_rows=parts.zero_rows, sketch=grown_sketch,
                 update_state={**ledger, "appends": 4},
                 previous=parts, refresh_summaries=refresh,
@@ -310,7 +311,8 @@ def test_written_parts_read_back_equal(
         np.testing.assert_array_equal(
             after.u_store.read_rows(np.arange(rows)), stored_u
         )
-        np.testing.assert_array_equal(after.delta_keys, rebased)
+        for got, want in zip(after.deltas, carried):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(after.zero_rows, flagged)
     summaries = SummaryStore.load(directory)
     # Deferred: only the previous state rides along, stamped for the
@@ -319,3 +321,18 @@ def test_written_parts_read_back_equal(
     if refresh:
         assert summaries.col_stats.shape == (4, cols + 1)
     assert json.loads((directory / "meta.json").read_text())["cols"] == cols + 1
+
+
+def test_a_model_wider_than_a_uint16_column_is_refused(tmp_path):
+    """A delta's column is a uint16: the one writer refuses 65,536 columns
+    (a build, or an append that would reach them) before it writes a file."""
+    staging = tmp_path / "staging"
+    staging.mkdir()
+    meta = {"kind": "svdd", "rows": 1, "cols": 65_536, "cutoff": 1, "bytes_per_value": 8}
+    no_cell = np.empty(0, dtype=np.int64)
+    with pytest.raises(FormatError, match="65535 columns"):
+        write_model(
+            staging, meta, deltas=DeltaTable.from_cells(no_cell, no_cell, [], 1),
+            zero_rows=no_cell, sketch=np.zeros((0, 65_536)), update_state={},
+        )
+    assert not any(staging.iterdir())

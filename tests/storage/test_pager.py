@@ -20,8 +20,10 @@ class TestLifecycle:
             FilePager(tmp_path / "nope.pg")
 
     def test_tiny_page_size_rejected(self, tmp_path):
+        # The smallest page holds one float32: a U row of one component.
         with pytest.raises(ConfigurationError):
-            FilePager(tmp_path / "x.pg", page_size=32, create=True)
+            FilePager(tmp_path / "x.pg", page_size=3, create=True)
+        FilePager(tmp_path / "x.pg", page_size=4, create=True).close()
 
     def test_operations_after_close(self, tmp_path):
         pager = FilePager(tmp_path / "x.pg", page_size=128, create=True)

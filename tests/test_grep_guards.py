@@ -13,7 +13,10 @@ process pool or breaker behind ``repro serve``, no second HTTP server,
 no warehouse surface and no process or future machinery in
 ``src/repro/serve``.  The build guard ("a k_max-deep tensor, a queue
 of cells or a fourth scan is back in the build") keeps pass 2 a chunk
-deep, its histograms free of cell keys, and build.py free of scans.
+deep, its histograms free of cell keys, and build.py free of scans;
+the delta guard keeps the packed ``row*M + col`` key, its record size,
+its re-keying and its file magic out of the product (the lab's hash
+table keeps the paper's key).
 This test runs the same patterns over the same
 paths, so a local ``pytest`` catches a breach before CI does.  The CI
 steps stay as they are; a pattern changed there is changed here too.
@@ -99,6 +102,11 @@ GUARDS = {
         r"delta_queu[e]|\.finaliz[e]\(\)|def finaliz[e]\(self",
         ("src", "tests"),
         (),
+    ),
+    "the packed delta key": (
+        r"DELTA_KEY_BYTES|DELTA_RECORD_BYTES|delta_keys_at|cell_key|RPRDLT0[12]",
+        ("src/repro",),
+        ("lab",),
     ),
     "a scan spelled in build.py": (
         r"_row_chunks|zero_row_scan|iter_row",
