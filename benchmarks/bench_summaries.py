@@ -58,13 +58,14 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
     data = phone_matrix(ROWS)
     build_compressed(data, root / "model", BUDGET).close()
 
-    # The dashboard workload: full-axis aggregates over day ranges.
+    # The dashboard workload: aggregates over every customer and a day range.
     queries = [
         AggregateQuery("sum", Selection(cols=range(0, 28))),
         AggregateQuery("avg", Selection(cols=range(28, 120))),
-        AggregateQuery("max", Selection()),
+        AggregateQuery("sum", Selection()),
         AggregateQuery("stddev", Selection(cols=range(0, COLS, 2))),
     ]
+    full_max = AggregateQuery("max", Selection())
 
     registry.enable()
     try:
@@ -76,6 +77,11 @@ def test_summary_vs_factor_path(tmp_path_factory, benchmark):
             for query in queries:
                 plan = summary_engine.explain(query)
                 assert plan["path"] == "summary", plan
+            # The store keeps sums: a max over every cell streams, and it
+            # is the dense reconstruction's.
+            assert summary_engine.explain(full_max)["path"] == "stream"
+            dense_max = store.reconstruct_all().max()
+            assert summary_engine.aggregate(full_max).value == dense_max
             store.u_pool_stats.reset()
             result = summary_engine.aggregate(queries[0])
             pages_read = store.u_pool_stats.accesses

@@ -468,8 +468,7 @@ def append_columns(
         lam, v = parts.eigenvalues, parts.v
 
         def u_blocks():
-            """The on-disk U as ``(start_row, block)`` chunks — the
-            summary tile grid's row blocks, gathered the same way."""
+            """The on-disk U as ``(start_row, block)`` chunks."""
             for lo in range(0, num_rows, _U_BLOCK_ROWS):
                 hi = min(lo + _U_BLOCK_ROWS, num_rows)
                 yield lo, parts.u_store.read_rows(np.arange(lo, hi))

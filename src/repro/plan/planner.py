@@ -11,7 +11,8 @@ The route lattice for one ``AggregateQuery`` over ``R x S`` cells:
 ==================  =====================================  ===========
 route               needs                                  error bound
 ==================  =====================================  ===========
-``summary``         rollups covering the full selection    0.0 (exact)
+``summary``         per-day profile, every row selected,
+                    sum/avg/count/stddev                   0.0 (exact)
 ``factor``          factor form, sum/avg/count/stddev,
                     delta fold available                   0.0 (exact)
 ``stream``          per-cell values (delta-corrected)      0.0 (exact)
@@ -188,8 +189,8 @@ STREAM_FLOOR_MS = 0.143
 
 #: Rejections whose reason depends on no query: built once, not per plan.
 _NO_SUMMARY_STORE = RejectedRoute(ROUTE_SUMMARY, "backend has no summary store")
-_NOT_A_FULL_AXIS = RejectedRoute(
-    ROUTE_SUMMARY, "selection does not span a full axis of the rollups"
+_NOT_COVERED = RejectedRoute(
+    ROUTE_SUMMARY, "the per-day profile answers sum/avg/count/stddev over every row"
 )
 # Without its deltas a store can fold none and stream none exactly.
 _LOST = "the store's open lost its deltas; no exact fold exists"
@@ -253,14 +254,12 @@ def plan_aggregate(
     if counted_store is not None and num_rows:
         row_pages = counted_store.pages_for_rows(row_idx)
 
-    # -- summary route: rollups answer a selection spanning a full axis.
+    # -- summary route: the per-day profile answers a selection of every row.
     sstore = backend.summaries
     if sstore is None:
         rejected.append(_NO_SUMMARY_STORE)
-    elif num_rows != backend.shape[0] and num_cols != backend.shape[1]:
-        rejected.append(_NOT_A_FULL_AXIS)
-    elif (summary_plan := sstore.plan(row_idx, col_idx)) is None:
-        rejected.append(_NOT_A_FULL_AXIS)
+    elif (summary_plan := sstore.plan(row_idx, col_idx, function)) is None:
+        rejected.append(_NOT_COVERED)
     else:
         candidates.append(
             RouteEstimate(

@@ -30,7 +30,8 @@ Vocabulary every backend offers:
   ``delta_index``, ``deltas_lost``, ``paged_store``, ``pricing`` (the
   store whose pages a plan counts, and the rank it prices with),
   ``counters`` (the stat structs a query profile diffs), ``name``,
-  ``summaries``, ``start_date``, ``rmspe_estimate``.
+  ``summaries``, ``profiles`` (a group-by's whole-model sums),
+  ``start_date``, ``rmspe_estimate``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,20 @@ class Backend:
         if store is None or (store.model_rows, store.model_cols) != self.shape:
             return None
         return store
+
+    @cached_property
+    def profiles(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(per_day, per_customer)``: the (2, cols) and (2, rows) sum
+        and sum of squares of the whole model, from the factor
+        identities (:func:`repro.summaries.compute.factor_profile`), or
+        None without a factor form.  Computed on first use, then kept."""
+        if self.factors is None:
+            return None
+        # Lazy: repro.summaries sits above this seam.
+        from repro.summaries.compute import factor_profile
+
+        scaled_u, v, index, _fetched = self.factors(np.arange(self.shape[0]))
+        return factor_profile(scaled_u, v, index, 0), factor_profile(scaled_u, v, index, 1)
 
     @cached_property
     def pricing(self) -> tuple:

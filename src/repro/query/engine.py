@@ -419,8 +419,9 @@ class QueryEngine:
     def try_summary(self, query) -> QueryResult | None:
         """Answer an aggregate *entirely* from the summary store.
 
-        Returns None unless the selection spans a full axis of the
-        store — no factor math, zero page reads.  The planner's
+        Returns None unless the store can answer it (a ``sum``/``avg``/
+        ``count``/``stddev`` over every row) — no factor math, zero page
+        reads.  The planner's
         ``summary`` route answers the same selections; no product code
         calls this any more.  The benchmark harness's traced loop
         (``benchmarks/harness/trace.py``) does, so it goes when that
@@ -436,7 +437,7 @@ class QueryEngine:
             row_idx, col_idx = query.selection.resolve(backend.shape)
         except QueryError:
             return None
-        comps = store.plan(row_idx, col_idx)
+        comps = store.plan(row_idx, col_idx, query.function)
         if comps is None:
             return None
         value = _finalize_components(query.function, comps)

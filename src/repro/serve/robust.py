@@ -19,7 +19,7 @@ land in the registry ``/metrics`` scrapes.  One request flows through :meth:`dis
 4. **plan once** (:func:`repro.plan.plan_aggregate`).  **Brownout**
    (sustained shedding, or a degraded open) is a budget: a query that
    set none is planned under the model's stored RMSPE estimate.  A
-   rollup hit stays exact (min/max included), a partial sum/avg/stddev
+   rollup hit stays exact, a partial sum/avg/stddev
    takes ``svd`` (stamped ``degraded: true`` with the estimate), and a
    plan that would ``stream``, or no route at all, is shed with reason
    ``brownout``.  A client's own budget is kept (``max_rmspe=0`` buys

@@ -1,19 +1,16 @@
-"""Precomputed summary store: materialized time-hierarchy rollups.
+"""Precomputed summary store: the per-day profile and its rollups.
 
 The paper's motivating workload is decision-support aggregates ("total
-volume per day across all customers").  Answering those from factor
-space costs a streamed pass over ``U`` per request; this package
-materializes the answers once — per-day column profiles and
-per-customer row profiles, each entry carrying ``sum/sumsq/min/max``
-so every engine aggregate (including ``avg`` and ``stddev``) derives
-for free; the day→week→month→quarter→year rollups are bucketed from
-the per-day profile when first asked for — and materializes them again
-for every version ``append_columns`` / ``append_rows`` writes.
+volume per day across all customers").  This package keeps the model's
+per-day sum and sum of squares, computed from the factor identities
+(so ``sum``, ``avg``, ``count`` and ``stddev`` over every row derive
+for free); the day→week→month→quarter→year rollups are bucketed from
+it when first asked for.  Every version ``append_columns`` /
+``append_rows`` writes carries its own.
 
-Layout and the fixed reduction order are documented in
-:mod:`repro.summaries.compute`; the read side
-(freshness validation, query planning, bucket series) lives in
-:mod:`repro.summaries.store`.
+The identities and the layout are documented in
+:mod:`repro.summaries.compute`; the read side (freshness validation,
+query planning, bucket series) lives in :mod:`repro.summaries.store`.
 """
 
 from repro.summaries.compute import (

@@ -1,12 +1,11 @@
 """Materialization of the summary store, always cold.
 
-Three files land beside the model artifacts (all covered by the model's
+Two files land beside the model artifacts (both covered by the model's
 integrity manifest and the ``staged_directory`` swap):
 
 ```
-summary_state.json      generation stamp + layout parameters + start_date
-summary_cols.npy        (4, cols)     per-day sum/sumsq/min/max
-summary_rows.npy        (4, rows)     per-customer sum/sumsq/min/max
+summary_state.json      generation stamp + start_date
+summary_cols.npy        (2, cols)     per-day sum and sum of squares
 ```
 
 Nothing derivable is stored: the week/month/quarter/year rollups are
@@ -20,18 +19,21 @@ build.  A deferred append (:func:`carry_summaries` with
 unchanged: its stamp names the previous generation, so no reader uses
 it, but the next cold materialization takes its ``start_date``.
 
-**One fixed reduction order.**  Float addition is not associative and
-BLAS GEMM results depend on operand shapes, so the reconstruction is
-walked over a fixed *tile grid*: row blocks of :data:`BLOCK_ROWS`
-(aligned to absolute row index) by column chunks of :data:`CHUNK_COLS`
-(aligned to absolute column index), each tile ``(U_blk Λ) V_chunkᵀ``
-plus the deltas inside it, per-day sums accumulated block by block in
-ascending order.  The same model therefore gives the same bytes
-whoever materializes it — a build, an append or ``repro summarize``.
+**The profile is two factor identities** (the paper's Section 5.2: an
+aggregate over any rows x days comes from the factor form).  With
+``A = UΛ`` (N x k), its column sum ``c = Σ_i a_i`` and its Gram
+``G = AᵀA`` (k x k), each day j of the model ``AVᵀ + Δ`` has
 
-Per-customer ``sum``/``sumsq`` come from the factor form (``(u∘λ)·Σv``
-and the k×k Gram einsum plus per-delta corrections — the same math the
-factor fast path uses for ``stddev``), which is O(N·k²).
+    sum_j   = v_j·c + Σ_i δ_ij
+    sumsq_j = v_j G v_jᵀ + Σ_i (2·x̂_ij·δ_ij + δ_ij²)
+
+where ``x̂_ij = a_i·v_j`` is the model's value at a delta cell: two
+small GEMMs and one ``bincount`` over the delta columns, O((N + M)·k²
++ r) for r deltas, and no cell is reconstructed.
+:func:`factor_profile` computes either axis; the per-customer profile
+is the same identities with ``A`` and ``V`` swapped, which
+:mod:`repro.query.groupby` computes on first use for ``by=customer``.
+Min and max need every cell: they are streamed, never stored.
 
 All inputs are the model's values *at their stored precision*:
 ``repro summarize`` reads them through the same
@@ -39,10 +41,10 @@ All inputs are the model's values *at their stored precision*:
 :func:`~repro.storage.model_dir.write_model` hands over what that read
 would return (each array cast through the stored dtype, U out of the
 staged file) instead of re-reading what it wrote a moment ago — so
-float32 models round-trip identically whether summaries are built
-inside build/append staging or later.
+a model gives the same bytes whoever materializes it: a build, an
+append or ``repro summarize``.
 
-:func:`_materialize` computes the three files; who asked writes them.
+:func:`_materialize` computes the two files; who asked writes them.
 Inside a staging directory (:func:`materialize_summaries`) they are
 plain writes — the commit flushes every staged file once, before the
 rename that publishes them.  :func:`summarize_directory` works on a
@@ -64,31 +66,20 @@ from repro.obs.logging import log_event
 from repro.obs.registry import registry as _obs
 from repro.obs.tracing import span as _span
 from repro.storage.atomic import atomic_write_bytes, link_or_copy
-from repro.storage.delta_file import DeltaTable
 from repro.storage.integrity import MANIFEST_NAME, _manifest_bytes, check_entry
-from repro.storage.matrix_store import MatrixStore
 from repro.storage.model_dir import ModelParts, read_model
 
 __all__ = [
-    "BLOCK_ROWS",
-    "CHUNK_COLS",
     "LEVELS",
     "SUMMARY_FILES",
     "STATE_NAME",
     "bucket_stats",
     "carry_summaries",
+    "factor_profile",
     "level_edges",
     "materialize_summaries",
     "summarize_directory",
 ]
-
-#: Rows per canonical tile — matches the update path's U streaming block.
-BLOCK_ROWS = 1024
-#: Columns per canonical tile.
-CHUNK_COLS = 256
-
-#: Stat row order in every (4, n) stats array.
-S_SUM, S_SUMSQ, S_MIN, S_MAX = 0, 1, 2, 3
 
 #: Time-hierarchy levels, finest first.  Weeks are structural (7 days);
 #: month/quarter/year use calendar edges when the store records a
@@ -100,11 +91,18 @@ _CALENDAR_MONTHS = {"month": 1, "quarter": 3, "year": 12}
 
 STATE_NAME = "summary_state.json"
 COLS_NAME = "summary_cols.npy"
-ROWS_NAME = "summary_rows.npy"
 
-SUMMARY_FILES = (STATE_NAME, COLS_NAME, ROWS_NAME)
+SUMMARY_FILES = (STATE_NAME, COLS_NAME)
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: How each row of a profile rolls up into buckets: the sum and the sum
+#: of squares, then (a streamed profile's) min and max.
+_ROLLUPS = (np.add, np.add, np.minimum, np.maximum)
+
+#: Deltas folded into a profile at a time: their temporaries (a few
+#: floats a delta) stay bounded whatever the table's size.
+_DELTA_CHUNK = 1 << 18
 
 
 # -- bucket edges ----------------------------------------------------------
@@ -154,103 +152,69 @@ def _calendar_edges(start_date: str, num_cols: int, months_per_bucket: int) -> n
     return np.asarray(edges, dtype=np.int64)
 
 
-def bucket_stats(col_stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Roll a (4, M) column profile up into (4, buckets) bucket stats.
+def bucket_stats(stats: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Roll an (s, M) per-day profile up into (s, buckets) bucket stats.
 
-    A deterministic pure function of the column profile — the only
-    float operations are fixed-length sums and order-free min/max, so
-    identical inputs give identical bytes.
+    Rows are the sum and the sum of squares, then, for a streamed
+    profile, min and max.  A deterministic pure function of the
+    profile: fixed-length sums and order-free min/max.
     """
-    if (np.diff(edges) == 1).all():
-        # One-day buckets (the ``day`` level): the profile itself.
-        return col_stats[:, int(edges[0]) : int(edges[-1])].copy()
-    buckets = int(edges.size) - 1
-    out = np.empty((4, buckets))
-    for index in range(buckets):
-        lo, hi = int(edges[index]), int(edges[index + 1])
-        seg = col_stats[:, lo:hi]
-        out[S_SUM, index] = seg[S_SUM].sum()
-        out[S_SUMSQ, index] = seg[S_SUMSQ].sum()
-        out[S_MIN, index] = seg[S_MIN].min()
-        out[S_MAX, index] = seg[S_MAX].max()
-    return out
+    starts = edges[:-1]
+    return np.stack([ufunc.reduceat(row, starts) for ufunc, row in zip(_ROLLUPS, stats)])
 
 
 # -- profiles --------------------------------------------------------------
 
 
-def _profiles(
-    u_store: MatrixStore,
-    lam: np.ndarray,
-    v: np.ndarray,
-    deltas: DeltaTable,
-    shape: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (4, M) per-day and (4, N) per-customer profiles, one pass over U.
+def factor_profile(scaled_u: np.ndarray, v: np.ndarray, deltas, axis: int) -> np.ndarray:
+    """The (2, M) per-day (``axis=0``) or (2, N) per-customer
+    (``axis=1``) sum and sum of squares of ``scaled_u @ v.T + Δ``.
 
-    Each tile of the grid is reconstructed as one GEMM of fixed,
-    absolute-aligned shape with the deltas inside it folded in; per-day
-    sums add up block by block in ascending order, min/max reduce
-    order-free.  Per-customer ``sum``/``sumsq`` skip the tiles:
-    ``row_sum = (u∘λ)·Σv_j + Σδ`` and ``row_sumsq`` via the k×k Gram
-    einsum plus the exact per-delta correction ``2·x̂·δ + δ²`` — the
-    identities :func:`repro.query.fastpath.factor_aggregate` uses.
+    ``scaled_u`` is ``UΛ``; ``deltas`` is the model's delta table (any
+    object with its CSR ``row_start``/``cols``/``values``) or None.
+    The identities are the module's; the per-customer profile swaps the
+    roles of ``UΛ`` and ``V``.
     """
-    num_rows, num_cols = shape
-    v_sum = v.sum(axis=0)
-    gram = v.T @ v
-    cols = np.zeros((4, num_cols))
-    cols[S_MIN] = np.inf
-    cols[S_MAX] = -np.inf
-    rows = np.zeros((4, num_rows))
-    rows[S_MIN] = np.inf
-    rows[S_MAX] = -np.inf
-    for lo in range(0, num_rows, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, num_rows)
-        u_blk = u_store.read_rows(np.arange(lo, hi, dtype=np.int64))
-        scaled = u_blk * lam
-        starts = deltas.row_start[lo : hi + 1]
-        blk_cols = deltas.cols[starts[0] : starts[-1]]
-        blk_vals = deltas.values[starts[0] : starts[-1]]
-        blk_rows = np.arange(hi - lo).repeat(np.diff(starts))
-        for c_lo in range(0, num_cols, CHUNK_COLS):
-            c_hi = min(c_lo + CHUNK_COLS, num_cols)
-            tile = scaled @ v[c_lo:c_hi].T
-            inside = (blk_cols >= c_lo) & (blk_cols < c_hi)
-            if inside.any():
-                # Delta cells are unique, so fancy += cannot collide.
-                tile[blk_rows[inside], blk_cols[inside] - c_lo] += blk_vals[inside]
-            day = cols[:, c_lo:c_hi]
-            day[S_SUM] += tile.sum(axis=0)
-            day[S_SUMSQ] += (tile * tile).sum(axis=0)
-            np.minimum(day[S_MIN], tile.min(axis=0), out=day[S_MIN])
-            np.maximum(day[S_MAX], tile.max(axis=0), out=day[S_MAX])
-            np.minimum(rows[S_MIN, lo:hi], tile.min(axis=1), out=rows[S_MIN, lo:hi])
-            np.maximum(rows[S_MAX, lo:hi], tile.max(axis=1), out=rows[S_MAX, lo:hi])
-        rows[S_SUM, lo:hi] = scaled @ v_sum
-        rows[S_SUMSQ, lo:hi] = ((scaled @ gram) * scaled).sum(axis=1)
-        if blk_cols.size:
-            base = np.einsum("ik,ik->i", scaled[blk_rows], v[blk_cols])
-            np.add.at(rows[S_SUM], blk_rows + lo, blk_vals)
-            np.add.at(
-                rows[S_SUMSQ], blk_rows + lo, 2.0 * base * blk_vals + blk_vals * blk_vals
-            )
-    return cols, rows
+    own, other = (v, scaled_u) if axis == 0 else (scaled_u, v)
+    size = own.shape[0]
+    profile = np.empty((2, size))
+    profile[0] = own @ np.add.reduce(other, axis=0)
+    profile[1] = np.add.reduce((own @ (other.T @ other)) * own, axis=1)
+    count = 0 if deltas is None else len(deltas.values)
+    for lo in range(0, count, _DELTA_CHUNK):
+        hi, starts = min(lo + _DELTA_CHUNK, count), deltas.row_start
+        # The rows holding deltas lo..hi-1, and how many each holds there.
+        first, last = starts.searchsorted(lo, "right") - 1, starts.searchsorted(hi)
+        rows = np.arange(first, last).repeat(np.diff(starts[first : last + 1].clip(lo, hi)))
+        cols, values = deltas.cols[lo:hi], deltas.values[lo:hi]
+        at, across = (cols, rows) if axis == 0 else (rows, cols)
+        x_hat = np.einsum("ik,ik->i", own[at], other[across])
+        profile[0] += np.bincount(at, values, size)
+        profile[1] += np.bincount(at, (2.0 * x_hat + values) * values, size)
+    return profile
 
 
 # -- state -----------------------------------------------------------------
 
 
-def load_state(directory: Path) -> dict | None:
-    """Parse ``summary_state.json``, or None when absent/invalid."""
+def _read_state(directory: Path) -> dict | None:
+    """``summary_state.json`` as written, of any format version; None
+    when absent or not a JSON object."""
     try:
         state = json.loads((Path(directory) / STATE_NAME).read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(state, dict) or state.get("format_version") != _FORMAT_VERSION:
+    return state if isinstance(state, dict) else None
+
+
+def load_state(directory: Path) -> dict | None:
+    """The summary state, or None when absent, invalid or of another
+    format version (a version-1 store, with its tile grid, reads as no
+    store at all)."""
+    state = _read_state(directory)
+    if state is None or state.get("format_version") != _FORMAT_VERSION:
         return None
-    required = ("rows", "cols", "num_deltas", "appends", "block_rows", "chunk_cols")
-    if any(key not in state for key in required):
+    if any(key not in state for key in ("rows", "cols", "num_deltas", "appends")):
         return None
     return state
 
@@ -262,8 +226,8 @@ def stamped_generation(state: dict) -> tuple[int, int, int, int]:
 
 def recorded_start_date(directory: Path) -> str | None:
     """The calendar anchor the directory's last summary state recorded,
-    whatever generation it is stamped for."""
-    state = load_state(directory)
+    whatever generation or format version it is stamped for."""
+    state = _read_state(directory)
     return None if state is None else state.get("start_date")
 
 
@@ -310,34 +274,26 @@ def materialize_summaries(staged: ModelParts, start_date: str | None = None) -> 
 def _materialize(
     parts: ModelParts, start_date: str | None
 ) -> tuple[dict, list[tuple[str, bytes]]]:
-    """The summary store of ``parts``: its state, and the three files as
+    """The summary store of ``parts``: its state, and the two files as
     ``(name, bytes)`` in the order to write them (the state file last)."""
     started = time.perf_counter()
     num_rows, num_cols, num_deltas, appends = parts.generation
     with _span("summaries.profiles", rows=num_rows, cols=num_cols):
-        col_stats, row_stats = _profiles(
-            parts.u_store,
-            parts.eigenvalues,
-            parts.v,
-            parts.deltas,
-            (num_rows, num_cols),
-        )
+        scaled_u = parts.u_store.read_rows(np.arange(num_rows)) * parts.eigenvalues
+        day = factor_profile(scaled_u, parts.v, parts.deltas, axis=0)
     state = {
         "format_version": _FORMAT_VERSION,
         "rows": num_rows,
         "cols": num_cols,
         "num_deltas": num_deltas,
         "appends": appends,
-        "block_rows": BLOCK_ROWS,
-        "chunk_cols": CHUNK_COLS,
         "start_date": start_date,
     }
     if _obs.enabled:
         _obs.counter("summaries.materializations").inc()
         _obs.gauge("summaries.seconds").set(time.perf_counter() - started)
     return state, [
-        (COLS_NAME, _array_bytes(col_stats)),
-        (ROWS_NAME, _array_bytes(row_stats)),
+        (COLS_NAME, _array_bytes(day)),
         (STATE_NAME, json.dumps(state, indent=2).encode()),
     ]
 
@@ -383,9 +339,10 @@ def summarize_directory(
     Without ``start_date`` the build keeps the calendar anchor the
     directory's last summary state recorded, whatever its stamp.  The
     model is read — and so validated — first: a damaged directory is
-    refused before any summary file is touched.  The integrity manifest
-    is rewritten afterwards, reusing the recorded hashes of every
-    non-summary file.
+    refused before any summary file is touched.  A ``summary_*`` file
+    the store no longer writes (a version-1 store's per-customer
+    profile) is removed.  The integrity manifest is rewritten
+    afterwards, reusing the recorded hashes of every non-summary file.
     """
     directory = Path(directory)
     started = time.perf_counter()
@@ -415,6 +372,9 @@ def summarize_directory(
     # state file lands after the arrays it stamps.
     for name, data in files:
         atomic_write_bytes(directory / name, data)
+    for path in directory.glob("summary_*"):
+        if path.name not in SUMMARY_FILES:
+            path.unlink()
     atomic_write_bytes(directory / MANIFEST_NAME, _manifest_bytes(directory, reuse))
     log_event(
         "summaries.summarize",

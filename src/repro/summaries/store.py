@@ -1,13 +1,14 @@
 """Read side of the summary store: freshness, planning, bucket series.
 
-:class:`SummaryStore` loads the three ``summary_*`` files of a model
+:class:`SummaryStore` loads the ``summary_*`` files of a model
 directory, validates the generation stamp against the live model
 (shape, delta count, append counter — any mismatch means the store
 describes a different model and is refused), and answers two kinds of
 requests:
 
 - **aggregate planning** (:meth:`plan`): the exact components of a
-  selection that spans a full axis, from the precomputed profiles;
+  ``sum``/``avg``/``count``/``stddev`` over a selection spanning every
+  row, from the per-day profile;
 - **rollups** (:meth:`rollup`): one time level's bucket edges and
   stats, bucketed from the per-day profile on first use and kept —
   what :func:`repro.query.groupby.bucket_series` serves a group-by
@@ -27,38 +28,28 @@ import numpy as np
 from repro.exceptions import ReproError
 from repro.obs.registry import registry as _obs
 from repro.query.components import Components
+from repro.query.fastpath import FACTOR_FUNCTIONS
 from repro.storage.model_dir import read_generation
 from repro.summaries import compute
-from repro.summaries.compute import (
-    LEVELS,
-    S_MAX,
-    S_MIN,
-    S_SUM,
-    S_SUMSQ,
-    bucket_stats,
-    level_edges,
-)
+from repro.summaries.compute import LEVELS, bucket_stats, level_edges
 
 __all__ = ["SummaryStore"]
 
-#: Group-by axes: the time hierarchy plus the per-customer profile.
+#: Group-by axes: the time hierarchy plus one bucket per customer.
 GROUP_BY_AXES = LEVELS + ("customer",)
 
 
 class SummaryStore:
-    """Validated, read-only view over one model's two profiles.
+    """Validated, read-only view over one model's per-day profile.
 
-    ``col_stats`` and ``row_stats`` are the (4, cols) per-day and
-    (4, rows) per-customer sum/sumsq/min/max; ``start_date`` anchors the
-    calendar levels.  :meth:`load` reads them from a directory; a
-    group-by over a model without a store wraps streamed ones.
+    ``col_stats`` is the (2, cols) per-day sum and sum of squares of a
+    model of ``model_rows`` rows; ``start_date`` anchors the calendar
+    levels.  :meth:`load` reads them from a directory.
     """
 
-    def __init__(
-        self, col_stats: np.ndarray, row_stats: np.ndarray, start_date: str | None
-    ) -> None:
+    def __init__(self, col_stats: np.ndarray, model_rows: int, start_date: str | None) -> None:
         self._col_stats = col_stats
-        self._row_stats = row_stats
+        self._model_rows = int(model_rows)
         self._start_date = start_date
         self._rollups: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -71,7 +62,7 @@ class SummaryStore:
         expected: tuple[int, int, int, int] | None = None,
     ) -> "SummaryStore | None":
         """Load the store if present and stamped for the live model:
-        the two profiles are read into memory once.
+        the per-day profile is read into memory once.
 
         ``expected`` is ``(rows, cols, num_deltas, appends)`` of the
         model the caller already has open; when None it is read from
@@ -96,45 +87,34 @@ class SummaryStore:
             return None
         try:
             col_stats = np.load(directory / compute.COLS_NAME, allow_pickle=False)
-            row_stats = np.load(directory / compute.ROWS_NAME, allow_pickle=False)
         except Exception:
             _obs.counter("summary.load_failures").inc()
             return None
-        rows, cols = int(state["rows"]), int(state["cols"])
-        if col_stats.shape != (4, cols) or row_stats.shape != (4, rows):
+        if col_stats.shape != (2, int(state["cols"])):
             _obs.counter("summary.load_failures").inc()
             return None
-        return cls(col_stats, row_stats, state.get("start_date"))
+        return cls(col_stats, state["rows"], state.get("start_date"))
 
     # -- identity -------------------------------------------------------
 
     @property
     def model_rows(self) -> int:
-        return int(self._row_stats.shape[1])
+        return self._model_rows
 
     @property
     def model_cols(self) -> int:
         return int(self._col_stats.shape[1])
 
     @property
-    def start_date(self) -> str | None:
-        return self._start_date
-
-    @property
-    def row_stats(self) -> np.ndarray:
-        """(4, rows) per-customer sum/sumsq/min/max."""
-        return self._row_stats
-
-    @property
     def col_stats(self) -> np.ndarray:
-        """(4, cols) per-day sum/sumsq/min/max."""
+        """(2, cols) per-day sum and sum of squares."""
         return self._col_stats
 
     def rollup(self, level: str) -> tuple[np.ndarray, np.ndarray]:
         """``(edges, stats)`` of one time level: bucket ``i`` is columns
         ``[edges[i], edges[i+1])`` (see
         :func:`repro.summaries.compute.level_edges`), ``stats`` its
-        (4, buckets) sum/sumsq/min/max.  Bucketed from the per-day
+        (2, buckets) sum and sum of squares.  Bucketed from the per-day
         profile on first use and kept for the store's lifetime."""
         cached = self._rollups.get(level)
         if cached is None:
@@ -144,31 +124,22 @@ class SummaryStore:
 
     # -- aggregate planning ---------------------------------------------
 
-    def plan(self, row_idx: np.ndarray, col_idx: np.ndarray) -> Components | None:
+    def plan(self, row_idx: np.ndarray, col_idx: np.ndarray, function: str) -> Components | None:
         """The selection's components, or None when summaries cannot help.
 
-        The store keeps *marginal* profiles, so an answer exists only
-        when the selection spans a full axis: all rows (answer from the
-        per-day profile) or all columns (per-customer profile).
-        Arbitrary sub-rectangles return None and take the factor path.
+        The store keeps the per-day sum and sum of squares, so an answer
+        exists only for ``sum``/``avg``/``count``/``stddev`` over a
+        selection spanning every row; anything else returns None and
+        takes the factor or stream path.
         """
-        if row_idx.size == 0 or col_idx.size == 0:
+        if function not in FACTOR_FUNCTIONS or row_idx.size != self._model_rows:
             return None
-        rows, cols = self._row_stats.shape[1], self._col_stats.shape[1]
-        if row_idx.size == rows:
-            stats, index, width = self._col_stats, col_idx, rows
-        elif col_idx.size == cols:
-            stats, index, width = self._row_stats, row_idx, cols
-        else:
+        if not col_idx.size:
             return None
-        sel = stats[:, getattr(index, "idx", index)]  # an Ascending's array
-        # The ufunc reductions are ndarray.sum/min/max without their
-        # Python wrappers.
+        sel = self._col_stats[:, getattr(col_idx, "idx", col_idx)]  # an Ascending's array
+        # The ufunc reductions are ndarray.sum without its Python wrapper.
         return Components(
-            total=float(np.add.reduce(sel[S_SUM])),
-            total_sq=float(np.add.reduce(sel[S_SUMSQ])),
-            minimum=float(np.minimum.reduce(sel[S_MIN])),
-            maximum=float(np.maximum.reduce(sel[S_MAX])),
-            count=int(width) * int(index.size),
+            total=float(np.add.reduce(sel[0])),
+            total_sq=float(np.add.reduce(sel[1])),
+            count=self._model_rows * int(col_idx.size),
         )
-

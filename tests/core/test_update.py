@@ -478,7 +478,7 @@ class TestSpans:
         with CompressedMatrix.open(directory) as store:
             assert root.find("update.drift").attrs == {"cols": 380, "sketch": 2 * store.cutoff}
         write = root.find("update.write_model")
-        assert write.attrs == {"files": 12, "fsyncs": 14}
+        assert write.attrs == {"files": 11, "fsyncs": 13}
         profiles = write.find("update.summaries").find("summaries.profiles")
         assert profiles.attrs == {"rows": 200, "cols": 380}
         children = [child.name for child in root.children]

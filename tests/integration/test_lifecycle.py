@@ -19,7 +19,10 @@ array; after every step the model must agree with it:
 - every route answers every aggregate like NumPy over the model's
   dense form, ``svd`` over its SVD-only part, stamped with the stored
   RMSPE; a deferred append's model plans no summary route, and a copy
-  that lost its deltas plans no exact route but the rollups.
+  that lost its deltas plans no exact route but the rollups;
+- a fresh store's per-day sum and sum of squares are the dense form's
+  column sums and sums of squares, and every per-customer series and
+  every min/max series is NumPy's over the dense form.
 
 The settings below are the suite's budget and are derandomized, so a
 run repeats; a deeper search replaces ``LifecycleMachine.TestCase.settings``
@@ -53,7 +56,7 @@ from repro.core import CompressedMatrix, build_compressed, space
 from repro.core.update import append_columns, append_rows
 from repro.exceptions import ChecksumError, RouteUnavailableError
 from repro.obs.registry import registry
-from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection
+from repro.query import AggregateQuery, CellQuery, QueryEngine, Selection, bucket_series
 from repro.serve.config import ServeConfig
 from repro.serve.robust import RobustDispatcher
 from repro.serve.server import QueryServer
@@ -363,11 +366,34 @@ class LifecycleMachine(RuleBasedStateMachine):
         for row in silent:
             assert store.cell(int(row), cols - 1) == 0.0
 
-    def _check_summaries(self, store) -> None:
-        """A deferred append's model has no rollups to offer: until
-        ``summarize``, aggregates take the exact factor/stream routes."""
+    def _check_summaries(self, store, dense) -> None:
+        """A fresh store's per-day profile is the dense form's, to 1e-12
+        of each column's magnitude; a series off the store (by customer,
+        or a min/max) is NumPy's.  A deferred append's model has no
+        rollups to offer: until ``summarize``, aggregates take the exact
+        factor/stream routes."""
+        for by, function, oracle in (
+            ("customer", "sum", np.sum),
+            ("customer", "stddev", np.std),
+            ("customer", "min", np.min),
+            ("customer", "max", np.max),
+            ("week", "min", np.min),
+            ("week", "max", np.max),
+        ):
+            series = bucket_series(store, by, function)
+            if by == "customer":
+                want = oracle(dense, axis=1)
+            else:
+                edges = series["edges"]
+                want = [oracle(dense[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
+            np.testing.assert_allclose(series["values"], want, rtol=1e-9, atol=1e-9)
         if self.summaries_fresh:
-            assert store.summaries is not None
+            profile = store.summaries.col_stats
+            squares = (dense * dense).sum(axis=0)
+            # A signed sum is exact to within its column's magnitude.
+            error = np.abs(profile[0] - dense.sum(axis=0))
+            assert (error <= 1e-12 * np.abs(dense).sum(axis=0)).all(), error
+            np.testing.assert_allclose(profile[1], squares, rtol=1e-12, atol=0.0)
             return
         assert store.summaries is None
         engine = QueryEngine(store)
@@ -406,7 +432,7 @@ class LifecycleMachine(RuleBasedStateMachine):
                 moved_rows, moved_cols = np.nonzero(diff > 1e-9)
                 moved = set(zip(moved_rows.tolist(), moved_cols.tolist()))
                 assert moved <= cells ^ _delta_cells(store)
-            self._check_summaries(store)
+            self._check_summaries(store, dense)
             svd_only = _svd_only(store, dense)
             self._check_routes(store, dense, svd_only)
             self.checked = (dense, _delta_cells(store), svd_only)

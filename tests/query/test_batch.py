@@ -154,7 +154,7 @@ class TestAccounting:
 
     def test_explain_reports_summary_path_for_covered_selection(self, saved):
         engine = QueryEngine(saved)
-        plan = engine.explain(AggregateQuery("sum", Selection(rows=range(25))))
+        plan = engine.explain(AggregateQuery("sum", Selection(cols=range(25))))
         assert plan["path"] == "summary"
         assert plan["estimated_row_fetches"] == 0
 

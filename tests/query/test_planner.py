@@ -90,7 +90,7 @@ def _resolve(backend, rows=None, cols=None):
 
 class TestRouteSelection:
     def test_full_axis_hits_summary(self, compressed):
-        row_idx, col_idx = _resolve(compressed, rows=range(0, 10))
+        row_idx, col_idx = _resolve(compressed, cols=range(0, 10))
         plan = plan_aggregate(compressed, "avg", row_idx, col_idx)
         assert plan.route.name == ROUTE_SUMMARY
         assert plan.route.pages == 0
@@ -382,7 +382,7 @@ class TestEngineIntegration:
 
     def test_planner_route_counter(self, compressed, enabled_registry):
         engine = QueryEngine(compressed)
-        engine.aggregate(AggregateQuery("avg", Selection(rows=range(0, 10))))
+        engine.aggregate(AggregateQuery("avg", Selection(cols=range(0, 10))))
         snapshot = enabled_registry.snapshot()
         assert snapshot["counters"].get("planner.route.summary", 0) >= 1
 

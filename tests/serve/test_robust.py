@@ -107,11 +107,11 @@ class TestHealthyPath:
                 dispatcher.dispatch(query)
 
     def test_explain_without_execution(self, dispatcher):
-        # rows 0:10 x all cols is covered by the materialized row
-        # rollups, so the healthy engine answers it on the summary
-        # route — and explain must say so (pre-planner, this explained
-        # via the brownout engine as "factor": the divergence bug).
-        plan = dispatcher.explain("avg() rows 0:10")
+        # all rows x cols 0:10 is covered by the per-day profile, so
+        # the healthy engine answers it on the summary route — and
+        # explain must say so (pre-planner, this explained via the
+        # brownout engine as "factor": the divergence bug).
+        plan = dispatcher.explain("avg() cols 0:10")
         assert plan["path"] == "summary"
         assert plan["mode"] == "healthy"
 
@@ -129,13 +129,14 @@ class TestHealthyPath:
     ):
         """Every route: the plan explained is the plan dispatched."""
         cases = [
-            (dispatcher, "avg() rows 0:10", None, "summary"),
-            (dispatcher, "min()", None, "summary"),
+            (dispatcher, "avg() cols 0:10", None, "summary"),
+            (dispatcher, "avg() rows 0:10", None, "factor"),
+            (dispatcher, "min()", None, "stream"),
             (dispatcher, "sum() rows 0:40 cols 0:25", None, "factor"),
             (dispatcher, "min() rows 0:40 cols 0:25", None, "stream"),
             (dispatcher, "sum() rows 0:40 cols 0:25", 0.9, "svd"),
             (stale_dispatcher, "min()", None, "stream"),
-            (stale_dispatcher, "avg() rows 0:10", None, "factor"),
+            (stale_dispatcher, "avg() cols 0:10", None, "factor"),
         ]
         for target, text, budget, route in cases:
             query = dataclasses.replace(parse_query(text), max_rmspe=budget)
@@ -150,20 +151,23 @@ class TestHealthyPath:
 PARENT_QUERIES = [
     "cell(3, 7)",
     "cell(79, 49)",
-    "sum() rows 0:10",
+    "sum() cols 0:10",
     "avg() cols 5:20",
-    "stddev() rows 0:10",
-    "min()",
-    "max() cols 0:30",
+    "stddev() cols 0:10",
     "count() rows 5:60 cols 3:40",
 ]
+
+#: Full-axis aggregates the per-day profile does not answer, so they
+#: gather: a full-column ``sum``/``stddev`` (``factor``) and a ``min``/
+#: ``max`` over every row (``stream``).
+FULL_AXIS_GATHERS = ["sum() rows 0:10", "stddev() rows 0:10", "min()", "max() cols 0:30"]
 
 #: Partial on both axes, so they gather: ``factor`` and ``stream``.
 GATHER_QUERIES = ["sum() rows 10:60 cols 5:40", "min() rows 10:60 cols 5:40"]
 
 
 class TestParentPath:
-    @pytest.mark.parametrize("text", PARENT_QUERIES)
+    @pytest.mark.parametrize("text", PARENT_QUERIES + FULL_AXIS_GATHERS)
     def test_parent_answer_is_the_worker_answer(
         self, dispatcher, serve_model_dir, text
     ):
@@ -172,7 +176,8 @@ class TestParentPath:
         payload = dispatcher.dispatch(query)
         after = dispatcher.stats()
         assert after["answers"] == before["answers"] + 1
-        assert after["gathers"] == before["gathers"]  # no slot taken
+        # A slot is taken exactly by the queries that gather.
+        assert after["gathers"] == before["gathers"] + (text in FULL_AXIS_GATHERS)
         (engine,) = _engine_answers(serve_model_dir, [text])
         assert payload["value"] == engine.value  # bit-identical, not approx
         assert payload.get("route", "") == engine.route
@@ -282,7 +287,7 @@ class TestParentPath:
         monkeypatch.setattr(dispatcher.admission, "admit", slow_admit)
         executed = spy_on_execute(dispatcher)
         before = dispatcher.stats()
-        for text in ("cell(3, 7)", "sum() rows 0:10", "sum() rows 0:10 cols 0:25"):
+        for text in ("cell(3, 7)", "sum() cols 0:10", "sum() rows 0:10 cols 0:25"):
             with pytest.raises(DeadlineExceededError):
                 dispatcher.dispatch(text, timeout_ms=1)
         after = dispatcher.stats()
@@ -437,7 +442,7 @@ class TestGatherSlots:
 
     @pytest.mark.parametrize(
         "text",
-        ["cell(3, 7)", "sum() rows 0:10", *GATHER_QUERIES],
+        ["cell(3, 7)", "sum() cols 0:10", *GATHER_QUERIES],
         ids=["cell", "summary", "factor", "stream"],
     )
     def test_late_answer_is_504_not_200(
@@ -559,20 +564,26 @@ class TestBrownout:
         finally:
             damaged.close()
 
-    def test_full_matrix_min_max_exact_from_summaries(
+    def test_full_matrix_sums_exact_from_summaries_and_min_max_shed(
         self, brownout_dispatcher, serve_model_dir
     ):
-        # Full-axis min/max are covered by the summary rollups, so the
-        # brownout path answers them exactly instead of shedding.
+        # The per-day profile answers a sum over every row exactly, so
+        # the brownout path serves it; min/max need every cell and,
+        # like any plan that would stream, are shed.
         for _ in range(2):
             brownout_dispatcher._note_shed()
-        assert brownout_dispatcher.explain("min()")["path"] == "summary"
-        payload = brownout_dispatcher.dispatch("min()")
+        assert brownout_dispatcher.explain("stddev()")["path"] == "summary"
+        payload = brownout_dispatcher.dispatch("stddev()")
         assert (payload["route"], payload["degraded"]) == ("summary", False)
         with CompressedMatrix.open(serve_model_dir) as store:
-            exact = QueryEngine(store).execute(parse_query("min()"))
+            exact = QueryEngine(store).execute(parse_query("stddev()"))
         assert payload["value"] == exact.value
         assert brownout_dispatcher.summary_brownout_hits >= 1
+        for text in ("min()", "max() cols 0:30"):
+            assert brownout_dispatcher.explain(text)["path"] == "shed"
+            with pytest.raises(OverloadedError) as excinfo:
+                brownout_dispatcher.dispatch(text)
+            assert excinfo.value.reason == "brownout"
 
     def test_sub_rectangle_min_max_still_shed_during_brownout(
         self, brownout_dispatcher
@@ -667,9 +678,9 @@ class TestDegradedModelOpen:
             allowed.stdout.close()
 
     def test_corrupt_delta_sidecar_serves_degraded(self, tmp_path):
-        """A model that lost its deltas stays in brownout: full-axis
-        answers are exact from the rollups (they folded the lost deltas
-        in when they were built), a partial sum is the ``svd`` route
+        """A model that lost its deltas stays in brownout: sums over
+        every row are exact from the per-day profile (it folded the lost
+        deltas in when it was built), a partial sum is the ``svd`` route
         stamped with the estimate, and a partial min/max — or a demand
         for exactness no route can meet — is shed."""
         rng = np.random.default_rng(3)
@@ -684,12 +695,12 @@ class TestDegradedModelOpen:
         dispatcher = RobustDispatcher(directory, config)
         try:
             assert dispatcher.model_degraded and dispatcher.brownout_active()
-            for text in ("sum() rows 0:10", "min()", "max() cols 3:9"):
+            for text in ("sum() cols 0:10", "avg()", "stddev() cols 3:9"):
                 covered = dispatcher.dispatch(text)
                 assert dispatcher.explain(text)["path"] == covered["route"] == "summary"
                 assert covered["degraded"] is False
                 assert covered["error_bound"] == 0.0
-            assert covered["value"] == pytest.approx(dense[:, 3:9].max(), rel=1e-9)
+            assert covered["value"] == pytest.approx(dense[:, 3:9].std(), rel=1e-9)
             text = "sum() rows 0:10 cols 0:10"
             payload = dispatcher.dispatch(text)
             assert dispatcher.explain(text)["path"] == payload["route"] == "svd"

@@ -92,8 +92,8 @@ class TestRoutes:
         assert payload["cells"] == 100
 
     def test_explain_route(self, server):
-        # Full-axis selection: covered by the rollups → summary route.
-        text = urllib.parse.quote("stddev() rows 0:10")
+        # Every row: covered by the per-day profile → summary route.
+        text = urllib.parse.quote("stddev() cols 0:10")
         status, _headers, plan = _get(server.url, f"/explain?q={text}")
         assert status == 200
         assert plan["path"] == "summary"

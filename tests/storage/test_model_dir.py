@@ -319,7 +319,7 @@ def test_written_parts_read_back_equal(
     # previous generation, so no store loads until `repro summarize`.
     assert (summaries is not None) == refresh
     if refresh:
-        assert summaries.col_stats.shape == (4, cols + 1)
+        assert summaries.col_stats.shape == (2, cols + 1)
     assert json.loads((directory / "meta.json").read_text())["cols"] == cols + 1
 
 

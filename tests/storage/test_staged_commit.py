@@ -117,11 +117,11 @@ class TestTheFlushThatMatters:
         with span("test.append") as root:
             append_columns(directory, _new_days(rng))
         flushes = recorder.check_publish_order(directory)
-        assert len(flushes) == 12 and set(flushes.values()) == {1}
+        assert len(flushes) == 11 and set(flushes.values()) == {1}
         fsyncs = [e for e in recorder.events if e[0] == "fsync"]
-        assert len(fsyncs) == 14  # 12 files, the staging directory, the parent
+        assert len(fsyncs) == 13  # 11 files, the staging directory, the parent
         assert not [e for e in recorder.events if e[0] == "replace"]  # no temp files
-        assert root.find("update.write_model").attrs == {"files": 12, "fsyncs": 14}
+        assert root.find("update.write_model").attrs == {"files": 11, "fsyncs": 13}
 
     def test_row_append_and_build_flush_before_publishing(self, tmp_path, monkeypatch):
         data, rng = _data()

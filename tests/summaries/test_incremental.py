@@ -2,13 +2,16 @@
 
 The contract under test is strong: after any sequence of appends, the
 summary files on disk are **byte-identical** to a cold rebuild of the
-same model — the fixed tile grid makes float non-associativity a
-non-issue.  And because summaries ride the same staged-directory swap
-as the model files, a crash at any point leaves either the old
+same model — the per-day profile is one fixed computation over the
+stored factors and deltas, whoever runs it.  And because summaries
+ride the same staged-directory swap as the model files, a crash at
+any point leaves either the old
 generation (stamped, so the loader rejects it against the new model)
 or the new one — never a half-written store that serves wrong numbers.
 A deferred append leaves no usable store, only the previous state
-file, which keeps the calendar anchor for the rebuild.
+file, which keeps the calendar anchor for the rebuild.  A version-1
+store (it also kept min/max and a per-customer file) reads as none,
+and the next writer replaces it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from repro.cli import main
 from repro.core.update import append_columns, append_rows
 from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.storage.atomic import STAGING_SUFFIX
-from repro.storage.integrity import verify_manifest
+from repro.storage.integrity import verify_manifest, write_manifest
+from repro.storage.model_dir import read_generation
 from repro.summaries import SUMMARY_FILES, SummaryStore, summarize_directory
 from repro.summaries.compute import STATE_NAME
 
@@ -82,7 +86,8 @@ class TestBitIdenticalRefresh:
             for by in ("week", "month", "customer"):
                 a = bucket_series(live, by, "sum")
                 b = bucket_series(cold, by, "sum")
-                assert a["path"] == b["path"] == "summary"
+                path = "factor" if by == "customer" else "summary"
+                assert a["path"] == b["path"] == path
                 assert a["values"] == b["values"]  # exact, not approx
 
 
@@ -100,7 +105,7 @@ class TestDeferredRefresh:
         with CompressedMatrix.open(directory) as saved:
             assert saved.summaries is None
             series = bucket_series(saved, "week", "sum")
-            assert series["path"] == "stream" and "partial" not in series
+            assert series["path"] == "factor" and "partial" not in series
 
         report = summarize_directory(directory)
         assert report["status"] == "rebuilt"
@@ -211,11 +216,80 @@ class TestDamagedPriorIsNotLaundered:
     @pytest.mark.parametrize("name", ["summary_cols.npy", "summary_rows.npy"])
     def test_summarize_over_a_damaged_summary_file_rebuilds(self, model, tmp_path, name):
         directory, _rng = model
+        if name not in SUMMARY_FILES:  # a file only a version-1 store wrote
+            _as_version_one(directory)
         self._flip_a_byte(directory, name)
         assert not verify_manifest(directory).ok
         assert summarize_directory(directory)["status"] == "rebuilt"
         assert verify_manifest(directory).ok
+        assert not (directory / name).exists() or name in SUMMARY_FILES
         assert _summary_bytes(directory) == _rebuilt_bytes(directory, tmp_path, "cold")
+
+
+def _as_version_one(directory, start_date=None):
+    """Turn a directory's store into what a version-1 writer left: a
+    state with its tile grid, per-day and per-customer sum/sumsq/min/max,
+    all in the manifest."""
+    with CompressedMatrix.open(directory) as saved:
+        rows, cols = saved.shape
+        dense = saved.reconstruct_range(np.arange(rows), np.arange(cols))
+    stamp = dict(zip(("rows", "cols", "num_deltas", "appends"), read_generation(directory)))
+    for name, axis in (("summary_cols.npy", 0), ("summary_rows.npy", 1)):
+        stats = [dense.sum(axis), (dense * dense).sum(axis), dense.min(axis), dense.max(axis)]
+        np.save(directory / name, np.stack(stats))
+    state = {"format_version": 1, **stamp, "block_rows": 1024, "chunk_cols": 256}
+    (directory / STATE_NAME).write_text(json.dumps({**state, "start_date": start_date}))
+    write_manifest(directory)
+
+
+class TestVersionOneDirectory:
+    """A directory a version-1 writer summarized: it reads as one without
+    a store, serves every group-by off the store, and the next
+    ``summarize`` or append writes version 2 and drops the per-customer
+    file from the directory and its manifest."""
+
+    ANCHOR = "2024-01-15"
+
+    @pytest.fixture()
+    def old(self, model):
+        directory, rng = model
+        _as_version_one(directory, self.ANCHOR)
+        assert main(["fsck", str(directory)]) == 0
+        assert SummaryStore.load(directory) is None
+        with CompressedMatrix.open(directory) as saved:
+            assert saved.summaries is None
+            exact = saved.reconstruct_all()
+            for by, function in (("month", "sum"), ("week", "max"), ("customer", "stddev")):
+                series = bucket_series(saved, by, function)
+                assert series["path"] == ("stream" if function == "max" else "factor")
+            plan = QueryEngine(saved).plan(AggregateQuery("sum", Selection()))
+            assert plan.route.name == "factor"
+        assert series["values"] == pytest.approx(exact.std(axis=1), rel=1e-12)
+        return directory, rng
+
+    def _is_version_two(self, directory):
+        assert main(["fsck", str(directory)]) == 0
+        assert not (directory / "summary_rows.npy").exists()
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "summary_rows.npy" not in manifest["files"]
+        state = json.loads((directory / STATE_NAME).read_text())
+        assert (state["format_version"], state["start_date"]) == (2, self.ANCHOR)
+        assert SummaryStore.load(directory) is not None
+
+    def test_summarize_writes_version_two(self, old, capsys):
+        directory, _rng = old
+        assert main(["summarize", str(directory)]) == 0
+        assert capsys.readouterr().out.startswith("rebuilt")
+        self._is_version_two(directory)
+
+    @pytest.mark.parametrize("kind", ["columns", "rows"])
+    def test_an_append_writes_version_two(self, old, kind):
+        directory, rng = old
+        if kind == "columns":
+            append_columns(directory, rng.random((300, 3)) * 10)
+        else:
+            append_rows(directory, rng.random((4, 80)) * 10)
+        self._is_version_two(directory)
 
 
 def _start_date(directory):
@@ -263,7 +337,8 @@ class TestCalendarAnchor:
     @pytest.mark.parametrize("level", ["month", "quarter"])
     def test_a_stale_store_streams_on_the_anchor(self, anchored, level):
         """A deferred append leaves no fresh store, so the series is
-        streamed: bucketed and valued as ``summarize`` will serve it."""
+        computed off the store, from the factor identities: bucketed and
+        valued as ``summarize`` will serve it."""
         directory, rng = anchored
         append_columns(directory, rng.random((300, 7)) * 10, refresh_summaries=False)
         with CompressedMatrix.open(directory) as stale:
@@ -271,9 +346,9 @@ class TestCalendarAnchor:
         summarize_directory(directory)
         with CompressedMatrix.open(directory) as fresh:
             summarized = bucket_series(fresh, level, "sum")
-        assert (streamed["path"], summarized["path"]) == ("stream", "summary")
+        assert (streamed["path"], summarized["path"]) == ("factor", "summary")
         assert streamed["edges"] == summarized["edges"]
-        assert streamed["values"] == pytest.approx(summarized["values"], rel=1e-9)
+        assert streamed["values"] == summarized["values"]  # the same identities
 
 
 class TestForeignState:

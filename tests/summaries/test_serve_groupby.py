@@ -1,10 +1,11 @@
 """The summary store at the serving tier: /groupby, brownout, counters.
 
-A dashboard group-by over a summarized model must be answered without
-touching ``u.mat`` (the whole point of materializing rollups), and a
+A dashboard time series of sums over a summarized model must be
+answered without touching ``u.mat`` (the whole point of the per-day
+profile); a per-customer series comes from the factor identities and a
+min/max series from a streamed pass, each equal to the dense oracle.  A
 brownout must prefer an exact summary answer over an SVD-only
-approximation — including min/max, which the factor fallback alone
-refuses to serve.
+approximation, and sheds a min/max it would have to stream.
 """
 
 from __future__ import annotations
@@ -67,9 +68,27 @@ class TestBucketSeries:
         for i, value in enumerate(series["values"]):
             assert value == exact[:, edges[i] : edges[i + 1]].max()
 
+    @pytest.mark.parametrize("function", ["sum", "stddev", "min", "max"])
+    @pytest.mark.parametrize("by", ["customer", "month"])
+    def test_every_path_equals_the_dense_oracle(self, model_dir, exact, by, function):
+        with CompressedMatrix.open(model_dir) as saved:
+            series = bucket_series(saved, by, function)
+        if function in ("min", "max"):
+            assert series["path"] == "stream"
+        else:
+            assert series["path"] == ("factor" if by == "customer" else "summary")
+        oracle = {"sum": np.sum, "stddev": np.std, "min": np.min, "max": np.max}[function]
+        if by == "customer":
+            expected = [oracle(row) for row in exact]
+        else:
+            edges = series["edges"]
+            expected = [oracle(exact[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        np.testing.assert_allclose(series["values"], expected, rtol=1e-12)
+
     def test_customer_limit_orders_by_value(self, model_dir, exact):
         with CompressedMatrix.open(model_dir) as saved:
             series = bucket_series(saved, "customer", "sum", limit=4)
+            assert series["path"] == "factor"
             assert series["buckets"] == 4
             expected = np.argsort(exact.sum(axis=1))[::-1][:4]
             assert series["labels"] == [int(i) for i in expected]
@@ -80,6 +99,20 @@ class TestBucketSeries:
             tail = bucket_series(saved, "week", "sum", limit=3)
             assert tail["values"] == full["values"][-3:]
             assert tail["edges"] == full["edges"][-4:]
+
+    def test_unknown_function_is_refused_before_any_read(self, exact):
+        read = []
+
+        class Rows:
+            shape = exact.shape
+
+            def row(self, index):
+                read.append(index)
+                return exact[index]
+
+        with pytest.raises(QueryError, match="unknown aggregate 'median'"):
+            bucket_series(Rows(), "month", "median")
+        assert read == []
 
     def test_bad_axis_and_limit_rejected(self, model_dir):
         with CompressedMatrix.open(model_dir) as saved:
@@ -101,10 +134,12 @@ class TestGroupbyEndpoint:
                 exact[:, edges[0] : edges[1]].sum(), rel=1e-9
             )
             top = _get(f"{server.url}/groupby?by=customer&fn=max&limit=2")
-            assert top["buckets"] == 2
+            assert (top["buckets"], top["path"]) == (2, "stream")
+            top = _get(f"{server.url}/groupby?by=customer&fn=sum&limit=2")
+            assert (top["buckets"], top["path"]) == (2, "factor")
             stats = _get(f"{server.url}/stats")
-            assert stats["summary_hits"] == 2
-            assert stats["summary_misses"] == 0
+            assert stats["summary_hits"] == 1
+            assert stats["summary_misses"] == 2
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"{server.url}/groupby?by=hour")
             assert excinfo.value.code == 400
@@ -114,20 +149,23 @@ class TestGroupbyEndpoint:
 
 
 class TestBrownoutSummaries:
-    def test_min_max_served_exactly_in_brownout(self, model_dir, exact):
+    def test_sums_served_exactly_and_min_max_shed_in_brownout(self, model_dir, exact):
         dispatcher = RobustDispatcher(model_dir, ServeConfig(port=0, workers=1))
         try:
             dispatcher.model_degraded = True  # force brownout
             assert dispatcher.brownout_active()
-            payload = dispatcher.dispatch(parse_query("max()"))
-            # Exact from the rollups: NOT stamped degraded.
+            payload = dispatcher.dispatch(parse_query("stddev()"))
+            # Exact from the per-day profile: NOT stamped degraded.
             assert payload["degraded"] is False
-            assert payload["value"] == float(exact.max())
+            assert payload["value"] == pytest.approx(exact.std(), rel=1e-12)
             assert dispatcher.summary_brownout_hits == 1
-            # Covered sum also prefers the summary over SVD-only.
+            # A covered sum also prefers the summary over SVD-only.
             payload = dispatcher.dispatch(parse_query("sum()"))
             assert payload["degraded"] is False
-            assert payload["value"] == pytest.approx(exact.sum(), rel=1e-9)
+            assert payload["value"] == pytest.approx(exact.sum(), rel=1e-12)
+            # The store keeps no max: streaming it is shed.
+            with pytest.raises(OverloadedError):
+                dispatcher.dispatch(parse_query("max()"))
         finally:
             dispatcher.close()
 

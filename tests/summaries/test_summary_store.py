@@ -2,7 +2,9 @@
 
 Every number served from the rollups must equal what a full
 delta-corrected scan of the model produces — the store is a cache of
-exact answers, not an approximation.  The loader must refuse anything
+exact answers, not an approximation.  It keeps the per-day sum and sum
+of squares: a min/max, or a selection short of every row, is planned
+elsewhere.  The loader must refuse anything
 not stamped for the live model generation (shape, delta count, append
 counter) so a crashed or foreign store silently falls back to the
 factor path.
@@ -19,7 +21,9 @@ from repro.core import CompressedMatrix, build_compressed
 from repro.exceptions import QueryError
 from repro.query import AggregateQuery, QueryEngine, Selection, bucket_series
 from repro.summaries import LEVELS, SummaryStore, level_edges
-from repro.summaries.compute import S_MAX, S_MIN, S_SUM, STATE_NAME
+from repro.query.backend import as_backend
+from repro.summaries import compute
+from repro.summaries.compute import STATE_NAME
 from tests.conftest import run_route
 
 
@@ -66,27 +70,39 @@ class TestExactness:
     def test_marginals_match_reconstruction(self, model_dir, exact):
         store = SummaryStore.load(model_dir)
         assert store is not None
-        assert store.col_stats.shape == (4, exact.shape[1])
-        np.testing.assert_allclose(
-            store.col_stats[S_SUM], exact.sum(axis=0), rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            store.row_stats[S_SUM], exact.sum(axis=1), rtol=1e-9
-        )
-        # min/max are exact comparisons, not accumulations.
-        np.testing.assert_array_equal(store.col_stats[S_MIN], exact.min(axis=0))
-        np.testing.assert_array_equal(store.row_stats[S_MAX], exact.max(axis=1))
+        assert store.col_stats.shape == (2, exact.shape[1])
+        squares = exact * exact
+        np.testing.assert_allclose(store.col_stats[0], exact.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(store.col_stats[1], squares.sum(axis=0), rtol=1e-12)
+        # The per-customer profile comes from the same identities.
+        with CompressedMatrix.open(model_dir) as saved:
+            day, customer = as_backend(saved).profiles
+        np.testing.assert_array_equal(day, store.col_stats)
+        np.testing.assert_allclose(customer[0], exact.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(customer[1], squares.sum(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 18])
+    def test_the_delta_fold_is_chunk_free(self, model_dir, exact, chunk, monkeypatch):
+        # Chunks that split rows and skip empty ones fold the same deltas.
+        monkeypatch.setattr(compute, "_DELTA_CHUNK", chunk)
+        with CompressedMatrix.open(model_dir) as saved:
+            scaled_u, v, index, _fetched = saved.factors(np.arange(saved.shape[0]))
+        assert len(index) > 2
+        for axis in (0, 1):
+            profile = compute.factor_profile(scaled_u, v, index, axis)
+            np.testing.assert_allclose(profile[0], exact.sum(axis=axis), rtol=1e-12)
+            np.testing.assert_allclose(profile[1], (exact * exact).sum(axis=axis), rtol=1e-12)
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_level_rollups_match_reconstruction(self, model_dir, exact, level):
         store = SummaryStore.load(model_dir)
         edges, stats = store.rollup(level)
         assert store.rollup(level)[1] is stats  # bucketed once per store
+        assert stats.shape == (2, edges.size - 1)
         for i in range(edges.size - 1):
             block = exact[:, edges[i] : edges[i + 1]]
-            assert stats[S_SUM, i] == pytest.approx(block.sum(), rel=1e-9)
-            assert stats[S_MIN, i] == block.min()
-            assert stats[S_MAX, i] == block.max()
+            assert stats[0, i] == pytest.approx(block.sum(), rel=1e-12)
+            assert stats[1, i] == pytest.approx((block * block).sum(), rel=1e-12)
 
     @pytest.mark.parametrize(
         "function", ["sum", "avg", "count", "min", "max", "stddev"]
@@ -97,39 +113,44 @@ class TestExactness:
             engine = QueryEngine(saved)
             with_summaries = engine.aggregate(query)
             reference = run_route(engine, query, "stream")
-            assert with_summaries.route == "summary"
+            # The store keeps sums: a min/max over every row streams.
+            covered = function not in ("min", "max")
+            assert with_summaries.route == ("summary" if covered else "stream")
             assert with_summaries.value == pytest.approx(
                 reference.value, rel=1e-9, abs=1e-9
             )
-            assert with_summaries.rows_fetched == 0
+            assert with_summaries.rows_fetched == (0 if covered else 180)
 
     def test_grand_components(self, model_dir, exact):
         store = SummaryStore.load(model_dir)
-        grand = store.plan(np.arange(store.model_rows), np.arange(store.model_cols))
+        rows, cols = np.arange(store.model_rows), np.arange(store.model_cols)
+        grand = store.plan(rows, cols, "stddev")
         assert grand.total == pytest.approx(exact.sum(), rel=1e-12)
-        assert grand.minimum == exact.min()
-        assert grand.maximum == exact.max()
+        assert grand.total_sq == pytest.approx((exact * exact).sum(), rel=1e-12)
         assert grand.count == exact.size
+        for function in ("min", "max"):
+            assert store.plan(rows, cols, function) is None
 
 
 class TestPlanning:
     def test_full_axis_plans(self, model_dir):
         store = SummaryStore.load(model_dir)
         rows, cols = store.model_rows, store.model_cols
-        plan = store.plan(np.arange(rows), np.arange(0, cols, 2))
+        plan = store.plan(np.arange(rows), np.arange(0, cols, 2), "sum")
         assert plan is not None and plan.count == rows * ((cols + 1) // 2)
-        plan = store.plan(np.arange(0, rows, 5), np.arange(cols))
-        assert plan is not None and plan.count == ((rows + 4) // 5) * cols
+        # A full-column selection is the factor route's: the store keeps
+        # no per-customer profile.
+        assert store.plan(np.arange(0, rows, 5), np.arange(cols), "sum") is None
 
     def test_sub_rectangle_returns_none(self, model_dir):
         store = SummaryStore.load(model_dir)
-        assert store.plan(np.arange(10), np.arange(10)) is None
+        assert store.plan(np.arange(10), np.arange(10), "sum") is None
 
     @pytest.mark.parametrize("function", ["sum", "min", "max", "stddev"])
     def test_bucket_values_match_reconstruction(self, model_dir, exact, function):
         with CompressedMatrix.open(model_dir) as saved:
             series = bucket_series(saved, "month", function)
-        assert series["path"] == "summary"
+        assert series["path"] == ("stream" if function in ("min", "max") else "summary")
         edges, values = np.asarray(series["edges"]), series["values"]
         for i in range(edges.size - 1):
             block = exact[:, edges[i] : edges[i + 1]]
@@ -182,5 +203,5 @@ class TestValidation:
 
         copy = tmp_path / "copy"
         shutil.copytree(model_dir, copy)
-        np.save(copy / "summary_cols.npy", np.zeros((4, 3)))
+        np.save(copy / "summary_cols.npy", np.zeros((2, 3)))
         assert SummaryStore.load(copy) is None

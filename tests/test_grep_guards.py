@@ -16,7 +16,9 @@ of cells or a fourth scan is back in the build") keeps pass 2 a chunk
 deep, its histograms free of cell keys, and build.py free of scans;
 the delta guard keeps the packed ``row*M + col`` key, its record size,
 its re-keying and its file magic out of the product (the lab's hash
-table keeps the paper's key).
+table keeps the paper's key); the summary guard ("One summary
+profile") keeps the tile grid, the stored min/max and the per-customer
+file out of ``src/repro``.
 This test runs the same patterns over the same
 paths, so a local ``pytest`` catches a breach before CI does.  The CI
 steps stay as they are; a pattern changed there is changed here too.
@@ -107,6 +109,16 @@ GUARDS = {
         r"DELTA_KEY_BYTES|DELTA_RECORD_BYTES|delta_keys_at|cell_key|RPRDLT0[12]",
         ("src/repro",),
         ("lab",),
+    ),
+    "the tile grid, the stored min/max or the per-customer profile": (
+        r"summary_row[s]|CHUNK_COL[S]|S_MI[N]|S_MA[X]",
+        ("src/repro",),
+        (),
+    ),
+    "the tile grid's row blocks in the summaries": (
+        r"\bBLOCK_ROW[S]\b",
+        ("src/repro/summaries",),
+        (),
     ),
     "a scan spelled in build.py": (
         r"_row_chunks|zero_row_scan|iter_row",
