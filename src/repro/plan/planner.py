@@ -170,8 +170,8 @@ class QueryPlan:
 # route and candidate order stays where it was.
 
 #: Nanoseconds per value a vectorized kernel touches (a streamed
-#: reconstruction's ``k + 1`` per cell, a rollup's row and column
-#: totals, a delta the factor route folds).
+#: reconstruction's ``k + 1`` per cell, a rollup's per-day entry,
+#: a delta the factor route folds).
 NS_PER_CELL = 3.3
 #: Nanoseconds per multiply-add of the factor GEMM.
 NS_PER_FACTOR_TERM = 6.6
@@ -264,7 +264,7 @@ def plan_aggregate(
         candidates.append(
             RouteEstimate(
                 ROUTE_SUMMARY,
-                cost_ms=SUMMARY_FLOOR_MS + (num_rows + num_cols) * NS_PER_CELL / 1e6,
+                cost_ms=SUMMARY_FLOOR_MS + num_cols * NS_PER_CELL / 1e6,
                 pages=0,
                 row_fetches=0,
                 error_bound=0.0,

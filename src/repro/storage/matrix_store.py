@@ -146,6 +146,7 @@ class MatrixStore:
         self._cols = cols
         self._dtype = np.dtype(dtype)
         self._item = self._dtype.itemsize
+        self._unpack_row = struct.Struct("=" + self._dtype.char * cols).unpack
         self._pool = BufferPool(pager, capacity=pool_capacity)
         # The data region starts at the first page past the header.
         self._data_offset = -(-_HEADER_SIZE // pager.page_size) * pager.page_size
@@ -563,17 +564,16 @@ class MatrixStore:
     def _row_offset(self, index: int) -> int:
         return self._data_offset + index * self._cols * self._item
 
-    def row(self, index: int) -> np.ndarray:
-        """Read one row through the buffer pool (the view when ``mapped``)."""
+    def row(self, index: int) -> tuple[float, ...]:
+        """Read one row through the buffer pool (the view when ``mapped``)
+        as a tuple of Python floats: a cell probe's k terms, no array."""
         if not 0 <= index < self._rows:
             raise QueryError(f"row {index} out of range [0, {self._rows})")
         if self._mapped:
-            # The copy keeps row() returning a writable float64 array;
-            # the page itself is only ever touched through the shared
-            # mapping, never duplicated into a per-process pool.
-            return self._live_view()[index].astype(np.float64)
-        raw = read_span(self._pool, self._row_offset(index), self._cols * self._item)
-        return np.frombuffer(raw, dtype=self._dtype).astype(np.float64)
+            return self._unpack_row(self._live_view()[index])
+        return self._unpack_row(
+            read_span(self._pool, self._row_offset(index), self._cols * self._item)
+        )
 
     def read_rows(self, indices) -> np.ndarray:
         """Gather a batch of rows out of the mapped view in one copy.

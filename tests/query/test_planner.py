@@ -255,6 +255,37 @@ class TestFoldPricedBySelectedRows:
         assert plan.route.error_bound == 0.0
 
 
+@pytest.fixture(scope="module")
+def phone_20k(tmp_path_factory):
+    """Phone 20,000 x 366 at a 10% budget: 1,000 rows built and the rest
+    appended, a few times faster than building all 20,000."""
+    from repro.core import CompressedMatrix
+    from repro.core.update import append_rows
+    from repro.data import phone_matrix
+
+    data = phone_matrix(20_000)
+    directory = tmp_path_factory.mktemp("planner-phone-20k") / "model"
+    build_compressed(data[:1000], directory, budget_fraction=0.10).close()
+    append_rows(directory, data[1000:])
+    store = CompressedMatrix.open(directory)
+    yield store
+    store.close()
+
+
+class TestSummaryPricedByDays:
+    def test_all_rows_count_plans_summary(self, phone_20k):
+        """The summary route reads the |S| per-day entries and nothing
+        per row, so an all-rows ``count`` takes it however many rows
+        the model has.  Priced per row as well, it lost to ``factor``."""
+        rows, cols = phone_20k.shape
+        assert (rows, cols) == (20_000, 366)
+        plan = plan_aggregate(phone_20k, "count", *_resolve(phone_20k))
+        assert plan.route.name == ROUTE_SUMMARY
+        summary, factor = _cost(plan, ROUTE_SUMMARY), _cost(plan, ROUTE_FACTOR)
+        assert summary == planner.SUMMARY_FLOOR_MS + cols * planner.NS_PER_CELL / 1e6
+        assert summary + rows * planner.NS_PER_CELL / 1e6 > factor
+
+
 class TestMaxRmspeSemantics:
     def test_zero_budget_provably_never_selects_svd(
         self, compressed, svdd_model, data, lost

@@ -114,9 +114,13 @@ class TestRandomAccess:
             store.cell(0, 23)
 
     def test_row_is_a_copy(self, store, matrix):
+        # A tuple of Python floats: nothing a caller holds can write
+        # through to the cached page.
         row = store.row(0)
-        row[0] = 1e9
-        assert store.row(0)[0] == matrix[0, 0]
+        assert type(row) is tuple and all(type(x) is float for x in row)
+        with pytest.raises(TypeError):
+            row[0] = 1e9
+        assert store.row(0) == tuple(matrix[0].tolist())
 
     def test_random_access_uses_buffer_pool(self, store):
         store.row(5)
@@ -343,7 +347,7 @@ class TestMappedMode:
     def test_close_releases_the_mapping(self, tmp_path, rng):
         _, mapped = self._mapped_pair(tmp_path, rng.standard_normal((6, 4)))
         _.close()
-        row = mapped.row(0)  # materialized copy, outlives the store
+        row = mapped.row(0)  # Python floats, outlive the store
         mapped.close()  # must not raise BufferError on live exports
         assert np.isfinite(row).all()
         mapped.close()  # idempotent
