@@ -17,6 +17,7 @@ is built into a temporary directory first.
 from __future__ import annotations
 
 import collections
+import functools
 import socket
 import statistics
 import sys
@@ -26,7 +27,7 @@ from pathlib import Path
 from benchmarks.harness import model, ops
 from repro.obs.registry import registry
 from repro.serve.config import ServeConfig
-from repro.serve.server import QueryServer
+from repro.serve.server import QueryServer, _QueryHandler
 
 LISTS = 5
 SEED = 1997
@@ -68,7 +69,7 @@ def main(argv: list[str]) -> None:
         registry.enable()
         server = QueryServer(directory, ServeConfig(workers=2)).start()
         try:
-            handler_class = server._server._handler_class
+            handler_class = functools.partial(_QueryHandler, server)
             count = 300
             by_kind = collections.defaultdict(list)
             for index in range(LISTS):

@@ -73,6 +73,9 @@ class CompressedMatrix:
         # (an append writes a new directory).
         self._lam = self._eigenvalues.tolist()
         self._v_rows = self._v.tolist()
+        # Fixed for this open too: an append grows a staged copy of
+        # ``u.mat``, never this store's file.
+        self._shape = (parts.u_store.num_rows, self._v.shape[0])
         # The reader validated the table, so the index adopts its
         # private arrays as they are.
         self._deltas = DeltaIndex(parts.deltas, parts.cols) if parts.deltas.count else None
@@ -237,7 +240,7 @@ class CompressedMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         """``(N, M)`` of the matrix this store approximates."""
-        return (self._u_store.num_rows, self._v.shape[0])
+        return self._shape
 
     @property
     def cutoff(self) -> int:
@@ -372,7 +375,7 @@ class CompressedMatrix:
         (the builtin sum compensates from Python 3.12), one bisection of
         the row's delta columns — and the two locks that count them.
         """
-        rows, cols = self.shape
+        rows, cols = self._shape
         if not 0 <= row < rows:
             raise QueryError(f"row {row} out of range [0, {rows})")
         if not 0 <= col < cols:

@@ -21,8 +21,7 @@ asserting them:
   stamped with;
 - :func:`~repro.obs.export.render_openmetrics` — Prometheus-scrapeable
   OpenMetrics text over the registry, served as ``/metrics`` by
-  ``repro serve`` (:mod:`repro.serve.server`, the one client of the
-  socket plumbing in :mod:`repro.obs.serve`);
+  ``repro serve`` (:mod:`repro.serve.server`);
 - :data:`~repro.obs.slowlog.slow_query_log` — threshold-triggered
   structured log of full profiles + span trees for outlier queries.
 

@@ -24,7 +24,12 @@ import re
 
 from repro.obs.registry import MetricsRegistry, registry as _default_registry
 
-__all__ = ["render_openmetrics", "validate_openmetrics"]
+__all__ = ["OPENMETRICS_CONTENT_TYPE", "render_openmetrics", "validate_openmetrics"]
+
+#: The ``Content-Type`` of :func:`render_openmetrics`'s text.
+OPENMETRICS_CONTENT_TYPE = (
+    "application/openmetrics-text; version=1.0.0; charset=utf-8"
+)
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 

@@ -15,8 +15,8 @@ that makes the reproduction *operable* under that load:
   :class:`~repro.query.engine.QueryEngine` every handler thread
   answers on;
 - :mod:`repro.serve.server` — the HTTP front door
-  (:class:`~repro.serve.server.QueryServer`, on the socket plumbing of
-  :mod:`repro.obs.serve`) exposing ``/query``, ``/cell``,
+  (:class:`~repro.serve.server.QueryServer`, which reads and writes its
+  own sockets) exposing ``/query``, ``/cell``,
   ``/aggregate``, ``/groupby``, ``/explain``, ``/stats``, ``/healthz``
   (live/ready split) and ``/metrics``, with graceful SIGTERM drain.
 

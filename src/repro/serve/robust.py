@@ -8,7 +8,9 @@ pickled, no queue thread woken, and the engine's spans and counters
 land in the registry ``/metrics`` scrapes.  One request flows through :meth:`dispatch` as:
 
 1. **drain check** — a draining server sheds immediately (503) so the
-   load balancer's next health probe sees not-ready and moves on;
+   load balancer's next health probe sees not-ready and moves on; so
+   does a query the drain's grace ran out on, when the model released
+   under it fails it;
 2. **admission** — bounded by queue depth and queue age
    (:mod:`repro.serve.admission`); shed requests never reach an engine;
 3. **deadline** — the clamped per-request timeout becomes a
@@ -46,7 +48,7 @@ is now held for ~0.3 ms of compute *under* the GIL rather than across a
 wait that released it, so short requests queue for the GIL before step
 2, where no bound counts them — a small burst seldom finds the depth
 ceiling by itself, and past saturation admission sheds less than the
-pool did (ROADMAP 4(d)).
+pool did (ROADMAP item 9(b), "A depth bound under a GIL").
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from repro.exceptions import (
     DeadlineExceededError,
     OverloadedError,
     RouteUnavailableError,
+    StoreClosedError,
 )
 from repro.obs.registry import registry as _obs
 from repro.plan import ROUTE_STREAM, ROUTE_SUMMARY, ROUTE_SVD
@@ -159,16 +162,15 @@ class RobustDispatcher:
                 pass  # shed when served, so nothing to warm
 
     def drain(self) -> bool:
-        """Stop admitting, wait out in-flight work, release the model.
+        """Stop admitting and wait out the admitted queries, bounded by
+        ``drain_grace_s``; the caller then releases the model
+        (:meth:`close`) regardless — bounded beats graceful.
 
-        Returns True when in-flight requests finished inside the grace
-        period, False when the grace expired first (the mapping is
-        released regardless — bounded beats graceful).  Idempotent.
+        Returns True when they finished inside the grace period, False
+        when it expired first.
         """
         self._draining = True
-        drained = self.admission.wait_idle(self.config.drain_grace_s)
-        self.close()
-        return drained
+        return self.admission.wait_idle(self.config.drain_grace_s)
 
     def close(self) -> None:
         """Release the model mapping (idempotent)."""
@@ -216,12 +218,15 @@ class RobustDispatcher:
             setattr(self, attr, getattr(self, attr) + 1)
         _obs.counter(metric).inc()
 
+    def _drain_shed(self) -> OverloadedError:
+        return self.admission.shed(
+            "drain", "server is draining; connection will not be retried here"
+        )
+
     def _admit(self):
         """Drain check, then admission; a shed feeds the brownout window."""
         if self._draining:
-            raise self.admission.shed(
-                "drain", "server is draining; connection will not be retried here"
-            )
+            raise self._drain_shed()
         try:
             return self.admission.admit()
         except OverloadedError:
@@ -282,6 +287,10 @@ class RobustDispatcher:
                     "error) and this query has no route it serves; retry after "
                     f"{self.config.retry_after_s:g}s",
                 ) from None
+            except StoreClosedError:
+                if not self._draining:
+                    raise
+                raise self._drain_shed() from None  # the grace ran out on it
             if time.monotonic_ns() >= deadline_ns:
                 # Computed, but late: a 200 never follows its deadline.
                 raise self._deadline_miss(start_ns, deadline_ns)
@@ -368,7 +377,12 @@ class RobustDispatcher:
         try:
             if time.monotonic_ns() >= deadline_ns:
                 raise self._deadline_miss(start_ns, deadline_ns)
-            series = bucket_series(self._resolved, by, function, limit)
+            try:
+                series = bucket_series(self._resolved, by, function, limit)
+            except StoreClosedError:
+                if not self._draining:
+                    raise
+                raise self._drain_shed() from None  # the grace ran out on it
             if time.monotonic_ns() >= deadline_ns:
                 raise self._deadline_miss(start_ns, deadline_ns)
         finally:

@@ -1,11 +1,11 @@
 """The query-serving HTTP endpoint.
 
 :class:`QueryServer` is an HTTP front door over one
-:class:`~repro.serve.robust.RobustDispatcher`, on the plumbing in
-:mod:`repro.obs.serve`: reused handler threads that each ``accept()``
-a connection, read its request head, run the route below and write
-the response themselves — one thread, one read, one write per request,
-no accept loop or hand-off in between.  A request is ``GET`` over
+:class:`~repro.serve.robust.RobustDispatcher` that reads and writes its
+own sockets: reused handler threads that each ``accept()`` a
+connection, read its request head, run the route below and write the
+response themselves — one thread, one read, one write per request, no
+accept loop or hand-off in between.  A request is ``GET`` over
 ``HTTP/1.x`` with a head of at most 64 KiB and 100 headers, delivered
 within 2 s of connecting (the whole head, not each read); anything
 else is refused (400/414/431/501/505) or hung up on before a route
@@ -70,19 +70,29 @@ a 504 when the compute ends (a thread cannot be abandoned mid-flight).
 traffic (one cell, one rollup, one gather: no request builds a lazy
 table inside its deadline) and only then flips readiness.
 SIGTERM/SIGINT (via :meth:`install_signal_handlers` or
-:meth:`request_shutdown`) flips readiness off, sheds new requests with
-``503``, waits out in-flight requests bounded by ``drain_grace_s``,
-releases the model, and releases :meth:`serve_until_shutdown` so the
-CLI can ``exit 0``.
+:meth:`request_shutdown`) flips readiness off and sheds new queries with
+``503`` (reason ``drain``) while the listener still answers health
+probes, waits up to ``drain_grace_s`` for the admitted queries — the
+one wait — then stops accepting, joins the handler threads (a second at
+most), releases the model, and releases :meth:`serve_until_shutdown` so
+the CLI can ``exit 0``.  A query the grace ran out on is shed ``503``
+``drain`` too, when the released model fails it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import re
 import signal
+import socket
 import threading
+import time
+import traceback
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
@@ -92,14 +102,8 @@ from repro.exceptions import (
     QueryError,
     ReproError,
 )
-from repro.obs.export import render_openmetrics
+from repro.obs.export import OPENMETRICS_CONTENT_TYPE, render_openmetrics
 from repro.obs.registry import registry as _obs
-from repro.obs.serve import (
-    OPENMETRICS_CONTENT_TYPE,
-    BaseEndpointHandler,
-    GracefulHTTPServer,
-    HealthState,
-)
 from repro.query.engine import AggregateQuery, CellQuery
 from repro.query.parser import parse_function, parse_indices, parse_query
 from repro.query.selection import Selection
@@ -109,6 +113,22 @@ from repro.serve.robust import RobustDispatcher
 __all__ = ["QueryServer"]
 
 _JSON = "application/json; charset=utf-8"
+_TEXT = "text/plain; charset=utf-8"
+
+# Request-head limits (the stdlib server's, kept): bytes, header lines.
+_MAX_HEAD = 65536
+_MAX_HEADERS = 100
+
+_HEAD_END = re.compile(rb"\r?\n\r?\n")  # a bare LF ends a line too
+
+#: Status code -> reason phrase, read once.
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value — cached, so formatted once a second."""
+    return formatdate(second, usegmt=True)
 
 
 def _error_body(kind: str, message: str) -> bytes:
@@ -140,12 +160,116 @@ def _split_target(target: str) -> tuple[str, dict]:
     return path, params
 
 
-class _QueryHandler(BaseEndpointHandler):
-    """Routes one request; all state lives on the bound server object."""
+class _QueryHandler:
+    """One connection, one request: read the head, route, reply once.
 
-    # Bound by QueryServer before serving starts.
-    dispatcher: RobustDispatcher = None  # type: ignore[assignment]
-    config: ServeConfig = None  # type: ignore[assignment]
+    Built per connection by the :class:`QueryServer` whose dispatcher
+    and readiness it answers with.  The parser accepts what this tier
+    serves and nothing else: ``GET <target> HTTP/1.x`` plus at most 100
+    ``name: value`` header lines in at most 64 KiB; anything else is
+    answered 400 / 414 / 431 / 501 / 505 before a route runs.
+    """
+
+    #: Seconds a client has to deliver its whole request head (and to
+    #: take the response); past it the connection is hung up on.  A
+    #: client that sends nothing, or drips a byte at a time, would
+    #: otherwise pin a handler thread.
+    timeout = 2.0
+
+    def __init__(self, server: "QueryServer", connection: socket.socket) -> None:
+        self.server = server
+        self.connection = connection
+
+    def handle(self) -> None:
+        """Serve the connection's one request."""
+        head = self._read_head()
+        if head is None:
+            return
+        refusal = self._parse_head(head)
+        if refusal is None:
+            self.do_GET()
+        else:
+            self._reply(refusal[0], _TEXT, f"{refusal[1]}\n".encode())
+
+    def _read_head(self) -> bytearray | None:
+        """The request head up to its blank line (what follows it — a
+        body, a pipelined request — is ignored: every response closes
+        the connection), as far as it was read when oversized, or None
+        when the peer hung up or ran past the deadline first."""
+        deadline = time.monotonic() + self.timeout
+        received = bytearray()
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            self.connection.settimeout(remaining)
+            try:
+                chunk = self.connection.recv(_MAX_HEAD)
+            except OSError:  # timeout or reset
+                return None
+            if not chunk:
+                return None
+            scanned = max(0, len(received) - 3)  # a blank line may straddle
+            received += chunk
+            end = _HEAD_END.search(received, scanned)
+            if end is not None:
+                return received[: end.start()]
+            if len(received) > _MAX_HEAD:
+                return received
+
+    def _parse_head(self, head: bytearray) -> tuple[int, str] | None:
+        """Fill ``path`` / ``headers``, or return the
+        ``(status, message)`` to refuse the head with."""
+        lines = head.decode("latin-1").split("\n")
+        if len(lines[0]) > _MAX_HEAD:
+            return 414, "request line too long"
+        if len(head) > _MAX_HEAD:
+            return 431, "request head too large"
+        words = lines[0].split()
+        if len(words) != 3:
+            return 400, "bad request line"
+        command, self.path, version = words
+        self.headers: dict[str, str] = {}
+        if not version.startswith("HTTP/"):
+            return 400, "bad HTTP version"
+        if not version.startswith("HTTP/1."):
+            return 505, "HTTP version not supported"
+        if len(lines) - 1 > _MAX_HEADERS:
+            return 431, "too many headers"
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon or not name or name != name.strip():
+                return 400, "bad header line"
+            # The first of a repeated header wins, as it did.
+            self.headers.setdefault(name.lower(), value.strip())
+        if command != "GET":
+            return 501, f"unsupported method {command!r}"
+        return None
+
+    def _reply(
+        self,
+        status: int,
+        content_type: str,
+        body: bytes,
+        extra_headers: dict | None = None,
+    ) -> None:
+        # One request per connection: an idle keep-alive connection
+        # would pin a handler thread.
+        head = (
+            f"HTTP/1.1 {status} {_PHRASES[status]}\r\n"
+            "Server: repro\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n"
+        )
+        for name, value in (extra_headers or {}).items():
+            head += f"{name}: {value}\r\n"
+        try:
+            self.connection.settimeout(self.timeout)
+            self.connection.sendall(head.encode("latin-1") + b"\r\n" + body)
+        except OSError:
+            pass  # client went away; nothing to salvage
 
     def do_GET(self) -> None:
         try:
@@ -157,7 +281,7 @@ class _QueryHandler(BaseEndpointHandler):
             route = _ROUTES.get(path)
             if route is not None:
                 route(self, params)
-            elif not self.handle_health(path):
+            else:
                 self._reply(
                     404, _JSON, _error_body("not_found", f"no route {path}")
                 )
@@ -218,7 +342,7 @@ class _QueryHandler(BaseEndpointHandler):
     # -- routes ----------------------------------------------------------
 
     def _answer(self, query, params: dict) -> None:
-        payload = self.dispatcher.dispatch(query, timeout_ms=self._timeout_ms(params))
+        payload = self.server.dispatcher.dispatch(query, timeout_ms=self._timeout_ms(params))
         self._reply(200, _JSON, json.dumps(payload).encode())
 
     def _query(self, params: dict) -> None:
@@ -260,7 +384,7 @@ class _QueryHandler(BaseEndpointHandler):
                 raise QueryError(
                     f"limit must be an integer, got {raw_limit!r}"
                 ) from None
-        payload = self.dispatcher.groupby(
+        payload = self.server.dispatcher.groupby(
             by, fn, limit=limit, timeout_ms=self._timeout_ms(params)
         )
         self._reply(200, _JSON, json.dumps(payload).encode())
@@ -270,8 +394,17 @@ class _QueryHandler(BaseEndpointHandler):
         # Read as on every query route; planning is not admitted, so
         # no deadline binds it.
         self._timeout_ms(params)
-        plan = self.dispatcher.explain(query)
+        plan = self.server.dispatcher.explain(query)
         self._reply(200, _JSON, json.dumps(plan).encode())
+
+    def _live(self, _params: dict) -> None:
+        self._reply(200, _TEXT, b"ok\n")
+
+    def _ready(self, _params: dict) -> None:
+        if self.server.ready.is_set():
+            self._reply(200, _TEXT, b"ready\n")
+        else:
+            self._reply(503, _TEXT, b"not ready\n")
 
     def _metrics(self, _params: dict) -> None:
         body = render_openmetrics().encode()
@@ -282,12 +415,16 @@ class _QueryHandler(BaseEndpointHandler):
         self._reply(200, _JSON, body)
 
     def _stats(self, _params: dict) -> None:
-        body = json.dumps(self.dispatcher.stats(), default=str).encode()
+        body = json.dumps(self.server.dispatcher.stats(), default=str).encode()
         self._reply(200, _JSON, body)
 
 
-#: Path -> route; the health routes and 404 are ``do_GET``'s fallback.
+#: Path -> route; 404 is ``do_GET``'s fallback.  ``/healthz`` stays the
+#: bare liveness probe (``ok``) scrapers and the CI smoke curl.
 _ROUTES = {
+    "/healthz": _QueryHandler._live,
+    "/healthz/live": _QueryHandler._live,
+    "/healthz/ready": _QueryHandler._ready,
     "/metrics": _QueryHandler._metrics,
     "/snapshot": _QueryHandler._snapshot,
     "/stats": _QueryHandler._stats,
@@ -308,6 +445,24 @@ class QueryServer:
 
     Usable as a context manager.  :attr:`url` resolves the bound port
     (``port=0`` picks a free one).
+
+    **Thread model.**  The server owns the listening socket; every
+    handler thread blocks in ``accept()`` on it itself (the kernel wakes
+    exactly one per connection) and serves what it accepted.  A handler
+    that was the last idle one starts a standby before it serves, so a
+    health probe is accepted even while every other handler sits in a
+    slow request.  Handlers live until :meth:`stop`; their count is peak
+    connections in flight plus the standby — admission, not a pool
+    size, is what sheds — so no request pays for a thread start once
+    warm.  A connection is in flight from its ``accept()`` until its
+    handler has closed it and re-counted itself idle, so a client that
+    reacts to a reply before that handler has unwound is, for the
+    count, one connection more in flight than it has requests
+    outstanding.
+
+    **Readiness** (:attr:`ready`) is set once warm and cleared the
+    moment a drain begins: a draining process is still live — don't
+    restart it — but not ready — stop routing to it.
     """
 
     def __init__(
@@ -315,67 +470,130 @@ class QueryServer:
     ) -> None:
         self.config = config or ServeConfig()
         self.dispatcher = RobustDispatcher(model_dir, self.config)
-        self.health = HealthState()
-        self._server: GracefulHTTPServer | None = None
-        self._shutdown_event = threading.Event()
-        self._stop_lock = threading.Lock()
-        self._stopped = False
+        self.ready = threading.Event()
         self.drained_clean = True
+        self._listener: socket.socket | None = None
+        self._port = self.config.port
+        self._handlers: list[threading.Thread] = []
+        # Connections in flight, handlers idle, and whether stop() has
+        # begun (_stopped) or shut the listener (_closing): one lock,
+        # taken as itself per connection (a plain lock is entered in C).
+        self._active = 0
+        self._idle = 0
+        self._stopped = False
+        self._closing = False
+        self._lock = threading.Lock()
+        self._shutdown_event = threading.Event()
 
     # -- lifecycle ------------------------------------------------------
 
     @property
     def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self.config.port
+        return self._port
 
     @property
     def url(self) -> str:
         return f"http://{self.config.host}:{self.port}"
 
+    @property
+    def handler_threads(self) -> int:
+        """Handler threads started so far (peak in flight + standby)."""
+        return len(self._handlers)
+
+    @property
+    def active_requests(self) -> int:
+        with self._lock:
+            return self._active
+
     def start(self) -> "QueryServer":
         """Warm the engine, bind, serve on daemon threads; returns self."""
-        if self._server is not None:
+        if self._listener is not None:
             return self
         self.dispatcher.warm()
-        handler = type(
-            "_BoundQueryHandler",
-            (_QueryHandler,),
-            {
-                "dispatcher": self.dispatcher,
-                "config": self.config,
-                "health": self.health,
-            },
+        # Backlog 128: a small one overflows under a burst of concurrent
+        # connections, which shows up as 1s/3s SYN-retransmit latency
+        # spikes on *admitted* requests — the admission queue, not the
+        # kernel, is where this tier sheds.
+        self._listener = socket.create_server(
+            (self.config.host, self.config.port), backlog=128
         )
-        self._server = GracefulHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self.health.set_ready(True)
+        self._port = self._listener.getsockname()[1]
+        self._start_handler()
+        self.ready.set()
         _obs.gauge("server.ready").set(1)
         return self
 
+    def _start_handler(self) -> None:
+        """Start a handler thread, counted idle (callers but start() hold
+        ``_lock``)."""
+        self._idle += 1
+        handler = threading.Thread(
+            target=self._handle_connections,
+            name=f"repro-http-handler-{len(self._handlers)}",
+            daemon=True,
+        )
+        self._handlers.append(handler)
+        handler.start()
+
+    def _handle_connections(self) -> None:
+        """One handler thread: accept and serve until the listener is shut."""
+        listener = self._listener
+        while True:
+            try:
+                connection, _address = listener.accept()
+            except OSError:  # stop()'s wake, or a transient failure
+                if self._closing:
+                    return
+                continue
+            with self._lock:
+                self._active += 1
+                self._idle -= 1
+                if self._idle == 0 and not self._closing:
+                    self._start_handler()  # the standby
+            try:
+                _QueryHandler(self, connection).handle()
+            except Exception:
+                # The boundary that must keep serving: record, move on.
+                traceback.print_exc()
+            finally:
+                connection.close()
+                with self._lock:
+                    self._active -= 1
+                    self._idle += 1
+
     def stop(self) -> None:
-        """Graceful drain: readiness off → shed new work → wait out
-        in-flight requests (bounded) → release model and listener.
+        """Graceful drain: readiness off → shed new queries and wait out
+        the admitted ones, bounded by ``drain_grace_s`` → stop accepting
+        and join the handlers (a second at most; one still inside a
+        request is a daemon) → release the model.
 
         Idempotent and safe from signal handlers' deferred context (the
         actual call happens on the main thread via
         :meth:`serve_until_shutdown`).
         """
-        with self._stop_lock:
+        with self._lock:
             if self._stopped:
                 return
             self._stopped = True
-        self.health.set_ready(False)
+        self.ready.clear()
         _obs.gauge("server.ready").set(0)
-        # Dispatcher first: new requests now shed with 503 + Retry-After
-        # while the HTTP listener keeps answering health checks.
+        # The one wait: new queries shed with 503 + Retry-After while
+        # the listener keeps answering health checks.
         self.drained_clean = self.dispatcher.drain()
-        server, self._server = self._server, None
-        if server is not None:
-            server.drain(self.config.drain_grace_s)
-            server.server_close()
+        if self._listener is not None:
+            with self._lock:
+                self._closing = True
+            try:
+                # Fails a blocked accept() on Linux, where this tier
+                # runs and is tested; closing the socket would not.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # a platform that refuses it on a listening socket
+            self._listener.close()
+            deadline = time.monotonic() + 1.0
+            for handler in self._handlers:
+                handler.join(timeout=max(0.0, deadline - time.monotonic()))
+        self.dispatcher.close()
         self._shutdown_event.set()
 
     def request_shutdown(self) -> None:
@@ -384,7 +602,7 @@ class QueryServer:
         Signal-handler safe: does no blocking work itself — the waiting
         thread performs the actual drain.
         """
-        self.health.set_ready(False)
+        self.ready.clear()
         _obs.gauge("server.ready").set(0)
         self._shutdown_event.set()
 
@@ -401,7 +619,7 @@ class QueryServer:
 
     def serve_until_shutdown(self, duration_s: float | None = None) -> bool:
         """Block until a shutdown is requested (or ``duration_s`` runs
-        out), then drain.  Returns True when in-flight requests
+        out), then drain.  Returns True when the admitted queries
         finished within the grace period."""
         self._shutdown_event.wait(timeout=duration_s)
         self.stop()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.build import build_compressed
 from repro.core.update import append_columns
+from repro.serve.server import _QueryHandler
 
 
 def build_serve_model(directory) -> None:
@@ -22,17 +23,17 @@ def build_serve_model(directory) -> None:
     build_compressed(data, directory, budget_fraction=0.2).close()
 
 
-def serve_once(handler_class, target: str, headers=(), profile=None) -> bytes:
-    """The raw response to ``GET target`` served by one
-    ``handler_class(connection).handle()`` over a socket pair, in this
-    thread; ``profile``, when given, is the ``sys.setprofile`` function
-    for exactly that call."""
+def serve_once(query_server, target: str, headers=(), profile=None) -> bytes:
+    """The raw response to ``GET target`` served by one of
+    ``query_server``'s handlers over a socket pair, in this thread;
+    ``profile``, when given, is the ``sys.setprofile`` function for
+    exactly its ``handle()`` call."""
     client, server = socket.socketpair()
     try:
         head = f"GET {target} HTTP/1.1\r\nHost: x\r\n"
         head += "".join(f"{name}: {value}\r\n" for name, value in headers)
         client.sendall((head + "\r\n").encode("latin-1"))
-        handler = handler_class(server)
+        handler = _QueryHandler(query_server, server)
         sys.setprofile(profile)
         try:
             handler.handle()

@@ -26,11 +26,13 @@ from repro.exceptions import (
     OverloadedError,
     QueryError,
     StorageError,
+    StoreClosedError,
 )
 from repro.query import engine as engine_module
 from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.serve.config import ServeConfig
+from repro.serve import robust
 from repro.serve.robust import RobustDispatcher
 from tests.conftest import lose_deltas, run_route
 
@@ -622,6 +624,42 @@ class TestDrain:
             dispatcher.dispatch("count()")
         assert excinfo.value.reason == "drain"
         dispatcher.close()  # idempotent
+
+    @pytest.mark.parametrize("draining", [True, False])
+    @pytest.mark.parametrize("route", ["dispatch", "groupby"])
+    def test_a_model_closed_under_a_query_sheds_it_only_while_draining(
+        self, stale_model_dir, monkeypatch, spy_on_execute, route, draining
+    ):
+        """A query admitted before the drain whose grace ran out: the
+        released model's failure is the drain shed, and stays a typed
+        storage failure when no drain released it."""
+        dispatcher = RobustDispatcher(stale_model_dir, ServeConfig(workers=1))
+
+        def close_under(*_args):
+            dispatcher._draining = draining
+            dispatcher.close()
+
+        if route == "dispatch":
+            spy_on_execute(dispatcher, before=close_under)
+
+            def ask():
+                return dispatcher.dispatch("sum() rows 0:40 cols 0:25")
+        else:
+            series = robust.bucket_series
+
+            def closing_series(*args):
+                close_under()
+                return series(*args)
+
+            monkeypatch.setattr(robust, "bucket_series", closing_series)
+
+            def ask():
+                return dispatcher.groupby("month", "sum")
+
+        with pytest.raises(OverloadedError if draining else StoreClosedError) as excinfo:
+            ask()
+        if draining:
+            assert excinfo.value.reason == "drain"
 
 
 def _damaged_model(tmp_path):

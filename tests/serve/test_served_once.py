@@ -36,7 +36,7 @@ BEFORE = {
 }
 
 
-def _frames(handler, target: str) -> int:
+def _frames(server, target: str) -> int:
     calls = 0
 
     def count(_frame, event, _arg):
@@ -44,19 +44,19 @@ def _frames(handler, target: str) -> int:
         if event == "call":
             calls += 1
 
-    reply = serve_once(handler, target, profile=count)
+    reply = serve_once(server, target, profile=count)
     assert reply.startswith(b"HTTP/1.1 200 "), reply[:300]
     return calls
 
 
 @pytest.fixture(scope="module")
-def handler(serve_model_dir):
+def server(serve_model_dir):
     from repro.obs.registry import registry
 
     registry.enable()
     server = QueryServer(serve_model_dir, ServeConfig(workers=1)).start()
     try:
-        yield server._server._handler_class
+        yield server
     finally:
         server.stop()
         registry.disable()
@@ -64,11 +64,11 @@ def handler(serve_model_dir):
 
 
 @pytest.fixture(scope="module")
-def frames(handler):
+def frames(server):
     spent = {}
     for kind, (target, _before) in BEFORE.items():
-        _frames(handler, target)  # warm
-        spent[kind] = _frames(handler, target)
+        _frames(server, target)  # warm
+        spent[kind] = _frames(server, target)
     return spent
 
 

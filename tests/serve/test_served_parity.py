@@ -261,16 +261,15 @@ def serve_sequence(model_dir) -> dict:
     registry.enable()
     server = QueryServer(model_dir, ServeConfig(workers=1)).start()
     try:
-        handler = server._server._handler_class
         registry.reset()  # the warm-up's spans and counters are not the sequence's
         answers = [
             {"target": target, "headers": [list(h) for h in headers],
-             **_answer(serve_once(handler, target, headers))}
+             **_answer(serve_once(server, target, headers))}
             for target, headers in _requests()
         ]
         telemetry = _telemetry(registry.snapshot())
         fixed = {
-            target: _answer(serve_once(handler, target, headers))
+            target: _answer(serve_once(server, target, headers))
             for target, (headers, _status, _body) in FIXED.items()
         }
     finally:

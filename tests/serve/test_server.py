@@ -26,9 +26,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import StorageError
-from repro.obs.serve import BaseEndpointHandler
 from repro.serve.config import ServeConfig
-from repro.serve.server import QueryServer
+from repro.serve.server import QueryServer, _QueryHandler
 
 
 def _get(base: str, path: str, timeout: float = 30.0):
@@ -578,6 +577,44 @@ class TestDrain:
         assert srv.serve_until_shutdown(duration_s=5.0) is True
         srv.stop()  # idempotent
 
+    def test_a_shutdown_waits_its_grace_once(self, serve_model_dir, spy_on_execute):
+        """A query held past the grace: stop() returns after one grace
+        and the handlers' join, and the held query is shed with reason
+        ``drain`` — not a 500 from the model released under it."""
+        config = ServeConfig(port=0, workers=1, drain_grace_s=1.0)
+        srv = QueryServer(serve_model_dir, config).start()
+        held = threading.Event()
+
+        def hold(_query):
+            held.set()
+            time.sleep(6.0)
+
+        spy_on_execute(srv.dispatcher, before=hold)
+        replies = []
+        client = threading.Thread(
+            target=lambda: replies.append(
+                _get(srv.url, "/aggregate?fn=sum&rows=0:40&cols=0:25")
+            )
+        )
+        client.start()
+        try:
+            assert held.wait(timeout=10.0)
+            start = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - start < config.drain_grace_s + 1.5
+        finally:
+            srv.stop()
+            client.join(timeout=30.0)
+        assert not client.is_alive()
+        status, headers, payload = replies[0]
+        assert status == 503
+        assert headers["Retry-After"] == "1"
+        assert payload == {
+            "error": "overloaded",
+            "message": "server is draining; connection will not be retried here",
+        }
+        assert srv.dispatcher.admission.shed_total == 1
+
     def test_double_stop_is_safe(self, serve_model_dir):
         config = ServeConfig(port=0, workers=1)
         srv = QueryServer(serve_model_dir, config).start()
@@ -601,19 +638,19 @@ class TestDrain:
         """A client that connects and sends nothing is timed out by the
         handler's read timeout; it neither pins a handler thread nor
         holds stop() to the drain grace."""
-        monkeypatch.setattr(BaseEndpointHandler, "timeout", 0.3)
+        monkeypatch.setattr(_QueryHandler, "timeout", 0.3)
         config = ServeConfig(port=0, workers=1, drain_grace_s=5.0)
         srv = QueryServer(serve_model_dir, config).start()
         try:
             with socket.create_connection((config.host, srv.port), timeout=5.0) as silent:
                 assert silent.recv(1) == b""  # the server hung up first
-            _settle(srv._server)
+            _settle(srv)
             with socket.create_connection((config.host, srv.port), timeout=5.0):
                 # In flight from the hand-off, before any byte arrives.
                 deadline = time.monotonic() + 5.0
-                while srv._server.active_requests == 0 and time.monotonic() < deadline:
+                while srv.active_requests == 0 and time.monotonic() < deadline:
                     time.sleep(0.005)
-                assert srv._server.active_requests == 1
+                assert srv.active_requests == 1
                 start = time.monotonic()
                 srv.stop()
                 assert time.monotonic() - start < config.drain_grace_s
@@ -634,25 +671,24 @@ class TestHandlerThreads:
         threads_before = threading.active_count()
         config = ServeConfig(port=0, workers=1)
         with QueryServer(serve_model_dir, config) as srv:
-            server = srv._server
             in_flight_at_start = []
-            start_handler = server._start_handler
+            start_handler = srv._start_handler
 
             def recording_start():  # runs under the server's lock
-                in_flight_at_start.append(server._active)
+                in_flight_at_start.append(srv._active)
                 start_handler()
 
-            monkeypatch.setattr(server, "_start_handler", recording_start)
+            monkeypatch.setattr(srv, "_start_handler", recording_start)
 
             for i in range(50):
                 assert _get(srv.url, f"/cell?row={i}&col=1")[0] == 200
-            _settle(server)
-            handlers = server.handler_threads
+            _settle(srv)
+            handlers = srv.handler_threads
             assert handlers == max(in_flight_at_start) + 1
             for i in range(450):
                 assert _get(srv.url, f"/cell?row={i % 50}&col=1")[0] == 200
-                _settle(server)
-            assert server.handler_threads == handlers
+                _settle(srv)
+            assert srv.handler_threads == handlers
         # stop() joined the handlers (there is no accept-loop thread).
         assert threading.active_count() <= threads_before
 
@@ -686,11 +722,11 @@ class TestHandlerThreads:
                 client.start()
             try:
                 deadline = time.monotonic() + 10.0
-                while srv._server.active_requests < 4 and time.monotonic() < deadline:
+                while srv.active_requests < 4 and time.monotonic() < deadline:
                     time.sleep(0.005)
-                assert srv._server.active_requests == 4
+                assert srv.active_requests == 4
                 assert _get(srv.url, "/healthz/ready", timeout=5.0)[0] == 200
-                assert srv._server.handler_threads == 6
+                assert srv.handler_threads == 6
             finally:
                 release.set()
                 for client in clients:

@@ -3,8 +3,8 @@
 Everything else in the suite reaches the server through ``urllib``, so
 every byte its parser ever saw was well-formed.  Here a raw socket
 sends what a broken, slow or malicious peer would, against
-:class:`~repro.serve.server.QueryServer` (whose request reader is
-:mod:`repro.obs.serve`):
+:class:`~repro.serve.server.QueryServer` (which reads its own
+sockets):
 
 - a table of malformed and borderline requests, each with the exact
   status it gets — or the hang-up, where no reply is owed;
@@ -30,9 +30,8 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.obs.serve import BaseEndpointHandler
 from repro.serve.config import ServeConfig
-from repro.serve.server import QueryServer
+from repro.serve.server import QueryServer, _QueryHandler
 
 _TEXT = "text/plain; charset=utf-8"
 _JSON = "application/json; charset=utf-8"
@@ -290,17 +289,17 @@ def test_any_bytes_get_one_response_or_a_hang_up(
     # Half-closed, an unfinished head is hung up on at once instead of
     # at the deadline (the drip tests below cover that wait).
     raw = _exchange(server.port, [prefix + blob + suffix], half_close=True)
-    assert time.monotonic() - start < BaseEndpointHandler.timeout + 1.0
+    assert time.monotonic() - start < _QueryHandler.timeout + 1.0
     if raw:
         status, _headers, _body = _response(raw)
         assert status in {200, 400, 404, 414, 431, 501, 505}, raw[:300]
     deadline = time.monotonic() + 5.0
-    while server._server.active_requests and time.monotonic() < deadline:
+    while server.active_requests and time.monotonic() < deadline:
         time.sleep(0.001)
-    assert server._server.active_requests == 0
+    assert server.active_requests == 0
     # One client at a time: its handler, a spare when the next connect
     # beats that handler going idle, and the standby.
-    assert server._server.handler_threads <= 3
+    assert server.handler_threads <= 3
     assert capsys.readouterr().err == ""
 
 
@@ -344,16 +343,16 @@ def test_dripping_client_is_hung_up_on_at_the_whole_head_deadline(
     byte every 50 ms never lets a single ``recv`` time out, and must
     still lose the connection — unanswered — once the deadline passes;
     nor may it hold ``stop()`` to the drain grace."""
-    monkeypatch.setattr(BaseEndpointHandler, "timeout", 0.3)
+    monkeypatch.setattr(_QueryHandler, "timeout", 0.3)
     server = SERVERS[kind](serve_model_dir)
     try:
         received, elapsed = _drip(server.port, threading.Event())
         assert received == b""
         assert 0.25 < elapsed < 0.3 + 1.0
         deadline = time.monotonic() + 5.0
-        while server._server.active_requests and time.monotonic() < deadline:
+        while server.active_requests and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert server._server.active_requests == 0
+        assert server.active_requests == 0
 
         stop_dripping = threading.Event()
         dripper = threading.Thread(
@@ -361,9 +360,9 @@ def test_dripping_client_is_hung_up_on_at_the_whole_head_deadline(
         )
         dripper.start()
         deadline = time.monotonic() + 5.0
-        while not server._server.active_requests and time.monotonic() < deadline:
+        while not server.active_requests and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert server._server.active_requests == 1
+        assert server.active_requests == 1
         start = time.monotonic()
         server.stop()
         assert time.monotonic() - start < _GRACE_S / 2

@@ -8,9 +8,10 @@ that re-checks a resolved selection, and the three-operand
 sum-of-squares einsum.  The steps "Reused handler
 threads, own sockets" and "Serve answers where it accepts, one server,
 one front door" guard the serving tier: one thread-start site in
-``obs/serve.py``, no stdlib server plumbing or hand-off queue, no
-process pool or breaker behind ``repro serve``, no second HTTP server,
-no warehouse surface and no process or future machinery in
+``serve/server.py``, no ``obs/serve.py`` and no name of the server
+layer it held, no stdlib server plumbing or hand-off queue, no process
+pool or breaker behind ``repro serve``, no second HTTP server, no
+warehouse surface and no process or future machinery in
 ``src/repro/serve``.  The build guard ("a k_max-deep tensor, a queue
 of cells or a fourth scan is back in the build") keeps pass 2 a chunk
 deep, its histograms free of cell keys, and build.py free of scans;
@@ -75,7 +76,12 @@ GUARDS = {
     ),
     "thread-per-connection code in the serving tier": (
         r"ThreadingHTTPServe[r]|ThreadingMixI[n]|process_request_threa[d]",
-        ("src/repro/obs/serve.py", "src/repro/serve"),
+        ("src/repro/serve",),
+        (),
+    ),
+    "the server layer that sat under the query server": (
+        r"HealthStat[e]|GracefulHTTPServe[r]|BaseEndpointHandle[r]|_BoundQueryHandle[r]",
+        ("src/repro",),
         (),
     ),
     "the pool or its breaker in src/repro/serve": (_GONE, ("src/repro/serve",), ()),
@@ -166,11 +172,13 @@ def test_the_serve_guard_keeps_its_sed_anchors(anchor):
     assert len(re.findall(anchor, text, re.MULTILINE)) == 1
 
 
-def test_obs_serve_starts_threads_at_one_site():
+def test_the_server_starts_threads_at_one_site():
     """Handler threads accept for themselves: one ``threading.Thread(``
-    line in ``obs/serve.py`` (CI's ``grep -c``)."""
-    text = (ROOT / "src/repro/obs/serve.py").read_text()
+    line in ``serve/server.py`` (CI's ``grep -c``), and no
+    ``obs/serve.py`` (CI's ``test ! -e``)."""
+    text = (ROOT / "src/repro/serve/server.py").read_text()
     assert sum("threading.Thread(" in line for line in text.splitlines()) == 1
+    assert not (ROOT / "src/repro/obs/serve.py").exists()
 
 
 def _sed_range(lines: list[str], first: str, last: str) -> list[str]:
