@@ -26,7 +26,7 @@ METRICS = {
         "obs.trace_overhead_share",
     ),
     "adhoc_agg": ("obs.trace_overhead_share", "query.engine.execute_ms_p50", "plan.planner.plan_us_p50"),
-    "point_zipf": ("obs.trace_overhead_share", "query.engine.cell_us_p50"),
+    "point_zipf": ("obs.trace_overhead_share", "query.engine.cell_us_p50", "core.store.cell_us_p50"),
 }
 
 

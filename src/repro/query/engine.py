@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class AggregateQuery:
             object.__setattr__(self, "max_rmspe", validate_max_rmspe(self.max_rmspe))
 
 
-@dataclass(frozen=True)
 class QueryResult:
     """An answered query: the value plus execution accounting.
 
@@ -100,14 +99,65 @@ class QueryResult:
     carries the per-query :class:`~repro.obs.profile.QueryProfile` (path
     taken, page reads, pool hit rate, phase timings) while the process-wide
     telemetry registry is enabled; it is None on unprofiled runs.
+
+    Immutable, as a frozen dataclass is: assigning or deleting a field
+    raises :class:`dataclasses.FrozenInstanceError`, and ``==`` and
+    ``hash`` read ``(value, cells_touched, rows_fetched)`` only.  Its
+    slots are filled through their descriptors: every cell probe builds
+    one, and a frozen dataclass's ``__init__`` costs about twice as much.
     """
 
-    value: float
-    cells_touched: int
-    rows_fetched: int
-    profile: QueryProfile | None = field(default=None, compare=False)
-    route: str = field(default="", compare=False)
-    error_bound: float | None = field(default=0.0, compare=False)
+    __slots__ = ("value", "cells_touched", "rows_fetched", "profile", "route", "error_bound")
+
+    def __init__(
+        self,
+        value: float,
+        cells_touched: int,
+        rows_fetched: int,
+        profile: QueryProfile | None = None,
+        route: str = "",
+        error_bound: float | None = 0.0,
+    ) -> None:
+        _set_value(self, value)
+        _set_cells_touched(self, cells_touched)
+        _set_rows_fetched(self, rows_fetched)
+        _set_profile(self, profile)
+        _set_route(self, route)
+        _set_error_bound(self, error_bound)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.value, self.cells_touched, self.rows_fetched)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+(
+    _set_value,
+    _set_cells_touched,
+    _set_rows_fetched,
+    _set_profile,
+    _set_route,
+    _set_error_bound,
+) = (getattr(QueryResult, name).__set__ for name in QueryResult.__slots__)
 
 
 def _as_cell_query(query) -> CellQuery:

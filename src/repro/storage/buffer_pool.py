@@ -167,9 +167,10 @@ def read_span(pool: BufferPool, offset: int, length: int) -> bytes:
     """Read ``length`` bytes starting at absolute file ``offset`` via the pool.
 
     A span inside one page is one slice of the cached page — the page
-    itself when the span is the whole page, as a ``u.mat`` row is; a
-    span across pages joins them.  Raises :class:`PageError` if the
-    span extends past the file end.
+    itself when the span is the whole page; a span across pages joins
+    them.  Raises :class:`PageError` if the span extends past the file
+    end.  (:meth:`~repro.storage.matrix_store.MatrixStore.row` asks the
+    pool for a one-page row directly.)
     """
     if length < 0 or offset < 0:
         raise PageError(f"invalid span offset={offset} length={length}")

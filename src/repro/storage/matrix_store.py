@@ -115,9 +115,9 @@ class MatrixStore:
     the matrix), then opened with :meth:`open`.
 
     Reads are thread-safe: the pager uses positionless ``os.pread`` (no
-    shared cursor), the buffer pool is lock-striped and the mapped view
-    is read-only, so any number of threads may call :meth:`row`,
-    :meth:`read_rows`, :meth:`cell`, or run independent
+    shared cursor), the buffer pool is one LRU under one lock and the
+    mapped view is read-only, so any number of threads may call
+    :meth:`row`, :meth:`read_rows`, :meth:`cell`, or run independent
     :meth:`iter_rows` iterators over disjoint bands concurrently on one
     open store.
 
@@ -150,6 +150,14 @@ class MatrixStore:
         self._pool = BufferPool(pager, capacity=pool_capacity)
         # The data region starts at the first page past the header.
         self._data_offset = -(-_HEADER_SIZE // pager.page_size) * pager.page_size
+        #: Row 0's page when every row is exactly one page, as each
+        #: ``u.mat`` row is (row ``i`` is then page ``_row_page + i``);
+        #: None otherwise.
+        self._row_page = (
+            self._data_offset // pager.page_size
+            if cols * self._item == pager.page_size
+            else None
+        )
         self._pass_count = 0
         self._pass_lock = threading.Lock()
         self._mapped = mapped
@@ -571,6 +579,8 @@ class MatrixStore:
             raise QueryError(f"row {index} out of range [0, {self._rows})")
         if self._mapped:
             return self._unpack_row(self._live_view()[index])
+        if self._row_page is not None:
+            return self._unpack_row(self._pool.get_page(self._row_page + index))
         return self._unpack_row(
             read_span(self._pool, self._row_offset(index), self._cols * self._item)
         )

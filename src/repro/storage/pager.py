@@ -142,6 +142,10 @@ class FilePager:
     stores only write during (single-threaded) construction, but the
     lock makes mixed use safe rather than silently corrupting appends.
 
+    The file's size is read once, at open, and moved by the pager's own
+    writes, so :meth:`num_pages` and a read's range check make no
+    syscall.  While a pager is open it is its file's only writer.
+
     Args:
         path: backing file.  Created if missing when ``create=True``.
         page_size: page size in bytes.
@@ -165,6 +169,9 @@ class FilePager:
         if hasattr(os, "O_CLOEXEC"):
             flags |= os.O_CLOEXEC
         self._fd = os.open(self.path, flags, 0o644)
+        # The file's size in bytes: read once here, moved by this pager's
+        # own writes (under the write lock), so no read asks the kernel.
+        self._size = os.fstat(self._fd).st_size
         self._closed = False
         self._write_lock = threading.Lock()
         # Export the counters through the process-wide registry; the
@@ -223,10 +230,7 @@ class FilePager:
     def num_pages(self) -> int:
         """Number of whole or partial pages currently in the file."""
         self._require_open()
-        # pwrite hits the fd directly (no userspace buffer), so fstat
-        # always sees every written byte.
-        size = os.fstat(self._fd).st_size
-        return (size + self.page_size - 1) // self.page_size
+        return -(-self._size // self.page_size)
 
     # -- physical I/O funnels ---------------------------------------------
 
@@ -252,18 +256,19 @@ class FilePager:
             try:
                 if plan is not None:
                     plan.begin_read()
-                chunks: list[bytes] = []
-                got = 0
-                first = True
+                data = os.pread(self._fd, length, offset)
+                if plan is not None and data:
+                    data = plan.truncate_read(data)
+                got = len(data)
+                if got == length or not data:
+                    return data  # whole, or at EOF: no chunk list
+                chunks = [data]
                 while got < length:
                     # Each resumption addresses offset+got explicitly —
                     # the positionless read makes "resume where the
                     # truncated chunk stopped" a pure arithmetic fact
                     # instead of cursor bookkeeping.
                     data = os.pread(self._fd, length - got, offset + got)
-                    if first and plan is not None and data:
-                        data = plan.truncate_read(data)
-                    first = False
                     if not data:
                         break
                     chunks.append(data)
@@ -316,7 +321,7 @@ class FilePager:
         """
         with self._write_lock:
             if offset is None:
-                offset = os.fstat(self._fd).st_size
+                offset = self._size
             plan = _faults.plan_for(self.path)
             if plan is not None:
                 torn = plan.begin_write(data)
@@ -327,25 +332,33 @@ class FilePager:
             self.stats.add(writes=1, bytes_written=len(data))
 
     def _pwrite_all(self, offset: int, data: bytes) -> None:
-        """``os.pwrite`` resuming partial writes until ``data`` is flushed."""
+        """``os.pwrite`` resuming partial writes until ``data`` is flushed;
+        the tracked size takes in every byte that landed."""
         view = memoryview(data)
         written = 0
-        while written < len(view):
-            written += os.pwrite(self._fd, view[written:], offset + written)
+        try:
+            while written < len(view):
+                written += os.pwrite(self._fd, view[written:], offset + written)
+        finally:
+            self._size = max(self._size, offset + written)
 
     # -- page I/O -----------------------------------------------------------
 
     def read_page(self, page_id: int) -> bytes:
         """Read one page; short pages at EOF are zero-padded to page_size."""
         self._require_open()
-        if page_id < 0 or page_id >= self.num_pages():
+        page_size = self.page_size
+        offset = page_id * page_size
+        # The tracked size bounds the file: no syscall before the read.
+        if page_id < 0 or offset >= self._size:
             raise PageError(
-                f"page {page_id} out of range [0, {self.num_pages()}) in {self.path}"
+                f"page {page_id} out of range [0, {-(-self._size // page_size)}) "
+                f"in {self.path}"
             )
-        data = self._pread(page_id * self.page_size, self.page_size)
+        data = self._pread(offset, page_size)
         self.stats.add(reads=1, bytes_read=len(data))
-        if len(data) < self.page_size:
-            data = data + b"\x00" * (self.page_size - len(data))
+        if len(data) < page_size:
+            data = data + b"\x00" * (page_size - len(data))
         return data
 
     def write_page(self, page_id: int, data: bytes) -> None:

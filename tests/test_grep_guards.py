@@ -20,7 +20,9 @@ its re-keying and its file magic out of the product (the lab's hash
 table keeps the paper's key); the summary guard ("One summary
 profile") keeps the tile grid, the stored min/max and the per-customer
 file out of ``src/repro``; the cell-probe guard keeps NumPy out of the
-bodies of ``CompressedMatrix.cell`` and ``MatrixStore.row``.
+bodies of ``CompressedMatrix.cell`` and ``MatrixStore.row``, and the
+page-read guard keeps ``num_pages()`` and ``fstat`` out of
+``FilePager.read_page``.
 This test runs the same patterns over the same
 paths, so a local ``pytest`` catches a breach before CI does.  The CI
 steps stay as they are; a pattern changed there is changed here too.
@@ -215,19 +217,35 @@ _CELL_PROBE = [
 ]
 
 
-@pytest.mark.parametrize("path, first, last", _CELL_PROBE, ids=["cell", "row"])
-def test_a_cell_probe_builds_no_numpy_array(path, first, last):
-    """``CompressedMatrix.cell`` and ``MatrixStore.row`` are k
-    multiply-adds on Python floats: neither body names NumPy, nor calls
-    the builtin ``sum``, which compensates from Python 3.12.  Both
-    anchors stay, once; the range's last line, the next method's head,
-    is cut off (CI's ``sed '$d'``)."""
+def _method_body(path: str, first: str, last: str) -> list[str]:
+    """The lines of ``path`` from ``first`` up to, not including,
+    ``last`` (CI's ``sed -n '/first/,/last/p' | sed '$d'``); both
+    anchors must stay, once."""
     text = (ROOT / path).read_text()
     for anchor in (first, last):
         assert len(re.findall(anchor, text, re.MULTILINE)) == 1, anchor
     body = _sed_range(text.splitlines(), first, last)[:-1]
     assert body
+    return body
+
+
+@pytest.mark.parametrize("path, first, last", _CELL_PROBE, ids=["cell", "row"])
+def test_a_cell_probe_builds_no_numpy_array(path, first, last):
+    """``CompressedMatrix.cell`` and ``MatrixStore.row`` are k
+    multiply-adds on Python floats: neither body names NumPy, nor calls
+    the builtin ``sum``, which compensates from Python 3.12."""
+    body = _method_body(path, first, last)
     assert not [line for line in body if re.search(r"np\.|numpy|\bsum\(", line)]
+
+
+def test_a_page_read_asks_for_no_file_size():
+    """``FilePager.read_page`` checks its range against the size the
+    pager tracks: its body calls no ``num_pages()`` and no ``fstat``
+    (CI's "A page read asks the kernel for nothing but the page")."""
+    body = _method_body(
+        "src/repro/storage/pager.py", r"^    def read_page\(", r"^    def write_page\("
+    )
+    assert not [line for line in body if re.search(r"num_pages\(|fstat", line)]
 
 
 def test_the_breaker_module_stays_gone():
